@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -275,5 +277,28 @@ func TestListCountCannotOverAllocate(t *testing.T) {
 	b2 = appendUvarint(b2, MaxList+1)
 	if _, err := Decode(b2); err == nil || !strings.Contains(err.Error(), "MaxList") {
 		t.Errorf("over-MaxList count: %v", err)
+	}
+}
+
+// TestFrameBytesGolden pins the on-wire bytes of every sample frame
+// (testdata/frames.golden: one line of hex per sampleFrames() entry,
+// Append(nil, f)). The round-trip tests accept any codec that is its
+// own inverse, so only committed bytes catch two fields swapped on
+// both sides. A new sample frame appends its line; existing lines
+// never change.
+func TestFrameBytesGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	frames := sampleFrames()
+	if len(frames) != len(want) {
+		t.Fatalf("%d sample frames, golden has %d lines", len(frames), len(want))
+	}
+	for i, f := range frames {
+		if got := fmt.Sprintf("%x", Append(nil, f)); got != want[i] {
+			t.Errorf("frame %d (%T): on-wire bytes changed\n got: %s\nwant: %s", i, f, got, want[i])
+		}
 	}
 }
