@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test test-oracle race lint bench fmt
+.PHONY: all build test test-oracle race lint bench fmt loc
 
 all: build lint test
 
@@ -42,5 +42,12 @@ lint:
 fmt:
 	gofmt -w .
 
+# bench runs the benchmark BENCHMARK.json declares (four workloads,
+# seven end-to-end metrics; cmd/conduit-bench/README.md).
 bench:
-	./scripts/bench.sh
+	bash cmd/conduit-bench/run.sh
+
+# loc prints non-test Go lines per top-level package — the definition
+# of the line count ROADMAP tracks and CHANGES.md reports per PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); k = n > 3 ? p[2] "/" p[3] : "."; s[k] += $$1; t += $$1 } END { for (k in s) printf "%7d %s\n", s[k], k; printf "%7d total\n", t }' | sort -k2

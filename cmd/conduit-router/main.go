@@ -19,14 +19,10 @@
 //	conduit-router -targets 127.0.0.1:9071,127.0.0.1:9072 \
 //	    -open 400 -duration 3s -retries 3 -breaker 4
 //
-// -benchjson FILE merges the routed-fleet throughput and latency
-// results into a conduit-bench/v1 record (creating it if absent) —
-// scripts/bench.sh uses this for the committed BENCH_pr10.json.
-//
 // -trace FILE records the fleet-merged flight: the router's placement
 // spans (attempts, retries, hedges, breaker refusals) with each
 // target's serve/cluster/device spans — shipped home at the tail of
-// the v2 Response frame — grafted under them, one Perfetto process per
+// the Response frame — grafted under them, one Perfetto process per
 // participant, all on the deterministic simulated timeline.
 // -tracesample N samples every Nth routed request fleet-wide (targets
 // record whatever the wire marks sampled). -metrics FILE ("-" for
@@ -36,12 +32,9 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -74,7 +67,6 @@ func main() {
 	cooldown := flag.Int("cooldown", 8, "requests an open breaker refuses before a half-open probe")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per target on the hash ring (0 = default)")
 	drain := flag.Bool("drain", true, "drain the targets when the run ends")
-	benchjson := flag.String("benchjson", "", "merge routed-fleet results into the conduit-bench/v1 record at `file`")
 	traceOut := flag.String("trace", "", "write the fleet-merged Chrome/Perfetto trace to `file` (one process per target)")
 	tracesample := flag.Int("tracesample", 0, "trace every Nth routed request (0 with -trace set traces all)")
 	metricsOut := flag.String("metrics", "", `write the fleet-merged metrics scrape (text exposition) to "file" ("-" = stdout)`)
@@ -205,13 +197,6 @@ func main() {
 	fleet, missing := rt.Snapshot()
 	printReport(rt, fleet, missing, tally, lost, byWhom, len(schedule), elapsed)
 
-	if *benchjson != "" {
-		if err := mergeBenchJSON(*benchjson, len(clients), len(schedule), elapsed, tally, rt.Wall(), fleet.Wall); err != nil {
-			fmt.Fprintf(os.Stderr, "conduit-router: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged routed-fleet results -> %s\n", *benchjson)
-	}
 	if *metricsOut != "" {
 		if err := writeFleetMetrics(*metricsOut, rt); err != nil {
 			fmt.Fprintf(os.Stderr, "conduit-router: metrics: %v\n", err)
@@ -407,73 +392,4 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 		bt.Render(os.Stdout)
 		fmt.Println()
 	}
-}
-
-// benchResult / benchFile mirror the conduit-bench/v1 schema written by
-// cmd/experiments; mergeBenchJSON appends the routed-fleet entries to an
-// existing record (or starts a fresh one) so one BENCH_prN.json carries
-// both the data-plane and the wire-tier trajectory.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	MBPerSec    float64 `json:"mb_per_s,omitempty"`
-}
-
-type benchFile struct {
-	Schema  string            `json:"schema"`
-	Scale   int               `json:"scale"`
-	GoArch  string            `json:"goarch"`
-	Benches []benchResult     `json:"benches"`
-	Derived map[string]string `json:"derived"`
-}
-
-func mergeBenchJSON(path string, nTargets, offered int, elapsed time.Duration,
-	tally map[wire.Code]int64, routerWall, fleetWall *histo.Histogram) error {
-
-	bf := benchFile{Schema: "conduit-bench/v1", GoArch: runtime.GOARCH, Derived: map[string]string{}}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &bf); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-		if bf.Schema != "conduit-bench/v1" {
-			return fmt.Errorf("existing %s has schema %q", path, bf.Schema)
-		}
-		if bf.Derived == nil {
-			bf.Derived = map[string]string{}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-
-	prefix := fmt.Sprintf("wire/routed-open-loop-%dx", nTargets)
-	// Drop stale entries from a previous run of the same fleet shape so
-	// the merge is idempotent.
-	kept := bf.Benches[:0]
-	for _, b := range bf.Benches {
-		if !strings.HasPrefix(b.Name, prefix) {
-			kept = append(kept, b)
-		}
-	}
-	bf.Benches = kept
-	bf.Benches = append(bf.Benches, benchResult{
-		Name:       prefix + "/request",
-		Iterations: offered,
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(max(offered, 1)),
-	})
-	bf.Derived[prefix+"/throughput_rps"] = fmt.Sprintf("%.1f", float64(offered)/elapsed.Seconds())
-	bf.Derived[prefix+"/ok"] = fmt.Sprintf("%d", tally[wire.CodeOK])
-	bf.Derived[prefix+"/router_p50_ms"] = fmt.Sprintf("%.3f", float64(routerWall.P50())/1e6)
-	bf.Derived[prefix+"/router_p99_ms"] = fmt.Sprintf("%.3f", float64(routerWall.P99())/1e6)
-	bf.Derived[prefix+"/router_p999_ms"] = fmt.Sprintf("%.3f", float64(routerWall.P999())/1e6)
-	bf.Derived[prefix+"/fleet_p99_ms"] = fmt.Sprintf("%.3f", float64(fleetWall.P99())/1e6)
-	bf.Derived[prefix+"/fleet_p999_ms"] = fmt.Sprintf("%.3f", float64(fleetWall.P999())/1e6)
-
-	out, err := json.MarshalIndent(&bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	experiments [-scale N] [-workers N] [-fig10window N] [fig4|fig5|fig7a|fig7b|fig8|fig9|fig10|grid|table3|overhead|ablation|scaling|latency|availability|all]
-//	experiments -benchjson BENCH_pr5.json [-scale N]
 //
 // Shared workload x policy sweeps execute concurrently across -workers
 // goroutines, deploying each workload once and restoring the post-deploy
@@ -35,11 +34,9 @@
 // the latency experiment it runs entirely in simulated time, so its
 // table is byte-identical run to run.
 //
-// -benchjson runs the data-plane perf-trajectory benchmarks (kernel
-// microbenches vs the generic reference, a Fig. 4 regeneration, and a
-// deploy-amortized device run) and records them as JSON; scripts/bench.sh
-// wraps it. -cpuprofile/-memprofile write pprof profiles of whatever
-// experiments the invocation runs.
+// -cpuprofile/-memprofile write pprof profiles of whatever experiments
+// the invocation runs. Performance is measured by cmd/conduit-bench
+// (bash cmd/conduit-bench/run.sh), not by this command.
 package main
 
 import (
@@ -68,7 +65,6 @@ func main() {
 	loaddur := flag.Duration("loaddur", 300*time.Millisecond, "latency-experiment schedule span per point")
 	faultrates := flag.String("faultrates", "0,0.02,0.05,0.1", "master fault rates the availability experiment sweeps")
 	availreq := flag.Int("availreq", 200, "requests per availability cell")
-	benchjson := flag.String("benchjson", "", "run the perf-trajectory benchmarks and write the JSON record to `file`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
 	flag.Parse()
@@ -77,7 +73,7 @@ func main() {
 	av := availFlags{rates: *faultrates, requests: *availreq}
 	// All work happens in run so its defers — in particular stopping the
 	// CPU profile and writing the heap profile — execute before os.Exit.
-	os.Exit(run(*scale, *window, *shards, *csv, *workers, lat, av, *benchjson, *cpuprofile, *memprofile))
+	os.Exit(run(*scale, *window, *shards, *csv, *workers, lat, av, *cpuprofile, *memprofile))
 }
 
 // latencyFlags carries the latency experiment's knobs into run.
@@ -136,7 +132,7 @@ func (f availFlags) options() (conduit.AvailabilityOptions, error) {
 	return conduit.AvailabilityOptions{FaultRates: rates, Requests: f.requests}, nil
 }
 
-func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av availFlags, benchjson, cpuprofile, memprofile string) int {
+func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av availFlags, cpuprofile, memprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -165,14 +161,6 @@ func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av 
 			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
 		}
 	}()
-
-	if benchjson != "" {
-		if err := runBenchJSON(benchjson, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: benchjson: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	which := "all"
 	if flag.NArg() > 0 {

@@ -509,10 +509,17 @@ func (d *Deployment) run(policy string, sp *trace.Span) (*RunResult, error) {
 // extent is the run's elapsed simulated time, and pool activity lands
 // on it as events.
 func (d *Deployment) runTraced(policy string, sp *trace.Span) (*RunResult, error) {
+	return d.runAttempt(policy, sp, "")
+}
+
+// runAttempt is runTraced for a caller that may run d more than once
+// under one span (the recovery ladder's retries): key tells the
+// sibling "device.run" spans apart.
+func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
 	if sp == nil {
 		return d.run(policy, nil)
 	}
-	child := sp.Child("device.run", "", 0)
+	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", policy)
 	r, err := d.run(policy, child)
 	if err != nil {
@@ -554,9 +561,6 @@ func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
 	}
 	return dev, nil
 }
-
-// ResourceName names an SSD computation resource index in Fractions order.
-func ResourceName(i int) string { return isa.Resource(i).String() }
 
 // NumResources is the number of SSD computation resources.
 const NumResources = isa.NumResources

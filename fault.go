@@ -311,7 +311,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *ser
 				rec.Fallbacks++
 				sp.Event("fallback", int64(penalty),
 					trace.Attr{Key: "policy", Value: fb})
-				res, err := guardShardRun(shard, func() (*RunResult, error) { return dep.Run(fb) })
+				res, err := guardShardRun(shard, func() (*RunResult, error) { return dep.runAttempt(fb, sp, "fallback") })
 				if err != nil {
 					return nil, err
 				}
@@ -361,10 +361,11 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 			trace.Attr{Key: "kind", Value: kind},
 			trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt)})
 	}
+	run := func() (*RunResult, error) { return dep.runAttempt(policy, sp, strconv.Itoa(attempt)) }
 	if policy == "CPU" || policy == "GPU" {
 		// Host baselines fork no device and touch no pool: only the
 		// dispatch seam applies to them.
-		res, err := guardShardRun(shard, func() (*RunResult, error) { return dep.Run(policy) })
+		res, err := guardShardRun(shard, run)
 		return res, 0, err
 	}
 	if fd := r.inj.Fork(r.name, shard, attempt); fd.Fail || fd.Poison {
@@ -398,7 +399,7 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 		})
 		return nil, 0, err
 	}
-	res, err := guardShardRun(shard, func() (*RunResult, error) { return dep.Run(policy) })
+	res, err := guardShardRun(shard, run)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -387,15 +387,6 @@ func (d *Device) coreTraffic(inst *isa.Inst) sim.Time {
 	return sim.Time(n) * cfg.DRAMTransferTime(inst.VectorBytes())
 }
 
-func (d *Device) meanDieUtil(now sim.Time) float64 {
-	var sum float64
-	n := d.Cfg.SSD.TotalDies()
-	for i := 0; i < n; i++ {
-		sum += d.Flash.DieCalendar(i).Utilization(now)
-	}
-	return sum / float64(n)
-}
-
 // ifpPlan describes how inst would execute in flash: the target plane and
 // die, the operand profile (senses vs latch loads), and the contention-free
 // movement cost of staging non-resident operands.

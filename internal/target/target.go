@@ -401,30 +401,6 @@ func codeFor(err error) wire.Code {
 	return wire.CodeError
 }
 
-// ErrFor reverses codeFor on the router side: typed conditions come
-// back as the same sentinel errors in-process callers match on.
-func ErrFor(code wire.Code, msg string) error {
-	var base error
-	switch code {
-	case wire.CodeOK:
-		return nil
-	case wire.CodeOverloaded:
-		base = conduit.ErrOverloaded
-	case wire.CodeDeadline:
-		base = conduit.ErrDeadlineExceeded
-	case wire.CodeDraining:
-		base = conduit.ErrDraining
-	case wire.CodeCircuitOpen:
-		base = conduit.ErrCircuitOpen
-	default:
-		return errors.New(msg)
-	}
-	if msg == base.Error() {
-		return base
-	}
-	return fmt.Errorf("%s: %w", msg, base)
-}
-
 func wireRecovery(r serve.Recovery) wire.Recovery {
 	return wire.Recovery{
 		Attempts:     r.Attempts,

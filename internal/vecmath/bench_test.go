@@ -10,7 +10,7 @@ import (
 // retained generic reference on a flash-page-sized operand (16 KiB, the
 // default config's page). The bitwise family is the headline number: the
 // uint64 word path must beat the closure-per-element reference by >= 3x
-// (scripts/bench.sh records the ratio in the perf trajectory).
+// (BENCH_pr3.json recorded the ratio).
 func BenchmarkVecmathKernels(b *testing.B) {
 	const page = 16 << 10
 	r := rand.New(rand.NewSource(7))

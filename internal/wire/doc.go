@@ -13,11 +13,17 @@
 //	body   (type-specific, varint/length-prefixed fields)
 //
 // Every frame the protocol defines is carried by one Go struct (Hello,
-// Request, Response, SnapshotReq, Snapshot, Drain, DrainAck), and the
-// codec is canonical: encoding is a pure function of the struct, so
-// equal frames encode to equal bytes — which is what lets the wiretest
-// harness prove a routed fleet byte-identical to in-process serving by
-// comparing encodings.
+// Request, Response, SnapshotReq, Snapshot, Drain, DrainAck,
+// MetricsReq, Metrics), and the codec is canonical: encoding is a pure
+// function of the struct, so equal frames encode to equal bytes —
+// which is what lets the wiretest harness prove a routed fleet
+// byte-identical to in-process serving by comparing encodings.
+//
+// A frame's layout is written once, as a walk over its fields that the
+// codec cursor runs in either direction; encoder and decoder are the
+// same code, and so are their limits. There is one protocol version:
+// both ends are built from this tree, and a payload under any other
+// version byte is refused. TestFrameBytesGolden pins the bytes.
 //
 // Decoding is strict and allocation-bounded: the length prefix is
 // capped at MaxFrame before any buffer is sized, element counts are

@@ -10,20 +10,18 @@ import (
 	"conduit/internal/histo"
 )
 
-// Protocol limits. Decoders enforce every one of them before sizing a
-// buffer, so a hostile peer cannot make a conduit process allocate more
-// than MaxFrame bytes per frame.
+// Protocol limits, enforced by encoder and decoder alike. A decoder
+// checks MaxFrame, MaxString and MaxList (and that a list's count fits
+// the bytes actually present) before it sizes the buffer they govern,
+// so what a hostile peer can make a conduit process allocate is bounded
+// by the bytes it really sent.
 const (
-	// Version is the protocol revision encoders emit. Decoders accept
-	// MinVersion through Version — strictly: a version-1 body must
-	// contain exactly the version-1 fields, a version-2 body must
-	// contain the trace fields — and reject anything else outright.
+	// Version is the one protocol revision: encoders emit it and
+	// decoders refuse anything else. Both ends of a connection are built
+	// from the same tree, so there is no compatibility window; bump it
+	// with any change to a frame's bytes, so a stale binary is refused
+	// by name instead of misread.
 	Version = 2
-	// MinVersion is the oldest revision decoders still accept.
-	// Version 1 predates trace propagation and the metrics frames: a
-	// v1 Request decodes with a zero TraceCtx, a v1 Response with no
-	// spans, and the metrics frame types are v2-only.
-	MinVersion = 1
 	// MaxFrame bounds one frame's payload (version byte, type byte, and
 	// body) on the wire.
 	MaxFrame = 1 << 20
@@ -48,8 +46,8 @@ const (
 	TypeSnapshot    Type = 5 // target -> router
 	TypeDrain       Type = 6 // router -> target: drain and shut down
 	TypeDrainAck    Type = 7 // target -> router, after the drain finished
-	TypeMetricsReq  Type = 8 // router -> target: scrape the metrics registry (v2+)
-	TypeMetrics     Type = 9 // target -> router: one metrics snapshot (v2+)
+	TypeMetricsReq  Type = 8 // router -> target: scrape the metrics registry
+	TypeMetrics     Type = 9 // target -> router: one metrics snapshot
 )
 
 // Frame is one protocol message. Exactly the nine wire structs
@@ -93,8 +91,7 @@ type Request struct {
 	Shards []uint32
 	// Trace is the issuer's trace context. The field is optional in
 	// meaning (the zero value is "untraced") but canonical on the wire:
-	// every version-2 Request carries it, and a version-1 Request
-	// decodes with the zero value.
+	// every Request carries it.
 	Trace TraceCtx
 }
 
@@ -179,7 +176,7 @@ type Response struct {
 	// Spans are the target-side trace spans for a sampled request,
 	// empty otherwise. Like every other Response field they carry only
 	// deterministic simulated quantities — span wall-clock fields never
-	// cross the wire. Version-1 responses decode with no spans.
+	// cross the wire.
 	Spans []Span
 }
 
@@ -213,7 +210,7 @@ type Span struct {
 	Events     []SpanEvent
 }
 
-// MetricsReq asks the target for a metrics snapshot (version 2+).
+// MetricsReq asks the target for a metrics snapshot.
 type MetricsReq struct{ ID uint64 }
 
 // MetricKind tags a metric sample's type on the wire.
@@ -238,7 +235,7 @@ type MetricSample struct {
 }
 
 // Metrics is the target's metrics snapshot: the registry's samples in
-// canonical (name, labels) order (version 2+).
+// canonical (name, labels) order.
 type Metrics struct {
 	ID      uint64
 	Target  string
@@ -304,7 +301,7 @@ type DrainAck struct {
 	Pools []PoolRow
 }
 
-// ---- encoding ----
+// ---- codec ----
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
@@ -314,204 +311,450 @@ func appendInt64(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
 }
 
-func appendF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 func appendString(b []byte, s string) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
+var errShort = errors.New("wire: truncated frame")
+
+// codec is a cursor that walks a frame's fields in wire order, in one
+// of two directions: encoding (enc) appends each field to b, decoding
+// consumes each field from the front of b into the pointer it is
+// handed. A frame's layout is therefore written once, as one walk, and
+// the limits and consistency checks inside the walk hold for both
+// directions.
+//
+// An encoder only reads through those pointers: a frame's slices are
+// shared with the caller, who may be encoding it elsewhere at once.
+//
+// The first violation sticks in err. A decoder that failed drops the
+// rest of its payload, so every later read comes up short and leaves
+// its field zero: walks need no error checks of their own. An encoder
+// that failed keeps appending — Append has no error to return, and a
+// complete payload the peer rejects beats a silently truncated one.
+type codec struct {
+	b   []byte
+	enc bool
+	err error
 }
 
-func appendRecovery(b []byte, r Recovery) []byte {
-	b = appendInt64(b, r.Attempts)
-	b = appendInt64(b, r.Retries)
-	b = appendInt64(b, r.Hedges)
-	b = appendInt64(b, r.HedgeWins)
-	b = appendInt64(b, r.Fallbacks)
-	b = appendInt64(b, r.Injected)
-	return appendInt64(b, r.BackoffSimNS)
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	if !c.enc {
+		c.b = nil
+	}
+}
+
+func (c *codec) byte(v *byte) {
+	if c.enc {
+		c.b = append(c.b, *v)
+		return
+	}
+	if len(c.b) < 1 {
+		c.fail(errShort)
+		return
+	}
+	*v, c.b = c.b[0], c.b[1:]
+}
+
+func (c *codec) bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.byte(&b)
+	if b > 1 {
+		c.fail(fmt.Errorf("wire: bool byte %d", b))
+	}
+	if !c.enc {
+		*v = b == 1
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.enc {
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+		return
+	}
+	if len(c.b) < 8 {
+		c.fail(errShort)
+		return
+	}
+	*v, c.b = binary.BigEndian.Uint64(c.b), c.b[8:]
+}
+
+func (c *codec) f64(v *float64) {
+	u := math.Float64bits(*v)
+	c.u64(&u)
+	if !c.enc {
+		*v = math.Float64frombits(u)
+	}
+}
+
+func (c *codec) uvarint(v *uint64) {
+	if c.enc {
+		c.b = appendUvarint(c.b, *v)
+		return
+	}
+	u, n := binary.Uvarint(c.b)
+	if n <= 0 {
+		c.fail(errShort)
+		return
+	}
+	*v, c.b = u, c.b[n:]
+}
+
+func (c *codec) i64(v *int64) {
+	if c.enc {
+		c.b = appendInt64(c.b, *v)
+		return
+	}
+	var u uint64
+	c.uvarint(&u)
+	*v = int64(u>>1) ^ -int64(u&1)
+}
+
+func (c *codec) str(v *string) {
+	if c.enc {
+		if len(*v) > MaxString {
+			c.fail(fmt.Errorf("wire: %d-byte string exceeds MaxString %d", len(*v), MaxString))
+		}
+		c.b = appendString(c.b, *v)
+		return
+	}
+	var n uint64
+	c.uvarint(&n)
+	switch {
+	case n > MaxString:
+		c.fail(fmt.Errorf("wire: %d-byte string exceeds MaxString %d", n, MaxString))
+	case n > uint64(len(c.b)):
+		c.fail(errShort)
+	default:
+		*v, c.b = string(c.b[:n]), c.b[n:]
+	}
+}
+
+// name walks a string that must not be empty.
+func (c *codec) name(v *string, what string) {
+	c.str(v)
+	if *v == "" {
+		c.fail(fmt.Errorf("wire: %s with empty name", what))
+	}
+}
+
+// hist walks a length-prefixed internal/histo snapshot. A nil
+// histogram encodes as an empty one, so it decodes non-nil.
+func (c *codec) hist(h **histo.Histogram, what string) {
+	if c.enc {
+		v := *h
+		if v == nil {
+			v = histo.New()
+		}
+		blob := v.MarshalBinary()
+		c.b = appendUvarint(c.b, uint64(len(blob)))
+		c.b = append(c.b, blob...)
+		return
+	}
+	var n uint64
+	c.uvarint(&n)
+	if n > uint64(len(c.b)) {
+		c.fail(errShort)
+		return
+	}
+	v, err := histo.Decode(c.b[:n])
+	if err != nil {
+		c.fail(fmt.Errorf("wire: %s histogram: %w", what, err))
+		return
+	}
+	*h, c.b = v, c.b[n:]
+}
+
+// list walks a repeated field: its count, then every element through
+// elem. Both directions hold the count to MaxList. A decoder also
+// holds it to the bytes actually left — an element takes at least min
+// of them — before it sizes the slice, so allocation is bounded by the
+// input's real size; an empty list decodes as nil.
+func list[T any](c *codec, s *[]T, min uint64, elem func(*codec, *T)) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if n > MaxList {
+		c.fail(fmt.Errorf("wire: %d-element list exceeds MaxList %d", n, MaxList))
+	} else if !c.enc && n*min > uint64(len(c.b)) {
+		c.fail(errShort)
+	}
+	if !c.enc && c.err == nil && n > 0 {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		if !c.enc && c.err != nil {
+			return
+		}
+		elem(c, &(*s)[i])
+	}
+}
+
+// ---- frame layouts ----
+//
+// One walk per frame and per nested record: the order of the calls is
+// the order of the fields on the wire. To add a field, add its line to
+// the walk that owns it, bump Version, and give wire_test.go's
+// sampleFrames a frame that sets it; TestFrameBytesGolden then shows
+// the byte change for review.
+
+func (c *codec) hello(h *Hello) {
+	c.str(&h.Target)
+	c.i64(&h.Shards)
+	if h.Shards < 0 {
+		c.fail(fmt.Errorf("wire: negative shard count %d", h.Shards))
+	}
+	list(c, &h.Workloads, 1, (*codec).str)
+}
+
+func (c *codec) request(q *Request) {
+	c.u64(&q.ID)
+	c.str(&q.Tenant)
+	c.str(&q.Workload)
+	c.str(&q.Policy)
+	c.i64(&q.DeadlineNS)
+	if q.DeadlineNS < 0 {
+		c.fail(fmt.Errorf("wire: negative deadline %d", q.DeadlineNS))
+	}
+	list(c, &q.Shards, 1, (*codec).shard)
+	if len(q.Shards) > MaxShardSet {
+		c.fail(fmt.Errorf("wire: %d-shard set exceeds MaxShardSet %d", len(q.Shards), MaxShardSet))
+	}
+	c.u64(&q.Trace.ID)
+	c.u64(&q.Trace.Parent)
+	c.bool(&q.Trace.Sampled)
+}
+
+func (c *codec) shard(s *uint32) {
+	v := uint64(*s)
+	c.uvarint(&v)
+	if v > math.MaxUint32 {
+		c.fail(fmt.Errorf("wire: shard index %d overflows uint32", v))
+	} else if !c.enc {
+		*s = uint32(v)
+	}
+}
+
+func (c *codec) response(p *Response) {
+	c.u64(&p.ID)
+	c.byte((*byte)(&p.Code))
+	if p.Code > CodeBadRequest {
+		c.fail(fmt.Errorf("wire: unknown response code %d", p.Code))
+	}
+	c.str(&p.Error)
+	if (p.Code == CodeOK) != (p.Error == "") {
+		c.fail(fmt.Errorf("wire: code %d with error %q", p.Code, p.Error))
+	}
+	c.i64(&p.ElapsedSimNS)
+	c.f64(&p.EnergyJ)
+	c.recovery(&p.Recovery)
+	hasResult := p.Result != nil
+	c.bool(&hasResult)
+	if hasResult != (p.Code == CodeOK) {
+		c.fail(fmt.Errorf("wire: code %d with result=%v", p.Code, hasResult))
+	}
+	if hasResult {
+		if p.Result == nil {
+			p.Result = &Result{}
+		}
+		c.result(p.Result)
+	}
+	list(c, &p.Spans, 29, (*codec).span)
+}
+
+func (c *codec) recovery(r *Recovery) {
+	c.i64(&r.Attempts)
+	c.i64(&r.Retries)
+	c.i64(&r.Hedges)
+	c.i64(&r.HedgeWins)
+	c.i64(&r.Fallbacks)
+	c.i64(&r.Injected)
+	c.i64(&r.BackoffSimNS)
+}
+
+func (c *codec) result(r *Result) {
+	c.str(&r.Policy)
+	c.f64(&r.ComputeEnergyJ)
+	c.f64(&r.MovementEnergyJ)
+	c.i64(&r.OverheadNS)
+	c.i64(&r.Decisions)
+	c.i64(&r.InstCount)
+	c.i64(&r.InstMeanNS)
+	list(c, &r.Counters, 2, (*codec).counter)
+}
+
+func (c *codec) counter(n *Counter) {
+	c.str(&n.Name)
+	c.i64(&n.Value)
+}
+
+func (c *codec) attr(a *Attr) {
+	c.str(&a.Key)
+	c.str(&a.Value)
+}
+
+func (c *codec) span(s *Span) {
+	c.u64(&s.TraceID)
+	c.u64(&s.ID)
+	c.u64(&s.Parent)
+	c.name(&s.Name, "span")
+	c.i64(&s.SimStartNS)
+	c.i64(&s.SimEndNS)
+	if s.SimEndNS < s.SimStartNS {
+		c.fail(fmt.Errorf("wire: span %q ends at %d before start %d", s.Name, s.SimEndNS, s.SimStartNS))
+	}
+	list(c, &s.Attrs, 2, (*codec).attr)
+	list(c, &s.Events, 3, (*codec).event)
+}
+
+func (c *codec) event(e *SpanEvent) {
+	c.name(&e.Name, "span event")
+	c.i64(&e.SimNS)
+	list(c, &e.Attrs, 2, (*codec).attr)
+}
+
+func (c *codec) snapshot(s *Snapshot) {
+	c.u64(&s.ID)
+	c.str(&s.Target)
+	list(c, &s.Tenants, 16, (*codec).tenant)
+	list(c, &s.Pools, 8, (*codec).pool)
+	c.hist(&s.Wall, "snapshot")
+}
+
+func (c *codec) tenant(t *TenantRow) {
+	c.str(&t.Tenant)
+	c.i64(&t.Requests)
+	c.i64(&t.Errors)
+	c.i64(&t.Shed)
+	c.i64(&t.Expired)
+	c.i64(&t.Shared)
+	c.i64(&t.Attained)
+	c.recovery(&t.Recovery)
+	c.i64(&t.SimNS)
+	c.f64(&t.EnergyJ)
+}
+
+func (c *codec) pool(p *PoolRow) {
+	c.str(&p.Name)
+	c.i64(&p.Preforked)
+	c.i64(&p.Hits)
+	c.i64(&p.Misses)
+	c.i64(&p.Quarantined)
+	c.i64(&p.Repairs)
+	c.i64(&p.Idle)
+	c.bool(&p.Closed)
+}
+
+func (c *codec) drainAck(a *DrainAck) {
+	c.u64(&a.ID)
+	list(c, &a.Pools, 8, (*codec).pool)
+}
+
+func (c *codec) metrics(m *Metrics) {
+	c.u64(&m.ID)
+	c.str(&m.Target)
+	list(c, &m.Samples, 3, (*codec).sample)
+}
+
+func (c *codec) sample(m *MetricSample) {
+	c.name(&m.Name, "metric sample")
+	list(c, &m.Labels, 2, (*codec).attr)
+	c.byte((*byte)(&m.Kind))
+	if m.Kind > MetricHistogram {
+		c.fail(fmt.Errorf("wire: unknown metric kind %d", m.Kind))
+	}
+	if m.Kind == MetricHistogram {
+		c.hist(&m.Hist, "metric")
+	} else {
+		c.f64(&m.Value)
+	}
+}
+
+// zeroFrames maps a type byte to the zero frame a decoder starts from.
+var zeroFrames = [...]Frame{
+	TypeHello:       Hello{},
+	TypeRequest:     Request{},
+	TypeResponse:    Response{},
+	TypeSnapshotReq: SnapshotReq{},
+	TypeSnapshot:    Snapshot{},
+	TypeDrain:       Drain{},
+	TypeDrainAck:    DrainAck{},
+	TypeMetricsReq:  MetricsReq{},
+	TypeMetrics:     Metrics{},
+}
+
+// body walks the body of f and returns the walked frame: a decoder
+// passes the zero frame of the type it read and gets it back filled in.
+func (c *codec) body(f Frame) Frame {
+	switch fr := f.(type) {
+	case Hello:
+		c.hello(&fr)
+		return fr
+	case Request:
+		c.request(&fr)
+		return fr
+	case Response:
+		c.response(&fr)
+		return fr
+	case SnapshotReq:
+		c.u64(&fr.ID)
+		return fr
+	case Snapshot:
+		c.snapshot(&fr)
+		return fr
+	case Drain:
+		c.u64(&fr.ID)
+		return fr
+	case DrainAck:
+		c.drainAck(&fr)
+		return fr
+	case MetricsReq:
+		c.u64(&fr.ID)
+		return fr
+	case Metrics:
+		c.metrics(&fr)
+		return fr
+	}
+	panic(fmt.Sprintf("wire: unknown frame %T", f))
+}
+
+// ---- entry points ----
+
+func encode(dst []byte, f Frame) ([]byte, error) {
+	c := codec{b: append(dst, Version, byte(f.frameType())), enc: true}
+	c.body(f)
+	return c.b, c.err
 }
 
 // Append encodes f (version, type, body — everything but the length
-// prefix) onto dst and returns the extended slice.
+// prefix) onto dst and returns the extended slice. It does not report
+// limit violations; Encode does.
 func Append(dst []byte, f Frame) []byte {
-	dst = append(dst, Version, byte(f.frameType()))
-	switch fr := f.(type) {
-	case Hello:
-		dst = appendString(dst, fr.Target)
-		dst = appendInt64(dst, fr.Shards)
-		dst = appendUvarint(dst, uint64(len(fr.Workloads)))
-		for _, w := range fr.Workloads {
-			dst = appendString(dst, w)
-		}
-	case Request:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-		dst = appendString(dst, fr.Tenant)
-		dst = appendString(dst, fr.Workload)
-		dst = appendString(dst, fr.Policy)
-		dst = appendInt64(dst, fr.DeadlineNS)
-		dst = appendUvarint(dst, uint64(len(fr.Shards)))
-		for _, s := range fr.Shards {
-			dst = appendUvarint(dst, uint64(s))
-		}
-		dst = binary.BigEndian.AppendUint64(dst, fr.Trace.ID)
-		dst = binary.BigEndian.AppendUint64(dst, fr.Trace.Parent)
-		dst = appendBool(dst, fr.Trace.Sampled)
-	case Response:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-		dst = append(dst, byte(fr.Code))
-		dst = appendString(dst, fr.Error)
-		dst = appendInt64(dst, fr.ElapsedSimNS)
-		dst = appendF64(dst, fr.EnergyJ)
-		dst = appendRecovery(dst, fr.Recovery)
-		if fr.Result == nil {
-			dst = appendBool(dst, false)
-		} else {
-			dst = appendBool(dst, true)
-			r := fr.Result
-			dst = appendString(dst, r.Policy)
-			dst = appendF64(dst, r.ComputeEnergyJ)
-			dst = appendF64(dst, r.MovementEnergyJ)
-			dst = appendInt64(dst, r.OverheadNS)
-			dst = appendInt64(dst, r.Decisions)
-			dst = appendInt64(dst, r.InstCount)
-			dst = appendInt64(dst, r.InstMeanNS)
-			dst = appendUvarint(dst, uint64(len(r.Counters)))
-			for _, c := range r.Counters {
-				dst = appendString(dst, c.Name)
-				dst = appendInt64(dst, c.Value)
-			}
-		}
-		dst = appendSpans(dst, fr.Spans)
-	case SnapshotReq:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-	case Snapshot:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-		dst = appendString(dst, fr.Target)
-		dst = appendUvarint(dst, uint64(len(fr.Tenants)))
-		for _, t := range fr.Tenants {
-			dst = appendString(dst, t.Tenant)
-			dst = appendInt64(dst, t.Requests)
-			dst = appendInt64(dst, t.Errors)
-			dst = appendInt64(dst, t.Shed)
-			dst = appendInt64(dst, t.Expired)
-			dst = appendInt64(dst, t.Shared)
-			dst = appendInt64(dst, t.Attained)
-			dst = appendRecovery(dst, t.Recovery)
-			dst = appendInt64(dst, t.SimNS)
-			dst = appendF64(dst, t.EnergyJ)
-		}
-		dst = appendPools(dst, fr.Pools)
-		wall := fr.Wall
-		if wall == nil {
-			wall = histo.New()
-		}
-		blob := wall.MarshalBinary()
-		dst = appendUvarint(dst, uint64(len(blob)))
-		dst = append(dst, blob...)
-	case Drain:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-	case DrainAck:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-		dst = appendPools(dst, fr.Pools)
-	case MetricsReq:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-	case Metrics:
-		dst = binary.BigEndian.AppendUint64(dst, fr.ID)
-		dst = appendString(dst, fr.Target)
-		dst = appendUvarint(dst, uint64(len(fr.Samples)))
-		for _, m := range fr.Samples {
-			dst = appendString(dst, m.Name)
-			dst = appendAttrs(dst, m.Labels)
-			dst = append(dst, byte(m.Kind))
-			if m.Kind == MetricHistogram {
-				h := m.Hist
-				if h == nil {
-					h = histo.New()
-				}
-				blob := h.MarshalBinary()
-				dst = appendUvarint(dst, uint64(len(blob)))
-				dst = append(dst, blob...)
-			} else {
-				dst = appendF64(dst, m.Value)
-			}
-		}
-	default:
-		panic(fmt.Sprintf("wire: Append of unknown frame %T", f))
-	}
-	return dst
-}
-
-func appendAttrs(dst []byte, attrs []Attr) []byte {
-	dst = appendUvarint(dst, uint64(len(attrs)))
-	for _, a := range attrs {
-		dst = appendString(dst, a.Key)
-		dst = appendString(dst, a.Value)
-	}
-	return dst
-}
-
-func appendSpans(dst []byte, spans []Span) []byte {
-	dst = appendUvarint(dst, uint64(len(spans)))
-	for _, s := range spans {
-		dst = binary.BigEndian.AppendUint64(dst, s.TraceID)
-		dst = binary.BigEndian.AppendUint64(dst, s.ID)
-		dst = binary.BigEndian.AppendUint64(dst, s.Parent)
-		dst = appendString(dst, s.Name)
-		dst = appendInt64(dst, s.SimStartNS)
-		dst = appendInt64(dst, s.SimEndNS)
-		dst = appendAttrs(dst, s.Attrs)
-		dst = appendUvarint(dst, uint64(len(s.Events)))
-		for _, e := range s.Events {
-			dst = appendString(dst, e.Name)
-			dst = appendInt64(dst, e.SimNS)
-			dst = appendAttrs(dst, e.Attrs)
-		}
-	}
-	return dst
-}
-
-func appendPools(dst []byte, pools []PoolRow) []byte {
-	dst = appendUvarint(dst, uint64(len(pools)))
-	for _, p := range pools {
-		dst = appendString(dst, p.Name)
-		dst = appendInt64(dst, p.Preforked)
-		dst = appendInt64(dst, p.Hits)
-		dst = appendInt64(dst, p.Misses)
-		dst = appendInt64(dst, p.Quarantined)
-		dst = appendInt64(dst, p.Repairs)
-		dst = appendInt64(dst, p.Idle)
-		dst = appendBool(dst, p.Closed)
-	}
+	dst, _ = encode(dst, f)
 	return dst
 }
 
 // Encode returns f as a complete wire frame: 4-byte big-endian length
 // prefix followed by the payload Append produces. It errors if the
-// frame exceeds MaxFrame or any field exceeds its protocol limit —
-// the encoder enforces the same limits the decoder does, so every
-// encodable frame is decodable.
+// frame exceeds MaxFrame or any field violates a protocol limit or
+// consistency rule — the walk that writes a frame is the walk that
+// reads it, so every encodable frame is decodable.
 func Encode(f Frame) ([]byte, error) {
-	payload := Append(make([]byte, 0, 256), f)
-	if len(payload) > MaxFrame {
-		return nil, fmt.Errorf("wire: %d-byte frame exceeds MaxFrame %d", len(payload), MaxFrame)
-	}
-	// Round-trip the limits by decoding our own payload: cheap (frames
-	// are small), and it guarantees Encode and Decode agree on validity.
-	if _, err := Decode(payload); err != nil {
+	out, err := encode(make([]byte, 4, 256), f)
+	if err != nil {
 		return nil, fmt.Errorf("wire: frame violates protocol limits: %w", err)
 	}
-	out := make([]byte, 0, 4+len(payload))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...), nil
+	if n := len(out) - 4; n > MaxFrame {
+		return nil, fmt.Errorf("wire: %d-byte frame exceeds MaxFrame %d", n, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	return out, nil
 }
 
 // WriteFrame encodes f and writes it to w.
@@ -550,152 +793,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return Decode(payload)
 }
 
-// ---- decoding ----
-
-// reader is a strict cursor over one frame payload: every read is
-// bounds-checked, every length is validated before allocation. ver is
-// the frame's protocol revision, so version-gated fields know whether
-// to expect themselves.
-type reader struct {
-	b   []byte
-	ver byte
-}
-
-var errShort = errors.New("wire: truncated frame")
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, errShort
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *reader) int64() (int64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, errShort
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *reader) byte() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, errShort
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	v, err := r.byte()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("wire: bool byte %d", v)
-}
-
-func (r *reader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > MaxString {
-		return "", fmt.Errorf("wire: %d-byte string exceeds MaxString %d", n, MaxString)
-	}
-	if n > uint64(len(r.b)) {
-		return "", errShort
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
-// count validates a repeated-field length against the protocol limit
-// and the bytes actually remaining (each element costs at least min
-// bytes), so slice allocation is bounded by the input's real size.
-func (r *reader) count(min int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > MaxList {
-		return 0, fmt.Errorf("wire: %d-element list exceeds MaxList %d", n, MaxList)
-	}
-	if min < 1 {
-		min = 1
-	}
-	if n*uint64(min) > uint64(len(r.b)) {
-		return 0, errShort
-	}
-	return int(n), nil
-}
-
-func (r *reader) recovery() (Recovery, error) {
-	var rec Recovery
-	for _, p := range [...]*int64{
-		&rec.Attempts, &rec.Retries, &rec.Hedges, &rec.HedgeWins,
-		&rec.Fallbacks, &rec.Injected, &rec.BackoffSimNS,
-	} {
-		v, err := r.int64()
-		if err != nil {
-			return Recovery{}, err
-		}
-		*p = v
-	}
-	return rec, nil
-}
-
-func (r *reader) pools() ([]PoolRow, error) {
-	n, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	pools := make([]PoolRow, n)
-	for i := range pools {
-		p := &pools[i]
-		if p.Name, err = r.string(); err != nil {
-			return nil, err
-		}
-		for _, f := range [...]*int64{
-			&p.Preforked, &p.Hits, &p.Misses, &p.Quarantined, &p.Repairs, &p.Idle,
-		} {
-			if *f, err = r.int64(); err != nil {
-				return nil, err
-			}
-		}
-		if p.Closed, err = r.bool(); err != nil {
-			return nil, err
-		}
-	}
-	return pools, nil
-}
-
 // Decode parses one frame payload (version byte, type byte, body). It
 // enforces the protocol version, the per-field limits, and exact
 // payload consumption; malformed input yields an error, never a panic
@@ -704,419 +801,25 @@ func Decode(payload []byte) (Frame, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("wire: %d-byte payload exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	r := &reader{b: payload}
-	ver, err := r.byte()
-	if err != nil {
-		return nil, err
+	c := codec{b: payload}
+	var ver, t byte
+	c.byte(&ver)
+	if ver != Version {
+		c.fail(fmt.Errorf("wire: protocol version %d, want %d", ver, Version))
 	}
-	if ver < MinVersion || ver > Version {
-		return nil, fmt.Errorf("wire: protocol version %d, want %d..%d", ver, MinVersion, Version)
+	c.byte(&t)
+	if c.err != nil {
+		return nil, c.err
 	}
-	r.ver = ver
-	t, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	var f Frame
-	switch Type(t) {
-	case TypeHello:
-		f, err = r.hello()
-	case TypeRequest:
-		f, err = r.request()
-	case TypeResponse:
-		f, err = r.response()
-	case TypeSnapshotReq:
-		var id uint64
-		if id, err = r.u64(); err == nil {
-			f = SnapshotReq{ID: id}
-		}
-	case TypeSnapshot:
-		f, err = r.snapshot()
-	case TypeDrain:
-		var id uint64
-		if id, err = r.u64(); err == nil {
-			f = Drain{ID: id}
-		}
-	case TypeDrainAck:
-		var ack DrainAck
-		if ack.ID, err = r.u64(); err == nil {
-			ack.Pools, err = r.pools()
-			f = ack
-		}
-	case TypeMetricsReq:
-		if r.ver < 2 {
-			return nil, fmt.Errorf("wire: MetricsReq frame in version-%d payload", r.ver)
-		}
-		var id uint64
-		if id, err = r.u64(); err == nil {
-			f = MetricsReq{ID: id}
-		}
-	case TypeMetrics:
-		if r.ver < 2 {
-			return nil, fmt.Errorf("wire: Metrics frame in version-%d payload", r.ver)
-		}
-		f, err = r.metrics()
-	default:
+	if int(t) >= len(zeroFrames) || zeroFrames[t] == nil {
 		return nil, fmt.Errorf("wire: unknown frame type %d", t)
 	}
-	if err != nil {
-		return nil, err
+	f := c.body(zeroFrames[t])
+	if c.err != nil {
+		return nil, c.err
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %T frame", len(r.b), f)
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %T frame", len(c.b), f)
 	}
 	return f, nil
-}
-
-func (r *reader) hello() (Frame, error) {
-	var h Hello
-	var err error
-	if h.Target, err = r.string(); err != nil {
-		return nil, err
-	}
-	if h.Shards, err = r.int64(); err != nil {
-		return nil, err
-	}
-	if h.Shards < 0 {
-		return nil, fmt.Errorf("wire: negative shard count %d", h.Shards)
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		h.Workloads = make([]string, n)
-		for i := range h.Workloads {
-			if h.Workloads[i], err = r.string(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, nil
-}
-
-func (r *reader) request() (Frame, error) {
-	var q Request
-	var err error
-	if q.ID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if q.Tenant, err = r.string(); err != nil {
-		return nil, err
-	}
-	if q.Workload, err = r.string(); err != nil {
-		return nil, err
-	}
-	if q.Policy, err = r.string(); err != nil {
-		return nil, err
-	}
-	if q.DeadlineNS, err = r.int64(); err != nil {
-		return nil, err
-	}
-	if q.DeadlineNS < 0 {
-		return nil, fmt.Errorf("wire: negative deadline %d", q.DeadlineNS)
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxShardSet {
-		return nil, fmt.Errorf("wire: %d-shard set exceeds MaxShardSet %d", n, MaxShardSet)
-	}
-	if n > 0 {
-		q.Shards = make([]uint32, n)
-		for i := range q.Shards {
-			s, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if s > math.MaxUint32 {
-				return nil, fmt.Errorf("wire: shard index %d overflows uint32", s)
-			}
-			q.Shards[i] = uint32(s)
-		}
-	}
-	if r.ver >= 2 {
-		if q.Trace.ID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if q.Trace.Parent, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if q.Trace.Sampled, err = r.bool(); err != nil {
-			return nil, err
-		}
-	}
-	return q, nil
-}
-
-func (r *reader) response() (Frame, error) {
-	var p Response
-	var err error
-	if p.ID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	code, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if code > byte(CodeBadRequest) {
-		return nil, fmt.Errorf("wire: unknown response code %d", code)
-	}
-	p.Code = Code(code)
-	if p.Error, err = r.string(); err != nil {
-		return nil, err
-	}
-	if (p.Code == CodeOK) != (p.Error == "") {
-		return nil, fmt.Errorf("wire: code %d with error %q", p.Code, p.Error)
-	}
-	if p.ElapsedSimNS, err = r.int64(); err != nil {
-		return nil, err
-	}
-	if p.EnergyJ, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if p.Recovery, err = r.recovery(); err != nil {
-		return nil, err
-	}
-	hasResult, err := r.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasResult != (p.Code == CodeOK) {
-		return nil, fmt.Errorf("wire: code %d with result=%v", p.Code, hasResult)
-	}
-	if hasResult {
-		res := &Result{}
-		if res.Policy, err = r.string(); err != nil {
-			return nil, err
-		}
-		if res.ComputeEnergyJ, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if res.MovementEnergyJ, err = r.f64(); err != nil {
-			return nil, err
-		}
-		for _, f := range [...]*int64{&res.OverheadNS, &res.Decisions, &res.InstCount, &res.InstMeanNS} {
-			if *f, err = r.int64(); err != nil {
-				return nil, err
-			}
-		}
-		n, err := r.count(2)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			res.Counters = make([]Counter, n)
-			for i := range res.Counters {
-				if res.Counters[i].Name, err = r.string(); err != nil {
-					return nil, err
-				}
-				if res.Counters[i].Value, err = r.int64(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		p.Result = res
-	}
-	if r.ver >= 2 {
-		if p.Spans, err = r.spans(); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-func (r *reader) attrs() ([]Attr, error) {
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	attrs := make([]Attr, n)
-	for i := range attrs {
-		if attrs[i].Key, err = r.string(); err != nil {
-			return nil, err
-		}
-		if attrs[i].Value, err = r.string(); err != nil {
-			return nil, err
-		}
-	}
-	return attrs, nil
-}
-
-func (r *reader) spans() ([]Span, error) {
-	n, err := r.count(29)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	spans := make([]Span, n)
-	for i := range spans {
-		s := &spans[i]
-		if s.TraceID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if s.ID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if s.Parent, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if s.Name, err = r.string(); err != nil {
-			return nil, err
-		}
-		if s.Name == "" {
-			return nil, errors.New("wire: span with empty name")
-		}
-		if s.SimStartNS, err = r.int64(); err != nil {
-			return nil, err
-		}
-		if s.SimEndNS, err = r.int64(); err != nil {
-			return nil, err
-		}
-		if s.SimEndNS < s.SimStartNS {
-			return nil, fmt.Errorf("wire: span %q ends at %d before start %d", s.Name, s.SimEndNS, s.SimStartNS)
-		}
-		if s.Attrs, err = r.attrs(); err != nil {
-			return nil, err
-		}
-		m, err := r.count(3)
-		if err != nil {
-			return nil, err
-		}
-		if m > 0 {
-			s.Events = make([]SpanEvent, m)
-			for j := range s.Events {
-				e := &s.Events[j]
-				if e.Name, err = r.string(); err != nil {
-					return nil, err
-				}
-				if e.Name == "" {
-					return nil, errors.New("wire: span event with empty name")
-				}
-				if e.SimNS, err = r.int64(); err != nil {
-					return nil, err
-				}
-				if e.Attrs, err = r.attrs(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return spans, nil
-}
-
-func (r *reader) metrics() (Frame, error) {
-	var m Metrics
-	var err error
-	if m.ID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if m.Target, err = r.string(); err != nil {
-		return nil, err
-	}
-	n, err := r.count(3)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Samples = make([]MetricSample, n)
-		for i := range m.Samples {
-			s := &m.Samples[i]
-			if s.Name, err = r.string(); err != nil {
-				return nil, err
-			}
-			if s.Name == "" {
-				return nil, errors.New("wire: metric sample with empty name")
-			}
-			if s.Labels, err = r.attrs(); err != nil {
-				return nil, err
-			}
-			kind, err := r.byte()
-			if err != nil {
-				return nil, err
-			}
-			if kind > byte(MetricHistogram) {
-				return nil, fmt.Errorf("wire: unknown metric kind %d", kind)
-			}
-			s.Kind = MetricKind(kind)
-			if s.Kind == MetricHistogram {
-				blobLen, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if blobLen > uint64(len(r.b)) {
-					return nil, errShort
-				}
-				if s.Hist, err = histo.Decode(r.b[:blobLen]); err != nil {
-					return nil, fmt.Errorf("wire: metric histogram: %w", err)
-				}
-				r.b = r.b[blobLen:]
-			} else if s.Value, err = r.f64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, nil
-}
-
-func (r *reader) snapshot() (Frame, error) {
-	var s Snapshot
-	var err error
-	if s.ID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if s.Target, err = r.string(); err != nil {
-		return nil, err
-	}
-	n, err := r.count(16)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Tenants = make([]TenantRow, n)
-		for i := range s.Tenants {
-			t := &s.Tenants[i]
-			if t.Tenant, err = r.string(); err != nil {
-				return nil, err
-			}
-			for _, f := range [...]*int64{
-				&t.Requests, &t.Errors, &t.Shed, &t.Expired, &t.Shared, &t.Attained,
-			} {
-				if *f, err = r.int64(); err != nil {
-					return nil, err
-				}
-			}
-			if t.Recovery, err = r.recovery(); err != nil {
-				return nil, err
-			}
-			if t.SimNS, err = r.int64(); err != nil {
-				return nil, err
-			}
-			if t.EnergyJ, err = r.f64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if s.Pools, err = r.pools(); err != nil {
-		return nil, err
-	}
-	blobLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if blobLen > uint64(len(r.b)) {
-		return nil, errShort
-	}
-	s.Wall, err = histo.Decode(r.b[:blobLen])
-	if err != nil {
-		return nil, fmt.Errorf("wire: snapshot histogram: %w", err)
-	}
-	r.b = r.b[blobLen:]
-	return s, nil
 }

@@ -11,7 +11,6 @@ import (
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
-	"conduit/internal/workloads"
 )
 
 // Serving-layer building blocks, re-exported like the compiler types.
@@ -251,17 +250,6 @@ func (s *Server) install(name string, build func() (application, error)) error {
 			return ErrDraining
 		}
 		return errDup
-	}
-	return nil
-}
-
-// RegisterSuite registers the paper's six evaluation workloads at the
-// given scale factor under their figure names.
-func (s *Server) RegisterSuite(scale int) error {
-	for _, w := range workloads.All(scale) {
-		if err := s.Register(w.Name, w.Source); err != nil {
-			return err
-		}
 	}
 	return nil
 }

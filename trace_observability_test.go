@@ -64,25 +64,50 @@ func newTraceServer(t *testing.T, topts *conduit.TraceOptions) *conduit.Server {
 // The tracer is unclocked (Options.Now nil), so no wall-clock field can
 // leak in to break the identity.
 func TestTraceSameSeedByteIdentical(t *testing.T) {
-	run := func() []byte {
+	run := func() ([]byte, []*trace.Span) {
 		srv := newTraceServer(t, &conduit.TraceOptions{SampleEvery: 1})
 		defer srv.Drain()
 		for _, req := range traceSchedule() {
 			srv.Do(req) // chaos responses may fail; the trace records that too
 		}
+		spans := srv.Tracer().Spans()
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, srv.Tracer().Spans()); err != nil {
+		if err := trace.WriteJSONL(&buf, spans); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), spans
 	}
-	first, second := run(), run()
+	first, spans := run()
+	second, _ := run()
 	if len(first) == 0 {
 		t.Fatal("traced run exported no spans")
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("same-seed traces differ across fresh servers\n--- first ---\n%s\n--- second ---\n%s",
 			first, second)
+	}
+	// The recovery ladder runs devices too: every shard sub-run that
+	// produced a result (its span ends past 0) shows the device run
+	// that produced it, retried, hedged, or fallen back.
+	ran := map[uint64]bool{}
+	for _, sp := range spans {
+		if sp.Name == "device.run" {
+			ran[sp.Parent] = true
+		}
+	}
+	served := 0
+	for _, sp := range spans {
+		if sp.Name != "cluster.shard" || sp.SimEndNS == 0 {
+			continue
+		}
+		served++
+		if !ran[sp.ID] {
+			t.Errorf("cluster.shard span %x (trace %x, attrs %v) served a result with no device.run child",
+				sp.ID, sp.TraceID, sp.Attrs)
+		}
+	}
+	if served == 0 {
+		t.Error("no cluster.shard span served a result")
 	}
 	for _, want := range []string{`"serve.request"`, `"serve.run"`, `"cluster.shard"`, `"fault_injected"`} {
 		if !bytes.Contains(first, []byte(want)) {
