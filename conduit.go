@@ -33,8 +33,9 @@
 // ssd.Device executes at most one Run (a second Run fails fast). To
 // execute many policies over one workload without paying the full NVMe
 // deploy path per run, use Deploy: it performs the deploy once and the
-// returned Deployment restores a pristine post-deploy device in O(state)
-// per run via a deep clone.
+// returned Deployment restores a pristine post-deploy device per run by
+// cloning a frozen master copy-on-write, at a cost proportional to what
+// the run writes rather than to the drive's size.
 //
 // System, Compiled, and Deployment are safe for concurrent use by
 // multiple goroutines; every run executes on its own cloned device, and
@@ -411,10 +412,13 @@ func runPolicyOn(dev *ssd.Device, policy string) (*RunResult, error) {
 // A Deployment is a compiled program deployed onto a simulated drive,
 // reusable across runs. The NVMe deploy (per-page I/O writes, chunked
 // fw-download, fw-commit) executes exactly once, in Deploy; each Run then
-// restores the post-deploy device in O(state) by deep-cloning the pristine
-// master instead of re-driving the NVMe path. Runs on one Deployment are
-// independent and safe to issue from multiple goroutines concurrently;
-// results are byte-identical to deploying freshly per run.
+// restores the post-deploy device by cloning the pristine, frozen master
+// instead of re-driving the NVMe path. The clone shares the master's
+// page- and block-granular tables copy-on-write (ssd.Device.Freeze), so a
+// fork costs the chunk pointers plus the small per-plane and per-slot
+// state, and the run pays for the chunks it writes. Runs on one
+// Deployment are independent and safe to issue from multiple goroutines
+// concurrently; results are byte-identical to deploying freshly per run.
 type Deployment struct {
 	sys    *System
 	c      *Compiled

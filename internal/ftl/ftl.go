@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/config"
+	"conduit/internal/cow"
 	"conduit/internal/nand"
 	"conduit/internal/sim"
 )
@@ -17,17 +18,16 @@ type FTL struct {
 	geo nand.Geometry
 	arr *nand.Array
 
-	// Page-granular tables, chunked copy-on-write so deployment forks
-	// share unwritten chunks with the frozen master (see cow.go).
-	l2p   cowTable[int32] // LPN -> flat physical page index, -1 if unmapped
-	p2l   cowTable[LPN]   // physical page -> LPN, -1 if free/invalid
-	valid cowTable[bool]
+	// Page- and block-granular tables, chunked copy-on-write so
+	// deployment forks share unwritten chunks with the frozen master.
+	l2p        cow.Table[int32] // LPN -> flat physical page index, -1 if unmapped
+	p2l        cow.Table[LPN]   // physical page -> LPN, -1 if free/invalid
+	validCount cow.Table[int32] // valid pages per block
+	// freeBlocks holds every plane's free list, in list order, in the
+	// plane's own region [plane*BlocksPerPlane, +planes[plane].free).
+	freeBlocks cow.Table[int32]
 
-	// Per-plane allocation state.
-	freeBlocks  [][]int // free block flat-indices per plane
-	activeBlock []int   // current write block per plane, -1 if none
-	nextPage    []int   // next page offset within the active block
-	validCount  []int   // valid pages per block
+	planes []planeAlloc // per-plane allocation state
 
 	cache *mappingCache
 
@@ -41,32 +41,35 @@ func New(cfg *config.SSD, arr *nand.Array) *FTL {
 	geo := arr.Geometry()
 	planes := cfg.Channels * cfg.DiesPerChannel * cfg.PlanesPerDie
 	f := &FTL{
-		cfg:         cfg,
-		geo:         geo,
-		arr:         arr,
-		l2p:         newCOWTable[int32](cfg.UsablePages(), -1),
-		p2l:         newCOWTable[LPN](cfg.TotalPages(), -1),
-		valid:       newCOWTable[bool](cfg.TotalPages(), false),
-		freeBlocks:  make([][]int, planes),
-		activeBlock: make([]int, planes),
-		nextPage:    make([]int, planes),
-		validCount:  make([]int, geo.TotalBlocks()),
-		cache:       newMappingCache(int(float64(cfg.UsablePages()) * cfg.MappingCacheRatio)),
+		cfg:        cfg,
+		geo:        geo,
+		arr:        arr,
+		l2p:        cow.New[int32](cfg.UsablePages(), -1),
+		p2l:        cow.New[LPN](cfg.TotalPages(), -1),
+		validCount: cow.New[int32](geo.TotalBlocks(), 0),
+		freeBlocks: cow.New[int32](geo.TotalBlocks(), 0),
+		planes:     make([]planeAlloc, planes),
+		cache:      newMappingCache(int(float64(cfg.UsablePages()) * cfg.MappingCacheRatio)),
 	}
-	for p := 0; p < planes; p++ {
-		f.activeBlock[p] = -1
+	for p := range f.planes {
+		f.planes[p].active = -1
 	}
 	// Seed per-plane free lists with every block.
 	for b := 0; b < geo.TotalBlocks(); b++ {
-		addr := geo.BlockAddrOf(b)
-		plane := geo.PlaneIndex(addr)
-		f.freeBlocks[plane] = append(f.freeBlocks[plane], b)
+		f.pushFreeBlock(geo.PlaneIndex(geo.BlockAddrOf(b)), b)
 	}
 	return f
 }
 
+// planeAlloc is one plane's allocation cursor.
+type planeAlloc struct {
+	active   int // current write block, -1 if none
+	nextPage int // next page offset within the active block
+	free     int // length of the plane's free list in freeBlocks
+}
+
 // Planes reports the number of allocation planes.
-func (f *FTL) Planes() int { return len(f.freeBlocks) }
+func (f *FTL) Planes() int { return len(f.planes) }
 
 // Capacity reports the logical capacity in pages.
 func (f *FTL) Capacity() int { return f.l2p.Len() }
@@ -146,7 +149,7 @@ func (f *FTL) WriteRun(now sim.Time, lpns []LPN, data [][]byte, plane int) (sim.
 	// Ensure the active block has room for the whole run; otherwise turn
 	// over to a fresh block so the run cannot straddle blocks.
 	done := now
-	if f.activeBlock[plane] == -1 || f.nextPage[plane]+len(lpns) > f.cfg.PagesPerBlock {
+	if f.planes[plane].active == -1 || f.planes[plane].nextPage+len(lpns) > f.cfg.PagesPerBlock {
 		var err error
 		done, err = f.openBlock(now, plane)
 		if err != nil {
@@ -211,10 +214,10 @@ func (f *FTL) Invalidate(lpn LPN) {
 }
 
 func (f *FTL) invalidatePhys(phys int) {
-	if f.valid.At(phys) {
-		f.valid.Set(phys, false)
+	if f.p2l.At(phys) != -1 {
 		f.p2l.Set(phys, -1)
-		f.validCount[phys/f.cfg.PagesPerBlock]--
+		blk := phys / f.cfg.PagesPerBlock
+		f.validCount.Set(blk, f.validCount.At(blk)-1)
 	}
 }
 
@@ -226,8 +229,8 @@ func (f *FTL) commitMapping(lpn LPN, addr nand.Addr) {
 	phys := f.geo.PageIndex(addr)
 	f.l2p.Set(i, int32(phys))
 	f.p2l.Set(phys, lpn)
-	f.valid.Set(phys, true)
-	f.validCount[f.geo.BlockIndex(addr)]++
+	blk := f.geo.BlockIndex(addr)
+	f.validCount.Set(blk, f.validCount.At(blk)+1)
 	f.cache.insert(lpn)
 }
 
@@ -243,16 +246,17 @@ func (f *FTL) allocate(now sim.Time, plane int) (nand.Addr, sim.Time, error) {
 		return nand.Addr{}, 0, fmt.Errorf("ftl: plane %d out of range", plane)
 	}
 	done := now
-	if f.activeBlock[plane] == -1 || f.nextPage[plane] >= f.cfg.PagesPerBlock {
+	if f.planes[plane].active == -1 || f.planes[plane].nextPage >= f.cfg.PagesPerBlock {
 		var err error
 		done, err = f.openBlock(now, plane)
 		if err != nil {
 			return nand.Addr{}, 0, err
 		}
 	}
-	addr := f.geo.BlockAddrOf(f.activeBlock[plane])
-	addr.Page = f.nextPage[plane]
-	f.nextPage[plane]++
+	pl := &f.planes[plane]
+	addr := f.geo.BlockAddrOf(pl.active)
+	addr.Page = pl.nextPage
+	pl.nextPage++
 	return addr, done, nil
 }
 
@@ -270,15 +274,25 @@ func (f *FTL) reserveBlocks() int {
 // popFreeBlock removes and returns the least-erased free block of plane
 // (wear-aware allocation).
 func (f *FTL) popFreeBlock(plane int) int {
+	base, n := f.planeBlock(plane, 0), f.planes[plane].free
 	best := 0
-	for i, b := range f.freeBlocks[plane] {
-		if f.arr.EraseCount(b) < f.arr.EraseCount(f.freeBlocks[plane][best]) {
+	for i := 1; i < n; i++ {
+		if f.arr.EraseCount(int(f.freeBlocks.At(base+i))) < f.arr.EraseCount(int(f.freeBlocks.At(base+best))) {
 			best = i
 		}
 	}
-	blk := f.freeBlocks[plane][best]
-	f.freeBlocks[plane] = append(f.freeBlocks[plane][:best], f.freeBlocks[plane][best+1:]...)
-	return blk
+	blk := f.freeBlocks.At(base + best)
+	for i := best + 1; i < n; i++ {
+		f.freeBlocks.Set(base+i-1, f.freeBlocks.At(base+i))
+	}
+	f.planes[plane].free = n - 1
+	return int(blk)
+}
+
+// pushFreeBlock appends blk to plane's free list.
+func (f *FTL) pushFreeBlock(plane, blk int) {
+	f.freeBlocks.Set(f.planeBlock(plane, f.planes[plane].free), int32(blk))
+	f.planes[plane].free++
 }
 
 // openBlock makes an active block with free pages available on plane.
@@ -287,9 +301,9 @@ func (f *FTL) popFreeBlock(plane int) int {
 // target block (partially filled with migrated pages) becomes the active
 // block.
 func (f *FTL) openBlock(now sim.Time, plane int) (sim.Time, error) {
-	if len(f.freeBlocks[plane]) > f.reserveBlocks() {
-		f.activeBlock[plane] = f.popFreeBlock(plane)
-		f.nextPage[plane] = 0
+	if f.planes[plane].free > f.reserveBlocks() {
+		f.planes[plane].active = f.popFreeBlock(plane)
+		f.planes[plane].nextPage = 0
 		return now, nil
 	}
 	return f.collect(now, plane)
@@ -306,12 +320,12 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 	victim := -1
 	for b := 0; b < f.cfg.BlocksPerPlane; b++ {
 		blk := f.planeBlock(plane, b)
-		if blk == f.activeBlock[plane] || f.isFree(plane, blk) {
+		if blk == f.planes[plane].active || f.isFree(plane, blk) {
 			continue
 		}
 		if victim == -1 ||
-			f.validCount[blk] < f.validCount[victim] ||
-			(f.validCount[blk] == f.validCount[victim] &&
+			f.validCount.At(blk) < f.validCount.At(victim) ||
+			(f.validCount.At(blk) == f.validCount.At(victim) &&
 				f.arr.EraseCount(blk) < f.arr.EraseCount(victim)) {
 			victim = blk
 		}
@@ -319,16 +333,16 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 	if victim == -1 {
 		return 0, fmt.Errorf("ftl: plane %d has no GC victim", plane)
 	}
-	if f.validCount[victim] >= f.cfg.PagesPerBlock {
+	if int(f.validCount.At(victim)) >= f.cfg.PagesPerBlock {
 		return 0, fmt.Errorf("ftl: plane %d full of live data (no reclaimable space)", plane)
 	}
-	if len(f.freeBlocks[plane]) == 0 {
+	if f.planes[plane].free == 0 {
 		return 0, fmt.Errorf("ftl: plane %d has no free migration target", plane)
 	}
 	f.gcRuns++
 	target := f.popFreeBlock(plane)
-	f.activeBlock[plane] = target
-	f.nextPage[plane] = 0
+	f.planes[plane].active = target
+	f.planes[plane].nextPage = 0
 
 	done := now
 	base := f.geo.BlockAddrOf(victim)
@@ -337,20 +351,20 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 		src := base
 		src.Page = p
 		phys := f.geo.PageIndex(src)
-		if !f.valid.At(phys) {
+		lpn := f.p2l.At(phys)
+		if lpn == -1 {
 			continue
 		}
-		lpn := f.p2l.At(phys)
 		data, rdone := f.arr.Read(now, done, src)
 		dst := targetBase
-		dst.Page = f.nextPage[plane]
-		f.nextPage[plane]++
+		dst.Page = f.planes[plane].nextPage
+		f.planes[plane].nextPage++
 		done = f.arr.Program(now, rdone, dst, data)
 		f.commitMapping(lpn, dst)
 		f.migrations++
 	}
 	done = f.arr.Erase(done, base)
-	f.freeBlocks[plane] = append(f.freeBlocks[plane], victim)
+	f.pushFreeBlock(plane, victim)
 	return done, nil
 }
 
@@ -359,8 +373,9 @@ func (f *FTL) planeBlock(plane, b int) int {
 }
 
 func (f *FTL) isFree(plane, blk int) bool {
-	for _, b := range f.freeBlocks[plane] {
-		if b == blk {
+	base := f.planeBlock(plane, 0)
+	for i := 0; i < f.planes[plane].free; i++ {
+		if int(f.freeBlocks.At(base+i)) == blk {
 			return true
 		}
 	}
@@ -420,45 +435,42 @@ func (f *FTL) Migrate(now sim.Time, lpns []LPN, plane int) (sim.Time, error) {
 	return done, nil
 }
 
-// Clone returns a deep copy of the FTL bound to arr (normally a Clone of
-// the original's array): the L2P/P2L maps, per-plane allocation state, the
-// mapping cache with its exact LRU order (cache order determines lookup
-// latencies, so restoring it is required for run-for-run determinism), and
-// the activity counters.
+// Clone returns an independent copy of the FTL bound to arr (normally a
+// Clone of the original's array): the L2P/P2L maps, valid counts and free
+// lists (copy-on-write: shared with f until either side writes), the
+// per-plane allocation cursors, the mapping cache with its exact LRU order
+// (cache order determines lookup latencies, so restoring it is required
+// for run-for-run determinism), and the activity counters.
 func (f *FTL) Clone(arr *nand.Array) *FTL {
 	c := &FTL{
-		cfg:         f.cfg,
-		geo:         f.geo,
-		arr:         arr,
-		l2p:         f.l2p.Clone(),
-		p2l:         f.p2l.Clone(),
-		valid:       f.valid.Clone(),
-		freeBlocks:  make([][]int, len(f.freeBlocks)),
-		activeBlock: append([]int(nil), f.activeBlock...),
-		nextPage:    append([]int(nil), f.nextPage...),
-		validCount:  append([]int(nil), f.validCount...),
-		cache:       f.cache.clone(),
-		nextPlane:   f.nextPlane,
-		gcRuns:      f.gcRuns,
-		migrations:  f.migrations,
-		mapMisses:   f.mapMisses,
-		mapHits:     f.mapHits,
-	}
-	for p, blocks := range f.freeBlocks {
-		c.freeBlocks[p] = append([]int(nil), blocks...)
+		cfg:        f.cfg,
+		geo:        f.geo,
+		arr:        arr,
+		l2p:        f.l2p.Clone(),
+		p2l:        f.p2l.Clone(),
+		validCount: f.validCount.Clone(),
+		freeBlocks: f.freeBlocks.Clone(),
+		planes:     append([]planeAlloc(nil), f.planes...),
+		cache:      f.cache.clone(),
+		nextPlane:  f.nextPlane,
+		gcRuns:     f.gcRuns,
+		migrations: f.migrations,
+		mapMisses:  f.mapMisses,
+		mapHits:    f.mapHits,
 	}
 	return c
 }
 
-// Freeze releases ownership of the page-granular tables so subsequent
-// Clones alias their chunks copy-on-write instead of copying them. Call
-// it on a pristine master that will be cloned many times; Clone itself
-// never mutates the parent, so a frozen FTL may be cloned from multiple
+// Freeze releases ownership of the copy-on-write tables so subsequent
+// Clones alias their chunks instead of copying them. Call it on a
+// pristine master that will be cloned many times; Clone itself never
+// mutates the parent, so a frozen FTL may be cloned from multiple
 // goroutines concurrently.
 func (f *FTL) Freeze() {
 	f.l2p.Freeze()
 	f.p2l.Freeze()
-	f.valid.Freeze()
+	f.validCount.Freeze()
+	f.freeBlocks.Freeze()
 }
 
 // Stats reports FTL activity counters.

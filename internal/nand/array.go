@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/config"
+	"conduit/internal/cow"
 	"conduit/internal/energy"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
@@ -81,14 +82,14 @@ type Array struct {
 	geo    Geometry
 	en     *energy.Account
 	timing bool
-	dies   []*sim.Calendar // one per die: senses/programs/erases/latch ops serialize here
-	bus    []*sim.Calendar // one per channel: data transfers serialize here
+	dies   []sim.Calendar // one per die: senses/programs/erases/latch ops serialize here
+	bus    []sim.Calendar // one per channel: data transfers serialize here
 
-	data      map[int][]byte // flat page index -> bytes (lazy; erased pages read as 0xFF)
-	state     []pageState
-	erases    []int       // per block
-	buffers   []*Buffer   // per plane
-	bitErrors map[int]int // injected raw-cell bit flips per page (see ecc.go)
+	data      map[int][]byte       // flat page index -> bytes (lazy; erased pages read as 0xFF)
+	state     cow.Table[pageState] // per page; shared copy-on-write with clones
+	erases    cow.Table[int32]     // per block; shared copy-on-write with clones
+	buffers   []Buffer             // per plane
+	bitErrors map[int]int          // injected raw-cell bit flips per page (see ecc.go)
 
 	// Counters for experiment reporting.
 	senses, programs, eraseOps, mwsOps, latchRounds, fcTransfers int64
@@ -108,18 +109,17 @@ func NewArray(cfg *config.SSD, en *energy.Account) *Array {
 		timing:    cfg.TimingOnly,
 		data:      make(map[int][]byte),
 		bitErrors: make(map[int]int),
-		state:     make([]pageState, cfg.TotalPages()),
-		erases:    make([]int, geo.TotalBlocks()),
-		buffers:   make([]*Buffer, cfg.Channels*cfg.DiesPerChannel*cfg.PlanesPerDie),
+		state:     cow.New(cfg.TotalPages(), pageErased),
+		erases:    cow.New[int32](geo.TotalBlocks(), 0),
+		buffers:   make([]Buffer, cfg.Channels*cfg.DiesPerChannel*cfg.PlanesPerDie),
+		dies:      make([]sim.Calendar, cfg.TotalDies()),
+		bus:       make([]sim.Calendar, cfg.Channels),
 	}
-	for i := range a.buffers {
-		a.buffers[i] = &Buffer{}
+	for d := range a.dies {
+		a.dies[d] = *sim.NewCalendar(fmt.Sprintf("die%d", d))
 	}
-	for d := 0; d < cfg.TotalDies(); d++ {
-		a.dies = append(a.dies, sim.NewCalendar(fmt.Sprintf("die%d", d)))
-	}
-	for c := 0; c < cfg.Channels; c++ {
-		a.bus = append(a.bus, sim.NewCalendar(fmt.Sprintf("flashch%d", c)))
+	for c := range a.bus {
+		a.bus[c] = *sim.NewCalendar(fmt.Sprintf("flashch%d", c))
 	}
 	// Table 2 gives no program/erase energies; scale the sense energy by
 	// the latency ratio, which matches published NAND power envelopes.
@@ -133,16 +133,16 @@ func (a *Array) Geometry() Geometry { return a.geo }
 
 // DieCalendar returns the timing calendar of die d (flattened index), used
 // by offloading policies to observe IFP queueing delay.
-func (a *Array) DieCalendar(d int) *sim.Calendar { return a.dies[d] }
+func (a *Array) DieCalendar(d int) *sim.Calendar { return &a.dies[d] }
 
 // BusCalendar returns the timing calendar of channel c.
-func (a *Array) BusCalendar(c int) *sim.Calendar { return a.bus[c] }
+func (a *Array) BusCalendar(c int) *sim.Calendar { return &a.bus[c] }
 
 // PlaneBuffer returns the page buffer of the plane holding addr.
-func (a *Array) PlaneBuffer(addr Addr) *Buffer { return a.buffers[a.geo.PlaneIndex(addr)] }
+func (a *Array) PlaneBuffer(addr Addr) *Buffer { return &a.buffers[a.geo.PlaneIndex(addr)] }
 
 // EraseCount reports how many times block b (flat index) has been erased.
-func (a *Array) EraseCount(b int) int { return a.erases[b] }
+func (a *Array) EraseCount(b int) int { return int(a.erases.At(b)) }
 
 // PageData returns the stored bytes of addr without timing effects (test
 // and verification hook). Erased pages read as 0xFF.
@@ -152,7 +152,7 @@ func (a *Array) PageData(addr Addr) []byte {
 
 // IsProgrammed reports whether addr holds data.
 func (a *Array) IsProgrammed(addr Addr) bool {
-	return a.state[a.geo.PageIndex(addr)] == pageProgrammed
+	return a.state.At(a.geo.PageIndex(addr)) == pageProgrammed
 }
 
 func (a *Array) raw(addr Addr) []byte {
@@ -174,7 +174,7 @@ func (a *Array) raw(addr Addr) []byte {
 // earliest start (operand availability). Read does not run the FC's ECC
 // decode; the storage I/O path uses ReadChecked.
 func (a *Array) Read(now, ready sim.Time, addr Addr) ([]byte, sim.Time) {
-	die := a.dies[a.geo.DieIndex(addr)]
+	die := &a.dies[a.geo.DieIndex(addr)]
 	_, sensed := die.Reserve(now, ready, a.cfg.TRead)
 	_, done := a.bus[addr.Channel].Reserve(now, sensed, a.cfg.ChannelTransferTime(a.cfg.PageSize))
 	a.senses++
@@ -205,7 +205,7 @@ func (a *Array) ReadChecked(now, ready sim.Time, addr Addr) ([]byte, sim.Time, e
 // erase first, and violating that is always a bug above us.
 func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 	idx := a.geo.PageIndex(addr)
-	if a.state[idx] == pageProgrammed {
+	if a.state.At(idx) == pageProgrammed {
 		panic(fmt.Sprintf("nand: program to programmed page %v", addr))
 	}
 	// A timing-only array accepts an elided (nil) payload; any payload
@@ -216,13 +216,12 @@ func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 	// Programs always move whole pages, so the transfer is sized by the
 	// page, not the payload — identical with the payload elided.
 	_, moved := a.bus[addr.Channel].Reserve(now, ready, a.cfg.ChannelTransferTime(a.cfg.PageSize))
-	die := a.dies[a.geo.DieIndex(addr)]
+	die := &a.dies[a.geo.DieIndex(addr)]
 	_, done := die.Reserve(now, moved, a.cfg.TProg)
 	if !a.timing {
 		a.data[idx] = append([]byte(nil), data...)
 	}
-	delete(a.bitErrors, idx)
-	a.state[idx] = pageProgrammed
+	a.setProgrammed(idx)
 	a.programs++
 	a.bytesIn += int64(a.cfg.PageSize)
 	a.en.Compute("ifp", a.eProg)
@@ -230,9 +229,17 @@ func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 	return done
 }
 
+// setProgrammed marks page idx programmed. Every program path (Program,
+// FlushBuffer, SetPageForTest) goes through it, so a reprogrammed page
+// always sheds its injected bit errors (see InjectBitErrors).
+func (a *Array) setProgrammed(idx int) {
+	delete(a.bitErrors, idx)
+	a.state.Set(idx, pageProgrammed)
+}
+
 // Erase erases the block containing addr, resetting all its pages.
 func (a *Array) Erase(now sim.Time, addr Addr) sim.Time {
-	die := a.dies[a.geo.DieIndex(addr)]
+	die := &a.dies[a.geo.DieIndex(addr)]
 	_, done := die.Reserve(now, now, a.cfg.TErase)
 	base := addr
 	for p := 0; p < a.cfg.PagesPerBlock; p++ {
@@ -240,9 +247,10 @@ func (a *Array) Erase(now sim.Time, addr Addr) sim.Time {
 		idx := a.geo.PageIndex(base)
 		delete(a.data, idx)
 		delete(a.bitErrors, idx)
-		a.state[idx] = pageErased
+		a.state.Set(idx, pageErased)
 	}
-	a.erases[a.geo.BlockIndex(addr)]++
+	blk := a.geo.BlockIndex(addr)
+	a.erases.Set(blk, a.erases.At(blk)+1)
 	a.eraseOps++
 	a.en.Compute("ifp", a.eErase)
 	return done
@@ -285,7 +293,7 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	}
 	home := homeAddr(ops)
 	buf := a.PlaneBuffer(home)
-	die := a.dies[a.geo.DieIndex(home)]
+	die := &a.dies[a.geo.DieIndex(home)]
 
 	// Gather operand values; verify buffer operands are actually latched.
 	// Validation is identical in timing-only mode; only the payload
@@ -392,7 +400,7 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	}
 	home := homeAddr(operands)
 	buf := a.PlaneBuffer(home)
-	die := a.dies[a.geo.DieIndex(home)]
+	die := &a.dies[a.geo.DieIndex(home)]
 
 	var vals [][]byte
 	if !a.timing {
@@ -467,15 +475,15 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 		return 0, fmt.Errorf("nand: flush of empty plane buffer at %v", dst)
 	}
 	idx := a.geo.PageIndex(dst)
-	if a.state[idx] == pageProgrammed {
+	if a.state.At(idx) == pageProgrammed {
 		return 0, fmt.Errorf("nand: flush to programmed page %v", dst)
 	}
-	die := a.dies[a.geo.DieIndex(dst)]
+	die := &a.dies[a.geo.DieIndex(dst)]
 	_, done := die.Reserve(now, ready, a.cfg.TProg)
 	if !a.timing {
 		a.data[idx] = append([]byte(nil), buf.Data...)
 	}
-	a.state[idx] = pageProgrammed
+	a.setProgrammed(idx)
 	a.programs++
 	a.en.Compute("ifp", a.eProg)
 	return done, nil
@@ -505,7 +513,7 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 	}
 	idx := a.geo.PageIndex(addr)
 	a.data[idx] = append([]byte(nil), data...)
-	a.state[idx] = pageProgrammed
+	a.setProgrammed(idx)
 }
 
 // Clone returns an independent copy of the array — page contents, page
@@ -518,8 +526,16 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 // shared, not copied: every mutation path in this package (Program,
 // Erase, FlushBuffer, Bitwise, Arith, SetPageForTest) replaces the stored
 // slice with a freshly allocated one rather than writing into it, so a
-// stored payload is immutable for its lifetime and restoring a deployed
-// image costs O(pages) map entries instead of O(bytes).
+// stored payload is immutable for its lifetime.
+//
+// Cost: the per-page state and per-block erase tables are copy-on-write
+// (internal/cow), so cloning a frozen array copies one pointer per
+// chunk and the clone pays for a chunk only when it first writes it;
+// cloning an array that is not frozen copies the chunks it owns. The
+// data and bitErrors maps cost one entry per stored payload or injected
+// page — nothing on a timing-only array, which stores neither — and the
+// plane buffers and calendars are one flat copy each. Clone never writes
+// to a.
 func (a *Array) Clone(en *energy.Account) *Array {
 	c := &Array{
 		cfg:            a.cfg,
@@ -528,9 +544,11 @@ func (a *Array) Clone(en *energy.Account) *Array {
 		timing:         a.timing,
 		data:           make(map[int][]byte, len(a.data)),
 		bitErrors:      make(map[int]int, len(a.bitErrors)),
-		state:          append([]pageState(nil), a.state...),
-		erases:         append([]int(nil), a.erases...),
-		buffers:        make([]*Buffer, len(a.buffers)),
+		state:          a.state.Clone(),
+		erases:         a.erases.Clone(),
+		buffers:        append([]Buffer(nil), a.buffers...),
+		dies:           append([]sim.Calendar(nil), a.dies...),
+		bus:            append([]sim.Calendar(nil), a.bus...),
 		senses:         a.senses,
 		programs:       a.programs,
 		eraseOps:       a.eraseOps,
@@ -550,16 +568,14 @@ func (a *Array) Clone(en *energy.Account) *Array {
 	for idx, n := range a.bitErrors {
 		c.bitErrors[idx] = n
 	}
-	for i, b := range a.buffers {
-		c.buffers[i] = &Buffer{Data: b.Data, Valid: b.Valid, Tag: b.Tag}
-	}
-	for _, d := range a.dies {
-		c.dies = append(c.dies, d.Clone())
-	}
-	for _, b := range a.bus {
-		c.bus = append(c.bus, b.Clone())
-	}
 	return c
+}
+
+// Freeze releases ownership of the copy-on-write tables so subsequent
+// Clones alias their chunks instead of copying them (see cow.Table.Freeze).
+func (a *Array) Freeze() {
+	a.state.Freeze()
+	a.erases.Freeze()
 }
 
 // Stats reports operation counts for experiment tables.

@@ -543,3 +543,39 @@ func TestArithProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneIsolatedFromLaterWrites: an array that is not frozen keeps
+// owning its tables, so Clone deep-copies them and nothing the original
+// does afterwards — programs, erases — shows through the clone; a frozen
+// array's clone is isolated the other way round as well.
+func TestCloneIsolatedFromLaterWrites(t *testing.T) {
+	a, cfg, _ := newTestArray()
+	geo := a.Geometry()
+	old := Addr{Block: 1, Page: 0}
+	a.Program(0, 0, old, fill(cfg, 1))
+
+	c := a.Clone(energy.NewAccount())
+	later := Addr{Block: 2, Page: 3}
+	a.Program(0, 0, later, fill(cfg, 2))
+	a.Erase(0, old)
+	if c.IsProgrammed(later) {
+		t.Error("program on the original after Clone reached the clone")
+	}
+	if !c.IsProgrammed(old) || !bytes.Equal(c.PageData(old), fill(cfg, 1)) {
+		t.Error("erase on the original after Clone reached the clone")
+	}
+	if got := c.EraseCount(geo.BlockIndex(old)); got != 0 {
+		t.Errorf("clone erase count = %d after the original erased, want 0", got)
+	}
+
+	a.Freeze()
+	f := a.Clone(energy.NewAccount())
+	f.Program(0, 0, old, fill(cfg, 3))
+	f.Erase(0, later)
+	if a.IsProgrammed(old) || !a.IsProgrammed(later) {
+		t.Error("writes to a frozen array's clone reached the array")
+	}
+	if got := a.EraseCount(geo.BlockIndex(later)); got != 0 {
+		t.Errorf("frozen array erase count = %d after its clone erased, want 0", got)
+	}
+}

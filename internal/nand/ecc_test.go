@@ -86,3 +86,39 @@ func TestUncheckedReadIgnoresECC(t *testing.T) {
 		t.Fatalf("in-flash op must not consult FC ECC: %v", err)
 	}
 }
+
+// TestEveryProgramPathClearsBitErrors: bit errors injected on an erased
+// page last "until the page is erased or reprogrammed" whichever way it
+// is programmed — over the channel (Program), from the plane buffer
+// (FlushBuffer), or by the fixture hook (SetPageForTest).
+func TestEveryProgramPathClearsBitErrors(t *testing.T) {
+	a, cfg, _ := newTestArray()
+	src := Addr{Block: 0, Page: 0}
+	a.SetPageForTest(src, fill(cfg, 0x3C))
+	paths := []struct {
+		name    string
+		dst     Addr
+		program func(dst Addr)
+	}{
+		{"Program", Addr{Block: 1, Page: 0}, func(dst Addr) { a.Program(0, 0, dst, fill(cfg, 1)) }},
+		{"FlushBuffer", Addr{Block: 1, Page: 1}, func(dst Addr) {
+			if _, err := a.Bitwise(0, 0, BitNot, []Operand{{Addr: src}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.FlushBuffer(0, 0, dst); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetPageForTest", Addr{Block: 1, Page: 2}, func(dst Addr) { a.SetPageForTest(dst, fill(cfg, 2)) }},
+	}
+	for _, p := range paths {
+		a.InjectBitErrors(p.dst, ECCCorrectableBits+1)
+		p.program(p.dst)
+		if _, _, err := a.ReadChecked(0, 0, p.dst); err != nil {
+			t.Errorf("%s left the erased page's injected bit errors in place: %v", p.name, err)
+		}
+	}
+	if a.ECCCorrections() != 0 || a.ECCFailures() != 0 {
+		t.Errorf("clean reads counted %d corrections, %d failures", a.ECCCorrections(), a.ECCFailures())
+	}
+}

@@ -49,7 +49,9 @@ type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
 	// Select returns the chosen resource. At least one resource always
-	// supports the instruction (ISP executes the full ISA).
+	// supports the instruction (ISP executes the full ISA). The runtime
+	// refills one Features value per instruction, so Select must not
+	// keep f past the call.
 	Select(f *Features) isa.Resource
 }
 

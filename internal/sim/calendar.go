@@ -167,7 +167,7 @@ const horizonInf = Time(math.MaxInt64)
 // monotonicity; reset groups with Group.Reset.
 type Group struct {
 	name    string
-	members []*Calendar
+	members []Calendar // one slab: cloning a group is one copy, not one allocation per member
 
 	// Winner tree, 1-based: tree[1] is the root. Leaves sit at
 	// [leaf0, leaf0+len(members)); tree holds member indices (-1 for
@@ -183,9 +183,9 @@ func NewGroup(name string, n int) *Group {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: group %s must have at least one member, got %d", name, n))
 	}
-	g := &Group{name: name}
-	for i := 0; i < n; i++ {
-		g.members = append(g.members, NewCalendar(fmt.Sprintf("%s[%d]", name, i)))
+	g := &Group{name: name, members: make([]Calendar, n)}
+	for i := range g.members {
+		g.members[i].name = fmt.Sprintf("%s[%d]", name, i)
 	}
 	if n > 1 {
 		leaf0 := 1
@@ -248,7 +248,7 @@ func (g *Group) ensure(v int) {
 func (g *Group) Size() int { return len(g.members) }
 
 // Member returns the i'th member calendar.
-func (g *Group) Member(i int) *Calendar { return g.members[i] }
+func (g *Group) Member(i int) *Calendar { return &g.members[i] }
 
 // earliestIdx returns the index of the member with the smallest horizon
 // (FIFO tie-break: the lowest index among equal minima, identical to a
@@ -264,7 +264,7 @@ func (g *Group) earliestIdx() int {
 // Earliest returns the member with the smallest horizon (FIFO tie-break:
 // the lowest index among equal minima, identical to a full scan).
 func (g *Group) Earliest() *Calendar {
-	return g.members[g.earliestIdx()]
+	return &g.members[g.earliestIdx()]
 }
 
 // QueueDelay reports the queueing delay of the least-loaded member.
@@ -295,16 +295,16 @@ func (g *Group) Reserve(now, notBefore, d Time) (start, end Time) {
 // Utilization reports the mean utilization across members.
 func (g *Group) Utilization(now Time) float64 {
 	var sum float64
-	for _, m := range g.members {
-		sum += m.Utilization(now)
+	for i := range g.members {
+		sum += g.members[i].Utilization(now)
 	}
 	return sum / float64(len(g.members))
 }
 
 // Reset clears every member and rebuilds the selection tree.
 func (g *Group) Reset() {
-	for _, m := range g.members {
-		m.Reset()
+	for i := range g.members {
+		g.members[i].Reset()
 	}
 	if len(g.members) > 1 {
 		g.rebuild()
@@ -314,10 +314,7 @@ func (g *Group) Reset() {
 // Clone returns an independent copy of the group and all its members,
 // winner tree included: the clone selects exactly as the original would.
 func (g *Group) Clone() *Group {
-	ng := &Group{name: g.name, members: make([]*Calendar, len(g.members)), leaf0: g.leaf0}
-	for i, m := range g.members {
-		ng.members[i] = m.Clone()
-	}
+	ng := &Group{name: g.name, members: append([]Calendar(nil), g.members...), leaf0: g.leaf0}
 	if g.tree != nil {
 		ng.tree = append([]int32(nil), g.tree...)
 		ng.thor = append([]Time(nil), g.thor...)

@@ -6,11 +6,13 @@ import (
 	"conduit/internal/coherence"
 	"conduit/internal/config"
 	"conduit/internal/cores"
+	"conduit/internal/cow"
 	"conduit/internal/dram"
 	"conduit/internal/energy"
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
+	"conduit/internal/offload"
 	"conduit/internal/sim"
 	"conduit/internal/stats"
 )
@@ -52,8 +54,9 @@ type Device struct {
 	// (NoPage when invalid/untracked).
 	bufferTag []isa.PageID
 
-	// Per-page availability time of the latest version.
-	pageReady []sim.Time
+	// Per-page availability time of the latest version (copy-on-write:
+	// a fork shares the master's all-zero table until it first writes).
+	pageReady cow.Table[sim.Time]
 
 	// Liveness, from compiler metadata: accesses[p] is the ordered list
 	// of instruction indices touching page p, with reads and writes
@@ -81,6 +84,10 @@ type Device struct {
 	// srcScratch is the reusable operand-pointer slice of the execute
 	// paths (cleared after each instruction; never cloned).
 	srcScratch [][]byte
+
+	// feat is the feature snapshot Run refills for every instruction
+	// (no policy keeps the pointer past Select; never cloned).
+	feat offload.Features
 
 	// Fault injection: instruction ID -> remaining failures to inject.
 	faults map[int]int
@@ -183,7 +190,6 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 	d.prog = prog
 	d.Dir = coherence.NewDirectory(prog.Pages)
-	d.pageReady = make([]sim.Time, prog.Pages)
 	d.accesses = make(map[isa.PageID][]access)
 	d.output = make([]bool, prog.Pages)
 	for i := range prog.Insts {
@@ -291,9 +297,7 @@ func (d *Device) resetMeasurement() {
 	d.decisions = d.decisions[:0]
 	d.instLat = stats.NewReservoir()
 	d.counters = stats.NewCounters()
-	for i := range d.pageReady {
-		d.pageReady[i] = 0
-	}
+	d.pageReady = cow.New[sim.Time](d.prog.Pages, 0)
 	for i := 0; i < d.Cfg.SSD.TotalDies(); i++ {
 		d.Flash.DieCalendar(i).Reset()
 	}

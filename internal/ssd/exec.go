@@ -16,13 +16,8 @@ import (
 func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time) (sim.Time, error) {
 	// Operand availability (dependences resolved through page readiness).
 	ready := issue
-	for _, s := range inst.Srcs {
-		if d.pageReady[s] > ready {
-			ready = d.pageReady[s]
-		}
-	}
-	if inst.Dst != isa.NoPage && d.pageReady[inst.Dst] > ready {
-		ready = d.pageReady[inst.Dst]
+	if t := d.operandsReady(inst); t > ready {
+		ready = t
 	}
 
 	var done sim.Time
@@ -43,9 +38,26 @@ func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time) (sim.Ti
 		return 0, err
 	}
 	if inst.Dst != isa.NoPage {
-		d.pageReady[inst.Dst] = done
+		d.pageReady.Set(int(inst.Dst), done)
 	}
 	return done, nil
+}
+
+// operandsReady reports when the newest versions of inst's operands (and
+// of its destination, for WAR/WAW ordering) become available.
+func (d *Device) operandsReady(inst *isa.Inst) sim.Time {
+	var ready sim.Time
+	for _, s := range inst.Srcs {
+		if t := d.pageReady.At(int(s)); t > ready {
+			ready = t
+		}
+	}
+	if inst.Dst != isa.NoPage {
+		if t := d.pageReady.At(int(inst.Dst)); t > ready {
+			ready = t
+		}
+	}
+	return ready
 }
 
 // --- shared movement helpers ----------------------------------------------
@@ -118,8 +130,8 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 		}
 		d.DRAM.Recycle(data) // the flash program copied it
 		d.Dir.Sync(int(page), coherence.SyncEviction)
-		if wdone > d.pageReady[page] {
-			d.pageReady[page] = wdone
+		if wdone > d.pageReady.At(int(page)) {
+			d.pageReady.Set(int(page), wdone)
 		}
 		done = wdone
 	}
@@ -172,21 +184,21 @@ func (d *Device) flushBeforeWrap(p isa.PageID) error {
 	switch d.Dir.Owner(int(p)) {
 	case coherence.LocDRAM:
 		slot := d.dramSlot[p]
-		data, rdone := d.DRAM.Read(d.firmware, d.pageReady[p], slot)
+		data, rdone := d.DRAM.Read(d.firmware, d.pageReady.At(int(p)), slot)
 		done, err := d.FTL.Write(rdone, ftl.LPN(p), data, -1)
 		if err != nil {
 			return err
 		}
 		d.DRAM.Recycle(data) // the flash program copied it
-		d.pageReady[p] = done
+		d.pageReady.Set(int(p), done)
 	case coherence.LocBuffer:
 		plane := d.bufferPlane(p)
-		done, err := d.FTL.WriteBuffered(d.firmware, d.pageReady[p], ftl.LPN(p), plane)
+		done, err := d.FTL.WriteBuffered(d.firmware, d.pageReady.At(int(p)), ftl.LPN(p), plane)
 		if err != nil {
 			return err
 		}
 		d.bufferTag[plane] = isa.NoPage
-		d.pageReady[p] = done
+		d.pageReady.Set(int(p), done)
 	}
 	d.Dir.Sync(int(p), coherence.SyncEviction)
 	return nil
@@ -213,7 +225,7 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		d.srcScratch = srcs[:0]
 	}()
 	for _, s := range inst.Srcs {
-		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
+		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
 		if err != nil {
 			return 0, err
 		}
@@ -269,7 +281,7 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	arity := op.Arity()
 	slots := make([]int, 0, arity)
 	for _, s := range inst.Srcs {
-		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
+		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
 		if err != nil {
 			return 0, err
 		}
@@ -334,7 +346,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			}
 			// Cross-plane: read out of the source plane and latch-load
 			// into the target (channel traffic on both sides).
-			data, rdone := d.Flash.Read(issue, d.pageReady[s], addr)
+			data, rdone := d.Flash.Read(issue, d.pageReady.At(int(s)), addr)
 			ldone := d.latchTransferIn(issue, rdone, plane)
 			if ldone > ready {
 				ready = ldone
@@ -349,7 +361,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 				// this operand's only copy; preserve it in DRAM first —
 				// unless the value is dead after this instruction.
 				if _, cached := d.dramSlot[s]; !cached && !d.deadAfter(s, inst.ID) {
-					data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady[s], planeAddr)
+					data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), planeAddr)
 					if err != nil {
 						return 0, err
 					}
@@ -372,7 +384,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 				continue
 			}
 			// Latched in another plane: read it out and latch-load here.
-			data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady[s], d.planeAddr(p))
+			data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), d.planeAddr(p))
 			if err != nil {
 				return 0, err
 			}
@@ -388,7 +400,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		if !ok {
 			return 0, fmt.Errorf("page %d owned by DRAM without a slot", s)
 		}
-		data, rdone := d.DRAM.Read(issue, d.pageReady[s], slot)
+		data, rdone := d.DRAM.Read(issue, d.pageReady.At(int(s)), slot)
 		ldone := d.latchTransferIn(issue, rdone, plane)
 		if ldone > ready {
 			ready = ldone
@@ -403,7 +415,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	if tag := d.bufferTag[plane]; tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand &&
 		d.Dir.Owner(int(tag)) == coherence.LocBuffer && !d.deadAfter(tag, inst.ID-1) {
 		if _, cached := d.dramSlot[tag]; !cached {
-			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady[tag]), planeAddr)
+			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady.At(int(tag))), planeAddr)
 			if err != nil {
 				return 0, err
 			}
@@ -416,7 +428,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			d.dramSlot[tag] = slot
 			d.slotOwner[slot] = tag
 			d.touchSlot(slot)
-			d.pageReady[tag] = wdone
+			d.pageReady.Set(int(tag), wdone)
 			if wdone > ready {
 				ready = wdone
 			}

@@ -31,7 +31,7 @@ func (d *Device) PowerCycle(now sim.Time) (sim.Time, error) {
 			if !ok {
 				return 0, fmt.Errorf("ssd: page %d owned by DRAM without a slot", p)
 			}
-			data, rdone := d.DRAM.Read(now, maxT(now, d.pageReady[p]), slot)
+			data, rdone := d.DRAM.Read(now, maxT(now, d.pageReady.At(p)), slot)
 			wdone, err := d.FTL.Write(rdone, ftl.LPN(p), data, -1)
 			if err != nil {
 				return 0, fmt.Errorf("ssd: power-cycle flush of page %d: %w", p, err)
@@ -48,7 +48,7 @@ func (d *Device) PowerCycle(now sim.Time) (sim.Time, error) {
 				d.Dir.Sync(p, coherence.SyncPowerCycle)
 				continue
 			}
-			wdone, err := d.FTL.WriteBuffered(now, maxT(now, d.pageReady[p]), ftl.LPN(p), plane)
+			wdone, err := d.FTL.WriteBuffered(now, maxT(now, d.pageReady.At(p)), ftl.LPN(p), plane)
 			if err != nil {
 				return 0, fmt.Errorf("ssd: power-cycle flush of latched page %d: %w", p, err)
 			}

@@ -130,7 +130,7 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	d.consumed = true
 	// Per-run measurement state starts clean even if an earlier Run
 	// errored out partway.
-	d.decisions = d.decisions[:0]
+	d.decisions = make([]Decision, 0, len(d.prog.Insts))
 	d.instLat = stats.NewReservoir()
 	var overhead sim.Time
 	var elapsed sim.Time
@@ -265,21 +265,11 @@ func (d *Device) snapshotCounters() *stats.Counters {
 
 // features gathers the six cost-function inputs for inst (Table 1).
 func (d *Device) features(inst *isa.Inst) *offload.Features {
-	f := &offload.Features{Inst: inst}
+	f := &d.feat
+	*f = offload.Features{Inst: inst}
 	now := d.firmware
 
-	// Dependence delay: when the newest versions of the operands (and the
-	// destination, for WAR/WAW ordering) become available.
-	var ready sim.Time
-	for _, s := range inst.Srcs {
-		if d.pageReady[s] > ready {
-			ready = d.pageReady[s]
-		}
-	}
-	if inst.Dst != isa.NoPage && d.pageReady[inst.Dst] > ready {
-		ready = d.pageReady[inst.Dst]
-	}
-	if ready > now {
+	if ready := d.operandsReady(inst); ready > now {
 		f.DepDelay = ready - now
 	}
 

@@ -2,8 +2,20 @@ package ssd
 
 import (
 	"conduit/internal/isa"
-	"conduit/internal/sim"
 )
+
+// Freeze marks the device's copy-on-write tables shared (internal/cow):
+// the flash array's per-page state and per-block erase counts, the FTL's
+// L2P, P2L, validity, per-block valid-count and free-list tables, and
+// the per-page readiness times. Subsequent Clones alias their chunks and
+// pay only for the chunks they write. Call it once on a pristine
+// post-deploy master that is cloned but never run; a frozen device may
+// be cloned from several goroutines at once.
+func (d *Device) Freeze() {
+	d.Flash.Freeze()
+	d.FTL.Freeze()
+	d.pageReady.Freeze()
+}
 
 // Clone returns an independent deep copy of the device: flash contents and
 // page states, FTL mapping and allocation state (including the mapping
@@ -16,18 +28,16 @@ import (
 // costs far more than copying the resulting device state, so a policy
 // sweep deploys once, keeps the post-deploy device as a pristine master,
 // and runs every policy on its own Clone. A clone restored this way
-// behaves byte-identically to a freshly deployed device.
+// behaves byte-identically to a freshly deployed device. Cloning a frozen
+// master (see Freeze) copies the small per-plane, per-slot and
+// measurement state plus one pointer per table chunk; the page- and
+// block-granular tables themselves are shared until written.
 //
 // The clone shares only immutable state with the original — the
 // configuration, the translation table, the loaded program, and the
 // compiler's liveness metadata, none of which Run mutates — so the clone
 // and the original may be driven concurrently from different goroutines.
 // The Device itself is still single-goroutine: clone once per worker.
-// Freeze marks the device's large mutable tables copy-on-write (see
-// ftl.FTL.Freeze): subsequent Clones alias them and pay only for what
-// they write. Call it once on a pristine post-deploy master.
-func (d *Device) Freeze() { d.FTL.Freeze() }
-
 func (d *Device) Clone() *Device {
 	en := d.En.Clone()
 	arr := d.Flash.Clone(en)
@@ -49,7 +59,7 @@ func (d *Device) Clone() *Device {
 		clock:     d.clock,
 
 		bufferTag: append([]isa.PageID(nil), d.bufferTag...),
-		pageReady: append([]sim.Time(nil), d.pageReady...),
+		pageReady: d.pageReady.Clone(),
 
 		accesses: d.accesses, // read-only after LoadProgram
 		output:   d.output,   // read-only after LoadProgram

@@ -15,10 +15,12 @@ import (
 var ErrPoolClosed = errors.New("conduit: device pool closed")
 
 // DevicePool keeps a bounded buffer of pre-forked clones of a Deployment's
-// pristine post-deploy master. Cloning a device is O(state) — cheap next
-// to the NVMe deploy path, but not free on a serving hot path — so a
-// background refiller produces clones ahead of demand and Fork/Get hands
-// them out without paying the copy inline.
+// pristine post-deploy master. Cloning the frozen master costs the chunk
+// pointers of its copy-on-write tables plus the small per-plane and
+// per-slot state (tens of KiB at the default geometry; TestForkAllocBudget
+// pins it), not the drive's per-page bookkeeping. A background refiller
+// produces clones ahead of demand and Fork/Get hands them out without
+// paying that copy inline.
 //
 // Every clone of the master is byte-identical, so a pool-served fork is
 // observationally indistinguishable from one cloned on demand; the pool
