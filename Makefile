@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test test-oracle race lint bench fmt loc
+.PHONY: all build test test-oracle race lint bench fmt loc loc-check
 
 all: build lint test
 
@@ -51,3 +51,15 @@ bench:
 # of the line count ROADMAP tracks and CHANGES.md reports per PR.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); k = n > 3 ? p[2] "/" p[3] : "."; s[k] += $$1; t += $$1 } END { for (k in s) printf "%7d %s\n", s[k], k; printf "%7d total\n", t }' | sort -k2
+
+# loc-check fails when loc's total exceeds LOC_CEILING, the count the last
+# PR that touched it left behind: net line count is enforced, not just
+# reported. A PR that must grow the tree raises the ceiling in the same
+# commit and says why in CHANGES.md; one that shrinks it lowers it.
+LOC_CEILING := 26130
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$total" -gt $(LOC_CEILING) ]; then \
+		echo "make loc total $$total exceeds the committed ceiling $(LOC_CEILING)"; exit 1; \
+	fi; \
+	echo "make loc total $$total <= ceiling $(LOC_CEILING)"

@@ -2,11 +2,11 @@ package conduit
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"conduit/internal/cluster"
 	"conduit/internal/energy"
+	"conduit/internal/serve"
 	"conduit/internal/stats"
 	"conduit/internal/trace"
 	"conduit/internal/workloads"
@@ -188,30 +188,10 @@ func (cl *Cluster) Run(policy string) (*RunResult, error) {
 	})
 }
 
-// runTraced implements the serving layer's traced-run seam: each shard
-// sub-run becomes a "cluster.shard" child span keyed by its shard
-// index, with the device execution nested inside. Span identity is
-// content-derived from (trace, parent, name, key), so the concurrent
-// scatter mints the same IDs as a serial one and the exported trace
-// stays byte-deterministic.
-func (cl *Cluster) runTraced(policy string, sp *trace.Span) (*RunResult, error) {
-	if sp == nil {
-		return cl.Run(policy)
-	}
-	if !KnownPolicy(policy) {
-		return nil, errUnknownPolicy(policy)
-	}
-	return cl.runShards(func(i int, dep *Deployment) (*RunResult, error) {
-		child := sp.Child("cluster.shard", strconv.Itoa(i), 0)
-		child.SetAttr("shard", strconv.Itoa(i))
-		r, err := dep.runTraced(policy, child)
-		if err != nil {
-			child.End(0)
-			return nil, err
-		}
-		child.End(int64(r.Elapsed))
-		return r, nil
-	})
+// dispatch implements the serving layer's application interface: a
+// cluster scatters the request with per-shard recovery.
+func (cl *Cluster) dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+	return r.runCluster(cl, policy, rec, sp)
 }
 
 // RunSerial executes the shards one by one in shard order and merges

@@ -19,16 +19,12 @@
 //	conduit-router -targets 127.0.0.1:9071,127.0.0.1:9072 \
 //	    -open 400 -duration 3s -retries 3 -breaker 4
 //
-// -trace FILE records the fleet-merged flight: the router's placement
-// spans (attempts, retries, hedges, breaker refusals) with each
-// target's serve/cluster/device spans — shipped home at the tail of
-// the Response frame — grafted under them, one Perfetto process per
-// participant, all on the deterministic simulated timeline.
-// -tracesample N samples every Nth routed request fleet-wide (targets
-// record whatever the wire marks sampled). -metrics FILE ("-" for
-// stdout) scrapes every target's metrics over the wire, relabels each
-// sample with target="<name>", and folds them into one fleet scrape
-// alongside the router's own series.
+// -trace FILE records the fleet-merged flight — the router's placement
+// spans with each target's serve/cluster/device spans grafted under
+// them, one Perfetto process per participant — and -metrics FILE folds
+// every target's scrape, relabelled target="<name>", into one alongside
+// the router's own series. Every flag is declared in internal/drive and
+// tabulated in README.md ("Flag reference").
 package main
 
 import (
@@ -40,52 +36,43 @@ import (
 	"sync"
 	"time"
 
+	"conduit/internal/drive"
 	"conduit/internal/histo"
 	"conduit/internal/loadgen"
-	"conduit/internal/metrics"
 	"conduit/internal/router"
 	"conduit/internal/stats"
 	"conduit/internal/trace"
 	"conduit/internal/wire"
-	"conduit/internal/workloads"
 )
 
+// die reports a startup error and exits: 2 for bad usage, 1 otherwise.
+func die(code int, format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "conduit-router: "+format+"\n", args...)
+	os.Exit(code)
+}
+
 func main() {
-	targets := flag.String("targets", "", "comma-separated target addresses to dial (required)")
-	mix := flag.String("mix", "all", `comma-separated workload mix, or "all" for every workload the fleet serves`)
-	policies := flag.String("policies", "Conduit", "comma-separated policy mix requests draw from")
-	tenants := flag.Int("tenants", 4, "tenants the requests round-robin across")
-	seed := flag.Uint64("seed", 1, "load-generator root RNG seed")
-	open := flag.Float64("open", 200, "open-loop offered load in req/s")
-	arrival := flag.String("arrival", "poisson", "arrival process: poisson, burst, diurnal")
-	duration := flag.Duration("duration", 2*time.Second, "load-generation window")
-	slo := flag.Duration("slo", 0, "per-request deadline (0 = none)")
-	retries := flag.Int("retries", 3, "max attempts per request across the failover order")
-	hedge := flag.Bool("hedge", false, "hedge straggling requests on the next target")
-	hedgeafter := flag.Duration("hedgeafter", 50*time.Millisecond, "straggler patience before a hedge")
-	breaker := flag.Int("breaker", 0, "per-target breaker consecutive-failure threshold (0 disables)")
-	cooldown := flag.Int("cooldown", 8, "requests an open breaker refuses before a half-open probe")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per target on the hash ring (0 = default)")
-	drain := flag.Bool("drain", true, "drain the targets when the run ends")
-	traceOut := flag.String("trace", "", "write the fleet-merged Chrome/Perfetto trace to `file` (one process per target)")
-	tracesample := flag.Int("tracesample", 0, "trace every Nth routed request (0 with -trace set traces all)")
-	metricsOut := flag.String("metrics", "", `write the fleet-merged metrics scrape (text exposition) to "file" ("-" = stdout)`)
+	o := drive.Declare(flag.CommandLine, drive.Router)
 	flag.Parse()
 
-	if *targets == "" {
-		fmt.Fprintln(os.Stderr, "conduit-router: -targets is required")
-		os.Exit(2)
+	if o.Targets == "" {
+		die(2, "-targets is required")
+	}
+	// Validate the policy mix before dialing: a typo fails the command,
+	// not every request that draws it.
+	polMix, err := o.PolicyMix()
+	if err != nil {
+		die(2, "%v", err)
 	}
 	var clients []*router.Client
-	for _, addr := range strings.Split(*targets, ",") {
+	for _, addr := range strings.Split(o.Targets, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
 			continue
 		}
 		c, err := router.Dial(addr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "conduit-router: %v\n", err)
-			os.Exit(1)
+			die(1, "%v", err)
 		}
 		clients = append(clients, c)
 		fmt.Printf("target %s @ %s: %d workload(s), %d shard(s)\n",
@@ -98,85 +85,60 @@ func main() {
 	// co-location contract).
 	serveable := intersect(clients)
 	if len(serveable) == 0 {
-		fmt.Fprintln(os.Stderr, "conduit-router: targets share no workload")
-		os.Exit(2)
+		die(2, "targets share no workload")
 	}
-	var names []string
-	if *mix == "all" {
-		names = serveable
-	} else {
-		set := make(map[string]bool, len(serveable))
-		for _, w := range serveable {
-			set[w] = true
+	names := serveable
+	if o.Mix != "all" {
+		// Resolve aliases ("aes" -> "AES") the way targets register them,
+		// so the mix matches the advertised suite.
+		if names, err = o.Workloads(); err != nil {
+			die(2, "%v", err)
 		}
-		for _, w := range strings.Split(*mix, ",") {
-			w = strings.TrimSpace(w)
-			// Canonicalize aliases ("aes" -> "AES") the way targets
-			// register them, so the mix matches the advertised suite.
-			if reg, ok := workloads.Find(w, 1); ok {
-				w = reg.Name
+		for _, w := range names {
+			if i := sort.SearchStrings(serveable, w); i == len(serveable) || serveable[i] != w {
+				die(2, "fleet does not serve workload %q", w)
 			}
-			if !set[w] {
-				fmt.Fprintf(os.Stderr, "conduit-router: fleet does not serve workload %q\n", w)
-				os.Exit(2)
-			}
-			names = append(names, w)
 		}
 	}
 
 	var tracer *trace.Tracer
-	if *traceOut != "" || *tracesample > 0 {
-		every := *tracesample
-		if every < 1 {
-			every = 1 // -trace alone records every routed request
-		}
-		tracer = trace.New(trace.Options{
-			SampleEvery: every,
-			Now:         func() int64 { return time.Now().UnixNano() },
-		})
+	if tr := o.Tracing(time.Now); tr != nil {
+		tracer = trace.New(*tr)
 	}
 	rt, err := router.New(clients, router.Options{
-		Retries:          *retries,
-		Hedge:            *hedge,
-		HedgeAfter:       *hedgeafter,
-		BreakerThreshold: *breaker,
-		BreakerCooldown:  *cooldown,
-		Vnodes:           *vnodes,
+		Retries:          o.Retries,
+		Hedge:            o.Hedge,
+		HedgeAfter:       o.HedgeAfter,
+		BreakerThreshold: o.Breaker,
+		BreakerCooldown:  o.Cooldown,
+		Vnodes:           o.Vnodes,
 		Clock:            router.Clock{Now: time.Now, After: time.After},
 		Tracer:           tracer,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "conduit-router: %v\n", err)
-		os.Exit(1)
+		die(1, "%v", err)
 	}
 	for _, w := range names {
 		fmt.Printf("  %-22s -> %s\n", w, rt.Home(w))
 	}
 
-	schedule, err := loadgen.Generate(loadgen.Spec{
-		Arrival: *arrival, QPS: *open, Duration: *duration,
-		Seed: *seed, Tenants: *tenants,
-		Workloads: names, Policies: strings.Split(*policies, ","), SLO: *slo,
-	})
+	schedule, err := o.Schedule(names, polMix)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "conduit-router: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
 	fmt.Printf("offering %g req/s (%s arrivals, %d events) for %v across %d target(s)\n\n",
-		*open, *arrival, len(schedule), *duration, len(clients))
+		o.Open, o.Arrival, len(schedule), o.Duration, len(clients))
 
+	// Router.Do blocks for the answer, so each submission rides its own
+	// goroutine and the driver waits on its outcome.
 	var (
 		mu     sync.Mutex
-		wg     sync.WaitGroup
-		tally  = map[wire.Code]int64{}
 		lost   int64
 		byWhom = map[string]int64{}
 	)
-	start := time.Now()
-	loadgen.Replay(schedule, 1, func(ev loadgen.Event) {
-		wg.Add(1)
+	tally := loadgen.Drive(schedule, 1, func(ev loadgen.Event) (func() loadgen.Outcome, loadgen.Outcome) {
+		done := make(chan loadgen.Outcome, 1)
 		go func() {
-			defer wg.Done()
 			resp, name, err := rt.Do(wire.Request{
 				Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy,
 				DeadlineNS: int64(ev.Deadline),
@@ -185,79 +147,69 @@ func main() {
 			if err != nil {
 				lost++
 			} else {
-				tally[resp.Code]++
 				byWhom[name]++
 			}
 			mu.Unlock()
+			switch {
+			case err != nil:
+				done <- loadgen.Failed
+			case resp.Code == wire.CodeOK:
+				done <- loadgen.Served
+			case resp.Code == wire.CodeOverloaded:
+				done <- loadgen.Shed
+			case resp.Code == wire.CodeDeadline:
+				done <- loadgen.Expired
+			default:
+				done <- loadgen.Failed
+			}
 		}()
+		return func() loadgen.Outcome { return <-done }, 0
 	})
-	wg.Wait()
-	elapsed := time.Since(start)
 
 	fleet, missing := rt.Snapshot()
-	printReport(rt, fleet, missing, tally, lost, byWhom, len(schedule), elapsed)
+	printReport(rt, fleet, missing, tally, lost, byWhom)
 
-	if *metricsOut != "" {
-		if err := writeFleetMetrics(*metricsOut, rt); err != nil {
-			fmt.Fprintf(os.Stderr, "conduit-router: metrics: %v\n", err)
-			os.Exit(1)
+	if o.Metrics != "" {
+		samples, missing := rt.FleetMetrics()
+		if err := drive.WriteMetrics(o.Metrics, samples); err != nil {
+			die(1, "metrics: %v", err)
+		}
+		if len(missing) > 0 {
+			fmt.Fprintf(os.Stderr, "conduit-router: no metrics from: %s\n", strings.Join(missing, ", "))
 		}
 	}
-	if *traceOut != "" {
-		if err := writeFleetTrace(*traceOut, tracer, rt); err != nil {
-			fmt.Fprintf(os.Stderr, "conduit-router: trace: %v\n", err)
-			os.Exit(1)
+	if o.Trace != "" {
+		if err := drive.WriteTrace(o.Trace, fleetTrace(tracer, rt)...); err != nil {
+			die(1, "trace: %v", err)
 		}
-		fmt.Printf("wrote fleet trace -> %s\n", *traceOut)
+		fmt.Printf("wrote fleet trace -> %s\n", o.Trace)
 	}
 
-	if *drain {
+	if o.Drain {
 		// DrainAll's ordering contract (sorted targets, name-sorted pool
 		// rows inside each ack) makes this final fleet pool report
 		// byte-stable run to run.
+		var acks []wire.Snapshot
 		for _, td := range rt.DrainAll() {
-			leaked := int64(0)
+			leaked := 0
 			for _, p := range td.Ack.Pools {
 				if !p.Closed {
 					leaked++
 				}
 			}
 			fmt.Printf("drained %s: %d pool(s), %d unclosed\n", td.Target, len(td.Ack.Pools), leaked)
-			for _, p := range td.Ack.Pools {
-				fmt.Printf("  pool %-24s preforked=%d hits=%d misses=%d quarantined=%d repairs=%d idle=%d closed=%v\n",
-					p.Name, p.Preforked, p.Hits, p.Misses, p.Quarantined, p.Repairs, p.Idle, p.Closed)
-			}
+			acks = append(acks, wire.Snapshot{Target: td.Target, Pools: td.Ack.Pools})
 		}
+		fmt.Println()
+		drive.Render(os.Stdout, drive.PoolTable("device pools after drain", acks...))
 	}
 	rt.Close()
 }
 
-// writeFleetMetrics renders the fleet-merged metrics scrape as text
-// exposition ("-" writes to stdout).
-func writeFleetMetrics(path string, rt *router.Router) error {
-	samples, missing := rt.FleetMetrics()
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := metrics.WriteText(out, samples); err != nil {
-		return err
-	}
-	if len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "conduit-router: no metrics from: %s\n", strings.Join(missing, ", "))
-	}
-	return nil
-}
-
-// writeFleetTrace merges the router's own placement spans with the
-// spans every target attached to sampled responses, one Perfetto
-// process per participant, keyed by target name.
-func writeFleetTrace(path string, tracer *trace.Tracer, rt *router.Router) error {
+// fleetTrace merges the router's own placement spans with the spans
+// every target attached to sampled responses, one Perfetto process per
+// participant, keyed by target name.
+func fleetTrace(tracer *trace.Tracer, rt *router.Router) []trace.Process {
 	procs := []trace.Process{{Name: "router", Spans: tracer.Spans()}}
 	remote := rt.RemoteSpans()
 	names := make([]string, 0, len(remote))
@@ -270,15 +222,7 @@ func writeFleetTrace(path string, tracer *trace.Tracer, rt *router.Router) error
 		trace.SortSpans(spans)
 		procs = append(procs, trace.Process{Name: "target " + name, Spans: spans})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WritePerfetto(f, procs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return procs
 }
 
 // intersect returns the sorted workloads every target advertises.
@@ -300,7 +244,7 @@ func intersect(clients []*router.Client) []string {
 }
 
 func printReport(rt *router.Router, fleet router.Fleet, missing []string,
-	tally map[wire.Code]int64, lost int64, byWhom map[string]int64, offered int, elapsed time.Duration) {
+	tally loadgen.Tally, lost int64, byWhom map[string]int64) {
 
 	ft := stats.NewTable("fleet report (merged per-target accounting)",
 		"tenant", "requests", "errors", "shed", "expired", "shared",
@@ -311,8 +255,6 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 			fmt.Sprintf("%.3f", float64(row.SimNS)/1e6),
 			fmt.Sprintf("%.3f", row.EnergyJ))
 	}
-	ft.Render(os.Stdout)
-	fmt.Println()
 
 	s := rt.Stats()
 	rtab := stats.NewTable("router recovery", "metric", "value")
@@ -323,13 +265,13 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 	rtab.AddRowf("hedge_wins", s.HedgeWins)
 	rtab.AddRowf("breaker_refusals", s.Refusals)
 	rtab.AddRowf("transport_lost", lost)
-	rtab.AddRowf("ok", tally[wire.CodeOK])
-	rtab.AddRowf("overloaded", tally[wire.CodeOverloaded])
-	rtab.AddRowf("deadline", tally[wire.CodeDeadline])
-	rtab.AddRowf("errors", tally[wire.CodeError]+tally[wire.CodeDraining]+tally[wire.CodeCircuitOpen]+tally[wire.CodeBadRequest])
-	rtab.AddRowf("throughput_rps", fmt.Sprintf("%.1f", float64(offered)/elapsed.Seconds()))
-	rtab.Render(os.Stdout)
-	fmt.Println()
+	rtab.AddRowf("ok", tally.Served)
+	rtab.AddRowf("overloaded", tally.Shed)
+	rtab.AddRowf("deadline", tally.Expired)
+	rtab.AddRowf("errors", tally.Failed-lost)
+	// Answered, not offered: an open-loop rate that counted every offered
+	// request would only echo -open.
+	rtab.AddRowf("throughput_rps", fmt.Sprintf("%.1f", float64(tally.Served)/tally.Elapsed.Seconds()))
 
 	names := make([]string, 0, len(byWhom))
 	for name := range byWhom {
@@ -340,28 +282,12 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 	for _, name := range names {
 		pt.AddRowf(name, byWhom[name])
 	}
-	pt.Render(os.Stdout)
-	fmt.Println()
 
-	// Device-pool health across the fleet, quarantine/repair cycles
-	// included: rows sorted by target name, then by the targets' own
-	// name-sorted pool rows.
+	// Device-pool health across the fleet: rows sorted by target name,
+	// then by the targets' own name-sorted pool rows.
 	snaps := append([]wire.Snapshot(nil), fleet.Targets...)
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Target < snaps[j].Target })
-	dt := stats.NewTable("device pools", "target", "pool",
-		"preforked", "hits", "misses", "quarantined", "repairs", "idle")
-	pools := 0
-	for _, snap := range snaps {
-		for _, p := range snap.Pools {
-			pools++
-			dt.AddRowf(snap.Target, p.Name, p.Preforked, p.Hits, p.Misses,
-				p.Quarantined, p.Repairs, p.Idle)
-		}
-	}
-	if pools > 0 {
-		dt.Render(os.Stdout)
-		fmt.Println()
-	}
+	drive.Render(os.Stdout, ft, rtab, pt, drive.PoolTable("device pools", snaps...))
 
 	lt := stats.NewTable("latency (ms)", "histogram", "count", "p50", "p99", "p999", "max")
 	addLat := func(name string, h *histo.Histogram) {
@@ -383,13 +309,5 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 		fmt.Printf("\nWARNING: no snapshot from: %s\n", strings.Join(missing, ", "))
 	}
 	fmt.Println()
-
-	if brs := rt.Breakers(); len(brs) > 0 {
-		bt := stats.NewTable("per-target circuit breakers", "target", "state", "trips")
-		for _, b := range brs {
-			bt.AddRowf(b.Name, b.State.String(), b.Trips)
-		}
-		bt.Render(os.Stdout)
-		fmt.Println()
-	}
+	drive.Render(os.Stdout, drive.BreakerTable("per-target circuit breakers", rt.Breakers()))
 }

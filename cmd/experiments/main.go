@@ -52,89 +52,88 @@ import (
 	conduit "conduit"
 )
 
-func main() {
-	scale := flag.Int("scale", 2, "workload scale factor (1 = smoke test)")
-	window := flag.Int("fig10window", 12000, "instruction window for Fig 10")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	workers := flag.Int("workers", 0, "concurrent sweep runs (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 4, "maximum cluster size for the scaling and latency experiments")
-	loads := flag.String("loads", "100,200,400", "offered-load points (req/s) for the latency experiment")
-	lpolicies := flag.String("lpolicies", "Conduit", "policies the latency experiment sweeps")
-	arrival := flag.String("arrival", "poisson", "latency-experiment arrival process: poisson, burst, diurnal")
-	slo := flag.Duration("slo", 50*time.Millisecond, "latency-experiment per-request deadline (0 disables)")
-	loaddur := flag.Duration("loaddur", 300*time.Millisecond, "latency-experiment schedule span per point")
-	faultrates := flag.String("faultrates", "0,0.02,0.05,0.1", "master fault rates the availability experiment sweeps")
-	availreq := flag.Int("availreq", 200, "requests per availability cell")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
-	flag.Parse()
+// options is the experiments flag surface.
+type options struct {
+	scale, window, workers, shards, availreq int
+	csv                                      bool
+	loads, lpolicies, arrival, faultrates    string
+	slo, loaddur                             time.Duration
+	cpuprofile, memprofile                   string
+}
 
-	lat := latencyFlags{loads: *loads, policies: *lpolicies, arrival: *arrival, slo: *slo, dur: *loaddur}
-	av := availFlags{rates: *faultrates, requests: *availreq}
+func declare(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.scale, "scale", 2, "workload scale factor (1 = smoke test)")
+	fs.IntVar(&o.window, "fig10window", 12000, "instruction window for Fig 10")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent sweep runs (0 = GOMAXPROCS)")
+	fs.IntVar(&o.shards, "shards", 4, "maximum cluster size for the scaling and latency experiments")
+	fs.StringVar(&o.loads, "loads", "100,200,400", "offered-load points (req/s) for the latency experiment")
+	fs.StringVar(&o.lpolicies, "lpolicies", "Conduit", "policies the latency experiment sweeps")
+	fs.StringVar(&o.arrival, "arrival", "poisson", "latency-experiment arrival process: poisson, burst, diurnal")
+	fs.DurationVar(&o.slo, "slo", 50*time.Millisecond, "latency-experiment per-request deadline (0 disables)")
+	fs.DurationVar(&o.loaddur, "loaddur", 300*time.Millisecond, "latency-experiment schedule span per point")
+	fs.StringVar(&o.faultrates, "faultrates", "0,0.02,0.05,0.1", "master fault rates the availability experiment sweeps")
+	fs.IntVar(&o.availreq, "availreq", 200, "requests per availability cell")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to `file`")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to `file` on exit")
+	return o
+}
+
+func main() {
+	o := declare(flag.CommandLine)
+	flag.Parse()
 	// All work happens in run so its defers — in particular stopping the
 	// CPU profile and writing the heap profile — execute before os.Exit.
-	os.Exit(run(*scale, *window, *shards, *csv, *workers, lat, av, *cpuprofile, *memprofile))
+	os.Exit(run(o))
 }
 
-// latencyFlags carries the latency experiment's knobs into run.
-type latencyFlags struct {
-	loads    string
-	policies string
-	arrival  string
-	slo      time.Duration
-	dur      time.Duration
-}
-
-// options parses the flag strings; a bad -loads entry fails the
-// experiment with a useful error instead of a silent zero.
-func (f latencyFlags) options(maxShards int) (conduit.LatencyOptions, error) {
-	var loads []float64
-	for _, s := range strings.Split(f.loads, ",") {
+// floats parses a comma-separated flag value; an entry that does not
+// parse, is negative, or is zero where only positive values make sense
+// fails the experiment with a useful error instead of a silent zero.
+func floats(flagName, list string, positive bool) ([]float64, error) {
+	var out []float64
+	for _, s := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v <= 0 {
-			return conduit.LatencyOptions{}, fmt.Errorf("bad -loads entry %q", s)
+		if err != nil || v < 0 || (positive && v == 0) {
+			return nil, fmt.Errorf("bad -%s entry %q", flagName, s)
 		}
-		loads = append(loads, v)
+		out = append(out, v)
 	}
-	slo := f.slo
+	return out, nil
+}
+
+func (o *options) latency() (conduit.LatencyOptions, error) {
+	loads, err := floats("loads", o.loads, true)
+	if err != nil {
+		return conduit.LatencyOptions{}, err
+	}
+	slo := o.slo
 	if slo == 0 {
 		slo = -1 // LatencyOptions: negative disables deadlines
 	}
-	policies := strings.Split(f.policies, ",")
+	policies := strings.Split(o.lpolicies, ",")
 	for i := range policies {
 		policies[i] = strings.TrimSpace(policies[i])
 	}
 	return conduit.LatencyOptions{
 		Policies: policies,
-		Shards:   conduit.ShardCounts(maxShards),
+		Shards:   conduit.ShardCounts(o.shards),
 		Loads:    loads,
-		Duration: f.dur,
-		Arrival:  f.arrival,
+		Duration: o.loaddur,
+		Arrival:  o.arrival,
 		SLO:      slo,
 	}, nil
 }
 
-// availFlags carries the availability experiment's knobs into run.
-type availFlags struct {
-	rates    string
-	requests int
+func (o *options) availability() (conduit.AvailabilityOptions, error) {
+	rates, err := floats("faultrates", o.faultrates, false)
+	return conduit.AvailabilityOptions{FaultRates: rates, Requests: o.availreq}, err
 }
 
-func (f availFlags) options() (conduit.AvailabilityOptions, error) {
-	var rates []float64
-	for _, s := range strings.Split(f.rates, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v < 0 {
-			return conduit.AvailabilityOptions{}, fmt.Errorf("bad -faultrates entry %q", s)
-		}
-		rates = append(rates, v)
-	}
-	return conduit.AvailabilityOptions{FaultRates: rates, Requests: f.requests}, nil
-}
-
-func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av availFlags, cpuprofile, memprofile string) int {
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
+func run(o *options) int {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
 			return 1
@@ -147,10 +146,10 @@ func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av 
 		defer pprof.StopCPUProfile()
 	}
 	defer func() {
-		if memprofile == "" {
+		if o.memprofile == "" {
 			return
 		}
-		f, err := os.Create(memprofile)
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
 			return
@@ -166,8 +165,8 @@ func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av 
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	e := conduit.NewExperiments(conduit.DefaultConfig(), scale)
-	e.SetWorkers(workers)
+	e := conduit.NewExperiments(conduit.DefaultConfig(), o.scale)
+	e.SetWorkers(o.workers)
 
 	type exp struct {
 		name string
@@ -182,23 +181,23 @@ func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av 
 		{"fig7b", e.Fig7b},
 		{"fig8", e.Fig8},
 		{"fig9", e.Fig9},
-		{"fig10", func() (*conduit.Table, error) { return e.Fig10(window, 72) }},
+		{"fig10", func() (*conduit.Table, error) { return e.Fig10(o.window, 72) }},
 		{"overhead", e.Overhead},
 		{"ablation", e.AblationCostFeatures},
 		{"ablation-width", e.AblationVectorWidth},
 		{"ablation-channels", e.AblationChannels},
 		{"scaling", func() (*conduit.Table, error) {
-			return e.ClusterScaling("Conduit", conduit.ShardCounts(shards))
+			return e.ClusterScaling("Conduit", conduit.ShardCounts(o.shards))
 		}},
 		{"latency", func() (*conduit.Table, error) {
-			opts, err := lat.options(shards)
+			opts, err := o.latency()
 			if err != nil {
 				return nil, err
 			}
 			return e.LatencyCurve(opts)
 		}},
 		{"availability", func() (*conduit.Table, error) {
-			opts, err := av.options()
+			opts, err := o.availability()
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +220,7 @@ func run(scale, window, shards int, csv bool, workers int, lat latencyFlags, av 
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", x.name, err)
 			return 1
 		}
-		if csv {
+		if o.csv {
 			t.CSV(os.Stdout)
 		} else {
 			t.Render(os.Stdout)

@@ -23,10 +23,10 @@
 //
 // # Reuse and concurrency contract
 //
-// A RunResult is an immutable value snapshot: its latency reservoir,
-// decision trace, and counters are deep copies taken at completion, so
-// later activity on any device can never mutate a result already handed
-// out.
+// A RunResult is an immutable value snapshot: its latency reservoir and
+// decision trace are built by the run and owned by the result alone, and
+// its counters are a copy taken at completion, so later activity on any
+// device can never mutate a result already handed out.
 //
 // A simulated drive's loaded data image is consumed by execution: running
 // a program mutates pages, calendars, and coherence state, so each
@@ -96,6 +96,7 @@ import (
 	"conduit/internal/isa"
 	"conduit/internal/nvme"
 	"conduit/internal/offload"
+	"conduit/internal/serve"
 	"conduit/internal/sim"
 	"conduit/internal/ssd"
 	"conduit/internal/stats"
@@ -324,25 +325,25 @@ func (s *System) Run(src *Source, policy string) (*RunResult, error) {
 // path, since execution consumes the loaded data image. Sweeps over many
 // policies should Deploy once and run on the Deployment instead.
 func (s *System) RunCompiled(c *Compiled, policy string) (*RunResult, error) {
-	switch policy {
-	case "CPU", "GPU":
+	return s.runOn(c, policy, func() (*ssd.Device, error) { return s.deploy(c) })
+}
+
+// runOn executes c under the named policy. Host baselines need no drive
+// and run from the compiled program; every other policy executes on the
+// device the callback provides — a fresh deploy, or a deployment's fork —
+// which is asked for only once the policy name is known to be valid.
+func (s *System) runOn(c *Compiled, policy string, device func() (*ssd.Device, error)) (*RunResult, error) {
+	switch {
+	case policy == "CPU" || policy == "GPU":
 		return s.runHost(c, policy)
-	case "Ideal":
-		dev, err := s.deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		return runIdealOn(dev)
-	default:
-		if devicePolicy(policy) == nil {
-			return nil, errUnknownPolicy(policy)
-		}
-		dev, err := s.deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		return runPolicyOn(dev, policy)
+	case policy != "Ideal" && devicePolicy(policy) == nil:
+		return nil, errUnknownPolicy(policy)
 	}
+	dev, err := device()
+	if err != nil {
+		return nil, err
+	}
+	return runPolicyOn(dev, policy)
 }
 
 // runHost executes c on one of the OSP baselines (no drive involved).
@@ -364,35 +365,26 @@ func (s *System) runHost(c *Compiled, policy string) (*RunResult, error) {
 	}, nil
 }
 
-// runIdealOn executes the unrealizable Ideal policy on a deployed device.
-func runIdealOn(dev *ssd.Device) (*RunResult, error) {
-	res, _, err := dev.RunIdeal()
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Policy:         "Ideal",
-		Elapsed:        res.Elapsed,
-		ComputeEnergy:  res.ComputeEnergy,
-		MovementEnergy: res.MovementEnergy,
-		InstLatencies:  res.InstLatencies,
-		Decisions:      res.Decisions,
-		Counters:       res.Counters,
-		Device:         dev,
-	}, nil
-}
-
-// runPolicyOn executes the named in-SSD policy on a deployed device,
-// consuming its loaded image. A fresh policy instance is constructed per
-// call (some baselines, e.g. IFP+ISP, carry per-run state).
+// runPolicyOn executes the named in-SSD policy — or the unrealizable Ideal
+// — on a deployed device, consuming its loaded image. A fresh policy
+// instance is constructed per call (some baselines, e.g. IFP+ISP, carry
+// per-run state).
 func runPolicyOn(dev *ssd.Device, policy string) (*RunResult, error) {
-	pol := devicePolicy(policy)
-	if pol == nil {
-		return nil, errUnknownPolicy(policy)
+	var (
+		res *ssd.Result
+		err error
+	)
+	if policy == "Ideal" {
+		res, _, err = dev.RunIdeal()
+	} else {
+		pol := devicePolicy(policy)
+		if pol == nil {
+			return nil, errUnknownPolicy(policy)
+		}
+		dev.EnterComputationMode()
+		res, err = dev.Run(pol)
+		dev.ExitComputationMode()
 	}
-	dev.EnterComputationMode()
-	res, err := dev.Run(pol)
-	dev.ExitComputationMode()
 	if err != nil {
 		return nil, err
 	}
@@ -486,43 +478,21 @@ func (d *Deployment) Run(policy string) (*RunResult, error) { return d.run(polic
 
 // run is Run with a tracing seam threaded through the fork path.
 func (d *Deployment) run(policy string, sp *trace.Span) (*RunResult, error) {
-	switch policy {
-	case "CPU", "GPU":
-		return d.sys.runHost(d.c, policy)
-	case "Ideal":
-		dev, err := d.fork(sp)
-		if err != nil {
-			return nil, err
-		}
-		return runIdealOn(dev)
-	default:
-		// Reject unknown policies before paying for the device clone.
-		if devicePolicy(policy) == nil {
-			return nil, errUnknownPolicy(policy)
-		}
-		dev, err := d.fork(sp)
-		if err != nil {
-			return nil, err
-		}
-		return runPolicyOn(dev, policy)
-	}
+	return d.sys.runOn(d.c, policy, func() (*ssd.Device, error) { return d.fork(sp) })
 }
 
-// runTraced implements the serving layer's traced-run seam: the
-// device execution becomes a "device.run" child span whose simulated
-// extent is the run's elapsed simulated time, and pool activity lands
-// on it as events.
-func (d *Deployment) runTraced(policy string, sp *trace.Span) (*RunResult, error) {
-	return d.runAttempt(policy, sp, "")
+// dispatch implements the serving layer's application interface: a
+// single deployment is shard 0 of the recovery ladder.
+func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+	return r.runShard(d, 0, policy, rec, sp)
 }
 
-// runAttempt is runTraced for a caller that may run d more than once
-// under one span (the recovery ladder's retries): key tells the
-// sibling "device.run" spans apart.
+// runAttempt is run with span recording: the device execution becomes a
+// "device.run" child span of sp whose simulated extent is the run's
+// elapsed simulated time, and pool activity lands on it as events. The
+// recovery ladder may run d more than once under one span (retries,
+// fallback): key tells the sibling spans apart. A nil sp records nothing.
 func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
-	if sp == nil {
-		return d.run(policy, nil)
-	}
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", policy)
 	r, err := d.run(policy, child)

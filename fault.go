@@ -66,8 +66,10 @@ var ErrCircuitOpen = errors.New("circuit breaker open")
 // RecoveryOptions tunes the fault-tolerant dispatch path: retries with
 // capped deterministic backoff, hedged duplicate dispatch against
 // straggler shards, per-(workload, shard) circuit breakers, and graceful
-// degradation to a fallback policy. The zero value performs a single
-// attempt with no recovery machinery, byte-identical to plain dispatch.
+// degradation to a fallback policy. Every served request goes through
+// this path; the zero value performs a single attempt per shard with no
+// breaker, hedge, or fallback, and its results are byte-identical to
+// calling Deployment.Run or Cluster.Run directly.
 //
 // All recovery costs are charged to simulated time: backoff between
 // retries, the burnt simulated time of failed attempts, and the
@@ -78,11 +80,6 @@ type RecoveryOptions struct {
 	// MaxAttempts bounds tries per shard sub-run (and per dispatch);
 	// < 1 selects 1 — no retries.
 	MaxAttempts int
-	// BackoffBase is the simulated backoff before the first retry,
-	// doubling per retry; <= 0 selects 100µs.
-	BackoffBase Time
-	// BackoffCap caps the doubling; <= 0 selects 10ms.
-	BackoffCap Time
 	// Hedge enables duplicate dispatch against the slowest shard of a
 	// cluster scatter when it straggles past HedgeThreshold times the
 	// fastest shard; the faster of primary and hedge wins (ties keep
@@ -111,20 +108,6 @@ func (o RecoveryOptions) maxAttempts() int {
 	return o.MaxAttempts
 }
 
-func (o RecoveryOptions) backoffBase() Time {
-	if o.BackoffBase <= 0 {
-		return 100 * sim.Microsecond
-	}
-	return o.BackoffBase
-}
-
-func (o RecoveryOptions) backoffCap() Time {
-	if o.BackoffCap <= 0 {
-		return 10 * sim.Millisecond
-	}
-	return o.BackoffCap
-}
-
 func (o RecoveryOptions) hedgeThreshold() float64 {
 	if o.HedgeThreshold <= 1 {
 		return 2
@@ -139,18 +122,20 @@ func (o RecoveryOptions) breakerCooldown() int {
 	return o.BreakerCooldown
 }
 
-// enabled reports whether the options ask for any recovery machinery
-// beyond plain single-attempt dispatch.
-func (o RecoveryOptions) enabled() bool {
-	return o.MaxAttempts > 1 || o.Hedge || o.BreakerThreshold > 0 || o.FallbackPolicy != ""
-}
+// The simulated backoff before a retry starts at backoffBase and doubles
+// per retry up to backoffCap.
+const (
+	backoffBase = 100 * sim.Microsecond
+	backoffCap  = 10 * sim.Millisecond
+)
 
-// resilient is the fault-tolerant dispatcher wrapped around one
-// registered application: it threads every run through the injection
-// seams and recovers with retries, hedging, breakers, and fallback per
-// its RecoveryOptions. A nil injector disables injection but keeps the
-// recovery machinery live for organic failures. Safe for concurrent use
-// (the injector and breakers lock internally; options are immutable).
+// resilient is the dispatcher wrapped around every registered
+// application — the one path a served request takes: it threads each run
+// through the injection seams and recovers with retries, hedging,
+// breakers, and fallback per its RecoveryOptions. A nil injector disables
+// injection but keeps the recovery machinery live for organic failures.
+// Safe for concurrent use (the injector and breakers lock internally;
+// options are immutable).
 type resilient struct {
 	name string
 	app  application
@@ -192,32 +177,19 @@ func (r *resilient) run(policy string, sp *trace.Span) (*RunResult, serve.Recove
 					r.name, attempt, ErrInjected)
 			}
 			rec.Retries++
-			b := faultinject.Backoff(r.rec.backoffBase(), r.rec.backoffCap(), attempt)
+			b := faultinject.Backoff(backoffBase, backoffCap, attempt)
 			rec.BackoffSim += b
 			penalty += b
 			sp.Event("retry", int64(penalty),
 				trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 			continue
 		}
-		res, err := r.runApp(policy, &rec, sp)
+		res, err := r.app.dispatch(r, policy, &rec, sp)
 		if err != nil {
 			return nil, rec, err
 		}
 		res.Elapsed += penalty
 		return res, rec, nil
-	}
-}
-
-// runApp dispatches to the shard-aware cluster path or the single-shard
-// deployment path; unknown application kinds run unprotected.
-func (r *resilient) runApp(policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	switch app := r.app.(type) {
-	case *Cluster:
-		return r.runCluster(app, policy, rec, sp)
-	case *Deployment:
-		return r.runShard(app, 0, policy, rec, sp)
-	default:
-		return app.runTraced(policy, sp)
 	}
 }
 
@@ -323,7 +295,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *ser
 		rec.Attempts++
 		if attempt > 1 {
 			rec.Retries++
-			back := faultinject.Backoff(r.rec.backoffBase(), r.rec.backoffCap(), attempt-1)
+			back := faultinject.Backoff(backoffBase, backoffCap, attempt-1)
 			rec.BackoffSim += back
 			penalty += back
 			sp.Event("retry", int64(penalty),

@@ -144,3 +144,75 @@ func Replay(events []Event, speed float64, issue func(Event)) {
 		issue(ev)
 	}
 }
+
+// Outcome is how one offered request ended.
+type Outcome uint8
+
+const (
+	// Served: executed and answered successfully.
+	Served Outcome = iota
+	// Shed: refused at admission (queue full); never executed.
+	Shed
+	// Expired: its deadline passed while queued; dropped undispatched.
+	Expired
+	// Failed: a backend or transport error.
+	Failed
+)
+
+// Tally counts one open-loop run. Shed and expired requests are the
+// open-loop regime working as designed, not failures.
+type Tally struct {
+	Offered int64 // every request the driver issued
+	Served  int64
+	Shed    int64
+	Expired int64
+	Failed  int64
+	// Elapsed spans the first issue to the last answer.
+	Elapsed time.Duration
+}
+
+func (t *Tally) count(o Outcome) {
+	switch o {
+	case Served:
+		t.Served++
+	case Shed:
+		t.Shed++
+	case Expired:
+		t.Expired++
+	default:
+		t.Failed++
+	}
+}
+
+// A SubmitFunc issues one event without waiting for its completion. A
+// request refused at the door returns a nil wait and its final outcome;
+// an admitted one returns the function that blocks until it is answered
+// and reports how it ended.
+type SubmitFunc func(Event) (wait func() Outcome, refused Outcome)
+
+// Drive is the open-loop load driver: it paces events through submit on
+// the Replay clock (issue order is exactly slice order), never waiting on
+// a completion while arrivals are still due — back-pressure there would
+// silently turn the measurement closed-loop — then waits out every
+// admitted request in issue order and returns the tally. The serving
+// stack plugs in through submit alone: in-process Server.Submit and a
+// routed Router.Do drive identically.
+func Drive(events []Event, speed float64, submit SubmitFunc) Tally {
+	var t Tally
+	waits := make([]func() Outcome, 0, len(events))
+	start := time.Now()
+	Replay(events, speed, func(ev Event) {
+		t.Offered++
+		wait, refused := submit(ev)
+		if wait == nil {
+			t.count(refused)
+			return
+		}
+		waits = append(waits, wait)
+	})
+	for _, wait := range waits {
+		t.count(wait())
+	}
+	t.Elapsed = time.Since(start)
+	return t
+}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -155,5 +156,45 @@ func TestRecorderCapturesAndSorts(t *testing.T) {
 	}
 	if evs[0].Deadline != time.Millisecond || evs[0].Workload != "w" {
 		t.Fatalf("recorded event lost fields: %+v", evs[0])
+	}
+}
+
+// TestDriveTallyAndOrder drives a schedule through a fake submitter: the
+// issue order is the schedule order, a refused submission is tallied at
+// the door and never waited on, every admitted one is waited on exactly
+// once, and the tally adds up.
+func TestDriveTallyAndOrder(t *testing.T) {
+	outcomes := []Outcome{Served, Shed, Expired, Failed, Served, Shed, Served}
+	events := make([]Event, len(outcomes))
+	for i := range events {
+		events[i] = Event{Tenant: fmt.Sprint(i)} // zero offsets: no pacing sleeps
+	}
+	var issued []string
+	waited := make([]int, len(outcomes))
+	tally := Drive(events, 1, func(ev Event) (func() Outcome, Outcome) {
+		i := len(issued)
+		issued = append(issued, ev.Tenant)
+		if outcomes[i] == Shed {
+			return nil, Shed
+		}
+		return func() Outcome { waited[i]++; return outcomes[i] }, 0
+	})
+	for i, got := range issued {
+		if got != fmt.Sprint(i) {
+			t.Fatalf("issue order = %v, want schedule order", issued)
+		}
+	}
+	for i, n := range waited {
+		want := 1
+		if outcomes[i] == Shed {
+			want = 0
+		}
+		if n != want {
+			t.Errorf("event %d (outcome %d) waited on %d times, want %d", i, outcomes[i], n, want)
+		}
+	}
+	tally.Elapsed = 0
+	if want := (Tally{Offered: 7, Served: 3, Shed: 2, Expired: 1, Failed: 1}); tally != want {
+		t.Errorf("tally = %+v, want %+v", tally, want)
 	}
 }

@@ -163,86 +163,64 @@ func (c *Client) Submit(req wire.Request) (<-chan wire.Frame, error) {
 	return c.start(func(id uint64) wire.Frame { req.ID = id; return req })
 }
 
+// reply turns what a reply channel yielded into the frame type the
+// question asked for: a closed channel becomes the client's sticky error,
+// and a reply of any other type is a protocol violation that fails the
+// client. asked names the question in that error ("a request",
+// "SnapshotReq", ...).
+func reply[T wire.Frame](c *Client, asked string, f wire.Frame, ok bool) (T, error) {
+	var zero T
+	if !ok {
+		return zero, c.Err()
+	}
+	r, ok := f.(T)
+	if !ok {
+		err := fmt.Errorf("router: target %s answered %s with %T", c.hello.Target, asked, f)
+		c.fail(err)
+		return zero, err
+	}
+	return r, nil
+}
+
+// call sends the frame stamp builds and awaits its typed reply.
+func call[T wire.Frame](c *Client, asked string, stamp func(id uint64) wire.Frame) (T, error) {
+	ch, err := c.start(stamp)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	f, ok := <-ch
+	return reply[T](c, asked, f, ok)
+}
+
 // AwaitResponse resolves a Submit channel into the response, turning a
 // closed channel into the client's sticky error.
 func (c *Client) AwaitResponse(ch <-chan wire.Frame) (wire.Response, error) {
 	f, ok := <-ch
-	if !ok {
-		return wire.Response{}, c.Err()
-	}
-	resp, ok := f.(wire.Response)
-	if !ok {
-		err := fmt.Errorf("router: target %s answered a request with %T", c.hello.Target, f)
-		c.fail(err)
-		return wire.Response{}, err
-	}
-	return resp, nil
+	return reply[wire.Response](c, "a request", f, ok)
 }
 
 // Do is Submit + AwaitResponse.
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	ch, err := c.Submit(req)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return c.AwaitResponse(ch)
+	return call[wire.Response](c, "a request", func(id uint64) wire.Frame { req.ID = id; return req })
 }
 
 // Snapshot fetches the target's current accounting snapshot.
 func (c *Client) Snapshot() (wire.Snapshot, error) {
-	ch, err := c.start(func(id uint64) wire.Frame { return wire.SnapshotReq{ID: id} })
-	if err != nil {
-		return wire.Snapshot{}, err
-	}
-	f, ok := <-ch
-	if !ok {
-		return wire.Snapshot{}, c.Err()
-	}
-	snap, ok := f.(wire.Snapshot)
-	if !ok {
-		err := fmt.Errorf("router: target %s answered SnapshotReq with %T", c.hello.Target, f)
-		c.fail(err)
-		return wire.Snapshot{}, err
-	}
-	return snap, nil
+	return call[wire.Snapshot](c, "SnapshotReq", func(id uint64) wire.Frame { return wire.SnapshotReq{ID: id} })
 }
 
 // Metrics fetches the target's current metrics snapshot.
 func (c *Client) Metrics() (wire.Metrics, error) {
-	ch, err := c.start(func(id uint64) wire.Frame { return wire.MetricsReq{ID: id} })
-	if err != nil {
-		return wire.Metrics{}, err
-	}
-	f, ok := <-ch
-	if !ok {
-		return wire.Metrics{}, c.Err()
-	}
-	m, ok := f.(wire.Metrics)
-	if !ok {
-		err := fmt.Errorf("router: target %s answered MetricsReq with %T", c.hello.Target, f)
-		c.fail(err)
-		return wire.Metrics{}, err
-	}
-	return m, nil
+	return call[wire.Metrics](c, "MetricsReq", func(id uint64) wire.Frame { return wire.MetricsReq{ID: id} })
 }
 
 // Drain asks the target to drain and waits for its acknowledgement
 // with the final pool counters. The connection is dead afterwards.
 func (c *Client) Drain() (wire.DrainAck, error) {
-	ch, err := c.start(func(id uint64) wire.Frame { return wire.Drain{ID: id} })
-	if err != nil {
-		return wire.DrainAck{}, err
+	ack, err := call[wire.DrainAck](c, "Drain", func(id uint64) wire.Frame { return wire.Drain{ID: id} })
+	if err == nil {
+		c.fail(fmt.Errorf("router: target %s drained", c.hello.Target))
 	}
-	f, ok := <-ch
-	if !ok {
-		return wire.DrainAck{}, c.Err()
-	}
-	ack, ok := f.(wire.DrainAck)
-	if !ok {
-		err := fmt.Errorf("router: target %s answered Drain with %T", c.hello.Target, f)
-		c.fail(err)
-		return wire.DrainAck{}, err
-	}
-	c.fail(fmt.Errorf("router: target %s drained", c.hello.Target))
-	return ack, nil
+	return ack, err
 }

@@ -337,7 +337,7 @@ func (r *Router) resolve(c *Client, sp *trace.Span, ch <-chan wire.Frame) (wire.
 // span at the target's simulated elapsed time, and file the spans the
 // target sent back under its name.
 func (r *Router) settle(c *Client, sp *trace.Span, f wire.Frame, ok bool) (wire.Response, error) {
-	resp, err := resolveResponse(c, f, ok)
+	resp, err := reply[wire.Response](c, "a request", f, ok)
 	if err != nil {
 		sp.End(0)
 		return resp, err
@@ -347,21 +347,6 @@ func (r *Router) settle(c *Client, sp *trace.Span, f wire.Frame, ok bool) (wire.
 		r.mu.Lock()
 		r.remote[c.Name()] = append(r.remote[c.Name()], resp.Spans...)
 		r.mu.Unlock()
-	}
-	return resp, nil
-}
-
-func resolveResponse(c *Client, f wire.Frame, ok bool) (wire.Response, error) {
-	if !ok {
-		err := c.Err()
-		if err == nil {
-			err = fmt.Errorf("router: target %s: connection lost", c.Name())
-		}
-		return wire.Response{}, err
-	}
-	resp, isResp := f.(wire.Response)
-	if !isResp {
-		return wire.Response{}, fmt.Errorf("router: target %s answered a request with %T", c.Name(), f)
 	}
 	return resp, nil
 }

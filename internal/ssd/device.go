@@ -93,8 +93,6 @@ type Device struct {
 	faults map[int]int
 
 	// Measurement.
-	decisions  []Decision
-	instLat    *stats.Reservoir
 	counters   *stats.Counters
 	baseline   map[string]int64 // counter values at measurement reset
 	loadedOnce bool
@@ -136,7 +134,6 @@ func New(cfg *config.Config) *Device {
 		dramSlot:  make(map[isa.PageID]int),
 		bufferTag: make([]isa.PageID, cfg.SSD.Channels*cfg.SSD.DiesPerChannel*cfg.SSD.PlanesPerDie),
 		faults:    make(map[int]int),
-		instLat:   stats.NewReservoir(),
 		counters:  stats.NewCounters(),
 	}
 	for i := range d.bufferTag {
@@ -294,8 +291,6 @@ func (d *Device) inputPage(inputs map[isa.PageID][]byte, p isa.PageID) []byte {
 func (d *Device) resetMeasurement() {
 	d.En.Reset()
 	d.firmware = 0
-	d.decisions = d.decisions[:0]
-	d.instLat = stats.NewReservoir()
 	d.counters = stats.NewCounters()
 	d.pageReady = cow.New[sim.Time](d.prog.Pages, 0)
 	for i := 0; i < d.Cfg.SSD.TotalDies(); i++ {

@@ -128,10 +128,8 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		return nil, fmt.Errorf("ssd: loaded image already consumed by a previous Run; reload the program or run on a Clone of the post-deploy device")
 	}
 	d.consumed = true
-	// Per-run measurement state starts clean even if an earlier Run
-	// errored out partway.
-	d.decisions = make([]Decision, 0, len(d.prog.Insts))
-	d.instLat = stats.NewReservoir()
+	decisions := make([]Decision, 0, len(d.prog.Insts))
+	instLat := stats.NewReservoir()
 	var overhead sim.Time
 	var elapsed sim.Time
 	var replays int64
@@ -211,10 +209,10 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ssd: inst %d (%v) on %v: %w", i, inst.Op, choice, err)
 		}
-		d.decisions = append(d.decisions, Decision{
+		decisions = append(decisions, Decision{
 			InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: issue, Done: done,
 		})
-		d.instLat.Add(done - issue)
+		instLat.Add(done - issue)
 		if done > elapsed {
 			elapsed = done
 		}
@@ -223,8 +221,8 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	res := &Result{
 		Policy:         policy.Name(),
 		Elapsed:        elapsed,
-		InstLatencies:  d.instLat.Clone(),
-		Decisions:      append([]Decision(nil), d.decisions...),
+		InstLatencies:  instLat,
+		Decisions:      decisions,
 		ComputeEnergy:  d.En.ComputeTotal(),
 		MovementEnergy: d.En.MovementTotal(),
 		Counters:       d.snapshotCounters(),

@@ -71,8 +71,6 @@ func (d *Device) Clone() *Device {
 
 		faults: make(map[int]int, len(d.faults)),
 
-		decisions:  append([]Decision(nil), d.decisions...),
-		instLat:    d.instLat.Clone(),
 		counters:   d.counters.Clone(),
 		baseline:   make(map[string]int64, len(d.baseline)),
 		loadedOnce: d.loadedOnce,

@@ -6,10 +6,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	conduit "conduit"
+	"conduit/internal/drive"
 )
 
 // Main is the conduit-target entry point, factored here so the wiretest
@@ -20,101 +20,48 @@ import (
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("conduit-target", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address (port 0 picks a free port)")
-	name := fs.String("name", "target", "target name reported in Hello and Snapshot frames")
-	scale := fs.Int("scale", 1, "workload scale factor")
-	shards := fs.Int("shards", 1, "simulated drives per workload (>1 registers sharded clusters)")
-	mix := fs.String("mix", "all", "comma-separated workloads to register (\"all\" = evaluation suite)")
-	concurrency := fs.Int("concurrency", 0, "simultaneously executing requests (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "admission-queue depth (0 = 4x concurrency)")
-	prefork := fs.Int("prefork", 2, "pre-forked devices per application (0 disables pooling)")
-	coalesce := fs.Bool("coalesce", true, "share one execution among identical in-flight requests")
-	memoize := fs.Bool("memoize", false, "cache each (workload, policy) result for the whole run")
-	faults := fs.Float64("faults", 0, "master injected-fault rate (0 disables chaos)")
-	faultseed := fs.Uint64("faultseed", 42, "chaos RNG seed")
-	retries := fs.Int("retries", 3, "max attempts per shard sub-run when recovery is active")
-	hedge := fs.Bool("hedge", false, "hedge straggler shards with a duplicate dispatch")
-	hedgethreshold := fs.Float64("hedgethreshold", 8, "straggler multiple that triggers a hedge")
-	breaker := fs.Int("breaker", 0, "circuit-breaker consecutive-failure threshold per shard (0 disables)")
-	fallback := fs.String("fallback", "", "policy served while a breaker is open (empty refuses)")
-	faultlog := fs.String("faultlog", "", "write the injected-fault schedule as JSONL to `file` on drain")
-	faultreplay := fs.String("faultreplay", "", "replay the recorded fault schedule in `file` instead of drawing from -faults")
-	tracesample := fs.Int("tracesample", 0, "trace every Nth locally submitted request (0 = only wire-sampled requests)")
+	f := drive.Declare(fs, drive.Target)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
+	serve, err := f.ServeOptions()
+	if err != nil {
+		fmt.Fprintf(stderr, "conduit-target: %v\n", err)
+		return 2
+	}
+	// Targets always arm the tracer so wire-sampled requests can be
+	// recorded on demand, and always leave the wall clock unset: a
+	// target's spans cross the wire, where only the deterministic
+	// simulated timeline is welcome.
+	serve.Trace = &conduit.TraceOptions{SampleEvery: f.TraceSample}
 	opts := Options{
-		Name:         *name,
-		Scale:        *scale,
-		Shards:       *shards,
-		FaultLogPath: *faultlog,
-		Serve: conduit.ServeOptions{
-			Concurrency: *concurrency,
-			QueueDepth:  *queue,
-			Prefork:     *prefork,
-			Coalesce:    *coalesce,
-			Memoize:     *memoize,
-			// Targets always arm the tracer so wire-sampled requests can be
-			// recorded on demand, and always leave the wall clock unset: a
-			// target's spans cross the wire, where only the deterministic
-			// simulated timeline is welcome.
-			Trace: &conduit.TraceOptions{SampleEvery: *tracesample},
-		},
-	}
-	if *mix != "all" && *mix != "" {
-		for _, w := range strings.Split(*mix, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				opts.Mix = append(opts.Mix, w)
-			}
-		}
-	}
-	chaos := *faults > 0 || *faultreplay != ""
-	if chaos {
-		opts.Serve.Recovery = conduit.RecoveryOptions{
-			MaxAttempts:      *retries,
-			Hedge:            *hedge,
-			HedgeThreshold:   *hedgethreshold,
-			BreakerThreshold: *breaker,
-			FallbackPolicy:   *fallback,
-		}
-		if *fallback != "" && !conduit.KnownPolicy(*fallback) {
-			fmt.Fprintf(stderr, "conduit-target: unknown -fallback policy %q\n", *fallback)
-			return 2
-		}
-	}
-	switch {
-	case *faultreplay != "":
-		rf, err := conduit.ReadFaultLog(*faultreplay)
-		if err != nil {
-			fmt.Fprintf(stderr, "conduit-target: faultreplay: %v\n", err)
-			return 2
-		}
-		opts.Serve.ReplayFaults = rf
-	case *faults > 0:
-		cfg := conduit.FaultsAtRate(*faults, 0, *faultseed)
-		opts.Serve.Faults = &cfg
+		Name:         f.Name,
+		Scale:        f.Scale,
+		Shards:       f.Shards,
+		Mix:          f.MixNames(),
+		FaultLogPath: f.FaultLog,
+		Serve:        serve,
 	}
 
-	s, err := New(*listen, opts)
+	s, err := New(f.Listen, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "conduit-target: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "LISTENING %s\n", s.Addr())
 	fmt.Fprintf(stderr, "conduit-target %s: %d workload(s), %d shard(s); serving on %s\n",
-		*name, len(s.Workloads()), *shards, s.Addr())
+		f.Name, len(s.Workloads()), f.Shards, s.Addr())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	go func() {
 		<-sigc
 		signal.Stop(sigc)
-		fmt.Fprintf(stderr, "conduit-target %s: draining\n", *name)
+		fmt.Fprintf(stderr, "conduit-target %s: draining\n", f.Name)
 		s.Drain()
 	}()
 
 	s.Serve()
-	fmt.Fprintf(stderr, "conduit-target %s: drained\n", *name)
+	fmt.Fprintf(stderr, "conduit-target %s: drained\n", f.Name)
 	return 0
 }

@@ -43,11 +43,15 @@ type Server struct {
 	names []string // registered workloads, sorted
 	ln    net.Listener
 
+	// submit is srv.Submit; a field so tests can hold requests in flight.
+	submit func(conduit.Request) (<-chan *conduit.Response, error)
+
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
 	draining bool
+	inflight int        // requests submitted whose response is not yet written
+	idle     *sync.Cond // on mu; signalled when inflight drops to zero
 
-	reqWG  sync.WaitGroup // in-flight request responders
 	connWG sync.WaitGroup // connection read loops
 	done   chan struct{}  // closed when the drain has fully completed
 }
@@ -65,37 +69,16 @@ func New(listen string, opts Options) (*Server, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	var chosen []workloads.Named
-	if len(opts.Mix) == 0 {
-		chosen = workloads.All(opts.Scale)
-	} else {
-		seen := make(map[string]bool)
-		for _, name := range opts.Mix {
-			w, ok := workloads.Find(name, opts.Scale)
-			if !ok {
-				return nil, fmt.Errorf("target: unknown workload %q", name)
-			}
-			if seen[w.Name] {
-				continue
-			}
-			seen[w.Name] = true
-			chosen = append(chosen, w)
-		}
+	names, err := workloads.Resolve(opts.Mix)
+	if err != nil {
+		return nil, fmt.Errorf("target: %w", err)
 	}
 	srv := conduit.NewServer(conduit.DefaultConfig(), opts.Serve)
-	names := make([]string, 0, len(chosen))
-	for _, w := range chosen {
-		var err error
-		if opts.Shards > 1 {
-			err = srv.RegisterSharded(w.Name, w.Source, opts.Shards)
-		} else {
-			err = srv.Register(w.Name, w.Source)
-		}
-		if err != nil {
+	for _, name := range names {
+		if err := srv.RegisterWorkload(name, opts.Scale, opts.Shards); err != nil {
 			srv.Drain()
-			return nil, fmt.Errorf("target: register %s: %v", w.Name, err)
+			return nil, fmt.Errorf("target: %w", err)
 		}
-		names = append(names, w.Name)
 	}
 	sort.Strings(names)
 	ln, err := net.Listen("tcp", listen)
@@ -103,14 +86,17 @@ func New(listen string, opts Options) (*Server, error) {
 		srv.Drain()
 		return nil, err
 	}
-	return &Server{
-		opts:  opts,
-		srv:   srv,
-		names: names,
-		ln:    ln,
-		conns: make(map[net.Conn]bool),
-		done:  make(chan struct{}),
-	}, nil
+	s := &Server{
+		opts:   opts,
+		srv:    srv,
+		names:  names,
+		ln:     ln,
+		submit: srv.Submit,
+		conns:  make(map[net.Conn]bool),
+		done:   make(chan struct{}),
+	}
+	s.idle = sync.NewCond(&s.mu)
+	return s, nil
 }
 
 // Addr is the bound listen address (resolves ":0" for harnesses).
@@ -159,10 +145,14 @@ func (s *Server) Drain() {
 	}
 	s.ln.Close()
 	// Drain the engine first: in-flight requests complete and their
-	// responder goroutines write the responses; reqWG then guarantees
-	// those writes happened before any connection is closed.
+	// responder goroutines write the responses; waiting out inflight then
+	// guarantees those writes happened before any connection is closed.
 	s.srv.Drain()
-	s.reqWG.Wait()
+	s.mu.Lock()
+	for s.inflight > 0 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
 	if s.opts.FaultLogPath != "" {
 		if log := s.srv.FaultLog(); log != nil {
 			// Best effort: a target dying on a full disk should still
@@ -258,7 +248,15 @@ func (s *Server) handleRequest(c *connState, req wire.Request) {
 		_ = c.writeFrame(wire.Response{ID: req.ID, Code: code, Error: msg})
 		return
 	}
-	ch, err := s.srv.Submit(conduit.Request{
+	// Count the response owed before submitting: a Drain that runs between
+	// Submit returning and the responder starting must still wait for it,
+	// or an executed request's response would never reach the socket (and
+	// the router would retry it elsewhere: executed and billed twice).
+	if !s.begin() {
+		_ = c.writeFrame(WireResponse(req.ID, nil, conduit.ErrDraining))
+		return
+	}
+	ch, err := s.submit(conduit.Request{
 		Tenant:   req.Tenant,
 		Workload: req.Workload,
 		Policy:   req.Policy,
@@ -272,14 +270,36 @@ func (s *Server) handleRequest(c *connState, req wire.Request) {
 	if err != nil {
 		// Shed at admission or draining: answered inline, never executed.
 		_ = c.writeFrame(WireResponse(req.ID, nil, err))
+		s.end()
 		return
 	}
-	s.reqWG.Add(1)
 	go func() {
-		defer s.reqWG.Done()
+		defer s.end()
 		resp := <-ch
 		_ = c.writeFrame(WireResponse(req.ID, resp, resp.Err))
 	}()
+}
+
+// begin counts one owed response unless the drain has begun; end releases
+// it once the response is written. Both order against Drain through mu, so
+// Drain's wait sees every request that was not refused.
+func (s *Server) begin() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.inflight++
+	return true
+}
+
+func (s *Server) end() {
+	s.mu.Lock()
+	s.inflight--
+	if s.inflight == 0 {
+		s.idle.Broadcast()
+	}
+	s.mu.Unlock()
 }
 
 // validate rejects requests the protocol can see are wrong before they

@@ -1,0 +1,220 @@
+package target
+
+import (
+	"errors"
+	"io"
+	"net"
+	"strings"
+	"testing"
+
+	conduit "conduit"
+	"conduit/internal/wire"
+)
+
+// newTarget starts a one-workload target on a loopback port and returns
+// it with a connected peer that has consumed the Hello frame. prepare
+// installs the test's seams before any serving goroutine exists.
+func newTarget(t *testing.T, prepare func(*Server)) (*Server, net.Conn) {
+	t.Helper()
+	s, err := New("127.0.0.1:0", Options{Name: "t0", Mix: []string{"jacobi-1d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare(s)
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	t.Cleanup(func() { s.Drain(); <-served })
+	return s, dial(t, s)
+}
+
+func dial(t *testing.T, s *Server) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if f := read(t, conn); f.(wire.Hello).Target != "t0" {
+		t.Fatalf("greeting = %+v, want Hello from t0", f)
+	}
+	return conn
+}
+
+func read(t *testing.T, conn net.Conn) wire.Frame {
+	t.Helper()
+	f, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("reading frame: %v", err)
+	}
+	return f
+}
+
+func request(t *testing.T, conn net.Conn, id uint64) {
+	t.Helper()
+	err := wire.WriteFrame(conn, wire.Request{ID: id, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// held replaces the target's submit seam with one that admits every
+// request onto a channel the test fills, so requests stay in flight for
+// exactly as long as the test wants.
+type held struct{ chans chan chan *conduit.Response }
+
+func hold(s *Server, n int) held {
+	h := held{chans: make(chan chan *conduit.Response, n)}
+	s.submit = func(conduit.Request) (<-chan *conduit.Response, error) {
+		ch := make(chan *conduit.Response, 1)
+		h.chans <- ch
+		return ch, nil
+	}
+	return h
+}
+
+// answer completes the oldest held request with a deadline expiry (a
+// response that needs no RunResult).
+func (h held) answer() {
+	(<-h.chans) <- &conduit.Response{Err: conduit.ErrDeadlineExceeded}
+}
+
+// closeSignal tells the test when Drain has closed the listener — which
+// it does only after marking the target draining.
+type closeSignal struct {
+	net.Listener
+	closed chan struct{}
+}
+
+func (l closeSignal) Close() error {
+	err := l.Listener.Close()
+	close(l.closed)
+	return err
+}
+
+func TestValidate(t *testing.T) {
+	s := &Server{opts: Options{Name: "t0", Shards: 2}, names: []string{"AES", "jacobi-1d"}}
+	for _, tc := range []struct {
+		name string
+		req  wire.Request
+		want wire.Code
+	}{
+		{"ok", wire.Request{Workload: "AES", Policy: "Conduit"}, wire.CodeOK},
+		{"ok, full shard set", wire.Request{Workload: "AES", Policy: "CPU", Shards: []uint32{1, 0}}, wire.CodeOK},
+		{"unknown workload", wire.Request{Workload: "aes", Policy: "Conduit"}, wire.CodeBadRequest},
+		{"unknown policy", wire.Request{Workload: "AES", Policy: " ISP"}, wire.CodeBadRequest},
+		{"partial shard set", wire.Request{Workload: "AES", Policy: "Conduit", Shards: []uint32{0}}, wire.CodeBadRequest},
+		{"duplicate shard", wire.Request{Workload: "AES", Policy: "Conduit", Shards: []uint32{1, 1}}, wire.CodeBadRequest},
+		{"shard out of range", wire.Request{Workload: "AES", Policy: "Conduit", Shards: []uint32{0, 2}}, wire.CodeBadRequest},
+	} {
+		code, msg := s.validate(tc.req)
+		if code != tc.want || (code == wire.CodeOK) != (msg == "") {
+			t.Errorf("%s: validate = %v %q, want %v", tc.name, code, msg, tc.want)
+		}
+	}
+}
+
+// TestResponderCountedBeforeSubmit pins the drain-race fix: by the time a
+// request reaches the serving engine its response is already owed, so a
+// Drain that runs between Submit returning and the responder starting
+// cannot close the socket under an executed request.
+func TestResponderCountedBeforeSubmit(t *testing.T) {
+	s, conn := newTarget(t, func(s *Server) {
+		submit := s.submit
+		s.submit = func(req conduit.Request) (<-chan *conduit.Response, error) {
+			s.mu.Lock()
+			owed := s.inflight
+			s.mu.Unlock()
+			if owed != 1 {
+				t.Errorf("responses owed when Submit ran = %d, want 1: a Drain here would not wait for this request", owed)
+			}
+			return submit(req)
+		}
+	})
+	request(t, conn, 7)
+	if resp := read(t, conn).(wire.Response); resp.ID != 7 || resp.Code != wire.CodeOK {
+		t.Fatalf("response = %+v, want OK for request 7", resp)
+	}
+	s.Drain()
+	if s.inflight != 0 {
+		t.Errorf("responses owed after Drain = %d, want 0", s.inflight)
+	}
+}
+
+// TestDrainAnswersInFlight: every request in flight when Drain begins is
+// answered before the socket closes, a request that arrives once the
+// drain has begun is refused with CodeDraining, and Drain is idempotent.
+func TestDrainAnswersInFlight(t *testing.T) {
+	const n = 5
+	var h held
+	lnClosed := make(chan struct{})
+	s, conn := newTarget(t, func(s *Server) {
+		h = hold(s, n)
+		s.ln = closeSignal{s.ln, lnClosed}
+	})
+
+	for id := uint64(1); id <= n; id++ {
+		request(t, conn, id)
+	}
+	// The connection is served in order, so once the snapshot answers all
+	// n requests have been submitted and are held.
+	if err := wire.WriteFrame(conn, wire.SnapshotReq{ID: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := read(t, conn).(wire.Snapshot); snap.ID != 99 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	<-lnClosed
+
+	request(t, conn, n+1)
+	if resp := read(t, conn).(wire.Response); resp.ID != n+1 || resp.Code != wire.CodeDraining {
+		t.Fatalf("request during drain answered %+v, want CodeDraining", resp)
+	}
+	select {
+	case <-drained:
+		t.Fatalf("Drain returned with %d requests unanswered", n)
+	default:
+	}
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		h.answer()
+		resp := read(t, conn).(wire.Response)
+		if resp.Code != wire.CodeDeadline || seen[resp.ID] || resp.ID < 1 || resp.ID > n {
+			t.Fatalf("in-flight answer %d = %+v", i, resp)
+		}
+		seen[resp.ID] = true
+	}
+	<-drained
+	if _, err := wire.ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Errorf("after the drain the socket yielded %v, want EOF", err)
+	}
+	s.Drain() // a second Drain returns at once
+}
+
+// TestNewWrapsRegistrationErrors: callers of the shared registration
+// helper can match the cause.
+func TestNewWrapsRegistrationErrors(t *testing.T) {
+	_, err := New("127.0.0.1:0", Options{Mix: []string{"jacobi-1d"}, Shards: 1 << 20})
+	if !errors.Is(err, conduit.ErrTooManyShards) {
+		t.Errorf("New with an unshardable plan = %v, want ErrTooManyShards in the chain", err)
+	}
+	if _, err := New("127.0.0.1:0", Options{Mix: []string{"no-such"}}); err == nil || !strings.Contains(err.Error(), `"no-such"`) {
+		t.Errorf("New with an unknown workload = %v", err)
+	}
+}
+
+// TestMainRejectsBadFlags: usage errors exit 2 before any listener binds.
+func TestMainRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-faults", "0.1", "-fallback", "no-such-policy"},
+		{"-faultreplay", t.TempDir() + "/missing.jsonl"},
+	} {
+		var stderr strings.Builder
+		if code := Main(args, io.Discard, &stderr); code != 2 {
+			t.Errorf("Main(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+	}
+}

@@ -45,17 +45,54 @@ func Canonical(s string) string {
 	return strings.ReplaceAll(strings.ToLower(s), " ", "-")
 }
 
+// index returns the position in builders of the workload whose name
+// matches name under Canonical, or -1.
+func index(name string) int {
+	want := Canonical(name)
+	for i, b := range builders {
+		if Canonical(b.name) == want {
+			return i
+		}
+	}
+	return -1
+}
+
 // Find returns the evaluation workload whose name matches name under
 // Canonical, built at the given scale. Only the matching workload's
 // source is constructed.
 func Find(name string, scale int) (Named, bool) {
-	want := Canonical(name)
-	for _, b := range builders {
-		if Canonical(b.name) == want {
-			return Named{b.name, b.build(scale)}, true
+	i := index(name)
+	if i < 0 {
+		return Named{}, false
+	}
+	return Named{builders[i].name, builders[i].build(scale)}, true
+}
+
+// Resolve turns a requested workload mix into the display names the
+// serving stack registers and requests workloads under: each entry is
+// matched under Canonical (surrounding space ignored, duplicates dropped,
+// first mention wins the position), and an empty mix selects the whole
+// evaluation suite in figure order. An unknown name is an error.
+func Resolve(mix []string) ([]string, error) {
+	var names []string
+	if len(mix) == 0 {
+		for _, b := range builders {
+			names = append(names, b.name)
+		}
+		return names, nil
+	}
+	seen := make(map[int]bool)
+	for _, raw := range mix {
+		i := index(strings.TrimSpace(raw))
+		if i < 0 {
+			return nil, fmt.Errorf("unknown workload %q", raw)
+		}
+		if !seen[i] {
+			seen[i] = true
+			names = append(names, builders[i].name)
 		}
 	}
-	return Named{}, false
+	return names, nil
 }
 
 // broadcastPrefixes records, per canonical workload name, the array-name

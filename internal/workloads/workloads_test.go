@@ -217,3 +217,17 @@ func TestPartitionMetadata(t *testing.T) {
 		t.Error("display-name lookup did not resolve the transformer rules")
 	}
 }
+
+func TestResolve(t *testing.T) {
+	all, err := Resolve(nil)
+	if err != nil || len(all) != 6 || all[0] != "AES" || all[5] != "LLM Training" {
+		t.Errorf("Resolve(nil) = %q, %v; want the suite in figure order", all, err)
+	}
+	got, err := Resolve([]string{" llama2-inference", "aes", "LlaMA2 Inference", "AES "})
+	if err != nil || len(got) != 2 || got[0] != "LlaMA2 Inference" || got[1] != "AES" {
+		t.Errorf("Resolve = %q, %v; want display names, first mention first, no duplicates", got, err)
+	}
+	if _, err := Resolve([]string{"aes", "no-such"}); err == nil {
+		t.Error("Resolve accepted an unknown workload")
+	}
+}

@@ -3,7 +3,6 @@ package conduit
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"conduit/internal/histo"
@@ -77,19 +76,6 @@ func (o *LatencyOptions) defaults() {
 	}
 }
 
-// latencyPoint is one measured (policy, shards, load) cell. served
-// counts successfully executed responses only — expired drops recycle
-// the queue in microseconds, so counting them would make "achieved"
-// track offered load instead of saturating at service capacity.
-type latencyPoint struct {
-	offered       float64
-	served        int64
-	shed, expired int64
-	attained      int64
-	elapsed       time.Duration
-	wall          *histo.Histogram
-}
-
 // LatencyCurve drives the serving stack open-loop across a grid of
 // offered loads and reports the throughput-latency curve per policy and
 // cluster size: offered vs achieved requests/s, goodput (responses
@@ -101,9 +87,12 @@ type latencyPoint struct {
 //
 // Each swept cluster size deploys one server (every workload compiled
 // and NVMe-deployed once, then pool-forked per request); each (policy,
-// load) point replays a fresh deterministic schedule against it and
-// accounts responses client-side in per-collector histograms merged at
-// the end — the merge-exactness of histo is what makes that sound.
+// load) point drives a fresh deterministic schedule against it through
+// the shared open-loop driver (loadgen.Drive) and accounts the executed
+// responses' service latency client-side. Achieved throughput counts
+// successfully executed responses only — expired drops recycle the queue
+// in microseconds, so counting them would make "achieved" track offered
+// load instead of saturating at service capacity.
 func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 	opts.defaults()
 	for _, p := range opts.Policies {
@@ -111,11 +100,9 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 			return nil, errUnknownPolicy(p)
 		}
 	}
-	names := opts.Workloads
-	if len(names) == 0 {
-		for _, w := range workloads.All(1) {
-			names = append(names, w.Name)
-		}
+	names, err := workloads.Resolve(opts.Workloads)
+	if err != nil {
+		return nil, fmt.Errorf("conduit: %w", err)
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Latency: open-loop %s arrivals, SLO %v, %v per point", opts.Arrival, opts.SLO, opts.Duration),
@@ -128,10 +115,17 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 			QueueDepth:  opts.QueueDepth,
 			Prefork:     opts.Prefork,
 		})
-		mix, err := registerMix(srv, names, e.scale, shards)
-		if err != nil {
-			srv.Drain()
-			return nil, err
+		var mix []string
+		for _, name := range names {
+			err := srv.RegisterWorkload(name, e.scale, shards)
+			if errors.Is(err, ErrTooManyShards) {
+				continue // too small to shard this wide: skipped at this size
+			}
+			if err != nil {
+				srv.Drain()
+				return nil, err
+			}
+			mix = append(mix, name)
 		}
 		if len(mix) == 0 {
 			srv.Drain()
@@ -154,114 +148,31 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 					srv.Drain()
 					return nil, err
 				}
-				pt := servePoint(srv, schedule, load)
-				sec := pt.elapsed.Seconds()
-				t.AddRowf(policy, shards, pt.offered,
-					float64(pt.served)/sec,
-					float64(pt.attained)/sec,
-					pt.shed, pt.expired,
-					float64(pt.wall.P50())/1e6,
-					float64(pt.wall.P99())/1e6,
-					float64(pt.wall.P999())/1e6)
+				// The curve reports service latency: only executed
+				// responses enter the histogram (an expired drop's
+				// "latency" is just its queue wait).
+				wall := histo.New()
+				var attained int64
+				pt := loadgen.Drive(schedule, 1, srv.OpenLoop(func(resp *Response) {
+					if resp.Err != nil {
+						return
+					}
+					wall.Add(resp.Latency.Nanoseconds())
+					if resp.Request.Deadline == 0 || resp.Latency <= resp.Request.Deadline {
+						attained++
+					}
+				}))
+				sec := pt.Elapsed.Seconds()
+				t.AddRowf(policy, shards, load,
+					float64(pt.Served)/sec,
+					float64(attained)/sec,
+					pt.Shed, pt.Expired,
+					float64(wall.P50())/1e6,
+					float64(wall.P99())/1e6,
+					float64(wall.P999())/1e6)
 			}
 		}
 		srv.Drain()
 	}
 	return t, nil
-}
-
-// registerMix registers each named workload on srv (sharded when shards
-// > 1), skipping workloads the cluster planner rejects as too small to
-// shard that wide, and returns the names actually registered.
-func registerMix(srv *Server, names []string, scale, shards int) ([]string, error) {
-	var mix []string
-	for _, name := range names {
-		w, ok := workloads.Find(name, scale)
-		if !ok {
-			return nil, fmt.Errorf("conduit: unknown workload %q", name)
-		}
-		var err error
-		if shards > 1 {
-			err = srv.RegisterSharded(w.Name, w.Source, shards)
-			if errors.Is(err, ErrTooManyShards) {
-				continue
-			}
-		} else {
-			err = srv.Register(w.Name, w.Source)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("register %s at %d shards: %w", w.Name, shards, err)
-		}
-		mix = append(mix, w.Name)
-	}
-	return mix, nil
-}
-
-// servePoint replays one schedule against srv open-loop and accounts the
-// responses client-side: submissions pace off the schedule's wall-clock
-// arrivals, responses drain into per-collector histograms (merged after
-// the point — exact, by histo's merge algebra), and shed submissions
-// count against goodput.
-func servePoint(srv *Server, schedule []loadgen.Event, offered float64) latencyPoint {
-	const collectors = 4
-	type collector struct {
-		wall              *histo.Histogram
-		served            int64
-		expired, attained int64
-	}
-	// Sized for the whole schedule so the issue callback can never block
-	// on a slow collector: back-pressure here would delay scheduled
-	// arrivals and silently turn the open-loop measurement closed-loop.
-	chans := make(chan (<-chan *Response), len(schedule))
-	var workers [collectors]collector
-	var wg sync.WaitGroup
-	for i := range workers {
-		c := &workers[i]
-		c.wall = histo.New()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ch := range chans {
-				resp := <-ch
-				if errors.Is(resp.Err, ErrDeadlineExceeded) {
-					c.expired++
-					continue
-				}
-				if resp.Err != nil {
-					continue
-				}
-				// The curve reports service latency: only executed
-				// responses enter the histogram (an expired drop's
-				// "latency" is just its queue wait).
-				c.served++
-				c.wall.Add(resp.Latency.Nanoseconds())
-				if resp.Request.Deadline == 0 || resp.Latency <= resp.Request.Deadline {
-					c.attained++
-				}
-			}
-		}()
-	}
-
-	pt := latencyPoint{offered: offered, wall: histo.New()}
-	start := time.Now()
-	loadgen.Replay(schedule, 1, func(ev loadgen.Event) {
-		ch, err := srv.Submit(Request{
-			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
-		})
-		if err != nil {
-			pt.shed++ // ErrOverloaded: shed at the door, never executed
-			return
-		}
-		chans <- ch
-	})
-	close(chans)
-	wg.Wait()
-	pt.elapsed = time.Since(start)
-	for i := range workers {
-		pt.wall.Merge(workers[i].wall)
-		pt.served += workers[i].served
-		pt.expired += workers[i].expired
-		pt.attained += workers[i].attained
-	}
-	return pt
 }

@@ -1,6 +1,7 @@
 package conduit
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,9 +9,11 @@ import (
 
 	"conduit/internal/faultinject"
 	"conduit/internal/histo"
+	"conduit/internal/loadgen"
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
+	"conduit/internal/workloads"
 )
 
 // Serving-layer building blocks, re-exported like the compiler types.
@@ -78,9 +81,9 @@ type ServeOptions struct {
 	// Faults enables the deterministic chaos layer: the server injects
 	// faults at the dispatch, pool, and device seams per the config's
 	// seeded rates (internal/faultinject) and records every injection.
-	// Nil serves fault-free with the plain dispatch path. Enabling
-	// faults forces Coalesce and Memoize off: injection draws are
-	// per-request, so requests must not share executions.
+	// Nil serves fault-free. Enabling faults forces Coalesce and Memoize
+	// off: injection draws are per-request, so requests must not share
+	// executions.
 	Faults *FaultConfig
 	// ReplayFaults, when non-nil, replays the given recorded fault
 	// schedule instead of drawing fresh: each seam consults the log and
@@ -88,10 +91,9 @@ type ServeOptions struct {
 	// outcome sequence. Takes precedence over Faults' rates.
 	ReplayFaults []Fault
 	// Recovery tunes the fault-tolerance machinery (retries, hedging,
-	// circuit breakers, fallback). The zero value performs plain
-	// single-attempt dispatch; a non-zero value activates the
-	// fault-tolerant path even without Faults, protecting against
-	// organic failures.
+	// circuit breakers, fallback) every request is dispatched through.
+	// The zero value makes one attempt per shard; a non-zero value
+	// protects against organic failures even without Faults.
 	Recovery RecoveryOptions
 	// Trace arms the per-request tracer. Nil disables tracing entirely
 	// (the hot path pays one nil check). A non-nil value records a span
@@ -100,16 +102,16 @@ type ServeOptions struct {
 	Trace *TraceOptions
 }
 
-// application is the serving-layer view of a registered app: one-shot
-// policy runs, pool teardown, and pool reporting. Both a single-device
-// Deployment and a sharded Cluster satisfy it, so the engine serves
-// either transparently.
+// application is the serving-layer view of a registered app: dispatch
+// through the recovery ladder, pool teardown, and pool reporting. Both a
+// single-device Deployment and a sharded Cluster satisfy it, so the
+// engine serves either transparently.
 type application interface {
-	Run(policy string) (*RunResult, error)
-	// runTraced is Run with span recording: shard scatter/gather and
-	// device runs become children of sp. A nil sp must behave exactly
-	// like Run.
-	runTraced(policy string, sp *trace.Span) (*RunResult, error)
+	// dispatch runs one request under r's recovery ladder — shard 0 for a
+	// Deployment, a per-shard scatter for a Cluster — accruing the
+	// recovery accounting into rec and recording under sp (nil unless the
+	// request is sampled).
+	dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error)
 	Close()
 	// poolStats contributes the application's device-pool snapshots to
 	// out, keying each entry off the registered name (a cluster adds one
@@ -131,20 +133,14 @@ type Server struct {
 	tracer *trace.Tracer         // nil = tracing disabled
 
 	mu       sync.Mutex
-	apps     map[string]application
-	res      map[string]*resilient // fault-tolerant dispatchers, same keys as apps
+	apps     map[string]*resilient // each application behind its dispatcher
 	draining bool
 }
 
 // NewServer starts a serving engine over a fresh System for cfg. Callers
 // must Drain it when done.
 func NewServer(cfg Config, opts ServeOptions) *Server {
-	s := &Server{
-		sys:  NewSystem(cfg),
-		opts: opts,
-		apps: make(map[string]application),
-		res:  make(map[string]*resilient),
-	}
+	s := &Server{sys: NewSystem(cfg), apps: make(map[string]*resilient)}
 	switch {
 	case opts.ReplayFaults != nil:
 		s.inj = faultinject.NewReplay(opts.ReplayFaults)
@@ -157,8 +153,8 @@ func NewServer(cfg Config, opts ServeOptions) *Server {
 		// and desynchronize the recorded schedule from the request
 		// stream, so chaos configs force batching off.
 		opts.Coalesce, opts.Memoize = false, false
-		s.opts.Coalesce, s.opts.Memoize = false, false
 	}
+	s.opts = opts
 	if opts.Trace != nil {
 		s.tracer = trace.New(*opts.Trace)
 	}
@@ -213,6 +209,29 @@ func (s *Server) RegisterSharded(name string, src *Source, shards int) error {
 	})
 }
 
+// RegisterWorkload builds the named evaluation workload
+// (internal/workloads, matched like workloads.Find) at scale and registers
+// it under its display name: as a shards-device cluster when shards > 1
+// (see RegisterSharded), on a single Deployment otherwise. A failure
+// wraps its cause, so errors.Is sees ErrTooManyShards for a workload too
+// small to shard that wide.
+func (s *Server) RegisterWorkload(name string, scale, shards int) error {
+	w, ok := workloads.Find(name, scale)
+	if !ok {
+		return fmt.Errorf("conduit: unknown workload %q", name)
+	}
+	var err error
+	if shards > 1 {
+		err = s.RegisterSharded(w.Name, w.Source, shards)
+	} else {
+		err = s.Register(w.Name, w.Source)
+	}
+	if err != nil {
+		return fmt.Errorf("register %s at %d shards: %w", w.Name, shards, err)
+	}
+	return nil
+}
+
 // install runs the registration protocol around a deploy: check the name
 // (and drain state) before paying for the deploy, build, then re-check at
 // insertion in case of a concurrent registration of the same name or a
@@ -238,10 +257,7 @@ func (s *Server) install(name string, build func() (application, error)) error {
 	_, dup = s.apps[name]
 	draining = s.draining
 	if !dup && !draining {
-		s.apps[name] = app
-		if s.inj != nil || s.opts.Recovery.enabled() {
-			s.res[name] = newResilient(name, app, s.inj, s.opts.Recovery)
-		}
+		s.apps[name] = newResilient(name, app, s.inj, s.opts.Recovery)
 	}
 	s.mu.Unlock()
 	if dup || draining {
@@ -256,40 +272,42 @@ func (s *Server) install(name string, build func() (application, error)) error {
 
 // Applications lists registered application names, sorted.
 func (s *Server) Applications() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.apps))
-	for name := range s.apps {
-		out = append(out, name)
+	apps := s.sorted()
+	names := make([]string, len(apps))
+	for i, r := range apps {
+		names[i] = r.name
 	}
-	sort.Strings(out)
-	return out
+	return names
 }
 
-// runCell is the serve.Runner backend: one request = one policy run on
-// pool-managed forks of the workload's deployment (every shard's, for a
-// clustered application). sp is the engine's execution span for the
+// sorted snapshots the registered applications in name order, the order
+// every walk over them uses so output and shutdown are reproducible.
+func (s *Server) sorted() []*resilient {
+	s.mu.Lock()
+	apps := make([]*resilient, 0, len(s.apps))
+	for _, r := range s.apps {
+		apps = append(apps, r)
+	}
+	s.mu.Unlock()
+	sort.Slice(apps, func(i, j int) bool { return apps[i].name < apps[j].name })
+	return apps
+}
+
+// runCell is the serve.Runner backend: one request = one policy run,
+// through the application's recovery dispatcher, on pool-managed forks of
+// the workload's deployment (every shard's, for a clustered
+// application). sp is the engine's execution span for the
 // request (nil when the request is unsampled); shard and device work
 // recorded under it stays on the simulated timeline.
 func (s *Server) runCell(workload, policy string, sp *trace.Span) (serve.Outcome, error) {
 	s.mu.Lock()
 	app := s.apps[workload]
-	ft := s.res[workload]
 	s.mu.Unlock()
 	if app == nil {
 		return serve.Outcome{}, fmt.Errorf("conduit: no application %q registered (have: %s)",
 			workload, strings.Join(s.Applications(), ", "))
 	}
-	var (
-		r   *RunResult
-		rec serve.Recovery
-		err error
-	)
-	if ft != nil {
-		r, rec, err = ft.run(policy, sp)
-	} else {
-		r, err = app.runTraced(policy, sp)
-	}
+	r, rec, err := app.run(policy, sp)
 	if err != nil {
 		// A failed request still reports its recovery accounting: the
 		// retries it burnt are real work the books must show.
@@ -316,6 +334,38 @@ func (s *Server) Do(req Request) (*Response, error) { return s.eng.Do(req) }
 // queueing delay instead of silently throttling the generator.
 func (s *Server) Submit(req Request) (<-chan *Response, error) { return s.eng.Submit(req) }
 
+// OpenLoop adapts Submit to the open-loop load driver (loadgen.Drive):
+// a full admission queue sheds, a deadline that passes in the queue
+// expires, anything else that is not a result fails. observe, when
+// non-nil, sees every answered response as the driver collects it (on
+// the driver's goroutine, in issue order).
+func (s *Server) OpenLoop(observe func(*Response)) loadgen.SubmitFunc {
+	return func(ev loadgen.Event) (func() loadgen.Outcome, loadgen.Outcome) {
+		ch, err := s.Submit(Request{
+			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
+		})
+		switch {
+		case errors.Is(err, ErrOverloaded):
+			return nil, loadgen.Shed
+		case err != nil:
+			return nil, loadgen.Failed
+		}
+		return func() loadgen.Outcome {
+			resp := <-ch
+			if observe != nil {
+				observe(resp)
+			}
+			switch {
+			case resp.Err == nil:
+				return loadgen.Served
+			case errors.Is(resp.Err, ErrDeadlineExceeded):
+				return loadgen.Expired
+			}
+			return loadgen.Failed
+		}, 0
+	}
+}
+
 // ResultOf unwraps the RunResult a successful response carries; it returns
 // nil for a nil or failed response.
 func ResultOf(resp *Response) *RunResult {
@@ -335,20 +385,9 @@ func (s *Server) Drain() {
 	s.eng.Drain()
 	s.mu.Lock()
 	s.draining = true
-	names := make([]string, 0, len(s.apps))
-	for name := range s.apps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	apps := make([]application, 0, len(names))
-	for _, name := range names {
-		apps = append(apps, s.apps[name])
-	}
 	s.mu.Unlock()
-	// Close in registration-name order so shutdown (and any pool-stats
-	// snapshot taken concurrently) is reproducible run to run.
-	for _, app := range apps {
-		app.Close()
+	for _, r := range s.sorted() {
+		r.app.Close()
 	}
 }
 
@@ -377,22 +416,11 @@ func (s *Server) FaultLog() []Fault { return s.inj.Log() }
 // ("workload#shard"), across all registered applications. Empty unless
 // RecoveryOptions.BreakerThreshold is set.
 func (s *Server) Breakers() []BreakerStatus {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.res))
-	for name := range s.res {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sets := make([]*faultinject.BreakerSet, 0, len(names))
-	for _, name := range names {
-		if b := s.res[name].brk; b != nil {
-			sets = append(sets, b)
-		}
-	}
-	s.mu.Unlock()
 	var out []BreakerStatus
-	for _, set := range sets {
-		out = append(out, set.Snapshot()...)
+	for _, r := range s.sorted() {
+		if r.brk != nil {
+			out = append(out, r.brk.Snapshot()...)
+		}
 	}
 	return out
 }
@@ -405,8 +433,8 @@ func (s *Server) PoolStats() map[string]PoolStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]PoolStats, len(s.apps))
-	for name, app := range s.apps {
-		app.poolStats(name, out)
+	for name, r := range s.apps {
+		r.app.poolStats(name, out)
 	}
 	return out
 }

@@ -239,3 +239,40 @@ func TestServeReplayedTraceMatchesGeneratedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenLoopDriverTallyMatchesServerBooks drives the shared open-loop
+// driver through the server's submit adapter: the driver's tally must be
+// the server's own accounting — what it shed at the door, what expired in
+// the queue, what it served — and the observer must see every answer.
+func TestOpenLoopDriverTallyMatchesServerBooks(t *testing.T) {
+	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{
+		Concurrency: 1, QueueDepth: 2, Prefork: 1,
+	})
+	if err := srv.RegisterWorkload("jacobi-1d", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterWorkload("no-such", 1, 1); err == nil {
+		t.Error("RegisterWorkload accepted an unknown workload")
+	}
+	// Zero offsets: the whole schedule is offered at once, so a 2-slot
+	// queue must shed; a 1ns deadline expires whatever had to queue.
+	schedule := make([]loadgen.Event, 40)
+	for i := range schedule {
+		schedule[i] = loadgen.Event{Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit", Deadline: time.Nanosecond}
+	}
+	var answered int64
+	tally := loadgen.Drive(schedule, 1, srv.OpenLoop(func(*conduit.Response) { answered++ }))
+	srv.Drain()
+
+	total := srv.Total()
+	if tally.Offered != 40 || tally.Shed == 0 || tally.Failed != 0 ||
+		tally.Served+tally.Shed+tally.Expired != tally.Offered {
+		t.Fatalf("tally = %+v", tally)
+	}
+	if tally.Shed != total.Shed || tally.Expired != total.Expired || tally.Served+tally.Expired != total.Requests {
+		t.Errorf("tally %+v disagrees with the server's books %+v", tally, total)
+	}
+	if answered != tally.Served+tally.Expired {
+		t.Errorf("observer saw %d answers, want %d", answered, tally.Served+tally.Expired)
+	}
+}
