@@ -159,3 +159,38 @@ func TestForkAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocBudget pins what one pooled-path request costs beyond the
+// fork: Deployment.Run (fork + Device.Run + result) on LLaMA2 at scale 2
+// under Conduit. The per-instruction path indexes tables and reuses
+// scratch, so the count does not grow with the instruction stream (1266
+// allocations and 241 KiB before the slot, page and energy maps became
+// tables).
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const (
+		maxAllocs = 250
+		maxBytes  = 180 << 10
+		runs      = 20
+	)
+	dep := deployWorkload(t, NewSystem(DefaultConfig()), "LlaMA2 Inference", 2)
+	run := func() {
+		if _, err := dep.Run("Conduit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, run); allocs > maxAllocs {
+		t.Errorf("%v allocations per Deployment.Run, budget %d", allocs, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > maxBytes {
+		t.Errorf("%d bytes per Deployment.Run, budget %d", perRun, maxBytes)
+	}
+}

@@ -258,6 +258,11 @@ func (c *Core) Clone(en *energy.Account) *Core {
 	return &cp
 }
 
+// AppendCounts appends Stats' values to dst in sorted key order.
+func (c *Core) AppendCounts(dst []int64) []int64 {
+	return append(dst, c.cycles, c.scalarOps, c.vecOps)
+}
+
 // Stats reports operation counts for experiment tables.
 func (c *Core) Stats() map[string]int64 {
 	return map[string]int64{

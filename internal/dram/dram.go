@@ -112,8 +112,9 @@ func ExecLatency(cfg *config.SSD, o Op, elem int) sim.Time {
 
 // Module is the functional + timed PuD-SSD substrate. With cfg.TimingOnly
 // set the data plane is elided: slots are tracked as populated/empty with
-// nil payloads, results are never computed, and timing, energy, counters,
-// and every validation error path stay identical to a functional module.
+// no payload table at all, results are never computed, and timing, energy,
+// counters, and every validation error path stay identical to a functional
+// module.
 type Module struct {
 	cfg    *config.SSD
 	en     *energy.Account
@@ -121,19 +122,21 @@ type Module struct {
 	units  *sim.Group    // concurrent subarray compute sets (MIMDRAM)
 	bus    *sim.Calendar // shared LPDDR4 data bus for transfers in/out
 
-	slots    map[int][]byte
-	capacity int
+	// state is the slot table, one byte per slot and indexed by slot
+	// number: slotPopulated once the slot has been written, slotPrivate
+	// while its current payload was allocated by this module instance and
+	// has not been shared with a clone. payload[slot] holds the contents
+	// and exists in functional mode only (nil on a timing-only module).
+	state   []uint8
+	payload [][]byte
 
-	// pool recycles dead page payloads; priv marks slots whose current
-	// payload this module instance allocated and has not shared. Payloads
-	// are replace-on-write (see Clone), so a slot's payload may be
-	// recycled on replacement or invalidation only while its priv bit
-	// holds. shared is raised by Clone (which may run concurrently with
-	// other Clones of the same module, hence the atomic); the next
-	// mutation drops every priv bit, because the clone now references
-	// the same payloads.
+	// pool recycles dead page payloads. Payloads are replace-on-write
+	// (see Clone), so a slot's payload may be recycled on replacement or
+	// invalidation only while its slotPrivate bit holds. shared is raised
+	// by Clone (which may run concurrently with other Clones of the same
+	// module, hence the atomic); the next mutation drops every
+	// slotPrivate bit, because the clone now references the same payloads.
 	pool   *arena.Pool
-	priv   map[int]bool
 	shared atomic.Bool
 
 	// valScratch is the reusable operand-pointer slice of Exec.
@@ -145,6 +148,12 @@ type Module struct {
 	bytesMoved           int64
 }
 
+// Slot state bits (Module.state).
+const (
+	slotPopulated uint8 = 1 << iota
+	slotPrivate
+)
+
 // ComputeUnits is the number of concurrently usable subarray compute sets.
 // MIMDRAM executes independent fine-grained operations in different
 // subarrays (mats); with 8 banks and two active subarray sets per bank the
@@ -154,17 +163,19 @@ const ComputeUnits = 16
 // NewModule builds the PuD substrate for cfg, charging energy to en.
 func NewModule(cfg *config.SSD, en *energy.Account) *Module {
 	capacity := int(cfg.DRAMSize / int64(cfg.PageSize))
-	return &Module{
-		cfg:      cfg,
-		en:       en,
-		timing:   cfg.TimingOnly,
-		units:    sim.NewGroup("pud-unit", ComputeUnits),
-		bus:      sim.NewCalendar("dram-bus"),
-		slots:    make(map[int][]byte),
-		capacity: capacity,
-		pool:     arena.New(cfg.PageSize),
-		priv:     make(map[int]bool),
+	m := &Module{
+		cfg:    cfg,
+		en:     en,
+		timing: cfg.TimingOnly,
+		units:  sim.NewGroup("pud-unit", ComputeUnits),
+		bus:    sim.NewCalendar("dram-bus"),
+		state:  make([]uint8, capacity),
+		pool:   arena.New(cfg.PageSize),
 	}
+	if !m.timing {
+		m.payload = make([][]byte, capacity)
+	}
+	return m
 }
 
 // unshare lazily drops payload privacy after a Clone: every payload that
@@ -173,19 +184,34 @@ func NewModule(cfg *config.SSD, en *energy.Account) *Module {
 func (m *Module) unshare() {
 	if m.shared.Load() {
 		m.shared.Store(false)
-		clear(m.priv)
+		dropPrivate(m.state)
+	}
+}
+
+func dropPrivate(state []uint8) {
+	for i := range state {
+		state[i] &^= slotPrivate
+	}
+}
+
+// release recycles slot's payload when it is provably unshared.
+func (m *Module) release(slot int) {
+	if m.state[slot]&slotPrivate != 0 {
+		m.pool.Put(m.payload[slot])
 	}
 }
 
 // setSlot installs a freshly allocated (private) payload into slot,
 // recycling the payload it replaces when that one is provably unshared.
 func (m *Module) setSlot(slot int, data []byte) {
-	m.unshare()
-	if old, ok := m.slots[slot]; ok && m.priv[slot] {
-		m.pool.Put(old)
+	if m.timing {
+		m.state[slot] = slotPopulated
+		return
 	}
-	m.slots[slot] = data
-	m.priv[slot] = true
+	m.unshare()
+	m.release(slot)
+	m.payload[slot] = data
+	m.state[slot] = slotPopulated | slotPrivate
 }
 
 // Recycle returns a dead page buffer to the module's free list. Only call
@@ -193,7 +219,7 @@ func (m *Module) setSlot(slot int, data []byte) {
 func (m *Module) Recycle(b []byte) { m.pool.Put(b) }
 
 // Capacity reports the number of page-sized slots.
-func (m *Module) Capacity() int { return m.capacity }
+func (m *Module) Capacity() int { return len(m.state) }
 
 // Units exposes the compute-unit calendars (for queue-delay observation).
 func (m *Module) Units() *sim.Group { return m.units }
@@ -202,8 +228,8 @@ func (m *Module) Units() *sim.Group { return m.units }
 func (m *Module) Bus() *sim.Calendar { return m.bus }
 
 func (m *Module) checkSlot(s int) {
-	if s < 0 || s >= m.capacity {
-		panic(fmt.Sprintf("dram: slot %d out of range [0,%d)", s, m.capacity))
+	if s < 0 || s >= len(m.state) {
+		panic(fmt.Sprintf("dram: slot %d out of range [0,%d)", s, len(m.state)))
 	}
 }
 
@@ -249,27 +275,24 @@ func (m *Module) Data(slot int) []byte {
 	if m.timing {
 		return nil
 	}
-	if d, ok := m.slots[slot]; ok {
-		return m.pool.GetCopy(d)
+	if m.Populated(slot) {
+		return m.pool.GetCopy(m.payload[slot])
 	}
 	return m.pool.GetZeroed()
 }
 
 // Populated reports whether the slot has been written.
-func (m *Module) Populated(slot int) bool {
-	_, ok := m.slots[slot]
-	return ok
-}
+func (m *Module) Populated(slot int) bool { return m.state[slot]&slotPopulated != 0 }
 
 // Invalidate drops slot contents (eviction), recycling the payload when
 // it is provably unshared.
 func (m *Module) Invalidate(slot int) {
-	m.unshare()
-	if old, ok := m.slots[slot]; ok && m.priv[slot] {
-		m.pool.Put(old)
+	if !m.timing {
+		m.unshare()
+		m.release(slot)
+		m.payload[slot] = nil
 	}
-	delete(m.slots, slot)
-	delete(m.priv, slot)
+	m.state[slot] = 0
 }
 
 // Exec performs op on the source slots, writing the result slot. srcs must
@@ -321,7 +344,7 @@ func (m *Module) Exec(now, ready sim.Time, op Op, dst int, srcs []int, elem int,
 			return 0, fmt.Errorf("dram: %v source slot %d not populated", op, s)
 		}
 		if !m.timing {
-			vals[i] = m.slots[s]
+			vals[i] = m.payload[s]
 		}
 	}
 
@@ -432,23 +455,20 @@ func (m *Module) Clone(en *energy.Account) *Module {
 		timing:     m.timing,
 		units:      m.units.Clone(),
 		bus:        m.bus.Clone(),
-		slots:      make(map[int][]byte, len(m.slots)),
-		capacity:   m.capacity,
+		state:      append([]uint8(nil), m.state...),
+		payload:    append([][]byte(nil), m.payload...), // replace-on-write; see doc comment
 		pool:       arena.New(m.cfg.PageSize),
-		priv:       make(map[int]bool),
 		opImm:      m.opImm,
 		bbops:      m.bbops,
 		reads:      m.reads,
 		writes:     m.writes,
 		bytesMoved: m.bytesMoved,
 	}
-	for s, d := range m.slots {
-		c.slots[s] = d // payloads are replace-on-write; see doc comment
-	}
-	// Payloads are now referenced from both modules: the original must stop
-	// recycling them on replacement. The flag (not a direct priv wipe)
+	// Payloads are now referenced from both modules: neither may recycle
+	// them on replacement. The flag (not a direct wipe of m's private bits)
 	// keeps Clone read-only on m, so concurrent Clones of one module stay
 	// safe; m applies it at its next mutation.
+	dropPrivate(c.state)
 	m.shared.Store(true)
 	return c
 }
@@ -460,6 +480,11 @@ func (m *Module) SetSlotForTest(slot int, data []byte) {
 		panic("dram: SetSlotForTest size mismatch")
 	}
 	m.setSlot(slot, m.pool.GetCopy(data))
+}
+
+// AppendCounts appends Stats' values to dst in sorted key order.
+func (m *Module) AppendCounts(dst []int64) []int64 {
+	return append(dst, m.bbops, m.bytesMoved, m.reads, m.writes)
 }
 
 // Stats reports operation counts for experiment tables.

@@ -1,21 +1,68 @@
 package energy
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Account tallies energy in joules, keyed by source. The zero value is not
 // usable; call NewAccount.
 type Account struct {
-	compute  map[string]float64
-	movement map[string]float64
+	compute  ledger
+	movement ledger
+}
+
+// ledger is a name-sorted list of tallies. An account sees a handful of
+// distinct names, charged millions of times: a short equality scan finds
+// the entry, and keeping the list sorted makes every total a sum in
+// sorted-name order — float addition is not associative, so a fixed order
+// is what keeps otherwise identical runs identical to the last bit.
+type ledger []entry
+
+type entry struct {
+	name   string
+	joules float64
+}
+
+func (l *ledger) add(name string, j float64) {
+	s := *l
+	for i := range s {
+		if s[i].name == name {
+			s[i].joules += j
+			return
+		}
+	}
+	i := sort.Search(len(s), func(i int) bool { return s[i].name > name })
+	*l = slices.Insert(s, i, entry{name, j})
+}
+
+func (l ledger) get(name string) float64 {
+	for i := range l {
+		if l[i].name == name {
+			return l[i].joules
+		}
+	}
+	return 0
+}
+
+func (l ledger) total() float64 {
+	var sum float64
+	for i := range l {
+		sum += l[i].joules
+	}
+	return sum
+}
+
+func (l ledger) names() []string {
+	out := make([]string, len(l))
+	for i := range l {
+		out[i] = l[i].name
+	}
+	return out
 }
 
 // NewAccount returns an empty account.
-func NewAccount() *Account {
-	return &Account{
-		compute:  make(map[string]float64),
-		movement: make(map[string]float64),
-	}
-}
+func NewAccount() *Account { return &Account{} }
 
 // Compute records j joules of computation energy attributed to source
 // (e.g. "ifp", "pud", "isp", "cpu", "gpu").
@@ -23,7 +70,7 @@ func (a *Account) Compute(source string, j float64) {
 	if j < 0 {
 		panic("energy: negative computation energy")
 	}
-	a.compute[source] += j
+	a.compute.add(source, j)
 }
 
 // Move records j joules of data-movement energy attributed to path
@@ -32,46 +79,39 @@ func (a *Account) Move(path string, j float64) {
 	if j < 0 {
 		panic("energy: negative movement energy")
 	}
-	a.movement[path] += j
+	a.movement.add(path, j)
 }
 
 // ComputeTotal reports total computation energy in joules.
-func (a *Account) ComputeTotal() float64 { return total(a.compute) }
+func (a *Account) ComputeTotal() float64 { return a.compute.total() }
 
 // MovementTotal reports total data-movement energy in joules.
-func (a *Account) MovementTotal() float64 { return total(a.movement) }
+func (a *Account) MovementTotal() float64 { return a.movement.total() }
 
 // Total reports all energy in joules.
 func (a *Account) Total() float64 { return a.ComputeTotal() + a.MovementTotal() }
 
 // ComputeBy reports computation energy for one source.
-func (a *Account) ComputeBy(source string) float64 { return a.compute[source] }
+func (a *Account) ComputeBy(source string) float64 { return a.compute.get(source) }
 
 // MoveBy reports movement energy for one path.
-func (a *Account) MoveBy(path string) float64 { return a.movement[path] }
+func (a *Account) MoveBy(path string) float64 { return a.movement.get(path) }
 
 // Sources returns all compute sources in sorted order.
-func (a *Account) Sources() []string { return keys(a.compute) }
+func (a *Account) Sources() []string { return a.compute.names() }
 
 // Paths returns all movement paths in sorted order.
-func (a *Account) Paths() []string { return keys(a.movement) }
+func (a *Account) Paths() []string { return a.movement.names() }
 
 // Reset clears the account.
-func (a *Account) Reset() {
-	a.compute = make(map[string]float64)
-	a.movement = make(map[string]float64)
-}
+func (a *Account) Reset() { *a = Account{} }
 
 // Clone returns an independent copy of the account.
 func (a *Account) Clone() *Account {
-	c := NewAccount()
-	for k, v := range a.compute {
-		c.compute[k] = v
+	return &Account{
+		compute:  append(ledger(nil), a.compute...),
+		movement: append(ledger(nil), a.movement...),
 	}
-	for k, v := range a.movement {
-		c.movement[k] = v
-	}
-	return c
 }
 
 // MergeShards sums per-shard (compute, movement) energy pairs in slice
@@ -88,24 +128,4 @@ func MergeShards(compute, movement []float64) (computeJ, movementJ float64) {
 		movementJ += movement[i]
 	}
 	return computeJ, movementJ
-}
-
-// total sums in sorted key order: float addition is not associative, so
-// map-order summation would make otherwise identical runs differ in the
-// last bits — run-for-run determinism requires a fixed order.
-func total(m map[string]float64) float64 {
-	var sum float64
-	for _, k := range keys(m) {
-		sum += m[k]
-	}
-	return sum
-}
-
-func keys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

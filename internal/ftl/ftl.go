@@ -473,6 +473,11 @@ func (f *FTL) Freeze() {
 	f.freeBlocks.Freeze()
 }
 
+// AppendCounts appends Stats' values to dst in sorted key order.
+func (f *FTL) AppendCounts(dst []int64) []int64 {
+	return append(dst, f.gcRuns, f.mapHits, f.mapMisses, f.migrations)
+}
+
 // Stats reports FTL activity counters.
 func (f *FTL) Stats() map[string]int64 {
 	return map[string]int64{

@@ -101,35 +101,38 @@ func Native(r Resource, op Op) (string, error) {
 // consults at runtime (§4.5): one four-byte entry per (operation, resource)
 // pair that the resource supports.
 type TranslationTable struct {
-	entries map[uint16]string
+	native [numResources][numOps]string // "" where the resource lacks the op
+	n      int
 }
 
 // BuildTranslationTable precomputes all supported translations.
 func BuildTranslationTable() *TranslationTable {
-	t := &TranslationTable{entries: make(map[uint16]string)}
+	t := &TranslationTable{}
 	for _, r := range AllResources {
 		for op := Op(0); op < numOps; op++ {
 			if n, err := Native(r, op); err == nil {
-				t.entries[key(r, op)] = n
+				t.native[r][op] = n
+				t.n++
 			}
 		}
 	}
 	return t
 }
 
-func key(r Resource, op Op) uint16 { return uint16(r)<<8 | uint16(op) }
-
 // Lookup returns the native mnemonic for (r, op), mirroring the 300 ns
 // table lookup the paper charges for instruction transformation.
 func (t *TranslationTable) Lookup(r Resource, op Op) (string, bool) {
-	n, ok := t.entries[key(r, op)]
-	return n, ok
+	if r >= numResources || op >= numOps {
+		return "", false
+	}
+	n := t.native[r][op]
+	return n, n != ""
 }
 
 // Entries reports the number of table entries.
-func (t *TranslationTable) Entries() int { return len(t.entries) }
+func (t *TranslationTable) Entries() int { return t.n }
 
 // SizeBytes reports the table's storage overhead in SSD DRAM at four bytes
 // per entry (§4.5 reports ≈1.5 KiB for the full ~300-operation ISP set;
 // our IR is the workload-covering subset of that set).
-func (t *TranslationTable) SizeBytes() int { return 4 * len(t.entries) }
+func (t *TranslationTable) SizeBytes() int { return 4 * t.n }

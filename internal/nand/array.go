@@ -578,6 +578,12 @@ func (a *Array) Freeze() {
 	a.erases.Freeze()
 }
 
+// AppendCounts appends Stats' values to dst in sorted key order.
+func (a *Array) AppendCounts(dst []int64) []int64 {
+	return append(dst, a.bytesIn, a.bytesOut, a.eccCorrections, a.eccFailures, a.eraseOps,
+		a.fcTransfers, a.latchRounds, a.mwsOps, a.programs, a.senses)
+}
+
 // Stats reports operation counts for experiment tables.
 func (a *Array) Stats() map[string]int64 {
 	return map[string]int64{

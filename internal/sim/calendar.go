@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Calendar models a serial resource — a flash channel bus, a DRAM bank, a
 // controller core, an execution queue — as a "busy until" horizon. Work
@@ -142,40 +139,16 @@ func (c *Calendar) Clone() *Calendar {
 	return &cp
 }
 
-// horizonInf pads winner-tree slots that hold no member.
-const horizonInf = Time(math.MaxInt64)
-
 // Group is a pool of identical parallel resources (e.g. the dies behind one
 // channel, the banks of a DRAM rank) with FIFO selection of the earliest
-// available member.
-//
-// Selection is indexed, not scanned: a winner tree over member horizons
-// answers Earliest in O(1) when nothing changed and updates in O(log n)
-// per group reservation, replacing the per-instruction min-horizon scan.
-// Ties break to the lowest member index — identical to a full scan —
-// because every comparison prefers the left child, and the left subtree
-// always holds the lower indices.
-//
-// The tree tolerates horizons growing behind its back (a reservation made
-// directly on Member(i), as tests do): alongside each cached winner it
-// stores the horizon that winner had when the node was computed, and any
-// node whose cached winner has since moved is recomputed on touch.
-// Horizons only ever grow, so a node whose cached winner is unmoved is
-// still correct — every other member of its subtree was >= that horizon
-// when the node was computed and cannot have shrunk since. Resetting an
-// individual member directly (Member(i).Reset()) violates exactly that
-// monotonicity; reset groups with Group.Reset.
+// available member: the smallest horizon, lowest index among equal minima.
+// Groups are small (at most 16 members here), so selection is a plain scan
+// of the member slab: indexing the horizons (a winner tree) measured no
+// faster, and a scan cannot go stale when a caller reserves on Member(i)
+// directly.
 type Group struct {
 	name    string
 	members []Calendar // one slab: cloning a group is one copy, not one allocation per member
-
-	// Winner tree, 1-based: tree[1] is the root. Leaves sit at
-	// [leaf0, leaf0+len(members)); tree holds member indices (-1 for
-	// padding), thor the horizon the slot's winner had when computed.
-	// Groups of one member skip the tree entirely.
-	tree  []int32
-	thor  []Time
-	leaf0 int
 }
 
 // NewGroup creates a pool of n identical calendars.
@@ -187,61 +160,7 @@ func NewGroup(name string, n int) *Group {
 	for i := range g.members {
 		g.members[i].name = fmt.Sprintf("%s[%d]", name, i)
 	}
-	if n > 1 {
-		leaf0 := 1
-		for leaf0 < n {
-			leaf0 *= 2
-		}
-		g.leaf0 = leaf0
-		g.tree = make([]int32, 2*leaf0)
-		g.thor = make([]Time, 2*leaf0)
-		g.rebuild()
-	}
 	return g
-}
-
-// rebuild recomputes the whole winner tree from current member horizons.
-func (g *Group) rebuild() {
-	for i := range g.members {
-		g.tree[g.leaf0+i] = int32(i)
-		g.thor[g.leaf0+i] = g.members[i].horizon
-	}
-	for i := g.leaf0 + len(g.members); i < 2*g.leaf0; i++ {
-		g.tree[i] = -1
-		g.thor[i] = horizonInf
-	}
-	for v := g.leaf0 - 1; v >= 1; v-- {
-		g.play(v)
-	}
-}
-
-// play recomputes internal node v from its (fresh) children. The left
-// child wins ties, which keeps the lowest index among equal minima.
-func (g *Group) play(v int) {
-	l, r := 2*v, 2*v+1
-	if g.thor[r] < g.thor[l] {
-		g.tree[v], g.thor[v] = g.tree[r], g.thor[r]
-	} else {
-		g.tree[v], g.thor[v] = g.tree[l], g.thor[l]
-	}
-}
-
-// ensure makes node v fresh: its cached winner's current horizon equals
-// the stored one. A stale node is recomputed from its (ensured) children.
-// Fresh nodes return in O(1); the cost of staleness lands on whoever
-// mutated horizons behind the tree's back.
-func (g *Group) ensure(v int) {
-	idx := g.tree[v]
-	if idx < 0 || g.members[idx].horizon == g.thor[v] {
-		return
-	}
-	if v >= g.leaf0 {
-		g.thor[v] = g.members[idx].horizon
-		return
-	}
-	g.ensure(2 * v)
-	g.ensure(2*v + 1)
-	g.play(v)
 }
 
 // Size reports the number of members.
@@ -250,21 +169,16 @@ func (g *Group) Size() int { return len(g.members) }
 // Member returns the i'th member calendar.
 func (g *Group) Member(i int) *Calendar { return &g.members[i] }
 
-// earliestIdx returns the index of the member with the smallest horizon
-// (FIFO tie-break: the lowest index among equal minima, identical to a
-// full scan).
-func (g *Group) earliestIdx() int {
-	if len(g.members) == 1 {
-		return 0
-	}
-	g.ensure(1)
-	return int(g.tree[1])
-}
-
 // Earliest returns the member with the smallest horizon (FIFO tie-break:
-// the lowest index among equal minima, identical to a full scan).
+// the lowest index among equal minima).
 func (g *Group) Earliest() *Calendar {
-	return &g.members[g.earliestIdx()]
+	best := &g.members[0]
+	for i := 1; i < len(g.members); i++ {
+		if g.members[i].horizon < best.horizon {
+			best = &g.members[i]
+		}
+	}
+	return best
 }
 
 // QueueDelay reports the queueing delay of the least-loaded member.
@@ -274,22 +188,7 @@ func (g *Group) QueueDelay(now Time) Time {
 
 // Reserve books d units of work on the least-loaded member.
 func (g *Group) Reserve(now, notBefore, d Time) (start, end Time) {
-	idx := g.earliestIdx()
-	start, end = g.members[idx].Reserve(now, notBefore, d)
-	if len(g.members) > 1 {
-		// Replay the reserved leaf's path to the root: O(log n). Sibling
-		// subtrees are ensured in passing, so horizons grown behind the
-		// tree's back are folded in before they can be compared stale.
-		v := g.leaf0 + idx
-		g.thor[v] = g.members[idx].horizon
-		for v > 1 {
-			v /= 2
-			g.ensure(2 * v)
-			g.ensure(2*v + 1)
-			g.play(v)
-		}
-	}
-	return start, end
+	return g.Earliest().Reserve(now, notBefore, d)
 }
 
 // Utilization reports the mean utilization across members.
@@ -301,23 +200,14 @@ func (g *Group) Utilization(now Time) float64 {
 	return sum / float64(len(g.members))
 }
 
-// Reset clears every member and rebuilds the selection tree.
+// Reset clears every member.
 func (g *Group) Reset() {
 	for i := range g.members {
 		g.members[i].Reset()
 	}
-	if len(g.members) > 1 {
-		g.rebuild()
-	}
 }
 
-// Clone returns an independent copy of the group and all its members,
-// winner tree included: the clone selects exactly as the original would.
+// Clone returns an independent copy of the group and all its members.
 func (g *Group) Clone() *Group {
-	ng := &Group{name: g.name, members: append([]Calendar(nil), g.members...), leaf0: g.leaf0}
-	if g.tree != nil {
-		ng.tree = append([]int32(nil), g.tree...)
-		ng.thor = append([]Time(nil), g.thor...)
-	}
-	return ng
+	return &Group{name: g.name, members: append([]Calendar(nil), g.members...)}
 }

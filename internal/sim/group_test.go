@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-// naiveEarliest is the original full-scan selection the cached Earliest
-// must reproduce exactly, FIFO ties (lowest index among minima) included.
+// naiveEarliest is the reference selection Earliest must reproduce
+// exactly, FIFO ties (lowest index among minima) included.
 func naiveEarliest(g *Group) int {
 	best := 0
 	for i := 1; i < g.Size(); i++ {
@@ -17,8 +17,8 @@ func naiveEarliest(g *Group) int {
 	return best
 }
 
-// TestGroupEarliestCacheMatchesScan drives a cached group and an uncached
-// twin through identical operation sequences — reservations (with
+// TestGroupEarliestCacheMatchesScan drives a group and a twin selected by
+// naiveEarliest through identical operation sequences — reservations (with
 // zero-duration ties), queue-delay reads, resets, and direct member
 // reservations — and demands identical member selection and timing.
 func TestGroupEarliestCacheMatchesScan(t *testing.T) {
@@ -42,7 +42,7 @@ func TestGroupEarliestCacheMatchesScan(t *testing.T) {
 				if s1 != s2 || e1 != e2 {
 					return false
 				}
-			case 2: // queue-delay read (cache hit path)
+			case 2: // queue-delay read
 				if g.QueueDelay(now) != ref.Member(naiveEarliest(ref)).QueueDelay(now) {
 					return false
 				}
@@ -79,7 +79,7 @@ func TestGroupCloneCarriesCache(t *testing.T) {
 	g := NewGroup("orig", 4)
 	g.Reserve(0, 0, 10)
 	g.Reserve(0, 0, 20)
-	g.Earliest() // populate cache
+	g.Earliest()
 	c := g.Clone()
 	for i := 0; i < 6; i++ {
 		s1, e1 := g.Reserve(5, 5, 7)

@@ -195,7 +195,7 @@ func scanEarliest(g *sim.Group) int {
 	return best
 }
 
-// TestGroupSelectionMatchesScanOnTrace drives the winner-tree Group and
+// TestGroupSelectionMatchesScanOnTrace drives Group's own selection and
 // a scan-reference twin with recorded real-workload durations plus
 // tie-heavy zero-duration storms, direct member reservations, resets,
 // and clones, and demands identical selection and timing throughout.

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 
 	"conduit/internal/coherence"
 	"conduit/internal/config"
@@ -45,14 +46,21 @@ type Device struct {
 
 	// DRAM slot management. A fraction of the DRAM is reserved for FTL
 	// metadata (the mapping cache); the rest caches/holds logical pages.
-	dramSlot  map[isa.PageID]int
-	slotOwner []isa.PageID // slot -> lpn (NoPage when free)
-	slotClock []int64      // LRU stamps
+	// slotOwner is the table (slot -> page, NoPage when free) and dramSlot
+	// its inverse (page -> slot, noSlot when not resident), one entry per
+	// program page; bindSlot and freeSlot are the only writers of either.
+	dramSlot  []int32
+	slotOwner []isa.PageID
+	slotClock []int64 // LRU stamps
 	clock     int64
+	freeFrom  int // no slot below it is free: where allocSlot starts looking
 
-	// Plane page-buffer tags: which logical page each plane buffer holds
-	// (NoPage when invalid/untracked).
+	// Plane page-buffer tags: bufferTag[plane] is the logical page the
+	// plane's buffer holds (NoPage when invalid/untracked) and pagePlane
+	// its inverse (page -> plane, noPlane when no buffer holds it), one
+	// entry per program page; tagBuffer is the only writer of either.
 	bufferTag []isa.PageID
+	pagePlane []int16
 
 	// Per-page availability time of the latest version (copy-on-write:
 	// a fork shares the master's all-zero table until it first writes).
@@ -62,8 +70,9 @@ type Device struct {
 	// of instruction indices touching page p, with reads and writes
 	// distinguished. A page version is dead once its next access is a
 	// write (the value can never be read again); output pages stay live
-	// at end of program (the host may read them back).
-	accesses map[isa.PageID][]access
+	// at end of program (the host may read them back). Both are indexed
+	// by page, immutable after LoadProgram and shared by every fork.
+	accesses [][]access
 	output   []bool
 
 	firmware sim.Time // in-order decode front of the offloader pipeline
@@ -81,9 +90,11 @@ type Device struct {
 	// queries during eviction).
 	curInst int
 
-	// srcScratch is the reusable operand-pointer slice of the execute
-	// paths (cleared after each instruction; never cloned).
+	// srcScratch and ifpScratch are the reusable operand slices of the
+	// ISP and IFP execute paths (cleared after each instruction; never
+	// cloned).
 	srcScratch [][]byte
+	ifpScratch []nand.Operand
 
 	// feat is the feature snapshot Run refills for every instruction
 	// (no policy keeps the pointer past Select; never cloned).
@@ -92,16 +103,20 @@ type Device struct {
 	// Fault injection: instruction ID -> remaining failures to inject.
 	faults map[int]int
 
-	// Measurement.
-	counters   *stats.Counters
-	baseline   map[string]int64 // counter values at measurement reset
-	loadedOnce bool
+	// baseline holds the substrate counters at the measurement reset.
+	baseline [len(counterNames)]int64
 
 	// consumed marks that Run has executed (and mutated) the loaded data
 	// image. A consumed device refuses further Runs: reload the program or
 	// run on a Clone taken before consumption.
 	consumed bool
 }
+
+// Absent entries of the page-indexed inverse tables.
+const (
+	noSlot  int32 = -1
+	noPlane int16 = -1
+)
 
 // access is one reference to a page in program order.
 type access struct {
@@ -122,6 +137,10 @@ type Decision struct {
 func New(cfg *config.Config) *Device {
 	en := energy.NewAccount()
 	arr := nand.NewArray(&cfg.SSD, en)
+	planes := cfg.SSD.Channels * cfg.SSD.DiesPerChannel * cfg.SSD.PlanesPerDie
+	if planes > math.MaxInt16 {
+		panic(fmt.Sprintf("ssd: %d planes overflow the page->plane index", planes))
+	}
 	d := &Device{
 		Cfg:   cfg,
 		En:    en,
@@ -131,10 +150,8 @@ func New(cfg *config.Config) *Device {
 		FTL:   ftl.New(&cfg.SSD, arr),
 		table: isa.BuildTranslationTable(),
 
-		dramSlot:  make(map[isa.PageID]int),
-		bufferTag: make([]isa.PageID, cfg.SSD.Channels*cfg.SSD.DiesPerChannel*cfg.SSD.PlanesPerDie),
+		bufferTag: make([]isa.PageID, planes),
 		faults:    make(map[int]int),
-		counters:  stats.NewCounters(),
 	}
 	for i := range d.bufferTag {
 		d.bufferTag[i] = isa.NoPage
@@ -185,9 +202,18 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	if prog.Pages > d.FTL.Capacity() {
 		return fmt.Errorf("ssd: program needs %d pages, drive has %d", prog.Pages, d.FTL.Capacity())
 	}
+	// Copies a previous program left in DRAM slots and plane latches mean
+	// nothing to this one; the page-indexed tables are sized by the
+	// program, not by the drive.
+	d.dropVolatile()
 	d.prog = prog
 	d.Dir = coherence.NewDirectory(prog.Pages)
-	d.accesses = make(map[isa.PageID][]access)
+	d.dramSlot = make([]int32, prog.Pages)
+	d.pagePlane = make([]int16, prog.Pages)
+	for p := range d.dramSlot {
+		d.dramSlot[p], d.pagePlane[p] = noSlot, noPlane
+	}
+	d.accesses = make([][]access, prog.Pages)
 	d.output = make([]bool, prog.Pages)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
@@ -266,7 +292,6 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 
 	d.resetMeasurement()
-	d.loadedOnce = true
 	d.consumed = false
 	return nil
 }
@@ -291,7 +316,6 @@ func (d *Device) inputPage(inputs map[isa.PageID][]byte, p isa.PageID) []byte {
 func (d *Device) resetMeasurement() {
 	d.En.Reset()
 	d.firmware = 0
-	d.counters = stats.NewCounters()
 	d.pageReady = cow.New[sim.Time](d.prog.Pages, 0)
 	for i := 0; i < d.Cfg.SSD.TotalDies(); i++ {
 		d.Flash.DieCalendar(i).Reset()
@@ -307,22 +331,21 @@ func (d *Device) resetMeasurement() {
 	d.baseline = d.rawCounters()
 }
 
-// rawCounters gathers the substrates' cumulative activity counters.
-func (d *Device) rawCounters() map[string]int64 {
-	out := make(map[string]int64)
-	for k, v := range d.Flash.Stats() {
-		out["flash."+k] = v
-	}
-	for k, v := range d.DRAM.Stats() {
-		out["dram."+k] = v
-	}
-	for k, v := range d.Core.Stats() {
-		out["core."+k] = v
-	}
-	for k, v := range d.FTL.Stats() {
-		out["ftl."+k] = v
-	}
-	return out
+// counterNames lists Result.Counters' names in the order they are
+// recorded (sorted): each substrate's Stats keys under its prefix.
+var counterNames = [...]string{
+	"core.cycles", "core.scalar_ops", "core.vector_ops",
+	"dram.bbops", "dram.bytes_moved", "dram.reads", "dram.writes",
+	"flash.bytes_in", "flash.bytes_out", "flash.ecc_corrections", "flash.ecc_failures", "flash.erases",
+	"flash.fc_transfers", "flash.latch_rounds", "flash.mws_ops", "flash.programs", "flash.senses",
+	"ftl.gc_runs", "ftl.map_hits", "ftl.map_misses", "ftl.migrations",
+}
+
+// rawCounters gathers the substrates' cumulative activity counters in
+// counterNames order.
+func (d *Device) rawCounters() (c [len(counterNames)]int64) {
+	d.FTL.AppendCounts(d.Flash.AppendCounts(d.DRAM.AppendCounts(d.Core.AppendCounts(c[:0]))))
+	return c
 }
 
 // operandGroups unions the source pages of every IFP-capable instruction
@@ -426,18 +449,17 @@ func (d *Device) PageBytes(p isa.PageID) ([]byte, error) {
 	}
 	switch d.Dir.Owner(int(p)) {
 	case coherence.LocDRAM:
-		slot, ok := d.dramSlot[p]
+		slot, ok := d.slotOf(p)
 		if !ok {
 			return nil, fmt.Errorf("ssd: page %d owned by DRAM but has no slot", p)
 		}
 		return d.DRAM.Data(slot), nil
 	case coherence.LocBuffer:
-		for plane, tag := range d.bufferTag {
-			if tag == p {
-				return d.planeBufferData(plane), nil
-			}
+		plane, err := d.latchedPlane(p)
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("ssd: page %d owned by a plane buffer but not tagged", p)
+		return d.planeBufferData(plane), nil
 	default:
 		addr, ok := d.FTL.PhysAddr(ftl.LPN(p))
 		if !ok {

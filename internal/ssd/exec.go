@@ -65,51 +65,72 @@ func (d *Device) operandsReady(inst *isa.Inst) sim.Time {
 // ensureInDRAM stages page s into a DRAM slot, returning the slot and the
 // time the copy is usable. Clean copies are reused for free.
 func (d *Device) ensureInDRAM(now, ready sim.Time, s isa.PageID) (int, sim.Time, error) {
-	if slot, ok := d.dramSlot[s]; ok {
+	if slot, ok := d.slotOf(s); ok {
 		d.touchSlot(slot)
 		return slot, ready, nil
 	}
 	var data []byte
 	var avail sim.Time
+	var err error
 	switch d.Dir.Owner(int(s)) {
 	case coherence.LocFlash:
-		var err error
 		data, avail, err = d.FTL.Read(now, ready, ftl.LPN(s))
-		if err != nil {
-			return 0, 0, err
-		}
 	case coherence.LocBuffer:
-		plane := d.bufferPlane(s)
-		var err error
-		data, avail, err = d.Flash.ReadBuffer(now, ready, d.planeAddr(plane))
-		if err != nil {
-			return 0, 0, err
+		var plane int
+		if plane, err = d.latchedPlane(s); err == nil {
+			data, avail, err = d.Flash.ReadBuffer(now, ready, d.planeAddr(plane))
 		}
 	default:
-		return 0, 0, fmt.Errorf("ssd: page %d owned by DRAM without a slot", s)
+		err = fmt.Errorf("ssd: page %d owned by DRAM without a slot", s)
 	}
+	if err != nil {
+		return 0, 0, err
+	}
+	return d.saveToDRAM(now, avail, s, data)
+}
+
+// saveToDRAM writes page s's contents, usable at avail, into a newly
+// allocated DRAM slot and consumes data (the DRAM write copies it). It
+// returns the slot and the time the copy is usable.
+func (d *Device) saveToDRAM(now, avail sim.Time, s isa.PageID, data []byte) (int, sim.Time, error) {
 	slot, evictDone, err := d.allocSlot(now)
 	if err != nil {
 		return 0, 0, err
 	}
-	if evictDone > avail {
-		avail = evictDone
-	}
-	done := d.DRAM.Write(now, avail, slot, data)
-	d.DRAM.Recycle(data) // the DRAM write copied it
-	d.dramSlot[s] = slot
-	d.slotOwner[slot] = s
-	d.touchSlot(slot)
+	done := d.DRAM.Write(now, maxT(avail, evictDone), slot, data)
+	d.DRAM.Recycle(data)
+	d.bindSlot(s, slot)
 	return slot, done, nil
+}
+
+// slotOf reports the DRAM slot holding page p, if any.
+func (d *Device) slotOf(p isa.PageID) (int, bool) {
+	slot := d.dramSlot[p]
+	return int(slot), slot != noSlot
+}
+
+// bindSlot records that slot now holds page p, most recently used.
+func (d *Device) bindSlot(p isa.PageID, slot int) {
+	d.dramSlot[p] = int32(slot)
+	d.slotOwner[slot] = p
+	d.touchSlot(slot)
+}
+
+// freeSlot drops slot's contents and its owner's residency.
+func (d *Device) freeSlot(slot int) {
+	d.DRAM.Invalidate(slot)
+	d.dramSlot[d.slotOwner[slot]] = noSlot
+	d.slotOwner[slot] = isa.NoPage
+	d.freeFrom = min(d.freeFrom, slot)
 }
 
 // allocSlot returns a free DRAM slot, evicting the least-recently-used
 // resident page when full. Evicting a dirty (DRAM-owned) page writes it
 // back to flash — the §4.4 eviction synchronization trigger.
 func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
-	for i, owner := range d.slotOwner {
-		if owner == isa.NoPage {
-			return i, now, nil
+	for ; d.freeFrom < len(d.slotOwner); d.freeFrom++ {
+		if d.slotOwner[d.freeFrom] == isa.NoPage {
+			return d.freeFrom, now, nil
 		}
 	}
 	victim := 0
@@ -135,9 +156,7 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 		}
 		done = wdone
 	}
-	d.DRAM.Invalidate(victim)
-	delete(d.dramSlot, page)
-	d.slotOwner[victim] = isa.NoPage
+	d.freeSlot(victim)
 	return victim, done, nil
 }
 
@@ -149,7 +168,7 @@ func (d *Device) touchSlot(slot int) {
 // claimDstSlot returns a DRAM slot for a destination page, reusing an
 // existing resident copy's slot.
 func (d *Device) claimDstSlot(now sim.Time, dst isa.PageID) (int, sim.Time, error) {
-	if slot, ok := d.dramSlot[dst]; ok {
+	if slot, ok := d.slotOf(dst); ok {
 		d.touchSlot(slot)
 		return slot, now, nil
 	}
@@ -157,9 +176,7 @@ func (d *Device) claimDstSlot(now sim.Time, dst isa.PageID) (int, sim.Time, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	d.dramSlot[dst] = slot
-	d.slotOwner[slot] = dst
-	d.touchSlot(slot)
+	d.bindSlot(dst, slot)
 	return slot, done, nil
 }
 
@@ -183,7 +200,10 @@ func (d *Device) markModifiedDRAM(dst isa.PageID, done sim.Time) error {
 func (d *Device) flushBeforeWrap(p isa.PageID) error {
 	switch d.Dir.Owner(int(p)) {
 	case coherence.LocDRAM:
-		slot := d.dramSlot[p]
+		slot, ok := d.slotOf(p)
+		if !ok {
+			return fmt.Errorf("ssd: page %d owned by DRAM without a slot", p)
+		}
 		data, rdone := d.DRAM.Read(d.firmware, d.pageReady.At(int(p)), slot)
 		done, err := d.FTL.Write(rdone, ftl.LPN(p), data, -1)
 		if err != nil {
@@ -192,23 +212,57 @@ func (d *Device) flushBeforeWrap(p isa.PageID) error {
 		d.DRAM.Recycle(data) // the flash program copied it
 		d.pageReady.Set(int(p), done)
 	case coherence.LocBuffer:
-		plane := d.bufferPlane(p)
+		plane, err := d.latchedPlane(p)
+		if err != nil {
+			return err
+		}
 		done, err := d.FTL.WriteBuffered(d.firmware, d.pageReady.At(int(p)), ftl.LPN(p), plane)
 		if err != nil {
 			return err
 		}
-		d.bufferTag[plane] = isa.NoPage
+		d.tagBuffer(plane, isa.NoPage)
 		d.pageReady.Set(int(p), done)
 	}
 	d.Dir.Sync(int(p), coherence.SyncEviction)
 	return nil
 }
 
+// bufferPlane reports the flat index of the plane whose buffer holds page
+// p, if any.
+func (d *Device) bufferPlane(p isa.PageID) (int, bool) {
+	plane := d.pagePlane[p]
+	return int(plane), plane != noPlane
+}
+
+// latchedPlane is bufferPlane for a page the directory places in a plane
+// buffer: finding no tag there is a broken invariant, not plane 0.
+func (d *Device) latchedPlane(p isa.PageID) (int, error) {
+	plane, ok := d.bufferPlane(p)
+	if !ok {
+		return 0, fmt.Errorf("ssd: page %d owned by a plane buffer but not tagged", p)
+	}
+	return plane, nil
+}
+
+// tagBuffer records that plane's buffer now holds page p (NoPage: nothing
+// tracked) — the one writer of bufferTag and of its inverse, pagePlane. A
+// page is latched in at most one plane.
+func (d *Device) tagBuffer(plane int, p isa.PageID) {
+	if p != isa.NoPage {
+		d.clearBufferTag(p)
+	}
+	if old := d.bufferTag[plane]; old != isa.NoPage {
+		d.pagePlane[old] = noPlane
+	}
+	d.bufferTag[plane] = p
+	if p != isa.NoPage {
+		d.pagePlane[p] = int16(plane)
+	}
+}
+
 func (d *Device) clearBufferTag(p isa.PageID) {
-	for plane, tag := range d.bufferTag {
-		if tag == p {
-			d.bufferTag[plane] = isa.NoPage
-		}
+	if plane, ok := d.bufferPlane(p); ok {
+		d.tagBuffer(plane, isa.NoPage)
 	}
 }
 
@@ -279,7 +333,8 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		return 0, fmt.Errorf("%v has no PuD mapping", inst.Op)
 	}
 	arity := op.Arity()
-	slots := make([]int, 0, arity)
+	var slotBuf [3]int // no PuD operation takes more sources
+	slots := slotBuf[:0]
 	for _, s := range inst.Srcs {
 		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
 		if err != nil {
@@ -290,10 +345,7 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			ready = avail
 		}
 	}
-	useImm := inst.UseImm
-	if inst.Op == isa.OpBroadcast {
-		useImm = true
-	}
+	useImm := inst.UseImm || inst.Op == isa.OpBroadcast
 	for len(slots) < arity {
 		slots = append(slots, -1) // immediate placeholder
 	}
@@ -330,12 +382,22 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	planeAddr := d.planeAddr(plane)
 	geo := d.Flash.Geometry()
 
-	operands := make([]nand.Operand, 0, len(inst.Srcs))
+	operands := d.ifpScratch[:0]
+	// Drop the latch-load copies on every exit (including error returns)
+	// so the scratch slice never pins a dead operand copy against GC.
+	defer func() {
+		clear(operands)
+		d.ifpScratch = operands[:0]
+	}()
 	usedBuffer := false
 	bufferOperand := isa.NoPage
 	for _, s := range inst.Srcs {
-		owner := d.Dir.Owner(int(s))
-		if owner == coherence.LocFlash {
+		// An operand that is not already in the target plane is fetched —
+		// data, readable at fetched — and latch-loaded below.
+		var data []byte
+		var fetched sim.Time
+		switch d.Dir.Owner(int(s)) {
+		case coherence.LocFlash:
 			addr, ok := d.FTL.PhysAddr(ftl.LPN(s))
 			if !ok {
 				return 0, fmt.Errorf("flash operand %d unmapped", s)
@@ -344,67 +406,47 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 				operands = append(operands, nand.Operand{Addr: addr})
 				continue
 			}
-			// Cross-plane: read out of the source plane and latch-load
-			// into the target (channel traffic on both sides).
-			data, rdone := d.Flash.Read(issue, d.pageReady.At(int(s)), addr)
-			ldone := d.latchTransferIn(issue, rdone, plane)
-			if ldone > ready {
-				ready = ldone
+			// Cross-plane: read out of the source plane (channel traffic
+			// on both sides).
+			data, fetched = d.Flash.Read(issue, d.pageReady.At(int(s)), addr)
+		case coherence.LocBuffer:
+			p, err := d.latchedPlane(s)
+			if err != nil {
+				return 0, err
 			}
-			operands = append(operands, nand.Operand{Addr: planeAddr, Data: data, Latched: true})
-			continue
-		}
-		if owner == coherence.LocBuffer {
-			p := d.bufferPlane(s)
-			if p == plane && d.bufferTag[p] == s && !usedBuffer {
+			if p == plane && !usedBuffer {
 				// The operation will overwrite the latches, destroying
 				// this operand's only copy; preserve it in DRAM first —
 				// unless the value is dead after this instruction.
-				if _, cached := d.dramSlot[s]; !cached && !d.deadAfter(s, inst.ID) {
-					data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), planeAddr)
+				if _, cached := d.slotOf(s); !cached && !d.deadAfter(s, inst.ID) {
+					latched, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), planeAddr)
 					if err != nil {
 						return 0, err
 					}
-					slot, edone, err := d.allocSlot(issue)
+					_, wdone, err := d.saveToDRAM(issue, rdone, s, latched)
 					if err != nil {
 						return 0, err
 					}
-					wdone := d.DRAM.Write(issue, maxT(rdone, edone), slot, data)
-					d.DRAM.Recycle(data) // the DRAM write copied it
-					d.dramSlot[s] = slot
-					d.slotOwner[slot] = s
-					d.touchSlot(slot)
-					if wdone > ready {
-						ready = wdone
-					}
+					ready = maxT(ready, wdone)
 				}
 				operands = append(operands, nand.Operand{Addr: planeAddr, InBuffer: true})
 				usedBuffer = true
 				bufferOperand = s
 				continue
 			}
-			// Latched in another plane: read it out and latch-load here.
-			data, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), d.planeAddr(p))
-			if err != nil {
+			// Latched in another plane: read it out.
+			if data, fetched, err = d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), d.planeAddr(p)); err != nil {
 				return 0, err
 			}
-			ldone := d.latchTransferIn(issue, rdone, plane)
-			if ldone > ready {
-				ready = ldone
+		default:
+			// DRAM-resident: stream over the DRAM bus.
+			slot, ok := d.slotOf(s)
+			if !ok {
+				return 0, fmt.Errorf("page %d owned by DRAM without a slot", s)
 			}
-			operands = append(operands, nand.Operand{Addr: planeAddr, Data: data, Latched: true})
-			continue
+			data, fetched = d.DRAM.Read(issue, d.pageReady.At(int(s)), slot)
 		}
-		// DRAM-resident: stream over the DRAM bus and latch-load.
-		slot, ok := d.dramSlot[s]
-		if !ok {
-			return 0, fmt.Errorf("page %d owned by DRAM without a slot", s)
-		}
-		data, rdone := d.DRAM.Read(issue, d.pageReady.At(int(s)), slot)
-		ldone := d.latchTransferIn(issue, rdone, plane)
-		if ldone > ready {
-			ready = ldone
-		}
+		ready = maxT(ready, d.latchTransferIn(issue, fetched, plane))
 		operands = append(operands, nand.Operand{Addr: planeAddr, Data: data, Latched: true})
 	}
 
@@ -414,30 +456,25 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	// than a flash program and keeps coherence lazy.
 	if tag := d.bufferTag[plane]; tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand &&
 		d.Dir.Owner(int(tag)) == coherence.LocBuffer && !d.deadAfter(tag, inst.ID-1) {
-		if _, cached := d.dramSlot[tag]; !cached {
+		if _, cached := d.slotOf(tag); !cached {
 			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady.At(int(tag))), planeAddr)
 			if err != nil {
 				return 0, err
 			}
-			slot, edone, err := d.allocSlot(issue)
+			_, wdone, err := d.saveToDRAM(issue, rdone, tag, data)
 			if err != nil {
 				return 0, err
 			}
-			wdone := d.DRAM.Write(issue, maxT(rdone, edone), slot, data)
-			d.DRAM.Recycle(data) // the DRAM write copied it
-			d.dramSlot[tag] = slot
-			d.slotOwner[slot] = tag
-			d.touchSlot(slot)
 			d.pageReady.Set(int(tag), wdone)
 			if wdone > ready {
 				ready = wdone
 			}
 		}
 		d.Dir.Relocate(int(tag), coherence.LocDRAM)
-		d.bufferTag[plane] = isa.NoPage
-	} else if tag := d.bufferTag[plane]; tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand {
+		d.tagBuffer(plane, isa.NoPage)
+	} else if tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand {
 		// Dead temporary: drop it.
-		d.bufferTag[plane] = isa.NoPage
+		d.tagBuffer(plane, isa.NoPage)
 	}
 
 	var done sim.Time
@@ -460,10 +497,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	// The latch-loaded operand copies are private to this instruction and
 	// have been consumed by the in-flash operation.
 	for i := range operands {
-		if operands[i].Data != nil {
-			d.DRAM.Recycle(operands[i].Data)
-			operands[i].Data = nil
-		}
+		d.DRAM.Recycle(operands[i].Data)
 	}
 
 	// The consumed latch operand's latest version now lives in its DRAM
@@ -478,15 +512,12 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			return 0, err
 		}
 	}
-	d.clearBufferTag(inst.Dst)
-	if slot, ok := d.dramSlot[inst.Dst]; ok {
-		d.DRAM.Invalidate(slot)
-		d.slotOwner[slot] = isa.NoPage
-		delete(d.dramSlot, inst.Dst)
+	if slot, ok := d.slotOf(inst.Dst); ok {
+		d.freeSlot(slot)
 	}
 	d.FTL.Invalidate(ftl.LPN(inst.Dst))
 	d.Dir.Modify(int(inst.Dst), coherence.LocBuffer)
-	d.bufferTag[plane] = inst.Dst
+	d.tagBuffer(plane, inst.Dst)
 	return done, nil
 }
 

@@ -55,6 +55,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	ready := make([]sim.Time, d.prog.Pages)
 	var srcs [][]byte // reused operand-pointer scratch
 	lat := stats.NewReservoir()
+	lat.Grow(len(d.prog.Insts))
 	decisions := make([]Decision, 0, len(d.prog.Insts))
 	var elapsed sim.Time
 	var computeEnergy float64

@@ -1,0 +1,128 @@
+package ssd
+
+import (
+	"sort"
+	"strings"
+	"testing"
+
+	"conduit/internal/coherence"
+	"conduit/internal/compiler"
+	"conduit/internal/config"
+	"conduit/internal/isa"
+	"conduit/internal/offload"
+	"conduit/internal/workloads"
+)
+
+// requireIndexesMatchScan checks every index-addressed table of the
+// per-instruction path against the table it inverts, by full scan.
+func requireIndexesMatchScan(t *testing.T, what string, d *Device) {
+	t.Helper()
+	for slot, owner := range d.slotOwner {
+		if d.DRAM.Populated(slot) != (owner != isa.NoPage) {
+			t.Fatalf("%s: slot %d populated=%v but owner=%d", what, slot, d.DRAM.Populated(slot), owner)
+		}
+		if owner != isa.NoPage && d.dramSlot[owner] != int32(slot) {
+			t.Fatalf("%s: slot %d holds page %d, but dramSlot[%d]=%d", what, slot, owner, owner, d.dramSlot[owner])
+		}
+		if owner == isa.NoPage && slot < d.freeFrom {
+			t.Fatalf("%s: slot %d is free below freeFrom=%d", what, slot, d.freeFrom)
+		}
+	}
+	for plane, tag := range d.bufferTag {
+		if tag != isa.NoPage && d.pagePlane[tag] != int16(plane) {
+			t.Fatalf("%s: plane %d tagged with page %d, but pagePlane[%d]=%d", what, plane, tag, tag, d.pagePlane[tag])
+		}
+	}
+	for p := range d.dramSlot {
+		if slot, ok := d.slotOf(isa.PageID(p)); ok && d.slotOwner[slot] != isa.PageID(p) {
+			t.Fatalf("%s: dramSlot[%d]=%d, but that slot holds page %d", what, p, slot, d.slotOwner[slot])
+		}
+		if plane, ok := d.bufferPlane(isa.PageID(p)); ok && d.bufferTag[plane] != isa.PageID(p) {
+			t.Fatalf("%s: pagePlane[%d]=%d, but that plane is tagged %d", what, p, plane, d.bufferTag[plane])
+		}
+	}
+}
+
+// TestIndexesMatchScan runs every evaluated workload under every device
+// policy and requires the page->slot and page->plane reverse indexes, the
+// free-slot cursor and the DRAM module's populated bits to agree with a
+// scan of slotOwner and bufferTag — after the run, and again after the
+// power cycle that drops all volatile state.
+func TestIndexesMatchScan(t *testing.T) {
+	cfg := config.Default()
+	cfg.SSD.TimingOnly = true
+	for _, w := range workloads.All(1) {
+		c, err := compiler.Compile(w.Source, cfg.SSD.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		master := New(&cfg)
+		if err := master.LoadProgram(c.Prog, c.Inputs); err != nil {
+			t.Fatal(err)
+		}
+		master.EnterComputationMode()
+		for _, pol := range allPolicies() {
+			d := master.Clone()
+			what := w.Name + "/" + pol.Name()
+			if _, err := d.Run(pol); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			requireIndexesMatchScan(t, what, d)
+			if _, err := d.PowerCycle(0); err != nil {
+				t.Fatalf("%s: power cycle: %v", what, err)
+			}
+			requireIndexesMatchScan(t, what+" after power cycle", d)
+			for slot, owner := range d.slotOwner {
+				if owner != isa.NoPage {
+					t.Fatalf("%s: slot %d still holds page %d after power cycle", what, slot, owner)
+				}
+			}
+		}
+	}
+}
+
+// TestCounterNamesMatchStats ties the fixed counterNames list and the
+// substrates' AppendCounts order to their Stats maps: same names, sorted,
+// same values.
+func TestCounterNamesMatchStats(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	d := newLoadedDevice(t, prog, inputs)
+	if _, err := d.Run(offload.Conduit{}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{}
+	for prefix, st := range map[string]map[string]int64{
+		"core.": d.Core.Stats(), "dram.": d.DRAM.Stats(), "flash.": d.Flash.Stats(), "ftl.": d.FTL.Stats(),
+	} {
+		for k, v := range st {
+			want[prefix+k] = v
+		}
+	}
+	if len(want) != len(counterNames) {
+		t.Fatalf("substrates report %d counters, counterNames lists %d", len(want), len(counterNames))
+	}
+	if !sort.StringsAreSorted(counterNames[:]) {
+		t.Fatalf("counterNames is not sorted: %v", counterNames)
+	}
+	raw := d.rawCounters()
+	for i, name := range counterNames {
+		if v, ok := want[name]; !ok || v != raw[i] {
+			t.Errorf("%s: rawCounters reports %d, Stats reports %d (present=%v)", name, raw[i], v, ok)
+		}
+	}
+}
+
+// TestUntaggedLatchOwnerFails: a page the directory places in a plane
+// buffer that no buffer is tagged with is a broken invariant; staging it
+// must fail, not read plane 0's latches.
+func TestUntaggedLatchOwnerFails(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	d := newLoadedDevice(t, prog, inputs)
+	d.Dir.Modify(0, coherence.LocBuffer)
+	if _, _, err := d.ensureInDRAM(0, 0, 0); err == nil || !strings.Contains(err.Error(), "not tagged") {
+		t.Fatalf("ensureInDRAM of an untagged latch-owned page: err = %v, want a 'not tagged' error", err)
+	}
+	if _, err := d.PageBytes(0); err == nil || !strings.Contains(err.Error(), "not tagged") {
+		t.Fatalf("PageBytes of an untagged latch-owned page: err = %v, want a 'not tagged' error", err)
+	}
+}

@@ -25,48 +25,45 @@ func (d *Device) PowerCycle(now sim.Time) (sim.Time, error) {
 	}
 	done := now
 	for p := 0; p < d.Dir.Pages(); p++ {
+		// A page whose slot or latch tag is gone was dropped without a
+		// write-back: the value was dead (liveness) — nothing to preserve.
+		ready := maxT(now, d.pageReady.At(p))
+		var wdone sim.Time
+		var err error
 		switch d.Dir.Owner(p) {
+		case coherence.LocFlash:
+			continue
 		case coherence.LocDRAM:
-			slot, ok := d.dramSlot[isa.PageID(p)]
-			if !ok {
-				return 0, fmt.Errorf("ssd: page %d owned by DRAM without a slot", p)
+			if slot, ok := d.slotOf(isa.PageID(p)); ok {
+				data, rdone := d.DRAM.Read(now, ready, slot)
+				wdone, err = d.FTL.Write(rdone, ftl.LPN(p), data, -1)
 			}
-			data, rdone := d.DRAM.Read(now, maxT(now, d.pageReady.At(p)), slot)
-			wdone, err := d.FTL.Write(rdone, ftl.LPN(p), data, -1)
-			if err != nil {
-				return 0, fmt.Errorf("ssd: power-cycle flush of page %d: %w", p, err)
-			}
-			if wdone > done {
-				done = wdone
-			}
-			d.Dir.Sync(p, coherence.SyncPowerCycle)
 		case coherence.LocBuffer:
-			plane := d.bufferPlane(isa.PageID(p))
-			if d.bufferTag[plane] != isa.PageID(p) {
-				// The latch copy was already overwritten; the value was
-				// dead (liveness) — nothing to preserve.
-				d.Dir.Sync(p, coherence.SyncPowerCycle)
-				continue
+			if plane, ok := d.bufferPlane(isa.PageID(p)); ok {
+				wdone, err = d.FTL.WriteBuffered(now, ready, ftl.LPN(p), plane)
 			}
-			wdone, err := d.FTL.WriteBuffered(now, maxT(now, d.pageReady.At(p)), ftl.LPN(p), plane)
-			if err != nil {
-				return 0, fmt.Errorf("ssd: power-cycle flush of latched page %d: %w", p, err)
-			}
-			if wdone > done {
-				done = wdone
-			}
-			d.Dir.Sync(p, coherence.SyncPowerCycle)
 		}
+		if err != nil {
+			return 0, fmt.Errorf("ssd: power-cycle flush of page %d: %w", p, err)
+		}
+		done = maxT(done, wdone)
+		d.Dir.Sync(p, coherence.SyncPowerCycle)
 	}
-	// Volatile state is lost.
-	for p, slot := range d.dramSlot {
-		d.DRAM.Invalidate(slot)
-		d.slotOwner[slot] = isa.NoPage
-		delete(d.dramSlot, p)
-	}
-	for i := range d.bufferTag {
-		d.bufferTag[i] = isa.NoPage
-	}
+	d.dropVolatile()
 	d.mode = ModeIO
 	return done, nil
+}
+
+// dropVolatile discards every DRAM-resident copy and every latch tag, in
+// page and plane order: the volatile state lost with power, and what a
+// newly loaded program must not inherit from the previous one.
+func (d *Device) dropVolatile() {
+	for _, slot := range d.dramSlot {
+		if slot != noSlot {
+			d.freeSlot(int(slot))
+		}
+	}
+	for plane := range d.bufferTag {
+		d.tagBuffer(plane, isa.NoPage)
+	}
 }

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"fmt"
-	"sort"
 
 	"conduit/internal/coherence"
 	"conduit/internal/cores"
@@ -130,6 +129,7 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	d.consumed = true
 	decisions := make([]Decision, 0, len(d.prog.Insts))
 	instLat := stats.NewReservoir()
+	instLat.Grow(len(d.prog.Insts))
 	var overhead sim.Time
 	var elapsed sim.Time
 	var replays int64
@@ -244,19 +244,13 @@ func anySupported(f *offload.Features) bool {
 }
 
 // snapshotCounters reports substrate activity since the last measurement
-// reset (excluding program-load provisioning). Counters are recorded in
-// sorted key order so results are deterministic run-for-run (map
-// iteration order is not).
+// reset (excluding program-load provisioning), recorded in counterNames
+// order.
 func (d *Device) snapshotCounters() *stats.Counters {
 	raw := d.rawCounters()
-	keys := make([]string, 0, len(raw))
-	for k := range raw {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	c := stats.NewCounters()
-	for _, k := range keys {
-		c.Add(k, raw[k]-d.baseline[k])
+	for i, name := range counterNames {
+		c.Add(name, raw[i]-d.baseline[i])
 	}
 	return c
 }
@@ -351,7 +345,7 @@ func (d *Device) moveEstimateDRAM(inst *isa.Inst) (sim.Time, sim.Time) {
 	now := d.firmware
 	var t, chDelay sim.Time
 	for _, s := range inst.Srcs {
-		if _, cached := d.dramSlot[s]; cached {
+		if _, cached := d.slotOf(s); cached {
 			continue
 		}
 		switch d.Dir.Owner(int(s)) {
@@ -396,21 +390,21 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 	// Prefer the plane whose buffer already latches an operand (free
 	// chained reuse), else the first flash-resident operand's plane, else
 	// a rotating cursor that spreads latch-loaded work across dies.
-	var flashAddrs []nand.Addr
+	flashPlane := -1
 	for _, s := range inst.Srcs {
 		switch d.Dir.Owner(int(s)) {
 		case coherence.LocBuffer:
-			if plan.plane == -1 && d.bufferTag[d.bufferPlane(s)] == s {
-				plan.plane = d.bufferPlane(s)
+			if p, ok := d.bufferPlane(s); ok && plan.plane == -1 {
+				plan.plane = p
 			}
 		case coherence.LocFlash:
-			if a, ok := d.FTL.PhysAddr(ftl.LPN(s)); ok {
-				flashAddrs = append(flashAddrs, a)
+			if a, ok := d.FTL.PhysAddr(ftl.LPN(s)); ok && flashPlane == -1 {
+				flashPlane = geo.PlaneIndex(a)
 			}
 		}
 	}
-	if plan.plane == -1 && len(flashAddrs) > 0 {
-		plan.plane = geo.PlaneIndex(flashAddrs[0])
+	if plan.plane == -1 {
+		plan.plane = flashPlane
 	}
 	if plan.plane == -1 {
 		plan.plane = d.ifpCursor
@@ -420,17 +414,16 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 
 	pageMove := cfg.ChannelTransferTime(cfg.PageSize)
 	sameBlock := true
-	var firstInPlane *nand.Addr
+	firstBlock := -1 // block of the first operand sensed in the target plane
 	for _, s := range inst.Srcs {
 		switch d.Dir.Owner(int(s)) {
 		case coherence.LocFlash:
 			a, _ := d.FTL.PhysAddr(ftl.LPN(s))
 			if geo.PlaneIndex(a) == plan.plane {
 				plan.profile.Senses++
-				if firstInPlane == nil {
-					cp := a
-					firstInPlane = &cp
-				} else if geo.BlockIndex(a) != geo.BlockIndex(*firstInPlane) {
+				if firstBlock == -1 {
+					firstBlock = geo.BlockIndex(a)
+				} else if geo.BlockIndex(a) != firstBlock {
 					sameBlock = false
 				}
 			} else {
@@ -440,7 +433,7 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 				plan.moveCost += 2 * pageMove
 			}
 		case coherence.LocBuffer:
-			if d.bufferPlane(s) == plan.plane && d.bufferTag[plan.plane] == s && plan.profile.Latched == 0 {
+			if p, ok := d.bufferPlane(s); ok && p == plan.plane && plan.profile.Latched == 0 {
 				plan.profile.Latched++
 			} else {
 				plan.profile.Loads++
@@ -467,14 +460,4 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 		plan.resultCost = pageMove + cfg.DRAMTransferTime(cfg.PageSize)
 	}
 	return plan
-}
-
-// bufferPlane returns the flat plane index whose buffer holds page s, or 0.
-func (d *Device) bufferPlane(s isa.PageID) int {
-	for plane, tag := range d.bufferTag {
-		if tag == s {
-			return plane
-		}
-	}
-	return 0
 }

@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"maps"
+
 	"conduit/internal/isa"
 )
 
@@ -53,12 +55,14 @@ func (d *Device) Clone() *Device {
 		prog:  d.prog,  // immutable after LoadProgram
 		table: d.table, // read-only after construction
 
-		dramSlot:  make(map[isa.PageID]int, len(d.dramSlot)),
+		dramSlot:  append([]int32(nil), d.dramSlot...),
 		slotOwner: append([]isa.PageID(nil), d.slotOwner...),
 		slotClock: append([]int64(nil), d.slotClock...),
 		clock:     d.clock,
+		freeFrom:  d.freeFrom,
 
 		bufferTag: append([]isa.PageID(nil), d.bufferTag...),
+		pagePlane: append([]int16(nil), d.pagePlane...),
 		pageReady: d.pageReady.Clone(),
 
 		accesses: d.accesses, // read-only after LoadProgram
@@ -69,24 +73,13 @@ func (d *Device) Clone() *Device {
 		ifpCursor:    d.ifpCursor,
 		curInst:      d.curInst,
 
-		faults: make(map[int]int, len(d.faults)),
+		faults: maps.Clone(d.faults),
 
-		counters:   d.counters.Clone(),
-		baseline:   make(map[string]int64, len(d.baseline)),
-		loadedOnce: d.loadedOnce,
-		consumed:   d.consumed,
+		baseline: d.baseline,
+		consumed: d.consumed,
 	}
 	if d.Dir != nil {
 		c.Dir = d.Dir.Clone()
-	}
-	for p, slot := range d.dramSlot {
-		c.dramSlot[p] = slot
-	}
-	for id, n := range d.faults {
-		c.faults[id] = n
-	}
-	for k, v := range d.baseline {
-		c.baseline[k] = v
 	}
 	return c
 }

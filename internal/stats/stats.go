@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,6 +33,13 @@ func (r *Reservoir) Add(v sim.Time) {
 	defer r.mu.Unlock()
 	r.samples = append(r.samples, v)
 	r.sorted = false
+}
+
+// Grow makes room for n more samples.
+func (r *Reservoir) Grow(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.samples = slices.Grow(r.samples, n)
 }
 
 // Count reports the number of samples.
