@@ -81,12 +81,11 @@ func (e *Experiments) Workloads() []string {
 
 func (e *Experiments) compiled(workload string) (*Compiled, error) {
 	v, _, err := e.compiles.Do(workload, func() (interface{}, error) {
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == workload {
-				return Compile(w.Source, &e.sys.cfg)
-			}
+		w, ok := workloads.Find(workload, e.scale)
+		if !ok {
+			return nil, fmt.Errorf("conduit: unknown workload %q", workload)
 		}
-		return nil, fmt.Errorf("conduit: unknown workload %q", workload)
+		return Compile(w.Source, &e.sys.cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -197,23 +196,36 @@ func (e *Experiments) Speedup(workload, policy string) (float64, error) {
 	return float64(cpu.Elapsed) / float64(r.Elapsed), nil
 }
 
+// walkGrid fills the workloads x policies grid across the worker pool, then
+// visits it one workload at a time in the order given — the deterministic
+// order every figure emits its rows in. row[j] is the workload's run under
+// policies[j].
+func (e *Experiments) walkGrid(workloads, policies []string, visit func(w string, row []*RunResult)) error {
+	grid, err := e.RunGrid(workloads, policies)
+	if err != nil {
+		return err
+	}
+	for i, w := range workloads {
+		visit(w, grid[i])
+	}
+	return nil
+}
+
 // GridTable runs the full workload x policy grid through the concurrent
 // sweep engine and reports every cell's end-to-end execution time — the
 // raw material the individual figures slice.
 func (e *Experiments) GridTable() (*Table, error) {
 	ps := Policies()
-	grid, err := e.RunGrid(e.Workloads(), ps)
+	t := stats.NewTable("Grid: execution time (ms) per workload x policy", append([]string{"workload"}, ps...)...)
+	err := e.walkGrid(e.Workloads(), ps, func(w string, row []*RunResult) {
+		cells := []interface{}{w}
+		for _, r := range row {
+			cells = append(cells, float64(r.Elapsed)/1e6)
+		}
+		t.AddRowf(cells...)
+	})
 	if err != nil {
 		return nil, err
-	}
-	cols := append([]string{"workload"}, ps...)
-	t := stats.NewTable("Grid: execution time (ms) per workload x policy", cols...)
-	for i, w := range e.Workloads() {
-		row := []interface{}{w}
-		for j := range ps {
-			row = append(row, float64(grid[i][j].Elapsed)/1e6)
-		}
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -337,32 +349,26 @@ var fig7Policies = []string{"GPU", "ISP", "PuD-SSD", "Flash-Cosmos", "Ares-Flash
 	"BW-Offloading", "DM-Offloading", "Conduit", "Ideal"}
 
 func (e *Experiments) speedupTable(title string, policies []string) (*Table, error) {
-	// Fill the whole grid (plus the CPU baseline column every speedup
-	// divides by) across the worker pool; the loop below then reads
-	// memoized cells in deterministic figure order.
-	if _, err := e.RunGrid(e.Workloads(), append([]string{"CPU"}, policies...)); err != nil {
+	t := stats.NewTable(title, append([]string{"workload"}, policies...)...)
+	geo := make([][]float64, len(policies))
+	// Column 0 of the grid is the CPU baseline every speedup divides by.
+	err := e.walkGrid(e.Workloads(), append([]string{"CPU"}, policies...), func(w string, row []*RunResult) {
+		cells := []interface{}{w}
+		for j, r := range row[1:] {
+			s := float64(row[0].Elapsed) / float64(r.Elapsed)
+			cells = append(cells, s)
+			geo[j] = append(geo[j], s)
+		}
+		t.AddRowf(cells...)
+	})
+	if err != nil {
 		return nil, err
 	}
-	cols := append([]string{"workload"}, policies...)
-	t := stats.NewTable(title, cols...)
-	geo := make(map[string][]float64)
-	for _, w := range e.Workloads() {
-		row := []interface{}{w}
-		for _, p := range policies {
-			s, err := e.Speedup(w, p)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
-			geo[p] = append(geo[p], s)
-		}
-		t.AddRowf(row...)
+	cells := []interface{}{"GMEAN"}
+	for j := range policies {
+		cells = append(cells, stats.GeoMean(geo[j]))
 	}
-	row := []interface{}{"GMEAN"}
-	for _, p := range policies {
-		row = append(row, stats.GeoMean(geo[p]))
-	}
-	t.AddRowf(row...)
+	t.AddRowf(cells...)
 	return t, nil
 }
 
@@ -384,31 +390,23 @@ func (e *Experiments) Fig7a() (*Table, error) {
 // the data-movement share of each bar (§6.2).
 func (e *Experiments) Fig7b() (*Table, error) {
 	policies := append([]string{"CPU"}, fig7Policies...)
-	if _, err := e.RunGrid(e.Workloads(), policies); err != nil {
-		return nil, err
-	}
-	cols := append([]string{"workload"}, policies...)
-	t := stats.NewTable("Fig 7(b): energy normalized to CPU (movement share in parentheses)", cols...)
-	for _, w := range e.Workloads() {
-		cpu, err := e.Run(w, "CPU")
-		if err != nil {
-			return nil, err
-		}
-		base := cpu.TotalEnergy()
-		row := []interface{}{w}
-		for _, p := range policies {
-			r, err := e.Run(w, p)
-			if err != nil {
-				return nil, err
-			}
+	t := stats.NewTable("Fig 7(b): energy normalized to CPU (movement share in parentheses)",
+		append([]string{"workload"}, policies...)...)
+	err := e.walkGrid(e.Workloads(), policies, func(w string, row []*RunResult) {
+		base := row[0].TotalEnergy()
+		cells := []interface{}{w}
+		for _, r := range row {
 			tot := r.TotalEnergy()
 			share := 0.0
 			if tot > 0 {
 				share = r.MovementEnergy / tot
 			}
-			row = append(row, fmt.Sprintf("%.3f (%.0f%%)", tot/base, 100*share))
+			cells = append(cells, fmt.Sprintf("%.3f (%.0f%%)", tot/base, 100*share))
 		}
-		t.AddRowf(row...)
+		t.AddRowf(cells...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -419,23 +417,18 @@ func (e *Experiments) Fig7b() (*Table, error) {
 // latencies of Ideal, Conduit, BW-Offloading, and DM-Offloading on LLaMA2
 // inference and jacobi-1d (§6.3).
 func (e *Experiments) Fig8() (*Table, error) {
-	ws := []string{"LlaMA2 Inference", "jacobi-1d"}
 	ps := []string{"Ideal", "Conduit", "BW-Offloading", "DM-Offloading"}
-	if _, err := e.RunGrid(ws, ps); err != nil {
-		return nil, err
-	}
 	t := stats.NewTable("Fig 8: tail latency (µs)",
 		"workload", "policy", "p99_us", "p9999_us")
-	for _, w := range ws {
-		for _, p := range ps {
-			r, err := e.Run(w, p)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRowf(w, p,
+	err := e.walkGrid([]string{"LlaMA2 Inference", "jacobi-1d"}, ps, func(w string, row []*RunResult) {
+		for j, r := range row {
+			t.AddRowf(w, ps[j],
 				float64(r.InstLatencies.P99())/1e3,
 				float64(r.InstLatencies.P9999())/1e3)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -446,20 +439,16 @@ func (e *Experiments) Fig8() (*Table, error) {
 // instructions each policy offloads to ISP, PuD-SSD, and IFP (§6.4).
 func (e *Experiments) Fig9() (*Table, error) {
 	ps := []string{"BW-Offloading", "DM-Offloading", "Conduit", "Ideal"}
-	if _, err := e.RunGrid(e.Workloads(), ps); err != nil {
-		return nil, err
-	}
 	t := stats.NewTable("Fig 9: fraction of instructions per computation resource",
 		"workload", "policy", "ISP", "PuD-SSD", "IFP")
-	for _, w := range e.Workloads() {
-		for _, p := range ps {
-			r, err := e.Run(w, p)
-			if err != nil {
-				return nil, err
-			}
+	err := e.walkGrid(e.Workloads(), ps, func(w string, row []*RunResult) {
+		for j, r := range row {
 			fr := Fractions(r.Decisions)
-			t.AddRowf(w, p, fr[isa.ResISP], fr[isa.ResPuD], fr[isa.ResIFP])
+			t.AddRowf(w, ps[j], fr[isa.ResISP], fr[isa.ResPuD], fr[isa.ResIFP])
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -592,6 +581,21 @@ func (e *Experiments) AblationCostFeatures() (*Table, error) {
 	return t, nil
 }
 
+// heat3dUnder compiles heat-3d for, and runs it under Conduit on, a system
+// configured as the harness's with tweak applied: one point of a
+// sensitivity sweep.
+func (e *Experiments) heat3dUnder(tweak func(*Config)) (*Compiled, *RunResult, error) {
+	cfg := e.sys.cfg
+	tweak(&cfg)
+	w, _ := workloads.Find("heat-3d", e.scale)
+	c, err := Compile(w.Source, &cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := NewSystem(cfg).RunCompiled(c, "Conduit")
+	return c, r, err
+}
+
 // AblationVectorWidth sweeps the vector width — equivalently the page
 // size the compiler aligns vectors to (the paper's
 // -force-vector-width=4096 maps one 16 KiB page; §4.3.1) — under Conduit
@@ -601,20 +605,7 @@ func (e *Experiments) AblationVectorWidth() (*Table, error) {
 	t := stats.NewTable("Ablation: vector width / page size (Conduit on heat-3d)",
 		"page_KiB", "lanes_int8", "instructions", "elapsed_ms")
 	for _, kib := range []int{4, 8, 16, 32} {
-		cfg := e.sys.cfg
-		cfg.SSD.PageSize = kib << 10
-		sys := NewSystem(cfg)
-		var src *Source
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == "heat-3d" {
-				src = w.Source
-			}
-		}
-		c, err := Compile(src, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.RunCompiled(c, "Conduit")
+		c, r, err := e.heat3dUnder(func(cfg *Config) { cfg.SSD.PageSize = kib << 10 })
 		if err != nil {
 			return nil, err
 		}
@@ -703,16 +694,7 @@ func (e *Experiments) AblationChannels() (*Table, error) {
 	t := stats.NewTable("Ablation: flash channels (Conduit on heat-3d)",
 		"channels", "elapsed_ms")
 	for _, ch := range []int{2, 4, 8, 16} {
-		cfg := e.sys.cfg
-		cfg.SSD.Channels = ch
-		sys := NewSystem(cfg)
-		var src *Source
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == "heat-3d" {
-				src = w.Source
-			}
-		}
-		r, err := sys.Run(src, "Conduit")
+		_, r, err := e.heat3dUnder(func(cfg *Config) { cfg.SSD.Channels = ch })
 		if err != nil {
 			return nil, err
 		}

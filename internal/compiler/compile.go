@@ -7,54 +7,21 @@ import (
 	"conduit/internal/isa"
 )
 
-// irOp maps a source operation to its vector IR operation.
-func irOp(op OpCode) isa.Op {
-	switch op {
-	case OpAdd:
-		return isa.OpAdd
-	case OpSub:
-		return isa.OpSub
-	case OpMul:
-		return isa.OpMul
-	case OpDiv:
-		return isa.OpDiv
-	case OpAnd:
-		return isa.OpAnd
-	case OpOr:
-		return isa.OpOr
-	case OpXor:
-		return isa.OpXor
-	case OpNot:
-		return isa.OpNot
-	case OpShl:
-		return isa.OpShl
-	case OpShr:
-		return isa.OpShr
-	case OpLT:
-		return isa.OpLT
-	case OpGT:
-		return isa.OpGT
-	case OpEQ:
-		return isa.OpEQ
-	case OpMin:
-		return isa.OpMin
-	case OpMax:
-		return isa.OpMax
-	case OpSelect3:
-		return isa.OpSelect
-	default:
-		panic(fmt.Sprintf("compiler: unmapped opcode %d", op))
-	}
+// irOps maps each source operation to its vector IR operation.
+var irOps = [...]isa.Op{
+	OpAdd: isa.OpAdd, OpSub: isa.OpSub, OpMul: isa.OpMul, OpDiv: isa.OpDiv,
+	OpAnd: isa.OpAnd, OpOr: isa.OpOr, OpXor: isa.OpXor, OpNot: isa.OpNot,
+	OpShl: isa.OpShl, OpShr: isa.OpShr,
+	OpLT: isa.OpLT, OpGT: isa.OpGT, OpEQ: isa.OpEQ, OpMin: isa.OpMin, OpMax: isa.OpMax,
+	OpSelect3: isa.OpSelect,
 }
 
-// commutative reports whether lane order of operands is irrelevant.
-func commutative(op isa.Op) bool {
-	switch op {
-	case isa.OpAdd, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpNand, isa.OpNor, isa.OpEQ, isa.OpMin, isa.OpMax:
-		return true
+// irOp maps a source operation to its vector IR operation.
+func irOp(op OpCode) (isa.Op, error) {
+	if int(op) >= len(irOps) {
+		return 0, fmt.Errorf("compiler: unmapped opcode %d", op)
 	}
-	return false
+	return irOps[op], nil
 }
 
 // tempsPerChunk is the number of temporary pages the compiler cycles
@@ -339,16 +306,23 @@ func (c *compilation) emitExpr(e Expr, b int, vectorized bool, dst *isa.PageID) 
 		c.emit(isa.OpShuffle, out, []isa.PageID{page}, uint64(rot), true, vectorized)
 		return operand{page: out}, nil
 	case Un:
+		op, err := irOp(v.Op)
+		if err != nil {
+			return operand{}, err
+		}
 		x, err := c.emitExpr(v.X, b, vectorized, nil)
 		if err != nil {
 			return operand{}, err
 		}
 		xp := c.materialize(x, b, vectorized)
 		out := c.destOr(dst, b)
-		c.emit(irOp(v.Op), out, []isa.PageID{xp}, 0, false, vectorized)
+		c.emit(op, out, []isa.PageID{xp}, 0, false, vectorized)
 		return operand{page: out}, nil
 	case Bin:
-		op := irOp(v.Op)
+		op, err := irOp(v.Op)
+		if err != nil {
+			return operand{}, err
+		}
 		x, err := c.emitExpr(v.X, b, vectorized, nil)
 		if err != nil {
 			return operand{}, err
@@ -361,7 +335,7 @@ func (c *compilation) emitExpr(e Expr, b int, vectorized bool, dst *isa.PageID) 
 			// Constant subexpression: materialize X and fold Y.
 			x = operand{page: c.materialize(x, b, vectorized)}
 		}
-		if x.lit && commutative(op) {
+		if x.lit && op.Commutative() {
 			x, y = y, x
 		}
 		out := c.destOr(dst, b)

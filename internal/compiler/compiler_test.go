@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"conduit/internal/cores"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
@@ -41,7 +40,7 @@ func irRun(t *testing.T, c *Compiled) map[isa.PageID][]byte {
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, c.pageSize)
-		if err := cores.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
+		if err := isa.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
 			t.Fatalf("ir inst %d (%v): %v", i, in.Op, err)
 		}
 		mem[in.Dst] = out

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/arena"
+	"conduit/internal/isa"
 	"conduit/internal/vecmath"
 )
 
@@ -16,11 +17,12 @@ import (
 // instructions behave. The returned map holds each array's final contents
 // (padded to whole blocks).
 //
-// The evaluation itself is block-vectorized through the specialized
-// vecmath kernels — the scalar semantics are defined by evalLane (kept as
-// the oracle for the interpreter's own differential test), and every
-// kernel is differentially tested against the same scalar semantics, so
-// the result is bit-identical to lane-serial evaluation.
+// The evaluation itself is block-vectorized through the evaluator every
+// execution substrate shares (isa.Apply, reached via irOp) — the scalar
+// semantics are defined by evalLane (kept as the oracle for the
+// interpreter's own differential test), and every kernel is differentially
+// tested against the same scalar semantics, so the result is bit-identical
+// to lane-serial evaluation.
 func Interpret(src *Source, pageSize int) (map[string][]byte, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
@@ -116,31 +118,30 @@ func (ev *blockEval) eval(e Expr, base int) ([]byte, bool, error) {
 		if !owned {
 			dst = ev.pool.Get()
 		}
-		vecmath.ApplyUnary(vecmath.OpNot, dst, x, elem, 0)
-		return dst, true, nil
+		return dst, true, isa.Apply(isa.OpNot, dst, [][]byte{x}, elem, false, 0)
 	case Bin:
-		k, ok := kernelLaneOp(v.Op)
-		if !ok {
+		op, err := irOp(v.Op)
+		k, kernel := op.Kernel()
+		if err != nil || !kernel || v.Op == OpNot {
 			return nil, false, fmt.Errorf("compiler: unmapped lane op %d", v.Op)
 		}
 		x, xo, err := ev.eval(v.X, base)
 		if err != nil {
 			return nil, false, err
 		}
-		// Literal right operands take the immediate kernels directly.
+		// Literal right operands take the immediate forms directly.
 		if lit, isLit := v.Y.(Lit); isLit {
 			dst := x
 			if !xo {
 				dst = ev.pool.Get()
 			}
-			if k == vecmath.OpShl || k == vecmath.OpShr {
+			imm := lit.Value
+			if !op.ImmReplacesSrc() {
 				// The literal shift count participates as a masked lane
 				// value, exactly as evalLane computes it.
-				vecmath.ApplyUnary(k, dst, x, elem, lit.Value&vecmath.Mask(elem))
-			} else {
-				vecmath.ApplyImm(k, dst, x, elem, lit.Value)
+				imm &= vecmath.Mask(elem)
 			}
-			return dst, true, nil
+			return dst, true, isa.Apply(op, dst, [][]byte{x}, elem, true, imm)
 		}
 		y, yo, err := ev.eval(v.Y, base)
 		if err != nil {
@@ -157,11 +158,17 @@ func (ev *blockEval) eval(e Expr, base int) ([]byte, bool, error) {
 		default:
 			dst = ev.pool.Get()
 		}
-		vecmath.Apply(k, dst, x, y, elem)
+		if op.Arity() == 2 {
+			err = isa.Apply(op, dst, [][]byte{x, y}, elem, false, 0)
+		} else {
+			// A shift by a lane-varying count has no IR form (Compile
+			// rejects it); the reference semantics shift by the y lane.
+			vecmath.Apply(k, dst, x, y, elem)
+		}
 		if xo && yo {
 			ev.pool.Put(y) // dst reused x; y is now dead
 		}
-		return dst, true, nil
+		return dst, true, err
 	case Cond:
 		m, mo, err := ev.eval(v.Mask, base)
 		if err != nil {
@@ -201,7 +208,7 @@ func (ev *blockEval) eval(e Expr, base int) ([]byte, bool, error) {
 		default:
 			dst = ev.pool.Get()
 		}
-		vecmath.Select(dst, m, a, b, elem)
+		err = isa.Apply(isa.OpSelect, dst, [][]byte{m, a, b}, elem, false, 0)
 		if mo && &dst[0] != &m[0] {
 			ev.pool.Put(m)
 		}
@@ -211,46 +218,9 @@ func (ev *blockEval) eval(e Expr, base int) ([]byte, bool, error) {
 		if bo && &dst[0] != &b[0] {
 			ev.pool.Put(b)
 		}
-		return dst, true, nil
+		return dst, true, err
 	default:
 		return nil, false, fmt.Errorf("compiler: unknown expression %T", e)
-	}
-}
-
-// kernelLaneOp maps a source binary operation onto the vecmath kernel
-// vocabulary.
-func kernelLaneOp(op OpCode) (vecmath.Op, bool) {
-	switch op {
-	case OpAdd:
-		return vecmath.OpAdd, true
-	case OpSub:
-		return vecmath.OpSub, true
-	case OpMul:
-		return vecmath.OpMul, true
-	case OpDiv:
-		return vecmath.OpDiv, true
-	case OpAnd:
-		return vecmath.OpAnd, true
-	case OpOr:
-		return vecmath.OpOr, true
-	case OpXor:
-		return vecmath.OpXor, true
-	case OpShl:
-		return vecmath.OpShl, true
-	case OpShr:
-		return vecmath.OpShr, true
-	case OpLT:
-		return vecmath.OpLT, true
-	case OpGT:
-		return vecmath.OpGT, true
-	case OpEQ:
-		return vecmath.OpEQ, true
-	case OpMin:
-		return vecmath.OpMin, true
-	case OpMax:
-		return vecmath.OpMax, true
-	default:
-		return 0, false
 	}
 }
 

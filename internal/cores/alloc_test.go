@@ -21,9 +21,10 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 	}
 	srcs := [][]byte{a, b}
 
+	inst := &isa.Inst{Op: isa.OpAdd, Elem: 4}
 	var now sim.Time
 	exec := func() {
-		out, done, err := c.Exec(now, now, isa.OpAdd, srcs, 4, false, 0)
+		out, done, err := c.Exec(now, now, inst, srcs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,16 +37,17 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestExecStreamingSteadyStateAllocs covers the streaming path the ssd
-// runtime actually uses for vectorized instructions.
+// TestExecStreamingSteadyStateAllocs covers the stream occupancy the ssd
+// runtime adds for vectorized instructions.
 func TestExecStreamingSteadyStateAllocs(t *testing.T) {
 	c, cfg, _ := newTestCore()
 	a := make([]byte, cfg.PageSize)
 	srcs := [][]byte{a}
 
+	inst := &isa.Inst{Op: isa.OpNot, Elem: 1}
 	var now sim.Time
 	exec := func() {
-		out, done, err := c.ExecStreaming(now, now, isa.OpNot, srcs, 1, false, 0, 10)
+		out, done, err := c.Exec(now, now, inst, srcs, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +56,6 @@ func TestExecStreamingSteadyStateAllocs(t *testing.T) {
 	}
 	exec()
 	if got := testing.AllocsPerRun(50, exec); got > 0 {
-		t.Fatalf("steady-state ExecStreaming allocates %.1f objects/op, want 0", got)
+		t.Fatalf("steady-state streaming Exec allocates %.1f objects/op, want 0", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
-	"conduit/internal/vecmath"
 )
 
 // cyclesPerBeat is the per-32-byte-beat cycle cost of each IR operation on
@@ -53,18 +52,26 @@ func Cycles(cfg *config.SSD, op isa.Op, lanes, elem int) int64 {
 	return beats*cyclesPerBeat(op) + loopOverheadCycles
 }
 
-// ExecLatency is the contention-free latency of one vector instruction on
-// the compute core — the ISP entry of the offloader's precomputed
-// computation-latency table (§4.5).
-func ExecLatency(cfg *config.SSD, op isa.Op, lanes, elem int) sim.Time {
-	return cfg.CoreCycles(Cycles(cfg, op, lanes, elem))
-}
-
 // UnvectorizedCycles is the lane-serial cycle cost of running a vector
 // operation the compiler could not vectorize (§7): one scalar
 // load/op/store sequence per lane on the in-order pipeline.
 func UnvectorizedCycles(lanes int) int64 {
 	return int64(lanes)*isa.ScalarCyclesPerLane + loopOverheadCycles
+}
+
+// InstCycles reports the core cycles inst takes over the given number of
+// lanes — the ISP entry of the offloader's precomputed computation-latency
+// table (§4.5): a control region's own count, the lane-serial cost of a
+// loop the vectorizer rejected, the MVE beat count otherwise.
+func InstCycles(cfg *config.SSD, inst *isa.Inst, lanes int) int64 {
+	switch {
+	case inst.Op == isa.OpScalar:
+		return inst.ScalarCycles
+	case inst.Meta.Unvectorized:
+		return UnvectorizedCycles(lanes)
+	default:
+		return Cycles(cfg, inst.Op, lanes, inst.Elem)
+	}
 }
 
 // Core is the functional + timed ISP compute core. With cfg.TimingOnly
@@ -103,41 +110,43 @@ func (c *Core) outBuffer(size int) []byte {
 }
 
 // Recycle returns a dead result buffer to the core's free list. Only call
-// it with a buffer obtained from Exec/ExecStreaming/ExecUnvectorized that
-// nothing else references (e.g. after copying it into DRAM).
+// it with a buffer obtained from Exec that nothing else references (e.g.
+// after copying it into DRAM).
 func (c *Core) Recycle(b []byte) { c.pool.Put(b) }
 
 // Calendar exposes the core's timing calendar (for queue-delay observation
 // by offloading policies).
 func (c *Core) Calendar() *sim.Calendar { return c.cal }
 
-// Exec executes op over the operand buffers and returns the result bytes
+// Exec executes inst over the operand buffers and returns the result bytes
 // and completion time. Operands must already be resident in SSD DRAM; the
-// caller models that movement. srcs must match the operation's vector
-// arity (after immediate substitution); all buffers share the same length.
+// caller models that movement. srcs must hold inst.Op.Sources(inst.UseImm)
+// buffers of one length; semantics are isa.Apply's.
 //
-// Functional semantics notes: OpShuffle rotates lanes left by Imm;
-// OpReduceAdd broadcasts the modular lane sum to every output lane.
-func (c *Core) Exec(now, ready sim.Time, op isa.Op, srcs [][]byte, elem int, useImm bool, imm uint64) ([]byte, sim.Time, error) {
-	if op == isa.OpScalar {
+// A loop the vectorizer rejected (inst.Meta.Unvectorized) runs lane-serially
+// on the scalar pipeline: only the cycle count differs. stream additionally
+// occupies the core: the in-order Cortex-R8 stalls while loading operands
+// from and storing results to the SSD DRAM, so its execution queue must
+// reflect that occupancy.
+func (c *Core) Exec(now, ready sim.Time, inst *isa.Inst, srcs [][]byte, stream sim.Time) ([]byte, sim.Time, error) {
+	if inst.Op == isa.OpScalar {
 		return nil, 0, fmt.Errorf("cores: scalar regions go through ExecScalar")
 	}
-	arity := op.Arity()
-	if useImm && op.ImmReplacesSrc() {
-		arity--
-	}
-	if len(srcs) != arity {
-		return nil, 0, fmt.Errorf("cores: %v needs %d vector sources, got %d", op, arity, len(srcs))
+	if want := inst.Op.Sources(inst.UseImm); len(srcs) != want {
+		return nil, 0, fmt.Errorf("cores: %v needs %d vector sources, got %d", inst.Op, want, len(srcs))
 	}
 	size := c.operandSize(srcs)
 	if size < 0 {
 		return nil, 0, fmt.Errorf("cores: operand size mismatch")
 	}
-	lanes := size / elem
 
-	cyc := Cycles(c.cfg, op, lanes, elem)
-	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc))
-	c.vecOps++
+	cyc := InstCycles(c.cfg, inst, size/inst.Elem)
+	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc)+stream)
+	if inst.Meta.Unvectorized {
+		c.scalarOps++
+	} else {
+		c.vecOps++
+	}
 	c.cycles += cyc
 	c.en.Compute("isp", float64(cyc)*c.cfg.ECorePerCycle)
 
@@ -145,7 +154,7 @@ func (c *Core) Exec(now, ready sim.Time, op isa.Op, srcs [][]byte, elem int, use
 		return nil, done, nil
 	}
 	out := c.outBuffer(size)
-	if err := apply(op, out, srcs, elem, useImm, imm); err != nil {
+	if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
 		c.pool.Put(out)
 		return nil, 0, err
 	}
@@ -167,72 +176,6 @@ func (c *Core) operandSize(srcs [][]byte) int {
 		}
 	}
 	return size
-}
-
-// ExecStreaming executes op like Exec but additionally occupies the core
-// for stream time: the in-order Cortex-R8 stalls while loading operands
-// from and storing results to the SSD DRAM, so its execution queue must
-// reflect that occupancy.
-func (c *Core) ExecStreaming(now, ready sim.Time, op isa.Op, srcs [][]byte, elem int, useImm bool, imm uint64, stream sim.Time) ([]byte, sim.Time, error) {
-	if op == isa.OpScalar {
-		return nil, 0, fmt.Errorf("cores: scalar regions go through ExecScalar")
-	}
-	arity := op.Arity()
-	if useImm && op.ImmReplacesSrc() {
-		arity--
-	}
-	if len(srcs) != arity {
-		return nil, 0, fmt.Errorf("cores: %v needs %d vector sources, got %d", op, arity, len(srcs))
-	}
-	size := c.operandSize(srcs)
-	if size < 0 {
-		return nil, 0, fmt.Errorf("cores: operand size mismatch")
-	}
-	lanes := size / elem
-
-	cyc := Cycles(c.cfg, op, lanes, elem)
-	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc)+stream)
-	c.vecOps++
-	c.cycles += cyc
-	c.en.Compute("isp", float64(cyc)*c.cfg.ECorePerCycle)
-
-	if c.timing {
-		return nil, done, nil
-	}
-	out := c.outBuffer(size)
-	if err := apply(op, out, srcs, elem, useImm, imm); err != nil {
-		c.pool.Put(out)
-		return nil, 0, err
-	}
-	return out, done, nil
-}
-
-// ExecUnvectorized executes op lane-serially on the scalar pipeline —
-// the fate of loops the vectorizer rejected. Semantics are identical to
-// Exec; only the cycle cost differs.
-func (c *Core) ExecUnvectorized(now, ready sim.Time, op isa.Op, srcs [][]byte, elem int, useImm bool, imm uint64) ([]byte, sim.Time, error) {
-	if op == isa.OpScalar {
-		return nil, 0, fmt.Errorf("cores: scalar regions go through ExecScalar")
-	}
-	size := c.cfg.PageSize
-	if !c.timing && len(srcs) > 0 {
-		size = len(srcs[0])
-	}
-	cyc := UnvectorizedCycles(size / elem)
-	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc))
-	c.scalarOps++
-	c.cycles += cyc
-	c.en.Compute("isp", float64(cyc)*c.cfg.ECorePerCycle)
-
-	if c.timing {
-		return nil, done, nil
-	}
-	out := c.outBuffer(size)
-	if err := apply(op, out, srcs, elem, useImm, imm); err != nil {
-		c.pool.Put(out)
-		return nil, 0, err
-	}
-	return out, done, nil
 }
 
 // ExecScalar runs a non-vectorized control region of the given cycle cost.
@@ -270,88 +213,4 @@ func (c *Core) Stats() map[string]int64 {
 		"scalar_ops": c.scalarOps,
 		"cycles":     c.cycles,
 	}
-}
-
-// kernelOp maps a binary vector IR operation onto the shared vecmath
-// kernel vocabulary (the specialized, word-parallel data plane).
-func kernelOp(op isa.Op) (vecmath.Op, bool) {
-	switch op {
-	case isa.OpAnd:
-		return vecmath.OpAnd, true
-	case isa.OpOr:
-		return vecmath.OpOr, true
-	case isa.OpXor:
-		return vecmath.OpXor, true
-	case isa.OpNand:
-		return vecmath.OpNand, true
-	case isa.OpNor:
-		return vecmath.OpNor, true
-	case isa.OpAdd:
-		return vecmath.OpAdd, true
-	case isa.OpSub:
-		return vecmath.OpSub, true
-	case isa.OpMul:
-		return vecmath.OpMul, true
-	case isa.OpDiv:
-		return vecmath.OpDiv, true
-	case isa.OpLT:
-		return vecmath.OpLT, true
-	case isa.OpGT:
-		return vecmath.OpGT, true
-	case isa.OpEQ:
-		return vecmath.OpEQ, true
-	case isa.OpMin:
-		return vecmath.OpMin, true
-	case isa.OpMax:
-		return vecmath.OpMax, true
-	default:
-		return 0, false
-	}
-}
-
-// apply computes the functional result of op through the specialized
-// vecmath kernels (one dispatch per page, no per-element closures). It is
-// shared with the host models via Apply. Every path fully overwrites out.
-func apply(op isa.Op, out []byte, srcs [][]byte, elem int, useImm bool, imm uint64) error {
-	vecmath.CheckElem(elem)
-	if k, ok := kernelOp(op); ok {
-		if useImm {
-			vecmath.ApplyImm(k, out, srcs[0], elem, imm)
-		} else {
-			vecmath.Apply(k, out, srcs[0], srcs[1], elem)
-		}
-		return nil
-	}
-	switch op {
-	case isa.OpNot:
-		vecmath.ApplyUnary(vecmath.OpNot, out, srcs[0], elem, 0)
-	case isa.OpShl:
-		vecmath.ApplyUnary(vecmath.OpShl, out, srcs[0], elem, imm)
-	case isa.OpShr:
-		vecmath.ApplyUnary(vecmath.OpShr, out, srcs[0], elem, imm)
-	case isa.OpSelect:
-		if useImm {
-			vecmath.SelectImm(out, srcs[0], srcs[1], elem, imm)
-		} else {
-			vecmath.Select(out, srcs[0], srcs[1], srcs[2], elem)
-		}
-	case isa.OpCopy:
-		copy(out, srcs[0])
-	case isa.OpBroadcast:
-		vecmath.Broadcast(out, elem, imm)
-	case isa.OpReduceAdd:
-		vecmath.Broadcast(out, elem, vecmath.ReduceAdd(srcs[0], elem))
-	case isa.OpShuffle:
-		vecmath.Shuffle(out, srcs[0], elem, int(imm))
-	default:
-		return fmt.Errorf("cores: unknown op %v", op)
-	}
-	return nil
-}
-
-// Apply computes the functional result of a vector operation without any
-// timing or energy effects. The host models and the compiler's reference
-// interpreter share it so every execution substrate agrees bit-for-bit.
-func Apply(op isa.Op, out []byte, srcs [][]byte, elem int, useImm bool, imm uint64) error {
-	return apply(op, out, srcs, elem, useImm, imm)
 }

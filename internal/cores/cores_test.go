@@ -1,7 +1,6 @@
 package cores
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -9,12 +8,19 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
+	"conduit/internal/vecmath"
 )
 
 func newTestCore() (*Core, *config.SSD, *energy.Account) {
 	cfg := config.TestScale()
 	en := energy.NewAccount()
 	return New(&cfg.SSD, en), &cfg.SSD, en
+}
+
+// exec runs one vectorized instruction at time zero with no stream
+// occupancy.
+func exec(c *Core, op isa.Op, srcs [][]byte, elem int, useImm bool, imm uint64) ([]byte, sim.Time, error) {
+	return c.Exec(0, 0, &isa.Inst{Op: op, Elem: elem, UseImm: useImm, Imm: imm}, srcs, 0)
 }
 
 func TestCyclesScaleWithVectorSize(t *testing.T) {
@@ -42,11 +48,11 @@ func TestExecLatencyMatchesExec(t *testing.T) {
 	c, cfg, _ := newTestCore()
 	a := make([]byte, cfg.PageSize)
 	b := make([]byte, cfg.PageSize)
-	_, done, err := c.Exec(0, 0, isa.OpAdd, [][]byte{a, b}, 1, false, 0)
+	_, done, err := exec(c, isa.OpAdd, [][]byte{a, b}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ExecLatency(cfg, isa.OpAdd, cfg.PageSize, 1); done != want {
+	if want := cfg.CoreCycles(Cycles(cfg, isa.OpAdd, cfg.PageSize, 1)); done != want {
 		t.Fatalf("uncontended exec = %v, want estimator %v", done, want)
 	}
 }
@@ -59,7 +65,7 @@ func TestExecFunctionalAddMul(t *testing.T) {
 		a[i] = byte(i)
 		b[i] = byte(2 * i)
 	}
-	sum, _, err := c.Exec(0, 0, isa.OpAdd, [][]byte{a, b}, 1, false, 0)
+	sum, _, err := exec(c, isa.OpAdd, [][]byte{a, b}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestExecFunctionalAddMul(t *testing.T) {
 			t.Fatalf("add lane %d = %d", i, sum[i])
 		}
 	}
-	prod, _, err := c.Exec(0, 0, isa.OpMul, [][]byte{a, a}, 1, false, 0)
+	prod, _, err := exec(c, isa.OpMul, [][]byte{a, a}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +91,14 @@ func TestExecImmediateAndBroadcast(t *testing.T) {
 	for i := range a {
 		a[i] = byte(i)
 	}
-	out, _, err := c.Exec(0, 0, isa.OpAdd, [][]byte{a}, 1, true, 5)
+	out, _, err := exec(c, isa.OpAdd, [][]byte{a}, 1, true, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[10] != 15 {
 		t.Fatalf("imm add = %d, want 15", out[10])
 	}
-	bc, _, err := c.Exec(0, 0, isa.OpBroadcast, nil, 2, true, 0xBEEF)
+	bc, _, err := exec(c, isa.OpBroadcast, nil, 2, true, 0xBEEF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestExecDivSaturatesOnZero(t *testing.T) {
 	a := make([]byte, cfg.PageSize)
 	z := make([]byte, cfg.PageSize)
 	a[0] = 10
-	out, _, err := c.Exec(0, 0, isa.OpDiv, [][]byte{a, z}, 1, false, 0)
+	out, _, err := exec(c, isa.OpDiv, [][]byte{a, z}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestExecShuffleRotates(t *testing.T) {
 	for i := range a {
 		a[i] = byte(i)
 	}
-	out, _, err := c.Exec(0, 0, isa.OpShuffle, [][]byte{a}, 1, true, 3)
+	out, _, err := exec(c, isa.OpShuffle, [][]byte{a}, 1, true, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +143,7 @@ func TestExecReduceAddBroadcastsSum(t *testing.T) {
 	c, cfg, _ := newTestCore()
 	a := make([]byte, cfg.PageSize)
 	a[0], a[1], a[2] = 1, 2, 3
-	out, _, err := c.Exec(0, 0, isa.OpReduceAdd, [][]byte{a}, 4, false, 0)
+	out, _, err := exec(c, isa.OpReduceAdd, [][]byte{a}, 4, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +162,14 @@ func TestExecReduceAddBroadcastsSum(t *testing.T) {
 func TestExecValidation(t *testing.T) {
 	c, cfg, _ := newTestCore()
 	a := make([]byte, cfg.PageSize)
-	if _, _, err := c.Exec(0, 0, isa.OpAdd, [][]byte{a}, 1, false, 0); err == nil {
+	if _, _, err := exec(c, isa.OpAdd, [][]byte{a}, 1, false, 0); err == nil {
 		t.Error("missing operand should fail")
 	}
 	short := make([]byte, 8)
-	if _, _, err := c.Exec(0, 0, isa.OpAdd, [][]byte{a, short}, 1, false, 0); err == nil {
+	if _, _, err := exec(c, isa.OpAdd, [][]byte{a, short}, 1, false, 0); err == nil {
 		t.Error("operand size mismatch should fail")
 	}
-	if _, _, err := c.Exec(0, 0, isa.OpScalar, nil, 1, false, 0); err == nil {
+	if _, _, err := exec(c, isa.OpScalar, nil, 1, false, 0); err == nil {
 		t.Error("scalar op through Exec should fail")
 	}
 }
@@ -195,14 +201,33 @@ func TestExecScalarAndQueueing(t *testing.T) {
 	_ = cfg
 }
 
-// Property: Exec agrees with Apply (the shared functional kernel) for
+// Property: Exec agrees lane by lane with an independent scalar oracle for
 // random operands — i.e. timing never perturbs semantics.
 func TestExecMatchesApplyProperty(t *testing.T) {
 	cfg := config.TestScale()
-	ops := []isa.Op{isa.OpAnd, isa.OpXor, isa.OpAdd, isa.OpSub, isa.OpMul,
-		isa.OpLT, isa.OpMin, isa.OpEQ}
+	signedLess := func(x, y uint64, elem int) bool {
+		return vecmath.ToSigned(x, elem) < vecmath.ToSigned(y, elem)
+	}
+	ops := []struct {
+		op  isa.Op
+		ref func(x, y uint64, elem int) uint64
+	}{
+		{isa.OpAnd, func(x, y uint64, _ int) uint64 { return x & y }},
+		{isa.OpXor, func(x, y uint64, _ int) uint64 { return x ^ y }},
+		{isa.OpAdd, func(x, y uint64, _ int) uint64 { return x + y }},
+		{isa.OpSub, func(x, y uint64, _ int) uint64 { return x - y }},
+		{isa.OpMul, func(x, y uint64, _ int) uint64 { return x * y }},
+		{isa.OpLT, func(x, y uint64, elem int) uint64 { return vecmath.Bool(signedLess(x, y, elem), elem) }},
+		{isa.OpMin, func(x, y uint64, elem int) uint64 {
+			if signedLess(x, y, elem) {
+				return x
+			}
+			return y
+		}},
+		{isa.OpEQ, func(x, y uint64, elem int) uint64 { return vecmath.Bool(x == y, elem) }},
+	}
 	f := func(seed uint64, opSel, elemSel uint8) bool {
-		op := ops[int(opSel)%len(ops)]
+		o := ops[int(opSel)%len(ops)]
 		elem := []int{1, 2, 4}[int(elemSel)%3]
 		c := New(&cfg.SSD, energy.NewAccount())
 		r := sim.NewRNG(seed)
@@ -210,15 +235,17 @@ func TestExecMatchesApplyProperty(t *testing.T) {
 		b := make([]byte, cfg.SSD.PageSize)
 		r.Bytes(a)
 		r.Bytes(b)
-		got, _, err := c.Exec(0, 0, op, [][]byte{a, b}, elem, false, 0)
+		got, _, err := exec(c, o.op, [][]byte{a, b}, elem, false, 0)
 		if err != nil {
 			return false
 		}
-		want := make([]byte, cfg.SSD.PageSize)
-		if err := Apply(op, want, [][]byte{a, b}, elem, false, 0); err != nil {
-			return false
+		for i := 0; i < cfg.SSD.PageSize/elem; i++ {
+			want := o.ref(vecmath.Load(a, i, elem), vecmath.Load(b, i, elem), elem) & vecmath.Mask(elem)
+			if vecmath.Load(got, i, elem) != want {
+				return false
+			}
 		}
-		return bytes.Equal(got, want)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

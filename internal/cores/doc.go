@@ -8,4 +8,10 @@
 // ISP's defining limitation — narrow SIMD — falls directly out of the
 // datapath width: a 16 KiB page takes 512 MVE beats, so page-sized vector
 // work is orders of magnitude less parallel than PuD or IFP.
+//
+// What this package owns is the cost — cyclesPerBeat per operation, and
+// InstCycles for a whole instruction (vectorized, lane-serial, or a control
+// region) — and one execute body, Core.Exec, which charges it and computes
+// the result through isa.Apply. ExecScalar runs control regions, which have
+// no result.
 package cores

@@ -8,4 +8,10 @@
 // functional: slots hold real bytes and every operation computes real
 // results. Bit-transposition of operands (required by bit-serial
 // execution) is folded into the flash->DRAM DMA path, following Proteus.
+//
+// The module speaks the IR directly: Rounds and Exec take an isa.Op, which
+// operations PuD-SSD runs is the operation table's PuD column
+// (isa.Supports), operand shapes follow isa.Op.Sources, and results come
+// from isa.Apply. What this package owns is the cost: Rounds, the bbop
+// count per operation and element width.
 package dram

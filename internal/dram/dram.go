@@ -7,107 +7,47 @@ import (
 	"conduit/internal/arena"
 	"conduit/internal/config"
 	"conduit/internal/energy"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
 )
 
-// Op enumerates the 16 operations the PuD-SSD substrate supports
-// (§4.3.2: "PuD-SSD supports 16 operations, including arithmetic,
-// predication, and relational operations").
-type Op int
-
-// PuD operation kinds.
-const (
-	OpAnd Op = iota
-	OpOr
-	OpNot
-	OpXor
-	OpNand
-	OpNor
-	OpAdd
-	OpSub
-	OpMul
-	OpLT
-	OpGT
-	OpEQ
-	OpMin
-	OpMax
-	OpSelect
-	OpCopy
-	// OpShuffle is a lane rotation implemented as RowClone/LISA-style
-	// shifted inter-subarray copies. It is data movement inside the
-	// arrays, not one of the 16 published compute operations.
-	OpShuffle
-	// OpShl and OpShr shift each lane by an immediate. Under the
-	// bit-serial (vertical) data layout these are row renames plus a
-	// clearing copy, nearly free (Proteus-style flexible precision).
-	OpShl
-	OpShr
-)
-
-// NumOps is the size of the published PuD compute-operation set.
-const NumOps = 16
-
-// String names the operation.
-func (o Op) String() string {
-	names := [...]string{"and", "or", "not", "xor", "nand", "nor", "add", "sub",
-		"mul", "lt", "gt", "eq", "min", "max", "select", "copy", "shuffle", "shl", "shr"}
-	if int(o) < len(names) {
-		return names[o]
-	}
-	return fmt.Sprintf("dram.Op(%d)", int(o))
-}
-
-// Arity reports how many source slots the operation consumes.
-func (o Op) Arity() int {
-	switch o {
-	case OpNot, OpCopy, OpShuffle, OpShl, OpShr:
-		return 1
-	case OpSelect:
-		return 3
-	default:
-		return 2
-	}
-}
-
 // Rounds reports how many bbop rounds (row-activation triples) one
-// operation needs on elem-byte lanes. These constants follow the published
+// operation needs on elem-byte lanes, for every operation PuD-SSD supports
+// (§4.3.2: 16 compute operations — arithmetic, predication, relational —
+// plus in-array data movement). These constants follow the published
 // SIMDRAM/MIMDRAM cost structure: constant for bulk bitwise operations,
 // linear in bit width for addition/comparison, quadratic for
-// multiplication.
-func Rounds(o Op, elem int) int {
+// multiplication. Rounds x cfg.TBbop is the contention-free latency of the
+// operation: the PuD entry of the offloader's precomputed
+// computation-latency table (§4.5).
+func Rounds(o isa.Op, elem int) int {
 	vecmath.CheckElem(elem)
 	bits := elem * 8
 	switch o {
-	case OpCopy, OpNot: // RowClone / row inversion
+	case isa.OpCopy, isa.OpBroadcast, isa.OpNot: // RowClone / row inversion
 		return 2
-	case OpShuffle: // LISA-style shifted inter-subarray copy
+	case isa.OpShuffle: // lane rotation: LISA-style shifted inter-subarray copies
 		return 4
-	case OpShl, OpShr: // bit-serial row rename + clearing copy
+	case isa.OpShl, isa.OpShr: // bit-serial layout: a row rename plus a clearing copy (Proteus)
 		return 2
-	case OpAnd, OpOr, OpNand, OpNor: // one TRA plus operand/result copies
+	case isa.OpAnd, isa.OpOr, isa.OpNand, isa.OpNor: // one TRA plus operand/result copies
 		return 4
-	case OpXor: // two TRAs plus copies
+	case isa.OpXor: // two TRAs plus copies
 		return 6
-	case OpSelect: // mask AND/ANDN/OR composition
+	case isa.OpSelect: // mask AND/ANDN/OR composition
 		return 10
-	case OpAdd, OpSub: // bit-serial full adder chain
+	case isa.OpAdd, isa.OpSub: // bit-serial full adder chain
 		return 4*bits + 1
-	case OpLT, OpGT, OpEQ: // bit-serial compare
+	case isa.OpLT, isa.OpGT, isa.OpEQ: // bit-serial compare
 		return 2*bits + 4
-	case OpMin, OpMax: // compare then select
+	case isa.OpMin, isa.OpMax: // compare then select
 		return 3*bits + 8
-	case OpMul: // shift-and-add partial products
+	case isa.OpMul: // shift-and-add partial products
 		return 2*bits*bits + 3*bits
 	default:
-		panic(fmt.Sprintf("dram: unknown op %d", o))
+		panic(fmt.Sprintf("dram: no bbop sequence for %v", o))
 	}
-}
-
-// ExecLatency is the contention-free latency of one PuD operation — the
-// "expected computation latency" entry the offloader precomputes (§4.5).
-func ExecLatency(cfg *config.SSD, o Op, elem int) sim.Time {
-	return sim.Time(Rounds(o, elem)) * cfg.TBbop
 }
 
 // Module is the functional + timed PuD-SSD substrate. With cfg.TimingOnly
@@ -141,8 +81,6 @@ type Module struct {
 
 	// valScratch is the reusable operand-pointer slice of Exec.
 	valScratch [][]byte
-
-	opImm uint64 // rotation/shift amount of the in-flight operation
 
 	bbops, reads, writes int64
 	bytesMoved           int64
@@ -295,50 +233,35 @@ func (m *Module) Invalidate(slot int) {
 	m.state[slot] = 0
 }
 
-// Exec performs op on the source slots, writing the result slot. srcs must
-// match op.Arity(); for OpSelect the sources are (mask, a, b) and each lane
-// of the result is a where the mask lane is non-zero, else b. If useImm is
-// set, the final source slot is replaced by a broadcast immediate.
+// Exec performs op on the source slots, writing the result slot, with the
+// operand shapes and semantics of isa.Apply: srcs holds op.Sources(useImm)
+// slots, a replacing immediate is consumed by the kernels directly (no
+// broadcast page is materialized), and shift counts and rotations arrive
+// in imm.
 //
 // Computation happens inside the DRAM arrays: only the compute units are
 // occupied, not the data bus.
-func (m *Module) Exec(now, ready sim.Time, op Op, dst int, srcs []int, elem int, useImm bool, imm uint64) (sim.Time, error) {
+func (m *Module) Exec(now, ready sim.Time, op isa.Op, dst int, srcs []int, elem int, useImm bool, imm uint64) (sim.Time, error) {
 	vecmath.CheckElem(elem)
 	m.checkSlot(dst)
-	arity := op.Arity()
-	if len(srcs) != arity {
-		return 0, fmt.Errorf("dram: %v needs %d sources, got %d", op, arity, len(srcs))
+	if !isa.Supports(isa.ResPuD, op) {
+		return 0, fmt.Errorf("dram: PuD-SSD does not execute %v", op)
 	}
-	m.opImm = 0
-	if op == OpShuffle || op == OpShl || op == OpShr {
-		m.opImm = imm
-		useImm = false
-	}
-	// With useImm the final operand is a broadcast immediate; the kernels
-	// consume it directly, so no broadcast page is materialized.
-	nvals := arity
-	if useImm {
-		nvals--
+	if want := op.Sources(useImm); len(srcs) != want {
+		return 0, fmt.Errorf("dram: %v needs %d sources, got %d", op, want, len(srcs))
 	}
 	var vals [][]byte
 	if !m.timing {
-		if cap(m.valScratch) < nvals {
-			m.valScratch = make([][]byte, nvals)
+		if cap(m.valScratch) < len(srcs) {
+			m.valScratch = make([][]byte, len(srcs))
 		}
-		vals = m.valScratch[:nvals]
+		vals = m.valScratch[:len(srcs)]
 		// Drop the borrowed payload references on every exit (including
 		// error returns) so the scratch slice never pins a dead page
 		// against GC.
-		defer func() {
-			for i := range vals {
-				vals[i] = nil
-			}
-		}()
+		defer clear(vals)
 	}
 	for i, s := range srcs {
-		if useImm && i == arity-1 {
-			continue
-		}
 		m.checkSlot(s)
 		if !m.Populated(s) {
 			return 0, fmt.Errorf("dram: %v source slot %d not populated", op, s)
@@ -357,88 +280,13 @@ func (m *Module) Exec(now, ready sim.Time, op Op, dst int, srcs []int, elem int,
 		m.setSlot(dst, nil)
 		return done, nil
 	}
-	out := m.pool.Get() // fully overwritten by apply
-	m.apply(op, out, vals, elem, useImm, imm)
+	out := m.pool.Get() // fully overwritten by Apply
+	if err := isa.Apply(op, out, vals, elem, useImm, imm); err != nil {
+		m.pool.Put(out)
+		return 0, err
+	}
 	m.setSlot(dst, out)
 	return done, nil
-}
-
-// kernelOp maps a PuD operation onto the shared vecmath kernel
-// vocabulary (binary operations only; movement and unary operations are
-// dispatched directly in apply).
-func kernelOp(op Op) (vecmath.Op, bool) {
-	switch op {
-	case OpAnd:
-		return vecmath.OpAnd, true
-	case OpOr:
-		return vecmath.OpOr, true
-	case OpXor:
-		return vecmath.OpXor, true
-	case OpNand:
-		return vecmath.OpNand, true
-	case OpNor:
-		return vecmath.OpNor, true
-	case OpAdd:
-		return vecmath.OpAdd, true
-	case OpSub:
-		return vecmath.OpSub, true
-	case OpMul:
-		return vecmath.OpMul, true
-	case OpLT:
-		return vecmath.OpLT, true
-	case OpGT:
-		return vecmath.OpGT, true
-	case OpEQ:
-		return vecmath.OpEQ, true
-	case OpMin:
-		return vecmath.OpMin, true
-	case OpMax:
-		return vecmath.OpMax, true
-	default:
-		return 0, false
-	}
-}
-
-// apply computes the functional result of op through the specialized
-// vecmath kernels. vals excludes the immediate operand when useImm is
-// set. Every path fully overwrites out.
-func (m *Module) apply(op Op, out []byte, vals [][]byte, elem int, useImm bool, imm uint64) {
-	if k, ok := kernelOp(op); ok {
-		if useImm {
-			vecmath.ApplyImm(k, out, vals[0], elem, imm)
-		} else {
-			vecmath.Apply(k, out, vals[0], vals[1], elem)
-		}
-		return
-	}
-	switch op {
-	case OpCopy:
-		if useImm {
-			vecmath.Broadcast(out, elem, imm) // isa.OpBroadcast lowers to an immediate copy
-		} else {
-			copy(out, vals[0])
-		}
-	case OpNot:
-		if useImm {
-			vecmath.Broadcast(out, elem, ^imm&vecmath.Mask(elem))
-		} else {
-			vecmath.ApplyUnary(vecmath.OpNot, out, vals[0], elem, 0)
-		}
-	case OpSelect:
-		if useImm {
-			vecmath.SelectImm(out, vals[0], vals[1], elem, imm)
-		} else {
-			vecmath.Select(out, vals[0], vals[1], vals[2], elem)
-		}
-	case OpShuffle:
-		vecmath.Shuffle(out, vals[0], elem, int(m.opImm))
-	case OpShl:
-		vecmath.ApplyUnary(vecmath.OpShl, out, vals[0], elem, m.opImm)
-	case OpShr:
-		vecmath.ApplyUnary(vecmath.OpShr, out, vals[0], elem, m.opImm)
-	default:
-		panic(fmt.Sprintf("dram: unknown op %d", op))
-	}
 }
 
 // Clone returns an independent copy of the module — slot contents,
@@ -458,7 +306,6 @@ func (m *Module) Clone(en *energy.Account) *Module {
 		state:      append([]uint8(nil), m.state...),
 		payload:    append([][]byte(nil), m.payload...), // replace-on-write; see doc comment
 		pool:       arena.New(m.cfg.PageSize),
-		opImm:      m.opImm,
 		bbops:      m.bbops,
 		reads:      m.reads,
 		writes:     m.writes,

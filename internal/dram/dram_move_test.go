@@ -5,6 +5,7 @@ import (
 
 	"conduit/internal/config"
 	"conduit/internal/energy"
+	"conduit/internal/isa"
 )
 
 // Tests for the in-array data-movement operations (RowClone/LISA shuffle,
@@ -24,7 +25,7 @@ func moveFixture(t *testing.T) (*Module, *config.SSD) {
 
 func TestShuffleRotatesLanes(t *testing.T) {
 	m, cfg := moveFixture(t)
-	if _, err := m.Exec(0, 0, OpShuffle, 1, []int{0}, 1, false, 5); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpShuffle, 1, []int{0}, 1, false, 5); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -36,14 +37,14 @@ func TestShuffleRotatesLanes(t *testing.T) {
 		}
 	}
 	// Rotation cost is constant and small (LISA copies).
-	if Rounds(OpShuffle, 1) >= Rounds(OpAdd, 1) {
+	if Rounds(isa.OpShuffle, 1) >= Rounds(isa.OpAdd, 1) {
 		t.Error("shuffle must be cheaper than bit-serial addition")
 	}
 }
 
 func TestShiftOps(t *testing.T) {
 	m, _ := moveFixture(t)
-	if _, err := m.Exec(0, 0, OpShl, 1, []int{0}, 1, false, 3); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpShl, 1, []int{0}, 1, false, 3); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -53,7 +54,7 @@ func TestShiftOps(t *testing.T) {
 			t.Fatalf("shl lane %d = %d, want %d", i, out[i], in[i]<<3)
 		}
 	}
-	if _, err := m.Exec(0, 0, OpShr, 2, []int{0}, 1, false, 2); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpShr, 2, []int{0}, 1, false, 2); err != nil {
 		t.Fatal(err)
 	}
 	out = m.Data(2)
@@ -63,14 +64,14 @@ func TestShiftOps(t *testing.T) {
 		}
 	}
 	// Bit-serial shifts are row renames: constant rounds.
-	if Rounds(OpShl, 4) != Rounds(OpShl, 1) {
+	if Rounds(isa.OpShl, 4) != Rounds(isa.OpShl, 1) {
 		t.Error("shift rounds must not depend on element width")
 	}
 }
 
 func TestShiftOfWideLanes(t *testing.T) {
 	m, cfg := moveFixture(t)
-	if _, err := m.Exec(0, 0, OpShl, 1, []int{0}, 4, false, 8); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpShl, 1, []int{0}, 4, false, 8); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -89,10 +90,10 @@ func TestShiftOfWideLanes(t *testing.T) {
 
 func TestMoveOpsAreSingleSource(t *testing.T) {
 	m, _ := moveFixture(t)
-	if _, err := m.Exec(0, 0, OpShuffle, 1, []int{0, 0}, 1, false, 1); err == nil {
+	if _, err := m.Exec(0, 0, isa.OpShuffle, 1, []int{0, 0}, 1, false, 1); err == nil {
 		t.Error("shuffle with two sources must fail")
 	}
-	if OpShuffle.Arity() != 1 || OpShl.Arity() != 1 || OpShr.Arity() != 1 {
+	if isa.OpShuffle.Arity() != 1 || isa.OpShl.Arity() != 1 || isa.OpShr.Arity() != 1 {
 		t.Error("movement ops take one source")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"conduit/internal/config"
 	"conduit/internal/energy"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
 )
@@ -59,14 +60,14 @@ func TestUnwrittenSlotReadsZero(t *testing.T) {
 
 func TestRoundsStructure(t *testing.T) {
 	// Bitwise ops are constant; add is linear in bits; mul is quadratic.
-	if Rounds(OpAnd, 1) != Rounds(OpAnd, 4) {
+	if Rounds(isa.OpAnd, 1) != Rounds(isa.OpAnd, 4) {
 		t.Error("bitwise rounds should not depend on element size")
 	}
-	add8, add32 := Rounds(OpAdd, 1), Rounds(OpAdd, 4)
+	add8, add32 := Rounds(isa.OpAdd, 1), Rounds(isa.OpAdd, 4)
 	if add32 <= add8 || add32 > 5*add8 {
 		t.Errorf("add rounds 8b=%d 32b=%d: want ~4x linear growth", add8, add32)
 	}
-	mul8, mul32 := Rounds(OpMul, 1), Rounds(OpMul, 4)
+	mul8, mul32 := Rounds(isa.OpMul, 1), Rounds(isa.OpMul, 4)
 	if mul32 < 10*mul8 {
 		t.Errorf("mul rounds 8b=%d 32b=%d: want quadratic growth", mul8, mul32)
 	}
@@ -80,11 +81,11 @@ func TestExecLatencyMatchesExec(t *testing.T) {
 	p := make([]byte, cfg.PageSize)
 	m.SetSlotForTest(0, p)
 	m.SetSlotForTest(1, p)
-	done, err := m.Exec(0, 0, OpMul, 2, []int{0, 1}, 1, false, 0)
+	done, err := m.Exec(0, 0, isa.OpMul, 2, []int{0, 1}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ExecLatency(cfg, OpMul, 1); done != want {
+	if want := sim.Time(Rounds(isa.OpMul, 1)) * cfg.TBbop; done != want {
 		t.Fatalf("uncontended exec = %v, want estimator value %v", done, want)
 	}
 }
@@ -101,16 +102,16 @@ func TestExecFunctionalOps(t *testing.T) {
 	m.SetSlotForTest(1, b)
 
 	cases := []struct {
-		op   Op
+		op   isa.Op
 		want func(x, y uint64) uint64
 	}{
-		{OpAnd, func(x, y uint64) uint64 { return x & y }},
-		{OpOr, func(x, y uint64) uint64 { return x | y }},
-		{OpXor, func(x, y uint64) uint64 { return x ^ y }},
-		{OpNand, func(x, y uint64) uint64 { return ^(x & y) & 0xFF }},
-		{OpAdd, func(x, y uint64) uint64 { return (x + y) & 0xFF }},
-		{OpSub, func(x, y uint64) uint64 { return (x - y) & 0xFF }},
-		{OpMul, func(x, y uint64) uint64 { return (x * y) & 0xFF }},
+		{isa.OpAnd, func(x, y uint64) uint64 { return x & y }},
+		{isa.OpOr, func(x, y uint64) uint64 { return x | y }},
+		{isa.OpXor, func(x, y uint64) uint64 { return x ^ y }},
+		{isa.OpNand, func(x, y uint64) uint64 { return ^(x & y) & 0xFF }},
+		{isa.OpAdd, func(x, y uint64) uint64 { return (x + y) & 0xFF }},
+		{isa.OpSub, func(x, y uint64) uint64 { return (x - y) & 0xFF }},
+		{isa.OpMul, func(x, y uint64) uint64 { return (x * y) & 0xFF }},
 	}
 	for _, c := range cases {
 		if _, err := m.Exec(0, 0, c.op, 2, []int{0, 1}, 1, false, 0); err != nil {
@@ -134,7 +135,7 @@ func TestExecSignedRelationalAndMinMax(t *testing.T) {
 	a[1], b[1] = 0x05, 0x05
 	m.SetSlotForTest(0, a)
 	m.SetSlotForTest(1, b)
-	if _, err := m.Exec(0, 0, OpLT, 2, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpLT, 2, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	lt := m.Data(2)
@@ -144,13 +145,13 @@ func TestExecSignedRelationalAndMinMax(t *testing.T) {
 	if lt[1] != 0x00 {
 		t.Error("5 < 5 should be false")
 	}
-	if _, err := m.Exec(0, 0, OpMin, 3, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpMin, 3, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Data(3)[0] != 0xFF { // signed min(-1, 1) = -1
 		t.Error("signed min wrong")
 	}
-	if _, err := m.Exec(0, 0, OpEQ, 4, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpEQ, 4, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Data(4)[1] != 0xFF || m.Data(4)[0] != 0 {
@@ -173,7 +174,7 @@ func TestExecSelect(t *testing.T) {
 	m.SetSlotForTest(0, mask)
 	m.SetSlotForTest(1, a)
 	m.SetSlotForTest(2, b)
-	if _, err := m.Exec(0, 0, OpSelect, 3, []int{0, 1, 2}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpSelect, 3, []int{0, 1, 2}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := m.Data(3)
@@ -195,7 +196,7 @@ func TestExecImmediateBroadcast(t *testing.T) {
 		a[i] = byte(i)
 	}
 	m.SetSlotForTest(0, a)
-	if _, err := m.Exec(0, 0, OpAdd, 1, []int{0, -1}, 1, true, 7); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0}, 1, true, 7); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Data(1)
@@ -208,10 +209,10 @@ func TestExecImmediateBroadcast(t *testing.T) {
 
 func TestExecValidation(t *testing.T) {
 	m, _, _ := newTestModule()
-	if _, err := m.Exec(0, 0, OpAdd, 1, []int{0}, 1, false, 0); err == nil {
+	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0}, 1, false, 0); err == nil {
 		t.Error("wrong arity should fail")
 	}
-	if _, err := m.Exec(0, 0, OpAdd, 1, []int{0, 2}, 1, false, 0); err == nil {
+	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0, 2}, 1, false, 0); err == nil {
 		t.Error("unpopulated source should fail")
 	}
 }
@@ -221,7 +222,7 @@ func TestComputeDoesNotOccupyBus(t *testing.T) {
 	p := make([]byte, cfg.PageSize)
 	m.SetSlotForTest(0, p)
 	m.SetSlotForTest(1, p)
-	if _, err := m.Exec(0, 0, OpMul, 2, []int{0, 1}, 4, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, isa.OpMul, 2, []int{0, 1}, 4, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Bus().Horizon() != 0 {
@@ -240,11 +241,11 @@ func TestConcurrentUnitsThenQueueing(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		m.SetSlotForTest(s, p)
 	}
-	lat := ExecLatency(cfg, OpAdd, 1)
+	lat := sim.Time(Rounds(isa.OpAdd, 1)) * cfg.TBbop
 	var last sim.Time
 	// First ComputeUnits ops run concurrently; the next one queues.
 	for i := 0; i < ComputeUnits+1; i++ {
-		done, err := m.Exec(0, 0, OpAdd, 3, []int{0, 1}, 1, false, 0)
+		done, err := m.Exec(0, 0, isa.OpAdd, 3, []int{0, 1}, 1, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,38 +257,38 @@ func TestConcurrentUnitsThenQueueing(t *testing.T) {
 }
 
 // refLane is an independent scalar oracle for the binary PuD operations.
-func refLane(op Op, x, y uint64, elem int) uint64 {
+func refLane(op isa.Op, x, y uint64, elem int) uint64 {
 	mask := vecmath.Mask(elem)
 	sx, sy := vecmath.ToSigned(x, elem), vecmath.ToSigned(y, elem)
 	switch op {
-	case OpAnd:
+	case isa.OpAnd:
 		return x & y
-	case OpOr:
+	case isa.OpOr:
 		return x | y
-	case OpXor:
+	case isa.OpXor:
 		return x ^ y
-	case OpNand:
+	case isa.OpNand:
 		return ^(x & y) & mask
-	case OpNor:
+	case isa.OpNor:
 		return ^(x | y) & mask
-	case OpAdd:
+	case isa.OpAdd:
 		return (x + y) & mask
-	case OpSub:
+	case isa.OpSub:
 		return (x - y) & mask
-	case OpMul:
+	case isa.OpMul:
 		return (x * y) & mask
-	case OpLT:
+	case isa.OpLT:
 		return vecmath.Bool(sx < sy, elem)
-	case OpGT:
+	case isa.OpGT:
 		return vecmath.Bool(sx > sy, elem)
-	case OpEQ:
+	case isa.OpEQ:
 		return vecmath.Bool(x == y, elem)
-	case OpMin:
+	case isa.OpMin:
 		if sx < sy {
 			return x
 		}
 		return y
-	case OpMax:
+	case isa.OpMax:
 		if sx > sy {
 			return x
 		}
@@ -300,7 +301,7 @@ func refLane(op Op, x, y uint64, elem int) uint64 {
 // scalar oracle for random slot contents and element sizes.
 func TestExecMatchesOracleProperty(t *testing.T) {
 	cfg := config.TestScale()
-	binOps := []Op{OpAnd, OpOr, OpXor, OpNand, OpNor, OpAdd, OpSub, OpMul, OpLT, OpGT, OpEQ, OpMin, OpMax}
+	binOps := []isa.Op{isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpNand, isa.OpNor, isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpLT, isa.OpGT, isa.OpEQ, isa.OpMin, isa.OpMax}
 	f := func(seed uint64, opSel, elemSel uint8) bool {
 		op := binOps[int(opSel)%len(binOps)]
 		elem := []int{1, 2, 4}[int(elemSel)%3]

@@ -5,7 +5,6 @@ import (
 
 	"conduit/internal/arena"
 	"conduit/internal/config"
-	"conduit/internal/cores"
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
@@ -225,7 +224,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 				srcs = append(srcs, load(s))
 			}
 			out := pool.Get() // fully overwritten by Apply
-			if err := cores.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
+			if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
 				return nil, nil, fmt.Errorf("host: inst %d: %w", i, err)
 			}
 			if old, ok := mem[inst.Dst]; ok {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"conduit/internal/config"
-	"conduit/internal/cores"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
 )
@@ -51,7 +50,7 @@ func TestCPUFunctionalCorrectness(t *testing.T) {
 	}
 	// Independent check of one output page.
 	want := make([]byte, cfg.SSD.PageSize)
-	if err := cores.Apply(isa.OpAdd, want, [][]byte{inputs[0], inputs[1]}, 1, false, 0); err != nil {
+	if err := isa.Apply(isa.OpAdd, want, [][]byte{inputs[0], inputs[1]}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mem[isa.PageID(8)], want) {

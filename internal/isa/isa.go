@@ -39,21 +39,6 @@ const (
 // NumOps reports the size of the IR operation set.
 const NumOps = int(numOps)
 
-var opNames = [...]string{
-	"and", "or", "xor", "not", "nand", "nor",
-	"add", "sub", "mul", "div", "shl", "shr",
-	"lt", "gt", "eq", "min", "max", "select",
-	"copy", "broadcast", "reduce_add", "shuffle", "scalar",
-}
-
-// String names the operation.
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("isa.Op(%d)", uint8(o))
-}
-
 // Class groups operations the way the paper's cost function consumes them
 // (Table 1, "operation type").
 type Class uint8
@@ -73,26 +58,6 @@ func (c Class) String() string {
 	return [...]string{"bitwise", "arithmetic", "predication", "move", "reduction", "control"}[c]
 }
 
-// Class reports the operation's class.
-func (o Op) Class() Class {
-	switch o {
-	case OpAnd, OpOr, OpXor, OpNot, OpNand, OpNor, OpShl, OpShr:
-		return ClassBitwise
-	case OpAdd, OpSub, OpMul, OpDiv:
-		return ClassArithmetic
-	case OpLT, OpGT, OpEQ, OpMin, OpMax, OpSelect:
-		return ClassPredication
-	case OpCopy, OpBroadcast, OpShuffle:
-		return ClassMove
-	case OpReduceAdd:
-		return ClassReduction
-	case OpScalar:
-		return ClassControl
-	default:
-		panic(fmt.Sprintf("isa: unclassified op %v", o))
-	}
-}
-
 // LatencyBand is the workload-characterization band of Table 3.
 type LatencyBand uint8
 
@@ -109,53 +74,10 @@ func (b LatencyBand) String() string {
 	return [...]string{"low", "medium", "high"}[b]
 }
 
-// Band reports the operation's latency band.
-func (o Op) Band() LatencyBand {
-	switch o {
-	case OpAnd, OpOr, OpXor, OpNot, OpNand, OpNor, OpShl, OpShr, OpCopy, OpBroadcast:
-		return LatencyLow
-	case OpAdd, OpSub, OpLT, OpGT, OpEQ, OpMin, OpMax, OpSelect, OpScalar, OpShuffle:
-		return LatencyMedium
-	case OpMul, OpDiv, OpReduceAdd:
-		return LatencyHigh
-	default:
-		panic(fmt.Sprintf("isa: unbanded op %v", o))
-	}
-}
-
-// Arity reports how many vector sources the operation consumes.
-func (o Op) Arity() int {
-	switch o {
-	case OpNot, OpCopy, OpReduceAdd, OpShuffle:
-		return 1
-	case OpShl, OpShr: // shift amount is the immediate
-		return 1
-	case OpBroadcast, OpScalar:
-		return 0
-	case OpSelect:
-		return 3
-	default:
-		return 2
-	}
-}
-
 // ScalarCyclesPerLane is the controller-core cost of one un-vectorized
 // lane operation (scalar load/op/store); shared by the compiler's work
 // estimator and the ISP execution model.
 const ScalarCyclesPerLane = 4
-
-// ImmReplacesSrc reports whether UseImm substitutes the operation's last
-// vector source with a broadcast immediate. For shifts and shuffles the
-// immediate is an intrinsic parameter (shift amount, rotation) and does not
-// replace a source.
-func (o Op) ImmReplacesSrc() bool {
-	switch o {
-	case OpShl, OpShr, OpShuffle, OpBroadcast, OpScalar:
-		return false
-	default:
-		return o.Arity() > 0
-	}
-}
 
 // PageID is a logical page number in the SSD's logical address space. Every
 // vector operand occupies exactly one logical page (the compile-time pass
@@ -244,13 +166,9 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: inst %d (%v) lacks a destination", i, in.Op)
 			}
 		}
-		wantSrcs := in.Op.Arity()
-		if in.UseImm && in.Op.ImmReplacesSrc() {
-			wantSrcs--
-		}
-		if in.Op != OpScalar && len(in.Srcs) != wantSrcs {
+		if want := in.Op.Sources(in.UseImm); in.Op != OpScalar && len(in.Srcs) != want {
 			return fmt.Errorf("isa: inst %d (%v) has %d sources, want %d",
-				i, in.Op, len(in.Srcs), wantSrcs)
+				i, in.Op, len(in.Srcs), want)
 		}
 		for _, s := range in.Srcs {
 			if s < 0 || int(s) >= p.Pages {

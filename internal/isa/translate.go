@@ -36,33 +36,22 @@ func (r Resource) String() string {
 
 // Supports reports whether resource r can execute op natively.
 //
-// The capability matrix follows §4.3.2: ISP executes the full instruction
-// set (~300 ARM/MVE instructions); PuD-SSD supports 16 operations
-// (bitwise, arithmetic, predication, relational, copy); IFP supports nine
-// operations — six bulk bitwise operations via multi-wordline sensing plus
-// addition, multiplication and shifting via the page-buffer latches.
+// The capability matrix follows §4.3.2 and is read off the operation table:
+// ISP executes the full instruction set (~300 ARM/MVE instructions);
+// PuD-SSD supports 16 operations (bitwise, arithmetic, predication,
+// relational, copy) plus in-array movement; IFP supports six bulk bitwise
+// operations via multi-wordline sensing plus addition, multiplication and
+// shifting via the page-buffer latches.
 func Supports(r Resource, op Op) bool {
-	switch r {
-	case ResISP:
+	switch {
+	case op >= numOps:
+		return false
+	case r == ResISP:
 		return true
-	case ResPuD:
-		switch op {
-		case OpAnd, OpOr, OpXor, OpNot, OpNand, OpNor,
-			OpAdd, OpSub, OpMul,
-			OpLT, OpGT, OpEQ, OpMin, OpMax, OpSelect,
-			OpCopy, OpBroadcast, OpShuffle, OpShl, OpShr:
-			return true
-		}
-		return false
-	case ResIFP:
-		switch op {
-		case OpAnd, OpOr, OpXor, OpNot, OpNand, OpNor,
-			OpAdd, OpMul, OpShl, OpShr:
-			return true
-		}
-		return false
+	case r == ResPuD:
+		return ops[op].flags&pud != 0
 	default:
-		return false
+		return r == ResIFP && ops[op].ifp != IFPNone
 	}
 }
 
@@ -72,29 +61,18 @@ func Supports(r Resource, op Op) bool {
 // Flash-Cosmos and shift_and_add from Ares-Flash for IFP). It returns an
 // error when r does not support op.
 func Native(r Resource, op Op) (string, error) {
-	if !Supports(r, op) {
+	switch {
+	case !Supports(r, op):
 		return "", fmt.Errorf("isa: %v does not support %v", r, op)
-	}
-	switch r {
-	case ResISP:
-		if op == OpScalar {
-			return "arm.branchy", nil
-		}
+	case op == OpScalar:
+		return "arm.branchy", nil
+	case r == ResISP:
 		return "mve.v" + op.String(), nil
-	case ResPuD:
+	case r == ResPuD:
 		return "bbop_" + op.String(), nil
-	case ResIFP:
-		switch op.Class() {
-		case ClassBitwise:
-			if op == OpShl || op == OpShr {
-				return "latch_shift_" + op.String(), nil
-			}
-			return "mws_" + op.String(), nil
-		default:
-			return "shift_and_add_" + op.String(), nil
-		}
+	default:
+		return ifpPrefix[op.IFP()] + op.String(), nil
 	}
-	return "", fmt.Errorf("isa: unknown resource %v", r)
 }
 
 // TranslationTable is the in-DRAM table the instruction transformation unit

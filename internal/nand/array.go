@@ -6,6 +6,7 @@ import (
 	"conduit/internal/config"
 	"conduit/internal/cow"
 	"conduit/internal/energy"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
 )
@@ -46,12 +47,13 @@ type Operand struct {
 }
 
 // BitOp enumerates the bulk bitwise operations IFP supports
-// (Flash-Cosmos multi-wordline sensing plus latch-based XOR).
+// (Flash-Cosmos multi-wordline sensing plus latch-based XOR). The zero
+// value is no primitive.
 type BitOp int
 
 // Bitwise operation kinds.
 const (
-	BitAnd BitOp = iota
+	BitAnd BitOp = iota + 1
 	BitOr
 	BitNand
 	BitNor
@@ -61,16 +63,30 @@ const (
 )
 
 // ArithOp enumerates the latch-based integer arithmetic operations
-// (Ares-Flash shift-and-add).
+// (Ares-Flash shift-and-add). The zero value is no primitive.
 type ArithOp int
 
 // Arithmetic operation kinds.
 const (
-	ArithAdd ArithOp = iota
+	ArithAdd ArithOp = iota + 1
 	ArithSub
 	ArithMul
 	ArithShl
 	ArithShr
+)
+
+// irBit and irArith name the hardware primitive behind each IR operation
+// IFP executes. Which operations those are, and which of the two tables
+// applies, is the operation table's IFP kind (isa.Op.IFP); the primitives
+// the IR cannot reach (BitXnor, ArithSub) have no entry.
+var (
+	irBit = [isa.NumOps]BitOp{
+		isa.OpAnd: BitAnd, isa.OpOr: BitOr, isa.OpNand: BitNand,
+		isa.OpNor: BitNor, isa.OpXor: BitXor, isa.OpNot: BitNot,
+	}
+	irArith = [isa.NumOps]ArithOp{
+		isa.OpAdd: ArithAdd, isa.OpMul: ArithMul, isa.OpShl: ArithShl, isa.OpShr: ArithShr,
+	}
 )
 
 // Array is the functional + timed NAND flash subsystem. With
@@ -266,6 +282,50 @@ const MaxAndOperands = 48
 // within a plane.
 const MaxOrOperands = 4
 
+// gather is the shared front of Bitwise and Arith: it classifies ops for
+// timing (placement rules of op, see profileOperands), finds the plane
+// buffer and die they execute in, verifies that flash operands are
+// programmed and buffer operands actually latched, and collects the
+// operand values. Validation is identical in timing-only mode; only the
+// payload references (vals) are skipped.
+func (a *Array) gather(op BitOp, ops []Operand) (prof OperandProfile, buf *Buffer, die *sim.Calendar, vals [][]byte, err error) {
+	if prof, err = profileOperands(a.geo, op, ops); err != nil {
+		return prof, nil, nil, nil, err
+	}
+	home := homeAddr(ops)
+	buf = a.PlaneBuffer(home)
+	die = &a.dies[a.geo.DieIndex(home)]
+	if !a.timing {
+		vals = make([][]byte, len(ops))
+	}
+	for i, o := range ops {
+		var val []byte
+		switch {
+		case o.Latched || o.Data != nil:
+			if o.Data != nil && len(o.Data) != a.cfg.PageSize {
+				return prof, nil, nil, nil, fmt.Errorf("nand: latch operand %d is %d bytes", i, len(o.Data))
+			}
+			val = o.Data
+		case o.InBuffer:
+			if !buf.Valid {
+				return prof, nil, nil, nil, fmt.Errorf("nand: operand %d expects plane buffer, which is empty", i)
+			}
+			val = buf.Data
+		default:
+			if !a.IsProgrammed(o.Addr) {
+				return prof, nil, nil, nil, fmt.Errorf("nand: operand %d page %v not programmed", i, o.Addr)
+			}
+			if !a.timing {
+				val = a.raw(o.Addr)
+			}
+		}
+		if !a.timing {
+			vals[i] = val
+		}
+	}
+	return prof, buf, die, vals, nil
+}
+
 // Bitwise performs a bulk bitwise operation across the operands and leaves
 // the result in the plane's page buffer. Flash-resident operands must share
 // one plane; AND/NAND within one block (or OR/NOR across up to four blocks)
@@ -287,45 +347,9 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	default:
 		return 0, fmt.Errorf("nand: unknown bitwise op %d", op)
 	}
-	prof, err := profileOperands(a.geo, op, ops)
+	prof, buf, die, vals, err := a.gather(op, ops)
 	if err != nil {
 		return 0, err
-	}
-	home := homeAddr(ops)
-	buf := a.PlaneBuffer(home)
-	die := &a.dies[a.geo.DieIndex(home)]
-
-	// Gather operand values; verify buffer operands are actually latched.
-	// Validation is identical in timing-only mode; only the payload
-	// references are skipped.
-	var vals [][]byte
-	if !a.timing {
-		vals = make([][]byte, len(ops))
-	}
-	for i, o := range ops {
-		switch {
-		case o.Latched || o.Data != nil:
-			if o.Data != nil && len(o.Data) != a.cfg.PageSize {
-				return 0, fmt.Errorf("nand: latch operand %d is %d bytes", i, len(o.Data))
-			}
-			if !a.timing {
-				vals[i] = o.Data
-			}
-		case o.InBuffer:
-			if !buf.Valid {
-				return 0, fmt.Errorf("nand: operand %d expects plane buffer, which is empty", i)
-			}
-			if !a.timing {
-				vals[i] = buf.Data
-			}
-		default:
-			if !a.IsProgrammed(o.Addr) {
-				return 0, fmt.Errorf("nand: operand %d page %v not programmed", i, o.Addr)
-			}
-			if !a.timing {
-				vals[i] = a.raw(o.Addr)
-			}
-		}
 	}
 
 	dur := EstimateBitwise(a.cfg, op, prof)
@@ -394,42 +418,9 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 		operands = append(operands, y)
 	}
 	// Arithmetic is latch-serial: XOR-style profiling (no MWS).
-	prof, err := profileOperands(a.geo, BitXor, operands)
+	prof, buf, die, vals, err := a.gather(BitXor, operands)
 	if err != nil {
 		return 0, err
-	}
-	home := homeAddr(operands)
-	buf := a.PlaneBuffer(home)
-	die := &a.dies[a.geo.DieIndex(home)]
-
-	var vals [][]byte
-	if !a.timing {
-		vals = make([][]byte, len(operands))
-	}
-	for i, o := range operands {
-		switch {
-		case o.Latched || o.Data != nil:
-			if o.Data != nil && len(o.Data) != a.cfg.PageSize {
-				return 0, fmt.Errorf("nand: latch operand %d is %d bytes", i, len(o.Data))
-			}
-			if !a.timing {
-				vals[i] = o.Data
-			}
-		case o.InBuffer:
-			if !buf.Valid {
-				return 0, fmt.Errorf("nand: operand %d expects plane buffer, which is empty", i)
-			}
-			if !a.timing {
-				vals[i] = buf.Data
-			}
-		default:
-			if !a.IsProgrammed(o.Addr) {
-				return 0, fmt.Errorf("nand: operand %d page %v not programmed", i, o.Addr)
-			}
-			if !a.timing {
-				vals[i] = a.raw(o.Addr)
-			}
-		}
 	}
 
 	dur, rounds, fcTransfers := EstimateArith(a.cfg, op, elem, prof)
@@ -466,6 +457,24 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	buf.Data = out
 	buf.Valid = true
 	return done, nil
+}
+
+// Exec runs IR operation op in the flash arrays through the primitive the
+// operation table's IFP kind selects: Bitwise over all operands for
+// multi-wordline sensing, Arith over the first two (a shift takes its count
+// from imm) for the latch mechanisms.
+func (a *Array) Exec(now, ready sim.Time, op isa.Op, ops []Operand, elem int, imm uint64) (sim.Time, error) {
+	switch {
+	case op.IFP() == isa.IFPNone || len(ops) == 0:
+		return 0, fmt.Errorf("nand: no in-flash primitive for %v over %d operands", op, len(ops))
+	case op.IFP() == isa.IFPBitwise:
+		return a.Bitwise(now, ready, irBit[op], ops)
+	}
+	var y Operand
+	if len(ops) > 1 {
+		y = ops[1]
+	}
+	return a.Arith(now, ready, irArith[op], ops[0], y, elem, uint(imm))
 }
 
 // FlushBuffer programs the plane buffer into the erased page dst.

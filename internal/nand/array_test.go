@@ -7,6 +7,7 @@ import (
 
 	"conduit/internal/config"
 	"conduit/internal/energy"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 )
 
@@ -577,5 +578,49 @@ func TestCloneIsolatedFromLaterWrites(t *testing.T) {
 	}
 	if got := a.EraseCount(geo.BlockIndex(later)); got != 0 {
 		t.Errorf("frozen array erase count = %d after its clone erased, want 0", got)
+	}
+}
+
+// TestExecMatchesEvaluator runs every IR operation through Exec: one the
+// operation table gives an in-flash mechanism must leave exactly
+// isa.Apply's result in the plane buffer (the latch fold here and the
+// shared evaluator are separate code), at Estimate's latency; any other
+// must be refused.
+func TestExecMatchesEvaluator(t *testing.T) {
+	cfg := config.TestScale()
+	x, y := Addr{Block: 2, Page: 0}, Addr{Block: 2, Page: 1}
+	px, py := make([]byte, cfg.SSD.PageSize), make([]byte, cfg.SSD.PageSize)
+	r := sim.NewRNG(7)
+	r.Bytes(px)
+	r.Bytes(py)
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		for _, elem := range []int{1, 2, 4} {
+			a := NewArray(&cfg.SSD, energy.NewAccount())
+			a.SetPageForTest(x, px)
+			a.SetPageForTest(y, py)
+			ops := []Operand{{Addr: x}, {Addr: y}}[:min(max(op.Arity(), 1), 2)]
+			const imm = 3
+			done, err := a.Exec(0, 0, op, ops, elem, imm)
+			if op.IFP() == isa.IFPNone {
+				if err == nil {
+					t.Errorf("%v has no in-flash mechanism but Exec ran it", op)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v elem %d: %v", op, elem, err)
+			}
+			want := make([]byte, cfg.SSD.PageSize)
+			if err := isa.Apply(op, want, [][]byte{px, py}[:len(ops)], elem, false, imm); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.PlaneBuffer(x).Data, want) {
+				t.Errorf("%v elem %d: plane buffer differs from isa.Apply", op, elem)
+			}
+			prof := OperandProfile{Senses: len(ops), MWS: len(ops) > 1 && (op == isa.OpAnd || op == isa.OpNand || op == isa.OpOr || op == isa.OpNor)}
+			if lat, _, _ := Estimate(&cfg.SSD, op, elem, prof); done != lat {
+				t.Errorf("%v elem %d: uncontended Exec = %v, Estimate = %v", op, elem, done, lat)
+			}
+		}
 	}
 }

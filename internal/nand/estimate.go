@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/config"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 )
 
@@ -101,6 +102,26 @@ func homeAddr(ops []Operand) Addr {
 		}
 	}
 	return ops[0].Addr
+}
+
+// Estimate is the contention-free cost of IR operation op in flash with the
+// given operand profile, through the primitive Exec would run: the IFP
+// entry of the offloader's precomputed computation-latency table (§4.5).
+// rounds and fcTransfers are as for EstimateArith (no latch rounds for a
+// bitwise operation). It panics when IFP lacks op or the operation table
+// names a mechanism that irBit/irArith has no primitive for.
+func Estimate(cfg *config.SSD, op isa.Op, elem int, p OperandProfile) (dur sim.Time, rounds, fcTransfers int64) {
+	switch op.IFP() {
+	case isa.IFPBitwise:
+		if bit := irBit[op]; bit != 0 {
+			return EstimateBitwise(cfg, bit, p), 0, int64(p.Loads)
+		}
+	case isa.IFPShift, isa.IFPArith:
+		if arith := irArith[op]; arith != 0 {
+			return EstimateArith(cfg, arith, elem, p)
+		}
+	}
+	panic(fmt.Sprintf("nand: no in-flash primitive for %v", op))
 }
 
 // EstimateBitwise is the contention-free latency of an in-flash bitwise

@@ -290,17 +290,13 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			ready = rdone
 		}
 	}
-	var out []byte
-	var done sim.Time
-	var err error
-	if inst.Meta.Unvectorized {
-		out, done, err = d.Core.ExecUnvectorized(issue, ready, inst.Op, srcs, inst.Elem, inst.UseImm, inst.Imm)
-	} else {
-		// The in-order core is occupied while streaming operands in and
-		// the result out over the DRAM bus.
-		stream := sim.Time(len(srcs)+1) * d.Cfg.SSD.DRAMTransferTime(d.Cfg.SSD.PageSize)
-		out, done, err = d.Core.ExecStreaming(issue, ready, inst.Op, srcs, inst.Elem, inst.UseImm, inst.Imm, stream)
+	// A vectorized instruction occupies the in-order core while streaming
+	// operands in and the result out over the DRAM bus.
+	var stream sim.Time
+	if !inst.Meta.Unvectorized {
+		stream = sim.Time(len(srcs)+1) * d.Cfg.SSD.DRAMTransferTime(d.Cfg.SSD.PageSize)
 	}
+	out, done, err := d.Core.Exec(issue, ready, inst, srcs, stream)
 	if err != nil {
 		return 0, err
 	}
@@ -328,12 +324,7 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 // --- PuD-SSD -----------------------------------------------------------------
 
 func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, error) {
-	op, ok := pudOp(inst.Op)
-	if !ok {
-		return 0, fmt.Errorf("%v has no PuD mapping", inst.Op)
-	}
-	arity := op.Arity()
-	var slotBuf [3]int // no PuD operation takes more sources
+	var slotBuf [3]int // no operation takes more sources
 	slots := slotBuf[:0]
 	for _, s := range inst.Srcs {
 		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
@@ -345,10 +336,6 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 			ready = avail
 		}
 	}
-	useImm := inst.UseImm || inst.Op == isa.OpBroadcast
-	for len(slots) < arity {
-		slots = append(slots, -1) // immediate placeholder
-	}
 	dstSlot, evictDone, err := d.claimDstSlot(issue, inst.Dst)
 	if err != nil {
 		return 0, err
@@ -358,7 +345,7 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	}
 	// A fresh destination slot must not alias an unpopulated source; the
 	// Exec call writes dst last, so aliasing with sources is safe.
-	done, err := d.DRAM.Exec(issue, ready, op, dstSlot, slots, inst.Elem, useImm, inst.Imm)
+	done, err := d.DRAM.Exec(issue, ready, inst.Op, dstSlot, slots, inst.Elem, inst.UseImm, inst.Imm)
 	if err != nil {
 		return 0, err
 	}
@@ -477,20 +464,7 @@ func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		d.tagBuffer(plane, isa.NoPage)
 	}
 
-	var done sim.Time
-	var err error
-	if bop, ok := ifpBitOp(inst.Op); ok {
-		done, err = d.Flash.Bitwise(issue, ready, bop, operands)
-	} else if aop, ok := ifpArithOp(inst.Op); ok {
-		x := operands[0]
-		y := nand.Operand{Addr: planeAddr}
-		if len(operands) > 1 {
-			y = operands[1]
-		}
-		done, err = d.Flash.Arith(issue, ready, aop, x, y, inst.Elem, uint(inst.Imm))
-	} else {
-		err = fmt.Errorf("%v has no IFP mapping", inst.Op)
-	}
+	done, err := d.Flash.Exec(issue, ready, inst.Op, operands, inst.Elem, inst.Imm)
 	if err != nil {
 		return 0, err
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"conduit/internal/arena"
-	"conduit/internal/cores"
-	"conduit/internal/dram"
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
@@ -83,7 +81,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 					srcs = append(srcs, load(s))
 				}
 				out := pool.Get() // fully overwritten by Apply
-				if err := cores.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
+				if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
 					return nil, nil, fmt.Errorf("ssd: ideal inst %d: %w", i, err)
 				}
 				if old, ok := mem[inst.Dst]; ok {
@@ -112,33 +110,26 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	return res, mem, nil
 }
 
+// idealProfile is the operand profile Ideal assumes for in-flash
+// execution: perfectly placed operands, co-located for one multi-wordline
+// sense.
+func idealProfile(inst *isa.Inst) nand.OperandProfile {
+	return nand.OperandProfile{Senses: len(inst.Srcs), MWS: true}
+}
+
 // idealChoice returns the resource with the lowest pure computation
 // latency for inst, and that latency.
 func (d *Device) idealChoice(inst *isa.Inst) (isa.Resource, sim.Time) {
 	cfg := &d.Cfg.SSD
-	if inst.Op == isa.OpScalar {
-		return isa.ResISP, cfg.CoreCycles(inst.ScalarCycles)
-	}
-	if inst.Meta.Unvectorized {
-		return isa.ResISP, cfg.CoreCycles(cores.UnvectorizedCycles(inst.Lanes))
-	}
 	best := isa.ResISP
-	bestLat := cores.ExecLatency(cfg, inst.Op, inst.Lanes, inst.Elem)
-	if op, ok := pudOp(inst.Op); ok && isa.Supports(isa.ResPuD, inst.Op) {
-		if l := dram.ExecLatency(cfg, op, inst.Elem); l < bestLat {
+	bestLat, _ := ispCost(cfg, inst)
+	if runsOn(inst, isa.ResPuD) {
+		if l, _ := pudCost(cfg, inst); l < bestLat {
 			best, bestLat = isa.ResPuD, l
 		}
 	}
-	if ifpSupported(inst) {
-		// Ideal assumes perfectly placed operands: co-located for MWS.
-		prof := nand.OperandProfile{Senses: len(inst.Srcs), MWS: true}
-		var l sim.Time
-		if bop, ok := ifpBitOp(inst.Op); ok {
-			l = nand.EstimateBitwise(cfg, bop, prof)
-		} else if aop, ok := ifpArithOp(inst.Op); ok {
-			l, _, _ = nand.EstimateArith(cfg, aop, inst.Elem, prof)
-		}
-		if l > 0 && l < bestLat {
+	if runsOn(inst, isa.ResIFP) {
+		if l, _ := ifpCost(cfg, inst, idealProfile(inst)); l < bestLat {
 			best, bestLat = isa.ResIFP, l
 		}
 	}
@@ -149,30 +140,23 @@ func (d *Device) idealChoice(inst *isa.Inst) (isa.Resource, sim.Time) {
 // matching the substrates' own accounting but without any movement.
 func (d *Device) idealComputeEnergy(inst *isa.Inst, r isa.Resource) float64 {
 	cfg := &d.Cfg.SSD
-	kb := float64(cfg.PageSize) / 1024
 	switch r {
 	case isa.ResISP:
-		if inst.Op == isa.OpScalar {
-			return float64(inst.ScalarCycles) * cfg.ECorePerCycle
-		}
-		if inst.Meta.Unvectorized {
-			return float64(cores.UnvectorizedCycles(inst.Lanes)) * cfg.ECorePerCycle
-		}
-		return float64(cores.Cycles(cfg, inst.Op, inst.Lanes, inst.Elem)) * cfg.ECorePerCycle
+		_, cycles := ispCost(cfg, inst)
+		return float64(cycles) * cfg.ECorePerCycle
 	case isa.ResPuD:
-		op, _ := pudOp(inst.Op)
-		return float64(dram.Rounds(op, inst.Elem)) * cfg.EBbop
-	case isa.ResIFP:
-		if bop, ok := ifpBitOp(inst.Op); ok {
-			if bop == nand.BitXor || bop == nand.BitXnor {
-				return float64(len(inst.Srcs))*cfg.EReadPerChannel + cfg.EXorPerKB*kb
-			}
-			return cfg.EReadPerChannel + cfg.EAndOrPerKB*kb
-		}
-		aop, _ := ifpArithOp(inst.Op)
-		_, rounds, _ := nand.EstimateArith(cfg, aop, inst.Elem,
-			nand.OperandProfile{Senses: len(inst.Srcs), MWS: true})
-		return float64(len(inst.Srcs))*cfg.EReadPerChannel + float64(rounds)*cfg.ELatchPerKB*kb
+		_, rounds := pudCost(cfg, inst)
+		return float64(rounds) * cfg.EBbop
 	}
-	return 0
+	_, rounds := ifpCost(cfg, inst, idealProfile(inst))
+	kb := float64(cfg.PageSize) / 1024
+	sense := float64(len(inst.Srcs)) * cfg.EReadPerChannel
+	switch {
+	case inst.Op.IFP() != isa.IFPBitwise:
+		return sense + float64(rounds)*cfg.ELatchPerKB*kb
+	case inst.Op == isa.OpXor: // latch-based: every operand is sensed
+		return sense + cfg.EXorPerKB*kb
+	default: // one multi-wordline sense
+		return cfg.EReadPerChannel + cfg.EAndOrPerKB*kb
+	}
 }

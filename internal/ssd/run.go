@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/coherence"
+	"conduit/internal/config"
 	"conduit/internal/cores"
 	"conduit/internal/dram"
 	"conduit/internal/ftl"
@@ -14,99 +15,43 @@ import (
 	"conduit/internal/stats"
 )
 
-// pudOp maps a vector IR operation onto the PuD-SSD native set.
-func pudOp(op isa.Op) (dram.Op, bool) {
-	switch op {
-	case isa.OpAnd:
-		return dram.OpAnd, true
-	case isa.OpOr:
-		return dram.OpOr, true
-	case isa.OpNot:
-		return dram.OpNot, true
-	case isa.OpXor:
-		return dram.OpXor, true
-	case isa.OpNand:
-		return dram.OpNand, true
-	case isa.OpNor:
-		return dram.OpNor, true
-	case isa.OpAdd:
-		return dram.OpAdd, true
-	case isa.OpSub:
-		return dram.OpSub, true
-	case isa.OpMul:
-		return dram.OpMul, true
-	case isa.OpLT:
-		return dram.OpLT, true
-	case isa.OpGT:
-		return dram.OpGT, true
-	case isa.OpEQ:
-		return dram.OpEQ, true
-	case isa.OpMin:
-		return dram.OpMin, true
-	case isa.OpMax:
-		return dram.OpMax, true
-	case isa.OpSelect:
-		return dram.OpSelect, true
-	case isa.OpCopy, isa.OpBroadcast:
-		return dram.OpCopy, true
-	case isa.OpShuffle:
-		return dram.OpShuffle, true
-	case isa.OpShl:
-		return dram.OpShl, true
-	case isa.OpShr:
-		return dram.OpShr, true
-	default:
-		return 0, false
-	}
-}
-
-// ifpBitOp maps a vector IR operation onto the MWS/latch bitwise set.
-func ifpBitOp(op isa.Op) (nand.BitOp, bool) {
-	switch op {
-	case isa.OpAnd:
-		return nand.BitAnd, true
-	case isa.OpOr:
-		return nand.BitOr, true
-	case isa.OpNand:
-		return nand.BitNand, true
-	case isa.OpNor:
-		return nand.BitNor, true
-	case isa.OpXor:
-		return nand.BitXor, true
-	case isa.OpNot:
-		return nand.BitNot, true
-	default:
-		return 0, false
-	}
-}
-
-// ifpArithOp maps a vector IR operation onto the shift-and-add set.
-func ifpArithOp(op isa.Op) (nand.ArithOp, bool) {
-	switch op {
-	case isa.OpAdd:
-		return nand.ArithAdd, true
-	case isa.OpMul:
-		return nand.ArithMul, true
-	case isa.OpShl:
-		return nand.ArithShl, true
-	case isa.OpShr:
-		return nand.ArithShr, true
-	default:
-		return 0, false
-	}
-}
-
-// ifpSupported reports whether the device can run inst in flash: the IR op
-// must map to an IFP primitive, and immediates only make sense as shift
-// amounts (materializing a broadcast page in NAND is never worth it).
-func ifpSupported(inst *isa.Inst) bool {
-	if !isa.Supports(isa.ResIFP, inst.Op) {
+// runsOn reports whether the device can execute inst on r. Control regions
+// and loops the vectorizer rejected run only on the general-purpose cores
+// (§7, applicability discussion); otherwise the operation table decides,
+// and in flash an immediate only makes sense as a shift amount
+// (materializing a broadcast page in NAND is never worth it).
+func runsOn(inst *isa.Inst, r isa.Resource) bool {
+	switch {
+	case r == isa.ResISP:
+		return true
+	case inst.Op == isa.OpScalar || inst.Meta.Unvectorized:
 		return false
-	}
-	if inst.UseImm && inst.Op != isa.OpShl && inst.Op != isa.OpShr {
+	case r == isa.ResIFP && inst.UseImm && inst.Op.IFP() != isa.IFPShift:
 		return false
+	default:
+		return isa.Supports(r, inst.Op)
 	}
-	return true
+}
+
+// ispCost, pudCost and ifpCost are the offloader's precomputed
+// computation-latency table (§4.5), one read per resource: the
+// contention-free latency of inst there, and the count the substrate
+// charges compute energy by (core cycles, bbop rounds, latch-transfer
+// rounds). The resource must run inst (runsOn). prof is the operand profile
+// of in-flash execution.
+func ispCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
+	cycles := cores.InstCycles(cfg, inst, inst.Lanes)
+	return cfg.CoreCycles(cycles), cycles
+}
+
+func pudCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
+	rounds := int64(dram.Rounds(inst.Op, inst.Elem))
+	return sim.Time(rounds) * cfg.TBbop, rounds
+}
+
+func ifpCost(cfg *config.SSD, inst *isa.Inst, prof nand.OperandProfile) (sim.Time, int64) {
+	lat, rounds, _ := nand.Estimate(cfg, inst.Op, inst.Elem, prof)
+	return lat, rounds
 }
 
 // Run executes the loaded program under policy, returning the measured
@@ -259,50 +204,39 @@ func (d *Device) snapshotCounters() *stats.Counters {
 func (d *Device) features(inst *isa.Inst) *offload.Features {
 	f := &d.feat
 	*f = offload.Features{Inst: inst}
+	cfg := &d.Cfg.SSD
 	now := d.firmware
 
 	if ready := d.operandsReady(inst); ready > now {
 		f.DepDelay = ready - now
 	}
 
+	// ISP: always supported; operands stream through SSD DRAM.
+	f.Supported[isa.ResISP] = true
+	f.CompLatency[isa.ResISP], _ = ispCost(cfg, inst)
+	f.QueueDelay[isa.ResISP] = d.Core.Calendar().QueueDelay(now)
+	f.BWUtil[isa.ResISP] = d.Core.Calendar().Utilization(now)
 	if inst.Op == isa.OpScalar {
-		f.Supported[isa.ResISP] = true
-		f.CompLatency[isa.ResISP] = d.Cfg.SSD.CoreCycles(inst.ScalarCycles)
-		f.QueueDelay[isa.ResISP] = d.Core.Calendar().QueueDelay(now)
-		f.BWUtil[isa.ResISP] = d.Core.Calendar().Utilization(now)
 		return f
 	}
-
-	lanes, elem := inst.Lanes, inst.Elem
 
 	// The SSD-internal shared buses are prone to contention (§4.2); work
 	// that must cross the DRAM bus queues behind its backlog, so the
 	// queueing-delay feature of bus-dependent resources includes it.
 	busDelay := d.DRAM.Bus().QueueDelay(now)
 
-	// ISP: always supported; operands stream through SSD DRAM.
 	stageCost, stageChDelay := d.moveEstimateDRAM(inst)
-	f.Supported[isa.ResISP] = true
-	f.CompLatency[isa.ResISP] = cores.ExecLatency(&d.Cfg.SSD, inst.Op, lanes, elem)
 	f.MoveLatency[isa.ResISP] = stageCost + d.coreTraffic(inst)
-	f.QueueDelay[isa.ResISP] = maxT(d.Core.Calendar().QueueDelay(now), busDelay)
+	f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], busDelay)
 	if stageCost > 0 {
 		f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], stageChDelay)
-	}
-	f.BWUtil[isa.ResISP] = d.Core.Calendar().Utilization(now)
-
-	// Un-vectorized loops execute lane-serially and only the
-	// general-purpose cores can run them (§7, applicability discussion).
-	if inst.Meta.Unvectorized {
-		f.CompLatency[isa.ResISP] = d.Cfg.SSD.CoreCycles(cores.UnvectorizedCycles(lanes))
-		return f
 	}
 
 	// PuD-SSD. Operand staging crosses the DRAM bus, so its backlog
 	// gates PuD work whenever operands are not already resident.
-	if op, ok := pudOp(inst.Op); ok && isa.Supports(isa.ResPuD, inst.Op) {
+	if runsOn(inst, isa.ResPuD) {
 		f.Supported[isa.ResPuD] = true
-		f.CompLatency[isa.ResPuD] = dram.ExecLatency(&d.Cfg.SSD, op, elem)
+		f.CompLatency[isa.ResPuD], _ = pudCost(cfg, inst)
 		f.MoveLatency[isa.ResPuD] = stageCost
 		f.QueueDelay[isa.ResPuD] = d.DRAM.Units().QueueDelay(now)
 		if stageCost > 0 {
@@ -312,15 +246,10 @@ func (d *Device) features(inst *isa.Inst) *offload.Features {
 	}
 
 	// IFP.
-	if ifpSupported(inst) {
+	if runsOn(inst, isa.ResIFP) {
 		f.Supported[isa.ResIFP] = true
 		plan := d.planIFP(inst)
-		if bop, ok := ifpBitOp(inst.Op); ok {
-			f.CompLatency[isa.ResIFP] = nand.EstimateBitwise(&d.Cfg.SSD, bop, plan.profile)
-		} else if aop, ok := ifpArithOp(inst.Op); ok {
-			lat, _, _ := nand.EstimateArith(&d.Cfg.SSD, aop, elem, plan.profile)
-			f.CompLatency[isa.ResIFP] = lat
-		}
+		f.CompLatency[isa.ResIFP], _ = ifpCost(cfg, inst, plan.profile)
 		f.MoveLatency[isa.ResIFP] = plan.moveCost
 		f.ResultMove[isa.ResIFP] = plan.resultCost
 		f.QueueDelay[isa.ResIFP] = d.Flash.DieCalendar(plan.die).QueueDelay(now)

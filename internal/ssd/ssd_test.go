@@ -6,7 +6,6 @@ import (
 
 	"conduit/internal/coherence"
 	"conduit/internal/config"
-	"conduit/internal/cores"
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
@@ -42,7 +41,7 @@ func refRun(t *testing.T, prog *isa.Program, inputs map[isa.PageID][]byte, pageS
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, pageSize)
-		if err := cores.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
+		if err := isa.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
 			t.Fatalf("reference inst %d: %v", i, err)
 		}
 		mem[in.Dst] = out

@@ -25,10 +25,10 @@ import (
 
 var le = binary.LittleEndian
 
-// Op identifies an elementwise operation with a specialized kernel. It is
-// the shared functional vocabulary the substrate models (dram, cores,
-// nand) and the compiler's reference interpreter translate their own
-// operation enums into.
+// Op identifies an elementwise operation with a specialized kernel. The
+// operation table in internal/isa names the kernel behind each IR
+// operation (the one isa.Op -> Op mapping); nand maps its own hardware
+// primitives.
 type Op uint8
 
 // Kernel operations.
