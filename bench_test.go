@@ -207,6 +207,37 @@ func BenchmarkDeviceRunHot(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceRunMix is the in-tree mirror of cmd/conduit-bench's
+// serve_heavy request space: AES, LLaMA2 inference and LLM training at
+// scale 2 under Conduit, DM-Offloading and BW-Offloading, one
+// Deployment.Run each per iteration. `make prof-run` profiles it.
+func BenchmarkDeviceRunMix(b *testing.B) {
+	cfg := conduit.DefaultConfig()
+	sys := conduit.NewSystem(cfg)
+	var deps []*conduit.Deployment
+	for _, name := range []string{"AES", "LlaMA2 Inference", "LLM Training"} {
+		c, err := compileWorkload(&cfg, name, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dep, err := sys.Deploy(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		deps = append(deps, dep)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, dep := range deps {
+			for _, policy := range []string{"Conduit", "DM-Offloading", "BW-Offloading"} {
+				if _, err := dep.Run(policy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkOffloaderDecision measures the raw per-instruction offloading
 // path (feature collection + policy + transformation) in host time —
 // the engineering cost of the runtime half.

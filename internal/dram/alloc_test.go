@@ -23,7 +23,7 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 
 	var now sim.Time
 	exec := func() {
-		done, err := m.Exec(now, now, isa.OpAdd, 2, []int{0, 1}, 4, false, 0)
+		done, err := m.Exec(now, now, m.Units().Earliest(), isa.OpAdd, 2, []int{0, 1}, 4, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestExecImmediateSteadyStateAllocs(t *testing.T) {
 
 	var now sim.Time
 	exec := func() {
-		done, err := m.Exec(now, now, isa.OpMul, 3, []int{0}, 2, true, 0x5A5A)
+		done, err := m.Exec(now, now, m.Units().Earliest(), isa.OpMul, 3, []int{0}, 2, true, 0x5A5A)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestCloneStopsPayloadRecycling(t *testing.T) {
 	}
 	m.SetSlotForTest(0, page)
 	m.SetSlotForTest(1, page)
-	if _, err := m.Exec(0, 0, isa.OpAdd, 2, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 2, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Clone(en)
@@ -75,7 +75,7 @@ func TestCloneStopsPayloadRecycling(t *testing.T) {
 
 	// Keep replacing slot 2 in the original; the clone's view must not move.
 	for i := 0; i < 8; i++ {
-		if _, err := m.Exec(0, 0, isa.OpXor, 2, []int{0, 2}, 1, false, 0); err != nil {
+		if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpXor, 2, []int{0, 2}, 1, false, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -240,8 +240,11 @@ func (m *Module) Invalidate(slot int) {
 // in imm.
 //
 // Computation happens inside the DRAM arrays: only the compute units are
-// occupied, not the data bus.
-func (m *Module) Exec(now, ready sim.Time, op isa.Op, dst int, srcs []int, elem int, useImm bool, imm uint64) (sim.Time, error) {
+// occupied, not the data bus. The work is reserved on unit, a member of
+// Units() the caller selected — Units().Earliest() is the FIFO choice. A
+// caller that priced a unit's queue before dispatching passes that same
+// unit, so the 16-member scan runs once per operation, not twice.
+func (m *Module) Exec(now, ready sim.Time, unit *sim.Calendar, op isa.Op, dst int, srcs []int, elem int, useImm bool, imm uint64) (sim.Time, error) {
 	vecmath.CheckElem(elem)
 	m.checkSlot(dst)
 	if !isa.Supports(isa.ResPuD, op) {
@@ -272,7 +275,7 @@ func (m *Module) Exec(now, ready sim.Time, op isa.Op, dst int, srcs []int, elem 
 	}
 
 	rounds := Rounds(op, elem)
-	_, done := m.units.Reserve(now, ready, sim.Time(rounds)*m.cfg.TBbop)
+	_, done := unit.Reserve(now, ready, sim.Time(rounds)*m.cfg.TBbop)
 	m.bbops += int64(rounds)
 	m.en.Compute("pud", float64(rounds)*m.cfg.EBbop)
 

@@ -25,7 +25,7 @@ func moveFixture(t *testing.T) (*Module, *config.SSD) {
 
 func TestShuffleRotatesLanes(t *testing.T) {
 	m, cfg := moveFixture(t)
-	if _, err := m.Exec(0, 0, isa.OpShuffle, 1, []int{0}, 1, false, 5); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpShuffle, 1, []int{0}, 1, false, 5); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -44,7 +44,7 @@ func TestShuffleRotatesLanes(t *testing.T) {
 
 func TestShiftOps(t *testing.T) {
 	m, _ := moveFixture(t)
-	if _, err := m.Exec(0, 0, isa.OpShl, 1, []int{0}, 1, false, 3); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpShl, 1, []int{0}, 1, false, 3); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -54,7 +54,7 @@ func TestShiftOps(t *testing.T) {
 			t.Fatalf("shl lane %d = %d, want %d", i, out[i], in[i]<<3)
 		}
 	}
-	if _, err := m.Exec(0, 0, isa.OpShr, 2, []int{0}, 1, false, 2); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpShr, 2, []int{0}, 1, false, 2); err != nil {
 		t.Fatal(err)
 	}
 	out = m.Data(2)
@@ -71,7 +71,7 @@ func TestShiftOps(t *testing.T) {
 
 func TestShiftOfWideLanes(t *testing.T) {
 	m, cfg := moveFixture(t)
-	if _, err := m.Exec(0, 0, isa.OpShl, 1, []int{0}, 4, false, 8); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpShl, 1, []int{0}, 4, false, 8); err != nil {
 		t.Fatal(err)
 	}
 	in := m.Data(0)
@@ -90,7 +90,7 @@ func TestShiftOfWideLanes(t *testing.T) {
 
 func TestMoveOpsAreSingleSource(t *testing.T) {
 	m, _ := moveFixture(t)
-	if _, err := m.Exec(0, 0, isa.OpShuffle, 1, []int{0, 0}, 1, false, 1); err == nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpShuffle, 1, []int{0, 0}, 1, false, 1); err == nil {
 		t.Error("shuffle with two sources must fail")
 	}
 	if isa.OpShuffle.Arity() != 1 || isa.OpShl.Arity() != 1 || isa.OpShr.Arity() != 1 {

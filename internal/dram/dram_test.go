@@ -81,7 +81,7 @@ func TestExecLatencyMatchesExec(t *testing.T) {
 	p := make([]byte, cfg.PageSize)
 	m.SetSlotForTest(0, p)
 	m.SetSlotForTest(1, p)
-	done, err := m.Exec(0, 0, isa.OpMul, 2, []int{0, 1}, 1, false, 0)
+	done, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpMul, 2, []int{0, 1}, 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExecFunctionalOps(t *testing.T) {
 		{isa.OpMul, func(x, y uint64) uint64 { return (x * y) & 0xFF }},
 	}
 	for _, c := range cases {
-		if _, err := m.Exec(0, 0, c.op, 2, []int{0, 1}, 1, false, 0); err != nil {
+		if _, err := m.Exec(0, 0, m.Units().Earliest(), c.op, 2, []int{0, 1}, 1, false, 0); err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
 		got := m.Data(2)
@@ -135,7 +135,7 @@ func TestExecSignedRelationalAndMinMax(t *testing.T) {
 	a[1], b[1] = 0x05, 0x05
 	m.SetSlotForTest(0, a)
 	m.SetSlotForTest(1, b)
-	if _, err := m.Exec(0, 0, isa.OpLT, 2, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpLT, 2, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	lt := m.Data(2)
@@ -145,13 +145,13 @@ func TestExecSignedRelationalAndMinMax(t *testing.T) {
 	if lt[1] != 0x00 {
 		t.Error("5 < 5 should be false")
 	}
-	if _, err := m.Exec(0, 0, isa.OpMin, 3, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpMin, 3, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Data(3)[0] != 0xFF { // signed min(-1, 1) = -1
 		t.Error("signed min wrong")
 	}
-	if _, err := m.Exec(0, 0, isa.OpEQ, 4, []int{0, 1}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpEQ, 4, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Data(4)[1] != 0xFF || m.Data(4)[0] != 0 {
@@ -174,7 +174,7 @@ func TestExecSelect(t *testing.T) {
 	m.SetSlotForTest(0, mask)
 	m.SetSlotForTest(1, a)
 	m.SetSlotForTest(2, b)
-	if _, err := m.Exec(0, 0, isa.OpSelect, 3, []int{0, 1, 2}, 1, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpSelect, 3, []int{0, 1, 2}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := m.Data(3)
@@ -196,7 +196,7 @@ func TestExecImmediateBroadcast(t *testing.T) {
 		a[i] = byte(i)
 	}
 	m.SetSlotForTest(0, a)
-	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0}, 1, true, 7); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 1, []int{0}, 1, true, 7); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Data(1)
@@ -209,10 +209,10 @@ func TestExecImmediateBroadcast(t *testing.T) {
 
 func TestExecValidation(t *testing.T) {
 	m, _, _ := newTestModule()
-	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0}, 1, false, 0); err == nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 1, []int{0}, 1, false, 0); err == nil {
 		t.Error("wrong arity should fail")
 	}
-	if _, err := m.Exec(0, 0, isa.OpAdd, 1, []int{0, 2}, 1, false, 0); err == nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 1, []int{0, 2}, 1, false, 0); err == nil {
 		t.Error("unpopulated source should fail")
 	}
 }
@@ -222,7 +222,7 @@ func TestComputeDoesNotOccupyBus(t *testing.T) {
 	p := make([]byte, cfg.PageSize)
 	m.SetSlotForTest(0, p)
 	m.SetSlotForTest(1, p)
-	if _, err := m.Exec(0, 0, isa.OpMul, 2, []int{0, 1}, 4, false, 0); err != nil {
+	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpMul, 2, []int{0, 1}, 4, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Bus().Horizon() != 0 {
@@ -245,7 +245,7 @@ func TestConcurrentUnitsThenQueueing(t *testing.T) {
 	var last sim.Time
 	// First ComputeUnits ops run concurrently; the next one queues.
 	for i := 0; i < ComputeUnits+1; i++ {
-		done, err := m.Exec(0, 0, isa.OpAdd, 3, []int{0, 1}, 1, false, 0)
+		done, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 3, []int{0, 1}, 1, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestExecMatchesOracleProperty(t *testing.T) {
 		r.Bytes(b)
 		m.SetSlotForTest(0, a)
 		m.SetSlotForTest(1, b)
-		if _, err := m.Exec(0, 0, op, 2, []int{0, 1}, elem, false, 0); err != nil {
+		if _, err := m.Exec(0, 0, m.Units().Earliest(), op, 2, []int{0, 1}, elem, false, 0); err != nil {
 			return false
 		}
 		got := m.Data(2)

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"cmp"
 	"fmt"
 
 	"conduit/internal/isa"
@@ -11,8 +12,12 @@ import (
 // (Table 1): operation type (on Inst.Meta / Inst.Op), operand location
 // (folded into MoveLatency, as §4.3.2 describes), data dependence delay,
 // per-resource queueing delay, data movement latency, and expected
-// computation latency. BWUtil carries the bandwidth-utilization signal that
-// BW-Offloading uses instead.
+// computation latency. Those are eager: the runtime fills every field
+// before Select, from tables it precomputed and calendars it reads once.
+//
+// The bandwidth-utilization signal that BW-Offloading uses instead is
+// on demand: BWUtil asks Load when a policy calls it, so a policy that
+// never reads utilization never pays for computing it.
 type Features struct {
 	Inst *isa.Inst
 
@@ -27,8 +32,22 @@ type Features struct {
 	ResultMove [isa.NumResources]sim.Time
 	QueueDelay [isa.NumResources]sim.Time // pending work in the resource's queue
 	DepDelay   sim.Time                   // time until operands are produced
-	BWUtil     [isa.NumResources]float64  // utilization of the resource's data path
+
+	// Load answers BWUtil. It describes the same instant as the eager
+	// fields and is valid only during Select.
+	Load LoadSource
 }
+
+// LoadSource reports live load signals of the computation resources.
+type LoadSource interface {
+	// Utilization is the busy share, in [0, 1], of the data path of
+	// resource r up to the current dispatch time.
+	Utilization(r isa.Resource) float64
+}
+
+// BWUtil reports the utilization of r's data path, read from Load at the
+// time of the call.
+func (f *Features) BWUtil(r isa.Resource) float64 { return f.Load.Utilization(r) }
 
 // TotalLatency evaluates Eqn. 1 for resource r:
 //
@@ -50,8 +69,9 @@ type Policy interface {
 	Name() string
 	// Select returns the chosen resource. At least one resource always
 	// supports the instruction (ISP executes the full ISA). The runtime
-	// refills one Features value per instruction, so Select must not
-	// keep f past the call.
+	// refills one Features value per instruction and f.Load reads the
+	// device as it stands during the call, so Select must not keep f (or
+	// f.Load) past the call.
 	Select(f *Features) isa.Resource
 }
 
@@ -71,9 +91,9 @@ func supportedFallback(f *Features) isa.Resource {
 
 // argminOver picks the supported resource minimizing cost, breaking ties
 // toward the earlier resource in isa.AllResources order (deterministic).
-func argminOver(f *Features, cost func(isa.Resource) sim.Time) isa.Resource {
+func argminOver[T cmp.Ordered](f *Features, cost func(isa.Resource) T) isa.Resource {
 	best := isa.Resource(255)
-	var bestCost sim.Time
+	var bestCost T
 	for _, r := range isa.AllResources {
 		if !f.Supported[r] {
 			continue
@@ -126,22 +146,10 @@ type BWOffloading struct{}
 // Name implements Policy.
 func (BWOffloading) Name() string { return "BW-Offloading" }
 
-// Select implements Policy.
+// Select implements Policy. It is the one reader of the on-demand
+// utilization signal, once per resource that supports the instruction.
 func (BWOffloading) Select(f *Features) isa.Resource {
-	best := isa.Resource(255)
-	bestUtil := 0.0
-	for _, r := range isa.AllResources {
-		if !f.Supported[r] {
-			continue
-		}
-		if best == 255 || f.BWUtil[r] < bestUtil {
-			best, bestUtil = r, f.BWUtil[r]
-		}
-	}
-	if best == 255 {
-		return supportedFallback(f)
-	}
-	return best
+	return argminOver(f, f.BWUtil)
 }
 
 // Ideal is the unrealizable upper bound (§5.3): no queueing delays, zero

@@ -24,6 +24,18 @@ func feat(op isa.Op, comp, move, queue [3]sim.Time, dep sim.Time) *Features {
 	return f
 }
 
+// fixedUtil is a LoadSource with one utilization per resource (order: ISP,
+// PuD, IFP) that counts how often each is read.
+type fixedUtil struct {
+	util  [3]float64
+	reads [3]int
+}
+
+func (u *fixedUtil) Utilization(r isa.Resource) float64 {
+	u.reads[r]++
+	return u.util[r]
+}
+
 func TestTotalLatencyEquation1(t *testing.T) {
 	f := feat(isa.OpAdd, [3]sim.Time{100, 200, 300}, [3]sim.Time{10, 20, 30},
 		[3]sim.Time{5, 500, 5}, 50)
@@ -83,16 +95,50 @@ func TestDMOffloadingTieBreaksOnCompute(t *testing.T) {
 func TestBWOffloadingPicksLeastUtilized(t *testing.T) {
 	f := feat(isa.OpAdd, [3]sim.Time{1, 1, 1}, [3]sim.Time{1000, 1000, 1000},
 		[3]sim.Time{0, 0, 0}, 0)
-	f.BWUtil = [3]float64{0.9, 0.2, 0.5}
+	f.Load = &fixedUtil{util: [3]float64{0.9, 0.2, 0.5}}
 	if got := (BWOffloading{}).Select(f); got != isa.ResPuD {
 		t.Errorf("BW chose %v, want PuD (lowest utilization)", got)
 	}
 	// Unsupported resources are skipped even if least utilized.
 	f2 := feat(isa.OpDiv, [3]sim.Time{1, 1, 1}, [3]sim.Time{0, 0, 0},
 		[3]sim.Time{0, 0, 0}, 0)
-	f2.BWUtil = [3]float64{0.9, 0.0, 0.0}
+	f2.Load = &fixedUtil{util: [3]float64{0.9, 0.0, 0.0}}
 	if got := (BWOffloading{}).Select(f2); got != isa.ResISP {
 		t.Errorf("BW chose %v for div, want ISP", got)
+	}
+}
+
+// TestUtilizationReadOnlyByBWOffloading: utilization is computed when a
+// policy asks for it. No policy but BW-Offloading asks, and BW-Offloading
+// asks once per resource that can run the instruction.
+func TestUtilizationReadOnlyByBWOffloading(t *testing.T) {
+	ops := []isa.Op{isa.OpAdd, isa.OpXor, isa.OpMul, isa.OpDiv, isa.OpSub, isa.OpShuffle}
+	silent := []Policy{
+		Conduit{}, DMOffloading{}, Ideal{},
+		Ablated{}, Ablated{DropQueue: true}, Ablated{DropDep: true}, Ablated{DropMove: true},
+		ISPOnly{}, PuDSSD{}, FlashCosmos{}, AresFlash{}, &NaiveCombo{},
+	}
+	for _, op := range ops {
+		f := feat(op, [3]sim.Time{300, 100, 200}, [3]sim.Time{10, 20, 30}, [3]sim.Time{5, 50, 500}, 40)
+		src := &fixedUtil{util: [3]float64{0.9, 0.2, 0.5}}
+		f.Load = src
+		for _, p := range silent {
+			p.Select(f)
+			if src.reads != [3]int{} {
+				t.Fatalf("%s read utilization for %v: %v reads", p.Name(), op, src.reads)
+			}
+		}
+		(BWOffloading{}).Select(f)
+		for _, r := range isa.AllResources {
+			want := 0
+			if f.Supported[r] {
+				want = 1
+			}
+			if src.reads[r] != want {
+				t.Errorf("BW-Offloading read %v's utilization %d times for %v (supported=%v), want %d",
+					r, src.reads[r], op, f.Supported[r], want)
+			}
+		}
 	}
 }
 

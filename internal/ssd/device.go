@@ -75,6 +75,11 @@ type Device struct {
 	accesses [][]access
 	output   []bool
 
+	// costs is the per-program cost table, one row per instruction: the
+	// static half of feature collection, built by LoadProgram, immutable
+	// afterwards and shared by every fork like accesses and output.
+	costs []instCost
+
 	firmware sim.Time // in-order decode front of the offloader pipeline
 
 	// offloadCores models the controller cores that run feature
@@ -96,9 +101,12 @@ type Device struct {
 	srcScratch [][]byte
 	ifpScratch []nand.Operand
 
-	// feat is the feature snapshot Run refills for every instruction
-	// (no policy keeps the pointer past Select; never cloned).
+	// What Run refills for every instruction (never cloned): ops, where
+	// each operand was resolved to; feat, the feature snapshot (no policy
+	// keeps the pointer past Select); plan, the placement feat priced.
+	ops  []operand
 	feat offload.Features
+	plan instPlan
 
 	// Fault injection: instruction ID -> remaining failures to inject.
 	faults map[int]int
@@ -232,6 +240,10 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 	for _, p := range prog.OutputPages {
 		d.output[p] = true
+	}
+	var err error
+	if d.costs, err = d.buildCosts(); err != nil {
+		return err
 	}
 
 	// Pages read before ever being written behave as zero-filled inputs;

@@ -12,13 +12,13 @@ import (
 
 // execute dispatches inst onto resource r at firmware time issue, performs
 // the operand movement the placement rules require, executes functionally,
-// updates coherence state, and returns the completion time.
-func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time) (sim.Time, error) {
+// updates coherence state, and returns the completion time. It consumes
+// the placement features priced (plan) but reads every operand's location
+// live: staging one operand can evict and write back a later operand of the
+// same instruction, so d.ops no longer says where they are.
+func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time, plan *instPlan) (sim.Time, error) {
 	// Operand availability (dependences resolved through page readiness).
-	ready := issue
-	if t := d.operandsReady(inst); t > ready {
-		ready = t
-	}
+	ready := maxT(issue, plan.ready)
 
 	var done sim.Time
 	var err error
@@ -28,9 +28,9 @@ func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time) (sim.Ti
 	case r == isa.ResISP:
 		done, err = d.executeISP(inst, issue, ready)
 	case r == isa.ResPuD:
-		done, err = d.executePuD(inst, issue, ready)
+		done, err = d.executePuD(inst, plan.pudUnit, issue, ready)
 	case r == isa.ResIFP:
-		done, err = d.executeIFP(inst, issue, ready)
+		done, err = d.executeIFP(inst, &plan.ifp, issue, ready)
 	default:
 		err = fmt.Errorf("unknown resource %v", r)
 	}
@@ -323,7 +323,9 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 
 // --- PuD-SSD -----------------------------------------------------------------
 
-func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, error) {
+// executePuD runs inst in the DRAM arrays on unit, the compute unit
+// feature collection selected and priced.
+func (d *Device) executePuD(inst *isa.Inst, unit *sim.Calendar, issue, ready sim.Time) (sim.Time, error) {
 	var slotBuf [3]int // no operation takes more sources
 	slots := slotBuf[:0]
 	for _, s := range inst.Srcs {
@@ -345,7 +347,7 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 	}
 	// A fresh destination slot must not alias an unpopulated source; the
 	// Exec call writes dst last, so aliasing with sources is safe.
-	done, err := d.DRAM.Exec(issue, ready, inst.Op, dstSlot, slots, inst.Elem, inst.UseImm, inst.Imm)
+	done, err := d.DRAM.Exec(issue, ready, unit, inst.Op, dstSlot, slots, inst.Elem, inst.UseImm, inst.Imm)
 	if err != nil {
 		return 0, err
 	}
@@ -363,9 +365,17 @@ func (d *Device) executePuD(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 // DRAM-resident pages, pages latched or stored in other planes — is
 // fetched and DMA-loaded into a spare page-buffer latch over the channel.
 // No flash program is ever needed to stage an operand.
-func (d *Device) executeIFP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, error) {
-	plan := d.planIFP(inst)
+//
+// The target plane is the plan's, except that a plane taken from the
+// rotating cursor is only what the instruction was priced on: execution
+// takes the cursor's next value and advances it again. That skew is part of
+// every golden table; docs/ARCHITECTURE.md "Plan once" says why it stays.
+func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time) (sim.Time, error) {
 	plane := plan.plane
+	if plan.rotated {
+		plane = d.ifpCursor
+		d.ifpCursor = (d.ifpCursor + 1) % len(d.bufferTag)
+	}
 	planeAddr := d.planeAddr(plane)
 	geo := d.Flash.Geometry()
 

@@ -52,8 +52,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 
 	ready := make([]sim.Time, d.prog.Pages)
 	var srcs [][]byte // reused operand-pointer scratch
-	lat := stats.NewReservoir()
-	lat.Grow(len(d.prog.Insts))
+	lat := make([]sim.Time, 0, len(d.prog.Insts))
 	decisions := make([]Decision, 0, len(d.prog.Insts))
 	var elapsed sim.Time
 	var computeEnergy float64
@@ -94,7 +93,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 		decisions = append(decisions, Decision{
 			InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: start, Done: done,
 		})
-		lat.Add(comp)
+		lat = append(lat, comp)
 		if done > elapsed {
 			elapsed = done
 		}
@@ -102,7 +101,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	res := &Result{
 		Policy:        "Ideal",
 		Elapsed:       elapsed,
-		InstLatencies: lat,
+		InstLatencies: stats.ReservoirOf(lat),
 		Decisions:     decisions,
 		ComputeEnergy: computeEnergy,
 		Counters:      stats.NewCounters(),

@@ -9,6 +9,7 @@ import (
 	"conduit/internal/dram"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
+	"conduit/internal/sim"
 	"conduit/internal/workloads"
 )
 
@@ -53,10 +54,11 @@ func TestOperationTableConsistency(t *testing.T) {
 }
 
 // TestFeaturesSupportMatchesTable: on every instruction of the six
-// evaluated workloads, Device.features offers a resource exactly when the
-// translation table has the op for it and the instruction's form allows it
-// — control regions and un-vectorized loops only on the cores, in-flash
-// immediates only as shift counts.
+// evaluated workloads, the cost table LoadProgram builds — where features
+// takes Supported and the ISP and PuD computation latencies from — offers a
+// resource exactly when the translation table has the op for it and the
+// instruction's form allows it: control regions and un-vectorized loops
+// only on the cores, in-flash immediates only as shift counts.
 func TestFeaturesSupportMatchesTable(t *testing.T) {
 	cfg := config.Default()
 	cfg.SSD.TimingOnly = true
@@ -70,10 +72,15 @@ func TestFeaturesSupportMatchesTable(t *testing.T) {
 		if err := d.LoadProgram(c.Prog, c.Inputs); err != nil {
 			t.Fatal(err)
 		}
-		d.EnterComputationMode()
+		if len(d.costs) != len(c.Prog.Insts) {
+			t.Fatalf("%s: cost table has %d rows for %d instructions", w.Name, len(d.costs), len(c.Prog.Insts))
+		}
 		for i := range c.Prog.Insts {
-			inst := &c.Prog.Insts[i]
-			f := d.features(inst)
+			inst, cost := &c.Prog.Insts[i], &d.costs[i]
+			compLatency := [isa.NumResources]sim.Time{cost.ispLat, cost.pudLat, 0}
+			if cost.runs[isa.ResIFP] {
+				compLatency[isa.ResIFP], _ = ifpCost(&cfg.SSD, inst, idealProfile(inst))
+			}
 			for _, r := range isa.AllResources {
 				_, want := tab.Lookup(r, inst.Op)
 				if r != isa.ResISP && (inst.Op == isa.OpScalar || inst.Meta.Unvectorized) {
@@ -82,12 +89,12 @@ func TestFeaturesSupportMatchesTable(t *testing.T) {
 				if r == isa.ResIFP && inst.UseImm && inst.Op != isa.OpShl && inst.Op != isa.OpShr {
 					want = false
 				}
-				if f.Supported[r] != want {
-					t.Fatalf("%s inst %d (%v, useImm=%v, unvectorized=%v): features offers %v = %v, table says %v",
-						w.Name, i, inst.Op, inst.UseImm, inst.Meta.Unvectorized, r, f.Supported[r], want)
+				if cost.runs[r] != want {
+					t.Fatalf("%s inst %d (%v, useImm=%v, unvectorized=%v): cost table offers %v = %v, table says %v",
+						w.Name, i, inst.Op, inst.UseImm, inst.Meta.Unvectorized, r, cost.runs[r], want)
 				}
-				if want && f.CompLatency[r] <= 0 {
-					t.Fatalf("%s inst %d (%v) on %v: supported with computation latency %v", w.Name, i, inst.Op, r, f.CompLatency[r])
+				if want && compLatency[r] <= 0 {
+					t.Fatalf("%s inst %d (%v) on %v: supported with computation latency %v", w.Name, i, inst.Op, r, compLatency[r])
 				}
 			}
 		}

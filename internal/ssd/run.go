@@ -33,12 +33,13 @@ func runsOn(inst *isa.Inst, r isa.Resource) bool {
 	}
 }
 
-// ispCost, pudCost and ifpCost are the offloader's precomputed
-// computation-latency table (§4.5), one read per resource: the
-// contention-free latency of inst there, and the count the substrate
-// charges compute energy by (core cycles, bbop rounds, latch-transfer
-// rounds). The resource must run inst (runsOn). prof is the operand profile
-// of in-flash execution.
+// ispCost, pudCost and ifpCost are the one computation-latency model per
+// resource: the contention-free latency of inst there, and the count the
+// substrate charges compute energy by (core cycles, bbop rounds,
+// latch-transfer rounds). The resource must run inst (runsOn). prof is the
+// operand profile of in-flash execution. Run does not call the ISP and PuD
+// models: LoadProgram evaluates them once per instruction into the cost
+// table.
 func ispCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
 	cycles := cores.InstCycles(cfg, inst, inst.Lanes)
 	return cfg.CoreCycles(cycles), cycles
@@ -52,6 +53,78 @@ func pudCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
 func ifpCost(cfg *config.SSD, inst *isa.Inst, prof nand.OperandProfile) (sim.Time, int64) {
 	lat, rounds, _ := nand.Estimate(cfg, inst.Op, inst.Elem, prof)
 	return lat, rounds
+}
+
+// instCost is one row of the per-program cost table: everything feature
+// collection needs that depends only on the instruction and the
+// configuration — the offloader's precomputed tables of §4.5. LoadProgram
+// builds one row per instruction, indexed by position; the table is
+// immutable afterwards and shared by every fork. A new static feature
+// input is a column here, never a computation in Run's loop.
+type instCost struct {
+	ispLat, pudLat sim.Time               // contention-free computation latency (pudLat only where runs[ResPuD])
+	coreTraffic    sim.Time               // ISP's extra DRAM-bus traffic: every operand streamed in, the result out
+	resultMove     sim.Time               // copying a live in-flash result out of the latches; 0 for a dead one
+	runs           [isa.NumResources]bool // runsOn
+}
+
+// buildCosts computes the cost table of the loaded program, checking on
+// the way what Run would otherwise check per dispatch: every resource
+// that runs an instruction has a native encoding for it in the
+// translation table (§4.5), whichever path — policy or fault replay —
+// later selects the resource. It reads the liveness metadata, so
+// LoadProgram calls it after accesses and output are in place.
+func (d *Device) buildCosts() ([]instCost, error) {
+	cfg := &d.Cfg.SSD
+	// Result placement is data movement too: an in-flash result lands in
+	// the plane buffer, and if its page stays live it must eventually be
+	// copied out (channel + DRAM bus) before the latches are reused. Dead
+	// temporaries (compiler liveness metadata) cost nothing. This is kept
+	// separate from operand movement: Conduit's holistic cost function
+	// prices it, the prior DM model does not (§3.2).
+	liveResult := cfg.ChannelTransferTime(cfg.PageSize) + cfg.DRAMTransferTime(cfg.PageSize)
+	costs := make([]instCost, len(d.prog.Insts))
+	for i := range costs {
+		inst, c := &d.prog.Insts[i], &costs[i]
+		for _, r := range isa.AllResources {
+			c.runs[r] = runsOn(inst, r)
+			if _, ok := d.table.Lookup(r, inst.Op); c.runs[r] && !ok {
+				return nil, fmt.Errorf("ssd: inst %d: no translation for %v on %v", i, inst.Op, r)
+			}
+		}
+		c.ispLat, _ = ispCost(cfg, inst)
+		if inst.Op == isa.OpScalar {
+			continue
+		}
+		c.coreTraffic = sim.Time(len(inst.Srcs)+1) * cfg.DRAMTransferTime(inst.VectorBytes())
+		if c.runs[isa.ResPuD] {
+			c.pudLat, _ = pudCost(cfg, inst)
+		}
+		if c.runs[isa.ResIFP] && inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, inst.ID) {
+			c.resultMove = liveResult
+		}
+	}
+	return costs, nil
+}
+
+// operand is where one source of the instruction being dispatched lives at
+// feature-collection time. plane, block and channel locate a flash-owned
+// page; for a latch-owned page plane is the plane whose buffer holds it
+// (-1 when none is tagged). Execution does not read operands: staging one
+// can evict and write back a later one of the same instruction.
+type operand struct {
+	owner                 coherence.Location
+	cached                bool // a DRAM slot holds a copy
+	plane, block, channel int
+}
+
+// instPlan is what feature collection decided about the instruction being
+// dispatched, for execute to consume instead of deciding again: placement
+// and the operand-ready time, never operand locations.
+type instPlan struct {
+	ready   sim.Time      // when the newest operand versions exist (operandsReady)
+	pudUnit *sim.Calendar // the compute unit whose queue the PuD features priced
+	ifp     ifpPlan
 }
 
 // Run executes the loaded program under policy, returning the measured
@@ -72,36 +145,30 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		return nil, fmt.Errorf("ssd: loaded image already consumed by a previous Run; reload the program or run on a Clone of the post-deploy device")
 	}
 	d.consumed = true
+	cfg := &d.Cfg.SSD
 	decisions := make([]Decision, 0, len(d.prog.Insts))
-	instLat := stats.NewReservoir()
-	instLat.Grow(len(d.prog.Insts))
+	instLat := make([]sim.Time, 0, len(d.prog.Insts))
+	// Besides the L2P lookups, per instruction: dependence and queue tracking,
+	// movement, computation and transformation table lookups.
+	fixedCollect := cfg.TDepTrack + cfg.TQueueTrack + cfg.TDMLookup + cfg.TCompLookup + cfg.TTranslate
 	var overhead sim.Time
 	var elapsed sim.Time
 	var replays int64
 
 	for i := range d.prog.Insts {
 		inst := &d.prog.Insts[i]
+		cost := &d.costs[i]
 		d.curInst = i
 
-		// Feature collection (§4.5): L2P lookups per operand, dependence
-		// and queue tracking, movement and computation table lookups, and
-		// the transformation-table lookup. The work pipelines across the
-		// controller cores reserved for offloading (§4.3.2 footnote 3),
-		// so the per-instruction latency below is not a serial bottleneck.
-		var collect sim.Time
-		for _, s := range inst.Srcs {
-			if d.Dir.Owner(int(s)) == coherence.LocFlash {
-				_, lat, err := d.FTL.Lookup(ftl.LPN(s))
-				if err != nil {
-					return nil, fmt.Errorf("ssd: inst %d operand %d: %w", i, s, err)
-				}
-				collect += lat
-			} else {
-				collect += d.Cfg.SSD.TL2PLookupDRAM
-			}
+		// Feature collection (§4.5) starts with the L2P lookups, one per
+		// operand. The work pipelines across the controller cores
+		// reserved for offloading (§4.3.2 footnote 3), so the
+		// per-instruction latency below is not a serial bottleneck.
+		lookups, err := d.resolveOperands(inst)
+		if err != nil {
+			return nil, fmt.Errorf("ssd: inst %d %w", i, err)
 		}
-		collect += d.Cfg.SSD.TDepTrack + d.Cfg.SSD.TQueueTrack +
-			d.Cfg.SSD.TDMLookup + d.Cfg.SSD.TCompLookup + d.Cfg.SSD.TTranslate
+		collect := lookups + fixedCollect
 		// Each instruction's collection occupies the next free offload
 		// core (FIFO); decode of instruction i+1 overlaps i's — only
 		// same-core occupancy serializes.
@@ -111,25 +178,21 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		}
 		overhead += collect
 
-		f := d.features(inst)
+		f := d.features(inst, cost)
 		choice := policy.Select(f)
 		if !f.Supported[choice] {
 			return nil, fmt.Errorf("ssd: policy %s chose %v for unsupported %v", policy.Name(), choice, inst.Op)
 		}
-		if _, ok := d.table.Lookup(choice, inst.Op); !ok && inst.Op != isa.OpScalar {
-			return nil, fmt.Errorf("ssd: no translation for %v on %v", inst.Op, choice)
-		}
 
-		issue := d.firmware
 		// Transient-fault handling (§4.4): a failed attempt burns the
 		// expected execution time, then the scheduler replays the
 		// instruction on another resource using the latest data version.
-		if n := d.faults[inst.ID]; n > 0 {
-			d.faults[inst.ID] = n - 1
+		if len(d.faults) > 0 && d.faults[inst.ID] > 0 {
+			d.faults[inst.ID]--
 			replays++
 			f.Supported[choice] = false
 			alt := choice
-			if anySupported(f) {
+			if f.Supported != [isa.NumResources]bool{} {
 				alt = policy.Select(f)
 				if !f.Supported[alt] {
 					alt = isa.ResISP
@@ -139,25 +202,20 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 				// ISP-only): the replay re-runs on the same resource.
 				f.Supported[choice] = true
 			}
-			// The replayed choice goes through the same translation-table
-			// validation as the primary path: dispatching an instruction a
-			// resource has no native encoding for is a bug regardless of
-			// which path selected the resource.
-			if _, ok := d.table.Lookup(alt, inst.Op); !ok && inst.Op != isa.OpScalar {
-				return nil, fmt.Errorf("ssd: replay of inst %d: no translation for %v on %v", i, inst.Op, alt)
-			}
-			d.firmware += f.CompLatency[choice] // timeout window
+			// The timeout window: the replay issues once it has passed.
+			d.firmware += f.CompLatency[choice]
 			choice = alt
 		}
 
-		done, err := d.execute(inst, choice, issue)
+		issue := d.firmware
+		done, err := d.execute(inst, choice, issue, &d.plan)
 		if err != nil {
 			return nil, fmt.Errorf("ssd: inst %d (%v) on %v: %w", i, inst.Op, choice, err)
 		}
 		decisions = append(decisions, Decision{
 			InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: issue, Done: done,
 		})
-		instLat.Add(done - issue)
+		instLat = append(instLat, done-issue)
 		if done > elapsed {
 			elapsed = done
 		}
@@ -166,7 +224,7 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	res := &Result{
 		Policy:         policy.Name(),
 		Elapsed:        elapsed,
-		InstLatencies:  instLat,
+		InstLatencies:  stats.ReservoirOf(instLat),
 		Decisions:      decisions,
 		ComputeEnergy:  d.En.ComputeTotal(),
 		MovementEnergy: d.En.MovementTotal(),
@@ -177,45 +235,84 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	return res, nil
 }
 
-// anySupported reports whether any resource can execute the featured
-// instruction.
-func anySupported(f *offload.Features) bool {
-	for _, s := range f.Supported {
-		if s {
-			return true
-		}
-	}
-	return false
-}
-
 // snapshotCounters reports substrate activity since the last measurement
-// reset (excluding program-load provisioning), recorded in counterNames
-// order.
+// reset (excluding program-load provisioning), in counterNames order.
 func (d *Device) snapshotCounters() *stats.Counters {
 	raw := d.rawCounters()
-	c := stats.NewCounters()
-	for i, name := range counterNames {
-		c.Add(name, raw[i]-d.baseline[i])
+	vals := make([]int64, len(raw))
+	for i := range raw {
+		vals[i] = raw[i] - d.baseline[i]
 	}
-	return c
+	return stats.CountersOf(counterNames[:], vals)
 }
 
-// features gathers the six cost-function inputs for inst (Table 1).
-func (d *Device) features(inst *isa.Inst) *offload.Features {
+// resolveOperands fills d.ops with where each source of inst lives now:
+// the one resolve per operand that features and its estimators read. It
+// returns the firmware latency of the L2P lookups: a flash-owned page's
+// goes through the FTL's mapping cache; a DRAM- or latch-owned page is
+// found in the coherence directory in SSD DRAM.
+func (d *Device) resolveOperands(inst *isa.Inst) (sim.Time, error) {
+	geo := d.Flash.Geometry()
+	var lat sim.Time
+	d.ops = d.ops[:0]
+	for _, s := range inst.Srcs {
+		o := operand{owner: d.Dir.Owner(int(s))}
+		_, o.cached = d.slotOf(s)
+		o.plane, _ = d.bufferPlane(s)
+		if o.owner == coherence.LocFlash {
+			a, l, err := d.FTL.Lookup(ftl.LPN(s))
+			if err != nil {
+				return 0, fmt.Errorf("operand %d: %w", s, err)
+			}
+			lat += l
+			o.plane, o.block, o.channel = geo.PlaneIndex(a), geo.BlockIndex(a), a.Channel
+		} else {
+			lat += d.Cfg.SSD.TL2PLookupDRAM
+		}
+		d.ops = append(d.ops, o)
+	}
+	return lat, nil
+}
+
+// deviceLoad is the Device as the offload.LoadSource behind the features
+// it hands to a policy: utilization is computed when a policy reads it
+// (only BW-Offloading does), at the dispatch time the eager features were
+// collected at and before anything executes.
+type deviceLoad Device
+
+// Utilization implements offload.LoadSource; 0 for a resource that cannot
+// run the instruction being dispatched.
+func (l *deviceLoad) Utilization(r isa.Resource) float64 {
+	d := (*Device)(l)
+	switch {
+	case !d.feat.Supported[r]:
+		return 0
+	case r == isa.ResISP:
+		return d.Core.Calendar().Utilization(d.firmware)
+	case r == isa.ResPuD:
+		return d.DRAM.Units().Utilization(d.firmware)
+	default:
+		return d.Flash.DieCalendar(d.plan.ifp.die).Utilization(d.firmware)
+	}
+}
+
+// features gathers the six cost-function inputs for inst (Table 1) from
+// its cost-table row, the resolved operands in d.ops and the live
+// calendars, and records in d.plan the placement it priced.
+func (d *Device) features(inst *isa.Inst, cost *instCost) *offload.Features {
 	f := &d.feat
-	*f = offload.Features{Inst: inst}
-	cfg := &d.Cfg.SSD
+	*f = offload.Features{Inst: inst, Supported: cost.runs, Load: (*deviceLoad)(d)}
+	plan := &d.plan
 	now := d.firmware
 
-	if ready := d.operandsReady(inst); ready > now {
-		f.DepDelay = ready - now
+	plan.ready = d.operandsReady(inst)
+	if plan.ready > now {
+		f.DepDelay = plan.ready - now
 	}
 
 	// ISP: always supported; operands stream through SSD DRAM.
-	f.Supported[isa.ResISP] = true
-	f.CompLatency[isa.ResISP], _ = ispCost(cfg, inst)
+	f.CompLatency[isa.ResISP] = cost.ispLat
 	f.QueueDelay[isa.ResISP] = d.Core.Calendar().QueueDelay(now)
-	f.BWUtil[isa.ResISP] = d.Core.Calendar().Utilization(now)
 	if inst.Op == isa.OpScalar {
 		return f
 	}
@@ -225,8 +322,8 @@ func (d *Device) features(inst *isa.Inst) *offload.Features {
 	// queueing-delay feature of bus-dependent resources includes it.
 	busDelay := d.DRAM.Bus().QueueDelay(now)
 
-	stageCost, stageChDelay := d.moveEstimateDRAM(inst)
-	f.MoveLatency[isa.ResISP] = stageCost + d.coreTraffic(inst)
+	stageCost, stageChDelay := d.moveEstimateDRAM()
+	f.MoveLatency[isa.ResISP] = stageCost + cost.coreTraffic
 	f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], busDelay)
 	if stageCost > 0 {
 		f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], stageChDelay)
@@ -234,101 +331,93 @@ func (d *Device) features(inst *isa.Inst) *offload.Features {
 
 	// PuD-SSD. Operand staging crosses the DRAM bus, so its backlog
 	// gates PuD work whenever operands are not already resident.
-	if runsOn(inst, isa.ResPuD) {
-		f.Supported[isa.ResPuD] = true
-		f.CompLatency[isa.ResPuD], _ = pudCost(cfg, inst)
+	if cost.runs[isa.ResPuD] {
+		f.CompLatency[isa.ResPuD] = cost.pudLat
 		f.MoveLatency[isa.ResPuD] = stageCost
-		f.QueueDelay[isa.ResPuD] = d.DRAM.Units().QueueDelay(now)
+		// Nothing reserves a compute unit between here and executePuD
+		// (staging books the DRAM bus and the flash calendars), so the
+		// unit priced is the unit Exec would select.
+		plan.pudUnit = d.DRAM.Units().Earliest()
+		f.QueueDelay[isa.ResPuD] = plan.pudUnit.QueueDelay(now)
 		if stageCost > 0 {
 			f.QueueDelay[isa.ResPuD] = maxT(f.QueueDelay[isa.ResPuD], busDelay, stageChDelay)
 		}
-		f.BWUtil[isa.ResPuD] = d.DRAM.Units().Utilization(now)
 	}
 
 	// IFP.
-	if runsOn(inst, isa.ResIFP) {
-		f.Supported[isa.ResIFP] = true
-		plan := d.planIFP(inst)
-		f.CompLatency[isa.ResIFP], _ = ifpCost(cfg, inst, plan.profile)
-		f.MoveLatency[isa.ResIFP] = plan.moveCost
-		f.ResultMove[isa.ResIFP] = plan.resultCost
-		f.QueueDelay[isa.ResIFP] = d.Flash.DieCalendar(plan.die).QueueDelay(now)
-		if plan.profile.Loads > 0 {
-			ch := d.planeAddr(plan.plane).Channel
+	if cost.runs[isa.ResIFP] {
+		plan.ifp = d.planIFP(inst)
+		f.CompLatency[isa.ResIFP], _ = ifpCost(&d.Cfg.SSD, inst, plan.ifp.profile)
+		f.MoveLatency[isa.ResIFP] = plan.ifp.moveCost
+		f.ResultMove[isa.ResIFP] = cost.resultMove
+		f.QueueDelay[isa.ResIFP] = d.Flash.DieCalendar(plan.ifp.die).QueueDelay(now)
+		if plan.ifp.profile.Loads > 0 {
+			ch := d.planeAddr(plan.ifp.plane).Channel
 			f.QueueDelay[isa.ResIFP] = maxT(f.QueueDelay[isa.ResIFP],
 				d.Flash.BusCalendar(ch).QueueDelay(now))
 		}
-		f.BWUtil[isa.ResIFP] = d.Flash.DieCalendar(plan.die).Utilization(now)
 	}
 	return f
 }
 
 // moveEstimateDRAM is the static, contention-free cost of staging all
-// operands of inst into SSD DRAM (the shared prerequisite of ISP and PuD
-// execution). Per §4.3.2, the precomputed data-movement feature captures
-// the transfer cost over the SSD's internal interconnects — the flash
-// channels and the DRAM bus — not the flash sensing latency, which
-// overlaps on otherwise-idle dies.
-func (d *Device) moveEstimateDRAM(inst *isa.Inst) (sim.Time, sim.Time) {
+// operands of the instruction into SSD DRAM (the shared prerequisite of
+// ISP and PuD execution), and the longest backlog among the channels of
+// its flash-resident operands. Per §4.3.2, the precomputed data-movement
+// feature captures the transfer cost over the SSD's internal
+// interconnects — the flash channels and the DRAM bus — not the flash
+// sensing latency, which overlaps on otherwise-idle dies.
+func (d *Device) moveEstimateDRAM() (sim.Time, sim.Time) {
 	cfg := &d.Cfg.SSD
 	now := d.firmware
 	var t, chDelay sim.Time
-	for _, s := range inst.Srcs {
-		if _, cached := d.slotOf(s); cached {
+	for i := range d.ops {
+		o := &d.ops[i]
+		if o.cached || o.owner == coherence.LocDRAM {
 			continue
 		}
-		switch d.Dir.Owner(int(s)) {
-		case coherence.LocFlash, coherence.LocBuffer:
-			t += cfg.ChannelTransferTime(cfg.PageSize) + cfg.DRAMTransferTime(cfg.PageSize)
-			if a, ok := d.FTL.PhysAddr(ftl.LPN(s)); ok {
-				if qd := d.Flash.BusCalendar(a.Channel).QueueDelay(now); qd > chDelay {
-					chDelay = qd
-				}
+		t += cfg.ChannelTransferTime(cfg.PageSize) + cfg.DRAMTransferTime(cfg.PageSize)
+		if o.owner == coherence.LocFlash {
+			if qd := d.Flash.BusCalendar(o.channel).QueueDelay(now); qd > chDelay {
+				chDelay = qd
 			}
 		}
 	}
 	return t, chDelay
 }
 
-// coreTraffic is the extra DRAM-bus traffic of ISP execution: the core
-// streams every operand in and the result out.
-func (d *Device) coreTraffic(inst *isa.Inst) sim.Time {
-	cfg := &d.Cfg.SSD
-	n := len(inst.Srcs) + 1 // sources in, result out
-	return sim.Time(n) * cfg.DRAMTransferTime(inst.VectorBytes())
-}
-
-// ifpPlan describes how inst would execute in flash: the target plane and
-// die, the operand profile (senses vs latch loads), and the contention-free
-// movement cost of staging non-resident operands.
+// ifpPlan describes how the instruction would execute in flash: the target
+// plane and die, the operand profile (senses vs latch loads), and the
+// contention-free movement cost of staging non-resident operands.
 type ifpPlan struct {
-	plane      int
-	die        int
-	profile    nand.OperandProfile
-	moveCost   sim.Time // operand staging over the interconnects
-	resultCost sim.Time // copying a live result out of the latches
+	plane, die int
+	// rotated: no operand is in flash or latched, so the plane came from
+	// ifpCursor. Such an instruction is priced on this plane and, if IFP
+	// wins, executes on the cursor's next one (executeIFP).
+	rotated  bool
+	profile  nand.OperandProfile
+	moveCost sim.Time // operand staging over the interconnects
 }
 
 // planIFP computes the placement plan and static movement estimate for
 // executing inst in flash, mirroring executeIFP's latch-load staging.
 func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 	cfg := &d.Cfg.SSD
-	geo := d.Flash.Geometry()
 	plan := ifpPlan{plane: -1}
 
 	// Prefer the plane whose buffer already latches an operand (free
 	// chained reuse), else the first flash-resident operand's plane, else
 	// a rotating cursor that spreads latch-loaded work across dies.
 	flashPlane := -1
-	for _, s := range inst.Srcs {
-		switch d.Dir.Owner(int(s)) {
+	for i := range d.ops {
+		switch o := &d.ops[i]; o.owner {
 		case coherence.LocBuffer:
-			if p, ok := d.bufferPlane(s); ok && plan.plane == -1 {
-				plan.plane = p
+			if plan.plane == -1 {
+				plan.plane = o.plane
 			}
 		case coherence.LocFlash:
-			if a, ok := d.FTL.PhysAddr(ftl.LPN(s)); ok && flashPlane == -1 {
-				flashPlane = geo.PlaneIndex(a)
+			if flashPlane == -1 {
+				flashPlane = o.plane
 			}
 		}
 	}
@@ -336,6 +425,7 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 		plan.plane = flashPlane
 	}
 	if plan.plane == -1 {
+		plan.rotated = true
 		plan.plane = d.ifpCursor
 		d.ifpCursor = (d.ifpCursor + 1) % len(d.bufferTag)
 	}
@@ -344,15 +434,14 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 	pageMove := cfg.ChannelTransferTime(cfg.PageSize)
 	sameBlock := true
 	firstBlock := -1 // block of the first operand sensed in the target plane
-	for _, s := range inst.Srcs {
-		switch d.Dir.Owner(int(s)) {
+	for i := range d.ops {
+		switch o := &d.ops[i]; o.owner {
 		case coherence.LocFlash:
-			a, _ := d.FTL.PhysAddr(ftl.LPN(s))
-			if geo.PlaneIndex(a) == plan.plane {
+			if o.plane == plan.plane {
 				plan.profile.Senses++
 				if firstBlock == -1 {
-					firstBlock = geo.BlockIndex(a)
-				} else if geo.BlockIndex(a) != firstBlock {
+					firstBlock = o.block
+				} else if o.block != firstBlock {
 					sameBlock = false
 				}
 			} else {
@@ -362,7 +451,7 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 				plan.moveCost += 2 * pageMove
 			}
 		case coherence.LocBuffer:
-			if p, ok := d.bufferPlane(s); ok && p == plan.plane && plan.profile.Latched == 0 {
+			if o.plane == plan.plane && plan.profile.Latched == 0 {
 				plan.profile.Latched++
 			} else {
 				plan.profile.Loads++
@@ -378,15 +467,6 @@ func (d *Device) planIFP(inst *isa.Inst) ifpPlan {
 		case isa.OpAnd, isa.OpNand, isa.OpOr, isa.OpNor:
 			plan.profile.MWS = true
 		}
-	}
-	// Result placement is data movement too: an in-flash result lands in
-	// the plane buffer, and if its page stays live it must eventually be
-	// copied out (channel + DRAM bus) before the latches are reused. Dead
-	// temporaries (compiler liveness metadata) cost nothing. This is kept
-	// separate from operand movement: Conduit's holistic cost function
-	// prices it, the prior DM model does not (§3.2).
-	if inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, inst.ID) {
-		plan.resultCost = pageMove + cfg.DRAMTransferTime(cfg.PageSize)
 	}
 	return plan
 }

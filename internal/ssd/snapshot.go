@@ -36,10 +36,11 @@ func (d *Device) Freeze() {
 // block-granular tables themselves are shared until written.
 //
 // The clone shares only immutable state with the original — the
-// configuration, the translation table, the loaded program, and the
-// compiler's liveness metadata, none of which Run mutates — so the clone
-// and the original may be driven concurrently from different goroutines.
-// The Device itself is still single-goroutine: clone once per worker.
+// configuration, the translation table, the loaded program, the
+// compiler's liveness metadata, and the per-instruction cost table, none
+// of which Run mutates — so the clone and the original may be driven
+// concurrently from different goroutines. The Device itself is still
+// single-goroutine: clone once per worker.
 func (d *Device) Clone() *Device {
 	en := d.En.Clone()
 	arr := d.Flash.Clone(en)
@@ -67,6 +68,7 @@ func (d *Device) Clone() *Device {
 
 		accesses: d.accesses, // read-only after LoadProgram
 		output:   d.output,   // read-only after LoadProgram
+		costs:    d.costs,    // read-only after LoadProgram
 
 		firmware:     d.firmware,
 		offloadCores: d.offloadCores.Clone(),

@@ -344,6 +344,42 @@ func TestFaultReplayOnAnotherResource(t *testing.T) {
 	verifyAgainstReference(t, d, prog, inputs)
 }
 
+// TestReplayIssuesAfterTimeoutWindow: a failed attempt burns the expected
+// execution time on the resource it failed on, and only then does the
+// scheduler replay the instruction elsewhere (§4.4) — the replay's issue
+// time is past the window, not the original issue time.
+func TestReplayIssuesAfterTimeoutWindow(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	clean, err := newLoadedDevice(t, prog, inputs).Run(offload.Conduit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := newLoadedDevice(t, prog, inputs)
+	d.InjectFault(0, 1)
+	failed, window := isa.Resource(0), sim.Time(-1)
+	res, err := d.Run(spy{offload.Conduit{}, func(f *offload.Features, choice isa.Resource) {
+		if f.Inst.ID == 0 && window < 0 { // the attempt that fails; the replay's Select comes second
+			failed, window = choice, f.CompLatency[choice]
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if window <= 0 || failed != clean.Decisions[0].Resource {
+		t.Fatalf("failed attempt on %v with window %v; the fault-free run chose %v", failed, window, clean.Decisions[0].Resource)
+	}
+	replay := res.Decisions[0]
+	if replay.Resource == failed {
+		t.Fatalf("XOR runs everywhere, yet the replay stayed on %v", failed)
+	}
+	if want := clean.Decisions[0].Issue + window; replay.Issue < want {
+		t.Fatalf("replay issued at %v, inside the failed attempt's timeout window (fault-free issue %v + %v on %v = %v)",
+			replay.Issue, clean.Decisions[0].Issue, window, failed, want)
+	}
+	verifyAgainstReference(t, d, prog, inputs)
+}
+
 func TestOverheadAccounting(t *testing.T) {
 	prog, inputs := mixProgram(t, 1)
 	d := newLoadedDevice(t, prog, inputs)

@@ -27,19 +27,18 @@ type Reservoir struct {
 // NewReservoir returns an empty reservoir.
 func NewReservoir() *Reservoir { return &Reservoir{} }
 
+// ReservoirOf returns a reservoir that adopts samples: no copy is made, so
+// the caller must not touch the slice again (percentile queries sort it in
+// place). A producer that records one sample per step appends to a plain
+// slice and hands it over once, instead of locking per sample.
+func ReservoirOf(samples []sim.Time) *Reservoir { return &Reservoir{samples: samples} }
+
 // Add records one sample.
 func (r *Reservoir) Add(v sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.samples = append(r.samples, v)
 	r.sorted = false
-}
-
-// Grow makes room for n more samples.
-func (r *Reservoir) Grow(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = slices.Grow(r.samples, n)
 }
 
 // Count reports the number of samples.
@@ -155,38 +154,51 @@ func MergeReservoirs(parts ...*Reservoir) *Reservoir {
 	return out
 }
 
-// Counters is a named set of monotonically increasing tallies.
+// Counters is a named set of monotonically increasing tallies, held as
+// parallel slices in first-use order: sets are small (a device run records
+// 21), so a scan finds a name as fast as a hash and a set costs two
+// allocations instead of a map.
 type Counters struct {
-	m     map[string]int64
-	order []string
+	names []string
+	vals  []int64
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
+func NewCounters() *Counters { return &Counters{} }
+
+// CountersOf returns a set holding vals[i] under names[i], in that order.
+// It adopts vals and only reads names, which may therefore be a fixed
+// list shared by every set built from it; names must be distinct.
+func CountersOf(names []string, vals []int64) *Counters {
+	if len(names) != len(vals) {
+		panic(fmt.Sprintf("stats: %d counter names for %d values", len(names), len(vals)))
+	}
+	// Clipped, so that adding a new name appends to a copy and never
+	// writes into the caller's list.
+	return &Counters{names: slices.Clip(names), vals: vals}
 }
 
 // Add increments name by delta.
 func (c *Counters) Add(name string, delta int64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
+	if i := slices.Index(c.names, name); i >= 0 {
+		c.vals[i] += delta
+		return
 	}
-	c.m[name] += delta
+	c.names = append(c.names, name)
+	c.vals = append(c.vals, delta)
 }
 
 // Get reports the value of name (0 if never added).
-func (c *Counters) Get(name string) int64 { return c.m[name] }
+func (c *Counters) Get(name string) int64 {
+	if i := slices.Index(c.names, name); i >= 0 {
+		return c.vals[i]
+	}
+	return 0
+}
 
 // Clone returns an independent copy of the counter set.
 func (c *Counters) Clone() *Counters {
-	out := &Counters{
-		m:     make(map[string]int64, len(c.m)),
-		order: append([]string(nil), c.order...),
-	}
-	for k, v := range c.m {
-		out.m[k] = v
-	}
-	return out
+	return &Counters{names: slices.Clone(c.names), vals: slices.Clone(c.vals)}
 }
 
 // Merge adds every counter of o into c, preserving c's first-use order
@@ -198,17 +210,13 @@ func (c *Counters) Merge(o *Counters) {
 	if o == nil {
 		return
 	}
-	for _, name := range o.order {
-		c.Add(name, o.m[name])
+	for i, name := range o.names {
+		c.Add(name, o.vals[i])
 	}
 }
 
 // Names returns counter names in first-use order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
+func (c *Counters) Names() []string { return slices.Clone(c.names) }
 
 // GeoMean returns the geometric mean of xs. It panics if any value is
 // non-positive: speedups in the harness are always > 0, so a non-positive

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -137,6 +138,68 @@ func TestCounters(t *testing.T) {
 	names := c.Names()
 	if len(names) != 2 || names[0] != "flash.reads" || names[1] != "dram.bbops" {
 		t.Fatalf("names = %v, want insertion order", names)
+	}
+}
+
+// TestCountersOfSharesNames: sets built over one fixed name list behave
+// like sets built by Add in that order, and no operation on a set — adding
+// a new name, merging, cloning — writes into the shared list or shows in a
+// sibling set.
+func TestCountersOfSharesNames(t *testing.T) {
+	backing := [...]string{"core.cycles", "dram.bbops", "flash.senses", "spare"}
+	shared := backing[:3] // spare capacity behind it, as a careless caller might pass
+	a := CountersOf(shared, []int64{1, 2, 3})
+	b := CountersOf(shared, []int64{10, 20, 30})
+
+	a.Add("ftl.gc_runs", 4)
+	a.Add("dram.bbops", 5)
+	a.Merge(b)
+	c := a.Clone()
+	c.Add("core.cycles", 100)
+
+	if backing[3] != "spare" {
+		t.Fatalf("adding a name wrote into the shared list: %v", backing)
+	}
+	if want := []string{"core.cycles", "dram.bbops", "flash.senses", "ftl.gc_runs"}; !reflect.DeepEqual(a.Names(), want) {
+		t.Fatalf("names = %v, want %v", a.Names(), want)
+	}
+	for name, want := range map[string]int64{"core.cycles": 11, "dram.bbops": 27, "flash.senses": 33, "ftl.gc_runs": 4, "missing": 0} {
+		if got := a.Get(name); got != want {
+			t.Errorf("a.%s = %d, want %d", name, got, want)
+		}
+	}
+	if !reflect.DeepEqual(b.Names(), shared) || b.Get("core.cycles") != 10 || b.Get("ftl.gc_runs") != 0 {
+		t.Fatalf("sibling set changed: %v, core.cycles=%d", b.Names(), b.Get("core.cycles"))
+	}
+	if c.Get("core.cycles") != 111 || a.Get("core.cycles") != 11 {
+		t.Fatal("Clone is not independent")
+	}
+}
+
+// TestReservoirOfAdopts: a reservoir built from a finished sample slice is
+// indistinguishable from one built by Add, and takes the slice without
+// copying it.
+func TestReservoirOfAdopts(t *testing.T) {
+	samples := []sim.Time{9, 3, 3, 12, 1, 7}
+	added := NewReservoir()
+	for _, v := range samples {
+		added.Add(v)
+	}
+	r := ReservoirOf(samples)
+	if &r.samples[0] != &samples[0] {
+		t.Fatal("ReservoirOf copied the slice")
+	}
+	if r.Count() != added.Count() || r.Sum() != added.Sum() || r.Mean() != added.Mean() ||
+		r.Max() != added.Max() || r.Percentile(50) != added.Percentile(50) || r.P99() != added.P99() {
+		t.Fatal("adopted reservoir differs from the one built by Add")
+	}
+	if m := MergeReservoirs(r, added); m.Count() != 2*len(samples) {
+		t.Fatalf("merged count = %d", m.Count())
+	}
+	cl := r.Clone()
+	r.Add(1000)
+	if cl.Count() != len(samples) || r.Count() != len(samples)+1 || r.Max() != 1000 {
+		t.Fatal("an adopted reservoir must still clone and grow")
 	}
 }
 

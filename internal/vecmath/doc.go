@@ -10,8 +10,9 @@
 //
 // The package exposes two surfaces with identical semantics. The generic
 // primitives (Load, Store, Binary, Unary, BinaryImm, and the *Generic
-// dispatchers in reference.go) assemble each element byte by byte and
-// call a closure per element: they are the reference implementation. The
+// dispatchers in reference_test.go) assemble each element byte by byte
+// and call a closure per element: they are the reference implementation,
+// compiled into the tests only (but for ShuffleGeneric). The
 // specialized kernels (Apply, ApplyImm, ApplyUnary, Select, SelectImm,
 // Shuffle, Broadcast, ReduceAdd) dispatch once per page through tables
 // keyed by (op, elem): the bitwise family runs 8 bytes per iteration over
