@@ -232,13 +232,14 @@ func (cl *Cluster) RunSerial(policy string) (*RunResult, error) {
 //     merge an exact identity.
 //
 // The merged result carries no Device: there is no single drive to
-// expose, and per-shard devices stay private to their pools.
+// expose, so each part's device is recycled by its shard's deployment.
 func (cl *Cluster) merge(parts []*RunResult) *RunResult {
 	merged := &RunResult{Policy: parts[0].Policy}
 	compute := make([]float64, len(parts))
 	movement := make([]float64, len(parts))
 	reservoirs := make([]*Reservoir, len(parts))
 	for i, r := range parts {
+		cl.deps[i].recycle(r)
 		if r.Elapsed > merged.Elapsed {
 			merged.Elapsed = r.Elapsed
 		}

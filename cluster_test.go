@@ -195,8 +195,9 @@ func TestClusterErrors(t *testing.T) {
 }
 
 // TestClusterServeShardedDrainLeavesNoLeakedForks: a drained server must
-// leave no buffered fork on any shard of a clustered application, and
-// the pool report must carry one closed entry per shard.
+// leave no fork — buffered, or parked for reuse — on any shard of a
+// clustered application, and the pool report must carry one closed entry
+// per shard.
 func TestClusterServeShardedDrainLeavesNoLeakedForks(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	srv := conduit.NewServer(cfg, conduit.ServeOptions{Concurrency: 2, Prefork: 2})
@@ -235,8 +236,11 @@ func TestClusterServeShardedDrainLeavesNoLeakedForks(t *testing.T) {
 			t.Errorf("%s: pool refiller still running after drain", key)
 		}
 		if ps.Idle != 0 {
-			t.Errorf("%s: %d forks still buffered after drain", key, ps.Idle)
+			t.Errorf("%s: %d forks still buffered or parked after drain", key, ps.Idle)
 		}
+	}
+	if n := srv.ParkedForks(); n != 0 {
+		t.Errorf("%d used devices still parked for reuse after drain", n)
 	}
 	if _, err := srv.Do(conduit.Request{Tenant: "t", Workload: "xf", Policy: "Conduit"}); !errors.Is(err, conduit.ErrDraining) {
 		t.Fatalf("Do after Drain: err = %v, want ErrDraining", err)

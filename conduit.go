@@ -26,7 +26,8 @@
 // A RunResult is an immutable value snapshot: its latency reservoir and
 // decision trace are built by the run and owned by the result alone, and
 // its counters are a copy taken at completion, so later activity on any
-// device can never mutate a result already handed out.
+// device — the one that produced it, restored and run again, included —
+// can never mutate a result already handed out.
 //
 // A simulated drive's loaded data image is consumed by execution: running
 // a program mutates pages, calendars, and coherence state, so each
@@ -35,10 +36,16 @@
 // deploy path per run, use Deploy: it performs the deploy once and the
 // returned Deployment restores a pristine post-deploy device per run by
 // cloning a frozen master copy-on-write, at a cost proportional to what
-// the run writes rather than to the drive's size.
+// the run writes rather than to the drive's size. Run, Fork and
+// DevicePool.Get hand that device to the caller, who owns it from then on
+// and may keep it; where nobody keeps it — a served request, a cluster
+// shard — the executed device goes back to its Deployment, and the next
+// fork restores it in place from the master (ssd.Device.Restore, the one
+// copy routine Clone is also made of) instead of cloning: the same
+// pristine state, for a memcpy.
 //
 // System, Compiled, and Deployment are safe for concurrent use by
-// multiple goroutines; every run executes on its own cloned device, and
+// multiple goroutines; every run executes on its own device, and
 // policy instances are constructed per run. An ssd.Device itself is
 // single-goroutine — never share one across goroutines. The
 // Experiments.RunGrid sweep engine builds on this contract to execute a
@@ -411,13 +418,20 @@ func runPolicyOn(dev *ssd.Device, policy string) (*RunResult, error) {
 // state, and the run pays for the chunks it writes. Runs on one
 // Deployment are independent and safe to issue from multiple goroutines
 // concurrently; results are byte-identical to deploying freshly per run.
+//
+// A fork whose device nobody keeps (a served request's, a cluster shard's)
+// is parked after its run (recycle) and the next fork restores it in place
+// from the master instead of cloning (newFork). Run and Fork hand the
+// device to the caller, who may keep it, so theirs is never reused.
 type Deployment struct {
 	sys    *System
 	c      *Compiled
 	master *ssd.Device // pristine post-deploy image; never executed
 
 	poolMu sync.Mutex
-	pool   *DevicePool // optional prefork pool (see Prefork); nil = clone inline
+	pool   *DevicePool   // optional prefork pool (see Prefork); nil = fork inline
+	used   []*ssd.Device // parked: executed forks awaiting reuse, newest last
+	closed bool          // Close was called: nothing is parked any more
 }
 
 // Deploy compiles nothing and runs nothing: it installs the already
@@ -440,10 +454,10 @@ func (d *Deployment) Compiled() *Compiled { return d.c }
 // Fork returns a fresh device restored to the post-deploy state. The
 // caller owns the returned device exclusively; the pristine master is
 // never handed out. With a prefork pool attached (Prefork), the fork is
-// served from the pool's buffer of ready clones; on an empty buffer it
-// is cloned inline. Either way the device is byte-identical. Once the
+// served from the pool's buffer of ready forks; on an empty buffer it
+// is made inline. Either way the device is byte-identical. Once the
 // pool has been closed (the deployment was drained) Fork fails with
-// ErrPoolClosed instead of silently cloning.
+// ErrPoolClosed instead of silently forking.
 func (d *Deployment) Fork() (*ssd.Device, error) { return d.fork(nil) }
 
 // fork serves a Fork and, when a span rides along, reports the pool
@@ -455,7 +469,8 @@ func (d *Deployment) fork(sp *trace.Span) (*ssd.Device, error) {
 	p := d.pool
 	d.poolMu.Unlock()
 	if p == nil {
-		return d.master.Clone(), nil
+		dev, _ := d.newFork()
+		return dev, nil
 	}
 	dev, hit, err := p.get()
 	if err != nil {
@@ -469,6 +484,57 @@ func (d *Deployment) fork(sp *trace.Span) (*ssd.Device, error) {
 		sp.Event(name, 0)
 	}
 	return dev, nil
+}
+
+// newFork makes one post-deploy device, and is the only place one is made:
+// the pool's refiller, its miss path and the pool-less fork all come here.
+// It restores the most recently parked device from the master (a memcpy
+// that allocates nothing once the device owns the chunks its workload
+// writes; restored = 1) and clones only when none is parked (restored = 0).
+func (d *Deployment) newFork() (dev *ssd.Device, restored int64) {
+	d.poolMu.Lock()
+	if n := len(d.used) - 1; n >= 0 {
+		dev, d.used[n] = d.used[n], nil
+		d.used = d.used[:n]
+	}
+	d.poolMu.Unlock()
+	if dev == nil {
+		return d.master.Clone(), 0
+	}
+	dev.Restore(d.master)
+	return dev, 1
+}
+
+// recycle takes r's device off it and parks it for the next fork. Only
+// code that drops the device of a run that returned a result calls it (a
+// served result, a merged cluster part): a run that failed or panicked has
+// no result, and a poisoned fork is discarded. At most the pool's depth
+// plus GOMAXPROCS devices are parked — one per buffer slot and per running
+// request — and none after Close.
+func (d *Deployment) recycle(r *RunResult) {
+	dev := r.Device
+	r.Device = nil
+	if dev == nil {
+		return // a host run: no drive involved
+	}
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	keep := serve.DefaultConcurrency()
+	if d.pool != nil {
+		keep += cap(d.pool.free)
+	}
+	if !d.closed && len(d.used) < keep {
+		d.used = append(d.used, dev)
+	}
+}
+
+// flushUsed drops every parked device; closing also ends recycling for good.
+func (d *Deployment) flushUsed(closing bool) {
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	clear(d.used)
+	d.used = d.used[:0]
+	d.closed = d.closed || closing
 }
 
 // Run executes the deployed program under the named policy on a restored
@@ -492,6 +558,10 @@ func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, 
 // elapsed simulated time, and pool activity lands on it as events. The
 // recovery ladder may run d more than once under one span (retries,
 // fallback): key tells the sibling spans apart. A nil sp records nothing.
+//
+// Served results never expose the executed drive (a coalesced or memoized
+// response is shared between requests, and an ssd.Device is
+// single-goroutine), so the device is recycled here.
 func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", policy)
@@ -501,6 +571,7 @@ func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*Run
 		return nil, err
 	}
 	child.End(int64(r.Elapsed))
+	d.recycle(r)
 	return r, nil
 }
 

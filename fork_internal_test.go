@@ -1,6 +1,8 @@
 package conduit
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,7 +11,7 @@ import (
 	"conduit/internal/workloads"
 )
 
-func deployWorkload(t *testing.T, sys *System, name string, scale int) *Deployment {
+func deployWorkload(t testing.TB, sys *System, name string, scale int) *Deployment {
 	t.Helper()
 	w, ok := workloads.Find(name, scale)
 	if !ok {
@@ -193,5 +195,180 @@ func TestRunAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > maxBytes {
 		t.Errorf("%d bytes per Deployment.Run, budget %d", perRun, maxBytes)
+	}
+}
+
+// TestServedRequestAllocBudget pins what a served request costs once the
+// forks it runs on are recycled devices: steady-state Server.Do after ten
+// warm-up requests allocates the result — decisions, latencies, counters,
+// the response — and nothing of the device (56 KiB of fork and 22 KiB of
+// copied chunks per request before devices were recycled). The ceilings
+// are what it measures plus 10 %, as in TestRunAllocBudget; the slack also
+// covers the one or two late clones a slow refiller can still cause before
+// the deployment has its full complement of devices.
+func TestServedRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	for _, c := range []struct {
+		workload            string
+		scale               int
+		maxBytes, maxAllocs uint64
+	}{
+		{"jacobi-1d", 1, 2960, 12},         // measures 2693 B in 11 allocations
+		{"LlaMA2 Inference", 2, 39600, 22}, // measures 36000 B in 20 allocations
+	} {
+		srv := NewServer(DefaultConfig(), ServeOptions{Concurrency: 1, Prefork: 2})
+		if err := srv.RegisterWorkload(c.workload, c.scale, 1); err != nil {
+			t.Fatal(err)
+		}
+		do := func() {
+			if _, err := srv.Do(Request{Tenant: "t", Workload: c.workload, Policy: "Conduit"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			do()
+		}
+		const requests = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < requests; i++ {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		perReq := (after.TotalAlloc - before.TotalAlloc) / requests
+		allocs := (after.Mallocs - before.Mallocs) / requests
+		t.Logf("%s: %d bytes in %d allocations per served request", c.workload, perReq, allocs)
+		if perReq > c.maxBytes || allocs > c.maxAllocs {
+			t.Errorf("%s: %d bytes in %d allocations per served request, budget %d in %d",
+				c.workload, perReq, allocs, c.maxBytes, c.maxAllocs)
+		}
+		srv.Drain()
+	}
+}
+
+// BenchmarkForkRestore is the warm fork: a device that has run its
+// workload, and so owns every table chunk the run writes, restored in
+// place from the frozen master. Run with -benchmem: 0 allocs/op is the
+// point (a clone, the cold fork, is TestForkAllocBudget's 56 KiB).
+func BenchmarkForkRestore(b *testing.B) {
+	dep := deployWorkload(b, NewSystem(DefaultConfig()), "jacobi-1d", 1)
+	dev := dep.master.Clone()
+	for _, policy := range []string{"Conduit", "DM-Offloading", "BW-Offloading"} {
+		if _, err := runPolicyOn(dev, policy); err != nil {
+			b.Fatal(err)
+		}
+		dev.Restore(dep.master)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.Restore(dep.master)
+	}
+}
+
+// TestRecycledRunIdentical is the recycling contract: whatever a device
+// executed before — any policy, a run with a transient fault still armed,
+// a power cycle on top — once it is restored from the master it runs every
+// policy exactly like a fresh clone. Six workloads, every ordered pair
+// (A, B) of the device policies plus Ideal: run A, restore, run B, compare
+// with B on a fresh clone, on the timing-only system and (a rotating
+// eighth of the pairs) on the functional one, where the output pages are
+// compared byte for byte too. The master the device keeps being restored
+// from never changes.
+func TestRecycledRunIdentical(t *testing.T) {
+	var policies []string
+	for _, e := range policyTable {
+		if e.device != nil && !e.ablation {
+			policies = append(policies, e.name)
+		}
+	}
+	policies = append(policies, "Ideal")
+	// What happens to the device around run A before it is restored.
+	variants := []struct {
+		name   string
+		before func(dev *ssd.Device)
+		after  func(dev *ssd.Device, a *RunResult)
+	}{
+		{name: "plain"},
+		{name: "fault armed", before: func(dev *ssd.Device) {
+			dev.InjectFault(1, 2)
+			dev.InjectFault(1<<30, 1) // no such instruction: still armed after the run
+		}},
+		{name: "power-cycled", after: func(dev *ssd.Device, a *RunResult) {
+			if _, err := dev.PowerCycle(a.Elapsed); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, sys := range []*System{NewSystem(DefaultConfig()), NewReferenceSystem(DefaultConfig())} {
+		functional := !sys.cfg.SSD.TimingOnly
+		if functional && raceEnabled {
+			continue // 36 s under the race detector, which has nothing to find on one goroutine
+		}
+		for _, w := range workloads.All(1) {
+			dep, err := sys.Deploy(mustCompile(t, sys, w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progBefore, erasesBefore := flashImage(dep.master)
+			fresh := make(map[string]*RunResult, len(policies))
+			for _, p := range policies {
+				if fresh[p], err = dep.Run(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev := dep.master.Clone()
+			for vi, v := range variants {
+				for ai, a := range policies {
+					// The functional data plane is an order of magnitude
+					// slower, and so is the race detector: there each A
+					// is followed by one B, a different one per variant,
+					// not by all eight.
+					followers := policies
+					if functional || raceEnabled {
+						followers = policies[(ai+vi+1)%len(policies):][:1]
+					}
+					for _, b := range followers {
+						what := fmt.Sprintf("%s functional=%v: %s after %s (%s)", w.Name, functional, b, a, v.name)
+						dev.Restore(dep.master)
+						if v.before != nil {
+							v.before(dev)
+						}
+						ra, err := runPolicyOn(dev, a)
+						if err != nil {
+							t.Fatalf("%s: run A: %v", what, err)
+						}
+						if v.after != nil {
+							v.after(dev, ra)
+						}
+						dev.Restore(dep.master)
+						rb, err := runPolicyOn(dev, b)
+						if err != nil {
+							t.Fatalf("%s: run B: %v", what, err)
+						}
+						requireSameRun(t, what, rb, fresh[b])
+						for _, p := range dep.c.Prog.OutputPages {
+							if !functional {
+								break
+							}
+							got, gerr := dev.PageBytes(p)
+							want, werr := fresh[b].Device.PageBytes(p)
+							if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+								t.Fatalf("%s: output page %d differs from the fresh clone's (%v, %v)", what, p, gerr, werr)
+							}
+						}
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
+			progAfter, erasesAfter := flashImage(dep.master)
+			if !reflect.DeepEqual(progAfter, progBefore) || !reflect.DeepEqual(erasesAfter, erasesBefore) {
+				t.Fatalf("%s functional=%v: restoring from the master changed its page states or erase counts", w.Name, functional)
+			}
+		}
 	}
 }

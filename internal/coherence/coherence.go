@@ -136,13 +136,12 @@ func (d *Directory) Sync(p int, reason SyncReason) bool {
 // SyncCount reports how many synchronizations each trigger caused.
 func (d *Directory) SyncCount(r SyncReason) int64 { return d.syncs[r] }
 
-// Clone returns an independent copy of the directory.
-func (d *Directory) Clone() *Directory {
-	return &Directory{
-		entries: append([]Entry(nil), d.entries...),
-		syncs:   d.syncs,
-		mods:    d.mods,
-	}
+// Restore makes d an independent copy of src in place, reusing d's entry
+// storage. Restoring into a zero Directory is how a directory is cloned.
+func (d *Directory) Restore(src *Directory) {
+	d.entries = append(d.entries[:0], src.entries...)
+	d.syncs = src.syncs
+	d.mods = src.mods
 }
 
 // Modifications reports the total number of recorded modifications.

@@ -83,7 +83,7 @@ type Core struct {
 	cfg    *config.SSD
 	en     *energy.Account
 	timing bool
-	cal    *sim.Calendar
+	cal    sim.Calendar
 
 	// pool recycles page-sized result buffers. A result returned by Exec
 	// is freshly allocated (private) until the caller stores it; callers
@@ -96,7 +96,7 @@ type Core struct {
 
 // New returns the compute core for cfg, charging energy to en.
 func New(cfg *config.SSD, en *energy.Account) *Core {
-	return &Core{cfg: cfg, en: en, timing: cfg.TimingOnly, cal: sim.NewCalendar("isp-core"), pool: arena.New(cfg.PageSize)}
+	return &Core{cfg: cfg, en: en, timing: cfg.TimingOnly, cal: *sim.NewCalendar("isp-core"), pool: arena.New(cfg.PageSize)}
 }
 
 // outBuffer returns a result buffer of the given size, recycling dead
@@ -116,7 +116,7 @@ func (c *Core) Recycle(b []byte) { c.pool.Put(b) }
 
 // Calendar exposes the core's timing calendar (for queue-delay observation
 // by offloading policies).
-func (c *Core) Calendar() *sim.Calendar { return c.cal }
+func (c *Core) Calendar() *sim.Calendar { return &c.cal }
 
 // Exec executes inst over the operand buffers and returns the result bytes
 // and completion time. Operands must already be resident in SSD DRAM; the
@@ -190,15 +190,17 @@ func (c *Core) ExecScalar(now, ready sim.Time, cyc int64) (sim.Time, error) {
 	return done, nil
 }
 
-// Clone returns an independent copy of the core (calendar and counters),
-// charging future energy to en. The clone gets its own empty buffer pool:
-// free lists hold only dead buffers and are never shared.
-func (c *Core) Clone(en *energy.Account) *Core {
-	cp := *c
-	cp.en = en
-	cp.cal = c.cal.Clone()
-	cp.pool = arena.New(c.cfg.PageSize)
-	return &cp
+// Restore makes c an independent copy of src in place (calendar and
+// counters), charging future energy to en. c keeps its own buffer pool —
+// free lists hold only dead buffers and are never shared — and gets an
+// empty one when it has none: restoring into a zero Core is how a core is
+// cloned.
+func (c *Core) Restore(src *Core, en *energy.Account) {
+	c.cfg, c.en, c.timing, c.cal = src.cfg, en, src.timing, src.cal
+	if c.pool == nil {
+		c.pool = arena.New(src.cfg.PageSize)
+	}
+	c.vecOps, c.scalarOps, c.cycles = src.vecOps, src.scalarOps, src.cycles
 }
 
 // AppendCounts appends Stats' values to dst in sorted key order.

@@ -82,21 +82,40 @@ func (t *Table[T]) Freeze() {
 	}
 }
 
-// Clone returns an independent table: chunks the parent owns are deep
-// copied (the parent may still write them in place); unowned chunks are
-// aliased and protected by copy-on-write on both sides.
-func (t *Table[T]) Clone() Table[T] {
-	nt := Table[T]{
-		n:      t.n,
-		chunks: append([]*[ChunkLen]T(nil), t.chunks...),
-		owned:  make([]bool, len(t.owned)),
+// Restore makes t an independent copy of src in place, keeping the memory
+// t already has: a chunk t owns is overwritten and stays owned, a chunk it
+// does not own re-aliases src's (copy-on-write on both sides), and a chunk
+// src still owns, and may write in place, is deep-copied. A table that is
+// restored and rewritten over and over therefore stops allocating once it
+// owns every chunk its writer touches. A table of another length starts
+// over, owning nothing. Restore never writes to src: any number of
+// goroutines may restore from, and clone, one frozen table.
+func (t *Table[T]) Restore(src *Table[T]) {
+	if len(t.chunks) != len(src.chunks) {
+		t.chunks = append([]*[ChunkLen]T(nil), src.chunks...) // one bulk copy: the walk finds them aliased
+		t.owned = make([]bool, len(src.chunks))
 	}
-	for c, own := range t.owned {
-		if own {
-			cp := *t.chunks[c]
-			nt.chunks[c] = &cp
-			nt.owned[c] = true
+	t.n = src.n
+	// Resliced to one length so the walk below, one step per chunk slot
+	// whatever is owned, runs without bounds checks.
+	chunks, owned, srcOwned := t.chunks[:len(src.chunks)], t.owned[:len(src.chunks)], src.owned[:len(src.chunks)]
+	for c, sc := range src.chunks {
+		switch {
+		case owned[c]:
+			*chunks[c] = *sc
+		case srcOwned[c]:
+			cp := *sc
+			chunks[c], owned[c] = &cp, true
+		case chunks[c] != sc: // already aliased when restored from the same source again: no store, no write barrier
+			chunks[c] = sc
 		}
 	}
+}
+
+// Clone returns an independent table: Restore into an empty one, so
+// chunks the parent owns are deep-copied and unowned chunks are aliased.
+func (t *Table[T]) Clone() Table[T] {
+	var nt Table[T]
+	nt.Restore(t)
 	return nt
 }

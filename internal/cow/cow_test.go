@@ -7,10 +7,12 @@ import (
 )
 
 // TestModelRandomOps drives a growing family of tables with random
-// Set/Clone/Freeze/At sequences and checks every table against a plain
-// slice every few steps: whatever the ownership history, a write
+// Set/Clone/Restore/Freeze/At sequences and checks every table against a
+// plain slice every few steps: whatever the ownership history, a write
 // through one table is never visible through its parent, a sibling or a
-// descendant.
+// descendant. Restore takes any table of the family as its source — one
+// that still owns chunks, a frozen one, the destination itself — and now
+// and then a table of another length.
 func TestModelRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,18 +30,42 @@ func TestModelRandomOps(t *testing.T) {
 			case op < 6:
 				// Writes cluster on a few chunks so shared and owned
 				// chunks are both hit repeatedly.
-				i := (rng.Intn(4)*ChunkLen + rng.Intn(ChunkLen)) % n
+				i := (rng.Intn(4)*ChunkLen + rng.Intn(ChunkLen)) % len(models[k])
 				v := rng.Int31()
 				tables[k].Set(i, v)
 				models[k][i] = v
-			case op < 8 && len(tables) < 12:
+			case op < 7 && len(tables) < 12:
 				c := tables[k].Clone()
 				tables = append(tables, &c)
 				models = append(models, append([]int32(nil), models[k]...))
+			case op < 8:
+				src, srcModel := tables[rng.Intn(len(tables))], []int32(nil)
+				for j := range tables {
+					if tables[j] == src {
+						srcModel = models[j]
+					}
+				}
+				if rng.Intn(8) == 0 && len(tables) < 12 {
+					// A table of another length joins the family: one
+					// chunk owned, the rest shared fill.
+					m := 1 + rng.Intn(4*ChunkLen)
+					other := New(m, int32(step))
+					srcModel = make([]int32, m)
+					for i := range srcModel {
+						srcModel[i] = int32(step)
+					}
+					other.Set(m-1, -7)
+					srcModel[m-1] = -7
+					src = &other
+					tables = append(tables, src)
+					models = append(models, srcModel)
+				}
+				tables[k].Restore(src)
+				models[k] = append([]int32(nil), srcModel...)
 			case op < 9:
 				tables[k].Freeze()
 			default:
-				i := rng.Intn(n)
+				i := rng.Intn(len(models[k]))
 				if got := tables[k].At(i); got != models[k][i] {
 					t.Fatalf("seed %d step %d: table %d At(%d) = %d, want %d", seed, step, k, i, got, models[k][i])
 				}
@@ -110,10 +136,43 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
+// TestRestoreKeepsOwnedChunks pins what makes a recycled table free: a
+// chunk the table owns is overwritten in place and stays owned, so the
+// restore and the writes after it allocate nothing; a chunk it does not
+// own aliases the source's again.
+func TestRestoreKeepsOwnedChunks(t *testing.T) {
+	const n = 3*ChunkLen + 5
+	master := New[int64](n, 7)
+	master.Set(ChunkLen+1, 11)
+	master.Freeze()
+	fork := master.Clone()
+	fork.Set(0, 1)         // chunk 0: owned from here on
+	fork.Set(n-1, 2)       // the short last chunk too
+	own0 := fork.chunks[0] // chunks 1 and 2 still alias the master's
+	if allocs := testing.AllocsPerRun(10, func() {
+		fork.Restore(&master)
+		fork.Set(0, 3)
+		fork.Set(n-1, 4)
+	}); allocs != 0 {
+		t.Errorf("restore + rewrite of owned chunks allocates %v objects, want 0", allocs)
+	}
+	fork.Restore(&master)
+	if fork.chunks[0] != own0 || !fork.owned[0] || fork.At(0) != 7 || fork.At(n-1) != 7 {
+		t.Error("an owned chunk was not overwritten in place")
+	}
+	if fork.chunks[1] != master.chunks[1] || fork.owned[1] || fork.At(ChunkLen+1) != 11 {
+		t.Error("an unowned chunk does not alias the source's")
+	}
+	if master.At(0) != 7 || master.At(n-1) != 7 {
+		t.Error("the frozen source changed")
+	}
+}
+
 // TestFrozenTableClonesConcurrently is the deployment's access pattern
 // under the race detector: several goroutines clone one frozen table at
-// once and each writes its own clone, on the same indices. Every clone
-// sees only its own writes and the frozen table never changes.
+// once and each writes its own clone, on the same indices, while as many
+// again keep restoring one table of their own from it and writing that.
+// Every copy sees only its own writes and the frozen table never changes.
 func TestFrozenTableClonesConcurrently(t *testing.T) {
 	const n = 5*ChunkLen + 100
 	master := New[int64](n, 7)
@@ -126,14 +185,19 @@ func TestFrozenTableClonesConcurrently(t *testing.T) {
 	}
 	master.Freeze()
 
-	const workers = 8
+	const workers = 16 // even: a fresh clone per round; odd: one table, restored
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var c Table[int64]
 			for round := 0; round < 20; round++ {
-				c := master.Clone()
+				if w%2 == 0 {
+					c = master.Clone()
+				} else {
+					c.Restore(&master)
+				}
 				for i := w; i < n; i += 13 {
 					c.Set(i, int64(-w-1))
 				}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"bytes"
 	"testing"
 
 	"conduit/internal/isa"
@@ -70,14 +71,30 @@ func TestCloneStopsPayloadRecycling(t *testing.T) {
 	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpAdd, 2, []int{0, 1}, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Clone(en)
+	c := new(Module) // a clone is a restore into a zero module
+	c.Restore(m, en)
 	want := c.Data(2)
+	// A second copy is restored over a module that has executed: it shares
+	// m's payloads from then on and may recycle only what it allocates.
+	used, _, _ := newTestModule()
+	used.SetSlotForTest(2, page)
+	used.SetSlotForTest(3, page)
+	used.Restore(m, en)
+	if used.Populated(3) {
+		t.Fatal("restore kept a slot the source does not have")
+	}
 
-	// Keep replacing slot 2 in the original; the clone's view must not move.
+	// Keep replacing slot 2 in the original and in the restored copy; the
+	// clone's view must not move.
 	for i := 0; i < 8; i++ {
-		if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpXor, 2, []int{0, 2}, 1, false, 0); err != nil {
-			t.Fatal(err)
+		for _, mod := range []*Module{m, used} {
+			if _, err := mod.Exec(0, 0, mod.Units().Earliest(), isa.OpXor, 2, []int{0, 2}, 1, false, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if got := used.Data(2); !bytes.Equal(got, m.Data(2)) {
+		t.Fatal("the restored copy and the original diverged over the same operations")
 	}
 	got := c.Data(2)
 	for i := range want {

@@ -59,8 +59,8 @@ type Module struct {
 	cfg    *config.SSD
 	en     *energy.Account
 	timing bool
-	units  *sim.Group    // concurrent subarray compute sets (MIMDRAM)
-	bus    *sim.Calendar // shared LPDDR4 data bus for transfers in/out
+	units  sim.Group    // concurrent subarray compute sets (MIMDRAM)
+	bus    sim.Calendar // shared LPDDR4 data bus for transfers in/out
 
 	// state is the slot table, one byte per slot and indexed by slot
 	// number: slotPopulated once the slot has been written, slotPrivate
@@ -71,11 +71,11 @@ type Module struct {
 	payload [][]byte
 
 	// pool recycles dead page payloads. Payloads are replace-on-write
-	// (see Clone), so a slot's payload may be recycled on replacement or
+	// (see Restore), so a slot's payload may be recycled on replacement or
 	// invalidation only while its slotPrivate bit holds. shared is raised
-	// by Clone (which may run concurrently with other Clones of the same
-	// module, hence the atomic); the next mutation drops every
-	// slotPrivate bit, because the clone now references the same payloads.
+	// when another module restores from this one (several may at once,
+	// hence the atomic); the next mutation drops every slotPrivate bit,
+	// because the copy now references the same payloads.
 	pool   *arena.Pool
 	shared atomic.Bool
 
@@ -105,8 +105,8 @@ func NewModule(cfg *config.SSD, en *energy.Account) *Module {
 		cfg:    cfg,
 		en:     en,
 		timing: cfg.TimingOnly,
-		units:  sim.NewGroup("pud-unit", ComputeUnits),
-		bus:    sim.NewCalendar("dram-bus"),
+		units:  *sim.NewGroup("pud-unit", ComputeUnits),
+		bus:    *sim.NewCalendar("dram-bus"),
 		state:  make([]uint8, capacity),
 		pool:   arena.New(cfg.PageSize),
 	}
@@ -116,8 +116,8 @@ func NewModule(cfg *config.SSD, en *energy.Account) *Module {
 	return m
 }
 
-// unshare lazily drops payload privacy after a Clone: every payload that
-// existed at clone time is now referenced by the clone too, so none of
+// unshare lazily drops payload privacy after a copy was taken: every
+// payload that existed then is now referenced by the copy too, so none of
 // them may be recycled.
 func (m *Module) unshare() {
 	if m.shared.Load() {
@@ -160,10 +160,10 @@ func (m *Module) Recycle(b []byte) { m.pool.Put(b) }
 func (m *Module) Capacity() int { return len(m.state) }
 
 // Units exposes the compute-unit calendars (for queue-delay observation).
-func (m *Module) Units() *sim.Group { return m.units }
+func (m *Module) Units() *sim.Group { return &m.units }
 
 // Bus exposes the data-bus calendar.
-func (m *Module) Bus() *sim.Calendar { return m.bus }
+func (m *Module) Bus() *sim.Calendar { return &m.bus }
 
 func (m *Module) checkSlot(s int) {
 	if s < 0 || s >= len(m.state) {
@@ -292,35 +292,31 @@ func (m *Module) Exec(now, ready sim.Time, unit *sim.Calendar, op isa.Op, dst in
 	return done, nil
 }
 
-// Clone returns an independent copy of the module — slot contents,
-// calendars, and activity counters — charging future energy to en. Clones
-// share only immutable state, so a clone and its original can be driven
-// from different goroutines. Slot payloads are shared, not copied: every
-// mutation path (Write, Exec, SetSlotForTest) replaces the stored slice
-// with a freshly allocated one, so a stored payload is immutable for its
-// lifetime.
-func (m *Module) Clone(en *energy.Account) *Module {
-	c := &Module{
-		cfg:        m.cfg,
-		en:         en,
-		timing:     m.timing,
-		units:      m.units.Clone(),
-		bus:        m.bus.Clone(),
-		state:      append([]uint8(nil), m.state...),
-		payload:    append([][]byte(nil), m.payload...), // replace-on-write; see doc comment
-		pool:       arena.New(m.cfg.PageSize),
-		bbops:      m.bbops,
-		reads:      m.reads,
-		writes:     m.writes,
-		bytesMoved: m.bytesMoved,
+// Restore makes m an independent copy of src in place — slot contents,
+// calendars, and activity counters — charging future energy to en and
+// reusing m's slot tables; m keeps its own buffer pool and operand scratch
+// (restoring into a zero Module, which gets an empty pool, is how a module
+// is cloned). Copies share only immutable state, so a copy and its
+// original can be driven from different goroutines. Slot payloads are
+// shared, not copied: every mutation path (Write, Exec, SetSlotForTest)
+// replaces the stored slice with a freshly allocated one, so a stored
+// payload is immutable for its lifetime.
+func (m *Module) Restore(src *Module, en *energy.Account) {
+	m.cfg, m.en, m.timing, m.bus = src.cfg, en, src.timing, src.bus
+	m.units.Restore(&src.units)
+	m.state = append(m.state[:0], src.state...)
+	m.payload = append(m.payload[:0], src.payload...) // replace-on-write; see doc comment
+	if m.pool == nil {
+		m.pool = arena.New(src.cfg.PageSize)
 	}
+	m.bbops, m.reads, m.writes, m.bytesMoved = src.bbops, src.reads, src.writes, src.bytesMoved
 	// Payloads are now referenced from both modules: neither may recycle
-	// them on replacement. The flag (not a direct wipe of m's private bits)
-	// keeps Clone read-only on m, so concurrent Clones of one module stay
-	// safe; m applies it at its next mutation.
-	dropPrivate(c.state)
-	m.shared.Store(true)
-	return c
+	// them on replacement. The flag (not a direct wipe of src's private
+	// bits) keeps Restore read-only on src, so concurrent copies of one
+	// module stay safe; src applies it at its next mutation.
+	dropPrivate(m.state)
+	m.shared.Store(false)
+	src.shared.Store(true)
 }
 
 // SetSlotForTest force-writes slot contents without timing (fixture hook).

@@ -106,12 +106,11 @@ func (a *Account) Paths() []string { return a.movement.names() }
 // Reset clears the account.
 func (a *Account) Reset() { *a = Account{} }
 
-// Clone returns an independent copy of the account.
-func (a *Account) Clone() *Account {
-	return &Account{
-		compute:  append(ledger(nil), a.compute...),
-		movement: append(ledger(nil), a.movement...),
-	}
+// Restore makes a an independent copy of src in place, reusing a's ledger
+// storage. Restoring into a zero Account is how an account is cloned.
+func (a *Account) Restore(src *Account) {
+	a.compute = append(a.compute[:0], src.compute...)
+	a.movement = append(a.movement[:0], src.movement...)
 }
 
 // MergeShards sums per-shard (compute, movement) energy pairs in slice

@@ -140,8 +140,14 @@ func TestLedgerMatchesMapModel(t *testing.T) {
 				a.Move(name, j)
 				m.movement[name] += j
 			case op == 18:
-				// Keep charging the original; the clone must not move.
-				c, cm := a.Clone(), newMapAccount()
+				// Keep charging the original; the copy — restored into a
+				// zero account or over a used one — must not move.
+				c, cm := NewAccount(), newMapAccount()
+				if step%2 == 0 {
+					c.Compute("stale", 1)
+					c.Move(name, 2)
+				}
+				c.Restore(a)
 				maps.Copy(cm.compute, m.compute)
 				maps.Copy(cm.movement, m.movement)
 				a.Compute(name, j)

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"maps"
 
 	"conduit/internal/config"
 	"conduit/internal/cow"
@@ -435,37 +436,34 @@ func (f *FTL) Migrate(now sim.Time, lpns []LPN, plane int) (sim.Time, error) {
 	return done, nil
 }
 
-// Clone returns an independent copy of the FTL bound to arr (normally a
-// Clone of the original's array): the L2P/P2L maps, valid counts and free
-// lists (copy-on-write: shared with f until either side writes), the
-// per-plane allocation cursors, the mapping cache with its exact LRU order
-// (cache order determines lookup latencies, so restoring it is required
-// for run-for-run determinism), and the activity counters.
-func (f *FTL) Clone(arr *nand.Array) *FTL {
-	c := &FTL{
-		cfg:        f.cfg,
-		geo:        f.geo,
-		arr:        arr,
-		l2p:        f.l2p.Clone(),
-		p2l:        f.p2l.Clone(),
-		validCount: f.validCount.Clone(),
-		freeBlocks: f.freeBlocks.Clone(),
-		planes:     append([]planeAlloc(nil), f.planes...),
-		cache:      f.cache.clone(),
-		nextPlane:  f.nextPlane,
-		gcRuns:     f.gcRuns,
-		migrations: f.migrations,
-		mapMisses:  f.mapMisses,
-		mapHits:    f.mapHits,
+// Restore makes f an independent copy of src in place, bound to arr
+// (normally the array restored from src's): the L2P/P2L maps, valid counts
+// and free lists (copy-on-write: shared with src until either side writes;
+// chunks f already owns are overwritten in place), the per-plane
+// allocation cursors, the mapping cache with its exact LRU order (cache
+// order determines lookup latencies, so restoring it is required for
+// run-for-run determinism), and the activity counters. Restoring into a
+// zero FTL is how an FTL is cloned.
+func (f *FTL) Restore(src *FTL, arr *nand.Array) {
+	f.cfg, f.geo, f.arr = src.cfg, src.geo, arr
+	f.l2p.Restore(&src.l2p)
+	f.p2l.Restore(&src.p2l)
+	f.validCount.Restore(&src.validCount)
+	f.freeBlocks.Restore(&src.freeBlocks)
+	f.planes = append(f.planes[:0], src.planes...)
+	if f.cache == nil {
+		f.cache = &mappingCache{index: make(map[LPN]int32, len(src.cache.index))}
 	}
-	return c
+	f.cache.restore(src.cache)
+	f.nextPlane = src.nextPlane
+	f.gcRuns, f.migrations, f.mapMisses, f.mapHits = src.gcRuns, src.migrations, src.mapMisses, src.mapHits
 }
 
 // Freeze releases ownership of the copy-on-write tables so subsequent
-// Clones alias their chunks instead of copying them. Call it on a
-// pristine master that will be cloned many times; Clone itself never
-// mutates the parent, so a frozen FTL may be cloned from multiple
-// goroutines concurrently.
+// copies alias their chunks instead of copying them. Call it on a
+// pristine master that will be copied many times; Restore never mutates
+// its source, so multiple goroutines may restore from one frozen FTL
+// concurrently.
 func (f *FTL) Freeze() {
 	f.l2p.Freeze()
 	f.p2l.Freeze()
@@ -497,8 +495,8 @@ func maxTime(a, b sim.Time) sim.Time {
 
 // mappingCache is a fixed-capacity LRU of cached L2P entries (the DFTL
 // cached mapping table). Nodes live in a flat slab indexed by int32 and
-// linked by slab index rather than by pointer: cloning the cache — which
-// Device.Clone does on every deployment fork — is then one slice copy
+// linked by slab index rather than by pointer: copying the cache — which
+// Device.Restore does for every deployment fork — is then one slice copy
 // plus one map copy instead of an allocation per cached entry, and the
 // slab stays dense (freed slots are recycled through a free list
 // threaded over next).
@@ -527,15 +525,13 @@ func newMappingCache(capacity int) *mappingCache {
 	}
 }
 
-// clone copies the cache preserving the exact recency order.
-func (c *mappingCache) clone() *mappingCache {
-	nc := *c
-	nc.index = make(map[LPN]int32, len(c.index))
-	for k, v := range c.index {
-		nc.index[k] = v
-	}
-	nc.nodes = append([]cacheNode(nil), c.nodes...)
-	return &nc
+// restore makes c a copy of src in place, preserving the exact recency
+// order and reusing c's slab and index storage.
+func (c *mappingCache) restore(src *mappingCache) {
+	c.capacity, c.head, c.tail, c.free = src.capacity, src.head, src.tail, src.free
+	clear(c.index)
+	maps.Copy(c.index, src.index)
+	c.nodes = append(c.nodes[:0], src.nodes...)
 }
 
 // alloc returns a free slab slot, growing the slab if none is free.

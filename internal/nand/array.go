@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"maps"
 
 	"conduit/internal/config"
 	"conduit/internal/cow"
@@ -525,11 +526,12 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 	a.setProgrammed(idx)
 }
 
-// Clone returns an independent copy of the array — page contents, page
-// states, erase counts, plane buffers, injected bit errors, calendars, and
-// activity counters — charging future energy to en. Clones share only
-// immutable state, so a clone and its original can be driven from
-// different goroutines.
+// Restore makes a an independent copy of src in place — page contents,
+// page states, erase counts, plane buffers, injected bit errors, calendars,
+// and activity counters — charging future energy to en and reusing a's
+// tables, maps and slabs. Restoring into a zero Array is how an array is
+// cloned. Copies share only immutable state, so a copy and its original
+// can be driven from different goroutines.
 //
 // Page payloads (the []byte values in data and the plane buffers) are
 // shared, not copied: every mutation path in this package (Program,
@@ -538,50 +540,36 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 // stored payload is immutable for its lifetime.
 //
 // Cost: the per-page state and per-block erase tables are copy-on-write
-// (internal/cow), so cloning a frozen array copies one pointer per
-// chunk and the clone pays for a chunk only when it first writes it;
-// cloning an array that is not frozen copies the chunks it owns. The
-// data and bitErrors maps cost one entry per stored payload or injected
-// page — nothing on a timing-only array, which stores neither — and the
-// plane buffers and calendars are one flat copy each. Clone never writes
-// to a.
-func (a *Array) Clone(en *energy.Account) *Array {
-	c := &Array{
-		cfg:            a.cfg,
-		geo:            a.geo,
-		en:             en,
-		timing:         a.timing,
-		data:           make(map[int][]byte, len(a.data)),
-		bitErrors:      make(map[int]int, len(a.bitErrors)),
-		state:          a.state.Clone(),
-		erases:         a.erases.Clone(),
-		buffers:        append([]Buffer(nil), a.buffers...),
-		dies:           append([]sim.Calendar(nil), a.dies...),
-		bus:            append([]sim.Calendar(nil), a.bus...),
-		senses:         a.senses,
-		programs:       a.programs,
-		eraseOps:       a.eraseOps,
-		mwsOps:         a.mwsOps,
-		latchRounds:    a.latchRounds,
-		fcTransfers:    a.fcTransfers,
-		bytesOut:       a.bytesOut,
-		bytesIn:        a.bytesIn,
-		eccCorrections: a.eccCorrections,
-		eccFailures:    a.eccFailures,
-		eProg:          a.eProg,
-		eErase:         a.eErase,
+// (internal/cow), so a copy of a frozen array takes one pointer per chunk,
+// pays for a chunk only when it first writes it, and from then on
+// overwrites that chunk in place each time it is restored; copying an
+// array that is not frozen copies the chunks it owns. The data and
+// bitErrors maps cost one entry per stored payload or injected page —
+// nothing on a timing-only array, which stores neither — and the plane
+// buffers and calendars are one flat copy each. Restore never writes to
+// src.
+func (a *Array) Restore(src *Array, en *energy.Account) {
+	a.cfg, a.geo, a.en, a.timing = src.cfg, src.geo, en, src.timing
+	a.dies = append(a.dies[:0], src.dies...)
+	a.bus = append(a.bus[:0], src.bus...)
+	if a.data == nil {
+		a.data, a.bitErrors = make(map[int][]byte, len(src.data)), make(map[int]int, len(src.bitErrors))
 	}
-	for idx, d := range a.data {
-		c.data[idx] = d // payloads are replace-on-write; see doc comment
-	}
-	for idx, n := range a.bitErrors {
-		c.bitErrors[idx] = n
-	}
-	return c
+	clear(a.data)
+	maps.Copy(a.data, src.data) // payloads are replace-on-write; see doc comment
+	clear(a.bitErrors)
+	maps.Copy(a.bitErrors, src.bitErrors)
+	a.state.Restore(&src.state)
+	a.erases.Restore(&src.erases)
+	a.buffers = append(a.buffers[:0], src.buffers...)
+	a.senses, a.programs, a.eraseOps, a.mwsOps, a.latchRounds, a.fcTransfers =
+		src.senses, src.programs, src.eraseOps, src.mwsOps, src.latchRounds, src.fcTransfers
+	a.bytesOut, a.bytesIn, a.eccCorrections, a.eccFailures = src.bytesOut, src.bytesIn, src.eccCorrections, src.eccFailures
+	a.eProg, a.eErase = src.eProg, src.eErase
 }
 
 // Freeze releases ownership of the copy-on-write tables so subsequent
-// Clones alias their chunks instead of copying them (see cow.Table.Freeze).
+// copies alias their chunks instead of copying them (see cow.Table.Freeze).
 func (a *Array) Freeze() {
 	a.state.Freeze()
 	a.erases.Freeze()

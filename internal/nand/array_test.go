@@ -555,7 +555,8 @@ func TestCloneIsolatedFromLaterWrites(t *testing.T) {
 	old := Addr{Block: 1, Page: 0}
 	a.Program(0, 0, old, fill(cfg, 1))
 
-	c := a.Clone(energy.NewAccount())
+	c := new(Array) // a clone is a restore into a zero array
+	c.Restore(a, energy.NewAccount())
 	later := Addr{Block: 2, Page: 3}
 	a.Program(0, 0, later, fill(cfg, 2))
 	a.Erase(0, old)
@@ -569,8 +570,14 @@ func TestCloneIsolatedFromLaterWrites(t *testing.T) {
 		t.Errorf("clone erase count = %d after the original erased, want 0", got)
 	}
 
+	// The frozen array's copy is restored over the used clone: what the
+	// clone held of its own (programmed pages, payloads) is gone.
 	a.Freeze()
-	f := a.Clone(energy.NewAccount())
+	f := c
+	f.Restore(a, energy.NewAccount())
+	if f.IsProgrammed(old) || !f.IsProgrammed(later) || !bytes.Equal(f.PageData(later), fill(cfg, 2)) {
+		t.Error("a restored array does not show its source's pages")
+	}
 	f.Program(0, 0, old, fill(cfg, 3))
 	f.Erase(0, later)
 	if a.IsProgrammed(old) || !a.IsProgrammed(later) {

@@ -132,13 +132,6 @@ func (c *Calendar) Reset() {
 	c.busy = 0
 }
 
-// Clone returns an independent copy of the calendar, preserving its
-// horizon and accumulated busy time.
-func (c *Calendar) Clone() *Calendar {
-	cp := *c
-	return &cp
-}
-
 // Group is a pool of identical parallel resources (e.g. the dies behind one
 // channel, the banks of a DRAM rank) with FIFO selection of the earliest
 // available member: the smallest horizon, lowest index among equal minima.
@@ -148,7 +141,7 @@ func (c *Calendar) Clone() *Calendar {
 // directly.
 type Group struct {
 	name    string
-	members []Calendar // one slab: cloning a group is one copy, not one allocation per member
+	members []Calendar // one slab: copying a group is one copy, not one allocation per member
 }
 
 // NewGroup creates a pool of n identical calendars.
@@ -207,7 +200,10 @@ func (g *Group) Reset() {
 	}
 }
 
-// Clone returns an independent copy of the group and all its members.
-func (g *Group) Clone() *Group {
-	return &Group{name: g.name, members: append([]Calendar(nil), g.members...)}
+// Restore makes g an independent copy of src and all its members in
+// place, reusing g's member slab (pointers from Member stay valid when the
+// sizes match). Restoring into a zero Group is how a group is cloned.
+func (g *Group) Restore(src *Group) {
+	g.name = src.name
+	g.members = append(g.members[:0], src.members...)
 }

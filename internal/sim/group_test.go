@@ -80,7 +80,9 @@ func TestGroupCloneCarriesCache(t *testing.T) {
 	g.Reserve(0, 0, 10)
 	g.Reserve(0, 0, 20)
 	g.Earliest()
-	c := g.Clone()
+	c := NewGroup("used", 7) // restoring over a used group of another size
+	c.Reserve(0, 0, 99)
+	c.Restore(g)
 	for i := 0; i < 6; i++ {
 		s1, e1 := g.Reserve(5, 5, 7)
 		s2, e2 := c.Reserve(5, 5, 7)

@@ -183,6 +183,14 @@ func TestReserveBatchMatchesLoopRandom(t *testing.T) {
 	}
 }
 
+// restoredGroup copies g the way a device fork does: Restore into a zero
+// group.
+func restoredGroup(g *sim.Group) *sim.Group {
+	c := new(sim.Group)
+	c.Restore(g)
+	return c
+}
+
 // scanEarliest is the original full-scan member selection the indexed
 // Group must reproduce exactly, FIFO ties included.
 func scanEarliest(g *sim.Group) int {
@@ -234,8 +242,7 @@ func TestGroupSelectionMatchesScanOnTrace(t *testing.T) {
 				}
 			}
 			if i == len(rs)/2 {
-				g = g.Clone()
-				ref = ref.Clone()
+				g, ref = restoredGroup(g), restoredGroup(ref)
 			}
 		}
 		g.Reset()

@@ -85,7 +85,7 @@ type Device struct {
 	// offloadCores models the controller cores that run feature
 	// collection and instruction transformation (the cores not used for
 	// computation or FTL work, §4.3.2 footnote 3).
-	offloadCores *sim.Group
+	offloadCores sim.Group
 
 	// ifpCursor rotates the target plane for IFP work whose operands are
 	// nowhere in flash, spreading latch-loaded operations across dies.
@@ -97,11 +97,11 @@ type Device struct {
 
 	// srcScratch and ifpScratch are the reusable operand slices of the
 	// ISP and IFP execute paths (cleared after each instruction; never
-	// cloned).
+	// copied: Restore leaves a device its own).
 	srcScratch [][]byte
 	ifpScratch []nand.Operand
 
-	// What Run refills for every instruction (never cloned): ops, where
+	// What Run refills for every instruction (never copied): ops, where
 	// each operand was resolved to; feat, the feature snapshot (no policy
 	// keeps the pointer past Select); plan, the placement feat priced.
 	ops  []operand
@@ -168,7 +168,7 @@ func New(cfg *config.Config) *Device {
 	if offCores < 1 {
 		offCores = 1
 	}
-	d.offloadCores = sim.NewGroup("offload-core", offCores)
+	d.offloadCores = *sim.NewGroup("offload-core", offCores)
 	// Reserve 1/8 of DRAM slots for FTL metadata (mapping cache et al.).
 	usable := d.DRAM.Capacity() - d.DRAM.Capacity()/8
 	d.slotOwner = make([]isa.PageID, usable)

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 
 	"conduit/internal/coherence"
 	"conduit/internal/ftl"
@@ -142,8 +143,14 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 	page := d.slotOwner[victim]
 	var done sim.Time = now
 	// Dead temporaries are dropped without a write-back: nothing can read
-	// them again (compiler liveness metadata).
-	if d.Dir.Owner(int(page)) == coherence.LocDRAM && !d.deadAfter(page, d.curInst) {
+	// them again (compiler liveness metadata). The instruction being
+	// dispatched counts among the readers of its own operands — staging
+	// one can evict another that is not staged yet.
+	after := d.curInst
+	if slices.Contains(d.prog.Insts[after].Srcs, page) {
+		after--
+	}
+	if d.Dir.Owner(int(page)) == coherence.LocDRAM && !d.deadAfter(page, after) {
 		data, rdone := d.DRAM.Read(now, now, victim)
 		wdone, err := d.FTL.Write(rdone, ftl.LPN(page), data, -1)
 		if err != nil {

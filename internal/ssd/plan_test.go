@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"testing"
 
 	"conduit/internal/coherence"
@@ -361,6 +362,45 @@ func TestExecuteReadsLiveStateUnderEviction(t *testing.T) {
 		if got := [...]int64{int64(res.Elapsed), res.Counters.Get("flash.programs"), res.Counters.Get("flash.senses")}; got != [...]int64{int64(c.elapsed), c.programs, c.senses} {
 			t.Errorf("%s: elapsed %d, flash.programs %d, flash.senses %d; the parent device measured %d, %d, %d",
 				c.policy.Name(), got[0], got[1], got[2], c.elapsed, c.programs, c.senses)
+		}
+	}
+}
+
+// TestEvictionKeepsOperandOfCurrentInstruction: with liveness metadata (R
+// is the only output page) A's last use is the last instruction, R = B * A.
+// Staging B evicts A, which that same instruction has yet to read: the
+// eviction must count the instruction's own reads and write A back. The
+// parent device asked whether A was dead after the instruction, dropped it,
+// and failed with "owned by DRAM without a slot".
+func TestEvictionKeepsOperandOfCurrentInstruction(t *testing.T) {
+	cfg := config.TestScale()
+	cfg.SSD.DRAMSize = int64(16 * cfg.SSD.PageSize)
+	prog, inputs, a, _ := evictionProgram(t, cfg.SSD.PageSize)
+	r := prog.Insts[len(prog.Insts)-1].Dst
+	prog.OutputPages = []isa.PageID{r}
+	want := refRun(t, prog, inputs, cfg.SSD.PageSize)
+	for _, policy := range []offload.Policy{offload.PuDSSD{}, offload.ISPOnly{}, offload.Conduit{}} {
+		d := New(&cfg)
+		if err := d.LoadProgram(prog, inputs); err != nil {
+			t.Fatal(err)
+		}
+		if !d.deadAfter(a, len(prog.Insts)-1) {
+			t.Fatalf("A (page %d) is live after the last instruction; the test exercises nothing", a)
+		}
+		d.EnterComputationMode()
+		res, err := d.Run(policy)
+		if err != nil {
+			t.Fatalf("%s: %v", policy.Name(), err)
+		}
+		if res.Counters.Get("flash.programs") == 0 {
+			t.Fatalf("%s: nothing was written back; the test exercises nothing", policy.Name())
+		}
+		got, err := d.PageBytes(r)
+		if err != nil {
+			t.Fatalf("%s: %v", policy.Name(), err)
+		}
+		if !bytes.Equal(got, want[r]) {
+			t.Errorf("%s: the output page differs from the functional reference", policy.Name())
 		}
 	}
 }

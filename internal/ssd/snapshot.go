@@ -3,85 +3,110 @@ package ssd
 import (
 	"maps"
 
-	"conduit/internal/isa"
+	"conduit/internal/coherence"
+	"conduit/internal/cores"
+	"conduit/internal/dram"
+	"conduit/internal/energy"
+	"conduit/internal/ftl"
+	"conduit/internal/nand"
 )
 
 // Freeze marks the device's copy-on-write tables shared (internal/cow):
 // the flash array's per-page state and per-block erase counts, the FTL's
 // L2P, P2L, validity, per-block valid-count and free-list tables, and
-// the per-page readiness times. Subsequent Clones alias their chunks and
-// pay only for the chunks they write. Call it once on a pristine
-// post-deploy master that is cloned but never run; a frozen device may
-// be cloned from several goroutines at once.
+// the per-page readiness times. Subsequent copies (Restore, Clone) alias
+// their chunks and pay only for the chunks they write. Call it once on a
+// pristine post-deploy master that is copied but never run; several
+// goroutines may copy a frozen device at once.
 func (d *Device) Freeze() {
 	d.Flash.Freeze()
 	d.FTL.Freeze()
 	d.pageReady.Freeze()
 }
 
-// Clone returns an independent deep copy of the device: flash contents and
-// page states, FTL mapping and allocation state (including the mapping
+// Restore makes d an independent deep copy of src in place: flash contents
+// and page states, FTL mapping and allocation state (including the mapping
 // cache's exact LRU order), DRAM slots, plane-buffer tags, the coherence
 // directory, calendars, energy account, fault injections, and all
-// measurement state.
+// measurement state. It is the one list of what a snapshot copies: Clone
+// is Restore into a zero Device, and a field Restore leaves alone is named
+// as scratch in TestRestoreEqualsClone.
 //
-// Clone is the deploy-amortization primitive: deploying a compiled program
-// over the NVMe path (per-page I/O writes, chunked fw-download, fw-commit)
-// costs far more than copying the resulting device state, so a policy
-// sweep deploys once, keeps the post-deploy device as a pristine master,
-// and runs every policy on its own Clone. A clone restored this way
-// behaves byte-identically to a freshly deployed device. Cloning a frozen
-// master (see Freeze) copies the small per-plane, per-slot and
-// measurement state plus one pointer per table chunk; the page- and
-// block-granular tables themselves are shared until written.
+// Restore is the deploy-amortization primitive: deploying a compiled
+// program over the NVMe path (per-page I/O writes, chunked fw-download,
+// fw-commit) costs far more than copying the resulting device state, so a
+// policy sweep deploys once, keeps the post-deploy device as a pristine
+// master, and runs every policy on its own copy, which behaves
+// byte-identically to a freshly deployed device whatever it executed
+// before. A first copy of a frozen master (see Freeze) costs the small
+// per-plane, per-slot and measurement state plus one pointer per table
+// chunk; the page- and block-granular tables are shared until written. A
+// device restored again after it ran keeps what it allocated — slot
+// tables, the chunks its run wrote (overwritten in place), ledgers,
+// scratch, buffer arenas — so the restore is a memcpy that allocates
+// nothing and the next run writes those chunks without copying them first.
 //
-// The clone shares only immutable state with the original — the
-// configuration, the translation table, the loaded program, the
-// compiler's liveness metadata, and the per-instruction cost table, none
-// of which Run mutates — so the clone and the original may be driven
-// concurrently from different goroutines. The Device itself is still
-// single-goroutine: clone once per worker.
+// The copy shares only immutable state with src — the configuration, the
+// translation table, the loaded program, the compiler's liveness metadata,
+// and the per-instruction cost table, none of which Run mutates — and
+// Restore never writes to src, so several goroutines may restore from one
+// frozen device while its copies run on others. The Device itself is still
+// single-goroutine: one copy per worker.
+func (d *Device) Restore(src *Device) {
+	d.Cfg = src.Cfg
+	d.En.Restore(src.En)
+	d.Flash.Restore(src.Flash, d.En)
+	d.DRAM.Restore(src.DRAM, d.En)
+	d.Core.Restore(src.Core, d.En)
+	d.FTL.Restore(src.FTL, d.Flash)
+	if src.Dir == nil {
+		d.Dir = nil
+	} else {
+		if d.Dir == nil {
+			d.Dir = new(coherence.Directory)
+		}
+		d.Dir.Restore(src.Dir)
+	}
+
+	d.mode = src.mode
+	d.prog = src.prog   // immutable after LoadProgram
+	d.table = src.table // read-only after construction
+
+	d.dramSlot = append(d.dramSlot[:0], src.dramSlot...)
+	d.slotOwner = append(d.slotOwner[:0], src.slotOwner...)
+	d.slotClock = append(d.slotClock[:0], src.slotClock...)
+	d.clock, d.freeFrom = src.clock, src.freeFrom
+
+	d.bufferTag = append(d.bufferTag[:0], src.bufferTag...)
+	d.pagePlane = append(d.pagePlane[:0], src.pagePlane...)
+	d.pageReady.Restore(&src.pageReady)
+
+	// Read-only after LoadProgram.
+	d.accesses, d.output, d.costs = src.accesses, src.output, src.costs
+
+	d.firmware = src.firmware
+	d.offloadCores.Restore(&src.offloadCores)
+	d.ifpCursor, d.curInst = src.ifpCursor, src.curInst
+
+	if d.faults == nil {
+		d.faults = make(map[int]int, len(src.faults))
+	}
+	clear(d.faults)
+	maps.Copy(d.faults, src.faults)
+
+	d.baseline, d.consumed = src.baseline, src.consumed
+}
+
+// Clone returns an independent deep copy of the device: Restore into a
+// zero Device with empty substrates.
 func (d *Device) Clone() *Device {
-	en := d.En.Clone()
-	arr := d.Flash.Clone(en)
 	c := &Device{
-		Cfg:   d.Cfg,
-		En:    en,
-		Flash: arr,
-		DRAM:  d.DRAM.Clone(en),
-		Core:  d.Core.Clone(en),
-		FTL:   d.FTL.Clone(arr),
-
-		mode:  d.mode,
-		prog:  d.prog,  // immutable after LoadProgram
-		table: d.table, // read-only after construction
-
-		dramSlot:  append([]int32(nil), d.dramSlot...),
-		slotOwner: append([]isa.PageID(nil), d.slotOwner...),
-		slotClock: append([]int64(nil), d.slotClock...),
-		clock:     d.clock,
-		freeFrom:  d.freeFrom,
-
-		bufferTag: append([]isa.PageID(nil), d.bufferTag...),
-		pagePlane: append([]int16(nil), d.pagePlane...),
-		pageReady: d.pageReady.Clone(),
-
-		accesses: d.accesses, // read-only after LoadProgram
-		output:   d.output,   // read-only after LoadProgram
-		costs:    d.costs,    // read-only after LoadProgram
-
-		firmware:     d.firmware,
-		offloadCores: d.offloadCores.Clone(),
-		ifpCursor:    d.ifpCursor,
-		curInst:      d.curInst,
-
-		faults: maps.Clone(d.faults),
-
-		baseline: d.baseline,
-		consumed: d.consumed,
+		En:    new(energy.Account),
+		Flash: new(nand.Array),
+		DRAM:  new(dram.Module),
+		Core:  new(cores.Core),
+		FTL:   new(ftl.FTL),
 	}
-	if d.Dir != nil {
-		c.Dir = d.Dir.Clone()
-	}
+	c.Restore(d)
 	return c
 }

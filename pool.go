@@ -14,23 +14,29 @@ import (
 // master whose serving lifecycle has ended.
 var ErrPoolClosed = errors.New("conduit: device pool closed")
 
-// DevicePool keeps a bounded buffer of pre-forked clones of a Deployment's
-// pristine post-deploy master. Cloning the frozen master costs the chunk
-// pointers of its copy-on-write tables plus the small per-plane and
-// per-slot state (tens of KiB at the default geometry; TestForkAllocBudget
-// pins it), not the drive's per-page bookkeeping. A background refiller
-// produces clones ahead of demand and Fork/Get hands them out without
-// paying that copy inline.
+// DevicePool keeps a bounded buffer of ready forks of a Deployment's
+// pristine post-deploy master. A fork is a parked device restored in place
+// (Deployment.newFork: a memcpy, nothing allocated) or, when none is
+// parked, a clone of the frozen master, which costs the chunk pointers of
+// its copy-on-write tables plus the small per-plane and per-slot state
+// (tens of KiB at the default geometry; TestForkAllocBudget pins it), not
+// the drive's per-page bookkeeping. A background refiller produces forks
+// ahead of demand and Fork/Get hands them out without paying that copy
+// inline.
 //
-// Every clone of the master is byte-identical, so a pool-served fork is
-// observationally indistinguishable from one cloned on demand; the pool
-// changes who pays the copy, never what executes. Get never blocks: an
-// empty buffer (demand outran the refiller) falls back to an inline clone.
+// Every fork of the master is byte-identical, restored or cloned, so a
+// pool-served fork is observationally indistinguishable from one made on
+// demand; the pool changes who pays the copy, never what executes. Get
+// never blocks: an empty buffer (demand outran the refiller) falls back to
+// forking inline. A fork handed out through Get, Fork or Run is the
+// caller's and never comes back; the serving path and the cluster merge,
+// which drop the device after its run, park it for the refiller instead
+// (Deployment.recycle).
 //
 // The pool also tracks fork health: Quarantine reports a poisoned fork
-// back, which flushes the buffered clones as suspect and lets the
-// background refiller repair the buffer by re-cloning from the pristine
-// master (counted in PoolStats.Quarantined/Repairs).
+// back, which flushes the buffered forks and the parked devices as suspect
+// and lets the background refiller repair the buffer by cloning from the
+// pristine master (counted in PoolStats.Quarantined/Repairs).
 //
 // A DevicePool is safe for concurrent use. Close it to stop the refiller
 // and release buffered devices; Get on a closed pool returns
@@ -48,9 +54,10 @@ type DevicePool struct {
 
 	closeOnce sync.Once
 
-	preforked   int64 // clones produced by the refiller
+	preforked   int64 // forks produced by the refiller
 	hits        int64 // Gets served from the buffer
-	misses      int64 // Gets that cloned inline
+	misses      int64 // Gets that forked inline
+	restored    int64 // of preforked + misses, those that restored a used device
 	quarantined int64 // poisoned forks reported back (Quarantine calls)
 	repairs     int64 // buffer flush+re-clone repair cycles completed
 }
@@ -70,7 +77,13 @@ type PoolStats struct {
 	// clones flushed as suspect and their slots handed back to the
 	// refiller to re-clone from the pristine master.
 	Repairs int64
-	// Idle is the number of pre-forked clones currently buffered.
+	// Restored counts the forks, of Preforked + Misses, made by restoring
+	// a parked device instead of cloning the master. Like Hits and Misses
+	// the split is scheduling-dependent (which device came back before
+	// which fork was made) and never enters a deterministic export.
+	Restored int64
+	// Idle is the number of devices held that no request is using: ready
+	// forks in the buffer plus parked devices. Zero after Close.
 	Idle int
 	// Closed reports whether Close has begun.
 	Closed bool
@@ -113,13 +126,17 @@ func (d *Deployment) Pool() *DevicePool {
 	return d.pool
 }
 
-// Close closes the deployment's prefork pool, if any. Forks already
-// handed out are unaffected; later Forks (and device-policy Runs) fail
-// with ErrPoolClosed. The closed pool stays attached so its final Stats
-// remain inspectable.
+// Close closes the deployment's prefork pool, if any, and ends recycling:
+// the parked devices are dropped, and so is every device that still comes
+// back (also under a pool a later Prefork attaches). Forks already handed
+// out are unaffected; later Forks (and device-policy Runs) on a pooled
+// deployment fail with ErrPoolClosed. The closed pool stays attached so
+// its final Stats remain inspectable.
 func (d *Deployment) Close() {
 	if p := d.Pool(); p != nil {
 		p.Close()
+	} else {
+		d.flushUsed(true)
 	}
 }
 
@@ -132,10 +149,10 @@ func (d *Deployment) poolStats(name string, out map[string]PoolStats) {
 }
 
 // refill keeps the buffer full until stopped. A room token is acquired
-// before cloning, so the pool holds at most depth clones at any moment
-// (buffered plus the one in the refiller's hand). The clone produced when
-// the stop signal wins the select is simply dropped — clones carry no
-// external resources.
+// before forking, so the pool holds at most depth ready forks at any
+// moment (buffered plus the one in the refiller's hand). The fork produced
+// when the stop signal wins the select is simply dropped — devices carry
+// no external resources.
 func (p *DevicePool) refill() {
 	defer close(p.done)
 	for {
@@ -144,21 +161,22 @@ func (p *DevicePool) refill() {
 			return
 		case <-p.room:
 		}
-		dev := p.dep.master.Clone()
+		dev, restored := p.dep.newFork()
 		select {
 		case <-p.stop:
 			return
 		case p.free <- dev:
 			atomic.AddInt64(&p.preforked, 1)
+			atomic.AddInt64(&p.restored, restored)
 		}
 	}
 }
 
-// Get returns a fresh post-deploy fork, preferring a pre-forked clone. It
-// never blocks: on an empty buffer (demand outran the refiller) it clones
+// Get returns a fresh post-deploy fork, preferring a pre-forked one. It
+// never blocks: on an empty buffer (demand outran the refiller) it forks
 // inline, exactly like Deployment.Fork without a pool. On a closed pool
-// it returns ErrPoolClosed — never a silent inline clone of a deployment
-// whose serving lifecycle has ended.
+// it returns ErrPoolClosed — never a silent inline fork of a deployment
+// whose serving lifecycle has ended. The caller owns the device.
 func (p *DevicePool) Get() (*ssd.Device, error) {
 	dev, _, err := p.get()
 	return dev, err
@@ -190,17 +208,20 @@ func (p *DevicePool) get() (*ssd.Device, bool, error) {
 	default:
 	}
 	atomic.AddInt64(&p.misses, 1)
-	return p.dep.master.Clone(), false, nil
+	dev, restored := p.dep.newFork()
+	atomic.AddInt64(&p.restored, restored)
+	return dev, false, nil
 }
 
 // Quarantine reports that a fork served from this pool turned out to be
-// poisoned. The handed-out fork is the caller's to discard (forks never
-// return to the buffer anyway); the pool treats the buffered clones as
-// suspect, flushes them, and hands their slots back to the background
-// refiller, which repairs the buffer by re-cloning from the pristine
-// master. On a closed pool only the quarantine count is recorded.
+// poisoned. The handed-out fork is the caller's to discard, never to
+// recycle; the pool treats the buffered forks and the parked devices as
+// suspect, flushes both, and hands the buffer slots back to the background
+// refiller, which repairs the buffer by cloning from the pristine master.
+// On a closed pool only the quarantine count is recorded.
 func (p *DevicePool) Quarantine() {
 	atomic.AddInt64(&p.quarantined, 1)
+	p.dep.flushUsed(false)
 	for {
 		select {
 		case _, ok := <-p.free:
@@ -222,9 +243,10 @@ func (p *DevicePool) Quarantine() {
 	}
 }
 
-// Close stops the refiller and discards every buffered clone; it blocks
-// until the refiller has exited and the buffer is empty, so after Close
-// returns no fork is held by the pool. Close is idempotent.
+// Close stops the refiller and discards every buffered fork and parked
+// device; it blocks until the refiller has exited and both are gone, so
+// after Close returns no fork is held, and unless the pool had been
+// replaced the deployment parks none again. Close is idempotent.
 func (p *DevicePool) Close() {
 	p.closeOnce.Do(func() {
 		close(p.stop)
@@ -232,6 +254,7 @@ func (p *DevicePool) Close() {
 		close(p.free)
 		for range p.free {
 		}
+		p.dep.flushUsed(p.dep.Pool() == p)
 		close(p.drained)
 	})
 	// Losers of the Once race wait for the winner to finish draining, so
@@ -247,13 +270,20 @@ func (p *DevicePool) Stats() PoolStats {
 		closed = true
 	default:
 	}
+	idle := len(p.free)
+	p.dep.poolMu.Lock()
+	if p.dep.pool == p {
+		idle += len(p.dep.used)
+	}
+	p.dep.poolMu.Unlock()
 	return PoolStats{
 		Preforked:   atomic.LoadInt64(&p.preforked),
 		Hits:        atomic.LoadInt64(&p.hits),
 		Misses:      atomic.LoadInt64(&p.misses),
 		Quarantined: atomic.LoadInt64(&p.quarantined),
 		Repairs:     atomic.LoadInt64(&p.repairs),
-		Idle:        len(p.free),
+		Restored:    atomic.LoadInt64(&p.restored),
+		Idle:        idle,
 		Closed:      closed,
 	}
 }

@@ -1,0 +1,341 @@
+package conduit
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"conduit/internal/faultinject"
+	"conduit/internal/isa"
+	"conduit/internal/offload"
+	"conduit/internal/serve"
+	"conduit/internal/ssd"
+)
+
+// parked reports how many used devices d's free list holds.
+func (d *Deployment) parked() int {
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	return len(d.used)
+}
+
+// ParkedForks counts the used devices on the free lists of every
+// registered application, each shard of a cluster included: what the
+// external drain tests assert is zero. (PoolStats.Idle counts them too,
+// together with the buffered forks, and is all a remote target can show.)
+func (s *Server) ParkedForks() int {
+	n := 0
+	for _, r := range s.sorted() {
+		switch app := r.app.(type) {
+		case *Deployment:
+			n += app.parked()
+		case *Cluster:
+			for _, dep := range app.deps {
+				n += dep.parked()
+			}
+		}
+	}
+	return n
+}
+
+// park hands d a fork as a caller that drops its device would.
+func (d *Deployment) park() *ssd.Device {
+	dev := d.master.Clone()
+	d.recycle(&RunResult{Device: dev})
+	return dev
+}
+
+// waitBuffered yields until the refiller has filled p's buffer and counted
+// it (only the test takes forks out, and nothing has been quarantined, so
+// forks made minus forks taken is what is buffered). From then on the
+// refiller is parked waiting for a buffer slot and leaves the free list
+// and the counters alone: both change only when the test changes them.
+func waitBuffered(p *DevicePool) {
+	for atomic.LoadInt64(&p.preforked)-atomic.LoadInt64(&p.hits) < int64(cap(p.free)) {
+		runtime.Gosched()
+	}
+}
+
+// brokenPolicy is a device policy whose run dies part-way: it panics on
+// its third instruction, or fails on the first instruction some resource
+// cannot run by picking that resource.
+type brokenPolicy struct {
+	panics bool
+	seen   *int
+}
+
+func (brokenPolicy) Name() string { return "broken" }
+
+func (p brokenPolicy) Select(f *offload.Features) isa.Resource {
+	if *p.seen++; p.panics && *p.seen == 3 {
+		panic("policy exploded")
+	}
+	for _, r := range isa.AllResources {
+		if !p.panics && !f.Supported[r] {
+			return r
+		}
+	}
+	return isa.ResISP
+}
+
+// withBrokenPolicies registers the two misbehaving policies for the test.
+func withBrokenPolicies(t *testing.T) {
+	saved := policyTable
+	t.Cleanup(func() { policyTable = saved })
+	policyTable = append(append([]policyEntry(nil), saved...),
+		policyEntry{name: "fails", ablation: true, device: func() offload.Policy { return brokenPolicy{seen: new(int)} }},
+		policyEntry{name: "panics", ablation: true, device: func() offload.Policy { return brokenPolicy{panics: true, seen: new(int)} }})
+}
+
+// TestRecycleOnlyAfterAResult: the serving path parks the device of a run
+// that returned a result, and the next fork is that device restored; a run
+// that failed or panicked leaves the list as it was, and so does a host
+// run, which has no device.
+func TestRecycleOnlyAfterAResult(t *testing.T) {
+	withBrokenPolicies(t)
+	sys := NewSystem(DefaultConfig())
+	dep := deployWorkload(t, sys, "AES", 1) // AES has ISP-only instructions for "fails" to misplace
+	r := newResilient("aes", dep, nil, RecoveryOptions{})
+
+	if _, _, err := r.run("fails", nil); err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Fatalf("broken policy: err = %v, want the device's 'unsupported' refusal", err)
+	}
+	if _, _, err := r.run("panics", nil); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking policy: err = %v, want a contained panic", err)
+	}
+	if _, _, err := r.run("CPU", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := dep.parked(); n != 0 {
+		t.Fatalf("%d devices parked after a failed, a panicked and a host run, want 0", n)
+	}
+
+	res, _, err := r.run("Conduit", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Device != nil {
+		t.Error("a served result exposes its device")
+	}
+	if n := dep.parked(); n != 1 {
+		t.Fatalf("%d devices parked after a served run, want 1", n)
+	}
+	first := dep.used[0]
+	if !first.Consumed() {
+		t.Error("the parked device is not the one that ran")
+	}
+	// A failing run's fork takes the parked device like any other fork,
+	// and does not give it back.
+	if _, _, err := r.run("fails", nil); err == nil {
+		t.Fatal("broken policy served")
+	}
+	if n := dep.parked(); n != 0 {
+		t.Fatalf("%d devices parked after a failed run consumed the parked fork, want 0", n)
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, _, err := r.run("Conduit", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dep.parked(); n != 1 {
+		t.Fatalf("%d devices parked after sequential served runs, want 1 (the same device, over and over)", n)
+	}
+	again := dep.used[0]
+	if _, _, err := r.run("DM-Offloading", nil); err != nil {
+		t.Fatal(err)
+	}
+	if dep.used[0] != again {
+		t.Error("the next fork did not restore the parked device")
+	}
+
+	// Deployment.Run and Fork hand the device to the caller: never parked.
+	own, err := dep.Run("Conduit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Device != again || dep.parked() != 0 {
+		t.Errorf("Run: device %p (parked %p), %d parked; want the restored device handed out and none parked", own.Device, again, dep.parked())
+	}
+	if _, err := dep.Run("Conduit"); err != nil {
+		t.Fatal(err)
+	}
+	if n := dep.parked(); n != 0 {
+		t.Errorf("%d devices parked after Deployment.Run, want 0: the caller owns that device", n)
+	}
+}
+
+// TestPoisonedForkIsDropped: the injector's poisoned fork really consumes
+// a fork — the parked device, when there is one — and that device is
+// discarded, not parked again; quarantining then empties the free list
+// together with the buffer.
+func TestPoisonedForkIsDropped(t *testing.T) {
+	sys := NewSystem(DefaultConfig())
+	dep := deployWorkload(t, sys, "jacobi-1d", 1)
+	poison := newResilient("jacobi", dep, faultinject.New(faultinject.Config{Seed: 5, PoisonFork: 1}), RecoveryOptions{})
+
+	dep.park()
+	var rec serve.Recovery
+	if _, err := poison.runShard(dep, 0, "Conduit", &rec, nil); err == nil || !strings.Contains(err.Error(), "poisoned fork") {
+		t.Fatalf("err = %v, want a poisoned fork", err)
+	}
+	if n := dep.parked(); n != 0 {
+		t.Fatalf("%d devices parked after a poisoned fork (pool-less), want 0", n)
+	}
+
+	pool := dep.Prefork(2)
+	defer dep.Close()
+	waitBuffered(pool)
+	dep.park()
+	dep.park()
+	if st := pool.Stats(); st.Idle != 4 {
+		t.Fatalf("Idle = %d with a full buffer of 2 and 2 parked devices, want 4", st.Idle)
+	}
+	if _, err := poison.runShard(dep, 0, "Conduit", &rec, nil); err == nil {
+		t.Fatal("poisoned fork served")
+	}
+	if n := dep.parked(); n != 0 {
+		t.Errorf("%d devices parked after Quarantine, want 0: the list is flushed with the buffer", n)
+	}
+	if st := pool.Stats(); st.Quarantined != 1 || st.Repairs != 1 {
+		t.Errorf("Quarantined = %d, Repairs = %d, want 1 and 1", st.Quarantined, st.Repairs)
+	}
+}
+
+// TestCloseEndsRecycling: Close — of the deployment, of a pool-less
+// deployment, or of the attached pool directly — empties the free list,
+// and every device that comes back later is dropped, also under a pool
+// attached after the Close; replacing a live pool empties the list but
+// recycling goes on. The list never grows past the pool's depth plus
+// GOMAXPROCS.
+func TestCloseEndsRecycling(t *testing.T) {
+	sys := NewSystem(DefaultConfig())
+	closers := map[string]func(*Deployment, *DevicePool){
+		"Deployment.Close": func(d *Deployment, _ *DevicePool) { d.Close() },
+		"DevicePool.Close": func(_ *Deployment, p *DevicePool) { p.Close() },
+	}
+	for name, closeIt := range closers {
+		dep := deployWorkload(t, sys, "jacobi-1d", 1)
+		pool := dep.Prefork(2)
+		waitBuffered(pool)
+		bound := 2 + runtime.GOMAXPROCS(0)
+		for i := 0; i < bound+3; i++ {
+			dep.park()
+		}
+		if n := dep.parked(); n != bound {
+			t.Errorf("%s: %d devices parked, want the bound %d (depth 2 + GOMAXPROCS)", name, n, bound)
+		}
+		closeIt(dep, pool)
+		if st := pool.Stats(); dep.parked() != 0 || st.Idle != 0 || !st.Closed {
+			t.Errorf("%s: %d parked, stats %+v; want nothing held", name, dep.parked(), st)
+		}
+		dep.park()
+		if n := dep.parked(); n != 0 {
+			t.Errorf("%s: a device that came back after the close was parked", name)
+		}
+		// A pool attached afterwards forks again, but the deployment's
+		// recycling life is over.
+		again := dep.Prefork(1)
+		waitBuffered(again)
+		dep.park()
+		if st := again.Stats(); dep.parked() != 0 || st.Idle != 1 {
+			t.Errorf("%s: after a later Prefork: %d parked, Idle = %d; want 0 and the one buffered fork", name, dep.parked(), st.Idle)
+		}
+		dep.Close()
+	}
+
+	// Pool-less: Close is the only lifecycle event there is.
+	dep := deployWorkload(t, sys, "jacobi-1d", 1)
+	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+		dep.park()
+	}
+	if n := dep.parked(); n != runtime.GOMAXPROCS(0) {
+		t.Errorf("pool-less: %d devices parked, want the bound GOMAXPROCS = %d", n, runtime.GOMAXPROCS(0))
+	}
+	dep.Close()
+	dep.park()
+	if n := dep.parked(); n != 0 {
+		t.Errorf("pool-less: %d devices parked after Close, want 0", n)
+	}
+
+	// Replacing a live pool closes the old one, which flushes the list
+	// (unless the new refiller got to the parked device first), but the
+	// deployment goes on recycling under the new pool.
+	dep = deployWorkload(t, sys, "jacobi-1d", 1)
+	waitBuffered(dep.Prefork(1))
+	dep.park()
+	next := dep.Prefork(1)
+	defer dep.Close()
+	waitBuffered(next)
+	if n := dep.parked(); n != 0 {
+		t.Errorf("replaced pool: %d devices parked, want the list flushed", n)
+	}
+	before := next.Stats()
+	dev := dep.master.Clone()
+	res, err := runPolicyOn(dev, "Conduit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.recycle(res)
+	if n := dep.parked(); n != 1 {
+		t.Fatalf("replaced pool: %d devices parked, want 1: recycling goes on", n)
+	}
+	// The refiller restores exactly that device once a slot frees up.
+	if got, err := next.Get(); err != nil || got == dev {
+		t.Fatalf("Get: %p, %v; want the buffered fork", got, err)
+	}
+	waitBuffered(next)
+	if got, err := next.Get(); err != nil || got != dev || got.Consumed() {
+		t.Fatalf("Get: %p, %v; want the parked device %p, restored", got, err, dev)
+	}
+	if st := next.Stats(); st.Restored != before.Restored+1 || st.Preforked != before.Preforked+1 {
+		t.Errorf("Restored %d -> %d, Preforked %d -> %d; want one more of each",
+			before.Restored, st.Restored, before.Preforked, st.Preforked)
+	}
+}
+
+// TestServedResultSurvivesRecycling is the package doc's immutability
+// promise with recycling on: a served RunResult shares nothing with the
+// device that produced it, so restoring and re-running that device for
+// twenty more requests leaves the result exactly as it was returned.
+func TestServedResultSurvivesRecycling(t *testing.T) {
+	srv := NewServer(DefaultConfig(), ServeOptions{Concurrency: 1, Prefork: 2})
+	defer srv.Drain()
+	if err := srv.RegisterWorkload("heat-3d", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	do := func(policy string) *RunResult {
+		t.Helper()
+		resp, err := srv.Do(Request{Tenant: "t", Workload: "heat-3d", Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ResultOf(resp)
+	}
+	kept := do("Conduit")
+	decisions := append([]Decision(nil), kept.Decisions...)
+	latencies, counters := kept.InstLatencies.Clone(), kept.Counters.Clone()
+	policies := []string{"DM-Offloading", "Conduit", "Ares-Flash", "BW-Offloading", "ISP"}
+	for i := 0; i < 20; i++ {
+		do(policies[i%len(policies)])
+	}
+	if st := srv.PoolStats()["heat-3d"]; st.Restored == 0 {
+		t.Logf("no fork was restored in 21 sequential requests (stats %+v)", st)
+	}
+	if !reflect.DeepEqual(kept.Decisions, decisions) {
+		t.Error("a kept result's Decisions changed while its device was reused")
+	}
+	if !reflect.DeepEqual(kept.InstLatencies, latencies) {
+		t.Error("a kept result's InstLatencies changed while its device was reused")
+	}
+	if !reflect.DeepEqual(kept.Counters, counters) {
+		t.Error("a kept result's Counters changed while its device was reused")
+	}
+	fresh, err := deployWorkload(t, srv.sys, "heat-3d", 1).Run("Conduit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "kept served result vs a fresh deployment's", kept, fresh)
+}

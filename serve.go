@@ -313,11 +313,9 @@ func (s *Server) runCell(workload, policy string, sp *trace.Span) (serve.Outcome
 		// retries it burnt are real work the books must show.
 		return serve.Outcome{Recovery: rec}, err
 	}
-	// Served results never expose the executed drive: a coalesced or
-	// memoized response is shared between requests, and an ssd.Device is
-	// single-goroutine. The rest of a RunResult is an immutable snapshot
-	// and safe to share (the Reservoir locks internally).
-	r.Device = nil
+	// r carries no Device (runAttempt and merge recycled it); the rest of
+	// a RunResult is an immutable snapshot and safe to share between
+	// coalesced or memoized responses (the Reservoir locks internally).
 	return serve.Outcome{Value: r, Elapsed: r.Elapsed, EnergyJ: r.TotalEnergy(), Recovery: rec}, nil
 }
 
@@ -469,6 +467,7 @@ func (s *Server) Metrics() []MetricSample {
 		reg.Count("conduit_pool_misses_total", ps.Misses, lbl)
 		reg.Count("conduit_pool_quarantined_total", ps.Quarantined, lbl)
 		reg.Count("conduit_pool_repairs_total", ps.Repairs, lbl)
+		reg.Count("conduit_pool_restored_total", ps.Restored, lbl)
 		reg.SetGauge("conduit_pool_idle", float64(ps.Idle), lbl)
 	}
 	for _, b := range s.Breakers() {

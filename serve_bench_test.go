@@ -249,3 +249,31 @@ func BenchmarkServePooled(b *testing.B) {
 	b.StopTimer()
 	srv.Drain()
 }
+
+// BenchmarkServeLightMix is the in-tree mirror of cmd/conduit-bench's
+// serve_light request space: jacobi-1d, XOR Filter and heat-3d at scale 1
+// under Conduit, DM-Offloading and BW-Offloading, one Server.Do each per
+// iteration, one client, Concurrency 1, Prefork 2 — the path on which a
+// fork costs more than the run it feeds. Run with -benchmem: B/op is nine
+// requests' worth.
+func BenchmarkServeLightMix(b *testing.B) {
+	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{Concurrency: 1, Prefork: 2})
+	defer srv.Drain()
+	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
+	for _, name := range mix {
+		if err := srv.RegisterWorkload(name, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, name := range mix {
+			for _, policy := range []string{"Conduit", "DM-Offloading", "BW-Offloading"} {
+				if _, err := srv.Do(conduit.Request{Tenant: "bench", Workload: name, Policy: policy}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -160,7 +160,8 @@ func TestServeCoalescedMatchesSerial(t *testing.T) {
 }
 
 // TestServeDrainLeavesNoLeakedForks: draining the server stops every
-// pool's refiller and releases every buffered fork; admission is closed.
+// pool's refiller and releases every fork it holds — the buffered ones and
+// the used devices parked for reuse; admission is closed.
 func TestServeDrainLeavesNoLeakedForks(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	srv := conduit.NewServer(cfg, conduit.ServeOptions{Concurrency: 2, Prefork: 3})
@@ -192,11 +193,17 @@ func TestServeDrainLeavesNoLeakedForks(t *testing.T) {
 		t.Error("pool refiller still running after drain")
 	}
 	if ps.Idle != 0 {
-		t.Errorf("%d forks still buffered after drain", ps.Idle)
+		t.Errorf("%d forks still buffered or parked after drain", ps.Idle)
+	}
+	if n := srv.ParkedForks(); n != 0 {
+		t.Errorf("%d used devices still parked for reuse after drain", n)
 	}
 	// Every device-run request was served through the pool path.
 	if ps.Hits+ps.Misses < 4 {
 		t.Errorf("pool served %d forks, want >= 4", ps.Hits+ps.Misses)
+	}
+	if ps.Restored > ps.Preforked+ps.Misses {
+		t.Errorf("%d forks restored out of %d made", ps.Restored, ps.Preforked+ps.Misses)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 // either a served response or ErrDraining (never a leaked hang, panic,
 // or partial state), and afterwards every pool — the pooled deployment's
 // and every shard's of the sharded registration — must be closed with
-// zero buffered forks and self-consistent counters.
+// zero forks held, buffered or parked for reuse (a request in flight when
+// the drain began hands its device back to a closed deployment, which must
+// drop it), and self-consistent counters.
 func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	srv := conduit.NewServer(cfg, conduit.ServeOptions{Concurrency: 4, Prefork: 2})
@@ -79,7 +81,10 @@ func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
 			t.Errorf("pool %q still open after drain", name)
 		}
 		if ps.Idle != 0 {
-			t.Errorf("pool %q: %d forks still buffered after drain", name, ps.Idle)
+			t.Errorf("pool %q: %d forks still buffered or parked after drain", name, ps.Idle)
+		}
+		if ps.Restored > ps.Preforked+ps.Misses {
+			t.Errorf("pool %q: %d forks restored out of %d made", name, ps.Restored, ps.Preforked+ps.Misses)
 		}
 		// Counter consistency: every buffer-served fork was produced by
 		// the refiller, and nothing the pool produced is unaccounted for
@@ -88,6 +93,9 @@ func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
 		if ps.Hits > ps.Preforked {
 			t.Errorf("pool %q: %d hits exceed %d preforked clones", name, ps.Hits, ps.Preforked)
 		}
+	}
+	if n := srv.ParkedForks(); n != 0 {
+		t.Errorf("%d used devices still parked for reuse after drain", n)
 	}
 	// Accounting agrees with what the clients saw.
 	var accounted int64

@@ -214,5 +214,12 @@ func TestMetricsSnapshotMatchesAccounting(t *testing.T) {
 		if got := byKey["conduit_pool_repairs_total|pool="+name]; got != float64(ps.Repairs) {
 			t.Errorf("pool %s: scrape says %v repairs, stats say %d", name, got, ps.Repairs)
 		}
+		// The refiller may restore one more fork between the scrape and the
+		// stats read: the series exists and has not run ahead of the books.
+		got, ok := byKey["conduit_pool_restored_total|pool="+name]
+		if !ok || got > float64(ps.Restored) || ps.Restored > ps.Preforked+ps.Misses {
+			t.Errorf("pool %s: scrape says %v restored (present=%v), stats say %d of %d forks made",
+				name, got, ok, ps.Restored, ps.Preforked+ps.Misses)
+		}
 	}
 }
