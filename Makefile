@@ -51,12 +51,15 @@ bench:
 # serve_heavy request space (AES, LLaMA2, LLM training at scale 2 under
 # Conduit, DM- and BW-Offloading through Deployment.Run) — and prints the
 # cumulative top of the CPU profile: where a device run's host time goes.
+# `make prof-run BENCH=ReferenceRunMix` profiles the same mix on the
+# functional data plane instead (where internal/vecmath is most of a run).
 # A pointer to where to look, not a measurement; claims go through `make
 # bench` pairs. The binary and the profile stay outside the checkout.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
+BENCH ?= DeviceRunMix
 prof-run:
 	@mkdir -p $(PROF_DIR)
-	go test -run '^$$' -bench 'DeviceRunMix$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -cpuprofile $(PROF_DIR)/cpu.prof .
+	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -cpuprofile $(PROF_DIR)/cpu.prof .
 	go tool pprof -top -cum -nodecount 45 $(PROF_DIR)/conduit.test $(PROF_DIR)/cpu.prof
 
 # loc prints non-test Go lines per top-level package — the definition
@@ -68,7 +71,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25895
+LOC_CEILING := 25469
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -212,11 +212,23 @@ func BenchmarkDeviceRunHot(b *testing.B) {
 // scale 2 under Conduit, DM-Offloading and BW-Offloading, one
 // Deployment.Run each per iteration. `make prof-run` profiles it.
 func BenchmarkDeviceRunMix(b *testing.B) {
-	cfg := conduit.DefaultConfig()
-	sys := conduit.NewSystem(cfg)
+	benchRunMix(b, conduit.NewSystem(conduit.DefaultConfig()), 2)
+}
+
+// BenchmarkReferenceRunMix is the same mix on the functional data plane
+// (NewReferenceSystem: every instruction computes its page payloads through
+// internal/vecmath) at scale 1 — the end-to-end number of the layer no
+// BENCHMARK.json workload reaches, since they all run timing-only.
+// `make prof-run BENCH=ReferenceRunMix` profiles it.
+func BenchmarkReferenceRunMix(b *testing.B) {
+	benchRunMix(b, conduit.NewReferenceSystem(conduit.DefaultConfig()), 1)
+}
+
+func benchRunMix(b *testing.B, sys *conduit.System, scale int) {
+	cfg := sys.Config()
 	var deps []*conduit.Deployment
 	for _, name := range []string{"AES", "LlaMA2 Inference", "LLM Training"} {
-		c, err := compileWorkload(&cfg, name, 2)
+		c, err := compileWorkload(&cfg, name, scale)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,17 +72,3 @@ type Diagnostic struct {
 func IsTestFile(filename string) bool {
 	return strings.HasSuffix(filename, "_test.go")
 }
-
-// Preorder calls fn for every node in every file of the pass, in
-// depth-first source order. It is the traversal helper the upstream
-// inspect.Analyzer would provide.
-func (p *Pass) Preorder(fn func(ast.Node)) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n != nil {
-				fn(n)
-			}
-			return true
-		})
-	}
-}

@@ -596,27 +596,3 @@ func (a *Array) Stats() map[string]int64 {
 		"ecc_failures":    a.eccFailures,
 	}
 }
-
-// loadElem and storeElem are the lane-serial element accessors retained
-// for the package tests' independent functional oracle.
-
-func loadElem(p []byte, i, elem int) uint64 {
-	off := i * elem
-	var v uint64
-	for b := 0; b < elem; b++ {
-		v |= uint64(p[off+b]) << (8 * b)
-	}
-	return v
-}
-
-func storeElem(p []byte, i, elem int, v uint64) {
-	off := i * elem
-	mask := uint64(1)<<(8*elem) - 1
-	if elem == 8 {
-		mask = ^uint64(0)
-	}
-	v &= mask
-	for b := 0; b < elem; b++ {
-		p[off+b] = byte(v >> (8 * b))
-	}
-}

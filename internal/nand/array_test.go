@@ -9,6 +9,7 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
+	"conduit/internal/vecmath"
 )
 
 func newTestArray() (*Array, *config.SSD, *energy.Account) {
@@ -523,8 +524,8 @@ func TestArithProperty(t *testing.T) {
 		got := a.PlaneBuffer(x).Data
 		mask := uint64(1)<<(8*elem) - 1
 		for i := 0; i < cfg.SSD.PageSize/elem; i++ {
-			xv := loadElem(px, i, elem)
-			yv := loadElem(py, i, elem)
+			xv := vecmath.Load(px, i, elem)
+			yv := vecmath.Load(py, i, elem)
 			var want uint64
 			switch op {
 			case ArithAdd:
@@ -534,7 +535,7 @@ func TestArithProperty(t *testing.T) {
 			case ArithMul:
 				want = (xv * yv) & mask
 			}
-			if loadElem(got, i, elem) != want {
+			if vecmath.Load(got, i, elem) != want {
 				return false
 			}
 		}

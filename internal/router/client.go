@@ -193,14 +193,7 @@ func call[T wire.Frame](c *Client, asked string, stamp func(id uint64) wire.Fram
 	return reply[T](c, asked, f, ok)
 }
 
-// AwaitResponse resolves a Submit channel into the response, turning a
-// closed channel into the client's sticky error.
-func (c *Client) AwaitResponse(ch <-chan wire.Frame) (wire.Response, error) {
-	f, ok := <-ch
-	return reply[wire.Response](c, "a request", f, ok)
-}
-
-// Do is Submit + AwaitResponse.
+// Do sends a request and waits for its response.
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
 	return call[wire.Response](c, "a request", func(id uint64) wire.Frame { req.ID = id; return req })
 }

@@ -3,12 +3,41 @@ package vecmath
 import "fmt"
 
 // This file is the retained generic reference implementation: the same
-// Op-dispatched surface as the specialized kernels in kernels.go, built
-// on the closure-per-element primitives (Binary, BinaryImm, Unary, Load,
-// Store). It defines the semantics the kernels must reproduce bit for
-// bit; the differential tests in kernels_test.go enforce that, and the
+// Op-dispatched surface as the kernels in kernels.go, built on the
+// closure-per-element primitives below (Binary, BinaryImm, Unary over
+// Load and Store). It defines the semantics the kernels must reproduce bit
+// for bit; the differential tests in kernels_test.go enforce that, and the
 // kernel benchmarks measure against it. ShuffleGeneric, which Shuffle
-// falls back to, is in reference.go.
+// falls back to, is below it in kernels.go.
+
+// Binary applies f elementwise: dst[i] = f(a[i], b[i]). dst may alias a or
+// b. All slices must share a length that is a multiple of elem.
+func Binary(dst, a, b []byte, elem int, f func(x, y uint64) uint64) {
+	CheckElem(elem)
+	n := len(dst) / elem
+	for i := 0; i < n; i++ {
+		Store(dst, i, elem, f(Load(a, i, elem), Load(b, i, elem)))
+	}
+}
+
+// Unary applies f elementwise: dst[i] = f(a[i]).
+func Unary(dst, a []byte, elem int, f func(x uint64) uint64) {
+	CheckElem(elem)
+	n := len(dst) / elem
+	for i := 0; i < n; i++ {
+		Store(dst, i, elem, f(Load(a, i, elem)))
+	}
+}
+
+// BinaryImm applies f elementwise against a broadcast immediate:
+// dst[i] = f(a[i], imm).
+func BinaryImm(dst, a []byte, elem int, imm uint64, f func(x, y uint64) uint64) {
+	CheckElem(elem)
+	n := len(dst) / elem
+	for i := 0; i < n; i++ {
+		Store(dst, i, elem, f(Load(a, i, elem), imm))
+	}
+}
 
 // refFn returns the scalar semantics of op for elem-byte lanes. Inputs
 // are masked lane values; the result is masked by Store.

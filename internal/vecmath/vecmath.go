@@ -44,35 +44,6 @@ func FromSigned(v int64, elem int) uint64 {
 	return uint64(v) & Mask(elem)
 }
 
-// Binary applies f elementwise: dst[i] = f(a[i], b[i]). dst may alias a or
-// b. All slices must share a length that is a multiple of elem.
-func Binary(dst, a, b []byte, elem int, f func(x, y uint64) uint64) {
-	CheckElem(elem)
-	n := len(dst) / elem
-	for i := 0; i < n; i++ {
-		Store(dst, i, elem, f(Load(a, i, elem), Load(b, i, elem)))
-	}
-}
-
-// Unary applies f elementwise: dst[i] = f(a[i]).
-func Unary(dst, a []byte, elem int, f func(x uint64) uint64) {
-	CheckElem(elem)
-	n := len(dst) / elem
-	for i := 0; i < n; i++ {
-		Store(dst, i, elem, f(Load(a, i, elem)))
-	}
-}
-
-// BinaryImm applies f elementwise against a broadcast immediate:
-// dst[i] = f(a[i], imm).
-func BinaryImm(dst, a []byte, elem int, imm uint64, f func(x, y uint64) uint64) {
-	CheckElem(elem)
-	n := len(dst) / elem
-	for i := 0; i < n; i++ {
-		Store(dst, i, elem, f(Load(a, i, elem), imm))
-	}
-}
-
 // Broadcast fills dst with the immediate value v in every lane. The
 // specialized implementation stores one lane and doubles it across the
 // page; BroadcastGeneric is the lane-serial reference.
@@ -89,27 +60,11 @@ func Broadcast(dst []byte, elem int, v uint64) {
 	}
 }
 
-// ReduceAdd sums all elements of a modulo the element width. The
-// specialized implementation uses monomorphized typed loads;
+// ReduceAdd sums all elements of a modulo the element width;
 // ReduceAddGeneric is the lane-serial reference.
 func ReduceAdd(a []byte, elem int) uint64 {
 	CheckElem(elem)
-	var sum uint64
-	switch elem {
-	case 1:
-		for _, v := range a {
-			sum += uint64(v)
-		}
-	case 2:
-		for i := 0; i+2 <= len(a); i += 2 {
-			sum += uint64(le.Uint16(a[i:]))
-		}
-	default:
-		for i := 0; i+4 <= len(a); i += 4 {
-			sum += uint64(le.Uint32(a[i:]))
-		}
-	}
-	return sum & Mask(elem)
+	return reduceKernels[elemIndex(elem)](a[:len(a)-len(a)%elem])
 }
 
 // Bool converts a predicate to the canonical lane values used by the
