@@ -16,7 +16,7 @@ test:
 # test-oracle runs the differential suites that pin the fast engine to
 # its reference implementations under the race detector: the sim
 # package's property/differential tests (bucket engine vs heap engine,
-# ReserveBatch vs Reserve loop, via internal/sim/simtest), the
+# via internal/sim/simtest, and the calendar invariants), the
 # top-level golden identity tests (timing-only fast path vs functional
 # reference system, byte for byte), and the wire tier's multi-process
 # equivalence harness (routed fleet vs in-process Server.Submit, byte
@@ -71,7 +71,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25469
+LOC_CEILING := 25128
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -2,8 +2,9 @@
 // dials a fleet of conduit-target processes, places workloads onto them
 // by consistent hashing (each workload's home target keeps its device
 // pools and memoized results hot), drives an open-loop generated load
-// through the fleet, and merges per-target accounting into one
-// fleet-wide report with exact p50/p99/p999.
+// through the fleet, and merges per-target metrics scrapes into one
+// fleet-wide tenant report — the conduit-serve report's columns, with
+// exact per-tenant and fleet p50/p99/p999.
 //
 // The recovery ladder of cmd/conduit-serve is lifted across process
 // boundaries: -retries walks the hash ring's failover order when a
@@ -21,10 +22,11 @@
 //
 // -trace FILE records the fleet-merged flight — the router's placement
 // spans with each target's serve/cluster/device spans grafted under
-// them, one Perfetto process per participant — and -metrics FILE folds
-// every target's scrape, relabelled target="<name>", into one alongside
-// the router's own series. Every flag is declared in internal/drive and
-// tabulated in README.md ("Flag reference").
+// them, one Perfetto process per participant — and -metrics FILE writes
+// the fleet scrape the report is rendered from: every target's scrape,
+// relabelled target="<name>", alongside the router's own series. Every
+// flag is declared in internal/drive and tabulated in README.md ("Flag
+// reference").
 package main
 
 import (
@@ -39,7 +41,9 @@ import (
 	"conduit/internal/drive"
 	"conduit/internal/histo"
 	"conduit/internal/loadgen"
+	"conduit/internal/metrics"
 	"conduit/internal/router"
+	"conduit/internal/serve"
 	"conduit/internal/stats"
 	"conduit/internal/trace"
 	"conduit/internal/wire"
@@ -166,16 +170,13 @@ func main() {
 		return func() loadgen.Outcome { return <-done }, 0
 	})
 
-	fleet, missing := rt.Snapshot()
-	printReport(rt, fleet, missing, tally, lost, byWhom)
+	// One poll feeds both the report and the -metrics export.
+	samples, missing := rt.Snapshot()
+	printReport(rt, samples, missing, tally, lost, byWhom)
 
 	if o.Metrics != "" {
-		samples, missing := rt.FleetMetrics()
 		if err := drive.WriteMetrics(o.Metrics, samples); err != nil {
 			die(1, "metrics: %v", err)
-		}
-		if len(missing) > 0 {
-			fmt.Fprintf(os.Stderr, "conduit-router: no metrics from: %s\n", strings.Join(missing, ", "))
 		}
 	}
 	if o.Trace != "" {
@@ -189,8 +190,8 @@ func main() {
 		// DrainAll's ordering contract (sorted targets, name-sorted pool
 		// rows inside each ack) makes this final fleet pool report
 		// byte-stable run to run.
-		var acks []wire.Snapshot
-		for _, td := range rt.DrainAll() {
+		acks := rt.DrainAll()
+		for _, td := range acks {
 			leaked := 0
 			for _, p := range td.Ack.Pools {
 				if !p.Closed {
@@ -198,7 +199,6 @@ func main() {
 				}
 			}
 			fmt.Printf("drained %s: %d pool(s), %d unclosed\n", td.Target, len(td.Ack.Pools), leaked)
-			acks = append(acks, wire.Snapshot{Target: td.Target, Pools: td.Ack.Pools})
 		}
 		fmt.Println()
 		drive.Render(os.Stdout, drive.PoolTable("device pools after drain", acks...))
@@ -243,18 +243,8 @@ func intersect(clients []*router.Client) []string {
 	return out
 }
 
-func printReport(rt *router.Router, fleet router.Fleet, missing []string,
+func printReport(rt *router.Router, samples []metrics.Sample, missing []string,
 	tally loadgen.Tally, lost int64, byWhom map[string]int64) {
-
-	ft := stats.NewTable("fleet report (merged per-target accounting)",
-		"tenant", "requests", "errors", "shed", "expired", "shared",
-		"retries", "hedges", "fallback", "sim_ms", "energy_J")
-	for _, row := range fleet.Tenants {
-		ft.AddRowf(row.Tenant, row.Requests, row.Errors, row.Shed, row.Expired, row.Shared,
-			row.Recovery.Retries, row.Recovery.Hedges, row.Recovery.Fallbacks,
-			fmt.Sprintf("%.3f", float64(row.SimNS)/1e6),
-			fmt.Sprintf("%.3f", row.EnergyJ))
-	}
 
 	s := rt.Stats()
 	rtab := stats.NewTable("router recovery", "metric", "value")
@@ -283,11 +273,7 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 		pt.AddRowf(name, byWhom[name])
 	}
 
-	// Device-pool health across the fleet: rows sorted by target name,
-	// then by the targets' own name-sorted pool rows.
-	snaps := append([]wire.Snapshot(nil), fleet.Targets...)
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Target < snaps[j].Target })
-	drive.Render(os.Stdout, ft, rtab, pt, drive.PoolTable("device pools", snaps...))
+	drive.Render(os.Stdout, serve.Report("fleet report (merged per-target accounting)", samples), rtab, pt)
 
 	lt := stats.NewTable("latency (ms)", "histogram", "count", "p50", "p99", "p999", "max")
 	addLat := func(name string, h *histo.Histogram) {
@@ -298,10 +284,10 @@ func printReport(rt *router.Router, fleet router.Fleet, missing []string,
 			fmt.Sprintf("%.3f", float64(h.Max())/1e6))
 	}
 	addLat("router end-to-end", rt.Wall())
-	addLat("fleet (merged targets)", fleet.Wall)
-	for _, snap := range fleet.Targets {
-		if snap.Wall != nil {
-			addLat("target "+snap.Target, snap.Wall)
+	for _, m := range samples {
+		// A target's all-tenant histogram: its one label is target="<name>".
+		if m.Name == serve.LatencySeries && len(m.Labels) == 1 {
+			addLat("target "+m.Labels[0].Value, m.Hist)
 		}
 	}
 	lt.Render(os.Stdout)

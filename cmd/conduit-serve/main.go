@@ -61,6 +61,8 @@ import (
 	conduit "conduit"
 	"conduit/internal/drive"
 	"conduit/internal/loadgen"
+	"conduit/internal/router"
+	"conduit/internal/serve"
 	"conduit/internal/sim"
 	"conduit/internal/stats"
 	"conduit/internal/target"
@@ -197,16 +199,18 @@ func main() {
 			fmt.Printf("wrote %d-span Perfetto trace -> %s\n", len(spans), o.Trace)
 		}
 	}
+	// One scrape feeds both the -metrics export and the tenant report.
+	samples := srv.Metrics()
 	if o.Metrics != "" {
-		if err := drive.WriteMetrics(o.Metrics, srv.Metrics()); err != nil {
+		if err := drive.WriteMetrics(o.Metrics, samples); err != nil {
 			die(1, "metrics: %v", err)
 		}
 	}
 
 	fmt.Println()
-	drive.Render(os.Stdout, srv.Report(),
-		drive.PoolTable("device pools (pre-forked Deployment clones)",
-			wire.Snapshot{Target: "conduit-serve", Pools: target.WirePools(srv.PoolStats())}))
+	drive.Render(os.Stdout, serve.Report("conduit-serve: per-tenant service report", samples),
+		drive.PoolTable("device pools (pre-forked Deployment clones)", router.TargetDrain{
+			Target: "conduit-serve", Ack: wire.DrainAck{Pools: target.WirePools(srv.PoolStats())}}))
 
 	total := srv.Total()
 	if o.Chaos() {

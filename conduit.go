@@ -71,7 +71,7 @@
 // expires while queued is dropped with ErrDeadlineExceeded before it can
 // consume a pooled fork). Per-tenant wall-clock latency and SLO
 // attainment are tracked in bounded, exactly-mergeable histograms
-// (LatencyHistogram). cmd/conduit-serve wraps both modes in
+// (internal/histo). cmd/conduit-serve wraps both modes in
 // deterministic load generators — closed-loop clients or open-loop
 // Poisson/burst/diurnal arrival schedules (internal/loadgen) — with
 // JSONL trace recording and time-scaled replay; Experiments.LatencyCurve

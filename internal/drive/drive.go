@@ -4,9 +4,10 @@
 // declares every flag of the three exactly once (Declare), turns the
 // parsed values into the options the stack takes (ServeOptions, Tracing,
 // Workloads, PolicyMix, Schedule), and renders and exports what the
-// binaries report in common (PoolTable, BreakerTable, Render, WriteFile
-// and its trace/metrics wrappers). A binary's main is left to parse, wire
-// and print.
+// binaries report in common (PoolTable over drain acknowledgements,
+// BreakerTable, Render, WriteFile and its trace/metrics wrappers; the
+// tenant table is serve.Report over a metrics scrape). A binary's main is
+// left to parse, wire and print.
 //
 // To add a flag: one line in Declare under the binaries that take it, one
 // field on Flags, its use in the one method that builds the option it
@@ -28,9 +29,9 @@ import (
 	"conduit/internal/faultinject"
 	"conduit/internal/loadgen"
 	"conduit/internal/metrics"
+	"conduit/internal/router"
 	"conduit/internal/stats"
 	"conduit/internal/trace"
-	"conduit/internal/wire"
 	"conduit/internal/workloads"
 )
 
@@ -245,16 +246,17 @@ func (f *Flags) Tracing(now func() time.Time) *trace.Options {
 	}
 }
 
-// PoolTable renders device-pool health — quarantine/repair cycles and
-// whether a drain closed the pool included — one row per (participant,
-// pool), in the order given: callers pass participants sorted, and every
-// pool list on the wire is already name-sorted. Nil when there is no pool.
-func PoolTable(title string, snaps ...wire.Snapshot) *stats.Table {
+// PoolTable renders the drained device pools — quarantine/repair cycles
+// and whether the drain closed the pool included — one row per
+// (participant, pool), in the order given: Router.DrainAll sorts its
+// participants, and every pool list on the wire is already name-sorted.
+// Nil when there is no pool.
+func PoolTable(title string, drains ...router.TargetDrain) *stats.Table {
 	t := stats.NewTable(title, "target", "pool",
 		"preforked", "hits", "misses", "quarantined", "repairs", "idle", "closed")
-	for _, snap := range snaps {
-		for _, p := range snap.Pools {
-			t.AddRowf(snap.Target, p.Name, p.Preforked, p.Hits, p.Misses,
+	for _, d := range drains {
+		for _, p := range d.Ack.Pools {
+			t.AddRowf(d.Target, p.Name, p.Preforked, p.Hits, p.Misses,
 				p.Quarantined, p.Repairs, p.Idle, p.Closed)
 		}
 	}

@@ -3,12 +3,12 @@
 // snapshot order, exact merging, and a text exposition format.
 //
 // The serving tiers fill a registry at scrape time from their existing
-// deterministic accounting (tenant totals, pool counters, breaker
-// states, latency histograms), so the hot path pays nothing and the
-// byte-pinned report tables stay untouched. Targets ship their samples
-// over the wire in a Metrics frame; the router merges per-target
-// snapshots — counters and gauges sum, histograms merge — into one
-// fleet scrape.
+// accounting (tenant totals, pool counters, breaker states, latency
+// histograms), so the hot path pays nothing. A scrape is the one
+// accounting surface: the serve report is rendered from it
+// (serve.Report), targets ship it over the wire in their Snapshot
+// frame, and the router merges per-target scrapes with Registry.Add —
+// counters and gauges sum, histograms merge — into one fleet scrape.
 //
 // Samples are identified by (name, sorted label set). Snapshot order is
 // lexicographic over that identity, so two registries filled from the

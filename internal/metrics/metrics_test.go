@@ -150,33 +150,3 @@ func TestWriteText(t *testing.T) {
 		t.Error("exposition not byte-deterministic across snapshots")
 	}
 }
-
-// TestWireRoundTrip: samples survive the wire projection — labels,
-// kinds, values, and histogram contents.
-func TestWireRoundTrip(t *testing.T) {
-	r := New()
-	r.Count("c", 3, tenant("x"))
-	r.SetGauge("g", 1.5)
-	h := histo.New()
-	h.Add(42)
-	r.MergeHist("h", h)
-	in := r.Snapshot()
-	out := FromWire(ToWire(in))
-	if len(out) != len(in) {
-		t.Fatalf("round trip kept %d of %d samples", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Name != in[i].Name || out[i].Kind != in[i].Kind || out[i].Value != in[i].Value {
-			t.Errorf("sample %d changed over the wire: %+v vs %+v", i, out[i], in[i])
-		}
-	}
-	var hist *histo.Histogram
-	for _, s := range out {
-		if s.Kind == KindHistogram {
-			hist = s.Hist
-		}
-	}
-	if hist == nil || hist.Count() != 1 || hist.Max() != 42 {
-		t.Errorf("histogram lost its contents over the wire: %+v", hist)
-	}
-}

@@ -95,8 +95,6 @@ func (c *Client) readLoop() {
 			id = fr.ID
 		case wire.DrainAck:
 			id = fr.ID
-		case wire.Metrics:
-			id = fr.ID
 		default:
 			c.fail(fmt.Errorf("router: target %s sent unexpected %T", c.hello.Target, f))
 			return
@@ -198,14 +196,9 @@ func (c *Client) Do(req wire.Request) (wire.Response, error) {
 	return call[wire.Response](c, "a request", func(id uint64) wire.Frame { req.ID = id; return req })
 }
 
-// Snapshot fetches the target's current accounting snapshot.
+// Snapshot fetches the target's current accounting: its metrics scrape.
 func (c *Client) Snapshot() (wire.Snapshot, error) {
 	return call[wire.Snapshot](c, "SnapshotReq", func(id uint64) wire.Frame { return wire.SnapshotReq{ID: id} })
-}
-
-// Metrics fetches the target's current metrics snapshot.
-func (c *Client) Metrics() (wire.Metrics, error) {
-	return call[wire.Metrics](c, "MetricsReq", func(id uint64) wire.Frame { return wire.MetricsReq{ID: id} })
 }
 
 // Drain asks the target to drain and waits for its acknowledgement

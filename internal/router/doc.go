@@ -20,8 +20,9 @@
 // harness runs: a zero-fault routed run is then byte-identical to
 // in-process serving.
 //
-// The fleet view is the merge of per-target snapshots: deterministic
-// tenant rows sum exactly, and wall-latency histograms merge exactly
-// (internal/histo), so fleet-wide p50/p99/p999 are computed from the
-// same counters a single process would have produced.
+// The fleet view is one poll of per-target snapshots — each a target's
+// metrics scrape — folded with metrics.Registry.Add: counters and gauges
+// sum exactly, and wall-latency histograms merge exactly
+// (internal/histo), so fleet-wide and per-tenant p50/p99/p999 are
+// computed from the same counters a single process would have produced.
 package router

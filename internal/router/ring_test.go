@@ -3,8 +3,6 @@ package router
 import (
 	"reflect"
 	"testing"
-
-	"conduit/internal/wire"
 )
 
 func TestRingOrderCoversEveryTargetOnce(t *testing.T) {
@@ -81,28 +79,5 @@ func TestNewRingRejectsBadFleets(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"t0", "t0"}, 0); err == nil {
 		t.Error("duplicate target name accepted")
-	}
-}
-
-func TestMergeTenantsSumsAndSorts(t *testing.T) {
-	a := []wire.TenantRow{
-		{Tenant: "b", Requests: 2, Attained: 2, SimNS: 30, EnergyJ: 1.5, Recovery: wire.Recovery{Attempts: 2}},
-		{Tenant: "a", Requests: 1, Attained: 1, SimNS: 10},
-	}
-	b := []wire.TenantRow{
-		{Tenant: "b", Requests: 3, Errors: 1, Shed: 1, Attained: 1, SimNS: 20, EnergyJ: 0.5, Recovery: wire.Recovery{Attempts: 3, Retries: 1}},
-		{Tenant: "c", Requests: 4, Attained: 4, SimNS: 40},
-	}
-	got := MergeTenants(a, b)
-	want := []wire.TenantRow{
-		{Tenant: "a", Requests: 1, Attained: 1, SimNS: 10},
-		{Tenant: "b", Requests: 5, Errors: 1, Shed: 1, Attained: 3, SimNS: 50, EnergyJ: 2, Recovery: wire.Recovery{Attempts: 5, Retries: 1}},
-		{Tenant: "c", Requests: 4, Attained: 4, SimNS: 40},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MergeTenants:\ngot  %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(MergeTenants(b, a), want) {
-		t.Error("MergeTenants is not commutative")
 	}
 }

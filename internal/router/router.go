@@ -375,40 +375,34 @@ func (r *Router) Breakers() []faultinject.BreakerStatus {
 	return r.breakers.Snapshot()
 }
 
-// Fleet is the merged view of every target's snapshot.
-type Fleet struct {
-	// Targets holds the raw per-target snapshots, in client order.
-	Targets []wire.Snapshot
-	// Tenants is the exact sum of per-target tenant rows, sorted by
-	// tenant name.
-	Tenants []wire.TenantRow
-	// Wall is the exact merge of per-target wall-latency histograms —
-	// fleet-wide p50/p99/p999 come from here.
-	Wall *histo.Histogram
-}
-
-// Snapshot polls every live target and merges. Targets that fail to
+// Snapshot polls every live target once and folds the answers into one
+// fleet scrape: each target's samples, relabelled target="<name>", added
+// into one registry (counters and gauges sum, histograms merge exactly),
+// beside the router's own series. serve.Report renders the fleet tenant
+// table from it, summing each tenant across targets. Targets that fail to
 // answer (e.g. killed mid-run) are skipped; their name is listed in
 // missing.
-func (r *Router) Snapshot() (fleet Fleet, missing []string) {
-	fleet.Wall = histo.New()
+func (r *Router) Snapshot() (samples []metrics.Sample, missing []string) {
+	reg := metrics.New()
 	for _, c := range r.clients {
 		snap, err := c.Snapshot()
 		if err != nil {
 			missing = append(missing, c.Name())
 			continue
 		}
-		fleet.Targets = append(fleet.Targets, snap)
-		if snap.Wall != nil {
-			fleet.Wall.Merge(snap.Wall)
+		for _, s := range metrics.Relabel(snap.Samples, "target", c.Name()) {
+			reg.Add(s)
 		}
 	}
-	rowSets := make([][]wire.TenantRow, len(fleet.Targets))
-	for i, snap := range fleet.Targets {
-		rowSets[i] = snap.Tenants
-	}
-	fleet.Tenants = MergeTenants(rowSets...)
-	return fleet, missing
+	st := r.Stats()
+	reg.Count("conduit_router_requests_total", st.Requests)
+	reg.Count("conduit_router_attempts_total", st.Attempts)
+	reg.Count("conduit_router_retries_total", st.Retries)
+	reg.Count("conduit_router_hedges_total", st.Hedges)
+	reg.Count("conduit_router_hedge_wins_total", st.HedgeWins)
+	reg.Count("conduit_router_refusals_total", st.Refusals)
+	reg.MergeHist("conduit_router_wall_ns", r.Wall())
+	return reg.Snapshot(), missing
 }
 
 // TargetDrain pairs one target's name with its drain acknowledgement.
@@ -450,77 +444,9 @@ func (r *Router) RemoteSpans() map[string][]*trace.Span {
 	return out
 }
 
-// FleetMetrics polls every live target's metrics snapshot, relabels
-// each series with its target's name, and merges them with the
-// router's own series into one fleet-wide scrape. Targets that fail to
-// answer are skipped and listed in missing.
-func (r *Router) FleetMetrics() (samples []metrics.Sample, missing []string) {
-	reg := metrics.New()
-	for _, c := range r.clients {
-		m, err := c.Metrics()
-		if err != nil {
-			missing = append(missing, c.Name())
-			continue
-		}
-		for _, s := range metrics.Relabel(metrics.FromWire(m.Samples), "target", m.Target) {
-			reg.Add(s)
-		}
-	}
-	st := r.Stats()
-	reg.Count("conduit_router_requests_total", st.Requests)
-	reg.Count("conduit_router_attempts_total", st.Attempts)
-	reg.Count("conduit_router_retries_total", st.Retries)
-	reg.Count("conduit_router_hedges_total", st.Hedges)
-	reg.Count("conduit_router_hedge_wins_total", st.HedgeWins)
-	reg.Count("conduit_router_refusals_total", st.Refusals)
-	reg.MergeHist("conduit_router_wall_ns", r.Wall())
-	return reg.Snapshot(), missing
-}
-
 // Close tears down every client connection without draining targets.
 func (r *Router) Close() {
 	for _, c := range r.clients {
 		c.Close()
 	}
-}
-
-// MergeTenants sums tenant rows across targets: every counter,
-// recovery total, simulated time, and energy adds exactly, and the
-// result is sorted by tenant name. Merging is associative and
-// commutative because addition is — the property the fleet report
-// tests pin.
-func MergeTenants(rowSets ...[]wire.TenantRow) []wire.TenantRow {
-	acc := make(map[string]wire.TenantRow)
-	for _, rows := range rowSets {
-		for _, row := range rows {
-			t := acc[row.Tenant]
-			t.Tenant = row.Tenant
-			t.Requests += row.Requests
-			t.Errors += row.Errors
-			t.Shed += row.Shed
-			t.Expired += row.Expired
-			t.Shared += row.Shared
-			t.Attained += row.Attained
-			t.Recovery.Attempts += row.Recovery.Attempts
-			t.Recovery.Retries += row.Recovery.Retries
-			t.Recovery.Hedges += row.Recovery.Hedges
-			t.Recovery.HedgeWins += row.Recovery.HedgeWins
-			t.Recovery.Fallbacks += row.Recovery.Fallbacks
-			t.Recovery.Injected += row.Recovery.Injected
-			t.Recovery.BackoffSimNS += row.Recovery.BackoffSimNS
-			t.SimNS += row.SimNS
-			t.EnergyJ += row.EnergyJ
-			acc[row.Tenant] = t
-		}
-	}
-	names := make([]string, 0, len(acc))
-	for name := range acc {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]wire.TenantRow, len(names))
-	for i, name := range names {
-		out[i] = acc[name]
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,12 +191,6 @@ func TestSLOAttainmentSplitsOnDeadline(t *testing.T) {
 	// in queue — both cost attainment.
 	if total.Attained != 3 {
 		t.Fatalf("attained %d of %d, want 3 (totals %+v)", total.Attained, total.Requests, total)
-	}
-	rep := e.Report().String()
-	for _, col := range []string{"shed", "expired", "slo_pct", "p50_ms", "p999_ms"} {
-		if !strings.Contains(rep, col) {
-			t.Fatalf("report missing column %q:\n%s", col, rep)
-		}
 	}
 }
 

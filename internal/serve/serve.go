@@ -581,33 +581,113 @@ func (e *Engine) Total() TenantSnapshot {
 	return snapshotOf("TOTAL", &e.all)
 }
 
-// Wall returns an independent copy of the all-tenants wall-clock latency
-// histogram (completed responses, nanosecond samples). Copies taken from
-// several engines — or from per-collector histograms a load generator
-// keeps — merge exactly with Histogram.Merge.
-func (e *Engine) Wall() *histo.Histogram {
-	e.acct.Lock()
-	defer e.acct.Unlock()
-	return e.all.wall.Clone()
+// LatencySeries is the wall-clock latency histogram FillMetrics fills:
+// one series per tenant plus the all-tenant aggregate, which carries no
+// tenant label.
+const LatencySeries = "conduit_serve_latency_wall_ns"
+
+// energySeries is the per-tenant attributed-energy gauge.
+const energySeries = "conduit_serve_energy_joules"
+
+// tenantCounters is the per-tenant accounting schema: one row per
+// counter series FillMetrics exposes, naming the account field it
+// reads. Report reads the same rows back to rebuild accounts from a
+// scrape, so a new counter is one row here.
+var tenantCounters = [...]struct {
+	name  string
+	field func(*tenantAccount) *int64
+}{
+	{"conduit_serve_requests_total", func(a *tenantAccount) *int64 { return &a.requests }},
+	{"conduit_serve_errors_total", func(a *tenantAccount) *int64 { return &a.errors }},
+	{"conduit_serve_shed_total", func(a *tenantAccount) *int64 { return &a.shed }},
+	{"conduit_serve_expired_total", func(a *tenantAccount) *int64 { return &a.expired }},
+	{"conduit_serve_shared_total", func(a *tenantAccount) *int64 { return &a.shared }},
+	{"conduit_serve_attained_total", func(a *tenantAccount) *int64 { return &a.attained }},
+	{"conduit_serve_attempts_total", func(a *tenantAccount) *int64 { return &a.recovery.Attempts }},
+	{"conduit_serve_retries_total", func(a *tenantAccount) *int64 { return &a.recovery.Retries }},
+	{"conduit_serve_hedges_total", func(a *tenantAccount) *int64 { return &a.recovery.Hedges }},
+	{"conduit_serve_hedge_wins_total", func(a *tenantAccount) *int64 { return &a.recovery.HedgeWins }},
+	{"conduit_serve_fallbacks_total", func(a *tenantAccount) *int64 { return &a.recovery.Fallbacks }},
+	{"conduit_serve_faults_injected_total", func(a *tenantAccount) *int64 { return &a.recovery.Injected }},
+	{"conduit_serve_backoff_sim_ns_total", func(a *tenantAccount) *int64 { return (*int64)(&a.recovery.BackoffSim) }},
+	{"conduit_serve_sim_ns_total", func(a *tenantAccount) *int64 { return (*int64)(&a.sim) }},
 }
 
-// Report renders the per-tenant service metrics as a table: request,
-// error, shed, and deadline-expiry counts, how many responses rode on a
-// shared execution, the recovery work behind served responses (retries,
-// hedges, breaker fallbacks), SLO attainment over offered load, wall-clock latency
-// percentiles from the bounded histogram, and the simulated time/energy
-// attributed to the tenant (shared responses bill the full cell cost to
-// each recipient — see tenantAccount). Tenants sort lexically; a TOTAL
-// row closes the table.
-func (e *Engine) Report() *stats.Table {
+// FillMetrics exposes the engine's accounting as named, labeled series
+// in reg: every tenantCounters row and the attributed-energy gauge per
+// tenant, and the wall-clock latency histograms (LatencySeries). The
+// registry is filled at scrape time from the engine's books, so the hot
+// path pays nothing for the metrics surface.
+func (e *Engine) FillMetrics(reg *metrics.Registry) {
 	e.acct.Lock()
 	defer e.acct.Unlock()
-	names := make([]string, 0, len(e.tenants))
-	for name := range e.tenants {
+	for name, t := range e.tenants {
+		lbl := metrics.Label{Key: "tenant", Value: name}
+		for _, c := range tenantCounters {
+			reg.Count(c.name, *c.field(t), lbl)
+		}
+		reg.SetGauge(energySeries, t.energyJ, lbl)
+		reg.MergeHist(LatencySeries, t.wall, lbl)
+	}
+	reg.MergeHist(LatencySeries, e.all.wall)
+}
+
+// add folds one FillMetrics series into the account; other series are
+// ignored.
+func (a *tenantAccount) add(s metrics.Sample) {
+	switch s.Name {
+	case LatencySeries:
+		a.wall.Merge(s.Hist)
+	case energySeries:
+		a.energyJ += s.Value
+	default:
+		for _, c := range tenantCounters {
+			if c.name == s.Name {
+				*c.field(a) += int64(s.Value)
+			}
+		}
+	}
+}
+
+// Report renders the per-tenant accounting in a metrics scrape as a
+// table: request, error, shed, and deadline-expiry counts, how many
+// responses rode on a shared execution, the recovery work behind them
+// (retries, hedges, breaker fallbacks), SLO attainment over offered
+// load, wall-clock latency percentiles, and the simulated time/energy
+// attributed to the tenant (shared responses bill the full cell cost to
+// each recipient — see tenantAccount). Tenants sort lexically.
+//
+// A series folds into its tenant's row whatever its other labels, so a
+// fleet scrape whose series are relabelled target="<name>" renders as
+// the sum of its targets. The closing TOTAL row is the column sums, with
+// the percentiles of the all-tenant histogram (LatencySeries without a
+// tenant label).
+func Report(title string, samples []metrics.Sample) *stats.Table {
+	tenants := make(map[string]*tenantAccount)
+	total := newTenantAccount()
+	for _, s := range samples {
+		name, ok := tenantOf(s.Labels)
+		switch {
+		case ok:
+			a := tenants[name]
+			if a == nil {
+				a = newTenantAccount()
+				tenants[name] = a
+			}
+			a.add(s)
+			if s.Kind != metrics.KindHistogram {
+				total.add(s)
+			}
+		case s.Name == LatencySeries:
+			total.add(s)
+		}
+	}
+	names := make([]string, 0, len(tenants))
+	for name := range tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	t := stats.NewTable("conduit-serve: per-tenant service report",
+	t := stats.NewTable(title,
 		"tenant", "requests", "errors", "shed", "expired", "shared",
 		"retries", "hedges", "fallback", "slo_pct",
 		"p50_ms", "p99_ms", "p999_ms", "max_ms", "sim_ms", "energy_J")
@@ -624,36 +704,17 @@ func (e *Engine) Report() *stats.Table {
 			fmt.Sprintf("%.3g", a.energyJ))
 	}
 	for _, name := range names {
-		row(name, e.tenants[name])
+		row(name, tenants[name])
 	}
-	row("TOTAL", &e.all)
+	row("TOTAL", total)
 	return t
 }
 
-// FillMetrics exposes the engine's accounting as named, labeled series
-// in reg: per-tenant counters for the request ledger and recovery work,
-// a per-tenant energy gauge, and wall-clock latency histograms (one per
-// tenant plus the all-tenants aggregate). The registry is filled at
-// scrape time from the same books Report renders, so the hot path pays
-// nothing for the metrics surface.
-func (e *Engine) FillMetrics(reg *metrics.Registry) {
-	e.acct.Lock()
-	defer e.acct.Unlock()
-	for name, t := range e.tenants {
-		lbl := metrics.Label{Key: "tenant", Value: name}
-		reg.Count("conduit_serve_requests_total", t.requests, lbl)
-		reg.Count("conduit_serve_errors_total", t.errors, lbl)
-		reg.Count("conduit_serve_shed_total", t.shed, lbl)
-		reg.Count("conduit_serve_expired_total", t.expired, lbl)
-		reg.Count("conduit_serve_shared_total", t.shared, lbl)
-		reg.Count("conduit_serve_attained_total", t.attained, lbl)
-		reg.Count("conduit_serve_retries_total", t.recovery.Retries, lbl)
-		reg.Count("conduit_serve_hedges_total", t.recovery.Hedges, lbl)
-		reg.Count("conduit_serve_fallbacks_total", t.recovery.Fallbacks, lbl)
-		reg.Count("conduit_serve_faults_injected_total", t.recovery.Injected, lbl)
-		reg.Count("conduit_serve_sim_ns_total", int64(t.sim), lbl)
-		reg.SetGauge("conduit_serve_energy_joules", t.energyJ, lbl)
-		reg.MergeHist("conduit_serve_latency_wall_ns", t.wall, lbl)
+func tenantOf(labels []metrics.Label) (string, bool) {
+	for _, l := range labels {
+		if l.Key == "tenant" {
+			return l.Value, true
+		}
 	}
-	reg.MergeHist("conduit_serve_latency_wall_ns", e.all.wall)
+	return "", false
 }

@@ -3,12 +3,15 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"conduit/internal/metrics"
 	"conduit/internal/sim"
 	"conduit/internal/trace"
 )
@@ -82,12 +85,6 @@ func TestEngineServesAndAccounts(t *testing.T) {
 		}
 		if s.EnergyJ != 0.5*perTenant {
 			t.Errorf("tenant %s: energy %v, want %v", s.Tenant, s.EnergyJ, 0.5*perTenant)
-		}
-	}
-	rep := e.Report().String()
-	for _, want := range []string{"tenant", "TOTAL", "a", "b", "c"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
 }
@@ -304,7 +301,7 @@ func (r *recoveryRunner) RunCell(workload, policy string, _ *trace.Span) (Outcom
 
 // TestEngineAccountsRecovery: per-request Recovery merges into the
 // tenant and global accounts — for failed requests too, whose burnt
-// retries are real work — and surfaces in the report columns.
+// retries are real work.
 func TestEngineAccountsRecovery(t *testing.T) {
 	rec := Recovery{Attempts: 2, Retries: 1, Hedges: 1, HedgeWins: 1, Fallbacks: 1, BackoffSim: 100}
 	r := &recoveryRunner{rec: rec, fail: map[string]error{"bad|p": errors.New("exhausted")}}
@@ -327,10 +324,81 @@ func TestEngineAccountsRecovery(t *testing.T) {
 	if total.Recovery.BackoffSim != 400 {
 		t.Errorf("BackoffSim = %v, want 400", total.Recovery.BackoffSim)
 	}
-	report := e.Report().String()
-	for _, col := range []string{"retries", "hedges", "fallback"} {
-		if !strings.Contains(report, col) {
-			t.Errorf("report is missing the %q column:\n%s", col, report)
+}
+
+// TestReportTable: Report renders the serve report's columns from a
+// scrape; its TOTAL row is the column sums and agrees with the engine's
+// own all-tenant account; and a fleet scrape of two targets, relabelled
+// target="<name>", renders exactly as their union merged with
+// Registry.Add.
+func TestReportTable(t *testing.T) {
+	scrape := func(tenants ...string) ([]metrics.Sample, TenantSnapshot) {
+		r := &recoveryRunner{rec: Recovery{Attempts: 2, Retries: 1, Hedges: 1, Fallbacks: 1},
+			fail: map[string]error{"bad|p": errors.New("exhausted")}}
+		e := NewEngine(r, Config{Concurrency: 1})
+		defer e.Drain()
+		for i, tenant := range tenants {
+			w := "ok"
+			if i%3 == 2 {
+				w = "bad"
+			}
+			e.Do(Request{Tenant: tenant, Workload: w, Policy: "p", Deadline: time.Hour})
+		}
+		reg := metrics.New()
+		e.FillMetrics(reg)
+		return reg.Snapshot(), e.Total()
+	}
+	a, totalA := scrape("x", "y", "x", "y", "x")
+	b, _ := scrape("y", "z", "z", "y")
+
+	want := []string{"tenant", "requests", "errors", "shed", "expired", "shared",
+		"retries", "hedges", "fallback", "slo_pct",
+		"p50_ms", "p99_ms", "p999_ms", "max_ms", "sim_ms", "energy_J"}
+	one := Report("one target", a)
+	if !reflect.DeepEqual(one.Columns, want) {
+		t.Fatalf("columns %v, want %v", one.Columns, want)
+	}
+	last := one.NumRows() - 1
+	if one.Cell(last, 0) != "TOTAL" {
+		t.Fatalf("last row is %q, want TOTAL", one.Cell(last, 0))
+	}
+	for col, v := range []int64{totalA.Requests, totalA.Errors, totalA.Shed, totalA.Expired, totalA.Shared,
+		totalA.Recovery.Retries, totalA.Recovery.Hedges, totalA.Recovery.Fallbacks} {
+		if got := one.Cell(last, col+1); got != fmt.Sprint(v) {
+			t.Errorf("TOTAL %s = %s, engine total says %d", want[col+1], got, v)
+		}
+	}
+	if got, w := one.Cell(last, 10), fmt.Sprintf("%.3f", float64(totalA.P50)/1e6); got != w {
+		t.Errorf("TOTAL p50_ms = %s, all-tenant histogram says %s", got, w)
+	}
+
+	fleet, union := metrics.New(), metrics.New()
+	for target, samples := range map[string][]metrics.Sample{"t0": a, "t1": b} {
+		for _, s := range metrics.Relabel(samples, "target", target) {
+			fleet.Add(s)
+		}
+		for _, s := range samples {
+			union.Add(s)
+		}
+	}
+	got := Report("fleet", fleet.Snapshot())
+	if w := Report("fleet", union.Snapshot()); got.String() != w.String() {
+		t.Errorf("fleet table differs from the union's\nfleet:\n%s\nunion:\n%s", got, w)
+	}
+	if got.NumRows() != 4 {
+		t.Fatalf("fleet table has %d rows, want x, y, z and TOTAL:\n%s", got.NumRows(), got)
+	}
+	for col := 1; col <= 8; col++ {
+		var sum int64
+		for row := 0; row < 3; row++ {
+			v, err := strconv.ParseInt(got.Cell(row, col), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += v
+		}
+		if cell := got.Cell(3, col); cell != fmt.Sprint(sum) {
+			t.Errorf("TOTAL %s = %s, column sums to %d", want[col], cell, sum)
 		}
 	}
 }

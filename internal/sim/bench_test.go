@@ -56,28 +56,3 @@ func BenchmarkEngineScheduleDrain(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCalendarFastForward prices a long uncontended kernel stretch
-// two ways: ReserveBatch's closed-form fast-forward versus the
-// equivalent loop of single Reserves. The pair quantifies what the
-// analytic path saves on exactly the stretches the engine fast path
-// hands it.
-func BenchmarkCalendarFastForward(b *testing.B) {
-	const n = 4096
-	b.Run("reserve-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := NewCalendar("bench")
-			c.ReserveBatch(0, 0, 100, n)
-		}
-	})
-	b.Run("reserve-loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := NewCalendar("bench")
-			for j := 0; j < n; j++ {
-				c.Reserve(0, 0, 100)
-			}
-		}
-	})
-}

@@ -67,49 +67,6 @@ func (c *Calendar) Reserve(now, notBefore, d Time) (start, end Time) {
 	return start, end
 }
 
-// ReserveBatch books n back-to-back reservations of d units each, all
-// arriving at time now under one notBefore constraint, in closed form —
-// the analytic fast-forward for long uncontended kernel stretches (n
-// uniform flash programs into one plane, n identical bbop rounds, ...).
-//
-// It is exactly equivalent to calling Reserve(now, notBefore, d) n times
-// in a loop, by horizon arithmetic: the first reservation slots at
-// slot = max(now, horizon), and every subsequent one arrives at the same
-// now but finds the horizon already at slot+k*d >= now, so the k'th slot
-// is slot+k*d with no interleaving possible — the stretch is uncontended
-// by construction, because nothing else can reserve between the calls.
-// Callers that interleave work on other resources between reservations
-// (cross-resource dependence) must keep stepping reservation by
-// reservation; this fast path is only for uniform single-resource runs.
-// The simtest differential harness and FuzzCalendarReserve hold the
-// closed form and the loop bit-identical.
-//
-// It returns the first reservation's start and the last one's end.
-func (c *Calendar) ReserveBatch(now, notBefore, d Time, n int) (firstStart, lastEnd Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: calendar %s: negative duration %v", c.name, d))
-	}
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: calendar %s: batch of %d reservations", c.name, n))
-	}
-	slot := now
-	if c.horizon > slot {
-		slot = c.horizon
-	}
-	firstStart = slot
-	if notBefore > firstStart {
-		firstStart = notBefore
-	}
-	lastStart := slot + Time(n-1)*d
-	if notBefore > lastStart {
-		lastStart = notBefore
-	}
-	lastEnd = lastStart + d
-	c.horizon = slot + Time(n)*d
-	c.busy += Time(n) * d
-	return firstStart, lastEnd
-}
-
 // BusyTime reports the cumulative busy time reserved on the resource.
 func (c *Calendar) BusyTime() Time { return c.busy }
 

@@ -80,31 +80,3 @@ func TestPropertyQueueDelayConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyReserveBatchEqualsLoop: the analytic closed form and the
-// reservation loop are interchangeable at every observable point.
-func TestPropertyReserveBatchEqualsLoop(t *testing.T) {
-	f := func(preload []uint16, now, nb uint16, d uint16, nRaw uint8) bool {
-		fast := sim.NewCalendar("fast")
-		ref := sim.NewCalendar("ref")
-		for _, p := range preload {
-			fast.Reserve(0, 0, sim.Time(p%512))
-			ref.Reserve(0, 0, sim.Time(p%512))
-		}
-		n := 1 + int(nRaw%32)
-		var wantFirst, wantLast sim.Time
-		for i := 0; i < n; i++ {
-			s, e := ref.Reserve(sim.Time(now), sim.Time(nb), sim.Time(d))
-			if i == 0 {
-				wantFirst = s
-			}
-			wantLast = e
-		}
-		gotFirst, gotLast := fast.ReserveBatch(sim.Time(now), sim.Time(nb), sim.Time(d), n)
-		return gotFirst == wantFirst && gotLast == wantLast &&
-			fast.Horizon() == ref.Horizon() && fast.BusyTime() == ref.BusyTime()
-	}
-	if err := quick.Check(f, quickCfg(4, 500)); err != nil {
-		t.Fatal(err)
-	}
-}

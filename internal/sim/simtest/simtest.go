@@ -175,68 +175,3 @@ func DecodeOps(data []byte) []Op {
 	}
 	return ops
 }
-
-// Reservation is one recorded calendar reservation: work of duration D
-// arriving at Now, with operands ready at NotBefore.
-type Reservation struct {
-	Now       sim.Time
-	NotBefore sim.Time
-	D         sim.Time
-}
-
-// CalendarState is the full observable state of a calendar after a
-// reservation sequence, plus the last reservation's returned interval.
-type CalendarState struct {
-	Horizon     sim.Time
-	Busy        sim.Time
-	QueueDelay  sim.Time
-	Utilization float64
-	LastStart   sim.Time
-	LastEnd     sim.Time
-}
-
-// ReplayLoop replays rs one Reserve at a time — the reference path.
-func ReplayLoop(c *sim.Calendar, rs []Reservation) CalendarState {
-	var st CalendarState
-	for _, r := range rs {
-		st.LastStart, st.LastEnd = c.Reserve(r.Now, r.NotBefore, r.D)
-	}
-	return finishState(c, rs, st)
-}
-
-// ReplayBatched replays rs using ReserveBatch for every maximal stretch
-// of identical (Now, NotBefore, D) tuples — the analytic fast-forward
-// path. The returned state must be identical to ReplayLoop's.
-func ReplayBatched(c *sim.Calendar, rs []Reservation) CalendarState {
-	var st CalendarState
-	for i := 0; i < len(rs); {
-		j := i + 1
-		for j < len(rs) && rs[j] == rs[i] {
-			j++
-		}
-		if n := j - i; n > 1 {
-			// Reserve returns end = start+d unconditionally, so the
-			// loop's last interval is recoverable from the batch's last
-			// end alone.
-			_, last := c.ReserveBatch(rs[i].Now, rs[i].NotBefore, rs[i].D, n)
-			st.LastStart = last - rs[i].D
-			st.LastEnd = last
-		} else {
-			st.LastStart, st.LastEnd = c.Reserve(rs[i].Now, rs[i].NotBefore, rs[i].D)
-		}
-		i = j
-	}
-	return finishState(c, rs, st)
-}
-
-func finishState(c *sim.Calendar, rs []Reservation, st CalendarState) CalendarState {
-	st.Horizon = c.Horizon()
-	st.Busy = c.BusyTime()
-	var last sim.Time
-	if len(rs) > 0 {
-		last = rs[len(rs)-1].Now
-	}
-	st.QueueDelay = c.QueueDelay(last)
-	st.Utilization = c.Utilization(st.Horizon)
-	return st
-}

@@ -55,11 +55,19 @@ func TestEnginesAgreeOnSameTimestampStorms(t *testing.T) {
 	}
 }
 
+// reservation is one recorded calendar reservation: work of duration D
+// arriving at Now, with operands ready at NotBefore.
+type reservation struct {
+	Now       sim.Time
+	NotBefore sim.Time
+	D         sim.Time
+}
+
 // workloadReservations records a real run — every per-instruction
 // offloading decision of a Conduit-policy execution — and converts it to
 // the reservation pattern the timing substrate actually produced:
 // work of duration Done-Issue arriving at Issue.
-func workloadReservations(t *testing.T, name string) []simtest.Reservation {
+func workloadReservations(t *testing.T, name string) []reservation {
 	t.Helper()
 	w, ok := workloads.Find(name, 1)
 	if !ok {
@@ -73,12 +81,12 @@ func workloadReservations(t *testing.T, name string) []simtest.Reservation {
 	if len(res.Decisions) == 0 {
 		t.Fatalf("workload %s produced no decisions", name)
 	}
-	rs := make([]simtest.Reservation, 0, len(res.Decisions))
+	rs := make([]reservation, 0, len(res.Decisions))
 	for _, d := range res.Decisions {
 		if d.Done < d.Issue {
 			t.Fatalf("decision %d completes before it issues", d.InstID)
 		}
-		rs = append(rs, simtest.Reservation{Now: d.Issue, NotBefore: d.Issue, D: d.Done - d.Issue})
+		rs = append(rs, reservation{Now: d.Issue, NotBefore: d.Issue, D: d.Done - d.Issue})
 	}
 	return rs
 }
@@ -117,71 +125,6 @@ func TestEnginesAgreeOnWorkloadTrace(t *testing.T) {
 // current clock, which only moves on Step/Run ops; interleaved drains
 // make the effective absolute timestamps differ from the raw trace, but
 // identically so for both engines — which is the property under test.
-
-// TestReserveBatchMatchesLoopOnWorkloadTrace replays recorded
-// reservation patterns through two calendars — one reservation at a time
-// versus the ReserveBatch closed form on every uniform stretch — and
-// demands identical horizons, busy time, queue delay, utilization, and
-// returned intervals. Real traces are full of uniform stretches (page
-// programs into one plane, per-round bbop work), which is exactly what
-// the fast-forward prices analytically.
-func TestReserveBatchMatchesLoopOnWorkloadTrace(t *testing.T) {
-	rs := workloadReservations(t, "aes")
-	// Amplify uniform stretches: repeat each recorded reservation as a
-	// run of identical arrivals, as a kernel stretch on one resource does.
-	var amplified []simtest.Reservation
-	for i, r := range rs {
-		n := 1 + i%5
-		for k := 0; k < n; k++ {
-			amplified = append(amplified, r)
-		}
-	}
-	loop := simtest.ReplayLoop(sim.NewCalendar("loop"), amplified)
-	batched := simtest.ReplayBatched(sim.NewCalendar("batched"), amplified)
-	if loop != batched {
-		t.Fatalf("batched replay diverged from loop replay:\nloop:    %+v\nbatched: %+v", loop, batched)
-	}
-}
-
-// TestReserveBatchMatchesLoopRandom fuzzes the closed form against the
-// loop with seeded random tuples, including zero durations and notBefore
-// constraints far past the horizon.
-func TestReserveBatchMatchesLoopRandom(t *testing.T) {
-	rng := sim.NewRNG(42)
-	for trial := 0; trial < 500; trial++ {
-		now := sim.Time(rng.Intn(1000))
-		notBefore := now + sim.Time(rng.Intn(2000)) - 500
-		if notBefore < 0 {
-			notBefore = 0
-		}
-		d := sim.Time(rng.Intn(300))
-		n := 1 + rng.Intn(64)
-		ref := sim.NewCalendar("ref")
-		fast := sim.NewCalendar("fast")
-		// Pre-load both with identical history.
-		for i := 0; i < rng.Intn(4); i++ {
-			pd := sim.Time(rng.Intn(500))
-			ref.Reserve(0, 0, pd)
-			fast.Reserve(0, 0, pd)
-		}
-		var wantFirst, wantLast sim.Time
-		for i := 0; i < n; i++ {
-			s, e := ref.Reserve(now, notBefore, d)
-			if i == 0 {
-				wantFirst = s
-			}
-			wantLast = e
-		}
-		gotFirst, gotLast := fast.ReserveBatch(now, notBefore, d, n)
-		if gotFirst != wantFirst || gotLast != wantLast {
-			t.Fatalf("trial %d: batch [%v,%v], loop [%v,%v]", trial, gotFirst, gotLast, wantFirst, wantLast)
-		}
-		if ref.Horizon() != fast.Horizon() || ref.BusyTime() != fast.BusyTime() {
-			t.Fatalf("trial %d: horizon/busy diverged: loop (%v,%v) batch (%v,%v)",
-				trial, ref.Horizon(), ref.BusyTime(), fast.Horizon(), fast.BusyTime())
-		}
-	}
-}
 
 // restoredGroup copies g the way a device fork does: Restore into a zero
 // group.

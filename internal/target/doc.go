@@ -11,15 +11,16 @@
 // exactly as they do in process), and each response is written back as
 // an outcome capsule when its execution completes — out of order under
 // concurrency, correlated by request ID. SnapshotReq answers with the
-// per-tenant deterministic accounting rows plus the target's mergeable
-// wall-latency histogram; Drain (or SIGTERM/SIGINT) stops admission,
+// server's metrics scrape (conduit.Server.Metrics: per-tenant counters
+// and mergeable wall-latency histograms, pool and breaker series) — the
+// one accounting frame; Drain (or SIGTERM/SIGINT) stops admission,
 // waits out in-flight requests, closes every pool, and acknowledges
 // with the final pool counters so the router can verify no fork
 // leaked.
 //
 // The conversion from a served conduit.Response to a wire.Response
-// (WireResponse) and from accounting snapshots to wire rows
-// (WireTenants, WirePools) lives here precisely so the equivalence
-// harness can apply the identical projection to an in-process server
-// and compare encodings byte for byte.
+// (WireResponse) and from pool stats to wire rows (WirePools) lives
+// here precisely so the equivalence harness can apply the identical
+// projection to an in-process server and compare encodings byte for
+// byte.
 package target

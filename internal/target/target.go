@@ -9,7 +9,6 @@ import (
 	"time"
 
 	conduit "conduit"
-	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
 	"conduit/internal/wire"
@@ -212,15 +211,7 @@ func (s *Server) handleConn(raw net.Conn) {
 		case wire.Request:
 			s.handleRequest(c, fr)
 		case wire.SnapshotReq:
-			if err := c.writeFrame(s.snapshot(fr.ID)); err != nil {
-				return
-			}
-		case wire.MetricsReq:
-			if err := c.writeFrame(wire.Metrics{
-				ID:      fr.ID,
-				Target:  s.opts.Name,
-				Samples: metrics.ToWire(s.srv.Metrics()),
-			}); err != nil {
+			if err := c.writeFrame(wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}); err != nil {
 				return
 			}
 		case wire.Drain:
@@ -336,17 +327,6 @@ func (s *Server) serves(workload string) bool {
 	return i < len(s.names) && s.names[i] == workload
 }
 
-// snapshot renders the server's current accounting as a wire frame.
-func (s *Server) snapshot(id uint64) wire.Snapshot {
-	return wire.Snapshot{
-		ID:      id,
-		Target:  s.opts.Name,
-		Tenants: WireTenants(s.srv.Tenants()),
-		Pools:   s.PoolRows(),
-		Wall:    s.srv.Latencies(),
-	}
-}
-
 // ---- projections shared with the equivalence harness ----
 
 // WireResponse projects one served response (or admission error) onto
@@ -431,29 +411,6 @@ func wireRecovery(r serve.Recovery) wire.Recovery {
 		Injected:     r.Injected,
 		BackoffSimNS: int64(r.BackoffSim),
 	}
-}
-
-// WireTenants projects per-tenant accounting snapshots onto their
-// deterministic wire rows: every count, the recovery totals, simulated
-// time, and energy — but no wall-clock percentile, which is the
-// histogram's job.
-func WireTenants(snaps []conduit.TenantSnapshot) []wire.TenantRow {
-	rows := make([]wire.TenantRow, len(snaps))
-	for i, t := range snaps {
-		rows[i] = wire.TenantRow{
-			Tenant:   t.Tenant,
-			Requests: t.Requests,
-			Errors:   t.Errors,
-			Shed:     t.Shed,
-			Expired:  t.Expired,
-			Shared:   t.Shared,
-			Attained: t.Attained,
-			Recovery: wireRecovery(t.Recovery),
-			SimNS:    int64(t.Sim),
-			EnergyJ:  t.EnergyJ,
-		}
-	}
-	return rows
 }
 
 // WirePools projects the pool-stats map onto name-sorted wire rows.

@@ -13,11 +13,11 @@
 //	body   (type-specific, varint/length-prefixed fields)
 //
 // Every frame the protocol defines is carried by one Go struct (Hello,
-// Request, Response, SnapshotReq, Snapshot, Drain, DrainAck,
-// MetricsReq, Metrics), and the codec is canonical: encoding is a pure
-// function of the struct, so equal frames encode to equal bytes —
-// which is what lets the wiretest harness prove a routed fleet
-// byte-identical to in-process serving by comparing encodings.
+// Request, Response, SnapshotReq, Snapshot, Drain, DrainAck), and the
+// codec is canonical: encoding is a pure function of the struct, so
+// equal frames encode to equal bytes — which is what lets the wiretest
+// harness prove a routed fleet byte-identical to in-process serving by
+// comparing encodings.
 //
 // A frame's layout is written once, as a walk over its fields that the
 // codec cursor runs in either direction; encoder and decoder are the
@@ -34,11 +34,12 @@
 // FuzzWireRoundTrip (with committed corpora) enforce this on
 // adversarial inputs.
 //
-// The payload deliberately carries only deterministic quantities —
-// simulated time, energy, recovery accounting, substrate counters —
-// plus the per-target wall-clock latency histogram as an opaque
-// mergeable snapshot (internal/histo's canonical codec). Wall-clock
-// per-request latency is measured by whoever holds the clock (the
-// router, the target's serve engine), never shipped, so response
-// frames are comparable across runs.
+// Response frames deliberately carry only deterministic quantities —
+// simulated time, energy, recovery accounting, substrate counters — so
+// they are comparable across runs. Wall-clock latency crosses the wire
+// only inside a Snapshot, as the target's metrics scrape
+// (internal/metrics samples, histograms in internal/histo's canonical
+// mergeable codec); per-request wall latency is measured by whoever
+// holds the clock (the router, the target's serve engine), never
+// shipped.
 package wire

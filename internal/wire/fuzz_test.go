@@ -3,16 +3,20 @@ package wire
 import (
 	"bytes"
 	"math"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"conduit/internal/histo"
+	"conduit/internal/metrics"
 )
 
 // FuzzWireDecode feeds the decoder adversarial payloads: it must never
 // panic, never allocate beyond the input's real size, and — when it
 // does accept a payload — the decoded frame must re-encode canonically
-// and decode back to itself.
+// and decode back to the same bytes.
 func FuzzWireDecode(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(Append(nil, fr))
@@ -22,6 +26,17 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{Version + 1, byte(TypeRequest), 0})
 	f.Add([]byte{Version, 255})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// A frame type retired with version 2, a snapshot under the previous
+	// version, and a counter sample whose kind byte claims a histogram,
+	// so its value bytes are read as a histogram blob.
+	f.Add([]byte{Version, byte(TypeDrainAck) + 1, 0})
+	prev := Append(nil, sampleFrames()[8])
+	prev[0] = Version - 1
+	f.Add(prev)
+	counter := Append(nil, Snapshot{ID: 1, Target: "t",
+		Samples: []metrics.Sample{{Name: "m", Kind: metrics.KindCounter, Value: 1}}})
+	counter[len(counter)-9] = byte(metrics.KindHistogram)
+	f.Add(counter)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := Decode(payload)
 		if err != nil {
@@ -32,10 +47,9 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding of accepted frame rejected: %v\npayload %x", err, payload)
 		}
-		if !reflect.DeepEqual(fr, back) {
-			t.Fatalf("re-encode round trip changed frame\n  was: %+v\n  now: %+v", fr, back)
-		}
-		// Canonical: a twice-encoded frame is byte-stable.
+		// Canonical: a twice-encoded frame is byte-stable. Compared as
+		// bytes, not with DeepEqual: a NaN field round-trips bit-exactly
+		// but is not equal to itself.
 		if again := Append(nil, back); !bytes.Equal(re, again) {
 			t.Fatalf("encoding not canonical:\n first: %x\nsecond: %x", re, again)
 		}
@@ -85,13 +99,43 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for i := int64(0); i < int64(id%64); i++ {
 			wall.Add(elapsed&math.MaxInt64 + i)
 		}
-		snap := Snapshot{ID: id, Target: tenant,
-			Tenants: []TenantRow{{Tenant: tenant, Requests: elapsed, EnergyJ: energy,
-				Recovery: Recovery{Retries: deadline}}},
-			Pools: []PoolRow{{Name: workload, Idle: elapsed % 13, Closed: code%2 == 0}},
-			Wall:  wall}
+		snap := Snapshot{ID: id, Target: tenant, Samples: []metrics.Sample{
+			{Name: "conduit_serve_requests_total", Labels: []metrics.Label{{Key: "tenant", Value: tenant}},
+				Kind: metrics.KindCounter, Value: float64(elapsed)},
+			{Name: "conduit_pool_idle", Labels: []metrics.Label{{Key: "pool", Value: workload}},
+				Kind: metrics.KindGauge, Value: -math.Abs(energy)},
+			{Name: "conduit_serve_latency_wall_ns", Kind: metrics.KindHistogram, Hist: wall},
+		}}
 		checkRoundTrip(t, snap)
+		checkRoundTrip(t, DrainAck{ID: id, Pools: []PoolRow{{Name: workload, Idle: elapsed % 13, Closed: code%2 == 0}}})
 	})
+}
+
+// TestDecodeCorpusIsCurrent: every committed FuzzWireDecode seed carries
+// the current protocol version, so the corpus reaches the frame walks
+// instead of being refused at byte 0. A version bump re-stamps the seeds.
+func TestDecodeCorpusIsCurrent(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzWireDecode/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed FuzzWireDecode seeds (%v)", err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a one-[]byte corpus file", path)
+		}
+		payload, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(payload) == 0 || payload[0] != Version {
+			t.Errorf("%s: seed is not stamped with version %d (%q)", path, Version, payload)
+		}
+	}
 }
 
 func checkRoundTrip(t *testing.T, f Frame) {

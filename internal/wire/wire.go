@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"conduit/internal/histo"
+	"conduit/internal/metrics"
 )
 
 // Protocol limits, enforced by encoder and decoder alike. A decoder
@@ -21,7 +22,7 @@ const (
 	// from the same tree, so there is no compatibility window; bump it
 	// with any change to a frame's bytes, so a stale binary is refused
 	// by name instead of misread.
-	Version = 2
+	Version = 3
 	// MaxFrame bounds one frame's payload (version byte, type byte, and
 	// body) on the wire.
 	MaxFrame = 1 << 20
@@ -29,8 +30,8 @@ const (
 	MaxString = 1 << 12
 	// MaxShardSet bounds a request's shard-set.
 	MaxShardSet = 64
-	// MaxList bounds every repeated field (workloads, tenant rows, pool
-	// rows, counters).
+	// MaxList bounds every repeated field (workloads, metric samples,
+	// pool rows, counters).
 	MaxList = 1 << 12
 )
 
@@ -46,11 +47,9 @@ const (
 	TypeSnapshot    Type = 5 // target -> router
 	TypeDrain       Type = 6 // router -> target: drain and shut down
 	TypeDrainAck    Type = 7 // target -> router, after the drain finished
-	TypeMetricsReq  Type = 8 // router -> target: scrape the metrics registry
-	TypeMetrics     Type = 9 // target -> router: one metrics snapshot
 )
 
-// Frame is one protocol message. Exactly the nine wire structs
+// Frame is one protocol message. Exactly the seven wire structs
 // implement it.
 type Frame interface{ frameType() Type }
 
@@ -61,8 +60,6 @@ func (SnapshotReq) frameType() Type { return TypeSnapshotReq }
 func (Snapshot) frameType() Type    { return TypeSnapshot }
 func (Drain) frameType() Type       { return TypeDrain }
 func (DrainAck) frameType() Type    { return TypeDrainAck }
-func (MetricsReq) frameType() Type  { return TypeMetricsReq }
-func (Metrics) frameType() Type     { return TypeMetrics }
 
 // Hello is the target's greeting, sent once when a connection opens: it
 // names the target, its shard fan-out, and the workloads it serves, so
@@ -180,8 +177,7 @@ type Response struct {
 	Spans []Span
 }
 
-// Attr is one key/value annotation on a span, an event, or a metric
-// sample's label set.
+// Attr is one key/value annotation on a span or an event.
 type Attr struct {
 	Key   string
 	Value string
@@ -210,57 +206,8 @@ type Span struct {
 	Events     []SpanEvent
 }
 
-// MetricsReq asks the target for a metrics snapshot.
-type MetricsReq struct{ ID uint64 }
-
-// MetricKind tags a metric sample's type on the wire.
-type MetricKind uint8
-
-// The metric kinds.
-const (
-	MetricCounter   MetricKind = 0
-	MetricGauge     MetricKind = 1
-	MetricHistogram MetricKind = 2
-)
-
-// MetricSample is one named, labeled series value. Counters and gauges
-// carry Value; histograms carry Hist (and no Value byte on the wire).
-type MetricSample struct {
-	Name   string
-	Labels []Attr
-	Kind   MetricKind
-	Value  float64
-	// Hist is non-nil iff Kind is MetricHistogram.
-	Hist *histo.Histogram
-}
-
-// Metrics is the target's metrics snapshot: the registry's samples in
-// canonical (name, labels) order.
-type Metrics struct {
-	ID      uint64
-	Target  string
-	Samples []MetricSample
-}
-
 // SnapshotReq asks the target for its accounting snapshot.
 type SnapshotReq struct{ ID uint64 }
-
-// TenantRow is one tenant's deterministic accounting totals at a
-// target: the wall-clock percentile columns of the serve report are
-// intentionally absent (they ride in Snapshot.Wall instead, as a
-// mergeable histogram).
-type TenantRow struct {
-	Tenant   string
-	Requests int64
-	Errors   int64
-	Shed     int64
-	Expired  int64
-	Shared   int64
-	Attained int64
-	Recovery Recovery
-	SimNS    int64
-	EnergyJ  float64
-}
 
 // PoolRow is one device pool's counters at a target ("workload" or
 // "workload#shard").
@@ -275,18 +222,15 @@ type PoolRow struct {
 	Closed      bool
 }
 
-// Snapshot is the target's accounting state: per-tenant deterministic
-// rows, per-pool counters, and the target's wall-clock latency
-// histogram as a mergeable snapshot the router folds into fleet-wide
-// percentiles.
+// Snapshot is the target's accounting state: its metrics registry
+// scrape — per-tenant serving counters and latency histograms, pool and
+// breaker series — in canonical (name, labels) order. The router folds
+// the snapshots of a fleet into one registry with metrics.Registry.Add:
+// counters and gauges sum, histograms merge exactly.
 type Snapshot struct {
 	ID      uint64
 	Target  string
-	Tenants []TenantRow
-	Pools   []PoolRow
-	// Wall is the target's all-tenants wall-clock latency histogram;
-	// never nil in a valid frame.
-	Wall *histo.Histogram
+	Samples []metrics.Sample
 }
 
 // Drain asks the target to drain gracefully: stop admitting, finish
@@ -599,6 +543,11 @@ func (c *codec) attr(a *Attr) {
 	c.str(&a.Value)
 }
 
+func (c *codec) label(l *metrics.Label) {
+	c.str(&l.Key)
+	c.str(&l.Value)
+}
+
 func (c *codec) span(s *Span) {
 	c.u64(&s.TraceID)
 	c.u64(&s.ID)
@@ -622,22 +571,23 @@ func (c *codec) event(e *SpanEvent) {
 func (c *codec) snapshot(s *Snapshot) {
 	c.u64(&s.ID)
 	c.str(&s.Target)
-	list(c, &s.Tenants, 16, (*codec).tenant)
-	list(c, &s.Pools, 8, (*codec).pool)
-	c.hist(&s.Wall, "snapshot")
+	list(c, &s.Samples, 3, (*codec).sample)
 }
 
-func (c *codec) tenant(t *TenantRow) {
-	c.str(&t.Tenant)
-	c.i64(&t.Requests)
-	c.i64(&t.Errors)
-	c.i64(&t.Shed)
-	c.i64(&t.Expired)
-	c.i64(&t.Shared)
-	c.i64(&t.Attained)
-	c.recovery(&t.Recovery)
-	c.i64(&t.SimNS)
-	c.f64(&t.EnergyJ)
+// sample walks one series: counters and gauges carry their value,
+// histograms their internal/histo snapshot (and no value byte).
+func (c *codec) sample(m *metrics.Sample) {
+	c.name(&m.Name, "metric sample")
+	list(c, &m.Labels, 2, (*codec).label)
+	c.byte((*byte)(&m.Kind))
+	if m.Kind > metrics.KindHistogram {
+		c.fail(fmt.Errorf("wire: unknown metric kind %d", m.Kind))
+	}
+	if m.Kind == metrics.KindHistogram {
+		c.hist(&m.Hist, "metric")
+	} else {
+		c.f64(&m.Value)
+	}
 }
 
 func (c *codec) pool(p *PoolRow) {
@@ -656,26 +606,6 @@ func (c *codec) drainAck(a *DrainAck) {
 	list(c, &a.Pools, 8, (*codec).pool)
 }
 
-func (c *codec) metrics(m *Metrics) {
-	c.u64(&m.ID)
-	c.str(&m.Target)
-	list(c, &m.Samples, 3, (*codec).sample)
-}
-
-func (c *codec) sample(m *MetricSample) {
-	c.name(&m.Name, "metric sample")
-	list(c, &m.Labels, 2, (*codec).attr)
-	c.byte((*byte)(&m.Kind))
-	if m.Kind > MetricHistogram {
-		c.fail(fmt.Errorf("wire: unknown metric kind %d", m.Kind))
-	}
-	if m.Kind == MetricHistogram {
-		c.hist(&m.Hist, "metric")
-	} else {
-		c.f64(&m.Value)
-	}
-}
-
 // zeroFrames maps a type byte to the zero frame a decoder starts from.
 var zeroFrames = [...]Frame{
 	TypeHello:       Hello{},
@@ -685,8 +615,6 @@ var zeroFrames = [...]Frame{
 	TypeSnapshot:    Snapshot{},
 	TypeDrain:       Drain{},
 	TypeDrainAck:    DrainAck{},
-	TypeMetricsReq:  MetricsReq{},
-	TypeMetrics:     Metrics{},
 }
 
 // body walks the body of f and returns the walked frame: a decoder
@@ -713,12 +641,6 @@ func (c *codec) body(f Frame) Frame {
 		return fr
 	case DrainAck:
 		c.drainAck(&fr)
-		return fr
-	case MetricsReq:
-		c.u64(&fr.ID)
-		return fr
-	case Metrics:
-		c.metrics(&fr)
 		return fr
 	}
 	panic(fmt.Sprintf("wire: unknown frame %T", f))

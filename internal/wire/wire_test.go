@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"conduit/internal/histo"
+	"conduit/internal/metrics"
 )
 
 // sampleFrames returns one representative of every frame type,
@@ -38,15 +39,14 @@ func sampleFrames() []Frame {
 			Recovery: Recovery{Attempts: 5, Injected: 5}},
 		Response{ID: 9, Code: CodeDraining, Error: "serve: engine is draining"},
 		SnapshotReq{ID: 11},
-		Snapshot{ID: 12, Target: "target-1",
-			Tenants: []TenantRow{
-				{Tenant: "tenant-00", Requests: 10, Errors: 1, Attained: 9,
-					Recovery: Recovery{Attempts: 11}, SimNS: 999, EnergyJ: 1.5},
-				{Tenant: "tenant-01", Shed: 2, Expired: 1, Shared: 3, SimNS: -5},
-			},
-			Pools: []PoolRow{{Name: "aes#0", Preforked: 4, Hits: 3, Misses: 1, Idle: 2, Closed: true}},
-			Wall:  wall},
-		Snapshot{ID: 13, Target: "empty", Wall: histo.New()},
+		Snapshot{ID: 12, Target: "target-1", Samples: []metrics.Sample{
+			{Name: "conduit_serve_requests_total",
+				Labels: []metrics.Label{{Key: "tenant", Value: "tenant-00"}},
+				Kind:   metrics.KindCounter, Value: 12},
+			{Name: "conduit_pool_idle", Kind: metrics.KindGauge, Value: -2.5},
+			{Name: "conduit_serve_latency_wall_ns", Kind: metrics.KindHistogram, Hist: wall},
+		}},
+		Snapshot{ID: 13, Target: "empty"},
 		Drain{ID: 14},
 		DrainAck{ID: 15, Pools: []PoolRow{{Name: "aes", Idle: 0, Closed: true}}},
 		DrainAck{ID: 16},
@@ -62,15 +62,6 @@ func sampleFrames() []Frame {
 				{TraceID: 0xfeedface, ID: 3, Parent: 2, Name: "serve.run",
 					SimStartNS: -10, SimEndNS: 545},
 			}},
-		MetricsReq{ID: 19},
-		Metrics{ID: 20, Target: "target-0", Samples: []MetricSample{
-			{Name: "conduit_serve_requests_total",
-				Labels: []Attr{{Key: "tenant", Value: "tenant-00"}},
-				Kind:   MetricCounter, Value: 12},
-			{Name: "conduit_pool_idle", Kind: MetricGauge, Value: -2.5},
-			{Name: "conduit_serve_latency_wall_ns", Kind: MetricHistogram, Hist: wall},
-		}},
-		Metrics{ID: 21, Target: "empty"},
 	}
 }
 
@@ -150,10 +141,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			Spans: []Span{{TraceID: 1, ID: 2, Name: "s", SimStartNS: 10, SimEndNS: 5}}},
 		"span event unnamed": Response{ID: 1, Code: CodeError, Error: "x",
 			Spans: []Span{{TraceID: 1, ID: 2, Name: "s", Events: []SpanEvent{{SimNS: 1}}}}},
-		"metric unnamed": Metrics{ID: 1, Target: "t",
-			Samples: []MetricSample{{Kind: MetricCounter, Value: 1}}},
-		"metric bad kind": Metrics{ID: 1, Target: "t",
-			Samples: []MetricSample{{Name: "m", Kind: MetricKind(9)}}},
+		"metric unnamed": Snapshot{ID: 1, Target: "t",
+			Samples: []metrics.Sample{{Kind: metrics.KindCounter, Value: 1}}},
+		"metric bad kind": Snapshot{ID: 1, Target: "t",
+			Samples: []metrics.Sample{{Name: "m", Kind: metrics.Kind(9)}}},
 	}
 	for name, f := range cases {
 		if _, err := Encode(f); err == nil {

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	conduit "conduit"
-	"conduit/internal/histo"
 	"conduit/internal/loadgen"
+	"conduit/internal/metrics"
 	"conduit/internal/router"
+	"conduit/internal/serve"
 	"conduit/internal/target"
 	"conduit/internal/wire"
 	"conduit/internal/workloads"
@@ -52,8 +54,8 @@ func equivSchedule(t *testing.T, n int, names []string) []loadgen.Event {
 // inProcessFrames replays the schedule lock-step against an in-process
 // conduit.Server and projects every response through the same
 // conversion the target server applies, yielding the reference frame
-// sequence plus the final tenant rows and pool rows.
-func inProcessFrames(t *testing.T, opts conduit.ServeOptions, names []string, events []loadgen.Event) ([][]byte, []wire.TenantRow, []wire.PoolRow) {
+// sequence plus the final metrics scrape and pool rows.
+func inProcessFrames(t *testing.T, opts conduit.ServeOptions, names []string, events []loadgen.Event) ([][]byte, []metrics.Sample, []wire.PoolRow) {
 	t.Helper()
 	srv := conduit.NewServer(conduit.DefaultConfig(), opts)
 	for _, name := range names {
@@ -80,10 +82,10 @@ func inProcessFrames(t *testing.T, opts conduit.ServeOptions, names []string, ev
 		}
 		frames = append(frames, wire.Append(nil, frame))
 	}
-	rows := target.WireTenants(srv.Tenants())
+	samples := srv.Metrics()
 	srv.Drain()
 	pools := target.WirePools(srv.PoolStats())
-	return frames, rows, pools
+	return frames, samples, pools
 }
 
 // routedFrames replays the same schedule lock-step through a router
@@ -104,13 +106,38 @@ func routedFrames(t *testing.T, rt *router.Router, events []loadgen.Event) [][]b
 	return frames
 }
 
-// encodeReport canonicalizes tenant rows for byte comparison by
-// wrapping them in a Snapshot frame with a fixed envelope and an empty
-// wall histogram (wall-clock latency is the one legitimately
-// nondeterministic quantity, shipped separately by design).
-func encodeReport(t *testing.T, rows []wire.TenantRow) []byte {
-	t.Helper()
-	return wire.Append(nil, wire.Snapshot{ID: 1, Target: "report", Tenants: rows, Wall: histo.New()})
+// encodeReport canonicalizes a scrape's tenant report for byte
+// comparison: its conduit_serve_* counter and gauge series, with the
+// target label a routed scrape carries stripped, re-merged and wrapped in
+// a Snapshot frame with a fixed envelope. Histograms are left out: wall-
+// clock latency is the one legitimately nondeterministic quantity.
+func encodeReport(samples []metrics.Sample) []byte {
+	reg := metrics.New()
+	for _, s := range samples {
+		if !strings.HasPrefix(s.Name, "conduit_serve_") || s.Kind == metrics.KindHistogram {
+			continue
+		}
+		var labels []metrics.Label
+		for _, l := range s.Labels {
+			if l.Key != "target" {
+				labels = append(labels, l)
+			}
+		}
+		s.Labels = labels
+		reg.Add(s)
+	}
+	return wire.Append(nil, wire.Snapshot{ID: 1, Target: "report", Samples: reg.Snapshot()})
+}
+
+// wallCount is how many responses a target's all-tenant wall-latency
+// histogram holds in a fleet scrape; -1 when the series is absent.
+func wallCount(fleet []metrics.Sample, name string) int64 {
+	for _, s := range fleet {
+		if s.Name == serve.LatencySeries && len(s.Labels) == 1 && s.Labels[0].Value == name {
+			return s.Hist.Count()
+		}
+	}
+	return -1
 }
 
 // TestRoutedByteIdenticalToInProcess is the wire tier's equivalence
@@ -124,7 +151,7 @@ func TestRoutedByteIdenticalToInProcess(t *testing.T) {
 	names := []string{"aes", "jacobi-1d"}
 	events := equivSchedule(t, 24, names)
 
-	wantFrames, wantRows, wantPools := inProcessFrames(t, conduit.ServeOptions{
+	wantFrames, wantSamples, wantPools := inProcessFrames(t, conduit.ServeOptions{
 		Concurrency: 1, Prefork: 0, Coalesce: false,
 	}, names, events)
 
@@ -144,12 +171,12 @@ func TestRoutedByteIdenticalToInProcess(t *testing.T) {
 	if len(missing) != 0 {
 		t.Fatalf("snapshot missing targets: %v", missing)
 	}
-	if got, want := encodeReport(t, fleet.Tenants), encodeReport(t, wantRows); !bytes.Equal(got, want) {
-		t.Errorf("tenant report differs across the wire\nrouted:     %+v\nin-process: %+v",
-			fleet.Tenants, wantRows)
+	if got, want := encodeReport(fleet), encodeReport(wantSamples); !bytes.Equal(got, want) {
+		t.Errorf("tenant report differs across the wire\nrouted:\n%s\nin-process:\n%s",
+			serve.Report("routed", fleet), serve.Report("in-process", wantSamples))
 	}
-	if got, want := fleet.Wall.Count(), int64(len(events)); got != want {
-		t.Errorf("fleet wall histogram holds %d samples, want %d", got, want)
+	if got, want := wallCount(fleet, "t0"), int64(len(events)); got != want {
+		t.Errorf("target wall histogram holds %d samples, want %d", got, want)
 	}
 
 	acks := rt.DrainAll()
@@ -172,7 +199,9 @@ func TestRoutedByteIdenticalToInProcess(t *testing.T) {
 }
 
 // TestTargetRejectsBadRequests: protocol-level validation happens
-// before the serving engine sees (and accounts) the request.
+// before the serving engine sees (and accounts) the request: after three
+// rejected requests and one good one, the tenant's request series reads
+// exactly one.
 func TestTargetRejectsBadRequests(t *testing.T) {
 	ft := startTarget(t, "-name", "t0", "-mix", "aes", "-scale", "1", "-prefork", "0")
 	rt := dialFleet(t, router.Options{Retries: 1}, ft)
@@ -194,11 +223,18 @@ func TestTargetRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: code %v, want CodeBadRequest (%q)", tc.name, resp.Code, resp.Error)
 		}
 	}
+	if resp, _, err := rt.Do(wire.Request{Tenant: "t", Workload: aes, Policy: "Conduit"}); err != nil || resp.Code != wire.CodeOK {
+		t.Fatalf("good request: %v (%+v)", err, resp)
+	}
 	fleet, _ := rt.Snapshot()
-	for _, row := range fleet.Tenants {
-		if row.Requests != 0 {
-			t.Errorf("rejected requests reached tenant accounting: %+v", row)
+	var served float64 = -1
+	for _, s := range fleet {
+		if s.Name == "conduit_serve_requests_total" {
+			served = s.Value
 		}
+	}
+	if served != 1 {
+		t.Errorf("conduit_serve_requests_total = %v after 3 rejected and 1 served request, want 1", served)
 	}
 }
 
@@ -239,9 +275,9 @@ func TestZeroFaultRoutedMatchesFaultFree(t *testing.T) {
 
 	fa, _ := rtArmed.Snapshot()
 	fp, _ := rtPlain.Snapshot()
-	if got, want := encodeReport(t, fa.Tenants), encodeReport(t, fp.Tenants); !bytes.Equal(got, want) {
-		t.Errorf("tenant reports differ between zero-fault and fault-free runs\narmed: %+v\nplain: %+v",
-			fa.Tenants, fp.Tenants)
+	if got, want := encodeReport(fa), encodeReport(fp); !bytes.Equal(got, want) {
+		t.Errorf("tenant reports differ between zero-fault and fault-free runs\narmed:\n%s\nplain:\n%s",
+			serve.Report("armed", fa), serve.Report("plain", fp))
 	}
 }
 

@@ -5,18 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"conduit/internal/loadgen"
+	"conduit/internal/metrics"
 	"conduit/internal/router"
+	"conduit/internal/serve"
 	"conduit/internal/wire"
 )
 
 // TestTwoTargetPlacementAndMerge: a two-target fleet places each
-// workload on its consistent-hash home, and the fleet report is the
-// exact merge of the per-target snapshots.
+// workload on its consistent-hash home, and the fleet scrape is the
+// exact Registry.Add merge of the per-target snapshots.
 func TestTwoTargetPlacementAndMerge(t *testing.T) {
 	names := resolveNames(t, []string{"aes", "jacobi-1d"})
 	events := equivSchedule(t, 20, names)
@@ -47,38 +50,76 @@ func TestTwoTargetPlacementAndMerge(t *testing.T) {
 	if len(missing) != 0 {
 		t.Fatalf("snapshot missing targets: %v", missing)
 	}
-	if len(fleet.Targets) != 2 {
-		t.Fatalf("fleet has %d snapshots, want 2", len(fleet.Targets))
+	// Each target's own snapshot, polled over a connection of its own.
+	var raw [2][]metrics.Sample
+	for i, ft := range []*fleetTarget{t0, t1} {
+		c, err := router.Dial(ft.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := c.Snapshot()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[i] = snap.Samples
+	}
+	a, b := metrics.Relabel(raw[0], "target", "t0"), metrics.Relabel(raw[1], "target", "t1")
+
+	// Registry.Add merges in either order (commutativity) and any grouping
+	// (associativity) to the same bytes — on the raw scrapes, whose tenant
+	// series collide and sum, and on the relabelled ones.
+	for _, pair := range [][2][]metrics.Sample{raw, {a, b}} {
+		x, y := pair[0], pair[1]
+		ab := encodeScrape(merge(x, y))
+		if !bytes.Equal(ab, encodeScrape(merge(y, x))) || !bytes.Equal(ab, encodeScrape(merge(merge(x), y))) {
+			t.Error("Registry.Add merge is order- or grouping-dependent")
+		}
+	}
+	// The fleet scrape is that merge, beside the router's own series, and
+	// renders the same tenant table as the union of the two targets.
+	var targets []metrics.Sample
+	for _, s := range fleet {
+		if !strings.HasPrefix(s.Name, "conduit_router_") {
+			targets = append(targets, s)
+		}
+	}
+	if !bytes.Equal(encodeScrape(targets), encodeScrape(merge(a, b))) {
+		t.Error("fleet scrape is not the merge of its per-target snapshots")
+	}
+	if got, want := serve.Report("", fleet).String(), serve.Report("", merge(raw[0], raw[1])).String(); got != want {
+		t.Errorf("fleet table differs from the union's\nfleet:\n%s\nunion:\n%s", got, want)
 	}
 
-	// The merged report equals merging the per-target rows in either
-	// order (commutativity) and any grouping (associativity).
-	a, b := fleet.Targets[0].Tenants, fleet.Targets[1].Tenants
-	ab := encodeReport(t, router.MergeTenants(a, b))
-	ba := encodeReport(t, router.MergeTenants(b, a))
-	nested := encodeReport(t, router.MergeTenants(router.MergeTenants(a), b))
-	if !bytes.Equal(ab, ba) || !bytes.Equal(ab, nested) {
-		t.Error("tenant merge is order- or grouping-dependent")
+	var total float64
+	for _, s := range fleet {
+		if s.Name == "conduit_serve_requests_total" {
+			total += s.Value
+		}
 	}
-	if got := encodeReport(t, fleet.Tenants); !bytes.Equal(got, ab) {
-		t.Error("fleet report is not the merge of its per-target snapshots")
+	if total != float64(len(events)) {
+		t.Errorf("merged scrape accounts %v requests, want %d", total, len(events))
 	}
+	if n := wallCount(fleet, "t0") + wallCount(fleet, "t1"); n != int64(len(events)) {
+		t.Errorf("target wall histograms hold %d samples, want %d", n, len(events))
+	}
+}
 
-	var total int64
-	for _, row := range fleet.Tenants {
-		total += row.Requests
+// merge folds sample sets into one registry with Registry.Add.
+func merge(sets ...[]metrics.Sample) []metrics.Sample {
+	reg := metrics.New()
+	for _, set := range sets {
+		for _, s := range set {
+			reg.Add(s)
+		}
 	}
-	if total != int64(len(events)) {
-		t.Errorf("merged report accounts %d requests, want %d", total, len(events))
-	}
-	var wallTotal int64
-	for _, snap := range fleet.Targets {
-		wallTotal += snap.Wall.Count()
-	}
-	if fleet.Wall.Count() != wallTotal || wallTotal != int64(len(events)) {
-		t.Errorf("fleet wall merge: %d samples (targets sum %d), want %d",
-			fleet.Wall.Count(), wallTotal, len(events))
-	}
+	return reg.Snapshot()
+}
+
+// encodeScrape is a scrape's canonical bytes: a Snapshot frame with a
+// fixed envelope.
+func encodeScrape(samples []metrics.Sample) []byte {
+	return wire.Append(nil, wire.Snapshot{ID: 1, Target: "fleet", Samples: samples})
 }
 
 // TestKillTargetMidRunFailover: SIGKILL a workload's home target mid

@@ -96,8 +96,7 @@ func TestRoutedTraceByteIdenticalAcrossFleets(t *testing.T) {
 
 // TestFleetTracePerfettoAndMetrics: the merged fleet trace renders as
 // valid Perfetto trace_event JSON (one process per participant), and
-// the fleet metrics fold produces a non-empty scrape covering every
-// target.
+// the fleet snapshot produces a non-empty scrape covering every target.
 func TestFleetTracePerfettoAndMetrics(t *testing.T) {
 	_, routerSpans, remote, rt := tracedFleetRun(t)
 
@@ -126,7 +125,7 @@ func TestFleetTracePerfettoAndMetrics(t *testing.T) {
 		t.Fatal("fleet Perfetto export holds no events")
 	}
 
-	samples, missing := rt.FleetMetrics()
+	samples, missing := rt.Snapshot()
 	if len(missing) != 0 {
 		t.Fatalf("fleet scrape missing targets: %v", missing)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"conduit/internal/faultinject"
-	"conduit/internal/histo"
 	"conduit/internal/loadgen"
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
@@ -26,9 +25,6 @@ type (
 	Response = serve.Response
 	// TenantSnapshot is one tenant's accounting totals.
 	TenantSnapshot = serve.TenantSnapshot
-	// LatencyHistogram is a bounded log-linear wall-clock latency
-	// histogram (nanosecond samples, exactly mergeable; internal/histo).
-	LatencyHistogram = histo.Histogram
 	// TraceOptions configures the server's request tracer
 	// (internal/trace): sampling cadence, the optional wall-clock source,
 	// and the retained-trace bound. The zero value records only requests
@@ -389,20 +385,11 @@ func (s *Server) Drain() {
 	}
 }
 
-// Report renders the per-tenant service metrics table (request counts,
-// wall-clock latency percentiles, simulated time and energy consumed).
-func (s *Server) Report() *Table { return s.eng.Report() }
-
 // Tenants returns per-tenant accounting totals sorted by tenant name.
 func (s *Server) Tenants() []TenantSnapshot { return s.eng.Snapshot() }
 
 // Total returns the all-tenants aggregate accounting snapshot.
 func (s *Server) Total() TenantSnapshot { return s.eng.Total() }
-
-// Latencies returns an independent copy of the all-tenants wall-clock
-// latency histogram (completed responses, nanoseconds). Copies merge
-// exactly across servers or runs via LatencyHistogram.Merge.
-func (s *Server) Latencies() *LatencyHistogram { return s.eng.Wall() }
 
 // FaultLog returns the faults injected so far in injection order — the
 // replayable record of this server's chaos schedule (WriteFaultLog
@@ -446,10 +433,11 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // Metrics snapshots the server's unified metrics registry: per-tenant
 // serving counters and latency histograms (from the engine's accounting),
 // per-pool fork counters, and circuit-breaker state gauges. The registry
-// is filled at scrape time from the same authoritative counters the
-// report tables read, so scraping costs the hot path nothing. Samples are
-// sorted by series identity; merge fleet-wide with metrics.Registry.Add
-// after metrics.Relabel.
+// is filled at scrape time from the authoritative counters, so scraping
+// costs the hot path nothing. It is the server's one accounting surface:
+// serve.Report renders the tenant table from it, and a target ships it in
+// its Snapshot frame. Samples are sorted by series identity; merge
+// fleet-wide with metrics.Registry.Add after metrics.Relabel.
 func (s *Server) Metrics() []MetricSample {
 	reg := metrics.New()
 	s.eng.FillMetrics(reg)

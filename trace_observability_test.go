@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	conduit "conduit"
+	"conduit/internal/serve"
 	"conduit/internal/trace"
 )
 
@@ -181,26 +183,65 @@ func TestTraceOffOutputIdenticalToUntraced(t *testing.T) {
 }
 
 // TestMetricsSnapshotMatchesAccounting: the fill-at-scrape registry is
-// a projection of the same authoritative counters the report reads —
-// per-tenant requests, pool quarantine/repair cycles, breaker trips.
+// a projection of the authoritative books, and a superset of them: on a
+// server replaying a recorded chaos schedule, every TenantSnapshot field
+// — each count, each Recovery field, the wall percentiles, Sim and
+// EnergyJ — reads back from its series, and so do the pool quarantine,
+// repair and restore counters.
 func TestMetricsSnapshotMatchesAccounting(t *testing.T) {
-	srv := newTraceServer(t, nil)
+	_, log := chaosOutcomes(t, chaosServeOptions(0.1, 7), 25)
+	opts := chaosServeOptions(0, 0)
+	opts.Faults = nil
+	opts.ReplayFaults = log
+	srv := conduit.NewServer(conduit.DefaultConfig(), opts)
 	defer srv.Drain()
-	for _, req := range traceSchedule() {
-		srv.Do(req)
+	if err := srv.RegisterSharded("aes", mustWorkloadSource(t, "aes"), 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		srv.Do(conduit.Request{Tenant: fmt.Sprintf("tenant-%02d", i%3), Workload: "aes", Policy: "Conduit"})
 	}
 	samples := srv.Metrics()
-	byKey := make(map[string]float64)
+	byKey := make(map[string]conduit.MetricSample)
 	for _, s := range samples {
 		key := s.Name
 		for _, l := range s.Labels {
 			key += "|" + l.Key + "=" + l.Value
 		}
-		byKey[key] = s.Value
+		byKey[key] = s
 	}
-	for _, ts := range srv.Tenants() {
-		if got := byKey["conduit_serve_requests_total|tenant="+ts.Tenant]; got != float64(ts.Requests) {
-			t.Errorf("tenant %s: scrape says %v requests, accounting says %d", ts.Tenant, got, ts.Requests)
+	tenants := srv.Tenants()
+	if total := srv.Total(); total.Recovery.Retries == 0 || total.Recovery.Injected == 0 {
+		t.Fatalf("replayed chaos cost no recovery work (%+v); the test is vacuous", total.Recovery)
+	}
+	for _, ts := range tenants {
+		series := func(name string) conduit.MetricSample { return byKey[name+"|tenant="+ts.Tenant] }
+		for name, want := range map[string]float64{
+			"conduit_serve_requests_total":        float64(ts.Requests),
+			"conduit_serve_errors_total":          float64(ts.Errors),
+			"conduit_serve_shed_total":            float64(ts.Shed),
+			"conduit_serve_expired_total":         float64(ts.Expired),
+			"conduit_serve_shared_total":          float64(ts.Shared),
+			"conduit_serve_attained_total":        float64(ts.Attained),
+			"conduit_serve_attempts_total":        float64(ts.Recovery.Attempts),
+			"conduit_serve_retries_total":         float64(ts.Recovery.Retries),
+			"conduit_serve_hedges_total":          float64(ts.Recovery.Hedges),
+			"conduit_serve_hedge_wins_total":      float64(ts.Recovery.HedgeWins),
+			"conduit_serve_fallbacks_total":       float64(ts.Recovery.Fallbacks),
+			"conduit_serve_faults_injected_total": float64(ts.Recovery.Injected),
+			"conduit_serve_backoff_sim_ns_total":  float64(ts.Recovery.BackoffSim),
+			"conduit_serve_sim_ns_total":          float64(ts.Sim),
+			"conduit_serve_energy_joules":         ts.EnergyJ,
+		} {
+			if got := series(name); got.Name == "" || got.Value != want {
+				t.Errorf("tenant %s: %s scrapes as %v (present=%v), accounting says %v",
+					ts.Tenant, name, got.Value, got.Name != "", want)
+			}
+		}
+		h := series(serve.LatencySeries).Hist
+		if h == nil || h.Count() != ts.Requests || time.Duration(h.P50()) != ts.P50 ||
+			time.Duration(h.P99()) != ts.P99 || time.Duration(h.P999()) != ts.P999 || time.Duration(h.Max()) != ts.Max {
+			t.Errorf("tenant %s: latency histogram disagrees with the percentiles %+v", ts.Tenant, ts)
 		}
 	}
 	pools := srv.PoolStats()
@@ -208,16 +249,16 @@ func TestMetricsSnapshotMatchesAccounting(t *testing.T) {
 		t.Fatal("no pools to scrape")
 	}
 	for name, ps := range pools {
-		if got := byKey["conduit_pool_quarantined_total|pool="+name]; got != float64(ps.Quarantined) {
+		if got := byKey["conduit_pool_quarantined_total|pool="+name].Value; got != float64(ps.Quarantined) {
 			t.Errorf("pool %s: scrape says %v quarantined, stats say %d", name, got, ps.Quarantined)
 		}
-		if got := byKey["conduit_pool_repairs_total|pool="+name]; got != float64(ps.Repairs) {
+		if got := byKey["conduit_pool_repairs_total|pool="+name].Value; got != float64(ps.Repairs) {
 			t.Errorf("pool %s: scrape says %v repairs, stats say %d", name, got, ps.Repairs)
 		}
 		// The refiller may restore one more fork between the scrape and the
 		// stats read: the series exists and has not run ahead of the books.
-		got, ok := byKey["conduit_pool_restored_total|pool="+name]
-		if !ok || got > float64(ps.Restored) || ps.Restored > ps.Preforked+ps.Misses {
+		restored, ok := byKey["conduit_pool_restored_total|pool="+name]
+		if got := restored.Value; !ok || got > float64(ps.Restored) || ps.Restored > ps.Preforked+ps.Misses {
 			t.Errorf("pool %s: scrape says %v restored (present=%v), stats say %d of %d forks made",
 				name, got, ok, ps.Restored, ps.Preforked+ps.Misses)
 		}
