@@ -1,8 +1,6 @@
 # Developer entry points. CI runs the same commands; see
 # .github/workflows/ci.yml.
 
-GOBIN := $(shell go env GOPATH)/bin
-
 .PHONY: all build test test-oracle race lint bench prof-run fmt loc loc-check
 
 all: build lint test
@@ -29,15 +27,12 @@ test-oracle:
 race:
 	go test -race ./...
 
-# lint builds the repo's own analyzer suite and runs it through the
-# standard vet driver, so diagnostics integrate with go's build cache
-# and package loading. `go run ./cmd/conduitlint ./...` works too (a
-# standalone mode that needs no install), but this is the checked form:
-# CI fails on any diagnostic not covered by the committed allowlist in
-# internal/lint/allow/conduitlint.allow.
+# lint runs the repo's own analyzer suite over every package, as CI
+# does: it fails on any diagnostic not covered by the committed
+# allowlist in internal/lint/allow/conduitlint.allow (exit 1) and on a
+# pattern that matches no package (exit 2).
 lint:
-	go install ./cmd/conduitlint
-	go vet -vettool=$(GOBIN)/conduitlint ./...
+	go run ./cmd/conduitlint ./...
 
 fmt:
 	gofmt -w .
@@ -71,7 +66,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25128
+LOC_CEILING := 24885
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

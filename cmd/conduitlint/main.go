@@ -5,15 +5,12 @@
 // (arenaowner), and every owned DevicePool closed on all non-panic
 // paths (poolleak).
 //
-// Run it standalone:
+// Run it from the module root, which is what `make lint` and CI do:
 //
 //	go run ./cmd/conduitlint ./...
 //
-// or as a vet tool, which is how CI runs it:
-//
-//	go install ./cmd/conduitlint
-//	go vet -vettool=$(go env GOPATH)/bin/conduitlint ./...
-//
+// It exits 0 when clean, 1 on findings, and 2 on an operational error
+// (a pattern that matches no package, an unreadable -allow file).
 // Exemptions live only in the committed allowlist
 // (internal/lint/allow/conduitlint.allow); there is no inline ignore
 // pragma. `conduitlint help` describes each analyzer.

@@ -21,8 +21,7 @@
 // against a pooled server for -loaddur and reports achieved throughput,
 // goodput under the -slo deadline, shed/expired counts, and
 // p50/p99/p999 wall-clock latency; combine with -csv for the
-// throughput-latency curve as data (LATENCY_pr5.csv is a committed
-// example).
+// throughput-latency curve as data.
 //
 // The availability experiment injects deterministic seeded faults at the
 // dispatch, pool, and device seams of a sharded deployment and sweeps
@@ -30,7 +29,7 @@
 // (none, retry, retry+hedge, retry+hedge+breaker), reporting request
 // success rate, SLO attainment in simulated time, and retry
 // amplification per cell (-availreq requests each); combine with -csv
-// for the sweep as data (AVAIL_pr8.csv is a committed example). Unlike
+// for the sweep as data (testdata/availability.csv is its golden). Unlike
 // the latency experiment it runs entirely in simulated time, so its
 // table is byte-identical run to run.
 //

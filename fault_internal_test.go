@@ -1,6 +1,7 @@
 package conduit
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -8,6 +9,31 @@ import (
 	"conduit/internal/serve"
 	"conduit/internal/workloads"
 )
+
+// TestAvailabilityDeterministic: the availability sweep runs entirely in
+// simulated time, so the committed sweep — testdata/availability.csv,
+// the output of `go run ./cmd/experiments -csv availability -availreq
+// 200` (scale 2, the default fault rates, and the blank line the command
+// prints after every table) — must re-render byte for byte.
+func TestAvailabilityDeterministic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 200-request sweep takes over ten times longer under -race")
+	}
+	want, err := os.ReadFile("testdata/availability.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewExperiments(DefaultConfig(), 2).Availability(AvailabilityOptions{Requests: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	tab.CSV(&got)
+	got.WriteString("\n")
+	if got.String() != string(want) {
+		t.Errorf("availability sweep differs from testdata/availability.csv (regenerate it only for a deliberate model change):\n%s", got.String())
+	}
+}
 
 // TestGuardShardRunContainsPanic pins the scatter-gather containment
 // satellite: a panicking shard run surfaces as a `shard %d panicked`

@@ -266,29 +266,6 @@ func TestPoolQuarantineRepairs(t *testing.T) {
 	}
 }
 
-// TestAvailabilityDeterministic: the availability sweep runs entirely in
-// simulated time, so two fresh harnesses must render it byte-identically.
-func TestAvailabilityDeterministic(t *testing.T) {
-	opts := conduit.AvailabilityOptions{Requests: 20, FaultRates: []float64{0, 0.1}}
-	render := func() (string, string) {
-		tab, err := conduit.NewExperiments(conduit.DefaultConfig(), 1).Availability(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var csv strings.Builder
-		tab.CSV(&csv)
-		return tab.String(), csv.String()
-	}
-	aText, aCSV := render()
-	bText, bCSV := render()
-	if aText != bText {
-		t.Errorf("availability text rendering differs across identical runs:\n--- a ---\n%s\n--- b ---\n%s", aText, bText)
-	}
-	if aCSV != bCSV {
-		t.Errorf("availability CSV differs across identical runs")
-	}
-}
-
 // TestAvailabilityRecoveryBeatsBaseline pins the headline robustness
 // claim: at a 5% master fault rate the full recovery stack must serve
 // strictly more requests successfully — and attain strictly more SLOs —

@@ -9,12 +9,15 @@
 // determinism checkers must run on every build, not only where a module
 // proxy is reachable.
 //
-// Drivers (internal/lint/driver for `go vet -vettool` and standalone
-// use, internal/lint/analysistest for golden tests) load and type-check
-// a package, construct a Pass per analyzer, and collect diagnostics.
-// Facts, analyzer dependencies, and suggested fixes are intentionally
-// out of scope: every conduitlint analyzer is package-local and
-// report-only.
+// The two loaders — internal/lint/driver's `go list` loader behind
+// cmd/conduitlint, and internal/lint/analysistest's testdata loader for
+// golden tests — type-check a package with driver.Check and run the
+// analyzers with driver.Run. Neither loads _test.go files, so analyzers
+// never see one: the conduitlint invariants are properties of shipped
+// simulator code, which tests assert from outside and are free to sleep,
+// time, and seed. Facts, analyzer dependencies, and suggested fixes are
+// intentionally out of scope: every conduitlint analyzer is
+// package-local and report-only.
 package analysis
 
 import (
@@ -22,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // An Analyzer describes one invariant checker.
@@ -66,9 +68,33 @@ type Diagnostic struct {
 	Message string
 }
 
-// IsTestFile reports whether filename is a Go test file. The conduitlint
-// analyzers check invariants of shipped simulator code; tests assert
-// those invariants from outside and are free to sleep, time, and seed.
-func IsTestFile(filename string) bool {
-	return strings.HasSuffix(filename, "_test.go")
+// EachFunc calls visit with the body of every function declaration and
+// function literal in the package, an enclosing function before the
+// literals nested in it. Analyzers whose scope is "within one function"
+// walk with it; bodiless declarations are skipped.
+func (p *Pass) EachFunc(visit func(body *ast.BlockStmt)) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				body = fn.Body
+			case *ast.FuncLit:
+				body = fn.Body
+			}
+			if body != nil {
+				visit(body)
+			}
+			return true
+		})
+	}
+}
+
+// IdentObj returns the object e denotes when e is a bare identifier,
+// else nil.
+func (p *Pass) IdentObj(e ast.Expr) types.Object {
+	if id, ok := e.(*ast.Ident); ok {
+		return p.TypesInfo.ObjectOf(id)
+	}
+	return nil
 }

@@ -3,8 +3,11 @@
 // the manner of golang.org/x/tools/go/analysis/analysistest.
 //
 // Test packages live under <analyzer dir>/testdata/src/<importpath>/,
-// mirroring the upstream GOPATH-shaped layout. Imports resolve against
-// testdata/src first — so a test package may import a stub
+// mirroring the upstream GOPATH-shaped layout. Like go list's GoFiles,
+// the loader skips _test.go files, so a testdata test file pins that
+// analyzers never see one. Packages are type-checked with driver.Check
+// and analyzed with driver.Run, as conduitlint does. Imports resolve
+// against testdata/src first — so a test package may import a stub
 // "conduit/internal/arena" that declares just the Pool surface — and
 // fall back to the real standard library, type-checked from source.
 //
@@ -28,12 +31,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"conduit/internal/lint/analysis"
+	"conduit/internal/lint/driver"
 )
 
 // Run applies a to each test package under dir/src and reports
@@ -55,24 +58,14 @@ func runPkg(t *testing.T, ld *loader, a *analysis.Analyzer, pkgPath string) {
 		t.Fatalf("loading %s: %v", pkgPath, err)
 	}
 
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      ld.fset,
-		Files:     lp.files,
-		Pkg:       lp.pkg,
-		TypesInfo: lp.info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+	diags, err := driver.Run([]*analysis.Analyzer{a}, ld.fset, lp.files, lp.pkg, lp.info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 
 	wants := collectWants(t, ld.fset, lp.files)
 	for _, d := range diags {
-		posn := ld.fset.Position(d.Pos)
-		key := lineKey{filepath.Base(posn.Filename), posn.Line}
+		key := lineKey{filepath.Base(d.Position.Filename), d.Position.Line}
 		matched := false
 		for _, w := range wants[key] {
 			if !w.used && w.re.MatchString(d.Message) {
@@ -82,7 +75,7 @@ func runPkg(t *testing.T, ld *loader, a *analysis.Analyzer, pkgPath string) {
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", posn, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", d.Position, d.Message)
 		}
 	}
 	for key, ws := range wants {
@@ -205,7 +198,7 @@ func (ld *loader) load(pkgPath string) (*loadedPkg, error) {
 	}
 	var files []*ast.File
 	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".go") {
+		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".go") || strings.HasSuffix(ent.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, ent.Name()), nil, parser.ParseComments)
@@ -217,16 +210,7 @@ func (ld *loader) load(pkgPath string) (*loadedPkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := &types.Config{Importer: importerFunc(ld.importPkg)}
-	pkg, err := conf.Check(pkgPath, ld.fset, files, info)
+	pkg, info, err := driver.Check(ld.fset, pkgPath, files, importerFunc(ld.importPkg))
 	if err != nil {
 		return nil, err
 	}

@@ -52,26 +52,7 @@ const (
 )
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
-	}
+	pass.EachFunc(func(body *ast.BlockStmt) { checkFunc(pass, body) })
 	return nil
 }
 
@@ -209,14 +190,14 @@ func (c *checker) node(n ast.Node, state map[types.Object]varState) {
 				c.exprUses(res, state, "returned")
 			}
 			for _, res := range n.Results {
-				if obj := identObj(c.pass, res); obj != nil {
+				if obj := c.pass.IdentObj(res); obj != nil {
 					delete(state, obj) // ownership moves to the caller
 				}
 			}
 			return false
 		case *ast.SendStmt:
 			c.exprUses(n.Value, state, "sent on channel")
-			if obj := identObj(c.pass, n.Value); obj != nil {
+			if obj := c.pass.IdentObj(n.Value); obj != nil {
 				delete(state, obj)
 			}
 			c.exprUses(n.Chan, state, "used")
@@ -268,7 +249,7 @@ func (c *checker) assign(a *ast.AssignStmt, state map[types.Object]varState) {
 		// the stored value itself must not be recycled.
 		c.exprUses(lhs, state, "used")
 		if i < len(a.Rhs) {
-			if obj := identObj(c.pass, a.Rhs[i]); obj != nil {
+			if obj := c.pass.IdentObj(a.Rhs[i]); obj != nil {
 				if _, tracked := c.tracked[obj]; tracked {
 					c.useVar(a.Rhs[i].Pos(), obj, state, "stored after being recycled")
 					delete(state, obj) // ownership transferred
@@ -287,7 +268,7 @@ func (c *checker) call(call *ast.CallExpr, state map[types.Object]varState) {
 		}
 	}
 	if isRecycleCall(c.pass, call) && len(call.Args) == 1 {
-		if obj := identObj(c.pass, call.Args[0]); obj != nil {
+		if obj := c.pass.IdentObj(call.Args[0]); obj != nil {
 			if _, tracked := c.tracked[obj]; tracked {
 				if state[obj]&mayRecycled != 0 {
 					c.report(call.Pos(), "page %q may already be recycled on this path; recycling twice aliases one buffer to two future Gets", obj.Name())
@@ -312,7 +293,7 @@ func (c *checker) call(call *ast.CallExpr, state map[types.Object]varState) {
 		if builtin {
 			continue
 		}
-		if obj := identObj(c.pass, arg); obj != nil {
+		if obj := c.pass.IdentObj(arg); obj != nil {
 			delete(state, obj)
 		}
 	}
@@ -455,11 +436,4 @@ func isArenaPoolMethod(fn *types.Func) bool {
 	obj := named.Obj()
 	return obj.Name() == "Pool" && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "internal/arena")
-}
-
-func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	if id, ok := e.(*ast.Ident); ok {
-		return pass.TypesInfo.ObjectOf(id)
-	}
-	return nil
 }

@@ -1,20 +1,14 @@
 // Package driver loads type-checked packages and executes the
-// conduitlint analyzers in the suite's two modes:
+// conduitlint analyzers. `conduitlint ./...` enumerates packages with
+// `go list -export -json -deps`, type-checks each main-module package
+// against the build cache's export data, and runs every analyzer — no
+// network, no module downloads, nothing beyond the standard toolchain.
 //
-//   - standalone: `conduitlint ./...` enumerates packages with
-//     `go list -export -json -deps`, type-checks each main-module
-//     package against the build cache's export data, and runs every
-//     analyzer — no network, no module downloads, nothing beyond the
-//     standard toolchain;
-//
-//   - vet tool: `go vet -vettool=conduitlint ./...` speaks the vet
-//     command-line protocol (-V=full for build caching, -flags for
-//     flag discovery, and a JSON <unit>.cfg per compilation unit),
-//     the same contract x/tools' unitchecker implements.
-//
-// Both modes filter diagnostics through the committed allowlist
-// (internal/lint/allow); analysistest and the staleness meta-test see
-// raw diagnostics instead.
+// Check (the one type-check) and Run (the one pass runner) are shared
+// with internal/lint/analysistest, so a golden test sees exactly what
+// the command sees. Main filters diagnostics through the committed
+// allowlist (internal/lint/allow); analysistest and the staleness
+// meta-test see raw diagnostics instead.
 package driver
 
 import (
@@ -32,7 +26,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"conduit/internal/lint/allow"
 	"conduit/internal/lint/analysis"
@@ -51,9 +44,33 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (conduitlint:%s)", f.Position, f.Message, f.Analyzer)
 }
 
-// runPass executes every analyzer over one type-checked package.
-func runPass(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, pkgPath string) ([]Finding, error) {
+// Check type-checks one package's parsed files, resolving imports
+// through imp, and returns the package with the type information every
+// analyzer reads.
+func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := &types.Config{
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, nil, fmt.Errorf("typecheck %s: %v", path, err)
+	}
+	return pkg, info, nil
+}
+
+// Run executes every analyzer over one type-checked package and returns
+// its raw findings ordered by file, line, and analyzer.
+func Run(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File,
+	pkg *types.Package, info *types.Info) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
@@ -65,17 +82,17 @@ func runPass(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.F
 			Report: func(d analysis.Diagnostic) {
 				out = append(out, Finding{
 					Analyzer: a.Name,
-					Pkg:      pkgPath,
+					Pkg:      pkg.Path(),
 					Position: fset.Position(d.Pos),
 					Message:  d.Message,
 				})
 			},
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkgPath, a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", pkg.Path(), a.Name, err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Position.Filename != out[j].Position.Filename {
 			return out[i].Position.Filename < out[j].Position.Filename
 		}
@@ -101,39 +118,26 @@ func Filter(fs []Finding, l *allow.List) []Finding {
 	return out
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
-// ---- standalone mode: go list -export ----
-
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
 	Dir        string
 	ImportPath string
 	Export     string
-	Standard   bool
 	GoFiles    []string
 	CgoFiles   []string
-	Module     *struct {
-		Path string
-		Main bool
-	}
+	DepOnly    bool
+	Error      *struct{ Err string }
+	Module     *struct{ Main bool }
 }
 
 // Analyze loads the packages matching patterns (resolved in dir, the
 // module root) plus their dependencies' export data, and returns every
-// raw (unfiltered) finding across the main-module packages.
+// raw (unfiltered) finding across the main-module packages. A pattern
+// that names no package, or a named package go list cannot load, is an
+// error rather than an empty result.
 func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	args := append([]string{"list", "-e", "-export", "-deps",
-		"-json=Dir,ImportPath,Export,Standard,GoFiles,CgoFiles,Module"}, patterns...)
+		"-json=Dir,ImportPath,Export,GoFiles,CgoFiles,DepOnly,Error,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -147,6 +151,7 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 	}
 	exports := make(map[string]string) // import path -> export data file
 	var units []listPkg
+	var named error // the first package the patterns name that go list cannot load
 	dec := json.NewDecoder(outPipe)
 	for {
 		var p listPkg
@@ -154,6 +159,9 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: %v", err)
+		}
+		if p.Error != nil && !p.DepOnly && named == nil {
+			named = fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -165,11 +173,17 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 	if err := cmd.Wait(); err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
+	if named != nil {
+		return nil, named
+	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
 	})
 	var all []Finding
 	for _, u := range units {
@@ -184,16 +198,11 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 			}
 			files = append(files, f)
 		}
-		info := newInfo()
-		conf := &types.Config{
-			Importer: imp,
-			Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-		}
-		pkg, err := conf.Check(u.ImportPath, fset, files, info)
+		pkg, info, err := Check(fset, u.ImportPath, files, imp)
 		if err != nil {
-			return nil, fmt.Errorf("typecheck %s: %v", u.ImportPath, err)
+			return nil, err
 		}
-		fs, err := runPass(analyzers, fset, files, pkg, info, u.ImportPath)
+		fs, err := Run(analyzers, fset, files, pkg, info)
 		if err != nil {
 			return nil, err
 		}
@@ -201,111 +210,3 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 	}
 	return all, nil
 }
-
-// exportImporter reads gc export data located by lookup.
-func exportImporter(fset *token.FileSet, lookup func(string) (string, bool)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := lookup(path)
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-}
-
-// ---- vet tool mode: the unitchecker config protocol ----
-
-// vetConfig mirrors the JSON config `go vet` hands a -vettool per
-// compilation unit (the fields unitchecker.Config documents).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// RunVetUnit analyzes the single compilation unit described by the
-// config file and returns its allowlist-filtered findings. A non-nil
-// error is an operational failure (bad config, typecheck error with
-// SucceedOnTypecheckFailure unset), not a finding.
-func RunVetUnit(configFile string, analyzers []*analysis.Analyzer, l *allow.List) ([]Finding, error) {
-	data, err := os.ReadFile(configFile)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(vetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("cannot decode JSON config file %s: %v", configFile, err)
-	}
-	if len(cfg.GoFiles) == 0 {
-		// The go command does not ask vet tools about file-less packages.
-		return nil, fmt.Errorf("package has no files: %s", cfg.ImportPath)
-	}
-
-	// The go command requires the facts file to exist even though the
-	// conduitlint analyzers are fact-free.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			return nil, fmt.Errorf("failed to export analysis facts: %v", err)
-		}
-	}
-	if cfg.VetxOnly {
-		return nil, nil
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return nil, nil // the compiler will report it better
-			}
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	compilerImp := exportImporter(fset, func(path string) (string, bool) {
-		f, ok := cfg.PackageFile[path]
-		return f, ok
-	})
-	conf := &types.Config{
-		Importer: importerFunc(func(importPath string) (*types.Package, error) {
-			path, ok := cfg.ImportMap[importPath] // resolve vendoring etc.
-			if !ok {
-				return nil, fmt.Errorf("can't resolve import %q", importPath)
-			}
-			return compilerImp.Import(path)
-		}),
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: strings.TrimSuffix(cfg.GoVersion, " "),
-	}
-	info := newInfo()
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return nil, nil
-		}
-		return nil, err
-	}
-	fs, err := runPass(analyzers, fset, files, pkg, info, cfg.ImportPath)
-	if err != nil {
-		return nil, err
-	}
-	return Filter(fs, l), nil
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

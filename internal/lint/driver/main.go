@@ -1,11 +1,8 @@
 package driver
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -14,28 +11,23 @@ import (
 	"conduit/internal/lint/analysis"
 )
 
-// Main is the entry point of cmd/conduitlint. It implements the flag
-// protocol `go vet -vettool` requires (-V=full, -flags, <unit>.cfg) and
-// a standalone package-pattern mode, and exits with vet's conventions:
-// 0 clean, 1 findings, 2 operational error.
+// Main is the entry point of cmd/conduitlint. It analyzes the packages
+// the arguments name (default ./...), prints every finding the
+// allowlist does not exempt, and exits 0 clean, 1 findings, 2
+// operational error (a bad flag or -allow file, a pattern that matches
+// no package, a package that does not type-check).
 func Main(analyzers []*analysis.Analyzer) {
 	progname := "conduitlint"
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
 
-	printflags := flag.Bool("flags", false, "print analyzer flags in JSON (vet protocol)")
 	allowPath := flag.String("allow", "", "allowlist file overriding the committed internal/lint/allow list")
-	flag.Var(versionFlag{}, "V", "print version and exit (vet protocol)")
-	// Legacy vet flag shims so `go vet` option forwarding never breaks.
-	_ = flag.Bool("json", false, "no effect (accepted for vet compatibility)")
-	_ = flag.Int("c", -1, "no effect (accepted for vet compatibility)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `%[1]s checks the conduit simulator's determinism and ownership invariants.
 
 Usage:
-	%[1]s [packages]        # standalone, e.g. %[1]s ./...
-	go vet -vettool=$(go env GOPATH)/bin/%[1]s ./...
-	%[1]s help              # list analyzers
+	%[1]s [-allow file] [packages]   # e.g. %[1]s ./...
+	%[1]s help                       # list analyzers
 
 Analyzers:
 `, progname)
@@ -45,20 +37,19 @@ Analyzers:
 		os.Exit(2)
 	}
 	flag.Parse()
-	if *printflags {
-		printFlags()
-		os.Exit(0)
+	fatal := func(err error) {
+		log.Print(err)
+		os.Exit(2)
 	}
 
 	list := allow.Default()
 	if *allowPath != "" {
 		data, err := os.ReadFile(*allowPath)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
-		list, err = allow.Parse(string(data))
-		if err != nil {
-			log.Fatal(err)
+		if list, err = allow.Parse(string(data)); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -69,29 +60,12 @@ Analyzers:
 		}
 		os.Exit(0)
 	}
-
-	// Vet tool mode: a single JSON config file from the go command.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		findings, err := RunVetUnit(args[0], analyzers, list)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s: %s (conduitlint:%s)\n", f.Position, f.Message, f.Analyzer)
-		}
-		if len(findings) > 0 {
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-
-	// Standalone mode.
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
 	findings, err := Analyze(".", args, analyzers)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	findings = Filter(findings, list)
 	for _, f := range findings {
@@ -100,53 +74,4 @@ Analyzers:
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// printFlags implements the -flags half of the vet protocol: the go
-// command asks which flags the tool understands before forwarding any.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// versionFlag implements -V=full: the go command hashes the reply into
-// its build cache key so edited analyzers invalidate cached vet results.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("%s version devel conduitlint buildID=%02x\n", exe, h.Sum(nil))
-	os.Exit(0)
-	return nil
 }

@@ -5,10 +5,9 @@
 // sweeps, exact associative histogram and shard merges, the
 // zero-allocation arena ownership rule, and drain-leaves-no-forks —
 // so that the compiler-adjacent toolchain re-verifies them on every
-// build instead of trusting example-based tests alone. It runs
-// standalone (`conduitlint ./...`), or as a vet tool
-// (`go vet -vettool=$(go env GOPATH)/bin/conduitlint ./...`); both
-// modes apply the single committed allowlist (internal/lint/allow).
+// build instead of trusting example-based tests alone. It runs as one
+// command (`go run ./cmd/conduitlint ./...`, internal/lint/driver) that
+// applies the single committed allowlist (internal/lint/allow).
 //
 // See docs/ARCHITECTURE.md, "Static analysis & invariants", for the
 // mapping from each analyzer to the determinism argument it guards.

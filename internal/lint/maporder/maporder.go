@@ -39,28 +39,9 @@ are not flagged. Test files are skipped.`,
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
-		// Walk function by function so "sorted later in the same
-		// function" has a well-defined scope.
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
-	}
+	// Walk function by function so "sorted later in the same function"
+	// has a well-defined scope.
+	pass.EachFunc(func(body *ast.BlockStmt) { checkFunc(pass, body) })
 	return nil
 }
 

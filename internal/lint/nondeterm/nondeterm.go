@@ -64,9 +64,6 @@ var globalRandConstructors = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

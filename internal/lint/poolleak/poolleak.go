@@ -41,26 +41,7 @@ guessed) and test files.`,
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
-	}
+	pass.EachFunc(func(body *ast.BlockStmt) { checkFunc(pass, body) })
 	return nil
 }
 
@@ -217,7 +198,7 @@ func discharges(pass *analysis.Pass, n ast.Node, vars []types.Object) bool {
 			// v.Close() / dep.Close() discharge; so does passing the
 			// pool or deployment to any other call (ownership transfer).
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if obj := identObj(pass, sel.X); obj != nil && isTracked(obj, vars) {
+				if obj := pass.IdentObj(sel.X); obj != nil && isTracked(obj, vars) {
 					if sel.Sel.Name == "Close" {
 						found = true
 						return false
@@ -225,7 +206,7 @@ func discharges(pass *analysis.Pass, n ast.Node, vars []types.Object) bool {
 				}
 			}
 			for _, arg := range n.Args {
-				if obj := identObj(pass, arg); obj != nil && isTracked(obj, vars) {
+				if obj := pass.IdentObj(arg); obj != nil && isTracked(obj, vars) {
 					found = true
 					return false
 				}
@@ -345,7 +326,7 @@ func localReceiver(pass *analysis.Pass, call *ast.CallExpr, body *ast.BlockStmt)
 	if !ok {
 		return nil
 	}
-	obj := identObj(pass, sel.X)
+	obj := pass.IdentObj(sel.X)
 	if isLocalVar(obj) && obj.Pos() >= body.Pos() && obj.Pos() <= body.End() {
 		return obj
 	}
@@ -389,11 +370,4 @@ func callName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return "call"
-}
-
-func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	if id, ok := e.(*ast.Ident); ok {
-		return pass.TypesInfo.ObjectOf(id)
-	}
-	return nil
 }
