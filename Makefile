@@ -47,7 +47,10 @@ bench:
 # Conduit, DM- and BW-Offloading through Deployment.Run) — and prints the
 # cumulative top of the CPU profile: where a device run's host time goes.
 # `make prof-run BENCH=ReferenceRunMix` profiles the same mix on the
-# functional data plane instead (where internal/vecmath is most of a run).
+# functional data plane instead (where internal/vecmath is most of a run);
+# `make prof-run BENCH=RoutedLightMix` profiles the wire tier: the
+# fleet_light mix through Router.Do to two in-process loopback targets,
+# beside BenchmarkServeLightMix, the same requests through Server.Do.
 # A pointer to where to look, not a measurement; claims go through `make
 # bench` pairs. The binary and the profile stay outside the checkout.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
@@ -66,7 +69,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24885
+LOC_CEILING := 25119
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -17,7 +17,8 @@ type Client struct {
 	conn  net.Conn
 	hello wire.Hello
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes; guards wbuf
+	wbuf []byte     // scratch every outgoing frame is encoded into
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -38,7 +39,8 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (the target side speaks
 // first with Hello) and starts the response dispatcher.
 func NewClient(conn net.Conn) (*Client, error) {
-	f, err := wire.ReadFrame(conn)
+	r := wire.NewReader(conn)
+	f, err := r.ReadFrame()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("router: reading hello: %w", err)
@@ -54,7 +56,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 		hello:   hello,
 		pending: make(map[uint64]chan wire.Frame),
 	}
-	go c.readLoop()
+	go c.readLoop(r)
 	return c, nil
 }
 
@@ -80,9 +82,9 @@ func (c *Client) Err() error {
 // Close tears the connection down; pending calls fail with "closed".
 func (c *Client) Close() { c.fail(fmt.Errorf("router: client closed")) }
 
-func (c *Client) readLoop() {
+func (c *Client) readLoop(r *wire.Reader) {
 	for {
-		f, err := wire.ReadFrame(c.conn)
+		f, err := r.ReadFrame()
 		if err != nil {
 			c.fail(fmt.Errorf("router: target %s: %w", c.hello.Target, err))
 			return
@@ -145,7 +147,11 @@ func (c *Client) start(stamp func(id uint64) wire.Frame) (<-chan wire.Frame, err
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := wire.WriteFrame(c.conn, stamp(id))
+	var err error
+	c.wbuf, err = wire.AppendFrame(c.wbuf[:0], stamp(id))
+	if err == nil {
+		_, err = c.conn.Write(c.wbuf)
+	}
 	c.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("router: target %s: %w", c.hello.Target, err)

@@ -13,6 +13,13 @@
 // short-circuit targets that keep failing, counting cooldown in
 // refused requests rather than wall time.
 //
+// A routed request takes the router's mutex only to record its wall
+// latency (when a clock is injected) and to file a sampled request's
+// remote spans: the Stats counters and the request sequence are
+// atomics, the ring walk allocates only the order it returns, and a
+// Client encodes each frame into its connection's scratch buffer and
+// reads replies through one wire.Reader.
+//
 // Determinism discipline: this package never reads the wall clock
 // directly — callers inject a Clock (cmd/conduit-router passes the real
 // one, tests pass fakes or none), and with no clock the router degrades

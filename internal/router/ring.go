@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -70,12 +71,9 @@ func (r *Ring) Order(key string) []int {
 	h := fnv64(key)
 	start := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
 	order := make([]int, 0, len(r.targets))
-	seen := make(map[int]bool, len(r.targets))
 	for i := 0; i < len(r.entries) && len(order) < len(r.targets); i++ {
-		e := r.entries[(start+i)%len(r.entries)]
-		if !seen[e.target] {
-			seen[e.target] = true
-			order = append(order, e.target)
+		if t := r.entries[(start+i)%len(r.entries)].target; !slices.Contains(order, t) {
+			order = append(order, t)
 		}
 	}
 	return order

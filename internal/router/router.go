@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conduit/internal/faultinject"
@@ -92,10 +94,15 @@ type Router struct {
 	breakers *faultinject.BreakerSet
 	opts     Options
 
+	// The Stats counters and the routed-request sequence (the trace ID of
+	// a sampled request) are atomics, so Do takes mu only to record wall
+	// latency and to file a sampled request's remote spans.
+	seq atomic.Uint64
+
+	requests, attempts, retries, hedges, hedgeWins, refusals atomic.Int64
+
 	mu     sync.Mutex
-	stats  Stats
 	wall   *histo.Histogram       // router-observed request latency (needs Clock.Now)
-	seq    uint64                 // routed-request sequence; trace IDs for sampled requests
 	remote map[string][]wire.Span // spans returned by targets, keyed by target name
 }
 
@@ -175,11 +182,8 @@ func (r *Router) Do(req wire.Request) (wire.Response, string, error) {
 }
 
 func (r *Router) route(req wire.Request) (wire.Response, string, error) {
-	r.mu.Lock()
-	r.stats.Requests++
-	r.seq++
-	seq := r.seq
-	r.mu.Unlock()
+	r.requests.Add(1)
+	seq := r.seq.Add(1)
 
 	// Sampled requests get a router-rooted span tree; the trace ID (the
 	// routed-request sequence number) rides the wire so the serving
@@ -207,9 +211,7 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		c := r.clients[order[attempt%len(order)]]
 		if r.breakers != nil && !r.breakers.Get(c.Name()).Allow() {
-			r.mu.Lock()
-			r.stats.Refusals++
-			r.mu.Unlock()
+			r.refusals.Add(1)
 			root.Event("breaker_open", 0, trace.Attr{Key: "target", Value: c.Name()})
 			if lastErr == nil && !answered {
 				lastErr = fmt.Errorf("target %s: %w", c.Name(), ErrBreakerOpen)
@@ -217,12 +219,12 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 			continue
 		}
 		if attempt > 0 {
-			r.mu.Lock()
-			r.stats.Retries++
-			r.mu.Unlock()
-			root.Event("retry", 0,
-				trace.Attr{Key: "attempt", Value: fmt.Sprint(attempt)},
-				trace.Attr{Key: "target", Value: c.Name()})
+			r.retries.Add(1)
+			if root != nil {
+				root.Event("retry", 0,
+					trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt)},
+					trace.Attr{Key: "target", Value: c.Name()})
+			}
 		}
 		resp, err := r.attempt(c, req, order, attempt, root)
 		if err == nil {
@@ -263,10 +265,8 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 // submission gets its own child span whose ID becomes the wire parent,
 // so target-side span trees hang off the exact attempt that caused them.
 func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, root *trace.Span) (wire.Response, error) {
-	r.mu.Lock()
-	r.stats.Attempts++
-	r.mu.Unlock()
-	sp := r.attemptSpan(root, c, fmt.Sprint(attempt), &req)
+	r.attempts.Add(1)
+	sp := r.attemptSpan(root, c, "", attempt, &req)
 	ch, err := c.Submit(req)
 	if err != nil {
 		sp.End(0)
@@ -283,13 +283,11 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 	}
 	// Primary is straggling: duplicate to the next distinct target.
 	hc := r.clients[order[(attempt+1)%len(order)]]
-	r.mu.Lock()
-	r.stats.Hedges++
-	r.stats.Attempts++
-	r.mu.Unlock()
+	r.hedges.Add(1)
+	r.attempts.Add(1)
 	root.Event("hedge", 0, trace.Attr{Key: "target", Value: hc.Name()})
 	hreq := req
-	hsp := r.attemptSpan(root, hc, "hedge:"+fmt.Sprint(attempt), &hreq)
+	hsp := r.attemptSpan(root, hc, "hedge:", attempt, &hreq)
 	hch, herr := hc.Submit(hreq)
 	if herr != nil {
 		hsp.End(0)
@@ -303,23 +301,22 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 		sp.End(0)
 		resp, err := r.settle(hc, hsp, f, ok)
 		if err == nil {
-			r.mu.Lock()
-			r.stats.HedgeWins++
-			r.mu.Unlock()
+			r.hedgeWins.Add(1)
 			root.Event("hedge_win", 0, trace.Attr{Key: "target", Value: hc.Name()})
 		}
 		return resp, err
 	}
 }
 
-// attemptSpan opens one submission's span and stamps the trace context
-// into the outgoing frame. Outside a sampled trace it leaves the frame's
-// context zeroed and returns nil.
-func (r *Router) attemptSpan(root *trace.Span, c *Client, key string, req *wire.Request) *trace.Span {
+// attemptSpan opens one submission's span, keyed prefix+attempt, and
+// stamps the trace context into the outgoing frame. Outside a sampled
+// trace it leaves the frame's context zeroed, builds no key, and returns
+// nil.
+func (r *Router) attemptSpan(root *trace.Span, c *Client, prefix string, attempt int, req *wire.Request) *trace.Span {
 	if root == nil {
 		return nil
 	}
-	sp := root.Child("router.attempt", key, 0)
+	sp := root.Child("router.attempt", prefix+strconv.Itoa(attempt), 0)
 	sp.SetAttr("target", c.Name())
 	ctx := sp.Ctx()
 	req.Trace = wire.TraceCtx{ID: ctx.ID, Parent: ctx.Parent, Sampled: true}
@@ -351,11 +348,17 @@ func (r *Router) settle(c *Client, sp *trace.Span, f wire.Frame, ok bool) (wire.
 	return resp, nil
 }
 
-// Stats returns a copy of the recovery counters.
+// Stats returns the recovery counters. Each is read atomically; under
+// concurrent traffic the set is not one instant's snapshot.
 func (r *Router) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	return Stats{
+		Requests:  r.requests.Load(),
+		Attempts:  r.attempts.Load(),
+		Retries:   r.retries.Load(),
+		Hedges:    r.hedges.Load(),
+		HedgeWins: r.hedgeWins.Load(),
+		Refusals:  r.refusals.Load(),
+	}
 }
 
 // Wall returns a clone of the router-observed request-latency

@@ -30,8 +30,18 @@ func (g *gateRunner) RunCell(workload, policy string, _ *trace.Span) (Outcome, e
 	return Outcome{Value: workload + "/" + policy}, nil
 }
 
-// TestSubmitServesOpenLoop: Submit admits without blocking, responses
-// arrive on the returned channel, and accounting matches Do's.
+// submit is Submit with its response delivered on a buffered channel,
+// the way an open-loop collector waits for it.
+func submit(e *Engine, req Request) (<-chan *Response, error) {
+	ch := make(chan *Response, 1)
+	if err := e.Submit(req, func(r *Response) { ch <- r }); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// TestSubmitServesOpenLoop: Submit admits without blocking, every
+// response reaches its notify, and accounting matches Do's.
 func TestSubmitServesOpenLoop(t *testing.T) {
 	r := &countingRunner{}
 	e := NewEngine(r, Config{Concurrency: 4, QueueDepth: 64})
@@ -40,7 +50,7 @@ func TestSubmitServesOpenLoop(t *testing.T) {
 	const n = 20
 	chans := make([]<-chan *Response, 0, n)
 	for i := 0; i < n; i++ {
-		c, err := e.Submit(Request{Tenant: "open", Workload: fmt.Sprint("w", i), Policy: "p"})
+		c, err := submit(e, Request{Tenant: "open", Workload: fmt.Sprint("w", i), Policy: "p"})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -76,20 +86,20 @@ func TestSubmitShedsAtFullQueueAndShedNeverExecutes(t *testing.T) {
 	e := NewEngine(g, Config{Concurrency: 1, QueueDepth: 1})
 
 	// First request occupies the worker (wait until it really started).
-	c1, err := e.Submit(Request{Tenant: "t", Workload: "busy", Policy: "p"})
+	c1, err := submit(e, Request{Tenant: "t", Workload: "busy", Policy: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
 	// Second request fills the single queue slot.
-	c2, err := e.Submit(Request{Tenant: "t", Workload: "queued", Policy: "p"})
+	c2, err := submit(e, Request{Tenant: "t", Workload: "queued", Policy: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Everything beyond that must shed.
 	const floods = 5
 	for i := 0; i < floods; i++ {
-		if _, err := e.Submit(Request{Tenant: "t", Workload: fmt.Sprint("flood", i), Policy: "p"}); !errors.Is(err, ErrOverloaded) {
+		if _, err := submit(e, Request{Tenant: "t", Workload: fmt.Sprint("flood", i), Policy: "p"}); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("flood %d: err=%v, want ErrOverloaded", i, err)
 		}
 	}
@@ -122,7 +132,7 @@ func TestDeadlineExpiresInQueueWithoutExecuting(t *testing.T) {
 	g := newGateRunner()
 	e := NewEngine(g, Config{Concurrency: 1, QueueDepth: 8})
 
-	c1, err := e.Submit(Request{Tenant: "t", Workload: "busy", Policy: "p"})
+	c1, err := submit(e, Request{Tenant: "t", Workload: "busy", Policy: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +142,7 @@ func TestDeadlineExpiresInQueueWithoutExecuting(t *testing.T) {
 	const doomed = 4
 	chans := make([]<-chan *Response, 0, doomed)
 	for i := 0; i < doomed; i++ {
-		c, err := e.Submit(Request{Tenant: "t", Workload: "doomed", Policy: "p", Deadline: time.Nanosecond})
+		c, err := submit(e, Request{Tenant: "t", Workload: "doomed", Policy: "p", Deadline: time.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +209,7 @@ func TestSLOAttainmentSplitsOnDeadline(t *testing.T) {
 func TestSubmitAfterDrain(t *testing.T) {
 	r := &countingRunner{}
 	e := NewEngine(r, Config{Concurrency: 2})
-	c, err := e.Submit(Request{Tenant: "t", Workload: "w", Policy: "p"})
+	c, err := submit(e, Request{Tenant: "t", Workload: "w", Policy: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +222,7 @@ func TestSubmitAfterDrain(t *testing.T) {
 	default:
 		t.Fatal("drained engine did not deliver the admitted response")
 	}
-	if _, err := e.Submit(Request{Tenant: "t", Workload: "w", Policy: "p"}); !errors.Is(err, ErrDraining) {
+	if _, err := submit(e, Request{Tenant: "t", Workload: "w", Policy: "p"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after Drain: err=%v, want ErrDraining", err)
 	}
 }

@@ -202,12 +202,13 @@ type pending struct {
 	// submissions happened to shed.
 	seq  uint64
 	resp Response
+	// done releases a blocked Do; nil for Submit.
 	done chan struct{}
 	// root is the request's root span; nil unless sampled.
 	root *trace.Span
-	// notify, when non-nil (Submit), receives the finished response; it
-	// is buffered so completion never blocks on a slow collector.
-	notify chan *Response
+	// notify, when non-nil (Submit), is handed the finished response on
+	// the goroutine that finished it.
+	notify func(*Response)
 }
 
 // tenantAccount attributes served work to a tenant. Simulated time and
@@ -298,21 +299,20 @@ func (e *Engine) Do(req Request) (*Response, error) {
 // so admission must shed instead of exerting back-pressure. If the
 // admission queue is full the request is rejected with ErrOverloaded
 // (counted against the tenant as shed; the backend never sees it). After
-// Drain the error is ErrDraining. Otherwise Submit returns a buffered
-// channel that delivers the finished Response; an admitted request's
-// response is always delivered, even if its deadline expires in the
-// queue (Response.Err is then ErrDeadlineExceeded).
-func (e *Engine) Submit(req Request) (<-chan *Response, error) {
-	p := &pending{
-		req:       req,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-		notify:    make(chan *Response, 1),
-	}
+// Drain the error is ErrDraining. Otherwise Submit returns nil and
+// calls notify exactly once with the finished Response — even if the
+// request's deadline expires in the queue (Response.Err is then
+// ErrDeadlineExceeded). notify runs on the engine worker that finished
+// the request (or, for a request that joined a coalesced execution, on
+// the goroutine that waited for it), so it must hand the response off
+// and return: a notify that blocks holds a worker. Callers that want a
+// channel make their own.
+func (e *Engine) Submit(req Request, notify func(*Response)) error {
+	p := &pending{req: req, submitted: time.Now(), notify: notify}
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	// The try-send happens under the admission lock, so it is ordered
 	// against Drain's closed=true (same lock) and therefore can never
@@ -323,11 +323,11 @@ func (e *Engine) Submit(req Request) (<-chan *Response, error) {
 	case e.queue <- p:
 		e.seq++
 		e.admit.Unlock()
-		return p.notify, nil
+		return nil
 	default:
 		e.admit.Unlock()
 		e.accountShed(req.Tenant)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 }
 
@@ -419,8 +419,9 @@ func (e *Engine) startTrace(p *pending) {
 	p.root.SetAttr("policy", p.req.Policy)
 }
 
-// finish completes a request: record the outcome, account it, release
-// the blocked Do, and deliver the response to an open-loop submitter.
+// finish completes a request: record the outcome, account it, and
+// release the blocked Do or hand the response to the open-loop
+// submitter's notify.
 func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 	if o, ok := v.(Outcome); ok {
 		p.resp.Outcome = o
@@ -434,10 +435,11 @@ func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 	}
 	p.root.End(int64(p.resp.Outcome.Elapsed))
 	e.account(&p.resp, p.req.Tenant)
-	close(p.done)
 	if p.notify != nil {
-		p.notify <- &p.resp
+		p.notify(&p.resp)
+		return
 	}
+	close(p.done)
 }
 
 // tenant returns (creating if needed) the account for tenant; the caller

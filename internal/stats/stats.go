@@ -218,6 +218,17 @@ func (c *Counters) Merge(o *Counters) {
 // Names returns counter names in first-use order.
 func (c *Counters) Names() []string { return slices.Clone(c.names) }
 
+// Len is the number of counters in the set.
+func (c *Counters) Len() int { return len(c.names) }
+
+// Each calls fn with every counter, name and value, in first-use order,
+// without copying the set.
+func (c *Counters) Each(fn func(name string, v int64)) {
+	for i, name := range c.names {
+		fn(name, c.vals[i])
+	}
+}
+
 // GeoMean returns the geometric mean of xs. It panics if any value is
 // non-positive: speedups in the harness are always > 0, so a non-positive
 // input indicates a broken experiment.

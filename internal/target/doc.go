@@ -18,6 +18,16 @@
 // with the final pool counters so the router can verify no fork
 // leaked.
 //
+// A connection is two goroutines however many of its requests are in
+// flight: a reader that decodes and dispatches frames through one
+// wire.Reader, and one writer. Submit's completion callback runs on the
+// engine worker and only queues the response; the writer takes
+// everything queued, encodes it into one scratch buffer, issues one
+// Write, and only then releases the responses it owed, so a Drain that
+// finds nothing owed knows every answer reached the socket. A writer
+// whose peer is gone releases what it owed unwritten, and exits with its
+// connection.
+//
 // The conversion from a served conduit.Response to a wire.Response
 // (WireResponse) and from pool stats to wire rows (WirePools) lives
 // here precisely so the equivalence harness can apply the identical

@@ -43,7 +43,7 @@ type Server struct {
 	ln    net.Listener
 
 	// submit is srv.Submit; a field so tests can hold requests in flight.
-	submit func(conduit.Request) (<-chan *conduit.Response, error)
+	submit func(conduit.Request, func(*conduit.Response)) error
 
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
@@ -51,7 +51,7 @@ type Server struct {
 	inflight int        // requests submitted whose response is not yet written
 	idle     *sync.Cond // on mu; signalled when inflight drops to zero
 
-	connWG sync.WaitGroup // connection read loops
+	connWG sync.WaitGroup // every connection's reader and writer
 	done   chan struct{}  // closed when the drain has fully completed
 }
 
@@ -143,8 +143,8 @@ func (s *Server) Drain() {
 		return
 	}
 	s.ln.Close()
-	// Drain the engine first: in-flight requests complete and their
-	// responder goroutines write the responses; waiting out inflight then
+	// Drain the engine first: in-flight requests complete and queue their
+	// responses for their connections' writers; waiting out inflight then
 	// guarantees those writes happened before any connection is closed.
 	s.srv.Drain()
 	s.mu.Lock()
@@ -173,81 +173,174 @@ func (s *Server) Drain() {
 // carries.
 func (s *Server) PoolRows() []wire.PoolRow { return WirePools(s.srv.PoolStats()) }
 
-// conn wraps one connection with a write lock: request responders
-// complete concurrently and interleave whole frames, never bytes.
-type connState struct {
-	net.Conn
-	wmu sync.Mutex
+// conn is one connection. handleConn reads and dispatches its frames;
+// one writer goroutine (writeLoop) writes every frame the connection is
+// owed — the Hello, the answers the reader gives itself, and the
+// completions engine workers hand over. Frames reach the writer through
+// the outbox, so an engine worker only appends to a slice and never
+// blocks on the socket.
+type conn struct {
+	s   *Server
+	raw net.Conn
+
+	mu     sync.Mutex
+	wake   sync.Cond  // on mu: the outbox filled, or the reader finished
+	outbox []outbound // frames not yet handed to the writer
+	done   bool       // the reader finished: flush the outbox, then exit
+	closed bool       // the writer exited: owed responses are released unwritten
 }
 
-func (c *connState) writeFrame(f wire.Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return wire.WriteFrame(c.Conn, f)
+// outbound is one frame the writer owes the peer: a frame the reader
+// built, or — frame nil — a completion, the owed response to request id,
+// projected by WireResponse when it is written.
+type outbound struct {
+	frame wire.Frame
+	id    uint64
+	resp  *conduit.Response
+}
+
+// send queues o for the writer. Once the writer has exited, a completion
+// is released on the spot and anything else is dropped: the peer is gone.
+func (c *conn) send(o outbound) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		if o.frame == nil {
+			c.s.release(1)
+		}
+		return
+	}
+	c.outbox = append(c.outbox, o)
+	c.mu.Unlock()
+	c.wake.Signal()
+}
+
+// finish tells the writer the reader is done: no frame but completions
+// will follow.
+func (c *conn) finish() {
+	c.mu.Lock()
+	c.done = true
+	c.mu.Unlock()
+	c.wake.Signal()
+}
+
+// writeLoop is the connection's one writer. It takes every frame queued
+// since its last pass, encodes them into one scratch buffer, issues one
+// Write, and only then releases the responses they owed, so a Drain that
+// finds nothing owed knows it was all written. After a write error it
+// closes the socket, which stops the reader too, and releases what it
+// takes without writing it. It exits, closing the socket, once the
+// reader has finished and nothing is queued.
+func (c *conn) writeLoop() {
+	defer c.s.connWG.Done()
+	defer c.raw.Close()
+	var (
+		batch []outbound
+		buf   []byte
+		err   error
+	)
+	for {
+		c.mu.Lock()
+		for len(c.outbox) == 0 && !c.done {
+			c.wake.Wait()
+		}
+		batch, c.outbox = c.outbox, batch[:0]
+		exit := len(batch) == 0 // the reader is done and nothing is left
+		c.closed = exit
+		c.mu.Unlock()
+		if exit {
+			return
+		}
+		buf = buf[:0]
+		owed := 0
+		for _, o := range batch {
+			f := o.frame
+			if f == nil {
+				owed++
+				f = WireResponse(o.id, o.resp, o.resp.Err)
+			}
+			// A frame over the protocol's limits is not sent; the peer
+			// would refuse it.
+			buf, _ = wire.AppendFrame(buf, f)
+		}
+		if err == nil {
+			if _, err = c.raw.Write(buf); err != nil {
+				c.raw.Close()
+			}
+		}
+		clear(batch) // hold no response while the slice waits to be reused
+		c.s.release(owed)
+	}
 }
 
 func (s *Server) handleConn(raw net.Conn) {
 	defer s.connWG.Done()
-	c := &connState{Conn: raw}
+	c := &conn{s: s, raw: raw}
+	c.wake.L = &c.mu
+	s.connWG.Add(1)
+	go c.writeLoop()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, raw)
 		s.mu.Unlock()
-		raw.Close()
+		c.finish()
 	}()
-	if err := c.writeFrame(wire.Hello{
+	c.send(outbound{frame: wire.Hello{
 		Target:    s.opts.Name,
 		Shards:    int64(s.opts.Shards),
 		Workloads: s.names,
-	}); err != nil {
-		return
-	}
+	}})
+	r := wire.NewReader(raw)
 	for {
-		f, err := wire.ReadFrame(c.Conn)
+		f, err := r.ReadFrame()
 		if err != nil {
-			return // peer gone, protocol violation, or drain closed us
+			// Peer gone, protocol violation, or drain closed us: what is
+			// still queued has nobody to read it.
+			raw.Close()
+			return
 		}
 		switch fr := f.(type) {
 		case wire.Request:
 			s.handleRequest(c, fr)
 		case wire.SnapshotReq:
-			if err := c.writeFrame(wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}); err != nil {
-				return
-			}
+			c.send(outbound{frame: wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}})
 		case wire.Drain:
 			// Unregister this connection first so Drain's teardown loop
-			// does not close it out from under the ack; the deferred
-			// cleanup closes it after the ack is written.
+			// does not close it out from under the ack; the writer closes
+			// it once the ack is written.
 			s.mu.Lock()
 			delete(s.conns, raw)
 			s.mu.Unlock()
 			s.Drain()
-			_ = c.writeFrame(wire.DrainAck{ID: fr.ID, Pools: s.PoolRows()})
+			c.send(outbound{frame: wire.DrainAck{ID: fr.ID, Pools: s.PoolRows()}})
 			return
 		default:
 			// Targets never accept Hello/Response/Snapshot/DrainAck; a
 			// peer sending one is broken, so hang up.
+			raw.Close()
 			return
 		}
 	}
 }
 
-// handleRequest validates and submits one request, answering from a
-// responder goroutine when the open-loop execution completes.
-func (s *Server) handleRequest(c *connState, req wire.Request) {
+// handleRequest validates and submits one request. Its completion runs on
+// the engine worker that served it and only queues the response for the
+// connection's writer.
+func (s *Server) handleRequest(c *conn, req wire.Request) {
 	if code, msg := s.validate(req); code != wire.CodeOK {
-		_ = c.writeFrame(wire.Response{ID: req.ID, Code: code, Error: msg})
+		c.send(outbound{frame: wire.Response{ID: req.ID, Code: code, Error: msg}})
 		return
 	}
 	// Count the response owed before submitting: a Drain that runs between
-	// Submit returning and the responder starting must still wait for it,
-	// or an executed request's response would never reach the socket (and
-	// the router would retry it elsewhere: executed and billed twice).
+	// Submit returning and the response being queued must still wait for
+	// it, or an executed request's response would never reach the socket
+	// (and the router would retry it elsewhere: executed and billed twice).
 	if !s.begin() {
-		_ = c.writeFrame(WireResponse(req.ID, nil, conduit.ErrDraining))
+		c.send(outbound{frame: WireResponse(req.ID, nil, conduit.ErrDraining)})
 		return
 	}
-	ch, err := s.submit(conduit.Request{
+	id := req.ID // the completion keeps the ID, not the whole frame
+	err := s.submit(conduit.Request{
 		Tenant:   req.Tenant,
 		Workload: req.Workload,
 		Policy:   req.Policy,
@@ -257,23 +350,19 @@ func (s *Server) handleRequest(c *connState, req wire.Request) {
 			Parent:  req.Trace.Parent,
 			Sampled: req.Trace.Sampled,
 		},
-	})
+	}, func(resp *conduit.Response) { c.send(outbound{id: id, resp: resp}) })
 	if err != nil {
-		// Shed at admission or draining: answered inline, never executed.
-		_ = c.writeFrame(WireResponse(req.ID, nil, err))
-		s.end()
-		return
+		// Shed at admission or draining: never executed, so nothing is
+		// owed; answered like a request refused before it was counted.
+		s.release(1)
+		c.send(outbound{frame: WireResponse(id, nil, err)})
 	}
-	go func() {
-		defer s.end()
-		resp := <-ch
-		_ = c.writeFrame(WireResponse(req.ID, resp, resp.Err))
-	}()
 }
 
-// begin counts one owed response unless the drain has begun; end releases
-// it once the response is written. Both order against Drain through mu, so
-// Drain's wait sees every request that was not refused.
+// begin counts one owed response unless the drain has begun; release
+// gives back n once they are written or their peer is gone. Both order
+// against Drain through mu, so Drain's wait sees every request that was
+// not refused.
 func (s *Server) begin() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,9 +373,12 @@ func (s *Server) begin() bool {
 	return true
 }
 
-func (s *Server) end() {
+func (s *Server) release(n int) {
+	if n == 0 {
+		return
+	}
 	s.mu.Lock()
-	s.inflight--
+	s.inflight -= n
 	if s.inflight == 0 {
 		s.idle.Broadcast()
 	}
@@ -376,10 +468,11 @@ func WireResponse(id uint64, resp *conduit.Response, err error) wire.Response {
 		res.InstCount = int64(r.InstLatencies.Count())
 		res.InstMeanNS = int64(r.InstLatencies.Mean())
 	}
-	if r.Counters != nil {
-		for _, name := range r.Counters.Names() {
-			res.Counters = append(res.Counters, wire.Counter{Name: name, Value: r.Counters.Get(name)})
-		}
+	if r.Counters != nil && r.Counters.Len() > 0 {
+		res.Counters = make([]wire.Counter, 0, r.Counters.Len())
+		r.Counters.Each(func(name string, v int64) {
+			res.Counters = append(res.Counters, wire.Counter{Name: name, Value: v})
+		})
 	}
 	out.Code = wire.CodeOK
 	out.Result = res

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	conduit "conduit"
@@ -14,7 +16,7 @@ import (
 // newTarget starts a one-workload target on a loopback port and returns
 // it with a connected peer that has consumed the Hello frame. prepare
 // installs the test's seams before any serving goroutine exists.
-func newTarget(t *testing.T, prepare func(*Server)) (*Server, net.Conn) {
+func newTarget(t *testing.T, prepare func(*Server)) (*Server, *peer) {
 	t.Helper()
 	s, err := New("127.0.0.1:0", Options{Name: "t0", Mix: []string{"jacobi-1d"}})
 	if err != nil {
@@ -27,55 +29,82 @@ func newTarget(t *testing.T, prepare func(*Server)) (*Server, net.Conn) {
 	return s, dial(t, s)
 }
 
-func dial(t *testing.T, s *Server) net.Conn {
+// peer is the test's end of one connection.
+type peer struct {
+	net.Conn
+	r *wire.Reader
+}
+
+func dial(t *testing.T, s *Server) *peer {
 	t.Helper()
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if f := read(t, conn); f.(wire.Hello).Target != "t0" {
+	p := &peer{Conn: conn, r: wire.NewReader(conn)}
+	if f := read(t, p); f.(wire.Hello).Target != "t0" {
 		t.Fatalf("greeting = %+v, want Hello from t0", f)
 	}
-	return conn
+	return p
 }
 
-func read(t *testing.T, conn net.Conn) wire.Frame {
+func read(t *testing.T, p *peer) wire.Frame {
 	t.Helper()
-	f, err := wire.ReadFrame(conn)
+	f, err := p.r.ReadFrame()
 	if err != nil {
 		t.Fatalf("reading frame: %v", err)
 	}
 	return f
 }
 
-func request(t *testing.T, conn net.Conn, id uint64) {
+func send(t *testing.T, p *peer, f wire.Frame) {
 	t.Helper()
-	err := wire.WriteFrame(conn, wire.Request{ID: id, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+	b, err := wire.Encode(f)
+	if err == nil {
+		_, err = p.Write(b)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+func request(t *testing.T, p *peer, id uint64) {
+	t.Helper()
+	send(t, p, wire.Request{ID: id, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+}
+
 // held replaces the target's submit seam with one that admits every
-// request onto a channel the test fills, so requests stay in flight for
-// exactly as long as the test wants.
-type held struct{ chans chan chan *conduit.Response }
+// request and hands its completion to the test, so requests stay in
+// flight for exactly as long as the test wants.
+type held struct{ notifies chan func(*conduit.Response) }
 
 func hold(s *Server, n int) held {
-	h := held{chans: make(chan chan *conduit.Response, n)}
-	s.submit = func(conduit.Request) (<-chan *conduit.Response, error) {
-		ch := make(chan *conduit.Response, 1)
-		h.chans <- ch
-		return ch, nil
+	h := held{notifies: make(chan func(*conduit.Response), n)}
+	s.submit = func(_ conduit.Request, notify func(*conduit.Response)) error {
+		h.notifies <- notify
+		return nil
 	}
 	return h
 }
 
-// answer completes the oldest held request with a deadline expiry (a
-// response that needs no RunResult).
-func (h held) answer() {
-	(<-h.chans) <- &conduit.Response{Err: conduit.ErrDeadlineExceeded}
+// take waits until n requests are held and returns their completions.
+func (h held) take(n int) []func(*conduit.Response) {
+	notifies := make([]func(*conduit.Response), n)
+	for i := range notifies {
+		notifies[i] = <-h.notifies
+	}
+	return notifies
+}
+
+// answer completes the oldest held request.
+func (h held) answer() { expire(<-h.notifies) }
+
+// expire completes a request with a deadline expiry (a response that
+// needs no RunResult), on the calling goroutine as an engine worker
+// would.
+func expire(notify func(*conduit.Response)) {
+	notify(&conduit.Response{Err: conduit.ErrDeadlineExceeded})
 }
 
 // closeSignal tells the test when Drain has closed the listener — which
@@ -113,21 +142,21 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestResponderCountedBeforeSubmit pins the drain-race fix: by the time a
+// TestResponseOwedBeforeSubmit pins the drain-race fix: by the time a
 // request reaches the serving engine its response is already owed, so a
-// Drain that runs between Submit returning and the responder starting
-// cannot close the socket under an executed request.
-func TestResponderCountedBeforeSubmit(t *testing.T) {
+// Drain that runs between Submit returning and the completion being
+// queued cannot close the socket under an executed request.
+func TestResponseOwedBeforeSubmit(t *testing.T) {
 	s, conn := newTarget(t, func(s *Server) {
 		submit := s.submit
-		s.submit = func(req conduit.Request) (<-chan *conduit.Response, error) {
+		s.submit = func(req conduit.Request, notify func(*conduit.Response)) error {
 			s.mu.Lock()
 			owed := s.inflight
 			s.mu.Unlock()
 			if owed != 1 {
 				t.Errorf("responses owed when Submit ran = %d, want 1: a Drain here would not wait for this request", owed)
 			}
-			return submit(req)
+			return submit(req, notify)
 		}
 	})
 	request(t, conn, 7)
@@ -137,6 +166,102 @@ func TestResponderCountedBeforeSubmit(t *testing.T) {
 	s.Drain()
 	if s.inflight != 0 {
 		t.Errorf("responses owed after Drain = %d, want 0", s.inflight)
+	}
+}
+
+// TestTargetNoGoroutinePerRequest: a connection is served by one reader
+// and one writer however many of its requests are in flight — 64 held
+// requests add no goroutine — and all 64 are answered on it once they
+// complete.
+func TestTargetNoGoroutinePerRequest(t *testing.T) {
+	const n = 64
+	var h held
+	s, conn := newTarget(t, func(s *Server) { h = hold(s, n) })
+	before := runtime.NumGoroutine()
+	for id := uint64(1); id <= n; id++ {
+		request(t, conn, id)
+	}
+	notifies := h.take(n)
+	if grown := runtime.NumGoroutine() - before; grown >= 4 {
+		t.Errorf("%d requests in flight grew the goroutine count by %d", n, grown)
+	}
+	for _, notify := range notifies {
+		expire(notify)
+	}
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		resp := read(t, conn).(wire.Response)
+		if resp.Code != wire.CodeDeadline || seen[resp.ID] || resp.ID < 1 || resp.ID > n {
+			t.Fatalf("answer %d = %+v", i, resp)
+		}
+		seen[resp.ID] = true
+	}
+	s.Drain()
+	if s.inflight != 0 {
+		t.Errorf("responses owed after Drain = %d, want 0", s.inflight)
+	}
+}
+
+// TestDrainAfterPeerVanishes: a peer that hangs up while responses are
+// owed to it — some answered before it went, unread, the rest after —
+// does not wedge the drain. Every owed response is released exactly
+// once, written or not: Drain returns and nothing is left owed.
+func TestDrainAfterPeerVanishes(t *testing.T) {
+	const n = 16
+	var h held
+	lnClosed := make(chan struct{})
+	s, conn := newTarget(t, func(s *Server) {
+		h = hold(s, n)
+		s.ln = closeSignal{s.ln, lnClosed}
+	})
+	for id := uint64(1); id <= n; id++ {
+		request(t, conn, id)
+	}
+	notifies := h.take(n)
+	for _, notify := range notifies[:n/2] {
+		expire(notify)
+	}
+	conn.Close() // with answers unread: the target's next write meets a reset
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	<-lnClosed
+	for _, notify := range notifies[n/2:] {
+		expire(notify)
+	}
+	<-drained
+	s.mu.Lock()
+	owed := s.inflight
+	s.mu.Unlock()
+	if owed != 0 {
+		t.Errorf("responses owed after Drain = %d, want 0", owed)
+	}
+}
+
+// TestWriterReleasesOwedResponsesOnce drives one connection's writer by
+// hand, on the test goroutine, against a peer that is already gone: a
+// completion queued before the writer runs is released once its write
+// fails, one that arrives after the writer exited is released on the
+// spot, and a frame that owes nothing is dropped without a release.
+func TestWriterReleasesOwedResponsesOnce(t *testing.T) {
+	s := &Server{inflight: 3}
+	s.idle = sync.NewCond(&s.mu)
+	peer, raw := net.Pipe()
+	peer.Close()
+	c := &conn{s: s, raw: raw}
+	c.wake.L = &c.mu
+	expired := &conduit.Response{Err: conduit.ErrDeadlineExceeded}
+
+	c.send(outbound{id: 1, resp: expired})
+	c.finish()
+	s.connWG.Add(1)
+	c.writeLoop() // writes and fails, releases 1, finds the reader done, exits
+	if s.inflight != 2 {
+		t.Fatalf("owed after the writer exited = %d, want 2", s.inflight)
+	}
+	c.send(outbound{id: 2, resp: expired})
+	c.send(outbound{frame: wire.SnapshotReq{ID: 3}})
+	if s.inflight != 1 {
+		t.Errorf("owed after a completion reached an exited writer = %d, want 1", s.inflight)
 	}
 }
 
@@ -157,9 +282,7 @@ func TestDrainAnswersInFlight(t *testing.T) {
 	}
 	// The connection is served in order, so once the snapshot answers all
 	// n requests have been submitted and are held.
-	if err := wire.WriteFrame(conn, wire.SnapshotReq{ID: 99}); err != nil {
-		t.Fatal(err)
-	}
+	send(t, conn, wire.SnapshotReq{ID: 99})
 	if snap := read(t, conn).(wire.Snapshot); snap.ID != 99 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -187,7 +310,7 @@ func TestDrainAnswersInFlight(t *testing.T) {
 		seen[resp.ID] = true
 	}
 	<-drained
-	if _, err := wire.ReadFrame(conn); !errors.Is(err, io.EOF) {
+	if _, err := conn.r.ReadFrame(); !errors.Is(err, io.EOF) {
 		t.Errorf("after the drain the socket yielded %v, want EOF", err)
 	}
 	s.Drain() // a second Drain returns at once

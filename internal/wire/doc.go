@@ -25,6 +25,18 @@
 // both ends are built from this tree, and a payload under any other
 // version byte is refused. TestFrameBytesGolden pins the bytes.
 //
+// Frames are framed in one place and read in one place. AppendFrame
+// appends a frame, length prefix and payload, to a caller's buffer: each
+// end of a connection encodes whatever it has ready into one scratch
+// buffer and issues one Write. A Reader reads a connection: it buffers
+// the socket, so a frame's prefix and payload usually take one read;
+// reuses one payload buffer of up to 64 KiB (a larger frame gets a
+// buffer of its own); and interns strings of up to 64 bytes in a table of
+// at most 1024 entries, so the names every frame repeats — a Result's
+// counters, a request's tenant, workload and policy — are allocated once
+// per connection. None of these bounds is configurable, and a decoded
+// frame never aliases the Reader's buffer.
+//
 // Decoding is strict and allocation-bounded: the length prefix is
 // capped at MaxFrame before any buffer is sized, element counts are
 // validated against both protocol limits and the bytes actually

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,10 +40,31 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(counter)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := Decode(payload)
+		// The same payload, length-prefixed, twice on one connection: a
+		// Reader must agree with Decode both times, so neither its reused
+		// buffer nor its intern table carries one frame into the next.
+		var framed []byte
+		for i := 0; i < 2; i++ {
+			framed = binary.BigEndian.AppendUint32(framed, uint32(len(payload)))
+			framed = append(framed, payload...)
+		}
+		r := NewReader(bytes.NewReader(framed))
 		if err != nil {
+			if _, rerr := r.ReadFrame(); rerr == nil {
+				t.Fatalf("Reader accepted a payload Decode rejects (%v)\npayload %x", err, payload)
+			}
 			return
 		}
 		re := Append(nil, fr)
+		for i := 0; i < 2; i++ {
+			rf, rerr := r.ReadFrame()
+			if rerr != nil {
+				t.Fatalf("read %d: Reader rejected a payload Decode accepts: %v\npayload %x", i, rerr, payload)
+			}
+			if got := Append(nil, rf); !bytes.Equal(got, re) {
+				t.Fatalf("read %d: Reader decoded differently from Decode\nreader: %x\ndecode: %x", i, got, re)
+			}
+		}
 		back, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-encoding of accepted frame rejected: %v\npayload %x", err, payload)
@@ -144,7 +166,7 @@ func checkRoundTrip(t *testing.T, f Frame) {
 	if err != nil {
 		t.Fatalf("%T: encode: %v", f, err)
 	}
-	got, err := ReadFrame(bytes.NewReader(enc))
+	got, err := NewReader(bytes.NewReader(enc)).ReadFrame()
 	if err != nil {
 		t.Fatalf("%T: decode: %v", f, err)
 	}

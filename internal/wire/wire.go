@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"conduit/internal/histo"
@@ -281,6 +280,9 @@ type codec struct {
 	b   []byte
 	enc bool
 	err error
+	// intern, when non-nil, is a Reader's string table: a decoded short
+	// string that is already in it costs no allocation.
+	intern map[string]string
 }
 
 func (c *codec) fail(err error) {
@@ -377,8 +379,25 @@ func (c *codec) str(v *string) {
 	case n > uint64(len(c.b)):
 		c.fail(errShort)
 	default:
-		*v, c.b = string(c.b[:n]), c.b[n:]
+		*v, c.b = c.string(c.b[:n]), c.b[n:]
 	}
+}
+
+// string copies b out of the payload, through the intern table when
+// there is one and b is short enough to be a name. The table stops
+// growing at maxInterned entries; later strings are copied as usual.
+func (c *codec) string(b []byte) string {
+	if c.intern == nil || len(b) > maxInternLen {
+		return string(b)
+	}
+	if s, ok := c.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(c.intern) < maxInterned {
+		c.intern[s] = s
+	}
+	return s
 }
 
 // name walks a string that must not be empty.
@@ -618,32 +637,42 @@ var zeroFrames = [...]Frame{
 }
 
 // body walks the body of f and returns the walked frame: a decoder
-// passes the zero frame of the type it read and gets it back filled in.
+// passes the zero frame of the type it read and gets it back filled in;
+// an encoder gets f itself back, so encoding copies no frame.
 func (c *codec) body(f Frame) Frame {
 	switch fr := f.(type) {
 	case Hello:
 		c.hello(&fr)
-		return fr
+		return walked(c, f, fr)
 	case Request:
 		c.request(&fr)
-		return fr
+		return walked(c, f, fr)
 	case Response:
 		c.response(&fr)
-		return fr
+		return walked(c, f, fr)
 	case SnapshotReq:
 		c.u64(&fr.ID)
-		return fr
+		return walked(c, f, fr)
 	case Snapshot:
 		c.snapshot(&fr)
-		return fr
+		return walked(c, f, fr)
 	case Drain:
 		c.u64(&fr.ID)
-		return fr
+		return walked(c, f, fr)
 	case DrainAck:
 		c.drainAck(&fr)
-		return fr
+		return walked(c, f, fr)
 	}
 	panic(fmt.Sprintf("wire: unknown frame %T", f))
+}
+
+// walked is body's result: the decoded copy fr, or for an encoder the
+// frame it was handed.
+func walked[T Frame](c *codec, f Frame, fr T) Frame {
+	if c.enc {
+		return f
+	}
+	return fr
 }
 
 // ---- entry points ----
@@ -662,68 +691,46 @@ func Append(dst []byte, f Frame) []byte {
 	return dst
 }
 
-// Encode returns f as a complete wire frame: 4-byte big-endian length
-// prefix followed by the payload Append produces. It errors if the
-// frame exceeds MaxFrame or any field violates a protocol limit or
-// consistency rule — the walk that writes a frame is the walk that
-// reads it, so every encodable frame is decodable.
-func Encode(f Frame) ([]byte, error) {
-	out, err := encode(make([]byte, 4, 256), f)
+// AppendFrame appends f to dst as a complete wire frame — the 4-byte
+// big-endian length prefix, then the payload Append produces — and
+// returns the extended slice. It is the one place a frame is framed:
+// both ends encode every outgoing frame into a per-connection scratch
+// buffer with it and hand the batch to one Write. It errors, leaving
+// dst as it was, if the frame exceeds MaxFrame or any field violates a
+// protocol limit or consistency rule — the walk that writes a frame is
+// the walk that reads it, so every encodable frame is decodable.
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+	start := len(dst)
+	out, err := encode(append(dst, 0, 0, 0, 0), f)
 	if err != nil {
-		return nil, fmt.Errorf("wire: frame violates protocol limits: %w", err)
+		return dst, fmt.Errorf("wire: frame violates protocol limits: %w", err)
 	}
-	if n := len(out) - 4; n > MaxFrame {
-		return nil, fmt.Errorf("wire: %d-byte frame exceeds MaxFrame %d", n, MaxFrame)
+	n := len(out) - start - 4
+	if n > MaxFrame {
+		return dst, fmt.Errorf("wire: %d-byte frame exceeds MaxFrame %d", n, MaxFrame)
 	}
-	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	binary.BigEndian.PutUint32(out[start:], uint32(n))
 	return out, nil
 }
 
-// WriteFrame encodes f and writes it to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	b, err := Encode(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r and decodes it. The
-// length prefix is validated against MaxFrame before any buffer is
-// allocated, so a hostile peer cannot trigger an oversized allocation
-// with a forged prefix.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 2 {
-		return nil, fmt.Errorf("wire: %d-byte frame below minimum", n)
-	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: %d-byte frame exceeds MaxFrame %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("wire: truncated %d-byte frame: %w", n, err)
-	}
-	return Decode(payload)
-}
+// Encode returns f as a complete wire frame in a fresh buffer: AppendFrame
+// onto nil.
+func Encode(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
 
 // Decode parses one frame payload (version byte, type byte, body). It
 // enforces the protocol version, the per-field limits, and exact
 // payload consumption; malformed input yields an error, never a panic
-// or an attacker-sized allocation.
-func Decode(payload []byte) (Frame, error) {
+// or an attacker-sized allocation. The frame it returns shares no
+// memory with payload.
+func Decode(payload []byte) (Frame, error) { return new(codec).decode(payload) }
+
+// decode runs Decode on a decoding cursor, keeping its intern table and
+// resetting everything else, so a Reader's one cursor serves every frame.
+func (c *codec) decode(payload []byte) (Frame, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("wire: %d-byte payload exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	c := codec{b: payload}
+	c.b, c.enc, c.err = payload, false, nil
 	var ver, t byte
 	c.byte(&ver)
 	if ver != Version {

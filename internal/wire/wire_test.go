@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"conduit/internal/histo"
 	"conduit/internal/metrics"
@@ -74,7 +75,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d (%T): encode: %v", i, f, err)
 		}
-		got, err := ReadFrame(bytes.NewReader(enc))
+		got, err := NewReader(bytes.NewReader(enc)).ReadFrame()
 		if err != nil {
 			t.Fatalf("frame %d (%T): decode: %v", i, f, err)
 		}
@@ -91,28 +92,149 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameStream: many frames written back to back decode in order —
-// the shape of one router connection.
-func TestFrameStream(t *testing.T) {
-	frames := sampleFrames()
-	var buf bytes.Buffer
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
+// stream is every sample frame, AppendFrame'd back to back into one
+// buffer — the bytes of one connection.
+func stream(t *testing.T) []byte {
+	t.Helper()
+	var b []byte
+	for _, f := range sampleFrames() {
+		var err error
+		if b, err = AppendFrame(b, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, want := range frames {
-		got, err := ReadFrame(&buf)
+	return b
+}
+
+// TestFrameStream: frames written back to back decode in order through
+// one Reader however the transport cuts them — all of them in one read,
+// one byte per read, or half of what was asked for each time.
+func TestFrameStream(t *testing.T) {
+	b := stream(t)
+	for name, src := range map[string]io.Reader{
+		"one read": bytes.NewReader(b),
+		"one byte": iotest.OneByteReader(bytes.NewReader(b)),
+		"halves":   iotest.HalfReader(bytes.NewReader(b)),
+	} {
+		r := NewReader(src)
+		for i, want := range sampleFrames() {
+			got, err := r.ReadFrame()
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: frame %d: stream decode differs", name, i)
+			}
+		}
+		if _, err := r.ReadFrame(); err != io.EOF {
+			t.Errorf("%s: after the stream: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// TestReaderFramesOutliveTheBuffer: a decoded frame shares no memory with
+// the Reader's reused payload buffer, so reading the next frame — which
+// overwrites that buffer — leaves it unchanged. That holds for interned
+// names, for strings too long to intern, and across a frame too large
+// for the reused buffer.
+func TestReaderFramesOutliveTheBuffer(t *testing.T) {
+	long := strings.Repeat("e", maxInternLen+1)
+	huge := strings.Repeat("h", MaxString)
+	first := []Frame{
+		Request{ID: 1, Tenant: "tenant-00", Workload: "aes", Policy: "Conduit"},
+		Response{ID: 2, Code: CodeError, Error: long},
+		Response{ID: 3, Code: CodeOK, Result: &Result{Policy: "CPU",
+			Counters: []Counter{{Name: "senses", Value: 1}, {Name: long, Value: 2}}}},
+	}
+	var bigSamples []metrics.Sample
+	for i := 0; len(bigSamples)*MaxString <= maxRetained; i++ {
+		bigSamples = append(bigSamples, metrics.Sample{Name: fmt.Sprint("m", i),
+			Labels: []metrics.Label{{Key: "k", Value: huge}}, Kind: metrics.KindGauge, Value: 1})
+	}
+	big := Snapshot{ID: 9, Target: "big", Samples: bigSamples}
+	overwrite := Request{ID: 4, Tenant: strings.Repeat("x", 9), Workload: "zzz", Policy: strings.Repeat("y", maxInternLen+1)}
+	for _, f := range first {
+		for _, next := range []Frame{overwrite, big} {
+			b, err := Encode(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]byte(nil), b[4:]...)
+			if b, err = AppendFrame(b, next); err != nil {
+				t.Fatal(err)
+			}
+			if b, err = AppendFrame(b, overwrite); err != nil {
+				t.Fatal(err)
+			}
+			r := NewReader(bytes.NewReader(b))
+			got, err := r.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := r.ReadFrame(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if again := Append(nil, got); !bytes.Equal(again, want) {
+				t.Errorf("%T changed after the Reader read two more frames\n got: %x\nwant: %x", f, again, want)
+			}
+		}
+	}
+}
+
+// TestReaderInternTableIsBounded: the intern table stops growing at
+// maxInterned entries, every later string still decodes to its own
+// value, and once a connection's names are interned a request frame
+// costs one allocation (its Frame interface value).
+func TestReaderInternTableIsBounded(t *testing.T) {
+	var b []byte
+	const extra = 100
+	for i := 0; i < maxInterned+extra; i++ {
+		var err error
+		b, err = AppendFrame(b, Request{ID: uint64(i), Tenant: fmt.Sprintf("t%05d", i), Workload: "w", Policy: "p"})
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("frame %d: stream decode differs", i)
+			t.Fatal(err)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("after the stream: %v, want io.EOF", err)
+	r := NewReader(bytes.NewReader(b))
+	for i := 0; i < maxInterned+extra; i++ {
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := f.(Request); q.Tenant != fmt.Sprintf("t%05d", i) || q.Workload != "w" || q.Policy != "p" {
+			t.Fatalf("frame %d decoded as %+v", i, q)
+		}
 	}
+	if len(r.dec.intern) != maxInterned {
+		t.Errorf("intern table holds %d strings, cap %d", len(r.dec.intern), maxInterned)
+	}
+
+	one, err := Encode(Request{ID: 1, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "DM-Offloading"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = NewReader(&repeat{b: one})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("a repeated request frame costs %v allocations, want 1", allocs)
+	}
+}
+
+// repeat is an endless stream of one frame.
+type repeat struct {
+	b   []byte
+	off int
+}
+
+func (r *repeat) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
 }
 
 // TestDecodeRejectsMalformed: truncated payloads, bad versions, bad
@@ -180,28 +302,32 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReadFrameBoundsAllocation: a forged length prefix larger than
-// MaxFrame is rejected before any allocation, and a prefix larger than
-// the actual stream errors cleanly.
+// TestReadFrameBoundsAllocation: a Reader rejects a forged length prefix
+// larger than MaxFrame before it sizes any buffer, and a prefix larger
+// than the actual stream errors cleanly.
 func TestReadFrameBoundsAllocation(t *testing.T) {
 	var huge bytes.Buffer
 	binary.Write(&huge, binary.BigEndian, uint32(MaxFrame+1))
 	huge.WriteString("body never materializes")
-	if _, err := ReadFrame(&huge); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+	r := NewReader(&huge)
+	if _, err := r.ReadFrame(); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
 		t.Errorf("oversized prefix: %v", err)
+	}
+	if r.buf != nil {
+		t.Errorf("an oversized prefix sized a %d-byte buffer", cap(r.buf))
 	}
 
 	var lying bytes.Buffer
 	binary.Write(&lying, binary.BigEndian, uint32(1000))
 	lying.Write([]byte{Version, byte(TypeDrain)})
-	if _, err := ReadFrame(&lying); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := NewReader(&lying).ReadFrame(); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("lying prefix: %v", err)
 	}
 
 	var tiny bytes.Buffer
 	binary.Write(&tiny, binary.BigEndian, uint32(1))
 	tiny.WriteByte(Version)
-	if _, err := ReadFrame(&tiny); err == nil {
+	if _, err := NewReader(&tiny).ReadFrame(); err == nil {
 		t.Error("sub-minimum frame accepted")
 	}
 }

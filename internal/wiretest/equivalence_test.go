@@ -70,9 +70,10 @@ func inProcessFrames(t *testing.T, opts conduit.ServeOptions, names []string, ev
 	frames := make([][]byte, 0, len(events))
 	for i, ev := range events {
 		id := uint64(i + 1)
-		ch, err := srv.Submit(conduit.Request{
+		ch := make(chan *conduit.Response, 1)
+		err := srv.Submit(conduit.Request{
 			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
-		})
+		}, func(r *conduit.Response) { ch <- r })
 		var frame wire.Response
 		if err != nil {
 			frame = target.WireResponse(id, nil, err)

@@ -319,14 +319,18 @@ func (s *Server) runCell(workload, policy string, sp *trace.Span) (serve.Outcome
 // returned error is ErrDraining after Drain, otherwise Response.Err.
 func (s *Server) Do(req Request) (*Response, error) { return s.eng.Do(req) }
 
-// Submit admits one request without blocking (open-loop): the returned
-// channel delivers the response when served. When the admission queue is
-// full the request is shed with ErrOverloaded — it never executes and
-// never consumes a pooled fork — and after Drain the error is
-// ErrDraining. Open-loop load generators pace Submit calls off a
-// schedule (internal/loadgen), so overload surfaces as shed requests and
-// queueing delay instead of silently throttling the generator.
-func (s *Server) Submit(req Request) (<-chan *Response, error) { return s.eng.Submit(req) }
+// Submit admits one request without blocking (open-loop) and calls
+// notify exactly once with its response when served, on the serving
+// goroutine: notify must hand the response off, not block. When the
+// admission queue is full the request is shed with ErrOverloaded — it
+// never executes, never consumes a pooled fork, and notify is never
+// called — and after Drain the error is ErrDraining. Open-loop load
+// generators pace Submit calls off a schedule (internal/loadgen), so
+// overload surfaces as shed requests and queueing delay instead of
+// silently throttling the generator.
+func (s *Server) Submit(req Request, notify func(*Response)) error {
+	return s.eng.Submit(req, notify)
+}
 
 // OpenLoop adapts Submit to the open-loop load driver (loadgen.Drive):
 // a full admission queue sheds, a deadline that passes in the queue
@@ -335,9 +339,10 @@ func (s *Server) Submit(req Request) (<-chan *Response, error) { return s.eng.Su
 // the driver's goroutine, in issue order).
 func (s *Server) OpenLoop(observe func(*Response)) loadgen.SubmitFunc {
 	return func(ev loadgen.Event) (func() loadgen.Outcome, loadgen.Outcome) {
-		ch, err := s.Submit(Request{
+		ch := make(chan *Response, 1)
+		err := s.Submit(Request{
 			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
-		})
+		}, func(r *Response) { ch <- r })
 		switch {
 		case errors.Is(err, ErrOverloaded):
 			return nil, loadgen.Shed

@@ -14,9 +14,14 @@ package conduit_test
 // two paths (see TestServeConcurrentMatchesSerial).
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	conduit "conduit"
+	"conduit/internal/router"
+	"conduit/internal/target"
+	"conduit/internal/wire"
 )
 
 // servePolicies is the request mix both serve benchmarks draw from.
@@ -95,7 +100,7 @@ func BenchmarkServeOpenLoopSubmit(b *testing.B) {
 		}
 		chans = chans[:0]
 		for i := 0; i < n; i++ {
-			ch, err := srv.Submit(conduit.Request{
+			ch, err := submit(srv, conduit.Request{
 				Tenant:   "bench",
 				Workload: "serving",
 				Policy:   servePolicies[(submitted+i)%len(servePolicies)],
@@ -154,7 +159,7 @@ func BenchmarkServeFaultFree(b *testing.B) {
 		}
 		chans = chans[:0]
 		for i := 0; i < n; i++ {
-			ch, err := srv.Submit(conduit.Request{
+			ch, err := submit(srv, conduit.Request{
 				Tenant:   "bench",
 				Workload: "serving",
 				Policy:   servePolicies[(submitted+i)%len(servePolicies)],
@@ -204,7 +209,7 @@ func BenchmarkServeTraceOff(b *testing.B) {
 		}
 		chans = chans[:0]
 		for i := 0; i < n; i++ {
-			ch, err := srv.Submit(conduit.Request{
+			ch, err := submit(srv, conduit.Request{
 				Tenant:   "bench",
 				Workload: "serving",
 				Policy:   servePolicies[(submitted+i)%len(servePolicies)],
@@ -269,9 +274,54 @@ func BenchmarkServeLightMix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range mix {
-			for _, policy := range []string{"Conduit", "DM-Offloading", "BW-Offloading"} {
+			for _, policy := range servePolicies {
 				if _, err := srv.Do(conduit.Request{Tenant: "bench", Workload: name, Policy: policy}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRoutedLightMix is BenchmarkServeLightMix through the wire tier,
+// the in-tree mirror of cmd/conduit-bench's fleet_light: the same nine
+// requests per iteration via Router.Do to two targets in this process
+// over loopback TCP, each serving at Concurrency 1 with Prefork 2. What it
+// costs beyond BenchmarkServeLightMix is the router, the client, the
+// sockets, the target's reader and writer, and both codecs; `make
+// prof-run BENCH=RoutedLightMix` profiles it.
+func BenchmarkRoutedLightMix(b *testing.B) {
+	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
+	var clients []*router.Client
+	for i := 0; i < 2; i++ {
+		t, err := target.New("127.0.0.1:0", target.Options{Name: fmt.Sprint("t", i), Mix: mix,
+			Serve: conduit.ServeOptions{Concurrency: 1, Prefork: 2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() { t.Serve(); close(served) }()
+		defer func() { t.Drain(); <-served }()
+		c, err := router.Dial(t.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	rt, err := router.New(clients, router.Options{Retries: 3, BreakerThreshold: 4, BreakerCooldown: 8,
+		Clock: router.Clock{Now: time.Now, After: time.After}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, name := range mix {
+			for _, policy := range servePolicies {
+				resp, _, err := rt.Do(wire.Request{Tenant: "bench", Workload: name, Policy: policy})
+				if err != nil || resp.Code != wire.CodeOK {
+					b.Fatalf("%s/%s: %v %+v", name, policy, err, resp)
 				}
 			}
 		}

@@ -12,6 +12,16 @@ import (
 	"conduit/internal/serve"
 )
 
+// submit is Server.Submit with the response delivered on a buffered
+// channel, the way an open-loop collector waits for it.
+func submit(srv *conduit.Server, req conduit.Request) (<-chan *conduit.Response, error) {
+	ch := make(chan *conduit.Response, 1)
+	if err := srv.Submit(req, func(r *conduit.Response) { ch <- r }); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
 // TestServeDrainRaceLeavesConsistentPools is the drain/Do race contract,
 // exercised with -race on both application shapes: while clients issue
 // closed-loop requests, Drain begins concurrently. Every Do must return
@@ -126,7 +136,7 @@ func TestServeOverloadShedsWithoutConsumingForks(t *testing.T) {
 	var chans []<-chan *conduit.Response
 	var shed int64
 	for i := 0; i < offered; i++ {
-		c, err := srv.Submit(conduit.Request{Tenant: "t", Workload: "app", Policy: "Conduit"})
+		c, err := submit(srv, conduit.Request{Tenant: "t", Workload: "app", Policy: "Conduit"})
 		switch {
 		case err == nil:
 			chans = append(chans, c)
@@ -209,7 +219,7 @@ func TestServeReplayedTraceMatchesGeneratedRun(t *testing.T) {
 			if rec != nil {
 				rec.Record(ev.Tenant, ev.Workload, ev.Policy, ev.Deadline)
 			}
-			c, err := srv.Submit(conduit.Request{
+			c, err := submit(srv, conduit.Request{
 				Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
 			})
 			if err != nil {
