@@ -50,9 +50,12 @@ bench:
 # functional data plane instead (where internal/vecmath is most of a run);
 # `make prof-run BENCH=RoutedLightMix` profiles the wire tier: the
 # fleet_light mix through Router.Do to two in-process loopback targets,
-# beside BenchmarkServeLightMix, the same requests through Server.Do.
-# A pointer to where to look, not a measurement; claims go through `make
-# bench` pairs. The binary and the profile stay outside the checkout.
+# beside BenchmarkServeLightMix, the same requests through Server.Do;
+# `make prof-run BENCH=SweepGridCold` profiles the sweep_grid mirror: a
+# fresh one-worker harness compiling, deploying and running all six
+# scale-1 workloads under every policy. A pointer to where to look, not a
+# measurement; claims go through `make bench` pairs. The binary and the
+# profile stay outside the checkout.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
 BENCH ?= DeviceRunMix
 prof-run:
@@ -69,7 +72,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25119
+LOC_CEILING := 25172
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -174,13 +174,28 @@ func BenchmarkSweepGridSnapshot4Workers(b *testing.B) {
 	}
 }
 
-func compileWorkload(cfg *conduit.Config, name string, scale int) (*conduit.Compiled, error) {
-	for _, w := range workloads.All(scale) {
-		if w.Name == name {
-			return conduit.Compile(w.Source, cfg)
+// BenchmarkSweepGridCold is the in-tree mirror of cmd/conduit-bench's
+// sweep_grid: all six scale-1 workloads by every policy on a fresh harness
+// per iteration with one worker, so each iteration pays the compile, the
+// NVMe deploy, the host baselines and Ideal. `make prof-run
+// BENCH=SweepGridCold` profiles it.
+func BenchmarkSweepGridCold(b *testing.B) {
+	names := workloads.Names()
+	for i := 0; i < b.N; i++ {
+		e := conduit.NewExperiments(conduit.DefaultConfig(), 1)
+		e.SetWorkers(1)
+		if _, err := e.RunGrid(names, sweepGridPolicies); err != nil {
+			b.Fatal(err)
 		}
 	}
-	return nil, fmt.Errorf("unknown workload %q", name)
+}
+
+func compileWorkload(cfg *conduit.Config, name string, scale int) (*conduit.Compiled, error) {
+	w, ok := workloads.Find(name, scale)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q", name)
+	}
+	return conduit.Compile(w.Source, cfg)
 }
 
 // BenchmarkDeviceRunHot measures one full Conduit-policy device run at

@@ -83,8 +83,8 @@ func main() {
 
 	if o.List {
 		fmt.Println("workloads:")
-		for _, w := range workloads.All(1) {
-			fmt.Printf("  %-18s (%s)\n", workloads.Canonical(w.Name), w.Name)
+		for _, name := range workloads.Names() {
+			fmt.Printf("  %-18s (%s)\n", workloads.Canonical(name), name)
 		}
 		fmt.Println("policies:  ", strings.Join(conduit.Policies(), ", "))
 		fmt.Println("ablations: ", strings.Join(conduit.AblationPolicies(), ", "))

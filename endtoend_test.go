@@ -2,12 +2,15 @@ package conduit_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	conduit "conduit"
 	"conduit/internal/compiler"
+	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/workloads"
 )
@@ -65,6 +68,51 @@ func TestWorkloadsEndToEndOnDevice(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			verifyDeviceAgainstInterpreter(t, w.Source, "Conduit")
 		})
+	}
+}
+
+// TestReferenceRunsLeaveInputsUntouched: Compile hands out each whole
+// input page as a view of its source array's Data, so no path may write
+// through a compiled input page. On the functional reference system, the
+// one that moves real bytes, each of the six workloads is deployed and run
+// under every policy (CPU, GPU, the in-SSD policies, Ideal); afterwards
+// every source array and every compiled input page must hash as before.
+func TestReferenceRunsLeaveInputsUntouched(t *testing.T) {
+	cfg := conduit.DefaultConfig()
+	sys := conduit.NewReferenceSystem(cfg)
+	for _, w := range workloads.All(1) {
+		c, err := conduit.Compile(w.Source, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := make([]int, 0, len(c.Inputs))
+		for p := range c.Inputs {
+			pages = append(pages, int(p))
+		}
+		sort.Ints(pages)
+		digest := func() [sha256.Size]byte {
+			h := sha256.New()
+			for _, a := range w.Source.Arrays {
+				h.Write(a.Data)
+			}
+			for _, p := range pages {
+				h.Write(c.Inputs[isa.PageID(p)])
+			}
+			return [sha256.Size]byte(h.Sum(nil))
+		}
+		before := digest()
+		dep, err := sys.Deploy(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range conduit.Policies() {
+			if _, err := dep.Run(p); err != nil {
+				t.Fatalf("%s under %s: %v", w.Name, p, err)
+			}
+		}
+		if digest() != before {
+			t.Errorf("%s: a reference run wrote through the source arrays or the compiled input pages", w.Name)
+		}
 	}
 }
 

@@ -71,13 +71,7 @@ func (e *Experiments) SetWorkers(n int) {
 }
 
 // Workloads lists the six evaluated workload names in figure order.
-func (e *Experiments) Workloads() []string {
-	names := make([]string, 0, 6)
-	for _, w := range workloads.All(1) {
-		names = append(names, w.Name)
-	}
-	return names
-}
+func (e *Experiments) Workloads() []string { return workloads.Names() }
 
 func (e *Experiments) compiled(workload string) (*Compiled, error) {
 	v, _, err := e.compiles.Do(workload, func() (interface{}, error) {
@@ -526,12 +520,12 @@ func resourceStrip(ds []Decision, samples int) string {
 func (e *Experiments) Table3() (*Table, error) {
 	t := stats.NewTable("Table 3: workload characteristics",
 		"workload", "vectorizable_%", "avg_reuse", "low_%", "medium_%", "high_%", "instructions")
-	for _, w := range workloads.All(e.scale) {
-		c, err := e.compiled(w.Name)
+	for _, w := range e.Workloads() {
+		c, err := e.compiled(w)
 		if err != nil {
 			return nil, err
 		}
-		ch := workloads.Characterize(w.Name, c)
+		ch := workloads.Characterize(w, c)
 		t.AddRowf(ch.Name, ch.VectorizablePct, ch.AvgReuse, ch.LowPct, ch.MediumPct, ch.HighPct, ch.Instructions)
 	}
 	return t, nil

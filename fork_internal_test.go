@@ -248,6 +248,48 @@ func TestServedRequestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestColdDeployAllocBudget pins what the cold set-up of a timing-only
+// grid allocates beyond the datasets themselves: compiling the six
+// scale-1 workloads, and one System.Deploy of each. Compile hands out
+// whole input pages as views of the source arrays and a timing-only NVMe
+// write stages the page it is given, so neither copies the datasets: it
+// measures compile 1 016 KiB and deploy 3 359 KiB, against 5 816 and
+// 8 160 KiB when each made its own copy of the 4 800 KiB of input pages.
+// The ceilings are what it measures plus 10 %.
+func TestColdDeployAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const (
+		maxCompileKiB = 1118
+		maxDeployKiB  = 3695
+	)
+	sys := NewSystem(DefaultConfig())
+	ws := workloads.All(1)
+	compiled := make([]*Compiled, len(ws))
+	var before, mid, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, w := range ws {
+		compiled[i] = mustCompile(t, sys, w)
+	}
+	runtime.ReadMemStats(&mid)
+	for _, c := range compiled {
+		if _, err := sys.Deploy(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	compileKiB := (mid.TotalAlloc - before.TotalAlloc) >> 10
+	deployKiB := (after.TotalAlloc - mid.TotalAlloc) >> 10
+	t.Logf("six scale-1 workloads: compile %d KiB, deploy %d KiB", compileKiB, deployKiB)
+	if compileKiB > maxCompileKiB {
+		t.Errorf("compiling the six workloads allocated %d KiB, budget %d", compileKiB, maxCompileKiB)
+	}
+	if deployKiB > maxDeployKiB {
+		t.Errorf("deploying the six workloads allocated %d KiB, budget %d", deployKiB, maxDeployKiB)
+	}
+}
+
 // BenchmarkForkRestore is the warm fork: a device that has run its
 // workload, and so owns every table chunk the run writes, restored in
 // place from the frozen master. Run with -benchmem: 0 allocs/op is the

@@ -109,7 +109,8 @@ func (ScalarWork) stmtNode() {}
 
 // Array declares a data object of Len lanes of Elem bytes. Input arrays
 // carry initial Data (lane-packed, little-endian); non-input arrays start
-// zeroed.
+// zeroed. Compile aliases Data in its Compiled.Inputs, so Data must not
+// change once compiled.
 type Array struct {
 	Name  string
 	Elem  int

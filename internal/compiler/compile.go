@@ -64,7 +64,12 @@ func (r *Report) VectorizablePercent() float64 {
 // instruction stream with metadata, the initial data image, and the
 // array-to-page symbol table.
 type Compiled struct {
-	Prog   *isa.Program
+	Prog *isa.Program
+	// Inputs is the initial data image, one page-sized slice per input
+	// page. The pages are read-only: a page the source array covers whole
+	// aliases that array's Data, so a write through either would change
+	// both. Everything downstream copies a page before it writes (the
+	// host model's page pool, the flash array's program).
 	Inputs map[isa.PageID][]byte
 	Report Report
 
@@ -130,14 +135,19 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		c.arrayLen[a.Name] = a.Len
 		if a.Input {
 			for i, id := range ids {
-				page := make([]byte, pageSize)
-				if a.Data != nil {
-					start := i * pageSize
-					if start < len(a.Data) {
-						copy(page, a.Data[start:])
+				// A page the array's data covers whole is a capped view of
+				// it; only a short or missing tail is copied into a fresh,
+				// zero-padded page.
+				s := i * pageSize
+				if s+pageSize <= len(a.Data) {
+					c.Inputs[id] = a.Data[s : s+pageSize : s+pageSize]
+				} else {
+					page := make([]byte, pageSize)
+					if s < len(a.Data) {
+						copy(page, a.Data[s:])
 					}
+					c.Inputs[id] = page
 				}
-				c.Inputs[id] = page
 				inputPages = append(inputPages, id)
 			}
 		}

@@ -7,8 +7,10 @@
 //
 // Per instruction, execution time is the roofline maximum of three terms:
 // PCIe transfer of non-resident operands, host-memory traffic, and compute
-// throughput. A host-side page cache models data reuse; its capacity is
-// half the workload footprint, per the paper's workload sizing ("the
-// memory footprint of each workload exceeds the [memory] capacity by 2x",
-// §5.4), which is what keeps OSP data-movement-bound.
+// throughput. A host-side page cache models data reuse: an exact LRU over
+// the program's pages holding 1/16 of them (at least 4), so that, as in
+// the paper's workload sizing (footprints exceed memory capacity, §5.4),
+// only a small fraction of the dataset is ever resident, which is what
+// keeps OSP data-movement-bound. A hit, a miss and an eviction each cost
+// O(1) host time.
 package host

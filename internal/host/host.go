@@ -103,6 +103,63 @@ func beatCost(op isa.Op) float64 {
 	}
 }
 
+// cacheCapacity is the host page cache's size for a program addressing
+// pages pages. The paper sizes workload footprints to exceed memory
+// capacity (§5.4), so only a small fraction of the dataset is ever
+// resident; we model host DRAM as holding 1/16 of the touched pages,
+// preserving that pressure at simulation scale.
+func cacheCapacity(pages int) int {
+	return max(pages/16, 4)
+}
+
+// pageLRU is the host page cache: an exact least-recently-used set over
+// the dense page space [0, pages). Resident pages are nodes of a circular
+// doubly linked list threaded through two index slices, most recently used
+// first, with a sentinel at index pages, so a hit, a miss and an eviction
+// each cost O(1).
+type pageLRU struct {
+	prev, next []int32
+	resident   []bool
+	n, cap     int
+}
+
+func newPageLRU(pages, capacity int) *pageLRU {
+	c := &pageLRU{prev: make([]int32, pages+1), next: make([]int32, pages+1), resident: make([]bool, pages), cap: capacity}
+	c.prev[pages], c.next[pages] = int32(pages), int32(pages)
+	return c
+}
+
+// touch records a use of p and reports whether p was resident. A miss on
+// a full cache first evicts the least recently used page and returns it as
+// victim; otherwise victim is isa.NoPage.
+func (c *pageLRU) touch(p isa.PageID) (hit bool, victim isa.PageID) {
+	victim = isa.NoPage
+	if hit = c.resident[p]; hit {
+		c.unlink(int32(p))
+	} else if c.n >= c.cap {
+		victim = isa.PageID(c.prev[len(c.resident)])
+		c.unlink(int32(victim))
+		c.resident[victim] = false
+	} else {
+		c.n++
+	}
+	c.resident[p] = true
+	c.pushFront(int32(p))
+	return hit, victim
+}
+
+func (c *pageLRU) unlink(i int32) {
+	c.next[c.prev[i]] = c.next[i]
+	c.prev[c.next[i]] = c.prev[i]
+}
+
+func (c *pageLRU) pushFront(i int32) {
+	s := int32(len(c.resident))
+	c.prev[i], c.next[i] = s, c.next[s]
+	c.prev[c.next[s]] = i
+	c.next[s] = i
+}
+
 // Run executes prog on the host, streaming pages from the SSD on demand.
 func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, map[isa.PageID][]byte, error) {
 	if err := prog.Validate(); err != nil {
@@ -113,16 +170,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 	en := energy.NewAccount()
 	lat := stats.NewReservoir()
 
-	// Host page cache. The paper sizes workload footprints to exceed
-	// memory capacity (§5.4), so only a small fraction of the dataset is
-	// ever resident; we model host DRAM as holding 1/16 of the touched
-	// pages, preserving that pressure at simulation scale.
-	cacheCap := prog.Pages / 16
-	if cacheCap < 4 {
-		cacheCap = 4
-	}
-	cached := make(map[isa.PageID]int64, cacheCap)
-	var tick int64
+	cache := newPageLRU(prog.Pages, cacheCapacity(prog.Pages))
 
 	// Page buffers are run-local: every mem payload is allocated by this
 	// run (inputs are copied in), so a payload replaced by a later write
@@ -151,25 +199,6 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 		mem[p] = b
 		return b
 	}
-	touch := func(p isa.PageID) (hit bool) {
-		tick++
-		if _, ok := cached[p]; ok {
-			cached[p] = tick
-			return true
-		}
-		if len(cached) >= cacheCap {
-			var victim isa.PageID
-			oldest := int64(1<<62 - 1)
-			for q, at := range cached {
-				if at < oldest {
-					victim, oldest = q, at
-				}
-			}
-			delete(cached, victim)
-		}
-		cached[p] = tick
-		return false
-	}
 
 	var elapsed sim.Time
 	var pcieBytes int64
@@ -184,7 +213,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 				memBW = h.HBMBandwidth
 			}
 			for _, s := range inst.Srcs {
-				if !touch(s) {
+				if hit, _ := cache.touch(s); !hit {
 					// Page fault to the SSD: a demand miss overlaps
 					// with a limited number of in-flight reads (the I/O
 					// queue depth the blocked computation sustains), so
@@ -201,7 +230,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
 			}
 			if inst.Dst != isa.NoPage {
-				touch(inst.Dst)
+				cache.touch(inst.Dst)
 				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
 				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
 			}

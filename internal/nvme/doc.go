@@ -6,4 +6,7 @@
 //
 // The "binary" is the serialized vector IR program (encoding/gob), staged
 // in chunks exactly as NVMe firmware images are.
+//
+// Host writes stage the caller's input pages, uncopied, until the commit
+// installs them; the caller leaves them unchanged until then.
 package nvme

@@ -80,11 +80,14 @@ func (c *Controller) Committed() *isa.Program { return c.committed }
 // WritePage is a host I/O write of one logical page. Before a program is
 // committed, writes stage input data; afterwards they are refused while
 // the drive computes (§4.4: host I/O is suspended in computation mode).
+//
+// The drive stages data itself, not a copy: the caller must leave it
+// unchanged until the commit, which programs its own copy into flash.
 func (c *Controller) WritePage(p isa.PageID, data []byte) error {
 	if c.dev.Mode() == ssd.ModeComputation {
 		return fmt.Errorf("nvme: write refused in computation mode")
 	}
-	c.staged[p] = append([]byte(nil), data...)
+	c.staged[p] = data
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -298,6 +299,44 @@ func TestRNGFloat64Range(t *testing.T) {
 		f := r.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64() = %v out of [0,1)", f)
+		}
+	}
+}
+
+// bytesBytewise is the byte-at-a-time fill Bytes replaced: a fresh draw
+// every eighth byte, consumed least significant byte first.
+func bytesBytewise(r *RNG, p []byte) {
+	var v uint64
+	for i := range p {
+		if i%8 == 0 {
+			v = r.Uint64()
+		}
+		p[i] = byte(v)
+		v >>= 8
+	}
+}
+
+// TestRNGBytesMatchesBytewise: the word-wise Bytes writes the same bytes
+// as the byte-wise reference and leaves the generator in the same state —
+// the next Uint64 agrees, so both took the same number of draws — for
+// every length up to 64 and for a whole page with and without a tail.
+func TestRNGBytesMatchesBytewise(t *testing.T) {
+	lengths := []int{16 << 10, 16<<10 + 3}
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, seed := range []uint64{0, 1, 0xAE5, 0x9e3779b97f4a7c15, ^uint64(0)} {
+		for _, n := range lengths {
+			got, want := make([]byte, n), make([]byte, n)
+			fast, ref := NewRNG(seed), NewRNG(seed)
+			fast.Bytes(got)
+			bytesBytewise(ref, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %#x, %d bytes: Bytes differs from the byte-wise fill", seed, n)
+			}
+			if a, b := fast.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("seed %#x, %d bytes: next draw %#x after Bytes, %#x after the byte-wise fill", seed, n, a, b)
+			}
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "encoding/binary"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (SplitMix64). Every stochastic element of the simulation draws from an
 // explicitly seeded RNG so experiments replay bit-identically; the stdlib
@@ -35,15 +37,18 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bytes fills p with random bytes.
+// Bytes fills p with random bytes: each Uint64 supplies the next eight,
+// least significant byte first, and a tail shorter than eight bytes takes
+// the low bytes of one more draw.
 func (r *RNG) Bytes(p []byte) {
-	var v uint64
-	for i := range p {
-		if i%8 == 0 {
-			v = r.Uint64()
-		}
-		p[i] = byte(v)
-		v >>= 8
+	for len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, r.Uint64())
+		p = p[8:]
+	}
+	if len(p) > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], r.Uint64())
+		copy(p, tail[:])
 	}
 }
 

@@ -39,6 +39,16 @@ func All(scale int) []Named {
 	return out
 }
 
+// Names lists the six evaluated workloads' display names in figure order
+// without building any of them, so a name-only caller pays for no dataset.
+func Names() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.name
+	}
+	return names
+}
+
 // Canonical normalizes a workload name for command-line lookup: lowercase
 // with spaces as dashes ("LlaMA2 Inference" -> "llama2-inference").
 func Canonical(s string) string {
@@ -74,14 +84,10 @@ func Find(name string, scale int) (Named, bool) {
 // first mention wins the position), and an empty mix selects the whole
 // evaluation suite in figure order. An unknown name is an error.
 func Resolve(mix []string) ([]string, error) {
-	var names []string
 	if len(mix) == 0 {
-		for _, b := range builders {
-			names = append(names, b.name)
-		}
-		return names, nil
+		return Names(), nil
 	}
-	seen := make(map[int]bool)
+	names, seen := []string(nil), make(map[int]bool)
 	for _, raw := range mix {
 		i := index(strings.TrimSpace(raw))
 		if i < 0 {
