@@ -587,10 +587,7 @@ func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
 			return nil, err
 		}
 	}
-	img, err := nvme.MarshalProgram(c.Prog)
-	if err != nil {
-		return nil, err
-	}
+	img := nvme.MarshalProgram(c.Prog)
 	const chunk = 64 << 10
 	for off := 0; off < len(img); off += chunk {
 		end := off + chunk

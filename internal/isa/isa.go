@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op is a vector IR operation.
 type Op uint8
@@ -139,10 +142,12 @@ type Program struct {
 }
 
 // Validate checks structural well-formedness: operand counts match the
-// operation arity, page IDs are in range, dependence edges point backwards
-// to real producers, and element/lane geometry is sane.
+// operation arity, every page ID (operand, input, output) is in range,
+// dependence edges point backwards, and element/lane geometry is sane.
 func (p *Program) Validate() error {
-	producers := make(map[PageID]int)
+	if p.Pages < 0 {
+		return fmt.Errorf("isa: negative page count %d", p.Pages)
+	}
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		if in.ID != i {
@@ -171,64 +176,76 @@ func (p *Program) Validate() error {
 				i, in.Op, len(in.Srcs), want)
 		}
 		for _, s := range in.Srcs {
-			if s < 0 || int(s) >= p.Pages {
+			if !p.inRange(s) {
 				return fmt.Errorf("isa: inst %d source page %d out of range [0,%d)", i, s, p.Pages)
 			}
 		}
-		if in.Dst != NoPage && int(in.Dst) >= p.Pages {
-			return fmt.Errorf("isa: inst %d destination page %d out of range", i, in.Dst)
+		if in.Dst != NoPage && !p.inRange(in.Dst) {
+			return fmt.Errorf("isa: inst %d destination page %d out of range [0,%d)", i, in.Dst, p.Pages)
 		}
 		for _, d := range in.Deps {
 			if d < 0 || d >= i {
 				return fmt.Errorf("isa: inst %d dependence %d is not an earlier instruction", i, d)
 			}
 		}
-		if in.Dst != NoPage {
-			producers[in.Dst] = i
+	}
+	for _, pages := range [...][]PageID{p.InputPages, p.OutputPages} {
+		for _, pg := range pages {
+			if !p.inRange(pg) {
+				return fmt.Errorf("isa: input/output page %d out of range [0,%d)", pg, p.Pages)
+			}
 		}
 	}
 	return nil
 }
 
+func (p *Program) inRange(pg PageID) bool { return pg >= 0 && int(pg) < p.Pages }
+
 // InferDeps fills in Deps from producer/consumer page relationships:
 // an instruction depends on the most recent earlier instruction that wrote
 // any of its source pages (RAW), and on the most recent earlier reader or
 // writer of its destination page (WAR/WAW), which serializes page reuse.
+// Every Deps is a capped window of one array, nil when empty.
 func (p *Program) InferDeps() {
-	lastWriter := make(map[PageID]int)
-	lastAccess := make(map[PageID]int)
+	// InferDeps runs before Validate, so the page tables span whatever
+	// pages the operands name. They hold an instruction index plus one.
+	lo, hi, most := 0, -1, 0
 	for i := range p.Insts {
 		in := &p.Insts[i]
-		deps := map[int]bool{}
 		for _, s := range in.Srcs {
-			if w, ok := lastWriter[s]; ok {
-				deps[w] = true
-			}
+			lo, hi = min(lo, int(s)), max(hi, int(s))
 		}
 		if in.Dst != NoPage {
-			if a, ok := lastAccess[in.Dst]; ok && a != i {
-				deps[a] = true
-			}
+			lo, hi = min(lo, int(in.Dst)), max(hi, int(in.Dst))
 		}
-		in.Deps = in.Deps[:0]
-		for d := range deps {
-			in.Deps = append(in.Deps, d)
-		}
-		sortInts(in.Deps)
-		for _, s := range in.Srcs {
-			lastAccess[s] = i
-		}
-		if in.Dst != NoPage {
-			lastWriter[in.Dst] = i
-			lastAccess[in.Dst] = i
-		}
+		most += len(in.Srcs) + 1
 	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	tables := make([]int32, 2*(hi-lo+1))
+	lastWriter, lastAccess := tables[:hi-lo+1], tables[hi-lo+1:]
+	all := make([]int, 0, most)
+	for i := range p.Insts {
+		in, start := &p.Insts[i], len(all)
+		add := func(last int32) {
+			if last != 0 && !slices.Contains(all[start:], int(last-1)) {
+				all = append(all, int(last-1))
+			}
+		}
+		for _, s := range in.Srcs {
+			add(lastWriter[int(s)-lo])
+		}
+		if in.Dst != NoPage {
+			add(lastAccess[int(in.Dst)-lo])
+		}
+		in.Deps = nil
+		if len(all) > start {
+			in.Deps = all[start:len(all):len(all)]
+			slices.Sort(in.Deps)
+		}
+		for _, s := range in.Srcs {
+			lastAccess[int(s)-lo] = int32(i + 1)
+		}
+		if in.Dst != NoPage {
+			lastWriter[int(in.Dst)-lo], lastAccess[int(in.Dst)-lo] = int32(i+1), int32(i+1)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +219,73 @@ func TestInferDepsAlwaysBackwardProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// inferDepsMap is the map derivation InferDeps replaced, kept as its
+// oracle: a map per page table and a set per instruction.
+func inferDepsMap(p *Program) [][]int {
+	out := make([][]int, len(p.Insts))
+	lastWriter := make(map[PageID]int)
+	lastAccess := make(map[PageID]int)
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		deps := map[int]bool{}
+		for _, s := range in.Srcs {
+			if w, ok := lastWriter[s]; ok {
+				deps[w] = true
+			}
+		}
+		if in.Dst != NoPage {
+			if a, ok := lastAccess[in.Dst]; ok && a != i {
+				deps[a] = true
+			}
+		}
+		for d := range deps {
+			out[i] = append(out[i], d)
+		}
+		slices.Sort(out[i])
+		for _, s := range in.Srcs {
+			lastAccess[s] = i
+		}
+		if in.Dst != NoPage {
+			lastWriter[in.Dst] = i
+			lastAccess[in.Dst] = i
+		}
+	}
+	return out
+}
+
+// TestInferDepsMatchesMapOracle drives InferDeps and the map derivation
+// over random programs whose operands include NoPage, negative pages and
+// pages past Pages (InferDeps runs before Validate), with zero to four
+// sources per instruction, and requires the same dependences.
+func TestInferDepsMatchesMapOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 500; seed++ {
+		r := newRand(seed)
+		pages := r(8) + 1
+		page := func() PageID { return PageID(r(pages+6) - 3) } // [-3, pages+3)
+		p := &Program{Pages: pages}
+		for i, n := 0, r(40); i < n; i++ {
+			in := Inst{ID: i, Op: OpAdd, Dst: page()}
+			for k := r(5); k > 0; k-- {
+				in.Srcs = append(in.Srcs, page())
+			}
+			if r(4) == 0 {
+				in.Deps = []int{99} // stale: InferDeps replaces it
+			}
+			p.Insts = append(p.Insts, in)
+		}
+		want := inferDepsMap(p)
+		p.InferDeps()
+		for i, in := range p.Insts {
+			if !slices.Equal(in.Deps, want[i]) {
+				t.Fatalf("seed %d inst %d (dst %d, srcs %v): deps %v, want %v", seed, i, in.Dst, in.Srcs, in.Deps, want[i])
+			}
+			if cap(in.Deps) != len(in.Deps) {
+				t.Fatalf("seed %d inst %d: deps %v not capped (cap %d)", seed, i, in.Deps, cap(in.Deps))
+			}
+		}
 	}
 }
 

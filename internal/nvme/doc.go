@@ -4,8 +4,12 @@
 // compiled binary to the drive. The commit command carries the paper's
 // added flag distinguishing a Conduit binary from vendor FTL firmware.
 //
-// The "binary" is the serialized vector IR program (encoding/gob), staged
-// in chunks exactly as NVMe firmware images are.
+// The "binary" is a flat firmware image of the vector IR program, staged
+// in chunks as NVMe firmware images are (layout in image.go: a magic whose
+// last byte is the layout version, then zigzag-varint fields). A commit
+// refuses another version, non-shortest varints, unknown flags, counts the
+// bytes left cannot hold and trailing bytes, so a decodable image is
+// canonical and decoding allocates in proportion to the image.
 //
 // Host writes stage the caller's input pages, uncopied, until the commit
 // installs them; the caller leaves them unchanged until then.

@@ -2,7 +2,6 @@ package nvme
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"conduit/internal/coherence"
@@ -30,15 +29,6 @@ func NewController(dev *ssd.Device) *Controller {
 // Device exposes the underlying drive.
 func (c *Controller) Device() *ssd.Device { return c.dev }
 
-// MarshalProgram serializes a vector IR program into a firmware image.
-func MarshalProgram(p *isa.Program) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(p); err != nil {
-		return nil, fmt.Errorf("nvme: encoding program: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
 // FWDownload stages one chunk of the firmware image at offset (NVMe
 // Firmware Image Download). Chunks must arrive in order.
 func (c *Controller) FWDownload(chunk []byte, offset int) error {
@@ -62,15 +52,15 @@ func (c *Controller) FWCommit(conduitBinary bool) error {
 		c.fwImage.Reset()
 		return nil // vendor firmware path: accept and discard in the model
 	}
-	var prog isa.Program
-	if err := gob.NewDecoder(bytes.NewReader(c.fwImage.Bytes())).Decode(&prog); err != nil {
+	prog, err := unmarshalProgram(c.fwImage.Bytes())
+	if err != nil {
 		return fmt.Errorf("nvme: decoding Conduit binary: %w", err)
 	}
 	c.fwImage.Reset()
-	if err := c.dev.LoadProgram(&prog, c.staged); err != nil {
+	if err := c.dev.LoadProgram(prog, c.staged); err != nil {
 		return err
 	}
-	c.committed = &prog
+	c.committed = prog
 	return nil
 }
 

@@ -46,10 +46,7 @@ func TestFullHostFlow(t *testing.T) {
 		}
 	}
 	// 2. Host transfers the Conduit binary in chunks.
-	img, err := MarshalProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := MarshalProgram(prog)
 	half := len(img) / 2
 	if err := c.FWDownload(img[:half], 0); err != nil {
 		t.Fatal(err)
@@ -98,7 +95,7 @@ func TestHostReadTimedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img, _ := MarshalProgram(prog)
+	img := MarshalProgram(prog)
 	if err := c.FWDownload(img, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestCorruptBinaryRejected(t *testing.T) {
 func TestCommitRefusedInComputationMode(t *testing.T) {
 	c, cfg := newController(t)
 	prog, _ := testProgram(cfg.SSD.PageSize)
-	img, _ := MarshalProgram(prog)
+	img := MarshalProgram(prog)
 	if err := c.FWDownload(img, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"conduit/internal/coherence"
 	"conduit/internal/config"
@@ -223,6 +225,38 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 	d.accesses = make([][]access, prog.Pages)
 	d.output = make([]bool, prog.Pages)
+	// Pages read before ever being written behave as zero-filled inputs;
+	// map them so flash reads are defined. The same walk counts each
+	// page's references, so its access list is a capped window of one array.
+	n := prog.Pages
+	sets, refs, total := make([]bool, 3*n), make([]int32, n), 0
+	inputSet, defined, written := sets[:n:n], sets[n:2*n:2*n], sets[2*n:]
+	effectiveInputs := append([]isa.PageID(nil), prog.InputPages...)
+	for _, p := range prog.InputPages {
+		inputSet[p] = true
+	}
+	for i := range prog.Insts {
+		in := &prog.Insts[i]
+		for _, s := range in.Srcs {
+			refs[s]++
+			if !inputSet[s] && !defined[s] {
+				inputSet[s] = true
+				effectiveInputs = append(effectiveInputs, s)
+			}
+		}
+		if in.Dst != isa.NoPage {
+			refs[in.Dst]++
+			defined[in.Dst] = true
+			total++
+		}
+		total += len(in.Srcs)
+	}
+	all := make([]access, total)
+	for p, k := range refs {
+		if k > 0 {
+			d.accesses[p], all = all[:0:k], all[k:]
+		}
+	}
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
 		for _, s := range in.Srcs {
@@ -246,35 +280,13 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 		return err
 	}
 
-	// Pages read before ever being written behave as zero-filled inputs;
-	// map them so flash reads are defined.
-	effectiveInputs := append([]isa.PageID(nil), prog.InputPages...)
-	inputSet := make(map[isa.PageID]bool, len(prog.InputPages))
-	for _, p := range prog.InputPages {
-		inputSet[p] = true
-	}
-	defined := make(map[isa.PageID]bool)
-	for i := range prog.Insts {
-		in := &prog.Insts[i]
-		for _, s := range in.Srcs {
-			if !inputSet[s] && !defined[s] {
-				inputSet[s] = true
-				effectiveInputs = append(effectiveInputs, s)
-			}
-		}
-		if in.Dst != isa.NoPage {
-			defined[in.Dst] = true
-		}
-	}
-
-	groups := operandGroups(prog, effectiveInputs, inputSet, d.Cfg.SSD.PagesPerBlock)
+	groups := operandGroups(prog, effectiveInputs, d.Cfg.SSD.PagesPerBlock)
 
 	// Write each group contiguously into one block; spread groups across
 	// planes round-robin.
 	var now sim.Time
 	plane := 0
 	planes := d.FTL.Planes()
-	written := make(map[isa.PageID]bool)
 	for _, g := range groups {
 		lpns := make([]ftl.LPN, len(g))
 		data := make([][]byte, len(g))
@@ -364,33 +376,34 @@ func (d *Device) rawCounters() (c [len(counterNames)]int64) {
 // and chunks each union-find class to at most maxGroup pages (a physical
 // block). Only input pages participate; temporaries are produced at run
 // time and live wherever their producer leaves them.
-func operandGroups(prog *isa.Program, inputOrder []isa.PageID, inputSet map[isa.PageID]bool, maxGroup int) [][]isa.PageID {
-	parent := make(map[isa.PageID]isa.PageID)
-	size := make(map[isa.PageID]int)
+func operandGroups(prog *isa.Program, inputOrder []isa.PageID, maxGroup int) [][]isa.PageID {
+	// The union-find is indexed by page: parent is NoPage for a page no
+	// IFP-capable instruction names. A page that enters it as a lone or
+	// leading operand keeps size 0 until a union sizes it.
+	parent := make([]isa.PageID, prog.Pages)
+	size := make([]int32, prog.Pages)
+	for p := range parent {
+		parent[p] = isa.NoPage
+	}
 	var find func(p isa.PageID) isa.PageID
 	find = func(p isa.PageID) isa.PageID {
-		if parent[p] == p {
-			return p
+		if parent[p] != p {
+			parent[p] = find(parent[p])
 		}
-		root := find(parent[p])
-		parent[p] = root
-		return root
+		return parent[p]
 	}
 	union := func(a, b isa.PageID) {
-		if _, ok := parent[a]; !ok {
-			parent[a] = a
-			size[a] = 1
-		}
-		if _, ok := parent[b]; !ok {
-			parent[b] = b
-			size[b] = 1
+		for _, p := range [2]isa.PageID{a, b} {
+			if parent[p] == isa.NoPage {
+				parent[p], size[p] = p, 1
+			}
 		}
 		ra, rb := find(a), find(b)
 		// Cap class growth at one physical block: beyond that,
 		// co-location is impossible anyway, and unbounded transitive
 		// closure (e.g. through a shared activation array) would funnel
 		// whole workloads onto a handful of planes.
-		if ra != rb && size[ra]+size[rb] <= maxGroup {
+		if ra != rb && size[ra]+size[rb] <= int32(maxGroup) {
 			parent[rb] = ra
 			size[ra] += size[rb]
 		}
@@ -402,48 +415,52 @@ func operandGroups(prog *isa.Program, inputOrder []isa.PageID, inputSet map[isa.
 		}
 		// Union sources and destination so chains through temporaries
 		// keep transitively-related input pages together.
-		var prev isa.PageID = isa.NoPage
-		pages := in.Srcs
-		if in.Dst != isa.NoPage {
-			pages = append(append([]isa.PageID(nil), in.Srcs...), in.Dst)
-		}
-		for _, s := range pages {
+		prev := isa.NoPage
+		visit := func(s isa.PageID) {
 			if prev != isa.NoPage {
 				union(prev, s)
-			} else if _, ok := parent[s]; !ok {
+			} else if parent[s] == isa.NoPage {
 				parent[s] = s
 			}
 			prev = s
 		}
-	}
-	classes := make(map[isa.PageID][]isa.PageID)
-	var roots []isa.PageID
-	// Deterministic order: walk input pages in program order.
-	seen := make(map[isa.PageID]bool)
-	for _, p := range inputOrder {
-		if _, ok := parent[p]; !ok || seen[p] {
-			continue
+		for _, s := range in.Srcs {
+			visit(s)
 		}
-		seen[p] = true
-		r := find(p)
-		if len(classes[r]) == 0 {
-			roots = append(roots, r)
+		if in.Dst != isa.NoPage {
+			visit(in.Dst)
 		}
-		classes[r] = append(classes[r], p)
 	}
+	// A class lists its input pages in program order, and classes come in
+	// the order of their first member. The unions are done, so size now
+	// holds each root's rank plus one, and one stable sort groups them.
+	clear(size)
+	seen := make([]bool, prog.Pages)
+	var members []isa.PageID
+	for rank, p := range inputOrder {
+		if parent[p] != isa.NoPage && !seen[p] {
+			seen[p] = true
+			members = append(members, p)
+			if r := find(p); size[r] == 0 {
+				size[r] = int32(rank + 1)
+			}
+		}
+	}
+	slices.SortStableFunc(members, func(a, b isa.PageID) int { return cmp.Compare(size[parent[a]], size[parent[b]]) })
 	var groups [][]isa.PageID
-	for _, r := range roots {
-		g := classes[r]
-		for len(g) > maxGroup {
-			groups = append(groups, g[:maxGroup])
-			g = g[maxGroup:]
+	for len(members) > 0 {
+		k := 1
+		for k < len(members) && parent[members[k]] == parent[members[0]] {
+			k++
 		}
+		g := members[:k:k]
+		for members = members[k:]; len(g) > maxGroup; g = g[maxGroup:] {
+			groups = append(groups, g[:maxGroup:maxGroup])
+		}
+		// Singletons gain nothing from co-location; let the round-robin
+		// path place them.
 		if len(g) > 1 {
 			groups = append(groups, g)
-		} else if len(g) == 1 {
-			// Singletons gain nothing from co-location; let the
-			// round-robin path place them.
-			continue
 		}
 	}
 	return groups
