@@ -23,11 +23,12 @@
 //
 // # Reuse and concurrency contract
 //
-// A RunResult is an immutable value snapshot: its latency reservoir and
-// decision trace are built by the run and owned by the result alone, and
-// its counters are a copy taken at completion, so later activity on any
-// device — the one that produced it, restored and run again, included —
-// can never mutate a result already handed out.
+// A RunResult is an immutable value snapshot that shares nothing mutable
+// with the device: its counters are a copy taken at completion, and its
+// latency reservoir and decision trace are the run's own or the read-only
+// record of its deployment and policy that it reproduced. So later activity
+// on any device — the one that produced it, restored and run again,
+// included — can never mutate a result already handed out.
 //
 // A simulated drive's loaded data image is consumed by execution: running
 // a program mutates pages, calendars, and coherence state, so each
@@ -270,9 +271,11 @@ type RunResult struct {
 	Elapsed        Time
 	ComputeEnergy  float64 // joules
 	MovementEnergy float64 // joules
-	InstLatencies  *Reservoir
-	// Decisions is the offloading trace; nil for host executions.
-	Decisions []Decision
+	// InstLatencies and Decisions (the offloading trace; nil for host
+	// executions) may be shared with other results of the same deployment
+	// and policy: read them, never write them.
+	InstLatencies *Reservoir
+	Decisions     []Decision
 	// OverheadTime is the runtime offloader overhead (§4.5); zero for
 	// host and ideal executions.
 	OverheadTime Time
@@ -609,16 +612,4 @@ const NumResources = isa.NumResources
 
 // Fractions reports the share of instructions offloaded to each resource
 // in a decision trace (Fig. 9).
-func Fractions(decisions []Decision) [NumResources]float64 {
-	var out [NumResources]float64
-	if len(decisions) == 0 {
-		return out
-	}
-	for _, d := range decisions {
-		out[d.Resource]++
-	}
-	for i := range out {
-		out[i] /= float64(len(decisions))
-	}
-	return out
-}
+func Fractions(decisions []Decision) [NumResources]float64 { return ssd.Fractions(decisions) }

@@ -414,12 +414,13 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	default:
 		return 0, fmt.Errorf("nand: unknown arith op %d", op)
 	}
-	operands := []Operand{x}
-	if op != ArithShl && op != ArithShr {
-		operands = append(operands, y)
+	operands := [2]Operand{x, y}
+	n := 2
+	if op == ArithShl || op == ArithShr {
+		n = 1
 	}
 	// Arithmetic is latch-serial: XOR-style profiling (no MWS).
-	prof, buf, die, vals, err := a.gather(BitXor, operands)
+	prof, buf, die, vals, err := a.gather(BitXor, operands[:n])
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"slices"
 
 	"conduit/internal/config"
 	"conduit/internal/isa"
@@ -52,7 +53,9 @@ func (p OperandProfile) LoadTime(cfg *config.SSD) sim.Time {
 //     buffer/loaded operands.
 func profileOperands(geo Geometry, op BitOp, ops []Operand) (OperandProfile, error) {
 	var p OperandProfile
-	var flashAddrs []Addr
+	// On the stack for every placement the rules accept; errors format a copy.
+	var addrs [MaxAndOperands]Addr
+	flashAddrs := addrs[:0]
 	for _, o := range ops {
 		switch {
 		case o.Latched || o.Data != nil:
@@ -69,7 +72,7 @@ func profileOperands(geo Geometry, op BitOp, ops []Operand) (OperandProfile, err
 	p.Senses = len(flashAddrs)
 	if len(flashAddrs) > 1 {
 		if !geo.SamePlane(flashAddrs) {
-			return p, fmt.Errorf("nand: flash operands span planes: %v", flashAddrs)
+			return p, fmt.Errorf("nand: flash operands span planes: %v", slices.Clone(flashAddrs))
 		}
 		switch op {
 		case BitAnd, BitNand:

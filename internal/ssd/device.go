@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"conduit/internal/coherence"
 	"conduit/internal/config"
@@ -81,6 +82,10 @@ type Device struct {
 	// static half of feature collection, built by LoadProgram, immutable
 	// afterwards and shared by every fork like accesses and output.
 	costs []instCost
+
+	// records maps a policy name to the record its runs share (recorder):
+	// made empty by LoadProgram, shared by every fork, only ever added to.
+	records *sync.Map
 
 	firmware sim.Time // in-order decode front of the offloader pipeline
 
@@ -279,6 +284,7 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	if d.costs, err = d.buildCosts(); err != nil {
 		return err
 	}
+	d.records = new(sync.Map)
 
 	groups := operandGroups(prog, effectiveInputs, d.Cfg.SSD.PagesPerBlock)
 
@@ -515,7 +521,9 @@ func (d *Device) planeAddr(plane int) nand.Addr {
 	return a
 }
 
-// Result is the outcome of one measured run.
+// Result is the outcome of one measured run. InstLatencies and Decisions
+// may be shared with other results of the same loaded program and policy:
+// read them, never write them.
 type Result struct {
 	Policy string
 	// Elapsed is the end-to-end execution time: from the first dispatch
@@ -539,17 +547,17 @@ type Result struct {
 }
 
 // Fractions reports the share of instructions offloaded to each resource
-// (Fig. 9).
-func (r *Result) Fractions() [isa.NumResources]float64 {
+// in a decision trace (Fig. 9).
+func Fractions(decisions []Decision) [isa.NumResources]float64 {
 	var out [isa.NumResources]float64
-	if len(r.Decisions) == 0 {
+	if len(decisions) == 0 {
 		return out
 	}
-	for _, d := range r.Decisions {
+	for _, d := range decisions {
 		out[d.Resource]++
 	}
 	for i := range out {
-		out[i] /= float64(len(r.Decisions))
+		out[i] /= float64(len(decisions))
 	}
 	return out
 }

@@ -52,8 +52,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 
 	ready := make([]sim.Time, d.prog.Pages)
 	var srcs [][]byte // reused operand-pointer scratch
-	lat := make([]sim.Time, 0, len(d.prog.Insts))
-	decisions := make([]Decision, 0, len(d.prog.Insts))
+	rec := d.newRecorder("Ideal")
 	var elapsed sim.Time
 	var computeEnergy float64
 
@@ -90,23 +89,20 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 			}
 			ready[inst.Dst] = done
 		}
-		decisions = append(decisions, Decision{
-			InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: start, Done: done,
-		})
-		lat = append(lat, comp)
+		rec.add(Decision{InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: start, Done: done})
 		if done > elapsed {
 			elapsed = done
 		}
 	}
-	res := &Result{
+	decisions, lat := rec.finish(d, "Ideal", true)
+	return &Result{
 		Policy:        "Ideal",
 		Elapsed:       elapsed,
-		InstLatencies: stats.ReservoirOf(lat),
+		InstLatencies: lat,
 		Decisions:     decisions,
 		ComputeEnergy: computeEnergy,
 		Counters:      stats.NewCounters(),
-	}
-	return res, mem, nil
+	}, mem, nil
 }
 
 // idealProfile is the operand profile Ideal assumes for in-flash

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 
 	"conduit/internal/coherence"
 	"conduit/internal/config"
@@ -146,13 +147,12 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	}
 	d.consumed = true
 	cfg := &d.Cfg.SSD
-	decisions := make([]Decision, 0, len(d.prog.Insts))
-	instLat := make([]sim.Time, 0, len(d.prog.Insts))
+	name := policy.Name()
+	rec := d.newRecorder(name)
 	// Besides the L2P lookups, per instruction: dependence and queue tracking,
 	// movement, computation and transformation table lookups.
 	fixedCollect := cfg.TDepTrack + cfg.TQueueTrack + cfg.TDMLookup + cfg.TCompLookup + cfg.TTranslate
-	var overhead sim.Time
-	var elapsed sim.Time
+	var overhead, elapsed sim.Time
 	var replays int64
 
 	for i := range d.prog.Insts {
@@ -212,27 +212,86 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ssd: inst %d (%v) on %v: %w", i, inst.Op, choice, err)
 		}
-		decisions = append(decisions, Decision{
-			InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: issue, Done: done,
-		})
-		instLat = append(instLat, done-issue)
+		rec.add(Decision{InstID: inst.ID, Op: inst.Op, Resource: choice, Issue: issue, Done: done})
 		if done > elapsed {
 			elapsed = done
 		}
 	}
 
-	res := &Result{
-		Policy:         policy.Name(),
+	decisions, lat := rec.finish(d, name, replays == 0)
+	return &Result{
+		Policy:         name,
 		Elapsed:        elapsed,
-		InstLatencies:  stats.ReservoirOf(instLat),
+		InstLatencies:  lat,
 		Decisions:      decisions,
 		ComputeEnergy:  d.En.ComputeTotal(),
 		MovementEnergy: d.En.MovementTotal(),
 		Counters:       d.snapshotCounters(),
 		OverheadTime:   overhead,
 		Replays:        replays,
+	}, nil
+}
+
+// record is a run's decisions (cap == len, so an append copies) and the
+// reservoir of their latencies, as its policy published them.
+type record struct {
+	decisions []Decision
+	lat       *stats.Reservoir
+}
+
+// recorder compares a run's decisions, as it makes them, with the record
+// its policy published: while they match nothing is allocated, and at the
+// first difference, or with nothing published, the run copies the matching
+// prefix and records its own. A latency is its decision's Done - Issue.
+type recorder struct {
+	pub record
+	n   int        // decisions of pub reproduced so far
+	own []Decision // nil while the run reproduces pub
+	lat []sim.Time
+}
+
+func (d *Device) newRecorder(policy string) recorder {
+	var r recorder
+	if pub, ok := d.records.Load(policy); ok {
+		r.pub = pub.(record)
+	} else {
+		r.diverge(len(d.prog.Insts))
 	}
-	return res, nil
+	return r
+}
+
+func (r *recorder) add(dec Decision) {
+	if r.own == nil {
+		if r.n < len(r.pub.decisions) && r.pub.decisions[r.n] == dec {
+			r.n++
+			return
+		}
+		r.diverge(len(r.pub.decisions)) // the program's length, like any whole run's
+	}
+	r.own = append(r.own, dec)
+	r.lat = append(r.lat, dec.Done-dec.Issue)
+}
+
+func (r *recorder) diverge(size int) {
+	r.own = append(make([]Decision, 0, size), r.pub.decisions[:r.n]...)
+	r.lat = make([]sim.Time, r.n, size)
+	for i, dec := range r.own {
+		r.lat[i] = dec.Done - dec.Issue
+	}
+}
+
+// finish returns the published record if the run reproduced it, else the
+// run's own, which it publishes as d's record of policy if publish is set
+// and the policy has none yet.
+func (r *recorder) finish(d *Device, policy string, publish bool) ([]Decision, *stats.Reservoir) {
+	if r.own == nil {
+		return r.pub.decisions, r.pub.lat
+	}
+	own := record{slices.Clip(r.own), stats.ReservoirOf(r.lat)}
+	if publish {
+		d.records.LoadOrStore(policy, own)
+	}
+	return own.decisions, own.lat
 }
 
 // snapshotCounters reports substrate activity since the last measurement

@@ -48,7 +48,8 @@ func (d *Device) Freeze() {
 //
 // The copy shares only immutable state with src — the configuration, the
 // translation table, the loaded program, the compiler's liveness metadata,
-// and the per-instruction cost table, none of which Run mutates — and
+// and the per-instruction cost table, none of which Run mutates, plus the
+// published run records, which runs only add to — and
 // Restore never writes to src, so several goroutines may restore from one
 // frozen device while its copies run on others. The Device itself is still
 // single-goroutine: one copy per worker.
@@ -81,8 +82,8 @@ func (d *Device) Restore(src *Device) {
 	d.pagePlane = append(d.pagePlane[:0], src.pagePlane...)
 	d.pageReady.Restore(&src.pageReady)
 
-	// Read-only after LoadProgram.
-	d.accesses, d.output, d.costs = src.accesses, src.output, src.costs
+	// Read-only after LoadProgram; records only gains entries, under its lock.
+	d.accesses, d.output, d.costs, d.records = src.accesses, src.output, src.costs, src.records
 
 	d.firmware = src.firmware
 	d.offloadCores.Restore(&src.offloadCores)

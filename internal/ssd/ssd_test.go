@@ -416,7 +416,7 @@ func TestFractionsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := res.Fractions()
+	fr := Fractions(res.Decisions)
 	sum := fr[0] + fr[1] + fr[2]
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("fractions sum to %v", sum)
@@ -430,7 +430,7 @@ func TestISPOnlyNeverTouchesOtherResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := res.Fractions()
+	fr := Fractions(res.Decisions)
 	if fr[isa.ResISP] != 1 {
 		t.Fatalf("ISP fraction = %v, want 1", fr[isa.ResISP])
 	}

@@ -21,6 +21,7 @@ import (
 type Reservoir struct {
 	mu      sync.Mutex
 	samples []sim.Time
+	sum     sim.Time // running total of samples, so Sum and Mean are O(1)
 	sorted  bool
 }
 
@@ -31,13 +32,20 @@ func NewReservoir() *Reservoir { return &Reservoir{} }
 // the caller must not touch the slice again (percentile queries sort it in
 // place). A producer that records one sample per step appends to a plain
 // slice and hands it over once, instead of locking per sample.
-func ReservoirOf(samples []sim.Time) *Reservoir { return &Reservoir{samples: samples} }
+func ReservoirOf(samples []sim.Time) *Reservoir {
+	r := &Reservoir{samples: samples}
+	for _, s := range samples {
+		r.sum += s
+	}
+	return r
+}
 
 // Add records one sample.
 func (r *Reservoir) Add(v sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.samples = append(r.samples, v)
+	r.sum += v
 	r.sorted = false
 }
 
@@ -84,15 +92,7 @@ func (r *Reservoir) P99() sim.Time { return r.Percentile(99) }
 func (r *Reservoir) P9999() sim.Time { return r.Percentile(99.99) }
 
 // Max returns the largest sample (0 if empty).
-func (r *Reservoir) Max() sim.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sortIfNeeded()
-	return r.samples[len(r.samples)-1]
-}
+func (r *Reservoir) Max() sim.Time { return r.Percentile(100) }
 
 // Mean returns the arithmetic mean rounded to the nearest unit (0 if
 // empty). Samples are non-negative times, so half-up rounding suffices.
@@ -102,12 +102,8 @@ func (r *Reservoir) Mean() sim.Time {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	var sum int64
-	for _, s := range r.samples {
-		sum += int64(s)
-	}
 	n := int64(len(r.samples))
-	return sim.Time((sum + n/2) / n)
+	return sim.Time((int64(r.sum) + n/2) / n)
 }
 
 // Clone returns an independent copy of the reservoir. Results handed out
@@ -118,6 +114,7 @@ func (r *Reservoir) Clone() *Reservoir {
 	defer r.mu.Unlock()
 	return &Reservoir{
 		samples: append([]sim.Time(nil), r.samples...),
+		sum:     r.sum,
 		sorted:  r.sorted,
 	}
 }
@@ -126,11 +123,7 @@ func (r *Reservoir) Clone() *Reservoir {
 func (r *Reservoir) Sum() sim.Time {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var sum sim.Time
-	for _, s := range r.samples {
-		sum += s
-	}
-	return sum
+	return r.sum
 }
 
 // MergeReservoirs returns a new reservoir holding the union of every
@@ -149,6 +142,7 @@ func MergeReservoirs(parts ...*Reservoir) *Reservoir {
 		}
 		p.mu.Lock()
 		out.samples = append(out.samples, p.samples...)
+		out.sum += p.sum
 		p.mu.Unlock()
 	}
 	return out

@@ -55,10 +55,20 @@ type Server struct {
 	done   chan struct{}  // closed when the drain has fully completed
 }
 
-// New registers the configured workloads on a fresh conduit.Server and
-// binds the listener. Callers then run Serve (blocking) and eventually
-// Drain.
+// New binds a TCP listener on listen and serves it (NewOn).
 func New(listen string, opts Options) (*Server, error) {
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return nil, err
+	}
+	return NewOn(ln, opts)
+}
+
+// NewOn registers the configured workloads on a fresh conduit.Server that
+// will accept on ln, which it owns from then on: Drain, or an error here,
+// closes it. Any listener works — a test's in-memory one too. Callers then
+// run Serve (blocking) and eventually Drain.
+func NewOn(ln net.Listener, opts Options) (*Server, error) {
 	if opts.Name == "" {
 		opts.Name = "target"
 	}
@@ -70,21 +80,18 @@ func New(listen string, opts Options) (*Server, error) {
 	}
 	names, err := workloads.Resolve(opts.Mix)
 	if err != nil {
+		ln.Close()
 		return nil, fmt.Errorf("target: %w", err)
 	}
 	srv := conduit.NewServer(conduit.DefaultConfig(), opts.Serve)
 	for _, name := range names {
 		if err := srv.RegisterWorkload(name, opts.Scale, opts.Shards); err != nil {
 			srv.Drain()
+			ln.Close()
 			return nil, fmt.Errorf("target: %w", err)
 		}
 	}
 	sort.Strings(names)
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		srv.Drain()
-		return nil, err
-	}
 	s := &Server{
 		opts:   opts,
 		srv:    srv,

@@ -5,11 +5,13 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	conduit "conduit"
+	"conduit/internal/router"
 	"conduit/internal/wire"
 )
 
@@ -326,6 +328,84 @@ func TestNewWrapsRegistrationErrors(t *testing.T) {
 	if _, err := New("127.0.0.1:0", Options{Mix: []string{"no-such"}}); err == nil || !strings.Contains(err.Error(), `"no-such"`) {
 		t.Errorf("New with an unknown workload = %v", err)
 	}
+}
+
+// pipeListener is a net.Listener with no socket under it: dial makes a
+// net.Pipe and hands its server end to Accept.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) dial() (net.Conn, error) {
+	client, server := net.Pipe()
+	select {
+	case l.conns <- server:
+		return client, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// TestRouterClientOverInMemoryListener runs the router's client against a
+// target built with NewOn on an in-memory listener: the Hello, one served
+// request, and a drain whose ack reports every pool closed, with no TCP
+// and no sleep.
+func TestRouterClientOverInMemoryListener(t *testing.T) {
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	s, err := NewOn(ln, Options{Name: "t0", Mix: []string{"jacobi-1d"}, Serve: conduit.ServeOptions{Prefork: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	conn, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := router.NewClient(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Name() != "t0" || c.Addr() != "pipe" || !slices.Equal(c.Workloads(), []string{"jacobi-1d"}) {
+		t.Fatalf("Hello: target %q at %q serving %v", c.Name(), c.Addr(), c.Workloads())
+	}
+	resp, err := c.Do(wire.Request{Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+	if err != nil || resp.Code != wire.CodeOK || resp.Result == nil || resp.Result.Decisions == 0 {
+		t.Fatalf("Do = %+v, %v; want an OK response with a result", resp, err)
+	}
+	ack, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ack.Pools) == 0 {
+		t.Fatal("DrainAck reports no pools")
+	}
+	for _, p := range ack.Pools {
+		if !p.Closed || p.Idle != 0 {
+			t.Errorf("after drain, pool %s: closed %v, %d idle", p.Name, p.Closed, p.Idle)
+		}
+	}
+	<-served
 }
 
 // TestMainRejectsBadFlags: usage errors exit 2 before any listener binds.

@@ -262,11 +262,24 @@ func BenchmarkServePooled(b *testing.B) {
 // fork costs more than the run it feeds. Run with -benchmem: B/op is nine
 // requests' worth.
 func BenchmarkServeLightMix(b *testing.B) {
+	benchServeMix(b, 1, "jacobi-1d", "XOR Filter", "heat-3d")
+}
+
+// BenchmarkServeHeavyMix is the same for serve_heavy: AES, LLaMA2 inference
+// and LLM training at scale 2 through Server.Do, where the device run is
+// most of a request. Unlike BenchmarkDeviceRunMix, which goes through
+// unpooled Deployment.Run and so pays a clone per run, its B/op is only
+// what the requests themselves allocate; `make prof-alloc
+// BENCH=ServeHeavyMix` says where.
+func BenchmarkServeHeavyMix(b *testing.B) {
+	benchServeMix(b, 2, "AES", "LlaMA2 Inference", "LLM Training")
+}
+
+func benchServeMix(b *testing.B, scale int, mix ...string) {
 	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{Concurrency: 1, Prefork: 2})
 	defer srv.Drain()
-	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
 	for _, name := range mix {
-		if err := srv.RegisterWorkload(name, 1, 1); err != nil {
+		if err := srv.RegisterWorkload(name, scale, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,8 +38,10 @@ func xorFilterSource(n int) *conduit.Source {
 // TestServeConcurrentMatchesSerial is the serving determinism guarantee:
 // N concurrent requests for each (workload, policy) cell, multiplexed over
 // pool-managed pre-forked devices, produce results byte-identical to a
-// serial loop of fresh full-deploy runs. Run with -race to also exercise
-// the engine's concurrency contract.
+// serial loop of fresh full-deploy runs. The clients of one device cell
+// share the decision record its deployment published and query its
+// reservoir at once. Run with -race to also exercise the engine's
+// concurrency contract.
 func TestServeConcurrentMatchesSerial(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	apps := map[string]*conduit.Source{
@@ -104,6 +106,25 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Once published, a device cell's record is every later request's:
+	// two in a row return one decision trace. (CPU runs on the host.)
+	for name := range apps {
+		for _, p := range policies[1:] {
+			var first *conduit.RunResult
+			for i := 0; i < 2; i++ {
+				resp, err := srv.Do(conduit.Request{Tenant: "t-" + p, Workload: name, Policy: p})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, p, err)
+				}
+				if r := conduit.ResultOf(resp); first == nil {
+					first = r
+				} else if &r.Decisions[0] != &first.Decisions[0] || r.InstLatencies != first.InstLatencies {
+					t.Errorf("%s/%s: a repeated request did not reuse the published record", name, p)
+				}
+			}
+		}
+	}
+
 	// Per-tenant accounting saw every request.
 	var total int64
 	for _, ts := range srv.Tenants() {
@@ -112,7 +133,7 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 			t.Errorf("tenant %s: %d errors", ts.Tenant, ts.Errors)
 		}
 	}
-	if want := int64(len(apps) * len(policies) * clientsPerCell); total != want {
+	if want := int64(len(apps) * (len(policies)*clientsPerCell + 2*(len(policies)-1))); total != want {
 		t.Errorf("accounted %d requests, want %d", total, want)
 	}
 	srv.Drain()
