@@ -59,13 +59,11 @@ bench:
 #
 # prof-alloc is the same run with a heap profile instead, ranked by bytes
 # allocated: `make prof-alloc BENCH=ServeHeavyMix` shows what a served
-# serve_heavy request allocates, and from where. The profile also holds
-# the set-up before the timer starts; PROF_IGNORE drops the stacks through
-# the serving benchmarks' Server.RegisterWorkload (set it empty to keep
-# them, or to another pprof -ignore pattern for another benchmark).
+# serve_heavy request allocates, and from where. The stacks through
+# Server.RegisterWorkload, the serving benchmarks' set-up before the timer
+# starts, are left out.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
 BENCH ?= DeviceRunMix
-PROF_IGNORE ?= RegisterWorkload
 prof-run:
 	@mkdir -p $(PROF_DIR)
 	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -cpuprofile $(PROF_DIR)/cpu.prof .
@@ -74,7 +72,7 @@ prof-run:
 prof-alloc:
 	@mkdir -p $(PROF_DIR)
 	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -memprofile $(PROF_DIR)/mem.prof .
-	go tool pprof -sample_index=alloc_space -ignore '$(PROF_IGNORE)' -top -cum -nodecount 45 $(PROF_DIR)/conduit.test $(PROF_DIR)/mem.prof
+	go tool pprof -sample_index=alloc_space -ignore RegisterWorkload -top -cum -nodecount 45 $(PROF_DIR)/conduit.test $(PROF_DIR)/mem.prof
 
 # loc prints non-test Go lines per top-level package — the definition
 # of the line count ROADMAP tracks and CHANGES.md reports per PR.
@@ -85,7 +83,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25419
+LOC_CEILING := 25423
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -414,13 +414,12 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	default:
 		return 0, fmt.Errorf("nand: unknown arith op %d", op)
 	}
-	operands := [2]Operand{x, y}
-	n := 2
+	operands := []Operand{x, y} // on the stack
 	if op == ArithShl || op == ArithShr {
-		n = 1
+		operands = operands[:1]
 	}
 	// Arithmetic is latch-serial: XOR-style profiling (no MWS).
-	prof, buf, die, vals, err := a.gather(BitXor, operands[:n])
+	prof, buf, die, vals, err := a.gather(BitXor, operands)
 	if err != nil {
 		return 0, err
 	}

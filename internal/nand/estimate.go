@@ -53,9 +53,7 @@ func (p OperandProfile) LoadTime(cfg *config.SSD) sim.Time {
 //     buffer/loaded operands.
 func profileOperands(geo Geometry, op BitOp, ops []Operand) (OperandProfile, error) {
 	var p OperandProfile
-	// On the stack for every placement the rules accept; errors format a copy.
-	var addrs [MaxAndOperands]Addr
-	flashAddrs := addrs[:0]
+	flashAddrs := make([]Addr, 0, MaxAndOperands) // on the stack; errors format a copy
 	for _, o := range ops {
 		switch {
 		case o.Latched || o.Data != nil:

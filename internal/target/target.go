@@ -1,6 +1,7 @@
 package target
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -55,39 +56,46 @@ type Server struct {
 	done   chan struct{}  // closed when the drain has fully completed
 }
 
-// New binds a TCP listener on listen and serves it (NewOn).
+// New registers the configured workloads on a fresh conduit.Server and
+// then binds the listener, so a dialler is refused, not stalled, while the
+// target registers. Callers then run Serve (blocking) and eventually Drain.
 func New(listen string, opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", listen)
+	s, err := newServer(opts)
 	if err != nil {
 		return nil, err
 	}
-	return NewOn(ln, opts)
+	if s.ln, err = net.Listen("tcp", listen); err != nil {
+		s.srv.Drain()
+		return nil, err
+	}
+	return s, nil
 }
 
-// NewOn registers the configured workloads on a fresh conduit.Server that
-// will accept on ln, which it owns from then on: Drain, or an error here,
-// closes it. Any listener works — a test's in-memory one too. Callers then
-// run Serve (blocking) and eventually Drain.
+// NewOn is New on a listener the caller made, which the target owns from
+// then on: Drain, or an error here, closes it. Any listener works — a
+// test's in-memory one too.
 func NewOn(ln net.Listener, opts Options) (*Server, error) {
-	if opts.Name == "" {
-		opts.Name = "target"
-	}
-	if opts.Scale < 1 {
-		opts.Scale = 1
-	}
-	if opts.Shards < 1 {
-		opts.Shards = 1
-	}
-	names, err := workloads.Resolve(opts.Mix)
+	s, err := newServer(opts)
 	if err != nil {
 		ln.Close()
+		return nil, err
+	}
+	s.ln = ln
+	return s, nil
+}
+
+// newServer is a target with its workloads registered and no listener yet.
+func newServer(opts Options) (*Server, error) {
+	opts.Name = cmp.Or(opts.Name, "target")
+	opts.Scale, opts.Shards = max(opts.Scale, 1), max(opts.Shards, 1)
+	names, err := workloads.Resolve(opts.Mix)
+	if err != nil {
 		return nil, fmt.Errorf("target: %w", err)
 	}
 	srv := conduit.NewServer(conduit.DefaultConfig(), opts.Serve)
 	for _, name := range names {
 		if err := srv.RegisterWorkload(name, opts.Scale, opts.Shards); err != nil {
 			srv.Drain()
-			ln.Close()
 			return nil, fmt.Errorf("target: %w", err)
 		}
 	}
@@ -96,7 +104,6 @@ func NewOn(ln net.Listener, opts Options) (*Server, error) {
 		opts:   opts,
 		srv:    srv,
 		names:  names,
-		ln:     ln,
 		submit: srv.Submit,
 		conns:  make(map[net.Conn]bool),
 		done:   make(chan struct{}),
