@@ -1,6 +1,7 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sync"
@@ -22,9 +23,16 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan wire.Frame
+	pending map[uint64]chan reply
+	free    sync.Pool // of chan reply their callers have received from
 	err     error
 	closed  bool
+}
+
+// reply is one answer: a response held in place, never boxed, or a frame.
+type reply struct {
+	resp  wire.Response
+	frame wire.Frame // nil for a response
 }
 
 // Dial connects to a target and consumes its Hello frame.
@@ -54,7 +62,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 		addr:    conn.RemoteAddr().String(),
 		conn:    conn,
 		hello:   hello,
-		pending: make(map[uint64]chan wire.Frame),
+		pending: make(map[uint64]chan reply),
 	}
 	go c.readLoop(r)
 	return c, nil
@@ -83,20 +91,22 @@ func (c *Client) Err() error {
 func (c *Client) Close() { c.fail(fmt.Errorf("router: client closed")) }
 
 func (c *Client) readLoop(r *wire.Reader) {
+	var resp wire.Response // every response is read into resp
 	for {
-		f, err := r.ReadFrame()
+		f, err := r.ReadInto(&resp)
 		if err != nil {
 			c.fail(fmt.Errorf("router: target %s: %w", c.hello.Target, err))
 			return
 		}
+		var rep reply
 		var id uint64
 		switch fr := f.(type) {
-		case wire.Response:
-			id = fr.ID
+		case *wire.Response:
+			id, rep.resp = fr.ID, *fr
 		case wire.Snapshot:
-			id = fr.ID
+			id, rep.frame = fr.ID, fr
 		case wire.DrainAck:
-			id = fr.ID
+			id, rep.frame = fr.ID, fr
 		default:
 			c.fail(fmt.Errorf("router: target %s sent unexpected %T", c.hello.Target, f))
 			return
@@ -106,7 +116,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 		delete(c.pending, id)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- f // buffered; never blocks the dispatcher
+			ch <- rep // buffered; never blocks the dispatcher
 		}
 	}
 }
@@ -122,7 +132,7 @@ func (c *Client) fail(err error) {
 	c.closed = true
 	c.err = err
 	pending := c.pending
-	c.pending = make(map[uint64]chan wire.Frame)
+	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
 	for _, ch := range pending {
 		close(ch)
@@ -130,10 +140,10 @@ func (c *Client) fail(err error) {
 	c.conn.Close()
 }
 
-// start registers a fresh ID, stamps it into the frame via stamp, and
-// writes the frame. The returned channel yields exactly one reply frame
-// — or closes if the connection dies first.
-func (c *Client) start(stamp func(id uint64) wire.Frame) (<-chan wire.Frame, error) {
+// start stamps a fresh ID into *id, the ID field of the frame f points
+// to, and writes the frame. The returned channel, recycled when one is
+// free, yields exactly one reply — or closes if the connection dies first.
+func (c *Client) start(f wire.Frame, id *uint64) (chan reply, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -141,14 +151,17 @@ func (c *Client) start(stamp func(id uint64) wire.Frame) (<-chan wire.Frame, err
 		return nil, err
 	}
 	c.nextID++
-	id := c.nextID
-	ch := make(chan wire.Frame, 1)
-	c.pending[id] = ch
+	*id = c.nextID
+	ch, _ := c.free.Get().(chan reply)
+	if ch == nil {
+		ch = make(chan reply, 1)
+	}
+	c.pending[*id] = ch
 	c.mu.Unlock()
 
 	c.wmu.Lock()
 	var err error
-	c.wbuf, err = wire.AppendFrame(c.wbuf[:0], stamp(id))
+	c.wbuf, err = wire.AppendFrame(c.wbuf[:0], f)
 	if err == nil {
 		_, err = c.conn.Write(c.wbuf)
 	}
@@ -161,56 +174,57 @@ func (c *Client) start(stamp func(id uint64) wire.Frame) (<-chan wire.Frame, err
 	return ch, nil
 }
 
-// Submit sends a request (its ID field is assigned here) and returns
-// the channel its response will arrive on.
-func (c *Client) Submit(req wire.Request) (<-chan wire.Frame, error) {
-	return c.start(func(id uint64) wire.Frame { req.ID = id; return req })
-}
-
-// reply turns what a reply channel yielded into the frame type the
-// question asked for: a closed channel becomes the client's sticky error,
-// and a reply of any other type is a protocol violation that fails the
-// client. asked names the question in that error ("a request",
-// "SnapshotReq", ...).
-func reply[T wire.Frame](c *Client, asked string, f wire.Frame, ok bool) (T, error) {
+// answer turns what ch yielded (ok false: it closed) into the reply the
+// question asked for, of type T, and recycles an open ch: a closed channel
+// becomes the client's sticky error, and a reply of any other type is a
+// protocol violation that fails the client. asked names the question in
+// that error ("a request", "SnapshotReq", ...).
+func answer[T wire.Frame](c *Client, asked string, ch chan reply, rep reply, ok bool) (T, error) {
 	var zero T
 	if !ok {
 		return zero, c.Err()
 	}
-	r, ok := f.(T)
-	if !ok {
-		err := fmt.Errorf("router: target %s answered %s with %T", c.hello.Target, asked, f)
-		c.fail(err)
-		return zero, err
+	// ch is drained and out of pending. A hedge loser's is left to the GC.
+	c.free.Put(ch)
+	if p, isResp := any(&rep.resp).(*T); isResp && rep.frame == nil { // T is wire.Response
+		return *p, nil
 	}
-	return r, nil
+	if t, ok := rep.frame.(T); ok {
+		return t, nil
+	}
+	err := fmt.Errorf("router: target %s answered %s with %T", c.hello.Target, asked, cmp.Or(rep.frame, wire.Frame(rep.resp)))
+	c.fail(err)
+	return zero, err
 }
 
-// call sends the frame stamp builds and awaits its typed reply.
-func call[T wire.Frame](c *Client, asked string, stamp func(id uint64) wire.Frame) (T, error) {
-	ch, err := c.start(stamp)
+// call sends the frame f points to, whose ID field is at id, and awaits
+// its reply, of type T.
+func call[T wire.Frame](c *Client, asked string, f wire.Frame, id *uint64) (T, error) {
+	ch, err := c.start(f, id)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	f, ok := <-ch
-	return reply[T](c, asked, f, ok)
+	rep, ok := <-ch
+	return answer[T](c, asked, ch, rep, ok)
 }
 
 // Do sends a request and waits for its response.
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	return call[wire.Response](c, "a request", func(id uint64) wire.Frame { req.ID = id; return req })
+	return call[wire.Response](c, "a request", &req, &req.ID)
 }
 
 // Snapshot fetches the target's current accounting: its metrics scrape.
 func (c *Client) Snapshot() (wire.Snapshot, error) {
-	return call[wire.Snapshot](c, "SnapshotReq", func(id uint64) wire.Frame { return wire.SnapshotReq{ID: id} })
+	var q wire.SnapshotReq
+	return call[wire.Snapshot](c, "SnapshotReq", &q, &q.ID)
 }
 
 // Drain asks the target to drain and waits for its acknowledgement
 // with the final pool counters. The connection is dead afterwards.
 func (c *Client) Drain() (wire.DrainAck, error) {
-	ack, err := call[wire.DrainAck](c, "Drain", func(id uint64) wire.Frame { return wire.Drain{ID: id} })
+	var d wire.Drain
+	ack, err := call[wire.DrainAck](c, "Drain", &d, &d.ID)
 	if err == nil {
 		c.fail(fmt.Errorf("router: target %s drained", c.hello.Target))
 	}

@@ -63,14 +63,14 @@ func NewRing(targets []string, vnodes int) (*Ring, error) {
 // Targets returns the ring's target names in registration order.
 func (r *Ring) Targets() []string { return append([]string(nil), r.targets...) }
 
-// Order returns the preference order for a key: the home target (first
-// virtual node at or clockwise of the key's hash), then each distinct
-// successor. Every target appears exactly once, so Order doubles as the
-// failover walk.
-func (r *Ring) Order(key string) []int {
+// Order appends to dst[:0] the preference order for a key and returns
+// it: the home target (first virtual node at or clockwise of the key's
+// hash), then each distinct successor. Every target appears exactly once,
+// so Order doubles as the failover walk.
+func (r *Ring) Order(dst []int, key string) []int {
 	h := fnv64(key)
 	start := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
-	order := make([]int, 0, len(r.targets))
+	order := dst[:0]
 	for i := 0; i < len(r.entries) && len(order) < len(r.targets); i++ {
 		if t := r.entries[(start+i)%len(r.entries)].target; !slices.Contains(order, t) {
 			order = append(order, t)
@@ -79,8 +79,8 @@ func (r *Ring) Order(key string) []int {
 	return order
 }
 
-// Home returns the home target index for a key: Order(key)[0].
-func (r *Ring) Home(key string) int { return r.Order(key)[0] }
+// Home returns the home target index for a key: Order(nil, key)[0].
+func (r *Ring) Home(key string) int { return r.Order(nil, key)[0] }
 
 // fnv64 is FNV-1a, inlined so ring placement is self-contained and
 // frozen: a stdlib hash change could silently re-place every workload.

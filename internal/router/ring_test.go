@@ -12,7 +12,7 @@ func TestRingOrderCoversEveryTargetOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"AES", "jacobi-1d", "heat-3d", "", "LLM Training"} {
-		order := r.Order(key)
+		order := r.Order(nil, key)
 		if len(order) != len(targets) {
 			t.Fatalf("Order(%q) = %v, want every target exactly once", key, order)
 		}
@@ -44,7 +44,7 @@ func TestRingIsDeterministicAndOrderIndependent(t *testing.T) {
 		if got != want {
 			t.Errorf("Home(%q) depends on registration order: %s vs %s", key, got, want)
 		}
-		if !reflect.DeepEqual(a.Order(key), a.Order(key)) {
+		if !reflect.DeepEqual(a.Order(nil, key), a.Order(nil, key)) {
 			t.Errorf("Order(%q) is not stable across calls", key)
 		}
 	}

@@ -197,7 +197,7 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 		root.SetAttr("home", r.Home(req.Workload))
 	}
 
-	order := r.ring.Order(req.Workload)
+	order := r.ring.Order(make([]int, 0, 8), req.Workload)
 	attempts := r.opts.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -267,7 +267,7 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, root *trace.Span) (wire.Response, error) {
 	r.attempts.Add(1)
 	sp := r.attemptSpan(root, c, "", attempt, &req)
-	ch, err := c.Submit(req)
+	ch, err := c.start(&req, &req.ID)
 	if err != nil {
 		sp.End(0)
 		return wire.Response{}, err
@@ -277,8 +277,8 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 		return r.resolve(c, sp, ch)
 	}
 	select {
-	case f, ok := <-ch:
-		return r.settle(c, sp, f, ok)
+	case rep, ok := <-ch:
+		return r.settle(c, sp, ch, rep, ok)
 	case <-r.opts.Clock.After(r.opts.HedgeAfter):
 	}
 	// Primary is straggling: duplicate to the next distinct target.
@@ -288,18 +288,18 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 	root.Event("hedge", 0, trace.Attr{Key: "target", Value: hc.Name()})
 	hreq := req
 	hsp := r.attemptSpan(root, hc, "hedge:", attempt, &hreq)
-	hch, herr := hc.Submit(hreq)
+	hch, herr := hc.start(&hreq, &hreq.ID)
 	if herr != nil {
 		hsp.End(0)
 		return r.resolve(c, sp, ch) // hedge stillborn; wait out the primary
 	}
-	select {
-	case f, ok := <-ch:
+	select { // the loser's channel is left to the GC: its reply may still come
+	case rep, ok := <-ch:
 		hsp.End(0)
-		return r.settle(c, sp, f, ok)
-	case f, ok := <-hch:
+		return r.settle(c, sp, ch, rep, ok)
+	case rep, ok := <-hch:
 		sp.End(0)
-		resp, err := r.settle(hc, hsp, f, ok)
+		resp, err := r.settle(hc, hsp, hch, rep, ok)
 		if err == nil {
 			r.hedgeWins.Add(1)
 			root.Event("hedge_win", 0, trace.Attr{Key: "target", Value: hc.Name()})
@@ -325,16 +325,16 @@ func (r *Router) attemptSpan(root *trace.Span, c *Client, prefix string, attempt
 
 // resolve awaits a submission channel, then settles its span and
 // collects any returned remote spans.
-func (r *Router) resolve(c *Client, sp *trace.Span, ch <-chan wire.Frame) (wire.Response, error) {
-	f, ok := <-ch
-	return r.settle(c, sp, f, ok)
+func (r *Router) resolve(c *Client, sp *trace.Span, ch chan reply) (wire.Response, error) {
+	rep, ok := <-ch
+	return r.settle(c, sp, ch, rep, ok)
 }
 
-// settle finishes one submission: decode the frame, end the attempt
-// span at the target's simulated elapsed time, and file the spans the
-// target sent back under its name.
-func (r *Router) settle(c *Client, sp *trace.Span, f wire.Frame, ok bool) (wire.Response, error) {
-	resp, err := reply[wire.Response](c, "a request", f, ok)
+// settle finishes one submission: check the reply, end the attempt span
+// at the target's simulated elapsed time, and file the spans the target
+// sent back under its name.
+func (r *Router) settle(c *Client, sp *trace.Span, ch chan reply, rep reply, ok bool) (wire.Response, error) {
+	resp, err := answer[wire.Response](c, "a request", ch, rep, ok)
 	if err != nil {
 		sp.End(0)
 		return resp, err

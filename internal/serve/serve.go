@@ -442,10 +442,22 @@ func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 	close(p.done)
 }
 
+// MaxTenants bounds the named tenant accounts; later tenants share
+// OverflowTenant's. At 16 series per account a target's worst-case
+// scrape is 2 119 series, so it fits one frame (wire.MaxList).
+const (
+	MaxTenants     = 128
+	OverflowTenant = "(other tenants)"
+)
+
 // tenant returns (creating if needed) the account for tenant; the caller
 // holds e.acct.
 func (e *Engine) tenant(tenant string) *tenantAccount {
 	t := e.tenants[tenant]
+	if t == nil && len(e.tenants) >= MaxTenants {
+		tenant = OverflowTenant
+		t = e.tenants[tenant]
+	}
 	if t == nil {
 		t = newTenantAccount()
 		e.tenants[tenant] = t

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -206,7 +207,7 @@ type conn struct {
 
 // outbound is one frame the writer owes the peer: a frame the reader
 // built, or — frame nil — a completion, the owed response to request id,
-// projected by WireResponse when it is written.
+// projected (project) when it is written.
 type outbound struct {
 	frame wire.Frame
 	id    uint64
@@ -241,10 +242,11 @@ func (c *conn) finish() {
 // writeLoop is the connection's one writer. It takes every frame queued
 // since its last pass, encodes them into one scratch buffer, issues one
 // Write, and only then releases the responses they owed, so a Drain that
-// finds nothing owed knows it was all written. After a write error it
-// closes the socket, which stops the reader too, and releases what it
-// takes without writing it. It exits, closing the socket, once the
-// reader has finished and nothing is queued.
+// finds nothing owed knows it was all written. After a write error, or a
+// frame the codec refuses (its peer would wait for it forever), it closes
+// the socket, which stops the reader too, and releases what it takes
+// without writing it. It exits, closing the socket, once the reader has
+// finished and nothing is queued.
 func (c *conn) writeLoop() {
 	defer c.s.connWG.Done()
 	defer c.raw.Close()
@@ -252,6 +254,8 @@ func (c *conn) writeLoop() {
 		batch []outbound
 		buf   []byte
 		err   error
+		resp  wire.Response // each completion is projected into resp and res
+		res   wire.Result
 	)
 	for {
 		c.mu.Lock()
@@ -271,16 +275,18 @@ func (c *conn) writeLoop() {
 			f := o.frame
 			if f == nil {
 				owed++
-				f = WireResponse(o.id, o.resp, o.resp.Err)
+				project(&resp, &res, o.id, o.resp, o.resp.Err)
+				f = &resp
 			}
-			// A frame over the protocol's limits is not sent; the peer
-			// would refuse it.
-			buf, _ = wire.AppendFrame(buf, f)
+			if err == nil {
+				buf, err = wire.AppendFrame(buf, f)
+			}
 		}
 		if err == nil {
-			if _, err = c.raw.Write(buf); err != nil {
-				c.raw.Close()
-			}
+			_, err = c.raw.Write(buf)
+		}
+		if err != nil {
+			c.raw.Close()
 		}
 		clear(batch) // hold no response while the slice waits to be reused
 		c.s.release(owed)
@@ -305,8 +311,9 @@ func (s *Server) handleConn(raw net.Conn) {
 		Workloads: s.names,
 	}})
 	r := wire.NewReader(raw)
+	var req wire.Request // every request is read into req
 	for {
-		f, err := r.ReadFrame()
+		f, err := r.ReadInto(&req)
 		if err != nil {
 			// Peer gone, protocol violation, or drain closed us: what is
 			// still queued has nobody to read it.
@@ -314,8 +321,8 @@ func (s *Server) handleConn(raw net.Conn) {
 			return
 		}
 		switch fr := f.(type) {
-		case wire.Request:
-			s.handleRequest(c, fr)
+		case *wire.Request:
+			s.handleRequest(c, *fr)
 		case wire.SnapshotReq:
 			c.send(outbound{frame: wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}})
 		case wire.Drain:
@@ -441,8 +448,14 @@ func (s *Server) serves(workload string) bool {
 // summary, and the sampled spans' simulated timeline — so the capsule
 // for a request is identical whether the serving engine ran in this
 // process or across the wire, which is the identity wiretest pins.
-func WireResponse(id uint64, resp *conduit.Response, err error) wire.Response {
-	out := wire.Response{ID: id}
+func WireResponse(id uint64, resp *conduit.Response, err error) (out wire.Response) {
+	project(&out, new(wire.Result), id, resp, err)
+	return out
+}
+
+// project is WireResponse into *out and *res, reusing res's counters.
+func project(out *wire.Response, res *wire.Result, id uint64, resp *conduit.Response, err error) {
+	*out = wire.Response{ID: id}
 	if resp != nil {
 		out.ElapsedSimNS = int64(resp.Outcome.Elapsed)
 		out.EnergyJ = resp.Outcome.EnergyJ
@@ -463,34 +476,34 @@ func WireResponse(id uint64, resp *conduit.Response, err error) wire.Response {
 			msg = msg[:wire.MaxString]
 		}
 		out.Error = msg
-		return out
+		return
 	}
 	r := conduit.ResultOf(resp)
 	if r == nil {
 		out.Code = wire.CodeError
 		out.Error = "target: response carried no result"
-		return out
+		return
 	}
-	res := &wire.Result{
+	*res = wire.Result{
 		Policy:          r.Policy,
 		ComputeEnergyJ:  r.ComputeEnergy,
 		MovementEnergyJ: r.MovementEnergy,
 		OverheadNS:      int64(r.OverheadTime),
 		Decisions:       int64(len(r.Decisions)),
+		Counters:        res.Counters[:0],
 	}
 	if r.InstLatencies != nil {
 		res.InstCount = int64(r.InstLatencies.Count())
 		res.InstMeanNS = int64(r.InstLatencies.Mean())
 	}
-	if r.Counters != nil && r.Counters.Len() > 0 {
-		res.Counters = make([]wire.Counter, 0, r.Counters.Len())
+	if r.Counters != nil {
+		res.Counters = slices.Grow(res.Counters, r.Counters.Len())
 		r.Counters.Each(func(name string, v int64) {
 			res.Counters = append(res.Counters, wire.Counter{Name: name, Value: v})
 		})
 	}
 	out.Code = wire.CodeOK
 	out.Result = res
-	return out
 }
 
 // codeFor maps the serving tier's typed errors onto response codes.

@@ -2,6 +2,7 @@ package target
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	conduit "conduit"
+	"conduit/internal/metrics"
 	"conduit/internal/router"
+	"conduit/internal/serve"
 	"conduit/internal/wire"
 )
 
@@ -267,6 +270,25 @@ func TestWriterReleasesOwedResponsesOnce(t *testing.T) {
 	}
 }
 
+// TestWriterHangsUpOnAnUnsendableFrame: a frame the protocol refuses to
+// encode is not dropped in silence, which would leave its peer waiting
+// for an answer forever: the writer hangs up instead.
+func TestWriterHangsUpOnAnUnsendableFrame(t *testing.T) {
+	s := &Server{}
+	s.idle = sync.NewCond(&s.mu)
+	peer, raw := net.Pipe()
+	defer peer.Close()
+	c := &conn{s: s, raw: raw}
+	c.wake.L = &c.mu
+	c.send(outbound{frame: wire.Response{ID: 1, Code: wire.CodeOK}}) // OK without a Result
+	c.finish()
+	s.connWG.Add(1)
+	go c.writeLoop()
+	if f, err := wire.NewReader(peer).ReadFrame(); !errors.Is(err, io.EOF) {
+		t.Errorf("the peer of an unsendable frame read %+v (%v), want EOF", f, err)
+	}
+}
+
 // TestDrainAnswersInFlight: every request in flight when Drain begins is
 // answered before the socket closes, a request that arrives once the
 // drain has begun is refused with CodeDraining, and Drain is idempotent.
@@ -338,6 +360,10 @@ type pipeListener struct {
 	once  sync.Once
 }
 
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
 type pipeAddr struct{}
 
 func (pipeAddr) Network() string { return "pipe" }
@@ -370,7 +396,7 @@ func (l *pipeListener) dial() (net.Conn, error) {
 // request, and a drain whose ack reports every pool closed, with no TCP
 // and no sleep.
 func TestRouterClientOverInMemoryListener(t *testing.T) {
-	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	ln := newPipeListener()
 	s, err := NewOn(ln, Options{Name: "t0", Mix: []string{"jacobi-1d"}, Serve: conduit.ServeOptions{Prefork: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -406,6 +432,127 @@ func TestRouterClientOverInMemoryListener(t *testing.T) {
 		}
 	}
 	<-served
+}
+
+// TestRequestAfterDrainAck: a peer that writes a request after reading
+// its DrainAck is never answered — the target hangs up once the ack is
+// written, so the peer reads the end of the stream — and Serve returns.
+func TestRequestAfterDrainAck(t *testing.T) {
+	ln := newPipeListener()
+	s, err := NewOn(ln, Options{Name: "t0", Mix: []string{"jacobi-1d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	conn, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	p := &peer{Conn: conn, r: wire.NewReader(conn)}
+	if _, ok := read(t, p).(wire.Hello); !ok {
+		t.Fatal("the target did not open with Hello")
+	}
+	send(t, p, wire.Drain{ID: 1})
+	if ack, ok := read(t, p).(wire.DrainAck); !ok || ack.ID != 1 {
+		t.Fatalf("answer to Drain = %+v, want DrainAck 1", ack)
+	}
+	b, err := wire.Encode(wire.Request{ID: 2, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(b) // fails on the closed pipe, or reaches a reader that is gone
+	if f, err := p.r.ReadFrame(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after its DrainAck the target yielded %+v (%v), want EOF", f, err)
+	}
+	<-served
+}
+
+// requestsByTenant reads each tenant's conduit_serve_requests_total out
+// of a scrape.
+func requestsByTenant(samples []metrics.Sample) map[string]float64 {
+	out := make(map[string]float64)
+	for _, m := range samples {
+		for _, l := range m.Labels {
+			if m.Name == "conduit_serve_requests_total" && l.Key == "tenant" {
+				out[l.Value] = m.Value
+			}
+		}
+	}
+	return out
+}
+
+// TestSnapshotPastMaxTenants: a scrape after 300 tenants — whose 16
+// series each would overflow wire.MaxList — still reaches the router's
+// client: the first serve.MaxTenants tenants keep their accounts and the
+// rest share serve.OverflowTenant's.
+func TestSnapshotPastMaxTenants(t *testing.T) {
+	const tenants = 300
+	ln := newPipeListener()
+	s, err := NewOn(ln, Options{Name: "t0", Mix: []string{"jacobi-1d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	defer func() { s.Drain(); <-served }()
+	conn, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := router.NewClient(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < tenants; i++ {
+		resp, err := c.Do(wire.Request{Tenant: fmt.Sprintf("tenant-%03d", i), Workload: "jacobi-1d", Policy: "CPU"})
+		if err != nil || resp.Code != wire.CodeOK {
+			t.Fatalf("request %d: %+v, %v", i, resp, err)
+		}
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := requestsByTenant(snap.Samples)
+	if len(got) != serve.MaxTenants+1 || got["tenant-000"] != 1 || got[serve.OverflowTenant] != tenants-serve.MaxTenants {
+		t.Errorf("scrape bills %d tenants, tenant-000 %v requests and the overflow %v, want %d, 1 and %d",
+			len(got), got["tenant-000"], got[serve.OverflowTenant], serve.MaxTenants+1, tenants-serve.MaxTenants)
+	}
+}
+
+// TestWorstCaseScrapeFitsOneFrame: with every evaluation workload
+// registered, pooled and behind an armed breaker, and more tenants than
+// the engine names, a target's scrape fits wire.MaxList and encodes as
+// one Snapshot frame.
+func TestWorstCaseScrapeFitsOneFrame(t *testing.T) {
+	s, err := NewOn(newPipeListener(), Options{Name: "t0", Serve: conduit.ServeOptions{
+		Prefork: 1, Recovery: conduit.RecoveryOptions{BreakerThreshold: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	for i, name := range s.Workloads() { // a served request arms each workload's breaker
+		if _, err := s.srv.Do(conduit.Request{Tenant: fmt.Sprint("served-", i), Workload: name, Policy: "CPU"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i <= serve.MaxTenants; i++ { // a refused request opens its tenant's account too
+		s.srv.Do(conduit.Request{Tenant: fmt.Sprint("refused-", i), Workload: "no-such", Policy: "CPU"})
+	}
+	samples := s.srv.Metrics()
+	if got := requestsByTenant(samples); len(got) != serve.MaxTenants+1 {
+		t.Fatalf("scrape bills %d tenants, want %d", len(got), serve.MaxTenants+1)
+	}
+	t.Logf("worst-case scrape: %d series", len(samples))
+	if len(samples) > wire.MaxList {
+		t.Errorf("worst-case scrape holds %d series, over wire.MaxList %d", len(samples), wire.MaxList)
+	}
+	if _, err := wire.Encode(wire.Snapshot{ID: 1, Target: "t0", Samples: samples}); err != nil {
+		t.Errorf("worst-case scrape does not encode: %v", err)
+	}
 }
 
 // TestMainRejectsBadFlags: usage errors exit 2 before any listener binds.

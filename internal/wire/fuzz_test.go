@@ -160,7 +160,11 @@ func TestDecodeCorpusIsCurrent(t *testing.T) {
 	}
 }
 
-func checkRoundTrip(t *testing.T, f Frame) {
+// checkRoundTrip: f survives encoding and decoding, and the pointer entry
+// points agree with the value ones — AppendFrame of &f emits f's bytes,
+// and ReadInto decodes them into a caller's zero frame, returned as is,
+// exactly as Decode decodes them.
+func checkRoundTrip[F Frame](t *testing.T, f F) {
 	t.Helper()
 	enc, err := Encode(f)
 	if err != nil {
@@ -172,6 +176,17 @@ func checkRoundTrip(t *testing.T, f Frame) {
 	}
 	if !equalFrame(got, f) {
 		t.Fatalf("%T: round trip changed frame\n got: %+v\nwant: %+v", f, got, f)
+	}
+	if byPtr, err := AppendFrame(nil, any(&f).(Frame)); err != nil || !bytes.Equal(byPtr, enc) {
+		t.Fatalf("%T: AppendFrame of a pointer emitted %x (%v), of the value %x", f, byPtr, err, enc)
+	}
+	var into F
+	in, err := NewReader(bytes.NewReader(enc)).ReadInto(any(&into).(Frame))
+	if err != nil || in != any(&into) {
+		t.Fatalf("%T: ReadInto returned %T (%v), want the frame it was handed", f, in, err)
+	}
+	if want, err := Decode(enc[4:]); err != nil || !equalFrame(into, want) {
+		t.Fatalf("%T: ReadInto decoded %+v, Decode %+v (%v)", f, into, want, err)
 	}
 }
 

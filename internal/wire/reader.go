@@ -47,7 +47,12 @@ func NewReader(r io.Reader) *Reader {
 // stream ends cleanly between frames. The length prefix is checked
 // against MaxFrame before any buffer is sized, so a forged prefix cannot
 // make the Reader allocate more than MaxFrame.
-func (r *Reader) ReadFrame() (Frame, error) {
+func (r *Reader) ReadFrame() (Frame, error) { return r.ReadInto(nil) }
+
+// ReadInto is ReadFrame decoding a frame of the type into points to into
+// *into, zeroed first, and returning into; other frames come as ReadFrame
+// returns them. A reused Response costs its Result and counters only.
+func (r *Reader) ReadInto(into Frame) (Frame, error) {
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return nil, err
 	}
@@ -74,5 +79,5 @@ func (r *Reader) ReadFrame() (Frame, error) {
 		}
 		return nil, fmt.Errorf("wire: truncated %d-byte frame: %w", n, err)
 	}
-	return r.dec.decode(payload)
+	return r.dec.decode(payload, into)
 }

@@ -48,8 +48,8 @@ const (
 	TypeDrainAck    Type = 7 // target -> router, after the drain finished
 )
 
-// Frame is one protocol message. Exactly the seven wire structs
-// implement it.
+// Frame is one protocol message: one of the seven wire structs, or a
+// pointer to one, which encoders and Reader.ReadInto walk in place.
 type Frame interface{ frameType() Type }
 
 func (Hello) frameType() Type       { return TypeHello }
@@ -435,12 +435,12 @@ func (c *codec) hist(h **histo.Histogram, what string) {
 	*h, c.b = v, c.b[n:]
 }
 
-// list walks a repeated field: its count, then every element through
-// elem. Both directions hold the count to MaxList. A decoder also
-// holds it to the bytes actually left — an element takes at least min
-// of them — before it sizes the slice, so allocation is bounded by the
-// input's real size; an empty list decodes as nil.
-func list[T any](c *codec, s *[]T, min uint64, elem func(*codec, *T)) {
+// list walks a repeated field's count, held to MaxList, and returns the
+// length the caller's loop walks (a func walk would make c escape). A
+// decoder also holds the count to the bytes left — an element takes at
+// least min of them — before it sizes the slice, so allocation is bounded
+// by the input's real size; an empty list decodes as nil.
+func list[T any](c *codec, s *[]T, min uint64) int {
 	n := uint64(len(*s))
 	c.uvarint(&n)
 	if n > MaxList {
@@ -451,12 +451,7 @@ func list[T any](c *codec, s *[]T, min uint64, elem func(*codec, *T)) {
 	if !c.enc && c.err == nil && n > 0 {
 		*s = make([]T, n)
 	}
-	for i := range *s {
-		if !c.enc && c.err != nil {
-			return
-		}
-		elem(c, &(*s)[i])
-	}
+	return len(*s)
 }
 
 // ---- frame layouts ----
@@ -473,7 +468,9 @@ func (c *codec) hello(h *Hello) {
 	if h.Shards < 0 {
 		c.fail(fmt.Errorf("wire: negative shard count %d", h.Shards))
 	}
-	list(c, &h.Workloads, 1, (*codec).str)
+	for i := range list(c, &h.Workloads, 1) {
+		c.str(&h.Workloads[i])
+	}
 }
 
 func (c *codec) request(q *Request) {
@@ -485,7 +482,9 @@ func (c *codec) request(q *Request) {
 	if q.DeadlineNS < 0 {
 		c.fail(fmt.Errorf("wire: negative deadline %d", q.DeadlineNS))
 	}
-	list(c, &q.Shards, 1, (*codec).shard)
+	for i := range list(c, &q.Shards, 1) {
+		c.shard(&q.Shards[i])
+	}
 	if len(q.Shards) > MaxShardSet {
 		c.fail(fmt.Errorf("wire: %d-shard set exceeds MaxShardSet %d", len(q.Shards), MaxShardSet))
 	}
@@ -528,7 +527,9 @@ func (c *codec) response(p *Response) {
 		}
 		c.result(p.Result)
 	}
-	list(c, &p.Spans, 29, (*codec).span)
+	for i := range list(c, &p.Spans, 29) {
+		c.span(&p.Spans[i])
+	}
 }
 
 func (c *codec) recovery(r *Recovery) {
@@ -549,7 +550,9 @@ func (c *codec) result(r *Result) {
 	c.i64(&r.Decisions)
 	c.i64(&r.InstCount)
 	c.i64(&r.InstMeanNS)
-	list(c, &r.Counters, 2, (*codec).counter)
+	for i := range list(c, &r.Counters, 2) {
+		c.counter(&r.Counters[i])
+	}
 }
 
 func (c *codec) counter(n *Counter) {
@@ -577,27 +580,37 @@ func (c *codec) span(s *Span) {
 	if s.SimEndNS < s.SimStartNS {
 		c.fail(fmt.Errorf("wire: span %q ends at %d before start %d", s.Name, s.SimEndNS, s.SimStartNS))
 	}
-	list(c, &s.Attrs, 2, (*codec).attr)
-	list(c, &s.Events, 3, (*codec).event)
+	for i := range list(c, &s.Attrs, 2) {
+		c.attr(&s.Attrs[i])
+	}
+	for i := range list(c, &s.Events, 3) {
+		c.event(&s.Events[i])
+	}
 }
 
 func (c *codec) event(e *SpanEvent) {
 	c.name(&e.Name, "span event")
 	c.i64(&e.SimNS)
-	list(c, &e.Attrs, 2, (*codec).attr)
+	for i := range list(c, &e.Attrs, 2) {
+		c.attr(&e.Attrs[i])
+	}
 }
 
 func (c *codec) snapshot(s *Snapshot) {
 	c.u64(&s.ID)
 	c.str(&s.Target)
-	list(c, &s.Samples, 3, (*codec).sample)
+	for i := range list(c, &s.Samples, 3) {
+		c.sample(&s.Samples[i])
+	}
 }
 
 // sample walks one series: counters and gauges carry their value,
 // histograms their internal/histo snapshot (and no value byte).
 func (c *codec) sample(m *metrics.Sample) {
 	c.name(&m.Name, "metric sample")
-	list(c, &m.Labels, 2, (*codec).label)
+	for i := range list(c, &m.Labels, 2) {
+		c.label(&m.Labels[i])
+	}
 	c.byte((*byte)(&m.Kind))
 	if m.Kind > metrics.KindHistogram {
 		c.fail(fmt.Errorf("wire: unknown metric kind %d", m.Kind))
@@ -622,64 +635,87 @@ func (c *codec) pool(p *PoolRow) {
 
 func (c *codec) drainAck(a *DrainAck) {
 	c.u64(&a.ID)
-	list(c, &a.Pools, 8, (*codec).pool)
+	for i := range list(c, &a.Pools, 8) {
+		c.pool(&a.Pools[i])
+	}
 }
 
-// zeroFrames maps a type byte to the zero frame a decoder starts from.
-var zeroFrames = [...]Frame{
-	TypeHello:       Hello{},
-	TypeRequest:     Request{},
-	TypeResponse:    Response{},
-	TypeSnapshotReq: SnapshotReq{},
-	TypeSnapshot:    Snapshot{},
-	TypeDrain:       Drain{},
-	TypeDrainAck:    DrainAck{},
-}
-
-// body walks the body of f and returns the walked frame: a decoder
-// passes the zero frame of the type it read and gets it back filled in;
-// an encoder gets f itself back, so encoding copies no frame.
-func (c *codec) body(f Frame) Frame {
+// body walks the body of the frame f points to and returns its type. An
+// encoder may be handed a frame by value: it walks the switch's copy, so
+// no encoder moves a frame to the heap.
+func (c *codec) body(f any) Type {
 	switch fr := f.(type) {
+	case *Hello:
+		c.hello(fr)
+		return TypeHello
+	case *Request:
+		c.request(fr)
+		return TypeRequest
+	case *Response:
+		c.response(fr)
+		return TypeResponse
+	case *SnapshotReq:
+		c.u64(&fr.ID)
+		return TypeSnapshotReq
+	case *Snapshot:
+		c.snapshot(fr)
+		return TypeSnapshot
+	case *Drain:
+		c.u64(&fr.ID)
+		return TypeDrain
+	case *DrainAck:
+		c.drainAck(fr)
+		return TypeDrainAck
 	case Hello:
-		c.hello(&fr)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case Request:
-		c.request(&fr)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case Response:
-		c.response(&fr)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case SnapshotReq:
-		c.u64(&fr.ID)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case Snapshot:
-		c.snapshot(&fr)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case Drain:
-		c.u64(&fr.ID)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	case DrainAck:
-		c.drainAck(&fr)
-		return walked(c, f, fr)
+		return c.body(&fr)
 	}
-	panic(fmt.Sprintf("wire: unknown frame %T", f))
+	panic("wire: encoding a nil frame")
 }
 
-// walked is body's result: the decoded copy fr, or for an encoder the
-// frame it was handed.
-func walked[T Frame](c *codec, f Frame, fr T) Frame {
-	if c.enc {
-		return f
+// decodeAs decodes a body of frame type F: into *into, zeroed first, when
+// into is an *F, returning into, and otherwise into a new F it returns.
+func decodeAs[F Frame](c *codec, into Frame) Frame {
+	var f F
+	if p, ok := any(into).(*F); ok {
+		*p = f
+		c.body(p)
+		return into
 	}
-	return fr
+	c.body(&f)
+	return f
+}
+
+// decoders maps a type byte to the decoder of its frame.
+var decoders = [...]func(*codec, Frame) Frame{
+	TypeHello:       decodeAs[Hello],
+	TypeRequest:     decodeAs[Request],
+	TypeResponse:    decodeAs[Response],
+	TypeSnapshotReq: decodeAs[SnapshotReq],
+	TypeSnapshot:    decodeAs[Snapshot],
+	TypeDrain:       decodeAs[Drain],
+	TypeDrainAck:    decodeAs[DrainAck],
 }
 
 // ---- entry points ----
 
+// encode appends f's payload, stamping the type the walk returns: asking
+// f for it would make every frame escape.
 func encode(dst []byte, f Frame) ([]byte, error) {
-	c := codec{b: append(dst, Version, byte(f.frameType())), enc: true}
-	c.body(f)
+	c := codec{b: append(dst, Version, 0), enc: true}
+	t := c.body(f)
+	c.b[len(dst)+1] = byte(t)
 	return c.b, c.err
 }
 
@@ -722,11 +758,11 @@ func Encode(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
 // payload consumption; malformed input yields an error, never a panic
 // or an attacker-sized allocation. The frame it returns shares no
 // memory with payload.
-func Decode(payload []byte) (Frame, error) { return new(codec).decode(payload) }
+func Decode(payload []byte) (Frame, error) { return new(codec).decode(payload, nil) }
 
-// decode runs Decode on a decoding cursor, keeping its intern table and
-// resetting everything else, so a Reader's one cursor serves every frame.
-func (c *codec) decode(payload []byte) (Frame, error) {
+// decode is Decode, or ReadInto given into, on a cursor that keeps its
+// intern table and resets everything else, so one serves a whole stream.
+func (c *codec) decode(payload []byte, into Frame) (Frame, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("wire: %d-byte payload exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
@@ -740,10 +776,10 @@ func (c *codec) decode(payload []byte) (Frame, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if int(t) >= len(zeroFrames) || zeroFrames[t] == nil {
+	if int(t) >= len(decoders) || decoders[t] == nil {
 		return nil, fmt.Errorf("wire: unknown frame type %d", t)
 	}
-	f := c.body(zeroFrames[t])
+	f := decoders[t](c, into)
 	if c.err != nil {
 		return nil, c.err
 	}

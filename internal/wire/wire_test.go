@@ -225,6 +225,51 @@ func TestReaderInternTableIsBounded(t *testing.T) {
 	}
 }
 
+// TestCodecAllocBudget: encoding a Request or a Response, by value or by
+// pointer, allocates nothing but the buffer it appends to; read into one
+// reused frame, a Request of names the connection has seen costs nothing
+// and a Response exactly its Result and that Result's counters.
+func TestCodecAllocBudget(t *testing.T) {
+	req := Request{ID: 3, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "Conduit", Trace: TraceCtx{ID: 7}}
+	resp := Response{ID: 3, Code: CodeOK, ElapsedSimNS: 1234, Recovery: Recovery{Attempts: 1},
+		Result: &Result{Policy: "Conduit", InstCount: 9, Counters: []Counter{{"flash.senses", 4}, {"dram.bbops", 2}}}}
+	buf := make([]byte, 0, 1024)
+	for name, enc := range map[string]func(){
+		"Request":   func() { buf, _ = AppendFrame(buf[:0], req) },
+		"*Request":  func() { buf, _ = AppendFrame(buf[:0], &req) },
+		"Response":  func() { buf, _ = AppendFrame(buf[:0], resp) },
+		"*Response": func() { buf = Append(buf[:0], &resp) },
+	} {
+		if n := testing.AllocsPerRun(100, enc); n != 0 {
+			t.Errorf("encoding a %s costs %v allocations, want 0", name, n)
+		}
+	}
+	reader := func(f Frame) *Reader {
+		b, err := Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewReader(&repeat{b: b})
+	}
+	rq, rp := reader(req), reader(resp)
+	var intoReq Request
+	var intoResp Response
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := rq.ReadInto(&intoReq); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reading a Request into the caller's frame costs %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := rp.ReadInto(&intoResp); err != nil || len(intoResp.Result.Counters) != 2 {
+			t.Fatalf("read %+v, %v", intoResp, err)
+		}
+	}); n != 2 {
+		t.Errorf("reading a Response into the caller's frame costs %v allocations, want 2: its Result and counters", n)
+	}
+}
+
 // repeat is an endless stream of one frame.
 type repeat struct {
 	b   []byte
