@@ -276,6 +276,13 @@ func (cl *Cluster) Prefork(depth int) []*DevicePool {
 	return pools
 }
 
+// settle implements the serving layer's application interface.
+func (cl *Cluster) settle() {
+	for _, dep := range cl.deps {
+		dep.settle()
+	}
+}
+
 // poolStats implements the serving layer's application interface: a
 // cluster contributes one "name#shard" entry per pooled shard.
 func (cl *Cluster) poolStats(name string, out map[string]PoolStats) {

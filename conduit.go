@@ -57,11 +57,11 @@
 //
 // Above the one-shot API sits a request-serving layer for sustained
 // traffic: a Server registers applications (compile + deploy once each),
-// attaches a DevicePool of pre-forked clones per deployment so the
-// serving hot path never pays the copy inline, and dispatches concurrent
-// multi-tenant requests through the internal/serve engine — admission
-// queue, bounded concurrency, optional batching of identical in-flight
-// requests, per-tenant latency/energy accounting, and graceful drain.
+// restores each served request's device once its response is out, so the
+// next fork needs no copy, and dispatches concurrent multi-tenant
+// requests through the internal/serve engine — admission queue, bounded
+// concurrency, optional batching of identical in-flight requests,
+// per-tenant latency/energy accounting, and graceful drain.
 // Because every run is a deterministic function of (workload, policy),
 // served responses are byte-identical to a serial loop over the same
 // requests.
@@ -97,6 +97,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"conduit/internal/compiler"
 	"conduit/internal/config"
@@ -434,6 +435,7 @@ type Deployment struct {
 	poolMu sync.Mutex
 	pool   *DevicePool   // optional prefork pool (see Prefork); nil = fork inline
 	used   []*ssd.Device // parked: executed forks awaiting reuse, newest last
+	ready  []*ssd.Device // parked devices settle restored, newest last
 	closed bool          // Close was called: nothing is parked any more
 }
 
@@ -460,46 +462,32 @@ func (d *Deployment) Compiled() *Compiled { return d.c }
 // served from the pool's buffer of ready forks; on an empty buffer it
 // is made inline. Either way the device is byte-identical. Once the
 // pool has been closed (the deployment was drained) Fork fails with
-// ErrPoolClosed instead of silently forking.
-func (d *Deployment) Fork() (*ssd.Device, error) { return d.fork(nil) }
-
-// fork serves a Fork and, when a span rides along, reports the pool
-// disposition on it. Hit vs. miss depends on the race against the
-// background refiller, so the event is confined to the operational
-// (wall-clocked) timeline — a deterministic trace never records it.
-func (d *Deployment) fork(sp *trace.Span) (*ssd.Device, error) {
+// ErrPoolClosed instead of silently forking. A device settle restored
+// comes before the pool's buffer, which leaves the refiller alone.
+func (d *Deployment) Fork() (*ssd.Device, error) {
 	d.poolMu.Lock()
-	p := d.pool
+	p, dev := d.pool, pop(&d.ready)
 	d.poolMu.Unlock()
-	if p == nil {
-		dev, _ := d.newFork()
-		return dev, nil
-	}
-	dev, hit, err := p.get()
-	if err != nil {
-		return nil, err
-	}
-	if sp.WallClocked() {
-		name := "pool_miss"
-		if hit {
-			name = "pool_hit"
-		}
-		sp.Event(name, 0)
+	switch {
+	case dev == nil && p != nil:
+		return p.Get()
+	case dev == nil:
+		dev, _ = d.newFork()
+	case p != nil:
+		atomic.AddInt64(&p.misses, 1)
+		atomic.AddInt64(&p.restored, 1)
 	}
 	return dev, nil
 }
 
-// newFork makes one post-deploy device, and is the only place one is made:
-// the pool's refiller, its miss path and the pool-less fork all come here.
-// It restores the most recently parked device from the master (a memcpy
-// that allocates nothing once the device owns the chunks its workload
-// writes; restored = 1) and clones only when none is parked (restored = 0).
+// newFork makes one post-deploy device: the pool's refiller, its miss path
+// and the pool-less fork all come here. It restores the most recently
+// parked device from the master (a memcpy that allocates nothing once the
+// device owns the chunks its workload writes; restored = 1) and clones
+// only when none is parked (restored = 0).
 func (d *Deployment) newFork() (dev *ssd.Device, restored int64) {
 	d.poolMu.Lock()
-	if n := len(d.used) - 1; n >= 0 {
-		dev, d.used[n] = d.used[n], nil
-		d.used = d.used[:n]
-	}
+	dev = pop(&d.used)
 	d.poolMu.Unlock()
 	if dev == nil {
 		return d.master.Clone(), 0
@@ -508,12 +496,39 @@ func (d *Deployment) newFork() (dev *ssd.Device, restored int64) {
 	return dev, 1
 }
 
+// pop takes the newest device off list, or returns nil.
+func pop(list *[]*ssd.Device) (dev *ssd.Device) {
+	if n := len(*list) - 1; n >= 0 {
+		dev, (*list)[n] = (*list)[n], nil
+		*list = (*list)[:n]
+	}
+	return dev
+}
+
+// settle restores a parked device and lists it ready for the next fork. A
+// served request's goroutine calls it once the response is out
+// (serve.Settler): off the response's path, and no refiller wakes.
+func (d *Deployment) settle() {
+	d.poolMu.Lock()
+	dev := pop(&d.used)
+	d.poolMu.Unlock()
+	if dev == nil {
+		return
+	}
+	dev.Restore(d.master)
+	d.poolMu.Lock()
+	if !d.closed {
+		d.ready = append(d.ready, dev)
+	}
+	d.poolMu.Unlock()
+}
+
 // recycle takes r's device off it and parks it for the next fork. Only
 // code that drops the device of a run that returned a result calls it (a
 // served result, a merged cluster part): a run that failed or panicked has
 // no result, and a poisoned fork is discarded. At most the pool's depth
-// plus GOMAXPROCS devices are parked — one per buffer slot and per running
-// request — and none after Close.
+// plus GOMAXPROCS devices are parked or ready — one per buffer slot and per
+// running request — and none after Close.
 func (d *Deployment) recycle(r *RunResult) {
 	dev := r.Device
 	r.Device = nil
@@ -526,28 +541,27 @@ func (d *Deployment) recycle(r *RunResult) {
 	if d.pool != nil {
 		keep += cap(d.pool.free)
 	}
-	if !d.closed && len(d.used) < keep {
+	if !d.closed && len(d.used)+len(d.ready) < keep {
 		d.used = append(d.used, dev)
 	}
 }
 
-// flushUsed drops every parked device; closing also ends recycling for good.
+// flushUsed drops every parked device, ready or not; closing also ends
+// recycling for good.
 func (d *Deployment) flushUsed(closing bool) {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
 	clear(d.used)
-	d.used = d.used[:0]
+	clear(d.ready)
+	d.used, d.ready = d.used[:0], d.ready[:0]
 	d.closed = d.closed || closing
 }
 
 // Run executes the deployed program under the named policy on a restored
 // post-deploy device (host baselines need no device and use the compiled
 // program directly). Safe for concurrent use.
-func (d *Deployment) Run(policy string) (*RunResult, error) { return d.run(policy, nil) }
-
-// run is Run with a tracing seam threaded through the fork path.
-func (d *Deployment) run(policy string, sp *trace.Span) (*RunResult, error) {
-	return d.sys.runOn(d.c, policy, func() (*ssd.Device, error) { return d.fork(sp) })
+func (d *Deployment) Run(policy string) (*RunResult, error) {
+	return d.sys.runOn(d.c, policy, d.Fork)
 }
 
 // dispatch implements the serving layer's application interface: a
@@ -556,11 +570,11 @@ func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, 
 	return r.runShard(d, 0, policy, rec, sp)
 }
 
-// runAttempt is run with span recording: the device execution becomes a
+// runAttempt is Run with span recording: the device execution becomes a
 // "device.run" child span of sp whose simulated extent is the run's
-// elapsed simulated time, and pool activity lands on it as events. The
-// recovery ladder may run d more than once under one span (retries,
-// fallback): key tells the sibling spans apart. A nil sp records nothing.
+// elapsed simulated time. The recovery ladder may run d more than once
+// under one span (retries, fallback): key tells the sibling spans apart.
+// A nil sp records nothing.
 //
 // Served results never expose the executed drive (a coalesced or memoized
 // response is shared between requests, and an ssd.Device is
@@ -568,7 +582,7 @@ func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, 
 func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", policy)
-	r, err := d.run(policy, child)
+	r, err := d.Run(policy)
 	if err != nil {
 		child.End(0)
 		return nil, err

@@ -2,12 +2,18 @@ package router
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"conduit/internal/wire"
 )
+
+// HandshakeTimeout bounds Dial's connect and NewClient's wait for the
+// Hello, so that a silent peer fails the call instead of hanging it.
+const HandshakeTimeout = 10 * time.Second
 
 // A Client is one target connection: it multiplexes concurrent
 // requests over a single framed TCP stream, correlating out-of-order
@@ -37,7 +43,7 @@ type reply struct {
 
 // Dial connects to a target and consumes its Hello frame.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, HandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -47,6 +53,11 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (the target side speaks
 // first with Hello) and starts the response dispatcher.
 func NewClient(conn net.Conn) (*Client, error) {
+	// A context's deadline, as DialTimeout's: no time call here (see Clock).
+	ctx, cancel := context.WithTimeout(context.Background(), HandshakeTimeout)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
+	conn.SetReadDeadline(deadline)
 	r := wire.NewReader(conn)
 	f, err := r.ReadFrame()
 	if err != nil {
@@ -58,6 +69,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("router: target opened with %T, want Hello", f)
 	}
+	conn.SetReadDeadline(time.Time{})
 	c := &Client{
 		addr:    conn.RemoteAddr().String(),
 		conn:    conn,

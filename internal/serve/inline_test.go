@@ -1,0 +1,183 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"conduit/internal/trace"
+)
+
+// goid is the calling goroutine's ID, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// waitFor yields until cond holds under the engine's admission lock.
+func waitFor(e *Engine, cond func() bool) {
+	for {
+		e.admit.Lock()
+		ok := cond()
+		e.admit.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestInlineDoContainsPanic: a Do that finds its slot free runs on the
+// caller's goroutine; a panicking runner fails that request, and the
+// caller's goroutine goes on to serve the next one.
+func TestInlineDoContainsPanic(t *testing.T) {
+	var ran []string
+	r := RunnerFunc(func(workload, _ string, _ *trace.Span) (Outcome, error) {
+		ran = append(ran, goid())
+		if workload == "bomb" {
+			panic("backend exploded")
+		}
+		return Outcome{Value: workload}, nil
+	})
+	e := NewEngine(r, Config{Concurrency: 1})
+	defer e.Drain()
+	if _, err := e.Do(Request{Tenant: "t", Workload: "bomb", Policy: "p"}); err == nil ||
+		!strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking cell: err = %v, want the contained panic", err)
+	}
+	resp, err := e.Do(Request{Tenant: "t", Workload: "fine", Policy: "p"})
+	if err != nil || resp.Outcome.Value != "fine" {
+		t.Fatalf("after the panic: resp %v, err %v", resp, err)
+	}
+	if me := goid(); len(ran) != 2 || ran[0] != me || ran[1] != me {
+		t.Errorf("runner ran on goroutines %v, want both on the caller's, %s", ran, me)
+	}
+}
+
+// TestDrainWaitsForInlineDo: Drain returns only after a Do it found
+// executing on its caller's goroutine has been served and accounted.
+func TestDrainWaitsForInlineDo(t *testing.T) {
+	g := newGateRunner()
+	e := NewEngine(g, Config{Concurrency: 1})
+	served := make(chan error, 1)
+	go func() {
+		_, err := e.Do(Request{Tenant: "t", Workload: "slow", Policy: "p"})
+		served <- err
+	}()
+	<-g.started
+	drained := make(chan struct{})
+	go func() {
+		e.Drain()
+		close(drained)
+	}()
+	waitFor(e, func() bool { return e.closed })
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while an inline Do was executing")
+	default:
+	}
+	close(g.gate)
+	if err := <-served; err != nil {
+		t.Fatalf("the inline Do: %v", err)
+	}
+	<-drained
+	if total := e.Total(); total.Requests != 1 {
+		t.Errorf("accounted %d requests after Drain, want the inline one", total.Requests)
+	}
+}
+
+// TestDoNeverOvertakesQueuedSubmit: while a Do executes inline and a
+// Submit waits for the slot it holds, a second Do queues behind the
+// Submit instead of running inline the moment the slot frees.
+func TestDoNeverOvertakesQueuedSubmit(t *testing.T) {
+	g := newGateRunner()
+	e := NewEngine(g, Config{Concurrency: 1})
+	defer e.Drain()
+	done := make(chan struct{}, 2)
+	do := func(workload string) {
+		e.Do(Request{Tenant: "t", Workload: workload, Policy: "p"})
+		done <- struct{}{}
+	}
+	go do("first-do")
+	<-g.started
+	answered, err := submit(e, Request{Tenant: "t", Workload: "submit", Policy: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go do("second-do")
+	waitFor(e, func() bool { return e.queued.Load() == 2 })
+	close(g.gate)
+	<-answered
+	<-done
+	<-done
+	order := []string{<-g.started, <-g.started}
+	if order[0] != "submit" || order[1] != "second-do" {
+		t.Errorf("executed %v after the first Do, want [submit second-do]", order)
+	}
+
+	// The instant the slot frees, before the worker holding the Submit
+	// takes it, is only ever a passing state; a phantom queued request
+	// holds it still. A Do admitted then must queue, not run inline.
+	var ran string
+	e2 := NewEngine(RunnerFunc(func(string, string, *trace.Span) (Outcome, error) {
+		ran = goid()
+		return Outcome{}, nil
+	}), Config{Concurrency: 1})
+	defer e2.Drain()
+	e2.queued.Add(1)
+	e2.Do(Request{Tenant: "t", Workload: "w", Policy: "p"})
+	e2.queued.Add(-1)
+	if ran == goid() {
+		t.Error("a Do ran inline past a request that still waited for the slot")
+	}
+}
+
+// TestTraceSequenceUnchangedInline: requests served inline, on a worker
+// and through Submit draw their admission sequence numbers as before, so
+// every SampleEvery-th request is traced under its sequence number.
+func TestTraceSequenceUnchangedInline(t *testing.T) {
+	tr := trace.New(trace.Options{SampleEvery: 3})
+	e := NewEngine(&countingRunner{}, Config{Concurrency: 1, Tracer: tr})
+	defer e.Drain()
+	var got []string
+	for seq := 1; seq <= 9; seq++ {
+		req := Request{Tenant: "t", Workload: fmt.Sprint("w", seq), Policy: "p"}
+		var resp *Response
+		if seq%2 == 0 {
+			c, err := submit(e, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp = <-c
+		} else {
+			resp, _ = e.Do(req)
+		}
+		if resp.Trace != nil {
+			got = append(got, fmt.Sprintf("%d:%d", seq, resp.Trace.ID))
+		}
+	}
+	if want := "[1:1 4:4 7:7]"; fmt.Sprint(got) != want {
+		t.Errorf("traced (sequence:trace ID) %v, want %s", got, want)
+	}
+}
+
+// TestEngineDoAllocBudget: a Do on a no-op runner allocates its pending
+// request and the boxed Outcome, and nothing else: served inline, it
+// needs no channel to wait on (three allocations when every Do waited
+// for a worker).
+func TestEngineDoAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := NewEngine(RunnerFunc(func(string, string, *trace.Span) (Outcome, error) {
+		return Outcome{}, nil
+	}), Config{Concurrency: 1})
+	defer e.Drain()
+	req := Request{Tenant: "t", Workload: "noop", Policy: "noop"}
+	if n := testing.AllocsPerRun(1000, func() { e.Do(req) }); n > 2 {
+		t.Errorf("Engine.Do allocates %v times, want at most 2", n)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conduit/internal/histo"
@@ -171,9 +172,17 @@ var ErrOverloaded = errors.New("serve: overloaded, admission queue full")
 // invoked for such a request.
 var ErrDeadlineExceeded = errors.New("serve: deadline exceeded before dispatch")
 
+// A Settler is a Runner with work left once a response is out: the engine
+// calls Settle on the goroutine that finished the request, a worker only
+// after yielding once, so that the goroutine the response woke runs first.
+type Settler interface {
+	Settle(workload string)
+}
+
 // Engine multiplexes concurrent requests over a bounded worker set with
-// optional same-cell batching and per-tenant accounting. All methods are
-// safe for concurrent use.
+// optional same-cell batching and per-tenant accounting; a Do that finds
+// a slot free and nothing queued runs on its caller's goroutine. All
+// methods are safe for concurrent use.
 type Engine struct {
 	cfg    Config
 	runner Runner
@@ -181,7 +190,9 @@ type Engine struct {
 	queue   chan *pending
 	workers sync.WaitGroup
 
-	admit   sync.Mutex // guards closed and seq; admitWG.Add races with Drain
+	slots   chan struct{} // one token per executing request, inline or not
+	queued  atomic.Int64  // requests admitted to the queue and not yet holding a slot
+	admit   sync.Mutex    // guards closed and seq; admitWG.Add races with Drain
 	closed  bool
 	seq     uint64         // 1-based admission sequence; drives trace sampling
 	admitWG sync.WaitGroup // Do calls between admission and completion
@@ -202,7 +213,7 @@ type pending struct {
 	// submissions happened to shed.
 	seq  uint64
 	resp Response
-	// done releases a blocked Do; nil for Submit.
+	// done releases a Do waiting for a worker; nil for Submit and inline Do.
 	done chan struct{}
 	// root is the request's root span; nil unless sampled.
 	root *trace.Span
@@ -258,6 +269,7 @@ func NewEngine(r Runner, cfg Config) *Engine {
 		cfg:     cfg,
 		runner:  r,
 		queue:   make(chan *pending, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Concurrency),
 		tenants: make(map[string]*tenantAccount),
 	}
 	e.all.wall = histo.New()
@@ -266,7 +278,10 @@ func NewEngine(r Runner, cfg Config) *Engine {
 		go func() {
 			defer e.workers.Done()
 			for p := range e.queue {
+				e.slots <- struct{}{} // p counts as queued until it holds a slot
+				e.queued.Add(-1)
 				e.serveOne(p)
+				<-e.slots
 			}
 		}()
 	}
@@ -274,11 +289,12 @@ func NewEngine(r Runner, cfg Config) *Engine {
 }
 
 // Do submits req and blocks until it is served — the closed-loop client
-// primitive. The returned error is ErrDraining if admission is closed,
+// primitive, run on the calling goroutine when a slot is free and nothing
+// is queued. The returned error is ErrDraining if admission is closed,
 // otherwise it equals Response.Err (the response carries timing and
 // accounting detail either way).
 func (e *Engine) Do(req Request) (*Response, error) {
-	p := &pending{req: req, submitted: time.Now(), done: make(chan struct{})}
+	p := &pending{req: req, submitted: time.Now()}
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
@@ -287,10 +303,25 @@ func (e *Engine) Do(req Request) (*Response, error) {
 	e.seq++
 	p.seq = e.seq
 	e.admitWG.Add(1)
+	slots := e.slots
+	if e.queued.Load() > 0 {
+		slots = nil // never ready: req queues behind what is there
+	}
+	select {
+	case slots <- struct{}{}:
+	default:
+		e.queued.Add(1)
+		p.done = make(chan struct{})
+	}
 	e.admit.Unlock()
 	defer e.admitWG.Done()
-	e.queue <- p
-	<-p.done
+	if p.inline() {
+		e.serveOne(p)
+		<-e.slots
+	} else {
+		e.queue <- p
+		<-p.done
+	}
 	return &p.resp, p.resp.Err
 }
 
@@ -322,6 +353,7 @@ func (e *Engine) Submit(req Request, notify func(*Response)) error {
 	select {
 	case e.queue <- p:
 		e.seq++
+		e.queued.Add(1)
 		e.admit.Unlock()
 		return nil
 	default:
@@ -331,15 +363,15 @@ func (e *Engine) Submit(req Request, notify func(*Response)) error {
 	}
 }
 
-// serveOne executes one admitted request on the calling worker. A
-// panicking backend is contained: the request fails with an error instead
-// of crashing the serving process, and the worker keeps serving.
+// serveOne executes one admitted request on the calling worker (or inline
+// Do). A panicking backend is contained: the request fails with an error
+// instead of crashing the serving process, and the worker keeps serving.
 //
 // Under Coalesce/Memoize a joined request does not hold its worker while
 // the in-flight execution finishes — the wait moves to a goroutine and
 // the slot immediately serves other queued cells, so batching frees
 // capacity instead of head-of-line blocking distinct cells behind a hot
-// one.
+// one. An inline Do has nobody else to answer it, so it waits in place.
 func (e *Engine) serveOne(p *pending) {
 	start := time.Now()
 	p.resp.Queued = start.Sub(p.submitted)
@@ -376,22 +408,29 @@ func (e *Engine) serveOne(p *pending) {
 	key := p.req.key()
 	c, leader := e.flight.begin(key)
 	if !leader {
+		join := func() {
+			<-c.done
+			e.finish(p, c.val, c.err, true)
+		}
 		select {
 		case <-c.done:
 			// Already complete (memoized hit): serve inline, no goroutine.
-			e.finish(p, c.val, c.err, true)
 		default:
-			go func() {
-				<-c.done
-				e.finish(p, c.val, c.err, true)
-			}()
+			if !p.inline() {
+				go join()
+				return
+			}
 		}
+		join()
 		return
 	}
 	v, err := exec()
 	e.flight.complete(key, c, v, err, !e.cfg.Memoize)
 	e.finish(p, v, err, false)
 }
+
+// inline reports whether p is a Do served on its caller's goroutine.
+func (p *pending) inline() bool { return p.done == nil && p.notify == nil }
 
 // startTrace decides whether the admitted request is sampled and, if
 // so, opens its trace and root span. A wire context with the Sampled
@@ -419,9 +458,9 @@ func (e *Engine) startTrace(p *pending) {
 	p.root.SetAttr("policy", p.req.Policy)
 }
 
-// finish completes a request: record the outcome, account it, and
-// release the blocked Do or hand the response to the open-loop
-// submitter's notify.
+// finish completes a request: record the outcome, account it, release
+// the blocked Do or hand the response to the open-loop submitter's
+// notify, and then settle it (see Settler).
 func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 	if o, ok := v.(Outcome); ok {
 		p.resp.Outcome = o
@@ -435,11 +474,18 @@ func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 	}
 	p.root.End(int64(p.resp.Outcome.Elapsed))
 	e.account(&p.resp, p.req.Tenant)
-	if p.notify != nil {
+	switch {
+	case p.notify != nil:
 		p.notify(&p.resp)
-		return
+	case p.done != nil:
+		close(p.done)
 	}
-	close(p.done)
+	if s, ok := e.runner.(Settler); ok {
+		if !p.inline() {
+			runtime.Gosched()
+		}
+		s.Settle(p.req.Workload)
+	}
 }
 
 // MaxTenants bounds the named tenant accounts; later tenants share

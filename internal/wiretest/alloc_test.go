@@ -16,9 +16,13 @@ import (
 // client, loopback socket, the target's reader and writer, both codecs,
 // all in this process — minus those of the same request through
 // Server.Do. The ceilings are what it measures plus 10 %, as in
-// TestServedRequestAllocBudget: at most 598 B in 2 allocations, the
-// decoded Result and its counters, which the caller keeps. It was 1 900 B
-// in 13 while the codec boxed every frame and its cursor, the target
+// TestServedRequestAllocBudget: at most 700 B in 3 allocations, the
+// decoded Result and its counters, which the caller keeps, and the
+// completion the target hands Server.Submit. The third was hidden while
+// Server.Do, the baseline, waited for a worker on a channel of its own;
+// a Do with a free slot now runs on its caller's goroutine and allocates
+// no channel, while a routed request still makes 10 allocations. It was
+// 1 900 B in 13 while the codec boxed every frame and its cursor, the target
 // allocated every response it projected, and the router a reply channel,
 // a closure and a preference order per request; and 5 970 B in 57 while
 // the target spent a goroutine and a channel on every request and both
@@ -27,7 +31,7 @@ func TestRoutedRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
-	const maxBytes, maxAllocs = 660, 2
+	const maxBytes, maxAllocs = 770, 3
 	workload := resolveNames(t, []string{"jacobi-1d"})[0]
 	opts := conduit.ServeOptions{Concurrency: 1, Prefork: 2}
 

@@ -14,11 +14,12 @@ import (
 	"conduit/internal/ssd"
 )
 
-// parked reports how many used devices d's free list holds.
+// parked reports how many used devices d's free list holds, restored
+// (ready) or not.
 func (d *Deployment) parked() int {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
-	return len(d.used)
+	return len(d.used) + len(d.ready)
 }
 
 // ParkedForks counts the used devices on the free lists of every
@@ -344,4 +345,50 @@ func TestServedResultSurvivesRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRun(t, "kept served result vs a fresh deployment's", kept, fresh)
+}
+
+// TestSteadyServingLeavesTheRefillerAsleep: once the buffer is full and a
+// served device is ready, each sequential request, through Do and through
+// Submit, forks the device the previous one settled. The refiller makes no
+// fork and nothing is cloned, so steady serving wakes no other goroutine.
+func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
+	srv := NewServer(DefaultConfig(), ServeOptions{Concurrency: 1, Prefork: 2})
+	defer srv.Drain()
+	if err := srv.RegisterWorkload("jacobi-1d", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	pool := srv.apps["jacobi-1d"].app.(*Deployment).Pool()
+	req := Request{Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"}
+	// Warm up until a served device waits beside the full buffer: the
+	// refiller a warm-up fork woke may restore that device before the
+	// request that parked it does.
+	for {
+		if _, err := srv.Do(req); err != nil {
+			t.Fatal(err)
+		}
+		if waitBuffered(pool); pool.Stats().Idle > 2 {
+			break
+		}
+	}
+	clones := func(s PoolStats) int64 { return s.Preforked + s.Misses - s.Restored }
+	before := pool.Stats()
+	for i := 0; i < 1000; i++ {
+		if _, err := srv.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answered := make(chan *Response, 1)
+	for i := 0; i < 1000; i++ {
+		if err := srv.Submit(req, func(r *Response) { answered <- r }); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-answered; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	after := pool.Stats()
+	if after.Preforked != before.Preforked || clones(after) > clones(before) {
+		t.Errorf("2 000 steady requests: Preforked %d -> %d, clones %d -> %d; want both unchanged",
+			before.Preforked, after.Preforked, clones(before), clones(after))
+	}
 }

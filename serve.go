@@ -113,6 +113,8 @@ type application interface {
 	// out, keying each entry off the registered name (a cluster adds one
 	// "name#shard" entry per pooled shard). Pool-less apps add nothing.
 	poolStats(name string, out map[string]PoolStats)
+	// settle readies what a served request parked, every shard's.
+	settle()
 }
 
 // Server serves offload requests for a set of registered applications —
@@ -154,7 +156,7 @@ func NewServer(cfg Config, opts ServeOptions) *Server {
 	if opts.Trace != nil {
 		s.tracer = trace.New(*opts.Trace)
 	}
-	s.eng = serve.NewEngine(serve.RunnerFunc(s.runCell), serve.Config{
+	s.eng = serve.NewEngine(backend{s}, serve.Config{
 		Concurrency: opts.Concurrency,
 		QueueDepth:  opts.QueueDepth,
 		Coalesce:    opts.Coalesce,
@@ -289,16 +291,16 @@ func (s *Server) sorted() []*resilient {
 	return apps
 }
 
-// runCell is the serve.Runner backend: one request = one policy run,
-// through the application's recovery dispatcher, on pool-managed forks of
-// the workload's deployment (every shard's, for a clustered
-// application). sp is the engine's execution span for the
-// request (nil when the request is unsampled); shard and device work
-// recorded under it stays on the simulated timeline.
-func (s *Server) runCell(workload, policy string, sp *trace.Span) (serve.Outcome, error) {
-	s.mu.Lock()
-	app := s.apps[workload]
-	s.mu.Unlock()
+// backend is the Server as its engine's serve.Runner and serve.Settler.
+type backend struct{ *Server }
+
+// RunCell is one request = one policy run, through the application's
+// recovery dispatcher, on pool-managed forks of the workload's deployment
+// (every shard's, for a clustered application). sp is the engine's
+// execution span for the request (nil when the request is unsampled);
+// shard and device work recorded under it stays on the simulated timeline.
+func (s backend) RunCell(workload, policy string, sp *trace.Span) (serve.Outcome, error) {
+	app := s.app(workload)
 	if app == nil {
 		return serve.Outcome{}, fmt.Errorf("conduit: no application %q registered (have: %s)",
 			workload, strings.Join(s.Applications(), ", "))
@@ -313,6 +315,20 @@ func (s *Server) runCell(workload, policy string, sp *trace.Span) (serve.Outcome
 	// a RunResult is an immutable snapshot and safe to share between
 	// coalesced or memoized responses (the Reservoir locks internally).
 	return serve.Outcome{Value: r, Elapsed: r.Elapsed, EnergyJ: r.TotalEnergy(), Recovery: rec}, nil
+}
+
+// Settle implements serve.Settler.
+func (s backend) Settle(workload string) {
+	if app := s.app(workload); app != nil {
+		app.app.settle()
+	}
+}
+
+// app returns the application registered under name, or nil.
+func (s *Server) app(name string) *resilient {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.apps[name]
 }
 
 // Do submits one request and blocks until it is served (closed-loop). The

@@ -15,6 +15,8 @@ package conduit_test
 
 import (
 	"fmt"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -273,6 +275,51 @@ func BenchmarkServeLightMix(b *testing.B) {
 // BENCH=ServeHeavyMix` says where.
 func BenchmarkServeHeavyMix(b *testing.B) {
 	benchServeMix(b, 2, "AES", "LlaMA2 Inference", "LLM Training")
+}
+
+// BenchmarkServeLightSaturated is serve_light at saturation: 2×GOMAXPROCS
+// closed-loop clients each send the nine-request mix through Server.Do to
+// a server of Concurrency GOMAXPROCS and Prefork 2. Beside the wall time
+// it reports the process CPU per op (cpu-ns/op) and the share of forks
+// the pool's buffer served (hit_pct): what the refiller buys once the
+// server is saturated.
+func BenchmarkServeLightSaturated(b *testing.B) {
+	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
+	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{Concurrency: runtime.GOMAXPROCS(0), Prefork: 2})
+	defer srv.Drain()
+	for _, name := range mix {
+		if err := srv.RegisterWorkload(name, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	b.ReportAllocs()
+	b.SetParallelism(2)
+	start := cpu()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			for _, name := range mix {
+				for _, policy := range servePolicies {
+					if _, err := srv.Do(conduit.Request{Tenant: "bench", Workload: name, Policy: policy}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(cpu()-start)/float64(b.N), "cpu-ns/op")
+	var hits, forks int64
+	for _, ps := range srv.PoolStats() {
+		hits, forks = hits+ps.Hits, forks+ps.Hits+ps.Misses
+	}
+	b.ReportMetric(100*float64(hits)/float64(forks), "hit_pct")
 }
 
 func benchServeMix(b *testing.B, scale int, mix ...string) {

@@ -2,6 +2,7 @@ package conduit_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +116,68 @@ func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
 	}
 	if accounted != served {
 		t.Errorf("accounted %d requests, clients saw %d served", accounted, served)
+	}
+}
+
+// TestSettleRacingDrain: a served device is restored and listed ready by
+// the goroutine that served its request, after the response is out, so
+// that restore can still be running when Drain closes the pools. With
+// closed-loop Do and open-loop Submit clients on a pooled and a sharded
+// application, Drain begins once traffic flows; nothing may panic, and
+// afterwards every pool is closed and holds nothing, ready list included.
+func TestSettleRacingDrain(t *testing.T) {
+	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{Concurrency: 2, Prefork: 2})
+	if err := srv.Register("pooled", quickstartSource(2*16384)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterSharded("sharded", xorFilterSource(2*16384), 2); err != nil {
+		t.Fatal(err)
+	}
+	var served int64
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := conduit.Request{Tenant: "t", Workload: []string{"pooled", "sharded"}[i%2], Policy: "Conduit"}
+			issue := func() error {
+				if i < 3 {
+					_, err := srv.Do(req)
+					return err
+				}
+				c, err := submit(srv, req)
+				if err != nil {
+					return err
+				}
+				return (<-c).Err
+			}
+			for {
+				switch err := issue(); {
+				case errors.Is(err, conduit.ErrOverloaded):
+					runtime.Gosched()
+				case errors.Is(err, conduit.ErrDraining):
+					return
+				case err != nil:
+					t.Errorf("client %d: %v", i, err)
+					return
+				default:
+					atomic.AddInt64(&served, 1)
+				}
+			}
+		}(i)
+	}
+	for atomic.LoadInt64(&served) < 30 {
+		runtime.Gosched()
+	}
+	srv.Drain()
+	wg.Wait()
+	for name, ps := range srv.PoolStats() {
+		if !ps.Closed || ps.Idle != 0 {
+			t.Errorf("pool %q after Drain: closed %v, %d devices held; want closed and none", name, ps.Closed, ps.Idle)
+		}
+	}
+	if n := srv.ParkedForks(); n != 0 {
+		t.Errorf("%d devices parked or ready after Drain, want 0", n)
 	}
 }
 
