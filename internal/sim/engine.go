@@ -1,65 +1,61 @@
 package sim
 
-import "fmt"
+import (
+	"container/heap"
+	"fmt"
+)
 
-// batch is one calendar entry of the coalescing event queue: every event
-// scheduled for one instant, in schedule (FIFO) order. pos is the drain
-// cursor; executed slots are nilled so the recycled slice never pins
-// closures.
-type batch struct {
-	fns []func()
-	pos int
+// event is one scheduled callback.
+type event struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	fn  func()
 }
 
-// Engine is the fast discrete-event simulator: a coalescing, bucketed
-// event queue.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// Engine is a discrete-event simulator: a binary heap of individually
+// sequenced events, popped one at a time. Events run in time order, and
+// events at one instant run in the order they were scheduled, including
+// one a callback schedules at Now(), which runs after the events already
+// queued for that instant.
 //
-// Instead of a heap of individually sequenced events, the engine keeps
-// one batch per distinct timestamp (many NAND plane operations complete
-// at identical instants, so batches are the common case) and a small
-// binary min-heap over the distinct timestamps only. Scheduling into an
-// existing instant is an append — O(1), no heap churn, no per-event
-// sequence number — and a whole instant drains as a unit in append
-// order, which reproduces the reference engine's seq-number FIFO
-// bit-for-bit: within one instant, schedule order is execution order.
-//
-// Events scheduled at the instant currently being drained (a callback
-// scheduling at Now()) join the tail of the live batch, exactly where
-// the reference engine's monotone sequence numbers would place them.
-//
-// HeapEngine is the retained reference implementation; both satisfy
-// Oracle and the simtest differential harness holds them observationally
-// identical.
+// No timed model runs on it: devices price their work on Calendar and
+// Group. Its one caller is cmd/conduit-bench, which times scheduling and
+// draining 1e5 events for its sim.ns_per_event row.
 //
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	steps   uint64
-	pending int
-
-	buckets map[Time]*batch // queued instants, excluding the one draining
-	times   []Time          // min-heap of distinct queued timestamps
-	cur     *batch          // batch being drained (nil before first Step)
-	curAt   Time
-	free    []*batch // exhausted batches, recycled to avoid churn
+	now    Time
+	events eventHeap
+	seq    uint64
 }
 
-// NewEngine returns a fast engine with the clock at zero and no pending
+// NewEngine returns an engine with the clock at zero and no pending
 // events.
 func NewEngine() *Engine {
-	return &Engine{buckets: make(map[Time]*batch)}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return e.pending }
-
-// Steps reports the number of events executed so far. Coalescing does not
-// change the accounting: every callback counts as one step, exactly as in
-// the reference engine.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics:
 // it always indicates a modelling bug, never a recoverable condition.
@@ -67,144 +63,16 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	if e.cur != nil && at == e.curAt {
-		// Joins the instant being drained, behind the events already
-		// queued there — the position the reference engine's sequence
-		// numbers assign.
-		e.cur.fns = append(e.cur.fns, fn)
-		e.pending++
-		return
-	}
-	b, ok := e.buckets[at]
-	if !ok {
-		b = e.getBatch()
-		e.buckets[at] = b
-		e.pushTime(at)
-	}
-	b.fns = append(b.fns, fn)
-	e.pending++
+	e.seq++
+	heap.Push(&e.events, event{at: at, seq: e.seq, fn: fn})
 }
 
-// After runs fn d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.Schedule(e.now+d, fn)
-}
-
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	if e.pending == 0 {
-		return false
-	}
-	b := e.cur
-	if b == nil || b.pos == len(b.fns) {
-		// Current batch exhausted: open the earliest queued instant.
-		if b != nil {
-			e.recycle(b)
-		}
-		t := e.popTime()
-		b = e.buckets[t]
-		delete(e.buckets, t)
-		e.cur, e.curAt = b, t
-		e.now = t
-	}
-	fn := b.fns[b.pos]
-	b.fns[b.pos] = nil
-	b.pos++
-	e.steps++
-	e.pending--
-	fn()
-	return true
-}
-
-// Run executes events until none remain.
+// Run executes events in order, advancing the clock to each one's
+// timestamp, until none remain.
 func (e *Engine) Run() {
-	for e.Step() {
+	for len(e.events) > 0 {
+		ev := heap.Pop(&e.events).(event)
+		e.now = ev.at
+		ev.fn()
 	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t. Events scheduled beyond t stay pending.
-func (e *Engine) RunUntil(t Time) {
-	for e.pending > 0 {
-		if e.cur != nil && e.cur.pos < len(e.cur.fns) {
-			if e.curAt > t {
-				break
-			}
-		} else if len(e.times) == 0 || e.times[0] > t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// Advance moves the clock forward by d without executing events. It is used
-// by sequential firmware models (e.g. the offloader loop) that consume time
-// outside the event queue. Pending events timestamped inside the skipped
-// window are still executed in order.
-func (e *Engine) Advance(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative advance %v", d))
-	}
-	e.RunUntil(e.now + d)
-}
-
-func (e *Engine) getBatch() *batch {
-	if n := len(e.free); n > 0 {
-		b := e.free[n-1]
-		e.free = e.free[:n-1]
-		return b
-	}
-	return &batch{}
-}
-
-func (e *Engine) recycle(b *batch) {
-	b.fns = b.fns[:0] // drained slots were nilled during Step
-	b.pos = 0
-	e.free = append(e.free, b)
-}
-
-// pushTime inserts a distinct timestamp into the min-heap. The heap is
-// hand-rolled over []Time: no interface boxing, no per-push allocation.
-func (e *Engine) pushTime(t Time) {
-	e.times = append(e.times, t)
-	i := len(e.times) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if e.times[p] <= e.times[i] {
-			break
-		}
-		e.times[p], e.times[i] = e.times[i], e.times[p]
-		i = p
-	}
-}
-
-func (e *Engine) popTime() Time {
-	t := e.times[0]
-	n := len(e.times) - 1
-	e.times[0] = e.times[n]
-	e.times = e.times[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && e.times[r] < e.times[l] {
-			m = r
-		}
-		if e.times[i] <= e.times[m] {
-			break
-		}
-		e.times[i], e.times[m] = e.times[m], e.times[i]
-		i = m
-	}
-	return t
 }

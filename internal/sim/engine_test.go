@@ -6,151 +6,79 @@ import (
 	"testing/quick"
 )
 
-// forEachOracle runs a subtest against every Oracle implementation: the
-// fast coalescing engine and the reference heap engine. Every behavioral
-// engine test runs on both paths, per the Oracle identity contract.
-func forEachOracle(t *testing.T, fn func(t *testing.T, e Oracle)) {
-	t.Run("bucket", func(t *testing.T) { fn(t, NewEngine()) })
-	t.Run("heap", func(t *testing.T) { fn(t, NewHeapEngine()) })
-}
-
 func TestEngineOrdersEventsByTime(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		var got []int
-		e.Schedule(30, func() { got = append(got, 3) })
-		e.Schedule(10, func() { got = append(got, 1) })
-		e.Schedule(20, func() { got = append(got, 2) })
-		e.Run()
-		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-			t.Fatalf("events out of order: %v", got)
-		}
-		if e.Now() != 30 {
-			t.Fatalf("clock = %v, want 30", e.Now())
-		}
-		if e.Steps() != 3 {
-			t.Fatalf("steps = %d, want 3", e.Steps())
-		}
-	})
+	e := NewEngine()
+	var got []int
+	e.Schedule(30, func() { got = append(got, 3) })
+	e.Schedule(10, func() { got = append(got, 1) })
+	e.Schedule(20, func() { got = append(got, 2) })
+	e.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("events out of order: %v", got)
+	}
+	if e.Now() != 30 {
+		t.Fatalf("clock = %v, want 30", e.Now())
+	}
 }
 
 func TestEngineFIFOAtSameInstant(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		var got []int
-		for i := 0; i < 10; i++ {
-			i := i
-			e.Schedule(5, func() { got = append(got, i) })
+	e := NewEngine()
+	var got []int
+	for i := 0; i < 10; i++ {
+		i := i
+		e.Schedule(5, func() { got = append(got, i) })
+	}
+	e.Run()
+	if len(got) != 10 {
+		t.Fatalf("ran %d of 10 same-instant events", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("same-instant events not FIFO: %v", got)
 		}
-		e.Run()
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("same-instant events not FIFO: %v", got)
-			}
-		}
-	})
+	}
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		var fired []Time
-		e.Schedule(10, func() {
-			fired = append(fired, e.Now())
-			e.After(5, func() { fired = append(fired, e.Now()) })
-		})
-		e.Run()
-		if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-			t.Fatalf("nested schedule produced %v", fired)
-		}
+	e := NewEngine()
+	var fired []Time
+	e.Schedule(10, func() {
+		fired = append(fired, e.Now())
+		e.Schedule(e.Now()+5, func() { fired = append(fired, e.Now()) })
 	})
+	e.Run()
+	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
+		t.Fatalf("nested schedule produced %v", fired)
+	}
 }
 
-// TestEngineNestedSameInstant pins the coalescing rule: an event scheduled
-// from a callback at the very instant being drained still runs within that
-// drain, after everything scheduled before it.
+// TestEngineNestedSameInstant: an event a callback schedules at Now()
+// runs at that instant, after everything already queued for it.
 func TestEngineNestedSameInstant(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		var got []int
-		e.Schedule(5, func() {
-			got = append(got, 0)
-			e.Schedule(5, func() { got = append(got, 2) })
-		})
-		e.Schedule(5, func() { got = append(got, 1) })
-		e.Run()
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("same-instant nested events ran as %v, want [0 1 2]", got)
-		}
+	e := NewEngine()
+	var got []int
+	e.Schedule(5, func() {
+		got = append(got, 0)
+		e.Schedule(e.Now(), func() { got = append(got, 2) })
 	})
+	e.Schedule(5, func() { got = append(got, 1) })
+	e.Schedule(6, func() { got = append(got, 3) })
+	e.Run()
+	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
+		t.Fatalf("same-instant nested events ran as %v, want [0 1 2 3]", got)
+	}
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		e.Schedule(10, func() {})
-		e.Run()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		ran := 0
-		e.Schedule(10, func() { ran++ })
-		e.Schedule(20, func() { ran++ })
-		e.Schedule(30, func() { ran++ })
-		e.RunUntil(20)
-		if ran != 2 {
-			t.Fatalf("RunUntil(20) ran %d events, want 2", ran)
+	e := NewEngine()
+	e.Schedule(10, func() {})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling in the past did not panic")
 		}
-		if e.Now() != 20 {
-			t.Fatalf("clock = %v, want 20", e.Now())
-		}
-		if e.Pending() != 1 {
-			t.Fatalf("pending = %d, want 1", e.Pending())
-		}
-	})
-}
-
-func TestEngineAdvanceExecutesInterveningEvents(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		ran := false
-		e.Schedule(7, func() { ran = true })
-		e.Advance(10)
-		if !ran {
-			t.Fatal("Advance skipped an intervening event")
-		}
-		if e.Now() != 10 {
-			t.Fatalf("clock = %v, want 10", e.Now())
-		}
-	})
-}
-
-// TestEngineStepAcrossBatches steps one event at a time across a batch
-// boundary: the clock must land on each batch's timestamp exactly when its
-// first event runs, and Step must report false only when drained.
-func TestEngineStepAcrossBatches(t *testing.T) {
-	forEachOracle(t, func(t *testing.T, e Oracle) {
-		var at []Time
-		e.Schedule(10, func() { at = append(at, e.Now()) })
-		e.Schedule(10, func() { at = append(at, e.Now()) })
-		e.Schedule(20, func() { at = append(at, e.Now()) })
-		for i := 0; i < 3; i++ {
-			if !e.Step() {
-				t.Fatalf("Step %d returned false with %d pending", i, e.Pending())
-			}
-		}
-		if e.Step() {
-			t.Fatal("Step returned true on a drained queue")
-		}
-		want := []Time{10, 10, 20}
-		for i, w := range want {
-			if at[i] != w {
-				t.Fatalf("event %d ran at %v, want %v (ran: %v)", i, at[i], w, at)
-			}
-		}
-	})
+	}()
+	e.Schedule(5, func() {})
 }
 
 func TestTimeString(t *testing.T) {

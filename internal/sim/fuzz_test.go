@@ -1,34 +1,73 @@
 package sim_test
 
 import (
+	"sort"
 	"testing"
 
 	"conduit/internal/sim"
-	"conduit/internal/sim/simtest"
 )
 
-// FuzzBucketQueue feeds arbitrary operation scripts to the fast
-// coalescing engine and the reference heap engine and demands identical
-// observable behavior: same callbacks in the same order at the same
-// clock readings, same Now/Steps/Pending after every operation. In
-// particular this pins coalesced-drain == one-by-one drain: scripts mix
-// whole-queue Runs with single Steps and RunUntil cuts, so a batch that
-// drains differently from individually popped events diverges
-// immediately. Seed corpus lives in testdata/fuzz/FuzzBucketQueue.
-func FuzzBucketQueue(f *testing.F) {
-	// Same-timestamp storm: every event at one instant, spawners
-	// appending to the batch being drained.
-	f.Add([]byte{0, 5, 3, 0, 1, 5, 2, 0, 2, 5, 1, 0, 4, 0, 0, 0, 7, 0, 0, 0})
-	// Sparse schedule drained via RunUntil boundaries.
-	f.Add([]byte{0, 31, 0, 7, 3, 16, 0, 0, 5, 31, 0, 0, 6, 63, 0, 0})
-	// Step-heavy: exercises batch open/close transitions.
-	f.Add([]byte{0, 1, 1, 1, 4, 0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 0, 4, 0, 0, 0})
+// FuzzEngineOrder decodes an arbitrary byte script into schedules and
+// checks the engine's one ordering rule: events run in a stable sort of
+// their schedules by time. Four bytes make one operation. Most schedule
+// an event a small delay after the clock; its callback schedules further
+// events at or after Now(), each of which spawns one fewer in turn, so a
+// callback that joins the instant being drained is common. The rest run
+// the engine dry mid-script, after which scheduling resumes from the
+// clock it stopped at. Every event also checks that the clock reads its
+// own time when it runs. Seed corpus lives in
+// testdata/fuzz/FuzzEngineOrder.
+func FuzzEngineOrder(f *testing.F) {
+	// Same-instant storm: spawners append to the instant being drained.
+	f.Add([]byte{0, 5, 3, 0, 1, 5, 2, 0, 2, 5, 1, 0, 3, 0, 0, 0, 7, 0, 0, 0})
+	// Sparse schedule with runs between arrivals.
+	f.Add([]byte{0, 31, 0, 7, 7, 16, 0, 0, 5, 31, 2, 3, 7, 63, 0, 0, 6, 1, 3, 1})
+	// Nested spawns at mixed distances.
+	f.Add([]byte{0, 1, 3, 1, 1, 1, 3, 0, 2, 0, 2, 2, 7, 0, 0, 0, 0, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 4096 {
-			data = data[:4096]
+		const maxEvents = 2048
+		e := sim.NewEngine()
+		var scheduled []sim.Time // each event's time, in schedule order
+		var ran []int
+		var schedule func(at sim.Time, spawn int, spawnDelta sim.Time)
+		schedule = func(at sim.Time, spawn int, spawnDelta sim.Time) {
+			if len(scheduled) == maxEvents {
+				return
+			}
+			id := len(scheduled)
+			scheduled = append(scheduled, at)
+			e.Schedule(at, func() {
+				if e.Now() != at {
+					t.Fatalf("event %d scheduled at %v ran with the clock at %v", id, at, e.Now())
+				}
+				ran = append(ran, id)
+				for k := 0; k < spawn; k++ {
+					schedule(e.Now()+spawnDelta, spawn-1, spawnDelta)
+				}
+			})
 		}
-		if err := simtest.Diff(simtest.DecodeOps(data), 2048); err != nil {
-			t.Fatalf("engines diverged: %v", err)
+		for ; len(data) >= 4; data = data[4:] {
+			if data[0]%8 == 7 {
+				e.Run()
+				continue
+			}
+			schedule(e.Now()+sim.Time(data[1]%32), int(data[2]%4), sim.Time(data[3]%8))
+		}
+		e.Run()
+
+		want := make([]int, len(scheduled))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return scheduled[want[i]] < scheduled[want[j]] })
+		if len(ran) != len(want) {
+			t.Fatalf("ran %d of %d scheduled events", len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i] {
+				t.Fatalf("run %d: event %d (at %v) ran where the stable sort puts event %d (at %v)",
+					i, ran[i], scheduled[ran[i]], want[i], scheduled[want[i]])
+			}
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"conduit/internal/sim"
-	"conduit/internal/sim/simtest"
 )
 
 // quickCfg returns a seeded testing/quick configuration: property
@@ -14,18 +13,6 @@ import (
 // contract for everything under test.
 func quickCfg(seed int64, max int) *quick.Config {
 	return &quick.Config{Rand: rand.New(rand.NewSource(seed)), MaxCount: max}
-}
-
-// TestPropertyCoalescedDrainEqualsStepDrain: for any operation script,
-// the coalescing engine's batched drain is observationally identical to
-// the reference engine's one-event-at-a-time heap drain.
-func TestPropertyCoalescedDrainEqualsStepDrain(t *testing.T) {
-	f := func(raw []byte) bool {
-		return simtest.Diff(simtest.DecodeOps(raw), 1024) == nil
-	}
-	if err := quick.Check(f, quickCfg(1, 300)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPropertyReserveMonotone: horizons never move backward, every
