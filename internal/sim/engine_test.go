@@ -6,79 +6,107 @@ import (
 	"testing/quick"
 )
 
+// forEachStart runs a case from two starting states of the engine. The
+// "heap" subtest uses a fresh engine. The "bucket" subtest uses one that
+// has already drained a bucket of events at instant zero: its clock is
+// still zero, but its heap's backing array has grown and emptied, and
+// its sequence counter no longer starts at one. The subtest names date
+// from when the cases ran on two engines, a binary heap and a coalescing
+// engine that queued one bucket per instant.
+func forEachStart(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	t.Run("bucket", func(t *testing.T) {
+		e := NewEngine()
+		ran := 0
+		for i := 0; i < 8; i++ {
+			e.Schedule(0, func() { ran++ })
+		}
+		e.Run()
+		if ran != 8 || e.Now() != 0 {
+			t.Fatalf("warm-up bucket ran %d of 8 events, clock %v", ran, e.Now())
+		}
+		fn(t, e)
+	})
+	t.Run("heap", func(t *testing.T) { fn(t, NewEngine()) })
+}
+
 func TestEngineOrdersEventsByTime(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
-	e.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("events out of order: %v", got)
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", e.Now())
-	}
+	forEachStart(t, func(t *testing.T, e *Engine) {
+		var got []int
+		e.Schedule(30, func() { got = append(got, 3) })
+		e.Schedule(10, func() { got = append(got, 1) })
+		e.Schedule(20, func() { got = append(got, 2) })
+		e.Run()
+		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+			t.Fatalf("events out of order: %v", got)
+		}
+		if e.Now() != 30 {
+			t.Fatalf("clock = %v, want 30", e.Now())
+		}
+	})
 }
 
 func TestEngineFIFOAtSameInstant(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { got = append(got, i) })
-	}
-	e.Run()
-	if len(got) != 10 {
-		t.Fatalf("ran %d of 10 same-instant events", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-instant events not FIFO: %v", got)
+	forEachStart(t, func(t *testing.T, e *Engine) {
+		var got []int
+		for i := 0; i < 10; i++ {
+			i := i
+			e.Schedule(5, func() { got = append(got, i) })
 		}
-	}
+		e.Run()
+		if len(got) != 10 {
+			t.Fatalf("ran %d of 10 same-instant events", len(got))
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("same-instant events not FIFO: %v", got)
+			}
+		}
+	})
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() {
-		fired = append(fired, e.Now())
-		e.Schedule(e.Now()+5, func() { fired = append(fired, e.Now()) })
+	forEachStart(t, func(t *testing.T, e *Engine) {
+		var fired []Time
+		e.Schedule(10, func() {
+			fired = append(fired, e.Now())
+			e.Schedule(e.Now()+5, func() { fired = append(fired, e.Now()) })
+		})
+		e.Run()
+		if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
+			t.Fatalf("nested schedule produced %v", fired)
+		}
 	})
-	e.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Fatalf("nested schedule produced %v", fired)
-	}
 }
 
 // TestEngineNestedSameInstant: an event a callback schedules at Now()
 // runs at that instant, after everything already queued for it.
 func TestEngineNestedSameInstant(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(5, func() {
-		got = append(got, 0)
-		e.Schedule(e.Now(), func() { got = append(got, 2) })
+	forEachStart(t, func(t *testing.T, e *Engine) {
+		var got []int
+		e.Schedule(5, func() {
+			got = append(got, 0)
+			e.Schedule(e.Now(), func() { got = append(got, 2) })
+		})
+		e.Schedule(5, func() { got = append(got, 1) })
+		e.Schedule(6, func() { got = append(got, 3) })
+		e.Run()
+		if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
+			t.Fatalf("same-instant nested events ran as %v, want [0 1 2 3]", got)
+		}
 	})
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(6, func() { got = append(got, 3) })
-	e.Run()
-	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
-		t.Fatalf("same-instant nested events ran as %v, want [0 1 2 3]", got)
-	}
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(5, func() {})
+	forEachStart(t, func(t *testing.T, e *Engine) {
+		e.Schedule(10, func() {})
+		e.Run()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("scheduling in the past did not panic")
+			}
+		}()
+		e.Schedule(5, func() {})
+	})
 }
 
 func TestTimeString(t *testing.T) {
