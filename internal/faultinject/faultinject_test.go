@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -26,6 +27,19 @@ func drive(in *Injector) []string {
 	}
 	return out
 }
+
+// drawSeams draws every seam once for one attempt of workload: the
+// dispatch, then on each of the shards a fork acquisition and a shard run.
+func drawSeams(in *Injector, workload string, shards, attempt int) {
+	in.Dispatch(workload, attempt)
+	for shard := 0; shard < shards; shard++ {
+		in.Fork(workload, shard, attempt)
+		in.Shard(workload, shard, attempt)
+	}
+}
+
+// writeLog renders faults in the fault log's on-disk form.
+func writeLog(w io.Writer, faults []Fault) error { return Write(w, faults) }
 
 var chaosCfg = Config{
 	Seed:      7,
