@@ -60,6 +60,7 @@ import (
 
 	conduit "conduit"
 	"conduit/internal/drive"
+	"conduit/internal/jsonl"
 	"conduit/internal/loadgen"
 	"conduit/internal/router"
 	"conduit/internal/serve"
@@ -108,8 +109,8 @@ func main() {
 	if o.Replay == "" {
 		names, err = o.Workloads()
 	} else {
-		if schedule, err = loadgen.ReadFile(o.Replay); err != nil {
-			die(2, "%v", err)
+		if schedule, err = jsonl.ReadFile[loadgen.Event](o.Replay, nil); err != nil {
+			die(2, "replay: %v", err)
 		}
 		if len(schedule) == 0 {
 			die(2, "trace %s is empty", o.Replay)
@@ -178,7 +179,7 @@ func main() {
 
 	if rec != nil {
 		events := rec.Events()
-		if err := loadgen.WriteFile(o.Record, events); err != nil {
+		if err := jsonl.WriteFile(o.Record, events); err != nil {
 			die(1, "record: %v", err)
 		}
 		fmt.Printf("recorded %d-event trace -> %s\n", len(events), o.Record)
@@ -186,7 +187,7 @@ func main() {
 	if o.TraceJSONL != "" || o.Trace != "" {
 		spans := srv.Tracer().Spans()
 		if o.TraceJSONL != "" {
-			err := drive.WriteFile(o.TraceJSONL, func(w io.Writer) error { return trace.WriteJSONL(w, spans) })
+			err := drive.WriteFile(o.TraceJSONL, func(w io.Writer) error { return jsonl.Write(w, spans) })
 			if err != nil {
 				die(1, "tracejsonl: %v", err)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"conduit/internal/cluster"
 	"conduit/internal/faultinject"
+	"conduit/internal/jsonl"
 	"conduit/internal/serve"
 	"conduit/internal/sim"
 	"conduit/internal/trace"
@@ -30,12 +31,12 @@ type (
 	BreakerStatus = faultinject.BreakerStatus
 )
 
-// WriteFaultLog and ReadFaultLog round-trip a recorded fault schedule
-// through JSONL, one fault per line (see internal/faultinject).
-var (
-	WriteFaultLog = faultinject.WriteFile
-	ReadFaultLog  = faultinject.ReadFile
-)
+// WriteFaultLog records a fault schedule to path as JSONL, one fault per
+// line (internal/jsonl); ReadFaultLog loads one for ReplayFaults.
+func WriteFaultLog(path string, faults []Fault) error { return jsonl.WriteFile(path, faults) }
+
+// ReadFaultLog loads the JSONL fault schedule at path.
+func ReadFaultLog(path string) ([]Fault, error) { return jsonl.ReadFile[Fault](path, nil) }
 
 // FaultsAtRate maps one master fault rate onto the per-seam injection
 // rates the availability experiment and conduit-serve -faults share:
@@ -168,10 +169,10 @@ func (r *resilient) run(policy string, sp *trace.Span) (*RunResult, serve.Recove
 	max := r.rec.maxAttempts()
 	var penalty Time
 	for attempt := 1; ; attempt++ {
-		if r.inj.Dispatch(r.name, attempt) {
+		if f := r.inj.Draw(faultinject.Serve, r.name, 0, attempt); f.Kind != "" {
 			rec.Injected++
 			sp.Event("fault_injected", int64(penalty),
-				trace.Attr{Key: "kind", Value: "dispatch-error"})
+				trace.Attr{Key: "kind", Value: string(f.Kind)})
 			if attempt >= max {
 				return nil, rec, fmt.Errorf("conduit: dispatch %s: backend error after %d attempts: %w",
 					r.name, attempt, ErrInjected)
@@ -328,9 +329,10 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 	// offset of their own: the draws happen "at" the attempt, and the
 	// deterministic offsets of interest (backoff penalties) live on the
 	// surrounding retry events.
-	inject := func(kind string) {
+	inject := func(kind faultinject.Kind) {
+		rec.Injected++
 		sp.Event("fault_injected", 0,
-			trace.Attr{Key: "kind", Value: kind},
+			trace.Attr{Key: "kind", Value: string(kind)},
 			trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt)})
 	}
 	run := func() (*RunResult, error) { return dep.runAttempt(policy, sp, strconv.Itoa(attempt)) }
@@ -340,14 +342,12 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 		res, err := guardShardRun(shard, run)
 		return res, 0, err
 	}
-	if fd := r.inj.Fork(r.name, shard, attempt); fd.Fail || fd.Poison {
-		rec.Injected++
-		if fd.Fail {
-			inject("fork-fail")
+	if f := r.inj.Draw(faultinject.Pool, r.name, shard, attempt); f.Kind != "" {
+		inject(f.Kind)
+		if f.Kind == faultinject.KindForkFail {
 			return nil, 0, fmt.Errorf("conduit: %s shard %d: fork acquisition failed: %w",
 				r.name, shard, ErrInjected)
 		}
-		inject("poison-fork")
 		// A poisoned clone really consumes a fork, is found unusable, and
 		// is discarded; the pool quarantines the slot and repairs it by
 		// re-cloning in the background.
@@ -362,10 +362,9 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 		return nil, 0, fmt.Errorf("conduit: %s shard %d: poisoned fork: %w",
 			r.name, shard, ErrInjected)
 	}
-	sd := r.inj.Shard(r.name, shard, attempt)
-	if sd.Panic {
-		rec.Injected++
-		inject("shard-panic")
+	f := r.inj.Draw(faultinject.Device, r.name, shard, attempt)
+	if f.Kind == faultinject.KindPanic {
+		inject(f.Kind)
 		_, err := guardShardRun(shard, func() (*RunResult, error) {
 			panic(fmt.Sprintf("faultinject: injected panic (%s shard %d attempt %d)", r.name, shard, attempt))
 		})
@@ -375,20 +374,17 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 	if err != nil {
 		return nil, 0, err
 	}
-	if sd.Slowdown > 1 {
-		res.Elapsed = Time(float64(res.Elapsed) * sd.Slowdown)
+	if f.Slowdown > 1 {
+		res.Elapsed = Time(float64(res.Elapsed) * f.Slowdown)
 	}
-	if sd.Fail {
+	if f.Kind != "" {
+		inject(f.Kind)
+	}
+	if f.Kind == faultinject.KindShardFail {
 		// The run completed but its result is injected-lost; its (possibly
 		// degraded) simulated time was still burnt and charges the retry.
-		rec.Injected++
-		inject("shard-fail")
 		return nil, res.Elapsed, fmt.Errorf("conduit: %s shard %d: shard run failed: %w",
 			r.name, shard, ErrInjected)
-	}
-	if sd.Slowdown > 1 {
-		rec.Injected++
-		inject("slow-shard")
 	}
 	return res, 0, nil
 }

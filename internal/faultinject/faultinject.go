@@ -1,7 +1,8 @@
 package faultinject
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"conduit/internal/sim"
@@ -73,23 +74,48 @@ type Fault struct {
 	Slowdown float64 `json:"slowdown,omitempty"`
 }
 
-// ForkDecision is the pool-seam outcome for one fork acquisition.
-type ForkDecision struct {
-	// Fail refuses the acquisition outright; no device is obtained.
-	Fail bool
-	// Poison hands out a fork that turns out to be unusable; the
-	// acquisition consumed a clone and the pool should quarantine.
-	Poison bool
+// Seam names one injection point of the serving stack.
+type Seam int
+
+// The three seams, one row of seams each.
+const (
+	Serve  Seam = iota // serve-level dispatch of a request
+	Pool               // pool-level fork acquisition on a shard
+	Device             // device-level shard run
+)
+
+// seams is the one table of injection points. A seam's sites are named
+// prefix+workload, with "#shard" appended on a sharded seam, and each
+// draw takes one uniform per kind in the order listed. That order is also
+// the precedence: the first kind whose uniform falls under its rate is
+// the fault injected.
+var seams = [...]struct {
+	prefix  string
+	sharded bool
+	kinds   []Kind
+}{
+	Serve:  {"serve|", false, []Kind{KindBackend}},
+	Pool:   {"pool|", true, []Kind{KindForkFail, KindPoison}},
+	Device: {"dev|", true, []Kind{KindPanic, KindShardFail, KindSlow}},
 }
 
-// ShardDecision is the device-seam outcome for one shard run attempt.
-type ShardDecision struct {
-	// Panic makes the run panic mid-flight.
-	Panic bool
-	// Fail discards the run's result after it executed.
-	Fail bool
-	// Slowdown, when > 1, multiplies the run's simulated elapsed time.
-	Slowdown float64
+// site names the injection site of a draw at seam s.
+func (s Seam) site(workload string, shard int) string {
+	if !seams[s].sharded {
+		return seams[s].prefix + workload
+	}
+	return seams[s].prefix + workload + "#" + strconv.Itoa(shard)
+}
+
+// slowed reports whether a fault of kind k carries the run's slowdown: a
+// slow run does, and so does a failed one, whose discarded attempt burnt
+// its degraded time.
+func (k Kind) slowed() bool { return k == KindShardFail || k == KindSlow }
+
+// siteSeq identifies one decision: the seq'th draw at a site.
+type siteSeq struct {
+	site string
+	seq  int64
 }
 
 // siteState is one injection site's private decision stream.
@@ -99,8 +125,8 @@ type siteState struct {
 }
 
 // An Injector draws the fault schedule. A nil *Injector is the disabled
-// layer: every decision method returns the zero decision without
-// touching any state, so fault-free paths pay one nil check.
+// layer: Draw returns the zero Fault without touching any state, so
+// fault-free paths pay one nil check.
 //
 // An Injector is safe for concurrent use; decisions at distinct sites
 // are independent substreams, so concurrency across sites cannot
@@ -108,31 +134,30 @@ type siteState struct {
 type Injector struct {
 	mu    sync.Mutex
 	cfg   Config
+	rates map[Kind]float64 // cfg's per-draw probability of each kind
 	sites map[string]*siteState
 	// replay, when non-nil, overrides the RNG: decision (site, seq)
 	// fires iff the recorded log fired there.
-	replay map[string]map[int64]Fault
+	replay map[siteSeq]Fault
 	log    []Fault
 	seq    int64
 }
 
 // New builds a live injector drawing from cfg's seeded streams.
 func New(cfg Config) *Injector {
-	return &Injector{cfg: cfg, sites: make(map[string]*siteState)}
+	return &Injector{cfg: cfg, sites: make(map[string]*siteState), rates: map[Kind]float64{
+		KindBackend: cfg.BackendError, KindForkFail: cfg.ForkFail, KindPoison: cfg.PoisonFork,
+		KindPanic: cfg.PanicRate, KindShardFail: cfg.ShardFail, KindSlow: cfg.SlowShard,
+	}}
 }
 
 // NewReplay builds an injector that replays a recorded fault log: the
 // i'th decision at each site fires exactly as recorded, independent of
 // any rate configuration. Decisions beyond the log inject nothing.
 func NewReplay(faults []Fault) *Injector {
-	in := &Injector{sites: make(map[string]*siteState), replay: make(map[string]map[int64]Fault)}
+	in := &Injector{sites: make(map[string]*siteState), replay: make(map[siteSeq]Fault, len(faults))}
 	for _, f := range faults {
-		m := in.replay[f.Site]
-		if m == nil {
-			m = make(map[int64]Fault)
-			in.replay[f.Site] = m
-		}
-		m[f.SiteSeq] = f
+		in.replay[siteSeq{f.Site, f.SiteSeq}] = f
 	}
 	return in
 }
@@ -178,146 +203,60 @@ func (in *Injector) site(name string) *siteState {
 	return st
 }
 
-// record appends one injected fault to the log; caller holds in.mu.
-func (in *Injector) record(f Fault) {
+// record appends one injected fault to the log and returns it as
+// logged; caller holds in.mu.
+func (in *Injector) record(f Fault) Fault {
 	f.Seq = in.seq
 	in.seq++
 	in.log = append(in.log, f)
+	return f
 }
 
-// Dispatch draws the serve-level seam for one dispatch attempt of
-// workload: true means the dispatch errors before reaching the
-// application.
-func (in *Injector) Dispatch(workload string, attempt int) bool {
+// Draw decides one attempt at seam s for workload (and shard, on a
+// sharded seam) and returns the injected fault as logged, or the zero
+// Fault when none fires. A live injector consumes one uniform per kind
+// of the seam on every call, so a site's stream position is a function
+// of its call count alone; a slow draw at a SlowFactor of 1 injects
+// nothing. A replay injector fires the recorded fault at (site,
+// site_seq) if its kind belongs to the seam, and ignores it otherwise.
+func (in *Injector) Draw(s Seam, workload string, shard, attempt int) Fault {
 	if in == nil {
-		return false
+		return Fault{}
 	}
+	site := s.site(workload, shard)
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	site := "serve|" + workload
 	st := in.site(site)
 	seq := st.seq
 	st.seq++
 	if in.replay != nil {
-		f, ok := in.replay[site][seq]
-		if !ok || f.Kind != KindBackend {
-			return false
+		f, ok := in.replay[siteSeq{site, seq}]
+		if !ok || !slices.Contains(seams[s].kinds, f.Kind) {
+			return Fault{}
 		}
-		in.record(f)
-		return true
+		return in.record(f)
 	}
-	if st.rng.Float64() >= in.cfg.BackendError {
-		return false
+	f := Fault{Site: site, SiteSeq: seq, Workload: workload, Attempt: attempt}
+	if seams[s].sharded {
+		f.Shard = shard
 	}
-	in.record(Fault{Site: site, SiteSeq: seq, Kind: KindBackend, Workload: workload, Attempt: attempt})
-	return true
-}
-
-// Fork draws the pool seam for one fork acquisition on a shard. Exactly
-// two uniforms are consumed per call regardless of the outcome, so the
-// stream position is a function of the call count alone.
-func (in *Injector) Fork(workload string, shard, attempt int) ForkDecision {
-	if in == nil {
-		return ForkDecision{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	site := fmt.Sprintf("pool|%s#%d", workload, shard)
-	st := in.site(site)
-	seq := st.seq
-	st.seq++
-	if in.replay != nil {
-		f, ok := in.replay[site][seq]
-		if !ok {
-			return ForkDecision{}
+	var slowdown float64
+	for _, k := range seams[s].kinds {
+		if st.rng.Float64() >= in.rates[k] {
+			continue
 		}
-		var d ForkDecision
-		switch f.Kind {
-		case KindForkFail:
-			d.Fail = true
-		case KindPoison:
-			d.Poison = true
-		default:
-			return ForkDecision{}
+		if k == KindSlow {
+			slowdown = in.cfg.slowFactor()
 		}
-		in.record(f)
-		return d
-	}
-	pFail := st.rng.Float64()
-	pPoison := st.rng.Float64()
-	f := Fault{Site: site, SiteSeq: seq, Workload: workload, Shard: shard, Attempt: attempt}
-	switch {
-	case pFail < in.cfg.ForkFail:
-		f.Kind = KindForkFail
-		in.record(f)
-		return ForkDecision{Fail: true}
-	case pPoison < in.cfg.PoisonFork:
-		f.Kind = KindPoison
-		in.record(f)
-		return ForkDecision{Poison: true}
-	}
-	return ForkDecision{}
-}
-
-// Shard draws the device seam for one shard run attempt. Exactly three
-// uniforms are consumed per call; when several faults fire at once the
-// precedence is panic > fail > slow (a failed run may still carry a
-// Slowdown — the discarded attempt's charged cost is the degraded one).
-func (in *Injector) Shard(workload string, shard, attempt int) ShardDecision {
-	if in == nil {
-		return ShardDecision{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	site := fmt.Sprintf("dev|%s#%d", workload, shard)
-	st := in.site(site)
-	seq := st.seq
-	st.seq++
-	if in.replay != nil {
-		f, ok := in.replay[site][seq]
-		if !ok {
-			return ShardDecision{}
+		if f.Kind == "" {
+			f.Kind = k
 		}
-		var d ShardDecision
-		switch f.Kind {
-		case KindPanic:
-			d.Panic = true
-		case KindShardFail:
-			d.Fail = true
-			d.Slowdown = f.Slowdown
-		case KindSlow:
-			d.Slowdown = f.Slowdown
-		default:
-			return ShardDecision{}
-		}
-		in.record(f)
-		return d
 	}
-	pPanic := st.rng.Float64()
-	pFail := st.rng.Float64()
-	pSlow := st.rng.Float64()
-	var d ShardDecision
-	if pSlow < in.cfg.SlowShard {
-		d.Slowdown = in.cfg.slowFactor()
+	if f.Kind.slowed() {
+		f.Slowdown = slowdown
 	}
-	if pFail < in.cfg.ShardFail {
-		d.Fail = true
+	if f.Kind == "" || f.Kind == KindSlow && f.Slowdown <= 1 {
+		return Fault{}
 	}
-	if pPanic < in.cfg.PanicRate {
-		d = ShardDecision{Panic: true}
-	}
-	f := Fault{Site: site, SiteSeq: seq, Workload: workload, Shard: shard, Attempt: attempt, Slowdown: d.Slowdown}
-	switch {
-	case d.Panic:
-		f.Kind = KindPanic
-		f.Slowdown = 0
-		in.record(f)
-	case d.Fail:
-		f.Kind = KindShardFail
-		in.record(f)
-	case d.Slowdown > 1:
-		f.Kind = KindSlow
-		in.record(f)
-	}
-	return d
+	return in.record(f)
 }

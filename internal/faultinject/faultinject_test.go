@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"conduit/internal/jsonl"
 	"conduit/internal/sim"
 )
 
@@ -17,10 +18,10 @@ func drive(in *Injector) []string {
 	var out []string
 	for req := 0; req < 50; req++ {
 		for attempt := 1; attempt <= 2; attempt++ {
-			out = append(out, fmt.Sprintf("dispatch=%v", in.Dispatch("w", attempt)))
+			out = append(out, fmt.Sprintf("dispatch=%+v", in.Draw(Serve, "w", 0, attempt)))
 			for shard := 0; shard < 2; shard++ {
-				fd := in.Fork("w", shard, attempt)
-				sd := in.Shard("w", shard, attempt)
+				fd := in.Draw(Pool, "w", shard, attempt)
+				sd := in.Draw(Device, "w", shard, attempt)
 				out = append(out, fmt.Sprintf("s%d fork=%+v shard=%+v", shard, fd, sd))
 			}
 		}
@@ -31,15 +32,15 @@ func drive(in *Injector) []string {
 // drawSeams draws every seam once for one attempt of workload: the
 // dispatch, then on each of the shards a fork acquisition and a shard run.
 func drawSeams(in *Injector, workload string, shards, attempt int) {
-	in.Dispatch(workload, attempt)
+	in.Draw(Serve, workload, 0, attempt)
 	for shard := 0; shard < shards; shard++ {
-		in.Fork(workload, shard, attempt)
-		in.Shard(workload, shard, attempt)
+		in.Draw(Pool, workload, shard, attempt)
+		in.Draw(Device, workload, shard, attempt)
 	}
 }
 
 // writeLog renders faults in the fault log's on-disk form.
-func writeLog(w io.Writer, faults []Fault) error { return Write(w, faults) }
+func writeLog(w io.Writer, faults []Fault) error { return jsonl.Write(w, faults) }
 
 var chaosCfg = Config{
 	Seed:      7,
@@ -72,39 +73,42 @@ func TestInjectorDeterministic(t *testing.T) {
 // the property that keeps concurrent shards deterministic.
 func TestInjectorSitesIndependent(t *testing.T) {
 	solo := New(chaosCfg)
-	var want []ShardDecision
+	var want []Fault
 	for i := 0; i < 40; i++ {
-		want = append(want, solo.Shard("w", 0, 1))
+		want = append(want, solo.Draw(Device, "w", 0, 1))
 	}
 	mixed := New(chaosCfg)
-	var got []ShardDecision
+	var got []Fault
 	for i := 0; i < 40; i++ {
 		// Interleave draws at other sites between every shard-0 draw.
-		mixed.Dispatch("w", 1)
-		mixed.Fork("w", 1, 1)
-		mixed.Shard("w", 1, 1)
-		got = append(got, mixed.Shard("w", 0, 1))
+		mixed.Draw(Serve, "w", 0, 1)
+		mixed.Draw(Pool, "w", 1, 1)
+		mixed.Draw(Device, "w", 1, 1)
+		f := mixed.Draw(Device, "w", 0, 1)
+		f.Seq = want[i].Seq // capture order counts the other sites' faults too
+		got = append(got, f)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("shard-0 schedule perturbed by draws at other sites")
 	}
 }
 
-// TestInjectorZeroRatesInjectNothing: the wired-in-but-idle layer.
+// TestInjectorZeroRatesInjectNothing: the wired-in-but-idle layer draws
+// at every seam and injects nothing.
 func TestInjectorZeroRatesInjectNothing(t *testing.T) {
 	in := New(Config{Seed: 3})
-	for _, line := range drive(in) {
-		if line != "dispatch=false" &&
-			line != "s0 fork={Fail:false Poison:false} shard={Panic:false Fail:false Slowdown:0}" &&
-			line != "s1 fork={Fail:false Poison:false} shard={Panic:false Fail:false Slowdown:0}" {
-			t.Fatalf("zero-rate injector produced a fault: %s", line)
+	for req := 0; req < 50; req++ {
+		for _, s := range []Seam{Serve, Pool, Device} {
+			if f := in.Draw(s, "w", req%2, 1); f != (Fault{}) {
+				t.Fatalf("zero-rate injector produced a fault: %+v", f)
+			}
 		}
 	}
 	if n := len(in.Log()); n != 0 {
 		t.Fatalf("zero-rate injector logged %d faults", n)
 	}
 	var nilIn *Injector
-	if nilIn.Dispatch("w", 1) || nilIn.Log() != nil {
+	if nilIn.Draw(Serve, "w", 0, 1) != (Fault{}) || nilIn.Log() != nil {
 		t.Fatal("nil injector not inert")
 	}
 }
@@ -131,10 +135,10 @@ func TestFaultLogRoundTrip(t *testing.T) {
 	drive(live)
 	faults := live.Log()
 	var buf bytes.Buffer
-	if err := Write(&buf, faults); err != nil {
+	if err := jsonl.Write(&buf, faults); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := jsonl.Read[Fault](&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +157,17 @@ func TestInjectorConcurrentSafe(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				in.Shard("w", g, 1)
-				in.Fork("w", g, 1)
+				in.Draw(Device, "w", g, 1)
+				in.Draw(Pool, "w", g, 1)
 			}
 		}(g)
 	}
 	wg.Wait()
 	// Per-site replay identity: site g's decisions must match a solo run.
 	solo := New(chaosCfg)
-	var want []ShardDecision
 	for i := 0; i < 100; i++ {
-		want = append(want, solo.Shard("w", 2, 1))
-		solo.Fork("w", 2, 1)
+		solo.Draw(Device, "w", 2, 1)
+		solo.Draw(Pool, "w", 2, 1)
 	}
 	perSite := map[string][]Fault{}
 	for _, f := range in.Log() {

@@ -16,7 +16,7 @@
 // Determinism is the organizing constraint, exactly as in the simulator:
 // every stochastic choice draws from a SplitMix64 substream derived with
 // Stream, so the same Spec always yields the identical event sequence,
-// and a recorded trace (JSONL, one Event per line — see Read/Write) is a
+// and a recorded trace (JSONL, one Event per line, through internal/jsonl) is a
 // reproducible artifact: replaying it re-issues the identical request
 // sequence with the recorded arrival spacing, optionally time-scaled.
 package loadgen

@@ -1,11 +1,6 @@
 package loadgen
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -26,64 +21,6 @@ type Event struct {
 	// Deadline is the request's latency budget from submission (its SLO);
 	// 0 means none.
 	Deadline time.Duration `json:"deadline,omitempty"`
-}
-
-// Write emits events as JSONL: one JSON object per line, in slice order.
-func Write(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return fmt.Errorf("loadgen: write trace event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// Read parses a JSONL trace, skipping blank lines. Errors name the
-// offending line.
-func Read(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("loadgen: trace line %d: %w", line, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("loadgen: read trace: %w", err)
-	}
-	return events, nil
-}
-
-// WriteFile records events to path (overwriting).
-func WriteFile(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile loads a JSONL trace from path.
-func ReadFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // A Recorder captures a live run as a trace: each issued request is

@@ -19,23 +19,6 @@ func SortSpans(spans []*Span) {
 	})
 }
 
-// WriteJSONL writes one JSON object per span, in the order given.
-// Wall-clock fields are omitted when zero, so a tracer armed without a
-// clock produces byte-identical output across runs of one schedule.
-func WriteJSONL(w io.Writer, spans []*Span) error {
-	for _, sp := range spans {
-		b, err := json.Marshal(sp)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Process groups spans under one named process for the Perfetto export:
 // the serving CLI uses a single process, the router uses one per target
 // plus one for itself.

@@ -58,7 +58,7 @@ type Event struct {
 // Span is one timed operation in a trace. Exported fields are written
 // once while the span is open and read only after it ends (or under the
 // span's lock via the mutating methods), and they marshal directly to
-// the JSONL export format.
+// the span JSONL export (internal/jsonl, one span per line).
 type Span struct {
 	TraceID uint64 `json:"trace_id"`
 	ID      uint64 `json:"span_id"`

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"conduit/internal/jsonl"
 )
 
 // driveTrace records one representative request trace: a root, two
@@ -33,7 +35,7 @@ func driveTrace(t *Tracer, id uint64, swap bool) {
 func exportJSONL(t *testing.T, tr *Tracer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr.Spans()); err != nil {
+	if err := jsonl.Write(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"conduit/internal/jsonl"
 	"conduit/internal/metrics"
 	"conduit/internal/router"
 	"conduit/internal/trace"
@@ -46,7 +47,7 @@ func tracedFleetRun(t *testing.T) ([]byte, []*trace.Span, map[string][]*trace.Sp
 	remote := rt.RemoteSpans()
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "# process router")
-	if err := trace.WriteJSONL(&buf, tracer.Spans()); err != nil {
+	if err := jsonl.Write(&buf, tracer.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	targets := make([]string, 0, len(remote))
@@ -58,7 +59,7 @@ func tracedFleetRun(t *testing.T) ([]byte, []*trace.Span, map[string][]*trace.Sp
 		spans := remote[name]
 		trace.SortSpans(spans)
 		fmt.Fprintf(&buf, "# process target %s\n", name)
-		if err := trace.WriteJSONL(&buf, spans); err != nil {
+		if err := jsonl.Write(&buf, spans); err != nil {
 			t.Fatal(err)
 		}
 	}

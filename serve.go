@@ -448,7 +448,7 @@ func (s *Server) PoolStats() map[string]PoolStats {
 // Tracer returns the server's request tracer, or nil when ServeOptions.
 // Trace was not set. Retained traces are read via Tracer().Spans() (or
 // per-trace via Traces()); exporting is the caller's business — see
-// trace.WriteJSONL and trace.WritePerfetto.
+// jsonl.Write and trace.WritePerfetto.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Metrics snapshots the server's unified metrics registry: per-tenant

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	conduit "conduit"
+	"conduit/internal/jsonl"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
 )
@@ -74,7 +75,7 @@ func TestTraceSameSeedByteIdentical(t *testing.T) {
 		}
 		spans := srv.Tracer().Spans()
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, spans); err != nil {
+		if err := jsonl.Write(&buf, spans); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), spans
