@@ -32,11 +32,14 @@ type (
 )
 
 // WriteFaultLog records a fault schedule to path as JSONL, one fault per
-// line (internal/jsonl); ReadFaultLog loads one for ReplayFaults.
+// line (internal/jsonl).
 func WriteFaultLog(path string, faults []Fault) error { return jsonl.WriteFile(path, faults) }
 
-// ReadFaultLog loads the JSONL fault schedule at path.
-func ReadFaultLog(path string) ([]Fault, error) { return jsonl.ReadFile[Fault](path, nil) }
+// ReadFaultLog loads a fault schedule for ServeOptions.ReplayFaults. It
+// refuses, naming the line, any record an injector could not have
+// written (faultinject.Check): a replay cannot inject a fault, or a
+// slowdown, that no live run could draw.
+func ReadFaultLog(path string) ([]Fault, error) { return jsonl.ReadFile(path, faultinject.Check) }
 
 // FaultsAtRate maps one master fault rate onto the per-seam injection
 // rates the availability experiment and conduit-serve -faults share:

@@ -2,6 +2,7 @@ package conduit
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -188,4 +189,58 @@ func mustCompile(t *testing.T, sys *System, w workloads.Named) *Compiled {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// FuzzFaultReplay feeds arbitrary bytes to ReadFaultLog and replays
+// whatever it accepts through every seam of a single-device deployment
+// and of a two-shard cluster, each behind the full recovery ladder: no
+// input panics the caller, and no served result has a negative Elapsed.
+func FuzzFaultReplay(f *testing.F) {
+	for _, seed := range []string{
+		`{"site":"serve|jacobi-1d","site_seq":0,"kind":"backend","workload":"jacobi-1d","attempt":1}`,
+		`{"site":"pool|jacobi-1d#0","site_seq":0,"kind":"poison","workload":"jacobi-1d","attempt":1}` + "\n" +
+			`{"site":"pool|jacobi-1d#1","site_seq":1,"kind":"fork-fail","workload":"jacobi-1d","shard":1,"attempt":2}`,
+		`{"site":"dev|jacobi-1d#0","site_seq":0,"kind":"slow","workload":"jacobi-1d","attempt":1,"slowdown":1000}` + "\n" +
+			`{"site":"dev|jacobi-1d#1","site_seq":0,"kind":"shard-fail","workload":"jacobi-1d","shard":1,"attempt":1,"slowdown":1000}`,
+		`{"site":"dev|jacobi-1d#1","site_seq":1,"kind":"panic","workload":"jacobi-1d","shard":1,"attempt":1}`,
+		`{"site":"dev|jacobi-1d#0","site_seq":0,"kind":"slow","workload":"jacobi-1d","attempt":1,"slowdown":1e300}`,
+		`{"site":"dev|jacobi-1d#0","site_seq":0,"kind":"slow","workload":"jacobi-1d","attempt":1,"slowdown":-3}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	w, _ := workloads.Find("jacobi-1d", 1)
+	sys := NewSystem(DefaultConfig())
+	c, err := Compile(w.Source, &sys.cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dep, err := sys.Deploy(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cl, err := sys.DeployCluster(w.Source, ClusterOptions{Shards: 2, Prefork: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(cl.Close)
+	apps := []application{dep, cl}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "faults.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		faults, err := ReadFaultLog(path)
+		if err != nil {
+			return
+		}
+		for _, app := range apps {
+			r := newResilient("jacobi-1d", app, faultinject.NewReplay(faults), RecoveryOptions{
+				MaxAttempts: 3, Hedge: true, BreakerThreshold: 2, FallbackPolicy: "CPU"})
+			for i := 0; i < 3; i++ {
+				if res, _, err := r.run("Conduit", nil); err == nil && res.Elapsed < 0 {
+					t.Fatalf("request %d served with Elapsed %v", i, res.Elapsed)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package conduit_test
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -132,6 +133,44 @@ func TestChaosFaultLogRoundTripsThroughFile(t *testing.T) {
 			t.Fatalf("request %d: file-replayed outcome diverged:\n recorded: %s\n replayed: %s",
 				i, recorded[i], replayed[i])
 		}
+	}
+}
+
+// TestReadFaultLogRefusesImpossibleRecords: ReadFaultLog refuses, by
+// line number, every record an injector could not have written, and
+// accepts the edge records it can write.
+func TestReadFaultLogRefusesImpossibleRecords(t *testing.T) {
+	const valid = `{"seq":0,"site":"dev|aes#1","site_seq":2,"kind":"shard-fail","workload":"aes","shard":1,"attempt":1,"slowdown":1}`
+	for _, c := range []struct{ name, line, want string }{
+		{"kind of another seam", `{"site":"pool|aes#0","site_seq":0,"kind":"panic","workload":"aes","attempt":1}`, "no seam injects"},
+		{"unknown kind", `{"site":"serve|aes","site_seq":0,"kind":"stall","workload":"aes","attempt":1}`, "no seam injects"},
+		{"site of another workload", `{"site":"serve|aes","site_seq":0,"kind":"backend","workload":"xor","attempt":1}`, "no seam injects"},
+		{"site of another shard", `{"site":"dev|aes#1","site_seq":0,"kind":"panic","workload":"aes","attempt":1}`, "no seam injects"},
+		{"shard on an unsharded seam", `{"site":"serve|aes","site_seq":0,"kind":"backend","workload":"aes","shard":2,"attempt":1}`, "no seam injects"},
+		{"negative site_seq", `{"site":"serve|aes","site_seq":-1,"kind":"backend","workload":"aes","attempt":1}`, "negative site_seq"},
+		{"slowdown on a panic", `{"site":"dev|aes#0","site_seq":0,"kind":"panic","workload":"aes","attempt":1,"slowdown":2}`, "carries no slowdown"},
+		{"slowdown on a fork failure", `{"site":"pool|aes#0","site_seq":0,"kind":"fork-fail","workload":"aes","attempt":1,"slowdown":2}`, "carries no slowdown"},
+		{"slowdown too large", `{"site":"dev|aes#0","site_seq":0,"kind":"slow","workload":"aes","attempt":1,"slowdown":1e300}`, "outside"},
+		{"negative slowdown", `{"site":"dev|aes#0","site_seq":0,"kind":"slow","workload":"aes","attempt":1,"slowdown":-3}`, "outside"},
+		{"slowdown below 1", `{"site":"dev|aes#0","site_seq":0,"kind":"shard-fail","workload":"aes","attempt":1,"slowdown":0.5}`, "outside"},
+		{"slow fault without a slowdown", `{"site":"dev|aes#0","site_seq":0,"kind":"slow","workload":"aes","attempt":1,"slowdown":1}`, "outside"},
+	} {
+		path := filepath.Join(t.TempDir(), "faults.jsonl")
+		if err := os.WriteFile(path, []byte(valid+"\n\n"+c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := conduit.ReadFaultLog(path)
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want line 3 refused with %q", c.name, err, c.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "faults.jsonl")
+	edge := valid + "\n" + `{"site":"dev|aes#0","site_seq":7,"kind":"slow","workload":"aes","attempt":3,"slowdown":1000}` + "\n"
+	if err := os.WriteFile(path, []byte(edge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if log, err := conduit.ReadFaultLog(path); err != nil || len(log) != 2 {
+		t.Errorf("edge records an injector writes: %d faults, err = %v", len(log), err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -22,7 +23,8 @@ type Config struct {
 	// simulated elapsed time is multiplied by SlowFactor, modeling a
 	// busy or throttled drive without changing what it computed.
 	SlowShard float64
-	// SlowFactor is the degradation multiplier (< 1 selects 4).
+	// SlowFactor is the degradation multiplier (< 1 selects 4, above
+	// MaxSlowdown selects MaxSlowdown).
 	SlowFactor float64
 	// PanicRate is the probability a shard run panics mid-flight — the
 	// containment drill for the scatter-gather recovery path.
@@ -39,11 +41,16 @@ type Config struct {
 	BackendError float64
 }
 
+// MaxSlowdown bounds the slow-shard multiplier: a drive a thousand times
+// slower is already a dead one, and the bound keeps a degraded run's
+// simulated time far inside sim.Time.
+const MaxSlowdown = 1000
+
 func (c Config) slowFactor() float64 {
 	if c.SlowFactor < 1 {
 		return 4
 	}
-	return c.SlowFactor
+	return min(c.SlowFactor, MaxSlowdown)
 }
 
 // Kind names an injected fault class in logs and reports.
@@ -105,6 +112,31 @@ func (s Seam) site(workload string, shard int) string {
 		return seams[s].prefix + workload
 	}
 	return seams[s].prefix + workload + "#" + strconv.Itoa(shard)
+}
+
+// Check reports why an Injector could not have written f: no seam
+// injects its kind at its site (for its workload and shard), its
+// site_seq is negative, it carries a slowdown its kind does not, or the
+// slowdown lies outside 0 and [1, MaxSlowdown] (a slow fault's above 1).
+// Fault logs are read through it, so a replay injects only what a live
+// run could have drawn.
+func Check(f Fault) error {
+	s := Seam(0)
+	for s < Seam(len(seams)) && !slices.Contains(seams[s].kinds, f.Kind) {
+		s++
+	}
+	switch {
+	case s == Seam(len(seams)) || f.Site != s.site(f.Workload, f.Shard) || !seams[s].sharded && f.Shard != 0:
+		return fmt.Errorf("no seam injects a %q fault at site %q (workload %q, shard %d)", f.Kind, f.Site, f.Workload, f.Shard)
+	case f.SiteSeq < 0:
+		return fmt.Errorf("negative site_seq %d", f.SiteSeq)
+	case f.Slowdown != 0 && !f.Kind.slowed():
+		return fmt.Errorf("a %q fault carries no slowdown, got %g", f.Kind, f.Slowdown)
+	case f.Slowdown != 0 && !(f.Slowdown >= 1 && f.Slowdown <= MaxSlowdown),
+		f.Kind == KindSlow && f.Slowdown <= 1:
+		return fmt.Errorf("%q slowdown %g outside [1, %d]", f.Kind, f.Slowdown, MaxSlowdown)
+	}
+	return nil
 }
 
 // slowed reports whether a fault of kind k carries the run's slowdown: a

@@ -276,3 +276,25 @@ func TestBreakerSetSnapshotSorted(t *testing.T) {
 		t.Fatalf("threshold-1 breaker did not trip: %+v (trips=%d)", snap[1], s.Trips())
 	}
 }
+
+// TestCheckAcceptsWhatTheInjectorWrites: every fault a live injector
+// logs passes Check, under every golden config and under a SlowFactor
+// above MaxSlowdown, which the injector caps.
+func TestCheckAcceptsWhatTheInjectorWrites(t *testing.T) {
+	cfgs := []Config{chaosCfg, {Seed: 4, ShardFail: 0.5, SlowShard: 0.5, SlowFactor: 1e300}}
+	for _, c := range goldenCases {
+		cfgs = append(cfgs, c.cfg)
+	}
+	for _, cfg := range cfgs {
+		in := New(cfg)
+		goldenSchedule(in)
+		for _, f := range in.Log() {
+			if err := Check(f); err != nil {
+				t.Fatalf("config %+v logged %+v, which Check refuses: %v", cfg, f, err)
+			}
+			if f.Slowdown > MaxSlowdown {
+				t.Fatalf("slowdown %g above MaxSlowdown", f.Slowdown)
+			}
+		}
+	}
+}
