@@ -4,19 +4,21 @@
 // degradation of simulated time), pool-level fork acquisition (refused
 // or poisoned forks), and serve-level dispatch (backend errors).
 //
-// Determinism follows the same discipline as internal/loadgen: every
-// decision is drawn from an explicitly seeded SplitMix64 stream, one
-// independent substream per injection site (a seam x workload x shard
-// triple), so whether a given attempt faults is a pure function of
-// (seed, site, per-site sequence number) — independent of goroutine
-// interleaving across sites. A serial driver replays bit-identically; a
-// concurrent driver stays deterministic per site.
+// The seams are one table: each row names its site prefix and the kinds
+// it injects in draw order, which is also the precedence, and one
+// method, Injector.Draw, serves every row. Every decision is drawn from
+// an explicitly seeded SplitMix64 stream, one independent substream per
+// injection site (a seam x workload x shard triple), so whether a given
+// attempt faults is a pure function of (seed, site, per-site sequence
+// number) — independent of goroutine interleaving across sites. A
+// serial driver replays bit-identically; a concurrent driver stays
+// deterministic per site.
 //
-// Every injected fault is recorded and can be serialized as JSONL
-// (mirroring internal/loadgen's trace format). A replay injector built
-// from such a log reproduces the identical fault sequence without
+// Every injected fault is recorded, and the log round-trips through the
+// repository's one JSON Lines codec (internal/jsonl). A replay injector
+// built from such a log reproduces the identical fault sequence without
 // consulting the RNG at all, so any chaos run can be re-executed
-// exactly.
+// exactly; Check refuses a record no injector could have written.
 //
 // The package also houses the deterministic recovery primitives the
 // serving tier composes on top of injection: capped exponential backoff
