@@ -20,7 +20,7 @@ func reduceSource(lanes int) *Source {
 	return &Source{
 		Name: "reduce-kernel",
 		Arrays: []*Array{
-			{Name: "v", Elem: 1, Len: lanes, Input: true, Data: data},
+			{Name: "v", Elem: 1, Len: lanes, Input: true, Fill: Bytes(data)},
 			{Name: "acc", Elem: 1, Len: lanes},
 		},
 		Stmts: []compiler.Stmt{
@@ -171,7 +171,7 @@ func xorMiniSource(n int) *Source {
 	return &Source{
 		Name: "mini-xor-internal",
 		Arrays: []*Array{
-			{Name: "a", Elem: 1, Len: n, Input: true, Data: a},
+			{Name: "a", Elem: 1, Len: n, Input: true, Fill: Bytes(a)},
 			{Name: "out", Elem: 1, Len: n},
 		},
 		Stmts: []compiler.Stmt{

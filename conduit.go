@@ -122,6 +122,8 @@ type (
 	Stmt = compiler.Stmt
 	// Array declares application data.
 	Array = compiler.Array
+	// Fill generates an input array's initial bytes on demand.
+	Fill = compiler.Fill
 	// Loop is an affine loop nest over lanes.
 	Loop = compiler.Loop
 	// Assign is one loop-body statement.
@@ -175,6 +177,9 @@ const (
 
 // DefaultConfig returns the evaluated Table-2 configuration.
 func DefaultConfig() Config { return config.Default() }
+
+// Bytes is the Fill of an explicit dataset: the array starts as b.
+func Bytes(b []byte) Fill { return compiler.Bytes(b) }
 
 // Compile runs Conduit's compile-time preprocessing for the given device
 // configuration.
@@ -363,7 +368,7 @@ func (s *System) runHost(c *Compiled, policy string) (*RunResult, error) {
 	if policy == "GPU" {
 		kind = host.GPU
 	}
-	res, _, err := host.New(&s.cfg, kind).Run(c.Prog, c.Inputs)
+	res, _, err := host.New(&s.cfg, kind).Run(c.Prog, c.InputPage)
 	if err != nil {
 		return nil, err
 	}
@@ -594,13 +599,20 @@ func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*Run
 
 // deploy provisions a fresh drive and installs the program through the
 // NVMe path: stage inputs via I/O writes, transfer the binary with
-// fw-download, and activate it with the flagged fw-commit (§4.4).
+// fw-download, and activate it with the flagged fw-commit (§4.4). A
+// timing-only drive reads no payload, so its inputs are staged nil and no
+// dataset byte is generated.
 func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
 	cfg := s.cfg
 	dev := ssd.New(&cfg)
 	ctrl := nvme.NewController(dev)
-	for p, data := range c.Inputs {
-		if err := ctrl.WritePage(p, data); err != nil {
+	for _, p := range c.Prog.InputPages {
+		var page []byte
+		if !cfg.SSD.TimingOnly {
+			page = make([]byte, cfg.SSD.PageSize)
+			c.InputPage(p, page)
+		}
+		if err := ctrl.WritePage(p, page); err != nil {
 			return nil, err
 		}
 	}

@@ -18,7 +18,7 @@ func quickstartSource(n int) *conduit.Source {
 	return &conduit.Source{
 		Name: "quickstart",
 		Arrays: []*conduit.Array{
-			{Name: "in", Elem: 1, Len: n, Input: true, Data: data},
+			{Name: "in", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(data)},
 			{Name: "out", Elem: 1, Len: n},
 		},
 		Stmts: []conduit.Stmt{

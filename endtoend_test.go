@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	conduit "conduit"
 	"conduit/internal/compiler"
-	"conduit/internal/isa"
 	"conduit/internal/sim"
 	"conduit/internal/workloads"
 )
@@ -71,32 +69,48 @@ func TestWorkloadsEndToEndOnDevice(t *testing.T) {
 	}
 }
 
-// TestReferenceRunsLeaveInputsUntouched: Compile hands out each whole
-// input page as a view of its source array's Data, so no path may write
-// through a compiled input page. On the functional reference system, the
-// one that moves real bytes, each of the six workloads is deployed and run
-// under every policy (CPU, GPU, the in-SSD policies, Ideal); afterwards
-// every source array and every compiled input page must hash as before.
+// TestReferenceRunsLeaveInputsUntouched: an input page's bytes are
+// generated on demand by its array's filler, and an explicit dataset
+// (compiler.Bytes) is read in place, so no run may change what a filler
+// generates or write through the caller's slice. On the functional
+// reference system, the one that moves real bytes, each of the six
+// workloads and one explicit dataset (updated in place by its own loop)
+// is deployed and run under every policy (CPU, GPU, the in-SSD policies,
+// Ideal); afterwards every materialised input page and the explicit
+// dataset must hash as before.
 func TestReferenceRunsLeaveInputsUntouched(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	sys := conduit.NewReferenceSystem(cfg)
+	n := 3*cfg.SSD.PageSize + 100
+	explicit := make([]byte, n)
+	sim.NewRNG(7).Bytes(explicit)
+	srcs := []*conduit.Source{{
+		Name: "explicit",
+		Arrays: []*conduit.Array{
+			{Name: "a", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(explicit)},
+			{Name: "out", Elem: 1, Len: n},
+		},
+		Stmts: []conduit.Stmt{conduit.Loop{Name: "update", N: n, Body: []conduit.Assign{
+			{Target: "a", Value: conduit.Bin{Op: conduit.OpAdd,
+				X: conduit.Bin{Op: conduit.OpMul, X: conduit.Ref{Name: "a"}, Y: conduit.Lit{Value: 3}}, Y: conduit.Lit{Value: 1}}},
+			{Target: "out", Value: conduit.Bin{Op: conduit.OpXor, X: conduit.Ref{Name: "a"}, Y: conduit.Lit{Value: 0x5A}}},
+		}}},
+	}}
 	for _, w := range workloads.All(1) {
-		c, err := conduit.Compile(w.Source, &cfg)
+		srcs = append(srcs, w.Source)
+	}
+	page := make([]byte, cfg.SSD.PageSize)
+	for _, src := range srcs {
+		c, err := conduit.Compile(src, &cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := make([]int, 0, len(c.Inputs))
-		for p := range c.Inputs {
-			pages = append(pages, int(p))
-		}
-		sort.Ints(pages)
 		digest := func() [sha256.Size]byte {
 			h := sha256.New()
-			for _, a := range w.Source.Arrays {
-				h.Write(a.Data)
-			}
-			for _, p := range pages {
-				h.Write(c.Inputs[isa.PageID(p)])
+			h.Write(explicit)
+			for _, p := range c.Prog.InputPages {
+				c.InputPage(p, page)
+				h.Write(page)
 			}
 			return [sha256.Size]byte(h.Sum(nil))
 		}
@@ -107,11 +121,11 @@ func TestReferenceRunsLeaveInputsUntouched(t *testing.T) {
 		}
 		for _, p := range conduit.Policies() {
 			if _, err := dep.Run(p); err != nil {
-				t.Fatalf("%s under %s: %v", w.Name, p, err)
+				t.Fatalf("%s under %s: %v", src.Name, p, err)
 			}
 		}
 		if digest() != before {
-			t.Errorf("%s: a reference run wrote through the source arrays or the compiled input pages", w.Name)
+			t.Errorf("%s: a reference run changed an input page or wrote through the explicit dataset", src.Name)
 		}
 	}
 }
@@ -152,8 +166,8 @@ func TestRandomProgramEquivalenceProperty(t *testing.T) {
 		n := (r.Intn(3) + 1) * lanes
 
 		arrays := []*conduit.Array{
-			{Name: "a", Elem: elem, Len: n, Input: true, Data: randData(r, n*elem)},
-			{Name: "b", Elem: elem, Len: n, Input: true, Data: randData(r, n*elem)},
+			{Name: "a", Elem: elem, Len: n, Input: true, Fill: conduit.Bytes(randData(r, n*elem))},
+			{Name: "b", Elem: elem, Len: n, Input: true, Fill: conduit.Bytes(randData(r, n*elem))},
 			{Name: "c", Elem: elem, Len: n},
 			{Name: "d", Elem: elem, Len: n},
 		}

@@ -31,8 +31,8 @@ func main() {
 	src := &conduit.Source{
 		Name: "quickstart",
 		Arrays: []*conduit.Array{
-			{Name: "scores", Elem: 1, Len: n, Input: true, Data: scores},
-			{Name: "valid", Elem: 1, Len: n, Input: true, Data: valid},
+			{Name: "scores", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(scores)},
+			{Name: "valid", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(valid)},
 			{Name: "boosted", Elem: 1, Len: n},
 		},
 		Stmts: []conduit.Stmt{

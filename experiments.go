@@ -229,12 +229,12 @@ func (e *Experiments) GridTable() (*Table, error) {
 // caseStudyClass builds the three §3.1 workload classes as sources.
 func caseStudyClass(class string, scale int) *Source {
 	n := scale * 16 * (16 << 10) // streaming-sized: exceeds host cache and SSD DRAM
-	data := func(seed uint64) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(uint64(i)*seed + seed)
+	data := func(seed uint64) compiler.Fill {
+		return func(off int, dst []byte) {
+			for i := range dst {
+				dst[i] = byte(uint64(off+i)*seed + seed)
+			}
 		}
-		return b
 	}
 	switch class {
 	case "I/O-Intensive":
@@ -242,8 +242,8 @@ func caseStudyClass(class string, scale int) *Source {
 		return &Source{
 			Name: "io-intensive",
 			Arrays: []*Array{
-				{Name: "a", Elem: 1, Len: n, Input: true, Data: data(3)},
-				{Name: "b", Elem: 1, Len: n, Input: true, Data: data(5)},
+				{Name: "a", Elem: 1, Len: n, Input: true, Fill: data(3)},
+				{Name: "b", Elem: 1, Len: n, Input: true, Fill: data(5)},
 				{Name: "out", Elem: 1, Len: n},
 			},
 			Stmts: []compiler.Stmt{
@@ -258,8 +258,8 @@ func caseStudyClass(class string, scale int) *Source {
 		src := &Source{
 			Name: "compute-intensive",
 			Arrays: []*Array{
-				{Name: "x", Elem: 1, Len: n, Input: true, Data: data(7)},
-				{Name: "w", Elem: 1, Len: n, Input: true, Data: data(11)},
+				{Name: "x", Elem: 1, Len: n, Input: true, Fill: data(7)},
+				{Name: "w", Elem: 1, Len: n, Input: true, Fill: data(11)},
 				{Name: "acc", Elem: 1, Len: n},
 			},
 		}
@@ -278,8 +278,8 @@ func caseStudyClass(class string, scale int) *Source {
 		return &Source{
 			Name: "mixed",
 			Arrays: []*Array{
-				{Name: "v", Elem: 1, Len: n, Input: true, Data: data(13)},
-				{Name: "k", Elem: 1, Len: n, Input: true, Data: data(17)},
+				{Name: "v", Elem: 1, Len: n, Input: true, Fill: data(13)},
+				{Name: "k", Elem: 1, Len: n, Input: true, Fill: data(17)},
 				{Name: "agg", Elem: 1, Len: n},
 			},
 			Stmts: []compiler.Stmt{

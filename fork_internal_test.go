@@ -263,31 +263,35 @@ func TestServedRequestAllocBudget(t *testing.T) {
 }
 
 // TestColdDeployAllocBudget pins what the cold set-up of a timing-only
-// grid allocates beyond the datasets themselves: compiling the six
-// scale-1 workloads, and one System.Deploy of each. Compile hands out
-// whole input pages as views of the source arrays and a timing-only NVMe
-// write stages the page it is given, so neither copies the datasets; the
-// firmware image is a flat varint layout whose decoder carves every
-// instruction's operand lists from one array, and LoadProgram indexes its
-// page tables densely. It measures compile 911 KiB, and deploy 2 253 KiB
-// in 1 930 allocations (1 016 KiB, and 3 359 KiB in 28 753, with a gob
-// image, map-keyed page tables and per-instruction dependence sets). The
-// ceilings are what it measures plus 10 %: an allocation per instruction
-// or per page on the deploy path breaks the count.
+// grid allocates: building the six scale-1 workloads, compiling them, and
+// one System.Deploy of each. An input array declares a filler instead of
+// holding its dataset, and only a functional consumer generates pages, so
+// neither the build, the compile nor the timing-only deploy (which stages
+// nil payloads) makes a dataset byte; the firmware image is a flat varint
+// layout whose decoder carves every instruction's operand lists from one
+// array, and LoadProgram indexes its page tables densely. It measures
+// build 68 KiB, compile 876 KiB, and deploy 1 981 KiB in 1 912 allocations
+// (4 870 KiB, 911 KiB, and 2 253 KiB in 1 939, with eagerly built
+// datasets, a compiled page image and zero pages for unstaged inputs).
+// The ceilings are what it measures plus 10 %: a dataset built eagerly
+// breaks the build budget, and an allocation per instruction or per page
+// on the deploy path breaks the count.
 func TestColdDeployAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
 	const (
-		maxCompileKiB   = 1002
-		maxDeployKiB    = 2478
-		maxDeployAllocs = 2126
+		maxBuildKiB     = 75
+		maxCompileKiB   = 964
+		maxDeployKiB    = 2179
+		maxDeployAllocs = 2103
 	)
 	sys := NewSystem(DefaultConfig())
+	var start, before, mid, after runtime.MemStats
+	runtime.ReadMemStats(&start)
 	ws := workloads.All(1)
-	compiled := make([]*Compiled, len(ws))
-	var before, mid, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	compiled := make([]*Compiled, len(ws))
 	for i, w := range ws {
 		compiled[i] = mustCompile(t, sys, w)
 	}
@@ -298,10 +302,15 @@ func TestColdDeployAllocBudget(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
+	buildKiB := (before.TotalAlloc - start.TotalAlloc) >> 10
 	compileKiB := (mid.TotalAlloc - before.TotalAlloc) >> 10
 	deployKiB := (after.TotalAlloc - mid.TotalAlloc) >> 10
 	deployAllocs := after.Mallocs - mid.Mallocs
-	t.Logf("six scale-1 workloads: compile %d KiB, deploy %d KiB in %d allocations", compileKiB, deployKiB, deployAllocs)
+	t.Logf("six scale-1 workloads: build %d KiB, compile %d KiB, deploy %d KiB in %d allocations",
+		buildKiB, compileKiB, deployKiB, deployAllocs)
+	if buildKiB > maxBuildKiB {
+		t.Errorf("building the six workloads allocated %d KiB, budget %d", buildKiB, maxBuildKiB)
+	}
 	if compileKiB > maxCompileKiB {
 		t.Errorf("compiling the six workloads allocated %d KiB, budget %d", compileKiB, maxCompileKiB)
 	}

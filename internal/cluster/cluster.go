@@ -119,8 +119,8 @@ func (p *Plan) Shard(src *compiler.Source, i int) (*compiler.Source, error) {
 		na := *a
 		if partitioned[a.Name] {
 			na.Len = end - start
-			if a.Data != nil {
-				na.Data = a.Data[start*elem : end*elem]
+			if fill, base := a.Fill, start*elem; fill != nil {
+				na.Fill = func(off int, dst []byte) { fill(base+off, dst) }
 			}
 		}
 		out.Arrays = append(out.Arrays, &na)

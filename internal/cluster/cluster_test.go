@@ -24,9 +24,9 @@ func testSource(lanes int) *compiler.Source {
 	return &compiler.Source{
 		Name: "cluster-test",
 		Arrays: []*compiler.Array{
-			{Name: "in", Elem: 1, Len: lanes, Input: true, Data: data},
+			{Name: "in", Elem: 1, Len: lanes, Input: true, Fill: compiler.Bytes(data)},
 			{Name: "out", Elem: 1, Len: lanes},
-			{Name: "table", Elem: 1, Len: lanes, Input: true, Data: table},
+			{Name: "table", Elem: 1, Len: lanes, Input: true, Fill: compiler.Bytes(table)},
 		},
 		Stmts: []compiler.Stmt{
 			compiler.Loop{Name: "map", N: lanes, Body: []compiler.Assign{
@@ -101,7 +101,6 @@ func TestPlanErrors(t *testing.T) {
 	// lane space.
 	uneven := testSource(2 * pageSize)
 	uneven.Arrays[2].Len = pageSize
-	uneven.Arrays[2].Data = uneven.Arrays[2].Data[:pageSize]
 	if _, err := PlanShards(uneven, pageSize, 2, nil); err == nil {
 		t.Error("length-mismatched partition accepted")
 	}
@@ -123,6 +122,13 @@ func TestShardSingleIsOriginal(t *testing.T) {
 	}
 }
 
+// image is an array's whole initial image.
+func image(a *compiler.Array) []byte {
+	b := make([]byte, a.Len*a.Elem)
+	a.Fill(0, b)
+	return b
+}
+
 func TestShardSlicing(t *testing.T) {
 	const pageSize = 256
 	lanes := 4 * pageSize
@@ -141,11 +147,11 @@ func TestShardSlicing(t *testing.T) {
 		if in.Len != end-start {
 			t.Fatalf("shard %d 'in' len = %d, want %d", i, in.Len, end-start)
 		}
-		if !reflect.DeepEqual(in.Data, src.Arrays[0].Data[start:end]) {
+		if !reflect.DeepEqual(image(in), image(src.Arrays[0])[start:end]) {
 			t.Fatalf("shard %d 'in' data is not the [%d, %d) slice", i, start, end)
 		}
 		// Broadcast arrays replicate whole.
-		if table := s.Arrays[2]; table.Len != lanes || !reflect.DeepEqual(table.Data, src.Arrays[2].Data) {
+		if table := s.Arrays[2]; table.Len != lanes || !reflect.DeepEqual(image(table), image(src.Arrays[2])) {
 			t.Fatalf("shard %d broadcast table was sliced", i)
 		}
 	}
@@ -224,7 +230,7 @@ func TestReducePagesAndModel(t *testing.T) {
 	src := &compiler.Source{
 		Name: "reduce-test",
 		Arrays: []*compiler.Array{
-			{Name: "v", Elem: 1, Len: lanes, Input: true, Data: make([]byte, lanes)},
+			{Name: "v", Elem: 1, Len: lanes, Input: true},
 			{Name: "acc", Elem: 1, Len: lanes},
 		},
 		Stmts: []compiler.Stmt{

@@ -1,6 +1,10 @@
 package compiler
 
-import "fmt"
+import (
+	"fmt"
+
+	"conduit/internal/sim"
+)
 
 // Expr is an expression over the loop index.
 type Expr interface {
@@ -107,16 +111,43 @@ type ScalarWork struct {
 func (Loop) stmtNode()       {}
 func (ScalarWork) stmtNode() {}
 
-// Array declares a data object of Len lanes of Elem bytes. Input arrays
-// carry initial Data (lane-packed, little-endian); non-input arrays start
-// zeroed. Compile aliases Data in its Compiled.Inputs, so Data must not
-// change once compiled.
+// Array declares a data object of Len lanes of Elem bytes. An input
+// array's initial image (lane-packed, little-endian) is generated by its
+// Fill when a functional consumer asks for it; a nil Fill, and every
+// non-input array, starts zeroed.
 type Array struct {
 	Name  string
 	Elem  int
 	Len   int
 	Input bool
-	Data  []byte
+	Fill  Fill
+}
+
+// Fill writes bytes [off, off+len(dst)) of an array's initial image into
+// dst. Any window may be asked for, in any order, any number of times.
+type Fill func(off int, dst []byte)
+
+// Bytes is the filler of an explicit dataset: the image is b, zero past
+// its end. b must not change while the source is in use.
+func Bytes(b []byte) Fill {
+	return func(off int, dst []byte) {
+		clear(dst[copy(dst, b[min(off, len(b)):]):])
+	}
+}
+
+// Random is the filler of a pseudo-random dataset: the image is the stream
+// sim.RNG.Bytes writes from seed, each window generated on its own.
+func Random(seed uint64) Fill {
+	return func(off int, dst []byte) {
+		r := sim.NewRNG(seed)
+		r.Skip(uint64(off / 8))
+		if k := off % 8; k > 0 {
+			var w [8]byte
+			r.Bytes(w[:])
+			dst = dst[copy(dst, w[k:]):]
+		}
+		r.Bytes(dst)
+	}
 }
 
 // Source is a complete application.
@@ -144,8 +175,8 @@ func (s *Source) Validate() error {
 			return fmt.Errorf("compiler: duplicate array %q", a.Name)
 		}
 		seen[a.Name] = true
-		if a.Input && a.Data != nil && len(a.Data) != a.Len*a.Elem {
-			return fmt.Errorf("compiler: array %q data is %d bytes, want %d", a.Name, len(a.Data), a.Len*a.Elem)
+		if !a.Input && a.Fill != nil {
+			return fmt.Errorf("compiler: array %q has initial data but is not an input", a.Name)
 		}
 	}
 	var check func(e Expr) error

@@ -61,22 +61,42 @@ func (r *Report) VectorizablePercent() float64 {
 }
 
 // Compiled is the output of compile-time preprocessing: the vectorized
-// instruction stream with metadata, the initial data image, and the
-// array-to-page symbol table.
+// instruction stream with metadata, the array-to-page symbol table, and
+// the input arrays' fillers. Prog.InputPages is the input page set;
+// InputPage generates a page's initial bytes, and only a consumer that
+// moves real bytes asks for them.
 type Compiled struct {
-	Prog *isa.Program
-	// Inputs is the initial data image, one page-sized slice per input
-	// page. The pages are read-only: a page the source array covers whole
-	// aliases that array's Data, so a write through either would change
-	// both. Everything downstream copies a page before it writes (the
-	// host model's page pool, the flash array's program).
-	Inputs map[isa.PageID][]byte
+	Prog   *isa.Program
 	Report Report
 
 	pageSize int
 	elem     int
 	arrays   map[string][]isa.PageID
 	arrayLen map[string]int
+	inputs   []inputArray // in page order
+}
+
+// inputArray locates an input array's pages and its initial image.
+type inputArray struct {
+	first, end isa.PageID // pages [first, end)
+	size       int        // image bytes: Len*Elem
+	fill       Fill       // nil: zeroed
+}
+
+// InputPage writes input page p's initial bytes, zero past the end of its
+// array, into dst (PageSize bytes), and reports whether p is an input page.
+func (c *Compiled) InputPage(p isa.PageID, dst []byte) bool {
+	i := sort.Search(len(c.inputs), func(i int) bool { return c.inputs[i].end > p })
+	if i == len(c.inputs) || p < c.inputs[i].first {
+		return false
+	}
+	in := &c.inputs[i]
+	off := int(p-in.first) * c.pageSize
+	clear(dst)
+	if in.fill != nil {
+		in.fill(off, dst[:min(c.pageSize, in.size-off)])
+	}
+	return true
 }
 
 // ArrayPages returns the logical pages backing an array.
@@ -112,7 +132,6 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 	}
 	c := &compilation{
 		Compiled: Compiled{
-			Inputs:   make(map[isa.PageID][]byte),
 			pageSize: pageSize,
 			elem:     elem,
 			arrays:   make(map[string][]isa.PageID),
@@ -134,22 +153,8 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		c.arrays[a.Name] = ids
 		c.arrayLen[a.Name] = a.Len
 		if a.Input {
-			for i, id := range ids {
-				// A page the array's data covers whole is a capped view of
-				// it; only a short or missing tail is copied into a fresh,
-				// zero-padded page.
-				s := i * pageSize
-				if s+pageSize <= len(a.Data) {
-					c.Inputs[id] = a.Data[s : s+pageSize : s+pageSize]
-				} else {
-					page := make([]byte, pageSize)
-					if s < len(a.Data) {
-						copy(page, a.Data[s:])
-					}
-					c.Inputs[id] = page
-				}
-				inputPages = append(inputPages, id)
-			}
+			c.inputs = append(c.inputs, inputArray{ids[0], next, a.Len * a.Elem, a.Fill})
+			inputPages = append(inputPages, ids...)
 		}
 	}
 	// Per-chunk temporary pools.
@@ -423,10 +428,10 @@ func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uin
 		Elem:   c.elem,
 		Lanes:  c.lanes,
 		Meta: isa.Meta{
-			Class:        op.Class(),
-			Unvectorized: !vectorized,
-			LoopID:       c.loopID,
-			OperandBytes: (len(srcs) + 1) * c.pageSize,
+			Class:            op.Class(),
+			Unvectorized:     !vectorized,
+			LoopID:           c.loopID,
+			OperandFootprint: (len(srcs) + 1) * c.pageSize,
 		},
 	}
 	c.insts = append(c.insts, in)

@@ -21,12 +21,8 @@ func irRun(t *testing.T, c *Compiled) map[isa.PageID][]byte {
 		if b, ok := mem[p]; ok {
 			return b
 		}
-		if b, ok := c.Inputs[p]; ok {
-			cp := append([]byte(nil), b...)
-			mem[p] = cp
-			return cp
-		}
 		b := make([]byte, c.pageSize)
+		c.InputPage(p, b)
 		mem[p] = b
 		return b
 	}
@@ -64,13 +60,10 @@ func checkEquivalence(t *testing.T, src *Source) *Compiled {
 	for _, a := range src.Arrays {
 		pages := c.ArrayPages(a.Name)
 		for i, p := range pages {
-			var gp []byte
-			if b, ok := got[p]; ok {
-				gp = b
-			} else if b, ok := c.Inputs[p]; ok {
-				gp = b
-			} else {
+			gp, ok := got[p]
+			if !ok {
 				gp = make([]byte, testPage)
+				c.InputPage(p, gp)
 			}
 			wp := want[a.Name][i*testPage : (i+1)*testPage]
 			if !bytes.Equal(gp, wp) {
@@ -96,8 +89,8 @@ func TestCompileSimpleElementwise(t *testing.T) {
 	src := &Source{
 		Name: "axpy",
 		Arrays: []*Array{
-			{Name: "a", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
-			{Name: "b", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(3 * i) })},
+			{Name: "a", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
+			{Name: "b", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(3 * i) }))},
 			{Name: "c", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{
@@ -128,7 +121,7 @@ func TestStencilShufflesAndMatches(t *testing.T) {
 	src := &Source{
 		Name: "jacobi-like",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i * 7) })},
+			{Name: "x", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i * 7) }))},
 			{Name: "y", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{
@@ -156,7 +149,7 @@ func TestPredicationLowersToSelect(t *testing.T) {
 	src := &Source{
 		Name: "clamp",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
+			{Name: "x", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
 			{Name: "y", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{
@@ -186,8 +179,8 @@ func TestReductionLowering(t *testing.T) {
 	src := &Source{
 		Name: "dot",
 		Arrays: []*Array{
-			{Name: "a", Elem: 4, Len: n, Input: true, Data: seqData(4*n, func(i int) byte { return byte(i % 5) })},
-			{Name: "b", Elem: 4, Len: n, Input: true, Data: seqData(4*n, func(i int) byte { return byte(i % 3) })},
+			{Name: "a", Elem: 4, Len: n, Input: true, Fill: Bytes(seqData(4*n, func(i int) byte { return byte(i % 5) }))},
+			{Name: "b", Elem: 4, Len: n, Input: true, Fill: Bytes(seqData(4*n, func(i int) byte { return byte(i % 3) }))},
 			{Name: "dot", Elem: 4, Len: n},
 		},
 		Stmts: []Stmt{
@@ -213,7 +206,7 @@ func TestLoopCarriedDependenceRejected(t *testing.T) {
 	src := &Source{
 		Name: "prefix",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
+			{Name: "x", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
 		},
 		Stmts: []Stmt{
 			// x[i] = x[i-1] + x[i]: classic recurrence.
@@ -248,7 +241,7 @@ func TestForceScalarAndShortLoops(t *testing.T) {
 	src := &Source{
 		Name: "mixed",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
+			{Name: "x", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
 			{Name: "y", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{
@@ -337,6 +330,16 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(s, 0); err == nil {
 		t.Error("zero page size must fail")
 	}
+	// Initial data on an array that is not an input (it would start
+	// zeroed regardless).
+	s = base()
+	s.Arrays[1].Fill = Random(1)
+	if _, err := Compile(s, testPage); err == nil {
+		t.Error("a filler on a non-input array must fail")
+	}
+	if _, err := Interpret(s, testPage); err == nil {
+		t.Error("Interpret must refuse a filler on a non-input array")
+	}
 }
 
 // Property: for random elementwise expressions over two arrays, the
@@ -353,8 +356,8 @@ func TestVectorizerEquivalenceProperty(t *testing.T) {
 		src := &Source{
 			Name: "prop",
 			Arrays: []*Array{
-				{Name: "a", Elem: 1, Len: n, Input: true, Data: da},
-				{Name: "b", Elem: 1, Len: n, Input: true, Data: db},
+				{Name: "a", Elem: 1, Len: n, Input: true, Fill: Bytes(da)},
+				{Name: "b", Elem: 1, Len: n, Input: true, Fill: Bytes(db)},
 				{Name: "c", Elem: 1, Len: n},
 			},
 			Stmts: []Stmt{Loop{Name: "l", N: n, Body: []Assign{
@@ -391,7 +394,7 @@ func TestMetadataEmbedded(t *testing.T) {
 	src := &Source{
 		Name: "meta",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
+			{Name: "x", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
 			{Name: "y", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{Loop{Name: "l", N: n, Body: []Assign{
@@ -406,7 +409,7 @@ func TestMetadataEmbedded(t *testing.T) {
 		if in.Op == isa.OpScalar {
 			continue
 		}
-		if in.Meta.OperandBytes == 0 {
+		if in.Meta.OperandFootprint == 0 {
 			t.Fatalf("inst %v missing operand-size metadata", in.Op)
 		}
 		if in.Meta.Class != in.Op.Class() {

@@ -13,8 +13,8 @@ func TestArrayNamesStableAcrossCompiles(t *testing.T) {
 	build := func() *Source {
 		n := testPage
 		arrays := []*Array{
-			{Name: "in0", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(i) })},
-			{Name: "zz", Elem: 1, Len: n, Input: true, Data: seqData(n, func(i int) byte { return byte(2 * i) })},
+			{Name: "in0", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(i) }))},
+			{Name: "zz", Elem: 1, Len: n, Input: true, Fill: Bytes(seqData(n, func(i int) byte { return byte(2 * i) }))},
 			{Name: "mid", Elem: 1, Len: n},
 			{Name: "aa", Elem: 1, Len: n},
 			{Name: "out", Elem: 1, Len: n},

@@ -36,8 +36,8 @@ func Interpret(src *Source, pageSize int) (map[string][]byte, error) {
 	for _, a := range src.Arrays {
 		blocks := (a.Len + lanes - 1) / lanes
 		buf := make([]byte, blocks*pageSize)
-		if a.Input && a.Data != nil {
-			copy(buf, a.Data)
+		if a.Fill != nil {
+			a.Fill(0, buf[:a.Len*a.Elem])
 		}
 		mem[a.Name] = buf
 	}

@@ -23,8 +23,8 @@ func interpretLaneSerial(t *testing.T, src *Source, pageSize int) map[string][]b
 	for _, a := range src.Arrays {
 		blocks := (a.Len + lanes - 1) / lanes
 		buf := make([]byte, blocks*pageSize)
-		if a.Input && a.Data != nil {
-			copy(buf, a.Data)
+		if a.Fill != nil {
+			a.Fill(0, buf[:a.Len*a.Elem])
 		}
 		mem[a.Name] = buf
 	}
@@ -102,8 +102,8 @@ func TestInterpretMatchesLaneReference(t *testing.T) {
 		src := &Source{
 			Name: "diff",
 			Arrays: []*Array{
-				{Name: "a", Elem: elem, Len: n, Input: true, Data: da},
-				{Name: "b", Elem: elem, Len: n, Input: true, Data: db},
+				{Name: "a", Elem: elem, Len: n, Input: true, Fill: Bytes(da)},
+				{Name: "b", Elem: elem, Len: n, Input: true, Fill: Bytes(db)},
 				{Name: "c", Elem: elem, Len: n},
 				{Name: "d", Elem: elem, Len: n},
 				{Name: "s", Elem: elem, Len: n},
@@ -146,8 +146,8 @@ func TestInterpretQuickProperty(t *testing.T) {
 		src := &Source{
 			Name: "quick",
 			Arrays: []*Array{
-				{Name: "a", Elem: elem, Len: n, Input: true, Data: da},
-				{Name: "b", Elem: elem, Len: n, Input: true, Data: db},
+				{Name: "a", Elem: elem, Len: n, Input: true, Fill: Bytes(da)},
+				{Name: "b", Elem: elem, Len: n, Input: true, Fill: Bytes(db)},
 				{Name: "c", Elem: elem, Len: n},
 			},
 			Stmts: []Stmt{Loop{Name: "l", N: n, Body: []Assign{

@@ -6,7 +6,7 @@ func TestScalarWorkCodeUnits(t *testing.T) {
 	src := &Source{
 		Name: "units",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: testPage, Input: true, Data: make([]byte, testPage)},
+			{Name: "x", Elem: 1, Len: testPage, Input: true},
 		},
 		Stmts: []Stmt{
 			Loop{Name: "v", N: testPage, Body: []Assign{
@@ -40,7 +40,7 @@ func TestStaticWorkIndependentOfDataSize(t *testing.T) {
 		return &Source{
 			Name: "sized",
 			Arrays: []*Array{
-				{Name: "x", Elem: 1, Len: n, Input: true, Data: make([]byte, n)},
+				{Name: "x", Elem: 1, Len: n, Input: true},
 			},
 			Stmts: []Stmt{
 				Loop{Name: "v", N: n, Body: []Assign{
@@ -87,7 +87,7 @@ func TestTempPoolsAreChunkDisjoint(t *testing.T) {
 	src := &Source{
 		Name: "temps",
 		Arrays: []*Array{
-			{Name: "x", Elem: 1, Len: n, Input: true, Data: make([]byte, n)},
+			{Name: "x", Elem: 1, Len: n, Input: true},
 			{Name: "y", Elem: 1, Len: n},
 		},
 		Stmts: []Stmt{

@@ -47,7 +47,7 @@ func TestRunSteadyStateAllocsPerOp(t *testing.T) {
 
 	m := New(&cfg, CPU)
 	run := func() {
-		if _, _, err := m.Run(prog, inputs); err != nil {
+		if _, _, err := m.Run(prog, pageSource(inputs)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -161,7 +161,10 @@ func (c *pageLRU) pushFront(i int32) {
 }
 
 // Run executes prog on the host, streaming pages from the SSD on demand.
-func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, map[isa.PageID][]byte, error) {
+// The functional pass reads an input page's initial bytes through inputs,
+// which writes them into a page-sized dst and reports whether the page is
+// an input (compiler.Compiled.InputPage); pages it declines read as zero.
+func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) bool) (*Result, map[isa.PageID][]byte, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -173,8 +176,8 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 	cache := newPageLRU(prog.Pages, cacheCapacity(prog.Pages))
 
 	// Page buffers are run-local: every mem payload is allocated by this
-	// run (inputs are copied in), so a payload replaced by a later write
-	// to the same page is dead and goes back to the pool. Timing-only
+	// run (inputs are generated into it), so a payload replaced by a later
+	// write to the same page is dead and goes back to the pool. Timing-only
 	// runs skip the functional pass entirely; every latency above and
 	// below is data-independent, so the Result is unchanged.
 	var pool *arena.Pool
@@ -187,14 +190,9 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 		if b, ok := mem[p]; ok {
 			return b
 		}
-		var b []byte
-		if in, ok := inputs[p]; ok && len(in) == cfg.PageSize {
-			b = pool.GetCopy(in)
-		} else if ok {
-			b = pool.GetZeroed()
-			copy(b, in)
-		} else {
-			b = pool.GetZeroed()
+		b := pool.Get()
+		if !inputs(p, b) {
+			clear(b)
 		}
 		mem[p] = b
 		return b

@@ -9,6 +9,15 @@ import (
 	"conduit/internal/sim"
 )
 
+// pageSource serves explicit input pages the way Compiled.InputPage does.
+func pageSource(pages map[isa.PageID][]byte) func(isa.PageID, []byte) bool {
+	return func(p isa.PageID, dst []byte) bool {
+		b, ok := pages[p]
+		copy(dst, b)
+		return ok
+	}
+}
+
 func streamProg(t *testing.T, nPages int, op isa.Op) (*isa.Program, map[isa.PageID][]byte) {
 	t.Helper()
 	cfg := config.TestScale()
@@ -41,7 +50,7 @@ func TestCPUFunctionalCorrectness(t *testing.T) {
 	cfg := config.TestScale()
 	prog, inputs := streamProg(t, 8, isa.OpAdd)
 	m := New(&cfg, CPU)
-	res, mem, err := m.Run(prog, inputs)
+	res, mem, err := m.Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +70,11 @@ func TestCPUFunctionalCorrectness(t *testing.T) {
 func TestGPUFasterThanCPUOnParallelCompute(t *testing.T) {
 	cfg := config.TestScale()
 	prog, inputs := streamProg(t, 8, isa.OpMul)
-	cpuRes, _, err := New(&cfg, CPU).Run(prog, inputs)
+	cpuRes, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuRes, _, err := New(&cfg, GPU).Run(prog, inputs)
+	gpuRes, _, err := New(&cfg, GPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +88,7 @@ func TestStreamingIsPCIeBound(t *testing.T) {
 	// movement share of the runtime must dominate compute on the GPU.
 	cfg := config.TestScale()
 	prog, inputs := streamProg(t, 16, isa.OpXor)
-	res, _, err := New(&cfg, GPU).Run(prog, inputs)
+	res, _, err := New(&cfg, GPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +119,12 @@ func TestCacheReuseReducesPCIeTraffic(t *testing.T) {
 	}
 	prog := &isa.Program{Name: "reuse", Pages: 16, Insts: insts, InputPages: ids}
 	prog.InferDeps()
-	reuse, _, err := New(&cfg, CPU).Run(prog, inputs)
+	reuse, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stream, inputsS := streamProg(t, 32, isa.OpAdd)
-	streamRes, _, err := New(&cfg, CPU).Run(stream, inputsS)
+	streamRes, _, err := New(&cfg, CPU).Run(stream, pageSource(inputsS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +179,11 @@ func TestGPUBenefitsFromHBMOnResidentData(t *testing.T) {
 	}
 	prog := &isa.Program{Name: "hot", Pages: 3, Insts: insts, InputPages: []isa.PageID{0, 1}}
 	prog.InferDeps()
-	cpu, _, err := New(&cfg, CPU).Run(prog, inputs)
+	cpu, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, _, err := New(&cfg, GPU).Run(prog, inputs)
+	gpu, _, err := New(&cfg, GPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestGPUBenefitsFromHBMOnResidentData(t *testing.T) {
 func TestHostEnergyIsPowerTimesElapsed(t *testing.T) {
 	cfg := config.TestScale()
 	prog, inputs := streamProg(t, 8, isa.OpAdd)
-	res, _, err := New(&cfg, CPU).Run(prog, inputs)
+	res, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ type Meta struct {
 	Unvectorized bool  // true for strip-mined remainders and loops the
 	// vectorizer rejected: they execute lane-serially on the controller
 	// cores (ISP), matching §7's auto-vectorization limits
-	LoopID       int // source loop, for reporting
-	OperandBytes int // total operand footprint in bytes
+	LoopID           int // source loop, for reporting
+	OperandFootprint int // total operand footprint in bytes
 }
 
 // Inst is one vector IR instruction.

@@ -158,5 +158,5 @@ func (c *cursor) inst(in *isa.Inst) {
 	list(c, &in.Deps, &c.deps)
 	field(c, &in.Meta.Class)
 	field(c, &in.Meta.LoopID)
-	field(c, &in.Meta.OperandBytes)
+	field(c, &in.Meta.OperandFootprint)
 }

@@ -73,9 +73,14 @@ func (c *Controller) Committed() *isa.Program { return c.committed }
 //
 // The drive stages data itself, not a copy: the caller must leave it
 // unchanged until the commit, which programs its own copy into flash.
+// data is one whole page, or nil for a page whose bytes nothing will read
+// (a timing-only deploy's), which the commit loads as a zero page.
 func (c *Controller) WritePage(p isa.PageID, data []byte) error {
 	if c.dev.Mode() == ssd.ModeComputation {
 		return fmt.Errorf("nvme: write refused in computation mode")
+	}
+	if ps := c.dev.Cfg.SSD.PageSize; data != nil && len(data) != ps {
+		return fmt.Errorf("nvme: write of %d bytes to page %d, want %d", len(data), p, ps)
 	}
 	c.staged[p] = data
 	return nil

@@ -125,6 +125,36 @@ func TestHostReadTimedPath(t *testing.T) {
 	}
 }
 
+// TestWritePageRefusesPartialPage: a host write stages one whole page or
+// nil (a page whose bytes nothing reads, committed as zeros); anything
+// else is refused at the write, not left to fail the commit.
+func TestWritePageRefusesPartialPage(t *testing.T) {
+	c, cfg := newController(t)
+	prog, inputs := testProgram(cfg.SSD.PageSize)
+	if err := c.WritePage(0, inputs[0][:100]); err == nil {
+		t.Fatal("a 100-byte page write must be refused")
+	}
+	if err := c.WritePage(0, inputs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WritePage(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FWDownload(MarshalProgram(prog), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FWCommit(true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ReadPage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, cfg.SSD.PageSize)) {
+		t.Fatal("a page staged nil must commit as zeros")
+	}
+}
+
 func TestOutOfOrderDownloadRejected(t *testing.T) {
 	c, _ := newController(t)
 	if err := c.FWDownload([]byte{1, 2, 3}, 5); err == nil {

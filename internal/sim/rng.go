@@ -15,9 +15,13 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// gamma is SplitMix64's state increment: the k-th draw after seeding
+// depends only on seed + k·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -51,6 +55,9 @@ func (r *RNG) Bytes(p []byte) {
 		copy(p, tail[:])
 	}
 }
+
+// Skip advances r past n draws in constant time.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {

@@ -331,11 +331,11 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 // Clone) before it can run again.
 func (d *Device) Consumed() bool { return d.consumed }
 
+// inputPage is the payload LoadProgram programs for input page p: the
+// staged page, or a zero page for one staged nil or never staged — none
+// at all on a timing-only drive, which stores no payloads.
 func (d *Device) inputPage(inputs map[isa.PageID][]byte, p isa.PageID) []byte {
-	if data, ok := inputs[p]; ok {
-		if len(data) != d.Cfg.SSD.PageSize {
-			panic(fmt.Sprintf("ssd: input page %d has %d bytes, want %d", p, len(data), d.Cfg.SSD.PageSize))
-		}
+	if data := inputs[p]; data != nil || d.Cfg.SSD.TimingOnly {
 		return data
 	}
 	return make([]byte, d.Cfg.SSD.PageSize)

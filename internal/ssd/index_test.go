@@ -57,7 +57,7 @@ func TestIndexesMatchScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		master := New(&cfg)
-		if err := master.LoadProgram(c.Prog, c.Inputs); err != nil {
+		if err := master.LoadProgram(c.Prog, nil); err != nil {
 			t.Fatal(err)
 		}
 		master.EnterComputationMode()

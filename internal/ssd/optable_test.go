@@ -69,7 +69,7 @@ func TestFeaturesSupportMatchesTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := New(&cfg)
-		if err := d.LoadProgram(c.Prog, c.Inputs); err != nil {
+		if err := d.LoadProgram(c.Prog, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(d.costs) != len(c.Prog.Insts) {

@@ -9,6 +9,7 @@ import (
 
 	"conduit/internal/compiler"
 	"conduit/internal/config"
+	"conduit/internal/isa"
 	"conduit/internal/offload"
 	"conduit/internal/workloads"
 )
@@ -35,6 +36,17 @@ var notRestored = map[string]bool{
 var ownedParts = map[string]bool{
 	"energy.Account": true, "nand.Array": true, "dram.Module": true, "cores.Core": true,
 	"ftl.FTL": true, "ftl.mappingCache": true, "coherence.Directory": true,
+}
+
+// inputImage generates c's input pages the way a functional deploy stages
+// them.
+func inputImage(c *compiler.Compiled, pageSize int) map[isa.PageID][]byte {
+	image := make(map[isa.PageID][]byte, len(c.Prog.InputPages))
+	for _, p := range c.Prog.InputPages {
+		image[p] = make([]byte, pageSize)
+		c.InputPage(p, image[p])
+	}
+	return image
 }
 
 func typeName(t reflect.Type) string {
@@ -237,7 +249,7 @@ func TestRestoreEqualsClone(t *testing.T) {
 			t.Fatal(err)
 		}
 		master := New(&cfg)
-		if err := master.LoadProgram(c.Prog, c.Inputs); err != nil {
+		if err := master.LoadProgram(c.Prog, inputImage(c, cfg.SSD.PageSize)); err != nil {
 			t.Fatal(err)
 		}
 		master.Freeze()

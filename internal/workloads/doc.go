@@ -19,4 +19,10 @@
 // deployment and which are broadcast — replicated whole to every shard —
 // the way the real application distributes (AES key schedules, XOR-filter
 // probe banks, and transformer weights broadcast; data arrays partition).
+//
+// Datasets are declared, not built: every input array carries a
+// compiler.Random filler with its own seed, so building a workload costs
+// its structure alone, and a page's bytes exist only once a functional
+// consumer asks for them (compiler.Compiled.InputPage). The timing-only
+// stack never does.
 package workloads

@@ -15,12 +15,8 @@ func execIR(t *testing.T, c *compiler.Compiled, pageSize int) map[isa.PageID][]b
 		if b, ok := mem[p]; ok {
 			return b
 		}
-		if b, ok := c.Inputs[p]; ok {
-			cp := append([]byte(nil), b...)
-			mem[p] = cp
-			return cp
-		}
 		b := make([]byte, pageSize)
+		c.InputPage(p, b)
 		mem[p] = b
 		return b
 	}

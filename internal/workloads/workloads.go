@@ -6,7 +6,6 @@ import (
 
 	"conduit/internal/compiler"
 	"conduit/internal/isa"
-	"conduit/internal/sim"
 )
 
 // Named couples a workload with its display name (figure row order).
@@ -40,7 +39,7 @@ func All(scale int) []Named {
 }
 
 // Names lists the six evaluated workloads' display names in figure order
-// without building any of them, so a name-only caller pays for no dataset.
+// without building any of them.
 func Names() []string {
 	names := make([]string, len(builders))
 	for i, b := range builders {
@@ -148,13 +147,6 @@ func clampScale(scale int) int {
 	return scale
 }
 
-func randBytes(seed uint64, n int) []byte {
-	r := sim.NewRNG(seed)
-	b := make([]byte, n)
-	r.Bytes(b)
-	return b
-}
-
 // AES builds an AES-256-structured encryption kernel: 14 rounds of
 // AddRoundKey (XOR), a bitsliced affine S-box approximation (AND/XOR/NOT/
 // shift network — the lowering in-flash AES implementations use), and a
@@ -169,13 +161,13 @@ func AES(scale int) *compiler.Source {
 	n := scale * 4 * lanes // plaintext lanes; footprint exceeds SSD DRAM (§5.4)
 	const rounds = 14
 	arrays := []*compiler.Array{
-		{Name: "state", Elem: 1, Len: n, Input: true, Data: randBytes(0xAE5, n)},
+		{Name: "state", Elem: 1, Len: n, Input: true, Fill: compiler.Random(0xAE5)},
 		{Name: "tmp", Elem: 1, Len: n},
 	}
 	for r := 0; r <= rounds; r++ {
 		arrays = append(arrays, &compiler.Array{
 			Name: keyName(r), Elem: 1, Len: n, Input: true,
-			Data: randBytes(0x6E7+uint64(r), n),
+			Fill: compiler.Random(0x6E7 + uint64(r)),
 		})
 	}
 	var stmts []compiler.Stmt
@@ -246,7 +238,7 @@ func XORFilter(scale int) *compiler.Source {
 	scale = clampScale(scale)
 	n := scale * 6 * lanes // streamed keys+banks exceed SSD DRAM (§5.4)
 	arrays := []*compiler.Array{
-		{Name: "keys", Elem: 1, Len: n, Input: true, Data: randBytes(0xF117E2, n)},
+		{Name: "keys", Elem: 1, Len: n, Input: true, Fill: compiler.Random(0xF117E2)},
 		{Name: "fp", Elem: 1, Len: n},
 		{Name: "member", Elem: 1, Len: n},
 	}
@@ -254,7 +246,7 @@ func XORFilter(scale int) *compiler.Source {
 	for b := 0; b < 3; b++ {
 		arrays = append(arrays, &compiler.Array{
 			Name: fmt.Sprintf("bank%d", b), Elem: 1, Len: n, Input: true,
-			Data: randBytes(0xBA7C+uint64(b), n),
+			Fill: compiler.Random(0xBA7C + uint64(b)),
 		})
 	}
 	stmts := []compiler.Stmt{
@@ -299,7 +291,7 @@ func Heat3D(scale int) *compiler.Source {
 	n := scale * 2 * lanes
 	steps := 8
 	arrays := []*compiler.Array{
-		{Name: "A", Elem: 1, Len: n, Input: true, Data: randBytes(0x3EA7, n)},
+		{Name: "A", Elem: 1, Len: n, Input: true, Fill: compiler.Random(0x3EA7)},
 		{Name: "B", Elem: 1, Len: n},
 	}
 	var stmts []compiler.Stmt
@@ -338,7 +330,7 @@ func Jacobi1D(scale int) *compiler.Source {
 	n := scale * 2 * lanes
 	steps := 3
 	arrays := []*compiler.Array{
-		{Name: "A", Elem: 1, Len: n, Input: true, Data: randBytes(0x1ACB1, n)},
+		{Name: "A", Elem: 1, Len: n, Input: true, Fill: compiler.Random(0x1ACB1)},
 		{Name: "B", Elem: 1, Len: n},
 	}
 	var stmts []compiler.Stmt
@@ -396,7 +388,7 @@ func LLMTraining(scale int) *compiler.Source {
 func buildTransformer(name string, cfg llmConfig, training bool) *compiler.Source {
 	n := cfg.dModel
 	arrays := []*compiler.Array{
-		{Name: "x", Elem: 1, Len: n, Input: true, Data: randBytes(0x11A, n)},
+		{Name: "x", Elem: 1, Len: n, Input: true, Fill: compiler.Random(0x11A)},
 		{Name: "norm", Elem: 1, Len: n},
 		{Name: "q", Elem: 1, Len: n},
 		{Name: "k", Elem: 1, Len: n},
@@ -418,7 +410,7 @@ func buildTransformer(name string, cfg llmConfig, training bool) *compiler.Sourc
 				arrays = append(arrays, &compiler.Array{
 					Name: wName(proj, l, w),
 					Elem: 1, Len: n, Input: true,
-					Data: randBytes(uint64(l*131+w*17)+hashName(proj), n),
+					Fill: compiler.Random(uint64(l*131+w*17) + hashName(proj)),
 				})
 			}
 		}

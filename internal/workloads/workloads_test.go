@@ -131,19 +131,14 @@ func TestWorkloadSemanticEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Execute the IR functionally.
-			mem := map[int][]byte{}
-			_ = mem
 			got := execIR(t, c, cfg.SSD.PageSize)
 			for _, arr := range w.Source.Arrays {
 				pages := c.ArrayPages(arr.Name)
 				for i, p := range pages {
-					var gp []byte
-					if b, ok := got[p]; ok {
-						gp = b
-					} else if b, ok := c.Inputs[p]; ok {
-						gp = b
-					} else {
+					gp, ok := got[p]
+					if !ok {
 						gp = make([]byte, cfg.SSD.PageSize)
+						c.InputPage(p, gp)
 					}
 					wp := want[arr.Name][i*cfg.SSD.PageSize : (i+1)*cfg.SSD.PageSize]
 					for j := range wp {

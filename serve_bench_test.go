@@ -43,7 +43,7 @@ func servingSource(datasetPages, kernelLanes int) *conduit.Source {
 	return &conduit.Source{
 		Name: "serving",
 		Arrays: []*conduit.Array{
-			{Name: "dataset", Elem: 1, Len: len(data), Input: true, Data: data},
+			{Name: "dataset", Elem: 1, Len: len(data), Input: true, Fill: conduit.Bytes(data)},
 			{Name: "out", Elem: 1, Len: kernelLanes},
 		},
 		Stmts: []conduit.Stmt{

@@ -22,8 +22,8 @@ func xorFilterSource(n int) *conduit.Source {
 	return &conduit.Source{
 		Name: "mini-xor",
 		Arrays: []*conduit.Array{
-			{Name: "a", Elem: 1, Len: n, Input: true, Data: a},
-			{Name: "b", Elem: 1, Len: n, Input: true, Data: b},
+			{Name: "a", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(a)},
+			{Name: "b", Elem: 1, Len: n, Input: true, Fill: conduit.Bytes(b)},
 			{Name: "out", Elem: 1, Len: n},
 		},
 		Stmts: []conduit.Stmt{
