@@ -74,7 +74,7 @@ func (c *Controller) Committed() *isa.Program { return c.committed }
 // The drive stages data itself, not a copy: the caller must leave it
 // unchanged until the commit, which programs its own copy into flash.
 // data is one whole page, or nil for a page whose bytes nothing will read
-// (a timing-only deploy's), which the commit loads as a zero page.
+// (a timing-only deploy's), which reads back and commits as a zero page.
 func (c *Controller) WritePage(p isa.PageID, data []byte) error {
 	if c.dev.Mode() == ssd.ModeComputation {
 		return fmt.Errorf("nvme: write refused in computation mode")
@@ -95,7 +95,9 @@ func (c *Controller) ReadPage(p isa.PageID) ([]byte, error) {
 	}
 	if c.committed == nil {
 		if d, ok := c.staged[p]; ok {
-			return append([]byte(nil), d...), nil
+			page := make([]byte, c.dev.Cfg.SSD.PageSize) // zeros when staged nil
+			copy(page, d)
+			return page, nil
 		}
 		return nil, fmt.Errorf("nvme: page %d not staged", p)
 	}

@@ -140,6 +140,10 @@ func TestWritePageRefusesPartialPage(t *testing.T) {
 	if err := c.WritePage(1, nil); err != nil {
 		t.Fatal(err)
 	}
+	zero := make([]byte, cfg.SSD.PageSize)
+	if got, err := c.ReadPage(1); err != nil || !bytes.Equal(got, zero) {
+		t.Fatalf("a page staged nil reads back %d bytes (err %v), want a zero page", len(got), err)
+	}
 	if err := c.FWDownload(MarshalProgram(prog), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestWritePageRefusesPartialPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, make([]byte, cfg.SSD.PageSize)) {
+	if !bytes.Equal(got, zero) {
 		t.Fatal("a page staged nil must commit as zeros")
 	}
 }
