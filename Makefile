@@ -59,7 +59,8 @@ bench:
 #
 # prof-alloc is the same run with a heap profile instead, ranked by bytes
 # allocated: `make prof-alloc BENCH=ServeHeavyMix` shows what a served
-# serve_heavy request allocates, and from where. The stacks through
+# serve_heavy request allocates, and from where, and `make prof-alloc
+# BENCH=SweepGridCold` what a cold grid does. The stacks through
 # Server.RegisterWorkload, the serving benchmarks' set-up before the timer
 # starts, are left out.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
@@ -83,7 +84,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 25072
+LOC_CEILING := 25101
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

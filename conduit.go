@@ -40,10 +40,11 @@
 // the run writes rather than to the drive's size. Run, Fork and
 // DevicePool.Get hand that device to the caller, who owns it from then on
 // and may keep it; where nobody keeps it — a served request, a cluster
-// shard — the executed device goes back to its Deployment, and the next
-// fork restores it in place from the master (ssd.Device.Restore, the one
-// copy routine Clone is also made of) instead of cloning: the same
-// pristine state, for a memcpy.
+// shard, a memoized Experiments cell — the result's Device is nil, the
+// device goes back to its Deployment, and the next fork restores it in
+// place from the master (ssd.Device.Restore, the one copy routine Clone is
+// also made of) instead of cloning: the same pristine state, for a memcpy.
+// A System deploys onto clones of one frozen blank drive it builds once.
 //
 // System, Compiled, and Deployment are safe for concurrent use by
 // multiple goroutines; every run executes on its own device, and
@@ -289,8 +290,8 @@ type RunResult struct {
 	// nil for host executions. Cluster runs report the shard-order sum.
 	Counters *Counters
 	// Device exposes the drive after an in-SSD run for inspection; nil
-	// otherwise — in particular nil on served and cluster-merged results,
-	// which have no single drive to expose.
+	// otherwise — in particular nil on served, cluster-merged and
+	// Experiments results, which are shared or have no single drive.
 	Device *ssd.Device
 }
 
@@ -301,6 +302,10 @@ func (r *RunResult) TotalEnergy() float64 { return r.ComputeEnergy + r.MovementE
 // Conduit-capable SSD and on the host baselines.
 type System struct {
 	cfg Config
+	// blank is the empty drive every deploy clones: built by ssd.New once
+	// (blankOnce), frozen, and never written.
+	blankOnce sync.Once
+	blank     *ssd.Device
 }
 
 // NewSystem returns a System for cfg. The system runs in timing-only
@@ -428,10 +433,11 @@ func runPolicyOn(dev *ssd.Device, policy string) (*RunResult, error) {
 // Deployment are independent and safe to issue from multiple goroutines
 // concurrently; results are byte-identical to deploying freshly per run.
 //
-// A fork whose device nobody keeps (a served request's, a cluster shard's)
-// is parked after its run (recycle) and the next fork restores it in place
-// from the master instead of cloning (newFork). Run and Fork hand the
-// device to the caller, who may keep it, so theirs is never reused.
+// A fork whose device nobody keeps (a served request's, a cluster shard's,
+// a sweep cell's) is parked after its run (recycle) and the next fork
+// restores it in place from the master instead of cloning (newFork). Run
+// and Fork hand the device to the caller, who may keep it, so theirs is
+// never reused.
 type Deployment struct {
 	sys    *System
 	c      *Compiled
@@ -530,10 +536,10 @@ func (d *Deployment) settle() {
 
 // recycle takes r's device off it and parks it for the next fork. Only
 // code that drops the device of a run that returned a result calls it (a
-// served result, a merged cluster part): a run that failed or panicked has
-// no result, and a poisoned fork is discarded. At most the pool's depth
-// plus GOMAXPROCS devices are parked or ready — one per buffer slot and per
-// running request — and none after Close.
+// served result, a merged cluster part, a memoized sweep cell): a run that
+// failed or panicked has no result, and a poisoned fork is discarded. At
+// most the pool's depth plus GOMAXPROCS devices are parked or ready — one
+// per buffer slot and per running request — and none after Close.
 func (d *Deployment) recycle(r *RunResult) {
 	dev := r.Device
 	r.Device = nil
@@ -597,19 +603,29 @@ func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*Run
 	return r, nil
 }
 
-// deploy provisions a fresh drive and installs the program through the
-// NVMe path: stage inputs via I/O writes, transfer the binary with
-// fw-download, and activate it with the flagged fw-commit (§4.4). A
-// timing-only drive reads no payload, so its inputs are staged nil and no
-// dataset byte is generated.
+// deploy installs the program on a clone of the System's blank drive. A
+// clone of the frozen blank shares its tables copy-on-write, so a deploy
+// pays for the chunks it writes, not for building a drive (ssd.New seeds
+// every free-block chunk of the FTL).
 func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
-	cfg := s.cfg
-	dev := ssd.New(&cfg)
+	s.blankOnce.Do(func() {
+		cfg := s.cfg
+		s.blank = ssd.New(&cfg)
+		s.blank.Freeze()
+	})
+	return s.install(s.blank.Clone(), c)
+}
+
+// install puts the program on dev through the NVMe path: stage inputs via
+// I/O writes, transfer the binary with fw-download, and activate it with
+// the flagged fw-commit (§4.4). A timing-only drive reads no payload, so
+// its inputs are staged nil and no dataset byte is generated.
+func (s *System) install(dev *ssd.Device, c *Compiled) (*ssd.Device, error) {
 	ctrl := nvme.NewController(dev)
 	for _, p := range c.Prog.InputPages {
 		var page []byte
-		if !cfg.SSD.TimingOnly {
-			page = make([]byte, cfg.SSD.PageSize)
+		if !s.cfg.SSD.TimingOnly {
+			page = make([]byte, s.cfg.SSD.PageSize)
 			c.InputPage(p, page)
 		}
 		if err := ctrl.WritePage(p, page); err != nil {

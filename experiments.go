@@ -21,8 +21,10 @@ import (
 // 7a, 7b, 9) execute each workload x policy pair once. Each workload is
 // compiled and NVMe-deployed once; every policy run restores the
 // post-deploy snapshot instead of re-driving the deploy path, and RunGrid
-// executes whole workload x policy grids across a worker pool. All
-// methods are safe for concurrent use.
+// executes whole workload x policy grids across a worker pool. A result is
+// shared by every caller of its cell, so it carries no device: the cell's
+// drive goes back to the workload's Deployment, which restores it for the
+// next cell. All methods are safe for concurrent use.
 type Experiments struct {
 	sys     *System
 	scale   int
@@ -119,7 +121,9 @@ func (e *Experiments) Run(workload, policy string) (*RunResult, error) {
 		default:
 			var dep *Deployment
 			if dep, err = e.deployment(workload); err == nil {
-				r, err = dep.Run(policy)
+				if r, err = dep.Run(policy); err == nil {
+					dep.recycle(r)
+				}
 			}
 		}
 		if err != nil {
@@ -312,13 +316,22 @@ func (e *Experiments) Fig4() (*Table, error) {
 	t := stats.NewTable("Fig 4: case study — execution time normalized to OSP (lower is better)",
 		"class", "model", "norm_time", "movement_share")
 	for _, class := range classes {
-		src := caseStudyClass(class, e.scale)
+		// One compile and one deploy per class (CPU runs from the program).
+		c, err := Compile(caseStudyClass(class, e.scale), &e.sys.cfg)
+		if err != nil {
+			return nil, err
+		}
+		dep, err := e.sys.Deploy(c)
+		if err != nil {
+			return nil, err
+		}
 		var base float64
 		for i, model := range models {
-			r, err := e.sys.Run(src, model)
+			r, err := dep.Run(model)
 			if err != nil {
 				return nil, err
 			}
+			dep.recycle(r)
 			if i == 0 {
 				base = float64(r.Elapsed)
 			}

@@ -63,6 +63,12 @@ func requireSameRun(t *testing.T, what string, got, want *RunResult) {
 	if gl.Count() != wl.Count() || gl.Sum() != wl.Sum() || gl.Max() != wl.Max() || gl.P99() != wl.P99() {
 		t.Errorf("%s: instruction latencies differ", what)
 	}
+	if (got.Counters == nil) != (want.Counters == nil) {
+		t.Fatalf("%s: one result has counters, the other none", what)
+	}
+	if want.Counters == nil {
+		return // host runs: no drive, no counters
+	}
 	if !reflect.DeepEqual(got.Counters.Names(), want.Counters.Names()) {
 		t.Fatalf("%s: counter names differ: %v vs %v", what, got.Counters.Names(), want.Counters.Names())
 	}
@@ -269,13 +275,16 @@ func TestServedRequestAllocBudget(t *testing.T) {
 // neither the build, the compile nor the timing-only deploy (which stages
 // nil payloads) makes a dataset byte; the firmware image is a flat varint
 // layout whose decoder carves every instruction's operand lists from one
-// array, and LoadProgram indexes its page tables densely. It measures
-// build 68 KiB, compile 876 KiB, and deploy 1 981 KiB in 1 912 allocations
-// (4 870 KiB, 911 KiB, and 2 253 KiB in 1 939, with eagerly built
-// datasets, a compiled page image and zero pages for unstaged inputs).
-// The ceilings are what it measures plus 10 %: a dataset built eagerly
-// breaks the build budget, and an allocation per instruction or per page
-// on the deploy path breaks the count.
+// array, LoadProgram indexes its page tables densely, and every deploy
+// clones the System's one frozen blank drive instead of building one. It
+// measures build 68 KiB, compile 876 KiB, and deploy 1 841 KiB in 913
+// allocations (deploy 1 981 KiB in 1 912 with a drive built per deploy;
+// 4 870 KiB, 911 KiB, and 2 253 KiB in 1 939 before that, with eagerly
+// built datasets, a compiled page image and zero pages for unstaged
+// inputs). The ceilings are what it measures plus 10 %: a dataset built
+// eagerly breaks the build budget, and a drive built per deploy or an
+// allocation per instruction or per page on the deploy path breaks the
+// count.
 func TestColdDeployAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
@@ -283,8 +292,8 @@ func TestColdDeployAllocBudget(t *testing.T) {
 	const (
 		maxBuildKiB     = 75
 		maxCompileKiB   = 964
-		maxDeployKiB    = 2179
-		maxDeployAllocs = 2103
+		maxDeployKiB    = 2025
+		maxDeployAllocs = 1004
 	)
 	sys := NewSystem(DefaultConfig())
 	var start, before, mid, after runtime.MemStats
@@ -317,6 +326,75 @@ func TestColdDeployAllocBudget(t *testing.T) {
 	if deployKiB > maxDeployKiB || deployAllocs > maxDeployAllocs {
 		t.Errorf("deploying the six workloads allocated %d KiB in %d allocations, budget %d KiB in %d",
 			deployKiB, deployAllocs, maxDeployKiB, maxDeployAllocs)
+	}
+}
+
+// TestColdGridAllocBudget pins what a cold grid allocates: a fresh
+// one-worker harness running the six scale-1 workloads under every policy
+// of Policies, compile, deploy and host baselines included, which is one
+// sweep_grid call of cmd/conduit-bench. It measures 4 451 KiB in 7 571
+// allocations (8 015 KiB in 10 959 while each deploy built its drive with
+// ssd.New and each cell kept a clone of its own); the ceilings are that
+// plus 10 %.
+func TestColdGridAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const (
+		maxGridKiB    = 4896
+		maxGridAllocs = 8328
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := NewExperiments(DefaultConfig(), 1)
+	e.SetWorkers(1)
+	if _, err := e.RunGrid(e.Workloads(), Policies()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	gridKiB := (after.TotalAlloc - before.TotalAlloc) >> 10
+	gridAllocs := after.Mallocs - before.Mallocs
+	t.Logf("cold grid: %d KiB in %d allocations", gridKiB, gridAllocs)
+	if gridKiB > maxGridKiB || gridAllocs > maxGridAllocs {
+		t.Errorf("a cold grid allocated %d KiB in %d allocations, budget %d KiB in %d",
+			gridKiB, gridAllocs, maxGridKiB, maxGridAllocs)
+	}
+}
+
+// deployOnNewDrive deploys c the way every deploy did before the blank
+// template: onto a drive ssd.New builds for this one program.
+func deployOnNewDrive(s *System, c *Compiled) (*ssd.Device, error) {
+	cfg := s.cfg
+	return s.install(ssd.New(&cfg), c)
+}
+
+// TestBlankTemplateMatchesNewDrive: a deploy onto a clone of the System's
+// frozen blank drive runs exactly like one onto a drive ssd.New builds
+// for it. Six workloads at scales 1 and 2, every policy of Policies and
+// AblationPolicies, each on a fork of one template-deployed master
+// against a run straight on its own ssd.New deploy.
+func TestBlankTemplateMatchesNewDrive(t *testing.T) {
+	policies := append(Policies(), AblationPolicies()...)
+	for _, scale := range []int{1, 2} {
+		sys := NewSystem(DefaultConfig())
+		for _, w := range workloads.All(scale) {
+			c := mustCompile(t, sys, w)
+			dep, err := sys.Deploy(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range policies {
+				got, err := dep.Run(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sys.runOn(c, p, func() (*ssd.Device, error) { return deployOnNewDrive(sys, c) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRun(t, fmt.Sprintf("%s scale %d under %s", w.Name, scale, p), got, want)
+			}
+		}
 	}
 }
 

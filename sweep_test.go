@@ -1,7 +1,9 @@
 package conduit_test
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,19 +84,24 @@ func keyOf(r *conduit.RunResult) resultKey {
 // TestParallelGridMatchesSerialSweep is the tentpole determinism
 // guarantee: the worker-pool, snapshot-restoring RunGrid engine must
 // produce RunResult tables byte-identical to the serial seed path (a full
-// fresh NVMe deploy per cell via System.RunCompiled). Run with -race to
-// also exercise the concurrency contract.
+// fresh NVMe deploy per cell via System.RunCompiled). A grid cell hands
+// its device back to its workload's deployment, which restores it for the
+// next cell, so with one worker each workload's device runs all fourteen
+// policies as one chain, and the columns are shuffled to vary that chain
+// from pass to pass; with four the chains also interleave. No result the
+// harness hands out carries a device. Run with -race to also exercise the
+// concurrency contract.
 func TestParallelGridMatchesSerialSweep(t *testing.T) {
 	cfg := conduit.DefaultConfig()
+	policies := append(conduit.Policies(), conduit.AblationPolicies()...)
 
 	// Serial reference: fresh deploy per cell, strictly sequential.
 	sys := conduit.NewSystem(cfg)
-	e := conduit.NewExperiments(cfg, 1)
-	ws := sweepWorkloads(e)
+	ws := sweepWorkloads(conduit.NewExperiments(cfg, 1))
 	serial := make(map[string]resultKey)
 	for _, w := range ws {
 		c := compiledWorkload(t, sys, w)
-		for _, p := range sweepPolicies {
+		for _, p := range policies {
 			r, err := sys.RunCompiled(c, p)
 			if err != nil {
 				t.Fatalf("serial %s/%s: %v", w, p, err)
@@ -103,33 +110,39 @@ func TestParallelGridMatchesSerialSweep(t *testing.T) {
 		}
 	}
 
-	// Parallel engine: one deploy per workload, snapshot-restored runs
-	// across 4 workers.
-	e.SetWorkers(4)
-	grid, err := e.RunGrid(ws, sweepPolicies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range ws {
-		for j, p := range sweepPolicies {
-			got := keyOf(grid[i][j])
-			want := serial[w+"|"+p]
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s under %s: parallel grid differs from serial sweep\n got: %+v\nwant: %+v",
-					w, p, got, want)
+	for pass, workers := range []int{1, 4, 1, 4} {
+		e := conduit.NewExperiments(cfg, 1)
+		e.SetWorkers(workers)
+		cols := slices.Clone(policies)
+		rand.New(rand.NewPCG(uint64(pass), 0)).Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+		grid, err := e.RunGrid(ws, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range ws {
+			for j, p := range cols {
+				if grid[i][j].Device != nil {
+					t.Errorf("%d workers: %s under %s carries a device", workers, w, p)
+				}
+				got := keyOf(grid[i][j])
+				want := serial[w+"|"+p]
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d workers: %s under %s: parallel grid differs from serial sweep\n got: %+v\nwant: %+v",
+						workers, w, p, got, want)
+				}
 			}
 		}
-	}
 
-	// The grid is memoized: a second pass returns identical values.
-	again, err := e.RunGrid(ws, sweepPolicies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ws {
-		for j := range sweepPolicies {
-			if again[i][j] != grid[i][j] {
-				t.Fatalf("memoized grid cell %d/%d was re-run", i, j)
+		// The grid is memoized: a second pass returns identical values.
+		again, err := e.RunGrid(ws, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ws {
+			for j := range cols {
+				if again[i][j] != grid[i][j] {
+					t.Fatalf("memoized grid cell %d/%d was re-run", i, j)
+				}
 			}
 		}
 	}
