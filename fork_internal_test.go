@@ -361,8 +361,8 @@ func TestColdGridAllocBudget(t *testing.T) {
 	}
 }
 
-// deployOnNewDrive deploys c the way every deploy did before the blank
-// template: onto a drive ssd.New builds for this one program.
+// deployOnNewDrive deploys c onto a drive ssd.New builds for this one
+// program: the reference a deploy onto the blank template is held to.
 func deployOnNewDrive(s *System, c *Compiled) (*ssd.Device, error) {
 	cfg := s.cfg
 	return s.install(ssd.New(&cfg), c)
