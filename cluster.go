@@ -26,12 +26,6 @@ type ClusterOptions struct {
 	// Prefork is the per-shard device-pool depth (see Deployment.Prefork);
 	// < 1 disables pooling and forks clone inline.
 	Prefork int
-	// Partition classifies arrays: true = partitionable (sliced
-	// row-block-wise), false = broadcast (replicated whole to every
-	// shard). Nil selects the workload's shardability metadata
-	// (internal/workloads, matched by source name), which defaults to
-	// partitioning every array for unknown workloads.
-	Partition func(array string) bool
 }
 
 // ClusterPlan is the public description of how a cluster sharded its
@@ -69,7 +63,9 @@ type Cluster struct {
 }
 
 // DeployCluster shards src across opts.Shards simulated drives: it plans
-// the row-block partition, compiles each shard's source, deploys every
+// the row-block partition from the workload's shardability metadata
+// (internal/workloads, matched by source name; an unknown workload
+// partitions every array), compiles each shard's source, deploys every
 // shard binary over the NVMe path exactly once, and (when opts.Prefork is
 // set) attaches a pre-fork pool per shard. With Shards <= 1 the single
 // shard's source is the original, untouched — the resulting cluster is a
@@ -79,11 +75,7 @@ func (s *System) DeployCluster(src *Source, opts ClusterOptions) (*Cluster, erro
 	if shards < 1 {
 		shards = 1
 	}
-	part := opts.Partition
-	if part == nil {
-		part = workloads.Partition(src.Name)
-	}
-	plan, err := cluster.PlanShards(src, s.cfg.SSD.PageSize, shards, part)
+	plan, err := cluster.PlanShards(src, s.cfg.SSD.PageSize, shards, workloads.Partition(src.Name))
 	if err != nil {
 		return nil, err
 	}

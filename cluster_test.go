@@ -148,9 +148,9 @@ func TestClusterShardingSpeedsUpAndScattersWork(t *testing.T) {
 	}
 }
 
-// TestClusterPlanUsesWorkloadMetadata: with a nil Partition option the
-// cluster follows internal/workloads shardability — AES round keys
-// broadcast, state partitions.
+// TestClusterPlanUsesWorkloadMetadata: the cluster follows
+// internal/workloads shardability — AES round keys broadcast, state
+// partitions.
 func TestClusterPlanUsesWorkloadMetadata(t *testing.T) {
 	w, ok := workloads.Find("aes", 1)
 	if !ok {

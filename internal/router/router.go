@@ -96,14 +96,13 @@ type Router struct {
 
 	// The Stats counters and the routed-request sequence (the trace ID of
 	// a sampled request) are atomics, so Do takes mu only to record wall
-	// latency and to file a sampled request's remote spans.
+	// latency.
 	seq atomic.Uint64
 
 	requests, attempts, retries, hedges, hedgeWins, refusals atomic.Int64
 
-	mu     sync.Mutex
-	wall   *histo.Histogram       // router-observed request latency (needs Clock.Now)
-	remote map[string][]wire.Span // spans returned by targets, keyed by target name
+	mu   sync.Mutex
+	wall *histo.Histogram // router-observed request latency (needs Clock.Now)
 }
 
 // New builds a router over connected clients. Target names (from their
@@ -126,7 +125,6 @@ func New(clients []*Client, opts Options) (*Router, error) {
 		ring:    ring,
 		opts:    opts,
 		wall:    histo.New(),
-		remote:  make(map[string][]wire.Span),
 	}
 	if opts.BreakerThreshold > 0 {
 		cooldown := opts.BreakerCooldown
@@ -318,8 +316,7 @@ func (r *Router) attemptSpan(root *trace.Span, c *Client, prefix string, attempt
 	}
 	sp := root.Child("router.attempt", prefix+strconv.Itoa(attempt), 0)
 	sp.SetAttr("target", c.Name())
-	ctx := sp.Ctx()
-	req.Trace = wire.TraceCtx{ID: ctx.ID, Parent: ctx.Parent, Sampled: true}
+	req.Trace = sp.Ctx()
 	return sp
 }
 
@@ -332,7 +329,8 @@ func (r *Router) resolve(c *Client, sp *trace.Span, ch chan reply) (wire.Respons
 
 // settle finishes one submission: check the reply, end the attempt span
 // at the target's simulated elapsed time, and file the spans the target
-// sent back under its name.
+// sent back under its name in the span's trace, which retains them as
+// long as the tracer retains the trace.
 func (r *Router) settle(c *Client, sp *trace.Span, ch chan reply, rep reply, ok bool) (wire.Response, error) {
 	resp, err := answer[wire.Response](c, "a request", ch, rep, ok)
 	if err != nil {
@@ -340,11 +338,7 @@ func (r *Router) settle(c *Client, sp *trace.Span, ch chan reply, rep reply, ok 
 		return resp, err
 	}
 	sp.End(resp.ElapsedSimNS)
-	if sp != nil && len(resp.Spans) > 0 {
-		r.mu.Lock()
-		r.remote[c.Name()] = append(r.remote[c.Name()], resp.Spans...)
-		r.mu.Unlock()
-	}
+	sp.Adopt(c.Name(), resp.Spans)
 	return resp, nil
 }
 
@@ -433,18 +427,13 @@ func (r *Router) DrainAll() []TargetDrain {
 }
 
 // RemoteSpans returns the spans targets attached to sampled responses,
-// rehydrated, keyed by target name. Merge with the router's own
+// keyed by target name, for the traces the router's tracer still retains
+// (Options.MaxTraces bounds both). Merge with the router's own
 // Tracer.Spans() for the fleet-wide flight record; cmd/conduit-router
 // writes exactly that merge as a Perfetto trace with one process per
 // target.
 func (r *Router) RemoteSpans() map[string][]*trace.Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]*trace.Span, len(r.remote))
-	for name, spans := range r.remote {
-		out[name] = trace.FromWire(spans)
-	}
-	return out
+	return r.opts.Tracer.Remote()
 }
 
 // Close tears down every client connection without draining targets.

@@ -12,8 +12,8 @@ import (
 //
 // It is shared machinery: the Experiments sweep harness uses Do to give
 // figure sweeps their run-once-per-cell guarantee, and the serving Engine
-// uses DoShared to batch identical concurrent requests onto one fork
-// without caching across the lifetime of the service.
+// calls begin and complete itself to batch identical concurrent requests
+// onto one fork, forgetting the key on completion unless it memoizes.
 type FlightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -30,18 +30,6 @@ type flightCall struct {
 // cache. joined reports whether this call was served by an execution (or
 // cached success) another caller started.
 func (g *FlightGroup) Do(key string, fn func() (interface{}, error)) (v interface{}, joined bool, err error) {
-	return g.do(key, fn, false)
-}
-
-// DoShared coalesces without the forever-cache: callers that arrive while
-// an execution of key is in flight share its result, but once it completes
-// the key is forgotten and the next caller executes afresh. joined reports
-// whether this call rode on an execution another caller started.
-func (g *FlightGroup) DoShared(key string, fn func() (interface{}, error)) (v interface{}, joined bool, err error) {
-	return g.do(key, fn, true)
-}
-
-func (g *FlightGroup) do(key string, fn func() (interface{}, error), forget bool) (interface{}, bool, error) {
 	c, leader := g.begin(key)
 	if !leader {
 		<-c.done
@@ -55,12 +43,12 @@ func (g *FlightGroup) do(key string, fn func() (interface{}, error), forget bool
 	finished := false
 	defer func() {
 		if !finished {
-			g.complete(key, c, nil, fmt.Errorf("serve: flight call %q panicked", key), forget)
+			g.complete(key, c, nil, fmt.Errorf("serve: flight call %q panicked", key), false)
 		}
 	}()
-	v, err := fn()
+	v, err = fn()
 	finished = true
-	g.complete(key, c, v, err, forget)
+	g.complete(key, c, v, err, false)
 	return v, false, err
 }
 

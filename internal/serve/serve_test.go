@@ -243,8 +243,8 @@ func TestEngineBackendErrorsAreReturnedAndCounted(t *testing.T) {
 	}
 }
 
-// TestFlightGroupSemantics locks in the two sharing modes the engine and
-// the experiment harness build on.
+// TestFlightGroupSemantics locks in Do's sharing mode, which the
+// experiment harness builds on.
 func TestFlightGroupSemantics(t *testing.T) {
 	var g FlightGroup
 	calls := 0
@@ -258,13 +258,6 @@ func TestFlightGroupSemantics(t *testing.T) {
 	v, joined, err = g.Do("k", fn)
 	if v != 1 || !joined || err != nil {
 		t.Fatalf("second Do must hit cache: v=%v joined=%v err=%v", v, joined, err)
-	}
-
-	// DoShared forgets the key after completion.
-	v, _, _ = g.DoShared("s", fn)
-	v2, joined, _ := g.DoShared("s", fn)
-	if v == v2 || joined {
-		t.Fatalf("DoShared must re-execute after completion: %v then %v (joined=%v)", v, v2, joined)
 	}
 
 	// Failures are not cached.

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	conduit "conduit"
-	"conduit/internal/serve"
-	"conduit/internal/trace"
 	"conduit/internal/wire"
 	"conduit/internal/workloads"
 )
@@ -366,11 +364,7 @@ func (s *Server) handleRequest(c *conn, req wire.Request) {
 		Workload: req.Workload,
 		Policy:   req.Policy,
 		Deadline: time.Duration(req.DeadlineNS),
-		Trace: conduit.TraceCtx{
-			ID:      req.Trace.ID,
-			Parent:  req.Trace.Parent,
-			Sampled: req.Trace.Sampled,
-		},
+		Trace:    req.Trace,
 	}, func(resp *conduit.Response) { c.send(outbound{id: id, resp: resp}) })
 	if err != nil {
 		// Shed at admission or draining: never executed, so nothing is
@@ -459,12 +453,10 @@ func project(out *wire.Response, res *wire.Result, id uint64, resp *conduit.Resp
 	if resp != nil {
 		out.ElapsedSimNS = int64(resp.Outcome.Elapsed)
 		out.EnergyJ = resp.Outcome.EnergyJ
-		out.Recovery = wireRecovery(resp.Outcome.Recovery)
-		if resp.Trace != nil {
-			// Spans ride home on error responses too: a failed request's
-			// retry and fault events are exactly what the trace is for.
-			out.Spans = trace.ToWire(resp.Trace.Spans())
-		}
+		out.Recovery = resp.Outcome.Recovery
+		// Spans ride home on error responses too: a failed request's
+		// retry and fault events are exactly what the trace is for.
+		out.Spans = resp.Trace.Spans()
 	}
 	if err != nil {
 		out.Code = codeFor(err)
@@ -519,18 +511,6 @@ func codeFor(err error) wire.Code {
 		return wire.CodeCircuitOpen
 	}
 	return wire.CodeError
-}
-
-func wireRecovery(r serve.Recovery) wire.Recovery {
-	return wire.Recovery{
-		Attempts:     r.Attempts,
-		Retries:      r.Retries,
-		Hedges:       r.Hedges,
-		HedgeWins:    r.HedgeWins,
-		Fallbacks:    r.Fallbacks,
-		Injected:     r.Injected,
-		BackoffSimNS: int64(r.BackoffSim),
-	}
 }
 
 // WirePools projects the pool-stats map onto name-sorted wire rows.

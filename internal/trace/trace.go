@@ -58,7 +58,10 @@ type Event struct {
 // Span is one timed operation in a trace. Exported fields are written
 // once while the span is open and read only after it ends (or under the
 // span's lock via the mutating methods), and they marshal directly to
-// the span JSONL export (internal/jsonl, one span per line).
+// the span JSONL export (internal/jsonl, one span per line). A Span also
+// crosses the wire as is (internal/wire walks everything but the wall
+// fields); a span decoded off the wire has no backing trace, so Child
+// and Adopt do nothing on it and End and Event stamp no wall time.
 type Span struct {
 	TraceID uint64 `json:"trace_id"`
 	ID      uint64 `json:"span_id"`
@@ -86,6 +89,7 @@ type Trace struct {
 	tracer *Tracer
 	mu     sync.Mutex
 	spans  []*Span
+	remote map[string][]*Span // spans other processes recorded, by process
 }
 
 // Options configures a Tracer.
@@ -212,8 +216,23 @@ func (tr *Trace) Spans() []*Span {
 	return out
 }
 
-// wallNow is the trace's wall clock; zero when the trace is nil (a
-// rehydrated remote span has no backing trace) or the tracer unclocked.
+// Remote returns the spans the retained traces adopted (Span.Adopt),
+// keyed by the process that recorded them, in trace start order. They
+// are retained, and dropped, with their trace.
+func (t *Tracer) Remote() map[string][]*Span {
+	out := make(map[string][]*Span)
+	for _, tr := range t.Traces() {
+		tr.mu.Lock()
+		for proc, spans := range tr.remote {
+			out[proc] = append(out[proc], spans...)
+		}
+		tr.mu.Unlock()
+	}
+	return out
+}
+
+// wallNow is the trace's wall clock; zero when the trace is nil (a span
+// decoded off the wire has no backing trace) or the tracer unclocked.
 func (tr *Trace) wallNow() int64 {
 	if tr == nil {
 		return 0
@@ -280,6 +299,22 @@ func (sp *Span) SetAttr(key, value string) {
 	sp.mu.Lock()
 	sp.Attrs = append(sp.Attrs, Attr{Key: key, Value: value})
 	sp.mu.Unlock()
+}
+
+// Adopt files spans another process recorded for this span's trace
+// under that process's name (Tracer.Remote). A span with no backing
+// trace adopts nothing.
+func (sp *Span) Adopt(process string, spans []*Span) {
+	if sp == nil || sp.tr == nil || len(spans) == 0 {
+		return
+	}
+	tr := sp.tr
+	tr.mu.Lock()
+	if tr.remote == nil {
+		tr.remote = make(map[string][]*Span)
+	}
+	tr.remote[process] = append(tr.remote[process], spans...)
+	tr.mu.Unlock()
 }
 
 // WallClocked reports whether the span's tracer holds an injected wall

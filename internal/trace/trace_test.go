@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"conduit/internal/jsonl"
@@ -173,6 +175,38 @@ func TestMaxTracesRing(t *testing.T) {
 	}
 }
 
+// TestAdoptedSpansFollowRetention: spans adopted from other processes,
+// from several goroutines at once, are kept per trace and dropped with it,
+// and a span with no backing trace adopts nothing.
+func TestAdoptedSpansFollowRetention(t *testing.T) {
+	tr := New(Options{SampleEvery: 1, MaxTraces: 3})
+	var wg sync.WaitGroup
+	for id := uint64(1); id <= 8; id++ {
+		root := tr.Start(id).Root("router.request", 0, 0)
+		for _, proc := range []string{"t0", "t1"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				root.Adopt(proc, []*Span{{TraceID: id, ID: 1, Name: "serve.request"}})
+				tr.Remote()
+			}()
+		}
+	}
+	wg.Wait()
+	(&Span{TraceID: 9, ID: 1}).Adopt("t0", []*Span{{TraceID: 9, ID: 2, Name: "x"}})
+
+	remote := tr.Remote()
+	for _, proc := range []string{"t0", "t1"} {
+		var ids []uint64
+		for _, sp := range remote[proc] {
+			ids = append(ids, sp.TraceID)
+		}
+		if !reflect.DeepEqual(ids, []uint64{6, 7, 8}) {
+			t.Errorf("%s: adopted spans of traces %v, want the retained 6..8", proc, ids)
+		}
+	}
+}
+
 // TestPerfettoShape: the Perfetto export is valid trace_event JSON with
 // process metadata, complete spans, and instant events.
 func TestPerfettoShape(t *testing.T) {
@@ -206,39 +240,5 @@ func TestPerfettoShape(t *testing.T) {
 	}
 	if meta != 1 || complete != 3 || instant != 3 {
 		t.Errorf("event mix M=%d X=%d i=%d, want 1/3/3", meta, complete, instant)
-	}
-}
-
-// TestWireRoundTrip: spans survive the wire projection with their
-// simulated timeline, attrs, and events intact — and wall fields never
-// cross.
-func TestWireRoundTrip(t *testing.T) {
-	var tick int64
-	tr := New(Options{SampleEvery: 1, Now: func() int64 { tick++; return tick }})
-	driveTrace(tr, 9, false)
-	spans := tr.Spans()
-	back := FromWire(ToWire(spans))
-	if len(back) != len(spans) {
-		t.Fatalf("round trip kept %d of %d spans", len(back), len(spans))
-	}
-	for i, sp := range back {
-		want := spans[i]
-		if sp.TraceID != want.TraceID || sp.ID != want.ID || sp.Parent != want.Parent ||
-			sp.Name != want.Name || sp.SimStartNS != want.SimStartNS || sp.SimEndNS != want.SimEndNS {
-			t.Errorf("span %d identity changed over the wire", i)
-		}
-		if sp.WallStartNS != 0 || sp.WallEndNS != 0 {
-			t.Errorf("span %d: wall fields crossed the wire", i)
-		}
-		if len(sp.Attrs) != len(want.Attrs) || len(sp.Events) != len(want.Events) {
-			t.Errorf("span %d lost annotations", i)
-		}
-	}
-	// Rehydrated spans have no backing trace; their methods must still
-	// be safe no-ops for End/Event via the nil-trace wall path.
-	back[0].End(123)
-	back[0].Event("late", 0)
-	if back[0].WallClocked() {
-		t.Error("rehydrated span claims a wall clock")
 	}
 }

@@ -48,7 +48,12 @@
 //
 // Response frames deliberately carry only deterministic quantities —
 // simulated time, energy, recovery accounting, substrate counters — so
-// they are comparable across runs. Wall-clock latency crosses the wire
+// they are comparable across runs. The trace and recovery fields are the
+// tiers' own types, with no wire copies: a Request carries a trace.Ctx,
+// and a Response a serve.Recovery and the target's []*trace.Span, as the
+// codec walks them. The span walk skips every wall-clock field, so a
+// span's wall timeline never crosses the wire and a decoded span's is
+// zero. Wall-clock latency crosses the wire
 // only inside a Snapshot, as the target's metrics scrape
 // (internal/metrics samples, histograms in internal/histo's canonical
 // mergeable codec); per-request wall latency is measured by whoever

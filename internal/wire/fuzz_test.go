@@ -12,6 +12,8 @@ import (
 
 	"conduit/internal/histo"
 	"conduit/internal/metrics"
+	"conduit/internal/serve"
+	"conduit/internal/sim"
 )
 
 // FuzzWireDecode feeds the decoder adversarial payloads: it must never
@@ -104,7 +106,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		checkRoundTrip(t, req)
 
 		resp := Response{ID: id, Code: Code(code % 7), ElapsedSimNS: elapsed,
-			EnergyJ: energy, Recovery: Recovery{Attempts: elapsed % 97, BackoffSimNS: deadline}}
+			EnergyJ: energy, Recovery: serve.Recovery{Attempts: elapsed % 97, BackoffSim: sim.Time(deadline)}}
 		if resp.Code == CodeOK {
 			resp.Result = &Result{Policy: policy, ComputeEnergyJ: energy,
 				OverheadNS: elapsed, InstCount: int64(id % 1024),

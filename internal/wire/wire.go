@@ -8,6 +8,8 @@ import (
 
 	"conduit/internal/histo"
 	"conduit/internal/metrics"
+	"conduit/internal/serve"
+	"conduit/internal/trace"
 )
 
 // Protocol limits, enforced by encoder and decoder alike. A decoder
@@ -88,18 +90,7 @@ type Request struct {
 	// Trace is the issuer's trace context. The field is optional in
 	// meaning (the zero value is "untraced") but canonical on the wire:
 	// every Request carries it.
-	Trace TraceCtx
-}
-
-// TraceCtx carries distributed-trace identity with a request, so the
-// target's spans join the issuer's trace instead of starting their own.
-type TraceCtx struct {
-	// ID is the trace ID; 0 means untraced.
-	ID uint64
-	// Parent is the issuer's span that dispatched this request.
-	Parent uint64
-	// Sampled asks the target to record spans for this request.
-	Sampled bool
+	Trace trace.Ctx
 }
 
 // Code classifies a response, mirroring the serving tier's typed errors
@@ -116,18 +107,6 @@ const (
 	CodeCircuitOpen Code = 5 // a breaker refused it and no fallback is set
 	CodeBadRequest  Code = 6 // unknown workload/policy or malformed frame
 )
-
-// Recovery mirrors serve.Recovery field for field: the fault-tolerance
-// work behind one response, in deterministic simulated quantities.
-type Recovery struct {
-	Attempts     int64
-	Retries      int64
-	Hedges       int64
-	HedgeWins    int64
-	Fallbacks    int64
-	Injected     int64
-	BackoffSimNS int64
-}
 
 // Counter is one named substrate activity counter of a run result.
 type Counter struct {
@@ -166,43 +145,14 @@ type Response struct {
 	ElapsedSimNS int64
 	// EnergyJ is the total consumed energy in joules.
 	EnergyJ  float64
-	Recovery Recovery
+	Recovery serve.Recovery
 	// Result is present iff Code is CodeOK.
 	Result *Result
-	// Spans are the target-side trace spans for a sampled request,
-	// empty otherwise. Like every other Response field they carry only
-	// deterministic simulated quantities — span wall-clock fields never
-	// cross the wire.
-	Spans []Span
-}
-
-// Attr is one key/value annotation on a span or an event.
-type Attr struct {
-	Key   string
-	Value string
-}
-
-// SpanEvent is one point-in-time occurrence inside a wire span, on the
-// request's simulated timeline.
-type SpanEvent struct {
-	Name  string
-	SimNS int64
-	Attrs []Attr
-}
-
-// Span is one trace span as it crosses the wire: identity, simulated
-// timeline, annotations. Wall-clock fields are deliberately absent —
-// the wire carries only quantities both ends can agree on
-// deterministically.
-type Span struct {
-	TraceID    uint64
-	ID         uint64
-	Parent     uint64
-	Name       string
-	SimStartNS int64
-	SimEndNS   int64
-	Attrs      []Attr
-	Events     []SpanEvent
+	// Spans are the target-side trace spans for a sampled request, in
+	// (TraceID, ID) order, empty otherwise. Like every other Response
+	// field they carry only deterministic simulated quantities: the span
+	// walk skips the wall-clock fields, so a decoded span's are zero.
+	Spans []*trace.Span
 }
 
 // SnapshotReq asks the target for its accounting snapshot.
@@ -532,14 +482,14 @@ func (c *codec) response(p *Response) {
 	}
 }
 
-func (c *codec) recovery(r *Recovery) {
+func (c *codec) recovery(r *serve.Recovery) {
 	c.i64(&r.Attempts)
 	c.i64(&r.Retries)
 	c.i64(&r.Hedges)
 	c.i64(&r.HedgeWins)
 	c.i64(&r.Fallbacks)
 	c.i64(&r.Injected)
-	c.i64(&r.BackoffSimNS)
+	c.i64((*int64)(&r.BackoffSim))
 }
 
 func (c *codec) result(r *Result) {
@@ -560,7 +510,7 @@ func (c *codec) counter(n *Counter) {
 	c.i64(&n.Value)
 }
 
-func (c *codec) attr(a *Attr) {
+func (c *codec) attr(a *trace.Attr) {
 	c.str(&a.Key)
 	c.str(&a.Value)
 }
@@ -570,7 +520,18 @@ func (c *codec) label(l *metrics.Label) {
 	c.str(&l.Value)
 }
 
-func (c *codec) span(s *Span) {
+// span walks a span's identity, simulated timeline and annotations. It
+// never visits WallStartNS, WallEndNS or an event's WallNS: the wall
+// clock stays with the process that read it. A decoder allocates the
+// span, which then has no backing trace.
+func (c *codec) span(sp **trace.Span) {
+	if !c.enc {
+		*sp = new(trace.Span)
+	} else if *sp == nil {
+		c.fail(errors.New("wire: nil span"))
+		return
+	}
+	s := *sp
 	c.u64(&s.TraceID)
 	c.u64(&s.ID)
 	c.u64(&s.Parent)
@@ -588,7 +549,7 @@ func (c *codec) span(s *Span) {
 	}
 }
 
-func (c *codec) event(e *SpanEvent) {
+func (c *codec) event(e *trace.Event) {
 	c.name(&e.Name, "span event")
 	c.i64(&e.SimNS)
 	for i := range list(c, &e.Attrs, 2) {

@@ -14,6 +14,8 @@ import (
 
 	"conduit/internal/histo"
 	"conduit/internal/metrics"
+	"conduit/internal/serve"
+	"conduit/internal/trace"
 )
 
 // sampleFrames returns one representative of every frame type,
@@ -31,13 +33,13 @@ func sampleFrames() []Frame {
 		Request{ID: math.MaxUint64, Tenant: "", Workload: "w", Policy: "p",
 			DeadlineNS: int64(1e12), Shards: []uint32{0, 3, math.MaxUint32}},
 		Response{ID: 7, Code: CodeOK, ElapsedSimNS: 123456789, EnergyJ: 0.25,
-			Recovery: Recovery{Attempts: 3, Retries: 2, BackoffSimNS: 400000},
+			Recovery: serve.Recovery{Attempts: 3, Retries: 2, BackoffSim: 400000},
 			Result: &Result{Policy: "Conduit", ComputeEnergyJ: 0.1, MovementEnergyJ: 0.15,
 				OverheadNS: 42, Decisions: 9, InstCount: 100, InstMeanNS: 1234,
 				Counters: []Counter{{"senses", 12}, {"bbops", -3}}}},
 		Response{ID: 8, Code: CodeError, Error: "conduit: boom",
 			ElapsedSimNS: -1, EnergyJ: math.Inf(1),
-			Recovery: Recovery{Attempts: 5, Injected: 5}},
+			Recovery: serve.Recovery{Attempts: 5, Injected: 5}},
 		Response{ID: 9, Code: CodeDraining, Error: "serve: engine is draining"},
 		SnapshotReq{ID: 11},
 		Snapshot{ID: 12, Target: "target-1", Samples: []metrics.Sample{
@@ -52,14 +54,14 @@ func sampleFrames() []Frame {
 		DrainAck{ID: 15, Pools: []PoolRow{{Name: "aes", Idle: 0, Closed: true}}},
 		DrainAck{ID: 16},
 		Request{ID: 17, Tenant: "tenant-02", Workload: "aes", Policy: "Conduit",
-			Trace: TraceCtx{ID: 0xfeedface, Parent: 0x1234, Sampled: true}},
+			Trace: trace.Ctx{ID: 0xfeedface, Parent: 0x1234, Sampled: true}},
 		Response{ID: 18, Code: CodeOK, ElapsedSimNS: 555, Result: &Result{Policy: "CPU"},
-			Spans: []Span{
+			Spans: []*trace.Span{
 				{TraceID: 0xfeedface, ID: 2, Parent: 1, Name: "serve.request",
 					SimStartNS: 0, SimEndNS: 555,
-					Attrs: []Attr{{Key: "tenant", Value: "tenant-02"}},
-					Events: []SpanEvent{{Name: "retry", SimNS: 100,
-						Attrs: []Attr{{Key: "attempt", Value: "1"}}}}},
+					Attrs: []trace.Attr{{Key: "tenant", Value: "tenant-02"}},
+					Events: []trace.Event{{Name: "retry", SimNS: 100,
+						Attrs: []trace.Attr{{Key: "attempt", Value: "1"}}}}},
 				{TraceID: 0xfeedface, ID: 3, Parent: 2, Name: "serve.run",
 					SimStartNS: -10, SimEndNS: 545},
 			}},
@@ -89,6 +91,74 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, re) {
 			t.Errorf("frame %d (%T): encoding not canonical", i, f)
 		}
+	}
+}
+
+// TestWireRoundTrip: a Response carries a wall-clocked tracer's spans as
+// exactly the bytes of the same spans with their wall fields zeroed, so
+// the wall clock never crosses; decoding keeps every deterministic field
+// and leaves the wall fields zero; and a decoded span, which has no
+// backing trace, takes End and Event as safe no-ops on the wall timeline.
+func TestWireRoundTrip(t *testing.T) {
+	var tick int64
+	tracer := trace.New(trace.Options{SampleEvery: 1, Now: func() int64 { tick++; return tick }})
+	root := tracer.Start(9).Root("serve.request", 0, 0)
+	root.SetAttr("tenant", "tenant-00")
+	for _, key := range []string{"0", "1"} {
+		sh := root.Child("cluster.shard", key, 10)
+		sh.Event("retry", 20, trace.Attr{Key: "attempt", Value: key})
+		sh.End(300)
+	}
+	root.Event("fault_injected", 5)
+	root.End(400)
+	spans := tracer.Spans()
+
+	var zeroed []*trace.Span
+	for _, sp := range spans {
+		if sp.WallStartNS == 0 || sp.WallEndNS == 0 {
+			t.Fatalf("span %q carries no wall timeline to drop", sp.Name)
+		}
+		events := make([]trace.Event, len(sp.Events))
+		for i, ev := range sp.Events {
+			if ev.WallNS == 0 {
+				t.Fatalf("event %q carries no wall time to drop", ev.Name)
+			}
+			events[i] = trace.Event{Name: ev.Name, SimNS: ev.SimNS, Attrs: ev.Attrs}
+		}
+		if len(events) == 0 {
+			events = nil
+		}
+		zeroed = append(zeroed, &trace.Span{TraceID: sp.TraceID, ID: sp.ID, Parent: sp.Parent,
+			Name: sp.Name, SimStartNS: sp.SimStartNS, SimEndNS: sp.SimEndNS, Attrs: sp.Attrs, Events: events})
+	}
+	resp := func(spans []*trace.Span) Response {
+		return Response{ID: 1, Code: CodeError, Error: "x", Recovery: serve.Recovery{Attempts: 2, BackoffSim: 7}, Spans: spans}
+	}
+	enc, err := Encode(resp(spans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(resp(zeroed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Fatal("a span's wall fields changed its bytes on the wire")
+	}
+
+	f, err := Decode(enc[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := f.(Response)
+	if !reflect.DeepEqual(back, resp(zeroed)) {
+		t.Fatalf("round trip changed a deterministic field or kept a wall one\n got: %+v\nwant: %+v", back, resp(zeroed))
+	}
+	sp := back.Spans[0]
+	sp.End(123)
+	sp.Event("late", 0)
+	if sp.WallClocked() || sp.WallEndNS != 0 || sp.Events[len(sp.Events)-1].WallNS != 0 {
+		t.Error("a decoded span took a wall clock")
 	}
 }
 
@@ -230,8 +300,8 @@ func TestReaderInternTableIsBounded(t *testing.T) {
 // reused frame, a Request of names the connection has seen costs nothing
 // and a Response exactly its Result and that Result's counters.
 func TestCodecAllocBudget(t *testing.T) {
-	req := Request{ID: 3, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "Conduit", Trace: TraceCtx{ID: 7}}
-	resp := Response{ID: 3, Code: CodeOK, ElapsedSimNS: 1234, Recovery: Recovery{Attempts: 1},
+	req := Request{ID: 3, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "Conduit", Trace: trace.Ctx{ID: 7}}
+	resp := Response{ID: 3, Code: CodeOK, ElapsedSimNS: 1234, Recovery: serve.Recovery{Attempts: 1},
 		Result: &Result{Policy: "Conduit", InstCount: 9, Counters: []Counter{{"flash.senses", 4}, {"dram.bbops", 2}}}}
 	buf := make([]byte, 0, 1024)
 	for name, enc := range map[string]func(){
@@ -303,11 +373,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"error with result":  Response{ID: 1, Code: CodeError, Error: "x", Result: &Result{}},
 		"error without msg":  Response{ID: 1, Code: CodeError},
 		"span unnamed": Response{ID: 1, Code: CodeError, Error: "x",
-			Spans: []Span{{TraceID: 1, ID: 2, SimEndNS: 5}}},
+			Spans: []*trace.Span{{TraceID: 1, ID: 2, SimEndNS: 5}}},
 		"span time-reversed": Response{ID: 1, Code: CodeError, Error: "x",
-			Spans: []Span{{TraceID: 1, ID: 2, Name: "s", SimStartNS: 10, SimEndNS: 5}}},
+			Spans: []*trace.Span{{TraceID: 1, ID: 2, Name: "s", SimStartNS: 10, SimEndNS: 5}}},
+		"span nil": Response{ID: 1, Code: CodeError, Error: "x", Spans: []*trace.Span{nil}},
 		"span event unnamed": Response{ID: 1, Code: CodeError, Error: "x",
-			Spans: []Span{{TraceID: 1, ID: 2, Name: "s", Events: []SpanEvent{{SimNS: 1}}}}},
+			Spans: []*trace.Span{{TraceID: 1, ID: 2, Name: "s", Events: []trace.Event{{SimNS: 1}}}}},
 		"metric unnamed": Snapshot{ID: 1, Target: "t",
 			Samples: []metrics.Sample{{Kind: metrics.KindCounter, Value: 1}}},
 		"metric bad kind": Snapshot{ID: 1, Target: "t",

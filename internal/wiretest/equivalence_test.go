@@ -266,7 +266,7 @@ func TestZeroFaultRoutedMatchesFaultFree(t *testing.T) {
 	plainFrames := routedResponses(t, rtPlain, events)
 	for i := range events {
 		a, p := armedFrames[i], plainFrames[i]
-		if a.Recovery != (wire.Recovery{Attempts: 1}) {
+		if a.Recovery != (serve.Recovery{Attempts: 1}) {
 			t.Fatalf("response %d: armed zero-fault run accrued recovery costs: %+v", i, a.Recovery)
 		}
 		if !bytes.Equal(wire.Append(nil, a), wire.Append(nil, p)) {

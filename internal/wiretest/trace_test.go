@@ -149,3 +149,37 @@ func TestFleetTracePerfettoAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteSpansFollowTracerRetention: the spans targets send back are
+// retained with the router trace they belong to, so a router tracer
+// bounded to MaxTraces traces keeps remote spans for at most those traces
+// however many requests it samples.
+func TestRemoteSpansFollowTracerRetention(t *testing.T) {
+	const maxTraces = 4
+	names := resolveNames(t, []string{"aes", "jacobi-1d"})
+	t0 := startTarget(t, "-name", "t0", "-mix", "aes,jacobi-1d", "-scale", "1", "-prefork", "0")
+	tracer := trace.New(trace.Options{SampleEvery: 1, MaxTraces: maxTraces})
+	rt := dialFleet(t, router.Options{Tracer: tracer}, t0)
+	for i, ev := range equivSchedule(t, 16, names) {
+		if _, _, err := rt.Do(wire.Request{Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+
+	retained := map[uint64]bool{}
+	for _, tr := range tracer.Traces() {
+		retained[tr.ID] = true
+	}
+	remote := map[uint64]bool{}
+	for name, spans := range rt.RemoteSpans() {
+		for _, sp := range spans {
+			if !retained[sp.TraceID] {
+				t.Errorf("target %s: span %q of trace %d outlived its router trace", name, sp.Name, sp.TraceID)
+			}
+			remote[sp.TraceID] = true
+		}
+	}
+	if len(remote) == 0 || len(remote) > maxTraces {
+		t.Errorf("remote spans cover %d traces, want 1..%d", len(remote), maxTraces)
+	}
+}
