@@ -1,6 +1,9 @@
 package loadgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -197,6 +200,38 @@ func TestGenerateValidation(t *testing.T) {
 	for _, ev := range evs {
 		if ev.At != 0 {
 			t.Fatal("closed-loop schedule must carry no arrival timing")
+		}
+	}
+}
+
+// TestScheduleGolden pins Generate's output across commits: the SHA-256
+// of each open-loop process's schedule at one fixed Spec, spanning a full
+// 10 s diurnal period, must match the committed digest. Two runs of one
+// binary agreeing (TestGenerateDeterministicAndSeedSensitive) cannot see
+// a change to an arrival law's constants; this can.
+func TestScheduleGolden(t *testing.T) {
+	want := map[string]string{
+		"poisson": "812575ccd7ebf216cb5d0fe5f07c1ebed7d468c83b5b7980f0c553d7889e6fb8",
+		"burst":   "775244bb95a2fbe19d30461238858e8dd6899f35a1fc8cb0b0b2ae104b9d52b1",
+		"diurnal": "22472078902a55ef3b95afbb03719bda24f78feae25875d5122814571d1ae8d8",
+	}
+	for name, digest := range want {
+		evs, err := Generate(Spec{
+			Arrival: name, QPS: 500, Duration: 10 * time.Second,
+			Seed: 42, Tenants: 3,
+			Workloads: []string{"aes", "jacobi-1d", "heat-3d"},
+			Policies:  []string{"Conduit", "BW-Offloading"},
+			SLO:       40 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, ev := range evs {
+			fmt.Fprintf(h, "%d %s %s %s %d\n", int64(ev.At), ev.Tenant, ev.Workload, ev.Policy, int64(ev.Deadline))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("%s: %d events, schedule sha256 %s, want %s", name, len(evs), got, digest)
 		}
 	}
 }
