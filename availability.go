@@ -12,55 +12,26 @@ import (
 // AvailabilityOptions configures the fault-rate x recovery-config sweep
 // (Experiments.Availability). Zero values select the documented defaults.
 type AvailabilityOptions struct {
-	// Workload is the served application (default aes).
-	Workload string
-	// Policy is the offload policy under test (default Conduit).
-	Policy string
-	// Shards is the cluster width (default 2).
-	Shards int
 	// Requests is the per-cell request count (default 200).
 	Requests int
-	// Seed is the root chaos seed; every (rate, config) cell derives its
-	// own substream (default 1).
-	Seed uint64
 	// FaultRates is the master fault-rate axis (default {0, 0.02, 0.05,
 	// 0.10}). Each rate r maps onto the seams as: shard failures and
 	// slow shards at r, fork failures and poisoned forks at r/2, and
 	// dispatch backend errors at r/4 — device faults dominate, matching
 	// a storage-centric failure model.
 	FaultRates []float64
-	// SlowFactor is the latency multiplier injected on slow shards
-	// (default 4).
-	SlowFactor float64
-	// SLOFactor sets the per-request simulated-time SLO as a multiple of
-	// the fault-free baseline run (default 3).
-	SLOFactor float64
 }
 
+// The availability sweep serves availWorkload under availPolicy on a
+// 2-shard cluster.
+const availWorkload, availPolicy = "aes", "Conduit"
+
 func (o *AvailabilityOptions) defaults() {
-	if o.Workload == "" {
-		o.Workload = "aes"
-	}
-	if o.Policy == "" {
-		o.Policy = "Conduit"
-	}
-	if o.Shards < 1 {
-		o.Shards = 2
-	}
 	if o.Requests < 1 {
 		o.Requests = 200
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if len(o.FaultRates) == 0 {
 		o.FaultRates = []float64{0, 0.02, 0.05, 0.10}
-	}
-	if o.SlowFactor <= 1 {
-		o.SlowFactor = 4
-	}
-	if o.SLOFactor <= 0 {
-		o.SLOFactor = 3
 	}
 }
 
@@ -76,8 +47,8 @@ func availabilityConfigs() []struct {
 	}{
 		// HedgeThreshold 8 sits above ordinary plan skew (aes's 2-shard
 		// split is naturally ~5.6x uneven) and below the ratio an injected
-		// slow shard produces (SlowFactor x the straggler), so hedges fire
-		// on degradation, not on the plan.
+		// slow shard produces (the injector's 4x slowdown of the
+		// straggler), so hedges fire on degradation, not on the plan.
 		{"none", RecoveryOptions{MaxAttempts: 1}},
 		{"retry", RecoveryOptions{MaxAttempts: 3}},
 		{"retry+hedge", RecoveryOptions{MaxAttempts: 3, Hedge: true, HedgeThreshold: 8}},
@@ -102,42 +73,39 @@ func availabilityConfigs() []struct {
 // table is byte-identical run to run.
 func (e *Experiments) Availability(opts AvailabilityOptions) (*Table, error) {
 	opts.defaults()
-	if !KnownPolicy(opts.Policy) {
-		return nil, errUnknownPolicy(opts.Policy)
-	}
-	w, ok := workloads.Find(opts.Workload, e.scale)
+	w, ok := workloads.Find(availWorkload, e.scale)
 	if !ok {
-		return nil, fmt.Errorf("conduit: unknown workload %q", opts.Workload)
+		return nil, fmt.Errorf("conduit: unknown workload %q", availWorkload)
 	}
-	cl, err := e.sys.DeployCluster(w.Source, ClusterOptions{Shards: opts.Shards, Prefork: 2})
+	cl, err := e.sys.DeployCluster(w.Source, ClusterOptions{Shards: 2, Prefork: 2})
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
 
-	// Fault-free baseline run: its elapsed time anchors the SLO budget.
-	base, err := cl.Run(opts.Policy)
+	// Fault-free baseline run: the SLO budget is 3x its elapsed time.
+	base, err := cl.Run(availPolicy)
 	if err != nil {
 		return nil, err
 	}
-	budget := Time(opts.SLOFactor * float64(base.Elapsed))
+	budget := Time(3 * float64(base.Elapsed))
 
 	t := stats.NewTable(
-		fmt.Sprintf("Availability: %s/%s x%d shards, %d requests/cell, SLO %.0fx baseline",
-			opts.Workload, opts.Policy, cl.Shards(), opts.Requests, opts.SLOFactor),
+		fmt.Sprintf("Availability: %s/%s x%d shards, %d requests/cell, SLO 3x baseline",
+			availWorkload, availPolicy, cl.Shards(), opts.Requests),
 		"fault_rate", "config", "ok_pct", "slo_pct", "retry_amp",
 		"hedges", "fallbacks", "trips", "mean_ms", "p99_ms")
-	cell := 0
+	cell := 0 // every (rate, config) cell draws its own substream of seed 1
 	for _, rate := range opts.FaultRates {
 		for _, cfg := range availabilityConfigs() {
-			inj := faultinject.New(FaultsAtRate(rate, opts.SlowFactor, loadgen.Stream(opts.Seed, uint64(cell))))
+			inj := faultinject.New(FaultsAtRate(rate, loadgen.Stream(1, uint64(cell))))
 			cell++
-			r := newResilient(opts.Workload, cl, inj, cfg.rec)
+			r := newResilient(availWorkload, cl, inj, cfg.rec)
 			var okCount, attained int
 			var rec Recovery
 			lat := stats.NewReservoir()
 			for i := 0; i < opts.Requests; i++ {
-				res, reqRec, err := r.run(opts.Policy, nil)
+				res, reqRec, err := r.run(availPolicy, nil)
 				rec.Merge(reqRec)
 				if err != nil {
 					continue

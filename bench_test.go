@@ -94,7 +94,7 @@ func BenchmarkFig9OffloadingDecisions(b *testing.B) {
 // map over a window of LLaMA2 inference, §6.5).
 func BenchmarkFig10Timeline(b *testing.B) {
 	benchTable(b, func() (*conduit.Table, error) {
-		return harness(benchScale).Fig10(12000, 72)
+		return harness(benchScale).Fig10(12000)
 	})
 }
 

@@ -1,7 +1,7 @@
 // Command conduit-router is the front end of the conduit wire tier: it
 // dials a fleet of conduit-target processes, places workloads onto them
 // by consistent hashing (each workload's home target keeps its device
-// pools and memoized results hot), drives an open-loop generated load
+// pools hot), drives an open-loop generated load
 // through the fleet, and merges per-target metrics scrapes into one
 // fleet-wide tenant report — the conduit-serve report's columns, with
 // exact per-tenant and fleet p50/p99/p999.
@@ -115,7 +115,6 @@ func main() {
 		HedgeAfter:       o.HedgeAfter,
 		BreakerThreshold: o.Breaker,
 		BreakerCooldown:  o.Cooldown,
-		Vnodes:           o.Vnodes,
 		Clock:            router.Clock{Now: time.Now, After: time.After},
 		Tracer:           tracer,
 	})

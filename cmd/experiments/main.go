@@ -180,13 +180,13 @@ func run(o *options) int {
 		{"fig7b", e.Fig7b},
 		{"fig8", e.Fig8},
 		{"fig9", e.Fig9},
-		{"fig10", func() (*conduit.Table, error) { return e.Fig10(o.window, 72) }},
+		{"fig10", func() (*conduit.Table, error) { return e.Fig10(o.window) }},
 		{"overhead", e.Overhead},
 		{"ablation", e.AblationCostFeatures},
 		{"ablation-width", e.AblationVectorWidth},
 		{"ablation-channels", e.AblationChannels},
 		{"scaling", func() (*conduit.Table, error) {
-			return e.ClusterScaling("Conduit", conduit.ShardCounts(o.shards))
+			return e.ClusterScaling(conduit.ShardCounts(o.shards))
 		}},
 		{"latency", func() (*conduit.Table, error) {
 			opts, err := o.latency()

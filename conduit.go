@@ -587,9 +587,9 @@ func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, 
 // under one span (retries, fallback): key tells the sibling spans apart.
 // A nil sp records nothing.
 //
-// Served results never expose the executed drive (a coalesced or memoized
-// response is shared between requests, and an ssd.Device is
-// single-goroutine), so the device is recycled here.
+// Served results never expose the executed drive (a coalesced response
+// is shared between requests, and an ssd.Device is single-goroutine), so
+// the device is recycled here.
 func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", policy)

@@ -182,7 +182,7 @@ func TestEveryExperimentRendersAtSmokeScale(t *testing.T) {
 		{"fig7b", e.Fig7b},
 		{"fig8", e.Fig8},
 		{"fig9", e.Fig9},
-		{"fig10", func() (*conduit.Table, error) { return e.Fig10(2000, 40) }},
+		{"fig10", func() (*conduit.Table, error) { return e.Fig10(2000) }},
 		{"overhead", e.Overhead},
 		{"ablation", e.AblationCostFeatures},
 	}

@@ -18,7 +18,7 @@ func main() {
 	e := conduit.NewExperiments(conduit.DefaultConfig(), 2)
 
 	fmt.Println("running LLaMA2 inference under BW-Offloading, DM-Offloading, Conduit...")
-	tab, err := e.Fig10(6000, 72)
+	tab, err := e.Fig10(6000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -465,11 +465,10 @@ func (e *Experiments) Fig9() (*Table, error) {
 // Fig10 reproduces the execution-trace analysis: for a window of LLaMA2
 // inference instructions, the operation stream and the resource each
 // policy chose, rendered as per-bucket strips (I = ISP, P = PuD, F = IFP;
-// the op strip shows the dominant operation class per bucket).
-func (e *Experiments) Fig10(window, buckets int) (*Table, error) {
-	if buckets <= 0 {
-		buckets = 60
-	}
+// the op strip shows the dominant operation class per bucket; 72 buckets
+// per strip).
+func (e *Experiments) Fig10(window int) (*Table, error) {
+	const buckets = 72
 	policies := []string{"BW-Offloading", "DM-Offloading", "Conduit"}
 	t := stats.NewTable(
 		fmt.Sprintf("Fig 10: LLaMA2 inference instruction->resource map (%d-instruction window)", window),
@@ -637,7 +636,7 @@ func ShardCounts(maxShards int) []int {
 }
 
 // ClusterScaling sweeps each evaluation workload across multi-device
-// cluster sizes under the given policy: one row per (workload, shards)
+// cluster sizes under Conduit: one row per (workload, shards)
 // point with the merged elapsed time, the scale-out speedup against the
 // same workload's 1-shard cluster (byte-identical to a single device),
 // total energy, and the partition shape (partitioned/broadcast array
@@ -647,10 +646,8 @@ func ShardCounts(maxShards int) []int {
 // more shards than it has vector blocks — are skipped rather than
 // failed, so one sweep serves workloads of different footprints. With
 // -csv this is the scale-out scaling curve as data.
-func (e *Experiments) ClusterScaling(policy string, shardCounts []int) (*Table, error) {
-	if !KnownPolicy(policy) {
-		return nil, errUnknownPolicy(policy)
-	}
+func (e *Experiments) ClusterScaling(shardCounts []int) (*Table, error) {
+	const policy = "Conduit"
 	counts := map[int]bool{1: true}
 	for _, n := range shardCounts {
 		if n > 1 {

@@ -45,14 +45,13 @@ func ReadFaultLog(path string) ([]Fault, error) { return jsonl.ReadFile(path, fa
 // rates the availability experiment and conduit-serve -faults share:
 // shard failures and slow shards at rate, fork failures and poisoned
 // forks at rate/2, dispatch backend errors at rate/4 — device faults
-// dominate, matching a storage-centric failure model. slowFactor <= 1
-// selects the injector's default latency multiplier.
-func FaultsAtRate(rate, slowFactor float64, seed uint64) FaultConfig {
+// dominate, matching a storage-centric failure model. Slow shards run at
+// the injector's default latency multiplier.
+func FaultsAtRate(rate float64, seed uint64) FaultConfig {
 	return FaultConfig{
 		Seed:         seed,
 		ShardFail:    rate,
 		SlowShard:    rate,
-		SlowFactor:   slowFactor,
 		ForkFail:     rate / 2,
 		PoisonFork:   rate / 2,
 		BackendError: rate / 4,
@@ -95,9 +94,6 @@ type RecoveryOptions struct {
 	// BreakerThreshold trips a shard's circuit breaker after that many
 	// consecutive failures; 0 disables breakers.
 	BreakerThreshold int
-	// BreakerCooldown is how many refused requests an open breaker
-	// absorbs before admitting a half-open probe; < 1 selects 8.
-	BreakerCooldown int
 	// FallbackPolicy, when set, serves requests that hit an open
 	// breaker under this (typically host) policy instead of refusing
 	// them with ErrCircuitOpen. Fallback runs bypass the injection
@@ -119,18 +115,13 @@ func (o RecoveryOptions) hedgeThreshold() float64 {
 	return o.HedgeThreshold
 }
 
-func (o RecoveryOptions) breakerCooldown() int {
-	if o.BreakerCooldown < 1 {
-		return 8
-	}
-	return o.BreakerCooldown
-}
-
 // The simulated backoff before a retry starts at backoffBase and doubles
-// per retry up to backoffCap.
+// per retry up to backoffCap. An open breaker absorbs breakerCooldown
+// refused requests before admitting a half-open probe.
 const (
-	backoffBase = 100 * sim.Microsecond
-	backoffCap  = 10 * sim.Millisecond
+	backoffBase     = 100 * sim.Microsecond
+	backoffCap      = 10 * sim.Millisecond
+	breakerCooldown = 8
 )
 
 // resilient is the dispatcher wrapped around every registered
@@ -151,7 +142,7 @@ type resilient struct {
 func newResilient(name string, app application, inj *faultinject.Injector, rec RecoveryOptions) *resilient {
 	r := &resilient{name: name, app: app, inj: inj, rec: rec}
 	if rec.BreakerThreshold > 0 {
-		r.brk = faultinject.NewBreakerSet(rec.BreakerThreshold, rec.breakerCooldown())
+		r.brk = faultinject.NewBreakerSet(rec.BreakerThreshold, breakerCooldown)
 	}
 	return r
 }

@@ -26,7 +26,7 @@ func mustWorkloadSource(t *testing.T, name string) *conduit.Source {
 // chaosServeOptions is the full-recovery chaos config the serving tests
 // share: every seam injecting, every recovery mechanism on.
 func chaosServeOptions(rate float64, seed uint64) conduit.ServeOptions {
-	cfg := conduit.FaultsAtRate(rate, 4, seed)
+	cfg := conduit.FaultsAtRate(rate, seed)
 	return conduit.ServeOptions{
 		Concurrency: 1, // serial service: the outcome sequence is the determinism witness
 		Prefork:     2,

@@ -70,7 +70,7 @@ func TestClusterScalingByteIdenticalFastVsReference(t *testing.T) {
 	}
 	assertIdentical(t, "ClusterScaling",
 		func(e *conduit.Experiments) (*conduit.Table, error) {
-			return e.ClusterScaling("Conduit", []int{1, 2})
+			return e.ClusterScaling([]int{1, 2})
 		})
 }
 

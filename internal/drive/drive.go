@@ -55,7 +55,7 @@ type Flags struct {
 
 	// Serving — the binary hosts a conduit.Server (Serve, Target).
 	Scale, Shards, Concurrency, Queue, Prefork int
-	Coalesce, Memoize                          bool
+	Coalesce                                   bool
 	Faults, HedgeThreshold                     float64
 	FaultSeed                                  uint64
 	Fallback, FaultLog, FaultReplay            string
@@ -77,10 +77,10 @@ type Flags struct {
 	Listen, Name string
 
 	// Router only.
-	Targets          string
-	HedgeAfter       time.Duration
-	Cooldown, Vnodes int
-	Drain            bool
+	Targets    string
+	HedgeAfter time.Duration
+	Cooldown   int
+	Drain      bool
 }
 
 // Declare registers bin's flags on fs and returns where their values land
@@ -101,7 +101,6 @@ func Declare(fs *flag.FlagSet, bin Binary) *Flags {
 		fs.IntVar(&f.Queue, "queue", 0, "admission-queue depth (0 = 4x concurrency)")
 		fs.IntVar(&f.Prefork, "prefork", 2, "pre-forked devices per application (0 disables pooling)")
 		fs.BoolVar(&f.Coalesce, "coalesce", true, "share one execution among identical in-flight requests")
-		fs.BoolVar(&f.Memoize, "memoize", false, "cache each (workload, policy) result for the whole run")
 		fs.Float64Var(&f.Faults, "faults", 0, "master injected-fault rate, mapped onto the dispatch/pool/device seams (0 disables chaos)")
 		fs.Uint64Var(&f.FaultSeed, "faultseed", 42, "chaos RNG seed (independent of the load seed)")
 		fs.Float64Var(&f.HedgeThreshold, "hedgethreshold", 8, "straggler multiple (vs the fastest shard) that triggers a hedge")
@@ -139,7 +138,6 @@ func Declare(fs *flag.FlagSet, bin Binary) *Flags {
 		fs.StringVar(&f.Targets, "targets", "", "comma-separated target addresses to dial (required)")
 		fs.DurationVar(&f.HedgeAfter, "hedgeafter", 50*time.Millisecond, "straggler patience before a hedge")
 		fs.IntVar(&f.Cooldown, "cooldown", 8, "requests an open breaker refuses before a half-open probe")
-		fs.IntVar(&f.Vnodes, "vnodes", 0, "virtual nodes per target on the hash ring (0 = default)")
 		fs.BoolVar(&f.Drain, "drain", true, "drain the targets when the run ends")
 	}
 	return f
@@ -200,7 +198,6 @@ func (f *Flags) ServeOptions() (conduit.ServeOptions, error) {
 		QueueDepth:  f.Queue,
 		Prefork:     f.Prefork,
 		Coalesce:    f.Coalesce,
-		Memoize:     f.Memoize,
 	}
 	if !f.Chaos() {
 		return opts, nil
@@ -222,7 +219,7 @@ func (f *Flags) ServeOptions() (conduit.ServeOptions, error) {
 		}
 		opts.ReplayFaults = log
 	} else {
-		cfg := conduit.FaultsAtRate(f.Faults, 0, f.FaultSeed)
+		cfg := conduit.FaultsAtRate(f.Faults, f.FaultSeed)
 		opts.Faults = &cfg
 	}
 	return opts, nil

@@ -16,15 +16,15 @@ import (
 var surface = map[Binary]string{
 	Serve: `arrival=poisson breaker=0 clients=32 coalesce=true concurrency=0 duration=2s
 		fallback= faultlog= faultreplay= faults=0 faultseed=42 hedge=false hedgethreshold=8
-		list=false memoize=false metrics= mix=all open=0 policies=Conduit prefork=2 queue=0
+		list=false metrics= mix=all open=0 policies=Conduit prefork=2 queue=0
 		record= replay= retries=3 scale=1 seed=1 shards=1 slo=0s speed=1 tenants=4 trace=
 		tracejsonl= tracesample=0`,
 	Target: `breaker=0 coalesce=true concurrency=0 fallback= faultlog= faultreplay= faults=0
-		faultseed=42 hedge=false hedgethreshold=8 listen=127.0.0.1:0 memoize=false mix=all
+		faultseed=42 hedge=false hedgethreshold=8 listen=127.0.0.1:0 mix=all
 		name=target prefork=2 queue=0 retries=3 scale=1 shards=1 tracesample=0`,
 	Router: `arrival=poisson breaker=0 cooldown=8 drain=true duration=2s hedge=false
 		hedgeafter=50ms metrics= mix=all open=200 policies=Conduit retries=3 seed=1 slo=0s
-		targets= tenants=4 trace= tracesample=0 vnodes=0`,
+		targets= tenants=4 trace= tracesample=0`,
 }
 
 var binaryNames = map[Binary]string{Serve: "conduit-serve", Target: "conduit-target", Router: "conduit-router"}

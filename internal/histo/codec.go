@@ -65,11 +65,16 @@ func (h *Histogram) MarshalBinary() []byte { return h.AppendBinary(nil) }
 // the structure they promise.
 var errTruncated = fmt.Errorf("histo: truncated encoding")
 
-// uvarint reads one uvarint from b, returning the value and the rest.
+// uvarint reads one uvarint from b, returning the value and the rest. It
+// refuses an overlong form (a trailing zero byte), which AppendBinary
+// never writes, so the encoding stays canonical.
 func uvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, errTruncated
+	}
+	if n > 1 && b[n-1] == 0 {
+		return 0, nil, fmt.Errorf("histo: overlong varint")
 	}
 	return v, b[n:], nil
 }

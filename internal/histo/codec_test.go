@@ -193,6 +193,9 @@ func TestCodecRejectsAdversarialInputs(t *testing.T) {
 		// count=1 in a bucket inconsistent with min/max (min=max=0 but
 		// the entry sits in bucket 5).
 		"min max bucket mismatch": {codecVersion, 1, 0, 0, 0, 1, 5, 1},
+		// One sample of 5 with its count=1 written 81 00, an overlong
+		// uvarint; otherwise valid.
+		"overlong count": {codecVersion, 0x81, 0x00, 5, 5, 5, 1, 5, 1},
 		// implausible sample count (2^63-ish uvarint).
 		"implausible count": {codecVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0},
 	}

@@ -55,6 +55,17 @@ type Poisson struct {
 // Gap implements Arrival.
 func (p *Poisson) Gap(rng *sim.RNG) time.Duration { return expGap(rng, p.QPS) }
 
+// The burst process alternates between phases whose rates differ by
+// burstFactor, each lasting burstDwell on average; the diurnal process
+// swings its rate by diurnalAmplitude around the mean over one
+// diurnalPeriod, a compressed day.
+const (
+	burstFactor      = 8
+	burstDwell       = 200 * time.Millisecond
+	diurnalAmplitude = 0.8
+	diurnalPeriod    = 10 * time.Second
+)
+
 // Burst is a two-state Markov-modulated Poisson process (on-off MMPP):
 // the arrival rate alternates between a high and a low phase with
 // exponentially distributed dwell times, producing the flash-crowd /
@@ -63,32 +74,16 @@ func (p *Poisson) Gap(rng *sim.RNG) time.Duration { return expGap(rng, p.QPS) }
 type Burst struct {
 	// QPS is the long-run mean rate.
 	QPS float64
-	// Factor is the high:low rate ratio (default 8).
-	Factor float64
-	// Dwell is the mean phase duration (default 200ms).
-	Dwell time.Duration
 
 	started   bool
 	high      bool
 	remaining time.Duration
 }
 
-func (b *Burst) defaults() (factor float64, dwell time.Duration) {
-	factor = b.Factor
-	if factor <= 1 {
-		factor = 8
-	}
-	dwell = b.Dwell
-	if dwell <= 0 {
-		dwell = 200 * time.Millisecond
-	}
-	return factor, dwell
-}
-
 // rate returns the current phase's rate. With mean phase durations equal,
 // the long-run mean is (hi+lo)/2 = QPS when hi = 2F/(F+1)*QPS, lo = hi/F.
 func (b *Burst) rate() float64 {
-	f, _ := b.defaults()
+	const f = burstFactor
 	hi := b.QPS * 2 * f / (f + 1)
 	if b.high {
 		return hi
@@ -100,11 +95,10 @@ func (b *Burst) rate() float64 {
 // fires, toggling phases (and redrawing an exponential dwell) whenever
 // the candidate gap overruns the current phase.
 func (b *Burst) Gap(rng *sim.RNG) time.Duration {
-	_, dwell := b.defaults()
 	if !b.started {
 		b.started = true
 		b.high = true
-		b.remaining = expGap(rng, 1/dwell.Seconds())
+		b.remaining = expGap(rng, 1/burstDwell.Seconds())
 	}
 	var gap time.Duration
 	for {
@@ -115,19 +109,16 @@ func (b *Burst) Gap(rng *sim.RNG) time.Duration {
 		}
 		gap += b.remaining
 		b.high = !b.high
-		b.remaining = expGap(rng, 1/dwell.Seconds())
+		b.remaining = expGap(rng, 1/burstDwell.Seconds())
 	}
 }
 
 // Diurnal modulates a Poisson process with a sinusoidal rate — a
-// compressed day/night cycle: rate(t) = QPS * (1 + Amplitude*sin(2πt/Period)).
+// compressed day/night cycle:
+// rate(t) = QPS * (1 + diurnalAmplitude*sin(2πt/diurnalPeriod)).
 type Diurnal struct {
 	// QPS is the mean rate over a whole period.
 	QPS float64
-	// Amplitude in [0, 1) is the peak-to-mean swing (default 0.8).
-	Amplitude float64
-	// Period is the cycle length (default 10s — a compressed day).
-	Period time.Duration
 
 	at time.Duration
 }
@@ -135,15 +126,7 @@ type Diurnal struct {
 // Gap implements Arrival: each gap is exponential at the instantaneous
 // rate, evaluated at the process's accumulated position in the cycle.
 func (d *Diurnal) Gap(rng *sim.RNG) time.Duration {
-	amp := d.Amplitude
-	if amp <= 0 || amp >= 1 {
-		amp = 0.8
-	}
-	period := d.Period
-	if period <= 0 {
-		period = 10 * time.Second
-	}
-	rate := d.QPS * (1 + amp*math.Sin(2*math.Pi*d.at.Seconds()/period.Seconds()))
+	rate := d.QPS * (1 + diurnalAmplitude*math.Sin(2*math.Pi*d.at.Seconds()/diurnalPeriod.Seconds()))
 	gap := expGap(rng, rate)
 	d.at += gap
 	return gap

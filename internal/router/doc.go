@@ -4,8 +4,8 @@
 //
 // Placement is consistent hashing of the workload name onto a ring of
 // virtual nodes: every target registers the full workload suite, the
-// ring picks each workload's home target (so its device pools and
-// memoized results stay hot there), and the ring's distinct successors
+// ring picks each workload's home target (so its device pools stay hot
+// there), and the ring's distinct successors
 // are the failover order. Retries walk that order; hedges race the
 // home target against its first successor when the injected clock says
 // the primary is straggling; per-target circuit breakers (the same

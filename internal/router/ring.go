@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the virtual-node fan-out per target; 64 keeps the
-// keyspace split within a few percent of even for small fleets while
-// the ring stays tiny.
-const defaultVnodes = 64
+// vnodes is the virtual-node fan-out per target; 64 keeps the keyspace
+// split within a few percent of even for small fleets while the ring
+// stays tiny.
+const vnodes = 64
 
 // Ring is a consistent-hash ring over target names. It is immutable
 // after construction: placement is a pure function of (target set,
@@ -24,15 +24,11 @@ type ringEntry struct {
 	target int // index into targets
 }
 
-// NewRing builds the ring. vnodes < 1 selects defaultVnodes. Target
-// names must be distinct — placement hashes them, and two targets with
-// one name would shadow each other.
-func NewRing(targets []string, vnodes int) (*Ring, error) {
+// NewRing builds the ring. Target names must be distinct — placement
+// hashes them, and two targets with one name would shadow each other.
+func NewRing(targets []string) (*Ring, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("router: ring needs at least one target")
-	}
-	if vnodes < 1 {
-		vnodes = defaultVnodes
 	}
 	seen := make(map[string]bool, len(targets))
 	r := &Ring{

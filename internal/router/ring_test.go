@@ -7,7 +7,7 @@ import (
 
 func TestRingOrderCoversEveryTargetOnce(t *testing.T) {
 	targets := []string{"t0", "t1", "t2", "t3"}
-	r, err := NewRing(targets, 0)
+	r, err := NewRing(targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestRingIsDeterministicAndOrderIndependent(t *testing.T) {
 	// Placement is a pure function of (target set, key): shuffling the
 	// registration order or rebuilding the ring must not move any
 	// workload's home target.
-	a, err := NewRing([]string{"t0", "t1", "t2"}, 0)
+	a, err := NewRing([]string{"t0", "t1", "t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"t2", "t0", "t1"}, 0)
+	b, err := NewRing([]string{"t2", "t0", "t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestRingIsDeterministicAndOrderIndependent(t *testing.T) {
 func TestRingKeysSurviveTargetRemoval(t *testing.T) {
 	// The point of consistent hashing: dropping one target of four moves
 	// only the keys it owned, never keys homed elsewhere.
-	full, err := NewRing([]string{"t0", "t1", "t2", "t3"}, 0)
+	full, err := NewRing([]string{"t0", "t1", "t2", "t3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"t0", "t1", "t2"}, 0)
+	reduced, err := NewRing([]string{"t0", "t1", "t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestRingKeysSurviveTargetRemoval(t *testing.T) {
 }
 
 func TestNewRingRejectsBadFleets(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := NewRing([]string{"t0", "t0"}, 0); err == nil {
+	if _, err := NewRing([]string{"t0", "t0"}); err == nil {
 		t.Error("duplicate target name accepted")
 	}
 }

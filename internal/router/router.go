@@ -46,8 +46,6 @@ type Options struct {
 	// before letting a half-open probe through; < 1 selects 1. Counted
 	// in requests, not wall time, so breaker trips replay exactly.
 	BreakerCooldown int
-	// Vnodes overrides the ring's virtual-node fan-out (0 = default).
-	Vnodes int
 	// Clock supplies wall time for latency recording and hedge timers.
 	Clock Clock
 	// Tracer records router-side placement spans (home choice, failover,
@@ -116,7 +114,7 @@ func New(clients []*Client, opts Options) (*Router, error) {
 	for i, c := range clients {
 		names[i] = c.Name()
 	}
-	ring, err := NewRing(names, opts.Vnodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
@@ -224,10 +222,10 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 					trace.Attr{Key: "target", Value: c.Name()})
 			}
 		}
-		resp, err := r.attempt(c, req, order, attempt, root)
+		resp, by, err := r.attempt(c, req, order, attempt, root)
 		if err == nil {
 			answered = true
-			lastResp, lastName, lastErr = resp, c.Name(), nil
+			lastResp, lastName, lastErr = resp, by.Name(), nil
 		} else if !answered {
 			lastErr = err
 		}
@@ -241,7 +239,7 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 		}
 		if !retryable(resp, err) {
 			root.End(resp.ElapsedSimNS)
-			return resp, c.Name(), nil
+			return resp, by.Name(), nil
 		}
 	}
 	if answered {
@@ -259,24 +257,28 @@ func (r *Router) route(req wire.Request) (wire.Response, string, error) {
 }
 
 // attempt submits to one target, optionally racing a hedge on the next
-// distinct target in the preference order. Under a sampled trace each
-// submission gets its own child span whose ID becomes the wire parent,
-// so target-side span trees hang off the exact attempt that caused them.
-func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, root *trace.Span) (wire.Response, error) {
+// distinct target in the preference order, and returns the outcome and
+// the client it came from: c, or the hedge's target when the hedge won.
+// Under a sampled trace each submission gets its own child span whose ID
+// becomes the wire parent, so target-side span trees hang off the exact
+// attempt that caused them.
+func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, root *trace.Span) (wire.Response, *Client, error) {
 	r.attempts.Add(1)
 	sp := r.attemptSpan(root, c, "", attempt, &req)
 	ch, err := c.start(&req, &req.ID)
 	if err != nil {
 		sp.End(0)
-		return wire.Response{}, err
+		return wire.Response{}, c, err
 	}
 	hedging := r.opts.Hedge && r.opts.HedgeAfter > 0 && r.opts.Clock.After != nil && len(order) > 1
 	if !hedging {
-		return r.resolve(c, sp, ch)
+		resp, err := r.resolve(c, sp, ch)
+		return resp, c, err
 	}
 	select {
 	case rep, ok := <-ch:
-		return r.settle(c, sp, ch, rep, ok)
+		resp, err := r.settle(c, sp, ch, rep, ok)
+		return resp, c, err
 	case <-r.opts.Clock.After(r.opts.HedgeAfter):
 	}
 	// Primary is straggling: duplicate to the next distinct target.
@@ -289,12 +291,14 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 	hch, herr := hc.start(&hreq, &hreq.ID)
 	if herr != nil {
 		hsp.End(0)
-		return r.resolve(c, sp, ch) // hedge stillborn; wait out the primary
+		resp, err := r.resolve(c, sp, ch) // hedge stillborn; wait out the primary
+		return resp, c, err
 	}
 	select { // the loser's channel is left to the GC: its reply may still come
 	case rep, ok := <-ch:
 		hsp.End(0)
-		return r.settle(c, sp, ch, rep, ok)
+		resp, err := r.settle(c, sp, ch, rep, ok)
+		return resp, c, err
 	case rep, ok := <-hch:
 		sp.End(0)
 		resp, err := r.settle(hc, hsp, hch, rep, ok)
@@ -302,7 +306,7 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 			r.hedgeWins.Add(1)
 			root.Event("hedge_win", 0, trace.Attr{Key: "target", Value: hc.Name()})
 		}
-		return resp, err
+		return resp, hc, err
 	}
 }
 

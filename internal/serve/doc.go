@@ -28,7 +28,7 @@
 // on top.
 //
 // Determinism contract: the simulator is a deterministic function of
-// (workload, policy), so coalescing or memoizing cells is observationally
+// (workload, policy), so coalescing concurrent cells is observationally
 // identical to running each request on its own fork — responses are
 // byte-identical to a serial loop. The engine's own accounting (wall-clock
 // queueing and service latency) is operational telemetry and naturally

@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// FlightGroup memoizes keyed computations with singleflight semantics:
-// concurrent callers of one key share a single execution, successes are
-// cached forever, failures are not cached (a later caller retries). The
+// FlightGroup runs keyed computations with singleflight semantics:
+// concurrent callers of one key share a single execution. Do caches
+// successes forever and never failures (a later caller retries). The
 // zero value is ready to use.
 //
 // It is shared machinery: the Experiments sweep harness uses Do to give
 // figure sweeps their run-once-per-cell guarantee, and the serving Engine
 // calls begin and complete itself to batch identical concurrent requests
-// onto one fork, forgetting the key on completion unless it memoizes.
+// onto one fork, forgetting the key on completion.
 type FlightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

@@ -129,10 +129,6 @@ type Config struct {
 	// backend is deterministic this is observationally identical to a
 	// private execution per request.
 	Coalesce bool
-	// Memoize caches cell results for the lifetime of the engine, so at
-	// most one execution per distinct (workload, policy) ever runs. It
-	// subsumes Coalesce.
-	Memoize bool
 	// Tracer, when non-nil, records per-request spans. Requests are
 	// sampled by admission sequence (Tracer's SampleEvery) or by an
 	// incoming wire trace context; with a nil Tracer every tracing site
@@ -150,8 +146,8 @@ type Response struct {
 	Queued time.Duration
 	// Latency is the wall-clock time from submission to completion.
 	Latency time.Duration
-	// Shared marks a response served by an execution (or memoized result)
-	// that another request started.
+	// Shared marks a response served by an execution that another
+	// request started.
 	Shared bool
 	// Trace is the request's recorded trace; nil unless the request was
 	// sampled.
@@ -223,7 +219,7 @@ type pending struct {
 }
 
 // tenantAccount attributes served work to a tenant. Simulated time and
-// energy are billed per response — a shared (coalesced/memoized) response
+// energy are billed per response — a shared (coalesced) response
 // bills the full cell cost to every tenant that received it, so the
 // columns read as attributed demand, not device-side consumption; the
 // shared count times the per-cell cost is the saving batching bought.
@@ -367,7 +363,7 @@ func (e *Engine) Submit(req Request, notify func(*Response)) error {
 // Do). A panicking backend is contained: the request fails with an error
 // instead of crashing the serving process, and the worker keeps serving.
 //
-// Under Coalesce/Memoize a joined request does not hold its worker while
+// Under Coalesce a joined request does not hold its worker while
 // the in-flight execution finishes — the wait moves to a goroutine and
 // the slot immediately serves other queued cells, so batching frees
 // capacity instead of head-of-line blocking distinct cells behind a hot
@@ -400,7 +396,7 @@ func (e *Engine) serveOne(p *pending) {
 		// charged) that the tenant's books must not lose.
 		return out, err
 	}
-	if !e.cfg.Memoize && !e.cfg.Coalesce {
+	if !e.cfg.Coalesce {
 		v, err := exec()
 		e.finish(p, v, err, false)
 		return
@@ -414,7 +410,7 @@ func (e *Engine) serveOne(p *pending) {
 		}
 		select {
 		case <-c.done:
-			// Already complete (memoized hit): serve inline, no goroutine.
+			// The leader finished meanwhile: serve inline, no goroutine.
 		default:
 			if !p.inline() {
 				go join()
@@ -425,7 +421,7 @@ func (e *Engine) serveOne(p *pending) {
 		return
 	}
 	v, err := exec()
-	e.flight.complete(key, c, v, err, !e.cfg.Memoize)
+	e.flight.complete(key, c, v, err, true)
 	e.finish(p, v, err, false)
 }
 
@@ -576,7 +572,7 @@ type TenantSnapshot struct {
 	Errors   int64
 	Shed     int64 // rejected at admission (ErrOverloaded)
 	Expired  int64 // dropped at dispatch (ErrDeadlineExceeded)
-	Shared   int64 // responses served by a coalesced/memoized execution
+	Shared   int64 // responses served by a coalesced execution
 	Attained int64 // served within their deadline (or with none set)
 	// Recovery aggregates the fault-tolerance work (retries, hedges,
 	// breaker fallbacks, injected faults, charged backoff) behind the

@@ -89,35 +89,6 @@ func TestEngineServesAndAccounts(t *testing.T) {
 	}
 }
 
-// TestEngineMemoizeRunsEachCellOnce: with Memoize, sequential identical
-// requests execute the backend exactly once; later responses are marked
-// Shared.
-func TestEngineMemoizeRunsEachCellOnce(t *testing.T) {
-	r := &countingRunner{}
-	e := NewEngine(r, Config{Concurrency: 2, Memoize: true})
-	defer e.Drain()
-
-	for i := 0; i < 4; i++ {
-		resp, err := e.Do(Request{Tenant: "t", Workload: "w", Policy: "p"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared := resp.Shared; shared != (i > 0) {
-			t.Errorf("request %d: shared=%v", i, shared)
-		}
-	}
-	if n := atomic.LoadInt64(&r.execs); n != 1 {
-		t.Fatalf("memoized cell executed %d times, want 1", n)
-	}
-	// A distinct cell still executes.
-	if _, err := e.Do(Request{Tenant: "t", Workload: "w2", Policy: "p"}); err != nil {
-		t.Fatal(err)
-	}
-	if n := atomic.LoadInt64(&r.execs); n != 2 {
-		t.Fatalf("distinct cell did not execute (execs=%d)", n)
-	}
-}
-
 // TestEngineCoalesceBatchesConcurrentIdenticalRequests: concurrent
 // same-cell requests share executions while one is in flight, but the
 // result is not cached — a request issued after completion re-executes.

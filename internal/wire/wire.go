@@ -209,7 +209,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-var errShort = errors.New("wire: truncated frame")
+var (
+	errShort    = errors.New("wire: truncated frame")
+	errOverlong = errors.New("wire: overlong varint")
+)
 
 // codec is a cursor that walks a frame's fields in wire order, in one
 // of two directions: encoding (enc) appends each field to b, decoding
@@ -298,6 +301,12 @@ func (c *codec) uvarint(v *uint64) {
 	u, n := binary.Uvarint(c.b)
 	if n <= 0 {
 		c.fail(errShort)
+		return
+	}
+	// Encoders write the shortest form; a trailing zero byte would
+	// decode to the same value from different bytes.
+	if n > 1 && c.b[n-1] == 0 {
+		c.fail(errOverlong)
 		return
 	}
 	*v, c.b = u, c.b[n:]

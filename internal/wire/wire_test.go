@@ -404,6 +404,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"version 0":     reversioned(0),
 		"unknown type":  {Version, 200},
 		"trailing junk": append(Append(nil, Drain{ID: 1}), 9, 9),
+		// Hello{Target: "t", Shards: 1} with its target length written
+		// 81 00, an overlong 1.
+		"overlong varint": {Version, byte(TypeHello), 0x81, 0x00, 't', 0x02, 0x00},
 		"bool byte 2": func() []byte {
 			// A response whose has-result flag is 2.
 			b := Append(nil, Response{ID: 1, Code: CodeDraining, Error: "d"})

@@ -33,14 +33,8 @@ type LatencyOptions struct {
 	// SLO is the per-request deadline; requests served within it count
 	// as goodput (default 50ms; negative disables deadlines).
 	SLO time.Duration
-	// Seed is the root RNG seed; every point derives its own substream
-	// (default 1).
-	Seed uint64
-	// Concurrency/QueueDepth/Prefork tune the server under test
-	// (defaults: 4 workers, 4x queue, prefork 2).
-	Concurrency int
-	QueueDepth  int
-	Prefork     int
+	// Prefork is the server's per-application pool depth (default 2).
+	Prefork int
 }
 
 func (o *LatencyOptions) defaults() {
@@ -64,12 +58,6 @@ func (o *LatencyOptions) defaults() {
 		o.SLO = 50 * time.Millisecond
 	case o.SLO < 0:
 		o.SLO = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Concurrency < 1 {
-		o.Concurrency = 4
 	}
 	if o.Prefork == 0 {
 		o.Prefork = 2
@@ -110,11 +98,8 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 		"shed", "expired", "p50_ms", "p99_ms", "p999_ms")
 	point := 0
 	for _, shards := range opts.Shards {
-		srv := NewServer(e.sys.cfg, ServeOptions{
-			Concurrency: opts.Concurrency,
-			QueueDepth:  opts.QueueDepth,
-			Prefork:     opts.Prefork,
-		})
+		// Four workers behind the default 4x admission queue.
+		srv := NewServer(e.sys.cfg, ServeOptions{Concurrency: 4, Prefork: opts.Prefork})
 		var mix []string
 		for _, name := range names {
 			err := srv.RegisterWorkload(name, e.scale, shards)
@@ -137,7 +122,7 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 					Arrival:   opts.Arrival,
 					QPS:       load,
 					Duration:  opts.Duration,
-					Seed:      loadgen.Stream(opts.Seed, uint64(point)),
+					Seed:      loadgen.Stream(1, uint64(point)),
 					Tenants:   4,
 					Workloads: mix,
 					Policies:  []string{policy},

@@ -71,14 +71,11 @@ type ServeOptions struct {
 	Prefork int
 	// Coalesce shares one execution among identical in-flight requests.
 	Coalesce bool
-	// Memoize caches each (workload, policy) result for the lifetime of
-	// the server. Sound because runs are deterministic; implies Coalesce.
-	Memoize bool
 	// Faults enables the deterministic chaos layer: the server injects
 	// faults at the dispatch, pool, and device seams per the config's
 	// seeded rates (internal/faultinject) and records every injection.
-	// Nil serves fault-free. Enabling faults forces Coalesce and Memoize
-	// off: injection draws are per-request, so requests must not share
+	// Nil serves fault-free. Enabling faults forces Coalesce off:
+	// injection draws are per-request, so requests must not share
 	// executions.
 	Faults *FaultConfig
 	// ReplayFaults, when non-nil, replays the given recorded fault
@@ -150,7 +147,7 @@ func NewServer(cfg Config, opts ServeOptions) *Server {
 		// requests would let a single draw decide many requests' fates
 		// and desynchronize the recorded schedule from the request
 		// stream, so chaos configs force batching off.
-		opts.Coalesce, opts.Memoize = false, false
+		opts.Coalesce = false
 	}
 	s.opts = opts
 	if opts.Trace != nil {
@@ -160,7 +157,6 @@ func NewServer(cfg Config, opts ServeOptions) *Server {
 		Concurrency: opts.Concurrency,
 		QueueDepth:  opts.QueueDepth,
 		Coalesce:    opts.Coalesce,
-		Memoize:     opts.Memoize,
 		Tracer:      s.tracer,
 	})
 	return s
@@ -313,7 +309,7 @@ func (s backend) RunCell(workload, policy string, sp *trace.Span) (serve.Outcome
 	}
 	// r carries no Device (runAttempt and merge recycled it); the rest of
 	// a RunResult is an immutable snapshot and safe to share between
-	// coalesced or memoized responses (the Reservoir locks internally).
+	// coalesced responses (the Reservoir locks internally).
 	return serve.Outcome{Value: r, Elapsed: r.Elapsed, EnergyJ: r.TotalEnergy(), Recovery: rec}, nil
 }
 

@@ -38,7 +38,7 @@ func traceSchedule() []conduit.Request {
 // unsharded application, and the given trace options.
 func newTraceServer(t *testing.T, topts *conduit.TraceOptions) *conduit.Server {
 	t.Helper()
-	faults := conduit.FaultsAtRate(0.15, 4, 7)
+	faults := conduit.FaultsAtRate(0.15, 7)
 	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{
 		Concurrency: 2,
 		Prefork:     1,
