@@ -41,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -84,7 +85,11 @@ func main() {
 	flag.Parse()
 	// All work happens in run so its defers — in particular stopping the
 	// CPU profile and writing the heap profile — execute before os.Exit.
-	os.Exit(run(o))
+	which := "all"
+	if flag.NArg() > 0 {
+		which = flag.Arg(0)
+	}
+	os.Exit(run(o, which, os.Stdout))
 }
 
 // floats parses a comma-separated flag value; an entry that does not
@@ -130,48 +135,16 @@ func (o *options) availability() (conduit.AvailabilityOptions, error) {
 	return conduit.AvailabilityOptions{FaultRates: rates, Requests: o.availreq}, err
 }
 
-func run(o *options) int {
-	if o.cpuprofile != "" {
-		f, err := os.Create(o.cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer func() {
-		if o.memprofile == "" {
-			return
-		}
-		f, err := os.Create(o.memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
-		}
-	}()
+// exp is one experiment run accepts by name.
+type exp struct {
+	name string
+	run  func() (*conduit.Table, error)
+}
 
-	which := "all"
-	if flag.NArg() > 0 {
-		which = flag.Arg(0)
-	}
-	e := conduit.NewExperiments(conduit.DefaultConfig(), o.scale)
-	e.SetWorkers(o.workers)
-
-	type exp struct {
-		name string
-		run  func() (*conduit.Table, error)
-	}
-	exps := []exp{
+// experiments lists every experiment run accepts, in the order "all"
+// prints them.
+func experiments(e *conduit.Experiments, o *options) []exp {
+	return []exp{
 		{"grid", e.GridTable},
 		{"table3", e.Table3},
 		{"fig4", e.Fig4},
@@ -203,8 +176,44 @@ func run(o *options) int {
 			return e.Availability(opts)
 		}},
 	}
+}
+
+// run prints experiment which ("all" for every paper table) to out and
+// returns the exit code.
+func run(o *options, which string, out io.Writer) int {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	defer func() {
+		if o.memprofile == "" {
+			return
+		}
+		f, err := os.Create(o.memprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
+		}
+	}()
+
+	e := conduit.NewExperiments(conduit.DefaultConfig(), o.scale)
+	e.SetWorkers(o.workers)
 	ran := false
-	for _, x := range exps {
+	for _, x := range experiments(e, o) {
 		// "all" skips the latency sweep (it measures wall-clock serving
 		// behavior, so including it would break "all"'s byte-identical
 		// output contract) and the availability sweep (deterministic, but
@@ -220,11 +229,11 @@ func run(o *options) int {
 			return 1
 		}
 		if o.csv {
-			t.CSV(os.Stdout)
+			t.CSV(out)
 		} else {
-			t.Render(os.Stdout)
+			t.Render(out)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", which)

@@ -1,10 +1,44 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/csv-all-scale*.golden")
+
+// TestCSVAllGolden pins every simulated table: what `experiments -csv
+// all` prints at scales 1 and 2 must match testdata/csv-all-scale<N>.golden
+// byte for byte. Regenerate the files (-update-golden, or make golden)
+// only for a deliberate change to the model.
+func TestCSVAllGolden(t *testing.T) {
+	for _, scale := range []int{1, 2} {
+		o := declare(flag.NewFlagSet("experiments", flag.ContinueOnError))
+		o.scale, o.csv = scale, true
+		var got bytes.Buffer
+		if code := run(o, "all", &got); code != 0 {
+			t.Fatalf("scale %d: run exited %d", scale, code)
+		}
+		path := fmt.Sprintf("testdata/csv-all-scale%d.golden", scale)
+		if *updateGolden {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("-csv all at scale %d differs from %s (regenerate it only for a deliberate model change):\n%s",
+				scale, path, got.String())
+		}
+	}
+}
 
 // TestFlagSurface pins every flag name and default of cmd/experiments
 // (the serving binaries' are pinned in internal/drive).
