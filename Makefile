@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same commands; see
 # .github/workflows/ci.yml.
 
-.PHONY: all build test test-oracle race lint bench prof-run prof-alloc fmt loc loc-check
+.PHONY: all build test test-oracle race lint bench prof-run prof-alloc fmt golden loc loc-check
 
 all: build lint test
 
@@ -26,6 +26,21 @@ test-oracle:
 
 race:
 	go test -race ./...
+
+# golden rewrites every stored value the repo's own tests compare
+# against: what `experiments -csv all` prints at scales 1 and 2
+# (cmd/experiments/testdata), the availability sweep
+# (testdata/availability.csv) and the fault log
+# (internal/faultinject/testdata/faults.golden.jsonl). Run it only for a
+# deliberate change to the model, and commit the diff it leaves with a
+# before/after of each file. cmd/conduit-bench/testdata/sim_golden.json
+# is left out on purpose: it belongs to the benchmark, and only a change
+# to the benchmark regenerates it (`go run ./cmd/conduit-bench
+# -update-golden cmd/conduit-bench/testdata/sim_golden.json`).
+golden:
+	go test -count=1 -run '^TestCSVAllGolden$$' ./cmd/experiments -update-golden
+	go test -count=1 -run '^TestAvailabilityDeterministic$$' . -update-golden
+	go test -count=1 -run '^TestFaultLogGolden$$' ./internal/faultinject -update-golden
 
 # lint runs the repo's own analyzer suite over every package, as CI
 # does: it fails on any diagnostic not covered by the committed
@@ -84,7 +99,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24881
+LOC_CEILING := 24859
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -95,6 +95,7 @@ func (e *Experiments) Availability(opts AvailabilityOptions) (*Table, error) {
 			availWorkload, availPolicy, cl.Shards(), opts.Requests),
 		"fault_rate", "config", "ok_pct", "slo_pct", "retry_amp",
 		"hedges", "fallbacks", "trips", "mean_ms", "p99_ms")
+	pol := lookupPolicy(availPolicy)
 	cell := 0 // every (rate, config) cell draws its own substream of seed 1
 	for _, rate := range opts.FaultRates {
 		for _, cfg := range availabilityConfigs() {
@@ -105,7 +106,7 @@ func (e *Experiments) Availability(opts AvailabilityOptions) (*Table, error) {
 			var rec Recovery
 			lat := stats.NewReservoir()
 			for i := 0; i < opts.Requests; i++ {
-				res, reqRec, err := r.run(availPolicy, nil)
+				res, reqRec, err := r.run(pol, nil)
 				rec.Merge(reqRec)
 				if err != nil {
 					continue

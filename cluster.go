@@ -172,18 +172,19 @@ func (cl *Cluster) runShards(run func(i int, dep *Deployment) (*RunResult, error
 // contained into such an error rather than crashing the process. Safe
 // for concurrent use.
 func (cl *Cluster) Run(policy string) (*RunResult, error) {
-	if !KnownPolicy(policy) {
+	p := lookupPolicy(policy)
+	if p.run == unknownPolicy {
 		return nil, errUnknownPolicy(policy)
 	}
 	return cl.runShards(func(i int, dep *Deployment) (*RunResult, error) {
-		return dep.Run(policy)
+		return dep.run(p)
 	})
 }
 
 // dispatch implements the serving layer's application interface: a
 // cluster scatters the request with per-shard recovery.
-func (cl *Cluster) dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	return r.runCluster(cl, policy, rec, sp)
+func (cl *Cluster) dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+	return r.runCluster(cl, p, rec, sp)
 }
 
 // RunSerial executes the shards one by one in shard order and merges
@@ -192,12 +193,13 @@ func (cl *Cluster) dispatch(r *resilient, policy string, rec *serve.Recovery, sp
 // loop (enforced by tests), which is what licenses running shards in
 // parallel at all. Panic containment matches Run's.
 func (cl *Cluster) RunSerial(policy string) (*RunResult, error) {
-	if !KnownPolicy(policy) {
+	p := lookupPolicy(policy)
+	if p.run == unknownPolicy {
 		return nil, errUnknownPolicy(policy)
 	}
 	parts := make([]*RunResult, len(cl.deps))
 	for i, dep := range cl.deps {
-		r, err := guardShardRun(i, func() (*RunResult, error) { return dep.Run(policy) })
+		r, err := guardShardRun(i, func() (*RunResult, error) { return dep.run(p) })
 		if err != nil {
 			return nil, fmt.Errorf("conduit: shard %d/%d: %w", i, len(cl.deps), err)
 		}
@@ -258,16 +260,6 @@ func (cl *Cluster) merge(parts []*RunResult) *RunResult {
 	return merged
 }
 
-// Prefork attaches a pool of depth pre-forked clones to every shard (see
-// Deployment.Prefork) and returns the pools in shard order.
-func (cl *Cluster) Prefork(depth int) []*DevicePool {
-	pools := make([]*DevicePool, len(cl.deps))
-	for i, dep := range cl.deps {
-		pools[i] = dep.Prefork(depth)
-	}
-	return pools
-}
-
 // settle implements the serving layer's application interface.
 func (cl *Cluster) settle() {
 	for _, dep := range cl.deps {
@@ -283,18 +275,6 @@ func (cl *Cluster) poolStats(name string, out map[string]PoolStats) {
 			out[fmt.Sprintf("%s#%d", name, i)] = p.Stats()
 		}
 	}
-}
-
-// PoolStats reports each shard's device-pool counters in shard order;
-// shards without a pool report a zero PoolStats.
-func (cl *Cluster) PoolStats() []PoolStats {
-	out := make([]PoolStats, len(cl.deps))
-	for i, dep := range cl.deps {
-		if p := dep.Pool(); p != nil {
-			out[i] = p.Stats()
-		}
-	}
-	return out
 }
 
 // Close closes every shard's prefork pool, if any. After Close returns no

@@ -17,8 +17,8 @@
 //
 // Usage:
 //
-//	conduit-target -listen 127.0.0.1:9070 -mix aes,llama2 -shards 4
-//	conduit-target -faults 0.05 -retries 3 -hedge -breaker 4 -fallback Host-Only
+//	conduit-target -listen 127.0.0.1:9070 -mix aes,llama2-inference -shards 4
+//	conduit-target -faults 0.05 -retries 3 -hedge -breaker 4 -fallback CPU
 //
 // See cmd/conduit-router for the front end that places load across a
 // fleet of these.

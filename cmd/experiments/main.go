@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-workers N] [-fig10window N] [fig4|fig5|fig7a|fig7b|fig8|fig9|fig10|grid|table3|overhead|ablation|scaling|latency|availability|all]
+//	experiments [-scale N] [-workers N] [-fig10window N] [fig4|fig5|fig7a|fig7b|fig8|fig9|fig10|grid|table3|overhead|ablation|ablation-width|ablation-channels|scaling|latency|availability|all]
 //
 // Shared workload x policy sweeps execute concurrently across -workers
 // goroutines, deploying each workload once and restoring the post-deploy

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
+	"sort"
 	"strings"
 	"testing"
+
+	conduit "conduit"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/csv-all-scale*.golden")
@@ -71,5 +76,35 @@ func TestFlagLists(t *testing.T) {
 	}
 	if _, err := o.availability(); err == nil {
 		t.Error("availability accepted a negative fault rate")
+	}
+}
+
+// TestUsageListsEveryExperiment: the package doc's usage line lists
+// exactly the experiments run accepts, "all" included.
+func TestUsageListsEveryExperiment(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var usage string
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if strings.HasPrefix(line, "\texperiments ") {
+			usage = line
+		}
+	}
+	i := strings.LastIndex(usage, "[")
+	if i < 0 || !strings.HasSuffix(usage, "]") {
+		t.Fatalf("no [exp|...] list on the usage line %q", usage)
+	}
+	listed := strings.Split(usage[i+1:len(usage)-1], "|")
+	accepted := []string{"all"}
+	o := declare(flag.NewFlagSet("experiments", flag.ContinueOnError))
+	for _, x := range experiments(conduit.NewExperiments(conduit.DefaultConfig(), 1), o) {
+		accepted = append(accepted, x.name)
+	}
+	sort.Strings(listed)
+	sort.Strings(accepted)
+	if g, w := strings.Join(listed, "|"), strings.Join(accepted, "|"); g != w {
+		t.Errorf("usage line lists %s, run accepts %s", g, w)
 	}
 }

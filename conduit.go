@@ -188,23 +188,40 @@ func Compile(src *Source, cfg *Config) (*Compiled, error) {
 	return compiler.Compile(src, cfg.SSD.PageSize)
 }
 
-// policyEntry couples a policy name with its in-SSD implementation
-// constructor; device is nil for the host and ideal runners, which the
-// Run switches handle directly. policyTable is the single source of
-// policy-name truth: Policies, AblationPolicies, KnownPolicy,
-// devicePolicy, and errUnknownPolicy all derive from it, so a policy
-// added here is advertised, validated, and constructible everywhere at
-// once.
+// policyEntry is one policy: its name, whether it belongs to the
+// ablation lineup, and how it runs. policyTable is the single source of
+// policy-name truth: Policies, AblationPolicies, KnownPolicy and
+// errUnknownPolicy derive from it, and every run path resolves a name to
+// its row once (lookupPolicy) and then reads the row, never the name, so
+// a policy added here is advertised, validated, and runnable everywhere
+// at once.
 type policyEntry struct {
 	name     string
 	ablation bool
-	device   func() offload.Policy
+	run      runner
+	host     host.Kind             // the model an onHost policy runs on
+	device   func() offload.Policy // a fresh instance per onDevice run
 }
+
+// runner is how a policy runs: on a deployed drive under a fresh
+// device() instance per run (some baselines, e.g. IFP+ISP, carry per-run
+// state), on the host model host with no drive, or on a deployed drive as
+// the unrealizable Ideal (ssd.Device.RunIdeal, with its own in-flash
+// profile). unknownPolicy marks the row lookupPolicy makes for a name the
+// table lacks; every run path refuses it with errUnknownPolicy.
+type runner uint8
+
+const (
+	onDevice runner = iota
+	onHost
+	asIdeal
+	unknownPolicy
+)
 
 var policyTable = []policyEntry{
 	// Main lineup, in the order the paper's figures present it.
-	{name: "CPU"},
-	{name: "GPU"},
+	{name: "CPU", run: onHost, host: host.CPU},
+	{name: "GPU", run: onHost, host: host.GPU},
 	{name: "ISP", device: func() offload.Policy { return offload.ISPOnly{} }},
 	{name: "PuD-SSD", device: func() offload.Policy { return offload.PuDSSD{} }},
 	{name: "Flash-Cosmos", device: func() offload.Policy { return offload.FlashCosmos{} }},
@@ -212,14 +229,25 @@ var policyTable = []policyEntry{
 	{name: "BW-Offloading", device: func() offload.Policy { return offload.BWOffloading{} }},
 	{name: "DM-Offloading", device: func() offload.Policy { return offload.DMOffloading{} }},
 	{name: "Conduit", device: func() offload.Policy { return offload.Conduit{} }},
-	{name: "Ideal"},
+	{name: "Ideal", run: asIdeal},
 	// Ablations and combinations: the naive IFP+ISP of the §3.1 case
 	// study, and Conduit with one cost-function term removed (the
 	// AblationCostFeatures experiment).
 	{name: "IFP+ISP", ablation: true, device: func() offload.Policy { return &offload.NaiveCombo{} }},
-	{name: "Conduit-noqueue", ablation: true, device: func() offload.Policy { return offload.Ablated{DropQueue: true} }},
-	{name: "Conduit-nodep", ablation: true, device: func() offload.Policy { return offload.Ablated{DropDep: true} }},
-	{name: "Conduit-nomove", ablation: true, device: func() offload.Policy { return offload.Ablated{DropMove: true} }},
+	{name: "Conduit-noqueue", ablation: true, device: func() offload.Policy { return offload.Conduit{DropQueue: true} }},
+	{name: "Conduit-nodep", ablation: true, device: func() offload.Policy { return offload.Conduit{DropDep: true} }},
+	{name: "Conduit-nomove", ablation: true, device: func() offload.Policy { return offload.Conduit{DropMove: true} }},
+}
+
+// lookupPolicy resolves name to its policyTable row, or to an
+// unknownPolicy row for a name the table lacks.
+func lookupPolicy(name string) *policyEntry {
+	for i := range policyTable {
+		if policyTable[i].name == name {
+			return &policyTable[i]
+		}
+	}
+	return &policyEntry{name: name, run: unknownPolicy}
 }
 
 func policyNames(ablation bool) []string {
@@ -244,31 +272,13 @@ func AblationPolicies() []string { return policyNames(true) }
 
 // KnownPolicy reports whether name is accepted by the Run methods —
 // a member of Policies or AblationPolicies.
-func KnownPolicy(name string) bool {
-	for _, e := range policyTable {
-		if e.name == name {
-			return true
-		}
-	}
-	return false
-}
+func KnownPolicy(name string) bool { return lookupPolicy(name).run != unknownPolicy }
 
 // errUnknownPolicy is the uniform rejection for a policy name neither
 // Policies nor AblationPolicies knows.
 func errUnknownPolicy(name string) error {
 	return fmt.Errorf("conduit: unknown policy %q (valid: %s; ablations: %s)",
 		name, strings.Join(Policies(), ", "), strings.Join(AblationPolicies(), ", "))
-}
-
-// devicePolicy returns a fresh in-SSD policy instance by name, or nil for
-// host/ideal runners and unknown names.
-func devicePolicy(name string) offload.Policy {
-	for _, e := range policyTable {
-		if e.name == name && e.device != nil {
-			return e.device()
-		}
-	}
-	return nil
 }
 
 // RunResult is the unified outcome of executing a workload under one
@@ -346,39 +356,36 @@ func (s *System) Run(src *Source, policy string) (*RunResult, error) {
 // path, since execution consumes the loaded data image. Sweeps over many
 // policies should Deploy once and run on the Deployment instead.
 func (s *System) RunCompiled(c *Compiled, policy string) (*RunResult, error) {
-	return s.runOn(c, policy, func() (*ssd.Device, error) { return s.deploy(c) })
+	return s.runOn(c, lookupPolicy(policy), func() (*ssd.Device, error) { return s.deploy(c) })
 }
 
-// runOn executes c under the named policy. Host baselines need no drive
-// and run from the compiled program; every other policy executes on the
-// device the callback provides — a fresh deploy, or a deployment's fork —
-// which is asked for only once the policy name is known to be valid.
-func (s *System) runOn(c *Compiled, policy string, device func() (*ssd.Device, error)) (*RunResult, error) {
-	switch {
-	case policy == "CPU" || policy == "GPU":
-		return s.runHost(c, policy)
-	case policy != "Ideal" && devicePolicy(policy) == nil:
-		return nil, errUnknownPolicy(policy)
+// runOn executes c under policy p. Host baselines need no drive and run
+// from the compiled program; every other policy executes on the device
+// the callback provides — a fresh deploy, or a deployment's fork — which
+// is asked for only once p is known to be a policy.
+func (s *System) runOn(c *Compiled, p *policyEntry, device func() (*ssd.Device, error)) (*RunResult, error) {
+	switch p.run {
+	case onHost:
+		return s.runHost(c, p)
+	case unknownPolicy:
+		return nil, errUnknownPolicy(p.name)
 	}
 	dev, err := device()
 	if err != nil {
 		return nil, err
 	}
-	return runPolicyOn(dev, policy)
+	return runPolicyOn(dev, p)
 }
 
-// runHost executes c on one of the OSP baselines (no drive involved).
-func (s *System) runHost(c *Compiled, policy string) (*RunResult, error) {
-	kind := host.CPU
-	if policy == "GPU" {
-		kind = host.GPU
-	}
-	res, _, err := host.New(&s.cfg, kind).Run(c.Prog, c.InputPage)
+// runHost executes c on p's host model, one of the OSP baselines (no
+// drive involved).
+func (s *System) runHost(c *Compiled, p *policyEntry) (*RunResult, error) {
+	res, _, err := host.New(&s.cfg, p.host).Run(c.Prog, c.InputPage)
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
-		Policy:         policy,
+		Policy:         p.name,
 		Elapsed:        res.Elapsed,
 		ComputeEnergy:  res.ComputeEnergy,
 		MovementEnergy: res.MovementEnergy,
@@ -386,31 +393,25 @@ func (s *System) runHost(c *Compiled, policy string) (*RunResult, error) {
 	}, nil
 }
 
-// runPolicyOn executes the named in-SSD policy — or the unrealizable Ideal
-// — on a deployed device, consuming its loaded image. A fresh policy
-// instance is constructed per call (some baselines, e.g. IFP+ISP, carry
-// per-run state).
-func runPolicyOn(dev *ssd.Device, policy string) (*RunResult, error) {
+// runPolicyOn executes policy p — an onDevice or asIdeal row — on a
+// deployed device, consuming its loaded image.
+func runPolicyOn(dev *ssd.Device, p *policyEntry) (*RunResult, error) {
 	var (
 		res *ssd.Result
 		err error
 	)
-	if policy == "Ideal" {
+	if p.run == asIdeal {
 		res, _, err = dev.RunIdeal()
 	} else {
-		pol := devicePolicy(policy)
-		if pol == nil {
-			return nil, errUnknownPolicy(policy)
-		}
 		dev.EnterComputationMode()
-		res, err = dev.Run(pol)
+		res, err = dev.Run(p.device())
 		dev.ExitComputationMode()
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
-		Policy:         policy,
+		Policy:         p.name,
 		Elapsed:        res.Elapsed,
 		ComputeEnergy:  res.ComputeEnergy,
 		MovementEnergy: res.MovementEnergy,
@@ -463,9 +464,6 @@ func (s *System) Deploy(c *Compiled) (*Deployment, error) {
 	dev.Freeze()
 	return &Deployment{sys: s, c: c, master: dev}, nil
 }
-
-// Compiled returns the deployed program.
-func (d *Deployment) Compiled() *Compiled { return d.c }
 
 // Fork returns a fresh device restored to the post-deploy state. The
 // caller owns the returned device exclusively; the pristine master is
@@ -571,14 +569,15 @@ func (d *Deployment) flushUsed(closing bool) {
 // Run executes the deployed program under the named policy on a restored
 // post-deploy device (host baselines need no device and use the compiled
 // program directly). Safe for concurrent use.
-func (d *Deployment) Run(policy string) (*RunResult, error) {
-	return d.sys.runOn(d.c, policy, d.Fork)
-}
+func (d *Deployment) Run(policy string) (*RunResult, error) { return d.run(lookupPolicy(policy)) }
+
+// run is Run with the policy resolved.
+func (d *Deployment) run(p *policyEntry) (*RunResult, error) { return d.sys.runOn(d.c, p, d.Fork) }
 
 // dispatch implements the serving layer's application interface: a
 // single deployment is shard 0 of the recovery ladder.
-func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	return r.runShard(d, 0, policy, rec, sp)
+func (d *Deployment) dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+	return r.runShard(d, 0, p, rec, sp)
 }
 
 // runAttempt is Run with span recording: the device execution becomes a
@@ -590,10 +589,10 @@ func (d *Deployment) dispatch(r *resilient, policy string, rec *serve.Recovery, 
 // Served results never expose the executed drive (a coalesced response
 // is shared between requests, and an ssd.Device is single-goroutine), so
 // the device is recycled here.
-func (d *Deployment) runAttempt(policy string, sp *trace.Span, key string) (*RunResult, error) {
+func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
-	child.SetAttr("policy", policy)
-	r, err := d.Run(policy)
+	child.SetAttr("policy", p.name)
+	r, err := d.run(p)
 	if err != nil {
 		child.End(0)
 		return nil, err

@@ -111,17 +111,16 @@ func (e *Experiments) Run(workload, policy string) (*RunResult, error) {
 	v, _, err := e.runs.Do(workload+"|"+policy, func() (interface{}, error) {
 		var r *RunResult
 		var err error
-		switch policy {
-		case "CPU", "GPU":
+		if p := lookupPolicy(policy); p.run == onHost {
 			// Host baselines need no drive: run from the compiled program.
 			var c *Compiled
 			if c, err = e.compiled(workload); err == nil {
-				r, err = e.sys.runHost(c, policy)
+				r, err = e.sys.runHost(c, p)
 			}
-		default:
+		} else {
 			var dep *Deployment
 			if dep, err = e.deployment(workload); err == nil {
-				if r, err = dep.Run(policy); err == nil {
+				if r, err = dep.run(p); err == nil {
 					dep.recycle(r)
 				}
 			}

@@ -132,15 +132,19 @@ const (
 // Safe for concurrent use (the injector and breakers lock internally;
 // options are immutable).
 type resilient struct {
-	name string
-	app  application
-	inj  *faultinject.Injector
-	rec  RecoveryOptions
-	brk  *faultinject.BreakerSet // nil when breakers are disabled
+	name     string
+	app      application
+	inj      *faultinject.Injector
+	rec      RecoveryOptions
+	fallback *policyEntry            // rec.FallbackPolicy resolved; nil when unset
+	brk      *faultinject.BreakerSet // nil when breakers are disabled
 }
 
 func newResilient(name string, app application, inj *faultinject.Injector, rec RecoveryOptions) *resilient {
 	r := &resilient{name: name, app: app, inj: inj, rec: rec}
+	if rec.FallbackPolicy != "" {
+		r.fallback = lookupPolicy(rec.FallbackPolicy)
+	}
 	if rec.BreakerThreshold > 0 {
 		r.brk = faultinject.NewBreakerSet(rec.BreakerThreshold, breakerCooldown)
 	}
@@ -158,7 +162,7 @@ func newResilient(name string, app application, inj *faultinject.Injector, rec R
 // fallbacks — lands on it as an event whose simulated offset is the
 // backoff penalty charged so far, so the trace is as deterministic as
 // the fault schedule that produced it.
-func (r *resilient) run(policy string, sp *trace.Span) (*RunResult, serve.Recovery, error) {
+func (r *resilient) run(p *policyEntry, sp *trace.Span) (*RunResult, serve.Recovery, error) {
 	var rec serve.Recovery
 	max := r.rec.maxAttempts()
 	var penalty Time
@@ -179,7 +183,7 @@ func (r *resilient) run(policy string, sp *trace.Span) (*RunResult, serve.Recove
 				trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 			continue
 		}
-		res, err := r.app.dispatch(r, policy, &rec, sp)
+		res, err := r.app.dispatch(r, p, &rec, sp)
 		if err != nil {
 			return nil, rec, err
 		}
@@ -194,16 +198,16 @@ func (r *resilient) run(policy string, sp *trace.Span) (*RunResult, serve.Recove
 // keeps ties, so a deterministic tie — e.g. a fault-free duplicate —
 // never changes the merged result). Per-shard recovery accounting is
 // merged into rec in shard order.
-func (r *resilient) runCluster(cl *Cluster, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	if !KnownPolicy(policy) {
-		return nil, errUnknownPolicy(policy)
+func (r *resilient) runCluster(cl *Cluster, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+	if p.run == unknownPolicy {
+		return nil, errUnknownPolicy(p.name)
 	}
 	recs := make([]serve.Recovery, len(cl.deps))
 	parts := make([]*RunResult, len(cl.deps))
 	gather := func(i int, dep *Deployment) (*RunResult, error) {
 		ssp := sp.Child("cluster.shard", strconv.Itoa(i), 0)
 		ssp.SetAttr("shard", strconv.Itoa(i))
-		res, err := r.runShard(dep, i, policy, &recs[i], ssp)
+		res, err := r.runShard(dep, i, p, &recs[i], ssp)
 		parts[i] = res
 		if res != nil {
 			ssp.End(int64(res.Elapsed))
@@ -233,7 +237,7 @@ func (r *resilient) runCluster(cl *Cluster, policy string, rec *serve.Recovery, 
 			hsp.SetAttr("shard", strconv.Itoa(s))
 			hsp.SetAttr("hedge", "true")
 			dup, derr := guardShardRun(s, func() (*RunResult, error) {
-				return r.runShard(cl.deps[s], s, policy, &hrec, hsp)
+				return r.runShard(cl.deps[s], s, p, &hrec, hsp)
 			})
 			if dup != nil {
 				hsp.End(int64(dup.Elapsed))
@@ -262,7 +266,7 @@ func (r *resilient) runCluster(cl *Cluster, policy string, rec *serve.Recovery, 
 // injected fork/shard faults, retries with simulated backoff, and
 // fallback. The simulated time burnt by failed attempts and backoff is
 // charged to the winning attempt's Elapsed.
-func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
+func (r *resilient) runShard(dep *Deployment, shard int, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
 	var b *faultinject.Breaker
 	if r.brk != nil {
 		b = r.brk.Get(fmt.Sprintf("%s#%d", r.name, shard))
@@ -274,10 +278,10 @@ func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *ser
 		if b != nil && !b.Allow() {
 			sp.Event("breaker_open", int64(penalty),
 				trace.Attr{Key: "shard", Value: strconv.Itoa(shard)})
-			if fb := r.rec.FallbackPolicy; fb != "" {
+			if fb := r.fallback; fb != nil {
 				rec.Fallbacks++
 				sp.Event("fallback", int64(penalty),
-					trace.Attr{Key: "policy", Value: fb})
+					trace.Attr{Key: "policy", Value: fb.name})
 				res, err := guardShardRun(shard, func() (*RunResult, error) { return dep.runAttempt(fb, sp, "fallback") })
 				if err != nil {
 					return nil, err
@@ -296,7 +300,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *ser
 			sp.Event("retry", int64(penalty),
 				trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt)})
 		}
-		res, cost, err := r.attemptShard(dep, shard, policy, attempt, rec, sp)
+		res, cost, err := r.attemptShard(dep, shard, p, attempt, rec, sp)
 		if err == nil {
 			if b != nil {
 				b.Success()
@@ -318,7 +322,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, policy string, rec *ser
 // cost is the simulated time the attempt burnt if it failed (a failed
 // run still ran; a slow-then-failed run burnt its degraded time); it is
 // zero on success, where the run's own time lives in res.Elapsed.
-func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, attempt int, rec *serve.Recovery, sp *trace.Span) (*RunResult, Time, error) {
+func (r *resilient) attemptShard(dep *Deployment, shard int, p *policyEntry, attempt int, rec *serve.Recovery, sp *trace.Span) (*RunResult, Time, error) {
 	// Injection events carry the attempt number rather than a simulated
 	// offset of their own: the draws happen "at" the attempt, and the
 	// deterministic offsets of interest (backoff penalties) live on the
@@ -329,8 +333,8 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, policy string, atte
 			trace.Attr{Key: "kind", Value: string(kind)},
 			trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt)})
 	}
-	run := func() (*RunResult, error) { return dep.runAttempt(policy, sp, strconv.Itoa(attempt)) }
-	if policy == "CPU" || policy == "GPU" {
+	run := func() (*RunResult, error) { return dep.runAttempt(p, sp, strconv.Itoa(attempt)) }
+	if p.run == onHost {
 		// Host baselines fork no device and touch no pool: only the
 		// dispatch seam applies to them.
 		res, err := guardShardRun(shard, run)

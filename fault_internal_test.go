@@ -1,6 +1,7 @@
 package conduit
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,18 +12,17 @@ import (
 	"conduit/internal/workloads"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/availability.csv")
+
 // TestAvailabilityDeterministic: the availability sweep runs entirely in
 // simulated time, so the committed sweep — testdata/availability.csv,
 // the output of `go run ./cmd/experiments -csv availability -availreq
 // 200` (scale 2, the default fault rates, and the blank line the command
 // prints after every table) — must re-render byte for byte.
+// -update-golden rewrites the file.
 func TestAvailabilityDeterministic(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 200-request sweep takes over ten times longer under -race")
-	}
-	want, err := os.ReadFile("testdata/availability.csv")
-	if err != nil {
-		t.Fatal(err)
 	}
 	tab, err := NewExperiments(DefaultConfig(), 2).Availability(AvailabilityOptions{Requests: 200})
 	if err != nil {
@@ -31,6 +31,15 @@ func TestAvailabilityDeterministic(t *testing.T) {
 	var got strings.Builder
 	tab.CSV(&got)
 	got.WriteString("\n")
+	if *updateGolden {
+		if err := os.WriteFile("testdata/availability.csv", []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/availability.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.String() != string(want) {
 		t.Errorf("availability sweep differs from testdata/availability.csv (regenerate it only for a deliberate model change):\n%s", got.String())
 	}
@@ -113,7 +122,7 @@ func TestZeroRateResilientMatchesPlainRun(t *testing.T) {
 		FallbackPolicy:   "CPU",
 	})
 	var rec serve.Recovery
-	got, gotRec, err := res.run("Conduit", nil)
+	got, gotRec, err := res.run(lookupPolicy("Conduit"), nil)
 	rec = gotRec
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +152,7 @@ func TestZeroRateResilientMatchesPlainRun(t *testing.T) {
 	// accounting shows the duplicate dispatch.
 	eager := newResilient("aes", cl, faultinject.New(faultinject.Config{Seed: 22}),
 		RecoveryOptions{MaxAttempts: 3, Hedge: true})
-	got2, rec2, err := eager.run("Conduit", nil)
+	got2, rec2, err := eager.run(lookupPolicy("Conduit"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestResilientDispatchRetryExhaustion(t *testing.T) {
 	}
 	inj := faultinject.New(faultinject.Config{Seed: 9, BackendError: 1})
 	res := newResilient("aes", dep, inj, RecoveryOptions{MaxAttempts: 3})
-	_, rec, err := res.run("Conduit", nil)
+	_, rec, err := res.run(lookupPolicy("Conduit"), nil)
 	if err == nil {
 		t.Fatal("certain backend errors served successfully")
 	}
@@ -237,7 +246,7 @@ func FuzzFaultReplay(f *testing.F) {
 			r := newResilient("jacobi-1d", app, faultinject.NewReplay(faults), RecoveryOptions{
 				MaxAttempts: 3, Hedge: true, BreakerThreshold: 2, FallbackPolicy: "CPU"})
 			for i := 0; i < 3; i++ {
-				if res, _, err := r.run("Conduit", nil); err == nil && res.Elapsed < 0 {
+				if res, _, err := r.run(lookupPolicy("Conduit"), nil); err == nil && res.Elapsed < 0 {
 					t.Fatalf("request %d served with Elapsed %v", i, res.Elapsed)
 				}
 			}

@@ -118,7 +118,7 @@ func TestForkIsolatedFromEarlierRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := sys.RunCompiled(dep.Compiled(), policy)
+		fresh, err := sys.RunCompiled(dep.c, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func TestBlankTemplateMatchesNewDrive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sys.runOn(c, p, func() (*ssd.Device, error) { return deployOnNewDrive(sys, c) })
+				want, err := sys.runOn(c, lookupPolicy(p), func() (*ssd.Device, error) { return deployOnNewDrive(sys, c) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -406,7 +406,7 @@ func BenchmarkForkRestore(b *testing.B) {
 	dep := deployWorkload(b, NewSystem(DefaultConfig()), "jacobi-1d", 1)
 	dev := dep.master.Clone()
 	for _, policy := range []string{"Conduit", "DM-Offloading", "BW-Offloading"} {
-		if _, err := runPolicyOn(dev, policy); err != nil {
+		if _, err := runPolicyOn(dev, lookupPolicy(policy)); err != nil {
 			b.Fatal(err)
 		}
 		dev.Restore(dep.master)
@@ -486,7 +486,7 @@ func TestRecycledRunIdentical(t *testing.T) {
 						if v.before != nil {
 							v.before(dev)
 						}
-						ra, err := runPolicyOn(dev, a)
+						ra, err := runPolicyOn(dev, lookupPolicy(a))
 						if err != nil {
 							t.Fatalf("%s: run A: %v", what, err)
 						}
@@ -494,7 +494,7 @@ func TestRecycledRunIdentical(t *testing.T) {
 							v.after(dev, ra)
 						}
 						dev.Restore(dep.master)
-						rb, err := runPolicyOn(dev, b)
+						rb, err := runPolicyOn(dev, lookupPolicy(b))
 						if err != nil {
 							t.Fatalf("%s: run B: %v", what, err)
 						}

@@ -3,6 +3,9 @@ package drive
 import (
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -129,5 +132,77 @@ func TestTracing(t *testing.T) {
 	}
 	if tr := parse(t, Router, "-tracesample", "5").Tracing(now); tr == nil || tr.SampleEvery != 5 {
 		t.Errorf("-tracesample 5: Tracing = %+v", tr)
+	}
+}
+
+// usageLines returns the command lines of the "Usage:" block in the
+// package doc of cmd/<name>: one entry per command, continuation lines
+// joined, shell comments and a trailing "&" dropped.
+func usageLines(t *testing.T, name string) [][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../../cmd/"+name+"/main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	if !ok {
+		t.Fatalf("cmd/%s: package doc has no Usage: block", name)
+	}
+	var lines [][]string
+	cont := false
+	for _, line := range strings.Split(block, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		line, _, _ = strings.Cut(line, "#")
+		line = strings.TrimSpace(line)
+		next := strings.HasSuffix(line, "\\")
+		fields := strings.Fields(strings.TrimSuffix(strings.TrimSuffix(line, "\\"), "&"))
+		if cont {
+			lines[len(lines)-1] = append(lines[len(lines)-1], fields...)
+		} else {
+			lines = append(lines, fields)
+		}
+		cont = next
+	}
+	return lines
+}
+
+// TestUsageLinesParse: every command line a serving binary's package doc
+// shows parses through Declare for the binary it names and builds the
+// options that binary builds from it.
+func TestUsageLinesParse(t *testing.T) {
+	bins := map[string]Binary{}
+	for bin, name := range binaryNames {
+		bins[name] = bin
+	}
+	for _, doc := range binaryNames {
+		for _, line := range usageLines(t, doc) {
+			bin, ok := bins[line[0]]
+			if !ok {
+				t.Errorf("cmd/%s usage line %q runs no serving binary", doc, strings.Join(line, " "))
+				continue
+			}
+			fs := flag.NewFlagSet(line[0], flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			f := Declare(fs, bin)
+			if err := fs.Parse(line[1:]); err != nil {
+				t.Errorf("cmd/%s usage line %q: %v", doc, strings.Join(line, " "), err)
+				continue
+			}
+			if _, err := f.Workloads(); err != nil {
+				t.Errorf("cmd/%s usage line %q: -mix: %v", doc, strings.Join(line, " "), err)
+			}
+			if bin != Router {
+				if _, err := f.ServeOptions(); err != nil {
+					t.Errorf("cmd/%s usage line %q: %v", doc, strings.Join(line, " "), err)
+				}
+			}
+			if bin != Target {
+				if _, err := f.PolicyMix(); err != nil {
+					t.Errorf("cmd/%s usage line %q: -policies: %v", doc, strings.Join(line, " "), err)
+				}
+			}
+		}
 	}
 }

@@ -413,8 +413,10 @@ func (f *FTL) SamePlane(lpns []LPN) bool {
 
 // Migrate rewrites the given logical pages into a single block of one
 // plane, reading each current copy and programming it into a fresh run.
-// The runtime uses it when an offloading decision requires a placement the
-// current layout violates; the cost function prices exactly this work.
+// No runtime path calls it: the offloader never re-lays data out. An
+// in-flash operand on another plane is read out and loaded into the
+// target plane's latches per instruction instead, and that transfer is
+// what the cost function prices as movement.
 func (f *FTL) Migrate(now sim.Time, lpns []LPN, plane int) (sim.Time, error) {
 	data := make([][]byte, len(lpns))
 	ready := now

@@ -109,15 +109,55 @@ func argminOver[T cmp.Ordered](f *Features, cost func(isa.Resource) T) isa.Resou
 	return best
 }
 
-// Conduit is the paper's policy: argmin over resources of Eqn. 1.
-type Conduit struct{}
+// Conduit is the paper's policy: argmin over resources of Eqn. 1. The zero
+// value prices every term; each Drop switch removes one term of Eqn. 1 —
+// counting it as zero — for the §6 ablations that quantify each term's
+// contribution.
+type Conduit struct {
+	// DropQueue removes the resource-queueing-delay term.
+	DropQueue bool
+	// DropDep removes the data-dependence-delay term.
+	DropDep bool
+	// DropMove removes the data-movement-latency terms (operand and
+	// result movement).
+	DropMove bool
+}
 
-// Name implements Policy.
-func (Conduit) Name() string { return "Conduit" }
+// Name implements Policy: "Conduit", suffixed by each dropped term
+// ("Conduit-noqueue", "Conduit-nodep-nomove", ...).
+func (c Conduit) Name() string {
+	n := "Conduit"
+	if c.DropQueue {
+		n += "-noqueue"
+	}
+	if c.DropDep {
+		n += "-nodep"
+	}
+	if c.DropMove {
+		n += "-nomove"
+	}
+	return n
+}
 
 // Select implements Eqn. 2: offloading_target = argmin(total_latency_i).
-func (Conduit) Select(f *Features) isa.Resource {
-	return argminOver(f, f.TotalLatency)
+// An ablated Conduit prices a copy of f whose dropped terms are zero; the
+// zero value prices f itself.
+func (c Conduit) Select(f *Features) isa.Resource {
+	if c == (Conduit{}) {
+		return argminOver(f, f.TotalLatency)
+	}
+	g := *f
+	if c.DropQueue {
+		g.QueueDelay = [isa.NumResources]sim.Time{}
+	}
+	if c.DropDep {
+		g.DepDelay = 0
+	}
+	if c.DropMove {
+		g.MoveLatency = [isa.NumResources]sim.Time{}
+		g.ResultMove = [isa.NumResources]sim.Time{}
+	}
+	return argminOver(&g, g.TotalLatency)
 }
 
 // DMOffloading models prior data-movement-minimizing offloaders
@@ -150,21 +190,6 @@ func (BWOffloading) Name() string { return "BW-Offloading" }
 // utilization signal, once per resource that supports the instruction.
 func (BWOffloading) Select(f *Features) isa.Resource {
 	return argminOver(f, f.BWUtil)
-}
-
-// Ideal is the unrealizable upper bound (§5.3): no queueing delays, zero
-// data movement, and the resource with the least computation latency. The
-// runtime honors the same assumptions when executing under Ideal.
-type Ideal struct{}
-
-// Name implements Policy.
-func (Ideal) Name() string { return "Ideal" }
-
-// Select implements Policy.
-func (Ideal) Select(f *Features) isa.Resource {
-	return argminOver(f, func(r isa.Resource) sim.Time {
-		return f.CompLatency[r]
-	})
 }
 
 // ISPOnly executes everything on the SSD controller cores.
@@ -244,48 +269,4 @@ func (n *NaiveCombo) Select(f *Features) isa.Resource {
 		return isa.ResIFP
 	}
 	return isa.ResISP
-}
-
-// Ablated is Conduit with selected cost-function terms removed; the
-// ablation benches quantify each term's contribution.
-type Ablated struct {
-	// DropQueue removes the resource-queueing-delay term.
-	DropQueue bool
-	// DropDep removes the data-dependence-delay term.
-	DropDep bool
-	// DropMove removes the data-movement-latency term.
-	DropMove bool
-}
-
-// Name implements Policy.
-func (a Ablated) Name() string {
-	n := "Conduit"
-	if a.DropQueue {
-		n += "-noqueue"
-	}
-	if a.DropDep {
-		n += "-nodep"
-	}
-	if a.DropMove {
-		n += "-nomove"
-	}
-	return n
-}
-
-// Select implements Policy.
-func (a Ablated) Select(f *Features) isa.Resource {
-	return argminOver(f, func(r isa.Resource) sim.Time {
-		var wait sim.Time
-		if !a.DropDep {
-			wait = f.DepDelay
-		}
-		if !a.DropQueue && f.QueueDelay[r] > wait {
-			wait = f.QueueDelay[r]
-		}
-		total := f.CompLatency[r] + wait
-		if !a.DropMove {
-			total += f.MoveLatency[r] + f.ResultMove[r]
-		}
-		return total
-	})
 }

@@ -114,8 +114,9 @@ func TestBWOffloadingPicksLeastUtilized(t *testing.T) {
 func TestUtilizationReadOnlyByBWOffloading(t *testing.T) {
 	ops := []isa.Op{isa.OpAdd, isa.OpXor, isa.OpMul, isa.OpDiv, isa.OpSub, isa.OpShuffle}
 	silent := []Policy{
-		Conduit{}, DMOffloading{}, Ideal{},
-		Ablated{}, Ablated{DropQueue: true}, Ablated{DropDep: true}, Ablated{DropMove: true},
+		Conduit{}, DMOffloading{},
+		Conduit{DropQueue: true}, Conduit{DropDep: true}, Conduit{DropMove: true},
+		Conduit{DropQueue: true, DropDep: true, DropMove: true},
 		ISPOnly{}, PuDSSD{}, FlashCosmos{}, AresFlash{}, &NaiveCombo{},
 	}
 	for _, op := range ops {
@@ -142,12 +143,16 @@ func TestUtilizationReadOnlyByBWOffloading(t *testing.T) {
 	}
 }
 
-func TestIdealPicksLowestCompute(t *testing.T) {
+// TestAllTermsDroppedPicksLowestCompute: with every delay and movement
+// term dropped, Conduit prices computation latency alone.
+func TestAllTermsDroppedPicksLowestCompute(t *testing.T) {
 	f := feat(isa.OpAdd, [3]sim.Time{300, 100, 200},
 		[3]sim.Time{0, 10 * sim.Millisecond, 0},
 		[3]sim.Time{0, 10 * sim.Millisecond, 0}, 10*sim.Millisecond)
-	if got := (Ideal{}).Select(f); got != isa.ResPuD {
-		t.Errorf("Ideal chose %v, want PuD regardless of movement/queues", got)
+	f.ResultMove[isa.ResPuD] = 10 * sim.Millisecond
+	p := Conduit{DropQueue: true, DropDep: true, DropMove: true}
+	if got := p.Select(f); got != isa.ResPuD {
+		t.Errorf("%s chose %v, want PuD regardless of movement/queues", p.Name(), got)
 	}
 }
 
@@ -202,20 +207,97 @@ func TestAblatedDropsTerms(t *testing.T) {
 	if got := (Conduit{}).Select(f); got == isa.ResIFP {
 		t.Error("full Conduit should dodge the congested queue")
 	}
-	if got := (Ablated{DropQueue: true}).Select(f); got != isa.ResIFP {
+	if got := (Conduit{DropQueue: true}).Select(f); got != isa.ResIFP {
 		t.Errorf("queue-ablated chose %v, want IFP", got)
 	}
 	// Movement-ablated ignores a huge movement cost.
 	f2 := feat(isa.OpAdd, [3]sim.Time{100, 10, 100}, [3]sim.Time{0, sim.Second, 0},
 		[3]sim.Time{0, 0, 0}, 0)
-	if got := (Ablated{DropMove: true}).Select(f2); got != isa.ResPuD {
+	if got := (Conduit{DropMove: true}).Select(f2); got != isa.ResPuD {
 		t.Errorf("move-ablated chose %v, want PuD", got)
 	}
 	if got := (Conduit{}).Select(f2); got == isa.ResPuD {
 		t.Error("full Conduit should price the movement")
 	}
-	if name := (Ablated{DropQueue: true, DropMove: true}).Name(); name != "Conduit-noqueue-nomove" {
-		t.Errorf("ablation name = %q", name)
+	// Dependence-ablated ignores a dependence delay that hides PuD's
+	// queue: with it, ISP and PuD both wait 1 ms and PuD computes faster;
+	// without it, PuD's 500 µs queue loses to ISP's empty one.
+	f3 := feat(isa.OpAdd, [3]sim.Time{100, 10, 100}, [3]sim.Time{0, 0, sim.Second},
+		[3]sim.Time{0, 500 * sim.Microsecond, 0}, sim.Millisecond)
+	if got := (Conduit{}).Select(f3); got != isa.ResPuD {
+		t.Errorf("full Conduit chose %v, want PuD", got)
+	}
+	if got := (Conduit{DropDep: true}).Select(f3); got != isa.ResISP {
+		t.Errorf("dep-ablated chose %v, want ISP", got)
+	}
+	for p, want := range map[Conduit]string{
+		{}:                                "Conduit",
+		{DropQueue: true}:                 "Conduit-noqueue",
+		{DropDep: true}:                   "Conduit-nodep",
+		{DropMove: true}:                  "Conduit-nomove",
+		{DropQueue: true, DropMove: true}: "Conduit-noqueue-nomove",
+	} {
+		if name := p.Name(); name != want {
+			t.Errorf("%+v name = %q, want %q", p, name, want)
+		}
+	}
+}
+
+// TestConduitSelectAllocatesNothing: pricing, ablated or not, allocates
+// nothing per instruction.
+func TestConduitSelectAllocatesNothing(t *testing.T) {
+	f := feat(isa.OpAdd, [3]sim.Time{100, 200, 300}, [3]sim.Time{10, 20, 30},
+		[3]sim.Time{5, 500, 5}, 50)
+	for _, p := range []Conduit{{}, {DropQueue: true}, {DropDep: true, DropMove: true}} {
+		if n := testing.AllocsPerRun(100, func() { p.Select(f) }); n != 0 {
+			t.Errorf("%s allocates %v times per Select", p.Name(), n)
+		}
+	}
+}
+
+// TestAblationMatchesTermwiseCost: an ablated Conduit picks what an
+// argmin over Eqn. 1 with the dropped terms left out of the sum picks,
+// resource order breaking ties.
+func TestAblationMatchesTermwiseCost(t *testing.T) {
+	ops := []isa.Op{isa.OpAdd, isa.OpMul, isa.OpXor, isa.OpDiv, isa.OpSub, isa.OpLT, isa.OpShuffle}
+	check := func(seed uint64, opSel, drop uint8) bool {
+		r := sim.NewRNG(seed)
+		var comp, move, queue [3]sim.Time
+		for i := 0; i < 3; i++ {
+			// A narrow range, so ties are common.
+			comp[i] = sim.Time(r.Intn(8))
+			move[i] = sim.Time(r.Intn(8))
+			queue[i] = sim.Time(r.Intn(8))
+		}
+		f := feat(ops[int(opSel)%len(ops)], comp, move, queue, sim.Time(r.Intn(8)))
+		for i := range f.ResultMove {
+			f.ResultMove[i] = sim.Time(r.Intn(8))
+		}
+		p := Conduit{DropQueue: drop&1 != 0, DropDep: drop&2 != 0, DropMove: drop&4 != 0}
+		want, best := isa.Resource(255), sim.Time(0)
+		for _, res := range isa.AllResources {
+			if !f.Supported[res] {
+				continue
+			}
+			var wait sim.Time
+			if !p.DropDep {
+				wait = f.DepDelay
+			}
+			if !p.DropQueue && f.QueueDelay[res] > wait {
+				wait = f.QueueDelay[res]
+			}
+			cost := f.CompLatency[res] + wait
+			if !p.DropMove {
+				cost += f.MoveLatency[res] + f.ResultMove[res]
+			}
+			if want == 255 || cost < best {
+				want, best = res, cost
+			}
+		}
+		return p.Select(f) == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -254,7 +336,6 @@ func TestPolicyNames(t *testing.T) {
 		"Conduit":       Conduit{},
 		"DM-Offloading": DMOffloading{},
 		"BW-Offloading": BWOffloading{},
-		"Ideal":         Ideal{},
 		"ISP":           ISPOnly{},
 		"PuD-SSD":       PuDSSD{},
 		"Flash-Cosmos":  FlashCosmos{},

@@ -45,7 +45,7 @@ var ErrPoolClosed = errors.New("conduit: device pool closed")
 // A DevicePool is safe for concurrent use. Close it to stop the refiller
 // and release buffered devices; Get on a closed pool returns
 // ErrPoolClosed. A pool always belongs to exactly one Deployment — a
-// sharded Cluster attaches one pool per shard (Cluster.Prefork), never
+// sharded Cluster attaches one pool per shard (ClusterOptions.Prefork), never
 // one shared pool, since clones of different shard masters are not
 // interchangeable.
 type DevicePool struct {

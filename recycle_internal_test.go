@@ -100,20 +100,20 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 	dep := deployWorkload(t, sys, "AES", 1) // AES has ISP-only instructions for "fails" to misplace
 	r := newResilient("aes", dep, nil, RecoveryOptions{})
 
-	if _, _, err := r.run("fails", nil); err == nil || !strings.Contains(err.Error(), "unsupported") {
+	if _, _, err := r.run(lookupPolicy("fails"), nil); err == nil || !strings.Contains(err.Error(), "unsupported") {
 		t.Fatalf("broken policy: err = %v, want the device's 'unsupported' refusal", err)
 	}
-	if _, _, err := r.run("panics", nil); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, _, err := r.run(lookupPolicy("panics"), nil); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panicking policy: err = %v, want a contained panic", err)
 	}
-	if _, _, err := r.run("CPU", nil); err != nil {
+	if _, _, err := r.run(lookupPolicy("CPU"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := dep.parked(); n != 0 {
 		t.Fatalf("%d devices parked after a failed, a panicked and a host run, want 0", n)
 	}
 
-	res, _, err := r.run("Conduit", nil)
+	res, _, err := r.run(lookupPolicy("Conduit"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 	}
 	// A failing run's fork takes the parked device like any other fork,
 	// and does not give it back.
-	if _, _, err := r.run("fails", nil); err == nil {
+	if _, _, err := r.run(lookupPolicy("fails"), nil); err == nil {
 		t.Fatal("broken policy served")
 	}
 	if n := dep.parked(); n != 0 {
@@ -137,7 +137,7 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := r.run("Conduit", nil); err != nil {
+		if _, _, err := r.run(lookupPolicy("Conduit"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 		t.Fatalf("%d devices parked after sequential served runs, want 1 (the same device, over and over)", n)
 	}
 	again := dep.used[0]
-	if _, _, err := r.run("DM-Offloading", nil); err != nil {
+	if _, _, err := r.run(lookupPolicy("DM-Offloading"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if dep.used[0] != again {
@@ -179,7 +179,7 @@ func TestPoisonedForkIsDropped(t *testing.T) {
 
 	dep.park()
 	var rec serve.Recovery
-	if _, err := poison.runShard(dep, 0, "Conduit", &rec, nil); err == nil || !strings.Contains(err.Error(), "poisoned fork") {
+	if _, err := poison.runShard(dep, 0, lookupPolicy("Conduit"), &rec, nil); err == nil || !strings.Contains(err.Error(), "poisoned fork") {
 		t.Fatalf("err = %v, want a poisoned fork", err)
 	}
 	if n := dep.parked(); n != 0 {
@@ -194,7 +194,7 @@ func TestPoisonedForkIsDropped(t *testing.T) {
 	if st := pool.Stats(); st.Idle != 4 {
 		t.Fatalf("Idle = %d with a full buffer of 2 and 2 parked devices, want 4", st.Idle)
 	}
-	if _, err := poison.runShard(dep, 0, "Conduit", &rec, nil); err == nil {
+	if _, err := poison.runShard(dep, 0, lookupPolicy("Conduit"), &rec, nil); err == nil {
 		t.Fatal("poisoned fork served")
 	}
 	if n := dep.parked(); n != 0 {
@@ -275,7 +275,7 @@ func TestCloseEndsRecycling(t *testing.T) {
 	}
 	before := next.Stats()
 	dev := dep.master.Clone()
-	res, err := runPolicyOn(dev, "Conduit")
+	res, err := runPolicyOn(dev, lookupPolicy("Conduit"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ type application interface {
 	// Deployment, a per-shard scatter for a Cluster — accruing the
 	// recovery accounting into rec and recording under sp (nil unless the
 	// request is sampled).
-	dispatch(r *resilient, policy string, rec *serve.Recovery, sp *trace.Span) (*RunResult, error)
+	dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error)
 	Close()
 	// poolStats contributes the application's device-pool snapshots to
 	// out, keying each entry off the registered name (a cluster adds one
@@ -301,7 +301,7 @@ func (s backend) RunCell(workload, policy string, sp *trace.Span) (serve.Outcome
 		return serve.Outcome{}, fmt.Errorf("conduit: no application %q registered (have: %s)",
 			workload, strings.Join(s.Applications(), ", "))
 	}
-	r, rec, err := app.run(policy, sp)
+	r, rec, err := app.run(lookupPolicy(policy), sp)
 	if err != nil {
 		// A failed request still reports its recovery accounting: the
 		// retries it burnt are real work the books must show.
