@@ -148,7 +148,7 @@ func (c *Core) Exec(now, ready sim.Time, inst *isa.Inst, srcs [][]byte, stream s
 		c.vecOps++
 	}
 	c.cycles += cyc
-	c.en.Compute("isp", float64(cyc)*c.cfg.ECorePerCycle)
+	c.en.Compute(energy.ISP, float64(cyc)*c.cfg.ECorePerCycle)
 
 	if c.timing {
 		return nil, done, nil
@@ -186,7 +186,7 @@ func (c *Core) ExecScalar(now, ready sim.Time, cyc int64) (sim.Time, error) {
 	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc))
 	c.scalarOps++
 	c.cycles += cyc
-	c.en.Compute("isp", float64(cyc)*c.cfg.ECorePerCycle)
+	c.en.Compute(energy.ISP, float64(cyc)*c.cfg.ECorePerCycle)
 	return done, nil
 }
 

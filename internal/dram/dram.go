@@ -188,7 +188,7 @@ func (m *Module) Write(now, ready sim.Time, slot int, data []byte) sim.Time {
 	m.setSlot(slot, payload)
 	m.writes++
 	m.bytesMoved += int64(m.cfg.PageSize)
-	m.en.Move("dram-bus", float64(m.cfg.PageSize)*m.cfg.EDRAMPerByte)
+	m.en.Move(energy.DRAMBus, float64(m.cfg.PageSize)*m.cfg.EDRAMPerByte)
 	return done
 }
 
@@ -198,7 +198,7 @@ func (m *Module) Read(now, ready sim.Time, slot int) ([]byte, sim.Time) {
 	_, done := m.bus.Reserve(now, ready, m.cfg.DRAMTransferTime(m.cfg.PageSize))
 	m.reads++
 	m.bytesMoved += int64(m.cfg.PageSize)
-	m.en.Move("dram-bus", float64(m.cfg.PageSize)*m.cfg.EDRAMPerByte)
+	m.en.Move(energy.DRAMBus, float64(m.cfg.PageSize)*m.cfg.EDRAMPerByte)
 	if m.timing {
 		return nil, done
 	}
@@ -277,7 +277,7 @@ func (m *Module) Exec(now, ready sim.Time, unit *sim.Calendar, op isa.Op, dst in
 	rounds := Rounds(op, elem)
 	_, done := unit.Reserve(now, ready, sim.Time(rounds)*m.cfg.TBbop)
 	m.bbops += int64(rounds)
-	m.en.Compute("pud", float64(rounds)*m.cfg.EBbop)
+	m.en.Compute(energy.PuD, float64(rounds)*m.cfg.EBbop)
 
 	if m.timing {
 		m.setSlot(dst, nil)

@@ -43,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if rdone <= done {
 		t.Fatal("read should take bus time")
 	}
-	if en.MoveBy("dram-bus") <= 0 {
+	if en.MoveBy(energy.DRAMBus) <= 0 {
 		t.Fatal("transfers must record bus energy")
 	}
 }

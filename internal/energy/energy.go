@@ -1,62 +1,65 @@
 package energy
 
-import (
-	"slices"
-	"sort"
-)
-
-// Account tallies energy in joules, keyed by source. The zero value is not
-// usable; call NewAccount.
+// Account tallies energy in joules, by source. The zero value is an
+// empty account.
 type Account struct {
 	compute  ledger
 	movement ledger
 }
 
-// ledger is a name-sorted list of tallies. An account sees a handful of
-// distinct names, charged millions of times: a short equality scan finds
-// the entry, and keeping the list sorted makes every total a sum in
-// sorted-name order — float addition is not associative, so a fixed order
-// is what keeps otherwise identical runs identical to the last bit.
-type ledger []entry
+// Source names one tally: a computation source or a data-movement path.
+// The constants are in sorted name order, so a ledger summed by index is
+// summed in sorted-name order — float addition is not associative, and a
+// fixed order is what keeps otherwise identical runs identical to the
+// last bit.
+type Source uint8
 
-type entry struct {
-	name   string
-	joules float64
+const (
+	CPU          Source = iota // host CPU package and board ("CPU")
+	GPU                        // host GPU board ("GPU")
+	DRAMBus                    // SSD DRAM bus ("dram-bus")
+	FlashChannel               // flash channels ("flash-channel")
+	HostDRAM                   // host memory traffic ("host-dram")
+	IFP                        // in-flash processing ("ifp")
+	ISP                        // SSD controller cores ("isp")
+	PCIe                       // host interface ("pcie")
+	PuD                        // processing using SSD DRAM ("pud")
+	numSources
+)
+
+var sourceNames = [numSources]string{"CPU", "GPU", "dram-bus", "flash-channel", "host-dram", "ifp", "isp", "pcie", "pud"}
+
+// String reports the source's name.
+func (s Source) String() string { return sourceNames[s] }
+
+// ledger is one side of an account: a tally per source, charged millions
+// of times, so a charge is one indexed add.
+type ledger struct {
+	joules  [numSources]float64
+	charged uint16 // bit s: s was charged, perhaps with zero joules
 }
 
-func (l *ledger) add(name string, j float64) {
-	s := *l
-	for i := range s {
-		if s[i].name == name {
-			s[i].joules += j
-			return
-		}
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].name > name })
-	*l = slices.Insert(s, i, entry{name, j})
+func (l *ledger) add(s Source, j float64) {
+	l.joules[s] += j
+	l.charged |= 1 << s
 }
 
-func (l ledger) get(name string) float64 {
-	for i := range l {
-		if l[i].name == name {
-			return l[i].joules
-		}
-	}
-	return 0
-}
-
-func (l ledger) total() float64 {
+// total sums every tally in index order. An uncharged tally is +0, and
+// adding +0 to a non-negative sum leaves it bit for bit as it was.
+func (l *ledger) total() float64 {
 	var sum float64
-	for i := range l {
-		sum += l[i].joules
+	for _, j := range l.joules {
+		sum += j
 	}
 	return sum
 }
 
-func (l ledger) names() []string {
-	out := make([]string, len(l))
-	for i := range l {
-		out[i] = l[i].name
+func (l *ledger) sources() []Source {
+	var out []Source
+	for s := range numSources {
+		if l.charged&(1<<s) != 0 {
+			out = append(out, s)
+		}
 	}
 	return out
 }
@@ -64,18 +67,16 @@ func (l ledger) names() []string {
 // NewAccount returns an empty account.
 func NewAccount() *Account { return &Account{} }
 
-// Compute records j joules of computation energy attributed to source
-// (e.g. "ifp", "pud", "isp", "cpu", "gpu").
-func (a *Account) Compute(source string, j float64) {
+// Compute records j joules of computation energy attributed to source.
+func (a *Account) Compute(source Source, j float64) {
 	if j < 0 {
 		panic("energy: negative computation energy")
 	}
 	a.compute.add(source, j)
 }
 
-// Move records j joules of data-movement energy attributed to path
-// (e.g. "flash-channel", "dram-bus", "pcie").
-func (a *Account) Move(path string, j float64) {
+// Move records j joules of data-movement energy attributed to path.
+func (a *Account) Move(path Source, j float64) {
 	if j < 0 {
 		panic("energy: negative movement energy")
 	}
@@ -92,26 +93,23 @@ func (a *Account) MovementTotal() float64 { return a.movement.total() }
 func (a *Account) Total() float64 { return a.ComputeTotal() + a.MovementTotal() }
 
 // ComputeBy reports computation energy for one source.
-func (a *Account) ComputeBy(source string) float64 { return a.compute.get(source) }
+func (a *Account) ComputeBy(source Source) float64 { return a.compute.joules[source] }
 
 // MoveBy reports movement energy for one path.
-func (a *Account) MoveBy(path string) float64 { return a.movement.get(path) }
+func (a *Account) MoveBy(path Source) float64 { return a.movement.joules[path] }
 
-// Sources returns all compute sources in sorted order.
-func (a *Account) Sources() []string { return a.compute.names() }
+// Sources returns every charged compute source in sorted name order.
+func (a *Account) Sources() []Source { return a.compute.sources() }
 
-// Paths returns all movement paths in sorted order.
-func (a *Account) Paths() []string { return a.movement.names() }
+// Paths returns every charged movement path in sorted name order.
+func (a *Account) Paths() []Source { return a.movement.sources() }
 
 // Reset clears the account.
 func (a *Account) Reset() { *a = Account{} }
 
-// Restore makes a an independent copy of src in place, reusing a's ledger
-// storage. Restoring into a zero Account is how an account is cloned.
-func (a *Account) Restore(src *Account) {
-	a.compute = append(a.compute[:0], src.compute...)
-	a.movement = append(a.movement[:0], src.movement...)
-}
+// Restore makes a an independent copy of src in place. Restoring into a
+// zero Account is how an account is cloned.
+func (a *Account) Restore(src *Account) { *a = *src }
 
 // MergeShards sums per-shard (compute, movement) energy pairs in slice
 // order. Float addition is not associative, so the fixed shard-index

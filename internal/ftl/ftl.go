@@ -87,13 +87,16 @@ func (f *FTL) checkLPN(lpn LPN) int {
 	return int(lpn)
 }
 
-// Lookup translates lpn and reports the translation latency: a cached
-// mapping entry costs TL2PLookupDRAM; a miss fetches the entry from flash
-// (TL2PLookupFlash) and installs it in the cache (DFTL demand caching).
-func (f *FTL) Lookup(lpn LPN) (nand.Addr, sim.Time, error) {
+// Lookup translates lpn to its flat physical page index (PageIndex's
+// numbering; nand.Geometry.Locate places it) and reports the translation
+// latency: a cached mapping entry costs TL2PLookupDRAM; a miss fetches
+// the entry from flash (TL2PLookupFlash) and installs it in the cache
+// (DFTL demand caching).
+func (f *FTL) Lookup(lpn LPN) (int, sim.Time, error) {
 	i := f.checkLPN(lpn)
-	if f.l2p.At(i) == -1 {
-		return nand.Addr{}, 0, fmt.Errorf("ftl: LPN %d is unmapped", lpn)
+	page := int(f.l2p.At(i))
+	if page == -1 {
+		return 0, 0, fmt.Errorf("ftl: LPN %d is unmapped", lpn)
 	}
 	var lat sim.Time
 	if f.cache.touch(lpn) {
@@ -104,7 +107,7 @@ func (f *FTL) Lookup(lpn LPN) (nand.Addr, sim.Time, error) {
 		lat = f.cfg.TL2PLookupFlash
 		f.cache.insert(lpn)
 	}
-	return f.geo.AddrOf(int(f.l2p.At(i))), lat, nil
+	return page, lat, nil
 }
 
 // PhysAddr translates lpn without modelling lookup latency (internal and
@@ -192,11 +195,11 @@ func (f *FTL) WriteBuffered(now, ready sim.Time, lpn LPN, plane int) (sim.Time, 
 
 // Read fetches lpn's flash copy, including L2P lookup latency.
 func (f *FTL) Read(now, ready sim.Time, lpn LPN) ([]byte, sim.Time, error) {
-	addr, lookupLat, err := f.Lookup(lpn)
+	page, lookupLat, err := f.Lookup(lpn)
 	if err != nil {
 		return nil, 0, err
 	}
-	data, done, err := f.arr.ReadChecked(now, maxTime(ready, now+lookupLat), addr)
+	data, done, err := f.arr.ReadChecked(now, maxTime(ready, now+lookupLat), f.geo.AddrOf(page))
 	if err != nil {
 		return nil, 0, fmt.Errorf("ftl: LPN %d: %w", lpn, err)
 	}

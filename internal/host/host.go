@@ -222,15 +222,15 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 						cfg.ChannelTransferTime(cfg.PageSize)/sim.Time(cfg.Channels) +
 						cfg.TRead/lookahead
 					pcieBytes += int64(cfg.PageSize)
-					en.Move("pcie", float64(cfg.PageSize)*h.EPCIePerByte)
+					en.Move(energy.PCIe, float64(cfg.PageSize)*h.EPCIePerByte)
 				}
 				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
-				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
+				en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
 			}
 			if inst.Dst != isa.NoPage {
 				cache.touch(inst.Dst)
 				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
-				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
+				en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
 			}
 		}
 		comp := m.computeTime(inst)
@@ -263,11 +263,11 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	// The host burns package/board power for the whole run, stalled or
 	// not — which is why OSP loses the energy comparison so badly in the
 	// paper (Fig. 7b): data movement keeps an expensive machine waiting.
-	power := h.CPUPowerWatts
+	power, src := h.CPUPowerWatts, energy.CPU
 	if m.kind == GPU {
-		power = h.GPUPowerWatts
+		power, src = h.GPUPowerWatts, energy.GPU
 	}
-	en.Compute(m.kind.String(), elapsed.Seconds()*power)
+	en.Compute(src, elapsed.Seconds()*power)
 
 	return &Result{
 		Kind:           m.kind,

@@ -72,6 +72,17 @@ func (g Geometry) AddrOf(idx int) Addr {
 	return a
 }
 
+// Locate reports the flat plane index, flat block index and channel of
+// the page at flat index idx (in range): PlaneIndex(AddrOf(idx)),
+// BlockIndex(AddrOf(idx)) and AddrOf(idx).Channel, by three divisions,
+// since each flat index is a prefix of the next one's mixed-radix digits.
+func (g Geometry) Locate(idx int) (plane, block, channel int) {
+	c := g.cfg
+	block = idx / c.PagesPerBlock
+	plane = block / c.BlocksPerPlane
+	return plane, block, plane / (c.PlanesPerDie * c.DiesPerChannel)
+}
+
 // BlockIndex flattens the block coordinates of a (ignoring Page) to a dense
 // index in [0, TotalBlocks).
 func (g Geometry) BlockIndex(a Addr) int {

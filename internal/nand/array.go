@@ -196,8 +196,8 @@ func (a *Array) Read(now, ready sim.Time, addr Addr) ([]byte, sim.Time) {
 	_, done := a.bus[addr.Channel].Reserve(now, sensed, a.cfg.ChannelTransferTime(a.cfg.PageSize))
 	a.senses++
 	a.bytesOut += int64(a.cfg.PageSize)
-	a.en.Compute("ifp", a.cfg.EReadPerChannel)
-	a.en.Move("flash-channel", a.cfg.EDMAPerChannel)
+	a.en.Compute(energy.IFP, a.cfg.EReadPerChannel)
+	a.en.Move(energy.FlashChannel, a.cfg.EDMAPerChannel)
 	if a.timing {
 		return nil, done
 	}
@@ -241,8 +241,8 @@ func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 	a.setProgrammed(idx)
 	a.programs++
 	a.bytesIn += int64(a.cfg.PageSize)
-	a.en.Compute("ifp", a.eProg)
-	a.en.Move("flash-channel", a.cfg.EDMAPerChannel)
+	a.en.Compute(energy.IFP, a.eProg)
+	a.en.Move(energy.FlashChannel, a.cfg.EDMAPerChannel)
 	return done
 }
 
@@ -269,7 +269,7 @@ func (a *Array) Erase(now sim.Time, addr Addr) sim.Time {
 	blk := a.geo.BlockIndex(addr)
 	a.erases.Set(blk, a.erases.At(blk)+1)
 	a.eraseOps++
-	a.en.Compute("ifp", a.eErase)
+	a.en.Compute(energy.IFP, a.eErase)
 	return done
 }
 
@@ -356,14 +356,14 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	dur := EstimateBitwise(a.cfg, op, prof)
 	switch op {
 	case BitXor, BitXnor:
-		a.en.Compute("ifp", float64(prof.Senses)*a.cfg.EReadPerChannel+a.cfg.EXorPerKB*float64(a.cfg.PageSize)/1024)
+		a.en.Compute(energy.IFP, float64(prof.Senses)*a.cfg.EReadPerChannel+a.cfg.EXorPerKB*float64(a.cfg.PageSize)/1024)
 	default:
-		a.en.Compute("ifp", float64(prof.Senses)*a.cfg.EReadPerChannel+a.cfg.EAndOrPerKB*float64(a.cfg.PageSize)/1024)
+		a.en.Compute(energy.IFP, float64(prof.Senses)*a.cfg.EReadPerChannel+a.cfg.EAndOrPerKB*float64(a.cfg.PageSize)/1024)
 	}
 	a.senses += int64(prof.Senses)
 	a.fcTransfers += int64(prof.Loads)
 	if prof.Loads > 0 {
-		a.en.Move("flash-channel", float64(prof.Loads)*a.cfg.EDMAPerChannel)
+		a.en.Move(energy.FlashChannel, float64(prof.Loads)*a.cfg.EDMAPerChannel)
 	}
 	a.mwsOps++
 	_, done := die.Reserve(now, ready, dur)
@@ -427,11 +427,11 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	dur, rounds, fcTransfers := EstimateArith(a.cfg, op, elem, prof)
 	if fcTransfers > 0 {
 		a.fcTransfers += fcTransfers
-		a.en.Move("flash-channel", float64(fcTransfers)*a.cfg.EDMAPerChannel)
+		a.en.Move(energy.FlashChannel, float64(fcTransfers)*a.cfg.EDMAPerChannel)
 	}
 	a.latchRounds += rounds
 	a.senses += int64(prof.Senses)
-	a.en.Compute("ifp",
+	a.en.Compute(energy.IFP,
 		float64(prof.Senses)*a.cfg.EReadPerChannel+
 			float64(rounds)*a.cfg.ELatchPerKB*float64(a.cfg.PageSize)/1024)
 	_, done := die.Reserve(now, ready, dur)
@@ -495,7 +495,7 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 	}
 	a.setProgrammed(idx)
 	a.programs++
-	a.en.Compute("ifp", a.eProg)
+	a.en.Compute(energy.IFP, a.eProg)
 	return done, nil
 }
 
@@ -508,7 +508,7 @@ func (a *Array) ReadBuffer(now, ready sim.Time, plane Addr) ([]byte, sim.Time, e
 	}
 	_, done := a.bus[plane.Channel].Reserve(now, ready, a.cfg.ChannelTransferTime(a.cfg.PageSize))
 	a.bytesOut += int64(a.cfg.PageSize)
-	a.en.Move("flash-channel", a.cfg.EDMAPerChannel)
+	a.en.Move(energy.FlashChannel, a.cfg.EDMAPerChannel)
 	if a.timing {
 		return nil, done, nil
 	}

@@ -37,6 +37,31 @@ func TestGeometryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOperandLocationMatchesGeometry checks Locate, which the device
+// places every flash-resident operand by, against the address
+// arithmetic it replaced: every page of the test geometry, and both
+// ends and a stride of the default one.
+func TestOperandLocationMatchesGeometry(t *testing.T) {
+	check := func(cfg *config.SSD, idx int) {
+		g := NewGeometry(cfg)
+		a := g.AddrOf(idx)
+		plane, block, channel := g.Locate(idx)
+		if plane != g.PlaneIndex(a) || block != g.BlockIndex(a) || channel != a.Channel {
+			t.Fatalf("Locate(%d) = plane %d, block %d, channel %d; AddrOf gives %v (plane %d, block %d)",
+				idx, plane, block, channel, a, g.PlaneIndex(a), g.BlockIndex(a))
+		}
+	}
+	small, def := config.TestScale(), config.Default()
+	for idx := range small.SSD.TotalPages() {
+		check(&small.SSD, idx)
+	}
+	total := def.SSD.TotalPages()
+	for idx := 0; idx < total; idx += 97 {
+		check(&def.SSD, idx)
+	}
+	check(&def.SSD, total-1)
+}
+
 func TestGeometryRoundTripProperty(t *testing.T) {
 	cfg := config.TestScale()
 	g := NewGeometry(&cfg.SSD)
@@ -457,10 +482,10 @@ func TestEnergyAccounting(t *testing.T) {
 	addr := Addr{}
 	a.Program(0, 0, addr, fill(cfg, 1))
 	a.Read(0, 0, addr)
-	if en.ComputeBy("ifp") <= 0 {
+	if en.ComputeBy(energy.IFP) <= 0 {
 		t.Fatal("flash operations should record compute energy")
 	}
-	if en.MoveBy("flash-channel") <= 0 {
+	if en.MoveBy(energy.FlashChannel) <= 0 {
 		t.Fatal("flash transfers should record movement energy")
 	}
 	st := a.Stats()

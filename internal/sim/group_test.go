@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +109,7 @@ type reservation struct {
 // offloading decision of a Conduit-policy execution — and converts it to
 // the reservation pattern the timing substrate actually produced:
 // work of duration Done-Issue arriving at Issue.
-func workloadReservations(t *testing.T, name string) []reservation {
+func workloadReservations(t testing.TB, name string) []reservation {
 	t.Helper()
 	w, ok := workloads.Find(name, 1)
 	if !ok {
@@ -188,4 +189,23 @@ func restoredGroup(g *sim.Group) *sim.Group {
 	c := new(sim.Group)
 	c.Restore(g)
 	return c
+}
+
+// BenchmarkGroupEarliest replays the reservations workloadReservations
+// records through Group.Reserve, whose cost is Earliest's scan, at the
+// two sizes a device builds: its 3 offload cores and its 16 PuD units.
+func BenchmarkGroupEarliest(b *testing.B) {
+	rs := workloadReservations(b, "aes")
+	for _, size := range []int{3, 16} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			g := sim.NewGroup("group", size)
+			for b.Loop() {
+				g.Reset()
+				for _, r := range rs {
+					g.Reserve(r.Now, r.NotBefore, r.D)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/pick")
+		})
+	}
 }

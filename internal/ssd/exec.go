@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"conduit/internal/coherence"
+	"conduit/internal/energy"
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
@@ -548,7 +549,7 @@ func (d *Device) latchTransferIn(now, ready sim.Time, plane int) sim.Time {
 	addr := d.planeAddr(plane)
 	_, done := d.Flash.BusCalendar(addr.Channel).Reserve(now, ready,
 		d.Cfg.SSD.ChannelTransferTime(d.Cfg.SSD.PageSize))
-	d.En.Move("flash-channel", d.Cfg.SSD.EDMAPerChannel)
+	d.En.Move(energy.FlashChannel, d.Cfg.SSD.EDMAPerChannel)
 	return done
 }
 
