@@ -240,7 +240,7 @@ func BenchmarkReferenceRunMix(b *testing.B) {
 }
 
 func benchRunMix(b *testing.B, sys *conduit.System, scale int) {
-	cfg := sys.Config()
+	cfg := conduit.DefaultConfig() // sys's, but for TimingOnly, which Compile ignores
 	var deps []*conduit.Deployment
 	for _, name := range []string{"AES", "LlaMA2 Inference", "LLM Training"} {
 		c, err := compileWorkload(&cfg, name, scale)
@@ -269,9 +269,9 @@ func benchRunMix(b *testing.B, sys *conduit.System, scale int) {
 // path (feature collection + policy + transformation) in host time —
 // the engineering cost of the runtime half.
 func BenchmarkOffloaderDecision(b *testing.B) {
-	sys := conduit.NewSystem(conduit.DefaultConfig())
+	cfg := conduit.DefaultConfig()
+	sys := conduit.NewSystem(cfg)
 	src := quickstartSource(8 * 16384)
-	cfg := sys.Config()
 	c, err := conduit.Compile(src, &cfg)
 	if err != nil {
 		b.Fatal(err)

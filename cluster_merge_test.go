@@ -89,9 +89,9 @@ func TestClusterMergeArithmetic(t *testing.T) {
 	if want := 0.25 + 0.5 + red.MovementJ; merged.MovementEnergy != want {
 		t.Errorf("MovementEnergy = %v, want %v", merged.MovementEnergy, want)
 	}
-	if merged.InstLatencies.Count() != 3 || merged.InstLatencies.Sum() != 15 {
-		t.Errorf("latency union: count=%d sum=%d, want 3, 15",
-			merged.InstLatencies.Count(), merged.InstLatencies.Sum())
+	if merged.InstLatencies.Count() != 3 || merged.InstLatencies.Mean() != 5 {
+		t.Errorf("latency union: count=%d mean=%d, want 3, 5",
+			merged.InstLatencies.Count(), merged.InstLatencies.Mean())
 	}
 	wantDecisions := []Decision{{InstID: 3}, {InstID: 11}}
 	if !reflect.DeepEqual(merged.Decisions, wantDecisions) {

@@ -316,14 +316,15 @@ type System struct {
 	// (blankOnce), frozen, and never written.
 	blankOnce sync.Once
 	blank     *ssd.Device
+	blankErr  error // cfg.Validate's verdict, which every deploy returns
 }
 
 // NewSystem returns a System for cfg. The system runs in timing-only
 // mode: the simulated data plane carries no payloads, which makes runs
 // far faster while producing byte-identical Results (every modeled
 // latency is data-independent). Page contents are not materialized, so
-// Device.PageBytes and the NVMe payload-read path report an error; use
-// NewReferenceSystem when the computed bytes themselves are needed.
+// Device.PageBytes reports an error; use NewReferenceSystem when the
+// computed bytes themselves are needed.
 func NewSystem(cfg Config) *System {
 	cfg.SSD.TimingOnly = true
 	return &System{cfg: cfg}
@@ -331,24 +332,12 @@ func NewSystem(cfg Config) *System {
 
 // NewReferenceSystem returns a System that executes the full functional
 // data plane: every kernel computes real page payloads, which can be
-// read back through Device.PageBytes or the NVMe read path. It is the
+// read back through Device.PageBytes. It is the
 // oracle against which the timing-only fast path is differentially
 // tested, and is typically several times slower.
 func NewReferenceSystem(cfg Config) *System {
 	cfg.SSD.TimingOnly = false
 	return &System{cfg: cfg}
-}
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Run compiles src and executes it under the named policy (see Policies).
-func (s *System) Run(src *Source, policy string) (*RunResult, error) {
-	c, err := Compile(src, &s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunCompiled(c, policy)
 }
 
 // RunCompiled executes an already-compiled program under the named policy.
@@ -605,13 +594,19 @@ func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*Ru
 // deploy installs the program on a clone of the System's blank drive. A
 // clone of the frozen blank shares its tables copy-on-write, so a deploy
 // pays for the chunks it writes, not for building a drive (ssd.New seeds
-// every free-block chunk of the FTL).
+// every free-block chunk of the FTL). A configuration Validate rejects
+// builds no drive, and every deploy reports why.
 func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
 	s.blankOnce.Do(func() {
 		cfg := s.cfg
-		s.blank = ssd.New(&cfg)
-		s.blank.Freeze()
+		if s.blankErr = cfg.Validate(); s.blankErr == nil {
+			s.blank = ssd.New(&cfg)
+			s.blank.Freeze()
+		}
 	})
+	if s.blankErr != nil {
+		return nil, s.blankErr
+	}
 	return s.install(s.blank.Clone(), c)
 }
 

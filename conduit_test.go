@@ -1,6 +1,8 @@
 package conduit_test
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
 	"strconv"
 	"strings"
@@ -32,10 +34,14 @@ func quickstartSource(n int) *conduit.Source {
 }
 
 func TestSystemRunAllPolicies(t *testing.T) {
-	sys := conduit.NewSystem(conduit.DefaultConfig())
-	src := quickstartSource(2 * 16384)
+	cfg := conduit.DefaultConfig()
+	sys := conduit.NewSystem(cfg)
+	c, err := conduit.Compile(quickstartSource(2*16384), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range conduit.Policies() {
-		res, err := sys.Run(src, p)
+		res, err := sys.RunCompiled(c, p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -46,8 +52,33 @@ func TestSystemRunAllPolicies(t *testing.T) {
 			t.Fatalf("result policy %q, want %q", res.Policy, p)
 		}
 	}
-	if _, err := sys.Run(src, "nonsense"); err == nil {
+	if _, err := sys.RunCompiled(c, "nonsense"); err == nil {
 		t.Fatal("unknown policy must error")
+	}
+}
+
+// TestInvalidConfigRefused: a System whose configuration Validate rejects
+// builds no drive, and a run on it fails with Validate's message instead
+// of reporting a time for a drive that cannot exist.
+func TestInvalidConfigRefused(t *testing.T) {
+	for name, edit := range map[string]func(*conduit.Config){
+		"one core":          func(c *conduit.Config) { c.SSD.Cores = 1 },
+		"odd MVE width":     func(c *conduit.Config) { c.SSD.MVEWidthBytes = 3 },
+		"zero GC threshold": func(c *conduit.Config) { c.SSD.GCThreshold = 0 },
+	} {
+		cfg := conduit.DefaultConfig()
+		edit(&cfg)
+		want := cfg.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepts the config", name)
+		}
+		c, err := conduit.Compile(quickstartSource(2*16384), &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conduit.NewSystem(cfg).RunCompiled(c, "Conduit"); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: run returned %v, want %q", name, err, want)
+		}
 	}
 }
 
@@ -66,8 +97,12 @@ func TestCompileExposesReport(t *testing.T) {
 }
 
 func TestDeviceDecisionsExposed(t *testing.T) {
-	sys := conduit.NewSystem(conduit.DefaultConfig())
-	res, err := sys.Run(quickstartSource(2*16384), "Conduit")
+	cfg := conduit.DefaultConfig()
+	c, err := conduit.Compile(quickstartSource(2*16384), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := conduit.NewSystem(cfg).RunCompiled(c, "Conduit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +243,25 @@ func TestOverheadMatchesPaperEnvelope(t *testing.T) {
 	}
 	// §4.5: 3.77 µs average per instruction (up to 33 µs); our mean per
 	// workload must stay in that envelope.
-	for i := 0; i < tab.NumRows(); i++ {
-		cell := tab.Cell(i, 1)
-		v, err := strconv.ParseFloat(cell, 64)
+	for _, row := range rowsOf(t, tab) {
+		v, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
-			t.Fatalf("parsing %q: %v", cell, err)
+			t.Fatalf("parsing %q: %v", row[1], err)
 		}
 		if v < 0.5 || v > 33 {
-			t.Errorf("%s: per-instruction overhead %vµs outside §4.5 envelope", tab.Cell(i, 0), v)
+			t.Errorf("%s: per-instruction overhead %vµs outside §4.5 envelope", row[0], v)
 		}
 	}
+}
+
+// rowsOf is tab's data rows as its CSV rendering carries them.
+func rowsOf(t *testing.T, tab *conduit.Table) [][]string {
+	t.Helper()
+	var b bytes.Buffer
+	tab.CSV(&b)
+	rows, err := csv.NewReader(&b).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[1:]
 }

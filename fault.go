@@ -21,8 +21,6 @@ type (
 	// Fault is one recorded injected fault; slices of them round-trip
 	// through JSONL (WriteFaultLog/ReadFaultLog) for record/replay.
 	Fault = faultinject.Fault
-	// FaultKind names what a recorded fault did (Fault.Kind).
-	FaultKind = faultinject.Kind
 	// Recovery is the per-request fault-recovery accounting the serving
 	// layer aggregates per tenant (attempts, retries, hedges, fallbacks,
 	// simulated backoff time).

@@ -317,16 +317,17 @@ func TestAvailabilityRecoveryBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := rowsOf(t, tab)
 	cell := func(row int, col int) float64 {
-		v, err := strconv.ParseFloat(tab.Cell(row, col), 64)
+		v, err := strconv.ParseFloat(rows[row][col], 64)
 		if err != nil {
-			t.Fatalf("cell (%d,%d) %q: %v", row, col, tab.Cell(row, col), err)
+			t.Fatalf("cell (%d,%d) %q: %v", row, col, rows[row][col], err)
 		}
 		return v
 	}
 	var base, full int = -1, -1
-	for r := 0; r < tab.NumRows(); r++ {
-		switch tab.Cell(r, 1) {
+	for r, row := range rows {
+		switch row[1] {
 		case "none":
 			base = r
 		case "retry+hedge+breaker":

@@ -232,9 +232,9 @@ func TestLatencyCurveStructureIdenticalFastVsReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := make([]string, 0, tab.NumRows())
-		for r := 0; r < tab.NumRows(); r++ {
-			rows = append(rows, tab.Cell(r, 0)+"|"+tab.Cell(r, 1)+"|"+tab.Cell(r, 2))
+		var rows []string
+		for _, row := range rowsOf(t, tab) {
+			rows = append(rows, row[0]+"|"+row[1]+"|"+row[2])
 		}
 		return rows
 	}

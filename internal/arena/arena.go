@@ -36,9 +36,6 @@ func New(size int) *Pool {
 // Size reports the pool's buffer size in bytes.
 func (p *Pool) Size() int { return p.size }
 
-// Idle reports how many dead buffers the pool currently holds.
-func (p *Pool) Idle() int { return len(p.free) }
-
 // Get returns a buffer of the pool's size. Its contents are arbitrary
 // (stale data from a previous life): the caller must fully overwrite it
 // or use GetZeroed.

@@ -10,8 +10,8 @@ func TestGetPutReuse(t *testing.T) {
 	}
 	b[0] = 0xAB
 	p.Put(b)
-	if p.Idle() != 1 {
-		t.Fatalf("Idle = %d after one Put, want 1", p.Idle())
+	if len(p.free) != 1 {
+		t.Fatalf("idle = %d after one Put, want 1", len(p.free))
 	}
 	b2 := p.Get()
 	if &b2[0] != &b[0] {
@@ -52,8 +52,8 @@ func TestPutRejectsWrongSizeAndNil(t *testing.T) {
 	p.Put(nil)
 	p.Put(make([]byte, 7))
 	p.Put(make([]byte, 9))
-	if p.Idle() != 0 {
-		t.Fatalf("Idle = %d, want 0: wrong-size buffers must be rejected", p.Idle())
+	if len(p.free) != 0 {
+		t.Fatalf("idle = %d, want 0: wrong-size buffers must be rejected", len(p.free))
 	}
 	var nilPool *Pool
 	nilPool.Put(make([]byte, 8)) // must not panic
@@ -64,7 +64,7 @@ func TestRetentionCap(t *testing.T) {
 	for i := 0; i < maxFree+10; i++ {
 		p.Put(make([]byte, 8))
 	}
-	if p.Idle() != maxFree {
-		t.Fatalf("Idle = %d, want cap %d", p.Idle(), maxFree)
+	if len(p.free) != maxFree {
+		t.Fatalf("idle = %d, want cap %d", len(p.free), maxFree)
 	}
 }

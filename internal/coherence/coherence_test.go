@@ -8,12 +8,12 @@ import (
 func TestInitialStateFlashClean(t *testing.T) {
 	d := NewDirectory(4)
 	for p := 0; p < 4; p++ {
-		e := d.Entry(p)
-		if e.Owner != LocFlash || e.State != Clean || e.Version != 0 {
+		e := d.entries[p]
+		if e.owner != LocFlash || e.state != Clean || e.version != 0 {
 			t.Fatalf("page %d initial entry = %+v", p, e)
 		}
 	}
-	if d.Pages() != 4 {
+	if len(d.entries) != 4 {
 		t.Fatal("wrong page count")
 	}
 }
@@ -21,55 +21,29 @@ func TestInitialStateFlashClean(t *testing.T) {
 func TestModifyTransfersOwnershipAndBumpsVersion(t *testing.T) {
 	d := NewDirectory(2)
 	d.Modify(0, LocDRAM)
-	e := d.Entry(0)
-	if e.Owner != LocDRAM || e.State != Dirty || e.Version != 1 {
+	e := d.entries[0]
+	if e.owner != LocDRAM || e.state != Dirty || e.version != 1 {
 		t.Fatalf("after modify: %+v", e)
 	}
 	// Same-owner modification only bumps the version (§4.4).
 	d.Modify(0, LocDRAM)
-	if got := d.Entry(0); got.Version != 2 || got.Owner != LocDRAM {
+	if got := d.entries[0]; got.version != 2 || got.owner != LocDRAM {
 		t.Fatalf("after second modify: %+v", got)
 	}
 	// A different resource taking over changes the owner.
 	d.Modify(0, LocBuffer)
-	if got := d.Entry(0); got.Owner != LocBuffer || got.Version != 3 {
+	if got := d.entries[0]; got.owner != LocBuffer || got.version != 3 {
 		t.Fatalf("after buffer modify: %+v", got)
-	}
-	if d.Modifications() != 3 {
-		t.Fatalf("modifications = %d", d.Modifications())
 	}
 }
 
 func TestSyncCommitsToFlashAndResets(t *testing.T) {
 	d := NewDirectory(1)
 	d.Modify(0, LocDRAM)
-	if !d.Sync(0, SyncCrossResource) {
-		t.Fatal("syncing a dirty page should report a required write-back")
-	}
-	e := d.Entry(0)
-	if e.Owner != LocFlash || e.State != Clean || e.Version != 0 {
+	d.Sync(0)
+	e := d.entries[0]
+	if e.owner != LocFlash || e.state != Clean || e.version != 0 {
 		t.Fatalf("after sync: %+v", e)
-	}
-	// Syncing an already-clean page needs no write-back.
-	if d.Sync(0, SyncHostTransfer) {
-		t.Fatal("clean page should not need a write-back")
-	}
-	if d.SyncCount(SyncCrossResource) != 1 || d.SyncCount(SyncHostTransfer) != 1 {
-		t.Fatal("sync trigger counters wrong")
-	}
-}
-
-func TestStaleness(t *testing.T) {
-	d := NewDirectory(1)
-	d.Modify(0, LocDRAM) // version 1 in DRAM
-	if d.IsStale(0, LocDRAM, 1) {
-		t.Fatal("current copy reported stale")
-	}
-	if !d.IsStale(0, LocFlash, 0) {
-		t.Fatal("old flash copy should be stale")
-	}
-	if !d.IsStale(0, LocDRAM, 0) {
-		t.Fatal("old DRAM version should be stale")
 	}
 }
 
@@ -85,9 +59,9 @@ func TestVersionWrapIsPreventedByFlush(t *testing.T) {
 		t.Fatal("NeedsFlush must trigger at the wrap limit")
 	}
 	// Flushing resets the counter and modification proceeds.
-	d.Sync(0, SyncEviction)
+	d.Sync(0)
 	d.Modify(0, LocDRAM)
-	if d.Entry(0).Version != 1 {
+	if d.entries[0].version != 1 {
 		t.Fatal("version should restart after flush")
 	}
 }
@@ -123,14 +97,14 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 					d.Modify(p, LocBuffer)
 				}
 			case 2:
-				d.Sync(p, SyncReason(int(b)%int(numSyncReasons)))
+				d.Sync(p)
 			}
-			e := d.Entry(p)
-			dirty := e.State == Dirty
-			if dirty != (e.Version > 0) {
+			e := d.entries[p]
+			dirty := e.state == Dirty
+			if dirty != (e.version > 0) {
 				return false
 			}
-			if !dirty && e.Owner != LocFlash {
+			if !dirty && e.owner != LocFlash {
 				return false
 			}
 		}
@@ -147,8 +121,5 @@ func TestStringers(t *testing.T) {
 	}
 	if Clean.String() != "clean" || Dirty.String() != "dirty" {
 		t.Fatal("state names wrong")
-	}
-	if SyncGC.String() != "gc" || SyncPowerCycle.String() != "power-cycle" {
-		t.Fatal("reason names wrong")
 	}
 }

@@ -118,9 +118,6 @@ func (c *Compiled) ArrayNames() []string {
 	return names
 }
 
-// Lanes reports the vector width for this compilation (PageSize/Elem).
-func (c *Compiled) Lanes() int { return c.pageSize / c.elem }
-
 // Compile vectorizes src for a device with the given page size.
 func Compile(src *Source, pageSize int) (*Compiled, error) {
 	if err := src.Validate(); err != nil {

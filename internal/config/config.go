@@ -74,9 +74,9 @@ type SSD struct {
 	// Every latency in the model is data-independent (transfer times are
 	// functions of the page size, compute times of lane count and element
 	// width), so a timing-only run produces byte-identical Results to a
-	// functional run; only the payload-readback hooks (Device.PageBytes
-	// and the NVMe read path) become unavailable. Control flow, including
-	// every validation error path, is unchanged.
+	// functional run; only the payload-readback hook (Device.PageBytes)
+	// becomes unavailable. Control flow, including every validation error
+	// path, is unchanged.
 	TimingOnly bool
 }
 
@@ -247,11 +247,6 @@ func (s *SSD) TotalPages() int {
 
 // TotalDies reports the number of independently operating flash dies.
 func (s *SSD) TotalDies() int { return s.Channels * s.DiesPerChannel }
-
-// CapacityBytes reports raw flash capacity.
-func (s *SSD) CapacityBytes() int64 {
-	return int64(s.TotalPages()) * int64(s.PageSize)
-}
 
 // UsablePages reports logical capacity after over-provisioning.
 func (s *SSD) UsablePages() int {

@@ -86,9 +86,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if got := s.TotalDies(); got != 64 {
 		t.Errorf("TotalDies = %d, want 64", got)
 	}
-	if got := s.CapacityBytes(); got != int64(wantPages)*int64(s.PageSize) {
-		t.Errorf("CapacityBytes = %d", got)
-	}
 	if got := s.UsablePages(); got >= wantPages || got <= 0 {
 		t.Errorf("UsablePages = %d not in (0, total)", got)
 	}

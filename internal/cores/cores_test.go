@@ -191,7 +191,7 @@ func TestExecScalarAndQueueing(t *testing.T) {
 	if _, err := c.ExecScalar(0, 0, 0); err == nil {
 		t.Error("zero-cycle scalar should fail")
 	}
-	if en.ComputeBy(energy.ISP) <= 0 {
+	if en.ComputeTotal() <= 0 { // all of it ISP's
 		t.Error("core work must record ISP energy")
 	}
 	st := c.Stats()

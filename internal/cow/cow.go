@@ -74,8 +74,9 @@ func (t *Table[T]) Set(i int, v T) {
 
 // Freeze releases ownership of every chunk: the table keeps its
 // contents but the next write to any chunk copies it first. A frozen
-// table clones in O(chunks) and is safe to clone from multiple
-// goroutines concurrently, since Clone never mutates the parent.
+// table restores into an empty one in O(chunks), and multiple goroutines
+// may restore from it concurrently, since Restore never mutates its
+// source.
 func (t *Table[T]) Freeze() {
 	for c := range t.owned {
 		t.owned[c] = false
@@ -110,12 +111,4 @@ func (t *Table[T]) Restore(src *Table[T]) {
 			chunks[c] = sc
 		}
 	}
-}
-
-// Clone returns an independent table: Restore into an empty one, so
-// chunks the parent owns are deep-copied and unowned chunks are aliased.
-func (t *Table[T]) Clone() Table[T] {
-	var nt Table[T]
-	nt.Restore(t)
-	return nt
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestModelRandomOps drives a growing family of tables with random
-// Set/Clone/Restore/Freeze/At sequences and checks every table against a
+// Set/Restore/Freeze/At sequences and checks every table against a
 // plain slice every few steps: whatever the ownership history, a write
 // through one table is never visible through its parent, a sibling or a
 // descendant. Restore takes any table of the family as its source — one
@@ -35,8 +35,9 @@ func TestModelRandomOps(t *testing.T) {
 				tables[k].Set(i, v)
 				models[k][i] = v
 			case op < 7 && len(tables) < 12:
-				c := tables[k].Clone()
-				tables = append(tables, &c)
+				c := new(Table[int32])
+				c.Restore(tables[k])
+				tables = append(tables, c)
 				models = append(models, append([]int32(nil), models[k]...))
 			case op < 8:
 				src, srcModel := tables[rng.Intn(len(tables))], []int32(nil)
@@ -105,7 +106,8 @@ func TestLastShortChunk(t *testing.T) {
 		t.Fatalf("At(last) = %d, want the fill value", got)
 	}
 	tb.Freeze()
-	c := tb.Clone()
+	var c Table[int32]
+	c.Restore(&tb)
 	c.Set(n-1, 42)
 	if got := tb.At(n - 1); got != -1 {
 		t.Fatalf("write to the clone's last chunk reached the parent: %d", got)
@@ -122,7 +124,8 @@ func TestLastShortChunk(t *testing.T) {
 	if empty.Len() != 0 {
 		t.Fatalf("empty Len = %d", empty.Len())
 	}
-	ec := empty.Clone()
+	var ec Table[bool]
+	ec.Restore(&empty)
 	mustPanic(t, "At on empty", func() { ec.At(0) })
 }
 
@@ -145,7 +148,8 @@ func TestRestoreKeepsOwnedChunks(t *testing.T) {
 	master := New[int64](n, 7)
 	master.Set(ChunkLen+1, 11)
 	master.Freeze()
-	fork := master.Clone()
+	var fork Table[int64]
+	fork.Restore(&master)
 	fork.Set(0, 1)         // chunk 0: owned from here on
 	fork.Set(n-1, 2)       // the short last chunk too
 	own0 := fork.chunks[0] // chunks 1 and 2 still alias the master's
@@ -194,7 +198,8 @@ func TestFrozenTableClonesConcurrently(t *testing.T) {
 			var c Table[int64]
 			for round := 0; round < 20; round++ {
 				if w%2 == 0 {
-					c = master.Clone()
+					c = Table[int64]{}
+					c.Restore(&master)
 				} else {
 					c.Restore(&master)
 				}

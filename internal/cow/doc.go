@@ -17,7 +17,7 @@
 //
 // Ownership under Restore. A fork that has run is not thrown away: the
 // next request restores it in place from the frozen master (Table.Restore;
-// Clone is Restore into an empty table). A chunk the fork owns is
+// a first copy is Restore into an empty table). A chunk the fork owns is
 // overwritten and stays owned, one it does not own is pointed back at the
 // master's, one the source still owns is deep-copied. Ownership therefore
 // only grows: after a few requests a recycled device owns every chunk its
@@ -29,7 +29,7 @@
 // the lightest served request, and the index is one more thing Set, Freeze
 // and Restore would have to keep in step.
 //
-// Concurrency: Restore (and so Clone) never writes to its source and
+// Concurrency: Restore never writes to its source and
 // shared chunks are never written by anyone, so any number of goroutines
 // may clone, or restore from, one frozen table while their copies write.
 // A table that still owns chunks may be copied too (owned chunks are

@@ -43,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if rdone <= done {
 		t.Fatal("read should take bus time")
 	}
-	if en.MoveBy(energy.DRAMBus) <= 0 {
+	if en.MovementTotal() <= 0 { // all of it the DRAM bus's
 		t.Fatal("transfers must record bus energy")
 	}
 }
@@ -225,10 +225,10 @@ func TestComputeDoesNotOccupyBus(t *testing.T) {
 	if _, err := m.Exec(0, 0, m.Units().Earliest(), isa.OpMul, 2, []int{0, 1}, 4, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.Bus().Horizon() != 0 {
+	if m.Bus().QueueDelay(0) != 0 {
 		t.Fatal("in-array compute must not occupy the data bus")
 	}
-	if m.Units().Earliest().Horizon() != 0 {
+	if m.Units().Earliest().QueueDelay(0) != 0 {
 		// 4 units, one op: at least one other unit... Earliest returns the
 		// least-loaded, which must still be idle.
 		t.Fatal("only one compute unit should be busy")

@@ -35,13 +35,11 @@ func (s Source) String() string { return sourceNames[s] }
 // ledger is one side of an account: a tally per source, charged millions
 // of times, so a charge is one indexed add.
 type ledger struct {
-	joules  [numSources]float64
-	charged uint16 // bit s: s was charged, perhaps with zero joules
+	joules [numSources]float64
 }
 
 func (l *ledger) add(s Source, j float64) {
 	l.joules[s] += j
-	l.charged |= 1 << s
 }
 
 // total sums every tally in index order. An uncharged tally is +0, and
@@ -52,16 +50,6 @@ func (l *ledger) total() float64 {
 		sum += j
 	}
 	return sum
-}
-
-func (l *ledger) sources() []Source {
-	var out []Source
-	for s := range numSources {
-		if l.charged&(1<<s) != 0 {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // NewAccount returns an empty account.
@@ -88,21 +76,6 @@ func (a *Account) ComputeTotal() float64 { return a.compute.total() }
 
 // MovementTotal reports total data-movement energy in joules.
 func (a *Account) MovementTotal() float64 { return a.movement.total() }
-
-// Total reports all energy in joules.
-func (a *Account) Total() float64 { return a.ComputeTotal() + a.MovementTotal() }
-
-// ComputeBy reports computation energy for one source.
-func (a *Account) ComputeBy(source Source) float64 { return a.compute.joules[source] }
-
-// MoveBy reports movement energy for one path.
-func (a *Account) MoveBy(path Source) float64 { return a.movement.joules[path] }
-
-// Sources returns every charged compute source in sorted name order.
-func (a *Account) Sources() []Source { return a.compute.sources() }
-
-// Paths returns every charged movement path in sorted name order.
-func (a *Account) Paths() []Source { return a.movement.sources() }
 
 // Reset clears the account.
 func (a *Account) Reset() { *a = Account{} }

@@ -17,8 +17,8 @@ func TestAccountTotals(t *testing.T) {
 	a.Move(FlashChannel, 5e-6)
 	a.Move(PCIe, 1e-6)
 
-	if got := a.ComputeBy(IFP); math.Abs(got-3e-6) > 1e-18 {
-		t.Errorf("ComputeBy(ifp) = %v, want 3µJ", got)
+	if got := a.compute.joules[IFP]; math.Abs(got-3e-6) > 1e-18 {
+		t.Errorf("ifp compute = %v, want 3µJ", got)
 	}
 	if got := a.ComputeTotal(); math.Abs(got-4e-6) > 1e-18 {
 		t.Errorf("ComputeTotal = %v, want 4µJ", got)
@@ -26,23 +26,9 @@ func TestAccountTotals(t *testing.T) {
 	if got := a.MovementTotal(); math.Abs(got-6e-6) > 1e-18 {
 		t.Errorf("MovementTotal = %v, want 6µJ", got)
 	}
-	if got := a.Total(); math.Abs(got-10e-6) > 1e-18 {
-		t.Errorf("Total = %v, want 10µJ", got)
-	}
 }
 
 func TestAccountKeysSorted(t *testing.T) {
-	a := NewAccount()
-	a.Compute(PuD, 1)
-	a.Compute(CPU, 1)
-	a.Move(PCIe, 1)
-	srcs := a.Sources()
-	if len(srcs) != 2 || srcs[0] != CPU || srcs[1] != PuD {
-		t.Fatalf("Sources = %v, want sorted [CPU pud]", srcs)
-	}
-	if paths := a.Paths(); len(paths) != 1 || paths[0] != PCIe {
-		t.Fatalf("Paths = %v", paths)
-	}
 	names := make([]string, numSources)
 	for s := range numSources {
 		names[s] = s.String()
@@ -57,7 +43,7 @@ func TestAccountReset(t *testing.T) {
 	a.Compute(ISP, 1)
 	a.Move(DRAMBus, 1)
 	a.Reset()
-	if a.Total() != 0 {
+	if a.ComputeTotal() != 0 || a.MovementTotal() != 0 {
 		t.Fatal("Reset did not clear the account")
 	}
 }
@@ -97,14 +83,6 @@ func sortedTotal(m map[string]float64) float64 {
 	return sum
 }
 
-func sourceNamesOf(srcs []Source) []string {
-	out := make([]string, len(srcs))
-	for i, s := range srcs {
-		out[i] = s.String()
-	}
-	return out
-}
-
 func requireSameAsModel(t *testing.T, step int, a *Account, m *mapAccount) {
 	t.Helper()
 	if got, want := a.ComputeTotal(), sortedTotal(m.compute); math.Float64bits(got) != math.Float64bits(want) {
@@ -113,27 +91,21 @@ func requireSameAsModel(t *testing.T, step int, a *Account, m *mapAccount) {
 	if got, want := a.MovementTotal(), sortedTotal(m.movement); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("step %d: MovementTotal %v, sorted-key sum %v", step, got, want)
 	}
-	if got, want := sourceNamesOf(a.Sources()), sortedKeys(m.compute); !slices.Equal(got, want) {
-		t.Fatalf("step %d: Sources %v, want %v", step, got, want)
-	}
-	if got, want := sourceNamesOf(a.Paths()), sortedKeys(m.movement); !slices.Equal(got, want) {
-		t.Fatalf("step %d: Paths %v, want %v", step, got, want)
-	}
 	for s := range numSources {
-		if a.ComputeBy(s) != m.compute[s.String()] {
-			t.Fatalf("step %d: ComputeBy(%v) = %v, want %v", step, s, a.ComputeBy(s), m.compute[s.String()])
+		if got := a.compute.joules[s]; got != m.compute[s.String()] {
+			t.Fatalf("step %d: %v compute = %v, want %v", step, s, got, m.compute[s.String()])
 		}
-		if a.MoveBy(s) != m.movement[s.String()] {
-			t.Fatalf("step %d: MoveBy(%v) = %v, want %v", step, s, a.MoveBy(s), m.movement[s.String()])
+		if got := a.movement.joules[s]; got != m.movement[s.String()] {
+			t.Fatalf("step %d: %v movement = %v, want %v", step, s, got, m.movement[s.String()])
 		}
 	}
 }
 
 // TestLedgerMatchesMapModel drives random Compute/Move/Clone/Reset
 // sequences through an Account and through the map-based model it
-// replaced: totals must equal sorted-key summation to the last bit, names
-// stay sorted, an entry charged zero joules is still listed, and a clone
-// is independent of its original.
+// replaced: totals must equal sorted-key summation to the last bit, each
+// source's tally its model entry, and a clone is independent of its
+// original.
 func TestLedgerMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))

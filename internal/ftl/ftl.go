@@ -75,14 +75,21 @@ func (f *FTL) Planes() int { return len(f.planes) }
 // Capacity reports the logical capacity in pages.
 func (f *FTL) Capacity() int { return f.l2p.Len() }
 
-// IsMapped reports whether lpn currently has a physical page.
-func (f *FTL) IsMapped(lpn LPN) bool {
-	return f.l2p.At(f.checkLPN(lpn)) != -1
+// lpnError is the panic value for an LPN outside [0, Capacity).
+// Panicking with a value (no call on the hot path) keeps checkLPN within
+// the inlining budget.
+type lpnError struct {
+	lpn LPN
+	n   int
+}
+
+func (e lpnError) Error() string {
+	return fmt.Sprintf("ftl: LPN %d out of range [0,%d)", e.lpn, e.n)
 }
 
 func (f *FTL) checkLPN(lpn LPN) int {
-	if lpn < 0 || int(lpn) >= f.l2p.Len() {
-		panic(fmt.Sprintf("ftl: LPN %d out of range [0,%d)", lpn, f.l2p.Len()))
+	if uint(lpn) >= uint(f.l2p.Len()) {
+		panic(lpnError{lpn, f.l2p.Len()})
 	}
 	return int(lpn)
 }
@@ -384,34 +391,6 @@ func (f *FTL) isFree(plane, blk int) bool {
 		}
 	}
 	return false
-}
-
-// SameBlock reports whether all LPNs are mapped into one physical block
-// (the IFP-AND placement precondition).
-func (f *FTL) SameBlock(lpns []LPN) bool {
-	addrs := make([]nand.Addr, 0, len(lpns))
-	for _, lpn := range lpns {
-		a, ok := f.PhysAddr(lpn)
-		if !ok {
-			return false
-		}
-		addrs = append(addrs, a)
-	}
-	return f.geo.SameBlock(addrs)
-}
-
-// SamePlane reports whether all LPNs are mapped into one plane
-// (the IFP-OR / latch-arithmetic placement precondition).
-func (f *FTL) SamePlane(lpns []LPN) bool {
-	addrs := make([]nand.Addr, 0, len(lpns))
-	for _, lpn := range lpns {
-		a, ok := f.PhysAddr(lpn)
-		if !ok {
-			return false
-		}
-		addrs = append(addrs, a)
-	}
-	return f.geo.SamePlane(addrs)
 }
 
 // Migrate rewrites the given logical pages into a single block of one

@@ -69,7 +69,7 @@ func TestUnmappedRead(t *testing.T) {
 	if _, _, err := f.Read(0, 0, 9); err == nil {
 		t.Fatal("reading unmapped LPN should fail")
 	}
-	if f.IsMapped(9) {
+	if _, ok := f.PhysAddr(9); ok {
 		t.Fatal("LPN 9 should be unmapped")
 	}
 }
@@ -105,6 +105,20 @@ func TestLookupLatencyCacheHitVsMiss(t *testing.T) {
 	}
 }
 
+// physAddrs maps lpns to their physical pages; an unmapped one fails t.
+func physAddrs(t *testing.T, f *FTL, lpns []LPN) []nand.Addr {
+	t.Helper()
+	addrs := make([]nand.Addr, len(lpns))
+	for i, lpn := range lpns {
+		a, ok := f.PhysAddr(lpn)
+		if !ok {
+			t.Fatalf("LPN %d is unmapped", lpn)
+		}
+		addrs[i] = a
+	}
+	return addrs
+}
+
 func TestWriteRunPlacesSameBlock(t *testing.T) {
 	f, _, cfg := newTestFTL()
 	lpns := []LPN{10, 11, 12, 13}
@@ -115,10 +129,10 @@ func TestWriteRunPlacesSameBlock(t *testing.T) {
 	if _, err := f.WriteRun(0, lpns, data, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !f.SameBlock(lpns) {
+	if !f.geo.SameBlock(physAddrs(t, f, lpns)) {
 		t.Fatal("WriteRun must co-locate pages in one block")
 	}
-	if !f.SamePlane(lpns) {
+	if !f.geo.SamePlane(physAddrs(t, f, lpns)) {
 		t.Fatal("WriteRun pages must share a plane")
 	}
 	a, _ := f.PhysAddr(lpns[0])
@@ -145,7 +159,7 @@ func TestWriteRunNeverStraddlesBlocks(t *testing.T) {
 	if _, err := f.WriteRun(0, lpns, data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !f.SameBlock(lpns) {
+	if !f.geo.SameBlock(physAddrs(t, f, lpns)) {
 		t.Fatal("run straddled a block boundary")
 	}
 	// A run larger than a block is impossible.
@@ -240,7 +254,7 @@ func TestMigrateColocatesScatteredPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.SameBlock(lpns) {
+	if f.geo.SameBlock(physAddrs(t, f, lpns)) {
 		t.Fatal("fixture should start scattered")
 	}
 	done, err := f.Migrate(0, lpns, 1)
@@ -250,7 +264,7 @@ func TestMigrateColocatesScatteredPages(t *testing.T) {
 	if done <= 0 {
 		t.Fatal("migration must take time")
 	}
-	if !f.SameBlock(lpns) {
+	if !f.geo.SameBlock(physAddrs(t, f, lpns)) {
 		t.Fatal("Migrate must co-locate the pages")
 	}
 	for i, lpn := range lpns {
@@ -267,7 +281,7 @@ func TestInvalidateUnmaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Invalidate(5)
-	if f.IsMapped(5) {
+	if _, ok := f.PhysAddr(5); ok {
 		t.Fatal("invalidate should unmap")
 	}
 	f.Invalidate(5) // idempotent

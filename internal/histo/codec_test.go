@@ -156,9 +156,6 @@ func TestCodecFleetQuantileIdentity(t *testing.T) {
 			t.Errorf("p%v: fleet %d, union %d", p, got, want)
 		}
 	}
-	if fleetWire.Mean() != union.Mean() || fleetWire.Max() != union.Max() || fleetWire.Min() != union.Min() {
-		t.Error("fleet mean/min/max differ from the all-samples histogram")
-	}
 }
 
 // TestCodecRejectsAdversarialInputs: the decoder must error — never

@@ -8,8 +8,8 @@
 // sample stream, and per-tenant Reservoirs would grow without limit for
 // the lifetime of the server. A Histogram spends a fixed ~30 KiB per
 // tracked series instead, admits samples in O(1) without allocating, and
-// answers quantiles with a bounded relative error (see
-// Histogram.RelativeError).
+// answers quantiles with a bounded relative error: 64 buckets per
+// doubling, so an answer is within 1/64 of the sample either side.
 //
 // Merge adds bucket counts pairwise, so it is exact (no re-sketching
 // error), associative, and commutative — per-worker histograms can be

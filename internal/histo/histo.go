@@ -58,23 +58,6 @@ func bucketBounds(idx int) (lo, hi int64) {
 	return lo, lo + (1 << t) - 1
 }
 
-// Width reports the width (number of representable values) of the bucket
-// containing v — the granularity at which the histogram remembers v, and
-// therefore the bound on any quantile's distance from the exact sample.
-// Negative values share bucket 0 with zero.
-func Width(v int64) int64 {
-	if v < 0 {
-		v = 0
-	}
-	lo, hi := bucketBounds(bucketIndex(v))
-	return hi - lo + 1
-}
-
-// RelativeError is the worst-case relative half-width of any bucket: a
-// quantile answer q differs from the exact sample by at most
-// q * RelativeError (and by at most Width(q)/2 absolutely).
-func RelativeError() float64 { return 1.0 / halfSub }
-
 // Add records one sample. Negative samples (clock skew artifacts) clamp
 // to zero rather than corrupting the layout.
 func (h *Histogram) Add(v int64) {
@@ -98,14 +81,6 @@ func (h *Histogram) Count() int64 { return h.count }
 // Sum reports the exact total of all recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the smallest recorded sample, exactly (0 if empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample, exactly (0 if empty).
 func (h *Histogram) Max() int64 {
 	if h.count == 0 {
@@ -114,20 +89,11 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean rounded to the nearest unit (0 if
-// empty). The sum is exact, so the mean carries no bucketing error.
-func (h *Histogram) Mean() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return (h.sum + h.count/2) / h.count
-}
-
 // Percentile returns the p'th percentile (0 <= p <= 100) under the same
 // nearest-rank semantics as stats.Reservoir: the returned value lies in
 // the bucket holding the rank-ceil(p/100*n) smallest sample, so it is
-// within Width of the exact nearest-rank answer (and clamped to the exact
-// observed [Min, Max]). It returns 0 for an empty histogram.
+// within a bucket width of the exact nearest-rank answer (and clamped to
+// the exact observed [min, Max]). It returns 0 for an empty histogram.
 func (h *Histogram) Percentile(p float64) int64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("histo: percentile %v out of range", p))

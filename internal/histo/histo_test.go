@@ -59,23 +59,29 @@ func TestBucketLayoutIsTotalAndMonotonic(t *testing.T) {
 	}
 }
 
+// width is the number of values the bucket holding v represents: the
+// granularity at which the histogram remembers v, and so the bound on a
+// quantile's distance from the exact sample.
+func width(v int64) int64 {
+	lo, hi := bucketBounds(bucketIndex(v))
+	return hi - lo + 1
+}
+
 // TestWidthIsRelativeErrorBound: the bucket width at v never exceeds
-// v * 2 * RelativeError (and is 1 — exact — in the linear range).
+// v * 2 / halfSub, a relative error of 1/halfSub either side (and is 1 —
+// exact — in the linear range).
 func TestWidthIsRelativeErrorBound(t *testing.T) {
 	for v := int64(0); v < subBuckets; v++ {
-		if Width(v) != 1 {
-			t.Fatalf("linear-range value %d has width %d, want 1", v, Width(v))
+		if width(v) != 1 {
+			t.Fatalf("linear-range value %d has width %d, want 1", v, width(v))
 		}
 	}
 	rng := sim.NewRNG(11)
 	for i := 0; i < 20000; i++ {
 		v := int64(rng.Uint64() >> 1) // non-negative
-		if w := Width(v); float64(w) > float64(v)*2*RelativeError()+1 {
+		if w := width(v); float64(w) > float64(v)*2/halfSub+1 {
 			t.Fatalf("value %d: width %d exceeds relative bound", v, w)
 		}
-	}
-	if Width(-5) != Width(0) {
-		t.Fatal("negative values must share bucket 0")
 	}
 }
 
@@ -146,7 +152,7 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 
 // TestPercentileDifferentialAgainstReservoir bounds the histogram's
 // quantile error against the exact nearest-rank Reservoir: for every
-// percentile, |histo - exact| <= Width(exact)/2 rounded up — i.e. the
+// percentile, |histo - exact| <= width(exact)/2 rounded up — i.e. the
 // histogram's answer sits in (the midpoint of) the bucket holding the
 // exact sample. Several sample shapes, including heavy tails.
 func TestPercentileDifferentialAgainstReservoir(t *testing.T) {
@@ -167,15 +173,17 @@ func TestPercentileDifferentialAgainstReservoir(t *testing.T) {
 		h := New()
 		r := stats.NewReservoir()
 		rng := sim.NewRNG(99)
+		var sum int64
 		for i := 0; i < 20000; i++ {
 			v := gen(rng)
 			h.Add(v)
 			r.Add(sim.Time(v))
+			sum += v
 		}
 		for _, p := range percentiles {
 			exact := int64(r.Percentile(p))
 			got := h.Percentile(p)
-			bound := Width(exact)/2 + 1
+			bound := width(exact)/2 + 1
 			if d := got - exact; d > bound || d < -bound {
 				t.Errorf("%s p%v: histo %d vs exact %d (|diff| %d > bucket half-width %d)",
 					name, p, got, exact, d, bound)
@@ -184,11 +192,11 @@ func TestPercentileDifferentialAgainstReservoir(t *testing.T) {
 		if h.Count() != int64(r.Count()) {
 			t.Errorf("%s: count %d vs %d", name, h.Count(), r.Count())
 		}
-		if h.Max() != int64(r.Max()) {
-			t.Errorf("%s: max %d vs %d (max is tracked exactly)", name, h.Max(), r.Max())
+		if h.Max() != int64(r.Percentile(100)) {
+			t.Errorf("%s: max %d vs %d (max is tracked exactly)", name, h.Max(), r.Percentile(100))
 		}
-		if h.Mean() != int64(r.Mean()) {
-			t.Errorf("%s: mean %d vs %d (sum is exact)", name, h.Mean(), r.Mean())
+		if h.Sum() != sum {
+			t.Errorf("%s: sum %d vs %d (sum is exact)", name, h.Sum(), sum)
 		}
 	}
 }
@@ -197,7 +205,7 @@ func TestPercentileDifferentialAgainstReservoir(t *testing.T) {
 // clamping, and range panics — mirroring the Reservoir contract.
 func TestPercentileEdgeCases(t *testing.T) {
 	h := New()
-	if h.Percentile(50) != 0 || h.Max() != 0 || h.Mean() != 0 || h.Min() != 0 {
+	if h.Percentile(50) != 0 || h.Max() != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Add(777)
@@ -207,7 +215,7 @@ func TestPercentileEdgeCases(t *testing.T) {
 		}
 	}
 	h.Add(-3) // clamps to 0
-	if h.Min() != 0 || h.Percentile(0) != 0 {
+	if h.min != 0 || h.Percentile(0) != 0 {
 		t.Fatal("negative sample must clamp to 0")
 	}
 	for _, bad := range []float64{-1, 101} {

@@ -107,9 +107,6 @@ func (t *TranslationTable) Lookup(r Resource, op Op) (string, bool) {
 	return n, n != ""
 }
 
-// Entries reports the number of table entries.
-func (t *TranslationTable) Entries() int { return t.n }
-
 // SizeBytes reports the table's storage overhead in SSD DRAM at four bytes
 // per entry (§4.5 reports ≈1.5 KiB for the full ~300-operation ISP set;
 // our IR is the workload-covering subset of that set).

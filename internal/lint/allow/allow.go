@@ -40,13 +40,11 @@ func (e Entry) String() string {
 	return s
 }
 
-// A List is a parsed allowlist.
-type List struct {
-	entries []Entry
-}
+// A List is a parsed allowlist, its entries in file order.
+type List []Entry
 
 // Default returns the committed, compiled-in allowlist.
-func Default() *List {
+func Default() List {
 	l, err := Parse(embedded)
 	if err != nil {
 		// The committed list is validated by tests; an unparsable
@@ -62,8 +60,8 @@ func Default() *List {
 //
 // The justification is required: an exemption nobody can defend is an
 // exemption that should not exist.
-func Parse(src string) (*List, error) {
-	l := &List{}
+func Parse(src string) (List, error) {
+	var l List
 	for i, line := range strings.Split(src, "\n") {
 		text, _, _ := strings.Cut(line, "#")
 		just := ""
@@ -87,24 +85,20 @@ func Parse(src string) (*List, error) {
 		if e.Justification == "" {
 			return nil, fmt.Errorf("line %d: entry %q has no justification comment", i+1, e)
 		}
-		l.entries = append(l.entries, e)
+		l = append(l, e)
 	}
 	return l, nil
 }
 
 // Allows reports whether a diagnostic from analyzer in package pkgPath,
 // file filename (basename or full path), is exempted.
-func (l *List) Allows(analyzer, pkgPath, filename string) bool {
-	return l.match(analyzer, pkgPath, filename) != nil
-}
-
-func (l *List) match(analyzer, pkgPath, filename string) *Entry {
-	for i := range l.entries {
-		if l.entries[i].Matches(analyzer, pkgPath, filename) {
-			return &l.entries[i]
+func (l List) Allows(analyzer, pkgPath, filename string) bool {
+	for _, e := range l {
+		if e.Matches(analyzer, pkgPath, filename) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Matches reports whether e exempts a diagnostic from analyzer in
@@ -122,9 +116,6 @@ func (e Entry) Matches(analyzer, pkgPath, filename string) bool {
 	}
 	return true
 }
-
-// Entries returns the parsed entries (for the staleness meta-test).
-func (l *List) Entries() []Entry { return l.entries }
 
 func pkgMatch(pattern, pkgPath string) bool {
 	if sub, ok := strings.CutSuffix(pattern, "/..."); ok {

@@ -4,9 +4,10 @@
 // against the build cache's export data, and runs every analyzer — no
 // network, no module downloads, nothing beyond the standard toolchain.
 //
-// Check (the one type-check) and Run (the one pass runner) are shared
-// with internal/lint/analysistest, so a golden test sees exactly what
-// the command sees. Main filters diagnostics through the committed
+// Load (the one go list and type-check) is shared with internal/lint's
+// whole-module checks, and Check (the one type-check) and Run (the one
+// pass runner) with internal/lint/analysistest, so a test sees exactly
+// what the command sees. Main filters diagnostics through the committed
 // allowlist (internal/lint/allow); analysistest and the staleness
 // meta-test see raw diagnostics instead.
 package driver
@@ -105,10 +106,7 @@ func Run(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File,
 }
 
 // Filter drops findings the allowlist exempts.
-func Filter(fs []Finding, l *allow.List) []Finding {
-	if l == nil {
-		return fs
-	}
+func Filter(fs []Finding, l allow.List) []Finding {
 	var out []Finding
 	for _, f := range fs {
 		if !l.Allows(f.Analyzer, f.Pkg, f.Position.Filename) {
@@ -130,12 +128,26 @@ type listPkg struct {
 	Module     *struct{ Main bool }
 }
 
-// Analyze loads the packages matching patterns (resolved in dir, the
-// module root) plus their dependencies' export data, and returns every
-// raw (unfiltered) finding across the main-module packages. A pattern
-// that names no package, or a named package go list cannot load, is an
-// error rather than an empty result.
-func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// A Package is one type-checked main-module package: its non-test
+// files and the type information every analyzer reads.
+type Package struct {
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
+
+// A Program is the main-module packages one Load type-checked, sharing
+// one file set and one importer of their dependencies' export data.
+type Program struct {
+	Fset     *token.FileSet
+	Packages []*Package
+}
+
+// Load type-checks the main-module packages matching patterns (resolved
+// in dir, the module root) against their dependencies' export data. A
+// pattern that names no package, or a named package go list cannot
+// load, is an error rather than an empty result.
+func Load(dir string, patterns []string) (*Program, error) {
 	args := append([]string{"list", "-e", "-export", "-deps",
 		"-json=Dir,ImportPath,Export,GoFiles,CgoFiles,DepOnly,Error,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -177,32 +189,41 @@ func Analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]F
 		return nil, named
 	}
 
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	prog := &Program{Fset: token.NewFileSet()}
+	imp := importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
-	var all []Finding
 	for _, u := range units {
 		if len(u.GoFiles) == 0 || len(u.CgoFiles) > 0 {
 			continue
 		}
 		var files []*ast.File
 		for _, name := range u.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(u.Dir, name), nil, parser.ParseComments)
+			f, err := parser.ParseFile(prog.Fset, filepath.Join(u.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
 			files = append(files, f)
 		}
-		pkg, info, err := Check(fset, u.ImportPath, files, imp)
+		pkg, info, err := Check(prog.Fset, u.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
-		fs, err := Run(analyzers, fset, files, pkg, info)
+		prog.Packages = append(prog.Packages, &Package{Files: files, Types: pkg, Info: info})
+	}
+	return prog, nil
+}
+
+// Analyze runs every analyzer over every package of p and returns the
+// raw (unfiltered) findings, package by package.
+func (p *Program) Analyze(analyzers []*analysis.Analyzer) ([]Finding, error) {
+	var all []Finding
+	for _, pkg := range p.Packages {
+		fs, err := Run(analyzers, p.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			return nil, err
 		}

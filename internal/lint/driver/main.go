@@ -63,7 +63,11 @@ Analyzers:
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	findings, err := Analyze(".", args, analyzers)
+	prog, err := Load(".", args)
+	if err != nil {
+		fatal(err)
+	}
+	findings, err := prog.Analyze(analyzers)
 	if err != nil {
 		fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"conduit/internal/lint"
@@ -30,6 +31,30 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+// module is the whole module, loaded once per test binary for every
+// check that reads it.
+var module struct {
+	once sync.Once
+	prog *driver.Program
+	raw  []driver.Finding // every analyzer's raw findings over prog
+	err  error
+}
+
+// loadModule type-checks the module (./...) on first use and returns it.
+func loadModule(t *testing.T) *driver.Program {
+	t.Helper()
+	module.once.Do(func() {
+		module.prog, module.err = driver.Load(moduleRoot(t), []string{"./..."})
+		if module.err == nil {
+			module.raw, module.err = module.prog.Analyze(lint.Analyzers())
+		}
+	})
+	if module.err != nil {
+		t.Fatalf("loading module: %v", module.err)
+	}
+	return module.prog
+}
+
 // TestAllowlistCurrent pins the two-sided contract between the tree and
 // the committed allowlist: the tree is lint-clean (every raw finding is
 // covered by an entry), and the allowlist is tight (every entry still
@@ -40,11 +65,8 @@ func TestAllowlistCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes the whole module via go list")
 	}
-	root := moduleRoot(t)
-	raw, err := driver.Analyze(root, []string{"./..."}, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("analyzing module: %v", err)
-	}
+	loadModule(t)
+	raw := module.raw
 	list := allow.Default()
 
 	// The analyzers never skip test files themselves: the go list loader
@@ -59,7 +81,7 @@ func TestAllowlistCurrent(t *testing.T) {
 		t.Errorf("finding not covered by the allowlist: %s", f)
 	}
 
-	for _, e := range list.Entries() {
+	for _, e := range list {
 		if e.Justification == "" {
 			t.Errorf("conduitlint.allow:%d: entry %q has no justification", e.Line, e)
 			continue
@@ -88,13 +110,11 @@ func TestObservabilityPackagesNeedNoExemptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes packages via go list")
 	}
-	root := moduleRoot(t)
-	raw, err := driver.Analyze(root,
-		[]string{"./internal/trace/...", "./internal/metrics/..."}, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("analyzing observability packages: %v", err)
-	}
-	for _, f := range raw {
+	loadModule(t)
+	for _, f := range module.raw {
+		if !strings.HasPrefix(f.Pkg, "conduit/internal/trace") && !strings.HasPrefix(f.Pkg, "conduit/internal/metrics") {
+			continue
+		}
 		t.Errorf("observability package has a raw finding (must be clean without exemptions): %s", f)
 	}
 }

@@ -20,7 +20,7 @@ func TestWireRoundTrip(t *testing.T) {
 	h.Add(42)
 	r.MergeHist("h", h)
 	in := r.Snapshot()
-	enc, err := wire.Encode(wire.Snapshot{ID: 1, Target: "t", Samples: in})
+	enc, err := wire.AppendFrame(nil, wire.Snapshot{ID: 1, Target: "t", Samples: in})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,10 +482,12 @@ func TestEnergyAccounting(t *testing.T) {
 	addr := Addr{}
 	a.Program(0, 0, addr, fill(cfg, 1))
 	a.Read(0, 0, addr)
-	if en.ComputeBy(energy.IFP) <= 0 {
+	// The array charges compute to IFP and movement to the flash
+	// channels only.
+	if en.ComputeTotal() <= 0 {
 		t.Fatal("flash operations should record compute energy")
 	}
-	if en.MoveBy(energy.FlashChannel) <= 0 {
+	if en.MovementTotal() <= 0 {
 		t.Fatal("flash transfers should record movement energy")
 	}
 	st := a.Stats()

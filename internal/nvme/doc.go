@@ -1,5 +1,5 @@
 // Package nvme models the host-SSD command surface Conduit relies on
-// (§4.4): regular I/O reads and writes, and the repurposed firmware-update
+// (§4.4): regular I/O writes, and the repurposed firmware-update
 // admin commands (fw-download / fw-commit) that transfer Conduit's
 // compiled binary to the drive. The commit command carries the paper's
 // added flag distinguishing a Conduit binary from vendor FTL firmware.

@@ -58,23 +58,15 @@ func TestFullHostFlow(t *testing.T) {
 	if err := c.FWCommit(true); err != nil {
 		t.Fatal(err)
 	}
-	if c.Committed() == nil {
-		t.Fatal("no committed program")
-	}
-	// 4. Computation mode: host I/O refused, program runs.
-	c.EnterComputationMode()
+	// 4. Computation mode: host writes refused, program runs.
+	c.dev.EnterComputationMode()
 	if err := c.WritePage(0, inputs[0]); err == nil {
 		t.Fatal("write must be refused in computation mode")
 	}
-	if _, err := c.ReadPage(2); err == nil {
-		t.Fatal("read must be refused in computation mode")
-	}
-	if _, err := c.Device().Run(offload.Conduit{}); err != nil {
+	if _, err := c.dev.Run(offload.Conduit{}); err != nil {
 		t.Fatal(err)
 	}
-	// 5. Back to I/O mode: result readable, with host-transfer sync.
-	c.ExitComputationMode()
-	got, err := c.ReadPage(2)
+	got, err := c.dev.PageBytes(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,45 +75,7 @@ func TestFullHostFlow(t *testing.T) {
 		want[i] = inputs[0][i] ^ inputs[1][i]
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("host read returned wrong result")
-	}
-}
-
-func TestHostReadTimedPath(t *testing.T) {
-	c, cfg := newController(t)
-	prog, inputs := testProgram(cfg.SSD.PageSize)
-	for p, d := range inputs {
-		if err := c.WritePage(p, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	img := MarshalProgram(prog)
-	if err := c.FWDownload(img, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FWCommit(true); err != nil {
-		t.Fatal(err)
-	}
-	c.EnterComputationMode()
-	if _, err := c.Device().Run(offload.Conduit{}); err != nil {
-		t.Fatal(err)
-	}
-	c.ExitComputationMode()
-	data, done, err := c.HostRead(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Latency must cover at least a flash sense plus the PCIe transfer.
-	min := cfg.SSD.TRead + cfg.SSD.PCIeTransferTime(cfg.SSD.PageSize)
-	if done < min {
-		t.Fatalf("host read latency %v below physical floor %v", done, min)
-	}
-	want := make([]byte, cfg.SSD.PageSize)
-	for i := range want {
-		want[i] = inputs[0][i] ^ inputs[1][i]
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatal("host read returned wrong data")
+		t.Fatal("the installed program computed a wrong result")
 	}
 }
 
@@ -140,21 +94,17 @@ func TestWritePageRefusesPartialPage(t *testing.T) {
 	if err := c.WritePage(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	zero := make([]byte, cfg.SSD.PageSize)
-	if got, err := c.ReadPage(1); err != nil || !bytes.Equal(got, zero) {
-		t.Fatalf("a page staged nil reads back %d bytes (err %v), want a zero page", len(got), err)
-	}
 	if err := c.FWDownload(MarshalProgram(prog), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.FWCommit(true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReadPage(1)
+	got, err := c.dev.PageBytes(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, zero) {
+	if !bytes.Equal(got, make([]byte, cfg.SSD.PageSize)) {
 		t.Fatal("a page staged nil must commit as zeros")
 	}
 }
@@ -174,7 +124,8 @@ func TestVendorFirmwarePathIgnored(t *testing.T) {
 	if err := c.FWCommit(false); err != nil {
 		t.Fatal("vendor firmware commit should be accepted")
 	}
-	if c.Committed() != nil {
+	c.dev.EnterComputationMode()
+	if _, err := c.dev.Run(offload.Conduit{}); err == nil {
 		t.Fatal("vendor firmware must not install a Conduit program")
 	}
 }
@@ -196,15 +147,8 @@ func TestCommitRefusedInComputationMode(t *testing.T) {
 	if err := c.FWDownload(img, 0); err != nil {
 		t.Fatal(err)
 	}
-	c.EnterComputationMode()
+	c.dev.EnterComputationMode()
 	if err := c.FWCommit(true); err == nil {
 		t.Fatal("commit must be refused in computation mode")
-	}
-}
-
-func TestReadUnstagedPage(t *testing.T) {
-	c, _ := newController(t)
-	if _, err := c.ReadPage(7); err == nil {
-		t.Fatal("reading an unstaged page before commit must fail")
 	}
 }

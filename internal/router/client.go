@@ -20,7 +20,6 @@ const HandshakeTimeout = 10 * time.Second
 // responses by ID. A transport or protocol error is sticky — every
 // pending and future call fails, and the router fails the target over.
 type Client struct {
-	addr  string
 	conn  net.Conn
 	hello wire.Hello
 
@@ -71,7 +70,6 @@ func NewClient(conn net.Conn) (*Client, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	c := &Client{
-		addr:    conn.RemoteAddr().String(),
 		conn:    conn,
 		hello:   hello,
 		pending: make(map[uint64]chan reply),
@@ -82,9 +80,6 @@ func NewClient(conn net.Conn) (*Client, error) {
 
 // Name is the target's self-reported name from Hello.
 func (c *Client) Name() string { return c.hello.Target }
-
-// Addr is the remote address of the connection.
-func (c *Client) Addr() string { return c.addr }
 
 // Workloads lists the workloads the target's Hello advertised.
 func (c *Client) Workloads() []string { return append([]string(nil), c.hello.Workloads...) }

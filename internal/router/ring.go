@@ -56,9 +56,6 @@ func NewRing(targets []string) (*Ring, error) {
 	return r, nil
 }
 
-// Targets returns the ring's target names in registration order.
-func (r *Ring) Targets() []string { return append([]string(nil), r.targets...) }
-
 // Order appends to dst[:0] the preference order for a key and returns
 // it: the home target (first virtual node at or clockwise of the key's
 // hash), then each distinct successor. Every target appears exactly once,

@@ -39,8 +39,8 @@ func TestRingIsDeterministicAndOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"AES", "XOR Filter", "jacobi-1d", "heat-3d"} {
-		got := b.Targets()[b.Home(key)]
-		want := a.Targets()[a.Home(key)]
+		got := b.targets[b.Home(key)]
+		want := a.targets[a.Home(key)]
 		if got != want {
 			t.Errorf("Home(%q) depends on registration order: %s vs %s", key, got, want)
 		}
@@ -63,11 +63,11 @@ func TestRingKeysSurviveTargetRemoval(t *testing.T) {
 	}
 	keys := []string{"AES", "XOR Filter", "jacobi-1d", "heat-3d", "LlaMA2 Inference", "LLM Training"}
 	for _, key := range keys {
-		home := full.Targets()[full.Home(key)]
+		home := full.targets[full.Home(key)]
 		if home == "t3" {
 			continue // owned by the removed target; allowed to move
 		}
-		if got := reduced.Targets()[reduced.Home(key)]; got != home {
+		if got := reduced.targets[reduced.Home(key)]; got != home {
 			t.Errorf("removing t3 moved %q from %s to %s", key, home, got)
 		}
 	}

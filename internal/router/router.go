@@ -134,9 +134,6 @@ func New(clients []*Client, opts Options) (*Router, error) {
 	return r, nil
 }
 
-// Targets returns the fleet's target names in client order.
-func (r *Router) Targets() []string { return r.ring.Targets() }
-
 // Home names the target a workload hashes to.
 func (r *Router) Home(workload string) string {
 	return r.clients[r.ring.Home(workload)].Name()

@@ -227,7 +227,7 @@ type pending struct {
 // Wall-clock latency lives in a bounded log-linear histogram, not a
 // Reservoir: the open-loop path produces an unbounded sample stream, and
 // the histogram admits it in O(1) space with a fixed relative error
-// (histo.RelativeError) while staying exactly mergeable. Reservoirs
+// (1/64, internal/histo) while staying exactly mergeable. Reservoirs
 // remain authoritative for simulated-time experiment statistics, where
 // sample counts are bounded and figures want exact percentiles.
 type tenantAccount struct {
@@ -564,7 +564,7 @@ func (e *Engine) Drain() {
 // TenantSnapshot is one tenant's accounting totals (see Snapshot). Sim
 // and EnergyJ are attributed demand: shared responses bill the full cell
 // cost to each recipient. Latency percentiles come from the tenant's
-// bounded histogram (relative error histo.RelativeError) over completed
+// bounded histogram (relative error 1/64, internal/histo) over completed
 // responses; shed requests never completed and appear only in Shed.
 type TenantSnapshot struct {
 	Tenant   string

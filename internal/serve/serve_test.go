@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 
 	"conduit/internal/metrics"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
 	"conduit/internal/trace"
 )
 
@@ -322,17 +325,18 @@ func TestReportTable(t *testing.T) {
 	if !reflect.DeepEqual(one.Columns, want) {
 		t.Fatalf("columns %v, want %v", one.Columns, want)
 	}
-	last := one.NumRows() - 1
-	if one.Cell(last, 0) != "TOTAL" {
-		t.Fatalf("last row is %q, want TOTAL", one.Cell(last, 0))
+	oneRows := rowsOf(t, one)
+	total := oneRows[len(oneRows)-1]
+	if total[0] != "TOTAL" {
+		t.Fatalf("last row is %q, want TOTAL", total[0])
 	}
 	for col, v := range []int64{totalA.Requests, totalA.Errors, totalA.Shed, totalA.Expired, totalA.Shared,
 		totalA.Recovery.Retries, totalA.Recovery.Hedges, totalA.Recovery.Fallbacks} {
-		if got := one.Cell(last, col+1); got != fmt.Sprint(v) {
+		if got := total[col+1]; got != fmt.Sprint(v) {
 			t.Errorf("TOTAL %s = %s, engine total says %d", want[col+1], got, v)
 		}
 	}
-	if got, w := one.Cell(last, 10), fmt.Sprintf("%.3f", float64(totalA.P50)/1e6); got != w {
+	if got, w := total[10], fmt.Sprintf("%.3f", float64(totalA.P50)/1e6); got != w {
 		t.Errorf("TOTAL p50_ms = %s, all-tenant histogram says %s", got, w)
 	}
 
@@ -352,17 +356,30 @@ func TestReportTable(t *testing.T) {
 	if got.NumRows() != 4 {
 		t.Fatalf("fleet table has %d rows, want x, y, z and TOTAL:\n%s", got.NumRows(), got)
 	}
+	gotRows := rowsOf(t, got)
 	for col := 1; col <= 8; col++ {
 		var sum int64
 		for row := 0; row < 3; row++ {
-			v, err := strconv.ParseInt(got.Cell(row, col), 10, 64)
+			v, err := strconv.ParseInt(gotRows[row][col], 10, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sum += v
 		}
-		if cell := got.Cell(3, col); cell != fmt.Sprint(sum) {
+		if cell := gotRows[3][col]; cell != fmt.Sprint(sum) {
 			t.Errorf("TOTAL %s = %s, column sums to %d", want[col], cell, sum)
 		}
 	}
+}
+
+// rowsOf is tab's data rows as its CSV rendering carries them.
+func rowsOf(t *testing.T, tab *stats.Table) [][]string {
+	t.Helper()
+	var b bytes.Buffer
+	tab.CSV(&b)
+	rows, err := csv.NewReader(&b).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[1:]
 }

@@ -23,12 +23,6 @@ func NewCalendar(name string) *Calendar {
 	return &Calendar{name: name}
 }
 
-// Name reports the resource name.
-func (c *Calendar) Name() string { return c.name }
-
-// Horizon reports the time at which the resource becomes free.
-func (c *Calendar) Horizon() Time { return c.horizon }
-
 // QueueDelay reports how long work arriving at time now would wait before
 // starting: max(0, horizon-now).
 func (c *Calendar) QueueDelay(now Time) Time {
@@ -66,9 +60,6 @@ func (c *Calendar) Reserve(now, notBefore, d Time) (start, end Time) {
 	c.busy += d
 	return start, end
 }
-
-// BusyTime reports the cumulative busy time reserved on the resource.
-func (c *Calendar) BusyTime() Time { return c.busy }
 
 // Utilization reports busy time divided by elapsed time (0 when now is 0).
 // Bandwidth-based offloading policies use this as their load signal.
@@ -116,9 +107,6 @@ func NewGroup(name string, n int) *Group {
 	return g
 }
 
-// Size reports the number of members.
-func (g *Group) Size() int { return len(g.members) }
-
 // Member returns the i'th member calendar.
 func (g *Group) Member(i int) *Calendar { return &g.members[i] }
 
@@ -145,11 +133,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// QueueDelay reports the queueing delay of the least-loaded member.
-func (g *Group) QueueDelay(now Time) Time {
-	return g.Earliest().QueueDelay(now)
 }
 
 // Reserve books d units of work on the least-loaded member.

@@ -34,8 +34,8 @@ func (h *eventHeap) Pop() interface{} {
 // Engine is a discrete-event simulator: a binary heap of individually
 // sequenced events, popped one at a time. Events run in time order, and
 // events at one instant run in the order they were scheduled, including
-// one a callback schedules at Now(), which runs after the events already
-// queued for that instant.
+// one a callback schedules at the current time, which runs after the
+// events already queued for that instant.
 //
 // No timed model runs on it: devices price their work on Calendar and
 // Group. Its one caller is cmd/conduit-bench, which times scheduling and
@@ -53,9 +53,6 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{}
 }
-
-// Now reports the current simulated time.
-func (e *Engine) Now() Time { return e.now }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics:
 // it always indicates a modelling bug, never a recoverable condition.

@@ -21,8 +21,8 @@ func forEachStart(t *testing.T, fn func(t *testing.T, e *Engine)) {
 			e.Schedule(0, func() { ran++ })
 		}
 		e.Run()
-		if ran != 8 || e.Now() != 0 {
-			t.Fatalf("warm-up bucket ran %d of 8 events, clock %v", ran, e.Now())
+		if ran != 8 || e.now != 0 {
+			t.Fatalf("warm-up bucket ran %d of 8 events, clock %v", ran, e.now)
 		}
 		fn(t, e)
 	})
@@ -39,8 +39,8 @@ func TestEngineOrdersEventsByTime(t *testing.T) {
 		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 			t.Fatalf("events out of order: %v", got)
 		}
-		if e.Now() != 30 {
-			t.Fatalf("clock = %v, want 30", e.Now())
+		if e.now != 30 {
+			t.Fatalf("clock = %v, want 30", e.now)
 		}
 	})
 }
@@ -68,8 +68,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 	forEachStart(t, func(t *testing.T, e *Engine) {
 		var fired []Time
 		e.Schedule(10, func() {
-			fired = append(fired, e.Now())
-			e.Schedule(e.Now()+5, func() { fired = append(fired, e.Now()) })
+			fired = append(fired, e.now)
+			e.Schedule(e.now+5, func() { fired = append(fired, e.now) })
 		})
 		e.Run()
 		if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
@@ -85,7 +85,7 @@ func TestEngineNestedSameInstant(t *testing.T) {
 		var got []int
 		e.Schedule(5, func() {
 			got = append(got, 0)
-			e.Schedule(e.Now(), func() { got = append(got, 2) })
+			e.Schedule(e.now, func() { got = append(got, 2) })
 		})
 		e.Schedule(5, func() { got = append(got, 1) })
 		e.Schedule(6, func() { got = append(got, 3) })
@@ -173,7 +173,7 @@ func TestGroupPicksEarliestMember(t *testing.T) {
 	g.Member(1).Reserve(0, 0, 50)
 	g.Member(2).Reserve(0, 0, 75)
 	// Member 3 is idle, so queue delay is 0 and a new reservation lands there.
-	if d := g.QueueDelay(0); d != 0 {
+	if d := g.Earliest().QueueDelay(0); d != 0 {
 		t.Fatalf("group queue delay = %v, want 0 while a member is idle", d)
 	}
 	s, _ := g.Reserve(10, 10, 5)
@@ -181,7 +181,7 @@ func TestGroupPicksEarliestMember(t *testing.T) {
 		t.Fatalf("group reserve start = %v, want 10 (idle member)", s)
 	}
 	// All members now busy at t=0: delay is the smallest horizon (15).
-	if d := g.QueueDelay(0); d != 15 {
+	if d := g.Earliest().QueueDelay(0); d != 15 {
 		t.Fatalf("group queue delay = %v, want 15 once all members are busy", d)
 	}
 }

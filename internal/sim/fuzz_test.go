@@ -1,10 +1,8 @@
-package sim_test
+package sim
 
 import (
 	"sort"
 	"testing"
-
-	"conduit/internal/sim"
 )
 
 // FuzzEngineOrder decodes an arbitrary byte script into schedules and
@@ -26,23 +24,23 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 1, 1, 3, 0, 2, 0, 2, 2, 7, 0, 0, 0, 0, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxEvents = 2048
-		e := sim.NewEngine()
-		var scheduled []sim.Time // each event's time, in schedule order
+		e := NewEngine()
+		var scheduled []Time // each event's time, in schedule order
 		var ran []int
-		var schedule func(at sim.Time, spawn int, spawnDelta sim.Time)
-		schedule = func(at sim.Time, spawn int, spawnDelta sim.Time) {
+		var schedule func(at Time, spawn int, spawnDelta Time)
+		schedule = func(at Time, spawn int, spawnDelta Time) {
 			if len(scheduled) == maxEvents {
 				return
 			}
 			id := len(scheduled)
 			scheduled = append(scheduled, at)
 			e.Schedule(at, func() {
-				if e.Now() != at {
-					t.Fatalf("event %d scheduled at %v ran with the clock at %v", id, at, e.Now())
+				if e.now != at {
+					t.Fatalf("event %d scheduled at %v ran with the clock at %v", id, at, e.now)
 				}
 				ran = append(ran, id)
 				for k := 0; k < spawn; k++ {
-					schedule(e.Now()+spawnDelta, spawn-1, spawnDelta)
+					schedule(e.now+spawnDelta, spawn-1, spawnDelta)
 				}
 			})
 		}
@@ -51,7 +49,7 @@ func FuzzEngineOrder(f *testing.F) {
 				e.Run()
 				continue
 			}
-			schedule(e.Now()+sim.Time(data[1]%32), int(data[2]%4), sim.Time(data[3]%8))
+			schedule(e.now+Time(data[1]%32), int(data[2]%4), Time(data[3]%8))
 		}
 		e.Run()
 
@@ -88,20 +86,20 @@ func FuzzCalendarReserve(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1})
 	f.Add([]byte{255, 200, 100, 64, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := sim.NewCalendar("fuzz")
-		var now sim.Time
+		c := NewCalendar("fuzz")
+		var now Time
 		for len(data) >= 4 {
 			adv, nbOff, dRaw, nRaw := data[0], data[1], data[2], data[3]
 			data = data[4:]
-			now += sim.Time(adv % 64) // arrivals move forward
-			notBefore := now + sim.Time(nbOff%128) - 32
+			now += Time(adv % 64) // arrivals move forward
+			notBefore := now + Time(nbOff%128) - 32
 			if notBefore < 0 {
 				notBefore = 0
 			}
-			d := sim.Time(dRaw % 128)
+			d := Time(dRaw % 128)
 			n := 1 + int(nRaw%16)
 
-			prevHor, prevBusy := c.Horizon(), c.BusyTime()
+			prevHor, prevBusy := c.horizon, c.busy
 			for i := 0; i < n; i++ {
 				s, e := c.Reserve(now, notBefore, d)
 				if e != s+d {
@@ -111,17 +109,17 @@ func FuzzCalendarReserve(f *testing.F) {
 					t.Fatalf("start %v before now %v / notBefore %v", s, now, notBefore)
 				}
 			}
-			if c.Horizon() < prevHor+sim.Time(n)*d {
-				t.Fatalf("horizon %v advanced less than reserved work %v", c.Horizon()-prevHor, sim.Time(n)*d)
+			if c.horizon < prevHor+Time(n)*d {
+				t.Fatalf("horizon %v advanced less than reserved work %v", c.horizon-prevHor, Time(n)*d)
 			}
-			if c.BusyTime() != prevBusy+sim.Time(n)*d {
-				t.Fatalf("busy advanced %v, want %v", c.BusyTime()-prevBusy, sim.Time(n)*d)
+			if c.busy != prevBusy+Time(n)*d {
+				t.Fatalf("busy advanced %v, want %v", c.busy-prevBusy, Time(n)*d)
 			}
-			if c.BusyTime() > c.Horizon() {
-				t.Fatalf("busy %v exceeds horizon %v (work conservation)", c.BusyTime(), c.Horizon())
+			if c.busy > c.horizon {
+				t.Fatalf("busy %v exceeds horizon %v (work conservation)", c.busy, c.horizon)
 			}
-			if got, want := c.QueueDelay(now), c.Horizon()-now; got != want && !(want < 0 && got == 0) {
-				t.Fatalf("QueueDelay(%v) = %v, horizon %v", now, got, c.Horizon())
+			if got, want := c.QueueDelay(now), c.horizon-now; got != want && !(want < 0 && got == 0) {
+				t.Fatalf("QueueDelay(%v) = %v, horizon %v", now, got, c.horizon)
 			}
 		}
 	})

@@ -12,10 +12,10 @@ import (
 
 // scanEarliest is the reference selection Earliest must reproduce
 // exactly, FIFO ties (lowest index among minima) included.
-func scanEarliest(g *sim.Group) int {
+func scanEarliest(g *sim.Group, size int) int {
 	best := 0
-	for i := 1; i < g.Size(); i++ {
-		if g.Member(i).Horizon() < g.Member(best).Horizon() {
+	for i := 1; i < size; i++ {
+		if g.Member(i).QueueDelay(0) < g.Member(best).QueueDelay(0) { // the horizon
 			best = i
 		}
 	}
@@ -27,19 +27,20 @@ func scanEarliest(g *sim.Group) int {
 // zero-duration ties), queue-delay reads, resets, and direct member
 // reservations — and demands identical member selection and timing.
 func TestGroupEarliestMatchesScan(t *testing.T) {
+	const size = 7
 	f := func(ops []uint16) bool {
-		g := sim.NewGroup("group", 7)
-		ref := sim.NewGroup("ref", 7)
+		g := sim.NewGroup("group", size)
+		ref := sim.NewGroup("ref", size)
 		now := sim.Time(0)
 		for _, o := range ops {
 			kind := o % 5
 			d := sim.Time(o>>3) % 97 // durations include 0 for FIFO ties
 			switch kind {
 			case 0, 1: // group reserve
-				wantIdx := scanEarliest(ref)
+				wantIdx := scanEarliest(ref, size)
 				gotCal := g.Earliest()
 				if gotCal != g.Member(wantIdx) {
-					t.Logf("Earliest picked member with horizon %v, scan wants idx %d", gotCal.Horizon(), wantIdx)
+					t.Logf("Earliest picked member with horizon %v, scan wants idx %d", gotCal.QueueDelay(0), wantIdx)
 					return false
 				}
 				s1, e1 := g.Reserve(now, now, d)
@@ -48,11 +49,11 @@ func TestGroupEarliestMatchesScan(t *testing.T) {
 					return false
 				}
 			case 2: // queue-delay read
-				if g.QueueDelay(now) != ref.Member(scanEarliest(ref)).QueueDelay(now) {
+				if g.Earliest().QueueDelay(now) != ref.Member(scanEarliest(ref, size)).QueueDelay(now) {
 					return false
 				}
 			case 3: // direct member reservation bypassing the group
-				idx := int(o>>8) % g.Size()
+				idx := int(o>>8) % size
 				g.Member(idx).Reserve(now, now, d)
 				ref.Member(idx).Reserve(now, now, d)
 			case 4:
@@ -65,8 +66,8 @@ func TestGroupEarliestMatchesScan(t *testing.T) {
 				}
 			}
 			// Invariant: every member horizon matches the reference twin.
-			for i := 0; i < g.Size(); i++ {
-				if g.Member(i).Horizon() != ref.Member(i).Horizon() {
+			for i := 0; i < size; i++ {
+				if g.Member(i).QueueDelay(0) != ref.Member(i).QueueDelay(0) {
 					return false
 				}
 			}
@@ -115,7 +116,12 @@ func workloadReservations(t testing.TB, name string) []reservation {
 	if !ok {
 		t.Fatalf("workload %s not found", name)
 	}
-	res, err := conduit.NewSystem(conduit.DefaultConfig()).Run(w.Source, "Conduit")
+	cfg := conduit.DefaultConfig()
+	c, err := conduit.Compile(w.Source, &cfg)
+	if err != nil {
+		t.Fatalf("compiling %s: %v", name, err)
+	}
+	res, err := conduit.NewSystem(cfg).RunCompiled(c, "Conduit")
 	if err != nil {
 		t.Fatalf("running %s: %v", name, err)
 	}
@@ -150,9 +156,9 @@ func TestGroupSelectionMatchesScanOnTrace(t *testing.T) {
 			}
 			switch i % 5 {
 			case 0, 1, 2:
-				want := scanEarliest(ref)
+				want := scanEarliest(ref, size)
 				if got := g.Earliest(); got != g.Member(want) {
-					t.Fatalf("size %d step %d: Earliest picked horizon %v, scan wants member %d", size, i, got.Horizon(), want)
+					t.Fatalf("size %d step %d: Earliest picked horizon %v, scan wants member %d", size, i, got.QueueDelay(0), want)
 				}
 				s1, e1 := g.Reserve(r.Now, r.NotBefore, d)
 				s2, e2 := ref.Member(want).Reserve(r.Now, r.NotBefore, d)
@@ -164,7 +170,7 @@ func TestGroupSelectionMatchesScanOnTrace(t *testing.T) {
 				g.Member(idx).Reserve(r.Now, r.NotBefore, d)
 				ref.Member(idx).Reserve(r.Now, r.NotBefore, d)
 			case 4:
-				if g.QueueDelay(r.Now) != ref.Member(scanEarliest(ref)).QueueDelay(r.Now) {
+				if g.Earliest().QueueDelay(r.Now) != ref.Member(scanEarliest(ref, size)).QueueDelay(r.Now) {
 					t.Fatalf("size %d step %d: queue delay diverged", size, i)
 				}
 				if g.Utilization(r.Now) != ref.Utilization(r.Now) {
@@ -177,7 +183,7 @@ func TestGroupSelectionMatchesScanOnTrace(t *testing.T) {
 		}
 		g.Reset()
 		ref.Reset()
-		if got, want := g.Earliest(), scanEarliest(ref); got != g.Member(want) {
+		if got, want := g.Earliest(), scanEarliest(ref, size); got != g.Member(want) {
 			t.Fatalf("size %d: post-reset Earliest != scan", size)
 		}
 	}

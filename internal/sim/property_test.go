@@ -1,11 +1,9 @@
-package sim_test
+package sim
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"conduit/internal/sim"
 )
 
 // quickCfg returns a seeded testing/quick configuration: property
@@ -20,14 +18,14 @@ func quickCfg(seed int64, max int) *quick.Config {
 // time never exceeds the horizon (work conservation).
 func TestPropertyReserveMonotone(t *testing.T) {
 	f := func(steps []uint32) bool {
-		c := sim.NewCalendar("prop")
-		var now sim.Time
+		c := NewCalendar("prop")
+		var now Time
 		for _, s := range steps {
-			now += sim.Time(s % 97)
-			d := sim.Time((s >> 8) % 251)
-			before := c.Horizon()
+			now += Time(s % 97)
+			d := Time((s >> 8) % 251)
+			before := c.horizon
 			_, end := c.Reserve(now, now, d)
-			if c.Horizon() < before+d || end < now+d || c.BusyTime() > c.Horizon() {
+			if c.horizon < before+d || end < now+d || c.busy > c.horizon {
 				return false
 			}
 		}
@@ -39,25 +37,20 @@ func TestPropertyReserveMonotone(t *testing.T) {
 }
 
 // TestPropertyQueueDelayConsistent: at every instant, QueueDelay reports
-// exactly the clamped horizon distance, on calendars and on groups.
+// exactly the clamped horizon distance.
 func TestPropertyQueueDelayConsistent(t *testing.T) {
 	f := func(steps []uint32) bool {
-		c := sim.NewCalendar("prop")
-		g := sim.NewGroup("prop", 4)
-		var now sim.Time
+		c := NewCalendar("prop")
+		var now Time
 		for _, s := range steps {
-			now += sim.Time(s % 97)
-			d := sim.Time((s >> 8) % 251)
+			now += Time(s % 97)
+			d := Time((s >> 8) % 251)
 			c.Reserve(now, now, d)
-			g.Reserve(now, now, d)
-			want := c.Horizon() - now
+			want := c.horizon - now
 			if want < 0 {
 				want = 0
 			}
 			if c.QueueDelay(now) != want {
-				return false
-			}
-			if g.QueueDelay(now) != g.Earliest().QueueDelay(now) {
 				return false
 			}
 		}

@@ -115,9 +115,6 @@ type Device struct {
 	feat offload.Features
 	plan instPlan
 
-	// Fault injection: instruction ID -> remaining failures to inject.
-	faults map[int]int
-
 	// baseline holds the substrate counters at the measurement reset.
 	baseline [len(counterNames)]int64
 
@@ -166,7 +163,6 @@ func New(cfg *config.Config) *Device {
 		table: isa.BuildTranslationTable(),
 
 		bufferTag: make([]isa.PageID, planes),
-		faults:    make(map[int]int),
 	}
 	for i := range d.bufferTag {
 		d.bufferTag[i] = isa.NoPage
@@ -195,11 +191,6 @@ func (d *Device) EnterComputationMode() { d.mode = ModeComputation }
 
 // ExitComputationMode resumes regular host I/O service.
 func (d *Device) ExitComputationMode() { d.mode = ModeIO }
-
-// InjectFault makes instruction id fail count times before succeeding
-// (transient-fault handling, §4.4: the scheduler replays the instruction
-// on another resource using the latest data version).
-func (d *Device) InjectFault(id, count int) { d.faults[id] = count }
 
 // LoadProgram installs prog and its input data on the drive. Placement is
 // NDP-aware (§4.4): pages that appear together as operands of IFP-capable
@@ -326,10 +317,19 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	return nil
 }
 
-// Consumed reports whether the loaded data image has been consumed by a
-// Run. A consumed device must be reloaded (or replaced by a pristine
-// Clone) before it can run again.
-func (d *Device) Consumed() bool { return d.consumed }
+// dropVolatile discards every DRAM-resident copy and every latch tag, in
+// page and plane order: what a newly loaded program must not inherit
+// from the previous one.
+func (d *Device) dropVolatile() {
+	for _, slot := range d.dramSlot {
+		if slot != noSlot {
+			d.freeSlot(int(slot))
+		}
+	}
+	for plane := range d.bufferTag {
+		d.tagBuffer(plane, isa.NoPage)
+	}
+}
 
 // inputPage is the payload LoadProgram programs for input page p: the
 // staged page, or a zero page for one staged nil or never staged — none
@@ -542,8 +542,6 @@ type Result struct {
 	// OverheadTime is the firmware time spent on feature collection and
 	// instruction transformation (§4.5).
 	OverheadTime sim.Time
-	// Replays counts fault-triggered instruction replays.
-	Replays int64
 }
 
 // Fractions reports the share of instructions offloaded to each resource

@@ -158,7 +158,7 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 			return 0, 0, fmt.Errorf("ssd: evicting page %d: %w", page, err)
 		}
 		d.DRAM.Recycle(data) // the flash program copied it
-		d.Dir.Sync(int(page), coherence.SyncEviction)
+		d.Dir.Sync(int(page))
 		if wdone > d.pageReady.At(int(page)) {
 			d.pageReady.Set(int(page), wdone)
 		}
@@ -231,7 +231,7 @@ func (d *Device) flushBeforeWrap(p isa.PageID) error {
 		d.tagBuffer(plane, isa.NoPage)
 		d.pageReady.Set(int(p), done)
 	}
-	d.Dir.Sync(int(p), coherence.SyncEviction)
+	d.Dir.Sync(int(p))
 	return nil
 }
 

@@ -94,7 +94,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 			elapsed = done
 		}
 	}
-	decisions, lat := rec.finish(d, "Ideal", true)
+	decisions, lat := rec.finish(d, "Ideal")
 	return &Result{
 		Policy:        "Ideal",
 		Elapsed:       elapsed,

@@ -68,15 +68,6 @@ func TestIndexesMatchScan(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			requireIndexesMatchScan(t, what, d)
-			if _, err := d.PowerCycle(0); err != nil {
-				t.Fatalf("%s: power cycle: %v", what, err)
-			}
-			requireIndexesMatchScan(t, what+" after power cycle", d)
-			for slot, owner := range d.slotOwner {
-				if owner != isa.NoPage {
-					t.Fatalf("%s: slot %d still holds page %d after power cycle", what, slot, owner)
-				}
-			}
 		}
 	}
 }

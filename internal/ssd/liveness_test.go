@@ -6,7 +6,6 @@ import (
 	"conduit/internal/config"
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
-	"conduit/internal/offload"
 )
 
 // Liveness-driven write-back elision: dead temporaries must never cost a
@@ -125,19 +124,4 @@ func TestOperandGroupsRespectBlockCap(t *testing.T) {
 	if len(planes) < 2 {
 		t.Error("capped union must spread chains across planes")
 	}
-}
-
-func TestFaultReplayPreservesLiveness(t *testing.T) {
-	cfg := config.TestScale()
-	prog, inputs := livenessProgram(t, cfg.SSD.PageSize)
-	d := New(&cfg)
-	if err := d.LoadProgram(prog, inputs); err != nil {
-		t.Fatal(err)
-	}
-	d.EnterComputationMode()
-	d.InjectFault(1, 1)
-	if _, err := d.Run(offload.Conduit{}); err != nil {
-		t.Fatal(err)
-	}
-	verifyAgainstReference(t, d, prog, inputs)
 }

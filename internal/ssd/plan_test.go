@@ -84,7 +84,7 @@ func recomputeFeatures(d *Device, inst *isa.Inst, cursor int) recomputed {
 		f.supported[isa.ResPuD] = true
 		f.comp[isa.ResPuD], _ = pudCost(cfg, inst)
 		f.move[isa.ResPuD] = stageCost
-		f.queue[isa.ResPuD] = d.DRAM.Units().QueueDelay(now)
+		f.queue[isa.ResPuD] = d.DRAM.Units().Earliest().QueueDelay(now)
 		if stageCost > 0 {
 			f.queue[isa.ResPuD] = maxT(f.queue[isa.ResPuD], busDelay, stageChDelay)
 		}

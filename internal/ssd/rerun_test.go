@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"conduit/internal/isa"
 	"conduit/internal/offload"
 )
 
@@ -15,13 +14,13 @@ import (
 func TestRunConsumesLoadedImage(t *testing.T) {
 	prog, inputs := mixProgram(t, 1)
 	d := newLoadedDevice(t, prog, inputs)
-	if d.Consumed() {
+	if d.consumed {
 		t.Fatal("freshly loaded device reports consumed")
 	}
 	if _, err := d.Run(offload.Conduit{}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Consumed() {
+	if !d.consumed {
 		t.Fatal("device must report consumed after Run")
 	}
 	if _, err := d.Run(offload.Conduit{}); err == nil {
@@ -95,18 +94,18 @@ func TestCloneRunsAreDeterministicAndIsolated(t *testing.T) {
 	if r1.ComputeEnergy != r2.ComputeEnergy || r1.MovementEnergy != r2.MovementEnergy {
 		t.Fatal("energy differs across clones")
 	}
-	if r1.OverheadTime != r2.OverheadTime || r1.Replays != r2.Replays {
-		t.Fatal("overhead/replays differ across clones")
+	if r1.OverheadTime != r2.OverheadTime {
+		t.Fatal("overhead differs across clones")
 	}
 	if !reflect.DeepEqual(r1.Counters, r2.Counters) {
 		t.Fatal("counters differ across clones")
 	}
 	if r1.InstLatencies.Count() != r2.InstLatencies.Count() ||
-		r1.InstLatencies.Sum() != r2.InstLatencies.Sum() ||
+		r1.InstLatencies.Mean() != r2.InstLatencies.Mean() ||
 		r1.InstLatencies.P9999() != r2.InstLatencies.P9999() {
 		t.Fatal("latency distributions differ across clones")
 	}
-	if master.Consumed() {
+	if master.consumed {
 		t.Fatal("running clones consumed the master image")
 	}
 	// The master, run directly, still matches the functional reference —
@@ -141,43 +140,4 @@ func TestCloneMatchesOriginalRun(t *testing.T) {
 		}
 		verifyAgainstReference(t, clone, prog, inputs)
 	}
-}
-
-// TestFaultReplayValidatesTranslation: the transient-fault replay path
-// must subject its alternate resource to the same translation-table
-// validation as the primary dispatch path, so every decision in the trace
-// — replayed or not — names a resource with a native encoding for the op.
-func TestFaultReplayValidatesTranslation(t *testing.T) {
-	prog, inputs := mixProgram(t, 1)
-	d := newLoadedDevice(t, prog, inputs)
-	// Fail every vector instruction once, forcing a replay per inst.
-	faults := 0
-	for i := range prog.Insts {
-		if prog.Insts[i].Op != isa.OpScalar {
-			d.InjectFault(prog.Insts[i].ID, 1)
-			faults++
-		}
-	}
-	res, err := d.Run(offload.Conduit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replays != int64(faults) {
-		t.Fatalf("replays = %d, want %d", res.Replays, faults)
-	}
-	table := isa.BuildTranslationTable()
-	for _, dec := range res.Decisions {
-		op := prog.Insts[dec.InstID].Op
-		if op == isa.OpScalar {
-			continue
-		}
-		if !isa.Supports(dec.Resource, op) {
-			t.Errorf("inst %d: replayed %v onto %v, which does not support it", dec.InstID, op, dec.Resource)
-		}
-		if _, ok := table.Lookup(dec.Resource, op); !ok {
-			t.Errorf("inst %d: %v dispatched to %v without a translation entry", dec.InstID, op, dec.Resource)
-		}
-	}
-	// Replayed execution still computes correct bytes.
-	verifyAgainstReference(t, d, prog, inputs)
 }

@@ -69,12 +69,11 @@ type instCost struct {
 	runs           [isa.NumResources]bool // runsOn
 }
 
-// buildCosts computes the cost table of the loaded program, checking on
-// the way what Run would otherwise check per dispatch: every resource
-// that runs an instruction has a native encoding for it in the
-// translation table (§4.5), whichever path — policy or fault replay —
-// later selects the resource. It reads the liveness metadata, so
-// LoadProgram calls it after accesses and output are in place.
+// buildCosts computes the cost table of the loaded program, checking on the
+// way what Run would otherwise check per dispatch: every resource that runs
+// an instruction has a native encoding for it in the translation table
+// (§4.5), whichever the policy later selects. It reads the liveness
+// metadata, so LoadProgram calls it after accesses and output are in place.
 func (d *Device) buildCosts() ([]instCost, error) {
 	cfg := &d.Cfg.SSD
 	// Result placement is data movement too: an in-flash result lands in
@@ -153,7 +152,6 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	// movement, computation and transformation table lookups.
 	fixedCollect := cfg.TDepTrack + cfg.TQueueTrack + cfg.TDMLookup + cfg.TCompLookup + cfg.TTranslate
 	var overhead, elapsed sim.Time
-	var replays int64
 
 	for i := range d.prog.Insts {
 		inst := &d.prog.Insts[i]
@@ -187,29 +185,6 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 			return nil, fmt.Errorf("ssd: policy %s chose %v for unsupported %v", policy.Name(), choice, inst.Op)
 		}
 
-		// Transient-fault handling (§4.4): a failed attempt burns the
-		// expected execution time, then the scheduler replays the
-		// instruction on another resource using the latest data version.
-		if len(d.faults) > 0 && d.faults[inst.ID] > 0 {
-			d.faults[inst.ID]--
-			replays++
-			f.Supported[choice] = false
-			alt := choice
-			if f.Supported != [isa.NumResources]bool{} {
-				alt = policy.Select(f)
-				if !f.Supported[alt] {
-					alt = isa.ResISP
-				}
-			} else {
-				// No other resource supports this op (e.g. division is
-				// ISP-only): the replay re-runs on the same resource.
-				f.Supported[choice] = true
-			}
-			// The timeout window: the replay issues once it has passed.
-			d.firmware += f.CompLatency[choice]
-			choice = alt
-		}
-
 		issue := d.firmware
 		done, err := d.execute(inst, choice, issue, &d.plan)
 		if err != nil {
@@ -221,7 +196,7 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		}
 	}
 
-	decisions, lat := rec.finish(d, name, replays == 0)
+	decisions, lat := rec.finish(d, name)
 	return &Result{
 		Policy:         name,
 		Elapsed:        elapsed,
@@ -231,7 +206,6 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		MovementEnergy: d.En.MovementTotal(),
 		Counters:       d.snapshotCounters(),
 		OverheadTime:   overhead,
-		Replays:        replays,
 	}, nil
 }
 
@@ -284,16 +258,14 @@ func (r *recorder) diverge(size int) {
 }
 
 // finish returns the published record if the run reproduced it, else the
-// run's own, which it publishes as d's record of policy if publish is set
-// and the policy has none yet.
-func (r *recorder) finish(d *Device, policy string, publish bool) ([]Decision, *stats.Reservoir) {
+// run's own, which it publishes as d's record of policy if the policy has
+// none yet.
+func (r *recorder) finish(d *Device, policy string) ([]Decision, *stats.Reservoir) {
 	if r.own == nil {
 		return r.pub.decisions, r.pub.lat
 	}
 	own := record{slices.Clip(r.own), stats.ReservoirOf(r.lat)}
-	if publish {
-		d.records.LoadOrStore(policy, own)
-	}
+	d.records.LoadOrStore(policy, own)
 	return own.decisions, own.lat
 }
 

@@ -1,8 +1,6 @@
 package ssd
 
 import (
-	"maps"
-
 	"conduit/internal/coherence"
 	"conduit/internal/cores"
 	"conduit/internal/dram"
@@ -27,10 +25,10 @@ func (d *Device) Freeze() {
 // Restore makes d an independent deep copy of src in place: flash contents
 // and page states, FTL mapping and allocation state (including the mapping
 // cache's exact LRU order), DRAM slots, plane-buffer tags, the coherence
-// directory, calendars, energy account, fault injections, and all
-// measurement state. It is the one list of what a snapshot copies: Clone
-// is Restore into a zero Device, and a field Restore leaves alone is named
-// as scratch in TestRestoreEqualsClone.
+// directory, calendars, energy account, and all measurement state. It is
+// the one list of what a snapshot copies: Clone is Restore into a zero
+// Device, and a field Restore leaves alone is named as scratch in
+// TestRestoreEqualsClone.
 //
 // Restore is the deploy-amortization primitive: deploying a compiled
 // program over the NVMe path (per-page I/O writes, chunked fw-download,
@@ -88,12 +86,6 @@ func (d *Device) Restore(src *Device) {
 	d.firmware = src.firmware
 	d.offloadCores.Restore(&src.offloadCores)
 	d.ifpCursor, d.curInst = src.ifpCursor, src.curInst
-
-	if d.faults == nil {
-		d.faults = make(map[int]int, len(src.faults))
-	}
-	clear(d.faults)
-	maps.Copy(d.faults, src.faults)
 
 	d.baseline, d.consumed = src.baseline, src.consumed
 }

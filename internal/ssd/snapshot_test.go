@@ -264,7 +264,6 @@ func TestRestoreEqualsClone(t *testing.T) {
 		}
 
 		used := master.Clone()
-		used.InjectFault(3, 2)
 		run(used)
 		(&scribbler{seen: map[unsafe.Pointer]bool{}}).scribble(reflect.ValueOf(used).Elem())
 		used.Restore(master)

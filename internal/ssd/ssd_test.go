@@ -330,56 +330,6 @@ func TestScatteredOperandsUseLatchLoads(t *testing.T) {
 	}
 }
 
-func TestFaultReplayOnAnotherResource(t *testing.T) {
-	prog, inputs := mixProgram(t, 1)
-	d := newLoadedDevice(t, prog, inputs)
-	d.InjectFault(0, 1) // first instruction fails once
-	res, err := d.Run(offload.Conduit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replays != 1 {
-		t.Fatalf("replays = %d, want 1", res.Replays)
-	}
-	verifyAgainstReference(t, d, prog, inputs)
-}
-
-// TestReplayIssuesAfterTimeoutWindow: a failed attempt burns the expected
-// execution time on the resource it failed on, and only then does the
-// scheduler replay the instruction elsewhere (§4.4) — the replay's issue
-// time is past the window, not the original issue time.
-func TestReplayIssuesAfterTimeoutWindow(t *testing.T) {
-	prog, inputs := mixProgram(t, 1)
-	clean, err := newLoadedDevice(t, prog, inputs).Run(offload.Conduit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d := newLoadedDevice(t, prog, inputs)
-	d.InjectFault(0, 1)
-	failed, window := isa.Resource(0), sim.Time(-1)
-	res, err := d.Run(spy{offload.Conduit{}, func(f *offload.Features, choice isa.Resource) {
-		if f.Inst.ID == 0 && window < 0 { // the attempt that fails; the replay's Select comes second
-			failed, window = choice, f.CompLatency[choice]
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if window <= 0 || failed != clean.Decisions[0].Resource {
-		t.Fatalf("failed attempt on %v with window %v; the fault-free run chose %v", failed, window, clean.Decisions[0].Resource)
-	}
-	replay := res.Decisions[0]
-	if replay.Resource == failed {
-		t.Fatalf("XOR runs everywhere, yet the replay stayed on %v", failed)
-	}
-	if want := clean.Decisions[0].Issue + window; replay.Issue < want {
-		t.Fatalf("replay issued at %v, inside the failed attempt's timeout window (fault-free issue %v + %v on %v = %v)",
-			replay.Issue, clean.Decisions[0].Issue, window, failed, want)
-	}
-	verifyAgainstReference(t, d, prog, inputs)
-}
-
 func TestOverheadAccounting(t *testing.T) {
 	prog, inputs := mixProgram(t, 1)
 	d := newLoadedDevice(t, prog, inputs)
@@ -467,13 +417,14 @@ func TestDRAMCapacityPressureCausesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.EnterComputationMode()
-	if _, err := d.Run(offload.PuDSSD{}); err != nil {
+	res, err := d.Run(offload.PuDSSD{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	verifyAgainstReference(t, d, prog, inputs)
-	// Eviction syncs dirty pages back to flash.
-	if d.Dir.SyncCount(coherence.SyncEviction) == 0 {
-		t.Fatal("capacity pressure must evict (and sync) DRAM pages")
+	// Eviction writes dirty live pages back to flash.
+	if res.Counters.Get("flash.programs") == 0 {
+		t.Fatal("capacity pressure must evict (and write back) DRAM pages")
 	}
 }
 
@@ -518,10 +469,18 @@ func TestLoadProgramColocatesIFPOperands(t *testing.T) {
 		{Op: isa.OpXor, Dst: 3, Srcs: []isa.PageID{1, 2}, Elem: 1, Lanes: ps},
 	})
 	d := newLoadedDevice(t, prog, inputs)
-	if !d.FTL.SameBlock([]ftl.LPN{0, 1}) {
+	var addrs [3]nand.Addr
+	for p := range addrs {
+		var ok bool
+		if addrs[p], ok = d.FTL.PhysAddr(ftl.LPN(p)); !ok {
+			t.Fatalf("page %d unmapped", p)
+		}
+	}
+	geo := d.Flash.Geometry()
+	if !geo.SameBlock(addrs[0:2]) {
 		t.Fatal("AND co-operands must be loaded into one block")
 	}
-	if !d.FTL.SamePlane([]ftl.LPN{1, 2}) {
+	if !geo.SamePlane(addrs[1:3]) {
 		t.Fatal("XOR co-operands must share a plane")
 	}
 }

@@ -18,10 +18,10 @@ func TestMergeReservoirsUnion(t *testing.T) {
 	if got, want := m.Count(), a.Count()+b.Count(); got != want {
 		t.Fatalf("merged count = %d, want %d", got, want)
 	}
-	if got, want := m.Sum(), a.Sum()+b.Sum(); got != want {
+	if got, want := m.sum, a.sum+b.sum; got != want {
 		t.Fatalf("merged sum = %d, want %d", got, want)
 	}
-	if got, want := m.Max(), b.Max(); got == 0 || got < want {
+	if got, want := m.Percentile(100), b.Percentile(100); got == 0 || got < want {
 		t.Fatalf("merged max = %d, want >= %d", got, want)
 	}
 	// Parts are untouched (the merge copies, never steals).
@@ -39,9 +39,9 @@ func TestMergeReservoirsSingleIsClone(t *testing.T) {
 		r.Add(v)
 	}
 	m := MergeReservoirs(r)
-	if m.Count() != r.Count() || m.Sum() != r.Sum() ||
+	if m.Count() != r.Count() || m.sum != r.sum ||
 		m.P99() != r.P99() || m.P9999() != r.P9999() ||
-		m.Mean() != r.Mean() || m.Max() != r.Max() {
+		m.Mean() != r.Mean() || m.Percentile(100) != r.Percentile(100) {
 		t.Fatal("single-part merge differs from the original reservoir")
 	}
 }

@@ -91,9 +91,6 @@ func (r *Reservoir) P99() sim.Time { return r.Percentile(99) }
 // P9999 is the 99.99th percentile.
 func (r *Reservoir) P9999() sim.Time { return r.Percentile(99.99) }
 
-// Max returns the largest sample (0 if empty).
-func (r *Reservoir) Max() sim.Time { return r.Percentile(100) }
-
 // Mean returns the arithmetic mean rounded to the nearest unit (0 if
 // empty). Samples are non-negative times, so half-up rounding suffices.
 func (r *Reservoir) Mean() sim.Time {
@@ -106,34 +103,13 @@ func (r *Reservoir) Mean() sim.Time {
 	return sim.Time((int64(r.sum) + n/2) / n)
 }
 
-// Clone returns an independent copy of the reservoir. Results handed out
-// by the harness hold cloned reservoirs so later device activity cannot
-// mutate them.
-func (r *Reservoir) Clone() *Reservoir {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Reservoir{
-		samples: append([]sim.Time(nil), r.samples...),
-		sum:     r.sum,
-		sorted:  r.sorted,
-	}
-}
-
-// Sum returns the total of all samples.
-func (r *Reservoir) Sum() sim.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sum
-}
-
-// MergeReservoirs returns a new reservoir holding the union of every
-// part's samples, concatenated in argument order. Percentile queries sort
-// lazily, so the union is order-insensitive for every derived statistic —
-// but the fixed concatenation order keeps the raw sample sequence (and
-// therefore Clone snapshots of it) run-for-run deterministic, which is
-// what lets a cluster's scatter-gather merge be byte-identical between
-// concurrent and serial shard execution. Nil parts are skipped; the parts
-// themselves are never mutated.
+// MergeReservoirs returns a new reservoir holding the union of every part's
+// samples, concatenated in argument order. Percentile queries sort lazily,
+// so the union is order-insensitive for every derived statistic — but the
+// fixed concatenation order keeps the raw sample sequence run-for-run
+// deterministic, which is what lets a cluster's scatter-gather merge be
+// byte-identical between concurrent and serial shard execution. Nil parts
+// are skipped; the parts themselves are never mutated.
 func MergeReservoirs(parts ...*Reservoir) *Reservoir {
 	out := NewReservoir()
 	for _, p := range parts {
@@ -188,11 +164,6 @@ func (c *Counters) Get(name string) int64 {
 		return c.vals[i]
 	}
 	return 0
-}
-
-// Clone returns an independent copy of the counter set.
-func (c *Counters) Clone() *Counters {
-	return &Counters{names: slices.Clone(c.names), vals: slices.Clone(c.vals)}
 }
 
 // Merge adds every counter of o into c, preserving c's first-use order

@@ -25,14 +25,14 @@ func TestReservoirPercentiles(t *testing.T) {
 	if got := r.P9999(); got != 100 {
 		t.Errorf("p99.99 = %v, want 100", got)
 	}
-	if got := r.Max(); got != 100 {
+	if got := r.Percentile(100); got != 100 {
 		t.Errorf("max = %v, want 100", got)
 	}
 	if got := r.Mean(); got != 51 {
 		// Exact mean is 50.5; Mean rounds to nearest, not down.
 		t.Errorf("mean = %v, want 51", got)
 	}
-	if got := r.Sum(); got != 5050 {
+	if got := r.sum; got != 5050 {
 		t.Errorf("sum = %v, want 5050", got)
 	}
 }
@@ -67,10 +67,10 @@ func TestReservoirCloneIsIndependent(t *testing.T) {
 	r := NewReservoir()
 	r.Add(10)
 	r.Add(20)
-	c := r.Clone()
+	c := MergeReservoirs(r) // a one-part merge is a clone
 	r.Add(1000)
-	if c.Count() != 2 || c.Max() != 20 {
-		t.Fatalf("clone saw later samples: count=%d max=%v", c.Count(), c.Max())
+	if c.Count() != 2 || c.Percentile(100) != 20 {
+		t.Fatalf("clone saw later samples: count=%d max=%v", c.Count(), c.Percentile(100))
 	}
 	c.Add(5)
 	if r.Count() != 3 {
@@ -80,7 +80,7 @@ func TestReservoirCloneIsIndependent(t *testing.T) {
 
 func TestReservoirEmpty(t *testing.T) {
 	r := NewReservoir()
-	if r.P99() != 0 || r.Max() != 0 || r.Mean() != 0 || r.Count() != 0 {
+	if r.P99() != 0 || r.Percentile(100) != 0 || r.Mean() != 0 || r.Count() != 0 {
 		t.Fatal("empty reservoir should report zeros")
 	}
 }
@@ -154,7 +154,8 @@ func TestCountersOfSharesNames(t *testing.T) {
 	a.Add("ftl.gc_runs", 4)
 	a.Add("dram.bbops", 5)
 	a.Merge(b)
-	c := a.Clone()
+	c := NewCounters()
+	c.Merge(a)
 	c.Add("core.cycles", 100)
 
 	if backing[3] != "spare" {
@@ -172,7 +173,7 @@ func TestCountersOfSharesNames(t *testing.T) {
 		t.Fatalf("sibling set changed: %v, core.cycles=%d", b.Names(), b.Get("core.cycles"))
 	}
 	if c.Get("core.cycles") != 111 || a.Get("core.cycles") != 11 {
-		t.Fatal("Clone is not independent")
+		t.Fatal("a merged copy is not independent")
 	}
 }
 
@@ -189,17 +190,17 @@ func TestReservoirOfAdopts(t *testing.T) {
 	if &r.samples[0] != &samples[0] {
 		t.Fatal("ReservoirOf copied the slice")
 	}
-	if r.Count() != added.Count() || r.Sum() != added.Sum() || r.Mean() != added.Mean() ||
-		r.Max() != added.Max() || r.Percentile(50) != added.Percentile(50) || r.P99() != added.P99() {
+	if r.Count() != added.Count() || r.sum != added.sum || r.Mean() != added.Mean() ||
+		r.Percentile(100) != added.Percentile(100) || r.Percentile(50) != added.Percentile(50) || r.P99() != added.P99() {
 		t.Fatal("adopted reservoir differs from the one built by Add")
 	}
 	if m := MergeReservoirs(r, added); m.Count() != 2*len(samples) {
 		t.Fatalf("merged count = %d", m.Count())
 	}
-	cl := r.Clone()
+	cl := MergeReservoirs(r)
 	r.Add(1000)
-	if cl.Count() != len(samples) || r.Count() != len(samples)+1 || r.Max() != 1000 {
-		t.Fatal("an adopted reservoir must still clone and grow")
+	if cl.Count() != len(samples) || r.Count() != len(samples)+1 || r.Percentile(100) != 1000 {
+		t.Fatal("an adopted reservoir must still copy and grow")
 	}
 }
 
@@ -252,8 +253,8 @@ func TestTableRender(t *testing.T) {
 	if tb.NumRows() != 2 {
 		t.Fatalf("NumRows = %d, want 2", tb.NumRows())
 	}
-	if tb.Cell(0, 0) != "AES" {
-		t.Fatalf("Cell(0,0) = %q", tb.Cell(0, 0))
+	if tb.rows[0][0] != "AES" {
+		t.Fatalf("cell (0,0) = %q", tb.rows[0][0])
 	}
 }
 
@@ -271,11 +272,11 @@ func TestTableCSVQuoting(t *testing.T) {
 func TestTableRowPadding(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("only-one")
-	if tb.Cell(0, 2) != "" {
+	if tb.rows[0][2] != "" {
 		t.Fatal("missing cells should render empty")
 	}
 	tb.AddRow("1", "2", "3", "4") // extra cell dropped
-	if tb.Cell(1, 2) != "3" {
+	if tb.rows[1][2] != "3" {
 		t.Fatal("extra cells should be dropped")
 	}
 }

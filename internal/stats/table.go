@@ -55,9 +55,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 // NumRows reports the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Cell returns the cell at (row, col); it panics on out-of-range indices.
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
-
 // Render writes the table to w as aligned text.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Columns))

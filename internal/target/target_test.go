@@ -65,7 +65,7 @@ func read(t *testing.T, p *peer) wire.Frame {
 
 func send(t *testing.T, p *peer, f wire.Frame) {
 	t.Helper()
-	b, err := wire.Encode(f)
+	b, err := wire.AppendFrame(nil, f)
 	if err == nil {
 		_, err = p.Write(b)
 	}
@@ -412,8 +412,8 @@ func TestRouterClientOverInMemoryListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Name() != "t0" || c.Addr() != "pipe" || !slices.Equal(c.Workloads(), []string{"jacobi-1d"}) {
-		t.Fatalf("Hello: target %q at %q serving %v", c.Name(), c.Addr(), c.Workloads())
+	if c.Name() != "t0" || !slices.Equal(c.Workloads(), []string{"jacobi-1d"}) {
+		t.Fatalf("Hello: target %q serving %v", c.Name(), c.Workloads())
 	}
 	resp, err := c.Do(wire.Request{Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
 	if err != nil || resp.Code != wire.CodeOK || resp.Result == nil || resp.Result.Decisions == 0 {
@@ -458,7 +458,7 @@ func TestRequestAfterDrainAck(t *testing.T) {
 	if ack, ok := read(t, p).(wire.DrainAck); !ok || ack.ID != 1 {
 		t.Fatalf("answer to Drain = %+v, want DrainAck 1", ack)
 	}
-	b, err := wire.Encode(wire.Request{ID: 2, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+	b, err := wire.AppendFrame(nil, wire.Request{ID: 2, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestWorstCaseScrapeFitsOneFrame(t *testing.T) {
 	if len(samples) > wire.MaxList {
 		t.Errorf("worst-case scrape holds %d series, over wire.MaxList %d", len(samples), wire.MaxList)
 	}
-	if _, err := wire.Encode(wire.Snapshot{ID: 1, Target: "t0", Samples: samples}); err != nil {
+	if _, err := wire.AppendFrame(nil, wire.Snapshot{ID: 1, Target: "t0", Samples: samples}); err != nil {
 		t.Errorf("worst-case scrape does not encode: %v", err)
 	}
 }

@@ -137,11 +137,6 @@ func (t *Tracer) ShouldSample(seq uint64) bool {
 	return (seq-1)%uint64(t.opts.SampleEvery) == 0
 }
 
-// WallClocked reports whether the tracer holds an injected wall clock;
-// call sites use it to gate events that are only meaningful (and only
-// deterministic) on the operational timeline.
-func (t *Tracer) WallClocked() bool { return t != nil && t.opts.Now != nil }
-
 func (t *Tracer) now() int64 {
 	if t == nil || t.opts.Now == nil {
 		return 0
@@ -315,17 +310,6 @@ func (sp *Span) Adopt(process string, spans []*Span) {
 	}
 	tr.remote[process] = append(tr.remote[process], spans...)
 	tr.mu.Unlock()
-}
-
-// WallClocked reports whether the span's tracer holds an injected wall
-// clock. Call sites use it to gate events whose presence depends on
-// scheduling races (a pool hit vs. miss) so deterministic traces never
-// record them.
-func (sp *Span) WallClocked() bool {
-	if sp == nil || sp.tr == nil {
-		return false
-	}
-	return sp.tr.tracer.WallClocked()
 }
 
 // Ctx returns the wire context that makes a downstream request continue

@@ -73,18 +73,12 @@ func TestWallFieldsOmittedWithoutClock(t *testing.T) {
 	if bytes.Contains(exportJSONL(t, cold), []byte("wall_")) {
 		t.Error("unclocked tracer leaked wall fields into the export")
 	}
-	if cold.WallClocked() {
-		t.Error("unclocked tracer claims WallClocked")
-	}
 
 	var tick int64
 	warm := New(Options{SampleEvery: 1, Now: func() int64 { tick += 10; return tick }})
 	driveTrace(warm, 1, false)
 	if !bytes.Contains(exportJSONL(t, warm), []byte("wall_start_ns")) {
 		t.Error("clocked tracer recorded no wall fields")
-	}
-	if !warm.WallClocked() {
-		t.Error("clocked tracer denies WallClocked")
 	}
 }
 
@@ -143,7 +137,7 @@ func TestSampling(t *testing.T) {
 // sites thread spans unconditionally.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.ShouldSample(1) || tr.WallClocked() || tr.Start(1) != nil || tr.Spans() != nil {
+	if tr.ShouldSample(1) || tr.Start(1) != nil || tr.Spans() != nil {
 		t.Error("nil Tracer did something")
 	}
 	var trace *Trace
@@ -154,7 +148,7 @@ func TestNilSafety(t *testing.T) {
 	sp.End(1)
 	sp.Event("e", 0)
 	sp.SetAttr("k", "v")
-	if sp.Child("c", "", 0) != nil || sp.WallClocked() || sp.Ctx() != (Ctx{}) {
+	if sp.Child("c", "", 0) != nil || sp.Ctx() != (Ctx{}) {
 		t.Error("nil Span did something")
 	}
 }

@@ -39,11 +39,6 @@ func ToSigned(v uint64, elem int) int64 {
 	return int64(v<<shift) >> shift
 }
 
-// FromSigned truncates a signed value into element representation.
-func FromSigned(v int64, elem int) uint64 {
-	return uint64(v) & Mask(elem)
-}
-
 // Broadcast fills dst with the immediate value v in every lane. The
 // specialized implementation stores one lane and doubles it across the
 // page; BroadcastGeneric is the lane-serial reference.

@@ -163,7 +163,7 @@ func TestDecodeCorpusIsCurrent(t *testing.T) {
 // exactly as Decode decodes them.
 func checkRoundTrip[F Frame](t *testing.T, f F) {
 	t.Helper()
-	enc, err := Encode(f)
+	enc, err := AppendFrame(nil, f)
 	if err != nil {
 		t.Fatalf("%T: encode: %v", f, err)
 	}

@@ -691,7 +691,7 @@ func encode(dst []byte, f Frame) ([]byte, error) {
 
 // Append encodes f (version, type, body — everything but the length
 // prefix) onto dst and returns the extended slice. It does not report
-// limit violations; Encode does.
+// limit violations; AppendFrame does.
 func Append(dst []byte, f Frame) []byte {
 	dst, _ = encode(dst, f)
 	return dst
@@ -718,10 +718,6 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	binary.BigEndian.PutUint32(out[start:], uint32(n))
 	return out, nil
 }
-
-// Encode returns f as a complete wire frame in a fresh buffer: AppendFrame
-// onto nil.
-func Encode(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
 
 // Decode parses one frame payload (version byte, type byte, body). It
 // enforces the protocol version, the per-field limits, and exact

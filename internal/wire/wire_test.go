@@ -73,7 +73,7 @@ func sampleFrames() []Frame {
 // the bytes).
 func TestFrameRoundTrip(t *testing.T) {
 	for i, f := range sampleFrames() {
-		enc, err := Encode(f)
+		enc, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatalf("frame %d (%T): encode: %v", i, f, err)
 		}
@@ -84,7 +84,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, f) {
 			t.Errorf("frame %d (%T): round trip changed the frame\n got: %+v\nwant: %+v", i, f, got, f)
 		}
-		re, err := Encode(got)
+		re, err := AppendFrame(nil, got)
 		if err != nil {
 			t.Fatalf("frame %d (%T): re-encode: %v", i, f, err)
 		}
@@ -134,11 +134,11 @@ func TestWireRoundTrip(t *testing.T) {
 	resp := func(spans []*trace.Span) Response {
 		return Response{ID: 1, Code: CodeError, Error: "x", Recovery: serve.Recovery{Attempts: 2, BackoffSim: 7}, Spans: spans}
 	}
-	enc, err := Encode(resp(spans))
+	enc, err := AppendFrame(nil, resp(spans))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Encode(resp(zeroed))
+	want, err := AppendFrame(nil, resp(zeroed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestWireRoundTrip(t *testing.T) {
 	sp := back.Spans[0]
 	sp.End(123)
 	sp.Event("late", 0)
-	if sp.WallClocked() || sp.WallEndNS != 0 || sp.Events[len(sp.Events)-1].WallNS != 0 {
+	if sp.WallEndNS != 0 || sp.Events[len(sp.Events)-1].WallNS != 0 {
 		t.Error("a decoded span took a wall clock")
 	}
 }
@@ -225,7 +225,7 @@ func TestReaderFramesOutliveTheBuffer(t *testing.T) {
 	overwrite := Request{ID: 4, Tenant: strings.Repeat("x", 9), Workload: "zzz", Policy: strings.Repeat("y", maxInternLen+1)}
 	for _, f := range first {
 		for _, next := range []Frame{overwrite, big} {
-			b, err := Encode(f)
+			b, err := AppendFrame(nil, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestReaderInternTableIsBounded(t *testing.T) {
 		t.Errorf("intern table holds %d strings, cap %d", len(r.dec.intern), maxInterned)
 	}
 
-	one, err := Encode(Request{ID: 1, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "DM-Offloading"})
+	one, err := AppendFrame(nil, Request{ID: 1, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "DM-Offloading"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}
 	reader := func(f Frame) *Reader {
-		b, err := Encode(f)
+		b, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,8 +385,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			Samples: []metrics.Sample{{Name: "m", Kind: metrics.Kind(9)}}},
 	}
 	for name, f := range cases {
-		if _, err := Encode(f); err == nil {
-			t.Errorf("%s: Encode accepted an invalid frame", name)
+		if _, err := AppendFrame(nil, f); err == nil {
+			t.Errorf("%s: AppendFrame accepted an invalid frame", name)
 		}
 	}
 

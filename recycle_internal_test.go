@@ -12,6 +12,7 @@ import (
 	"conduit/internal/offload"
 	"conduit/internal/serve"
 	"conduit/internal/ssd"
+	"conduit/internal/stats"
 )
 
 // parked reports how many used devices d's free list holds, restored
@@ -124,7 +125,7 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 		t.Fatalf("%d devices parked after a served run, want 1", n)
 	}
 	first := dep.used[0]
-	if !first.Consumed() {
+	if first.En.ComputeTotal() == 0 { // a deploy resets the energy account; a run charges it
 		t.Error("the parked device is not the one that ran")
 	}
 	// A failing run's fork takes the parked device like any other fork,
@@ -288,7 +289,7 @@ func TestCloseEndsRecycling(t *testing.T) {
 		t.Fatalf("Get: %p, %v; want the buffered fork", got, err)
 	}
 	waitBuffered(next)
-	if got, err := next.Get(); err != nil || got != dev || got.Consumed() {
+	if got, err := next.Get(); err != nil || got != dev || got.En.ComputeTotal() != 0 {
 		t.Fatalf("Get: %p, %v; want the parked device %p, restored", got, err, dev)
 	}
 	// Let the refiller fill the slot that Get freed, so the counters stand
@@ -322,7 +323,8 @@ func TestServedResultSurvivesRecycling(t *testing.T) {
 	}
 	kept := do("Conduit")
 	decisions := append([]Decision(nil), kept.Decisions...)
-	latencies, counters := kept.InstLatencies.Clone(), kept.Counters.Clone()
+	latencies, counters := stats.MergeReservoirs(kept.InstLatencies), stats.NewCounters()
+	counters.Merge(kept.Counters)
 	policies := []string{"DM-Offloading", "Conduit", "Ares-Flash", "BW-Offloading", "ISP"}
 	for i := 0; i < 20; i++ {
 		do(policies[i%len(policies)])
@@ -333,8 +335,8 @@ func TestServedResultSurvivesRecycling(t *testing.T) {
 	if !reflect.DeepEqual(kept.Decisions, decisions) {
 		t.Error("a kept result's Decisions changed while its device was reused")
 	}
-	if kl := kept.InstLatencies; kl.Count() != latencies.Count() || kl.Sum() != latencies.Sum() ||
-		kl.Max() != latencies.Max() || kl.Percentile(50) != latencies.Percentile(50) || kl.P99() != latencies.P99() {
+	if kl := kept.InstLatencies; kl.Count() != latencies.Count() || kl.Mean() != latencies.Mean() ||
+		kl.Percentile(100) != latencies.Percentile(100) || kl.Percentile(50) != latencies.Percentile(50) || kl.P99() != latencies.P99() {
 		t.Error("a kept result's InstLatencies changed while its device was reused")
 	}
 	if !reflect.DeepEqual(kept.Counters, counters) {

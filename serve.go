@@ -31,13 +31,6 @@ type (
 	// whose wire context demands sampling, and keeps every span on the
 	// deterministic simulated timeline.
 	TraceOptions = trace.Options
-	// TraceCtx is a propagated trace context: requests carrying one with
-	// Sampled set are recorded regardless of the sampling cadence, letting
-	// a router stitch fleet-wide traces out of per-target spans.
-	TraceCtx = trace.Ctx
-	// TraceSpan is one recorded span (see internal/trace for the span
-	// model and the dual-timeline rule).
-	TraceSpan = trace.Span
 	// MetricSample is one series in a metrics snapshot (internal/metrics).
 	MetricSample = metrics.Sample
 )

@@ -265,8 +265,7 @@ func TestDeploymentPreforkMatchesInlineFork(t *testing.T) {
 func TestUnknownPolicyErrorListsAllNames(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	sys := conduit.NewSystem(cfg)
-	src := quickstartSource(2 * 16384)
-	c, err := conduit.Compile(src, &cfg)
+	c, err := conduit.Compile(quickstartSource(2*16384), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +285,6 @@ func TestUnknownPolicyErrorListsAllNames(t *testing.T) {
 			}
 		}
 	}
-	_, err = sys.Run(src, "bogus")
-	check("System.Run", err)
 	_, err = sys.RunCompiled(c, "bogus")
 	check("System.RunCompiled", err)
 	_, err = dep.Run("bogus")
