@@ -400,7 +400,12 @@ func TestBlankTemplateMatchesNewDrive(t *testing.T) {
 // BenchmarkForkRestore is the warm fork: a device that has run its
 // workload, and so owns every table chunk the run writes, restored in
 // place from the frozen master. Run with -benchmem: 0 allocs/op is the
-// point (a clone, the cold fork, is TestForkAllocBudget's 56 KiB).
+// point (a clone, the cold fork, is TestForkAllocBudget's 56 KiB). The
+// loop restores with no run in between, so no table chunk is dirty and
+// what it times is the restore's fixed part: the flat copies (calendars,
+// buffers, slot and page indexes, the mapping cache, the coherence
+// directory) with no chunk walk. A served request adds a copy of each
+// chunk its run wrote.
 func BenchmarkForkRestore(b *testing.B) {
 	dep := deployWorkload(b, NewSystem(DefaultConfig()), "jacobi-1d", 1)
 	dev := dep.master.Clone()

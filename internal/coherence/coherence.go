@@ -17,28 +17,16 @@ func (l Location) String() string {
 	return [...]string{"flash", "dram", "buffer"}[l]
 }
 
-// State is the modification state of a page.
-type State uint8
-
-// Modification states.
-const (
-	Clean State = iota
-	Dirty
-)
-
-// String names the state.
-func (s State) String() string {
-	return [...]string{"clean", "dirty"}[s]
-}
-
 // maxVersion is the wrap limit of the one-byte version counter. The
 // protocol flushes a page before its counter can wrap (§4.4 footnote 4).
 const maxVersion = 255
 
-// entry is one page's coherence metadata (the three L2P fields).
+// entry is one page's coherence metadata. Of the paper's three L2P
+// fields the modification state is implied by the version: a page is
+// dirty exactly when it has been modified since its last sync, that is
+// when its version is above 0.
 type entry struct {
 	owner   Location
-	state   State
 	version uint8
 }
 
@@ -63,8 +51,8 @@ func (d *Directory) NeedsFlush(p int) bool {
 }
 
 // Modify records that owner produced a new version of page p. Per §4.4:
-// the owner field moves to the modifying resource, the state becomes
-// dirty, and the version increments. Repeated modification by the same
+// the owner field moves to the modifying resource and the version
+// increments, which makes the page dirty. Repeated modification by the same
 // owner only bumps the version. It panics if the version would wrap —
 // the runtime must honor NeedsFlush first; wrapping silently would
 // break stale-copy detection.
@@ -74,23 +62,22 @@ func (d *Directory) Modify(p int, owner Location) {
 		panic(fmt.Sprintf("coherence: page %d version would wrap; flush first", p))
 	}
 	e.owner = owner
-	e.state = Dirty
 	e.version++
 }
 
 // Relocate records that the latest version of page p moved to owner
 // without being modified (e.g. a latch-resident result copied out to DRAM
-// before the latches are reused). State and version are unchanged.
+// before the latches are reused). The version is unchanged.
 func (d *Directory) Relocate(p int, owner Location) {
 	d.entries[p].owner = owner
 }
 
 // Sync records that page p was committed to NAND flash — by an eviction
 // (a §4.4 synchronization trigger) or a flush before its version counter
-// wraps: the owner reverts to flash, the state to clean, and the version
-// resets.
+// wraps: the owner reverts to flash and the version resets to 0, which
+// makes the page clean.
 func (d *Directory) Sync(p int) {
-	d.entries[p] = entry{owner: LocFlash, state: Clean}
+	d.entries[p] = entry{owner: LocFlash}
 }
 
 // Restore makes d an independent copy of src in place, reusing d's entry

@@ -9,7 +9,7 @@ func TestInitialStateFlashClean(t *testing.T) {
 	d := NewDirectory(4)
 	for p := 0; p < 4; p++ {
 		e := d.entries[p]
-		if e.owner != LocFlash || e.state != Clean || e.version != 0 {
+		if e.owner != LocFlash || e.version != 0 {
 			t.Fatalf("page %d initial entry = %+v", p, e)
 		}
 	}
@@ -22,7 +22,7 @@ func TestModifyTransfersOwnershipAndBumpsVersion(t *testing.T) {
 	d := NewDirectory(2)
 	d.Modify(0, LocDRAM)
 	e := d.entries[0]
-	if e.owner != LocDRAM || e.state != Dirty || e.version != 1 {
+	if e.owner != LocDRAM || e.version != 1 {
 		t.Fatalf("after modify: %+v", e)
 	}
 	// Same-owner modification only bumps the version (§4.4).
@@ -42,7 +42,7 @@ func TestSyncCommitsToFlashAndResets(t *testing.T) {
 	d.Modify(0, LocDRAM)
 	d.Sync(0)
 	e := d.entries[0]
-	if e.owner != LocFlash || e.state != Clean || e.version != 0 {
+	if e.owner != LocFlash || e.version != 0 {
 		t.Fatalf("after sync: %+v", e)
 	}
 }
@@ -80,28 +80,33 @@ func TestVersionWrapPanics(t *testing.T) {
 }
 
 // Property: after any interleaving of modifications and syncs, the
-// invariants hold: version 0 iff never modified since last sync; dirty iff
-// version > 0; owner is flash whenever clean.
+// invariants hold: a page is dirty (version > 0) exactly when it was
+// modified since its last sync, and its owner is flash whenever it is
+// clean (version 0).
 func TestProtocolInvariantsProperty(t *testing.T) {
 	f := func(script []uint8) bool {
 		d := NewDirectory(3)
+		var modified [3]bool // modified since the page's last sync
 		for _, b := range script {
 			p := int(b) % 3
 			switch (b >> 4) % 3 {
 			case 0:
 				if !d.NeedsFlush(p) {
 					d.Modify(p, LocDRAM)
+					modified[p] = true
 				}
 			case 1:
 				if !d.NeedsFlush(p) {
 					d.Modify(p, LocBuffer)
+					modified[p] = true
 				}
 			case 2:
 				d.Sync(p)
+				modified[p] = false
 			}
 			e := d.entries[p]
-			dirty := e.state == Dirty
-			if dirty != (e.version > 0) {
+			dirty := e.version > 0
+			if dirty != modified[p] {
 				return false
 			}
 			if !dirty && e.owner != LocFlash {
@@ -118,8 +123,5 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 func TestStringers(t *testing.T) {
 	if LocFlash.String() != "flash" || LocDRAM.String() != "dram" || LocBuffer.String() != "buffer" {
 		t.Fatal("location names wrong")
-	}
-	if Clean.String() != "clean" || Dirty.String() != "dirty" {
-		t.Fatal("state names wrong")
 	}
 }

@@ -96,7 +96,7 @@ type Core struct {
 
 // New returns the compute core for cfg, charging energy to en.
 func New(cfg *config.SSD, en *energy.Account) *Core {
-	return &Core{cfg: cfg, en: en, timing: cfg.TimingOnly, cal: *sim.NewCalendar("isp-core"), pool: arena.New(cfg.PageSize)}
+	return &Core{cfg: cfg, en: en, timing: cfg.TimingOnly, pool: arena.New(cfg.PageSize)}
 }
 
 // outBuffer returns a result buffer of the given size, recycling dead

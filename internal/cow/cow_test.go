@@ -12,8 +12,12 @@ import (
 // through one table is never visible through its parent, a sibling or a
 // descendant. Restore takes any table of the family as its source — one
 // that still owns chunks, a frozen one, the destination itself — and now
-// and then a table of another length.
+// and then a table of another length. A table also restores again from
+// its last source, with writes to both sides, freezes and restores of the
+// source in between: unchanged, that source is restored warm (only the
+// destination's dirty chunks copied back); changed, the table walks it.
 func TestModelRandomOps(t *testing.T) {
+	var warm, changed int
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(3*ChunkLen+ChunkLen/2) // whole and short last chunks alike
@@ -21,12 +25,26 @@ func TestModelRandomOps(t *testing.T) {
 		first := New(n, fill)
 		tables := []*Table[int32]{&first}
 		models := [][]int32{make([]int32, n)}
+		last := []int{-1} // last[k]: the index of tables[k]'s last source, -1 for none
 		for i := range models[0] {
 			models[0][i] = fill
 		}
+		restore := func(k, j int) {
+			dst, src := tables[k], tables[j]
+			if dst.src == src {
+				if dst.srcEpoch == src.epoch && len(src.dirtied) == 0 {
+					warm++
+				} else {
+					changed++
+				}
+			}
+			dst.Restore(src)
+			models[k] = append([]int32(nil), models[j]...)
+			last[k] = j
+		}
 		for step := 0; step < 400; step++ {
 			k := rng.Intn(len(tables))
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 6:
 				// Writes cluster on a few chunks so shared and owned
 				// chunks are both hit repeatedly.
@@ -39,31 +57,31 @@ func TestModelRandomOps(t *testing.T) {
 				c.Restore(tables[k])
 				tables = append(tables, c)
 				models = append(models, append([]int32(nil), models[k]...))
+				last = append(last, k)
 			case op < 8:
-				src, srcModel := tables[rng.Intn(len(tables))], []int32(nil)
-				for j := range tables {
-					if tables[j] == src {
-						srcModel = models[j]
-					}
-				}
+				j := rng.Intn(len(tables))
 				if rng.Intn(8) == 0 && len(tables) < 12 {
 					// A table of another length joins the family: one
 					// chunk owned, the rest shared fill.
 					m := 1 + rng.Intn(4*ChunkLen)
 					other := New(m, int32(step))
-					srcModel = make([]int32, m)
-					for i := range srcModel {
-						srcModel[i] = int32(step)
+					model := make([]int32, m)
+					for i := range model {
+						model[i] = int32(step)
 					}
 					other.Set(m-1, -7)
-					srcModel[m-1] = -7
-					src = &other
-					tables = append(tables, src)
-					models = append(models, srcModel)
+					model[m-1] = -7
+					tables = append(tables, &other)
+					models = append(models, model)
+					last = append(last, -1)
+					j = len(tables) - 1
 				}
-				tables[k].Restore(src)
-				models[k] = append([]int32(nil), srcModel...)
-			case op < 9:
+				restore(k, j)
+			case op < 10:
+				if last[k] >= 0 {
+					restore(k, last[k])
+				}
+			case op < 11:
 				tables[k].Freeze()
 			default:
 				i := rng.Intn(len(models[k]))
@@ -76,6 +94,9 @@ func TestModelRandomOps(t *testing.T) {
 			}
 		}
 		checkAll(t, seed, -1, tables, models)
+	}
+	if warm == 0 || changed == 0 {
+		t.Errorf("%d warm restores and %d restores from a changed source: the model exercises both paths only when neither is 0", warm, changed)
 	}
 }
 
@@ -161,10 +182,10 @@ func TestRestoreKeepsOwnedChunks(t *testing.T) {
 		t.Errorf("restore + rewrite of owned chunks allocates %v objects, want 0", allocs)
 	}
 	fork.Restore(&master)
-	if fork.chunks[0] != own0 || !fork.owned[0] || fork.At(0) != 7 || fork.At(n-1) != 7 {
+	if fork.chunks[0] != own0 || fork.state[0] != clean || fork.At(0) != 7 || fork.At(n-1) != 7 {
 		t.Error("an owned chunk was not overwritten in place")
 	}
-	if fork.chunks[1] != master.chunks[1] || fork.owned[1] || fork.At(ChunkLen+1) != 11 {
+	if fork.chunks[1] != master.chunks[1] || fork.state[1] != shared || fork.At(ChunkLen+1) != 11 {
 		t.Error("an unowned chunk does not alias the source's")
 	}
 	if master.At(0) != 7 || master.At(n-1) != 7 {
@@ -172,11 +193,70 @@ func TestRestoreKeepsOwnedChunks(t *testing.T) {
 	}
 }
 
+// TestWarmRestoreCopiesOnlyDirtyChunks pins the warm path: restored again
+// from an unchanged source, a table copies back its dirty chunks and
+// nothing else — a clean chunk keeps its pointer and is not rewritten,
+// which the test sees by scribbling into one behind Set's back — and no
+// chunk is dirty afterwards. Once the source has changed in any way the
+// restore walks every chunk again and repairs the scribble.
+func TestWarmRestoreCopiesOnlyDirtyChunks(t *testing.T) {
+	const n = 4 * ChunkLen
+	master := New[int32](n, 7)
+	master.Freeze()
+	var fork Table[int32]
+	fork.Restore(&master)
+	for c := 0; c < 3; c++ {
+		fork.Set(c*ChunkLen, 1) // chunks 0-2 owned; 3 still shared
+	}
+	fork.Restore(&master)
+	own1 := fork.chunks[1]
+	fork.Set(0, 2) // dirty: copied back by the warm restore
+	own1[5] = -1   // clean: a warm restore never looks at it
+	fork.Restore(&master)
+	for c, st := range fork.state {
+		if st == dirty {
+			t.Errorf("chunk %d is dirty after a warm restore", c)
+		}
+	}
+	if len(fork.dirtied) != 0 {
+		t.Errorf("%d chunks still listed dirty after a warm restore", len(fork.dirtied))
+	}
+	if fork.At(0) != 7 {
+		t.Error("the warm restore did not copy back a dirty chunk")
+	}
+	if fork.chunks[1] != own1 || fork.state[1] != clean || fork.At(ChunkLen+5) != -1 {
+		t.Error("the warm restore touched an untouched owned chunk")
+	}
+	if fork.chunks[3] != master.chunks[3] {
+		t.Error("a shared chunk stopped aliasing the source's")
+	}
+
+	for _, change := range []struct {
+		name string
+		do   func()
+	}{
+		{"a write", func() { master.Set(3*ChunkLen, 9) }},
+		{"a freeze", func() { master.Freeze() }},
+		{"a restore", func() { other := New[int32](n, 5); master.Restore(&other) }},
+	} {
+		own1[5] = -1
+		change.do()
+		want := master.At(ChunkLen + 5)
+		fork.Restore(&master)
+		if got := fork.At(ChunkLen + 5); got != want {
+			t.Errorf("after %s to the source, restore left %d in a clean chunk, want %d", change.name, got, want)
+		}
+		master.Freeze()
+		fork.Restore(&master)
+	}
+}
+
 // TestFrozenTableClonesConcurrently is the deployment's access pattern
 // under the race detector: several goroutines clone one frozen table at
 // once and each writes its own clone, on the same indices, while as many
-// again keep restoring one table of their own from it and writing that.
-// Every copy sees only its own writes and the frozen table never changes.
+// again keep restoring one table of their own from it — warm after the
+// first round — and writing that. Every copy sees only its own writes and
+// the frozen table never changes.
 func TestFrozenTableClonesConcurrently(t *testing.T) {
 	const n = 5*ChunkLen + 100
 	master := New[int64](n, 7)
@@ -199,10 +279,11 @@ func TestFrozenTableClonesConcurrently(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				if w%2 == 0 {
 					c = Table[int64]{}
-					c.Restore(&master)
-				} else {
-					c.Restore(&master)
+				} else if round > 0 && (c.src != &master || c.srcEpoch != master.epoch) {
+					t.Errorf("worker %d round %d: the restore from an unchanged master is not warm", w, round)
+					return
 				}
+				c.Restore(&master)
 				for i := w; i < n; i += 13 {
 					c.Set(i, int64(-w-1))
 				}

@@ -106,7 +106,6 @@ func NewModule(cfg *config.SSD, en *energy.Account) *Module {
 		en:     en,
 		timing: cfg.TimingOnly,
 		units:  *sim.NewGroup("pud-unit", ComputeUnits),
-		bus:    *sim.NewCalendar("dram-bus"),
 		state:  make([]uint8, capacity),
 		pool:   arena.New(cfg.PageSize),
 	}

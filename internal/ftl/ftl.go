@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"maps"
 
 	"conduit/internal/config"
 	"conduit/internal/cow"
@@ -436,7 +435,7 @@ func (f *FTL) Restore(src *FTL, arr *nand.Array) {
 	f.freeBlocks.Restore(&src.freeBlocks)
 	f.planes = append(f.planes[:0], src.planes...)
 	if f.cache == nil {
-		f.cache = &mappingCache{index: make(map[LPN]int32, len(src.cache.index))}
+		f.cache = new(mappingCache)
 	}
 	f.cache.restore(src.cache)
 	f.nextPlane = src.nextPlane
@@ -479,18 +478,18 @@ func maxTime(a, b sim.Time) sim.Time {
 
 // mappingCache is a fixed-capacity LRU of cached L2P entries (the DFTL
 // cached mapping table). Nodes live in a flat slab indexed by int32 and
-// linked by slab index rather than by pointer: copying the cache — which
-// Device.Restore does for every deployment fork — is then one slice copy
-// plus one map copy instead of an allocation per cached entry, and the
-// slab stays dense (freed slots are recycled through a free list
-// threaded over next).
+// linked by slab index rather than by pointer, and the index is a slice
+// indexed by LPN, as long as the largest LPN ever cached needs — a
+// program's pages, not the drive's — so a lookup is a slice load and
+// copying the cache, which Device.Restore does for every deployment fork,
+// is two slice copies. Entries are never removed but by eviction, whose
+// slot the new entry takes, so the slab is exactly the cached entries.
 type mappingCache struct {
 	capacity int
-	index    map[LPN]int32 // lpn -> slab slot
-	nodes    []cacheNode
-	head     int32 // most recent, -1 if empty
-	tail     int32 // least recent, -1 if empty
-	free     int32 // free-slot list head (threaded through next), -1 if none
+	index    []int32     // lpn -> slab slot + 1, 0 if not cached
+	nodes    []cacheNode // one per cached entry
+	head     int32       // most recent, -1 if empty
+	tail     int32       // least recent, -1 if empty
 }
 
 type cacheNode struct {
@@ -502,39 +501,23 @@ func newMappingCache(capacity int) *mappingCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &mappingCache{
-		capacity: capacity,
-		index:    make(map[LPN]int32),
-		head:     -1, tail: -1, free: -1,
-	}
+	return &mappingCache{capacity: capacity, head: -1, tail: -1}
 }
 
 // restore makes c a copy of src in place, preserving the exact recency
 // order and reusing c's slab and index storage.
 func (c *mappingCache) restore(src *mappingCache) {
-	c.capacity, c.head, c.tail, c.free = src.capacity, src.head, src.tail, src.free
-	clear(c.index)
-	maps.Copy(c.index, src.index)
+	c.capacity, c.head, c.tail = src.capacity, src.head, src.tail
+	c.index = append(c.index[:0], src.index...)
 	c.nodes = append(c.nodes[:0], src.nodes...)
-}
-
-// alloc returns a free slab slot, growing the slab if none is free.
-func (c *mappingCache) alloc() int32 {
-	if c.free != -1 {
-		i := c.free
-		c.free = c.nodes[i].next
-		return i
-	}
-	c.nodes = append(c.nodes, cacheNode{})
-	return int32(len(c.nodes) - 1)
 }
 
 // touch reports whether lpn is cached, refreshing its recency.
 func (c *mappingCache) touch(lpn LPN) bool {
-	i, ok := c.index[lpn]
-	if !ok {
+	if int(lpn) >= len(c.index) || c.index[lpn] == 0 {
 		return false
 	}
+	i := c.index[lpn] - 1
 	c.unlink(i)
 	c.pushFront(i)
 	return true
@@ -545,16 +528,20 @@ func (c *mappingCache) insert(lpn LPN) {
 	if c.touch(lpn) {
 		return
 	}
-	if len(c.index) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.index, c.nodes[lru].lpn)
-		c.nodes[lru].next = c.free
-		c.free = lru
+	var i int32
+	if len(c.nodes) >= c.capacity {
+		i = c.tail
+		c.unlink(i)
+		c.index[c.nodes[i].lpn] = 0
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, cacheNode{})
 	}
-	i := c.alloc()
+	if grow := int(lpn) + 1 - len(c.index); grow > 0 {
+		c.index = append(c.index, make([]int32, grow)...)
+	}
 	c.nodes[i] = cacheNode{lpn: lpn}
-	c.index[lpn] = i
+	c.index[lpn] = i + 1
 	c.pushFront(i)
 }
 

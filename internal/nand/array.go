@@ -132,12 +132,6 @@ func NewArray(cfg *config.SSD, en *energy.Account) *Array {
 		dies:      make([]sim.Calendar, cfg.TotalDies()),
 		bus:       make([]sim.Calendar, cfg.Channels),
 	}
-	for d := range a.dies {
-		a.dies[d] = *sim.NewCalendar(fmt.Sprintf("die%d", d))
-	}
-	for c := range a.bus {
-		a.bus[c] = *sim.NewCalendar(fmt.Sprintf("flashch%d", c))
-	}
 	// Table 2 gives no program/erase energies; scale the sense energy by
 	// the latency ratio, which matches published NAND power envelopes.
 	a.eProg = cfg.EReadPerChannel * float64(cfg.TProg) / float64(cfg.TRead)

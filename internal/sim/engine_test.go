@@ -127,7 +127,7 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestCalendarQueueing(t *testing.T) {
-	c := NewCalendar("bus")
+	c := new(Calendar)
 	s, e := c.Reserve(0, 0, 100)
 	if s != 0 || e != 100 {
 		t.Fatalf("first reserve = [%v,%v), want [0,100)", s, e)
@@ -148,7 +148,7 @@ func TestCalendarQueueing(t *testing.T) {
 }
 
 func TestCalendarNotBeforeConstraint(t *testing.T) {
-	c := NewCalendar("bank")
+	c := new(Calendar)
 	s, _ := c.Reserve(0, 42, 10)
 	if s != 42 {
 		t.Fatalf("start = %v, want 42 (operand availability)", s)
@@ -156,7 +156,7 @@ func TestCalendarNotBeforeConstraint(t *testing.T) {
 }
 
 func TestCalendarUtilization(t *testing.T) {
-	c := NewCalendar("core")
+	c := new(Calendar)
 	c.Reserve(0, 0, 250)
 	if u := c.Utilization(1000); u != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", u)
@@ -190,7 +190,7 @@ func TestGroupPicksEarliestMember(t *testing.T) {
 // handed out in non-decreasing start order for non-decreasing arrivals.
 func TestCalendarNoOverlapProperty(t *testing.T) {
 	f := func(durs []uint16) bool {
-		c := NewCalendar("p")
+		c := new(Calendar)
 		var now, lastEnd Time
 		for _, d := range durs {
 			now += Time(d % 64) // arrivals move forward

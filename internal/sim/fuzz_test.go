@@ -86,7 +86,7 @@ func FuzzCalendarReserve(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1})
 	f.Add([]byte{255, 200, 100, 64, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewCalendar("fuzz")
+		c := new(Calendar)
 		var now Time
 		for len(data) >= 4 {
 			adv, nbOff, dRaw, nRaw := data[0], data[1], data[2], data[3]

@@ -18,7 +18,7 @@ func quickCfg(seed int64, max int) *quick.Config {
 // time never exceeds the horizon (work conservation).
 func TestPropertyReserveMonotone(t *testing.T) {
 	f := func(steps []uint32) bool {
-		c := NewCalendar("prop")
+		c := new(Calendar)
 		var now Time
 		for _, s := range steps {
 			now += Time(s % 97)
@@ -40,7 +40,7 @@ func TestPropertyReserveMonotone(t *testing.T) {
 // exactly the clamped horizon distance.
 func TestPropertyQueueDelayConsistent(t *testing.T) {
 	f := func(steps []uint32) bool {
-		c := NewCalendar("prop")
+		c := new(Calendar)
 		var now Time
 		for _, s := range steps {
 			now += Time(s % 97)

@@ -134,27 +134,34 @@ func (s *scribbler) scribble(v reflect.Value) {
 }
 
 // scribbleTable leaves a cow.Table valid but wrong, alternately in the two
-// ways Restore has to cope with: every chunk owned and full of garbage
-// (overwritten in place), or a table of another length that owns nothing.
+// ways Restore has to cope with: every chunk owned, dirty and full of
+// garbage (so even a warm restore, which copies back only dirty chunks,
+// must overwrite them all), or a table of another length that owns
+// nothing and remembers no source (so the restore walks it).
 func (s *scribbler) scribbleTable(v reflect.Value) {
-	n, chunks, owned := lift(v.FieldByName("n")), lift(v.FieldByName("chunks")), lift(v.FieldByName("owned"))
+	n, chunks, state := lift(v.FieldByName("n")), lift(v.FieldByName("chunks")), lift(v.FieldByName("state"))
+	dirtied, src := lift(v.FieldByName("dirtied")), lift(v.FieldByName("src"))
 	nc := chunks.Len()
 	s.tables++
 	if s.tables%2 == 0 {
 		nc += 2
 		n.SetInt(n.Int() + 1025)
+		src.Set(reflect.Zero(src.Type()))
 	}
-	gc, gown := reflect.MakeSlice(chunks.Type(), nc, nc), reflect.MakeSlice(owned.Type(), nc, nc)
+	gc, gstate := reflect.MakeSlice(chunks.Type(), nc, nc), reflect.MakeSlice(state.Type(), nc, nc)
+	gdirty := reflect.MakeSlice(dirtied.Type(), 0, nc)
 	for c := 0; c < nc; c++ {
 		chunk := reflect.New(chunks.Type().Elem().Elem())
 		if s.tables%2 != 0 {
 			s.scribble(chunk.Elem())
-			gown.Index(c).SetBool(true)
+			gstate.Index(c).SetUint(2) // dirty
+			gdirty = reflect.Append(gdirty, reflect.ValueOf(int32(c)))
 		}
 		gc.Index(c).Set(chunk)
 	}
 	chunks.Set(gc)
-	owned.Set(gown)
+	state.Set(gstate)
+	dirtied.Set(gdirty)
 }
 
 // comparer checks that two devices hold the same state the way a copy
@@ -215,6 +222,9 @@ func (c *comparer) sameValue(path string, got, want reflect.Value) {
 }
 
 func (c *comparer) sameTable(path string, got, want reflect.Value) {
+	if d := lift(got.FieldByName("dirtied")).Len(); d != 0 {
+		c.t.Errorf("%s: %d chunks still dirty after Restore", path, d)
+	}
 	gn, wn := lift(got.FieldByName("n")).Int(), lift(want.FieldByName("n")).Int()
 	gc, wc := lift(got.FieldByName("chunks")), lift(want.FieldByName("chunks"))
 	if gn != wn || gc.Len() != wc.Len() {
