@@ -11,9 +11,14 @@
 // then frozen (Table.Freeze) and never executed; a fork clones its tables
 // by copying one pointer and one ownership state per chunk, and pays for a
 // chunk only when it first writes into it. The tables on it are the flash
-// array's page states and block erase counts (internal/nand), the FTL's
-// L2P, P2L, per-block valid-count and free-list tables (internal/ftl),
-// and the device's per-page readiness times (internal/ssd).
+// array's page states and block erase counts (internal/nand) and the
+// FTL's L2P, P2L, per-block valid-count and free-list tables
+// (internal/ftl): the drive's tables, sized by its geometry. What is
+// indexed by the program's pages (internal/ssd: readiness times, slot and
+// latch indexes, the coherence directory) is sized by the pages the
+// program names — at most 372 for the evaluated programs, so the
+// readiness times are at most 3 KiB — and copied flat: a 1024-entry
+// chunk would pad each of those tables past its length.
 //
 // Ownership under Restore. A fork that has run is not thrown away: the
 // next request restores it in place from the frozen master (Table.Restore;
@@ -32,9 +37,12 @@
 // allocates nothing and copies what the last run wrote, and the run
 // writes in place. The walk was ≈ 2.4k chunk slots over a device's seven
 // tables at the default geometry; with the mapping cache's index and the
-// calendars also copied flat, a warm device restore (BenchmarkForkRestore)
+// calendars also copied flat, a warm device restore with nothing dirty
 // went from ≈ 2.5 µs to ≈ 0.8 µs on a 2-vCPU Xeon VM, against a lightest
-// served request of ≈ 12 µs. Set keeps one branch on its hot path (state
+// served request of ≈ 12 µs. Restored after a Conduit run on a
+// serve_light workload (BenchmarkForkRestore's restore-ns) it is ≈ 0.7 µs
+// since the program's tables are sized by its span and the plane
+// buffers' validity holds no pointer (≈ 1.4 µs before). Set keeps one branch on its hot path (state
 // dirty: store) and stays inlinable; the list is the only thing it adds.
 //
 // Concurrency: Restore never writes to its source and

@@ -85,10 +85,13 @@ func TestCloneStopsPayloadRecycling(t *testing.T) {
 	}
 
 	// Keep replacing slot 2 in the original and in the restored copy; the
-	// clone's view must not move.
+	// clone's view must not move. Each add gives slot 2 a value it has not
+	// held before, so a recycled payload shows whichever buffer it lands in
+	// (an XOR with one page alternates two values, and the buffers two
+	// payloads, so a recycled one read back what it held).
 	for i := 0; i < 8; i++ {
 		for _, mod := range []*Module{m, used} {
-			if _, err := mod.Exec(0, 0, mod.Units().Earliest(), isa.OpXor, 2, []int{0, 2}, 1, false, 0); err != nil {
+			if _, err := mod.Exec(0, 0, mod.Units().Earliest(), isa.OpAdd, 2, []int{0, 2}, 1, false, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

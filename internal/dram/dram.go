@@ -66,7 +66,8 @@ type Module struct {
 	// number: slotPopulated once the slot has been written, slotPrivate
 	// while its current payload was allocated by this module instance and
 	// has not been shared with a clone. payload[slot] holds the contents
-	// and exists in functional mode only (nil on a timing-only module).
+	// and exists in functional mode only (nil on a timing-only module,
+	// which never sets slotPrivate).
 	state   []uint8
 	payload [][]byte
 
@@ -309,12 +310,15 @@ func (m *Module) Restore(src *Module, en *energy.Account) {
 		m.pool = arena.New(src.cfg.PageSize)
 	}
 	m.bbops, m.reads, m.writes, m.bytesMoved = src.bbops, src.reads, src.writes, src.bytesMoved
+	m.shared.Store(false)
+	if m.timing {
+		return // no payloads: no slot was ever private, and none is shared
+	}
 	// Payloads are now referenced from both modules: neither may recycle
 	// them on replacement. The flag (not a direct wipe of src's private
 	// bits) keeps Restore read-only on src, so concurrent copies of one
 	// module stay safe; src applies it at its next mutation.
 	dropPrivate(m.state)
-	m.shared.Store(false)
 	src.shared.Store(true)
 }
 

@@ -53,7 +53,7 @@ func TestPageLRUEvictsLikeScan(t *testing.T) {
 		}
 		prog := c.Prog
 		for k, capacity := range []int{cacheCapacity(prog.Pages), 4} {
-			fast := newPageLRU(prog.Pages, capacity)
+			fast := newPageLRU(prog.Span(), capacity)
 			ref := &scanLRU{cached: make(map[isa.PageID]int64), cap: capacity}
 			touches := 0
 			touch := func(p isa.PageID) {

@@ -104,19 +104,21 @@ func beatCost(op isa.Op) float64 {
 }
 
 // cacheCapacity is the host page cache's size for a program addressing
-// pages pages. The paper sizes workload footprints to exceed memory
+// pages pages (isa.Program.Pages, the compiler's temporary pool
+// included). The paper sizes workload footprints to exceed memory
 // capacity (§5.4), so only a small fraction of the dataset is ever
-// resident; we model host DRAM as holding 1/16 of the touched pages,
+// resident; we model host DRAM as holding 1/16 of the addressed pages,
 // preserving that pressure at simulation scale.
 func cacheCapacity(pages int) int {
 	return max(pages/16, 4)
 }
 
 // pageLRU is the host page cache: an exact least-recently-used set over
-// the dense page space [0, pages). Resident pages are nodes of a circular
-// doubly linked list threaded through two index slices, most recently used
-// first, with a sentinel at index pages, so a hit, a miss and an eviction
-// each cost O(1).
+// the dense page space [0, pages), pages being the program's span (Run
+// sizes its capacity by Pages, its arrays by the pages a run can touch).
+// Resident pages are nodes of a circular doubly linked list threaded
+// through two index slices, most recently used first, with a sentinel at
+// index pages, so a hit, a miss and an eviction each cost O(1).
 type pageLRU struct {
 	prev, next []int32
 	resident   []bool
@@ -173,7 +175,8 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	en := energy.NewAccount()
 	lat := stats.NewReservoir()
 
-	cache := newPageLRU(prog.Pages, cacheCapacity(prog.Pages))
+	span := prog.Span()
+	cache := newPageLRU(span, cacheCapacity(prog.Pages))
 
 	// Page buffers are run-local: every mem payload is allocated by this
 	// run (inputs are generated into it), so a payload replaced by a later
@@ -184,7 +187,7 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	var mem map[isa.PageID][]byte
 	if !cfg.TimingOnly {
 		pool = arena.New(cfg.PageSize)
-		mem = make(map[isa.PageID][]byte, prog.Pages)
+		mem = make(map[isa.PageID][]byte, span)
 	}
 	load := func(p isa.PageID) []byte {
 		if b, ok := mem[p]; ok {

@@ -128,7 +128,11 @@ type Program struct {
 	Name  string
 	Insts []Inst
 	// Pages is the number of logical pages the program addresses; valid
-	// PageIDs are [0, Pages).
+	// PageIDs are [0, Pages). A compiled program's count includes the
+	// compiler's reserved temporary pool, most of which no instruction
+	// names (Span is what the instructions reach). The drive's capacity
+	// check, the firmware image and the host page cache's capacity
+	// (internal/host) derive from Pages, so it is part of the model.
 	Pages int
 	// InputPages lists pages holding application input data that reside
 	// on flash when execution starts (§4.4: all application data resides
@@ -200,6 +204,27 @@ func (p *Program) Validate() error {
 }
 
 func (p *Program) inRange(pg PageID) bool { return pg >= 0 && int(pg) < p.Pages }
+
+// Span is one more than the highest page any instruction, input or output
+// names, 0 when none does: pages at or past it are addressed but never
+// touched. Every page-indexed table of a run is sized by it, not by
+// Pages. Of a valid program it is at most Pages.
+func (p *Program) Span() int {
+	hi := NoPage
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		hi = max(hi, in.Dst)
+		for _, s := range in.Srcs {
+			hi = max(hi, s)
+		}
+	}
+	for _, pages := range [...][]PageID{p.InputPages, p.OutputPages} {
+		for _, pg := range pages {
+			hi = max(hi, pg)
+		}
+	}
+	return int(hi) + 1
+}
 
 // InferDeps fills in Deps from producer/consumer page relationships:
 // an instruction depends on the most recent earlier instruction that wrote

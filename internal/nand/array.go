@@ -20,17 +20,6 @@ const (
 	pageProgrammed
 )
 
-// Buffer is the per-plane page-buffer latch set. IFP primitives leave their
-// result here; it stays until the next operation on the plane overwrites it,
-// it is flushed to a flash page, or it is read out over the channel.
-type Buffer struct {
-	Data  []byte
-	Valid bool
-	// Tag identifies what the buffer holds; the SSD runtime uses it to
-	// reuse latched results (the paper's data-reuse amortization).
-	Tag int64
-}
-
 // Operand names one input to an in-flash operation: a programmed flash
 // page (sensed), the current contents of the plane's page buffer (chained
 // result reuse), or data loaded into a spare page-buffer latch over the
@@ -105,8 +94,17 @@ type Array struct {
 	data      map[int][]byte       // flat page index -> bytes (lazy; erased pages read as 0xFF)
 	state     cow.Table[pageState] // per page; shared copy-on-write with clones
 	erases    cow.Table[int32]     // per block; shared copy-on-write with clones
-	buffers   []Buffer             // per plane
 	bitErrors map[int]int          // injected raw-cell bit flips per page (see ecc.go)
+
+	// The per-plane page-buffer latch sets. IFP primitives leave their
+	// result in the plane's latches; it stays until the next operation on
+	// the plane overwrites it, it is flushed to a flash page, or it is read
+	// out over the channel. latched[plane] says a result is there and
+	// latch[plane] holds its bytes, nil on a timing-only array: the
+	// validity slab holds no pointer, so a timing-only restore copies it
+	// without write barriers.
+	latched []bool
+	latch   [][]byte
 
 	// Counters for experiment reporting.
 	senses, programs, eraseOps, mwsOps, latchRounds, fcTransfers int64
@@ -128,9 +126,12 @@ func NewArray(cfg *config.SSD, en *energy.Account) *Array {
 		bitErrors: make(map[int]int),
 		state:     cow.New(cfg.TotalPages(), pageErased),
 		erases:    cow.New[int32](geo.TotalBlocks(), 0),
-		buffers:   make([]Buffer, cfg.Channels*cfg.DiesPerChannel*cfg.PlanesPerDie),
+		latched:   make([]bool, cfg.Channels*cfg.DiesPerChannel*cfg.PlanesPerDie),
 		dies:      make([]sim.Calendar, cfg.TotalDies()),
 		bus:       make([]sim.Calendar, cfg.Channels),
+	}
+	if !a.timing {
+		a.latch = make([][]byte, len(a.latched))
 	}
 	// Table 2 gives no program/erase energies; scale the sense energy by
 	// the latency ratio, which matches published NAND power envelopes.
@@ -149,8 +150,24 @@ func (a *Array) DieCalendar(d int) *sim.Calendar { return &a.dies[d] }
 // BusCalendar returns the timing calendar of channel c.
 func (a *Array) BusCalendar(c int) *sim.Calendar { return &a.bus[c] }
 
-// PlaneBuffer returns the page buffer of the plane holding addr.
-func (a *Array) PlaneBuffer(addr Addr) *Buffer { return &a.buffers[a.geo.PlaneIndex(addr)] }
+// PlaneBuffer returns the contents of the page buffer of the plane holding
+// addr (nil on a timing-only array) and whether it holds a result.
+func (a *Array) PlaneBuffer(addr Addr) (data []byte, valid bool) {
+	plane := a.geo.PlaneIndex(addr)
+	if a.timing {
+		return nil, a.latched[plane]
+	}
+	return a.latch[plane], a.latched[plane]
+}
+
+// setLatch leaves a result in plane's buffer: out, or no payload on a
+// timing-only array.
+func (a *Array) setLatch(plane int, out []byte) {
+	a.latched[plane] = true
+	if !a.timing {
+		a.latch[plane] = out
+	}
+}
 
 // EraseCount reports how many times block b (flat index) has been erased.
 func (a *Array) EraseCount(b int) int { return int(a.erases.At(b)) }
@@ -283,12 +300,12 @@ const MaxOrOperands = 4
 // programmed and buffer operands actually latched, and collects the
 // operand values. Validation is identical in timing-only mode; only the
 // payload references (vals) are skipped.
-func (a *Array) gather(op BitOp, ops []Operand) (prof OperandProfile, buf *Buffer, die *sim.Calendar, vals [][]byte, err error) {
+func (a *Array) gather(op BitOp, ops []Operand) (prof OperandProfile, plane int, die *sim.Calendar, vals [][]byte, err error) {
 	if prof, err = profileOperands(a.geo, op, ops); err != nil {
-		return prof, nil, nil, nil, err
+		return prof, 0, nil, nil, err
 	}
 	home := homeAddr(ops)
-	buf = a.PlaneBuffer(home)
+	plane = a.geo.PlaneIndex(home)
 	die = &a.dies[a.geo.DieIndex(home)]
 	if !a.timing {
 		vals = make([][]byte, len(ops))
@@ -298,17 +315,19 @@ func (a *Array) gather(op BitOp, ops []Operand) (prof OperandProfile, buf *Buffe
 		switch {
 		case o.Latched || o.Data != nil:
 			if o.Data != nil && len(o.Data) != a.cfg.PageSize {
-				return prof, nil, nil, nil, fmt.Errorf("nand: latch operand %d is %d bytes", i, len(o.Data))
+				return prof, 0, nil, nil, fmt.Errorf("nand: latch operand %d is %d bytes", i, len(o.Data))
 			}
 			val = o.Data
 		case o.InBuffer:
-			if !buf.Valid {
-				return prof, nil, nil, nil, fmt.Errorf("nand: operand %d expects plane buffer, which is empty", i)
+			if !a.latched[plane] {
+				return prof, 0, nil, nil, fmt.Errorf("nand: operand %d expects plane buffer, which is empty", i)
 			}
-			val = buf.Data
+			if !a.timing {
+				val = a.latch[plane]
+			}
 		default:
 			if !a.IsProgrammed(o.Addr) {
-				return prof, nil, nil, nil, fmt.Errorf("nand: operand %d page %v not programmed", i, o.Addr)
+				return prof, 0, nil, nil, fmt.Errorf("nand: operand %d page %v not programmed", i, o.Addr)
 			}
 			if !a.timing {
 				val = a.raw(o.Addr)
@@ -318,7 +337,7 @@ func (a *Array) gather(op BitOp, ops []Operand) (prof OperandProfile, buf *Buffe
 			vals[i] = val
 		}
 	}
-	return prof, buf, die, vals, nil
+	return prof, plane, die, vals, nil
 }
 
 // Bitwise performs a bulk bitwise operation across the operands and leaves
@@ -342,7 +361,7 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	default:
 		return 0, fmt.Errorf("nand: unknown bitwise op %d", op)
 	}
-	prof, buf, die, vals, err := a.gather(op, ops)
+	prof, plane, die, vals, err := a.gather(op, ops)
 	if err != nil {
 		return 0, err
 	}
@@ -362,8 +381,7 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	a.mwsOps++
 	_, done := die.Reserve(now, ready, dur)
 	if a.timing {
-		buf.Data = nil
-		buf.Valid = true
+		a.setLatch(plane, nil)
 		return done, nil
 	}
 
@@ -385,8 +403,7 @@ func (a *Array) Bitwise(now, ready sim.Time, op BitOp, ops []Operand) (sim.Time,
 	case BitNand, BitNor, BitXnor, BitNot:
 		vecmath.ApplyUnary(vecmath.OpNot, out, out, 1, 0)
 	}
-	buf.Data = out
-	buf.Valid = true
+	a.setLatch(plane, out)
 	return done, nil
 }
 
@@ -413,7 +430,7 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 		operands = operands[:1]
 	}
 	// Arithmetic is latch-serial: XOR-style profiling (no MWS).
-	prof, buf, die, vals, err := a.gather(BitXor, operands)
+	prof, plane, die, vals, err := a.gather(BitXor, operands)
 	if err != nil {
 		return 0, err
 	}
@@ -430,8 +447,7 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 			float64(rounds)*a.cfg.ELatchPerKB*float64(a.cfg.PageSize)/1024)
 	_, done := die.Reserve(now, ready, dur)
 	if a.timing {
-		buf.Data = nil
-		buf.Valid = true
+		a.setLatch(plane, nil)
 		return done, nil
 	}
 
@@ -449,8 +465,7 @@ func (a *Array) Arith(now, ready sim.Time, op ArithOp, x, y Operand, elem int, i
 	case ArithShr:
 		vecmath.ApplyUnary(vecmath.OpShr, out, vals[0], elem, uint64(imm))
 	}
-	buf.Data = out
-	buf.Valid = true
+	a.setLatch(plane, out)
 	return done, nil
 }
 
@@ -474,8 +489,8 @@ func (a *Array) Exec(now, ready sim.Time, op isa.Op, ops []Operand, elem int, im
 
 // FlushBuffer programs the plane buffer into the erased page dst.
 func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
-	buf := a.PlaneBuffer(dst)
-	if !buf.Valid {
+	data, valid := a.PlaneBuffer(dst)
+	if !valid {
 		return 0, fmt.Errorf("nand: flush of empty plane buffer at %v", dst)
 	}
 	idx := a.geo.PageIndex(dst)
@@ -485,7 +500,7 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 	die := &a.dies[a.geo.DieIndex(dst)]
 	_, done := die.Reserve(now, ready, a.cfg.TProg)
 	if !a.timing {
-		a.data[idx] = append([]byte(nil), buf.Data...)
+		a.data[idx] = append([]byte(nil), data...)
 	}
 	a.setProgrammed(idx)
 	a.programs++
@@ -496,8 +511,8 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 // ReadBuffer transfers the plane buffer out over the channel to the flash
 // controller, returning a copy and the completion time.
 func (a *Array) ReadBuffer(now, ready sim.Time, plane Addr) ([]byte, sim.Time, error) {
-	buf := a.PlaneBuffer(plane)
-	if !buf.Valid {
+	data, valid := a.PlaneBuffer(plane)
+	if !valid {
 		return nil, 0, fmt.Errorf("nand: read of empty plane buffer at %v", plane)
 	}
 	_, done := a.bus[plane.Channel].Reserve(now, ready, a.cfg.ChannelTransferTime(a.cfg.PageSize))
@@ -506,7 +521,7 @@ func (a *Array) ReadBuffer(now, ready sim.Time, plane Addr) ([]byte, sim.Time, e
 	if a.timing {
 		return nil, done, nil
 	}
-	return append([]byte(nil), buf.Data...), done, nil
+	return append([]byte(nil), data...), done, nil
 }
 
 // SetPageForTest force-writes page contents without timing, for building
@@ -527,7 +542,7 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 // cloned. Copies share only immutable state, so a copy and its original
 // can be driven from different goroutines.
 //
-// Page payloads (the []byte values in data and the plane buffers) are
+// Page payloads (the []byte values in data and latch) are
 // shared, not copied: every mutation path in this package (Program,
 // Erase, FlushBuffer, Bitwise, Arith, SetPageForTest) replaces the stored
 // slice with a freshly allocated one rather than writing into it, so a
@@ -540,8 +555,8 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 // array that is not frozen copies the chunks it owns. The data and
 // bitErrors maps cost one entry per stored payload or injected page —
 // nothing on a timing-only array, which stores neither — and the plane
-// buffers and calendars are one flat copy each. Restore never writes to
-// src.
+// buffers' validity slab, their payloads (none on a timing-only array) and
+// the calendars are one flat copy each. Restore never writes to src.
 func (a *Array) Restore(src *Array, en *energy.Account) {
 	a.cfg, a.geo, a.en, a.timing = src.cfg, src.geo, en, src.timing
 	a.dies = append(a.dies[:0], src.dies...)
@@ -555,7 +570,8 @@ func (a *Array) Restore(src *Array, en *energy.Account) {
 	maps.Copy(a.bitErrors, src.bitErrors)
 	a.state.Restore(&src.state)
 	a.erases.Restore(&src.erases)
-	a.buffers = append(a.buffers[:0], src.buffers...)
+	a.latched = append(a.latched[:0], src.latched...)
+	a.latch = append(a.latch[:0], src.latch...) // replace-on-write; empty on a timing-only array
 	a.senses, a.programs, a.eraseOps, a.mwsOps, a.latchRounds, a.fcTransfers =
 		src.senses, src.programs, src.eraseOps, src.mwsOps, src.latchRounds, src.fcTransfers
 	a.bytesOut, a.bytesIn, a.eccCorrections, a.eccFailures = src.bytesOut, src.bytesIn, src.eccCorrections, src.eccFailures

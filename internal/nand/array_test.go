@@ -26,6 +26,12 @@ func fill(cfg *config.SSD, b byte) []byte {
 	return p
 }
 
+// latch returns what the page buffer of addr's plane holds.
+func latch(a *Array, addr Addr) []byte {
+	data, _ := a.PlaneBuffer(addr)
+	return data
+}
+
 func TestGeometryRoundTrip(t *testing.T) {
 	cfg := config.TestScale()
 	g := NewGeometry(&cfg.SSD)
@@ -191,8 +197,8 @@ func TestMWSAndComputesAndOfOperands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := a.PlaneBuffer(base)
-	if !buf.Valid || !bytes.Equal(buf.Data, fill(cfg, 0xFF&0xF0&0xCC)) {
+	data, valid := a.PlaneBuffer(base)
+	if !valid || !bytes.Equal(data, fill(cfg, 0xFF&0xF0&0xCC)) {
 		t.Fatal("MWS AND result wrong")
 	}
 	// Single multi-wordline sense regardless of operand count.
@@ -212,7 +218,7 @@ func TestMWSOrAcrossBlocks(t *testing.T) {
 	if _, err := a.Bitwise(0, 0, BitOr, ops); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.PlaneBuffer(ops[0].Addr).Data, fill(cfg, 0xFF)) {
+	if !bytes.Equal(latch(a, ops[0].Addr), fill(cfg, 0xFF)) {
 		t.Fatal("MWS OR result wrong")
 	}
 }
@@ -268,7 +274,7 @@ func TestXorUsesBufferOperandWithoutSense(t *testing.T) {
 	if want := 2*cfg.TRead + cfg.TXor; d1 != want {
 		t.Fatalf("fresh XOR latency = %v, want %v", d1, want)
 	}
-	if !bytes.Equal(a.PlaneBuffer(x).Data, fill(cfg, 0xAA^0x0F)) {
+	if !bytes.Equal(latch(a, x), fill(cfg, 0xAA^0x0F)) {
 		t.Fatal("XOR result wrong")
 	}
 	// Chained XOR with latched partial result: one sense only.
@@ -279,7 +285,7 @@ func TestXorUsesBufferOperandWithoutSense(t *testing.T) {
 	if want := d1 + cfg.TRead + cfg.TXor; d2 != want {
 		t.Fatalf("chained XOR latency = %v, want %v (one sense)", d2, want)
 	}
-	if !bytes.Equal(a.PlaneBuffer(x).Data, fill(cfg, 0xAA^0x0F^0x0F)) {
+	if !bytes.Equal(latch(a, x), fill(cfg, 0xAA^0x0F^0x0F)) {
 		t.Fatal("chained XOR result wrong")
 	}
 }
@@ -300,10 +306,10 @@ func TestArithAddFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := a.PlaneBuffer(x)
+	buf := latch(a, x)
 	for i := 0; i < cfg.PageSize; i++ {
-		if buf.Data[i] != px[i]+py[i] {
-			t.Fatalf("add[%d] = %d, want %d", i, buf.Data[i], px[i]+py[i])
+		if buf[i] != px[i]+py[i] {
+			t.Fatalf("add[%d] = %d, want %d", i, buf[i], px[i]+py[i])
 		}
 	}
 	// Two senses + 24 latch transfers for INT8.
@@ -329,10 +335,10 @@ func TestArithMulExpensiveAndCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := a.PlaneBuffer(x)
+	buf := latch(a, x)
 	for i := 0; i < cfg.PageSize; i++ {
-		if buf.Data[i] != byte(i)*3 {
-			t.Fatalf("mul[%d] = %d, want %d", i, buf.Data[i], byte(i)*3)
+		if buf[i] != byte(i)*3 {
+			t.Fatalf("mul[%d] = %d, want %d", i, buf[i], byte(i)*3)
 		}
 	}
 	// MUL must cost dramatically more than ADD (FC transfers per bit),
@@ -359,10 +365,10 @@ func TestArithShiftAndWideElements(t *testing.T) {
 	if _, err := a.Arith(0, 0, ArithShl, Operand{Addr: x}, Operand{}, 4, 8); err != nil {
 		t.Fatal(err)
 	}
-	buf := a.PlaneBuffer(x)
+	buf := latch(a, x)
 	// Check one 32-bit element: little-endian shift by 8.
 	want := (uint64(px[0]) | uint64(px[1])<<8 | uint64(px[2])<<16 | uint64(px[3])<<24) << 8 & 0xFFFFFFFF
-	got := uint64(buf.Data[0]) | uint64(buf.Data[1])<<8 | uint64(buf.Data[2])<<16 | uint64(buf.Data[3])<<24
+	got := uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24
 	if got != want {
 		t.Fatalf("shl32 = %x, want %x", got, want)
 	}
@@ -385,7 +391,7 @@ func TestLatchLoadedOperands(t *testing.T) {
 	if want := cfg.TRead + cfg.TDMA + cfg.TXor; done != want {
 		t.Fatalf("latch-operand XOR latency = %v, want %v", done, want)
 	}
-	if !bytes.Equal(a.PlaneBuffer(x).Data, fill(cfg, 0xF0^0x3C)) {
+	if !bytes.Equal(latch(a, x), fill(cfg, 0xF0^0x3C)) {
 		t.Fatal("latch-operand XOR result wrong")
 	}
 	// Arithmetic with both operands loaded: zero senses.
@@ -398,7 +404,7 @@ func TestLatchLoadedOperands(t *testing.T) {
 	if add >= cfg.TRead {
 		t.Fatalf("all-loaded add (%v) must avoid sensing (tR %v)", add, cfg.TRead)
 	}
-	if !bytes.Equal(b.PlaneBuffer(x).Data, fill(cfg, 12)) {
+	if !bytes.Equal(latch(b, x), fill(cfg, 12)) {
 		t.Fatal("all-loaded add result wrong")
 	}
 	// Latch capacity: more than two loaded operands is impossible.
@@ -519,7 +525,7 @@ func TestMWSAndProperty(t *testing.T) {
 		if _, err := a.Bitwise(0, 0, BitAnd, ops); err != nil {
 			return false
 		}
-		return bytes.Equal(a.PlaneBuffer(ops[0].Addr).Data, want)
+		return bytes.Equal(latch(a, ops[0].Addr), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -548,7 +554,7 @@ func TestArithProperty(t *testing.T) {
 		if _, err := a.Arith(0, 0, op, Operand{Addr: x}, Operand{Addr: y}, elem, 0); err != nil {
 			return false
 		}
-		got := a.PlaneBuffer(x).Data
+		got := latch(a, x)
 		mask := uint64(1)<<(8*elem) - 1
 		for i := 0; i < cfg.SSD.PageSize/elem; i++ {
 			xv := vecmath.Load(px, i, elem)
@@ -649,7 +655,7 @@ func TestExecMatchesEvaluator(t *testing.T) {
 			if err := isa.Apply(op, want, [][]byte{px, py}[:len(ops)], elem, false, imm); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(a.PlaneBuffer(x).Data, want) {
+			if !bytes.Equal(latch(a, x), want) {
 				t.Errorf("%v elem %d: plane buffer differs from isa.Apply", op, elem)
 			}
 			prof := OperandProfile{Senses: len(ops), MWS: len(ops) > 1 && (op == isa.OpAnd || op == isa.OpNand || op == isa.OpOr || op == isa.OpNor)}

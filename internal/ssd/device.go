@@ -10,7 +10,6 @@ import (
 	"conduit/internal/coherence"
 	"conduit/internal/config"
 	"conduit/internal/cores"
-	"conduit/internal/cow"
 	"conduit/internal/dram"
 	"conduit/internal/energy"
 	"conduit/internal/ftl"
@@ -51,7 +50,10 @@ type Device struct {
 	// metadata (the mapping cache); the rest caches/holds logical pages.
 	// slotOwner is the table (slot -> page, NoPage when free) and dramSlot
 	// its inverse (page -> slot, noSlot when not resident), one entry per
-	// program page; bindSlot and freeSlot are the only writers of either.
+	// page of the program's span; bindSlot and freeSlot are the only
+	// writers of either. The slot tables stop at the span: a program that
+	// names fewer pages than there are usable slots never fills them, and
+	// allocSlot takes the lowest free slot either way.
 	dramSlot  []int32
 	slotOwner []isa.PageID
 	slotClock []int64 // LRU stamps
@@ -61,20 +63,22 @@ type Device struct {
 	// Plane page-buffer tags: bufferTag[plane] is the logical page the
 	// plane's buffer holds (NoPage when invalid/untracked) and pagePlane
 	// its inverse (page -> plane, noPlane when no buffer holds it), one
-	// entry per program page; tagBuffer is the only writer of either.
+	// entry per page of the span; tagBuffer is the only writer of either.
 	bufferTag []isa.PageID
 	pagePlane []int16
 
-	// Per-page availability time of the latest version (copy-on-write:
-	// a fork shares the master's all-zero table until it first writes).
-	pageReady cow.Table[sim.Time]
+	// Per-page availability time of the latest version, one entry per
+	// page of the span.
+	pageReady []sim.Time
 
 	// Liveness, from compiler metadata: accesses[p] is the ordered list
 	// of instruction indices touching page p, with reads and writes
 	// distinguished. A page version is dead once its next access is a
 	// write (the value can never be read again); output pages stay live
 	// at end of program (the host may read them back). Both are indexed
-	// by page, immutable after LoadProgram and shared by every fork.
+	// by page, immutable after LoadProgram and shared by every fork; their
+	// length is the program's span (isa.Program.Span), the length of every
+	// page-indexed table.
 	accesses [][]access
 	output   []bool
 
@@ -172,13 +176,6 @@ func New(cfg *config.Config) *Device {
 		offCores = 1
 	}
 	d.offloadCores = *sim.NewGroup("offload-core", offCores)
-	// Reserve 1/8 of DRAM slots for FTL metadata (mapping cache et al.).
-	usable := d.DRAM.Capacity() - d.DRAM.Capacity()/8
-	d.slotOwner = make([]isa.PageID, usable)
-	d.slotClock = make([]int64, usable)
-	for i := range d.slotOwner {
-		d.slotOwner[i] = isa.NoPage
-	}
 	return d
 }
 
@@ -209,22 +206,30 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 		return fmt.Errorf("ssd: program needs %d pages, drive has %d", prog.Pages, d.FTL.Capacity())
 	}
 	// Copies a previous program left in DRAM slots and plane latches mean
-	// nothing to this one; the page-indexed tables are sized by the
-	// program, not by the drive.
+	// nothing to this one; the page-indexed tables are sized by the pages
+	// the program names (its span), not by the drive or by Pages.
 	d.dropVolatile()
 	d.prog = prog
-	d.Dir = coherence.NewDirectory(prog.Pages)
-	d.dramSlot = make([]int32, prog.Pages)
-	d.pagePlane = make([]int16, prog.Pages)
+	n := prog.Span()
+	d.Dir = coherence.NewDirectory(n)
+	d.dramSlot = make([]int32, n)
+	d.pagePlane = make([]int16, n)
 	for p := range d.dramSlot {
 		d.dramSlot[p], d.pagePlane[p] = noSlot, noPlane
 	}
-	d.accesses = make([][]access, prog.Pages)
-	d.output = make([]bool, prog.Pages)
+	// Reserve 1/8 of DRAM slots for FTL metadata (mapping cache et al.).
+	slots := min(d.DRAM.Capacity()-d.DRAM.Capacity()/8, n)
+	d.slotOwner = make([]isa.PageID, slots)
+	d.slotClock = make([]int64, slots)
+	for i := range d.slotOwner {
+		d.slotOwner[i] = isa.NoPage
+	}
+	d.freeFrom = 0
+	d.accesses = make([][]access, n)
+	d.output = make([]bool, n)
 	// Pages read before ever being written behave as zero-filled inputs;
 	// map them so flash reads are defined. The same walk counts each
 	// page's references, so its access list is a capped window of one array.
-	n := prog.Pages
 	sets, refs, total := make([]bool, 3*n), make([]int32, n), 0
 	inputSet, defined, written := sets[:n:n], sets[n:2*n:2*n], sets[2*n:]
 	effectiveInputs := append([]isa.PageID(nil), prog.InputPages...)
@@ -277,7 +282,7 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 	d.records = new(sync.Map)
 
-	groups := operandGroups(prog, effectiveInputs, d.Cfg.SSD.PagesPerBlock)
+	groups := operandGroups(prog, n, effectiveInputs, d.Cfg.SSD.PagesPerBlock)
 
 	// Write each group contiguously into one block; spread groups across
 	// planes round-robin.
@@ -346,7 +351,7 @@ func (d *Device) inputPage(inputs map[isa.PageID][]byte, p isa.PageID) []byte {
 func (d *Device) resetMeasurement() {
 	d.En.Reset()
 	d.firmware = 0
-	d.pageReady = cow.New[sim.Time](d.prog.Pages, 0)
+	d.pageReady = make([]sim.Time, len(d.accesses))
 	for i := 0; i < d.Cfg.SSD.TotalDies(); i++ {
 		d.Flash.DieCalendar(i).Reset()
 	}
@@ -381,13 +386,13 @@ func (d *Device) rawCounters() (c [len(counterNames)]int64) {
 // operandGroups unions the source pages of every IFP-capable instruction
 // and chunks each union-find class to at most maxGroup pages (a physical
 // block). Only input pages participate; temporaries are produced at run
-// time and live wherever their producer leaves them.
-func operandGroups(prog *isa.Program, inputOrder []isa.PageID, maxGroup int) [][]isa.PageID {
+// time and live wherever their producer leaves them. span is prog.Span().
+func operandGroups(prog *isa.Program, span int, inputOrder []isa.PageID, maxGroup int) [][]isa.PageID {
 	// The union-find is indexed by page: parent is NoPage for a page no
 	// IFP-capable instruction names. A page that enters it as a lone or
 	// leading operand keeps size 0 until a union sizes it.
-	parent := make([]isa.PageID, prog.Pages)
-	size := make([]int32, prog.Pages)
+	parent := make([]isa.PageID, span)
+	size := make([]int32, span)
 	for p := range parent {
 		parent[p] = isa.NoPage
 	}
@@ -441,7 +446,7 @@ func operandGroups(prog *isa.Program, inputOrder []isa.PageID, maxGroup int) [][
 	// the order of their first member. The unions are done, so size now
 	// holds each root's rank plus one, and one stable sort groups them.
 	clear(size)
-	seen := make([]bool, prog.Pages)
+	seen := make([]bool, span)
 	var members []isa.PageID
 	for rank, p := range inputOrder {
 		if parent[p] != isa.NoPage && !seen[p] {
@@ -482,6 +487,12 @@ func (d *Device) PageBytes(p isa.PageID) ([]byte, error) {
 	if d.Dir == nil {
 		return nil, fmt.Errorf("ssd: no program loaded")
 	}
+	if uint(p) >= uint(len(d.accesses)) {
+		// Past the span no table has an entry, and no instruction, input
+		// or output names the page: refuse it as the FTL refuses a page
+		// nothing was written to.
+		return nil, fmt.Errorf("ssd: page %d is unmapped: the program names pages [0,%d)", p, len(d.accesses))
+	}
 	switch d.Dir.Owner(int(p)) {
 	case coherence.LocDRAM:
 		slot, ok := d.slotOf(p)
@@ -506,8 +517,8 @@ func (d *Device) PageBytes(p isa.PageID) ([]byte, error) {
 }
 
 func (d *Device) planeBufferData(plane int) []byte {
-	addr := d.planeAddr(plane)
-	return append([]byte(nil), d.Flash.PlaneBuffer(addr).Data...)
+	data, _ := d.Flash.PlaneBuffer(d.planeAddr(plane))
+	return append([]byte(nil), data...)
 }
 
 // planeAddr returns an address within the given flat plane index.

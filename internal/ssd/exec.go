@@ -40,7 +40,7 @@ func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time, plan *i
 		return 0, err
 	}
 	if inst.Dst != isa.NoPage {
-		d.pageReady.Set(int(inst.Dst), done)
+		d.pageReady[inst.Dst] = done
 	}
 	return done, nil
 }
@@ -50,12 +50,12 @@ func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time, plan *i
 func (d *Device) operandsReady(inst *isa.Inst) sim.Time {
 	var ready sim.Time
 	for _, s := range inst.Srcs {
-		if t := d.pageReady.At(int(s)); t > ready {
+		if t := d.pageReady[s]; t > ready {
 			ready = t
 		}
 	}
 	if inst.Dst != isa.NoPage {
-		if t := d.pageReady.At(int(inst.Dst)); t > ready {
+		if t := d.pageReady[inst.Dst]; t > ready {
 			ready = t
 		}
 	}
@@ -159,8 +159,8 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 		}
 		d.DRAM.Recycle(data) // the flash program copied it
 		d.Dir.Sync(int(page))
-		if wdone > d.pageReady.At(int(page)) {
-			d.pageReady.Set(int(page), wdone)
+		if wdone > d.pageReady[page] {
+			d.pageReady[page] = wdone
 		}
 		done = wdone
 	}
@@ -212,24 +212,24 @@ func (d *Device) flushBeforeWrap(p isa.PageID) error {
 		if !ok {
 			return fmt.Errorf("ssd: page %d owned by DRAM without a slot", p)
 		}
-		data, rdone := d.DRAM.Read(d.firmware, d.pageReady.At(int(p)), slot)
+		data, rdone := d.DRAM.Read(d.firmware, d.pageReady[p], slot)
 		done, err := d.FTL.Write(rdone, ftl.LPN(p), data, -1)
 		if err != nil {
 			return err
 		}
 		d.DRAM.Recycle(data) // the flash program copied it
-		d.pageReady.Set(int(p), done)
+		d.pageReady[p] = done
 	case coherence.LocBuffer:
 		plane, err := d.latchedPlane(p)
 		if err != nil {
 			return err
 		}
-		done, err := d.FTL.WriteBuffered(d.firmware, d.pageReady.At(int(p)), ftl.LPN(p), plane)
+		done, err := d.FTL.WriteBuffered(d.firmware, d.pageReady[p], ftl.LPN(p), plane)
 		if err != nil {
 			return err
 		}
 		d.tagBuffer(plane, isa.NoPage)
-		d.pageReady.Set(int(p), done)
+		d.pageReady[p] = done
 	}
 	d.Dir.Sync(int(p))
 	return nil
@@ -287,7 +287,7 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		d.srcScratch = srcs[:0]
 	}()
 	for _, s := range inst.Srcs {
-		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
+		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
 		if err != nil {
 			return 0, err
 		}
@@ -337,7 +337,7 @@ func (d *Device) executePuD(inst *isa.Inst, unit *sim.Calendar, issue, ready sim
 	var slotBuf [3]int // no operation takes more sources
 	slots := slotBuf[:0]
 	for _, s := range inst.Srcs {
-		slot, avail, err := d.ensureInDRAM(issue, d.pageReady.At(int(s)), s)
+		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
 		if err != nil {
 			return 0, err
 		}
@@ -413,7 +413,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 			}
 			// Cross-plane: read out of the source plane (channel traffic
 			// on both sides).
-			data, fetched = d.Flash.Read(issue, d.pageReady.At(int(s)), addr)
+			data, fetched = d.Flash.Read(issue, d.pageReady[s], addr)
 		case coherence.LocBuffer:
 			p, err := d.latchedPlane(s)
 			if err != nil {
@@ -424,7 +424,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 				// this operand's only copy; preserve it in DRAM first —
 				// unless the value is dead after this instruction.
 				if _, cached := d.slotOf(s); !cached && !d.deadAfter(s, inst.ID) {
-					latched, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), planeAddr)
+					latched, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady[s], planeAddr)
 					if err != nil {
 						return 0, err
 					}
@@ -440,7 +440,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 				continue
 			}
 			// Latched in another plane: read it out.
-			if data, fetched, err = d.Flash.ReadBuffer(issue, d.pageReady.At(int(s)), d.planeAddr(p)); err != nil {
+			if data, fetched, err = d.Flash.ReadBuffer(issue, d.pageReady[s], d.planeAddr(p)); err != nil {
 				return 0, err
 			}
 		default:
@@ -449,7 +449,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 			if !ok {
 				return 0, fmt.Errorf("page %d owned by DRAM without a slot", s)
 			}
-			data, fetched = d.DRAM.Read(issue, d.pageReady.At(int(s)), slot)
+			data, fetched = d.DRAM.Read(issue, d.pageReady[s], slot)
 		}
 		ready = maxT(ready, d.latchTransferIn(issue, fetched, plane))
 		operands = append(operands, nand.Operand{Addr: planeAddr, Data: data, Latched: true})
@@ -462,7 +462,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 	if tag := d.bufferTag[plane]; tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand &&
 		d.Dir.Owner(int(tag)) == coherence.LocBuffer && !d.deadAfter(tag, inst.ID-1) {
 		if _, cached := d.slotOf(tag); !cached {
-			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady.At(int(tag))), planeAddr)
+			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady[tag]), planeAddr)
 			if err != nil {
 				return 0, err
 			}
@@ -470,7 +470,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 			if err != nil {
 				return 0, err
 			}
-			d.pageReady.Set(int(tag), wdone)
+			d.pageReady[tag] = wdone
 			if wdone > ready {
 				ready = wdone
 			}

@@ -34,7 +34,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	var mem map[isa.PageID][]byte
 	if !cfg.TimingOnly {
 		pool = arena.New(cfg.PageSize)
-		mem = make(map[isa.PageID][]byte, d.prog.Pages)
+		mem = make(map[isa.PageID][]byte, len(d.accesses))
 	}
 	load := func(p isa.PageID) []byte {
 		if b, ok := mem[p]; ok {
@@ -50,7 +50,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 		return b
 	}
 
-	ready := make([]sim.Time, d.prog.Pages)
+	ready := make([]sim.Time, len(d.accesses))
 	var srcs [][]byte // reused operand-pointer scratch
 	rec := d.newRecorder("Ideal")
 	var elapsed sim.Time

@@ -1,12 +1,16 @@
 package ssd
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"conduit/internal/compiler"
 	"conduit/internal/config"
 	"conduit/internal/isa"
+	"conduit/internal/offload"
 	"conduit/internal/sim"
 	"conduit/internal/workloads"
 )
@@ -140,7 +144,7 @@ func TestOperandGroupsMatchMapOracle(t *testing.T) {
 	check := func(what string, prog *isa.Program, maxGroup int) {
 		t.Helper()
 		order := mapInputOrder(prog)
-		got := operandGroups(prog, order, maxGroup)
+		got := operandGroups(prog, prog.Span(), order, maxGroup)
 		if want := mapOperandGroups(prog, order, maxGroup); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s (block %d): groups\n%v\nwant\n%v", what, maxGroup, got, want)
 		}
@@ -173,7 +177,7 @@ func TestAccessListsMatchAppend(t *testing.T) {
 		if err := d.LoadProgram(prog, nil); err != nil {
 			t.Fatal(err)
 		}
-		want := make([][]access, prog.Pages)
+		want := make([][]access, prog.Span())
 		for i, in := range prog.Insts {
 			for _, s := range in.Srcs {
 				want[s] = append(want[s], access{idx: int32(i), read: true})
@@ -182,6 +186,86 @@ func TestAccessListsMatchAppend(t *testing.T) {
 		}
 		if !reflect.DeepEqual(d.accesses, want) {
 			t.Fatalf("program %d: accesses\n%v\nwant\n%v", i, d.accesses, want)
+		}
+	}
+}
+
+// TestTablesSizedBySpan: for the six workloads at scales 1 and 2, Span is
+// one more than the highest page an instruction, input or output names,
+// it is at most Pages, and every page-indexed table of a loaded device —
+// and of a clone after it ran — has exactly that length; the DRAM slot
+// tables stop at the span too, when it is below the usable slots.
+func TestTablesSizedBySpan(t *testing.T) {
+	cfg := config.Default()
+	cfg.SSD.TimingOnly = true
+	for _, scale := range []int{1, 2} {
+		for _, w := range workloads.All(scale) {
+			c, err := compiler.Compile(w.Source, cfg.SSD.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, what := c.Prog, fmt.Sprintf("%s at scale %d", w.Name, scale)
+			highest := -1
+			for _, in := range prog.Insts {
+				for _, p := range append(slices.Clone(in.Srcs), in.Dst) {
+					highest = max(highest, int(p))
+				}
+			}
+			for _, p := range append(slices.Clone(prog.InputPages), prog.OutputPages...) {
+				highest = max(highest, int(p))
+			}
+			span := prog.Span()
+			if span != highest+1 || span > prog.Pages {
+				t.Fatalf("%s: Span() = %d, want %d (highest page named + 1), at most Pages = %d", what, span, highest+1, prog.Pages)
+			}
+			d := New(&cfg)
+			if err := d.LoadProgram(prog, nil); err != nil {
+				t.Fatal(err)
+			}
+			used := d.Clone()
+			used.EnterComputationMode()
+			if _, err := used.Run(offload.Conduit{}); err != nil {
+				t.Fatal(err)
+			}
+			slots := min(d.DRAM.Capacity()-d.DRAM.Capacity()/8, span)
+			for _, dev := range []*Device{d, used} {
+				for name, n := range map[string]int{
+					"coherence directory": reflect.ValueOf(dev.Dir).Elem().FieldByName("entries").Len(),
+					"dramSlot":            len(dev.dramSlot),
+					"pagePlane":           len(dev.pagePlane),
+					"pageReady":           len(dev.pageReady),
+					"accesses":            len(dev.accesses),
+					"output":              len(dev.output),
+				} {
+					if n != span {
+						t.Errorf("%s: %s has %d entries, want the span %d", what, name, n, span)
+					}
+				}
+				if len(dev.slotOwner) != slots || len(dev.slotClock) != slots {
+					t.Errorf("%s: slot tables have %d and %d entries, want %d", what, len(dev.slotOwner), len(dev.slotClock), slots)
+				}
+			}
+		}
+	}
+}
+
+// TestPageBytesPastSpanIsAnError: a page no instruction, input or output
+// names — past the span, yet below Pages — or no page at all is refused
+// with an error, never an index panic; the last page of the span reads.
+func TestPageBytesPastSpanIsAnError(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	span := prog.Span()
+	prog.Pages = span + 8
+	d := newLoadedDevice(t, prog, inputs)
+	if _, err := d.Run(offload.Conduit{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PageBytes(isa.PageID(span - 1)); err != nil {
+		t.Fatalf("PageBytes(%d), the span's last page: %v", span-1, err)
+	}
+	for _, p := range []isa.PageID{isa.PageID(span), isa.PageID(prog.Pages - 1), isa.PageID(prog.Pages), isa.NoPage} {
+		if _, err := d.PageBytes(p); err == nil || !strings.Contains(err.Error(), "unmapped") {
+			t.Errorf("PageBytes(%d) with span %d: err = %v, want an 'unmapped' error", p, span, err)
 		}
 	}
 }

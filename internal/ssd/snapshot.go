@@ -10,16 +10,16 @@ import (
 )
 
 // Freeze marks the device's copy-on-write tables shared (internal/cow):
-// the flash array's per-page state and per-block erase counts, the FTL's
-// L2P, P2L, validity, per-block valid-count and free-list tables, and
-// the per-page readiness times. Subsequent copies (Restore, Clone) alias
-// their chunks and pay only for the chunks they write. Call it once on a
-// pristine post-deploy master that is copied but never run; several
-// goroutines may copy a frozen device at once.
+// the flash array's per-page state and per-block erase counts, and the
+// FTL's L2P, P2L, validity, per-block valid-count and free-list tables.
+// Subsequent copies (Restore, Clone) alias their chunks and pay only for
+// the chunks they write; the page-indexed tables, sized by the program's
+// span, are copied flat. Call it once on a pristine post-deploy master
+// that is copied but never run; several goroutines may copy a frozen
+// device at once.
 func (d *Device) Freeze() {
 	d.Flash.Freeze()
 	d.FTL.Freeze()
-	d.pageReady.Freeze()
 }
 
 // Restore makes d an independent deep copy of src in place: flash contents
@@ -37,8 +37,9 @@ func (d *Device) Freeze() {
 // master, and runs every policy on its own copy, which behaves
 // byte-identically to a freshly deployed device whatever it executed
 // before. A first copy of a frozen master (see Freeze) costs the small
-// per-plane, per-slot and measurement state plus one pointer per table
-// chunk; the page- and block-granular tables are shared until written. A
+// per-plane, per-slot, per-page and measurement state plus one pointer
+// per table chunk; the drive's page- and block-granular tables are shared
+// until written. A
 // device restored again after it ran keeps what it allocated — slot
 // tables, the chunks its run wrote (overwritten in place), ledgers,
 // scratch, buffer arenas — so the restore is a memcpy that allocates
@@ -78,7 +79,7 @@ func (d *Device) Restore(src *Device) {
 
 	d.bufferTag = append(d.bufferTag[:0], src.bufferTag...)
 	d.pagePlane = append(d.pagePlane[:0], src.pagePlane...)
-	d.pageReady.Restore(&src.pageReady)
+	d.pageReady = append(d.pageReady[:0], src.pageReady...)
 
 	// Read-only after LoadProgram; records only gains entries, under its lock.
 	d.accesses, d.output, d.costs, d.records = src.accesses, src.output, src.costs, src.records
