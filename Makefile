@@ -83,7 +83,11 @@ bench:
 # beside BenchmarkServeLightMix, the same requests through Server.Do;
 # `make prof-run BENCH=SweepGridCold` profiles the sweep_grid mirror: a
 # fresh one-worker harness compiling, deploying and running all six
-# scale-1 workloads under every policy. A pointer to where to look, not a
+# scale-1 workloads under every policy. PKG (default the root package)
+# profiles a benchmark of another package: `make prof-run
+# PKG=./internal/nvme BENCH=ImageRoundTrip` times the firmware image round
+# trip, `make prof-run PKG=./internal/compiler BENCH=CompileSuite` the
+# compile of the six workloads. A pointer to where to look, not a
 # measurement; claims go through `make bench` pairs. The binary and the
 # profile stay outside the checkout.
 #
@@ -95,14 +99,15 @@ bench:
 # starts, are left out.
 PROF_DIR ?= $(or $(TMPDIR),/tmp)/conduit-prof
 BENCH ?= DeviceRunMix
+PKG ?= .
 prof-run:
 	@mkdir -p $(PROF_DIR)
-	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -cpuprofile $(PROF_DIR)/cpu.prof .
+	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -cpuprofile $(PROF_DIR)/cpu.prof $(PKG)
 	go tool pprof -top -cum -nodecount 45 $(PROF_DIR)/conduit.test $(PROF_DIR)/cpu.prof
 
 prof-alloc:
 	@mkdir -p $(PROF_DIR)
-	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -memprofile $(PROF_DIR)/mem.prof .
+	go test -run '^$$' -bench '$(BENCH)$$' -benchtime 200x -o $(PROF_DIR)/conduit.test -memprofile $(PROF_DIR)/mem.prof $(PKG)
 	go tool pprof -sample_index=alloc_space -ignore RegisterWorkload -top -cum -nodecount 45 $(PROF_DIR)/conduit.test $(PROF_DIR)/mem.prof
 
 # loc prints non-test Go lines per top-level package — the definition
@@ -114,7 +119,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24576
+LOC_CEILING := 24546
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -278,27 +278,33 @@ func TestServedRequestAllocBudget(t *testing.T) {
 // one System.Deploy of each. An input array declares a filler instead of
 // holding its dataset, and only a functional consumer generates pages, so
 // neither the build, the compile nor the timing-only deploy (which stages
-// nil payloads) makes a dataset byte; the firmware image is a flat varint
-// layout whose decoder carves every instruction's operand lists from one
-// array, LoadProgram indexes its page tables densely, and every deploy
-// clones the System's one frozen blank drive instead of building one. It
-// measures build 68 KiB, compile 876 KiB, and deploy 1 841 KiB in 913
-// allocations (deploy 1 981 KiB in 1 912 with a drive built per deploy;
-// 4 870 KiB, 911 KiB, and 2 253 KiB in 1 939 before that, with eagerly
-// built datasets, a compiled page image and zero pages for unstaged
-// inputs). The ceilings are what it measures plus 10 %: a dataset built
-// eagerly breaks the build budget, and a drive built per deploy or an
-// allocation per instruction or per page on the deploy path breaks the
-// count.
+// nil payloads) makes a dataset byte; compile copies its instructions and
+// their sources out of a reused scratch at their final length; the
+// firmware image is a flat varint layout whose decoder carves every
+// instruction's sources from one array, LoadProgram indexes its page
+// tables by the pages the program names, and every deploy clones the
+// System's one frozen blank drive instead of building one. It measures
+// build 68 KiB, compile 545 KiB while the compile scratch's pool starts
+// empty (294 KiB when an earlier test left it filled), and deploy
+// 1 111 KiB in 775-782 allocations (compile 876 KiB and deploy 1 267 KiB
+// in 787 while each instruction carried a dependence list and was appended
+// to a growing slice; deploy 1 841 KiB in 913 before the page tables were
+// sized by the pages the program names, 1 981 KiB in 1 912 with a drive
+// built per deploy; 4 870 KiB, 911 KiB, and 2 253 KiB in 1 939 before
+// that, with eagerly built datasets, a compiled page image and zero pages
+// for unstaged inputs). The ceilings are what it measures plus 10 %: a
+// dataset built eagerly breaks the build budget, a growing instruction
+// slice the compile budget, and a drive built per deploy or an allocation
+// per instruction or per page on the deploy path breaks the count.
 func TestColdDeployAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
 	const (
 		maxBuildKiB     = 75
-		maxCompileKiB   = 964
-		maxDeployKiB    = 2025
-		maxDeployAllocs = 1004
+		maxCompileKiB   = 600
+		maxDeployKiB    = 1222
+		maxDeployAllocs = 860
 	)
 	sys := NewSystem(DefaultConfig())
 	var start, before, mid, after runtime.MemStats
@@ -337,17 +343,21 @@ func TestColdDeployAllocBudget(t *testing.T) {
 // TestColdGridAllocBudget pins what a cold grid allocates: a fresh
 // one-worker harness running the six scale-1 workloads under every policy
 // of Policies, compile, deploy and host baselines included, which is one
-// sweep_grid call of cmd/conduit-bench. It measures 4 451 KiB in 7 571
-// allocations (8 015 KiB in 10 959 while each deploy built its drive with
-// ssd.New and each cell kept a clone of its own); the ceilings are that
-// plus 10 %.
+// sweep_grid call of cmd/conduit-bench. It measures 2 629-3 035 KiB in
+// 3 974-4 053 allocations, the spread being whether the compile scratch's
+// pool is filled (3 447 KiB in 7 366 while instructions carried dependence
+// lists, compile appended them to a growing slice and the host baselines
+// grew a locked latency reservoir; 4 451 KiB in 7 571 before the page
+// tables were sized by the pages the program names; 8 015 KiB in 10 959
+// while each deploy built its drive with ssd.New and each cell kept a
+// clone of its own); the ceilings are the most of it plus 10 %.
 func TestColdGridAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
 	const (
-		maxGridKiB    = 4896
-		maxGridAllocs = 8328
+		maxGridKiB    = 3340
+		maxGridAllocs = 4460
 	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

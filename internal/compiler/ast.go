@@ -163,7 +163,7 @@ func (s *Source) Validate() error {
 		return fmt.Errorf("compiler: %s declares no arrays", s.Name)
 	}
 	elem := s.Arrays[0].Elem
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(s.Arrays))
 	for _, a := range s.Arrays {
 		if a.Name == "" || a.Len <= 0 {
 			return fmt.Errorf("compiler: array %q has invalid shape", a.Name)
@@ -263,25 +263,13 @@ func refsIn(e Expr, out *[]Ref) {
 	}
 }
 
-// loopCarried reports whether the loop has a lane-carried dependence: some
-// assignment's target array is read at a different lane offset within the
-// same loop, making in-order lane execution semantically required.
-func loopCarried(l Loop) bool {
-	writes := map[string]int{}
-	for _, a := range l.Body {
-		writes[a.Target] = a.Offset
-	}
-	for _, a := range l.Body {
-		var refs []Ref
-		refsIn(a.Value, &refs)
-		for _, r := range refs {
-			if w, ok := writes[r.Name]; ok && r.Offset != w {
-				return true
-			}
-		}
-		if a.Reduce {
-			// Reductions vectorize via the reduce instruction.
-			continue
+// carriedRef reports whether r makes its loop lane-carried: it reads an
+// array the loop assigns (last) at a different lane offset, so in-order
+// lane execution is semantically required.
+func carriedRef(l Loop, r Ref) bool {
+	for i := len(l.Body) - 1; i >= 0; i-- {
+		if l.Body[i].Target == r.Name {
+			return l.Body[i].Offset != r.Offset
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"conduit/internal/isa"
 )
@@ -127,30 +128,50 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 	if pageSize <= 0 || pageSize%elem != 0 {
 		return nil, fmt.Errorf("compiler: page size %d incompatible with element size %d", pageSize, elem)
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	c := &compilation{
+		scratch: sc.reset(),
 		Compiled: Compiled{
 			pageSize: pageSize,
 			elem:     elem,
-			arrays:   make(map[string][]isa.PageID),
-			arrayLen: make(map[string]int),
+			arrays:   make(map[string][]isa.PageID, len(src.Arrays)),
+			arrayLen: make(map[string]int, len(src.Arrays)),
 		},
 		lanes: pageSize / elem,
 	}
 
-	// Lay out arrays: sequential pages, padded to whole vector blocks.
-	var next isa.PageID
-	var inputPages []isa.PageID
-	for _, a := range src.Arrays {
-		pages := (a.Len + c.lanes - 1) / c.lanes
-		ids := make([]isa.PageID, pages)
-		for i := range ids {
-			ids[i] = next
-			next++
+	// Lay out arrays: sequential pages, padded to whole vector blocks. The
+	// output pages are every array's in layout order, and each array's
+	// pages are a window of them.
+	var pages, inputs, inputPageCount, loops int
+	for _, st := range src.Stmts {
+		if _, ok := st.(Loop); ok {
+			loops++
 		}
+	}
+	c.Report.Loops = make([]LoopReport, 0, loops)
+	for _, a := range src.Arrays {
+		n := (a.Len + c.lanes - 1) / c.lanes
+		if pages += n; a.Input {
+			inputs, inputPageCount = inputs+1, inputPageCount+n
+		}
+	}
+	outputPages := make([]isa.PageID, pages)
+	for i := range outputPages {
+		outputPages[i] = isa.PageID(i)
+	}
+	inputPages := make([]isa.PageID, 0, inputPageCount)
+	c.inputs = make([]inputArray, 0, inputs)
+	var next isa.PageID
+	for _, a := range src.Arrays {
+		first := next
+		next += isa.PageID((a.Len + c.lanes - 1) / c.lanes)
+		ids := outputPages[first:next:next]
 		c.arrays[a.Name] = ids
 		c.arrayLen[a.Name] = a.Len
 		if a.Input {
-			c.inputs = append(c.inputs, inputArray{ids[0], next, a.Len * a.Elem, a.Fill})
+			c.inputs = append(c.inputs, inputArray{first, next, a.Len * a.Elem, a.Fill})
 			inputPages = append(inputPages, ids...)
 		}
 	}
@@ -177,18 +198,13 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		}
 	}
 
-	var outputPages []isa.PageID
-	for _, a := range src.Arrays {
-		outputPages = append(outputPages, c.arrays[a.Name]...)
-	}
 	prog := &isa.Program{
 		Name:        src.Name,
-		Insts:       c.insts,
+		Insts:       c.scratch.program(),
 		Pages:       c.totalPages,
 		InputPages:  inputPages,
 		OutputPages: outputPages,
 	}
-	prog.InferDeps()
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: emitted invalid program: %w", err)
 	}
@@ -200,12 +216,50 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 // compilation carries emission state.
 type compilation struct {
 	Compiled
+	*scratch
+	refs       []Ref // refsIn's buffer, reused across assignments
 	lanes      int
-	insts      []isa.Inst
 	tempBase   isa.PageID
-	tempNext   map[int]int
+	tempNext   [maxTempChunks]int
 	totalPages int
 	loopID     int
+}
+
+// scratch is what a compilation emits into: instructions whose Srcs are
+// unset, every instruction's sources back to back, and where each one's
+// sources end. Compilations reuse it through scratchPool, and program
+// copies it out at its final length, so compiling allocates the program's
+// instructions and sources once each, whatever its length.
+type scratch struct {
+	insts []isa.Inst
+	srcs  []isa.PageID
+	ends  []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (s *scratch) reset() *scratch {
+	s.insts, s.srcs, s.ends = s.insts[:0], s.srcs[:0], s.ends[:0]
+	return s
+}
+
+// program copies the emitted instructions out, carving each one's Srcs as
+// a capped window of one array (nil when it has none).
+func (s *scratch) program() []isa.Inst {
+	if len(s.insts) == 0 {
+		return nil
+	}
+	insts, srcs := make([]isa.Inst, len(s.insts)), make([]isa.PageID, len(s.srcs))
+	copy(insts, s.insts)
+	copy(srcs, s.srcs)
+	var start int32
+	for i, end := range s.ends {
+		if end > start {
+			insts[i].Srcs = srcs[start:end:end]
+		}
+		start = end
+	}
+	return insts
 }
 
 // staticScalarUnits converts an opaque control region's cycle cost into
@@ -220,9 +274,6 @@ func staticScalarUnits(cycles int64) int64 {
 
 func (c *compilation) temp(b int) isa.PageID {
 	chunk := b % maxTempChunks
-	if c.tempNext == nil {
-		c.tempNext = make(map[int]int)
-	}
 	idx := c.tempNext[chunk] % tempsPerChunk
 	c.tempNext[chunk]++
 	return c.tempBase + isa.PageID(chunk*tempsPerChunk+idx)
@@ -247,16 +298,18 @@ func (c *compilation) compileLoop(src *Source, l Loop) error {
 		return nil
 	}
 	var work int64
+	carried := false
 	for _, a := range l.Body {
 		if err := checkLen(a.Target); err != nil {
 			return err
 		}
-		var refs []Ref
-		refsIn(a.Value, &refs)
-		for _, r := range refs {
+		c.refs = c.refs[:0]
+		refsIn(a.Value, &c.refs)
+		for _, r := range c.refs {
 			if err := checkLen(r.Name); err != nil {
 				return err
 			}
+			carried = carried || carriedRef(l, r)
 		}
 		work += int64(opsIn(a.Value) + 1)
 	}
@@ -266,7 +319,7 @@ func (c *compilation) compileLoop(src *Source, l Loop) error {
 	switch {
 	case l.ForceScalar:
 		vectorized, reason = false, "marked non-vectorizable (control flow/aliasing)"
-	case loopCarried(l):
+	case carried:
 		vectorized, reason = false, "loop-carried dependence"
 	case l.N < c.lanes:
 		vectorized, reason = false, fmt.Sprintf("iteration count %d below vector width %d", l.N, c.lanes)
@@ -415,11 +468,12 @@ func (c *compilation) materialize(o operand, b int, vectorized bool) isa.PageID 
 // emit appends one vector instruction with compiler metadata (§4.3.1:
 // instruction type, operand pointers, element sizes, vector length).
 func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uint64, useImm bool, vectorized bool) {
-	in := isa.Inst{
+	c.srcs = append(c.srcs, srcs...)
+	c.ends = append(c.ends, int32(len(c.srcs)))
+	c.insts = append(c.insts, isa.Inst{
 		ID:     len(c.insts),
 		Op:     op,
 		Dst:    dst,
-		Srcs:   srcs,
 		Imm:    imm,
 		UseImm: useImm,
 		Elem:   c.elem,
@@ -430,12 +484,12 @@ func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uin
 			LoopID:           c.loopID,
 			OperandFootprint: (len(srcs) + 1) * c.pageSize,
 		},
-	}
-	c.insts = append(c.insts, in)
+	})
 }
 
 // emitScalar appends an opaque control region.
 func (c *compilation) emitScalar(cycles int64) {
+	c.ends = append(c.ends, int32(len(c.srcs)))
 	c.insts = append(c.insts, isa.Inst{
 		ID:           len(c.insts),
 		Op:           isa.OpScalar,

@@ -203,16 +203,10 @@ func (c *Core) Restore(src *Core, en *energy.Account) {
 	c.vecOps, c.scalarOps, c.cycles = src.vecOps, src.scalarOps, src.cycles
 }
 
-// AppendCounts appends Stats' values to dst in sorted key order.
+// CounterNames names AppendCounts' values, in order (sorted).
+var CounterNames = [...]string{"cycles", "scalar_ops", "vector_ops"}
+
+// AppendCounts appends the operation counts CounterNames names to dst.
 func (c *Core) AppendCounts(dst []int64) []int64 {
 	return append(dst, c.cycles, c.scalarOps, c.vecOps)
-}
-
-// Stats reports operation counts for experiment tables.
-func (c *Core) Stats() map[string]int64 {
-	return map[string]int64{
-		"vector_ops": c.vecOps,
-		"scalar_ops": c.scalarOps,
-		"cycles":     c.cycles,
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
 	"conduit/internal/vecmath"
 )
 
@@ -194,9 +195,9 @@ func TestExecScalarAndQueueing(t *testing.T) {
 	if en.ComputeTotal() <= 0 { // all of it ISP's
 		t.Error("core work must record ISP energy")
 	}
-	st := c.Stats()
-	if st["scalar_ops"] != 2 || st["cycles"] != 3000 {
-		t.Fatalf("stats = %v", st)
+	st := stats.CountersOf(CounterNames[:], c.AppendCounts(nil))
+	if st.Get("scalar_ops") != 2 || st.Get("cycles") != 3000 {
+		t.Fatalf("counters = %v %v", st.Names(), c.AppendCounts(nil))
 	}
 	_ = cfg
 }

@@ -331,17 +331,10 @@ func (m *Module) SetSlotForTest(slot int, data []byte) {
 	m.setSlot(slot, m.pool.GetCopy(data))
 }
 
-// AppendCounts appends Stats' values to dst in sorted key order.
+// CounterNames names AppendCounts' values, in order (sorted).
+var CounterNames = [...]string{"bbops", "bytes_moved", "reads", "writes"}
+
+// AppendCounts appends the operation counts CounterNames names to dst.
 func (m *Module) AppendCounts(dst []int64) []int64 {
 	return append(dst, m.bbops, m.bytesMoved, m.reads, m.writes)
-}
-
-// Stats reports operation counts for experiment tables.
-func (m *Module) Stats() map[string]int64 {
-	return map[string]int64{
-		"bbops":       m.bbops,
-		"reads":       m.reads,
-		"writes":      m.writes,
-		"bytes_moved": m.bytesMoved,
-	}
 }

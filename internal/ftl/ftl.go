@@ -454,19 +454,12 @@ func (f *FTL) Freeze() {
 	f.freeBlocks.Freeze()
 }
 
-// AppendCounts appends Stats' values to dst in sorted key order.
+// CounterNames names AppendCounts' values, in order (sorted).
+var CounterNames = [...]string{"gc_runs", "map_hits", "map_misses", "migrations"}
+
+// AppendCounts appends the activity counters CounterNames names to dst.
 func (f *FTL) AppendCounts(dst []int64) []int64 {
 	return append(dst, f.gcRuns, f.mapHits, f.mapMisses, f.migrations)
-}
-
-// Stats reports FTL activity counters.
-func (f *FTL) Stats() map[string]int64 {
-	return map[string]int64{
-		"gc_runs":    f.gcRuns,
-		"migrations": f.migrations,
-		"map_hits":   f.mapHits,
-		"map_misses": f.mapMisses,
-	}
 }
 
 func maxTime(a, b sim.Time) sim.Time {

@@ -10,6 +10,7 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/nand"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
 )
 
 func newTestFTL() (*FTL, *nand.Array, *config.SSD) {
@@ -99,9 +100,9 @@ func TestLookupLatencyCacheHitVsMiss(t *testing.T) {
 	if lat != cfg.TL2PLookupFlash {
 		t.Fatalf("cold lookup = %v, want flash latency %v", lat, cfg.TL2PLookupFlash)
 	}
-	st := f.Stats()
-	if st["map_hits"] < 1 || st["map_misses"] < 1 {
-		t.Fatalf("stats = %v", st)
+	st := stats.CountersOf(CounterNames[:], f.AppendCounts(nil))
+	if st.Get("map_hits") < 1 || st.Get("map_misses") < 1 {
+		t.Fatalf("counters = %v %v", st.Names(), f.AppendCounts(nil))
 	}
 }
 
@@ -191,7 +192,7 @@ func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 		now = done
 		expect[lpn] = byte(w)
 	}
-	if f.Stats()["gc_runs"] == 0 {
+	if stats.CountersOf(CounterNames[:], f.AppendCounts(nil)).Get("gc_runs") == 0 {
 		t.Fatal("GC never ran despite write pressure")
 	}
 	// Verify the latest contents survived GC relocation.

@@ -40,7 +40,6 @@ func TestRunSteadyStateAllocsPerOp(t *testing.T) {
 			Elem: 1, Lanes: ps})
 	}
 	prog := &isa.Program{Name: "alloc", Pages: nInputs + 1, Insts: insts, InputPages: ids}
-	prog.InferDeps()
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}

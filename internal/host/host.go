@@ -173,7 +173,7 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	cfg := &m.cfg.SSD
 	h := &m.cfg.Host
 	en := energy.NewAccount()
-	lat := stats.NewReservoir()
+	lat := make([]sim.Time, 0, len(prog.Insts))
 
 	span := prog.Span()
 	cache := newPageLRU(span, cacheCapacity(prog.Pages))
@@ -245,7 +245,7 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 			t = hostMem
 		}
 		elapsed += t
-		lat.Add(t)
+		lat = append(lat, t)
 
 		// Functional execution for verification.
 		if !cfg.TimingOnly && inst.Op != isa.OpScalar && inst.Dst != isa.NoPage {
@@ -278,6 +278,6 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 		ComputeEnergy:  en.ComputeTotal(),
 		MovementEnergy: en.MovementTotal(),
 		PCIeBytes:      pcieBytes,
-		InstLatencies:  lat,
+		InstLatencies:  stats.ReservoirOf(lat),
 	}, mem, nil
 }

@@ -39,7 +39,6 @@ func streamProg(t *testing.T, nPages int, op isa.Op) (*isa.Program, map[isa.Page
 			Elem: 1, Lanes: ps})
 	}
 	prog := &isa.Program{Name: "stream", Pages: 2 * nPages, Insts: insts, InputPages: ids}
-	prog.InferDeps()
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,6 @@ func TestCacheReuseReducesPCIeTraffic(t *testing.T) {
 			Elem: 1, Lanes: ps})
 	}
 	prog := &isa.Program{Name: "reuse", Pages: 16, Insts: insts, InputPages: ids}
-	prog.InferDeps()
 	reuse, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +176,6 @@ func TestGPUBenefitsFromHBMOnResidentData(t *testing.T) {
 			Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps})
 	}
 	prog := &isa.Program{Name: "hot", Pages: 3, Insts: insts, InputPages: []isa.PageID{0, 1}}
-	prog.InferDeps()
 	cpu, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
 	if err != nil {
 		t.Fatal(err)

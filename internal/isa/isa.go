@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Op is a vector IR operation.
 type Op uint8
@@ -103,7 +100,7 @@ type Meta struct {
 
 // Inst is one vector IR instruction.
 type Inst struct {
-	ID     int    // position in the program, used as the dependence key
+	ID     int    // position in the program
 	Op     Op     // operation
 	Dst    PageID // destination logical page (NoPage for scalar work)
 	Srcs   []PageID
@@ -116,7 +113,6 @@ type Inst struct {
 	// region (control-intensive code that was not vectorized).
 	ScalarCycles int64
 
-	Deps []int // IDs of instructions producing this instruction's operands
 	Meta Meta
 }
 
@@ -147,7 +143,7 @@ type Program struct {
 
 // Validate checks structural well-formedness: operand counts match the
 // operation arity, every page ID (operand, input, output) is in range,
-// dependence edges point backwards, and element/lane geometry is sane.
+// and element/lane geometry is sane.
 func (p *Program) Validate() error {
 	if p.Pages < 0 {
 		return fmt.Errorf("isa: negative page count %d", p.Pages)
@@ -187,11 +183,6 @@ func (p *Program) Validate() error {
 		if in.Dst != NoPage && !p.inRange(in.Dst) {
 			return fmt.Errorf("isa: inst %d destination page %d out of range [0,%d)", i, in.Dst, p.Pages)
 		}
-		for _, d := range in.Deps {
-			if d < 0 || d >= i {
-				return fmt.Errorf("isa: inst %d dependence %d is not an earlier instruction", i, d)
-			}
-		}
 	}
 	for _, pages := range [...][]PageID{p.InputPages, p.OutputPages} {
 		for _, pg := range pages {
@@ -224,53 +215,4 @@ func (p *Program) Span() int {
 		}
 	}
 	return int(hi) + 1
-}
-
-// InferDeps fills in Deps from producer/consumer page relationships:
-// an instruction depends on the most recent earlier instruction that wrote
-// any of its source pages (RAW), and on the most recent earlier reader or
-// writer of its destination page (WAR/WAW), which serializes page reuse.
-// Every Deps is a capped window of one array, nil when empty.
-func (p *Program) InferDeps() {
-	// InferDeps runs before Validate, so the page tables span whatever
-	// pages the operands name. They hold an instruction index plus one.
-	lo, hi, most := 0, -1, 0
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		for _, s := range in.Srcs {
-			lo, hi = min(lo, int(s)), max(hi, int(s))
-		}
-		if in.Dst != NoPage {
-			lo, hi = min(lo, int(in.Dst)), max(hi, int(in.Dst))
-		}
-		most += len(in.Srcs) + 1
-	}
-	tables := make([]int32, 2*(hi-lo+1))
-	lastWriter, lastAccess := tables[:hi-lo+1], tables[hi-lo+1:]
-	all := make([]int, 0, most)
-	for i := range p.Insts {
-		in, start := &p.Insts[i], len(all)
-		add := func(last int32) {
-			if last != 0 && !slices.Contains(all[start:], int(last-1)) {
-				all = append(all, int(last-1))
-			}
-		}
-		for _, s := range in.Srcs {
-			add(lastWriter[int(s)-lo])
-		}
-		if in.Dst != NoPage {
-			add(lastAccess[int(in.Dst)-lo])
-		}
-		in.Deps = nil
-		if len(all) > start {
-			in.Deps = all[start:len(all):len(all)]
-			slices.Sort(in.Deps)
-		}
-		for _, s := range in.Srcs {
-			lastAccess[int(s)-lo] = int32(i + 1)
-		}
-		if in.Dst != NoPage {
-			lastWriter[int(in.Dst)-lo], lastAccess[int(in.Dst)-lo] = int32(i+1), int32(i+1)
-		}
-	}
 }

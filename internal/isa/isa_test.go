@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"slices"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEveryOpHasNameClassBandArity(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
@@ -158,8 +154,6 @@ func TestValidateRejections(t *testing.T) {
 		{"wrong arity", func(p *Program) { p.Insts[1].Srcs = p.Insts[1].Srcs[:1] }},
 		{"page out of range", func(p *Program) { p.Insts[1].Srcs[0] = 99 }},
 		{"dst out of range", func(p *Program) { p.Insts[1].Dst = 99 }},
-		{"forward dep", func(p *Program) { p.Insts[1].Deps = []int{2} }},
-		{"self dep", func(p *Program) { p.Insts[1].Deps = []int{1} }},
 		{"scalar without cycles", func(p *Program) { p.Insts[3].ScalarCycles = 0 }},
 		{"missing dst", func(p *Program) { p.Insts[1].Dst = NoPage }},
 	}
@@ -169,132 +163,6 @@ func TestValidateRejections(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted broken program", m.name)
 		}
-	}
-}
-
-func TestInferDepsRAWAndWAW(t *testing.T) {
-	p := &Program{
-		Pages: 4,
-		Insts: []Inst{
-			{ID: 0, Op: OpBroadcast, Dst: 0, UseImm: true, Imm: 1, Elem: 1, Lanes: 8},
-			{ID: 1, Op: OpBroadcast, Dst: 1, UseImm: true, Imm: 2, Elem: 1, Lanes: 8},
-			{ID: 2, Op: OpAdd, Dst: 2, Srcs: []PageID{0, 1}, Elem: 1, Lanes: 8},       // RAW on 0,1
-			{ID: 3, Op: OpAdd, Dst: 0, Srcs: []PageID{2, 1}, Elem: 1, Lanes: 8},       // RAW on 2; WAR on 0 (read by 2)
-			{ID: 4, Op: OpBroadcast, Dst: 2, UseImm: true, Imm: 3, Elem: 1, Lanes: 8}, // WAW/WAR on 2
-		},
-	}
-	p.InferDeps()
-	wantDeps := [][]int{{}, {}, {0, 1}, {1, 2}, {3}}
-	for i, want := range wantDeps {
-		got := p.Insts[i].Deps
-		if len(got) != len(want) {
-			t.Fatalf("inst %d deps = %v, want %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("inst %d deps = %v, want %v", i, got, want)
-			}
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("program invalid after InferDeps: %v", err)
-	}
-}
-
-// Property: InferDeps always yields a program that passes validation, with
-// all dependence edges pointing strictly backwards.
-func TestInferDepsAlwaysBackwardProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		r := newRand(seed)
-		count := int(n)%20 + 2
-		p := &Program{Pages: 6}
-		for i := 0; i < count; i++ {
-			in := Inst{ID: i, Op: OpAdd, Elem: 1, Lanes: 8,
-				Dst:  PageID(r(6)),
-				Srcs: []PageID{PageID(r(6)), PageID(r(6))}}
-			p.Insts = append(p.Insts, in)
-		}
-		p.InferDeps()
-		return p.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// inferDepsMap is the map derivation InferDeps replaced, kept as its
-// oracle: a map per page table and a set per instruction.
-func inferDepsMap(p *Program) [][]int {
-	out := make([][]int, len(p.Insts))
-	lastWriter := make(map[PageID]int)
-	lastAccess := make(map[PageID]int)
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		deps := map[int]bool{}
-		for _, s := range in.Srcs {
-			if w, ok := lastWriter[s]; ok {
-				deps[w] = true
-			}
-		}
-		if in.Dst != NoPage {
-			if a, ok := lastAccess[in.Dst]; ok && a != i {
-				deps[a] = true
-			}
-		}
-		for d := range deps {
-			out[i] = append(out[i], d)
-		}
-		slices.Sort(out[i])
-		for _, s := range in.Srcs {
-			lastAccess[s] = i
-		}
-		if in.Dst != NoPage {
-			lastWriter[in.Dst] = i
-			lastAccess[in.Dst] = i
-		}
-	}
-	return out
-}
-
-// TestInferDepsMatchesMapOracle drives InferDeps and the map derivation
-// over random programs whose operands include NoPage, negative pages and
-// pages past Pages (InferDeps runs before Validate), with zero to four
-// sources per instruction, and requires the same dependences.
-func TestInferDepsMatchesMapOracle(t *testing.T) {
-	for seed := uint64(1); seed <= 500; seed++ {
-		r := newRand(seed)
-		pages := r(8) + 1
-		page := func() PageID { return PageID(r(pages+6) - 3) } // [-3, pages+3)
-		p := &Program{Pages: pages}
-		for i, n := 0, r(40); i < n; i++ {
-			in := Inst{ID: i, Op: OpAdd, Dst: page()}
-			for k := r(5); k > 0; k-- {
-				in.Srcs = append(in.Srcs, page())
-			}
-			if r(4) == 0 {
-				in.Deps = []int{99} // stale: InferDeps replaces it
-			}
-			p.Insts = append(p.Insts, in)
-		}
-		want := inferDepsMap(p)
-		p.InferDeps()
-		for i, in := range p.Insts {
-			if !slices.Equal(in.Deps, want[i]) {
-				t.Fatalf("seed %d inst %d (dst %d, srcs %v): deps %v, want %v", seed, i, in.Dst, in.Srcs, in.Deps, want[i])
-			}
-			if cap(in.Deps) != len(in.Deps) {
-				t.Fatalf("seed %d inst %d: deps %v not capped (cap %d)", seed, i, in.Deps, cap(in.Deps))
-			}
-		}
-	}
-}
-
-// newRand returns a tiny deterministic generator for property tests.
-func newRand(seed uint64) func(n int) int {
-	state := seed
-	return func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(n))
 	}
 }
 

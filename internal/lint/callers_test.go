@@ -20,10 +20,6 @@ var exportedUncalled = map[string]string{
 	"lint/analysistest.Run":           "test harness: runs an analyzer over its golden packages",
 	"conduit.Server.Tenants":          "test oracle: TestMetricsSnapshotMatchesAccounting checks the metrics scrape against it",
 	"sim.Group.Member":                "test oracle: the Group-vs-scan tests reserve on, and compare, single members",
-	"cores.Core.Stats":                "test oracle: TestCounterNamesMatchStats checks counterNames against it",
-	"dram.Module.Stats":               "test oracle: TestCounterNamesMatchStats checks counterNames against it",
-	"ftl.FTL.Stats":                   "test oracle: TestCounterNamesMatchStats checks counterNames against it",
-	"nand.Array.Stats":                "test oracle: TestCounterNamesMatchStats checks counterNames against it",
 	"nand.Array.InjectBitErrors":      "ECC fault injection; sim_golden.json pins its two counters' rows",
 	"nand.Array.ECCCorrections":       "ECC fault injection's counter; sim_golden.json pins its row",
 	"nand.Array.ECCFailures":          "ECC fault injection's counter; sim_golden.json pins its row",

@@ -585,24 +585,14 @@ func (a *Array) Freeze() {
 	a.erases.Freeze()
 }
 
-// AppendCounts appends Stats' values to dst in sorted key order.
+// CounterNames names AppendCounts' values, in order (sorted).
+var CounterNames = [...]string{
+	"bytes_in", "bytes_out", "ecc_corrections", "ecc_failures", "erases",
+	"fc_transfers", "latch_rounds", "mws_ops", "programs", "senses",
+}
+
+// AppendCounts appends the operation counts CounterNames names to dst.
 func (a *Array) AppendCounts(dst []int64) []int64 {
 	return append(dst, a.bytesIn, a.bytesOut, a.eccCorrections, a.eccFailures, a.eraseOps,
 		a.fcTransfers, a.latchRounds, a.mwsOps, a.programs, a.senses)
-}
-
-// Stats reports operation counts for experiment tables.
-func (a *Array) Stats() map[string]int64 {
-	return map[string]int64{
-		"senses":          a.senses,
-		"programs":        a.programs,
-		"erases":          a.eraseOps,
-		"mws_ops":         a.mwsOps,
-		"latch_rounds":    a.latchRounds,
-		"fc_transfers":    a.fcTransfers,
-		"bytes_out":       a.bytesOut,
-		"bytes_in":        a.bytesIn,
-		"ecc_corrections": a.eccCorrections,
-		"ecc_failures":    a.eccFailures,
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
 	"conduit/internal/vecmath"
 )
 
@@ -496,9 +497,9 @@ func TestEnergyAccounting(t *testing.T) {
 	if en.MovementTotal() <= 0 {
 		t.Fatal("flash transfers should record movement energy")
 	}
-	st := a.Stats()
-	if st["senses"] != 1 || st["programs"] != 1 {
-		t.Fatalf("stats = %v", st)
+	st := stats.CountersOf(CounterNames[:], a.AppendCounts(nil))
+	if st.Get("senses") != 1 || st.Get("programs") != 1 {
+		t.Fatalf("counters = %v %v", st.Names(), a.AppendCounts(nil))
 	}
 }
 

@@ -10,18 +10,19 @@ import (
 )
 
 // A firmware image is imageMagic, whose last byte is the layout version,
-// then the name, Pages, the instruction count and the totals of their
-// sources and dependences, each instruction's fields in declaration order
-// (its two bools in one flags byte), and the input and output page lists.
-const imageMagic = "CND\x01"
+// then the name, Pages, the instruction count and the total of their
+// sources, each instruction's fields in declaration order (its two bools
+// in one flags byte), and the input and output page lists. Version 2
+// dropped version 1's per-instruction dependence lists and their total.
+const imageMagic = "CND\x02"
 
 var errMagic = errors.New("nvme: not a Conduit firmware image of this layout version")
 var errImage = errors.New("nvme: malformed firmware image")
 
 // MarshalProgram serializes a vector IR program into a firmware image.
 func MarshalProgram(p *isa.Program) []byte {
-	// The evaluated workloads' instructions take about 25 bytes each.
-	c := cursor{enc: true, b: make([]byte, 0, 64+len(p.Name)+32*len(p.Insts))}
+	// The evaluated workloads' instructions take about 20 bytes each.
+	c := cursor{enc: true, b: make([]byte, 0, 64+len(p.Name)+24*len(p.Insts))}
 	c.program(p)
 	return c.b
 }
@@ -41,13 +42,12 @@ func unmarshalProgram(img []byte) (*isa.Program, error) {
 // cursor walks an image in layout order for both directions: an encoder
 // (enc) appends each field it is handed to b and only reads it, a decoder
 // consumes b into it. A decoder's first error sticks and empties b. srcs
-// and deps back every decoded instruction's Srcs and Deps.
+// backs every decoded instruction's Srcs.
 type cursor struct {
 	b    []byte
 	enc  bool
 	err  error
 	srcs []isa.PageID
-	deps []int
 }
 
 func (c *cursor) fail(err error) { c.err, c.b = cmp.Or(c.err, err), nil }
@@ -77,11 +77,11 @@ func (c *cursor) count(n *int, min int) {
 
 // list walks a list, decoding into the front of *pool (a fresh array when
 // pool is nil); empty decodes as nil.
-func list[T ~int | ~int32](c *cursor, s *[]T, pool *[]T) {
+func (c *cursor) list(s, pool *[]isa.PageID) {
 	n := len(*s)
 	if c.count(&n, 1); !c.enc && c.err == nil && n > 0 {
 		if pool == nil {
-			fresh := make([]T, n)
+			fresh := make([]isa.PageID, n)
 			pool = &fresh
 		}
 		if n > len(*pool) {
@@ -109,17 +109,16 @@ func (c *cursor) program(p *isa.Program) {
 		p.Name, c.b = string(c.b[:n]), c.b[n:]
 	}
 	field(c, &p.Pages)
-	n, srcs, deps := len(p.Insts), 0, 0
+	n, srcs := len(p.Insts), 0
 	for i := range p.Insts {
-		srcs, deps = srcs+len(p.Insts[i].Srcs), deps+len(p.Insts[i].Deps)
+		srcs += len(p.Insts[i].Srcs)
 	}
-	c.count(&n, 13) // an instruction takes a byte per field at least
+	c.count(&n, 12) // an instruction takes a byte per field at least
 	c.count(&srcs, 1)
-	c.count(&deps, 1)
-	if !c.enc && c.err == nil && 13*n+srcs+deps > len(c.b) {
+	if !c.enc && c.err == nil && 12*n+srcs > len(c.b) {
 		c.fail(errImage)
 	} else if !c.enc && c.err == nil {
-		c.srcs, c.deps = make([]isa.PageID, srcs), make([]int, deps)
+		c.srcs = make([]isa.PageID, srcs)
 		if n > 0 {
 			p.Insts = make([]isa.Inst, n)
 		}
@@ -127,18 +126,18 @@ func (c *cursor) program(p *isa.Program) {
 	for i := range p.Insts {
 		c.inst(&p.Insts[i])
 	}
-	if len(c.srcs)+len(c.deps) != 0 {
-		c.fail(errImage) // totals the instructions did not use
+	if len(c.srcs) != 0 {
+		c.fail(errImage) // a total the instructions did not use
 	}
-	list(c, &p.InputPages, nil)
-	list(c, &p.OutputPages, nil)
+	c.list(&p.InputPages, nil)
+	c.list(&p.OutputPages, nil)
 }
 
 func (c *cursor) inst(in *isa.Inst) {
 	field(c, &in.ID)
 	field(c, &in.Op)
 	field(c, &in.Dst)
-	list(c, &in.Srcs, &c.srcs)
+	c.list(&in.Srcs, &c.srcs)
 	field(c, &in.Imm)
 	var flags uint8
 	if in.UseImm {
@@ -155,7 +154,6 @@ func (c *cursor) inst(in *isa.Inst) {
 	field(c, &in.Elem)
 	field(c, &in.Lanes)
 	field(c, &in.ScalarCycles)
-	list(c, &in.Deps, &c.deps)
 	field(c, &in.Meta.Class)
 	field(c, &in.Meta.LoopID)
 	field(c, &in.Meta.OperandFootprint)

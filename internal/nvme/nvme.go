@@ -1,7 +1,6 @@
 package nvme
 
 import (
-	"bytes"
 	"fmt"
 
 	"conduit/internal/isa"
@@ -12,7 +11,7 @@ import (
 type Controller struct {
 	dev *ssd.Device
 
-	fwImage bytes.Buffer
+	fwImage []byte // the chunks downloaded since the last commit
 
 	staged map[isa.PageID][]byte // host writes staged before commit
 }
@@ -24,11 +23,20 @@ func NewController(dev *ssd.Device) *Controller {
 
 // FWDownload stages one chunk of the firmware image at offset (NVMe
 // Firmware Image Download). Chunks must arrive in order.
+//
+// As with WritePage, the drive stages a first chunk itself, not a copy:
+// the caller must leave it unchanged until the commit. It is staged
+// clipped, so a second chunk appends to a copy and never writes past the
+// first into the caller's array.
 func (c *Controller) FWDownload(chunk []byte, offset int) error {
-	if offset != c.fwImage.Len() {
-		return fmt.Errorf("nvme: out-of-order fw chunk at %d (have %d)", offset, c.fwImage.Len())
+	if offset != len(c.fwImage) {
+		return fmt.Errorf("nvme: out-of-order fw chunk at %d (have %d)", offset, len(c.fwImage))
 	}
-	c.fwImage.Write(chunk)
+	if offset == 0 {
+		c.fwImage = chunk[:len(chunk):len(chunk)]
+	} else {
+		c.fwImage = append(c.fwImage, chunk...)
+	}
 	return nil
 }
 
@@ -42,14 +50,14 @@ func (c *Controller) FWCommit(conduitBinary bool) error {
 		return fmt.Errorf("nvme: firmware commit refused in computation mode")
 	}
 	if !conduitBinary {
-		c.fwImage.Reset()
+		c.fwImage = nil
 		return nil // vendor firmware path: accept and discard in the model
 	}
-	prog, err := unmarshalProgram(c.fwImage.Bytes())
+	prog, err := unmarshalProgram(c.fwImage)
 	if err != nil {
 		return fmt.Errorf("nvme: decoding Conduit binary: %w", err)
 	}
-	c.fwImage.Reset()
+	c.fwImage = nil
 	return c.dev.LoadProgram(prog, c.staged)
 }
 

@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"conduit/internal/config"
@@ -25,7 +26,6 @@ func testProgram(ps int) (*isa.Program, map[isa.PageID][]byte) {
 		},
 		InputPages: []isa.PageID{0, 1},
 	}
-	prog.InferDeps()
 	return prog, map[isa.PageID][]byte{0: a, 1: b}
 }
 
@@ -106,6 +106,50 @@ func TestWritePageRefusesPartialPage(t *testing.T) {
 	}
 	if !bytes.Equal(got, make([]byte, cfg.SSD.PageSize)) {
 		t.Fatal("a page staged nil must commit as zeros")
+	}
+}
+
+// TestDownloadKeepsTheCallersArray cuts two chunks from one backing array
+// with other bytes between them. The drive stages the first chunk without
+// a copy (a lone chunk allocates nothing), and the second chunk must not
+// be written past the first into the bytes between; the two still commit
+// as the image they make up.
+func TestDownloadKeepsTheCallersArray(t *testing.T) {
+	c, cfg := newController(t)
+	prog, inputs := testProgram(cfg.SSD.PageSize)
+	for p, d := range inputs {
+		if err := c.WritePage(p, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := MarshalProgram(prog)
+	half := len(img) / 2
+	between := bytes.Repeat([]byte{0xA5}, len(img)-half)
+	backing := slices.Concat(img[:half], between, img[half:])
+	second := backing[len(img):]
+	if n := testing.AllocsPerRun(10, func() {
+		if err := c.FWDownload(backing[:half], 0); err != nil {
+			t.Fatal(err)
+		}
+		c.fwImage = nil
+	}); n != 0 {
+		t.Errorf("staging a lone chunk allocated %v times, want 0", n)
+	}
+	if err := c.FWDownload(backing[:half], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FWDownload(second, half); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(backing[half:len(img)], between) {
+		t.Fatal("the second chunk was written into the caller's array past the first")
+	}
+	if err := c.FWCommit(true); err != nil {
+		t.Fatal(err)
+	}
+	c.dev.EnterComputationMode()
+	if _, err := c.dev.Run(offload.Conduit{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -366,15 +366,25 @@ func (d *Device) resetMeasurement() {
 	d.baseline = d.rawCounters()
 }
 
-// counterNames lists Result.Counters' names in the order they are
-// recorded (sorted): each substrate's Stats keys under its prefix.
-var counterNames = [...]string{
-	"core.cycles", "core.scalar_ops", "core.vector_ops",
-	"dram.bbops", "dram.bytes_moved", "dram.reads", "dram.writes",
-	"flash.bytes_in", "flash.bytes_out", "flash.ecc_corrections", "flash.ecc_failures", "flash.erases",
-	"flash.fc_transfers", "flash.latch_rounds", "flash.mws_ops", "flash.programs", "flash.senses",
-	"ftl.gc_runs", "ftl.map_hits", "ftl.map_misses", "ftl.migrations",
-}
+// counterNames lists Result.Counters' names in the order rawCounters
+// records them: each substrate's CounterNames under its prefix. The
+// prefixes and every substrate's list are sorted, so the whole list is.
+var counterNames = func() (names [len(cores.CounterNames) + len(dram.CounterNames) +
+	len(nand.CounterNames) + len(ftl.CounterNames)]string) {
+	i := 0
+	for _, sub := range [...]struct {
+		prefix string
+		names  []string
+	}{
+		{"core.", cores.CounterNames[:]}, {"dram.", dram.CounterNames[:]},
+		{"flash.", nand.CounterNames[:]}, {"ftl.", ftl.CounterNames[:]},
+	} {
+		for _, n := range sub.names {
+			names[i], i = sub.prefix+n, i+1
+		}
+	}
+	return names
+}()
 
 // rawCounters gathers the substrates' cumulative activity counters in
 // counterNames order.

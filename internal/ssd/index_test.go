@@ -1,15 +1,17 @@
 package ssd
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
 	"conduit/internal/coherence"
 	"conduit/internal/compiler"
 	"conduit/internal/config"
+	"conduit/internal/cores"
+	"conduit/internal/dram"
+	"conduit/internal/ftl"
 	"conduit/internal/isa"
-	"conduit/internal/offload"
+	"conduit/internal/nand"
 	"conduit/internal/workloads"
 )
 
@@ -72,33 +74,28 @@ func TestIndexesMatchScan(t *testing.T) {
 	}
 }
 
-// TestCounterNamesMatchStats ties the fixed counterNames list and the
-// substrates' AppendCounts order to their Stats maps: same names, sorted,
-// same values.
-func TestCounterNamesMatchStats(t *testing.T) {
+// TestCounterNamesSorted pins what Result.Counters relies on: counterNames
+// is sorted and distinct, and each substrate's AppendCounts appends one
+// value per name of its CounterNames.
+func TestCounterNamesSorted(t *testing.T) {
 	prog, inputs := mixProgram(t, 1)
 	d := newLoadedDevice(t, prog, inputs)
-	if _, err := d.Run(offload.Conduit{}); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int64{}
-	for prefix, st := range map[string]map[string]int64{
-		"core.": d.Core.Stats(), "dram.": d.DRAM.Stats(), "flash.": d.Flash.Stats(), "ftl.": d.FTL.Stats(),
+	for _, sub := range []struct {
+		names  []string
+		counts []int64
+	}{
+		{cores.CounterNames[:], d.Core.AppendCounts(nil)},
+		{dram.CounterNames[:], d.DRAM.AppendCounts(nil)},
+		{nand.CounterNames[:], d.Flash.AppendCounts(nil)},
+		{ftl.CounterNames[:], d.FTL.AppendCounts(nil)},
 	} {
-		for k, v := range st {
-			want[prefix+k] = v
+		if len(sub.counts) != len(sub.names) {
+			t.Errorf("%v: AppendCounts appends %d values", sub.names, len(sub.counts))
 		}
 	}
-	if len(want) != len(counterNames) {
-		t.Fatalf("substrates report %d counters, counterNames lists %d", len(want), len(counterNames))
-	}
-	if !sort.StringsAreSorted(counterNames[:]) {
-		t.Fatalf("counterNames is not sorted: %v", counterNames)
-	}
-	raw := d.rawCounters()
-	for i, name := range counterNames {
-		if v, ok := want[name]; !ok || v != raw[i] {
-			t.Errorf("%s: rawCounters reports %d, Stats reports %d (present=%v)", name, raw[i], v, ok)
+	for i := 1; i < len(counterNames); i++ {
+		if counterNames[i-1] >= counterNames[i] {
+			t.Fatalf("counterNames is not sorted and distinct: %v", counterNames)
 		}
 	}
 }

@@ -31,7 +31,6 @@ func livenessProgram(t *testing.T, ps int) (*isa.Program, map[isa.PageID][]byte)
 		InputPages:  []isa.PageID{0, 1},
 		OutputPages: []isa.PageID{4},
 	}
-	prog.InferDeps()
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,6 @@ func randomProgram(r *sim.RNG, pages, n int) *isa.Program {
 	for k := r.Intn(pages); k > 0; k-- {
 		p.InputPages = append(p.InputPages, isa.PageID(r.Intn(pages)))
 	}
-	p.InferDeps()
 	return p
 }
 

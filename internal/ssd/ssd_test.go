@@ -56,7 +56,6 @@ func buildProg(t *testing.T, pages int, inputs []isa.PageID, insts []isa.Inst) *
 		insts[i].ID = i
 	}
 	p := &isa.Program{Name: "test", Pages: pages, Insts: insts, InputPages: inputs}
-	p.InferDeps()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("test program invalid: %v", err)
 	}
