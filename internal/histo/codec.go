@@ -1,13 +1,16 @@
 package histo
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+
+	"conduit/internal/walk"
 )
 
 // Wire format for histogram snapshots (the per-target latency state the
-// router merges into fleet-wide percentiles):
+// router merges into fleet-wide percentiles), walked on internal/walk's
+// cursor, whose varint rules it inherits:
 //
 //	byte    codecVersion
 //	uvarint count
@@ -23,61 +26,17 @@ import (
 // non-negative by construction, so plain uvarints suffice.
 const codecVersion = 1
 
-// maxEncodedSize bounds any valid encoding: version byte plus four
-// 10-byte uvarints plus one (delta, count) pair per bucket.
-const maxEncodedSize = 1 + 4*10 + numBuckets*20
-
 // AppendBinary appends the canonical encoding of h to b and returns the
 // extended slice. The encoding is a pure function of the histogram's
 // state: byte-equal encodings iff the histograms are equal.
 func (h *Histogram) AppendBinary(b []byte) []byte {
-	b = append(b, codecVersion)
-	b = binary.AppendUvarint(b, uint64(h.count))
-	if h.count == 0 {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(h.sum))
-	b = binary.AppendUvarint(b, uint64(h.min))
-	b = binary.AppendUvarint(b, uint64(h.max))
-	nonzero := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			nonzero++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(nonzero))
-	prev := 0
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		b = binary.AppendUvarint(b, uint64(i-prev))
-		b = binary.AppendUvarint(b, uint64(c))
-		prev = i
-	}
-	return b
+	c := walk.Cursor{B: b, Enc: true}
+	h.walk(&c)
+	return c.B
 }
 
 // MarshalBinary returns the canonical encoding of h.
 func (h *Histogram) MarshalBinary() []byte { return h.AppendBinary(nil) }
-
-// errTruncated is the shared decode failure for inputs that end before
-// the structure they promise.
-var errTruncated = fmt.Errorf("histo: truncated encoding")
-
-// uvarint reads one uvarint from b, returning the value and the rest. It
-// refuses an overlong form (a trailing zero byte), which AppendBinary
-// never writes, so the encoding stays canonical.
-func uvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errTruncated
-	}
-	if n > 1 && b[n-1] == 0 {
-		return 0, nil, fmt.Errorf("histo: overlong varint")
-	}
-	return v, b[n:], nil
-}
 
 // Decode parses a canonical encoding produced by AppendBinary. It
 // validates strictly — version, bucket ordering and bounds, count
@@ -86,117 +45,103 @@ func uvarint(b []byte) (uint64, []byte, error) {
 // lengths (the histogram's storage is a fixed-size array). Adversarial
 // inputs yield an error, not a corrupt histogram.
 func Decode(b []byte) (*Histogram, error) {
-	if len(b) == 0 {
-		return nil, errTruncated
+	h, c := New(), walk.Cursor{B: b}
+	if h.walk(&c); c.Err == nil && len(c.B) != 0 {
+		c.Fail(fmt.Errorf("%d trailing bytes after encoding", len(c.B)))
 	}
-	if b[0] != codecVersion {
-		return nil, fmt.Errorf("histo: unknown codec version %d", b[0])
+	if c.Err != nil {
+		return nil, fmt.Errorf("histo: %w", c.Err)
 	}
-	b = b[1:]
-	count, b, err := uvarint(b)
-	if err != nil {
-		return nil, err
+	return h, nil
+}
+
+// walk visits h's fields in layout order, encoding or decoding as c does.
+// An encoder only reads h; a decoder fills a New histogram and checks
+// every rule a histogram built by Add and Merge keeps.
+func (h *Histogram) walk(c *walk.Cursor) {
+	version := byte(codecVersion)
+	if c.Byte(&version); version != codecVersion {
+		c.Fail(fmt.Errorf("unknown codec version %d", version))
 	}
-	if count > math.MaxInt64 {
-		return nil, fmt.Errorf("histo: implausible sample count %d", count)
+	count := uint64(h.count)
+	if c.Uvarint(&count); count > math.MaxInt64 {
+		c.Fail(fmt.Errorf("implausible sample count %d", count))
 	}
-	h := New()
-	h.count = int64(count)
 	if count > 0 {
-		var sum, min, max uint64
-		if sum, b, err = uvarint(b); err != nil {
-			return nil, err
-		}
-		if min, b, err = uvarint(b); err != nil {
-			return nil, err
-		}
-		if max, b, err = uvarint(b); err != nil {
-			return nil, err
-		}
 		// sum round-trips as raw int64 bits: with 2^63 samples near the
 		// top of the value range the accumulated sum can wrap, and the
 		// codec's job is to reproduce the histogram's state exactly, not
 		// to relitigate it. min and max are clamped non-negative by Add,
 		// so out-of-range values there are malformed input.
-		if min > math.MaxInt64 || max > math.MaxInt64 {
-			return nil, fmt.Errorf("histo: field overflows int64")
-		}
-		h.sum, h.min, h.max = int64(sum), int64(min), int64(max)
-		if h.min > h.max {
-			return nil, fmt.Errorf("histo: min %d > max %d", h.min, h.max)
+		sum, lo, hi := uint64(h.sum), uint64(h.min), uint64(h.max)
+		c.Uvarint(&sum)
+		c.Uvarint(&lo)
+		c.Uvarint(&hi)
+		switch {
+		case lo > math.MaxInt64 || hi > math.MaxInt64:
+			c.Fail(errors.New("min or max overflows int64"))
+		case lo > hi:
+			c.Fail(fmt.Errorf("min %d > max %d", lo, hi))
+		case !c.Enc:
+			h.count, h.sum, h.min, h.max = int64(count), int64(sum), int64(lo), int64(hi)
 		}
 	}
-	entries, b, err := uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if entries > numBuckets {
-		return nil, fmt.Errorf("histo: %d bucket entries exceed the %d-bucket layout", entries, numBuckets)
-	}
-	if count == 0 && entries != 0 {
-		return nil, fmt.Errorf("histo: empty histogram with %d bucket entries", entries)
-	}
-	if count > 0 && entries == 0 {
-		return nil, fmt.Errorf("histo: %d samples with no bucket entries", count)
-	}
-	idx, total := -1, uint64(0)
-	for i := uint64(0); i < entries; i++ {
-		var delta, c uint64
-		if delta, b, err = uvarint(b); err != nil {
-			return nil, err
+	var entries uint64
+	for _, n := range h.counts {
+		if n != 0 {
+			entries++
 		}
-		if c, b, err = uvarint(b); err != nil {
-			return nil, err
-		}
-		if c == 0 {
-			return nil, fmt.Errorf("histo: zero-count bucket entry %d", i)
-		}
+	}
+	c.Uvarint(&entries)
+	switch {
+	case entries > numBuckets:
+		c.Fail(fmt.Errorf("%d bucket entries exceed the %d-bucket layout", entries, numBuckets))
+	case count == 0 && entries != 0:
+		c.Fail(fmt.Errorf("empty histogram with %d bucket entries", entries))
+	case count > 0 && entries == 0:
+		c.Fail(fmt.Errorf("%d samples with no bucket entries", count))
+	}
+	// left counts the samples no entry has accounted for yet: an entry
+	// holding more is refused before it is added, so no sum can wrap.
+	idx, first, left := 0, 0, count
+	for i := uint64(0); i < entries && c.Err == nil; i++ {
 		next := idx
-		if i == 0 {
-			next = int(delta)
-		} else {
-			if delta == 0 {
-				return nil, fmt.Errorf("histo: bucket indexes not strictly ascending at entry %d", i)
+		if c.Enc {
+			if i > 0 {
+				next++
 			}
-			if delta > uint64(numBuckets) {
-				return nil, fmt.Errorf("histo: bucket delta %d out of range", delta)
-			}
-			next = idx + int(delta)
-		}
-		if next < 0 || next >= numBuckets {
-			return nil, fmt.Errorf("histo: bucket index %d out of range", next)
-		}
-		total += c
-		if total > count {
-			return nil, fmt.Errorf("histo: bucket counts exceed sample count %d", count)
-		}
-		h.counts[next] = int64(c)
-		idx = next
-	}
-	if total != count {
-		return nil, fmt.Errorf("histo: bucket counts sum to %d, want %d", total, count)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("histo: %d trailing bytes after encoding", len(b))
-	}
-	if count > 0 {
-		// The exact min/max must be consistent with the populated buckets:
-		// each lies inside its own bucket's range, and those buckets are
-		// the extremes of the occupied set.
-		lo := bucketIndex(h.min)
-		hi := bucketIndex(h.max)
-		first, last := -1, -1
-		for i, c := range h.counts {
-			if c != 0 {
-				if first < 0 {
-					first = i
-				}
-				last = i
+			for h.counts[next] == 0 {
+				next++
 			}
 		}
-		if lo != first || hi != last {
-			return nil, fmt.Errorf("histo: min/max inconsistent with occupied buckets")
+		delta, n := uint64(next-idx), uint64(h.counts[next])
+		c.Uvarint(&delta)
+		c.Uvarint(&n)
+		switch {
+		case n == 0:
+			c.Fail(fmt.Errorf("zero-count bucket entry %d", i))
+		case i > 0 && delta == 0:
+			c.Fail(fmt.Errorf("bucket indexes not strictly ascending at entry %d", i))
+		case delta >= uint64(numBuckets-idx):
+			c.Fail(fmt.Errorf("bucket index %d+%d out of range", idx, delta))
+		case n > left:
+			c.Fail(fmt.Errorf("bucket counts exceed sample count %d", count))
+		default:
+			if idx += int(delta); i == 0 {
+				first = idx
+			}
+			if left -= n; !c.Enc {
+				h.counts[idx] = int64(n)
+			}
 		}
 	}
-	return h, nil
+	switch {
+	case c.Err != nil:
+	case left != 0:
+		c.Fail(fmt.Errorf("bucket counts sum to %d, want %d", count-left, count))
+	case count > 0 && (bucketIndex(h.min) != first || bucketIndex(h.max) != idx):
+		// The exact min and max each lie in their own bucket, and those
+		// buckets are the extremes of the occupied set.
+		c.Fail(errors.New("min/max inconsistent with occupied buckets"))
+	}
 }

@@ -158,20 +158,11 @@ func TestCodecFleetQuantileIdentity(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsAdversarialInputs: the decoder must error — never
-// panic, never trust a length — on malformed frames.
-func TestCodecRejectsAdversarialInputs(t *testing.T) {
+// adversarialInputs are malformed encodings, each breaking one rule the
+// decoder enforces.
+func adversarialInputs() map[string][]byte {
 	valid := randomHisto(30, 500).MarshalBinary()
-
-	// Every strict prefix of a valid encoding is truncated or
-	// inconsistent, never accepted.
-	for i := 0; i < len(valid); i++ {
-		if _, err := Decode(valid[:i]); err == nil {
-			t.Fatalf("prefix of length %d accepted", i)
-		}
-	}
-
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"empty":          {},
 		"bad version":    {99},
 		"trailing bytes": append(append([]byte{}, valid...), 0),
@@ -181,6 +172,11 @@ func TestCodecRejectsAdversarialInputs(t *testing.T) {
 		"empty with entries": {codecVersion, 0, 1},
 		// count=2, sum=5, min=2, max=3, 1 entry: bucket 2 count 3 (> count).
 		"bucket counts exceed count": {codecVersion, 2, 5, 2, 3, 1, 2, 3},
+		// count=2, sum=4, min=1, max=3, 3 entries: buckets 1, 2 and 3
+		// holding 1, 2^64-1 and 2. Summed in uint64 the counts wrap to 2,
+		// so the middle bucket would decode to -1.
+		"bucket counts wrap": {codecVersion, 2, 4, 1, 3, 3, 1, 1,
+			1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 2},
 		// count=1, sum=5, min=3, max=2 (min > max).
 		"min above max": {codecVersion, 1, 5, 3, 2, 1, 3, 1},
 		// count=1, sum=0, min=0, max=0, 1 entry with zero count.
@@ -196,7 +192,22 @@ func TestCodecRejectsAdversarialInputs(t *testing.T) {
 		// implausible sample count (2^63-ish uvarint).
 		"implausible count": {codecVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0},
 	}
-	for name, in := range cases {
+}
+
+// TestCodecRejectsAdversarialInputs: the decoder must error — never
+// panic, never trust a length — on malformed frames.
+func TestCodecRejectsAdversarialInputs(t *testing.T) {
+	valid := randomHisto(30, 500).MarshalBinary()
+
+	// Every strict prefix of a valid encoding is truncated or
+	// inconsistent, never accepted.
+	for i := 0; i < len(valid); i++ {
+		if _, err := Decode(valid[:i]); err == nil {
+			t.Fatalf("prefix of length %d accepted", i)
+		}
+	}
+
+	for name, in := range adversarialInputs() {
 		if _, err := Decode(in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -209,4 +220,36 @@ func TestCodecRejectsAdversarialInputs(t *testing.T) {
 	if _, err := Decode(big); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("huge bucket index: got %v", err)
 	}
+}
+
+// FuzzHistoDecode holds Decode to three properties on any input: it
+// never panics, an accepted input re-encodes to the same bytes, and an
+// accepted histogram's buckets are positive where occupied and sum to
+// its sample count.
+func FuzzHistoDecode(f *testing.F) {
+	for _, in := range adversarialInputs() {
+		f.Add(in)
+	}
+	for _, h := range []*Histogram{New(), randomHisto(1, 1), randomHisto(3, 1000)} {
+		f.Add(h.MarshalBinary())
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h, err := Decode(in)
+		if err != nil {
+			return
+		}
+		if again := h.MarshalBinary(); !bytes.Equal(again, in) {
+			t.Fatalf("an accepted encoding re-encodes differently:\n%x\n%x", in, again)
+		}
+		var total int64
+		for i, n := range h.counts {
+			if n < 0 {
+				t.Fatalf("bucket %d holds %d", i, n)
+			}
+			total += n
+		}
+		if total != h.count {
+			t.Fatalf("buckets sum to %d, count is %d", total, h.count)
+		}
+	})
 }

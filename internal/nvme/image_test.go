@@ -12,6 +12,7 @@ import (
 	"conduit/internal/config"
 	"conduit/internal/isa"
 	"conduit/internal/ssd"
+	"conduit/internal/walk"
 	"conduit/internal/workloads"
 )
 
@@ -195,11 +196,25 @@ func FuzzFirmwareImage(f *testing.F) {
 	f.Add([]byte("garbage"))
 	// Counts that each fit the 1 300 bytes left but not together: decoding
 	// them anyway would allocate 12 times the image.
-	hostile := cursor{enc: true, b: []byte(imageMagic)}
+	hostile := walk.Cursor{Enc: true, B: []byte(imageMagic)}
 	for _, v := range []int{0, 0, 100, 1300} { // name, Pages, insts, srcs
-		field(&hostile, &v)
+		walk.Int(&hostile, &v)
 	}
-	f.Add(append(hostile.b, make([]byte, 1300)...))
+	f.Add(append(hostile.B, make([]byte, 1300)...))
+	// The wire decoder's canonical-form cases: a name length written 80 00
+	// (a non-shortest 0), a 1 000-byte name in no bytes, and a one-
+	// instruction image whose Op, a uint8, is 256.
+	f.Add(append([]byte(imageMagic), 0x80, 0x00))
+	for _, fields := range [][]int{
+		{1000},
+		{0, 1, 1, 0, 0, 256, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // header, instruction, page lists
+	} {
+		c := walk.Cursor{Enc: true, B: []byte(imageMagic)}
+		for _, v := range fields {
+			walk.Int(&c, &v)
+		}
+		f.Add(c.B)
+	}
 	cfg := config.TestScale()
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if grew, limit := decodeBytes(img), uint64(10*len(img)+1024); grew > limit {

@@ -19,9 +19,11 @@
 // harness prove a routed fleet byte-identical to in-process serving by
 // comparing encodings.
 //
-// A frame's layout is written once, as a walk over its fields that the
-// codec cursor runs in either direction; encoder and decoder are the
-// same code, and so are their limits. There is one protocol version:
+// A frame's layout is written once, as a walk over its fields on
+// internal/walk's cursor, which runs it in either direction and owns the
+// canonical-form rules: shortest varints, zigzag integers, bool bytes 0
+// or 1, and no count the bytes left cannot hold. Encoder and decoder are
+// the same code, and so are their limits. There is one protocol version:
 // both ends are built from this tree, and a payload under any other
 // version byte is refused. TestFrameBytesGolden pins the bytes.
 //
@@ -37,12 +39,11 @@
 // per connection. None of these bounds is configurable, and a decoded
 // frame never aliases the Reader's buffer.
 //
-// Decoding is strict and allocation-bounded: the length prefix is
-// capped at MaxFrame before any buffer is sized, element counts are
-// validated against both protocol limits and the bytes actually
-// present before slices are allocated, strings are length-capped, and
-// a frame must consume its payload exactly — truncated, oversized, or
-// trailing-byte inputs are errors, never panics. FuzzWireDecode and
+// Decoding is strict and allocation-bounded: on top of the cursor's
+// rules, the length prefix is capped at MaxFrame before any buffer is
+// sized, lists at MaxList and strings at MaxString, and a frame must
+// consume its payload exactly — truncated, oversized, or trailing-byte
+// inputs are errors, never panics. FuzzWireDecode and
 // FuzzWireRoundTrip (with committed corpora) enforce this on
 // adversarial inputs.
 //

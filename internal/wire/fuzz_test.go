@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/sim"
+	"conduit/internal/walk"
 )
 
 // FuzzWireDecode feeds the decoder adversarial payloads: it must never
@@ -40,6 +42,18 @@ func FuzzWireDecode(f *testing.F) {
 		Samples: []metrics.Sample{{Name: "m", Kind: metrics.KindCounter, Value: 1}}})
 	counter[len(counter)-9] = byte(metrics.KindHistogram)
 	f.Add(counter)
+	// The firmware image's canonical-form cases, on a Hello the walker
+	// encodes up to its workload count: that count written 80 00 (a
+	// non-shortest 0), the shard count a varint past 64 bits, and 127
+	// workloads in no bytes.
+	hello := codec{Cursor: walk.Cursor{B: []byte{Version, byte(TypeHello)}, Enc: true}}
+	target, shards := "t", int64(1)
+	hello.str(&target)
+	named := len(hello.B)
+	walk.Int(&hello.Cursor, &shards)
+	f.Add(append(slices.Clip(hello.B), 0x80, 0x00))
+	f.Add(append(slices.Clip(hello.B[:named]), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0))
+	f.Add(append(slices.Clip(hello.B), 0x7f))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := Decode(payload)
 		// The same payload, length-prefixed, twice on one connection: a

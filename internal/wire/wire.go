@@ -10,6 +10,7 @@ import (
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
+	"conduit/internal/walk"
 )
 
 // Protocol limits, enforced by encoder and decoder alike. A decoder
@@ -196,149 +197,30 @@ type DrainAck struct {
 
 // ---- codec ----
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// appendInt64 zigzag-encodes v so small negatives stay small on the
-// wire and every int64 round-trips exactly.
-func appendInt64(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-var (
-	errShort    = errors.New("wire: truncated frame")
-	errOverlong = errors.New("wire: overlong varint")
-)
-
-// codec is a cursor that walks a frame's fields in wire order, in one
-// of two directions: encoding (enc) appends each field to b, decoding
-// consumes each field from the front of b into the pointer it is
-// handed. A frame's layout is therefore written once, as one walk, and
-// the limits and consistency checks inside the walk hold for both
-// directions.
-//
-// An encoder only reads through those pointers: a frame's slices are
-// shared with the caller, who may be encoding it elsewhere at once.
-//
-// The first violation sticks in err. A decoder that failed drops the
-// rest of its payload, so every later read comes up short and leaves
-// its field zero: walks need no error checks of their own. An encoder
-// that failed keeps appending — Append has no error to return, and a
-// complete payload the peer rejects beats a silently truncated one.
+// codec walks a frame's fields in wire order on the shared cursor
+// (internal/walk), in either direction, so a frame's layout is written
+// once and the limits and consistency checks inside the walk hold for
+// both directions. An encoder only reads through the pointers it is
+// handed: a frame's slices are shared with the caller, who may be
+// encoding it elsewhere at once. A failed encoder keeps appending —
+// Append has no error to return, and a complete payload the peer rejects
+// beats a silently truncated one.
 type codec struct {
-	b   []byte
-	enc bool
-	err error
+	walk.Cursor
 	// intern, when non-nil, is a Reader's string table: a decoded short
 	// string that is already in it costs no allocation.
 	intern map[string]string
 }
 
-func (c *codec) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-	if !c.enc {
-		c.b = nil
-	}
-}
-
-func (c *codec) byte(v *byte) {
-	if c.enc {
-		c.b = append(c.b, *v)
-		return
-	}
-	if len(c.b) < 1 {
-		c.fail(errShort)
-		return
-	}
-	*v, c.b = c.b[0], c.b[1:]
-}
-
-func (c *codec) bool(v *bool) {
-	var b byte
-	if *v {
-		b = 1
-	}
-	c.byte(&b)
-	if b > 1 {
-		c.fail(fmt.Errorf("wire: bool byte %d", b))
-	}
-	if !c.enc {
-		*v = b == 1
-	}
-}
-
-func (c *codec) u64(v *uint64) {
-	if c.enc {
-		c.b = binary.BigEndian.AppendUint64(c.b, *v)
-		return
-	}
-	if len(c.b) < 8 {
-		c.fail(errShort)
-		return
-	}
-	*v, c.b = binary.BigEndian.Uint64(c.b), c.b[8:]
-}
-
-func (c *codec) f64(v *float64) {
-	u := math.Float64bits(*v)
-	c.u64(&u)
-	if !c.enc {
-		*v = math.Float64frombits(u)
-	}
-}
-
-func (c *codec) uvarint(v *uint64) {
-	if c.enc {
-		c.b = appendUvarint(c.b, *v)
-		return
-	}
-	u, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail(errShort)
-		return
-	}
-	// Encoders write the shortest form; a trailing zero byte would
-	// decode to the same value from different bytes.
-	if n > 1 && c.b[n-1] == 0 {
-		c.fail(errOverlong)
-		return
-	}
-	*v, c.b = u, c.b[n:]
-}
-
-func (c *codec) i64(v *int64) {
-	if c.enc {
-		c.b = appendInt64(c.b, *v)
-		return
-	}
-	var u uint64
-	c.uvarint(&u)
-	*v = int64(u>>1) ^ -int64(u&1)
-}
-
 func (c *codec) str(v *string) {
-	if c.enc {
-		if len(*v) > MaxString {
-			c.fail(fmt.Errorf("wire: %d-byte string exceeds MaxString %d", len(*v), MaxString))
-		}
-		c.b = appendString(c.b, *v)
-		return
+	n := uint64(len(*v))
+	if c.Uvarint(&n); n > MaxString {
+		c.Fail(fmt.Errorf("%d-byte string exceeds MaxString %d", n, MaxString))
 	}
-	var n uint64
-	c.uvarint(&n)
-	switch {
-	case n > MaxString:
-		c.fail(fmt.Errorf("wire: %d-byte string exceeds MaxString %d", n, MaxString))
-	case n > uint64(len(c.b)):
-		c.fail(errShort)
-	default:
-		*v, c.b = c.string(c.b[:n]), c.b[n:]
+	if c.Enc {
+		c.B = append(c.B, *v...)
+	} else if b := c.Take(int(n)); c.Err == nil {
+		*v = c.string(b)
 	}
 }
 
@@ -363,51 +245,42 @@ func (c *codec) string(b []byte) string {
 func (c *codec) name(v *string, what string) {
 	c.str(v)
 	if *v == "" {
-		c.fail(fmt.Errorf("wire: %s with empty name", what))
+		c.Fail(fmt.Errorf("%s with empty name", what))
 	}
 }
 
 // hist walks a length-prefixed internal/histo snapshot. A nil
 // histogram encodes as an empty one, so it decodes non-nil.
 func (c *codec) hist(h **histo.Histogram, what string) {
-	if c.enc {
+	var blob []byte
+	if c.Enc {
 		v := *h
 		if v == nil {
 			v = histo.New()
 		}
-		blob := v.MarshalBinary()
-		c.b = appendUvarint(c.b, uint64(len(blob)))
-		c.b = append(c.b, blob...)
-		return
+		blob = v.MarshalBinary()
 	}
-	var n uint64
-	c.uvarint(&n)
-	if n > uint64(len(c.b)) {
-		c.fail(errShort)
-		return
+	n := uint64(len(blob))
+	if c.Uvarint(&n); c.Enc {
+		c.B = append(c.B, blob...)
+	} else if blob = c.Take(int(n)); c.Err == nil {
+		if v, err := histo.Decode(blob); err != nil {
+			c.Fail(fmt.Errorf("%s histogram: %w", what, err))
+		} else {
+			*h = v
+		}
 	}
-	v, err := histo.Decode(c.b[:n])
-	if err != nil {
-		c.fail(fmt.Errorf("wire: %s histogram: %w", what, err))
-		return
-	}
-	*h, c.b = v, c.b[n:]
 }
 
-// list walks a repeated field's count, held to MaxList, and returns the
-// length the caller's loop walks (a func walk would make c escape). A
-// decoder also holds the count to the bytes left — an element takes at
-// least min of them — before it sizes the slice, so allocation is bounded
-// by the input's real size; an empty list decodes as nil.
-func list[T any](c *codec, s *[]T, min uint64) int {
+// list walks a repeated field's count, held to MaxList and, decoding, to
+// the bytes left (an element takes at least min of them) before it sizes
+// the slice, and returns the length the caller's loop walks (a func walk
+// would make c escape). An empty list decodes as nil.
+func list[T any](c *codec, s *[]T, min int) int {
 	n := uint64(len(*s))
-	c.uvarint(&n)
-	if n > MaxList {
-		c.fail(fmt.Errorf("wire: %d-element list exceeds MaxList %d", n, MaxList))
-	} else if !c.enc && n*min > uint64(len(c.b)) {
-		c.fail(errShort)
-	}
-	if !c.enc && c.err == nil && n > 0 {
+	if c.Uvarint(&n); n > MaxList {
+		c.Fail(fmt.Errorf("%d-element list exceeds MaxList %d", n, MaxList))
+	} else if c.Count(int(n), min) && n > 0 {
 		*s = make([]T, n)
 	}
 	return len(*s)
@@ -423,9 +296,9 @@ func list[T any](c *codec, s *[]T, min uint64) int {
 
 func (c *codec) hello(h *Hello) {
 	c.str(&h.Target)
-	c.i64(&h.Shards)
+	walk.Int(&c.Cursor, &h.Shards)
 	if h.Shards < 0 {
-		c.fail(fmt.Errorf("wire: negative shard count %d", h.Shards))
+		c.Fail(fmt.Errorf("negative shard count %d", h.Shards))
 	}
 	for i := range list(c, &h.Workloads, 1) {
 		c.str(&h.Workloads[i])
@@ -433,52 +306,52 @@ func (c *codec) hello(h *Hello) {
 }
 
 func (c *codec) request(q *Request) {
-	c.u64(&q.ID)
+	c.U64(&q.ID)
 	c.str(&q.Tenant)
 	c.str(&q.Workload)
 	c.str(&q.Policy)
-	c.i64(&q.DeadlineNS)
+	walk.Int(&c.Cursor, &q.DeadlineNS)
 	if q.DeadlineNS < 0 {
-		c.fail(fmt.Errorf("wire: negative deadline %d", q.DeadlineNS))
+		c.Fail(fmt.Errorf("negative deadline %d", q.DeadlineNS))
 	}
 	for i := range list(c, &q.Shards, 1) {
 		c.shard(&q.Shards[i])
 	}
 	if len(q.Shards) > MaxShardSet {
-		c.fail(fmt.Errorf("wire: %d-shard set exceeds MaxShardSet %d", len(q.Shards), MaxShardSet))
+		c.Fail(fmt.Errorf("%d-shard set exceeds MaxShardSet %d", len(q.Shards), MaxShardSet))
 	}
-	c.u64(&q.Trace.ID)
-	c.u64(&q.Trace.Parent)
-	c.bool(&q.Trace.Sampled)
+	c.U64(&q.Trace.ID)
+	c.U64(&q.Trace.Parent)
+	c.Bool(&q.Trace.Sampled)
 }
 
 func (c *codec) shard(s *uint32) {
 	v := uint64(*s)
-	c.uvarint(&v)
+	c.Uvarint(&v)
 	if v > math.MaxUint32 {
-		c.fail(fmt.Errorf("wire: shard index %d overflows uint32", v))
-	} else if !c.enc {
+		c.Fail(fmt.Errorf("shard index %d overflows uint32", v))
+	} else if !c.Enc {
 		*s = uint32(v)
 	}
 }
 
 func (c *codec) response(p *Response) {
-	c.u64(&p.ID)
-	c.byte((*byte)(&p.Code))
+	c.U64(&p.ID)
+	c.Byte((*byte)(&p.Code))
 	if p.Code > CodeBadRequest {
-		c.fail(fmt.Errorf("wire: unknown response code %d", p.Code))
+		c.Fail(fmt.Errorf("unknown response code %d", p.Code))
 	}
 	c.str(&p.Error)
 	if (p.Code == CodeOK) != (p.Error == "") {
-		c.fail(fmt.Errorf("wire: code %d with error %q", p.Code, p.Error))
+		c.Fail(fmt.Errorf("code %d with error %q", p.Code, p.Error))
 	}
-	c.i64(&p.ElapsedSimNS)
-	c.f64(&p.EnergyJ)
+	walk.Int(&c.Cursor, &p.ElapsedSimNS)
+	c.F64(&p.EnergyJ)
 	c.recovery(&p.Recovery)
 	hasResult := p.Result != nil
-	c.bool(&hasResult)
+	c.Bool(&hasResult)
 	if hasResult != (p.Code == CodeOK) {
-		c.fail(fmt.Errorf("wire: code %d with result=%v", p.Code, hasResult))
+		c.Fail(fmt.Errorf("code %d with result=%v", p.Code, hasResult))
 	}
 	if hasResult {
 		if p.Result == nil {
@@ -492,23 +365,23 @@ func (c *codec) response(p *Response) {
 }
 
 func (c *codec) recovery(r *serve.Recovery) {
-	c.i64(&r.Attempts)
-	c.i64(&r.Retries)
-	c.i64(&r.Hedges)
-	c.i64(&r.HedgeWins)
-	c.i64(&r.Fallbacks)
-	c.i64(&r.Injected)
-	c.i64((*int64)(&r.BackoffSim))
+	walk.Int(&c.Cursor, &r.Attempts)
+	walk.Int(&c.Cursor, &r.Retries)
+	walk.Int(&c.Cursor, &r.Hedges)
+	walk.Int(&c.Cursor, &r.HedgeWins)
+	walk.Int(&c.Cursor, &r.Fallbacks)
+	walk.Int(&c.Cursor, &r.Injected)
+	walk.Int(&c.Cursor, &r.BackoffSim)
 }
 
 func (c *codec) result(r *Result) {
 	c.str(&r.Policy)
-	c.f64(&r.ComputeEnergyJ)
-	c.f64(&r.MovementEnergyJ)
-	c.i64(&r.OverheadNS)
-	c.i64(&r.Decisions)
-	c.i64(&r.InstCount)
-	c.i64(&r.InstMeanNS)
+	c.F64(&r.ComputeEnergyJ)
+	c.F64(&r.MovementEnergyJ)
+	walk.Int(&c.Cursor, &r.OverheadNS)
+	walk.Int(&c.Cursor, &r.Decisions)
+	walk.Int(&c.Cursor, &r.InstCount)
+	walk.Int(&c.Cursor, &r.InstMeanNS)
 	for i := range list(c, &r.Counters, 2) {
 		c.counter(&r.Counters[i])
 	}
@@ -516,7 +389,7 @@ func (c *codec) result(r *Result) {
 
 func (c *codec) counter(n *Counter) {
 	c.str(&n.Name)
-	c.i64(&n.Value)
+	walk.Int(&c.Cursor, &n.Value)
 }
 
 func (c *codec) attr(a *trace.Attr) {
@@ -534,21 +407,21 @@ func (c *codec) label(l *metrics.Label) {
 // clock stays with the process that read it. A decoder allocates the
 // span, which then has no backing trace.
 func (c *codec) span(sp **trace.Span) {
-	if !c.enc {
+	if !c.Enc {
 		*sp = new(trace.Span)
 	} else if *sp == nil {
-		c.fail(errors.New("wire: nil span"))
+		c.Fail(errors.New("nil span"))
 		return
 	}
 	s := *sp
-	c.u64(&s.TraceID)
-	c.u64(&s.ID)
-	c.u64(&s.Parent)
+	c.U64(&s.TraceID)
+	c.U64(&s.ID)
+	c.U64(&s.Parent)
 	c.name(&s.Name, "span")
-	c.i64(&s.SimStartNS)
-	c.i64(&s.SimEndNS)
+	walk.Int(&c.Cursor, &s.SimStartNS)
+	walk.Int(&c.Cursor, &s.SimEndNS)
 	if s.SimEndNS < s.SimStartNS {
-		c.fail(fmt.Errorf("wire: span %q ends at %d before start %d", s.Name, s.SimEndNS, s.SimStartNS))
+		c.Fail(fmt.Errorf("span %q ends at %d before start %d", s.Name, s.SimEndNS, s.SimStartNS))
 	}
 	for i := range list(c, &s.Attrs, 2) {
 		c.attr(&s.Attrs[i])
@@ -560,14 +433,14 @@ func (c *codec) span(sp **trace.Span) {
 
 func (c *codec) event(e *trace.Event) {
 	c.name(&e.Name, "span event")
-	c.i64(&e.SimNS)
+	walk.Int(&c.Cursor, &e.SimNS)
 	for i := range list(c, &e.Attrs, 2) {
 		c.attr(&e.Attrs[i])
 	}
 }
 
 func (c *codec) snapshot(s *Snapshot) {
-	c.u64(&s.ID)
+	c.U64(&s.ID)
 	c.str(&s.Target)
 	for i := range list(c, &s.Samples, 3) {
 		c.sample(&s.Samples[i])
@@ -581,30 +454,30 @@ func (c *codec) sample(m *metrics.Sample) {
 	for i := range list(c, &m.Labels, 2) {
 		c.label(&m.Labels[i])
 	}
-	c.byte((*byte)(&m.Kind))
+	c.Byte((*byte)(&m.Kind))
 	if m.Kind > metrics.KindHistogram {
-		c.fail(fmt.Errorf("wire: unknown metric kind %d", m.Kind))
+		c.Fail(fmt.Errorf("unknown metric kind %d", m.Kind))
 	}
 	if m.Kind == metrics.KindHistogram {
 		c.hist(&m.Hist, "metric")
 	} else {
-		c.f64(&m.Value)
+		c.F64(&m.Value)
 	}
 }
 
 func (c *codec) pool(p *PoolRow) {
 	c.str(&p.Name)
-	c.i64(&p.Preforked)
-	c.i64(&p.Hits)
-	c.i64(&p.Misses)
-	c.i64(&p.Quarantined)
-	c.i64(&p.Repairs)
-	c.i64(&p.Idle)
-	c.bool(&p.Closed)
+	walk.Int(&c.Cursor, &p.Preforked)
+	walk.Int(&c.Cursor, &p.Hits)
+	walk.Int(&c.Cursor, &p.Misses)
+	walk.Int(&c.Cursor, &p.Quarantined)
+	walk.Int(&c.Cursor, &p.Repairs)
+	walk.Int(&c.Cursor, &p.Idle)
+	c.Bool(&p.Closed)
 }
 
 func (c *codec) drainAck(a *DrainAck) {
-	c.u64(&a.ID)
+	c.U64(&a.ID)
 	for i := range list(c, &a.Pools, 8) {
 		c.pool(&a.Pools[i])
 	}
@@ -625,13 +498,13 @@ func (c *codec) body(f any) Type {
 		c.response(fr)
 		return TypeResponse
 	case *SnapshotReq:
-		c.u64(&fr.ID)
+		c.U64(&fr.ID)
 		return TypeSnapshotReq
 	case *Snapshot:
 		c.snapshot(fr)
 		return TypeSnapshot
 	case *Drain:
-		c.u64(&fr.ID)
+		c.U64(&fr.ID)
 		return TypeDrain
 	case *DrainAck:
 		c.drainAck(fr)
@@ -683,10 +556,10 @@ var decoders = [...]func(*codec, Frame) Frame{
 // encode appends f's payload, stamping the type the walk returns: asking
 // f for it would make every frame escape.
 func encode(dst []byte, f Frame) ([]byte, error) {
-	c := codec{b: append(dst, Version, 0), enc: true}
+	c := codec{Cursor: walk.Cursor{B: append(dst, Version, 0), Enc: true}}
 	t := c.body(f)
-	c.b[len(dst)+1] = byte(t)
-	return c.b, c.err
+	c.B[len(dst)+1] = byte(t)
+	return c.B, c.Err
 }
 
 // Append encodes f (version, type, body — everything but the length
@@ -732,25 +605,23 @@ func (c *codec) decode(payload []byte, into Frame) (Frame, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("wire: %d-byte payload exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	c.b, c.enc, c.err = payload, false, nil
+	c.Cursor = walk.Cursor{B: payload}
 	var ver, t byte
-	c.byte(&ver)
-	if ver != Version {
-		c.fail(fmt.Errorf("wire: protocol version %d, want %d", ver, Version))
+	if c.Byte(&ver); ver != Version {
+		c.Fail(fmt.Errorf("protocol version %d, want %d", ver, Version))
 	}
-	c.byte(&t)
-	if c.err != nil {
-		return nil, c.err
+	if c.Byte(&t); c.Err == nil && (int(t) >= len(decoders) || decoders[t] == nil) {
+		c.Fail(fmt.Errorf("unknown frame type %d", t))
 	}
-	if int(t) >= len(decoders) || decoders[t] == nil {
-		return nil, fmt.Errorf("wire: unknown frame type %d", t)
+	if c.Err != nil {
+		return nil, fmt.Errorf("wire: %w", c.Err)
 	}
 	f := decoders[t](c, into)
-	if c.err != nil {
-		return nil, c.err
+	if c.Err == nil && len(c.B) != 0 {
+		c.Fail(fmt.Errorf("%d trailing bytes after %T frame", len(c.B), f))
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %T frame", len(c.b), f)
+	if c.Err != nil {
+		return nil, fmt.Errorf("wire: %w", c.Err)
 	}
 	return f, nil
 }

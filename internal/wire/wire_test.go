@@ -16,6 +16,7 @@ import (
 	"conduit/internal/metrics"
 	"conduit/internal/serve"
 	"conduit/internal/trace"
+	"conduit/internal/walk"
 )
 
 // sampleFrames returns one representative of every frame type,
@@ -455,20 +456,20 @@ func TestReadFrameBoundsAllocation(t *testing.T) {
 // count with a tiny body must be rejected by the remaining-bytes check,
 // never allocated.
 func TestListCountCannotOverAllocate(t *testing.T) {
+	hello := func(workloads uint64) []byte {
+		c := codec{Cursor: walk.Cursor{B: []byte{Version, byte(TypeHello)}, Enc: true}}
+		target, shards := "t", int64(1)
+		c.str(&target)
+		walk.Int(&c.Cursor, &shards)
+		c.Uvarint(&workloads)
+		return c.B
+	}
 	// A hello frame claiming MaxList workloads with no bytes behind them.
-	b := []byte{Version, byte(TypeHello)}
-	b = appendString(b, "t")
-	b = appendInt64(b, 1)
-	b = appendUvarint(b, MaxList)
-	if _, err := Decode(b); err == nil {
+	if _, err := Decode(hello(MaxList)); err == nil {
 		t.Error("hello with phantom workloads accepted")
 	}
 	// Beyond MaxList is rejected by the limit itself.
-	b2 := []byte{Version, byte(TypeHello)}
-	b2 = appendString(b2, "t")
-	b2 = appendInt64(b2, 1)
-	b2 = appendUvarint(b2, MaxList+1)
-	if _, err := Decode(b2); err == nil || !strings.Contains(err.Error(), "MaxList") {
+	if _, err := Decode(hello(MaxList + 1)); err == nil || !strings.Contains(err.Error(), "MaxList") {
 		t.Errorf("over-MaxList count: %v", err)
 	}
 }
