@@ -1,8 +1,8 @@
 package conduit_test
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// paper-vs-measured results). Each bench prints its table once, then
+// evaluation (docs/REPRO.md "Figure / table index" maps each to its paper
+// artifact and command). Each bench prints its table once, then
 // reports the wall-time of regenerating it:
 //
 //	go test -bench=. -benchmem
@@ -104,7 +104,7 @@ func BenchmarkOverheadAnalysis(b *testing.B) {
 }
 
 // BenchmarkAblationCostFeatures regenerates the cost-function feature
-// ablation (DESIGN.md ablation index).
+// ablation (docs/REPRO.md "Figure / table index", row cost-fn ablation).
 func BenchmarkAblationCostFeatures(b *testing.B) {
 	benchTable(b, harness(benchScale).AblationCostFeatures)
 }

@@ -63,7 +63,7 @@ func TestClusterMergeArithmetic(t *testing.T) {
 			ComputeEnergy:  computeJ,
 			MovementEnergy: movementJ,
 			InstLatencies:  res,
-			Decisions:      []Decision{{InstID: int(counter)}},
+			Decisions:      []Decision{{InstID: int32(counter)}},
 			Counters:       ctr,
 		}
 	}

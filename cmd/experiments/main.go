@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's tables and figures from the
 // simulator. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records the expected qualitative shape.
+// reports; docs/REPRO.md "Figure / table index" maps each to its command.
 //
 // Usage:
 //

@@ -120,8 +120,9 @@ func TestDeviceDecisionsExposed(t *testing.T) {
 }
 
 // TestEvaluationShape runs the full experiment matrix at smoke-test scale
-// and asserts the qualitative relations the paper's figures rest on (see
-// EXPERIMENTS.md). Absolute factors are scale-dependent and not asserted.
+// and asserts the qualitative relations the paper's figures rest on
+// (docs/REPRO.md "Figure / table index" lists the figures). Absolute
+// factors are scale-dependent and not asserted.
 func TestEvaluationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation sweep")

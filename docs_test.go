@@ -27,6 +27,9 @@ var (
 	docsSpan   = regexp.MustCompile("`[^`\n]+`")
 	docsTest   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
 	docsMember = regexp.MustCompile(`\b([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+	// docsMD is a Markdown file a Go comment cites, and the section it
+	// names when a quoted heading follows on the same line.
+	docsMD = regexp.MustCompile(`([A-Za-z0-9_./-]*[A-Za-z0-9_]\.md)\b(?:'s|,)? ?(?:"([^"\n]+)")?`)
 	// docsFileExt are the suffixes that make X.ext a file name, not a
 	// Go reference.
 	docsFileExt = map[string]bool{"go": true, "md": true, "json": true, "jsonl": true, "csv": true,
@@ -41,6 +44,7 @@ type moduleDecls struct {
 	pkgs     map[string]map[string]bool // package name -> its top-level identifiers and methods
 	members  map[string]map[string]bool // type name -> its methods and fields
 	embedded map[string][]string        // type name -> the types it embeds
+	mdCites  [][3]string                // Go file, the *.md it cites, the quoted heading or ""
 }
 
 func loadModuleDecls(t *testing.T) *moduleDecls {
@@ -61,11 +65,16 @@ func loadModuleDecls(t *testing.T) *moduleDecls {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		d.add(f)
+		for _, g := range f.Comments {
+			for _, m := range docsMD.FindAllStringSubmatch(g.Text(), -1) {
+				d.mdCites = append(d.mdCites, [3]string{path, m[1], m[2]})
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -213,9 +222,24 @@ func (d *moduleDecls) resolves(ref string) bool {
 // name, every Type.Method (or Type.Field) and every pkg.Ident that README,
 // ARCHITECTURE and REPRO cite in backticks against the module's
 // declarations, so the docs cannot go on naming code that was renamed or
-// deleted.
+// deleted. The other way round, every *.md a Go comment cites must exist,
+// beside the comment's file or from the module root, and a heading it
+// quotes must begin a heading or a bold paragraph lead there.
 func TestDocsCiteWhatExists(t *testing.T) {
 	d := loadModuleDecls(t)
+	for _, c := range d.mdCites {
+		from, name, heading := c[0], c[1], c[2]
+		doc, err := os.ReadFile(filepath.Join(filepath.Dir(from), name))
+		if err != nil {
+			doc, err = os.ReadFile(name)
+		}
+		switch {
+		case err != nil:
+			t.Errorf("%s cites %s, which does not exist", from, name)
+		case heading != "" && !regexp.MustCompile(`(?m)^(?:#+ |\*\*)`+regexp.QuoteMeta(heading)).Match(doc):
+			t.Errorf("%s cites %s %q, which has no such heading", from, name, heading)
+		}
+	}
 	cited := map[string]bool{}
 	for _, path := range citedDocs {
 		doc, err := os.ReadFile(path)

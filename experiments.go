@@ -16,8 +16,8 @@ import (
 )
 
 // Experiments regenerates every table and figure of the paper's
-// motivation and evaluation sections (see DESIGN.md's per-experiment
-// index). Runs are memoized, so figures sharing the same sweeps (Figs. 5,
+// motivation and evaluation sections (docs/REPRO.md "Figure / table index"
+// has the per-experiment index). Runs are memoized, so figures sharing the same sweeps (Figs. 5,
 // 7a, 7b, 9) execute each workload x policy pair once. Each workload is
 // compiled and NVMe-deployed once; every policy run restores the
 // post-deploy snapshot instead of re-driving the deploy path, and RunGrid

@@ -2,8 +2,9 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"conduit/internal/isa"
 )
@@ -125,11 +126,15 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		return nil, err
 	}
 	elem := src.Elem()
-	if pageSize <= 0 || pageSize%elem != 0 {
+	// isa.Inst holds the element size in a byte, four pages in an int32.
+	if elem != 1 && elem != 2 && elem != 4 || pageSize <= 0 || pageSize%elem != 0 || pageSize > math.MaxInt32/4 {
 		return nil, fmt.Errorf("compiler: page size %d incompatible with element size %d", pageSize, elem)
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := spare.Swap(nil)
+	if sc == nil {
+		sc = new(scratch)
+	}
+	defer spare.Store(sc)
 	c := &compilation{
 		scratch: sc.reset(),
 		Compiled: Compiled{
@@ -222,13 +227,13 @@ type compilation struct {
 	tempBase   isa.PageID
 	tempNext   [maxTempChunks]int
 	totalPages int
-	loopID     int
+	loopID     int32
 }
 
 // scratch is what a compilation emits into: instructions whose Srcs are
 // unset, every instruction's sources back to back, and where each one's
-// sources end. Compilations reuse it through scratchPool, and program
-// copies it out at its final length, so compiling allocates the program's
+// sources end. Compilations reuse it through spare, and program copies it
+// out at its final length, so compiling allocates the program's
 // instructions and sources once each, whatever its length.
 type scratch struct {
 	insts []isa.Inst
@@ -236,7 +241,9 @@ type scratch struct {
 	ends  []int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// spare is the one retained scratch, which unlike a sync.Pool's entries
+// survives collections; a compile that finds it taken makes its own.
+var spare atomic.Pointer[scratch]
 
 func (s *scratch) reset() *scratch {
 	s.insts, s.srcs, s.ends = s.insts[:0], s.srcs[:0], s.ends[:0]
@@ -471,18 +478,18 @@ func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uin
 	c.srcs = append(c.srcs, srcs...)
 	c.ends = append(c.ends, int32(len(c.srcs)))
 	c.insts = append(c.insts, isa.Inst{
-		ID:     len(c.insts),
+		ID:     int32(len(c.insts)),
 		Op:     op,
 		Dst:    dst,
 		Imm:    imm,
 		UseImm: useImm,
-		Elem:   c.elem,
-		Lanes:  c.lanes,
+		Elem:   uint8(c.elem),
+		Lanes:  int32(c.lanes),
 		Meta: isa.Meta{
 			Class:            op.Class(),
 			Unvectorized:     !vectorized,
 			LoopID:           c.loopID,
-			OperandFootprint: (len(srcs) + 1) * c.pageSize,
+			OperandFootprint: int32((len(srcs) + 1) * c.pageSize),
 		},
 	})
 }
@@ -491,7 +498,7 @@ func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uin
 func (c *compilation) emitScalar(cycles int64) {
 	c.ends = append(c.ends, int32(len(c.srcs)))
 	c.insts = append(c.insts, isa.Inst{
-		ID:           len(c.insts),
+		ID:           int32(len(c.insts)),
 		Op:           isa.OpScalar,
 		Dst:          isa.NoPage,
 		ScalarCycles: cycles,

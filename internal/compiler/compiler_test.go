@@ -36,7 +36,7 @@ func irRun(t *testing.T, c *Compiled) map[isa.PageID][]byte {
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, c.pageSize)
-		if err := isa.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
+		if err := isa.Apply(in.Op, out, srcs, int(in.Elem), in.UseImm, in.Imm); err != nil {
 			t.Fatalf("ir inst %d (%v): %v", i, in.Op, err)
 		}
 		mem[in.Dst] = out

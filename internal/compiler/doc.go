@@ -9,7 +9,7 @@
 //
 // The paper drives LLVM 12 over C sources; we substitute a small loop IR
 // that yields the same artifact — the vectorized instruction stream with
-// metadata — as DESIGN.md's substitution table records.
+// metadata (docs/ARCHITECTURE.md "Paper section → package map", row §4.3.1).
 //
 // Language semantics note: a neighbor access A[i+k] wraps at vector-block
 // granularity (the lane rotation a SIMD shifted load performs). The scalar

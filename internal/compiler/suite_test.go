@@ -13,8 +13,8 @@ import (
 )
 
 // compileCost reports what compiling src allocates, bytes and count: the
-// least of five compiles, since the heap counters are process-wide and a
-// garbage collection may empty the emission scratch's pool.
+// least of five compiles, since the heap counters are process-wide and the
+// first compile in a process grows the retained emission scratch.
 func compileCost(t testing.TB, src *compiler.Source, pageSize int) (prog *isa.Program, bytes, allocs uint64) {
 	bytes, allocs = math.MaxUint64, math.MaxUint64
 	for i := 0; i < 5; i++ {
@@ -35,7 +35,8 @@ func compileCost(t testing.TB, src *compiler.Source, pageSize int) (prog *isa.Pr
 // it emits: the instructions and their sources are copied out of a reused
 // scratch at their final length, so what compiling the six workloads
 // allocates stays within 1.3 times the bytes of their Insts and Srcs (it
-// measures 1.17 at scale 1 and 1.13 at scale 2; 3.0 when each instruction
+// measures 1.26 at scale 1 and 1.21 at scale 2, 1.17 and 1.13 while an
+// instruction took 104 bytes rather than 72; 3.0 when each instruction
 // was appended to a growing slice with its own Srcs and a dependence
 // list), and no workload's allocation count grows with its instruction
 // count: scale 2 emits about twice the instructions of scale 1 from the

@@ -113,7 +113,7 @@ type Config struct {
 // geometry is scaled down from the paper's 2 TB drive (2048 blocks/plane)
 // to keep functional simulation in memory; all experiments size workload
 // footprints relative to the configured capacity, so contention and
-// data-movement ratios are preserved (see DESIGN.md, substitutions).
+// data-movement ratios are preserved (docs/ARCHITECTURE.md "Paper section → package map").
 func Default() Config {
 	return Config{
 		SSD: SSD{

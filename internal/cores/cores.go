@@ -70,7 +70,7 @@ func InstCycles(cfg *config.SSD, inst *isa.Inst, lanes int) int64 {
 	case inst.Meta.Unvectorized:
 		return UnvectorizedCycles(lanes)
 	default:
-		return Cycles(cfg, inst.Op, lanes, inst.Elem)
+		return Cycles(cfg, inst.Op, lanes, int(inst.Elem))
 	}
 }
 
@@ -140,7 +140,7 @@ func (c *Core) Exec(now, ready sim.Time, inst *isa.Inst, srcs [][]byte, stream s
 		return nil, 0, fmt.Errorf("cores: operand size mismatch")
 	}
 
-	cyc := InstCycles(c.cfg, inst, size/inst.Elem)
+	cyc := InstCycles(c.cfg, inst, size/int(inst.Elem))
 	_, done := c.cal.Reserve(now, ready, c.cfg.CoreCycles(cyc)+stream)
 	if inst.Meta.Unvectorized {
 		c.scalarOps++
@@ -154,7 +154,7 @@ func (c *Core) Exec(now, ready sim.Time, inst *isa.Inst, srcs [][]byte, stream s
 		return nil, done, nil
 	}
 	out := c.outBuffer(size)
-	if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
+	if err := isa.Apply(inst.Op, out, srcs, int(inst.Elem), inst.UseImm, inst.Imm); err != nil {
 		c.pool.Put(out)
 		return nil, 0, err
 	}

@@ -21,7 +21,7 @@ func newTestCore() (*Core, *config.SSD, *energy.Account) {
 // exec runs one vectorized instruction at time zero with no stream
 // occupancy.
 func exec(c *Core, op isa.Op, srcs [][]byte, elem int, useImm bool, imm uint64) ([]byte, sim.Time, error) {
-	return c.Exec(0, 0, &isa.Inst{Op: op, Elem: elem, UseImm: useImm, Imm: imm}, srcs, 0)
+	return c.Exec(0, 0, &isa.Inst{Op: op, Elem: uint8(elem), UseImm: useImm, Imm: imm}, srcs, 0)
 }
 
 func TestCyclesScaleWithVectorSize(t *testing.T) {

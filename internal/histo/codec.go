@@ -35,9 +35,6 @@ func (h *Histogram) AppendBinary(b []byte) []byte {
 	return c.B
 }
 
-// MarshalBinary returns the canonical encoding of h.
-func (h *Histogram) MarshalBinary() []byte { return h.AppendBinary(nil) }
-
 // Decode parses a canonical encoding produced by AppendBinary. It
 // validates strictly — version, bucket ordering and bounds, count
 // arithmetic, min/max consistency, and exact input consumption — and

@@ -33,7 +33,7 @@ func randomHisto(seed uint64, n int) *Histogram {
 // codec error.
 func roundTrip(t *testing.T, h *Histogram) *Histogram {
 	t.Helper()
-	dec, err := Decode(h.MarshalBinary())
+	dec, err := Decode(h.AppendBinary(nil))
 	if err != nil {
 		t.Fatalf("decode of canonical encoding failed: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestCodecRoundTripExact(t *testing.T) {
 			t.Errorf("case %d: decoded histogram differs from original", i)
 		}
 		// Canonical: re-encoding the decoded histogram reproduces the bytes.
-		if !bytes.Equal(h.MarshalBinary(), dec.MarshalBinary()) {
+		if !bytes.Equal(h.AppendBinary(nil), dec.AppendBinary(nil)) {
 			t.Errorf("case %d: re-encoding is not canonical", i)
 		}
 	}
@@ -81,7 +81,7 @@ func TestCodecMergeEqualsInProcessMerge(t *testing.T) {
 	if !direct.equalTo(viaWire) {
 		t.Fatal("merge of decoded snapshots differs from in-process merge")
 	}
-	if !bytes.Equal(direct.MarshalBinary(), viaWire.MarshalBinary()) {
+	if !bytes.Equal(direct.AppendBinary(nil), viaWire.AppendBinary(nil)) {
 		t.Fatal("merged encodings differ byte-wise")
 	}
 }
@@ -161,7 +161,7 @@ func TestCodecFleetQuantileIdentity(t *testing.T) {
 // adversarialInputs are malformed encodings, each breaking one rule the
 // decoder enforces.
 func adversarialInputs() map[string][]byte {
-	valid := randomHisto(30, 500).MarshalBinary()
+	valid := randomHisto(30, 500).AppendBinary(nil)
 	return map[string][]byte{
 		"empty":          {},
 		"bad version":    {99},
@@ -197,7 +197,7 @@ func adversarialInputs() map[string][]byte {
 // TestCodecRejectsAdversarialInputs: the decoder must error — never
 // panic, never trust a length — on malformed frames.
 func TestCodecRejectsAdversarialInputs(t *testing.T) {
-	valid := randomHisto(30, 500).MarshalBinary()
+	valid := randomHisto(30, 500).AppendBinary(nil)
 
 	// Every strict prefix of a valid encoding is truncated or
 	// inconsistent, never accepted.
@@ -231,14 +231,14 @@ func FuzzHistoDecode(f *testing.F) {
 		f.Add(in)
 	}
 	for _, h := range []*Histogram{New(), randomHisto(1, 1), randomHisto(3, 1000)} {
-		f.Add(h.MarshalBinary())
+		f.Add(h.AppendBinary(nil))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		h, err := Decode(in)
 		if err != nil {
 			return
 		}
-		if again := h.MarshalBinary(); !bytes.Equal(again, in) {
+		if again := h.AppendBinary(nil); !bytes.Equal(again, in) {
 			t.Fatalf("an accepted encoding re-encodes differently:\n%x\n%x", in, again)
 		}
 		var total int64

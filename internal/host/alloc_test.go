@@ -34,10 +34,10 @@ func TestRunSteadyStateAllocsPerOp(t *testing.T) {
 	// value is dead and must be recycled, not leaked to the collector.
 	insts := make([]isa.Inst, 0, nOps)
 	for i := 0; i < nOps; i++ {
-		insts = append(insts, isa.Inst{ID: i, Op: isa.OpXor,
+		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpXor,
 			Dst:  isa.PageID(nInputs),
 			Srcs: []isa.PageID{isa.PageID(i % nInputs), isa.PageID((i + 1) % nInputs)},
-			Elem: 1, Lanes: ps})
+			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "alloc", Pages: nInputs + 1, Insts: insts, InputPages: ids}
 	if err := prog.Validate(); err != nil {

@@ -3,7 +3,8 @@
 // the NVMe/PCIe link. The paper evaluates the hosts on real hardware
 // combined with simulated SSD-to-host transfers (§5.3); we substitute
 // calibrated roofline models of the same machines (Xeon Gold 5118,
-// NVIDIA A100) fed by the same instruction stream — see DESIGN.md.
+// NVIDIA A100) fed by the same instruction stream: docs/ARCHITECTURE.md
+// "Paper section → package map", row §5.3.
 //
 // Per instruction, execution time is the roofline maximum of three terms:
 // PCIe transfer of non-resident operands, host-memory traffic, and compute

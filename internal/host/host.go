@@ -254,7 +254,7 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 				srcs = append(srcs, load(s))
 			}
 			out := pool.Get() // fully overwritten by Apply
-			if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
+			if err := isa.Apply(inst.Op, out, srcs, int(inst.Elem), inst.UseImm, inst.Imm); err != nil {
 				return nil, nil, fmt.Errorf("host: inst %d: %w", i, err)
 			}
 			if old, ok := mem[inst.Dst]; ok {

@@ -33,10 +33,10 @@ func streamProg(t *testing.T, nPages int, op isa.Op) (*isa.Program, map[isa.Page
 		ids = append(ids, isa.PageID(i))
 	}
 	for i := 0; i < nPages; i++ {
-		insts = append(insts, isa.Inst{ID: i, Op: op,
+		insts = append(insts, isa.Inst{ID: int32(i), Op: op,
 			Dst:  isa.PageID(nPages + i),
 			Srcs: []isa.PageID{isa.PageID(i), isa.PageID((i + 1) % nPages)},
-			Elem: 1, Lanes: ps})
+			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "stream", Pages: 2 * nPages, Insts: insts, InputPages: ids}
 	if err := prog.Validate(); err != nil {
@@ -112,9 +112,9 @@ func TestCacheReuseReducesPCIeTraffic(t *testing.T) {
 	}
 	var insts []isa.Inst
 	for i := 0; i < 32; i++ {
-		insts = append(insts, isa.Inst{ID: i, Op: isa.OpAdd, Dst: 3,
+		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpAdd, Dst: 3,
 			Srcs: []isa.PageID{isa.PageID(i % 3), isa.PageID((i + 1) % 3)},
-			Elem: 1, Lanes: ps})
+			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "reuse", Pages: 16, Insts: insts, InputPages: ids}
 	reuse, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))
@@ -172,8 +172,8 @@ func TestGPUBenefitsFromHBMOnResidentData(t *testing.T) {
 	inputs := map[isa.PageID][]byte{0: make([]byte, ps), 1: make([]byte, ps)}
 	var insts []isa.Inst
 	for i := 0; i < 64; i++ {
-		insts = append(insts, isa.Inst{ID: i, Op: isa.OpAdd, Dst: 2,
-			Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps})
+		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpAdd, Dst: 2,
+			Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "hot", Pages: 3, Insts: insts, InputPages: []isa.PageID{0, 1}}
 	cpu, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))

@@ -94,30 +94,32 @@ type Meta struct {
 	Unvectorized bool  // true for strip-mined remainders and loops the
 	// vectorizer rejected: they execute lane-serially on the controller
 	// cores (ISP), matching §7's auto-vectorization limits
-	LoopID           int // source loop, for reporting
-	OperandFootprint int // total operand footprint in bytes
+	LoopID           int32 // source loop, for reporting
+	OperandFootprint int32 // total operand footprint in bytes
 }
 
-// Inst is one vector IR instruction.
+// Inst is one vector IR instruction, held several times over (compile
+// scratch, program, decoded image): its fields are as narrow as
+// Validate's bounds allow and ordered widest first, 72 bytes.
 type Inst struct {
-	ID     int    // position in the program
-	Op     Op     // operation
-	Dst    PageID // destination logical page (NoPage for scalar work)
-	Srcs   []PageID
-	Imm    uint64 // immediate operand (shift amount, broadcast value, ...)
-	UseImm bool   // when set, the last source lane input is the immediate
-	Elem   int    // element size in bytes (1, 2 or 4)
-	Lanes  int    // vector lanes; Lanes*Elem = vector footprint in bytes
+	Srcs []PageID
+	Imm  uint64 // immediate operand (shift amount, broadcast value, ...)
 
 	// ScalarCycles is the controller-core cycle cost of an OpScalar
 	// region (control-intensive code that was not vectorized).
 	ScalarCycles int64
 
-	Meta Meta
+	ID     int32  // position in the program
+	Dst    PageID // destination logical page (NoPage for scalar work)
+	Lanes  int32  // vector lanes; Lanes*Elem = vector footprint in bytes
+	Meta   Meta
+	Op     Op    // operation
+	Elem   uint8 // element size in bytes (1, 2 or 4)
+	UseImm bool  // when set, the last source lane input is the immediate
 }
 
 // VectorBytes reports the instruction's vector footprint.
-func (in *Inst) VectorBytes() int { return in.Lanes * in.Elem }
+func (in *Inst) VectorBytes() int { return int(in.Lanes) * int(in.Elem) }
 
 // Program is a compiled instruction stream plus its data layout.
 type Program struct {
@@ -150,7 +152,7 @@ func (p *Program) Validate() error {
 	}
 	for i := range p.Insts {
 		in := &p.Insts[i]
-		if in.ID != i {
+		if int(in.ID) != i {
 			return fmt.Errorf("isa: inst %d has ID %d; IDs must be positional", i, in.ID)
 		}
 		if in.Op >= numOps {

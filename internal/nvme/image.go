@@ -10,9 +10,10 @@ import (
 
 // A firmware image is imageMagic, whose last byte is the layout version,
 // then the name, Pages, the instruction count and the total of their
-// sources, each instruction's fields in declaration order (its two bools
-// in one flags byte), and the input and output page lists. Version 2
-// dropped version 1's per-instruction dependence lists and their total.
+// sources, each instruction's fields in the order inst walks them (its two
+// bools in one flags byte), and the input and output page lists. Version 2
+// dropped version 1's per-instruction dependence lists and their total;
+// narrowing a field's Go type moves no byte (testdata/image.sha256).
 const imageMagic = "CND\x02"
 
 var errMagic = errors.New("nvme: not a Conduit firmware image of this layout version")

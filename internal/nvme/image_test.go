@@ -2,10 +2,14 @@ package nvme
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"conduit/internal/compiler"
@@ -252,4 +256,23 @@ func decodeBytes(img []byte) uint64 {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
+}
+
+// TestImageBytesPinned checks the SHA-256 of each scale-1 workload's
+// firmware image against testdata/image.sha256. Round trips cannot see a
+// change of field order or width that moves image bytes; this can. Only a
+// layout change, which bumps imageMagic's version byte, may rewrite the
+// file: a failure prints the lines to paste.
+func TestImageBytesPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/image.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, p := range workloadPrograms(t, 1) {
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(MarshalProgram(p)), p.Name)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("firmware image bytes moved; testdata/image.sha256 would read:\n%s", got.String())
+	}
 }

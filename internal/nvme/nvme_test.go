@@ -22,7 +22,7 @@ func testProgram(ps int) (*isa.Program, map[isa.PageID][]byte) {
 		Name:  "nvme-test",
 		Pages: 3,
 		Insts: []isa.Inst{
-			{ID: 0, Op: isa.OpXor, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps},
+			{ID: 0, Op: isa.OpXor, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
 		},
 		InputPages: []isa.PageID{0, 1},
 	}

@@ -53,12 +53,15 @@ type Device struct {
 	// page of the program's span; bindSlot and freeSlot are the only
 	// writers of either. The slot tables stop at the span: a program that
 	// names fewer pages than there are usable slots never fills them, and
-	// allocSlot takes the lowest free slot either way.
+	// allocSlot takes the lowest free slot either way: the lowest set bit
+	// of freeSlots (bit s%64 of word s/64 is set while slot s is free).
+	// slotWords backs slotClock, the LRU stamps, and freeSlots: one array.
 	dramSlot  []int32
 	slotOwner []isa.PageID
-	slotClock []int64 // LRU stamps
-	clock     int64
-	freeFrom  int // no slot below it is free: where allocSlot starts looking
+	slotWords []uint64
+	slotClock []uint64
+	freeSlots []uint64
+	clock     uint64
 
 	// Plane page-buffer tags: bufferTag[plane] is the logical page the
 	// plane's buffer holds (NoPage when invalid/untracked) and pagePlane
@@ -140,9 +143,10 @@ type access struct {
 	read bool
 }
 
-// Decision records one offloading decision for Figs. 9 and 10.
+// Decision records one offloading decision for Figs. 9 and 10. A run keeps
+// one per instruction: 24 bytes, InstID packed with Op and Resource.
 type Decision struct {
-	InstID   int
+	InstID   int32
 	Op       isa.Op
 	Resource isa.Resource
 	Issue    sim.Time
@@ -220,11 +224,12 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	// Reserve 1/8 of DRAM slots for FTL metadata (mapping cache et al.).
 	slots := min(d.DRAM.Capacity()-d.DRAM.Capacity()/8, n)
 	d.slotOwner = make([]isa.PageID, slots)
-	d.slotClock = make([]int64, slots)
+	d.slotWords = make([]uint64, slots+(slots+63)/64)
+	d.slotClock, d.freeSlots = d.slotWords[:slots:slots], d.slotWords[slots:]
 	for i := range d.slotOwner {
 		d.slotOwner[i] = isa.NoPage
+		d.freeSlots[i/64] |= 1 << (i % 64)
 	}
-	d.freeFrom = 0
 	d.accesses = make([][]access, n)
 	d.output = make([]bool, n)
 	// Pages read before ever being written behave as zero-filled inputs;

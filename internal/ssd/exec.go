@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"conduit/internal/coherence"
@@ -115,6 +116,7 @@ func (d *Device) slotOf(p isa.PageID) (int, bool) {
 func (d *Device) bindSlot(p isa.PageID, slot int) {
 	d.dramSlot[p] = int32(slot)
 	d.slotOwner[slot] = p
+	d.freeSlots[slot/64] &^= 1 << (slot % 64)
 	d.touchSlot(slot)
 }
 
@@ -123,16 +125,16 @@ func (d *Device) freeSlot(slot int) {
 	d.DRAM.Invalidate(slot)
 	d.dramSlot[d.slotOwner[slot]] = noSlot
 	d.slotOwner[slot] = isa.NoPage
-	d.freeFrom = min(d.freeFrom, slot)
+	d.freeSlots[slot/64] |= 1 << (slot % 64)
 }
 
 // allocSlot returns a free DRAM slot, evicting the least-recently-used
 // resident page when full. Evicting a dirty (DRAM-owned) page writes it
 // back to flash — the §4.4 eviction synchronization trigger.
 func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
-	for ; d.freeFrom < len(d.slotOwner); d.freeFrom++ {
-		if d.slotOwner[d.freeFrom] == isa.NoPage {
-			return d.freeFrom, now, nil
+	for w, free := range d.freeSlots {
+		if free != 0 {
+			return w*64 + bits.TrailingZeros64(free), now, nil
 		}
 	}
 	victim := 0
@@ -355,7 +357,7 @@ func (d *Device) executePuD(inst *isa.Inst, unit *sim.Calendar, issue, ready sim
 	}
 	// A fresh destination slot must not alias an unpopulated source; the
 	// Exec call writes dst last, so aliasing with sources is safe.
-	done, err := d.DRAM.Exec(issue, ready, unit, inst.Op, dstSlot, slots, inst.Elem, inst.UseImm, inst.Imm)
+	done, err := d.DRAM.Exec(issue, ready, unit, inst.Op, dstSlot, slots, int(inst.Elem), inst.UseImm, inst.Imm)
 	if err != nil {
 		return 0, err
 	}
@@ -423,7 +425,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 				// The operation will overwrite the latches, destroying
 				// this operand's only copy; preserve it in DRAM first —
 				// unless the value is dead after this instruction.
-				if _, cached := d.slotOf(s); !cached && !d.deadAfter(s, inst.ID) {
+				if _, cached := d.slotOf(s); !cached && !d.deadAfter(s, int(inst.ID)) {
 					latched, rdone, err := d.Flash.ReadBuffer(issue, d.pageReady[s], planeAddr)
 					if err != nil {
 						return 0, err
@@ -460,7 +462,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 	// overwrites the latches. A copy-out over the channel is far cheaper
 	// than a flash program and keeps coherence lazy.
 	if tag := d.bufferTag[plane]; tag != isa.NoPage && tag != inst.Dst && tag != bufferOperand &&
-		d.Dir.Owner(int(tag)) == coherence.LocBuffer && !d.deadAfter(tag, inst.ID-1) {
+		d.Dir.Owner(int(tag)) == coherence.LocBuffer && !d.deadAfter(tag, int(inst.ID)-1) {
 		if _, cached := d.slotOf(tag); !cached {
 			data, rdone, err := d.Flash.ReadBuffer(issue, maxT(ready, d.pageReady[tag]), planeAddr)
 			if err != nil {
@@ -482,7 +484,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 		d.tagBuffer(plane, isa.NoPage)
 	}
 
-	done, err := d.Flash.Exec(issue, ready, inst.Op, operands, inst.Elem, inst.Imm)
+	done, err := d.Flash.Exec(issue, ready, inst.Op, operands, int(inst.Elem), inst.Imm)
 	if err != nil {
 		return 0, err
 	}

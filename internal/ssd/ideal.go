@@ -79,7 +79,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 					srcs = append(srcs, load(s))
 				}
 				out := pool.Get() // fully overwritten by Apply
-				if err := isa.Apply(inst.Op, out, srcs, inst.Elem, inst.UseImm, inst.Imm); err != nil {
+				if err := isa.Apply(inst.Op, out, srcs, int(inst.Elem), inst.UseImm, inst.Imm); err != nil {
 					return nil, nil, fmt.Errorf("ssd: ideal inst %d: %w", i, err)
 				}
 				if old, ok := mem[inst.Dst]; ok {

@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"conduit/internal/ftl"
 	"conduit/internal/isa"
 	"conduit/internal/nand"
+	"conduit/internal/sim"
 	"conduit/internal/workloads"
 )
 
@@ -26,9 +29,12 @@ func requireIndexesMatchScan(t *testing.T, what string, d *Device) {
 		if owner != isa.NoPage && d.dramSlot[owner] != int32(slot) {
 			t.Fatalf("%s: slot %d holds page %d, but dramSlot[%d]=%d", what, slot, owner, owner, d.dramSlot[owner])
 		}
-		if owner == isa.NoPage && slot < d.freeFrom {
-			t.Fatalf("%s: slot %d is free below freeFrom=%d", what, slot, d.freeFrom)
+		if free := d.freeSlots[slot/64]&(1<<(slot%64)) != 0; free != (owner == isa.NoPage) {
+			t.Fatalf("%s: slot %d has free bit %v but owner=%d", what, slot, free, owner)
 		}
+	}
+	if n := len(d.slotOwner); len(d.freeSlots) != (n+63)/64 || n%64 != 0 && d.freeSlots[n/64]>>(n%64) != 0 {
+		t.Fatalf("%s: %d free-slot words with bits past slot %d", what, len(d.freeSlots), n)
 	}
 	for plane, tag := range d.bufferTag {
 		if tag != isa.NoPage && d.pagePlane[tag] != int16(plane) {
@@ -47,7 +53,7 @@ func requireIndexesMatchScan(t *testing.T, what string, d *Device) {
 
 // TestIndexesMatchScan runs every evaluated workload under every device
 // policy and requires the page->slot and page->plane reverse indexes, the
-// free-slot cursor and the DRAM module's populated bits to agree with a
+// free-slot bitmap and the DRAM module's populated bits to agree with a
 // scan of slotOwner and bufferTag — after the run, and again after the
 // power cycle that drops all volatile state.
 func TestIndexesMatchScan(t *testing.T) {
@@ -112,5 +118,69 @@ func TestUntaggedLatchOwnerFails(t *testing.T) {
 	}
 	if _, err := d.PageBytes(0); err == nil || !strings.Contains(err.Error(), "not tagged") {
 		t.Fatalf("PageBytes of an untagged latch-owned page: err = %v, want a 'not tagged' error", err)
+	}
+}
+
+// TestAllocSlotTakesTheLowestFreeSlot: over a random sequence of stagings
+// (each evicting the least recently used page once every slot is taken)
+// and frees, on a drive with fewer DRAM slots than the program names
+// pages, allocSlot takes the slot a linear scan of slotOwner finds, the
+// lowest free one, and the free-slot bitmap keeps matching the scan.
+func TestAllocSlotTakesTheLowestFreeSlot(t *testing.T) {
+	cfg := config.Default()
+	cfg.SSD.TimingOnly = true
+	cfg.SSD.DRAMSize = int64(96 * cfg.SSD.PageSize) // 84 usable slots
+	var prog *isa.Program
+	for _, w := range workloads.All(1) {
+		c, err := compiler.Compile(w.Source, cfg.SSD.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog == nil || c.Prog.Span() > prog.Span() {
+			prog = c.Prog
+		}
+	}
+	d := New(&cfg)
+	if err := d.LoadProgram(prog, nil); err != nil {
+		t.Fatal(err)
+	}
+	slots, span := len(d.slotOwner), len(d.dramSlot)
+	if slots >= span {
+		t.Fatalf("%d slots for a span of %d pages: nothing would be evicted", slots, span)
+	}
+	r := sim.NewRNG(42)
+	evictions := 0
+	for step := 0; step < 20000; step++ {
+		if r.Intn(4) == 0 {
+			if s := r.Intn(slots); d.slotOwner[s] != isa.NoPage {
+				d.freeSlot(s)
+			}
+			continue
+		}
+		p := isa.PageID(r.Intn(span))
+		if _, ok := d.slotOf(p); ok {
+			continue
+		}
+		want := slices.Index(d.slotOwner, isa.NoPage)
+		if want < 0 {
+			want = 0
+			for s := range d.slotClock {
+				if d.slotClock[s] < d.slotClock[want] {
+					want = s
+				}
+			}
+			evictions++
+		}
+		slot, _, err := d.saveToDRAM(0, 0, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot != want {
+			t.Fatalf("step %d: allocSlot took slot %d, the scan finds %d", step, slot, want)
+		}
+		requireIndexesMatchScan(t, fmt.Sprintf("step %d", step), d)
+	}
+	if evictions == 0 {
+		t.Fatal("no staging found every slot taken")
 	}
 }

@@ -122,7 +122,7 @@ func randomProgram(r *sim.RNG, pages, n int) *isa.Program {
 	p := &isa.Program{Name: "random", Pages: pages}
 	for i := 0; i < n; i++ {
 		op := isa.Op(r.Intn(isa.NumOps - 1)) // every op but OpScalar
-		in := isa.Inst{ID: i, Op: op, Dst: isa.PageID(r.Intn(pages)), Elem: 1, Lanes: 8}
+		in := isa.Inst{ID: int32(i), Op: op, Dst: isa.PageID(r.Intn(pages)), Elem: 1, Lanes: 8}
 		for k := op.Sources(false); k > 0; k-- {
 			in.Srcs = append(in.Srcs, isa.PageID(r.Intn(pages)))
 		}

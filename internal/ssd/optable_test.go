@@ -33,7 +33,7 @@ func TestOperationTableConsistency(t *testing.T) {
 	prof := nand.OperandProfile{Senses: 1}
 	latency := map[isa.Resource]func(op isa.Op, elem int){
 		isa.ResISP: func(op isa.Op, elem int) {
-			cores.InstCycles(&cfg.SSD, &isa.Inst{Op: op, Elem: elem, ScalarCycles: 1}, 64)
+			cores.InstCycles(&cfg.SSD, &isa.Inst{Op: op, Elem: uint8(elem), ScalarCycles: 1}, 64)
 		},
 		isa.ResPuD: func(op isa.Op, elem int) { dram.Rounds(op, elem) },
 		isa.ResIFP: func(op isa.Op, elem int) { nand.Estimate(&cfg.SSD, op, elem, prof) },

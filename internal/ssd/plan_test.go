@@ -192,7 +192,7 @@ func recomputeIFP(d *Device, inst *isa.Inst, cursor int) (recomputedIFP, int) {
 			plan.profile.MWS = true
 		}
 	}
-	if inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, inst.ID) {
+	if inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, int(inst.ID)) {
 		plan.resultCost = pageMove + cfg.DRAMTransferTime(cfg.PageSize)
 	}
 	return plan, cursor
@@ -300,7 +300,7 @@ func evictionProgram(t *testing.T, ps int) (prog *isa.Program, inputs map[isa.Pa
 	b, a = 2, 3
 	inputs = map[isa.PageID][]byte{in0: randPage(1, ps), in1: randPage(2, ps), b: randPage(3, ps)}
 	mul := func(dst, x, y isa.PageID) isa.Inst {
-		return isa.Inst{Op: isa.OpMul, Dst: dst, Srcs: []isa.PageID{x, y}, Elem: 1, Lanes: ps}
+		return isa.Inst{Op: isa.OpMul, Dst: dst, Srcs: []isa.PageID{x, y}, Elem: 1, Lanes: int32(ps)}
 	}
 	insts := []isa.Inst{mul(a, in0, in1)} // slots: in0, in1, A
 	for k := isa.PageID(1); k <= fillers; k++ {
@@ -339,7 +339,7 @@ func TestExecuteReadsLiveStateUnderEviction(t *testing.T) {
 		d.EnterComputationMode()
 		sawStale := false
 		res, err := d.Run(spy{c.policy, func(f *offload.Features, _ isa.Resource) {
-			if f.Inst.ID != last {
+			if int(f.Inst.ID) != last {
 				return
 			}
 			// What feature collection resolved: B in flash, A dirty in a slot.

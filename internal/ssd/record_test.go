@@ -10,8 +10,10 @@ import (
 
 	"conduit/internal/compiler"
 	"conduit/internal/config"
+	"conduit/internal/isa"
 	"conduit/internal/offload"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
 	"conduit/internal/workloads"
 )
 
@@ -39,6 +41,14 @@ func recordRun(t *testing.T, master *Device, i int, empty bool, prepare func(*De
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// materialized returns res after a percentile query, so that its
+// reservoir holds its samples (sorted) instead of the function that derives
+// them, which reflect.DeepEqual never equates.
+func materialized(res *Result) *Result {
+	res.InstLatencies.P99()
 	return res
 }
 
@@ -70,7 +80,7 @@ func TestRunsShareTheirPublishedRecord(t *testing.T) {
 					second.InstLatencies != first.InstLatencies {
 					t.Errorf("%s: the second run did not return the first run's record", what)
 				}
-				if !reflect.DeepEqual(second, alone) {
+				if !reflect.DeepEqual(materialized(second), materialized(alone)) {
 					t.Errorf("%s: a run sharing the record differs from a run with an empty table", what)
 				}
 			}
@@ -95,11 +105,38 @@ func TestDivergentRunKeepsItsOwnRecord(t *testing.T) {
 	if unsafe.SliceData(got.Decisions) == unsafe.SliceData(clean.Decisions) || got.InstLatencies == clean.InstLatencies {
 		t.Error("a divergent run returned the published record")
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(materialized(got), materialized(want)) {
 		t.Error("a divergent run differs from the same run with an empty table")
 	}
 	if pub, _ := master.records.Load("Conduit"); unsafe.SliceData(pub.(record).decisions) != unsafe.SliceData(clean.Decisions) ||
 		!slices.Equal(pub.(record).decisions, published) {
 		t.Error("a divergent run changed the published record")
+	}
+}
+
+// TestRecordLatenciesFollowDecisions: merged, a run's reservoir holds
+// Done - Issue of each of its decisions, in decision order: the samples,
+// in the order, a reservoir built from an eagerly kept slice held.
+func TestRecordLatenciesFollowDecisions(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	res := recordRun(t, newLoadedDevice(t, prog, inputs), 0, false, nil)
+	lat := make([]sim.Time, len(res.Decisions))
+	for i, dec := range res.Decisions {
+		lat[i] = dec.Done - dec.Issue
+	}
+	if got := stats.MergeReservoirs(res.InstLatencies); !reflect.DeepEqual(got, stats.ReservoirOf(lat)) {
+		t.Error("the merged reservoir does not hold the decisions' latencies in decision order")
+	}
+}
+
+// TestPerInstructionSizes pins the two values a cold cell stores per
+// instruction: an instruction (the compile's scratch, the compiled program
+// and the decoded image) and a decision (each published record).
+func TestPerInstructionSizes(t *testing.T) {
+	if n := unsafe.Sizeof(isa.Inst{}); n > 72 {
+		t.Errorf("isa.Inst takes %d bytes, want at most 72", n)
+	}
+	if n := unsafe.Sizeof(Decision{}); n != 24 {
+		t.Errorf("Decision takes %d bytes, want 24", n)
 	}
 }

@@ -42,17 +42,17 @@ func runsOn(inst *isa.Inst, r isa.Resource) bool {
 // models: LoadProgram evaluates them once per instruction into the cost
 // table.
 func ispCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
-	cycles := cores.InstCycles(cfg, inst, inst.Lanes)
+	cycles := cores.InstCycles(cfg, inst, int(inst.Lanes))
 	return cfg.CoreCycles(cycles), cycles
 }
 
 func pudCost(cfg *config.SSD, inst *isa.Inst) (sim.Time, int64) {
-	rounds := int64(dram.Rounds(inst.Op, inst.Elem))
+	rounds := int64(dram.Rounds(inst.Op, int(inst.Elem)))
 	return sim.Time(rounds) * cfg.TBbop, rounds
 }
 
 func ifpCost(cfg *config.SSD, inst *isa.Inst, prof nand.OperandProfile) (sim.Time, int64) {
-	lat, rounds, _ := nand.Estimate(cfg, inst.Op, inst.Elem, prof)
+	lat, rounds, _ := nand.Estimate(cfg, inst.Op, int(inst.Elem), prof)
 	return lat, rounds
 }
 
@@ -100,7 +100,7 @@ func (d *Device) buildCosts() ([]instCost, error) {
 		if c.runs[isa.ResPuD] {
 			c.pudLat, _ = pudCost(cfg, inst)
 		}
-		if c.runs[isa.ResIFP] && inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, inst.ID) {
+		if c.runs[isa.ResIFP] && inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, int(inst.ID)) {
 			c.resultMove = liveResult
 		}
 	}
@@ -210,7 +210,8 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 }
 
 // record is a run's decisions (cap == len, so an append copies) and the
-// reservoir of their latencies, as its policy published them.
+// reservoir of their latencies, as its policy published them. A latency is
+// its decision's Done - Issue, derived only when a query needs it.
 type record struct {
 	decisions []Decision
 	lat       *stats.Reservoir
@@ -219,12 +220,11 @@ type record struct {
 // recorder compares a run's decisions, as it makes them, with the record
 // its policy published: while they match nothing is allocated, and at the
 // first difference, or with nothing published, the run copies the matching
-// prefix and records its own. A latency is its decision's Done - Issue.
+// prefix and records its own.
 type recorder struct {
 	pub record
 	n   int        // decisions of pub reproduced so far
 	own []Decision // nil while the run reproduces pub
-	lat []sim.Time
 }
 
 func (d *Device) newRecorder(policy string) recorder {
@@ -232,7 +232,7 @@ func (d *Device) newRecorder(policy string) recorder {
 	if pub, ok := d.records.Load(policy); ok {
 		r.pub = pub.(record)
 	} else {
-		r.diverge(len(d.prog.Insts))
+		r.own = make([]Decision, 0, len(d.prog.Insts))
 	}
 	return r
 }
@@ -243,18 +243,10 @@ func (r *recorder) add(dec Decision) {
 			r.n++
 			return
 		}
-		r.diverge(len(r.pub.decisions)) // the program's length, like any whole run's
+		// Sized to the program's length, like any whole run's.
+		r.own = append(make([]Decision, 0, len(r.pub.decisions)), r.pub.decisions[:r.n]...)
 	}
 	r.own = append(r.own, dec)
-	r.lat = append(r.lat, dec.Done-dec.Issue)
-}
-
-func (r *recorder) diverge(size int) {
-	r.own = append(make([]Decision, 0, size), r.pub.decisions[:r.n]...)
-	r.lat = make([]sim.Time, r.n, size)
-	for i, dec := range r.own {
-		r.lat[i] = dec.Done - dec.Issue
-	}
 }
 
 // finish returns the published record if the run reproduced it, else the
@@ -264,7 +256,16 @@ func (r *recorder) finish(d *Device, policy string) ([]Decision, *stats.Reservoi
 	if r.own == nil {
 		return r.pub.decisions, r.pub.lat
 	}
-	own := record{slices.Clip(r.own), stats.ReservoirOf(r.lat)}
+	ds := slices.Clip(r.own)
+	var sum sim.Time
+	for _, dec := range ds {
+		sum += dec.Done - dec.Issue
+	}
+	own := record{ds, stats.ReservoirFunc(len(ds), sum, func(dst []sim.Time) {
+		for i, dec := range ds {
+			dst[i] = dec.Done - dec.Issue
+		}
+	})}
 	d.records.LoadOrStore(policy, own)
 	return own.decisions, own.lat
 }

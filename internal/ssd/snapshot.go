@@ -74,8 +74,9 @@ func (d *Device) Restore(src *Device) {
 
 	d.dramSlot = append(d.dramSlot[:0], src.dramSlot...)
 	d.slotOwner = append(d.slotOwner[:0], src.slotOwner...)
-	d.slotClock = append(d.slotClock[:0], src.slotClock...)
-	d.clock, d.freeFrom = src.clock, src.freeFrom
+	d.slotWords = append(d.slotWords[:0], src.slotWords...)
+	n := len(src.slotClock)
+	d.slotClock, d.freeSlots, d.clock = d.slotWords[:n:n], d.slotWords[n:], src.clock
 
 	d.bufferTag = append(d.bufferTag[:0], src.bufferTag...)
 	d.pagePlane = append(d.pagePlane[:0], src.pagePlane...)

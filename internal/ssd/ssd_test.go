@@ -41,7 +41,7 @@ func refRun(t *testing.T, prog *isa.Program, inputs map[isa.PageID][]byte, pageS
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, pageSize)
-		if err := isa.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
+		if err := isa.Apply(in.Op, out, srcs, int(in.Elem), in.UseImm, in.Imm); err != nil {
 			t.Fatalf("reference inst %d: %v", i, err)
 		}
 		mem[in.Dst] = out
@@ -53,7 +53,7 @@ func refRun(t *testing.T, prog *isa.Program, inputs map[isa.PageID][]byte, pageS
 func buildProg(t *testing.T, pages int, inputs []isa.PageID, insts []isa.Inst) *isa.Program {
 	t.Helper()
 	for i := range insts {
-		insts[i].ID = i
+		insts[i].ID = int32(i)
 	}
 	p := &isa.Program{Name: "test", Pages: pages, Insts: insts, InputPages: inputs}
 	if err := p.Validate(); err != nil {
@@ -84,7 +84,7 @@ func mixProgram(t *testing.T, lanesElem int) (*isa.Program, map[isa.PageID][]byt
 		inputIDs = append(inputIDs, p)
 	}
 	v := func(op isa.Op, dst isa.PageID, srcs ...isa.PageID) isa.Inst {
-		return isa.Inst{Op: op, Dst: dst, Srcs: srcs, Elem: lanesElem, Lanes: lanes,
+		return isa.Inst{Op: op, Dst: dst, Srcs: srcs, Elem: uint8(lanesElem), Lanes: int32(lanes),
 			Meta: isa.Meta{Class: op.Class()}}
 	}
 	insts := []isa.Inst{
@@ -251,7 +251,7 @@ func TestXorChainReusesLatchedResult(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(1, ps), 1: randPage(2, ps), 2: randPage(3, ps)}
 	v := func(dst isa.PageID, a, b isa.PageID) isa.Inst {
-		return isa.Inst{Op: isa.OpXor, Dst: dst, Srcs: []isa.PageID{a, b}, Elem: 1, Lanes: ps}
+		return isa.Inst{Op: isa.OpXor, Dst: dst, Srcs: []isa.PageID{a, b}, Elem: 1, Lanes: int32(ps)}
 	}
 	prog := buildProg(t, 5, []isa.PageID{0, 1, 2}, []isa.Inst{
 		v(3, 0, 1),
@@ -283,8 +283,8 @@ func TestCrossResourceCoherence(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(7, ps), 1: randPage(8, ps)}
 	prog := buildProg(t, 4, []isa.PageID{0, 1}, []isa.Inst{
-		{Op: isa.OpXor, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps},
-		{Op: isa.OpDiv, Dst: 3, Srcs: []isa.PageID{2, 1}, Elem: 1, Lanes: ps},
+		{Op: isa.OpXor, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpDiv, Dst: 3, Srcs: []isa.PageID{2, 1}, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	if _, err := d.Run(offload.AresFlash{}); err != nil {
@@ -308,9 +308,9 @@ func TestScatteredOperandsUseLatchLoads(t *testing.T) {
 	// The two NOT results live in plane buffers (or DRAM after eviction);
 	// the AND must stage at least one of them through a latch load.
 	prog := buildProg(t, 12, []isa.PageID{0, 1, 2, 3, 4, 5, 6, 7}, []isa.Inst{
-		{Op: isa.OpNot, Dst: 8, Srcs: []isa.PageID{2}, Elem: 1, Lanes: ps},
-		{Op: isa.OpNot, Dst: 9, Srcs: []isa.PageID{6}, Elem: 1, Lanes: ps},
-		{Op: isa.OpAnd, Dst: 10, Srcs: []isa.PageID{8, 9}, Elem: 1, Lanes: ps},
+		{Op: isa.OpNot, Dst: 8, Srcs: []isa.PageID{2}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpNot, Dst: 9, Srcs: []isa.PageID{6}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpAnd, Dst: 10, Srcs: []isa.PageID{8, 9}, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	res, err := d.Run(offload.AresFlash{})
@@ -408,7 +408,7 @@ func TestDRAMCapacityPressureCausesEviction(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		insts = append(insts, isa.Inst{Op: isa.OpMul, Dst: isa.PageID(n + i),
-			Srcs: []isa.PageID{isa.PageID(i), isa.PageID((i + 1) % n)}, Elem: 1, Lanes: ps})
+			Srcs: []isa.PageID{isa.PageID(i), isa.PageID((i + 1) % n)}, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := buildProg(t, 2*n, ids, insts)
 	d := New(&cfg)
@@ -436,7 +436,7 @@ func TestVersionCounterFlushBeforeWrap(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 300; i++ {
 		insts = append(insts, isa.Inst{Op: isa.OpAdd, Dst: 1,
-			Srcs: []isa.PageID{1, 0}, Elem: 1, Lanes: ps})
+			Srcs: []isa.PageID{1, 0}, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := buildProg(t, 2, []isa.PageID{0}, insts)
 	d := New(&cfg)
@@ -464,8 +464,8 @@ func TestLoadProgramColocatesIFPOperands(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(1, ps), 1: randPage(2, ps), 2: randPage(3, ps)}
 	prog := buildProg(t, 4, []isa.PageID{0, 1, 2}, []isa.Inst{
-		{Op: isa.OpAnd, Dst: 3, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps},
-		{Op: isa.OpXor, Dst: 3, Srcs: []isa.PageID{1, 2}, Elem: 1, Lanes: ps},
+		{Op: isa.OpAnd, Dst: 3, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpXor, Dst: 3, Srcs: []isa.PageID{1, 2}, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	var addrs [3]nand.Addr
@@ -495,7 +495,7 @@ func TestECCFaultsOnTheIOPath(t *testing.T) {
 		prog := buildProg(t, 3, []isa.PageID{0, 1}, []isa.Inst{
 			// Division forces the ISP path, which stages operands through
 			// the checked FTL read.
-			{Op: isa.OpDiv, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: ps},
+			{Op: isa.OpDiv, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
 		})
 		d := New(&cfg)
 		if err := d.LoadProgram(prog, inputs); err != nil {

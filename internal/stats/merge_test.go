@@ -2,6 +2,9 @@ package stats
 
 import (
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"conduit/internal/sim"
@@ -60,6 +63,54 @@ func TestMergeReservoirsDeterministicSequence(t *testing.T) {
 	}
 	if want := []sim.Time{5, 2, 8}; !reflect.DeepEqual(m1.samples, want) {
 		t.Fatalf("merged sequence = %v, want %v", m1.samples, want)
+	}
+}
+
+// TestReservoirFuncFillsOnce: a reservoir built from a count, a sum and
+// a fill function answers Count and Mean without calling fill, calls it
+// once, under concurrent queries, for the first that needs samples, and
+// then answers as ReservoirOf the same samples; merged, its samples come
+// in fill's order, between its neighbours'.
+func TestReservoirFuncFillsOnce(t *testing.T) {
+	samples := []sim.Time{9, 3, 3, 12, 1}
+	var fills atomic.Int32
+	lazy := func() *Reservoir {
+		return ReservoirFunc(len(samples), 28, func(dst []sim.Time) {
+			fills.Add(1)
+			copy(dst, samples)
+		})
+	}
+	r, want := lazy(), ReservoirOf(slices.Clone(samples))
+	if r.Count() != 5 || r.Mean() != want.Mean() || fills.Load() != 0 {
+		t.Fatalf("Count %d, Mean %d and %d fills, want 5, %d and none", r.Count(), r.Mean(), fills.Load(), want.Mean())
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.P99()
+		}()
+	}
+	wg.Wait()
+	if fills.Load() != 1 {
+		t.Fatalf("%d fills for four percentile queries, want 1", fills.Load())
+	}
+	for _, p := range []float64{0, 20, 40, 60, 80, 99, 100} {
+		if r.Percentile(p) != want.Percentile(p) {
+			t.Fatalf("p%v = %d, want %d", p, r.Percentile(p), want.Percentile(p))
+		}
+	}
+	a := NewReservoir()
+	a.Add(7)
+	m := MergeReservoirs(a, lazy(), a)
+	if got := []sim.Time{7, 9, 3, 3, 12, 1, 7}; !reflect.DeepEqual(m.samples, got) || m.sum != 42 || m.Count() != 7 {
+		t.Fatalf("merged %v (sum %d, count %d), want %v", m.samples, m.sum, m.Count(), got)
+	}
+	added := lazy()
+	added.Add(2)
+	if added.Count() != 6 || added.Percentile(100) != 12 || added.Percentile(0) != 1 {
+		t.Fatal("Add to an unfilled reservoir lost its samples")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"conduit/internal/sim"
@@ -21,7 +20,9 @@ import (
 type Reservoir struct {
 	mu      sync.Mutex
 	samples []sim.Time
-	sum     sim.Time // running total of samples, so Sum and Mean are O(1)
+	n       int              // len(samples), or how many fill will write
+	sum     sim.Time         // running total of samples, so Sum and Mean are O(1)
+	fill    func([]sim.Time) // writes the n samples; nil once they are stored
 	sorted  bool
 }
 
@@ -33,18 +34,36 @@ func NewReservoir() *Reservoir { return &Reservoir{} }
 // place). A producer that records one sample per step appends to a plain
 // slice and hands it over once, instead of locking per sample.
 func ReservoirOf(samples []sim.Time) *Reservoir {
-	r := &Reservoir{samples: samples}
+	r := &Reservoir{samples: samples, n: len(samples)}
 	for _, s := range samples {
 		r.sum += s
 	}
 	return r
 }
 
+// ReservoirFunc returns a reservoir of n samples totalling sum that stores
+// them only once a query needs them: Count and Mean answer from n and sum,
+// and the first Percentile, Add or merge has fill write them, in order.
+func ReservoirFunc(n int, sum sim.Time, fill func(dst []sim.Time)) *Reservoir {
+	return &Reservoir{n: n, sum: sum, fill: fill}
+}
+
+// materialize stores a ReservoirFunc reservoir's samples; r.mu is held.
+func (r *Reservoir) materialize() {
+	if r.fill != nil {
+		r.samples = make([]sim.Time, r.n)
+		r.fill(r.samples)
+		r.fill = nil
+	}
+}
+
 // Add records one sample.
 func (r *Reservoir) Add(v sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.materialize()
 	r.samples = append(r.samples, v)
+	r.n++
 	r.sum += v
 	r.sorted = false
 }
@@ -53,14 +72,7 @@ func (r *Reservoir) Add(v sim.Time) {
 func (r *Reservoir) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-func (r *Reservoir) sortIfNeeded() {
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
+	return r.n
 }
 
 // Percentile returns the p'th percentile (0 <= p <= 100) using the
@@ -71,18 +83,14 @@ func (r *Reservoir) Percentile(p float64) sim.Time {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
-	r.sortIfNeeded()
-	rank := int(math.Ceil(p/100*float64(len(r.samples)))) - 1
-	if rank < 0 {
-		rank = 0
+	if r.materialize(); !r.sorted {
+		slices.Sort(r.samples)
+		r.sorted = true
 	}
-	if rank >= len(r.samples) {
-		rank = len(r.samples) - 1
-	}
-	return r.samples[rank]
+	return r.samples[max(0, min(r.n-1, int(math.Ceil(p/100*float64(r.n)))-1))]
 }
 
 // P99 is the 99th percentile.
@@ -96,10 +104,10 @@ func (r *Reservoir) P9999() sim.Time { return r.Percentile(99.99) }
 func (r *Reservoir) Mean() sim.Time {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
-	n := int64(len(r.samples))
+	n := int64(r.n)
 	return sim.Time((int64(r.sum) + n/2) / n)
 }
 
@@ -109,7 +117,7 @@ func (r *Reservoir) Mean() sim.Time {
 // fixed concatenation order keeps the raw sample sequence run-for-run
 // deterministic, which is what lets a cluster's scatter-gather merge be
 // byte-identical between concurrent and serial shard execution. Nil parts
-// are skipped; the parts themselves are never mutated.
+// are skipped; a part's samples are only ever materialized, never changed.
 func MergeReservoirs(parts ...*Reservoir) *Reservoir {
 	out := NewReservoir()
 	for _, p := range parts {
@@ -117,8 +125,9 @@ func MergeReservoirs(parts ...*Reservoir) *Reservoir {
 			continue
 		}
 		p.mu.Lock()
+		p.materialize()
 		out.samples = append(out.samples, p.samples...)
-		out.sum += p.sum
+		out.n, out.sum = len(out.samples), out.sum+p.sum
 		p.mu.Unlock()
 	}
 	return out

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"conduit/internal/histo"
 	"conduit/internal/metrics"
@@ -249,21 +251,26 @@ func (c *codec) name(v *string, what string) {
 	}
 }
 
+// emptyHist is what a nil histogram encodes as; encoding only reads it.
+var emptyHist histo.Histogram
+
 // hist walks a length-prefixed internal/histo snapshot. A nil
-// histogram encodes as an empty one, so it decodes non-nil.
+// histogram encodes as an empty one, so it decodes non-nil. An encoder
+// appends the snapshot in place behind a one-byte length, then widens the
+// length to the varint of the size it turned out to have.
 func (c *codec) hist(h **histo.Histogram, what string) {
-	var blob []byte
 	if c.Enc {
-		v := *h
-		if v == nil {
-			v = histo.New()
-		}
-		blob = v.MarshalBinary()
+		start := len(c.B)
+		c.B = cmp.Or(*h, &emptyHist).AppendBinary(append(c.B, 0))
+		var n [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(n[:], uint64(len(c.B)-start-1))
+		c.B[start] = n[0]
+		c.B = slices.Insert(c.B, start+1, n[1:k]...)
+		return
 	}
-	n := uint64(len(blob))
-	if c.Uvarint(&n); c.Enc {
-		c.B = append(c.B, blob...)
-	} else if blob = c.Take(int(n)); c.Err == nil {
+	var n uint64
+	c.Uvarint(&n)
+	if blob := c.Take(int(n)); c.Err == nil {
 		if v, err := histo.Decode(blob); err != nil {
 			c.Fail(fmt.Errorf("%s histogram: %w", what, err))
 		} else {

@@ -297,15 +297,25 @@ func TestReaderInternTableIsBounded(t *testing.T) {
 }
 
 // TestCodecAllocBudget: encoding a Request or a Response, by value or by
-// pointer, allocates nothing but the buffer it appends to; read into one
+// pointer, or a Snapshot of eight 1 000-sample histograms, allocates
+// nothing but the buffer it appends to; read into one
 // reused frame, a Request of names the connection has seen costs nothing
 // and a Response exactly its Result and that Result's counters.
 func TestCodecAllocBudget(t *testing.T) {
 	req := Request{ID: 3, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "Conduit", Trace: trace.Ctx{ID: 7}}
 	resp := Response{ID: 3, Code: CodeOK, ElapsedSimNS: 1234, Recovery: serve.Recovery{Attempts: 1},
 		Result: &Result{Policy: "Conduit", InstCount: 9, Counters: []Counter{{"flash.senses", 4}, {"dram.bbops", 2}}}}
-	buf := make([]byte, 0, 1024)
+	snap := Snapshot{ID: 4, Target: "t0"}
+	for i := 0; i < 8; i++ {
+		h := histo.New()
+		for v := int64(0); v < 1000; v++ {
+			h.Add(v * v * int64(i+1))
+		}
+		snap.Samples = append(snap.Samples, metrics.Sample{Name: fmt.Sprintf("latency_%d", i), Kind: metrics.KindHistogram, Hist: h})
+	}
+	buf := make([]byte, 0, 64<<10)
 	for name, enc := range map[string]func(){
+		"Snapshot":  func() { buf, _ = AppendFrame(buf[:0], &snap) },
 		"Request":   func() { buf, _ = AppendFrame(buf[:0], req) },
 		"*Request":  func() { buf, _ = AppendFrame(buf[:0], &req) },
 		"Response":  func() { buf, _ = AppendFrame(buf[:0], resp) },

@@ -30,7 +30,7 @@ func execIR(t *testing.T, c *compiler.Compiled, pageSize int) map[isa.PageID][]b
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, pageSize)
-		if err := isa.Apply(in.Op, out, srcs, in.Elem, in.UseImm, in.Imm); err != nil {
+		if err := isa.Apply(in.Op, out, srcs, int(in.Elem), in.UseImm, in.Imm); err != nil {
 			t.Fatalf("inst %d (%v): %v", i, in.Op, err)
 		}
 		mem[in.Dst] = out
