@@ -16,12 +16,13 @@ test:
 # engine's ordering contract, Group's selection against a scan on a
 # recorded workload trace, and the calendar invariants), the top-level
 # golden identity tests (timing-only fast path vs functional reference
-# system, byte for byte), and the wire tier's multi-process equivalence
+# system, byte for byte, and a shared served result that equals a fresh
+# run and is never written), and the wire tier's multi-process equivalence
 # harness (routed fleet vs in-process Server.Submit, byte for byte, plus
 # drain-under-traffic and fault-replay determinism).
 test-oracle:
 	go test -race ./internal/sim/...
-	go test -race -run 'FastVsReference|ToReference' .
+	go test -race -run 'FastVsReference|ToReference|SharedResultNeverWritten' .
 	go test -race ./internal/wire ./internal/router ./internal/wiretest
 
 race:
@@ -119,7 +120,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24528
+LOC_CEILING := 24605
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

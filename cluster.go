@@ -6,9 +6,7 @@ import (
 
 	"conduit/internal/cluster"
 	"conduit/internal/energy"
-	"conduit/internal/serve"
 	"conduit/internal/stats"
-	"conduit/internal/trace"
 	"conduit/internal/workloads"
 )
 
@@ -179,12 +177,6 @@ func (cl *Cluster) Run(policy string) (*RunResult, error) {
 	return cl.runShards(func(i int, dep *Deployment) (*RunResult, error) {
 		return dep.run(p)
 	})
-}
-
-// dispatch implements the serving layer's application interface: a
-// cluster scatters the request with per-shard recovery.
-func (cl *Cluster) dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	return r.runCluster(cl, p, rec, sp)
 }
 
 // RunSerial executes the shards one by one in shard order and merges

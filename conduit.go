@@ -23,12 +23,16 @@
 //
 // # Reuse and concurrency contract
 //
-// A RunResult is an immutable value snapshot that shares nothing mutable
-// with the device: its counters are a copy taken at completion, and its
-// latency reservoir and decision trace are the run's own or the read-only
-// record of its deployment and policy that it reproduced. So later activity
-// on any device — the one that produced it, restored and run again,
-// included — can never mutate a result already handed out.
+// A RunResult shares nothing mutable with the device: its counters are
+// taken at completion, so later activity on any device — the one that
+// produced it, restored and run again, included — can never change a
+// result already handed out. It may be shared, though. A run that
+// reproduces the result its deployment and policy published (every
+// decision, time, energy and counter) returns that result's decision
+// trace, reservoir and counters, and a served run that does so returns one
+// RunResult shared by every such request. So read a result and never write
+// it: code that adjusts one (the recovery ladder's penalties) copies it
+// first.
 //
 // A simulated drive's loaded data image is consumed by execution: running
 // a program mutates pages, calendars, and coherence state, so each
@@ -47,9 +51,9 @@
 // A System deploys onto clones of one frozen blank drive it builds once.
 //
 // System, Compiled, and Deployment are safe for concurrent use by
-// multiple goroutines; every run executes on its own device, and
-// policy instances are constructed per run. An ssd.Device itself is
-// single-goroutine — never share one across goroutines. The
+// multiple goroutines; every run executes on its own device, and a policy
+// instance with per-run state is constructed per run. An ssd.Device
+// itself is single-goroutine — never share one across goroutines. The
 // Experiments.RunGrid sweep engine builds on this contract to execute a
 // workload x policy grid across a worker pool with results byte-identical
 // to the serial path.
@@ -200,12 +204,19 @@ type policyEntry struct {
 	ablation bool
 	run      runner
 	host     host.Kind             // the model an onHost policy runs on
-	device   func() offload.Policy // a fresh instance per onDevice run
+	device   func() offload.Policy // the instance an onDevice run selects with
 }
 
-// runner is how a policy runs: on a deployed drive under a fresh
-// device() instance per run (some baselines, e.g. IFP+ISP, carry per-run
-// state), on the host model host with no drive, or on a deployed drive as
+// stateless is the device() of a policy that keeps no per-run state: one
+// value, boxed once, serves every run.
+func stateless(p offload.Policy) func() offload.Policy {
+	return func() offload.Policy { return p }
+}
+
+// runner is how a policy runs: on a deployed drive under the device()
+// instance of the run (a fresh one for a baseline that carries per-run
+// state, e.g. IFP+ISP; one shared value for a stateless policy), on the
+// host model host with no drive, or on a deployed drive as
 // the unrealizable Ideal (ssd.Device.RunIdeal, with its own in-flash
 // profile). unknownPolicy marks the row lookupPolicy makes for a name the
 // table lacks; every run path refuses it with errUnknownPolicy.
@@ -222,21 +233,21 @@ var policyTable = []policyEntry{
 	// Main lineup, in the order the paper's figures present it.
 	{name: "CPU", run: onHost, host: host.CPU},
 	{name: "GPU", run: onHost, host: host.GPU},
-	{name: "ISP", device: func() offload.Policy { return offload.ISPOnly{} }},
-	{name: "PuD-SSD", device: func() offload.Policy { return offload.PuDSSD{} }},
-	{name: "Flash-Cosmos", device: func() offload.Policy { return offload.FlashCosmos{} }},
-	{name: "Ares-Flash", device: func() offload.Policy { return offload.AresFlash{} }},
-	{name: "BW-Offloading", device: func() offload.Policy { return offload.BWOffloading{} }},
-	{name: "DM-Offloading", device: func() offload.Policy { return offload.DMOffloading{} }},
-	{name: "Conduit", device: func() offload.Policy { return offload.Conduit{} }},
+	{name: "ISP", device: stateless(offload.ISPOnly{})},
+	{name: "PuD-SSD", device: stateless(offload.PuDSSD{})},
+	{name: "Flash-Cosmos", device: stateless(offload.FlashCosmos{})},
+	{name: "Ares-Flash", device: stateless(offload.AresFlash{})},
+	{name: "BW-Offloading", device: stateless(offload.BWOffloading{})},
+	{name: "DM-Offloading", device: stateless(offload.DMOffloading{})},
+	{name: "Conduit", device: stateless(offload.Conduit{})},
 	{name: "Ideal", run: asIdeal},
 	// Ablations and combinations: the naive IFP+ISP of the §3.1 case
 	// study, and Conduit with one cost-function term removed (the
 	// AblationCostFeatures experiment).
 	{name: "IFP+ISP", ablation: true, device: func() offload.Policy { return &offload.NaiveCombo{} }},
-	{name: "Conduit-noqueue", ablation: true, device: func() offload.Policy { return offload.Conduit{DropQueue: true} }},
-	{name: "Conduit-nodep", ablation: true, device: func() offload.Policy { return offload.Conduit{DropDep: true} }},
-	{name: "Conduit-nomove", ablation: true, device: func() offload.Policy { return offload.Conduit{DropMove: true} }},
+	{name: "Conduit-noqueue", ablation: true, device: stateless(offload.Conduit{DropQueue: true})},
+	{name: "Conduit-nodep", ablation: true, device: stateless(offload.Conduit{DropDep: true})},
+	{name: "Conduit-nomove", ablation: true, device: stateless(offload.Conduit{DropMove: true})},
 }
 
 // lookupPolicy resolves name to its policyTable row, or to an
@@ -290,7 +301,8 @@ type RunResult struct {
 	MovementEnergy float64 // joules
 	// InstLatencies and Decisions (the offloading trace; nil for host
 	// executions) may be shared with other results of the same deployment
-	// and policy: read them, never write them.
+	// and policy, and a served result may be shared whole: read them,
+	// never write them.
 	InstLatencies *Reservoir
 	Decisions     []Decision
 	// OverheadTime is the runtime offloader overhead (§4.5); zero for
@@ -385,10 +397,16 @@ func (s *System) runHost(c *Compiled, p *policyEntry) (*RunResult, error) {
 // runPolicyOn executes policy p — an onDevice or asIdeal row — on a
 // deployed device, consuming its loaded image.
 func runPolicyOn(dev *ssd.Device, p *policyEntry) (*RunResult, error) {
-	var (
-		res *ssd.Result
-		err error
-	)
+	res, err := runDevice(dev, p)
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(p, res, dev), nil
+}
+
+// runDevice is runPolicyOn's device run; the result may be the one its
+// policy's record published (ssd.Device.Run).
+func runDevice(dev *ssd.Device, p *policyEntry) (res *ssd.Result, err error) {
 	if p.run == asIdeal {
 		res, _, err = dev.RunIdeal()
 	} else {
@@ -396,9 +414,11 @@ func runPolicyOn(dev *ssd.Device, p *policyEntry) (*RunResult, error) {
 		res, err = dev.Run(p.device())
 		dev.ExitComputationMode()
 	}
-	if err != nil {
-		return nil, err
-	}
+	return res, err
+}
+
+// resultOf is the RunResult of p's device run res on dev (nil for none).
+func resultOf(p *policyEntry, res *ssd.Result, dev *ssd.Device) *RunResult {
 	return &RunResult{
 		Policy:         p.name,
 		Elapsed:        res.Elapsed,
@@ -409,7 +429,18 @@ func runPolicyOn(dev *ssd.Device, p *policyEntry) (*RunResult, error) {
 		OverheadTime:   res.OverheadTime,
 		Counters:       res.Counters,
 		Device:         dev,
-	}, nil
+	}
+}
+
+// withElapsed returns r with its Elapsed set to e: r itself when e is
+// already its Elapsed, else a copy, since r may be shared.
+func (r *RunResult) withElapsed(e Time) *RunResult {
+	if e == r.Elapsed {
+		return r
+	}
+	c := *r
+	c.Elapsed = e
+	return &c
 }
 
 // A Deployment is a compiled program deployed onto a simulated drive,
@@ -438,6 +469,11 @@ type Deployment struct {
 	used   []*ssd.Device // parked: executed forks awaiting reuse, newest last
 	ready  []*ssd.Device // parked devices settle restored, newest last
 	closed bool          // Close was called: nothing is parked any more
+
+	// shared maps each result the master's records published
+	// (*ssd.Result) to the one RunResult, with no Device, that every
+	// served run reproducing it returns (runAttempt).
+	shared sync.Map
 }
 
 // Deploy compiles nothing and runs nothing: it installs the already
@@ -524,15 +560,19 @@ func (d *Deployment) settle() {
 // recycle takes r's device off it and parks it for the next fork. Only
 // code that drops the device of a run that returned a result calls it (a
 // served result, a merged cluster part, a memoized sweep cell): a run that
-// failed or panicked has no result, and a poisoned fork is discarded. At
-// most the pool's depth plus GOMAXPROCS devices are parked or ready — one
-// per buffer slot and per running request — and none after Close.
+// failed or panicked has no result, and a poisoned fork is discarded. A
+// result without a device (a host run's, a shared one) is left unwritten.
 func (d *Deployment) recycle(r *RunResult) {
-	dev := r.Device
-	r.Device = nil
-	if dev == nil {
-		return // a host run: no drive involved
+	if dev := r.Device; dev != nil {
+		r.Device = nil
+		d.parkDevice(dev)
 	}
+}
+
+// parkDevice lists dev for the next fork. At most the pool's depth plus
+// GOMAXPROCS devices are parked or ready — one per buffer slot and per
+// running request — and none after Close.
+func (d *Deployment) parkDevice(dev *ssd.Device) {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
 	keep := serve.DefaultConcurrency()
@@ -563,31 +603,52 @@ func (d *Deployment) Run(policy string) (*RunResult, error) { return d.run(looku
 // run is Run with the policy resolved.
 func (d *Deployment) run(p *policyEntry) (*RunResult, error) { return d.sys.runOn(d.c, p, d.Fork) }
 
-// dispatch implements the serving layer's application interface: a
-// single deployment is shard 0 of the recovery ladder.
-func (d *Deployment) dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error) {
-	return r.runShard(d, 0, p, rec, sp)
-}
-
-// runAttempt is Run with span recording: the device execution becomes a
-// "device.run" child span of sp whose simulated extent is the run's
-// elapsed simulated time. The recovery ladder may run d more than once
-// under one span (retries, fallback): key tells the sibling spans apart.
-// A nil sp records nothing.
+// runAttempt is a served run with span recording: the device execution
+// becomes a "device.run" child span of sp whose simulated extent is the
+// run's elapsed simulated time. The recovery ladder may run d more than
+// once under one span (retries, fallback): key tells the sibling spans
+// apart. A nil sp records nothing.
 //
 // Served results never expose the executed drive (a coalesced response
 // is shared between requests, and an ssd.Device is single-goroutine), so
-// the device is recycled here.
+// the device is parked for the next fork, and a run that reproduces the
+// result its policy's record published returns the one RunResult d keeps
+// for that result: such a request allocates no result.
 func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", p.name)
-	r, err := d.run(p)
+	r, err := d.runParked(p)
 	if err != nil {
 		child.End(0)
 		return nil, err
 	}
 	child.End(int64(r.Elapsed))
-	d.recycle(r)
+	return r, nil
+}
+
+// runParked is runAttempt's run.
+func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
+	if p.run != onDevice && p.run != asIdeal {
+		return d.run(p) // a host run: no drive to park
+	}
+	dev, err := d.Fork()
+	if err != nil {
+		return nil, err
+	}
+	res, err := runDevice(dev, p)
+	if err != nil {
+		return nil, err
+	}
+	d.parkDevice(dev)
+	if v, ok := d.shared.Load(res); ok {
+		return v.(*RunResult), nil
+	}
+	r := resultOf(p, res, nil)
+	// The master never runs, and its records are every fork's.
+	if d.master.Published(res) {
+		v, _ := d.shared.LoadOrStore(res, r)
+		r = v.(*RunResult)
+	}
 	return r, nil
 }
 

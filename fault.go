@@ -181,12 +181,20 @@ func (r *resilient) run(p *policyEntry, sp *trace.Span) (*RunResult, serve.Recov
 				trace.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 			continue
 		}
-		res, err := r.app.dispatch(r, p, &rec, sp)
+		var res *RunResult
+		var err error
+		// A type switch, not a method of application: through an
+		// interface call rec would escape, one allocation per request.
+		switch app := r.app.(type) {
+		case *Cluster:
+			res, err = r.runCluster(app, p, &rec, sp)
+		case *Deployment:
+			res, err = r.runShard(app, 0, p, &rec, sp)
+		}
 		if err != nil {
 			return nil, rec, err
 		}
-		res.Elapsed += penalty
-		return res, rec, nil
+		return res.withElapsed(res.Elapsed + penalty), rec, nil
 	}
 }
 
@@ -284,8 +292,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, p *policyEntry, rec *se
 				if err != nil {
 					return nil, err
 				}
-				res.Elapsed += penalty
-				return res, nil
+				return res.withElapsed(res.Elapsed + penalty), nil
 			}
 			return nil, fmt.Errorf("conduit: %s shard %d: %w", r.name, shard, ErrCircuitOpen)
 		}
@@ -303,8 +310,7 @@ func (r *resilient) runShard(dep *Deployment, shard int, p *policyEntry, rec *se
 			if b != nil {
 				b.Success()
 			}
-			res.Elapsed += penalty
-			return res, nil
+			return res.withElapsed(res.Elapsed + penalty), nil
 		}
 		if b != nil {
 			b.Failure()
@@ -371,7 +377,7 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, p *policyEntry, att
 		return nil, 0, err
 	}
 	if f.Slowdown > 1 {
-		res.Elapsed = Time(float64(res.Elapsed) * f.Slowdown)
+		res = res.withElapsed(Time(float64(res.Elapsed) * f.Slowdown))
 	}
 	if f.Kind != "" {
 		inject(f.Kind)

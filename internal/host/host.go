@@ -166,6 +166,8 @@ func (c *pageLRU) pushFront(i int32) {
 // The functional pass reads an input page's initial bytes through inputs,
 // which writes them into a page-sized dst and reports whether the page is
 // an input (compiler.Compiled.InputPage); pages it declines read as zero.
+// The result's reservoir replays the timing pass when first queried, so m's
+// configuration and prog must not change while it may be.
 func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) bool) (*Result, map[isa.PageID][]byte, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, nil, err
@@ -173,7 +175,6 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	cfg := &m.cfg.SSD
 	h := &m.cfg.Host
 	en := energy.NewAccount()
-	lat := make([]sim.Time, 0, len(prog.Insts))
 
 	span := prog.Span()
 	cache := newPageLRU(span, cacheCapacity(prog.Pages))
@@ -206,46 +207,9 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 	var srcs [][]byte // reused operand-pointer scratch
 	for i := range prog.Insts {
 		inst := &prog.Insts[i]
-		var pcie, hostMem sim.Time
-		if inst.Op != isa.OpScalar {
-			// Resident data streams from host DRAM (CPU) or HBM (GPU).
-			memBW := h.MemBandwidth
-			if m.kind == GPU {
-				memBW = h.HBMBandwidth
-			}
-			for _, s := range inst.Srcs {
-				if hit, _ := cache.touch(s); !hit {
-					// Page fault to the SSD: a demand miss overlaps
-					// with a limited number of in-flight reads (the I/O
-					// queue depth the blocked computation sustains), so
-					// the flash sense amortizes over ~8 outstanding
-					// requests, plus PCIe and channel bandwidth.
-					const lookahead = 8
-					pcie += cfg.PCIeTransferTime(cfg.PageSize) +
-						cfg.ChannelTransferTime(cfg.PageSize)/sim.Time(cfg.Channels) +
-						cfg.TRead/lookahead
-					pcieBytes += int64(cfg.PageSize)
-					en.Move(energy.PCIe, float64(cfg.PageSize)*h.EPCIePerByte)
-				}
-				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
-				en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
-			}
-			if inst.Dst != isa.NoPage {
-				cache.touch(inst.Dst)
-				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
-				en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
-			}
-		}
-		comp := m.computeTime(inst)
-		t := comp
-		if pcie > t {
-			t = pcie
-		}
-		if hostMem > t {
-			t = hostMem
-		}
+		t, faults := m.instTime(inst, cache, en)
 		elapsed += t
-		lat = append(lat, t)
+		pcieBytes += int64(faults) * int64(cfg.PageSize)
 
 		// Functional execution for verification.
 		if !cfg.TimingOnly && inst.Op != isa.OpScalar && inst.Dst != isa.NoPage {
@@ -278,6 +242,52 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 		ComputeEnergy:  en.ComputeTotal(),
 		MovementEnergy: en.MovementTotal(),
 		PCIeBytes:      pcieBytes,
-		InstLatencies:  stats.ReservoirOf(lat),
+		// Each instruction's latency is derived only when a query needs
+		// it: the timing pass replayed on a fresh cache and account.
+		InstLatencies: stats.ReservoirFunc(len(prog.Insts), elapsed, func(dst []sim.Time) {
+			cache, en := newPageLRU(span, cacheCapacity(prog.Pages)), energy.NewAccount()
+			for i := range prog.Insts {
+				dst[i], _ = m.instTime(&prog.Insts[i], cache, en)
+			}
+		}),
 	}, mem, nil
+}
+
+// instTime is inst's latency on the host — the longest of its computation,
+// its page faults to the SSD and its host-memory traffic — and how many
+// pages it faulted in. It touches cache and charges its movement energy to
+// en.
+func (m *Model) instTime(inst *isa.Inst, cache *pageLRU, en *energy.Account) (t sim.Time, faults int) {
+	cfg, h := &m.cfg.SSD, &m.cfg.Host
+	var pcie, hostMem sim.Time
+	if inst.Op != isa.OpScalar {
+		// Resident data streams from host DRAM (CPU) or HBM (GPU).
+		memBW := h.MemBandwidth
+		if m.kind == GPU {
+			memBW = h.HBMBandwidth
+		}
+		for _, s := range inst.Srcs {
+			if hit, _ := cache.touch(s); !hit {
+				// Page fault to the SSD: a demand miss overlaps
+				// with a limited number of in-flight reads (the I/O
+				// queue depth the blocked computation sustains), so
+				// the flash sense amortizes over ~8 outstanding
+				// requests, plus PCIe and channel bandwidth.
+				const lookahead = 8
+				pcie += cfg.PCIeTransferTime(cfg.PageSize) +
+					cfg.ChannelTransferTime(cfg.PageSize)/sim.Time(cfg.Channels) +
+					cfg.TRead/lookahead
+				faults++
+				en.Move(energy.PCIe, float64(cfg.PageSize)*h.EPCIePerByte)
+			}
+			hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
+			en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
+		}
+		if inst.Dst != isa.NoPage {
+			cache.touch(inst.Dst)
+			hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
+			en.Move(energy.HostDRAM, float64(inst.VectorBytes())*h.EHostPerByte)
+		}
+	}
+	return max(m.computeTime(inst), pcie, hostMem), faults
 }

@@ -2,11 +2,17 @@ package host
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
+	"conduit/internal/compiler"
 	"conduit/internal/config"
+	"conduit/internal/energy"
 	"conduit/internal/isa"
 	"conduit/internal/sim"
+	"conduit/internal/stats"
+	"conduit/internal/workloads"
 )
 
 // pageSource serves explicit input pages the way Compiled.InputPage does.
@@ -199,5 +205,51 @@ func TestHostEnergyIsPowerTimesElapsed(t *testing.T) {
 	want := res.Elapsed.Seconds() * cfg.Host.CPUPowerWatts
 	if diff := res.ComputeEnergy - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("CPU compute energy %v, want power x elapsed = %v", res.ComputeEnergy, want)
+	}
+}
+
+// TestLatenciesOnDemandMatchEager: for the six workloads under CPU and
+// GPU, the reservoir a timing-only run returns — which derives its samples
+// only when queried — holds what an eagerly kept one did: the timing pass's
+// per-instruction latencies, charged to an energy account, in program
+// order, summing to Elapsed. So every percentile is the eager one.
+func TestLatenciesOnDemandMatchEager(t *testing.T) {
+	cfg := config.Default()
+	cfg.SSD.TimingOnly = true
+	for _, w := range workloads.All(1) {
+		c, err := compiler.Compile(w.Source, cfg.SSD.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []Kind{CPU, GPU} {
+			m := New(&cfg, kind)
+			res, _, err := m.Run(c.Prog, c.InputPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager := make([]sim.Time, 0, len(c.Prog.Insts))
+			cache, en := newPageLRU(c.Prog.Span(), cacheCapacity(c.Prog.Pages)), energy.NewAccount()
+			var sum sim.Time
+			for i := range c.Prog.Insts {
+				lat, _ := m.instTime(&c.Prog.Insts[i], cache, en)
+				eager, sum = append(eager, lat), sum+lat
+			}
+			if sum != res.Elapsed {
+				t.Errorf("%s on %v: latencies sum to %v, Elapsed is %v", w.Name, kind, sum, res.Elapsed)
+			}
+			// Before any percentile query sorts either side in place.
+			if got := stats.MergeReservoirs(res.InstLatencies); !reflect.DeepEqual(got, stats.ReservoirOf(slices.Clone(eager))) {
+				t.Errorf("%s on %v: the reservoir's samples are not the eager ones in program order", w.Name, kind)
+			}
+			want := stats.ReservoirOf(eager)
+			if res.InstLatencies.Count() != want.Count() || res.InstLatencies.Mean() != want.Mean() {
+				t.Errorf("%s on %v: count and mean differ from the eager reservoir's", w.Name, kind)
+			}
+			for _, p := range []float64{0, 50, 90, 99, 99.99, 100} {
+				if got, want := res.InstLatencies.Percentile(p), want.Percentile(p); got != want {
+					t.Errorf("%s on %v: p%v is %v, eager %v", w.Name, kind, p, got, want)
+				}
+			}
+		}
 	}
 }

@@ -200,8 +200,8 @@ type Engine struct {
 	all     tenantAccount
 }
 
+// pending is one admitted request. Its Request lives only in resp.
 type pending struct {
-	req       Request
 	submitted time.Time
 	// seq is the request's 1-based admission sequence, stamped under the
 	// admission lock. Sheds never consume a sequence number, so the
@@ -290,7 +290,7 @@ func NewEngine(r Runner, cfg Config) *Engine {
 // otherwise it equals Response.Err (the response carries timing and
 // accounting detail either way).
 func (e *Engine) Do(req Request) (*Response, error) {
-	p := &pending{req: req, submitted: time.Now()}
+	p := &pending{submitted: time.Now(), resp: Response{Request: req}}
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
@@ -335,7 +335,7 @@ func (e *Engine) Do(req Request) (*Response, error) {
 // and return: a notify that blocks holds a worker. Callers that want a
 // channel make their own.
 func (e *Engine) Submit(req Request, notify func(*Response)) error {
-	p := &pending{req: req, submitted: time.Now(), notify: notify}
+	p := &pending{submitted: time.Now(), resp: Response{Request: req}, notify: notify}
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
@@ -376,20 +376,20 @@ func (e *Engine) serveOne(p *pending) {
 	// dropped here, before the backend — and in particular before the
 	// coalescing flight group — so an expired request can neither consume
 	// a pooled fork nor lead an execution other requests join.
-	if p.req.Deadline > 0 && p.resp.Queued > p.req.Deadline {
+	if p.resp.Request.Deadline > 0 && p.resp.Queued > p.resp.Request.Deadline {
 		p.root.Event("deadline_expired", 0)
-		e.finish(p, nil, ErrDeadlineExceeded, false)
+		e.finish(p, Outcome{}, ErrDeadlineExceeded, false)
 		return
 	}
-	exec := func() (v interface{}, err error) {
+	exec := func() (out Outcome, err error) {
 		run := p.root.Child("serve.run", "", 0)
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("serve: %s under %s panicked: %v",
-					p.req.Workload, p.req.Policy, r)
+					p.resp.Request.Workload, p.resp.Request.Policy, r)
 			}
 		}()
-		out, err := e.runner.RunCell(p.req.Workload, p.req.Policy, run)
+		out, err = e.runner.RunCell(p.resp.Request.Workload, p.resp.Request.Policy, run)
 		run.End(int64(out.Elapsed))
 		// The outcome travels even with a non-nil error: a failed request
 		// may still carry recovery accounting (retries attempted, backoff
@@ -397,16 +397,19 @@ func (e *Engine) serveOne(p *pending) {
 		return out, err
 	}
 	if !e.cfg.Coalesce {
-		v, err := exec()
-		e.finish(p, v, err, false)
+		// By value: only a coalesced outcome, which joiners read from
+		// the flight group, is boxed.
+		out, err := exec()
+		e.finish(p, out, err, false)
 		return
 	}
-	key := p.req.key()
+	key := p.resp.Request.key()
 	c, leader := e.flight.begin(key)
 	if !leader {
 		join := func() {
 			<-c.done
-			e.finish(p, c.val, c.err, true)
+			out, _ := c.val.(Outcome)
+			e.finish(p, out, c.err, true)
 		}
 		select {
 		case <-c.done:
@@ -420,9 +423,9 @@ func (e *Engine) serveOne(p *pending) {
 		join()
 		return
 	}
-	v, err := exec()
-	e.flight.complete(key, c, v, err, true)
-	e.finish(p, v, err, false)
+	out, err := exec()
+	e.flight.complete(key, c, out, err, true)
+	e.finish(p, out, err, false)
 }
 
 // inline reports whether p is a Do served on its caller's goroutine.
@@ -440,28 +443,25 @@ func (e *Engine) startTrace(p *pending) {
 	}
 	var tr *trace.Trace
 	switch {
-	case p.req.Trace.Sampled && p.req.Trace.ID != 0:
-		tr = t.Start(p.req.Trace.ID)
+	case p.resp.Request.Trace.Sampled && p.resp.Request.Trace.ID != 0:
+		tr = t.Start(p.resp.Request.Trace.ID)
 	case t.ShouldSample(p.seq):
 		tr = t.Start(p.seq)
 	default:
 		return
 	}
 	p.resp.Trace = tr
-	p.root = tr.Root("serve.request", p.req.Trace.Parent, 0)
-	p.root.SetAttr("tenant", p.req.Tenant)
-	p.root.SetAttr("workload", p.req.Workload)
-	p.root.SetAttr("policy", p.req.Policy)
+	p.root = tr.Root("serve.request", p.resp.Request.Trace.Parent, 0)
+	p.root.SetAttr("tenant", p.resp.Request.Tenant)
+	p.root.SetAttr("workload", p.resp.Request.Workload)
+	p.root.SetAttr("policy", p.resp.Request.Policy)
 }
 
 // finish completes a request: record the outcome, account it, release
 // the blocked Do or hand the response to the open-loop submitter's
 // notify, and then settle it (see Settler).
-func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
-	if o, ok := v.(Outcome); ok {
-		p.resp.Outcome = o
-	}
-	p.resp.Request = p.req
+func (e *Engine) finish(p *pending, out Outcome, err error, shared bool) {
+	p.resp.Outcome = out
 	p.resp.Err = err
 	p.resp.Shared = shared
 	p.resp.Latency = time.Since(p.submitted)
@@ -469,7 +469,7 @@ func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 		p.root.Event("coalesced", 0)
 	}
 	p.root.End(int64(p.resp.Outcome.Elapsed))
-	e.account(&p.resp, p.req.Tenant)
+	e.account(&p.resp, p.resp.Request.Tenant)
 	switch {
 	case p.notify != nil:
 		p.notify(&p.resp)
@@ -480,7 +480,7 @@ func (e *Engine) finish(p *pending, v interface{}, err error, shared bool) {
 		if !p.inline() {
 			runtime.Gosched()
 		}
-		s.Settle(p.req.Workload)
+		s.Settle(p.resp.Request.Workload)
 	}
 }
 

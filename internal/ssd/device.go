@@ -90,7 +90,7 @@ type Device struct {
 	// afterwards and shared by every fork like accesses and output.
 	costs []instCost
 
-	// records maps a policy name to the record its runs share (recorder):
+	// records maps a policy name to the *Result its runs share (recorder):
 	// made empty by LoadProgram, shared by every fork, only ever added to.
 	records *sync.Map
 

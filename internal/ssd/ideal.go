@@ -8,7 +8,6 @@ import (
 	"conduit/internal/isa"
 	"conduit/internal/nand"
 	"conduit/internal/sim"
-	"conduit/internal/stats"
 )
 
 // RunIdeal executes the loaded program under the unrealizable Ideal policy
@@ -94,15 +93,11 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 			elapsed = done
 		}
 	}
-	decisions, lat := rec.finish(d, "Ideal")
-	return &Result{
+	return rec.finish(d, &Result{
 		Policy:        "Ideal",
 		Elapsed:       elapsed,
-		InstLatencies: lat,
-		Decisions:     decisions,
 		ComputeEnergy: computeEnergy,
-		Counters:      stats.NewCounters(),
-	}, mem, nil
+	}, nil), mem, nil
 }
 
 // idealProfile is the operand profile Ideal assumes for in-flash

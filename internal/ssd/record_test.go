@@ -54,8 +54,8 @@ func materialized(res *Result) *Result {
 
 // TestRunsShareTheirPublishedRecord: over the six workloads at scales 1
 // and 2, under every device policy and Ideal, a second run of a deployment
-// returns the first run's decision trace and reservoir themselves, and that
-// result equals, field for field, a run on a device whose table is empty.
+// returns the first run's result itself, and that result equals, field for
+// field, a run on a device whose table is empty.
 func TestRunsShareTheirPublishedRecord(t *testing.T) {
 	cfg := config.Default()
 	cfg.SSD.TimingOnly = true
@@ -76,12 +76,11 @@ func TestRunsShareTheirPublishedRecord(t *testing.T) {
 				second := recordRun(t, master, i, false, nil)
 				alone := recordRun(t, master, i, true, nil)
 				what := fmt.Sprintf("%s scale %d %s", w.Name, scale, first.Policy)
-				if unsafe.SliceData(second.Decisions) != unsafe.SliceData(first.Decisions) ||
-					second.InstLatencies != first.InstLatencies {
-					t.Errorf("%s: the second run did not return the first run's record", what)
+				if second != first {
+					t.Errorf("%s: the second run did not return the first run's result", what)
 				}
 				if !reflect.DeepEqual(materialized(second), materialized(alone)) {
-					t.Errorf("%s: a run sharing the record differs from a run with an empty table", what)
+					t.Errorf("%s: a run sharing the result differs from a run with an empty table", what)
 				}
 			}
 		}
@@ -91,7 +90,7 @@ func TestRunsShareTheirPublishedRecord(t *testing.T) {
 // TestDivergentRunKeepsItsOwnRecord: a run whose decisions differ from the
 // published record — here, one whose firmware clock starts later, so every
 // issue time moves — records its own, equal to what it records with an
-// empty table, and leaves the published record as it was.
+// empty table, and leaves the published result as it was.
 func TestDivergentRunKeepsItsOwnRecord(t *testing.T) {
 	prog, inputs := mixProgram(t, 1)
 	master := newLoadedDevice(t, prog, inputs)
@@ -108,9 +107,52 @@ func TestDivergentRunKeepsItsOwnRecord(t *testing.T) {
 	if !reflect.DeepEqual(materialized(got), materialized(want)) {
 		t.Error("a divergent run differs from the same run with an empty table")
 	}
-	if pub, _ := master.records.Load("Conduit"); unsafe.SliceData(pub.(record).decisions) != unsafe.SliceData(clean.Decisions) ||
-		!slices.Equal(pub.(record).decisions, published) {
-		t.Error("a divergent run changed the published record")
+	if pub, _ := master.records.Load("Conduit"); pub.(*Result) != clean || !slices.Equal(clean.Decisions, published) {
+		t.Error("a divergent run changed the published result")
+	}
+}
+
+// TestMatchingDecisionsDifferentCountsKeepOwnResult: a run whose decisions
+// match the published record but whose counters do not — here, one whose
+// measurement baseline is one sense short, so only flash.senses reads one
+// more — returns a result of its own. It shares the published decisions
+// and reservoir, reports its own counters, and leaves the published result
+// as it was.
+func TestMatchingDecisionsDifferentCountsKeepOwnResult(t *testing.T) {
+	prog, inputs := mixProgram(t, 1)
+	master := newLoadedDevice(t, prog, inputs)
+	sense := slices.Index(counterNames[:], "flash.senses")
+	if sense < 0 {
+		t.Fatal("no flash.senses counter")
+	}
+	short := func(d *Device) { d.baseline[sense]-- }
+	for i := 0; i < len(allPolicies()); i++ {
+		clean := recordRun(t, master, i, false, nil)
+		counts := map[string]int64{}
+		clean.Counters.Each(func(name string, v int64) { counts[name] = v })
+		got := recordRun(t, master, i, false, short)
+		if got == clean {
+			t.Fatalf("%s: a run with different counters returned the published result", clean.Policy)
+		}
+		if unsafe.SliceData(got.Decisions) != unsafe.SliceData(clean.Decisions) || got.InstLatencies != clean.InstLatencies {
+			t.Errorf("%s: a run with matching decisions did not share the published record", clean.Policy)
+		}
+		got.Counters.Each(func(name string, v int64) {
+			want := counts[name]
+			if name == "flash.senses" {
+				want++
+			}
+			if v != want {
+				t.Errorf("%s: %s = %d, want %d", clean.Policy, name, v, want)
+			}
+		})
+		if got.Policy != clean.Policy || got.Elapsed != clean.Elapsed || got.OverheadTime != clean.OverheadTime ||
+			got.ComputeEnergy != clean.ComputeEnergy || got.MovementEnergy != clean.MovementEnergy {
+			t.Errorf("%s: a run with different counters differs elsewhere too", clean.Policy)
+		}
+		if pub, _ := master.records.Load(clean.Policy); pub.(*Result) != clean || clean.Counters.Get("flash.senses") != counts["flash.senses"] {
+			t.Errorf("%s: a run with different counters changed the published result", clean.Policy)
+		}
 	}
 }
 

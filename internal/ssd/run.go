@@ -132,8 +132,10 @@ type instPlan struct {
 // loaded data image (execution mutates pages, calendars, and coherence
 // state), so a second Run on the same device fails fast: reload the
 // program, or Clone the device before running and keep the original as a
-// pristine snapshot. The returned Result is an immutable value snapshot —
-// nothing the device does afterwards can change it.
+// pristine snapshot. Nothing the device does afterwards can change the
+// returned Result, but it may be shared: a run that reproduces the result
+// its policy published returns that one (recorder), so read it and never
+// write it.
 func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	if d.prog == nil {
 		return nil, fmt.Errorf("ssd: no program loaded")
@@ -196,41 +198,36 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		}
 	}
 
-	decisions, lat := rec.finish(d, name)
-	return &Result{
+	// The counters since the measurement reset (program-load provisioning
+	// excluded), in counterNames order, on the stack: the comparison with
+	// the published result allocates nothing.
+	counts := d.rawCounters()
+	for i := range counts {
+		counts[i] -= d.baseline[i]
+	}
+	return rec.finish(d, &Result{
 		Policy:         name,
 		Elapsed:        elapsed,
-		InstLatencies:  lat,
-		Decisions:      decisions,
 		ComputeEnergy:  d.En.ComputeTotal(),
 		MovementEnergy: d.En.MovementTotal(),
-		Counters:       d.snapshotCounters(),
 		OverheadTime:   overhead,
-	}, nil
+	}, counts[:]), nil
 }
 
-// record is a run's decisions (cap == len, so an append copies) and the
-// reservoir of their latencies, as its policy published them. A latency is
-// its decision's Done - Issue, derived only when a query needs it.
-type record struct {
-	decisions []Decision
-	lat       *stats.Reservoir
-}
-
-// recorder compares a run's decisions, as it makes them, with the record
-// its policy published: while they match nothing is allocated, and at the
-// first difference, or with nothing published, the run copies the matching
-// prefix and records its own.
+// recorder compares a run, as it makes its decisions, with the result its
+// policy published: while the decisions match nothing is allocated, and at
+// the first difference, or with nothing published, the run copies the
+// matching prefix and records its own.
 type recorder struct {
-	pub record
+	pub *Result    // what d.records holds for the policy; nil if nothing
 	n   int        // decisions of pub reproduced so far
-	own []Decision // nil while the run reproduces pub
+	own []Decision // nil while the run reproduces pub's decisions
 }
 
 func (d *Device) newRecorder(policy string) recorder {
 	var r recorder
 	if pub, ok := d.records.Load(policy); ok {
-		r.pub = pub.(record)
+		r.pub = pub.(*Result)
 	} else {
 		r.own = make([]Decision, 0, len(d.prog.Insts))
 	}
@@ -239,46 +236,59 @@ func (d *Device) newRecorder(policy string) recorder {
 
 func (r *recorder) add(dec Decision) {
 	if r.own == nil {
-		if r.n < len(r.pub.decisions) && r.pub.decisions[r.n] == dec {
+		if r.n < len(r.pub.Decisions) && r.pub.Decisions[r.n] == dec {
 			r.n++
 			return
 		}
 		// Sized to the program's length, like any whole run's.
-		r.own = append(make([]Decision, 0, len(r.pub.decisions)), r.pub.decisions[:r.n]...)
+		r.own = append(make([]Decision, 0, len(r.pub.Decisions)), r.pub.Decisions[:r.n]...)
 	}
 	r.own = append(r.own, dec)
 }
 
-// finish returns the published record if the run reproduced it, else the
-// run's own, which it publishes as d's record of policy if the policy has
-// none yet.
-func (r *recorder) finish(d *Device, policy string) ([]Decision, *stats.Reservoir) {
+// finish completes the run whose scalars are in run and whose counters,
+// in counterNames order, are counts (none for Ideal). A run that
+// reproduces the published result — every decision, scalar and counter —
+// returns it, and allocates nothing. Otherwise run becomes the run's own
+// result: it keeps the published decisions and latencies if it reproduced
+// those, and else its own record, which it publishes as d's result of the
+// policy if the policy has none yet.
+func (r *recorder) finish(d *Device, run *Result, counts []int64) *Result {
+	names := counterNames[:len(counts)]
+	if pub := r.pub; r.own == nil && run.Elapsed == pub.Elapsed && run.OverheadTime == pub.OverheadTime &&
+		run.ComputeEnergy == pub.ComputeEnergy && run.MovementEnergy == pub.MovementEnergy &&
+		pub.Counters.Holds(names, counts) {
+		return pub
+	}
+	own := *run
+	if len(counts) == 0 {
+		own.Counters = stats.NewCounters()
+	} else {
+		own.Counters = stats.CountersOf(names, slices.Clone(counts))
+	}
 	if r.own == nil {
-		return r.pub.decisions, r.pub.lat
+		own.Decisions, own.InstLatencies = r.pub.Decisions, r.pub.InstLatencies
+		return &own
 	}
 	ds := slices.Clip(r.own)
 	var sum sim.Time
 	for _, dec := range ds {
 		sum += dec.Done - dec.Issue
 	}
-	own := record{ds, stats.ReservoirFunc(len(ds), sum, func(dst []sim.Time) {
+	own.Decisions, own.InstLatencies = ds, stats.ReservoirFunc(len(ds), sum, func(dst []sim.Time) {
 		for i, dec := range ds {
 			dst[i] = dec.Done - dec.Issue
 		}
-	})}
-	d.records.LoadOrStore(policy, own)
-	return own.decisions, own.lat
+	})
+	d.records.LoadOrStore(run.Policy, &own)
+	return &own
 }
 
-// snapshotCounters reports substrate activity since the last measurement
-// reset (excluding program-load provisioning), in counterNames order.
-func (d *Device) snapshotCounters() *stats.Counters {
-	raw := d.rawCounters()
-	vals := make([]int64, len(raw))
-	for i := range raw {
-		vals[i] = raw[i] - d.baseline[i]
-	}
-	return stats.CountersOf(counterNames[:], vals)
+// Published reports whether res is the result d's program published for
+// res.Policy: the one every run that reproduces it returns.
+func (d *Device) Published(res *Result) bool {
+	pub, ok := d.records.Load(res.Policy)
+	return ok && pub.(*Result) == res
 }
 
 // resolveOperands fills d.ops with where each source of inst lives now:

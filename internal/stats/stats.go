@@ -119,18 +119,17 @@ func (r *Reservoir) Mean() sim.Time {
 // byte-identical between concurrent and serial shard execution. Nil parts
 // are skipped; a part's samples are only ever materialized, never changed.
 func MergeReservoirs(parts ...*Reservoir) *Reservoir {
-	out := NewReservoir()
+	var samples []sim.Time
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
 		p.mu.Lock()
 		p.materialize()
-		out.samples = append(out.samples, p.samples...)
-		out.n, out.sum = len(out.samples), out.sum+p.sum
+		samples = append(samples, p.samples...)
 		p.mu.Unlock()
 	}
-	return out
+	return ReservoirOf(samples)
 }
 
 // Counters is a named set of monotonically increasing tallies, held as
@@ -155,6 +154,13 @@ func CountersOf(names []string, vals []int64) *Counters {
 	// Clipped, so that adding a new name appends to a copy and never
 	// writes into the caller's list.
 	return &Counters{names: slices.Clip(names), vals: vals}
+}
+
+// Holds reports whether c holds exactly vals under names, in that order:
+// whether it equals what CountersOf(names, vals) builds. It allocates
+// nothing, so a producer can compare a tally it keeps on the stack.
+func (c *Counters) Holds(names []string, vals []int64) bool {
+	return slices.Equal(c.vals, vals) && slices.Equal(c.names, names)
 }
 
 // Add increments name by delta.

@@ -3,7 +3,9 @@ package conduit
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -392,5 +394,82 @@ func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
 	if after.Preforked != before.Preforked || clones(after) > clones(before) {
 		t.Errorf("2 000 steady requests: Preforked %d -> %d, clones %d -> %d; want both unchanged",
 			before.Preforked, after.Preforked, clones(before), clones(after))
+	}
+}
+
+// TestSharedResultNeverWritten: every served request that reproduces its
+// policy's published result returns one RunResult, so nothing on the
+// served path may write it. Two goroutines serve one (workload, policy)
+// through fault injection and the whole recovery ladder — retries, and a
+// breaker that falls back to CPU — so requests whose retry penalties and
+// slowdowns are charged to a copy run beside clean ones that return the
+// shared result. Under -race a write to it fails the test; in any mode
+// every clean response equals a fresh deployment's run, and the shared
+// result reads afterwards as it did before.
+func TestSharedResultNeverWritten(t *testing.T) {
+	const workload, policy, perClient = "jacobi-1d", "Conduit", 40
+	faults := FaultsAtRate(0.2, 11)
+	srv := NewServer(DefaultConfig(), ServeOptions{
+		Concurrency: 2, Prefork: 2, Faults: &faults,
+		Recovery: RecoveryOptions{MaxAttempts: 3, BreakerThreshold: 2, FallbackPolicy: "CPU"},
+	})
+	defer srv.Drain()
+	if err := srv.RegisterWorkload(workload, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	dep := srv.app(workload).app.(*Deployment)
+	shared, err := dep.runAttempt(lookupPolicy(policy), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := dep.runAttempt(lookupPolicy(policy), nil, ""); err != nil || again != shared {
+		t.Fatalf("a second served run did not return the shared result (err %v)", err)
+	}
+	before, decisions, counters := *shared, slices.Clone(shared.Decisions), stats.NewCounters()
+	counters.Merge(shared.Counters)
+
+	resps := make([][]*Response, 2)
+	var wg sync.WaitGroup
+	for c := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, _ := srv.Do(Request{Tenant: "t", Workload: workload, Policy: policy})
+				resps[c] = append(resps[c], resp)
+			}
+		}()
+	}
+	wg.Wait()
+
+	fresh, err := deployWorkload(t, NewSystem(DefaultConfig()), workload, 1).Run(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Device = nil
+	fresh.InstLatencies.P99() // both reservoirs hold their samples, sorted
+	shared.InstLatencies.P99()
+	var clean, faulted int
+	for _, resp := range slices.Concat(resps...) {
+		rec := resp.Outcome.Recovery
+		if resp.Err != nil || rec.Injected != 0 || rec.Retries != 0 || rec.Fallbacks != 0 {
+			faulted++
+			if r := ResultOf(resp); r == shared && (r.Elapsed != before.Elapsed || rec.BackoffSim != 0) {
+				t.Error("a faulted response returned the shared result")
+			}
+			continue
+		}
+		clean++
+		if r := ResultOf(resp); r != shared || !reflect.DeepEqual(r, fresh) {
+			t.Errorf("a clean response is not the shared result, or differs from a fresh run")
+		}
+	}
+	t.Logf("%d clean and %d faulted responses", clean, faulted)
+	if clean == 0 || faulted == 0 {
+		t.Fatalf("%d clean and %d faulted responses: the test needs both", clean, faulted)
+	}
+	if !reflect.DeepEqual(*shared, before) || !slices.Equal(shared.Decisions, decisions) ||
+		!reflect.DeepEqual(shared.Counters, counters) {
+		t.Error("serving changed the shared result")
 	}
 }

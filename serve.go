@@ -88,16 +88,12 @@ type ServeOptions struct {
 	Trace *TraceOptions
 }
 
-// application is the serving-layer view of a registered app: dispatch
-// through the recovery ladder, pool teardown, and pool reporting. Both a
-// single-device Deployment and a sharded Cluster satisfy it, so the
-// engine serves either transparently.
+// application is the serving-layer view of a registered app: pool
+// teardown and pool reporting. Both a single-device Deployment and a
+// sharded Cluster satisfy it, and resilient.run dispatches either through
+// the recovery ladder — shard 0 of a Deployment, a per-shard scatter of a
+// Cluster — so the engine serves either transparently.
 type application interface {
-	// dispatch runs one request under r's recovery ladder — shard 0 for a
-	// Deployment, a per-shard scatter for a Cluster — accruing the
-	// recovery accounting into rec and recording under sp (nil unless the
-	// request is sampled).
-	dispatch(r *resilient, p *policyEntry, rec *serve.Recovery, sp *trace.Span) (*RunResult, error)
 	Close()
 	// poolStats contributes the application's device-pool snapshots to
 	// out, keying each entry off the registered name (a cluster adds one
@@ -300,9 +296,10 @@ func (s backend) RunCell(workload, policy string, sp *trace.Span) (serve.Outcome
 		// retries it burnt are real work the books must show.
 		return serve.Outcome{Recovery: rec}, err
 	}
-	// r carries no Device (runAttempt and merge recycled it); the rest of
-	// a RunResult is an immutable snapshot and safe to share between
-	// coalesced responses (the Reservoir locks internally).
+	// r carries no Device (runAttempt and merge parked it) and may be
+	// shared by every request that reproduced it: read-only, and so safe
+	// to share between coalesced responses too (the Reservoir locks
+	// internally).
 	return serve.Outcome{Value: r, Elapsed: r.Elapsed, EnergyJ: r.TotalEnergy(), Recovery: rec}, nil
 }
 
