@@ -17,13 +17,16 @@ test:
 # recorded workload trace, and the calendar invariants), the top-level
 # golden identity tests (timing-only fast path vs functional reference
 # system, byte for byte, and a shared served result that equals a fresh
-# run and is never written), and the wire tier's multi-process equivalence
+# run and is never written), the wire tier's multi-process equivalence
 # harness (routed fleet vs in-process Server.Submit, byte for byte, plus
-# drain-under-traffic and fault-replay determinism).
+# drain-under-traffic and fault-replay determinism), the Reader's result
+# table (TestReaderResultTableIsBounded, TestRoutedResultsSharedNeverWritten)
+# and Submit's lent response (TestSubmitLendsResponsesUnderCoalesce).
 test-oracle:
 	go test -race ./internal/sim/...
 	go test -race -run 'FastVsReference|ToReference|SharedResultNeverWritten' .
 	go test -race ./internal/wire ./internal/router ./internal/wiretest
+	go test -race -run 'SubmitLendsResponsesUnderCoalesce' ./internal/serve
 
 race:
 	go test -race ./...
@@ -120,7 +123,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24605
+LOC_CEILING := 24665
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -2,8 +2,10 @@ package router
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -83,5 +85,74 @@ func TestHandshakeIsBounded(t *testing.T) {
 	}
 	if !conn.closed {
 		t.Error("NewClient left a silent peer's connection open")
+	}
+}
+
+// TestRoutedResultsSharedNeverWritten: two goroutines route one cell
+// through one Client, whose Reader hands every response the *Result it
+// decoded first (its result table). Each response equals a fresh
+// wire.Decode of its own frame, and the shared Result never changes; run
+// under -race, a write to it would show as a race too.
+func TestRoutedResultsSharedNeverWritten(t *testing.T) {
+	sent := &wire.Result{Policy: "Conduit", ComputeEnergyJ: 0.25, OverheadNS: 7, Decisions: 3, InstCount: 3, InstMeanNS: 40}
+	for i := range 21 {
+		sent.Counters = append(sent.Counters, wire.Counter{Name: fmt.Sprintf("layer%02d.events", i), Value: int64(i * i)})
+	}
+	mine, theirs := net.Pipe()
+	go func() { // a target that answers every request with sent
+		buf, _ := wire.AppendFrame(nil, wire.Hello{Target: "t0"})
+		r := wire.NewReader(theirs)
+		for {
+			if _, err := theirs.Write(buf); err != nil {
+				return
+			}
+			f, err := r.ReadFrame()
+			q, ok := f.(wire.Request)
+			if err != nil || !ok {
+				return
+			}
+			buf, _ = wire.AppendFrame(buf[:0], wire.Response{ID: q.ID, Code: wire.CodeOK, ElapsedSimNS: int64(q.ID), Result: sent})
+		}
+	}()
+	c, err := NewClient(mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); theirs.Close() })
+	rt, err := New([]*Client{c}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perCaller = 200
+	got := make(chan *wire.Result, 2*perCaller)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perCaller {
+				resp, _, err := rt.Do(wire.Request{Tenant: "t", Workload: "w", Policy: "Conduit"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fresh, err := wire.Decode(wire.Append(nil, resp)); err != nil || !reflect.DeepEqual(fresh, resp) {
+					t.Errorf("response %+v, a fresh Decode of its frame %+v (%v)", resp, fresh, err)
+					return
+				}
+				got <- resp.Result
+			}
+		}()
+	}
+	wg.Wait()
+	close(got)
+	first := <-got
+	for r := range got {
+		if r != first {
+			t.Fatal("two responses with the same result bytes got different Results")
+		}
+	}
+	if !reflect.DeepEqual(first, sent) {
+		t.Errorf("the shared Result changed: %+v, sent %+v", first, sent)
 	}
 }

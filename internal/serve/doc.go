@@ -6,9 +6,9 @@
 //
 // Admission is two-mode. Do is closed-loop: it blocks for queue space and
 // then for the response, so offered load self-throttles to service
-// capacity. Submit is open-loop: it never blocks, and hands the finished
+// capacity. Submit is open-loop: it never blocks, and lends the finished
 // response to a callback on the worker that finished it (a caller that
-// wants a channel wraps the callback in one) — a full admission queue
+// wants a channel sends a copy on one) — a full admission queue
 // sheds the request with ErrOverloaded, and a request whose Deadline
 // expires while queued is dropped at dispatch with ErrDeadlineExceeded
 // before the backend (and thus any pooled device fork) is touched. Shed

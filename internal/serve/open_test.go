@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,11 +31,11 @@ func (g *gateRunner) RunCell(workload, policy string, _ *trace.Span) (Outcome, e
 	return Outcome{Value: workload + "/" + policy}, nil
 }
 
-// submit is Submit with its response delivered on a buffered channel,
-// the way an open-loop collector waits for it.
+// submit is Submit with a copy of its lent response delivered on a
+// buffered channel, the way an open-loop collector waits for it.
 func submit(e *Engine, req Request) (<-chan *Response, error) {
 	ch := make(chan *Response, 1)
-	if err := e.Submit(req, func(r *Response) { ch <- r }); err != nil {
+	if err := e.Submit(req, func(r *Response) { resp := *r; ch <- &resp }); err != nil {
 		return nil, err
 	}
 	return ch, nil
@@ -74,6 +75,77 @@ func TestSubmitServesOpenLoop(t *testing.T) {
 	}
 	if total.P50 <= 0 || total.Max < total.P50 {
 		t.Fatalf("histogram percentiles malformed: %+v", total)
+	}
+}
+
+// TestSubmitLendsResponsesUnderCoalesce: two open-loop clients submit
+// the same three cells at once under Coalesce, one of them failing.
+// Every response a notify copies is Do's answer for its cell and carries
+// its own request's Tag, so the engine reuses no pending while a notify
+// still reads its response.
+func TestSubmitLendsResponsesUnderCoalesce(t *testing.T) {
+	r := &countingRunner{delay: 20 * time.Microsecond, fail: map[string]error{"w1|p": errors.New("injected")}}
+	e := NewEngine(r, Config{Concurrency: 2, QueueDepth: 1024, Coalesce: true})
+	defer e.Drain()
+	cells := []string{"w0", "w1", "w2"}
+	want := make(map[string]Response)
+	for _, w := range cells {
+		resp, _ := e.Do(Request{Tenant: "t", Workload: w, Policy: "p"})
+		want[w] = *resp
+	}
+	const perClient = 300
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make(chan Response, perClient)
+			notify := func(r *Response) { got <- *r }
+			for i := range perClient {
+				req := Request{Tenant: "t", Workload: cells[i%len(cells)], Policy: "p", Tag: uint64(c*perClient + i)}
+				if err := e.Submit(req, notify); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			seen := make(map[uint64]bool)
+			for range perClient {
+				resp := <-got
+				i := int(resp.Request.Tag) - c*perClient
+				w := want[resp.Request.Workload]
+				if i < 0 || i >= perClient || seen[resp.Request.Tag] || resp.Request.Workload != cells[i%len(cells)] ||
+					resp.Outcome != w.Outcome || resp.Err != w.Err {
+					t.Errorf("client %d: response %+v, want Tag %d..%d once and Do's %+v", c, resp, c*perClient, (c+1)*perClient-1, w)
+					return
+				}
+				seen[resp.Request.Tag] = true
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSubmitAllocBudget: in steady state a Submit whose notify keeps
+// nothing allocates nothing: its pending, response included, is lent and
+// reused once notify returns.
+func TestSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := NewEngine(RunnerFunc(func(string, string, *trace.Span) (Outcome, error) {
+		return Outcome{}, nil
+	}), Config{Concurrency: 1})
+	defer e.Drain()
+	done := make(chan struct{}, 1)
+	notify := func(*Response) { done <- struct{}{} }
+	req := Request{Tenant: "t", Workload: "noop", Policy: "noop"}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := e.Submit(req, notify); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}); n > 0.05 {
+		t.Errorf("Engine.Submit allocates %v times a request, want at most 0.05", n)
 	}
 }
 

@@ -36,6 +36,8 @@ type Request struct {
 	// over the wire: when Sampled is set the engine records spans into
 	// the issuer's trace instead of consulting its own sampler.
 	Trace trace.Ctx
+	// Tag is the issuer's own: echoed in Response.Request, never read.
+	Tag uint64
 }
 
 // key is the batching identity: requests with equal keys compute the same
@@ -218,6 +220,9 @@ type pending struct {
 	notify func(*Response)
 }
 
+// pendings lends Submit its pendings; recycle clears one and returns it.
+var pendings = sync.Pool{New: func() any { return new(pending) }}
+
 // tenantAccount attributes served work to a tenant. Simulated time and
 // energy are billed per response — a shared (coalesced) response
 // bills the full cell cost to every tenant that received it, so the
@@ -332,14 +337,16 @@ func (e *Engine) Do(req Request) (*Response, error) {
 // ErrDeadlineExceeded). notify runs on the engine worker that finished
 // the request (or, for a request that joined a coalesced execution, on
 // the goroutine that waited for it), so it must hand the response off
-// and return: a notify that blocks holds a worker. Callers that want a
-// channel make their own.
+// and return: a notify that blocks holds a worker. It is lent the
+// Response until it returns and keeps a copy if any (Request.Tag tells
+// requests apart); callers that want a channel make their own.
 func (e *Engine) Submit(req Request, notify func(*Response)) error {
-	p := &pending{submitted: time.Now(), resp: Response{Request: req}, notify: notify}
+	p := pendings.Get().(*pending)
+	p.submitted, p.resp.Request, p.notify = time.Now(), req, notify
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
-		return ErrDraining
+		return ErrDraining // p is left to the collector
 	}
 	// The try-send happens under the admission lock, so it is ordered
 	// against Drain's closed=true (same lock) and therefore can never
@@ -354,9 +361,15 @@ func (e *Engine) Submit(req Request, notify func(*Response)) error {
 		return nil
 	default:
 		e.admit.Unlock()
+		p.recycle()
 		e.accountShed(req.Tenant)
 		return ErrOverloaded
 	}
+}
+
+func (p *pending) recycle() {
+	*p = pending{}
+	pendings.Put(p)
 }
 
 // serveOne executes one admitted request on the calling worker (or inline
@@ -459,7 +472,7 @@ func (e *Engine) startTrace(p *pending) {
 
 // finish completes a request: record the outcome, account it, release
 // the blocked Do or hand the response to the open-loop submitter's
-// notify, and then settle it (see Settler).
+// notify, and then settle it (see Settler); a Submit's is then recycled.
 func (e *Engine) finish(p *pending, out Outcome, err error, shared bool) {
 	p.resp.Outcome = out
 	p.resp.Err = err
@@ -481,6 +494,9 @@ func (e *Engine) finish(p *pending, out Outcome, err error, shared bool) {
 			runtime.Gosched()
 		}
 		s.Settle(p.resp.Request.Workload)
+	}
+	if p.notify != nil {
+		p.recycle()
 	}
 }
 

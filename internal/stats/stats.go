@@ -195,8 +195,9 @@ func (c *Counters) Merge(o *Counters) {
 	}
 }
 
-// Names returns counter names in first-use order.
-func (c *Counters) Names() []string { return slices.Clone(c.names) }
+// Names returns counter names in first-use order: the set's own list,
+// clipped, so an append copies. Read it, never write it.
+func (c *Counters) Names() []string { return slices.Clip(c.names) }
 
 // Len is the number of counters in the set.
 func (c *Counters) Len() int { return len(c.names) }

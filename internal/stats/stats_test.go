@@ -139,6 +139,17 @@ func TestCounters(t *testing.T) {
 	if len(names) != 2 || names[0] != "flash.reads" || names[1] != "dram.bbops" {
 		t.Fatalf("names = %v, want insertion order", names)
 	}
+	// Names is the set's own list, so an append to it must copy: the set
+	// and the caller each keep what they added.
+	c.Add("ftl.gc_runs", 1)
+	mine := append(c.Names(), "mine")
+	c.Add("core.cycles", 1)
+	if got := c.Names(); len(got) != 4 || got[3] != "core.cycles" || mine[3] != "mine" || c.Get("mine") != 0 {
+		t.Fatalf("an append to Names shared the set's list: set %v, appended %v", got, mine)
+	}
+	if n := testing.AllocsPerRun(100, func() { names = c.Names() }); n != 0 {
+		t.Errorf("Names allocates %v times, want 0", n)
+	}
 }
 
 // TestCountersOfSharesNames: sets built over one fixed name list behave

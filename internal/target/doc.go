@@ -20,8 +20,9 @@
 //
 // A connection is two goroutines however many of its requests are in
 // flight: a reader that decodes and dispatches frames through one
-// wire.Reader, and one writer. Submit's completion callback runs on the
-// engine worker and only queues the response; the writer takes
+// wire.Reader, and one writer. Its one Submit callback (the wire ID
+// rides as the request's Tag) runs on the engine worker and only queues
+// a copy of the response it is lent; the writer takes
 // everything queued, encodes it into one scratch buffer, issues one
 // Write, and only then releases the responses it owed, so a Drain that
 // finds nothing owed knows every answer reached the socket. A writer

@@ -193,8 +193,9 @@ func (s *Server) PoolRows() []wire.PoolRow { return WirePools(s.srv.PoolStats())
 // the outbox, so an engine worker only appends to a slice and never
 // blocks on the socket.
 type conn struct {
-	s   *Server
-	raw net.Conn
+	s      *Server
+	raw    net.Conn
+	notify func(*conduit.Response) // c.complete, made once for every request
 
 	mu     sync.Mutex
 	wake   sync.Cond  // on mu: the outbox filled, or the reader finished
@@ -204,13 +205,15 @@ type conn struct {
 }
 
 // outbound is one frame the writer owes the peer: a frame the reader
-// built, or — frame nil — a completion, the owed response to request id,
-// projected (project) when it is written.
+// built, or — frame nil — a completion, a copy of the owed response (wire
+// ID in Request.Tag), projected (project) when it is written.
 type outbound struct {
 	frame wire.Frame
-	id    uint64
-	resp  *conduit.Response
+	resp  conduit.Response
 }
+
+// complete is the connection's notify: it queues a copy of the lent response.
+func (c *conn) complete(resp *conduit.Response) { c.send(outbound{resp: *resp}) }
 
 // send queues o for the writer. Once the writer has exited, a completion
 // is released on the spot and anything else is dropped: the peer is gone.
@@ -269,11 +272,12 @@ func (c *conn) writeLoop() {
 		}
 		buf = buf[:0]
 		owed := 0
-		for _, o := range batch {
+		for i := range batch {
+			o := &batch[i]
 			f := o.frame
 			if f == nil {
 				owed++
-				project(&resp, &res, o.id, o.resp, o.resp.Err)
+				project(&resp, &res, o.resp.Request.Tag, &o.resp, o.resp.Err)
 				f = &resp
 			}
 			if err == nil {
@@ -295,6 +299,7 @@ func (s *Server) handleConn(raw net.Conn) {
 	defer s.connWG.Done()
 	c := &conn{s: s, raw: raw}
 	c.wake.L = &c.mu
+	c.notify = c.complete
 	s.connWG.Add(1)
 	go c.writeLoop()
 	defer func() {
@@ -342,9 +347,9 @@ func (s *Server) handleConn(raw net.Conn) {
 	}
 }
 
-// handleRequest validates and submits one request. Its completion runs on
-// the engine worker that served it and only queues the response for the
-// connection's writer.
+// handleRequest validates and submits one request. Its completion, the
+// connection's notify, runs on the engine worker that served it and only
+// queues a copy of the response for the connection's writer.
 func (s *Server) handleRequest(c *conn, req wire.Request) {
 	if code, msg := s.validate(req); code != wire.CodeOK {
 		c.send(outbound{frame: wire.Response{ID: req.ID, Code: code, Error: msg}})
@@ -358,19 +363,19 @@ func (s *Server) handleRequest(c *conn, req wire.Request) {
 		c.send(outbound{frame: WireResponse(req.ID, nil, conduit.ErrDraining)})
 		return
 	}
-	id := req.ID // the completion keeps the ID, not the whole frame
 	err := s.submit(conduit.Request{
 		Tenant:   req.Tenant,
 		Workload: req.Workload,
 		Policy:   req.Policy,
 		Deadline: time.Duration(req.DeadlineNS),
 		Trace:    req.Trace,
-	}, func(resp *conduit.Response) { c.send(outbound{id: id, resp: resp}) })
+		Tag:      req.ID,
+	}, c.notify)
 	if err != nil {
 		// Shed at admission or draining: never executed, so nothing is
 		// owed; answered like a request refused before it was counted.
 		s.release(1)
-		c.send(outbound{frame: WireResponse(id, nil, err)})
+		c.send(outbound{frame: WireResponse(req.ID, nil, err)})
 	}
 }
 

@@ -81,13 +81,17 @@ func request(t *testing.T, p *peer, id uint64) {
 
 // held replaces the target's submit seam with one that admits every
 // request and hands its completion to the test, so requests stay in
-// flight for exactly as long as the test wants.
+// flight for exactly as long as the test wants. A completion echoes its
+// request into the response it is handed, as the engine does.
 type held struct{ notifies chan func(*conduit.Response) }
 
 func hold(s *Server, n int) held {
 	h := held{notifies: make(chan func(*conduit.Response), n)}
-	s.submit = func(_ conduit.Request, notify func(*conduit.Response)) error {
-		h.notifies <- notify
+	s.submit = func(req conduit.Request, notify func(*conduit.Response)) error {
+		h.notifies <- func(resp *conduit.Response) {
+			resp.Request = req
+			notify(resp)
+		}
 		return nil
 	}
 	return h
@@ -254,16 +258,18 @@ func TestWriterReleasesOwedResponsesOnce(t *testing.T) {
 	peer.Close()
 	c := &conn{s: s, raw: raw}
 	c.wake.L = &c.mu
-	expired := &conduit.Response{Err: conduit.ErrDeadlineExceeded}
+	expired := func(id uint64) outbound {
+		return outbound{resp: conduit.Response{Request: conduit.Request{Tag: id}, Err: conduit.ErrDeadlineExceeded}}
+	}
 
-	c.send(outbound{id: 1, resp: expired})
+	c.send(expired(1))
 	c.finish()
 	s.connWG.Add(1)
 	c.writeLoop() // writes and fails, releases 1, finds the reader done, exits
 	if s.inflight != 2 {
 		t.Fatalf("owed after the writer exited = %d, want 2", s.inflight)
 	}
-	c.send(outbound{id: 2, resp: expired})
+	c.send(expired(2))
 	c.send(outbound{frame: wire.SnapshotReq{ID: 3}})
 	if s.inflight != 1 {
 		t.Errorf("owed after a completion reached an exited writer = %d, want 1", s.inflight)

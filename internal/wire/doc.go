@@ -33,11 +33,12 @@
 // buffer and issues one Write. A Reader reads a connection: it buffers
 // the socket, so a frame's prefix and payload usually take one read;
 // reuses one payload buffer of up to 64 KiB (a larger frame gets a
-// buffer of its own); and interns strings of up to 64 bytes in a table of
+// buffer of its own); interns strings of up to 64 bytes in a table of
 // at most 1024 entries, so the names every frame repeats — a Result's
 // counters, a request's tenant, workload and policy — are allocated once
-// per connection. None of these bounds is configurable, and a decoded
-// frame never aliases the Reader's buffer.
+// per connection; and shares a repeated Result, which nobody may write,
+// through a table keyed by up to 128 KiB of result bytes. None of these
+// bounds is configurable, and a frame never aliases the Reader's buffer.
 //
 // Decoding is strict and allocation-bounded: on top of the cursor's
 // rules, the length prefix is capped at MaxFrame before any buffer is

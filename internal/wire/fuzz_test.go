@@ -58,7 +58,8 @@ func FuzzWireDecode(f *testing.F) {
 		fr, err := Decode(payload)
 		// The same payload, length-prefixed, twice on one connection: a
 		// Reader must agree with Decode both times, so neither its reused
-		// buffer nor its intern table carries one frame into the next.
+		// buffer nor its intern and result tables carry one frame into the
+		// next, and the second read of a result shares the first's.
 		var framed []byte
 		for i := 0; i < 2; i++ {
 			framed = binary.BigEndian.AppendUint32(framed, uint32(len(payload)))
@@ -77,14 +78,20 @@ func FuzzWireDecode(f *testing.F) {
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("accepted frame re-encodes differently:\npayload: %x\n    got: %x", payload, re)
 		}
-		for i := 0; i < 2; i++ {
-			rf, rerr := r.ReadFrame()
-			if rerr != nil {
-				t.Fatalf("read %d: Reader rejected a payload Decode accepts: %v\npayload %x", i, rerr, payload)
+		var reads [2]Frame
+		for i := range reads {
+			if reads[i], err = r.ReadFrame(); err != nil {
+				t.Fatalf("read %d: Reader rejected a payload Decode accepts: %v\npayload %x", i, err, payload)
 			}
+		}
+		for i, rf := range reads {
 			if got := Append(nil, rf); !bytes.Equal(got, re) {
 				t.Fatalf("read %d: Reader decoded differently from Decode\nreader: %x\ndecode: %x", i, got, re)
 			}
+		}
+		p, ok := reads[0].(Response)
+		if ok && p.Result != nil && len(payload) <= maxResultBytes && reads[1].(Response).Result != p.Result {
+			t.Fatalf("a repeated result was not shared\npayload %x", payload)
 		}
 	})
 }

@@ -19,6 +19,8 @@ const (
 	maxInternLen = 64
 	// maxInterned bounds the entries of a Reader's intern table.
 	maxInterned = 1024
+	// maxResultBytes bounds the result bytes keying a Reader's results.
+	maxResultBytes = 128 << 10
 )
 
 // Reader reads length-prefixed frames off one connection; it is the one
@@ -28,9 +30,9 @@ const (
 // short strings through a per-connection intern table bounded at
 // maxInterned entries, so the names a peer repeats in every frame — a
 // Result's counters, a request's tenant, workload and policy — are
-// allocated once per connection, not once per frame. A decoded frame
-// shares no memory with the buffer, so it survives the next ReadFrame.
-// A Reader is not safe for concurrent use.
+// allocated once per connection, not once per frame, and so are repeated
+// Results (codec.decodedResult). A decoded frame shares no memory with
+// the buffer, so it survives the next ReadFrame. Not safe for concurrent use.
 type Reader struct {
 	br  *bufio.Reader
 	hdr [4]byte
@@ -40,7 +42,7 @@ type Reader struct {
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReader(r), dec: codec{intern: make(map[string]string)}}
+	return &Reader{br: bufio.NewReader(r), dec: codec{intern: make(map[string]string), results: make(map[string]*Result)}}
 }
 
 // ReadFrame reads and decodes the next frame. It returns io.EOF when the
@@ -51,7 +53,7 @@ func (r *Reader) ReadFrame() (Frame, error) { return r.ReadInto(nil) }
 
 // ReadInto is ReadFrame decoding a frame of the type into points to into
 // *into, zeroed first, and returning into; other frames come as ReadFrame
-// returns them. A reused Response costs its Result and counters only.
+// returns them.
 func (r *Reader) ReadInto(into Frame) (Frame, error) {
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return nil, err

@@ -212,6 +212,10 @@ type codec struct {
 	// intern, when non-nil, is a Reader's string table: a decoded short
 	// string that is already in it costs no allocation.
 	intern map[string]string
+	// results, when non-nil, is a Reader's result table (decodedResult).
+	results     map[string]*Result
+	resultBytes int
+	scratch     Result
 }
 
 func (c *codec) str(v *string) {
@@ -282,13 +286,13 @@ func (c *codec) hist(h **histo.Histogram, what string) {
 // list walks a repeated field's count, held to MaxList and, decoding, to
 // the bytes left (an element takes at least min of them) before it sizes
 // the slice, and returns the length the caller's loop walks (a func walk
-// would make c escape). An empty list decodes as nil.
+// would make c escape). A decoder reuses *s's array; an empty list decodes as nil.
 func list[T any](c *codec, s *[]T, min int) int {
 	n := uint64(len(*s))
 	if c.Uvarint(&n); n > MaxList {
 		c.Fail(fmt.Errorf("%d-element list exceeds MaxList %d", n, MaxList))
 	} else if c.Count(int(n), min) && n > 0 {
-		*s = make([]T, n)
+		*s = slices.Grow((*s)[:0], int(n))[:n]
 	}
 	return len(*s)
 }
@@ -360,11 +364,10 @@ func (c *codec) response(p *Response) {
 	if hasResult != (p.Code == CodeOK) {
 		c.Fail(fmt.Errorf("code %d with result=%v", p.Code, hasResult))
 	}
-	if hasResult {
-		if p.Result == nil {
-			p.Result = &Result{}
-		}
+	if hasResult && c.Enc {
 		c.result(p.Result)
+	} else if hasResult {
+		p.Result = c.decodedResult()
 	}
 	for i := range list(c, &p.Spans, 29) {
 		c.span(&p.Spans[i])
@@ -392,6 +395,35 @@ func (c *codec) result(r *Result) {
 	for i := range list(c, &r.Counters, 2) {
 		c.counter(&r.Counters[i])
 	}
+}
+
+// decodedResult decodes a result: Decode's afresh, a Reader's into the
+// scratch, which never leaves the codec, looked up by its bytes in the
+// table. A repeat is the *Result decoded then, a new one a copy kept
+// while the table keys ≤ maxResultBytes. Equal bytes decode to equal
+// values, so sharing is exact; nobody may write a shared Result.
+func (c *codec) decodedResult() *Result {
+	if c.results == nil {
+		r := new(Result)
+		c.result(r)
+		return r
+	}
+	raw := c.B
+	c.scratch = Result{Counters: c.scratch.Counters[:0]}
+	if c.result(&c.scratch); c.Err != nil {
+		return nil
+	}
+	raw = raw[:len(raw)-len(c.B)]
+	if r := c.results[string(raw)]; r != nil {
+		return r
+	}
+	r := c.scratch
+	r.Counters = slices.Clip(append([]Counter(nil), r.Counters...))
+	if c.resultBytes+len(raw) <= maxResultBytes {
+		c.results[string(raw)] = &r
+		c.resultBytes += len(raw)
+	}
+	return &r
 }
 
 func (c *codec) counter(n *Counter) {
@@ -607,7 +639,7 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 func Decode(payload []byte) (Frame, error) { return new(codec).decode(payload, nil) }
 
 // decode is Decode, or ReadInto given into, on a cursor that keeps its
-// intern table and resets everything else, so one serves a whole stream.
+// intern and result tables and resets the rest, so one serves a stream.
 func (c *codec) decode(payload []byte, into Frame) (Frame, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("wire: %d-byte payload exceeds MaxFrame %d", len(payload), MaxFrame)

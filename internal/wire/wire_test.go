@@ -296,11 +296,58 @@ func TestReaderInternTableIsBounded(t *testing.T) {
 	}
 }
 
+// TestReaderResultTableIsBounded: a Reader's result table keys at most
+// maxResultBytes of results. A result sent again before the table filled
+// decodes to the *Result it decoded to then; one sent after decodes to
+// its own copy each time; every frame equals what Decode makes of it.
+func TestReaderResultTableIsBounded(t *testing.T) {
+	result := func(i int) *Result {
+		r := &Result{Policy: "Conduit", ComputeEnergyJ: 1.5, OverheadNS: 1<<30 + int64(i), InstCount: 9}
+		for j := 0; j < 21; j++ {
+			r.Counters = append(r.Counters, Counter{fmt.Sprintf("layer%02d.events", j), int64(i * j)})
+		}
+		return r
+	}
+	one := len(Append(nil, Response{Code: CodeOK, Result: result(0)}))
+	n := maxResultBytes/one + 50 // results past the bound, each at most one bytes
+	var b []byte
+	for i := range n + 3 { // the n results, then the first again and the last twice
+		i = [...]int{i, 0, n - 1, n - 1}[max(i-n+1, 0)]
+		b, _ = AppendFrame(b, Response{ID: uint64(i), Code: CodeOK, Result: result(i)})
+	}
+	r := NewReader(bytes.NewReader(b))
+	var got []*Result
+	for range n + 3 {
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := f.(Response)
+		if want, err := Decode(Append(nil, p)); err != nil || !reflect.DeepEqual(want, f) {
+			t.Fatalf("frame %d: read %+v, Decode %+v (%v)", p.ID, f, want, err)
+		}
+		if !reflect.DeepEqual(p.Result, result(int(p.ID))) {
+			t.Fatalf("frame %d: result %+v", p.ID, p.Result)
+		}
+		got = append(got, p.Result)
+	}
+	if used := r.dec.resultBytes; used > maxResultBytes || len(r.dec.results) >= n {
+		t.Errorf("result table keys %d results in %d bytes, bound %d bytes", len(r.dec.results), used, maxResultBytes)
+	}
+	if got[n] != got[0] {
+		t.Error("a result sent again before the table filled was not shared")
+	}
+	if got[n+1] == got[n-1] || got[n+2] == got[n+1] {
+		t.Error("a result sent after the table filled was shared")
+	}
+}
+
 // TestCodecAllocBudget: encoding a Request or a Response, by value or by
 // pointer, or a Snapshot of eight 1 000-sample histograms, allocates
-// nothing but the buffer it appends to; read into one
-// reused frame, a Request of names the connection has seen costs nothing
-// and a Response exactly its Result and that Result's counters.
+// nothing but the buffer it appends to; read into one reused frame, a
+// Request of names the connection has seen costs nothing, and so does a
+// Response whose result the connection has seen (the Reader's result
+// table hands back the Result it decoded then).
 func TestCodecAllocBudget(t *testing.T) {
 	req := Request{ID: 3, Tenant: "tenant-03", Workload: "jacobi-1d", Policy: "Conduit", Trace: trace.Ctx{ID: 7}}
 	resp := Response{ID: 3, Code: CodeOK, ElapsedSimNS: 1234, Recovery: serve.Recovery{Attempts: 1},
@@ -346,8 +393,8 @@ func TestCodecAllocBudget(t *testing.T) {
 		if _, err := rp.ReadInto(&intoResp); err != nil || len(intoResp.Result.Counters) != 2 {
 			t.Fatalf("read %+v, %v", intoResp, err)
 		}
-	}); n != 2 {
-		t.Errorf("reading a Response into the caller's frame costs %v allocations, want 2: its Result and counters", n)
+	}); n != 0 {
+		t.Errorf("reading a repeated Response into the caller's frame costs %v allocations, want 0", n)
 	}
 }
 

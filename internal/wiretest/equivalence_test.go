@@ -70,16 +70,16 @@ func inProcessFrames(t *testing.T, opts conduit.ServeOptions, names []string, ev
 	frames := make([][]byte, 0, len(events))
 	for i, ev := range events {
 		id := uint64(i + 1)
-		ch := make(chan *conduit.Response, 1)
+		ch := make(chan conduit.Response, 1)
 		err := srv.Submit(conduit.Request{
 			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
-		}, func(r *conduit.Response) { ch <- r })
+		}, func(r *conduit.Response) { ch <- *r })
 		var frame wire.Response
 		if err != nil {
 			frame = target.WireResponse(id, nil, err)
 		} else {
 			resp := <-ch
-			frame = target.WireResponse(id, resp, resp.Err)
+			frame = target.WireResponse(id, &resp, resp.Err)
 		}
 		frames = append(frames, wire.Append(nil, frame))
 	}

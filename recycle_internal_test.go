@@ -381,13 +381,13 @@ func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	answered := make(chan *Response, 1)
+	answered := make(chan error, 1)
 	for i := 0; i < 1000; i++ {
-		if err := srv.Submit(req, func(r *Response) { answered <- r }); err != nil {
+		if err := srv.Submit(req, func(r *Response) { answered <- r.Err }); err != nil {
 			t.Fatal(err)
 		}
-		if r := <-answered; r.Err != nil {
-			t.Fatal(r.Err)
+		if err := <-answered; err != nil {
+			t.Fatal(err)
 		}
 	}
 	after := pool.Stats()

@@ -323,10 +323,12 @@ func (s *Server) Do(req Request) (*Response, error) { return s.eng.Do(req) }
 
 // Submit admits one request without blocking (open-loop) and calls
 // notify exactly once with its response when served, on the serving
-// goroutine: notify must hand the response off, not block. When the
-// admission queue is full the request is shed with ErrOverloaded — it
-// never executes, never consumes a pooled fork, and notify is never
-// called — and after Drain the error is ErrDraining. Open-loop load
+// goroutine: notify must hand the response off, not block, and copy what
+// it keeps, since the response is lent until notify returns (Request.Tag,
+// echoed, tells requests apart). When the admission queue is full the
+// request is shed with ErrOverloaded — it never executes, never consumes
+// a pooled fork, and notify is never called — and after Drain the error
+// is ErrDraining. Open-loop load
 // generators pace Submit calls off a schedule (internal/loadgen), so
 // overload surfaces as shed requests and queueing delay instead of
 // silently throttling the generator.
@@ -341,10 +343,10 @@ func (s *Server) Submit(req Request, notify func(*Response)) error {
 // the driver's goroutine, in issue order).
 func (s *Server) OpenLoop(observe func(*Response)) loadgen.SubmitFunc {
 	return func(ev loadgen.Event) (func() loadgen.Outcome, loadgen.Outcome) {
-		ch := make(chan *Response, 1)
+		ch := make(chan Response, 1)
 		err := s.Submit(Request{
 			Tenant: ev.Tenant, Workload: ev.Workload, Policy: ev.Policy, Deadline: ev.Deadline,
-		}, func(r *Response) { ch <- r })
+		}, func(r *Response) { ch <- *r })
 		switch {
 		case errors.Is(err, ErrOverloaded):
 			return nil, loadgen.Shed
@@ -354,7 +356,7 @@ func (s *Server) OpenLoop(observe func(*Response)) loadgen.SubmitFunc {
 		return func() loadgen.Outcome {
 			resp := <-ch
 			if observe != nil {
-				observe(resp)
+				observe(&resp)
 			}
 			switch {
 			case resp.Err == nil:

@@ -13,11 +13,11 @@ import (
 	"conduit/internal/serve"
 )
 
-// submit is Server.Submit with the response delivered on a buffered
-// channel, the way an open-loop collector waits for it.
+// submit is Server.Submit with a copy of its lent response delivered on
+// a buffered channel, the way an open-loop collector waits for it.
 func submit(srv *conduit.Server, req conduit.Request) (<-chan *conduit.Response, error) {
 	ch := make(chan *conduit.Response, 1)
-	if err := srv.Submit(req, func(r *conduit.Response) { ch <- r }); err != nil {
+	if err := srv.Submit(req, func(r *conduit.Response) { resp := *r; ch <- &resp }); err != nil {
 		return nil, err
 	}
 	return ch, nil
