@@ -449,8 +449,8 @@ func (r *RunResult) withElapsed(e Time) *RunResult {
 // restores the post-deploy device by cloning the pristine, frozen master
 // instead of re-driving the NVMe path. The clone shares the master's
 // page- and block-granular tables copy-on-write (ssd.Device.Freeze), so a
-// fork costs the chunk pointers plus the small per-plane and per-slot
-// state, and the run pays for the chunks it writes. Runs on one
+// fork costs the tables' node directories plus the small per-plane and
+// per-slot state, and the run pays for the leaves it writes. Runs on one
 // Deployment are independent and safe to issue from multiple goroutines
 // concurrently; results are byte-identical to deploying freshly per run.
 //
@@ -517,7 +517,7 @@ func (d *Deployment) Fork() (*ssd.Device, error) {
 // newFork makes one post-deploy device: the pool's refiller, its miss path
 // and the pool-less fork all come here. It restores the most recently
 // parked device from the master (a memcpy that allocates nothing once the
-// device owns the chunks its workload writes; restored = 1) and clones
+// device owns the leaves its workload writes; restored = 1) and clones
 // only when none is parked (restored = 0).
 func (d *Deployment) newFork() (dev *ssd.Device, restored int64) {
 	d.poolMu.Lock()
@@ -654,8 +654,8 @@ func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
 
 // deploy installs the program on a clone of the System's blank drive. A
 // clone of the frozen blank shares its tables copy-on-write, so a deploy
-// pays for the chunks it writes, not for building a drive (ssd.New seeds
-// every free-block chunk of the FTL). A configuration Validate rejects
+// pays for the leaves it writes, not for building a drive (ssd.New seeds
+// every free-block leaf of the FTL). A configuration Validate rejects
 // builds no drive, and every deploy reports why.
 func (s *System) deploy(c *Compiled) (*ssd.Device, error) {
 	s.blankOnce.Do(func() {

@@ -33,10 +33,13 @@ type Experiments struct {
 	// Memoization shares the serving layer's singleflight machinery
 	// (internal/serve): concurrent callers of one cell share a single
 	// execution and successes are cached for the harness lifetime.
-	compiles serve.FlightGroup // workload -> *Compiled
-	deploys  serve.FlightGroup // workload -> *Deployment
-	runs     serve.FlightGroup // workload|policy -> *RunResult
+	compiles serve.FlightGroup[string, *Compiled]   // by workload
+	deploys  serve.FlightGroup[string, *Deployment] // by workload
+	runs     serve.FlightGroup[cell, *RunResult]
 }
+
+// cell names one (workload, policy) run of the grid.
+type cell struct{ workload, policy string }
 
 // NewExperiments builds a harness at the given workload scale factor
 // (1 = smoke-test sizes; larger approaches the paper's stream lengths).
@@ -76,39 +79,33 @@ func (e *Experiments) SetWorkers(n int) {
 func (e *Experiments) Workloads() []string { return workloads.Names() }
 
 func (e *Experiments) compiled(workload string) (*Compiled, error) {
-	v, _, err := e.compiles.Do(workload, func() (interface{}, error) {
+	c, _, err := e.compiles.Do(workload, func() (*Compiled, error) {
 		w, ok := workloads.Find(workload, e.scale)
 		if !ok {
 			return nil, fmt.Errorf("conduit: unknown workload %q", workload)
 		}
 		return Compile(w.Source, &e.sys.cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Compiled), nil
+	return c, err
 }
 
 // deployment returns workload's reusable post-deploy image, deploying at
 // most once per workload.
 func (e *Experiments) deployment(workload string) (*Deployment, error) {
-	v, _, err := e.deploys.Do(workload, func() (interface{}, error) {
+	dep, _, err := e.deploys.Do(workload, func() (*Deployment, error) {
 		c, err := e.compiled(workload)
 		if err != nil {
 			return nil, err
 		}
 		return e.sys.Deploy(c)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Deployment), nil
+	return dep, err
 }
 
 // Run executes (workload, policy), memoized. Concurrent callers of the
 // same cell share one execution; distinct cells run independently.
 func (e *Experiments) Run(workload, policy string) (*RunResult, error) {
-	v, _, err := e.runs.Do(workload+"|"+policy, func() (interface{}, error) {
+	r, _, err := e.runs.Do(cell{workload, policy}, func() (*RunResult, error) {
 		var r *RunResult
 		var err error
 		if p := lookupPolicy(policy); p.run == onHost {
@@ -130,10 +127,7 @@ func (e *Experiments) Run(workload, policy string) (*RunResult, error) {
 		}
 		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*RunResult), nil
+	return r, err
 }
 
 // RunGrid executes every (workload, policy) cell of the grid across a

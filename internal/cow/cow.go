@@ -5,43 +5,61 @@ import (
 	"sync/atomic"
 )
 
-// Shift sets the chunk size, 1<<Shift entries, of every table in the
-// tree. doc.go records the measurement that chose it.
+// A table is two levels deep: a directory of nodes, each holding fan
+// leaves of leafLen entries. doc.go records the measurement that chose
+// both sizes.
 const (
-	Shift    = 10
-	ChunkLen = 1 << Shift
-	mask     = ChunkLen - 1
+	leafShift = 8
+	leafLen   = 1 << leafShift
+	leafMask  = leafLen - 1
+
+	fanShift  = 6
+	fan       = 1 << fanShift
+	fanMask   = fan - 1
+	nodeShift = leafShift + fanShift // entries per node, as a shift
 )
 
-// Table is a chunked copy-on-write array of n elements. Each chunk is
+// Table is a copy-on-write array of n elements, stored as a directory of
+// nodes that each point at fan leaves. A node and a leaf are each either
 // shared with other tables and immutable, or owned — exclusively this
-// table's, written in place. An owned chunk is clean while it still holds
+// table's, written in place. An owned leaf is clean while it still holds
 // what the last Restore put there and dirty once Set writes it; the first
-// write to a shared chunk copies it first. The zero value is an empty
-// table.
+// write to a leaf copies its node first if the node is shared and then
+// the leaf if it is shared. The zero value is an empty table.
 type Table[T any] struct {
 	n       int
-	chunks  []*[ChunkLen]T // the last chunk is padded to full length
-	state   []chunkState   // state[c]: who owns chunks[c] and whether it was written
-	dirtied []int32        // the dirty chunks, in the order Set first wrote them
+	nodes   []*node[T] // the last node, and its last leaf, are padded to full length
+	owned   []bool     // owned[k]: whether nodes[k] is this table's
+	dirtied []int32    // the dirty leaves, by table-wide leaf index, in the order Set first wrote them
 
 	// epoch moves on Restore and Freeze, the two changes a table can see
-	// while it has no dirty chunk: any other change lists one.
+	// while it has no dirty leaf: any other change lists one.
 	epoch uint64
 	// src is the table t was last restored from and srcEpoch its epoch
-	// then. While src still reads that epoch and has no dirty chunk, it
-	// has not changed since, t differs from it only in t's dirty chunks,
+	// then. While src still reads that epoch and has no dirty leaf, it
+	// has not changed since, t differs from it only in t's dirty leaves,
 	// and restoring from it again copies back just those.
 	src      *Table[T]
 	srcEpoch uint64
+
+	// claim is the function claim, held here for Set to pass on: see Set.
+	claim func(*Table[T], int) *node[T]
 }
 
-type chunkState uint8
+// node is one directory entry: fan leaves and who owns each. A node that
+// is shared — aliased by several tables, or frozen — lists every leaf as
+// shared and is never written; only a node a table owns has owned leaves.
+type node[T any] struct {
+	leaves [fan]*[leafLen]T
+	state  [fan]leafState
+}
+
+type leafState uint8
 
 const (
-	shared chunkState = iota // aliased by other tables: copy before writing
-	clean                    // owned, unwritten since the last Restore
-	dirty                    // owned, written since the last Restore; listed in dirtied
+	shared leafState = iota // aliased by other tables or nodes: copy before writing
+	clean                   // owned, unwritten since the last Restore
+	dirty                   // owned, written since the last Restore; listed in dirtied
 )
 
 // bases hands each table the start of its own range of epochs, so a table
@@ -49,19 +67,22 @@ const (
 // assigned over it — never reads an epoch a destination remembered.
 var bases atomic.Uint64
 
-// New returns a table of n elements, all set to fill. Every chunk starts
-// out as one shared, immutable chunk of fill values, so a table costs
-// O(chunks) to build, whatever n is, and from then on only what is
-// written into it.
+// New returns a table of n elements, all set to fill. Every node starts
+// out as one shared node whose leaves are all one shared leaf of fill
+// values, so a table costs O(nodes) to build, whatever n is, and from
+// then on only what is written into it.
 func New[T any](n int, fill T) Table[T] {
-	nc := (n + ChunkLen - 1) / ChunkLen
-	t := Table[T]{n: n, chunks: make([]*[ChunkLen]T, nc), state: make([]chunkState, nc)}
-	filled := new([ChunkLen]T)
-	for i := range filled {
-		filled[i] = fill
+	nn := (n + 1<<nodeShift - 1) >> nodeShift
+	t := Table[T]{n: n, nodes: make([]*node[T], nn), owned: make([]bool, nn), claim: claim[T]}
+	filled, leaf := new(node[T]), new([leafLen]T)
+	for i := range leaf {
+		leaf[i] = fill
 	}
-	for c := range t.chunks {
-		t.chunks[c] = filled
+	for l := range filled.leaves {
+		filled.leaves[l] = leaf
+	}
+	for k := range t.nodes {
+		t.nodes[k] = filled
 	}
 	t.bump()
 	return t
@@ -79,7 +100,7 @@ func (t *Table[T]) bump() {
 func (t *Table[T]) Len() int { return t.n }
 
 // indexError is the panic value for an index outside [0, Len): the
-// padding of the last chunk is not part of the table. Panicking with a
+// padding of the last node is not part of the table. Panicking with a
 // value (no call on the hot path) keeps At within the inlining budget.
 type indexError struct{ i, n int }
 
@@ -92,35 +113,68 @@ func (t *Table[T]) At(i int) T {
 	if uint(i) >= uint(t.n) {
 		panic(indexError{i, t.n})
 	}
-	return t.chunks[i>>Shift][i&mask]
+	return t.nodes[i>>nodeShift].leaves[i>>leafShift&fanMask][i&leafMask]
 }
 
-// Set writes element i. The first write to a chunk since the last
-// Restore makes it t's own — copied first if it is shared — and lists it
-// as dirty; later writes to it take the one branch straight to the store.
-func (t *Table[T]) Set(i int, v T) {
+// Set writes element i. The first write to a leaf since the last Restore
+// makes it, and its node, t's own (claim); later writes to it take the
+// one branch straight to the store. A shared node lists no leaf dirty, so
+// the branch needs no look at the node's owner.
+//
+// The inliner charges 57 for a call and 17 for a call through a
+// parameter, against a budget of 80: calling claim directly, Set costs
+// 110; passing it to set as a parameter, read from t (in generic code a
+// reference to claim[T] builds a closure), 77. So the dirty path inlines
+// into the caller and only a first write pays a call.
+func (t *Table[T]) Set(i int, v T) { set(t, i, v, t.claim) }
+
+func set[T any](t *Table[T], i int, v T, claim func(*Table[T], int) *node[T]) {
+	nd := t.nodes[i>>nodeShift]
+	if uint(i) >= uint(t.n) || nd.state[i>>leafShift&fanMask] != dirty {
+		nd = claim(t, i)
+	}
+	nd.leaves[i>>leafShift&fanMask][i&leafMask] = v
+}
+
+// claim makes the leaf holding element i dirty and returns its node: the
+// node is copied first if it is shared, then the leaf if it is shared,
+// and the leaf joins dirtied.
+func claim[T any](t *Table[T], i int) *node[T] {
 	if uint(i) >= uint(t.n) {
 		panic(indexError{i, t.n})
 	}
-	c := i >> Shift
-	if t.state[c] != dirty {
-		if t.state[c] == shared {
-			cp := *t.chunks[c]
-			t.chunks[c] = &cp
-		}
-		t.state[c] = dirty
-		t.dirtied = append(t.dirtied, int32(c))
+	k, l := i>>nodeShift, i>>leafShift&fanMask
+	nd := t.nodes[k]
+	if !t.owned[k] {
+		// A shared node's leaves are all shared, so the leaf is copied
+		// too: one allocation holds both copies.
+		b := &struct {
+			nd node[T]
+			lf [leafLen]T
+		}{*nd, *nd.leaves[l]}
+		b.nd.leaves[l] = &b.lf
+		nd, t.nodes[k], t.owned[k] = &b.nd, &b.nd, true
+	} else if nd.state[l] == shared {
+		cp := *nd.leaves[l]
+		nd.leaves[l] = &cp
 	}
-	t.chunks[c][i&mask] = v
+	nd.state[l] = dirty
+	t.dirtied = append(t.dirtied, int32(i>>leafShift))
+	return nd
 }
 
-// Freeze releases ownership of every chunk: the table keeps its
-// contents but the next write to any chunk copies it first, and it
+// Freeze releases ownership of every node and leaf: the table keeps its
+// contents but the next write to any leaf copies it first, and it
 // forgets the table it was restored from. A frozen table restores into
-// an empty one in O(chunks), and multiple goroutines may restore from it
+// an empty one in O(nodes), and multiple goroutines may restore from it
 // concurrently, since Restore never mutates its source.
 func (t *Table[T]) Freeze() {
-	clear(t.state)
+	for k, own := range t.owned {
+		if own {
+			t.nodes[k].state = [fan]leafState{}
+			t.owned[k] = false
+		}
+	}
 	t.dirtied = t.dirtied[:0]
 	t.src = nil
 	t.bump()
@@ -130,45 +184,67 @@ func (t *Table[T]) Freeze() {
 // t already has.
 //
 // Restored again from the same src, unchanged since, t copies back only
-// its dirty chunks: the clean ones still hold src's contents and the
-// shared ones alias src's. Otherwise Restore walks every chunk slot: a
-// chunk t owns is overwritten and stays owned, a chunk it does not own
-// re-aliases src's (copy-on-write on both sides), and a chunk src owns,
-// and may write in place, is deep-copied. Either way every chunk t owns
-// is clean afterwards, so a table that is restored and rewritten over and
-// over stops allocating once it owns every chunk its writer touches, and
-// its restore costs what its writer wrote. A table of another length
-// starts over, owning nothing. Restore never writes to src: any number of
-// goroutines may restore from, and clone, one frozen table.
+// its dirty leaves: the clean ones still hold src's contents and the
+// shared ones alias src's. Otherwise Restore walks the directory: a node
+// both tables share is aliased, a node t owns is walked leaf by leaf
+// (restoreNode), and a node src owns, and may write in place, is
+// deep-copied: a new node, its owned leaves copied, its shared ones
+// aliased. Either way every leaf t owns is clean afterwards, so a table
+// that is restored and rewritten over and over stops allocating once it
+// owns every node and leaf its writer touches, and its restore costs what
+// its writer wrote. A table of another node count starts over, owning
+// nothing. Restore never writes to src: any number of goroutines may
+// restore from, and clone, one frozen table.
 func (t *Table[T]) Restore(src *Table[T]) {
 	if t.src == src && t.srcEpoch == src.epoch && len(src.dirtied) == 0 {
 		for _, c := range t.dirtied {
-			*t.chunks[c] = *src.chunks[c]
-			t.state[c] = clean
+			k, l := c>>fanShift, c&fanMask
+			nd := t.nodes[k]
+			*nd.leaves[l] = *src.nodes[k].leaves[l]
+			nd.state[l] = clean
 		}
 	} else {
-		if len(t.chunks) != len(src.chunks) {
-			t.chunks = append([]*[ChunkLen]T(nil), src.chunks...) // one bulk copy: the walk finds them aliased
-			t.state = make([]chunkState, len(src.chunks))
+		if len(t.nodes) != len(src.nodes) {
+			t.nodes = append([]*node[T](nil), src.nodes...) // one bulk copy: the walk finds them aliased
+			t.owned = make([]bool, len(src.nodes))
 		}
-		// Resliced to one length so the walk below, one step per chunk
-		// slot whatever is owned, runs without bounds checks.
-		chunks, state, srcState := t.chunks[:len(src.chunks)], t.state[:len(src.chunks)], src.state[:len(src.chunks)]
-		for c, sc := range src.chunks {
+		// Resliced to one length so the walk below runs without bounds
+		// checks.
+		nodes, owned, srcOwned := t.nodes[:len(src.nodes)], t.owned[:len(src.nodes)], src.owned[:len(src.nodes)]
+		for k, sn := range src.nodes {
 			switch {
-			case state[c] != shared:
-				*chunks[c] = *sc
-				state[c] = clean
-			case srcState[c] != shared:
-				cp := *sc
-				chunks[c], state[c] = &cp, clean
-			case chunks[c] != sc: // already aliased when restored from the same source again: no store, no write barrier
-				chunks[c] = sc
+			case owned[k]:
+				restoreNode(nodes[k], sn)
+			case srcOwned[k]:
+				nd := new(node[T])
+				restoreNode(nd, sn)
+				nodes[k], owned[k] = nd, true
+			case nodes[k] != sn: // already aliased when restored from the same source again: no store, no write barrier
+				nodes[k] = sn
 			}
 		}
 	}
-	t.n = src.n
+	t.n, t.claim = src.n, src.claim
 	t.dirtied = t.dirtied[:0]
 	t.bump()
 	t.src, t.srcEpoch = src, src.epoch
+}
+
+// restoreNode makes nd, a node its table owns, hold what sn holds: a leaf
+// nd owns is overwritten and stays owned, a leaf it does not own
+// re-aliases sn's (copy-on-write on both sides), and a leaf sn owns — only
+// a node its table owns has any — is deep-copied.
+func restoreNode[T any](nd, sn *node[T]) {
+	for l, sl := range sn.leaves {
+		switch {
+		case nd.state[l] != shared:
+			*nd.leaves[l] = *sl
+			nd.state[l] = clean
+		case sn.state[l] != shared:
+			cp := *sl
+			nd.leaves[l], nd.state[l] = &cp, clean
+		case nd.leaves[l] != sl:
+			nd.leaves[l] = sl
+		}
+	}
 }

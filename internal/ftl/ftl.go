@@ -18,8 +18,8 @@ type FTL struct {
 	geo nand.Geometry
 	arr *nand.Array
 
-	// Page- and block-granular tables, chunked copy-on-write so
-	// deployment forks share unwritten chunks with the frozen master.
+	// Page- and block-granular tables, copy-on-write so deployment
+	// forks share unwritten leaves with the frozen master.
 	l2p        cow.Table[int32] // LPN -> flat physical page index, -1 if unmapped
 	p2l        cow.Table[LPN]   // physical page -> LPN, -1 if free/invalid
 	validCount cow.Table[int32] // valid pages per block
@@ -422,7 +422,7 @@ func (f *FTL) Migrate(now sim.Time, lpns []LPN, plane int) (sim.Time, error) {
 // Restore makes f an independent copy of src in place, bound to arr
 // (normally the array restored from src's): the L2P/P2L maps, valid counts
 // and free lists (copy-on-write: shared with src until either side writes;
-// chunks f already owns are overwritten in place), the per-plane
+// leaves f already owns are overwritten in place), the per-plane
 // allocation cursors, the mapping cache with its exact LRU order (cache
 // order determines lookup latencies, so restoring it is required for
 // run-for-run determinism), and the activity counters. Restoring into a
@@ -443,7 +443,7 @@ func (f *FTL) Restore(src *FTL, arr *nand.Array) {
 }
 
 // Freeze releases ownership of the copy-on-write tables so subsequent
-// copies alias their chunks instead of copying them. Call it on a
+// copies alias their nodes and leaves instead of copying them. Call it on a
 // pristine master that will be copied many times; Restore never mutates
 // its source, so multiple goroutines may restore from one frozen FTL
 // concurrently.

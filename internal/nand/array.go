@@ -549,10 +549,10 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 // stored payload is immutable for its lifetime.
 //
 // Cost: the per-page state and per-block erase tables are copy-on-write
-// (internal/cow), so a copy of a frozen array takes one pointer per chunk,
-// pays for a chunk only when it first writes it, and from then on
-// overwrites that chunk in place each time it is restored; copying an
-// array that is not frozen copies the chunks it owns. The data and
+// (internal/cow), so a copy of a frozen array takes one pointer per node,
+// pays for a node and a leaf only when it first writes them, and from then
+// on overwrites that leaf in place each time it is restored; copying an
+// array that is not frozen copies the nodes and leaves it owns. The data and
 // bitErrors maps cost one entry per stored payload or injected page —
 // nothing on a timing-only array, which stores neither — and the plane
 // buffers' validity slab, their payloads (none on a timing-only array) and
@@ -579,7 +579,7 @@ func (a *Array) Restore(src *Array, en *energy.Account) {
 }
 
 // Freeze releases ownership of the copy-on-write tables so subsequent
-// copies alias their chunks instead of copying them (see cow.Table.Freeze).
+// copies alias their nodes and leaves (see cow.Table.Freeze).
 func (a *Array) Freeze() {
 	a.state.Freeze()
 	a.erases.Freeze()

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // FlightGroup runs keyed computations with singleflight semantics:
@@ -13,15 +14,20 @@ import (
 // It is shared machinery: the Experiments sweep harness uses Do to give
 // figure sweeps their run-once-per-cell guarantee, and the serving Engine
 // calls begin and complete itself to batch identical concurrent requests
-// onto one fork, forgetting the key on completion.
-type FlightGroup struct {
+// onto one fork, forgetting the key on completion. Keys and values are
+// typed, so a comparable key costs no string and a value no box.
+type FlightGroup[K comparable, V any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[K]*flightCall[V]
 }
 
-type flightCall struct {
-	done chan struct{}
-	val  interface{}
+// flightCall is one execution. Joiners wait on wg, which the leader
+// holds from begin to complete; done reads true once val and err are
+// final, for a caller that must not block.
+type flightCall[V any] struct {
+	wg   sync.WaitGroup
+	done atomic.Bool
+	val  V
 	err  error
 }
 
@@ -29,21 +35,22 @@ type flightCall struct {
 // one key share a single execution, and later callers are served from the
 // cache. joined reports whether this call was served by an execution (or
 // cached success) another caller started.
-func (g *FlightGroup) Do(key string, fn func() (interface{}, error)) (v interface{}, joined bool, err error) {
+func (g *FlightGroup[K, V]) Do(key K, fn func() (V, error)) (v V, joined bool, err error) {
 	c, leader := g.begin(key)
 	if !leader {
-		<-c.done
+		c.wg.Wait()
 		return c.val, true, c.err
 	}
 
-	// A panicking fn must not poison the key: waiters blocked on c.done
+	// A panicking fn must not poison the key: waiters blocked on the call
 	// would hang forever and every later caller would join them. Record
 	// the panic as the call's error, unblock everyone, then re-panic so
 	// the executing caller still fails loudly.
 	finished := false
 	defer func() {
 		if !finished {
-			g.complete(key, c, nil, fmt.Errorf("serve: flight call %q panicked", key), false)
+			var zero V
+			g.complete(key, c, zero, fmt.Errorf("serve: flight call %v panicked", key), false)
 		}
 	}()
 	v, err = fn()
@@ -54,18 +61,19 @@ func (g *FlightGroup) Do(key string, fn func() (interface{}, error)) (v interfac
 
 // begin registers key, returning its call and whether the caller is the
 // leader. The leader must execute the work and call complete; joiners
-// wait on call.done (on whatever goroutine suits them) and then read
-// call.val / call.err.
-func (g *FlightGroup) begin(key string) (call *flightCall, leader bool) {
+// wait (on whatever goroutine suits them) and then read call.val and
+// call.err.
+func (g *FlightGroup[K, V]) begin(key K) (call *flightCall[V], leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.calls[key]; ok {
 		return c, false
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := new(flightCall[V])
+	c.wg.Add(1)
 	g.calls[key] = c
 	return c, true
 }
@@ -73,12 +81,13 @@ func (g *FlightGroup) begin(key string) (call *flightCall, leader bool) {
 // complete records the leader's result and unblocks every joiner. With
 // forget set (or on error) the key is removed so the next begin leads
 // afresh; otherwise the result stays cached.
-func (g *FlightGroup) complete(key string, c *flightCall, v interface{}, err error, forget bool) {
+func (g *FlightGroup[K, V]) complete(key K, c *flightCall[V], v V, err error, forget bool) {
 	c.val, c.err = v, err
 	if forget || err != nil {
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
 	}
-	close(c.done)
+	c.done.Store(true)
+	c.wg.Done()
 }

@@ -165,9 +165,9 @@ func TestTraceSequenceUnchangedInline(t *testing.T) {
 }
 
 // TestEngineDoAllocBudget: a Do on a no-op runner allocates its pending
-// request and the boxed Outcome, and nothing else: served inline, it
-// needs no channel to wait on (three allocations when every Do waited
-// for a worker).
+// request, and nothing else: served inline, it needs no channel to wait
+// on (three allocations when every Do waited for a worker, two while the
+// Outcome was boxed).
 func TestEngineDoAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -179,5 +179,30 @@ func TestEngineDoAllocBudget(t *testing.T) {
 	req := Request{Tenant: "t", Workload: "noop", Policy: "noop"}
 	if n := testing.AllocsPerRun(1000, func() { e.Do(req) }); n > 2 {
 		t.Errorf("Engine.Do allocates %v times, want at most 2", n)
+	}
+}
+
+// TestCoalesceAllocBudget: under Coalesce, a Do that finds a free slot
+// and no execution of its cell in flight leads one: it allocates its
+// pending request and the flight call, whose key is the cell's two
+// strings, not a concatenation, and whose Outcome joiners read unboxed
+// (five allocations with a string key, a done channel and a boxed
+// Outcome). The Do without Coalesce is held to its one.
+func TestCoalesceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, c := range []struct {
+		coalesce bool
+		budget   float64
+	}{{true, 2}, {false, 1}} {
+		e := NewEngine(RunnerFunc(func(string, string, *trace.Span) (Outcome, error) {
+			return Outcome{}, nil
+		}), Config{Concurrency: 1, Coalesce: c.coalesce})
+		req := Request{Tenant: "t", Workload: "noop", Policy: "noop"}
+		if n := testing.AllocsPerRun(1000, func() { e.Do(req) }); n > c.budget {
+			t.Errorf("Coalesce %v: Engine.Do allocates %v times, want at most %v", c.coalesce, n, c.budget)
+		}
+		e.Drain()
 	}
 }

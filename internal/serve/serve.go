@@ -40,9 +40,11 @@ type Request struct {
 	Tag uint64
 }
 
-// key is the batching identity: requests with equal keys compute the same
+// cell is the batching identity: requests of one cell compute the same
 // deterministic result and may share one execution.
-func (r Request) key() string { return r.Workload + "|" + r.Policy }
+type cell struct{ workload, policy string }
+
+func (r Request) key() cell { return cell{r.Workload, r.Policy} }
 
 // Outcome is the backend's product for one executed (workload, policy)
 // cell. It carries the simulated cost alongside the opaque result so the
@@ -195,7 +197,7 @@ type Engine struct {
 	seq     uint64         // 1-based admission sequence; drives trace sampling
 	admitWG sync.WaitGroup // Do calls between admission and completion
 
-	flight FlightGroup
+	flight FlightGroup[cell, Outcome]
 
 	acct    sync.Mutex
 	tenants map[string]*tenantAccount
@@ -410,8 +412,6 @@ func (e *Engine) serveOne(p *pending) {
 		return out, err
 	}
 	if !e.cfg.Coalesce {
-		// By value: only a coalesced outcome, which joiners read from
-		// the flight group, is boxed.
 		out, err := exec()
 		e.finish(p, out, err, false)
 		return
@@ -420,18 +420,14 @@ func (e *Engine) serveOne(p *pending) {
 	c, leader := e.flight.begin(key)
 	if !leader {
 		join := func() {
-			<-c.done
-			out, _ := c.val.(Outcome)
-			e.finish(p, out, c.err, true)
+			c.wg.Wait()
+			e.finish(p, c.val, c.err, true)
 		}
-		select {
-		case <-c.done:
-			// The leader finished meanwhile: serve inline, no goroutine.
-		default:
-			if !p.inline() {
-				go join()
-				return
-			}
+		// Unless the leader has finished meanwhile, or nobody else can
+		// answer an inline Do, the wait moves to a goroutine.
+		if !c.done.Load() && !p.inline() {
+			go join()
+			return
 		}
 		join()
 		return

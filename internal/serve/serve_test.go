@@ -220,9 +220,9 @@ func TestEngineBackendErrorsAreReturnedAndCounted(t *testing.T) {
 // TestFlightGroupSemantics locks in Do's sharing mode, which the
 // experiment harness builds on.
 func TestFlightGroupSemantics(t *testing.T) {
-	var g FlightGroup
+	var g FlightGroup[string, int]
 	calls := 0
-	fn := func() (interface{}, error) { calls++; return calls, nil }
+	fn := func() (int, error) { calls++; return calls, nil }
 
 	// Do memoizes successes forever.
 	v, joined, err := g.Do("k", fn)
@@ -236,17 +236,17 @@ func TestFlightGroupSemantics(t *testing.T) {
 
 	// Failures are not cached.
 	fails := 0
-	failing := func() (interface{}, error) {
+	failing := func() (int, error) {
 		fails++
 		if fails == 1 {
-			return nil, errors.New("transient")
+			return 0, errors.New("transient")
 		}
-		return "ok", nil
+		return 42, nil
 	}
 	if _, _, err := g.Do("f", failing); err == nil {
 		t.Fatal("first call must fail")
 	}
-	if v, _, err := g.Do("f", failing); err != nil || v != "ok" {
+	if v, _, err := g.Do("f", failing); err != nil || v != 42 {
 		t.Fatalf("retry after failure: v=%v err=%v", v, err)
 	}
 }

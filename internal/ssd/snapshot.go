@@ -12,8 +12,8 @@ import (
 // Freeze marks the device's copy-on-write tables shared (internal/cow):
 // the flash array's per-page state and per-block erase counts, and the
 // FTL's L2P, P2L, validity, per-block valid-count and free-list tables.
-// Subsequent copies (Restore, Clone) alias their chunks and pay only for
-// the chunks they write; the page-indexed tables, sized by the program's
+// Subsequent copies (Restore, Clone) alias their nodes and leaves and pay
+// only for those they write; the page-indexed tables, sized by the program's
 // span, are copied flat. Call it once on a pristine post-deploy master
 // that is copied but never run; several goroutines may copy a frozen
 // device at once.
@@ -38,12 +38,12 @@ func (d *Device) Freeze() {
 // byte-identically to a freshly deployed device whatever it executed
 // before. A first copy of a frozen master (see Freeze) costs the small
 // per-plane, per-slot, per-page and measurement state plus one pointer
-// per table chunk; the drive's page- and block-granular tables are shared
+// per table node; the drive's page- and block-granular tables are shared
 // until written. A
 // device restored again after it ran keeps what it allocated — slot
-// tables, the chunks its run wrote (overwritten in place), ledgers,
+// tables, the leaves its run wrote (overwritten in place), ledgers,
 // scratch, buffer arenas — so the restore is a memcpy that allocates
-// nothing and the next run writes those chunks without copying them first.
+// nothing and the next run writes those leaves without copying them first.
 //
 // The copy shares only immutable state with src — the configuration, the
 // translation table, the loaded program, the compiler's liveness metadata,

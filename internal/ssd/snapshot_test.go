@@ -134,33 +134,40 @@ func (s *scribbler) scribble(v reflect.Value) {
 }
 
 // scribbleTable leaves a cow.Table valid but wrong, alternately in the two
-// ways Restore has to cope with: every chunk owned, dirty and full of
-// garbage (so even a warm restore, which copies back only dirty chunks,
-// must overwrite them all), or a table of another length that owns
-// nothing and remembers no source (so the restore walks it).
+// ways Restore has to cope with: every node and leaf owned, every leaf
+// dirty and full of garbage (so even a warm restore, which copies back
+// only dirty leaves, must overwrite them all), or a table of another
+// length that owns nothing and remembers no source (so the restore walks
+// it).
 func (s *scribbler) scribbleTable(v reflect.Value) {
-	n, chunks, state := lift(v.FieldByName("n")), lift(v.FieldByName("chunks")), lift(v.FieldByName("state"))
+	n, nodes, owned := lift(v.FieldByName("n")), lift(v.FieldByName("nodes")), lift(v.FieldByName("owned"))
 	dirtied, src := lift(v.FieldByName("dirtied")), lift(v.FieldByName("src"))
-	nc := chunks.Len()
+	nn := nodes.Len()
 	s.tables++
 	if s.tables%2 == 0 {
-		nc += 2
-		n.SetInt(n.Int() + 1025)
+		nn += 2
+		n.SetInt(n.Int() + 2<<14)
 		src.Set(reflect.Zero(src.Type()))
 	}
-	gc, gstate := reflect.MakeSlice(chunks.Type(), nc, nc), reflect.MakeSlice(state.Type(), nc, nc)
-	gdirty := reflect.MakeSlice(dirtied.Type(), 0, nc)
-	for c := 0; c < nc; c++ {
-		chunk := reflect.New(chunks.Type().Elem().Elem())
-		if s.tables%2 != 0 {
-			s.scribble(chunk.Elem())
-			gstate.Index(c).SetUint(2) // dirty
-			gdirty = reflect.Append(gdirty, reflect.ValueOf(int32(c)))
+	gnodes, gowned := reflect.MakeSlice(nodes.Type(), nn, nn), reflect.MakeSlice(owned.Type(), nn, nn)
+	gdirty := reflect.MakeSlice(dirtied.Type(), 0, 0)
+	for k := 0; k < nn; k++ {
+		nd := reflect.New(nodes.Type().Elem().Elem()).Elem()
+		leaves, state := lift(nd.FieldByName("leaves")), lift(nd.FieldByName("state"))
+		for l := 0; l < leaves.Len(); l++ {
+			leaf := reflect.New(leaves.Type().Elem().Elem())
+			if s.tables%2 != 0 {
+				s.scribble(leaf.Elem())
+				state.Index(l).SetUint(2) // dirty
+				gdirty = reflect.Append(gdirty, reflect.ValueOf(int32(k*leaves.Len()+l)))
+			}
+			leaves.Index(l).Set(leaf)
 		}
-		gc.Index(c).Set(chunk)
+		gowned.Index(k).SetBool(s.tables%2 != 0)
+		gnodes.Index(k).Set(nd.Addr())
 	}
-	chunks.Set(gc)
-	state.Set(gstate)
+	nodes.Set(gnodes)
+	owned.Set(gowned)
 	dirtied.Set(gdirty)
 }
 
@@ -223,17 +230,20 @@ func (c *comparer) sameValue(path string, got, want reflect.Value) {
 
 func (c *comparer) sameTable(path string, got, want reflect.Value) {
 	if d := lift(got.FieldByName("dirtied")).Len(); d != 0 {
-		c.t.Errorf("%s: %d chunks still dirty after Restore", path, d)
+		c.t.Errorf("%s: %d leaves still dirty after Restore", path, d)
 	}
 	gn, wn := lift(got.FieldByName("n")).Int(), lift(want.FieldByName("n")).Int()
-	gc, wc := lift(got.FieldByName("chunks")), lift(want.FieldByName("chunks"))
-	if gn != wn || gc.Len() != wc.Len() {
-		c.t.Errorf("%s: table of %d entries in %d chunks, the clone's has %d in %d", path, gn, gc.Len(), wn, wc.Len())
+	gnodes, wnodes := lift(got.FieldByName("nodes")), lift(want.FieldByName("nodes"))
+	if gn != wn || gnodes.Len() != wnodes.Len() {
+		c.t.Errorf("%s: table of %d entries in %d nodes, the clone's has %d in %d", path, gn, gnodes.Len(), wn, wnodes.Len())
 		return
 	}
-	for i := 0; i < gc.Len(); i++ {
-		if !reflect.DeepEqual(gc.Index(i).Elem().Interface(), wc.Index(i).Elem().Interface()) {
-			c.t.Errorf("%s: chunk %d differs from the clone's", path, i)
+	for k := 0; k < gnodes.Len(); k++ {
+		gl, wl := lift(gnodes.Index(k).Elem().FieldByName("leaves")), lift(wnodes.Index(k).Elem().FieldByName("leaves"))
+		for l := 0; l < gl.Len(); l++ {
+			if !reflect.DeepEqual(gl.Index(l).Elem().Interface(), wl.Index(l).Elem().Interface()) {
+				c.t.Errorf("%s: node %d leaf %d differs from the clone's", path, k, l)
+			}
 		}
 	}
 }

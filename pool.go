@@ -17,8 +17,8 @@ var ErrPoolClosed = errors.New("conduit: device pool closed")
 // DevicePool keeps a bounded buffer of ready forks of a Deployment's
 // pristine post-deploy master. A fork is a parked device restored in place
 // (Deployment.newFork: a memcpy, nothing allocated) or, when none is
-// parked, a clone of the frozen master, which costs the chunk pointers of
-// its copy-on-write tables plus the small per-plane and per-slot state
+// parked, a clone of the frozen master, which costs the node directories
+// of its copy-on-write tables plus the small per-plane and per-slot state
 // (tens of KiB at the default geometry; TestForkAllocBudget pins it), not
 // the drive's per-page bookkeeping. A background refiller produces forks
 // ahead of demand for callers that keep their device (Get, Fork, Run), for
