@@ -20,13 +20,16 @@ test:
 # run and is never written), the wire tier's multi-process equivalence
 # harness (routed fleet vs in-process Server.Submit, byte for byte, plus
 # drain-under-traffic and fault-replay determinism), the Reader's result
-# table (TestReaderResultTableIsBounded, TestRoutedResultsSharedNeverWritten)
-# and Submit's lent response (TestSubmitLendsResponsesUnderCoalesce).
+# table (TestReaderResultTableIsBounded, TestRoutedResultsSharedNeverWritten),
+# Submit's lent response (TestSubmitLendsResponsesUnderCoalesce) and a
+# target connection's two writers, whose bytes never interleave
+# (TestInlineAndWriterNeverInterleave).
 test-oracle:
 	go test -race ./internal/sim/...
 	go test -race -run 'FastVsReference|ToReference|SharedResultNeverWritten' .
 	go test -race ./internal/wire ./internal/router ./internal/wiretest
 	go test -race -run 'SubmitLendsResponsesUnderCoalesce' ./internal/serve
+	go test -race -run 'InlineAndWriterNeverInterleave' ./internal/target
 
 race:
 	go test -race ./...
@@ -123,7 +126,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24760
+LOC_CEILING := 24911
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

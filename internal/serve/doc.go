@@ -8,9 +8,14 @@
 // then for the response, so offered load self-throttles to service
 // capacity. Submit is open-loop: it never blocks, and lends the finished
 // response to a callback on the worker that finished it (a caller that
-// wants a channel sends a copy on one) — a full admission queue
-// sheds the request with ErrOverloaded, and a request whose Deadline
-// expires while queued is dropped at dispatch with ErrDeadlineExceeded
+// wants a channel sends a copy on one). Dispatch is Submit for a caller
+// that can serve the request itself: on an idle one-slot engine — nothing
+// executing, nothing queued — it serves on the caller's goroutine and
+// lends the response to a second callback there before it returns. With
+// more slots it always queues: the caller could not read its next request
+// while it served this one, and that request would have run beside it.
+// A full admission queue sheds the request with ErrOverloaded, and a
+// request whose Deadline expires while queued is dropped at dispatch with ErrDeadlineExceeded
 // before the backend (and thus any pooled device fork) is touched. Shed
 // and expired requests are accounted per tenant, and SLO attainment is
 // measured against offered load, so an overloaded run reads as exactly

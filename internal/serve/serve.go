@@ -173,16 +173,18 @@ var ErrOverloaded = errors.New("serve: overloaded, admission queue full")
 var ErrDeadlineExceeded = errors.New("serve: deadline exceeded before dispatch")
 
 // A Settler is a Runner with work left once a response is out: the engine
-// calls Settle on the goroutine that finished the request, a worker only
-// after yielding once, so that the goroutine the response woke runs first.
+// calls Settle on the goroutine that finished the request, after yielding
+// once unless it is an inline Do's caller, so that the goroutine the
+// response woke runs first.
 type Settler interface {
 	Settle(workload string)
 }
 
 // Engine multiplexes concurrent requests over a bounded worker set with
 // optional same-cell batching and per-tenant accounting; a Do that finds
-// a slot free and nothing queued runs on its caller's goroutine. All
-// methods are safe for concurrent use.
+// a slot free and nothing queued, and a Dispatch that finds a one-slot
+// engine idle, run on the caller's goroutine. All methods are safe for
+// concurrent use.
 type Engine struct {
 	cfg    Config
 	runner Runner
@@ -343,12 +345,38 @@ func (e *Engine) Do(req Request) (*Response, error) {
 // Response until it returns and keeps a copy if any (Request.Tag tells
 // requests apart); callers that want a channel make their own.
 func (e *Engine) Submit(req Request, notify func(*Response)) error {
+	_, err := e.Dispatch(req, notify, nil)
+	return err
+}
+
+// Dispatch is Submit for a caller that can serve req itself: when inline
+// is non-nil and a one-slot engine is idle (nothing executing, nothing
+// queued) it serves req on the calling goroutine, lends the response to
+// inline there and returns true; otherwise it queues or sheds exactly as
+// Submit does and returns false. A caller serving one request cannot read
+// its next meanwhile, so it serves only what nothing else could: with a
+// second slot, the request it has not read would run beside this one.
+func (e *Engine) Dispatch(req Request, notify, inline func(*Response)) (bool, error) {
 	p := pendings.Get().(*pending)
 	p.submitted, p.resp.Request, p.notify = time.Now(), req, notify
 	e.admit.Lock()
 	if e.closed {
 		e.admit.Unlock()
-		return ErrDraining // p is left to the collector
+		return false, ErrDraining // p is left to the collector
+	}
+	// Slots are taken only under the admission lock or for a queued
+	// request, so the send cannot block; and with no slot taken no flight
+	// is in progress, so req leads its own and never waits on another.
+	if inline != nil && cap(e.slots) == 1 && len(e.slots) == 0 && e.queued.Load() == 0 {
+		e.slots <- struct{}{}
+		e.seq++
+		p.seq, p.notify = e.seq, inline
+		e.admitWG.Add(1)
+		e.admit.Unlock()
+		e.serveOne(p)
+		<-e.slots
+		e.admitWG.Done()
+		return true, nil
 	}
 	// The try-send happens under the admission lock, so it is ordered
 	// against Drain's closed=true (same lock) and therefore can never
@@ -360,12 +388,12 @@ func (e *Engine) Submit(req Request, notify func(*Response)) error {
 		e.seq++
 		e.queued.Add(1)
 		e.admit.Unlock()
-		return nil
+		return false, nil
 	default:
 		e.admit.Unlock()
 		p.recycle()
 		e.accountShed(req.Tenant)
-		return ErrOverloaded
+		return false, ErrOverloaded
 	}
 }
 

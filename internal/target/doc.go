@@ -6,7 +6,7 @@
 // processes to prove routed serving equivalent to in-process serving.
 //
 // A connection begins with a Hello frame naming the target and the
-// workloads it serves. Requests then dispatch through Server.Submit
+// workloads it serves. Requests then dispatch through Server.Dispatch
 // (the open-loop path: admission shedding and deadline expiry behave
 // exactly as they do in process), and each response is written back as
 // an outcome capsule when its execution completes — out of order under
@@ -20,14 +20,23 @@
 //
 // A connection is two goroutines however many of its requests are in
 // flight: a reader that decodes and dispatches frames through one
-// wire.Reader, and one writer. Its one Submit callback (the wire ID
+// wire.Reader, and one writer. The reader serves and writes when idle:
+// with no further bytes buffered and a one-slot engine idle, the engine
+// serves the request on the reader (its inline callback), and with
+// nothing queued and no write in progress the reader writes the response
+// itself, so an idle connection's round trip wakes no other goroutine of
+// the target. The writer takes the rest: the other callback (the wire ID
 // rides as the request's Tag) runs on the engine worker and only queues
-// a copy of the response it is lent; the writer takes
-// everything queued, encodes it into one scratch buffer, issues one
-// Write, and only then releases the responses it owed, so a Drain that
-// finds nothing owed knows every answer reached the socket. A writer
-// whose peer is gone releases what it owed unwritten, and exits with its
-// connection.
+// a copy of the response it is lent. Whichever writes takes everything
+// queued, encodes it into one scratch buffer and writes it, and only once
+// all of it is written releases the responses it owed, so a Drain that
+// finds nothing owed knows every answer reached the socket. The reader
+// never waits for room: it writes what the socket takes at once and
+// leaves the rest to the writer, so a peer that stops reading holds up
+// neither the reader nor, through the slot an inline request holds, the
+// engine (an in-memory connection, which has no such write, is the
+// exception). A writer whose peer is gone releases what it owed
+// unwritten, and exits with its connection.
 //
 // The conversion from a served conduit.Response to a wire.Response
 // (WireResponse) and from pool stats to wire rows (WirePools) lives

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	conduit "conduit"
@@ -42,8 +43,8 @@ type Server struct {
 	names []string // registered workloads, sorted
 	ln    net.Listener
 
-	// submit is srv.Submit; a field so tests can hold requests in flight.
-	submit func(conduit.Request, func(*conduit.Response)) error
+	// submit is srv.Dispatch; a field so tests can hold requests in flight.
+	submit func(req conduit.Request, notify, inline func(*conduit.Response)) (bool, error)
 
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
@@ -103,7 +104,7 @@ func newServer(opts Options) (*Server, error) {
 		opts:   opts,
 		srv:    srv,
 		names:  names,
-		submit: srv.Submit,
+		submit: srv.Dispatch,
 		conns:  make(map[net.Conn]bool),
 		done:   make(chan struct{}),
 	}
@@ -156,9 +157,10 @@ func (s *Server) Drain() {
 		return
 	}
 	s.ln.Close()
-	// Drain the engine first: in-flight requests complete and queue their
-	// responses for their connections' writers; waiting out inflight then
-	// guarantees those writes happened before any connection is closed.
+	// Drain the engine first: in-flight requests complete, and their
+	// responses are written or queued for their connections' writers;
+	// waiting out inflight then guarantees those writes happened before
+	// any connection is closed.
 	s.srv.Drain()
 	s.mu.Lock()
 	for s.inflight > 0 {
@@ -186,27 +188,40 @@ func (s *Server) Drain() {
 // carries.
 func (s *Server) PoolRows() []wire.PoolRow { return WirePools(s.srv.PoolStats()) }
 
-// conn is one connection. handleConn reads and dispatches its frames;
-// one writer goroutine (writeLoop) writes every frame the connection is
-// owed — the Hello, the answers the reader gives itself, and the
-// completions engine workers hand over. Frames reach the writer through
-// the outbox, so an engine worker only appends to a slice and never
-// blocks on the socket.
+// conn is one connection. Its reader (handleConn) reads and dispatches
+// frames and, while the socket is free — nothing queued, no write in
+// progress — writes their answers itself, including the response to a
+// request the engine served on it (Server.Dispatch). Everything else goes
+// through the outbox to one writer goroutine (writeLoop), so an engine
+// worker only appends to a slice and never blocks on the socket.
 type conn struct {
 	s      *Server
 	raw    net.Conn
+	rc     syscall.RawConn         // raw's descriptor, if it has one: the reader writes through it
 	notify func(*conduit.Response) // c.complete, made once for every request
+	inline func(*conduit.Response) // c.reply, made once
+	try    func(fd uintptr) bool   // c.writeNow, made once
 
-	mu     sync.Mutex
-	wake   sync.Cond  // on mu: the outbox filled, or the reader finished
-	outbox []outbound // frames not yet handed to the writer
-	done   bool       // the reader finished: flush the outbox, then exit
-	closed bool       // the writer exited: owed responses are released unwritten
+	mu      sync.Mutex
+	wake    sync.Cond  // on mu: the outbox filled, the socket came free, or the reader finished
+	outbox  []outbound // frames not yet handed to a pass
+	writing bool       // a pass owns the socket and the fields below
+	done    bool       // the reader finished: flush the outbox, then exit
+	closed  bool       // the writer exited: owed responses are released unwritten
+
+	batch  []outbound    // the frames of the pass in progress
+	buf    []byte        // their encoding; between passes, what the reader left unwritten
+	owed   int           // the responses buf owes
+	failed bool          // a write failed or the codec refused a frame: the socket is closed
+	resp   wire.Response // each completion is projected into resp and res
+	res    wire.Result
+	wrote  int // what writeNow wrote, and its error
+	werr   error
 }
 
-// outbound is one frame the writer owes the peer: a frame the reader
-// built, or — frame nil — a completion, a copy of the owed response (wire
-// ID in Request.Tag), projected (project) when it is written.
+// outbound is one frame owed to the peer: a frame the reader built, or —
+// frame nil — a completion, a copy of the owed response (wire ID in
+// Request.Tag), projected (project) when it is written.
 type outbound struct {
 	frame wire.Frame
 	resp  conduit.Response
@@ -214,6 +229,10 @@ type outbound struct {
 
 // complete is the connection's notify: it queues a copy of the lent response.
 func (c *conn) complete(resp *conduit.Response) { c.send(outbound{resp: *resp}) }
+
+// reply is the connection's inline notify, run on the reader that served
+// the request: it posts a copy of the lent response.
+func (c *conn) reply(resp *conduit.Response) { c.post(outbound{resp: *resp}) }
 
 // send queues o for the writer. Once the writer has exited, a completion
 // is released on the spot and anything else is dropped: the peer is gone.
@@ -231,6 +250,23 @@ func (c *conn) send(o outbound) {
 	c.wake.Signal()
 }
 
+// post is send for the reader: if the socket is free, the reader writes o
+// itself, so its bytes neither overtake the queue nor interleave with the
+// writer's; it then wakes the writer for whatever is left.
+func (c *conn) post(o outbound) {
+	c.mu.Lock()
+	free := !c.writing && len(c.outbox) == 0 && len(c.buf) == 0
+	c.outbox = append(c.outbox, o)
+	if free {
+		c.pass(false)
+	}
+	left := len(c.outbox) > 0 || len(c.buf) > 0
+	c.mu.Unlock()
+	if left {
+		c.wake.Signal()
+	}
+}
+
 // finish tells the writer the reader is done: no frame but completions
 // will follow.
 func (c *conn) finish() {
@@ -240,66 +276,118 @@ func (c *conn) finish() {
 	c.wake.Signal()
 }
 
-// writeLoop is the connection's one writer. It takes every frame queued
-// since its last pass, encodes them into one scratch buffer, issues one
-// Write, and only then releases the responses they owed, so a Drain that
-// finds nothing owed knows it was all written. After a write error, or a
-// frame the codec refuses (its peer would wait for it forever), it closes
-// the socket, which stops the reader too, and releases what it takes
-// without writing it. It exits, closing the socket, once the reader has
-// finished and nothing is queued.
+// writeLoop is the connection's writer: once the socket is free it makes
+// a pass over whatever is left. It exits, closing the socket, once the
+// reader has finished and nothing is left.
 func (c *conn) writeLoop() {
 	defer c.s.connWG.Done()
 	defer c.raw.Close()
-	var (
-		batch []outbound
-		buf   []byte
-		err   error
-		resp  wire.Response // each completion is projected into resp and res
-		res   wire.Result
-	)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		c.mu.Lock()
-		for len(c.outbox) == 0 && !c.done {
+		for c.writing || len(c.outbox) == 0 && len(c.buf) == 0 && !c.done {
 			c.wake.Wait()
 		}
-		batch, c.outbox = c.outbox, batch[:0]
-		exit := len(batch) == 0 // the reader is done and nothing is left
-		c.closed = exit
-		c.mu.Unlock()
-		if exit {
+		if len(c.outbox) == 0 && len(c.buf) == 0 { // the reader is done and nothing is left
+			c.closed = true
 			return
 		}
-		buf = buf[:0]
-		owed := 0
-		for i := range batch {
-			o := &batch[i]
-			f := o.frame
-			if f == nil {
-				owed++
-				project(&resp, &res, o.resp.Request.Tag, &o.resp, o.resp.Err)
-				f = &resp
-			}
-			if err == nil {
-				buf, err = wire.AppendFrame(buf, f)
-			}
+		c.pass(true)
+	}
+}
+
+// pass takes every frame queued, encodes them after whatever the last
+// pass left unwritten, writes, and releases the responses they owed only
+// once all of it is written, so a Drain that finds nothing owed knows it
+// was all written. The writer's pass (wait) writes everything. The
+// reader's writes only what the socket takes at once and leaves the rest
+// to the writer, so a peer that stops reading cannot stall the reader —
+// nor, through the slot an inline request holds, the engine. After a
+// write error, or a frame the codec refuses (its peer would wait for it
+// forever), pass closes the socket, which stops the reader too, and this
+// and every later pass release what they take without encoding it. The
+// caller holds mu and found the socket free; pass owns it until it
+// returns, with mu held again.
+func (c *conn) pass(wait bool) {
+	c.batch, c.outbox = c.outbox, c.batch[:0]
+	c.writing = true
+	c.mu.Unlock()
+	failed := c.failed
+	for i := range c.batch {
+		o := &c.batch[i]
+		if o.frame == nil {
+			c.owed++
 		}
-		if err == nil {
-			_, err = c.raw.Write(buf)
+		if !c.failed {
+			c.failed = c.encode(o) != nil
 		}
-		if err != nil {
+	}
+	clear(c.batch) // hold no response while the slice waits to be reused
+	if !c.failed {
+		c.failed = c.write(wait) != nil
+	}
+	if c.failed {
+		if !failed {
 			c.raw.Close()
 		}
-		clear(batch) // hold no response while the slice waits to be reused
-		c.s.release(owed)
+		c.buf = c.buf[:0]
 	}
+	if len(c.buf) == 0 {
+		c.s.release(c.owed)
+		c.owed = 0
+	}
+	c.mu.Lock()
+	c.writing = false
+}
+
+// encode appends o's frame to buf, a completion projected first.
+func (c *conn) encode(o *outbound) (err error) {
+	f := o.frame
+	if f == nil {
+		project(&c.resp, &c.res, o.resp.Request.Tag, &o.resp, o.resp.Err)
+		f = &c.resp
+	}
+	c.buf, err = wire.AppendFrame(c.buf, f)
+	return err
+}
+
+// write writes buf, or with wait false what of it the socket takes at
+// once, and keeps in buf what it did not write. A connection with no
+// descriptor (an in-memory one) has no write that returns early, so on
+// it the reader waits as the writer does.
+func (c *conn) write(wait bool) error {
+	var n int
+	var err error
+	if wait || c.rc == nil {
+		n, err = c.raw.Write(c.buf)
+	} else if err = c.rc.Write(c.try); err == nil {
+		n, err = c.wrote, c.werr
+	}
+	c.buf = c.buf[:copy(c.buf, c.buf[n:])]
+	return err
+}
+
+// writeNow is one write(2) of buf on the connection's descriptor. A full
+// socket buffer, or a signal, writes nothing; it never waits for room.
+func (c *conn) writeNow(fd uintptr) bool {
+	n, err := syscall.Write(int(fd), c.buf)
+	if err == syscall.EAGAIN || err == syscall.EINTR {
+		n, err = 0, nil
+	}
+	c.wrote, c.werr = max(n, 0), err
+	return true
 }
 
 func (s *Server) handleConn(raw net.Conn) {
 	defer s.connWG.Done()
 	c := &conn{s: s, raw: raw}
 	c.wake.L = &c.mu
-	c.notify = c.complete
+	c.notify, c.inline, c.try = c.complete, c.reply, c.writeNow
+	// With no descriptor (an error leaves rc nil too) the reader's writes
+	// wait, as on an in-memory connection.
+	if sc, ok := raw.(syscall.Conn); ok {
+		c.rc, _ = sc.SyscallConn()
+	}
 	s.connWG.Add(1)
 	go c.writeLoop()
 	defer func() {
@@ -308,7 +396,7 @@ func (s *Server) handleConn(raw net.Conn) {
 		s.mu.Unlock()
 		c.finish()
 	}()
-	c.send(outbound{frame: wire.Hello{
+	c.post(outbound{frame: wire.Hello{
 		Target:    s.opts.Name,
 		Shards:    int64(s.opts.Shards),
 		Workloads: s.names,
@@ -325,9 +413,11 @@ func (s *Server) handleConn(raw net.Conn) {
 		}
 		switch fr := f.(type) {
 		case *wire.Request:
-			s.handleRequest(c, *fr)
+			// A peer that sent more than this frame is pipelining: its
+			// request queues, so the reader reads on.
+			s.handleRequest(c, *fr, r.Buffered() == 0)
 		case wire.SnapshotReq:
-			c.send(outbound{frame: wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}})
+			c.post(outbound{frame: wire.Snapshot{ID: fr.ID, Target: s.opts.Name, Samples: s.srv.Metrics()}})
 		case wire.Drain:
 			// Unregister this connection first so Drain's teardown loop
 			// does not close it out from under the ack; the writer closes
@@ -336,7 +426,7 @@ func (s *Server) handleConn(raw net.Conn) {
 			delete(s.conns, raw)
 			s.mu.Unlock()
 			s.Drain()
-			c.send(outbound{frame: wire.DrainAck{ID: fr.ID, Pools: s.PoolRows()}})
+			c.post(outbound{frame: wire.DrainAck{ID: fr.ID, Pools: s.PoolRows()}})
 			return
 		default:
 			// Targets never accept Hello/Response/Snapshot/DrainAck; a
@@ -347,12 +437,14 @@ func (s *Server) handleConn(raw net.Conn) {
 	}
 }
 
-// handleRequest validates and submits one request. Its completion, the
-// connection's notify, runs on the engine worker that served it and only
-// queues a copy of the response for the connection's writer.
-func (s *Server) handleRequest(c *conn, req wire.Request) {
+// handleRequest validates and dispatches one request. When idle (the
+// reader holds nothing more to read) and a one-slot engine is too, the
+// engine serves it on the reader, whose reply writes the response;
+// otherwise the connection's notify runs on the engine worker that served
+// it and only queues a copy of the response for the connection's writer.
+func (s *Server) handleRequest(c *conn, req wire.Request, idle bool) {
 	if code, msg := s.validate(req); code != wire.CodeOK {
-		c.send(outbound{frame: wire.Response{ID: req.ID, Code: code, Error: msg}})
+		c.post(outbound{frame: wire.Response{ID: req.ID, Code: code, Error: msg}})
 		return
 	}
 	// Count the response owed before submitting: a Drain that runs between
@@ -360,22 +452,26 @@ func (s *Server) handleRequest(c *conn, req wire.Request) {
 	// it, or an executed request's response would never reach the socket
 	// (and the router would retry it elsewhere: executed and billed twice).
 	if !s.begin() {
-		c.send(outbound{frame: WireResponse(req.ID, nil, conduit.ErrDraining)})
+		c.post(outbound{frame: WireResponse(req.ID, nil, conduit.ErrDraining)})
 		return
 	}
-	err := s.submit(conduit.Request{
+	inline := c.inline
+	if !idle {
+		inline = nil
+	}
+	_, err := s.submit(conduit.Request{
 		Tenant:   req.Tenant,
 		Workload: req.Workload,
 		Policy:   req.Policy,
 		Deadline: time.Duration(req.DeadlineNS),
 		Trace:    req.Trace,
 		Tag:      req.ID,
-	}, c.notify)
+	}, c.notify, inline)
 	if err != nil {
 		// Shed at admission or draining: never executed, so nothing is
 		// owed; answered like a request refused before it was counted.
 		s.release(1)
-		c.send(outbound{frame: WireResponse(req.ID, nil, err)})
+		c.post(outbound{frame: WireResponse(req.ID, nil, err)})
 	}
 }
 

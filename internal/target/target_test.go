@@ -1,15 +1,19 @@
 package target
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	conduit "conduit"
 	"conduit/internal/metrics"
@@ -42,7 +46,7 @@ type peer struct {
 
 func dial(t *testing.T, s *Server) *peer {
 	t.Helper()
-	conn, err := net.Dial("tcp", s.Addr().String())
+	conn, err := net.Dial(s.Addr().Network(), s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +91,12 @@ type held struct{ notifies chan func(*conduit.Response) }
 
 func hold(s *Server, n int) held {
 	h := held{notifies: make(chan func(*conduit.Response), n)}
-	s.submit = func(req conduit.Request, notify func(*conduit.Response)) error {
+	s.submit = func(req conduit.Request, notify, _ func(*conduit.Response)) (bool, error) {
 		h.notifies <- func(resp *conduit.Response) {
 			resp.Request = req
 			notify(resp)
 		}
-		return nil
+		return false, nil
 	}
 	return h
 }
@@ -158,14 +162,14 @@ func TestValidate(t *testing.T) {
 func TestResponseOwedBeforeSubmit(t *testing.T) {
 	s, conn := newTarget(t, func(s *Server) {
 		submit := s.submit
-		s.submit = func(req conduit.Request, notify func(*conduit.Response)) error {
+		s.submit = func(req conduit.Request, notify, inline func(*conduit.Response)) (bool, error) {
 			s.mu.Lock()
 			owed := s.inflight
 			s.mu.Unlock()
 			if owed != 1 {
 				t.Errorf("responses owed when Submit ran = %d, want 1: a Drain here would not wait for this request", owed)
 			}
-			return submit(req, notify)
+			return submit(req, notify, inline)
 		}
 	})
 	request(t, conn, 7)
@@ -573,4 +577,398 @@ func TestMainRejectsBadFlags(t *testing.T) {
 			t.Errorf("Main(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
 	}
+}
+
+// goid is the calling goroutine's ID, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// watched is the target's end of a connection that records which
+// goroutines read it and which wrote it, how often, and how many writes
+// began while another was in progress. It takes each write in two pieces
+// with a yield between them, as a socket may: bytes that another write
+// slipped in between would break a frame.
+type watched struct {
+	net.Conn
+	mu       sync.Mutex
+	readers  map[string]bool
+	writers  map[string]int
+	active   atomic.Int32
+	overlaps atomic.Int32
+}
+
+func (w *watched) Read(b []byte) (int, error) {
+	w.mu.Lock()
+	w.readers[goid()] = true
+	w.mu.Unlock()
+	return w.Conn.Read(b)
+}
+
+func (w *watched) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	w.writers[goid()]++
+	w.mu.Unlock()
+	if w.active.Add(1) > 1 {
+		w.overlaps.Add(1)
+	}
+	defer w.active.Add(-1)
+	n, err := w.Conn.Write(b[:len(b)/2])
+	if err == nil {
+		runtime.Gosched()
+		var m int
+		m, err = w.Conn.Write(b[len(b)/2:])
+		n += m
+	}
+	return n, err
+}
+
+// byReader splits the writes into those the connection's reader made and
+// the rest, which only its writer makes.
+func (w *watched) byReader() (reader, writer int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for g, n := range w.writers {
+		if w.readers[g] {
+			reader += n
+		} else {
+			writer += n
+		}
+	}
+	return reader, writer
+}
+
+// watchedListener is a pipeListener whose accepted connections are
+// watched.
+type watchedListener struct {
+	*pipeListener
+	accepted chan *watched
+}
+
+func (l watchedListener) Accept() (net.Conn, error) {
+	c, err := l.pipeListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	w := &watched{Conn: c, readers: make(map[string]bool), writers: make(map[string]int)}
+	l.accepted <- w
+	return w, nil
+}
+
+// newWatchedTarget starts a one-workload target whose engine runs one
+// request at a time, as only such an engine serves on a reader, and has
+// room to queue every test's requests, on an in-memory listener, after
+// prepare has installed the test's seams, and returns it with a peer that
+// has read the Hello and the target's watched end of that peer's
+// connection.
+func newWatchedTarget(t *testing.T, prepare func(*Server)) (*Server, *peer, *watched) {
+	t.Helper()
+	ln := watchedListener{newPipeListener(), make(chan *watched, 1)}
+	s, err := NewOn(ln, Options{Name: "t0", Mix: []string{"jacobi-1d"},
+		Serve: conduit.ServeOptions{Concurrency: 1, QueueDepth: 64, Prefork: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare(s)
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	t.Cleanup(func() { s.Drain(); <-served })
+	conn, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p := &peer{Conn: conn, r: wire.NewReader(conn)}
+	if _, ok := read(t, p).(wire.Hello); !ok {
+		t.Fatal("the target did not open with Hello")
+	}
+	return s, p, <-ln.accepted
+}
+
+// TestIdleConnectionIsAnsweredByItsReader: on a connection that sends its
+// next request only once the last is answered, and an engine nothing else
+// uses, every request is served on the connection's reader, which writes
+// the response itself: 1 000 requests and the Hello are 1 001 writes, all
+// the reader's, and the writer never runs a pass.
+func TestIdleConnectionIsAnsweredByItsReader(t *testing.T) {
+	const n = 1000
+	s, conn, w := newWatchedTarget(t, func(*Server) {})
+	for id := uint64(1); id <= n; id++ {
+		request(t, conn, id)
+		if resp := read(t, conn).(wire.Response); resp.ID != id || resp.Code != wire.CodeOK {
+			t.Fatalf("answer to %d = %+v", id, resp)
+		}
+	}
+	if reader, writer := w.byReader(); reader != n+1 || writer != 0 {
+		t.Errorf("%d requests: the reader wrote %d times and the writer %d, want %d and 0", n, reader, writer, n+1)
+	}
+	s.Drain()
+	if s.inflight != 0 {
+		t.Errorf("responses owed after Drain = %d, want 0", s.inflight)
+	}
+}
+
+// TestPipelinedRequestsQueue: two requests that reach the target in one
+// Write are both answered. The first is not offered to the reader — the
+// second is already buffered behind it — and the second, offered once
+// nothing more is buffered, finds the engine busy with the first and
+// queues rather than being served on the reader.
+func TestPipelinedRequestsQueue(t *testing.T) {
+	type call struct{ offered, served bool }
+	var (
+		mu    sync.Mutex
+		calls []call
+	)
+	release := make(chan struct{})
+	_, conn, _ := newWatchedTarget(t, func(s *Server) {
+		dispatch := s.submit
+		s.submit = func(req conduit.Request, notify, inline func(*conduit.Response)) (bool, error) {
+			if req.Tag == 1 { // the first holds its slot until the second is dispatched
+				next := notify
+				notify = func(resp *conduit.Response) { <-release; next(resp) }
+			}
+			served, err := dispatch(req, notify, inline)
+			mu.Lock()
+			calls = append(calls, call{inline != nil, served})
+			mu.Unlock()
+			if req.Tag == 2 {
+				close(release)
+			}
+			return served, err
+		}
+	})
+	var both []byte
+	for id := uint64(1); id <= 2; id++ {
+		b, err := wire.AppendFrame(both, wire.Request{ID: id, Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		both = b
+	}
+	if _, err := conn.Write(both); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for range 2 {
+		resp := read(t, conn).(wire.Response)
+		if resp.Code != wire.CodeOK || seen[resp.ID] || resp.ID < 1 || resp.ID > 2 {
+			t.Fatalf("answer %+v", resp)
+		}
+		seen[resp.ID] = true
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []call{{false, false}, {true, false}}; !slices.Equal(calls, want) {
+		t.Errorf("dispatches (offered inline, served inline) = %v, want %v", calls, want)
+	}
+}
+
+// TestInlineAndWriterNeverInterleave: many callers share one connection,
+// each sending one to three requests in one Write and waiting for their
+// answers. A request with another buffered behind it queues, so its
+// response is the writer's; one that finds the connection and the engine
+// idle is answered by the reader. Every response decodes and each request
+// is answered exactly once: the two writers' bytes never interleave.
+func TestInlineAndWriterNeverInterleave(t *testing.T) {
+	const callers, each = 8, 40
+	s, conn, w := newWatchedTarget(t, func(*Server) {})
+	answers := make([]chan wire.Response, callers*each+1)
+	for i := range answers {
+		answers[i] = make(chan wire.Response, 1)
+	}
+	// One goroutine reads every response. If it fails it hangs up, which
+	// unblocks every write, and closes stopped, so no caller waits on.
+	var readErr error
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for range callers * each {
+			f, err := conn.r.ReadFrame()
+			resp, ok := f.(wire.Response)
+			switch {
+			case err != nil:
+				readErr = fmt.Errorf("reading a response: %w", err)
+			case !ok || resp.ID < 1 || int(resp.ID) >= len(answers):
+				readErr = fmt.Errorf("read %+v, want a response to a request sent", f)
+			case len(answers[resp.ID]) > 0:
+				readErr = fmt.Errorf("request %d answered twice", resp.ID)
+			default:
+				answers[resp.ID] <- resp
+				continue
+			}
+			conn.Close()
+			return
+		}
+	}()
+	var (
+		wmu sync.Mutex
+		wg  sync.WaitGroup
+	)
+	policies := []string{"Conduit", "CPU"}
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; {
+				first := uint64(c*each + i + 1)
+				var b []byte
+				for k := 1 + (c+i)%3; k > 0 && i < each; k-- {
+					var err error
+					if b, err = wire.AppendFrame(b, wire.Request{ID: uint64(c*each + i + 1), Tenant: "t",
+						Workload: "jacobi-1d", Policy: policies[i%2]}); err != nil {
+						t.Error(err)
+						return
+					}
+					i++
+				}
+				wmu.Lock()
+				_, err := conn.Write(b)
+				wmu.Unlock()
+				if err != nil {
+					select {
+					case <-stopped: // the response reader hung up
+					default:
+						t.Error(err)
+					}
+					return
+				}
+				for id := first; id <= uint64(c*each+i); id++ {
+					select {
+					case resp := <-answers[id]:
+						if resp.Code != wire.CodeOK || resp.Result == nil {
+							t.Errorf("request %d answered %+v", id, resp)
+							return
+						}
+					case <-stopped:
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-stopped
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	reader, writer := w.byReader()
+	t.Logf("%d responses and the Hello: %d writes by the reader, %d by the writer", callers*each, reader, writer)
+	if writer == 0 {
+		t.Error("the writer wrote nothing, though a request with another buffered behind it queues")
+	}
+	if n := w.overlaps.Load(); n != 0 {
+		t.Errorf("%d writes began while another was in progress", n)
+	}
+	s.Drain()
+	if s.inflight != 0 {
+		t.Errorf("responses owed after Drain = %d, want 0", s.inflight)
+	}
+}
+
+// smallBuffers is a socket listener whose accepted connections have the
+// smallest send buffer the kernel allows, so a peer that stops reading
+// fills the target's socket after a few responses.
+type smallBuffers struct{ net.Listener }
+
+func (l smallBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(interface{ SetWriteBuffer(int) error }).SetWriteBuffer(1)
+	}
+	return c, err
+}
+
+// TestStalledPeerStallsOnlyItsConnection: a peer that stops reading fills
+// its socket, but the target's reader, which serves the peer's requests
+// on the one-slot engine and writes their responses, never waits for
+// room: the dispatch of the request whose response the socket does not
+// take returns, the rest goes to the connection's writer, and a second
+// connection is still served. Once the stalled peer reads again it gets
+// every response, whole and once.
+//
+// The sockets are Unix ones: over loopback TCP a peer whose receive
+// window is shut soon stops hearing the acknowledgements of what it
+// sends, so its requests stall before the target's socket fills.
+func TestStalledPeerStallsOnlyItsConnection(t *testing.T) {
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "target.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewOn(smallBuffers{ln}, Options{Name: "t0", Mix: []string{"jacobi-1d"},
+		Serve: conduit.ServeOptions{Concurrency: 1, Prefork: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatched := make(chan bool, 1)
+	dispatch := s.submit
+	s.submit = func(req conduit.Request, notify, inline func(*conduit.Response)) (bool, error) {
+		served, err := dispatch(req, notify, inline)
+		if req.Tenant == "stalled" {
+			dispatched <- served && err == nil
+		}
+		return served, err
+	}
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	t.Cleanup(func() { s.Drain(); <-served })
+
+	stalled := dial(t, s)
+	// One request at a time, each sent once the last was dispatched, so
+	// each is offered to the reader and finds the engine idle, until a
+	// response is still owed once its dispatch returned: the socket did
+	// not take all of it.
+	var n uint64
+	sent := make(chan error, 1)
+	go func() {
+		for {
+			n++
+			b, err := wire.AppendFrame(nil, wire.Request{ID: n, Tenant: "stalled", Workload: "jacobi-1d", Policy: "Conduit"})
+			if err == nil {
+				_, err = stalled.Write(b)
+			}
+			if err == nil && !<-dispatched {
+				err = fmt.Errorf("request %d was not served on the reader", n)
+			}
+			s.mu.Lock()
+			full := s.inflight > 0
+			s.mu.Unlock()
+			switch {
+			case err == nil && !full && n == 10_000:
+				err = errors.New("the socket took 10 000 responses: it never filled, so nothing was tested")
+			case err == nil && !full:
+				continue
+			}
+			sent <- err
+			return
+		}
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the target's reader stopped dispatching: it waits on a peer that does not read")
+	}
+
+	other := dial(t, s)
+	if err := other.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	request(t, other, 1)
+	if resp := read(t, other).(wire.Response); resp.ID != 1 || resp.Code != wire.CodeOK {
+		t.Fatalf("the second connection's answer = %+v", resp)
+	}
+
+	seen := make(map[uint64]bool)
+	for range n {
+		resp, ok := read(t, stalled).(wire.Response)
+		if !ok || resp.Code != wire.CodeOK || resp.ID < 1 || resp.ID > n || seen[resp.ID] {
+			t.Fatalf("the stalled peer read %+v", resp)
+		}
+		seen[resp.ID] = true
+	}
+	t.Logf("the socket filled at response %d", n)
 }

@@ -51,6 +51,10 @@ func NewReader(r io.Reader) *Reader {
 // make the Reader allocate more than MaxFrame.
 func (r *Reader) ReadFrame() (Frame, error) { return r.ReadInto(nil) }
 
+// Buffered is the number of bytes already read off the connection and not
+// yet decoded: 0 unless the peer sent more than the frames read so far.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
 // ReadInto is ReadFrame decoding a frame of the type into points to into
 // *into, zeroed first, and returning into; other frames come as ReadFrame
 // returns them.

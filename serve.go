@@ -336,6 +336,15 @@ func (s *Server) Submit(req Request, notify func(*Response)) error {
 	return s.eng.Submit(req, notify)
 }
 
+// Dispatch is Submit for a caller that can serve the request itself: with
+// inline non-nil, Concurrency 1 and nothing executing or queued, the
+// request runs on the calling goroutine, inline is lent its response
+// there, and Dispatch reports true. A target's connection reader
+// dispatches through it.
+func (s *Server) Dispatch(req Request, notify, inline func(*Response)) (bool, error) {
+	return s.eng.Dispatch(req, notify, inline)
+}
+
 // OpenLoop adapts Submit to the open-loop load driver (loadgen.Drive):
 // a full admission queue sheds, a deadline that passes in the queue
 // expires, anything else that is not a result fails. observe, when

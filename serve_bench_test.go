@@ -348,8 +348,11 @@ func benchServeMix(b *testing.B, scale int, mix ...string) {
 // requests per iteration via Router.Do to two targets in this process
 // over loopback TCP, each serving at Concurrency 1 with Prefork 2. What it
 // costs beyond BenchmarkServeLightMix is the router, the client, the
-// sockets, the target's reader and writer, and both codecs; `make
-// prof-run BENCH=RoutedLightMix` profiles it.
+// sockets, the target's reader, and both codecs: one caller at a time
+// finds its one-slot target idle, so the target's reader serves it and
+// writes the response itself, and neither an engine worker nor the
+// connection's writer wakes. `make prof-run BENCH=RoutedLightMix`
+// profiles it.
 func BenchmarkRoutedLightMix(b *testing.B) {
 	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
 	var clients []*router.Client
