@@ -22,7 +22,8 @@ type ClusterOptions struct {
 	// single-device cluster, byte-identical to a plain Deployment).
 	Shards int
 	// Prefork is the per-shard device-pool depth (see Deployment.Prefork);
-	// < 1 disables pooling and forks clone inline.
+	// < 1 turns off only the eager clones, the shards' PoolStats rows and
+	// ErrPoolClosed after Close, not device reuse.
 	Prefork int
 }
 
@@ -270,7 +271,7 @@ func (cl *Cluster) poolStats(name string, out map[string]PoolStats) {
 }
 
 // Close closes every shard's prefork pool, if any. After Close returns no
-// fork is buffered on any shard; later device-policy runs on pooled
+// fork is ready or parked on any shard; later device-policy runs on pooled
 // shards fail with ErrPoolClosed.
 func (cl *Cluster) Close() {
 	for _, dep := range cl.deps {

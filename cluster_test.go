@@ -195,7 +195,7 @@ func TestClusterErrors(t *testing.T) {
 }
 
 // TestClusterServeShardedDrainLeavesNoLeakedForks: a drained server must
-// leave no fork — buffered, or parked for reuse — on any shard of a
+// leave no fork — ready, or parked for reuse — on any shard of a
 // clustered application, and the pool report must carry one closed entry
 // per shard.
 func TestClusterServeShardedDrainLeavesNoLeakedForks(t *testing.T) {
@@ -233,10 +233,10 @@ func TestClusterServeShardedDrainLeavesNoLeakedForks(t *testing.T) {
 			t.Fatalf("pool stats missing entry %q (have %v)", key, poolKeys(pools))
 		}
 		if !ps.Closed {
-			t.Errorf("%s: pool refiller still running after drain", key)
+			t.Errorf("%s: pool still open after drain", key)
 		}
 		if ps.Idle != 0 {
-			t.Errorf("%s: %d forks still buffered or parked after drain", key, ps.Idle)
+			t.Errorf("%s: %d forks still ready or parked after drain", key, ps.Idle)
 		}
 	}
 	if n := srv.ParkedForks(); n != 0 {

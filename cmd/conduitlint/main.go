@@ -1,9 +1,8 @@
 // Conduitlint machine-checks the simulator's determinism and ownership
 // invariants: no wall-clock or global-rand nondeterminism in simulator
 // packages (nondeterm), no output driven by map iteration order
-// (maporder), arena pages recycled at most once and dead afterwards
-// (arenaowner), and every owned DevicePool closed on all non-panic
-// paths (poolleak).
+// (maporder), and arena pages recycled at most once and dead afterwards
+// (arenaowner).
 //
 // Run it from the module root, which is what `make lint` and CI do:
 //

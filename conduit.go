@@ -102,7 +102,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"conduit/internal/compiler"
 	"conduit/internal/config"
@@ -456,7 +455,7 @@ func (r *RunResult) withElapsed(e Time) *RunResult {
 //
 // A fork whose device nobody keeps (a served request's, a cluster shard's,
 // a sweep cell's) is parked after its run (recycle) and the next fork
-// restores it in place from the master instead of cloning (newFork). Run
+// restores it in place from the master instead of cloning (fork). Run
 // and Fork hand the device to the caller, who may keep it, so theirs is
 // never reused.
 type Deployment struct {
@@ -465,9 +464,9 @@ type Deployment struct {
 	master *ssd.Device // pristine post-deploy image; never executed
 
 	poolMu sync.Mutex
-	pool   *DevicePool   // optional prefork pool (see Prefork); nil = fork inline
+	pool   *DevicePool   // optional prefork pool (see Prefork); nil = no eager clones
 	used   []*ssd.Device // parked: executed forks awaiting reuse, newest last
-	ready  []*ssd.Device // parked devices settle restored, newest last
+	ready  []*ssd.Device // restored forks awaiting the next fork, newest last
 	closed bool          // Close was called: nothing is parked any more
 
 	// shared maps each result the master's records published
@@ -492,42 +491,84 @@ func (s *System) Deploy(c *Compiled) (*Deployment, error) {
 
 // Fork returns a fresh device restored to the post-deploy state. The
 // caller owns the returned device exclusively; the pristine master is
-// never handed out. With a prefork pool attached (Prefork), the fork is
-// served from the pool's buffer of ready forks; on an empty buffer it
-// is made inline. Either way the device is byte-identical. Once the
-// pool has been closed (the deployment was drained) Fork fails with
-// ErrPoolClosed instead of silently forking. A device settle restored
-// comes before the pool's buffer, which leaves the refiller alone.
+// never handed out. The device is byte-identical whether it was ready,
+// restored or cloned (see fork). Since it never comes back, Fork then
+// restocks the ready list to the depth of the attached pool, if any
+// (Prefork). Once the pool has been closed (the deployment was drained)
+// Fork fails with ErrPoolClosed instead of silently forking.
 func (d *Deployment) Fork() (*ssd.Device, error) {
+	dev, err := d.fork()
+	if err == nil {
+		d.restock()
+	}
+	return dev, err
+}
+
+// fork takes the newest ready device, else restores the most recently
+// parked one from the master (a memcpy that allocates nothing once the
+// device owns the leaves its workload writes), else clones the master. It
+// makes no device ahead: the served path forks here directly, since its
+// device comes back through settle.
+func (d *Deployment) fork() (*ssd.Device, error) {
 	d.poolMu.Lock()
-	p, dev := d.pool, pop(&d.ready)
-	d.poolMu.Unlock()
+	p := d.pool
+	if p != nil && p.stats.Closed {
+		d.poolMu.Unlock()
+		return nil, ErrPoolClosed
+	}
+	dev := pop(&d.ready)
+	inline := dev == nil
+	if inline {
+		dev = pop(&d.used)
+	}
 	switch {
-	case dev == nil && p != nil:
-		return p.Get()
-	case dev == nil:
-		dev, _ = d.newFork()
-	case p != nil:
-		atomic.AddInt64(&p.misses, 1)
-		atomic.AddInt64(&p.restored, 1)
+	case p == nil: // no pool, no counters
+	case !inline:
+		p.stats.Hits++
+	default:
+		p.stats.Misses++
+		if dev != nil {
+			p.stats.Restored++
+		}
+	}
+	d.poolMu.Unlock()
+	if inline {
+		dev = d.renew(dev)
 	}
 	return dev, nil
 }
 
-// newFork makes one post-deploy device: the pool's refiller, its miss path
-// and the pool-less fork all come here. It restores the most recently
-// parked device from the master (a memcpy that allocates nothing once the
-// device owns the leaves its workload writes; restored = 1) and clones
-// only when none is parked (restored = 0).
-func (d *Deployment) newFork() (dev *ssd.Device, restored int64) {
+// restock tops the ready list up to the attached pool's depth on the
+// caller's goroutine, restoring parked devices before cloning the master.
+// Without an open pool it does nothing; a device made while the pool was
+// closed or replaced is dropped.
+func (d *Deployment) restock() {
 	d.poolMu.Lock()
-	dev = pop(&d.used)
-	d.poolMu.Unlock()
+	defer d.poolMu.Unlock()
+	for p := d.pool; p != nil && !p.stats.Closed && len(d.ready) < p.depth; {
+		dev := pop(&d.used)
+		p.stats.Preforked++
+		if dev != nil {
+			p.stats.Restored++
+		}
+		d.poolMu.Unlock()
+		dev = d.renew(dev)
+		d.poolMu.Lock()
+		if d.pool != p || p.stats.Closed {
+			return
+		}
+		d.ready = append(d.ready, dev)
+	}
+}
+
+// renew restores the parked device dev from the master, or clones the
+// master when dev is nil.
+func (d *Deployment) renew(dev *ssd.Device) *ssd.Device {
 	if dev == nil {
-		return d.master.Clone(), 0
+		return d.master.Clone()
 	}
 	dev.Restore(d.master)
-	return dev, 1
+	return dev
 }
 
 // pop takes the newest device off list, or returns nil.
@@ -541,7 +582,7 @@ func pop(list *[]*ssd.Device) (dev *ssd.Device) {
 
 // settle restores a parked device and lists it ready for the next fork. A
 // served request's goroutine calls it once the response is out
-// (serve.Settler): off the response's path, and no refiller wakes.
+// (serve.Settler): off the response's path, and no other goroutine wakes.
 func (d *Deployment) settle() {
 	d.poolMu.Lock()
 	dev := pop(&d.used)
@@ -551,10 +592,15 @@ func (d *Deployment) settle() {
 	}
 	dev.Restore(d.master)
 	d.poolMu.Lock()
-	if !d.closed {
-		d.ready = append(d.ready, dev)
+	defer d.poolMu.Unlock()
+	if d.closed {
+		return
 	}
-	d.poolMu.Unlock()
+	d.ready = append(d.ready, dev)
+	if p := d.pool; p != nil {
+		p.stats.Preforked++
+		p.stats.Restored++
+	}
 }
 
 // recycle takes r's device off it and parks it for the next fork. Only
@@ -570,29 +616,25 @@ func (d *Deployment) recycle(r *RunResult) {
 }
 
 // parkDevice lists dev for the next fork. At most the pool's depth plus
-// GOMAXPROCS devices are parked or ready — one per buffer slot and per
+// GOMAXPROCS devices are parked or ready — one per ready slot and per
 // running request — and none after Close.
 func (d *Deployment) parkDevice(dev *ssd.Device) {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
 	keep := serve.DefaultConcurrency()
 	if d.pool != nil {
-		keep += cap(d.pool.free)
+		keep += d.pool.depth
 	}
 	if !d.closed && len(d.used)+len(d.ready) < keep {
 		d.used = append(d.used, dev)
 	}
 }
 
-// flushUsed drops every parked device, ready or not; closing also ends
-// recycling for good.
-func (d *Deployment) flushUsed(closing bool) {
-	d.poolMu.Lock()
-	defer d.poolMu.Unlock()
+// flush drops every parked device, ready or not. The caller holds poolMu.
+func (d *Deployment) flush() {
 	clear(d.used)
 	clear(d.ready)
 	d.used, d.ready = d.used[:0], d.ready[:0]
-	d.closed = d.closed || closing
 }
 
 // Run executes the deployed program under the named policy on a restored
@@ -631,7 +673,7 @@ func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
 	if p.run != onDevice && p.run != asIdeal {
 		return d.run(p) // a host run: no drive to park
 	}
-	dev, err := d.Fork()
+	dev, err := d.fork()
 	if err != nil {
 		return nil, err
 	}

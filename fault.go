@@ -351,9 +351,9 @@ func (r *resilient) attemptShard(dep *Deployment, shard int, p *policyEntry, att
 				r.name, shard, ErrInjected)
 		}
 		// A poisoned clone really consumes a fork, is found unusable, and
-		// is discarded; the pool quarantines the slot and repairs it by
-		// re-cloning in the background.
-		if _, err := dep.Fork(); err != nil {
+		// is discarded; the pool drops its ready and parked devices as
+		// suspect and re-clones its ready list from the master.
+		if _, err := dep.fork(); err != nil {
 			return nil, 0, err
 		}
 		if p := dep.Pool(); p != nil {

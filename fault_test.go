@@ -276,8 +276,8 @@ func TestPoolClosedAfterDrain(t *testing.T) {
 }
 
 // TestPoolQuarantineRepairs pins the quarantine satellite: quarantining
-// a poisoned fork counts it, and the repair (a background re-clone by
-// the refiller) is accounted immediately.
+// a poisoned fork counts it, and the repair (the ready list re-cloned
+// before Quarantine returns) is accounted immediately.
 func TestPoolQuarantineRepairs(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	sys := conduit.NewSystem(cfg)

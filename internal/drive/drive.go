@@ -99,7 +99,7 @@ func Declare(fs *flag.FlagSet, bin Binary) *Flags {
 		fs.IntVar(&f.Shards, "shards", 1, "simulated drives per workload (>1 registers sharded clusters)")
 		fs.IntVar(&f.Concurrency, "concurrency", 0, "simultaneously executing requests (0 = GOMAXPROCS)")
 		fs.IntVar(&f.Queue, "queue", 0, "admission-queue depth (0 = 4x concurrency)")
-		fs.IntVar(&f.Prefork, "prefork", 2, "pre-forked devices per application (0 disables pooling)")
+		fs.IntVar(&f.Prefork, "prefork", 2, "devices cloned ready per application before its first request (0: none, and no pool stats)")
 		fs.BoolVar(&f.Coalesce, "coalesce", true, "share one execution among identical in-flight requests")
 		fs.Float64Var(&f.Faults, "faults", 0, "master injected-fault rate, mapped onto the dispatch/pool/device seams (0 disables chaos)")
 		fs.Uint64Var(&f.FaultSeed, "faultseed", 42, "chaos RNG seed (independent of the load seed)")

@@ -33,8 +33,8 @@ type Config struct {
 	// any device is obtained.
 	ForkFail float64
 	// PoisonFork is the probability an acquired fork is poisoned: the
-	// clone is unusable, the attempt fails, and the pool quarantines
-	// its buffer (see conduit.DevicePool).
+	// clone is unusable, the attempt fails, and the pool drops its ready
+	// and parked devices and re-clones (see conduit.DevicePool).
 	PoisonFork float64
 	// BackendError is the probability the serve-level dispatch of a
 	// request errors before reaching the application at all.

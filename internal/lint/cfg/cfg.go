@@ -1,6 +1,6 @@
 // Package cfg builds an intraprocedural control-flow graph over a
 // function body's statement list, for the path-sensitive conduitlint
-// analyzers (arenaowner, poolleak). It is a small, conservative analogue
+// analyzer (arenaowner). It is a small, conservative analogue
 // of golang.org/x/tools/go/cfg: blocks hold ast.Nodes in execution
 // order, edges follow if/for/range/switch/select/branch control flow,
 // and calls to provably non-returning functions (panic, os.Exit,

@@ -2,9 +2,8 @@
 //
 // conduitlint machine-checks the invariants every headline claim of
 // this reproduction rests on — byte-identical concurrent vs. serial
-// sweeps, exact associative histogram and shard merges, the
-// zero-allocation arena ownership rule, and drain-leaves-no-forks —
-// so that the compiler-adjacent toolchain re-verifies them on every
+// sweeps, exact associative histogram and shard merges, and the
+// zero-allocation arena ownership rule — so that the compiler-adjacent toolchain re-verifies them on every
 // build instead of trusting example-based tests alone. It runs as one
 // command (`go run ./cmd/conduitlint ./...`, internal/lint/driver) that
 // applies the single committed allowlist (internal/lint/allow).
@@ -18,7 +17,6 @@ import (
 	"conduit/internal/lint/arenaowner"
 	"conduit/internal/lint/maporder"
 	"conduit/internal/lint/nondeterm"
-	"conduit/internal/lint/poolleak"
 )
 
 // Analyzers returns the full conduitlint suite in stable name order.
@@ -27,6 +25,5 @@ func Analyzers() []*analysis.Analyzer {
 		arenaowner.Analyzer,
 		maporder.Analyzer,
 		nondeterm.Analyzer,
-		poolleak.Analyzer,
 	}
 }

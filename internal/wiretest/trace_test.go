@@ -24,9 +24,9 @@ func tracedFleetRun(t *testing.T) ([]byte, []*trace.Span, map[string][]*trace.Sp
 	names := resolveNames(t, []string{"aes", "jacobi-1d"})
 	events := equivSchedule(t, 16, names)
 
-	// Coalescing off and pooling off: both are wall-clock-shaped
-	// behaviors (who arrives while whom is in flight; what the refiller
-	// got to first), and this test pins simulated-time bytes.
+	// Coalescing off and no pool: coalescing is wall-clock-shaped (who
+	// arrives while whom is in flight), and this test pins simulated-time
+	// bytes.
 	t0 := startTarget(t, "-name", "t0", "-mix", "aes,jacobi-1d", "-scale", "1",
 		"-prefork", "0", "-coalesce=false")
 	t1 := startTarget(t, "-name", "t1", "-mix", "aes,jacobi-1d", "-scale", "1",

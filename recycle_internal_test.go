@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"conduit/internal/faultinject"
@@ -17,18 +16,21 @@ import (
 	"conduit/internal/stats"
 )
 
-// parked reports how many used devices d's free list holds, restored
-// (ready) or not.
-func (d *Deployment) parked() int {
+// held lists the devices d holds for the next fork, ready or parked.
+func (d *Deployment) held() []*ssd.Device {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
-	return len(d.used) + len(d.ready)
+	return slices.Concat(d.ready, d.used)
 }
 
-// ParkedForks counts the used devices on the free lists of every
+// parked reports how many devices d holds for the next fork, ready or
+// parked.
+func (d *Deployment) parked() int { return len(d.held()) }
+
+// ParkedForks counts the devices held for the next fork by every
 // registered application, each shard of a cluster included: what the
-// external drain tests assert is zero. (PoolStats.Idle counts them too,
-// together with the buffered forks, and is all a remote target can show.)
+// external drain tests assert is zero. (PoolStats.Idle counts the same
+// devices, and is all a remote target can show.)
 func (s *Server) ParkedForks() int {
 	n := 0
 	for _, r := range s.sorted() {
@@ -51,14 +53,24 @@ func (d *Deployment) park() *ssd.Device {
 	return dev
 }
 
-// waitBuffered yields until the refiller has filled p's buffer and counted
-// it (only the test takes forks out, and nothing has been quarantined, so
-// forks made minus forks taken is what is buffered). From then on the
-// refiller is parked waiting for a buffer slot and leaves the free list
-// and the counters alone: both change only when the test changes them.
-func waitBuffered(p *DevicePool) {
-	for atomic.LoadInt64(&p.preforked)-atomic.LoadInt64(&p.hits) < int64(cap(p.free)) {
-		runtime.Gosched()
+// requireNoneOf fails when a device d holds, or one of d's next forks, is
+// one of stale: a device that was ready or parked before a Quarantine or
+// a Close is never handed out after it.
+func requireNoneOf(t *testing.T, what string, d *Deployment, stale []*ssd.Device, forks int) {
+	t.Helper()
+	for _, dev := range d.held() {
+		if slices.Contains(stale, dev) {
+			t.Errorf("%s: a device held before is still held", what)
+		}
+	}
+	for i := 0; i < forks; i++ {
+		dev, err := d.fork()
+		if err != nil {
+			t.Fatalf("%s: fork: %v", what, err)
+		}
+		if slices.Contains(stale, dev) {
+			t.Errorf("%s: fork %d handed out a device held before", what, i)
+		}
 	}
 }
 
@@ -173,8 +185,8 @@ func TestRecycleOnlyAfterAResult(t *testing.T) {
 
 // TestPoisonedForkIsDropped: the injector's poisoned fork really consumes
 // a fork — the parked device, when there is one — and that device is
-// discarded, not parked again; quarantining then empties the free list
-// together with the buffer.
+// discarded, not parked again; quarantining then drops every ready and
+// parked device and re-clones the ready list to depth.
 func TestPoisonedForkIsDropped(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
 	dep := deployWorkload(t, sys, "jacobi-1d", 1)
@@ -191,67 +203,58 @@ func TestPoisonedForkIsDropped(t *testing.T) {
 
 	pool := dep.Prefork(2)
 	defer dep.Close()
-	waitBuffered(pool)
 	dep.park()
 	dep.park()
 	if st := pool.Stats(); st.Idle != 4 {
-		t.Fatalf("Idle = %d with a full buffer of 2 and 2 parked devices, want 4", st.Idle)
+		t.Fatalf("Idle = %d with 2 ready forks and 2 parked devices, want 4", st.Idle)
 	}
+	stale := dep.held()
 	if _, err := poison.runShard(dep, 0, lookupPolicy("Conduit"), &rec, nil); err == nil {
 		t.Fatal("poisoned fork served")
 	}
-	if n := dep.parked(); n != 0 {
-		t.Errorf("%d devices parked after Quarantine, want 0: the list is flushed with the buffer", n)
+	if st := pool.Stats(); st.Quarantined != 1 || st.Repairs != 1 || st.Idle != 2 {
+		t.Errorf("Quarantined = %d, Repairs = %d, Idle = %d; want 1, 1 and the 2 re-cloned forks", st.Quarantined, st.Repairs, st.Idle)
 	}
-	if st := pool.Stats(); st.Quarantined != 1 || st.Repairs != 1 {
-		t.Errorf("Quarantined = %d, Repairs = %d, want 1 and 1", st.Quarantined, st.Repairs)
-	}
+	requireNoneOf(t, "after Quarantine", dep, stale, 4)
 }
 
-// TestCloseEndsRecycling: Close — of the deployment, of a pool-less
-// deployment, or of the attached pool directly — empties the free list,
-// and every device that comes back later is dropped, also under a pool
-// attached after the Close; replacing a live pool empties the list but
-// recycling goes on. The list never grows past the pool's depth plus
-// GOMAXPROCS.
+// TestCloseEndsRecycling: Close — of a pooled or a pool-less deployment —
+// drops every ready and parked device, and every device that comes back
+// later is dropped, also under a pool attached after the Close; replacing
+// a live pool drops them too but recycling goes on. The lists never grow
+// past the pool's depth plus GOMAXPROCS.
 func TestCloseEndsRecycling(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
-	closers := map[string]func(*Deployment, *DevicePool){
-		"Deployment.Close": func(d *Deployment, _ *DevicePool) { d.Close() },
-		"DevicePool.Close": func(_ *Deployment, p *DevicePool) { p.Close() },
-	}
-	for name, closeIt := range closers {
-		dep := deployWorkload(t, sys, "jacobi-1d", 1)
-		pool := dep.Prefork(2)
-		waitBuffered(pool)
-		bound := 2 + runtime.GOMAXPROCS(0)
-		for i := 0; i < bound+3; i++ {
-			dep.park()
-		}
-		if n := dep.parked(); n != bound {
-			t.Errorf("%s: %d devices parked, want the bound %d (depth 2 + GOMAXPROCS)", name, n, bound)
-		}
-		closeIt(dep, pool)
-		if st := pool.Stats(); dep.parked() != 0 || st.Idle != 0 || !st.Closed {
-			t.Errorf("%s: %d parked, stats %+v; want nothing held", name, dep.parked(), st)
-		}
+	dep := deployWorkload(t, sys, "jacobi-1d", 1)
+	pool := dep.Prefork(2)
+	bound := 2 + runtime.GOMAXPROCS(0)
+	for i := 0; i < bound+3; i++ {
 		dep.park()
-		if n := dep.parked(); n != 0 {
-			t.Errorf("%s: a device that came back after the close was parked", name)
-		}
-		// A pool attached afterwards forks again, but the deployment's
-		// recycling life is over.
-		again := dep.Prefork(1)
-		waitBuffered(again)
-		dep.park()
-		if st := again.Stats(); dep.parked() != 0 || st.Idle != 1 {
-			t.Errorf("%s: after a later Prefork: %d parked, Idle = %d; want 0 and the one buffered fork", name, dep.parked(), st.Idle)
-		}
-		dep.Close()
 	}
+	if n := dep.parked(); n != bound {
+		t.Errorf("%d devices ready or parked, want the bound %d (depth 2 + GOMAXPROCS)", n, bound)
+	}
+	stale := dep.held()
+	dep.Close()
+	if st := pool.Stats(); dep.parked() != 0 || st.Idle != 0 || !st.Closed {
+		t.Errorf("%d parked, stats %+v; want nothing held", dep.parked(), st)
+	}
+	dep.park()
+	if n := dep.parked(); n != 0 {
+		t.Error("a device that came back after the close was parked")
+	}
+	// A pool attached afterwards forks again, but the deployment's
+	// recycling life is over.
+	again := dep.Prefork(1)
+	back := dep.park()
+	if st := again.Stats(); st.Idle != 1 {
+		t.Errorf("after a later Prefork: Idle = %d, want the one ready fork", st.Idle)
+	}
+	requireNoneOf(t, "after a later Prefork", dep, append(stale, back), 3)
+	dep.Close()
 
 	// Pool-less: Close is the only lifecycle event there is.
-	dep := deployWorkload(t, sys, "jacobi-1d", 1)
+	dep = deployWorkload(t, sys, "jacobi-1d", 1)
 	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
 		dep.park()
 	}
@@ -264,17 +267,16 @@ func TestCloseEndsRecycling(t *testing.T) {
 		t.Errorf("pool-less: %d devices parked after Close, want 0", n)
 	}
 
-	// Replacing a live pool closes the old one, which flushes the list
-	// (unless the new refiller got to the parked device first), but the
-	// deployment goes on recycling under the new pool.
+	// Replacing a live pool closes the old one and drops what it held,
+	// but the deployment goes on recycling under the new pool.
 	dep = deployWorkload(t, sys, "jacobi-1d", 1)
-	waitBuffered(dep.Prefork(1))
+	dep.Prefork(1)
 	dep.park()
+	stale = dep.held()
 	next := dep.Prefork(1)
 	defer dep.Close()
-	waitBuffered(next)
-	if n := dep.parked(); n != 0 {
-		t.Errorf("replaced pool: %d devices parked, want the list flushed", n)
+	if held := dep.held(); len(held) != 1 || slices.Contains(stale, held[0]) {
+		t.Errorf("replaced pool: %d devices held, want only the new pool's fresh fork", len(held))
 	}
 	before := next.Stats()
 	dev := dep.master.Clone()
@@ -283,23 +285,39 @@ func TestCloseEndsRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.recycle(res)
-	if n := dep.parked(); n != 1 {
-		t.Fatalf("replaced pool: %d devices parked, want 1: recycling goes on", n)
+	if n := dep.parked(); n != 2 {
+		t.Fatalf("replaced pool: %d devices ready or parked, want 2: recycling goes on", n)
 	}
-	// The refiller restores exactly that device once a slot frees up.
+	// Get's restock restores exactly that device behind the ready fork.
 	if got, err := next.Get(); err != nil || got == dev {
-		t.Fatalf("Get: %p, %v; want the buffered fork", got, err)
+		t.Fatalf("Get: %p, %v; want the ready fork", got, err)
 	}
-	waitBuffered(next)
 	if got, err := next.Get(); err != nil || got != dev || got.En.ComputeTotal() != 0 {
 		t.Fatalf("Get: %p, %v; want the parked device %p, restored", got, err, dev)
 	}
-	// Let the refiller fill the slot that Get freed, so the counters stand
-	// still: that third fork is a clone, because nothing is parked.
-	waitBuffered(next)
+	// The second Get's restock is a clone, because nothing is parked.
 	if st := next.Stats(); st.Restored != before.Restored+1 || st.Preforked != before.Preforked+2 {
 		t.Errorf("Restored %d -> %d, Preforked %d -> %d; want one more restored and two more preforked",
 			before.Restored, st.Restored, before.Preforked, st.Preforked)
+	}
+}
+
+// TestPoolStartsNoGoroutine: a pool's whole life — Prefork, a Run, a
+// Quarantine and Close — runs on its caller's goroutine.
+func TestPoolStartsNoGoroutine(t *testing.T) {
+	dep := deployWorkload(t, NewSystem(DefaultConfig()), "jacobi-1d", 1)
+	before := runtime.NumGoroutine()
+	pool := dep.Prefork(2)
+	if _, err := dep.Run("Conduit"); err != nil {
+		t.Fatal(err)
+	}
+	pool.Quarantine()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines with a live pool, %d before Prefork", n, before)
+	}
+	dep.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, %d before Prefork", n, before)
 	}
 }
 
@@ -351,11 +369,10 @@ func TestServedResultSurvivesRecycling(t *testing.T) {
 	requireSameRun(t, "kept served result vs a fresh deployment's", kept, fresh)
 }
 
-// TestSteadyServingLeavesTheRefillerAsleep: once the buffer is full and a
-// served device is ready, each sequential request, through Do and through
-// Submit, forks the device the previous one settled. The refiller makes no
-// fork and nothing is cloned, so steady serving wakes no other goroutine.
-func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
+// TestSteadyServingClonesNothing: once a served device is ready, each
+// sequential request, through Do and through Submit, forks the device the
+// previous one settled, so nothing is cloned.
+func TestSteadyServingClonesNothing(t *testing.T) {
 	srv := NewServer(DefaultConfig(), ServeOptions{Concurrency: 1, Prefork: 2})
 	defer srv.Drain()
 	if err := srv.RegisterWorkload("jacobi-1d", 1, 1); err != nil {
@@ -363,16 +380,8 @@ func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
 	}
 	pool := srv.apps["jacobi-1d"].app.(*Deployment).Pool()
 	req := Request{Tenant: "t", Workload: "jacobi-1d", Policy: "Conduit"}
-	// Warm up until a served device waits beside the full buffer: the
-	// refiller a warm-up fork woke may restore that device before the
-	// request that parked it does.
-	for {
-		if _, err := srv.Do(req); err != nil {
-			t.Fatal(err)
-		}
-		if waitBuffered(pool); pool.Stats().Idle > 2 {
-			break
-		}
+	if _, err := srv.Do(req); err != nil {
+		t.Fatal(err)
 	}
 	clones := func(s PoolStats) int64 { return s.Preforked + s.Misses - s.Restored }
 	before := pool.Stats()
@@ -390,10 +399,8 @@ func TestSteadyServingLeavesTheRefillerAsleep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := pool.Stats()
-	if after.Preforked != before.Preforked || clones(after) > clones(before) {
-		t.Errorf("2 000 steady requests: Preforked %d -> %d, clones %d -> %d; want both unchanged",
-			before.Preforked, after.Preforked, clones(before), clones(after))
+	if after := pool.Stats(); clones(after) != clones(before) {
+		t.Errorf("2 000 steady requests: clones %d -> %d, want unchanged", clones(before), clones(after))
 	}
 }
 

@@ -56,11 +56,12 @@ type ServeOptions struct {
 	// QueueDepth is the admission-queue capacity; < 1 selects
 	// 4 x Concurrency.
 	QueueDepth int
-	// Prefork is the per-application device-pool depth: how many restored
-	// post-deploy clones to keep ready ahead of demand. Sharded
-	// registrations apply it per shard — each device in the cluster gets
-	// its own pool of this depth. < 1 disables pooling (forks clone
-	// inline).
+	// Prefork is the per-application device-pool depth: how many
+	// post-deploy clones to make ready ahead of the first request.
+	// Sharded registrations apply it per shard — each device in the
+	// cluster gets its own pool of this depth. Served requests reuse
+	// their devices either way; < 1 turns off only the eager clones, the
+	// application's PoolStats rows and ErrPoolClosed after a drain.
 	Prefork int
 	// Coalesce shares one execution among identical in-flight requests.
 	Coalesce bool
@@ -390,8 +391,8 @@ func ResultOf(resp *Response) *RunResult {
 
 // Drain stops admission, waits for every in-flight request to complete,
 // and closes every application's prefork pools — every shard's, for
-// clustered applications. After Drain returns, no fork is buffered
-// anywhere, Do rejects with ErrDraining, and further registrations are
+// clustered applications. After Drain returns, no fork is ready or
+// parked anywhere, Do rejects with ErrDraining, and further registrations are
 // refused. Idempotent.
 func (s *Server) Drain() {
 	s.eng.Drain()

@@ -281,8 +281,7 @@ func BenchmarkServeHeavyMix(b *testing.B) {
 // closed-loop clients each send the nine-request mix through Server.Do to
 // a server of Concurrency GOMAXPROCS and Prefork 2. Beside the wall time
 // it reports the process CPU per op (cpu-ns/op) and the share of forks
-// the pool's buffer served (hit_pct): what the refiller buys once the
-// server is saturated.
+// taken from the ready list (hit_pct) once the server is saturated.
 func BenchmarkServeLightSaturated(b *testing.B) {
 	mix := []string{"jacobi-1d", "XOR Filter", "heat-3d"}
 	srv := conduit.NewServer(conduit.DefaultConfig(), conduit.ServeOptions{Concurrency: runtime.GOMAXPROCS(0), Prefork: 2})

@@ -180,9 +180,9 @@ func TestServeCoalescedMatchesSerial(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeDrainLeavesNoLeakedForks: draining the server stops every
-// pool's refiller and releases every fork it holds — the buffered ones and
-// the used devices parked for reuse; admission is closed.
+// TestServeDrainLeavesNoLeakedForks: draining the server closes every
+// pool and releases every fork it holds — the ready ones and the used
+// devices parked for reuse; admission is closed.
 func TestServeDrainLeavesNoLeakedForks(t *testing.T) {
 	cfg := conduit.DefaultConfig()
 	srv := conduit.NewServer(cfg, conduit.ServeOptions{Concurrency: 2, Prefork: 3})
@@ -200,8 +200,8 @@ func TestServeDrainLeavesNoLeakedForks(t *testing.T) {
 	if _, err := srv.Do(conduit.Request{Tenant: "t", Workload: "quickstart", Policy: "Conduit"}); !errors.Is(err, conduit.ErrDraining) {
 		t.Fatalf("Do after Drain: err=%v, want ErrDraining", err)
 	}
-	// Registration after Drain must refuse instead of leaking a fresh
-	// pool refiller.
+	// Registration after Drain must refuse instead of deploying and
+	// cloning a fresh pool.
 	if err := srv.Register("late", xorFilterSource(2*16384)); !errors.Is(err, conduit.ErrDraining) {
 		t.Fatalf("Register after Drain: err=%v, want ErrDraining", err)
 	}
@@ -211,10 +211,10 @@ func TestServeDrainLeavesNoLeakedForks(t *testing.T) {
 		t.Fatal("pool stats missing after drain")
 	}
 	if !ps.Closed {
-		t.Error("pool refiller still running after drain")
+		t.Error("pool still open after drain")
 	}
 	if ps.Idle != 0 {
-		t.Errorf("%d forks still buffered or parked after drain", ps.Idle)
+		t.Errorf("%d forks still ready or parked after drain", ps.Idle)
 	}
 	if n := srv.ParkedForks(); n != 0 {
 		t.Errorf("%d used devices still parked for reuse after drain", n)

@@ -29,7 +29,7 @@ func submit(srv *conduit.Server, req conduit.Request) (<-chan *conduit.Response,
 // either a served response or ErrDraining (never a leaked hang, panic,
 // or partial state), and afterwards every pool — the pooled deployment's
 // and every shard's of the sharded registration — must be closed with
-// zero forks held, buffered or parked for reuse (a request in flight when
+// zero forks held, ready or parked for reuse (a request in flight when
 // the drain began hands its device back to a closed deployment, which must
 // drop it), and self-consistent counters.
 func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
@@ -93,15 +93,15 @@ func TestServeDrainRaceLeavesConsistentPools(t *testing.T) {
 			t.Errorf("pool %q still open after drain", name)
 		}
 		if ps.Idle != 0 {
-			t.Errorf("pool %q: %d forks still buffered or parked after drain", name, ps.Idle)
+			t.Errorf("pool %q: %d forks still ready or parked after drain", name, ps.Idle)
 		}
 		if ps.Restored > ps.Preforked+ps.Misses {
 			t.Errorf("pool %q: %d forks restored out of %d made", name, ps.Restored, ps.Preforked+ps.Misses)
 		}
-		// Counter consistency: every buffer-served fork was produced by
-		// the refiller, and nothing the pool produced is unaccounted for
-		// beyond the clones Close legitimately discarded (preforked =
-		// hits + idle + discarded, idle = 0 here).
+		// Counter consistency: every fork taken from the ready list was
+		// made ready first, and nothing made ready is unaccounted for
+		// beyond the devices Close legitimately dropped (preforked =
+		// hits + idle + dropped, idle = 0 here).
 		if ps.Hits > ps.Preforked {
 			t.Errorf("pool %q: %d hits exceed %d preforked clones", name, ps.Hits, ps.Preforked)
 		}

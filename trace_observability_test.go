@@ -256,7 +256,7 @@ func TestMetricsSnapshotMatchesAccounting(t *testing.T) {
 		if got := byKey["conduit_pool_repairs_total|pool="+name].Value; got != float64(ps.Repairs) {
 			t.Errorf("pool %s: scrape says %v repairs, stats say %d", name, got, ps.Repairs)
 		}
-		// The refiller may restore one more fork between the scrape and the
+		// A settle may restore one more fork between the scrape and the
 		// stats read: the series exists and has not run ahead of the books.
 		restored, ok := byKey["conduit_pool_restored_total|pool="+name]
 		if got := restored.Value; !ok || got > float64(ps.Restored) || ps.Restored > ps.Preforked+ps.Misses {
