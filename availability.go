@@ -51,9 +51,9 @@ func availabilityConfigs() []struct {
 		// straggler), so hedges fire on degradation, not on the plan.
 		{"none", RecoveryOptions{MaxAttempts: 1}},
 		{"retry", RecoveryOptions{MaxAttempts: 3}},
-		{"retry+hedge", RecoveryOptions{MaxAttempts: 3, Hedge: true, HedgeThreshold: 8}},
+		{"retry+hedge", RecoveryOptions{MaxAttempts: 3, HedgeThreshold: 8}},
 		{"retry+hedge+breaker", RecoveryOptions{
-			MaxAttempts: 3, Hedge: true, HedgeThreshold: 8,
+			MaxAttempts: 3, HedgeThreshold: 8,
 			BreakerThreshold: 4, FallbackPolicy: "CPU",
 		}},
 	}

@@ -176,7 +176,7 @@ func (cl *Cluster) Run(policy string) (*RunResult, error) {
 		return nil, errUnknownPolicy(policy)
 	}
 	return cl.runShards(func(i int, dep *Deployment) (*RunResult, error) {
-		return dep.run(p)
+		return dep.runParked(p)
 	})
 }
 
@@ -192,7 +192,7 @@ func (cl *Cluster) RunSerial(policy string) (*RunResult, error) {
 	}
 	parts := make([]*RunResult, len(cl.deps))
 	for i, dep := range cl.deps {
-		r, err := guardShardRun(i, func() (*RunResult, error) { return dep.run(p) })
+		r, err := guardShardRun(i, func() (*RunResult, error) { return dep.runParked(p) })
 		if err != nil {
 			return nil, fmt.Errorf("conduit: shard %d/%d: %w", i, len(cl.deps), err)
 		}
@@ -219,14 +219,14 @@ func (cl *Cluster) RunSerial(policy string) (*RunResult, error) {
 //     merge an exact identity.
 //
 // The merged result carries no Device: there is no single drive to
-// expose, so each part's device is recycled by its shard's deployment.
+// expose, and each part's device was parked by its shard's deployment
+// (runParked). The parts may be shared, so merge only reads them.
 func (cl *Cluster) merge(parts []*RunResult) *RunResult {
 	merged := &RunResult{Policy: parts[0].Policy}
 	compute := make([]float64, len(parts))
 	movement := make([]float64, len(parts))
 	reservoirs := make([]*Reservoir, len(parts))
 	for i, r := range parts {
-		cl.deps[i].recycle(r)
 		if r.Elapsed > merged.Elapsed {
 			merged.Elapsed = r.Elapsed
 		}

@@ -109,10 +109,13 @@ func main() {
 	if tr := o.Tracing(time.Now); tr != nil {
 		tracer = trace.New(*tr)
 	}
+	hedgeAfter := o.HedgeAfter // -hedge arms the routed hedge; -hedgeafter is its patience
+	if !o.Hedge {
+		hedgeAfter = 0
+	}
 	rt, err := router.New(clients, router.Options{
 		Retries:          o.Retries,
-		Hedge:            o.Hedge,
-		HedgeAfter:       o.HedgeAfter,
+		HedgeAfter:       hedgeAfter,
 		BreakerThreshold: o.Breaker,
 		BreakerCooldown:  o.Cooldown,
 		Clock:            router.Clock{Now: time.Now, After: time.After},

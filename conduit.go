@@ -109,7 +109,6 @@ import (
 	"conduit/internal/isa"
 	"conduit/internal/nvme"
 	"conduit/internal/offload"
-	"conduit/internal/serve"
 	"conduit/internal/sim"
 	"conduit/internal/ssd"
 	"conduit/internal/stats"
@@ -454,7 +453,7 @@ func (r *RunResult) withElapsed(e Time) *RunResult {
 // concurrently; results are byte-identical to deploying freshly per run.
 //
 // A fork whose device nobody keeps (a served request's, a cluster shard's,
-// a sweep cell's) is parked after its run (recycle) and the next fork
+// a sweep cell's) is parked after its run (runParked) and the next fork
 // restores it in place from the master instead of cloning (fork). Run
 // and Fork hand the device to the caller, who may keep it, so theirs is
 // never reused.
@@ -471,7 +470,7 @@ type Deployment struct {
 
 	// shared maps each result the master's records published
 	// (*ssd.Result) to the one RunResult, with no Device, that every
-	// served run reproducing it returns (runAttempt).
+	// parked run reproducing it returns (runParked).
 	shared sync.Map
 }
 
@@ -603,29 +602,14 @@ func (d *Deployment) settle() {
 	}
 }
 
-// recycle takes r's device off it and parks it for the next fork. Only
-// code that drops the device of a run that returned a result calls it (a
-// served result, a merged cluster part, a memoized sweep cell): a run that
-// failed or panicked has no result, and a poisoned fork is discarded. A
-// result without a device (a host run's, a shared one) is left unwritten.
-func (d *Deployment) recycle(r *RunResult) {
-	if dev := r.Device; dev != nil {
-		r.Device = nil
-		d.parkDevice(dev)
-	}
-}
-
-// parkDevice lists dev for the next fork. At most the pool's depth plus
-// GOMAXPROCS devices are parked or ready — one per ready slot and per
-// running request — and none after Close.
+// parkDevice lists dev for the next fork, unless Close was called. It
+// needs no cap: fork clones only when nothing is ready or parked, and
+// restock only up to the pool's depth, so the lists never hold more than
+// the pool's depth plus the most devices out or being forked at once.
 func (d *Deployment) parkDevice(dev *ssd.Device) {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
-	keep := serve.DefaultConcurrency()
-	if d.pool != nil {
-		keep += d.pool.depth
-	}
-	if !d.closed && len(d.used)+len(d.ready) < keep {
+	if !d.closed {
 		d.used = append(d.used, dev)
 	}
 }
@@ -653,9 +637,8 @@ func (d *Deployment) run(p *policyEntry) (*RunResult, error) { return d.sys.runO
 //
 // Served results never expose the executed drive (a coalesced response
 // is shared between requests, and an ssd.Device is single-goroutine), so
-// the device is parked for the next fork, and a run that reproduces the
-// result its policy's record published returns the one RunResult d keeps
-// for that result: such a request allocates no result.
+// it runs through runParked, and a request that reproduces a published
+// result allocates no result.
 func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", p.name)
@@ -668,7 +651,11 @@ func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*Ru
 	return r, nil
 }
 
-// runParked is runAttempt's run.
+// runParked runs p on a fork and parks the device for the next fork: the
+// run of every caller that drops the device (a served request, a cluster
+// shard, a sweep cell). A run that reproduces the result its policy's
+// record published returns the one RunResult d keeps for that result, so
+// the result carries no Device and may be shared: read it, never write it.
 func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
 	if p.run != onDevice && p.run != asIdeal {
 		return d.run(p) // a host run: no drive to park

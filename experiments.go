@@ -117,9 +117,7 @@ func (e *Experiments) Run(workload, policy string) (*RunResult, error) {
 		} else {
 			var dep *Deployment
 			if dep, err = e.deployment(workload); err == nil {
-				if r, err = dep.run(p); err == nil {
-					dep.recycle(r)
-				}
+				r, err = dep.runParked(p)
 			}
 		}
 		if err != nil {
@@ -320,11 +318,10 @@ func (e *Experiments) Fig4() (*Table, error) {
 		}
 		var base float64
 		for i, model := range models {
-			r, err := dep.Run(model)
+			r, err := dep.runParked(lookupPolicy(model))
 			if err != nil {
 				return nil, err
 			}
-			dep.recycle(r)
 			if i == 0 {
 				base = float64(r.Elapsed)
 			}

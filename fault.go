@@ -81,13 +81,11 @@ type RecoveryOptions struct {
 	// MaxAttempts bounds tries per shard sub-run (and per dispatch);
 	// < 1 selects 1 — no retries.
 	MaxAttempts int
-	// Hedge enables duplicate dispatch against the slowest shard of a
-	// cluster scatter when it straggles past HedgeThreshold times the
-	// fastest shard; the faster of primary and hedge wins (ties keep
-	// the primary, so hedging never perturbs a fault-free run).
-	Hedge bool
-	// HedgeThreshold is the straggler multiple that triggers a hedge;
-	// <= 1 selects 2.
+	// HedgeThreshold, when above 1, arms hedging: a duplicate dispatch
+	// against the slowest shard of a cluster scatter when it straggles
+	// past HedgeThreshold times the fastest shard. The faster of primary
+	// and hedge wins (ties keep the primary, so hedging never perturbs a
+	// fault-free run). At or below 1 nothing is hedged.
 	HedgeThreshold float64
 	// BreakerThreshold trips a shard's circuit breaker after that many
 	// consecutive failures; 0 disables breakers.
@@ -104,13 +102,6 @@ func (o RecoveryOptions) maxAttempts() int {
 		return 1
 	}
 	return o.MaxAttempts
-}
-
-func (o RecoveryOptions) hedgeThreshold() float64 {
-	if o.HedgeThreshold <= 1 {
-		return 2
-	}
-	return o.HedgeThreshold
 }
 
 // The simulated backoff before a retry starts at backoffBase and doubles
@@ -229,12 +220,12 @@ func (r *resilient) runCluster(cl *Cluster, p *policyEntry, rec *serve.Recovery,
 	if err != nil {
 		return nil, err
 	}
-	if r.rec.Hedge && len(cl.deps) >= 2 {
+	if r.rec.HedgeThreshold > 1 && len(cl.deps) >= 2 {
 		elapsed := make([]Time, len(parts))
 		for i, p := range parts {
 			elapsed[i] = p.Elapsed
 		}
-		if s := cluster.HedgePick(elapsed, r.rec.hedgeThreshold()); s >= 0 {
+		if s := cluster.HedgePick(elapsed, r.rec.HedgeThreshold); s >= 0 {
 			rec.Hedges++
 			sp.Event("hedge", int64(parts[s].Elapsed),
 				trace.Attr{Key: "shard", Value: strconv.Itoa(s)})

@@ -116,7 +116,6 @@ func TestZeroRateResilientMatchesPlainRun(t *testing.T) {
 	// zero faults means zero recovery activity of any kind.
 	res := newResilient("aes", cl, inj, RecoveryOptions{
 		MaxAttempts:      3,
-		Hedge:            true,
 		HedgeThreshold:   8,
 		BreakerThreshold: 4,
 		FallbackPolicy:   "CPU",
@@ -146,12 +145,12 @@ func TestZeroRateResilientMatchesPlainRun(t *testing.T) {
 		t.Errorf("Attempts = %d, want exactly one per shard (%d)", rec.Attempts, cl.Shards())
 	}
 
-	// With the default threshold (2), aes's plan skew does trigger a
+	// With a threshold of 2, aes's plan skew does trigger a
 	// hedge even fault-free — and the first-wins tie rule must keep the
 	// primary, so the merged result is still byte-identical; only the
 	// accounting shows the duplicate dispatch.
 	eager := newResilient("aes", cl, faultinject.New(faultinject.Config{Seed: 22}),
-		RecoveryOptions{MaxAttempts: 3, Hedge: true})
+		RecoveryOptions{MaxAttempts: 3, HedgeThreshold: 2})
 	got2, rec2, err := eager.run(lookupPolicy("Conduit"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func FuzzFaultReplay(f *testing.F) {
 		}
 		for _, app := range apps {
 			r := newResilient("jacobi-1d", app, faultinject.NewReplay(faults), RecoveryOptions{
-				MaxAttempts: 3, Hedge: true, BreakerThreshold: 2, FallbackPolicy: "CPU"})
+				MaxAttempts: 3, HedgeThreshold: 2, BreakerThreshold: 2, FallbackPolicy: "CPU"})
 			for i := 0; i < 3; i++ {
 				if res, _, err := r.run(lookupPolicy("Conduit"), nil); err == nil && res.Elapsed < 0 {
 					t.Fatalf("request %d served with Elapsed %v", i, res.Elapsed)

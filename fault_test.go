@@ -33,7 +33,6 @@ func chaosServeOptions(rate float64, seed uint64) conduit.ServeOptions {
 		Faults:      &cfg,
 		Recovery: conduit.RecoveryOptions{
 			MaxAttempts:      3,
-			Hedge:            true,
 			HedgeThreshold:   8,
 			BreakerThreshold: 4,
 			FallbackPolicy:   "CPU",

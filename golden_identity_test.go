@@ -169,7 +169,7 @@ func TestZeroFaultServingByteIdenticalToReference(t *testing.T) {
 		Faults:      &faults,
 		Recovery: conduit.RecoveryOptions{
 			MaxAttempts:      3,
-			Hedge:            true,
+			HedgeThreshold:   2,
 			BreakerThreshold: 4,
 			FallbackPolicy:   "CPU",
 		},

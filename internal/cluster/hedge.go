@@ -16,9 +16,6 @@ func HedgePick(elapsed []sim.Time, threshold float64) int {
 	if len(elapsed) < 2 {
 		return -1
 	}
-	if threshold <= 1 {
-		threshold = 2
-	}
 	slowest, fastest := 0, 0
 	for i, e := range elapsed {
 		if e > elapsed[slowest] {

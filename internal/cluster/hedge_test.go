@@ -19,7 +19,6 @@ func TestHedgePick(t *testing.T) {
 		{"tie breaks low", []sim.Time{400, 100, 400}, 2, 0},
 		{"single shard", []sim.Time{100}, 2, -1},
 		{"empty", nil, 2, -1},
-		{"default threshold", []sim.Time{100, 250}, 0, 1},
 	}
 	for _, c := range cases {
 		if got := HedgePick(c.elapsed, c.threshold); got != c.want {

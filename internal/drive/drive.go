@@ -207,10 +207,14 @@ func (f *Flags) ServeOptions() (conduit.ServeOptions, error) {
 	}
 	opts.Recovery = conduit.RecoveryOptions{
 		MaxAttempts:      f.Retries,
-		Hedge:            f.Hedge,
-		HedgeThreshold:   f.HedgeThreshold,
 		BreakerThreshold: f.Breaker,
 		FallbackPolicy:   f.Fallback,
+	}
+	if f.Hedge { // -hedge arms the shard hedge; a -hedgethreshold at or below 1 means 2
+		opts.Recovery.HedgeThreshold = f.HedgeThreshold
+		if f.HedgeThreshold <= 1 {
+			opts.Recovery.HedgeThreshold = 2
+		}
 	}
 	if f.FaultReplay != "" {
 		log, err := conduit.ReadFaultLog(f.FaultReplay)

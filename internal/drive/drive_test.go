@@ -101,16 +101,30 @@ func TestServeOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if opts.Prefork != 3 || !opts.Coalesce || opts.Faults != nil || opts.ReplayFaults != nil ||
-		opts.Recovery.MaxAttempts != 0 || opts.Recovery.Hedge {
+		opts.Recovery.MaxAttempts != 0 || opts.Recovery.HedgeThreshold != 0 {
 		t.Errorf("fault-free options = %+v; recovery flags must wait for chaos", opts)
 	}
-	opts, err = parse(t, Serve, "-faults", "0.1", "-faultseed", "7", "-breaker", "4", "-fallback", "CPU").ServeOptions()
+	opts, err = parse(t, Serve, "-faults", "0.1", "-faultseed", "7", "-breaker", "4", "-fallback", "CPU", "-hedge").ServeOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.Faults == nil || opts.Faults.Seed != 7 || opts.Recovery.MaxAttempts != 3 ||
 		opts.Recovery.HedgeThreshold != 8 || opts.Recovery.BreakerThreshold != 4 || opts.Recovery.FallbackPolicy != "CPU" {
 		t.Errorf("chaos options = %+v (faults %+v)", opts, opts.Faults)
+	}
+	// The threshold arms the shard hedge: none without -hedge, and 2 for a
+	// -hedgethreshold at or below 1.
+	for _, c := range []struct {
+		args []string
+		want float64
+	}{
+		{[]string{"-faults", "0.1"}, 0},
+		{[]string{"-faults", "0.1", "-hedge", "-hedgethreshold", "3"}, 3},
+		{[]string{"-faults", "0.1", "-hedge", "-hedgethreshold", "1"}, 2},
+	} {
+		if opts, err := parse(t, Serve, c.args...).ServeOptions(); err != nil || opts.Recovery.HedgeThreshold != c.want {
+			t.Errorf("%q: HedgeThreshold = %v, %v; want %v", c.args, opts.Recovery.HedgeThreshold, err, c.want)
+		}
 	}
 	if _, err := parse(t, Serve, "-faults", "0.1", "-fallback", "no-such").ServeOptions(); err == nil {
 		t.Error("ServeOptions accepted an unknown -fallback policy")

@@ -33,11 +33,10 @@ type Options struct {
 	// preference order (home, then successors, wrapping). < 1 means one
 	// attempt: pure home placement, no failover.
 	Retries int
-	// Hedge duplicates a straggling request to the next target in the
-	// preference order after HedgeAfter; the first response wins.
-	// Requires Clock.After.
-	Hedge bool
-	// HedgeAfter is the straggler patience; <= 0 disables hedging.
+	// HedgeAfter, when positive and Clock.After is set, arms hedging: a
+	// request still unanswered after HedgeAfter is duplicated to the next
+	// target in the preference order, and the first response wins. <= 0
+	// disables hedging.
 	HedgeAfter time.Duration
 	// BreakerThreshold opens a target's circuit breaker after this many
 	// consecutive failures (0 disables breakers).
@@ -267,7 +266,7 @@ func (r *Router) attempt(c *Client, req wire.Request, order []int, attempt int, 
 		sp.End(0)
 		return wire.Response{}, c, err
 	}
-	hedging := r.opts.Hedge && r.opts.HedgeAfter > 0 && r.opts.Clock.After != nil && len(order) > 1
+	hedging := r.opts.HedgeAfter > 0 && r.opts.Clock.After != nil && len(order) > 1
 	if !hedging {
 		resp, err := r.resolve(c, sp, ch)
 		return resp, c, err

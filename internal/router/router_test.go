@@ -79,7 +79,7 @@ func TestRouterHedge(t *testing.T) {
 	fire := make(chan time.Time)
 	tracer := trace.New(trace.Options{SampleEvery: 1})
 	r, err := New([]*Client{c0, c1}, Options{
-		Retries: 1, Hedge: true, HedgeAfter: time.Millisecond, Tracer: tracer,
+		Retries: 1, HedgeAfter: time.Millisecond, Tracer: tracer,
 		Clock: Clock{After: func(time.Duration) <-chan time.Time { return fire }},
 	})
 	if err != nil {

@@ -256,16 +256,12 @@ func newTenantAccount() *tenantAccount {
 	return &tenantAccount{wall: histo.New()}
 }
 
-// DefaultConcurrency is how many requests an engine runs at once unless
-// told otherwise: GOMAXPROCS. The device free list (conduit.Deployment)
-// sizes itself by it too: that many forks can be out at once.
-func DefaultConcurrency() int { return runtime.GOMAXPROCS(0) }
-
-// NewEngine starts an engine with cfg.Concurrency workers draining the
-// admission queue. Callers must Drain it when done.
+// NewEngine starts an engine with cfg.Concurrency workers (< 1 selects
+// GOMAXPROCS) draining the admission queue. Callers must Drain it when
+// done.
 func NewEngine(r Runner, cfg Config) *Engine {
 	if cfg.Concurrency < 1 {
-		cfg.Concurrency = DefaultConcurrency()
+		cfg.Concurrency = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 4 * cfg.Concurrency

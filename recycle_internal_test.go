@@ -49,7 +49,7 @@ func (s *Server) ParkedForks() int {
 // park hands d a fork as a caller that drops its device would.
 func (d *Deployment) park() *ssd.Device {
 	dev := d.master.Clone()
-	d.recycle(&RunResult{Device: dev})
+	d.parkDevice(dev)
 	return dev
 }
 
@@ -221,18 +221,13 @@ func TestPoisonedForkIsDropped(t *testing.T) {
 // TestCloseEndsRecycling: Close — of a pooled or a pool-less deployment —
 // drops every ready and parked device, and every device that comes back
 // later is dropped, also under a pool attached after the Close; replacing
-// a live pool drops them too but recycling goes on. The lists never grow
-// past the pool's depth plus GOMAXPROCS.
+// a live pool drops them too but recycling goes on.
 func TestCloseEndsRecycling(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
 	dep := deployWorkload(t, sys, "jacobi-1d", 1)
 	pool := dep.Prefork(2)
-	bound := 2 + runtime.GOMAXPROCS(0)
-	for i := 0; i < bound+3; i++ {
+	for i := 0; i < 3; i++ {
 		dep.park()
-	}
-	if n := dep.parked(); n != bound {
-		t.Errorf("%d devices ready or parked, want the bound %d (depth 2 + GOMAXPROCS)", n, bound)
 	}
 	stale := dep.held()
 	dep.Close()
@@ -255,11 +250,8 @@ func TestCloseEndsRecycling(t *testing.T) {
 
 	// Pool-less: Close is the only lifecycle event there is.
 	dep = deployWorkload(t, sys, "jacobi-1d", 1)
-	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+	for i := 0; i < 3; i++ {
 		dep.park()
-	}
-	if n := dep.parked(); n != runtime.GOMAXPROCS(0) {
-		t.Errorf("pool-less: %d devices parked, want the bound GOMAXPROCS = %d", n, runtime.GOMAXPROCS(0))
 	}
 	dep.Close()
 	dep.park()
@@ -284,7 +276,7 @@ func TestCloseEndsRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep.recycle(res)
+	dep.parkDevice(res.Device)
 	if n := dep.parked(); n != 2 {
 		t.Fatalf("replaced pool: %d devices ready or parked, want 2: recycling goes on", n)
 	}
@@ -299,6 +291,67 @@ func TestCloseEndsRecycling(t *testing.T) {
 	if st := next.Stats(); st.Restored != before.Restored+1 || st.Preforked != before.Preforked+2 {
 		t.Errorf("Restored %d -> %d, Preforked %d -> %d; want one more restored and two more preforked",
 			before.Restored, st.Restored, before.Preforked, st.Preforked)
+	}
+}
+
+// TestParkedForksAreReforked: every device parked after a wave of forks
+// is kept for the next wave, however wide the wave, so a second wave as
+// wide as the first clones nothing. A server whose Concurrency exceeds
+// GOMAXPROCS plus its Prefork depth forks such waves in steady serving.
+func TestParkedForksAreReforked(t *testing.T) {
+	const depth = 2
+	dep := deployWorkload(t, NewSystem(DefaultConfig()), "jacobi-1d", 1)
+	dep.Prefork(depth)
+	defer dep.Close()
+	wave := runtime.GOMAXPROCS(0) + depth + 2
+	forkWave := func() []*ssd.Device {
+		devs := make([]*ssd.Device, wave)
+		for i := range devs {
+			dev, err := dep.fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs[i] = dev
+		}
+		return devs
+	}
+	first := forkWave()
+	for _, dev := range first {
+		dep.parkDevice(dev)
+	}
+	for i, dev := range forkWave() {
+		if !slices.Contains(first, dev) {
+			t.Errorf("fork %d of the second wave of %d is a clone", i, wave)
+		}
+	}
+}
+
+// TestPoolIdleBoundedByBurst: with no cap on parking, the devices a
+// deployment holds are bounded by its traffic. After bursts of n
+// concurrent served runs (fork, run, park, settle) it holds at most
+// n + depth.
+func TestPoolIdleBoundedByBurst(t *testing.T) {
+	const depth, n = 2, 6
+	dep := deployWorkload(t, NewSystem(DefaultConfig()), "jacobi-1d", 1)
+	pool := dep.Prefork(depth)
+	defer dep.Close()
+	p := lookupPolicy("Conduit")
+	for burst := 0; burst < 3; burst++ {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := dep.runParked(p); err != nil {
+					t.Error(err)
+				}
+				dep.settle()
+			}()
+		}
+		wg.Wait()
+		if idle := pool.Stats().Idle; idle > n+depth {
+			t.Errorf("burst %d: Idle = %d after %d concurrent runs, want at most %d + depth %d", burst, idle, n, n, depth)
+		}
 	}
 }
 

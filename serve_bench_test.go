@@ -143,7 +143,6 @@ func BenchmarkServeFaultFree(b *testing.B) {
 		Faults: &faults,
 		Recovery: conduit.RecoveryOptions{
 			MaxAttempts:      3,
-			Hedge:            true,
 			HedgeThreshold:   8,
 			BreakerThreshold: 4,
 			FallbackPolicy:   "CPU",

@@ -45,7 +45,7 @@ func newTraceServer(t *testing.T, topts *conduit.TraceOptions) *conduit.Server {
 		Faults:      &faults,
 		Recovery: conduit.RecoveryOptions{
 			MaxAttempts:      3,
-			Hedge:            true,
+			HedgeThreshold:   2,
 			BreakerThreshold: 4,
 			FallbackPolicy:   "CPU",
 		},
