@@ -219,8 +219,9 @@ func (cl *Cluster) RunSerial(policy string) (*RunResult, error) {
 //     merge an exact identity.
 //
 // The merged result carries no Device: there is no single drive to
-// expose, and each part's device was parked by its shard's deployment
-// (runParked). The parts may be shared, so merge only reads them.
+// expose, and each part's device was parked by its shard's deployment.
+// A served request's parts may be shared (runShared), so merge only reads
+// them.
 func (cl *Cluster) merge(parts []*RunResult) *RunResult {
 	merged := &RunResult{Policy: parts[0].Policy}
 	compute := make([]float64, len(parts))

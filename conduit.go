@@ -13,10 +13,8 @@
 //     any of the paper's baselines — returning timing, energy, and
 //     per-instruction offloading decisions.
 //
-// A minimal end-to-end use:
-//
-//	sys := conduit.NewSystem(conduit.DefaultConfig())
-//	res, err := sys.Run(src, "Conduit")
+// Example (example_test.go) is a minimal end-to-end use, compiled and run
+// by go test: Compile, NewSystem, RunCompiled.
 //
 // The experiments in cmd/experiments and bench_test.go regenerate every
 // table and figure of the paper's evaluation through this API.
@@ -453,7 +451,7 @@ func (r *RunResult) withElapsed(e Time) *RunResult {
 // concurrently; results are byte-identical to deploying freshly per run.
 //
 // A fork whose device nobody keeps (a served request's, a cluster shard's,
-// a sweep cell's) is parked after its run (runParked) and the next fork
+// a sweep cell's) is parked after its run (forkRun) and the next fork
 // restores it in place from the master instead of cloning (fork). Run
 // and Fork hand the device to the caller, who may keep it, so theirs is
 // never reused.
@@ -470,7 +468,7 @@ type Deployment struct {
 
 	// shared maps each result the master's records published
 	// (*ssd.Result) to the one RunResult, with no Device, that every
-	// parked run reproducing it returns (runParked).
+	// served run reproducing it returns (runShared).
 	shared sync.Map
 }
 
@@ -634,15 +632,10 @@ func (d *Deployment) run(p *policyEntry) (*RunResult, error) { return d.sys.runO
 // run's elapsed simulated time. The recovery ladder may run d more than
 // once under one span (retries, fallback): key tells the sibling spans
 // apart. A nil sp records nothing.
-//
-// Served results never expose the executed drive (a coalesced response
-// is shared between requests, and an ssd.Device is single-goroutine), so
-// it runs through runParked, and a request that reproduces a published
-// result allocates no result.
 func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*RunResult, error) {
 	child := sp.Child("device.run", key, 0)
 	child.SetAttr("policy", p.name)
-	r, err := d.runParked(p)
+	r, err := d.runShared(p)
 	if err != nil {
 		child.End(0)
 		return nil, err
@@ -651,24 +644,20 @@ func (d *Deployment) runAttempt(p *policyEntry, sp *trace.Span, key string) (*Ru
 	return r, nil
 }
 
-// runParked runs p on a fork and parks the device for the next fork: the
-// run of every caller that drops the device (a served request, a cluster
-// shard, a sweep cell). A run that reproduces the result its policy's
-// record published returns the one RunResult d keeps for that result, so
-// the result carries no Device and may be shared: read it, never write it.
-func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
+// runShared is a served request's run. Served results never expose the
+// executed drive (a coalesced response is shared between requests, and an
+// ssd.Device is single-goroutine), so the device is parked, and a run that
+// reproduces the result its policy's record published returns the one
+// RunResult d keeps for that result: the next request reads it again, and
+// allocates no result. It is shared, so read it, never write it.
+func (d *Deployment) runShared(p *policyEntry) (*RunResult, error) {
 	if p.run != onDevice && p.run != asIdeal {
 		return d.run(p) // a host run: no drive to park
 	}
-	dev, err := d.fork()
+	res, err := d.forkRun(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runDevice(dev, p)
-	if err != nil {
-		return nil, err
-	}
-	d.parkDevice(dev)
 	if v, ok := d.shared.Load(res); ok {
 		return v.(*RunResult), nil
 	}
@@ -679,6 +668,35 @@ func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
 		r = v.(*RunResult)
 	}
 	return r, nil
+}
+
+// runParked is the run of a caller that drops the device but keeps its
+// own result (a cluster shard, a sweep cell): the device is parked, and
+// the result, with no Device, is the caller's.
+func (d *Deployment) runParked(p *policyEntry) (*RunResult, error) {
+	if p.run != onDevice && p.run != asIdeal {
+		return d.run(p) // a host run: no drive to park
+	}
+	res, err := d.forkRun(p)
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(p, res, nil), nil
+}
+
+// forkRun runs device policy p on a fork and parks the device for the
+// next fork.
+func (d *Deployment) forkRun(p *policyEntry) (*ssd.Result, error) {
+	dev, err := d.fork()
+	if err != nil {
+		return nil, err
+	}
+	res, err := runDevice(dev, p)
+	if err != nil {
+		return nil, err
+	}
+	d.parkDevice(dev)
+	return res, nil
 }
 
 // deploy installs the program on a clone of the System's blank drive. A

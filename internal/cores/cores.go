@@ -10,46 +10,20 @@ import (
 	"conduit/internal/sim"
 )
 
-// cyclesPerBeat is the per-32-byte-beat cycle cost of each IR operation on
-// the MVE pipeline, calibrated to embedded ARM instruction timings:
-// single-cycle logic/add, dual-issue-blocking multiply, long-latency
-// divide.
-func cyclesPerBeat(op isa.Op) int64 {
-	switch op {
-	case isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpNot, isa.OpNand, isa.OpNor,
-		isa.OpShl, isa.OpShr, isa.OpCopy, isa.OpBroadcast:
-		return 1
-	case isa.OpAdd, isa.OpSub, isa.OpLT, isa.OpGT, isa.OpEQ,
-		isa.OpMin, isa.OpMax:
-		return 1
-	case isa.OpSelect:
-		return 2
-	case isa.OpMul:
-		return 2
-	case isa.OpDiv:
-		return 12
-	case isa.OpReduceAdd:
-		return 1 // pairwise-accumulating VADDV
-	case isa.OpShuffle:
-		return 2 // VLDR with gather pattern
-	default:
-		panic(fmt.Sprintf("cores: no beat cost for %v", op))
-	}
-}
-
 // loopOverheadCycles is the per-vector-instruction loop and address
 // bookkeeping on the scalar pipeline.
 const loopOverheadCycles = 16
 
 // Cycles reports the core cycles a full vector instruction takes:
-// ceil(bytes/MVE width) beats times the per-beat cost, plus loop overhead.
+// ceil(bytes/MVE width) beats times the operation's per-beat cost
+// (isa.Op.BeatCycles), plus loop overhead.
 func Cycles(cfg *config.SSD, op isa.Op, lanes, elem int) int64 {
 	if op == isa.OpScalar {
 		panic("cores: Cycles of scalar region; use the instruction's ScalarCycles")
 	}
 	bytes := int64(lanes * elem)
 	beats := (bytes + int64(cfg.MVEWidthBytes) - 1) / int64(cfg.MVEWidthBytes)
-	return beats*cyclesPerBeat(op) + loopOverheadCycles
+	return beats*op.BeatCycles() + loopOverheadCycles
 }
 
 // UnvectorizedCycles is the lane-serial cycle cost of running a vector

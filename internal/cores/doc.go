@@ -9,9 +9,9 @@
 // datapath width: a 16 KiB page takes 512 MVE beats, so page-sized vector
 // work is orders of magnitude less parallel than PuD or IFP.
 //
-// What this package owns is the cost — cyclesPerBeat per operation, and
-// InstCycles for a whole instruction (vectorized, lane-serial, or a control
-// region) — and one execute body, Core.Exec, which charges it and computes
-// the result through isa.Apply. ExecScalar runs control regions, which have
-// no result.
+// What this package owns is the cost of a whole instruction — InstCycles,
+// vectorized (beats times the operation table's per-beat cost,
+// isa.Op.BeatCycles), lane-serial, or a control region — and one execute
+// body, Core.Exec, which charges it and computes the result through
+// isa.Apply. ExecScalar runs control regions, which have no result.
 package cores

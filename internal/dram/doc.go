@@ -9,9 +9,10 @@
 // results. Bit-transposition of operands (required by bit-serial
 // execution) is folded into the flash->DRAM DMA path, following Proteus.
 //
-// The module speaks the IR directly: Rounds and Exec take an isa.Op, which
-// operations PuD-SSD runs is the operation table's PuD column
-// (isa.Supports), operand shapes follow isa.Op.Sources, and results come
-// from isa.Apply. What this package owns is the cost: Rounds, the bbop
-// count per operation and element width.
+// The module speaks the IR directly: Rounds and Exec take an isa.Op, the
+// bbop count per operation and element width is the operation table's
+// PuD-SSD column (isa.Op.PuDRounds, whose non-zero entries are the
+// operations PuD-SSD runs), operand shapes follow isa.Op.Sources, and
+// results come from isa.Apply. What this package owns is the execution:
+// the slots, the compute units and the bus they are charged on.
 package dram

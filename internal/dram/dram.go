@@ -13,41 +13,17 @@ import (
 )
 
 // Rounds reports how many bbop rounds (row-activation triples) one
-// operation needs on elem-byte lanes, for every operation PuD-SSD supports
-// (§4.3.2: 16 compute operations — arithmetic, predication, relational —
-// plus in-array data movement). These constants follow the published
-// SIMDRAM/MIMDRAM cost structure: constant for bulk bitwise operations,
-// linear in bit width for addition/comparison, quadratic for
-// multiplication. Rounds x cfg.TBbop is the contention-free latency of the
-// operation: the PuD entry of the offloader's precomputed
-// computation-latency table (§4.5).
+// operation needs on elem-byte lanes: the operation table's PuD-SSD cost
+// column (isa.Op.PuDRounds). Rounds x cfg.TBbop is the contention-free
+// latency of the operation: the PuD entry of the offloader's precomputed
+// computation-latency table (§4.5). It panics when PuD-SSD lacks o.
 func Rounds(o isa.Op, elem int) int {
 	vecmath.CheckElem(elem)
-	bits := elem * 8
-	switch o {
-	case isa.OpCopy, isa.OpBroadcast, isa.OpNot: // RowClone / row inversion
-		return 2
-	case isa.OpShuffle: // lane rotation: LISA-style shifted inter-subarray copies
-		return 4
-	case isa.OpShl, isa.OpShr: // bit-serial layout: a row rename plus a clearing copy (Proteus)
-		return 2
-	case isa.OpAnd, isa.OpOr, isa.OpNand, isa.OpNor: // one TRA plus operand/result copies
-		return 4
-	case isa.OpXor: // two TRAs plus copies
-		return 6
-	case isa.OpSelect: // mask AND/ANDN/OR composition
-		return 10
-	case isa.OpAdd, isa.OpSub: // bit-serial full adder chain
-		return 4*bits + 1
-	case isa.OpLT, isa.OpGT, isa.OpEQ: // bit-serial compare
-		return 2*bits + 4
-	case isa.OpMin, isa.OpMax: // compare then select
-		return 3*bits + 8
-	case isa.OpMul: // shift-and-add partial products
-		return 2*bits*bits + 3*bits
-	default:
+	r := o.PuDRounds(elem * 8)
+	if r == 0 {
 		panic(fmt.Sprintf("dram: no bbop sequence for %v", o))
 	}
+	return r
 }
 
 // Module is the functional + timed PuD-SSD substrate. With cfg.TimingOnly

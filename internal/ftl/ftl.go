@@ -205,10 +205,7 @@ func (f *FTL) Read(now, ready sim.Time, lpn LPN) ([]byte, sim.Time, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	data, done, err := f.arr.ReadChecked(now, maxTime(ready, now+lookupLat), f.geo.AddrOf(page))
-	if err != nil {
-		return nil, 0, fmt.Errorf("ftl: LPN %d: %w", lpn, err)
-	}
+	data, done := f.arr.Read(now, maxTime(ready, now+lookupLat), f.geo.AddrOf(page))
 	return data, done, nil
 }
 

@@ -75,7 +75,9 @@ func (m *Model) computeTime(inst *isa.Inst) sim.Time {
 		}
 		return t
 	}
-	beat := beatCost(inst.Op)
+	// The ISP cores' per-beat costs, so op-mix effects carry through to
+	// the host models.
+	beat := float64(inst.Op.BeatCycles())
 	switch m.kind {
 	case CPU:
 		bytes := float64(inst.VectorBytes())
@@ -85,21 +87,6 @@ func (m *Model) computeTime(inst *isa.Inst) sim.Time {
 		lanes := float64(inst.Lanes)
 		perSec := float64(h.GPUSMs*h.GPULanesPerSM) * h.GPUClockHz
 		return sim.Time(lanes*beat/perSec*1e9) + kernelLaunchOverhead/16
-	}
-}
-
-// beatCost mirrors the relative instruction costs of the device substrates
-// so op-mix effects carry through to the host models.
-func beatCost(op isa.Op) float64 {
-	switch op {
-	case isa.OpMul:
-		return 2
-	case isa.OpDiv:
-		return 12
-	case isa.OpSelect, isa.OpShuffle:
-		return 2
-	default:
-		return 1
 	}
 }
 

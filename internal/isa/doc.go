@@ -8,11 +8,11 @@
 //
 // Every operation is described once, as a row of the operation table in
 // optable.go: name, class, latency band, arity, whether an immediate
-// replaces the last source, commutativity, PuD capability, in-flash
-// mechanism, and vecmath kernel. Class, Band, Arity, Sources, Supports,
-// Native and the TranslationTable are reads of that table, and Apply —
-// the one functional evaluator every execution substrate and the
+// replaces the last source, commutativity, in-flash mechanism, vecmath
+// kernel, MVE cycles per beat, and PuD-SSD bbop rounds (whose presence is
+// PuD capability). Class, Band, Arity, Sources, BeatCycles, PuDRounds,
+// Supports, Native and the TranslationTable are reads of that table, and
+// Apply — the one functional evaluator every execution substrate and the
 // compiler's interpreter share — sits beside it. Adding an operation is
-// adding a row (plus its entries in the substrates' latency models), never
-// a new switch.
+// adding a row (plus a nand primitive if IFP runs it), never a new switch.
 package isa

@@ -32,12 +32,13 @@ const (
 	OpBroadcast
 	OpReduceAdd
 	OpShuffle
-	OpScalar // opaque non-vectorized control/bookkeeping region
-	numOps
+	OpScalar // opaque non-vectorized control/bookkeeping region; the last operation
 )
 
-// NumOps reports the size of the IR operation set.
-const NumOps = int(numOps)
+// numOps is the size of the operation set. OpScalar stays last: the row
+// of an operation declared after it would fall outside the operation
+// table, which does not compile.
+const numOps = OpScalar + 1
 
 // Class groups operations the way the paper's cost function consumes them
 // (Table 1, "operation type").

@@ -49,7 +49,7 @@ func Supports(r Resource, op Op) bool {
 	case r == ResISP:
 		return true
 	case r == ResPuD:
-		return ops[op].flags&pud != 0
+		return ops[op].pud != bbops{}
 	default:
 		return r == ResIFP && ops[op].ifp != IFPNone
 	}

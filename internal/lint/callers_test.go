@@ -20,9 +20,6 @@ var exportedUncalled = map[string]string{
 	"lint/analysistest.Run":           "test harness: runs an analyzer over its golden packages",
 	"conduit.Server.Tenants":          "test oracle: TestMetricsSnapshotMatchesAccounting checks the metrics scrape against it",
 	"sim.Group.Member":                "test oracle: the Group-vs-scan tests reserve on, and compare, single members",
-	"nand.Array.InjectBitErrors":      "ECC fault injection; sim_golden.json pins its two counters' rows",
-	"nand.Array.ECCCorrections":       "ECC fault injection's counter; sim_golden.json pins its row",
-	"nand.Array.ECCFailures":          "ECC fault injection's counter; sim_golden.json pins its row",
 	"ftl.FTL.Migrate":                 "waits for ROADMAP 9(b), which may give it a caller",
 	"target.NewOn":                    "serves any net.Listener: ROADMAP item 1's in-process fleet will use it",
 	"conduit.Expr":                    "the root package's public op vocabulary for Source programs",

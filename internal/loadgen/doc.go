@@ -8,8 +8,8 @@
 // tail-latency behavior never appear. Production traffic is open-loop —
 // arrivals do not wait for completions — and that is what this package
 // models. An Arrival process turns an explicitly seeded RNG into a stream
-// of inter-arrival gaps (Poisson, bursty on-off MMPP, diurnal ramp, or
-// degenerate closed-loop), Generate expands a Spec into a timestamped
+// of inter-arrival gaps (Poisson, bursty on-off MMPP, or diurnal ramp),
+// Generate expands a Spec into a timestamped
 // schedule of (tenant, workload, policy, deadline) events, and Replay
 // paces any schedule against the wall clock at an arbitrary time scale.
 //

@@ -132,21 +132,10 @@ func (d *Diurnal) Gap(rng *sim.RNG) time.Duration {
 	return gap
 }
 
-// Closed is the degenerate closed-loop "arrival" process: zero gaps. The
-// schedule carries no timing — pacing comes from completions, i.e. the
-// issuer must block on each request (Server.Do) instead of pacing
-// submissions. It exists so closed-loop runs draw their (tenant,
-// workload, policy) picks from the same seed-split machinery and can be
-// recorded and replayed like any other trace.
-type Closed struct{}
-
-// Gap implements Arrival.
-func (Closed) Gap(*sim.RNG) time.Duration { return 0 }
-
 // NewArrival builds the named arrival process at the given mean rate.
-// Names: "poisson", "burst", "diurnal", "closed".
+// Names: "poisson", "burst", "diurnal".
 func NewArrival(name string, qps float64) (Arrival, error) {
-	if name != "closed" && qps <= 0 {
+	if qps <= 0 {
 		return nil, fmt.Errorf("loadgen: arrival %q needs a positive rate (got %v)", name, qps)
 	}
 	switch name {
@@ -156,18 +145,16 @@ func NewArrival(name string, qps float64) (Arrival, error) {
 		return &Burst{QPS: qps}, nil
 	case "diurnal":
 		return &Diurnal{QPS: qps}, nil
-	case "closed":
-		return Closed{}, nil
 	}
-	return nil, fmt.Errorf("loadgen: unknown arrival process %q (have poisson, burst, diurnal, closed)", name)
+	return nil, fmt.Errorf("loadgen: unknown arrival process %q (have poisson, burst, diurnal)", name)
 }
 
 // Spec describes a deterministic traffic schedule.
 type Spec struct {
-	// Arrival names the arrival process: "poisson", "burst", "diurnal"
-	// (open-loop, timed by QPS) or "closed" (untimed; needs MaxEvents).
+	// Arrival names the open-loop arrival process: "poisson", "burst" or
+	// "diurnal", timed by QPS.
 	Arrival string
-	// QPS is the mean offered load for open-loop arrivals.
+	// QPS is the mean offered load.
 	QPS float64
 	// Duration bounds the schedule's span (events with At < Duration).
 	Duration time.Duration
@@ -198,9 +185,6 @@ func Generate(spec Spec) ([]Event, error) {
 	arr, err := NewArrival(spec.Arrival, spec.QPS)
 	if err != nil {
 		return nil, err
-	}
-	if _, closed := arr.(Closed); closed && spec.MaxEvents <= 0 {
-		return nil, fmt.Errorf("loadgen: closed-loop schedule needs MaxEvents (it has no timing to bound it)")
 	}
 	if spec.Duration <= 0 && spec.MaxEvents <= 0 {
 		return nil, fmt.Errorf("loadgen: schedule needs a Duration or MaxEvents bound")

@@ -177,7 +177,6 @@ func TestGenerateValidation(t *testing.T) {
 		func(s *Spec) { s.Policies = nil },
 		func(s *Spec) { s.QPS = 0 },
 		func(s *Spec) { s.Arrival = "bogus" },
-		func(s *Spec) { s.Arrival = "closed"; s.MaxEvents = 0 }, // untimed needs a count
 		func(s *Spec) { s.Duration = 0; s.MaxEvents = 0 },
 	}
 	for i, mutate := range bad {
@@ -185,21 +184,6 @@ func TestGenerateValidation(t *testing.T) {
 		mutate(&s)
 		if _, err := Generate(s); err == nil {
 			t.Errorf("bad spec %d accepted", i)
-		}
-	}
-	// Closed-loop with a count works and carries no timing.
-	s := base
-	s.Arrival, s.QPS, s.MaxEvents, s.Duration = "closed", 0, 10, 0
-	evs, err := Generate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 10 {
-		t.Fatalf("closed schedule has %d events, want 10", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.At != 0 {
-			t.Fatal("closed-loop schedule must carry no arrival timing")
 		}
 	}
 }

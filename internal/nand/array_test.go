@@ -194,7 +194,7 @@ func TestMWSAndComputesAndOfOperands(t *testing.T) {
 		a.SetPageForTest(addr, fill(cfg, p))
 		ops[i] = Operand{Addr: addr}
 	}
-	done, err := a.Bitwise(0, 0, BitAnd, ops)
+	done, err := a.bitwise(0, 0, isa.OpAnd, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMWSOrAcrossBlocks(t *testing.T) {
 		a.SetPageForTest(addr, fill(cfg, p))
 		ops[i] = Operand{Addr: addr}
 	}
-	if _, err := a.Bitwise(0, 0, BitOr, ops); err != nil {
+	if _, err := a.bitwise(0, 0, isa.OpOr, ops); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(latch(a, ops[0].Addr), fill(cfg, 0xFF)) {
@@ -234,7 +234,7 @@ func TestBitwisePlacementConstraints(t *testing.T) {
 	}
 	// AND across blocks in one plane is legal but loses the single
 	// multi-wordline sense: it costs one tR per operand.
-	acrossDone, err := a.Bitwise(0, 0, BitAnd, []Operand{{Addr: inBlock0}, {Addr: inBlock1}})
+	acrossDone, err := a.bitwise(0, 0, isa.OpAnd, []Operand{{Addr: inBlock0}, {Addr: inBlock1}})
 	if err != nil {
 		t.Fatalf("AND across blocks (serial sensing): %v", err)
 	}
@@ -242,7 +242,7 @@ func TestBitwisePlacementConstraints(t *testing.T) {
 		t.Errorf("cross-block AND latency = %v, want %v (two senses)", acrossDone, want)
 	}
 	// Anything across planes is rejected.
-	if _, err := a.Bitwise(0, 0, BitOr, []Operand{{Addr: inBlock0}, {Addr: otherPlane}}); err == nil {
+	if _, err := a.bitwise(0, 0, isa.OpOr, []Operand{{Addr: inBlock0}, {Addr: otherPlane}}); err == nil {
 		t.Error("bitwise across planes should fail")
 	}
 	// Operand-count limits.
@@ -252,11 +252,11 @@ func TestBitwisePlacementConstraints(t *testing.T) {
 		a.SetPageForTest(addr, fill(cfg, 1))
 		tooMany[i] = Operand{Addr: addr}
 	}
-	if _, err := a.Bitwise(0, 0, BitOr, tooMany); err == nil {
+	if _, err := a.bitwise(0, 0, isa.OpOr, tooMany); err == nil {
 		t.Error("OR beyond MaxOrOperands should fail")
 	}
 	// Unprogrammed operand rejected.
-	if _, err := a.Bitwise(0, 0, BitNot, []Operand{{Addr: Addr{Block: 5, Page: 7}}}); err == nil {
+	if _, err := a.bitwise(0, 0, isa.OpNot, []Operand{{Addr: Addr{Block: 5, Page: 7}}}); err == nil {
 		t.Error("bitwise on erased page should fail")
 	}
 }
@@ -268,7 +268,7 @@ func TestXorUsesBufferOperandWithoutSense(t *testing.T) {
 	a.SetPageForTest(x, fill(cfg, 0xAA))
 	a.SetPageForTest(y, fill(cfg, 0x0F))
 	// First XOR: two senses.
-	d1, err := a.Bitwise(0, 0, BitXor, []Operand{{Addr: x}, {Addr: y}})
+	d1, err := a.bitwise(0, 0, isa.OpXor, []Operand{{Addr: x}, {Addr: y}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestXorUsesBufferOperandWithoutSense(t *testing.T) {
 		t.Fatal("XOR result wrong")
 	}
 	// Chained XOR with latched partial result: one sense only.
-	d2, err := a.Bitwise(d1, d1, BitXor, []Operand{{Addr: x, InBuffer: true}, {Addr: y}})
+	d2, err := a.bitwise(d1, d1, isa.OpXor, []Operand{{Addr: x, InBuffer: true}, {Addr: y}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestArithAddFunctional(t *testing.T) {
 	}
 	a.SetPageForTest(x, px)
 	a.SetPageForTest(y, py)
-	done, err := a.Arith(0, 0, ArithAdd, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
+	done, err := a.arith(0, 0, isa.OpAdd, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestArithMulExpensiveAndCorrect(t *testing.T) {
 	}
 	a.SetPageForTest(x, px)
 	a.SetPageForTest(y, py)
-	mulDone, err := a.Arith(0, 0, ArithMul, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
+	mulDone, err := a.arith(0, 0, isa.OpMul, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestArithMulExpensiveAndCorrect(t *testing.T) {
 	b := NewArray(cfg, energy.NewAccount())
 	b.SetPageForTest(x, px)
 	b.SetPageForTest(y, py)
-	addDone, _ := b.Arith(0, 0, ArithAdd, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
+	addDone, _ := b.arith(0, 0, isa.OpAdd, Operand{Addr: x}, Operand{Addr: y}, 1, 0)
 	mulCompute := mulDone - 2*cfg.TRead
 	addCompute := addDone - 2*cfg.TRead
 	if mulCompute < 10*addCompute {
@@ -363,7 +363,7 @@ func TestArithShiftAndWideElements(t *testing.T) {
 		px[i] = byte(i)
 	}
 	a.SetPageForTest(x, px)
-	if _, err := a.Arith(0, 0, ArithShl, Operand{Addr: x}, Operand{}, 4, 8); err != nil {
+	if _, err := a.arith(0, 0, isa.OpShl, Operand{Addr: x}, Operand{}, 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	buf := latch(a, x)
@@ -373,7 +373,7 @@ func TestArithShiftAndWideElements(t *testing.T) {
 	if got != want {
 		t.Fatalf("shl32 = %x, want %x", got, want)
 	}
-	if _, err := a.Arith(0, 0, ArithAdd, Operand{Addr: x}, Operand{Addr: x}, 3, 0); err == nil {
+	if _, err := a.arith(0, 0, isa.OpAdd, Operand{Addr: x}, Operand{Addr: x}, 3, 0); err == nil {
 		t.Error("element size 3 should be rejected")
 	}
 }
@@ -385,7 +385,7 @@ func TestLatchLoadedOperands(t *testing.T) {
 	loaded := fill(cfg, 0x3C)
 	// XOR of a sensed page with channel-loaded data: one sense plus one
 	// latch-load DMA.
-	done, err := a.Bitwise(0, 0, BitXor, []Operand{{Addr: x}, {Data: loaded}})
+	done, err := a.bitwise(0, 0, isa.OpXor, []Operand{{Addr: x}, {Data: loaded}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestLatchLoadedOperands(t *testing.T) {
 	}
 	// Arithmetic with both operands loaded: zero senses.
 	b := NewArray(cfg, energy.NewAccount())
-	add, err := b.Arith(0, 0, ArithAdd, Operand{Addr: x, Data: fill(cfg, 5)},
+	add, err := b.arith(0, 0, isa.OpAdd, Operand{Addr: x, Data: fill(cfg, 5)},
 		Operand{Addr: x, Data: fill(cfg, 7)}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -409,12 +409,12 @@ func TestLatchLoadedOperands(t *testing.T) {
 		t.Fatal("all-loaded add result wrong")
 	}
 	// Latch capacity: more than two loaded operands is impossible.
-	if _, err := b.Bitwise(0, 0, BitAnd, []Operand{
+	if _, err := b.bitwise(0, 0, isa.OpAnd, []Operand{
 		{Addr: x, Data: loaded}, {Addr: x, Data: loaded}, {Addr: x, Data: loaded}}); err == nil {
 		t.Error("three latch-loaded operands must be rejected")
 	}
 	// Wrong-size loaded data rejected.
-	if _, err := b.Bitwise(0, 0, BitNot, []Operand{{Addr: x, Data: []byte{1}}}); err == nil {
+	if _, err := b.bitwise(0, 0, isa.OpNot, []Operand{{Addr: x, Data: []byte{1}}}); err == nil {
 		t.Error("short latch data must be rejected")
 	}
 }
@@ -423,7 +423,7 @@ func TestFlushAndReadBuffer(t *testing.T) {
 	a, cfg, _ := newTestArray()
 	x := Addr{Block: 0, Page: 0}
 	a.SetPageForTest(x, fill(cfg, 0x3C))
-	if _, err := a.Bitwise(0, 0, BitNot, []Operand{{Addr: x}}); err != nil {
+	if _, err := a.bitwise(0, 0, isa.OpNot, []Operand{{Addr: x}}); err != nil {
 		t.Fatal(err)
 	}
 	dst := Addr{Block: 0, Page: 10}
@@ -523,7 +523,7 @@ func TestMWSAndProperty(t *testing.T) {
 				want[j] &= p[j]
 			}
 		}
-		if _, err := a.Bitwise(0, 0, BitAnd, ops); err != nil {
+		if _, err := a.bitwise(0, 0, isa.OpAnd, ops); err != nil {
 			return false
 		}
 		return bytes.Equal(latch(a, ops[0].Addr), want)
@@ -538,7 +538,7 @@ func TestMWSAndProperty(t *testing.T) {
 func TestArithProperty(t *testing.T) {
 	cfg := config.TestScale()
 	f := func(seed uint64, opSel, elemSel uint8) bool {
-		ops := []ArithOp{ArithAdd, ArithSub, ArithMul}
+		ops := []isa.Op{isa.OpAdd, isa.OpMul}
 		elems := []int{1, 2, 4}
 		op := ops[int(opSel)%len(ops)]
 		elem := elems[int(elemSel)%len(elems)]
@@ -552,7 +552,7 @@ func TestArithProperty(t *testing.T) {
 		y := Addr{Block: 0, Page: 1}
 		a.SetPageForTest(x, px)
 		a.SetPageForTest(y, py)
-		if _, err := a.Arith(0, 0, op, Operand{Addr: x}, Operand{Addr: y}, elem, 0); err != nil {
+		if _, err := a.arith(0, 0, op, Operand{Addr: x}, Operand{Addr: y}, elem, 0); err != nil {
 			return false
 		}
 		got := latch(a, x)
@@ -562,11 +562,9 @@ func TestArithProperty(t *testing.T) {
 			yv := vecmath.Load(py, i, elem)
 			var want uint64
 			switch op {
-			case ArithAdd:
+			case isa.OpAdd:
 				want = (xv + yv) & mask
-			case ArithSub:
-				want = (xv - yv) & mask
-			case ArithMul:
+			case isa.OpMul:
 				want = (xv * yv) & mask
 			}
 			if vecmath.Load(got, i, elem) != want {
@@ -635,7 +633,7 @@ func TestExecMatchesEvaluator(t *testing.T) {
 	r := sim.NewRNG(7)
 	r.Bytes(px)
 	r.Bytes(py)
-	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+	for op := isa.Op(0); op <= isa.OpScalar; op++ {
 		for _, elem := range []int{1, 2, 4} {
 			a := NewArray(&cfg.SSD, energy.NewAccount())
 			a.SetPageForTest(x, px)

@@ -51,7 +51,7 @@ func (p OperandProfile) LoadTime(cfg *config.SSD) sim.Time {
 //     serially into the latches (ParaBit-style);
 //   - at most two latch slots exist beyond the sensing latch, bounding
 //     buffer/loaded operands.
-func profileOperands(geo Geometry, op BitOp, ops []Operand) (OperandProfile, error) {
+func profileOperands(geo Geometry, op isa.Op, ops []Operand) (OperandProfile, error) {
 	var p OperandProfile
 	flashAddrs := make([]Addr, 0, MaxAndOperands) // on the stack; errors format a copy
 	for _, o := range ops {
@@ -73,11 +73,11 @@ func profileOperands(geo Geometry, op BitOp, ops []Operand) (OperandProfile, err
 			return p, fmt.Errorf("nand: flash operands span planes: %v", slices.Clone(flashAddrs))
 		}
 		switch op {
-		case BitAnd, BitNand:
+		case isa.OpAnd, isa.OpNand:
 			if geo.SameBlock(flashAddrs) && len(flashAddrs) <= MaxAndOperands {
 				p.MWS = true
 			}
-		case BitOr, BitNor:
+		case isa.OpOr, isa.OpNor:
 			if len(flashAddrs) <= MaxOrOperands {
 				p.MWS = true
 			}
@@ -106,55 +106,44 @@ func homeAddr(ops []Operand) Addr {
 }
 
 // Estimate is the contention-free cost of IR operation op in flash with the
-// given operand profile, through the primitive Exec would run: the IFP
+// given operand profile, through the mechanism Exec would run: the IFP
 // entry of the offloader's precomputed computation-latency table (§4.5).
-// rounds and fcTransfers are as for EstimateArith (no latch rounds for a
-// bitwise operation). It panics when IFP lacks op or the operation table
-// names a mechanism that irBit/irArith has no primitive for.
+// The Array charges its own execution by the same functions, so estimate
+// and execution can never drift. rounds is the latch-transfer count and
+// fcTransfers the page-buffer<->flash-controller DMA count (a bitwise
+// operation has no latch rounds). It panics when IFP lacks op.
 func Estimate(cfg *config.SSD, op isa.Op, elem int, p OperandProfile) (dur sim.Time, rounds, fcTransfers int64) {
 	switch op.IFP() {
 	case isa.IFPBitwise:
-		if bit := irBit[op]; bit != 0 {
-			return EstimateBitwise(cfg, bit, p), 0, int64(p.Loads)
-		}
+		return estimateBitwise(cfg, op, p), 0, int64(p.Loads)
 	case isa.IFPShift, isa.IFPArith:
-		if arith := irArith[op]; arith != 0 {
-			return EstimateArith(cfg, arith, elem, p)
-		}
+		return estimateArith(cfg, op, elem, p)
 	}
 	panic(fmt.Sprintf("nand: no in-flash primitive for %v", op))
 }
 
-// EstimateBitwise is the contention-free latency of an in-flash bitwise
-// operation with the given operand profile. It is the IFP entry of the
-// offloader's precomputed computation-latency table (§4.5); the Array uses
-// it internally so estimate and execution can never drift.
-func EstimateBitwise(cfg *config.SSD, op BitOp, p OperandProfile) sim.Time {
+// estimateBitwise is Estimate's latency of a multi-wordline-sensing
+// operation.
+func estimateBitwise(cfg *config.SSD, op isa.Op, p OperandProfile) sim.Time {
 	dur := p.SenseTime(cfg) + p.LoadTime(cfg)
-	switch op {
-	case BitXor, BitXnor:
-		dur += cfg.TXor
-	default:
-		dur += cfg.TAndOr
+	if op == isa.OpXor {
+		return dur + cfg.TXor
 	}
-	return dur
+	return dur + cfg.TAndOr
 }
 
-// EstimateArith is the contention-free latency of latch-based in-flash
-// arithmetic (Ares-Flash shift-and-add) on elem-byte lanes with the given
-// operand profile. rounds is the latch-transfer count and fcTransfers the
-// page-buffer<->flash-controller DMA count, both of which the Array also
-// uses for energy accounting.
-func EstimateArith(cfg *config.SSD, op ArithOp, elem int, p OperandProfile) (dur sim.Time, rounds, fcTransfers int64) {
+// estimateArith is Estimate for latch-based arithmetic (Ares-Flash
+// shift-and-add) on elem-byte lanes.
+func estimateArith(cfg *config.SSD, op isa.Op, elem int, p OperandProfile) (dur sim.Time, rounds, fcTransfers int64) {
 	bits := elem * 8
 	dur = p.SenseTime(cfg) + p.LoadTime(cfg)
 	fcTransfers = int64(p.Loads)
 	switch op {
-	case ArithAdd, ArithSub:
+	case isa.OpAdd:
 		// Bit-serial carry chain: ~3 latch transfers per bit.
 		rounds = int64(3 * bits)
 		dur += sim.Time(rounds) * cfg.TLatchTransfer
-	case ArithMul:
+	case isa.OpMul:
 		// Per output bit: one AND (partial product), a bit-serial
 		// accumulate, and one shift through the flash controller. The
 		// controller round-trips are what make IFP multiplication
@@ -162,7 +151,7 @@ func EstimateArith(cfg *config.SSD, op ArithOp, elem int, p OperandProfile) (dur
 		rounds = int64(bits) * int64(3*bits+1)
 		fcTransfers += int64(bits)
 		dur += sim.Time(bits) * (cfg.TAndOr + sim.Time(3*bits)*cfg.TLatchTransfer + cfg.TDMA)
-	case ArithShl, ArithShr:
+	case isa.OpShl, isa.OpShr:
 		// One round-trip through the flash controller.
 		rounds = 1
 		fcTransfers += 2

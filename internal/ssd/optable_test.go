@@ -38,7 +38,7 @@ func TestOperationTableConsistency(t *testing.T) {
 		isa.ResPuD: func(op isa.Op, elem int) { dram.Rounds(op, elem) },
 		isa.ResIFP: func(op isa.Op, elem int) { nand.Estimate(&cfg.SSD, op, elem, prof) },
 	}
-	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+	for op := isa.Op(0); op <= isa.OpScalar; op++ {
 		for _, r := range isa.AllResources {
 			want := isa.Supports(r, op)
 			if _, ok := tab.Lookup(r, op); ok != want {

@@ -483,47 +483,3 @@ func TestLoadProgramColocatesIFPOperands(t *testing.T) {
 		t.Fatal("XOR co-operands must share a plane")
 	}
 }
-
-func TestECCFaultsOnTheIOPath(t *testing.T) {
-	// Correctable raw-bit errors on an operand page are fixed by the FC
-	// transparently (with counted corrections); uncorrectable ones
-	// surface as a run error — there is no other copy to replay from.
-	build := func() (*Device, *isa.Program, map[isa.PageID][]byte) {
-		cfg := config.TestScale()
-		ps := cfg.SSD.PageSize
-		inputs := map[isa.PageID][]byte{0: randPage(1, ps), 1: randPage(2, ps)}
-		prog := buildProg(t, 3, []isa.PageID{0, 1}, []isa.Inst{
-			// Division forces the ISP path, which stages operands through
-			// the checked FTL read.
-			{Op: isa.OpDiv, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
-		})
-		d := New(&cfg)
-		if err := d.LoadProgram(prog, inputs); err != nil {
-			t.Fatal(err)
-		}
-		d.EnterComputationMode()
-		return d, prog, inputs
-	}
-
-	d, prog, inputs := build()
-	addr, ok := d.FTL.PhysAddr(0)
-	if !ok {
-		t.Fatal("input page unmapped")
-	}
-	d.Flash.InjectBitErrors(addr, nand.ECCCorrectableBits)
-	res, err := d.Run(offload.Conduit{})
-	if err != nil {
-		t.Fatalf("correctable errors must not fail the run: %v", err)
-	}
-	if res.Counters.Get("flash.ecc_corrections") == 0 {
-		t.Fatal("correction must be counted")
-	}
-	verifyAgainstReference(t, d, prog, inputs)
-
-	d2, _, _ := build()
-	addr2, _ := d2.FTL.PhysAddr(0)
-	d2.Flash.InjectBitErrors(addr2, nand.ECCCorrectableBits*4)
-	if _, err := d2.Run(offload.Conduit{}); err == nil {
-		t.Fatal("uncorrectable page must fail the run")
-	}
-}

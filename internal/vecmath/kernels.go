@@ -29,8 +29,8 @@ var le = binary.LittleEndian
 
 // Op identifies an elementwise operation with a specialized kernel. The
 // operation table in internal/isa names the kernel behind each IR
-// operation (the one isa.Op -> Op mapping); nand maps its own hardware
-// primitives.
+// operation (the one isa.Op -> Op mapping); nand's multi-wordline fold
+// names the bitwise kernels it folds through.
 type Op uint8
 
 // Kernel operations.

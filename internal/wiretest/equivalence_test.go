@@ -35,11 +35,13 @@ func resolveNames(t *testing.T, names []string) []string {
 }
 
 // equivSchedule is the deterministic request sequence both serving
-// modes replay lock-step: closed arrivals (no timing), seeded picks.
+// modes replay lock-step, ignoring its arrival times: the first n events
+// of a seeded schedule, whose picks draw from substreams independent of
+// the arrivals.
 func equivSchedule(t *testing.T, n int, names []string) []loadgen.Event {
 	t.Helper()
 	events, err := loadgen.Generate(loadgen.Spec{
-		Arrival: "closed", MaxEvents: n, Seed: 7, Tenants: 3,
+		Arrival: "poisson", QPS: 1000, MaxEvents: n, Seed: 7, Tenants: 3,
 		Workloads: resolveNames(t, names), Policies: []string{"Conduit", "CPU"},
 	})
 	if err != nil {
