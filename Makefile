@@ -126,7 +126,7 @@ loc:
 # PR that touched it left behind: net line count is enforced, not just
 # reported. A PR that must grow the tree raises the ceiling in the same
 # commit and says why in CHANGES.md; one that shrinks it lowers it.
-LOC_CEILING := 24217
+LOC_CEILING := 24239
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

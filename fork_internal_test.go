@@ -134,9 +134,10 @@ func TestForkIsolatedFromEarlierRun(t *testing.T) {
 // moved to internal/cow). The program's page-indexed tables are sized by
 // its span, the pages it names (43 for jacobi-1d, 372 for LLaMA2 at
 // scale 2), not by the 1 536 pages of temporaries the compiler reserves.
-// It measures 10 920 and 24 618 B in 39 allocations: a directory is 147
-// node pointers and ownership flags at the default geometry (11 000 and
-// 24 698 B in 40 while the flash array copied an injected-bit-error map
+// It measures 9 512 and 23 210 B in 39 allocations: a directory is 147
+// node pointers and ownership flags at the default geometry (10 920 and
+// 24 618 B while the 128 plane cursors took 24 bytes each rather than 12;
+// 11 000 and 24 698 B in 40 while the flash array copied an injected-bit-error map
 // nothing wrote; 31 and 44 KiB while each table kept a flat directory of
 // 2 310 chunk pointers and states; 53 and 61 KiB while the program's
 // tables were sized by Pages). Allocation counts are exact run to run, so
@@ -148,7 +149,7 @@ func TestForkAllocBudget(t *testing.T) {
 	}
 	const (
 		maxAllocs = 39
-		maxBytes  = 27_080
+		maxBytes  = 25_531
 		forks     = 100
 	)
 	sys := NewSystem(DefaultConfig())
@@ -280,16 +281,20 @@ func TestServedRequestAllocBudget(t *testing.T) {
 // one System.Deploy of each. An input array declares a filler instead of
 // holding its dataset, and only a functional consumer generates pages, so
 // neither the build, the compile nor the timing-only deploy (which stages
-// nil payloads) makes a dataset byte; compile copies its instructions and
-// their sources out of a reused scratch at their final length; the
-// firmware image is a flat varint layout whose decoder carves every
-// instruction's sources from one array, LoadProgram indexes its page
-// tables by the pages the program names, and every deploy clones the
-// System's one frozen blank drive instead of building one. It measures
-// build 68 KiB, compile 416 KiB while no earlier compile in the process
-// has left its emission scratch behind (213-226 KiB when one has), and
-// deploy 712 KiB in 809-811 allocations (1 025 KiB in 775-788 while the
-// drive's tables copied 1 024-entry chunks; compile 545 KiB and deploy
+// nil payloads) makes a dataset byte; compile copies its 56-byte,
+// pointer-free instructions, sources inline, out of a reused scratch at
+// their final length; the firmware image is a flat varint layout decoded
+// into one instruction array, LoadProgram indexes its page tables by the
+// pages the program names and packs its cost rows and liveness lists, and
+// every deploy clones the System's one frozen blank drive instead of
+// building one. It measures build 68 KiB, compile 274 KiB while no earlier
+// compile in the process has left its emission scratch behind (155 KiB
+// when one has), and deploy 568 KiB in 790-792 allocations (compile 416
+// and 226 KiB and deploy 711 KiB in 802-804 while an instruction took 72
+// bytes plus its sources in a second array and a cost row 40 bytes, and
+// each page's liveness list was a slice of 8-byte entries; 1 025 KiB in
+// 775-788 while the drive's tables copied 1 024-entry chunks; compile
+// 545 KiB and deploy
 // 1 092 KiB while instructions took 104 bytes and the scratch sat in a
 // sync.Pool that collections emptied; compile 876 KiB and deploy 1 267 KiB
 // in 787 while each instruction carried a dependence list and was appended
@@ -310,8 +315,8 @@ func TestColdDeployAllocBudget(t *testing.T) {
 	}
 	const (
 		maxBuildKiB     = 75
-		maxCompileKiB   = 458
-		maxDeployKiB    = 783
+		maxCompileKiB   = 301
+		maxDeployKiB    = 625
 		maxDeployAllocs = 860
 	)
 	sys := NewSystem(DefaultConfig())
@@ -351,9 +356,12 @@ func TestColdDeployAllocBudget(t *testing.T) {
 // TestColdGridAllocBudget pins what a cold grid allocates: a fresh
 // one-worker harness running the six scale-1 workloads under every policy
 // of Policies, compile, deploy and host baselines included, which is one
-// sweep_grid call of cmd/conduit-bench. It measures 1 634-1 838 KiB in
-// 3 814-3 847 allocations, the spread being whether an earlier compile in
-// the process left its emission scratch behind (up to 1 845 KiB in 3 935
+// sweep_grid call of cmd/conduit-bench. It measures 1 425-1 544 KiB in
+// 3 779-3 794 allocations, the spread being whether an earlier compile in
+// the process left its emission scratch behind (1 634-1 838 KiB in
+// 3 814-3 853 while an instruction took 72 bytes plus its sources in a
+// second array, a cost row 40 bytes and a liveness entry 8 bytes under a
+// slice header per page; up to 1 845 KiB in 3 935
 // while every device cell stored its result for sharing and every flash
 // array copied a bit-error map nothing wrote; 2 182-2 387 KiB in
 // 3 982-4 020 while the drive's tables copied 1 024-entry chunks under a
@@ -372,8 +380,8 @@ func TestColdGridAllocBudget(t *testing.T) {
 		t.Skip("the race detector changes allocation")
 	}
 	const (
-		maxGridKiB    = 2021
-		maxGridAllocs = 4231
+		maxGridKiB    = 1698
+		maxGridAllocs = 4173
 	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

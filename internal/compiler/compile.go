@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -73,9 +74,14 @@ type Compiled struct {
 
 	pageSize int
 	elem     int
-	arrays   map[string][]isa.PageID
-	arrayLen map[string]int
+	arrays   map[string]array
 	inputs   []inputArray // in page order
+}
+
+// array is a declared array's pages and its length in elements.
+type array struct {
+	pages []isa.PageID
+	len   int
 }
 
 // inputArray locates an input array's pages and its initial image.
@@ -103,7 +109,7 @@ func (c *Compiled) InputPage(p isa.PageID, dst []byte) bool {
 
 // ArrayPages returns the logical pages backing an array.
 func (c *Compiled) ArrayPages(name string) []isa.PageID {
-	return append([]isa.PageID(nil), c.arrays[name]...)
+	return append([]isa.PageID(nil), c.arrays[name].pages...)
 }
 
 // ArrayNames lists the declared arrays in page-layout order.
@@ -115,7 +121,7 @@ func (c *Compiled) ArrayNames() []string {
 	// Order by first page for determinism (arrays never share pages, so
 	// the first page is a total order).
 	sort.Slice(names, func(i, j int) bool {
-		return c.arrays[names[i]][0] < c.arrays[names[j]][0]
+		return c.arrays[names[i]].pages[0] < c.arrays[names[j]].pages[0]
 	})
 	return names
 }
@@ -140,8 +146,7 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		Compiled: Compiled{
 			pageSize: pageSize,
 			elem:     elem,
-			arrays:   make(map[string][]isa.PageID, len(src.Arrays)),
-			arrayLen: make(map[string]int, len(src.Arrays)),
+			arrays:   make(map[string]array, len(src.Arrays)),
 		},
 		lanes: pageSize / elem,
 	}
@@ -173,8 +178,7 @@ func Compile(src *Source, pageSize int) (*Compiled, error) {
 		first := next
 		next += isa.PageID((a.Len + c.lanes - 1) / c.lanes)
 		ids := outputPages[first:next:next]
-		c.arrays[a.Name] = ids
-		c.arrayLen[a.Name] = a.Len
+		c.arrays[a.Name] = array{ids, a.Len}
 		if a.Input {
 			c.inputs = append(c.inputs, inputArray{first, next, a.Len * a.Elem, a.Fill})
 			inputPages = append(inputPages, ids...)
@@ -230,15 +234,11 @@ type compilation struct {
 	loopID     int32
 }
 
-// scratch is what a compilation emits into: instructions whose Srcs are
-// unset, every instruction's sources back to back, and where each one's
-// sources end. Compilations reuse it through spare, and program copies it
-// out at its final length, so compiling allocates the program's
-// instructions and sources once each, whatever its length.
+// scratch is what a compilation emits into. Compilations reuse it through
+// spare, and program copies it out at its final length, so compiling
+// allocates the program's instructions once, whatever its length.
 type scratch struct {
 	insts []isa.Inst
-	srcs  []isa.PageID
-	ends  []int32
 }
 
 // spare is the one retained scratch, which unlike a sync.Pool's entries
@@ -246,27 +246,16 @@ type scratch struct {
 var spare atomic.Pointer[scratch]
 
 func (s *scratch) reset() *scratch {
-	s.insts, s.srcs, s.ends = s.insts[:0], s.srcs[:0], s.ends[:0]
+	s.insts = s.insts[:0]
 	return s
 }
 
-// program copies the emitted instructions out, carving each one's Srcs as
-// a capped window of one array (nil when it has none).
+// program copies the emitted instructions out (nil when there are none).
 func (s *scratch) program() []isa.Inst {
 	if len(s.insts) == 0 {
 		return nil
 	}
-	insts, srcs := make([]isa.Inst, len(s.insts)), make([]isa.PageID, len(s.srcs))
-	copy(insts, s.insts)
-	copy(srcs, s.srcs)
-	var start int32
-	for i, end := range s.ends {
-		if end > start {
-			insts[i].Srcs = srcs[start:end:end]
-		}
-		start = end
-	}
-	return insts
+	return slices.Clone(s.insts)
 }
 
 // staticScalarUnits converts an opaque control region's cycle cost into
@@ -298,9 +287,9 @@ func (c *compilation) compileLoop(src *Source, l Loop) error {
 	// Bounds check: every referenced array must cover the loop's lanes.
 	blocks := (l.N + c.lanes - 1) / c.lanes
 	checkLen := func(name string) error {
-		if c.arrayLen[name] < l.N {
+		if c.arrays[name].len < l.N {
 			return fmt.Errorf("compiler: loop %q iterates %d lanes but array %q has %d",
-				l.Name, l.N, name, c.arrayLen[name])
+				l.Name, l.N, name, c.arrays[name].len)
 		}
 		return nil
 	}
@@ -345,7 +334,7 @@ func (c *compilation) compileLoop(src *Source, l Loop) error {
 			if err != nil {
 				return err
 			}
-			target := c.arrays[a.Target][b]
+			target := c.arrays[a.Target].pages[b]
 			switch {
 			case a.Reduce:
 				page := c.materialize(val, b, vectorized)
@@ -369,7 +358,7 @@ func (c *compilation) emitExpr(e Expr, b int, vectorized bool, dst *isa.PageID) 
 	case Lit:
 		return operand{imm: v.Value, lit: true}, nil
 	case Ref:
-		page := c.arrays[v.Name][b]
+		page := c.arrays[v.Name].pages[b]
 		if v.Offset == 0 {
 			return operand{page: page}, nil
 		}
@@ -475,9 +464,7 @@ func (c *compilation) materialize(o operand, b int, vectorized bool) isa.PageID 
 // emit appends one vector instruction with compiler metadata (§4.3.1:
 // instruction type, operand pointers, element sizes, vector length).
 func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uint64, useImm bool, vectorized bool) {
-	c.srcs = append(c.srcs, srcs...)
-	c.ends = append(c.ends, int32(len(c.srcs)))
-	c.insts = append(c.insts, isa.Inst{
+	in := isa.Inst{
 		ID:     int32(len(c.insts)),
 		Op:     op,
 		Dst:    dst,
@@ -491,12 +478,14 @@ func (c *compilation) emit(op isa.Op, dst isa.PageID, srcs []isa.PageID, imm uin
 			LoopID:           c.loopID,
 			OperandFootprint: int32((len(srcs) + 1) * c.pageSize),
 		},
-	})
+	}
+	// Validate refuses the program if srcs held more than Src does.
+	in.NSrc = uint8(copy(in.Src[:], srcs))
+	c.insts = append(c.insts, in)
 }
 
 // emitScalar appends an opaque control region.
 func (c *compilation) emitScalar(cycles int64) {
-	c.ends = append(c.ends, int32(len(c.srcs)))
 	c.insts = append(c.insts, isa.Inst{
 		ID:           int32(len(c.insts)),
 		Op:           isa.OpScalar,

@@ -31,8 +31,8 @@ func irRun(t *testing.T, c *Compiled) map[isa.PageID][]byte {
 		if in.Op == isa.OpScalar {
 			continue
 		}
-		srcs := make([][]byte, 0, len(in.Srcs))
-		for _, s := range in.Srcs {
+		srcs := make([][]byte, 0, len(in.Srcs()))
+		for _, s := range in.Srcs() {
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, c.pageSize)

@@ -53,9 +53,9 @@ func TestArrayNamesStableAcrossCompiles(t *testing.T) {
 		// The documented contract, not just run-to-run agreement: names
 		// are ordered by their first backing page.
 		for i := 1; i < len(got); i++ {
-			if c.arrays[got[i-1]][0] >= c.arrays[got[i]][0] {
+			if c.arrays[got[i-1]].pages[0] >= c.arrays[got[i]].pages[0] {
 				t.Fatalf("run %d: %q (page %d) not before %q (page %d)",
-					run, got[i-1], c.arrays[got[i-1]][0], got[i], c.arrays[got[i]][0])
+					run, got[i-1], c.arrays[got[i-1]].pages[0], got[i], c.arrays[got[i]].pages[0])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"conduit/internal/sim"
 )
@@ -218,6 +219,11 @@ func (c *Config) Validate() error {
 		{s.PlanesPerDie > 0, "PlanesPerDie must be positive"},
 		{s.BlocksPerPlane > 1, "BlocksPerPlane must exceed 1 (GC needs a spare)"},
 		{s.PagesPerBlock > 0, "PagesPerBlock must be positive"},
+		// The FTL holds page, block and page-offset indexes as int32; a
+		// float product cannot overflow.
+		{float64(s.Channels)*float64(s.DiesPerChannel)*float64(s.PlanesPerDie)*
+			float64(s.BlocksPerPlane)*float64(s.PagesPerBlock) <= math.MaxInt32,
+			"the drive must have at most 2^31-1 flash pages"},
 		{s.PageSize > 0 && s.PageSize%512 == 0, "PageSize must be a positive multiple of 512"},
 		{s.PCIeBandwidth > 0, "PCIeBandwidth must be positive"},
 		{s.ChannelBandwidth > 0, "ChannelBandwidth must be positive"},

@@ -59,6 +59,8 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 	}{
 		{"zero channels", func(c *Config) { c.SSD.Channels = 0 }},
 		{"one block per plane", func(c *Config) { c.SSD.BlocksPerPlane = 1 }},
+		{"2^31 pages", func(c *Config) { c.SSD.BlocksPerPlane, c.SSD.PagesPerBlock = 1<<20, 1<<4 }},
+		{"a page count past int64", func(c *Config) { c.SSD.BlocksPerPlane, c.SSD.PagesPerBlock = 1<<40, 1<<40 }},
 		{"unaligned page size", func(c *Config) { c.SSD.PageSize = 1000 }},
 		{"negative read latency", func(c *Config) { c.SSD.TRead = -1 }},
 		{"single core", func(c *Config) { c.SSD.Cores = 1 }},

@@ -61,11 +61,12 @@ func New(cfg *config.SSD, arr *nand.Array) *FTL {
 	return f
 }
 
-// planeAlloc is one plane's allocation cursor.
+// planeAlloc is one plane's allocation cursor, which every clone copies:
+// int32 fields suffice, since config.Validate holds pages to int32 indexes.
 type planeAlloc struct {
-	active   int // current write block, -1 if none
-	nextPage int // next page offset within the active block
-	free     int // length of the plane's free list in freeBlocks
+	active   int32 // current write block, -1 if none
+	nextPage int32 // next page offset within the active block
+	free     int32 // length of the plane's free list in freeBlocks
 }
 
 // Planes reports the number of allocation planes.
@@ -159,7 +160,7 @@ func (f *FTL) WriteRun(now sim.Time, lpns []LPN, data [][]byte, plane int) (sim.
 	// Ensure the active block has room for the whole run; otherwise turn
 	// over to a fresh block so the run cannot straddle blocks.
 	done := now
-	if f.planes[plane].active == -1 || f.planes[plane].nextPage+len(lpns) > f.cfg.PagesPerBlock {
+	if f.planes[plane].active == -1 || int(f.planes[plane].nextPage)+len(lpns) > f.cfg.PagesPerBlock {
 		var err error
 		done, err = f.openBlock(now, plane)
 		if err != nil {
@@ -253,7 +254,7 @@ func (f *FTL) allocate(now sim.Time, plane int) (nand.Addr, sim.Time, error) {
 		return nand.Addr{}, 0, fmt.Errorf("ftl: plane %d out of range", plane)
 	}
 	done := now
-	if f.planes[plane].active == -1 || f.planes[plane].nextPage >= f.cfg.PagesPerBlock {
+	if f.planes[plane].active == -1 || int(f.planes[plane].nextPage) >= f.cfg.PagesPerBlock {
 		var err error
 		done, err = f.openBlock(now, plane)
 		if err != nil {
@@ -261,8 +262,8 @@ func (f *FTL) allocate(now sim.Time, plane int) (nand.Addr, sim.Time, error) {
 		}
 	}
 	pl := &f.planes[plane]
-	addr := f.geo.BlockAddrOf(pl.active)
-	addr.Page = pl.nextPage
+	addr := f.geo.BlockAddrOf(int(pl.active))
+	addr.Page = int(pl.nextPage)
 	pl.nextPage++
 	return addr, done, nil
 }
@@ -281,7 +282,7 @@ func (f *FTL) reserveBlocks() int {
 // popFreeBlock removes and returns the least-erased free block of plane
 // (wear-aware allocation).
 func (f *FTL) popFreeBlock(plane int) int {
-	base, n := f.planeBlock(plane, 0), f.planes[plane].free
+	base, n := f.planeBlock(plane, 0), int(f.planes[plane].free)
 	best := 0
 	for i := 1; i < n; i++ {
 		if f.arr.EraseCount(int(f.freeBlocks.At(base+i))) < f.arr.EraseCount(int(f.freeBlocks.At(base+best))) {
@@ -292,13 +293,13 @@ func (f *FTL) popFreeBlock(plane int) int {
 	for i := best + 1; i < n; i++ {
 		f.freeBlocks.Set(base+i-1, f.freeBlocks.At(base+i))
 	}
-	f.planes[plane].free = n - 1
+	f.planes[plane].free = int32(n - 1)
 	return int(blk)
 }
 
 // pushFreeBlock appends blk to plane's free list.
 func (f *FTL) pushFreeBlock(plane, blk int) {
-	f.freeBlocks.Set(f.planeBlock(plane, f.planes[plane].free), int32(blk))
+	f.freeBlocks.Set(f.planeBlock(plane, int(f.planes[plane].free)), int32(blk))
 	f.planes[plane].free++
 }
 
@@ -308,8 +309,8 @@ func (f *FTL) pushFreeBlock(plane, blk int) {
 // target block (partially filled with migrated pages) becomes the active
 // block.
 func (f *FTL) openBlock(now sim.Time, plane int) (sim.Time, error) {
-	if f.planes[plane].free > f.reserveBlocks() {
-		f.planes[plane].active = f.popFreeBlock(plane)
+	if int(f.planes[plane].free) > f.reserveBlocks() {
+		f.planes[plane].active = int32(f.popFreeBlock(plane))
 		f.planes[plane].nextPage = 0
 		return now, nil
 	}
@@ -327,7 +328,7 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 	victim := -1
 	for b := 0; b < f.cfg.BlocksPerPlane; b++ {
 		blk := f.planeBlock(plane, b)
-		if blk == f.planes[plane].active || f.isFree(plane, blk) {
+		if blk == int(f.planes[plane].active) || f.isFree(plane, blk) {
 			continue
 		}
 		if victim == -1 ||
@@ -348,7 +349,7 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 	}
 	f.gcRuns++
 	target := f.popFreeBlock(plane)
-	f.planes[plane].active = target
+	f.planes[plane].active = int32(target)
 	f.planes[plane].nextPage = 0
 
 	done := now
@@ -364,7 +365,7 @@ func (f *FTL) collect(now sim.Time, plane int) (sim.Time, error) {
 		}
 		data, rdone := f.arr.Read(now, done, src)
 		dst := targetBase
-		dst.Page = f.planes[plane].nextPage
+		dst.Page = int(f.planes[plane].nextPage)
 		f.planes[plane].nextPage++
 		done = f.arr.Program(now, rdone, dst, data)
 		f.commitMapping(lpn, dst)
@@ -381,7 +382,7 @@ func (f *FTL) planeBlock(plane, b int) int {
 
 func (f *FTL) isFree(plane, blk int) bool {
 	base := f.planeBlock(plane, 0)
-	for i := 0; i < f.planes[plane].free; i++ {
+	for i := range int(f.planes[plane].free) {
 		if int(f.freeBlocks.At(base+i)) == blk {
 			return true
 		}

@@ -35,8 +35,8 @@ func TestRunSteadyStateAllocsPerOp(t *testing.T) {
 	insts := make([]isa.Inst, 0, nOps)
 	for i := 0; i < nOps; i++ {
 		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpXor,
-			Dst:  isa.PageID(nInputs),
-			Srcs: []isa.PageID{isa.PageID(i % nInputs), isa.PageID((i + 1) % nInputs)},
+			Dst: isa.PageID(nInputs),
+			Src: [isa.MaxSrcs]isa.PageID{isa.PageID(i % nInputs), isa.PageID((i + 1) % nInputs)}, NSrc: 2,
 			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "alloc", Pages: nInputs + 1, Insts: insts, InputPages: ids}

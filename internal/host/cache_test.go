@@ -73,7 +73,7 @@ func TestPageLRUEvictsLikeScan(t *testing.T) {
 				if inst.Op == isa.OpScalar {
 					continue
 				}
-				for _, s := range inst.Srcs {
+				for _, s := range inst.Srcs() {
 					touch(s)
 				}
 				if inst.Dst != isa.NoPage {

@@ -201,7 +201,7 @@ func (m *Model) Run(prog *isa.Program, inputs func(p isa.PageID, dst []byte) boo
 		// Functional execution for verification.
 		if !cfg.TimingOnly && inst.Op != isa.OpScalar && inst.Dst != isa.NoPage {
 			srcs = srcs[:0]
-			for _, s := range inst.Srcs {
+			for _, s := range inst.Srcs() {
 				srcs = append(srcs, load(s))
 			}
 			out := pool.Get() // fully overwritten by Apply
@@ -253,7 +253,7 @@ func (m *Model) instTime(inst *isa.Inst, cache *pageLRU, en *energy.Account) (t 
 		if m.kind == GPU {
 			memBW = h.HBMBandwidth
 		}
-		for _, s := range inst.Srcs {
+		for _, s := range inst.Srcs() {
 			if hit, _ := cache.touch(s); !hit {
 				// Page fault to the SSD: a demand miss overlaps
 				// with a limited number of in-flight reads (the I/O

@@ -40,8 +40,8 @@ func streamProg(t *testing.T, nPages int, op isa.Op) (*isa.Program, map[isa.Page
 	}
 	for i := 0; i < nPages; i++ {
 		insts = append(insts, isa.Inst{ID: int32(i), Op: op,
-			Dst:  isa.PageID(nPages + i),
-			Srcs: []isa.PageID{isa.PageID(i), isa.PageID((i + 1) % nPages)},
+			Dst: isa.PageID(nPages + i),
+			Src: [isa.MaxSrcs]isa.PageID{isa.PageID(i), isa.PageID((i + 1) % nPages)}, NSrc: 2,
 			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "stream", Pages: 2 * nPages, Insts: insts, InputPages: ids}
@@ -119,7 +119,7 @@ func TestCacheReuseReducesPCIeTraffic(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 32; i++ {
 		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpAdd, Dst: 3,
-			Srcs: []isa.PageID{isa.PageID(i % 3), isa.PageID((i + 1) % 3)},
+			Src: [isa.MaxSrcs]isa.PageID{isa.PageID(i % 3), isa.PageID((i + 1) % 3)}, NSrc: 2,
 			Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "reuse", Pages: 16, Insts: insts, InputPages: ids}
@@ -179,7 +179,7 @@ func TestGPUBenefitsFromHBMOnResidentData(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 64; i++ {
 		insts = append(insts, isa.Inst{ID: int32(i), Op: isa.OpAdd, Dst: 2,
-			Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)})
+			Src: [isa.MaxSrcs]isa.PageID{0, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := &isa.Program{Name: "hot", Pages: 3, Insts: insts, InputPages: []isa.PageID{0, 1}}
 	cpu, _, err := New(&cfg, CPU).Run(prog, pageSource(inputs))

@@ -149,7 +149,7 @@ func TestApplyMatchesLaneOracle(t *testing.T) {
 }
 
 // TestEveryValidShapeEvaluates: Program.Validate and the evaluator read one
-// rule for operand shapes, so every (op, UseImm, len(Srcs)) Validate accepts
+// rule for operand shapes, so every (op, UseImm, NSrc) Validate accepts
 // evaluates, and every shape it rejects is refused with an error — never an
 // index panic. The parent accepted {NOT|COPY|REDUCE_ADD, UseImm, no sources}
 // and the shared evaluator indexed srcs[0] on them.
@@ -160,7 +160,7 @@ func TestEveryValidShapeEvaluates(t *testing.T) {
 		for _, useImm := range []bool{false, true} {
 			for n := 0; n <= 4; n++ {
 				p := &Program{Pages: 5, Insts: []Inst{
-					{Op: op, Dst: 4, Srcs: []PageID{0, 1, 2, 3}[:n], UseImm: useImm, Imm: 5, Elem: 1, Lanes: page},
+					{Op: op, Dst: 4, Src: [MaxSrcs]PageID{0, 1, 2}, NSrc: uint8(n), UseImm: useImm, Imm: 5, Elem: 1, Lanes: page},
 				}}
 				valid := p.Validate() == nil
 				err := Apply(op, make([]byte, page), bufs[:n], 1, useImm, 5)

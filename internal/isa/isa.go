@@ -99,25 +99,36 @@ type Meta struct {
 	OperandFootprint int32 // total operand footprint in bytes
 }
 
+// MaxSrcs is the largest number of vector sources an instruction carries
+// (OpSelect's mask, a and b): the length of Inst's inline source array.
+const MaxSrcs = 3
+
 // Inst is one vector IR instruction, held several times over (compile
 // scratch, program, decoded image): its fields are as narrow as
-// Validate's bounds allow and ordered widest first, 72 bytes.
+// Validate's bounds allow and ordered widest first, 56 bytes with no
+// pointer, so no copy of an instruction stream is scanned by the
+// collector. Its sources are inline: Src[:NSrc], read through Srcs.
 type Inst struct {
-	Srcs []PageID
-	Imm  uint64 // immediate operand (shift amount, broadcast value, ...)
+	Imm uint64 // immediate operand (shift amount, broadcast value, ...)
 
 	// ScalarCycles is the controller-core cycle cost of an OpScalar
 	// region (control-intensive code that was not vectorized).
 	ScalarCycles int64
 
-	ID     int32  // position in the program
-	Dst    PageID // destination logical page (NoPage for scalar work)
-	Lanes  int32  // vector lanes; Lanes*Elem = vector footprint in bytes
+	ID     int32           // position in the program
+	Dst    PageID          // destination logical page (NoPage for scalar work)
+	Lanes  int32           // vector lanes; Lanes*Elem = vector footprint in bytes
+	Src    [MaxSrcs]PageID // source logical pages, NSrc of them
 	Meta   Meta
 	Op     Op    // operation
 	Elem   uint8 // element size in bytes (1, 2 or 4)
 	UseImm bool  // when set, the last source lane input is the immediate
+	NSrc   uint8 // number of sources, at most MaxSrcs
 }
+
+// Srcs returns the instruction's sources, a window of Src capped at NSrc:
+// appending to it copies rather than writing into the instruction.
+func (in *Inst) Srcs() []PageID { return in.Src[:in.NSrc:in.NSrc] }
 
 // VectorBytes reports the instruction's vector footprint.
 func (in *Inst) VectorBytes() int { return int(in.Lanes) * int(in.Elem) }
@@ -174,11 +185,11 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: inst %d (%v) lacks a destination", i, in.Op)
 			}
 		}
-		if want := in.Op.Sources(in.UseImm); in.Op != OpScalar && len(in.Srcs) != want {
+		if want := in.Op.Sources(in.UseImm); in.NSrc > MaxSrcs || in.Op != OpScalar && int(in.NSrc) != want {
 			return fmt.Errorf("isa: inst %d (%v) has %d sources, want %d",
-				i, in.Op, len(in.Srcs), want)
+				i, in.Op, in.NSrc, want)
 		}
-		for _, s := range in.Srcs {
+		for _, s := range in.Srcs() {
 			if !p.inRange(s) {
 				return fmt.Errorf("isa: inst %d source page %d out of range [0,%d)", i, s, p.Pages)
 			}
@@ -208,7 +219,7 @@ func (p *Program) Span() int {
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		hi = max(hi, in.Dst)
-		for _, s := range in.Srcs {
+		for _, s := range in.Srcs() {
 			hi = max(hi, s)
 		}
 	}

@@ -128,8 +128,8 @@ func validProgram() *Program {
 		Pages: 4,
 		Insts: []Inst{
 			{ID: 0, Op: OpBroadcast, Dst: 0, Imm: 7, UseImm: true, Elem: 1, Lanes: 64},
-			{ID: 1, Op: OpAdd, Dst: 1, Srcs: []PageID{0, 0}, Elem: 1, Lanes: 64},
-			{ID: 2, Op: OpMul, Dst: 2, Srcs: []PageID{1, 0}, Elem: 1, Lanes: 64},
+			{ID: 1, Op: OpAdd, Dst: 1, Src: [MaxSrcs]PageID{0, 0}, NSrc: 2, Elem: 1, Lanes: 64},
+			{ID: 2, Op: OpMul, Dst: 2, Src: [MaxSrcs]PageID{1, 0}, NSrc: 2, Elem: 1, Lanes: 64},
 			{ID: 3, Op: OpScalar, Dst: NoPage, ScalarCycles: 100},
 		},
 	}
@@ -151,8 +151,9 @@ func TestValidateRejections(t *testing.T) {
 		{"bad id", func(p *Program) { p.Insts[1].ID = 5 }},
 		{"bad elem", func(p *Program) { p.Insts[1].Elem = 3 }},
 		{"no lanes", func(p *Program) { p.Insts[1].Lanes = 0 }},
-		{"wrong arity", func(p *Program) { p.Insts[1].Srcs = p.Insts[1].Srcs[:1] }},
-		{"page out of range", func(p *Program) { p.Insts[1].Srcs[0] = 99 }},
+		{"wrong arity", func(p *Program) { p.Insts[1].NSrc = 1 }},
+		{"more sources than Src holds", func(p *Program) { p.Insts[3].NSrc = MaxSrcs + 1 }},
+		{"page out of range", func(p *Program) { p.Insts[1].Src[0] = 99 }},
 		{"dst out of range", func(p *Program) { p.Insts[1].Dst = 99 }},
 		{"scalar without cycles", func(p *Program) { p.Insts[3].ScalarCycles = 0 }},
 		{"missing dst", func(p *Program) { p.Insts[1].Dst = NoPage }},

@@ -45,27 +45,19 @@ func unmarshalProgram(img []byte) (*isa.Program, error) {
 
 // cursor walks an image in layout order on the shared cursor
 // (internal/walk), which holds every integer to its shortest zigzag
-// varint and the type it is walked into. srcs backs every decoded
-// instruction's Srcs.
+// varint and the type it is walked into. srcs is what the header's source
+// total leaves to the instructions not yet walked.
 type cursor struct {
 	walk.Cursor
-	srcs []isa.PageID
+	srcs int
 }
 
-// list walks a list, decoding into the front of *pool (a fresh array when
-// pool is nil); empty decodes as nil.
-func (c *cursor) list(s, pool *[]isa.PageID) {
+// list walks a page list, decoding into a fresh array; empty decodes as
+// nil.
+func (c *cursor) list(s *[]isa.PageID) {
 	n := len(*s)
 	if walk.Int(&c.Cursor, &n); c.Count(n, 1) && n > 0 {
-		if pool == nil {
-			fresh := make([]isa.PageID, n)
-			pool = &fresh
-		}
-		if n > len(*pool) {
-			c.Fail(errImage)
-			return
-		}
-		*s, *pool = (*pool)[:n:n], (*pool)[n:]
+		*s = make([]isa.PageID, n)
 	}
 	for i := range *s {
 		walk.Int(&c.Cursor, &(*s)[i])
@@ -88,32 +80,39 @@ func (c *cursor) program(p *isa.Program) {
 	walk.Int(&c.Cursor, &p.Pages)
 	n, srcs := len(p.Insts), 0
 	for i := range p.Insts {
-		srcs += len(p.Insts[i].Srcs)
+		srcs += int(p.Insts[i].NSrc)
 	}
 	walk.Int(&c.Cursor, &n)
 	walk.Int(&c.Cursor, &srcs)
 	// An instruction takes a byte per field at least.
-	if c.Count(n, 12) && c.Count(srcs, 1) && c.Count(12*n+srcs, 1) {
-		c.srcs = make([]isa.PageID, srcs)
-		if n > 0 {
-			p.Insts = make([]isa.Inst, n)
-		}
+	if c.Count(n, 12) && c.Count(srcs, 1) && c.Count(12*n+srcs, 1) && n > 0 {
+		p.Insts = make([]isa.Inst, n)
 	}
+	c.srcs = srcs
 	for i := range p.Insts {
 		c.inst(&p.Insts[i])
 	}
-	if len(c.srcs) != 0 {
+	if c.srcs != 0 {
 		c.Fail(errImage) // a total the instructions did not use
 	}
-	c.list(&p.InputPages, nil)
-	c.list(&p.OutputPages, nil)
+	c.list(&p.InputPages)
+	c.list(&p.OutputPages)
 }
 
 func (c *cursor) inst(in *isa.Inst) {
 	walk.Int(&c.Cursor, &in.ID)
 	walk.Int(&c.Cursor, &in.Op)
 	walk.Int(&c.Cursor, &in.Dst)
-	c.list(&in.Srcs, &c.srcs)
+	// A source count past MaxSrcs or the total left is refused before
+	// any source is walked into Src.
+	if walk.Int(&c.Cursor, &in.NSrc); in.NSrc > isa.MaxSrcs || int(in.NSrc) > c.srcs {
+		c.Fail(errImage)
+		return
+	}
+	c.srcs -= int(in.NSrc)
+	for i := range in.Srcs() {
+		walk.Int(&c.Cursor, &in.Src[i])
+	}
 	walk.Int(&c.Cursor, &in.Imm)
 	var flags uint8
 	if in.UseImm {

@@ -39,13 +39,6 @@ func workloadPrograms(t testing.TB, scale int) []*isa.Program {
 // decoded image takes.
 func nilEmpty(p *isa.Program) *isa.Program {
 	q := *p
-	q.Insts = append([]isa.Inst(nil), p.Insts...)
-	for i := range q.Insts {
-		in := &q.Insts[i]
-		if len(in.Srcs) == 0 {
-			in.Srcs = nil
-		}
-	}
 	if len(q.Insts) == 0 {
 		q.Insts = nil
 	}
@@ -76,22 +69,39 @@ func TestImageRoundTrip(t *testing.T) {
 
 // TestImageDecodeAllocs pins that decoding costs a fixed number of
 // allocations whatever the instruction count — the cursor, the program,
-// its name, the instructions, one array for every Srcs, and the two page
-// lists — and that each Srcs is a capped window, so an append to one
-// cannot run into the next.
+// its name, the instructions (their sources inline) and the two page
+// lists — and that appending to an instruction's Srcs cannot write into
+// the instruction.
 func TestImageDecodeAllocs(t *testing.T) {
 	for _, p := range workloadPrograms(t, 1) {
 		img := MarshalProgram(p)
-		if n := testing.AllocsPerRun(10, func() { _, _ = unmarshalProgram(img) }); n > 7 {
-			t.Errorf("%s: decoding %d instructions takes %v allocations, want at most 7", p.Name, len(p.Insts), n)
+		if n := testing.AllocsPerRun(10, func() { _, _ = unmarshalProgram(img) }); n > 6 {
+			t.Errorf("%s: decoding %d instructions takes %v allocations, want at most 6", p.Name, len(p.Insts), n)
 		}
 		got, _ := unmarshalProgram(img)
-		for _, in := range got.Insts {
-			if cap(in.Srcs) != len(in.Srcs) {
-				t.Fatalf("%s: inst %d's sources are not capped", p.Name, in.ID)
+		for i := range got.Insts {
+			in := &got.Insts[i]
+			was := *in
+			if _ = append(in.Srcs(), 7); *in != was {
+				t.Fatalf("%s: appending to inst %d's sources wrote into the instruction", p.Name, in.ID)
 			}
 		}
 	}
+}
+
+// sourcesImage is testProgram's image with its one instruction, an XOR of
+// pages 0 and 1, edited to list n sources (page 1 repeated) and the source
+// total to match. Decoding checks no arity, so it decodes for n up to
+// isa.MaxSrcs and must refuse more.
+func sourcesImage(n int) []byte {
+	p, _ := testProgram(512)
+	img := MarshalProgram(p)
+	id := len(imageMagic) + 1 + len(p.Name) + 3 // after Pages, the count and the total
+	img[id-1], img[id+3] = byte(2*n), byte(2*n) // the total and the instruction's count
+	for k := 2; k < n; k++ {
+		img = slices.Insert(img, id+6, 2)
+	}
+	return img
 }
 
 // BenchmarkImageRoundTrip marshals and unmarshals the six evaluated
@@ -118,7 +128,8 @@ func BenchmarkImageRoundTrip(b *testing.B) {
 // TestImageRejects pins each rule that keeps the encoding canonical and
 // the decoder bounded, on edits of a valid image: another layout version,
 // a trailing byte, a truncation, a varint longer than its shortest form,
-// an unknown flag bit, and an operand total the instructions do not use.
+// an unknown flag bit, an operand total the instructions do not use, and
+// an instruction listing more sources than any operation takes.
 func TestImageRejects(t *testing.T) {
 	p, _ := testProgram(512)
 	img := MarshalProgram(p)
@@ -141,6 +152,7 @@ func TestImageRejects(t *testing.T) {
 		{"overlong varint", func(b []byte) []byte { return slices.Replace(b, pagesAt, pagesAt+1, 0x86, 0) }},
 		{"unknown flag", func(b []byte) []byte { b[flagsAt] = 2 * 4; return b }},
 		{"unused source total", func(b []byte) []byte { b[pagesAt+2] += 2; return b }},
+		{"four sources", func([]byte) []byte { return sourcesImage(isa.MaxSrcs + 1) }},
 	} {
 		if _, err := unmarshalProgram(c.edit(slices.Clone(img))); err == nil {
 			t.Errorf("%s: image decoded", c.name)
@@ -148,6 +160,9 @@ func TestImageRejects(t *testing.T) {
 	}
 	if _, err := unmarshalProgram(img); err != nil {
 		t.Fatalf("the unedited image: %v", err)
+	}
+	if got, err := unmarshalProgram(sourcesImage(isa.MaxSrcs)); err != nil || got.Insts[0].Srcs()[isa.MaxSrcs-1] != 1 {
+		t.Fatalf("the image listing %d sources: %v", isa.MaxSrcs, err)
 	}
 }
 
@@ -198,6 +213,7 @@ func FuzzFirmwareImage(f *testing.F) {
 		}
 	}
 	f.Add([]byte("garbage"))
+	f.Add(sourcesImage(isa.MaxSrcs + 1))
 	// Counts that each fit the 1 300 bytes left but not together: decoding
 	// them anyway would allocate 12 times the image.
 	hostile := walk.Cursor{Enc: true, B: []byte(imageMagic)}

@@ -74,15 +74,17 @@ type Device struct {
 	// page of the span.
 	pageReady []sim.Time
 
-	// Liveness, from compiler metadata: accesses[p] is the ordered list
+	// Liveness, from compiler metadata: accessesOf(p) is the ordered list
 	// of instruction indices touching page p, with reads and writes
-	// distinguished. A page version is dead once its next access is a
-	// write (the value can never be read again); output pages stay live
-	// at end of program (the host may read them back). Both are indexed
-	// by page, immutable after LoadProgram and shared by every fork; their
-	// length is the program's span (isa.Program.Span), the length of every
-	// page-indexed table.
-	accesses [][]access
+	// distinguished, a window of accesses that accessAt[p] and
+	// accessAt[p+1] bound. A page version is dead once its next access is
+	// a write (the value can never be read again); output pages stay live
+	// at end of program (the host may read them back). All three are
+	// immutable after LoadProgram and shared by every fork; output, like
+	// every page-indexed table, is as long as the program's span
+	// (isa.Program.Span), and accessAt one longer.
+	accesses []access
+	accessAt []int32
 	output   []bool
 
 	// costs is the per-program cost table, one row per instruction: the
@@ -137,10 +139,24 @@ const (
 	noPlane int16 = -1
 )
 
-// access is one reference to a page in program order.
-type access struct {
-	idx  int32
-	read bool
+// access is one reference to a page in program order, packed into four
+// bytes: the instruction's index shifted left once, the low bit set for a
+// read. A page's list is sorted by index, reads before the write of the
+// same instruction.
+type access int32
+
+func (a access) read() bool { return a&1 != 0 }
+
+// maxInsts is the longest program LoadProgram accepts, so that every
+// access has an int32 offset in accessAt and (the conversion below fails
+// to compile otherwise) a packed index.
+const maxInsts = math.MaxInt32 / (isa.MaxSrcs + 1)
+
+var _ = access(maxInsts<<1 | 1)
+
+// accessesOf returns page p's liveness list.
+func (d *Device) accessesOf(p isa.PageID) []access {
+	return d.accesses[d.accessAt[p]:d.accessAt[p+1]]
 }
 
 // Decision records one offloading decision for Figs. 9 and 10. A run keeps
@@ -209,6 +225,9 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	if prog.Pages > d.FTL.Capacity() {
 		return fmt.Errorf("ssd: program needs %d pages, drive has %d", prog.Pages, d.FTL.Capacity())
 	}
+	if len(prog.Insts) > maxInsts {
+		return fmt.Errorf("ssd: program has %d instructions, the liveness index holds %d", len(prog.Insts), maxInsts)
+	}
 	// Copies a previous program left in DRAM slots and plane latches mean
 	// nothing to this one; the page-indexed tables are sized by the pages
 	// the program names (its span), not by the drive or by Pages.
@@ -230,12 +249,13 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 		d.slotOwner[i] = isa.NoPage
 		d.freeSlots[i/64] |= 1 << (i % 64)
 	}
-	d.accesses = make([][]access, n)
 	d.output = make([]bool, n)
 	// Pages read before ever being written behave as zero-filled inputs;
 	// map them so flash reads are defined. The same walk counts each
-	// page's references, so its access list is a capped window of one array.
-	sets, refs, total := make([]bool, 3*n), make([]int32, n), 0
+	// page's references into at[p+1]; their prefix sum places each page's
+	// list in one array, and a second walk fills it, advancing at[p] to
+	// the end of page p's list before one shift makes it the start again.
+	sets, at := make([]bool, 3*n), make([]int32, n+1)
 	inputSet, defined, written := sets[:n:n], sets[n:2*n:2*n], sets[2*n:]
 	effectiveInputs := append([]isa.PageID(nil), prog.InputPages...)
 	for _, p := range prog.InputPages {
@@ -243,35 +263,33 @@ func (d *Device) LoadProgram(prog *isa.Program, inputs map[isa.PageID][]byte) er
 	}
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		for _, s := range in.Srcs {
-			refs[s]++
+		for _, s := range in.Srcs() {
+			at[s+1]++
 			if !inputSet[s] && !defined[s] {
 				inputSet[s] = true
 				effectiveInputs = append(effectiveInputs, s)
 			}
 		}
 		if in.Dst != isa.NoPage {
-			refs[in.Dst]++
+			at[in.Dst+1]++
 			defined[in.Dst] = true
-			total++
-		}
-		total += len(in.Srcs)
-	}
-	all := make([]access, total)
-	for p, k := range refs {
-		if k > 0 {
-			d.accesses[p], all = all[:0:k], all[k:]
 		}
 	}
+	for p := range n {
+		at[p+1] += at[p]
+	}
+	d.accesses = make([]access, at[n])
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		for _, s := range in.Srcs {
-			d.accesses[s] = append(d.accesses[s], access{idx: int32(i), read: true})
+		for _, s := range in.Srcs() {
+			d.accesses[at[s]], at[s] = access(i<<1|1), at[s]+1
 		}
 		if in.Dst != isa.NoPage {
-			d.accesses[in.Dst] = append(d.accesses[in.Dst], access{idx: int32(i)})
+			d.accesses[at[in.Dst]], at[in.Dst] = access(i<<1), at[in.Dst]+1
 		}
 	}
+	copy(at[1:], at[:n])
+	at[0], d.accessAt = 0, at
 	if len(prog.OutputPages) == 0 {
 		// No liveness metadata: conservatively keep everything live.
 		for i := range d.output {
@@ -356,7 +374,7 @@ func (d *Device) inputPage(inputs map[isa.PageID][]byte, p isa.PageID) []byte {
 func (d *Device) resetMeasurement() {
 	d.En.Reset()
 	d.firmware = 0
-	d.pageReady = make([]sim.Time, len(d.accesses))
+	d.pageReady = make([]sim.Time, len(d.output))
 	for i := 0; i < d.Cfg.SSD.TotalDies(); i++ {
 		d.Flash.DieCalendar(i).Reset()
 	}
@@ -450,7 +468,7 @@ func operandGroups(prog *isa.Program, span int, inputOrder []isa.PageID, maxGrou
 			}
 			prev = s
 		}
-		for _, s := range in.Srcs {
+		for _, s := range in.Srcs() {
 			visit(s)
 		}
 		if in.Dst != isa.NoPage {
@@ -502,11 +520,11 @@ func (d *Device) PageBytes(p isa.PageID) ([]byte, error) {
 	if d.Dir == nil {
 		return nil, fmt.Errorf("ssd: no program loaded")
 	}
-	if uint(p) >= uint(len(d.accesses)) {
+	if uint(p) >= uint(len(d.output)) {
 		// Past the span no table has an entry, and no instruction, input
 		// or output names the page: refuse it as the FTL refuses a page
 		// nothing was written to.
-		return nil, fmt.Errorf("ssd: page %d is unmapped: the program names pages [0,%d)", p, len(d.accesses))
+		return nil, fmt.Errorf("ssd: page %d is unmapped: the program names pages [0,%d)", p, len(d.output))
 	}
 	switch d.Dir.Owner(int(p)) {
 	case coherence.LocDRAM:

@@ -50,7 +50,7 @@ func (d *Device) execute(inst *isa.Inst, r isa.Resource, issue sim.Time, plan *i
 // of its destination, for WAR/WAW ordering) become available.
 func (d *Device) operandsReady(inst *isa.Inst) sim.Time {
 	var ready sim.Time
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		if t := d.pageReady[s]; t > ready {
 			ready = t
 		}
@@ -150,7 +150,7 @@ func (d *Device) allocSlot(now sim.Time) (int, sim.Time, error) {
 	// dispatched counts among the readers of its own operands — staging
 	// one can evict another that is not staged yet.
 	after := d.curInst
-	if slices.Contains(d.prog.Insts[after].Srcs, page) {
+	if slices.Contains(d.prog.Insts[after].Srcs(), page) {
 		after--
 	}
 	if d.Dir.Owner(int(page)) == coherence.LocDRAM && !d.deadAfter(page, after) {
@@ -288,7 +288,7 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 		}
 		d.srcScratch = srcs[:0]
 	}()
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
 		if err != nil {
 			return 0, err
@@ -338,7 +338,7 @@ func (d *Device) executeISP(inst *isa.Inst, issue, ready sim.Time) (sim.Time, er
 func (d *Device) executePuD(inst *isa.Inst, unit *sim.Calendar, issue, ready sim.Time) (sim.Time, error) {
 	var slotBuf [3]int // no operation takes more sources
 	slots := slotBuf[:0]
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		slot, avail, err := d.ensureInDRAM(issue, d.pageReady[s], s)
 		if err != nil {
 			return 0, err
@@ -398,7 +398,7 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 	}()
 	usedBuffer := false
 	bufferOperand := isa.NoPage
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		// An operand that is not already in the target plane is fetched —
 		// data, readable at fetched — and latch-loaded below.
 		var data []byte
@@ -521,24 +521,11 @@ func (d *Device) executeIFP(inst *isa.Inst, plan *ifpPlan, issue, ready sim.Time
 // skips write-backs of dead values — the lazy coherence protocol only
 // preserves data someone can still request.
 func (d *Device) deadAfter(p isa.PageID, id int) bool {
-	evs := d.accesses[p]
-	// Binary search the first event strictly after id.
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(evs[mid].idx) <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for _, ev := range evs[lo:] {
-		if ev.read {
-			return false // someone still reads this value
-		}
-		if int(ev.idx) > id {
-			return true // overwritten before any read
-		}
+	// The first access after id decides: a read keeps the value live, a
+	// write overwrites it first.
+	evs := d.accessesOf(p)
+	if i, _ := slices.BinarySearch(evs, access(id+1)<<1); i < len(evs) {
+		return !evs[i].read()
 	}
 	// No further access: dead unless the host may read it back.
 	return !d.output[p]

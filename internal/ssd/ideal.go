@@ -33,7 +33,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	var mem map[isa.PageID][]byte
 	if !cfg.TimingOnly {
 		pool = arena.New(cfg.PageSize)
-		mem = make(map[isa.PageID][]byte, len(d.accesses))
+		mem = make(map[isa.PageID][]byte, len(d.output))
 	}
 	load := func(p isa.PageID) []byte {
 		if b, ok := mem[p]; ok {
@@ -49,7 +49,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 		return b
 	}
 
-	ready := make([]sim.Time, len(d.accesses))
+	ready := make([]sim.Time, len(d.output))
 	var srcs [][]byte // reused operand-pointer scratch
 	rec := d.newRecorder("Ideal")
 	var elapsed sim.Time
@@ -58,7 +58,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 	for i := range d.prog.Insts {
 		inst := &d.prog.Insts[i]
 		var start sim.Time
-		for _, s := range inst.Srcs {
+		for _, s := range inst.Srcs() {
 			if ready[s] > start {
 				start = ready[s]
 			}
@@ -74,7 +74,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 			if !cfg.TimingOnly {
 				// Functional execution via the shared kernels.
 				srcs = srcs[:0]
-				for _, s := range inst.Srcs {
+				for _, s := range inst.Srcs() {
 					srcs = append(srcs, load(s))
 				}
 				out := pool.Get() // fully overwritten by Apply
@@ -104,7 +104,7 @@ func (d *Device) RunIdeal() (*Result, map[isa.PageID][]byte, error) {
 // execution: perfectly placed operands, co-located for one multi-wordline
 // sense.
 func idealProfile(inst *isa.Inst) nand.OperandProfile {
-	return nand.OperandProfile{Senses: len(inst.Srcs), MWS: true}
+	return nand.OperandProfile{Senses: int(inst.NSrc), MWS: true}
 }
 
 // idealChoice returns the resource with the lowest pure computation
@@ -140,7 +140,7 @@ func (d *Device) idealComputeEnergy(inst *isa.Inst, r isa.Resource) float64 {
 	}
 	_, rounds := ifpCost(cfg, inst, idealProfile(inst))
 	kb := float64(cfg.PageSize) / 1024
-	sense := float64(len(inst.Srcs)) * cfg.EReadPerChannel
+	sense := float64(inst.NSrc) * cfg.EReadPerChannel
 	switch {
 	case inst.Op.IFP() != isa.IFPBitwise:
 		return sense + float64(rounds)*cfg.ELatchPerKB*kb

@@ -23,10 +23,10 @@ func livenessProgram(t *testing.T, ps int) (*isa.Program, map[isa.PageID][]byte)
 		Name:  "liveness",
 		Pages: 6,
 		Insts: []isa.Inst{
-			{ID: 0, Op: isa.OpAdd, Dst: 3, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
-			{ID: 1, Op: isa.OpMul, Dst: 4, Srcs: []isa.PageID{3, 0}, Elem: 1, Lanes: int32(ps)},
-			{ID: 2, Op: isa.OpAdd, Dst: 3, Srcs: []isa.PageID{1, 1}, Elem: 1, Lanes: int32(ps)}, // overwrites temp
-			{ID: 3, Op: isa.OpXor, Dst: 4, Srcs: []isa.PageID{4, 3}, Elem: 1, Lanes: int32(ps)},
+			{ID: 0, Op: isa.OpAdd, Dst: 3, Src: [isa.MaxSrcs]isa.PageID{0, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
+			{ID: 1, Op: isa.OpMul, Dst: 4, Src: [isa.MaxSrcs]isa.PageID{3, 0}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
+			{ID: 2, Op: isa.OpAdd, Dst: 3, Src: [isa.MaxSrcs]isa.PageID{1, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)}, // overwrites temp
+			{ID: 3, Op: isa.OpXor, Dst: 4, Src: [isa.MaxSrcs]isa.PageID{4, 3}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
 		},
 		InputPages:  []isa.PageID{0, 1},
 		OutputPages: []isa.PageID{4},
@@ -101,8 +101,8 @@ func TestOperandGroupsRespectBlockCap(t *testing.T) {
 	// hub XORs chain every page together transitively.
 	for i := 0; i+1 < nPages; i++ {
 		insts = append(insts, isa.Inst{Op: isa.OpXor,
-			Dst:  isa.PageID(nPages),
-			Srcs: []isa.PageID{isa.PageID(i), isa.PageID(i + 1)}, Elem: 1, Lanes: int32(ps)})
+			Dst: isa.PageID(nPages),
+			Src: [isa.MaxSrcs]isa.PageID{isa.PageID(i), isa.PageID(i + 1)}, NSrc: 2, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := buildProg(t, nPages+1, ids, insts)
 	d := New(&cfg)

@@ -27,7 +27,7 @@ func mapInputOrder(prog *isa.Program) []isa.PageID {
 	defined := make(map[isa.PageID]bool)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		for _, s := range in.Srcs {
+		for _, s := range in.Srcs() {
 			if !inputSet[s] && !defined[s] {
 				inputSet[s] = true
 				order = append(order, s)
@@ -74,9 +74,9 @@ func mapOperandGroups(prog *isa.Program, inputOrder []isa.PageID, maxGroup int) 
 		if !isa.Supports(isa.ResIFP, in.Op) {
 			continue
 		}
-		pages := in.Srcs
+		pages := in.Srcs()
 		if in.Dst != isa.NoPage {
-			pages = append(append([]isa.PageID(nil), in.Srcs...), in.Dst)
+			pages = append(append([]isa.PageID(nil), in.Srcs()...), in.Dst)
 		}
 		prev := isa.NoPage
 		for _, s := range pages {
@@ -123,8 +123,8 @@ func randomProgram(r *sim.RNG, pages, n int) *isa.Program {
 	for i := 0; i < n; i++ {
 		op := isa.Op(r.Intn(int(isa.OpScalar))) // every op but OpScalar
 		in := isa.Inst{ID: int32(i), Op: op, Dst: isa.PageID(r.Intn(pages)), Elem: 1, Lanes: 8}
-		for k := op.Sources(false); k > 0; k-- {
-			in.Srcs = append(in.Srcs, isa.PageID(r.Intn(pages)))
+		for in.NSrc = 0; int(in.NSrc) < op.Sources(false); in.NSrc++ {
+			in.Src[in.NSrc] = isa.PageID(r.Intn(pages))
 		}
 		p.Insts = append(p.Insts, in)
 	}
@@ -165,8 +165,8 @@ func TestOperandGroupsMatchMapOracle(t *testing.T) {
 	}
 }
 
-// TestAccessListsMatchAppend pins LoadProgram's carved liveness lists to
-// the per-page append they replaced.
+// TestAccessListsMatchAppend pins LoadProgram's packed liveness lists to a
+// per-page append.
 func TestAccessListsMatchAppend(t *testing.T) {
 	cfg := config.TestScale()
 	r := sim.NewRNG(11)
@@ -178,13 +178,18 @@ func TestAccessListsMatchAppend(t *testing.T) {
 		}
 		want := make([][]access, prog.Span())
 		for i, in := range prog.Insts {
-			for _, s := range in.Srcs {
-				want[s] = append(want[s], access{idx: int32(i), read: true})
+			for _, s := range in.Srcs() {
+				want[s] = append(want[s], access(i<<1|1))
 			}
-			want[in.Dst] = append(want[in.Dst], access{idx: int32(i)})
+			want[in.Dst] = append(want[in.Dst], access(i<<1))
 		}
-		if !reflect.DeepEqual(d.accesses, want) {
-			t.Fatalf("program %d: accesses\n%v\nwant\n%v", i, d.accesses, want)
+		if len(d.accessAt) != len(want)+1 {
+			t.Fatalf("program %d: %d access offsets for a span of %d", i, len(d.accessAt), len(want))
+		}
+		for p, w := range want {
+			if got := d.accessesOf(isa.PageID(p)); !slices.Equal(got, w) {
+				t.Fatalf("program %d page %d: accesses %v, want %v", i, p, got, w)
+			}
 		}
 	}
 }
@@ -206,7 +211,7 @@ func TestTablesSizedBySpan(t *testing.T) {
 			prog, what := c.Prog, fmt.Sprintf("%s at scale %d", w.Name, scale)
 			highest := -1
 			for _, in := range prog.Insts {
-				for _, p := range append(slices.Clone(in.Srcs), in.Dst) {
+				for _, p := range append(slices.Clone(in.Srcs()), in.Dst) {
 					highest = max(highest, int(p))
 				}
 			}
@@ -233,7 +238,7 @@ func TestTablesSizedBySpan(t *testing.T) {
 					"dramSlot":            len(dev.dramSlot),
 					"pagePlane":           len(dev.pagePlane),
 					"pageReady":           len(dev.pageReady),
-					"accesses":            len(dev.accesses),
+					"accessAt":            len(dev.accessAt) - 1,
 					"output":              len(dev.output),
 				} {
 					if n != span {

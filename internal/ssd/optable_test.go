@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"conduit/internal/compiler"
@@ -77,7 +79,7 @@ func TestFeaturesSupportMatchesTable(t *testing.T) {
 		}
 		for i := range c.Prog.Insts {
 			inst, cost := &c.Prog.Insts[i], &d.costs[i]
-			compLatency := [isa.NumResources]sim.Time{cost.ispLat, cost.pudLat, 0}
+			compLatency := [isa.NumResources]sim.Time{cost.ispLat, sim.Time(cost.pudLat), 0}
 			if cost.runs[isa.ResIFP] {
 				compLatency[isa.ResIFP], _ = ifpCost(&cfg.SSD, inst, idealProfile(inst))
 			}
@@ -97,6 +99,40 @@ func TestFeaturesSupportMatchesTable(t *testing.T) {
 					t.Fatalf("%s inst %d (%v) on %v: supported with computation latency %v", w.Name, i, inst.Op, r, compLatency[r])
 				}
 			}
+		}
+	}
+}
+
+// TestCostRowRefusesOverflow: a cost row holds pudLat and coreTraffic as
+// int32 nanoseconds, so LoadProgram refuses a program whose latency there
+// would not fit rather than truncate it: a multiplication of 2^31-1
+// four-byte lanes (3.5 s of DRAM-bus traffic), and one on a drive whose
+// bbop round takes a second. The same multiplication over one page loads.
+func TestCostRowRefusesOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		lanes int32
+		tbbop sim.Time
+	}{
+		{"one page", 0, 0},
+		{"2^31-1 lanes", math.MaxInt32, 0},
+		{"a one-second bbop round", 0, sim.Second},
+	} {
+		cfg := config.TestScale()
+		cfg.SSD.TimingOnly = true
+		lanes := int32(cfg.SSD.PageSize / 4)
+		if c.lanes > 0 {
+			lanes = c.lanes
+		}
+		if c.tbbop > 0 {
+			cfg.SSD.TBbop = c.tbbop
+		}
+		prog := &isa.Program{Name: c.name, Pages: 3, InputPages: []isa.PageID{0, 1}, Insts: []isa.Inst{
+			{Op: isa.OpMul, Dst: 2, Src: [isa.MaxSrcs]isa.PageID{0, 1}, NSrc: 2, Elem: 4, Lanes: lanes},
+		}}
+		err := New(&cfg).LoadProgram(prog, nil)
+		if fits := c.lanes == 0 && c.tbbop == 0; fits != (err == nil) || err != nil && !strings.Contains(err.Error(), "overflows the cost table") {
+			t.Errorf("%s: LoadProgram: %v", c.name, err)
 		}
 	}
 }

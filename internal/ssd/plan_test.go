@@ -73,7 +73,7 @@ func recomputeFeatures(d *Device, inst *isa.Inst, cursor int) recomputed {
 	busDelay := d.DRAM.Bus().QueueDelay(now)
 
 	stageCost, stageChDelay := recomputeMoveDRAM(d, inst)
-	coreTraffic := sim.Time(len(inst.Srcs)+1) * cfg.DRAMTransferTime(inst.VectorBytes())
+	coreTraffic := sim.Time(len(inst.Srcs())+1) * cfg.DRAMTransferTime(inst.VectorBytes())
 	f.move[isa.ResISP] = stageCost + coreTraffic
 	f.queue[isa.ResISP] = maxT(f.queue[isa.ResISP], busDelay)
 	if stageCost > 0 {
@@ -111,7 +111,7 @@ func recomputeMoveDRAM(d *Device, inst *isa.Inst) (sim.Time, sim.Time) {
 	cfg := &d.Cfg.SSD
 	now := d.firmware
 	var t, chDelay sim.Time
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		if _, cached := d.slotOf(s); cached {
 			continue
 		}
@@ -134,7 +134,7 @@ func recomputeIFP(d *Device, inst *isa.Inst, cursor int) (recomputedIFP, int) {
 	plan := recomputedIFP{plane: -1}
 
 	flashPlane := -1
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		switch d.Dir.Owner(int(s)) {
 		case coherence.LocBuffer:
 			if p, ok := d.bufferPlane(s); ok && plan.plane == -1 {
@@ -159,7 +159,7 @@ func recomputeIFP(d *Device, inst *isa.Inst, cursor int) (recomputedIFP, int) {
 	pageMove := cfg.ChannelTransferTime(cfg.PageSize)
 	sameBlock := true
 	firstBlock := -1
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		switch d.Dir.Owner(int(s)) {
 		case coherence.LocFlash:
 			a, _ := d.FTL.PhysAddr(ftl.LPN(s))
@@ -300,7 +300,7 @@ func evictionProgram(t *testing.T, ps int) (prog *isa.Program, inputs map[isa.Pa
 	b, a = 2, 3
 	inputs = map[isa.PageID][]byte{in0: randPage(1, ps), in1: randPage(2, ps), b: randPage(3, ps)}
 	mul := func(dst, x, y isa.PageID) isa.Inst {
-		return isa.Inst{Op: isa.OpMul, Dst: dst, Srcs: []isa.PageID{x, y}, Elem: 1, Lanes: int32(ps)}
+		return isa.Inst{Op: isa.OpMul, Dst: dst, Src: [isa.MaxSrcs]isa.PageID{x, y}, NSrc: 2, Elem: 1, Lanes: int32(ps)}
 	}
 	insts := []isa.Inst{mul(a, in0, in1)} // slots: in0, in1, A
 	for k := isa.PageID(1); k <= fillers; k++ {

@@ -171,14 +171,71 @@ func TestRecordLatenciesFollowDecisions(t *testing.T) {
 	}
 }
 
-// TestPerInstructionSizes pins the two values a cold cell stores per
-// instruction: an instruction (the compile's scratch, the compiled program
-// and the decoded image) and a decision (each published record).
+// TestPerInstructionSizes pins the values a cold cell stores per
+// instruction — an instruction (the compile's scratch, the compiled
+// program and the decoded image), a decision (each published record), a
+// cost-table row and a packed liveness entry — to their sizes, and holds
+// each free of pointers, so no per-instruction table is in the collector's
+// scan set.
 func TestPerInstructionSizes(t *testing.T) {
-	if n := unsafe.Sizeof(isa.Inst{}); n > 72 {
-		t.Errorf("isa.Inst takes %d bytes, want at most 72", n)
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{
+		{reflect.TypeFor[isa.Inst](), 56},
+		{reflect.TypeFor[Decision](), 24},
+		{reflect.TypeFor[instCost](), 24},
+		{reflect.TypeFor[access](), 4},
+	} {
+		if n := c.typ.Size(); n != c.size {
+			t.Errorf("%v takes %d bytes, want %d", c.typ, n, c.size)
+		}
+		if path := pointerPath(c.typ); path != "" {
+			t.Errorf("%v carries a pointer at %s", c.typ, path)
+		}
 	}
-	if n := unsafe.Sizeof(Decision{}); n != 24 {
-		t.Errorf("Decision takes %d bytes, want 24", n)
+	// The walk itself finds a pointer wherever a kind carries one.
+	type nested struct {
+		a int64
+		b [2]struct{ s string }
 	}
+	for typ, want := range map[reflect.Type]string{
+		reflect.TypeFor[nested]():                   ".b[0].s (string)",
+		reflect.TypeFor[struct{ s []isa.PageID }](): ".s (slice)",
+		reflect.TypeFor[[1]map[int]int]():           "[0] (map)",
+		reflect.TypeFor[struct {
+			f func()
+			n int
+		}](): ".f (func)",
+		reflect.TypeFor[*int]():    " (ptr)",
+		reflect.TypeFor[[0]*int](): "",
+	} {
+		if got := pointerPath(typ); got != want {
+			t.Errorf("pointerPath(%v) = %q, want %q", typ, got, want)
+		}
+	}
+}
+
+// pointerPath is the path to the first part of a value of type t that the
+// collector would scan, "" when there is none.
+func pointerPath(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		if p := pointerPath(t.Elem()); p != "" && t.Len() > 0 {
+			return "[0]" + p
+		}
+		return ""
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if p := pointerPath(t.Field(i).Type); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+		return ""
+	}
+	return " (" + t.Kind().String() + ")"
 }

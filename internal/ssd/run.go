@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"conduit/internal/coherence"
@@ -62,11 +63,15 @@ func ifpCost(cfg *config.SSD, inst *isa.Inst, prof nand.OperandProfile) (sim.Tim
 // builds one row per instruction, indexed by position; the table is
 // immutable afterwards and shared by every fork. A new static feature
 // input is a column here, never a computation in Run's loop.
+// A row is 24 pointer-free bytes: buildCosts refuses a program whose
+// pudLat or coreTraffic overflows its int32 nanoseconds, and ispLat stays
+// a sim.Time, since ScalarCycles has no bound.
 type instCost struct {
-	ispLat, pudLat sim.Time               // contention-free computation latency (pudLat only where runs[ResPuD])
-	coreTraffic    sim.Time               // ISP's extra DRAM-bus traffic: every operand streamed in, the result out
-	resultMove     sim.Time               // copying a live in-flash result out of the latches; 0 for a dead one
-	runs           [isa.NumResources]bool // runsOn
+	ispLat      sim.Time               // contention-free ISP computation latency
+	pudLat      int32                  // contention-free PuD computation latency, where runs[ResPuD]
+	coreTraffic int32                  // ISP's extra DRAM-bus traffic: every operand streamed in, the result out
+	runs        [isa.NumResources]bool // runsOn
+	liveResult  bool                   // an in-flash result stays live: IFP pays Run's liveMove
 }
 
 // buildCosts computes the cost table of the loaded program, checking on the
@@ -76,13 +81,6 @@ type instCost struct {
 // metadata, so LoadProgram calls it after accesses and output are in place.
 func (d *Device) buildCosts() ([]instCost, error) {
 	cfg := &d.Cfg.SSD
-	// Result placement is data movement too: an in-flash result lands in
-	// the plane buffer, and if its page stays live it must eventually be
-	// copied out (channel + DRAM bus) before the latches are reused. Dead
-	// temporaries (compiler liveness metadata) cost nothing. This is kept
-	// separate from operand movement: Conduit's holistic cost function
-	// prices it, the prior DM model does not (§3.2).
-	liveResult := cfg.ChannelTransferTime(cfg.PageSize) + cfg.DRAMTransferTime(cfg.PageSize)
 	costs := make([]instCost, len(d.prog.Insts))
 	for i := range costs {
 		inst, c := &d.prog.Insts[i], &costs[i]
@@ -96,13 +94,15 @@ func (d *Device) buildCosts() ([]instCost, error) {
 		if inst.Op == isa.OpScalar {
 			continue
 		}
-		c.coreTraffic = sim.Time(len(inst.Srcs)+1) * cfg.DRAMTransferTime(inst.VectorBytes())
+		traffic, pud := sim.Time(inst.NSrc+1)*cfg.DRAMTransferTime(inst.VectorBytes()), sim.Time(0)
 		if c.runs[isa.ResPuD] {
-			c.pudLat, _ = pudCost(cfg, inst)
+			pud, _ = pudCost(cfg, inst)
 		}
-		if c.runs[isa.ResIFP] && inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, int(inst.ID)) {
-			c.resultMove = liveResult
+		if traffic > math.MaxInt32 || pud > math.MaxInt32 {
+			return nil, fmt.Errorf("ssd: inst %d: a latency of %v or %v overflows the cost table", i, traffic, pud)
 		}
+		c.coreTraffic, c.pudLat = int32(traffic), int32(pud)
+		c.liveResult = c.runs[isa.ResIFP] && inst.Dst != isa.NoPage && !d.deadAfter(inst.Dst, int(inst.ID))
 	}
 	return costs, nil
 }
@@ -153,6 +153,13 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 	// Besides the L2P lookups, per instruction: dependence and queue tracking,
 	// movement, computation and transformation table lookups.
 	fixedCollect := cfg.TDepTrack + cfg.TQueueTrack + cfg.TDMLookup + cfg.TCompLookup + cfg.TTranslate
+	// Result placement is data movement too: an in-flash result lands in
+	// the plane buffer, and if its page stays live it must eventually be
+	// copied out (channel + DRAM bus) before the latches are reused. Dead
+	// temporaries (compiler liveness metadata) cost nothing. This is kept
+	// separate from operand movement: Conduit's holistic cost function
+	// prices it, the prior DM model does not (§3.2).
+	liveMove := cfg.ChannelTransferTime(cfg.PageSize) + cfg.DRAMTransferTime(cfg.PageSize)
 	var overhead, elapsed sim.Time
 
 	for i := range d.prog.Insts {
@@ -181,7 +188,7 @@ func (d *Device) Run(policy offload.Policy) (*Result, error) {
 		}
 		overhead += collect
 
-		f := d.features(inst, cost)
+		f := d.features(inst, cost, liveMove)
 		choice := policy.Select(f)
 		if !f.Supported[choice] {
 			return nil, fmt.Errorf("ssd: policy %s chose %v for unsupported %v", policy.Name(), choice, inst.Op)
@@ -300,7 +307,7 @@ func (d *Device) resolveOperands(inst *isa.Inst) (sim.Time, error) {
 	geo := d.Flash.Geometry()
 	var lat sim.Time
 	d.ops = d.ops[:0]
-	for _, s := range inst.Srcs {
+	for _, s := range inst.Srcs() {
 		o := operand{owner: d.Dir.Owner(int(s))}
 		_, o.cached = d.slotOf(s)
 		o.plane, _ = d.bufferPlane(s)
@@ -343,8 +350,9 @@ func (l *deviceLoad) Utilization(r isa.Resource) float64 {
 
 // features gathers the six cost-function inputs for inst (Table 1) from
 // its cost-table row, the resolved operands in d.ops and the live
-// calendars, and records in d.plan the placement it priced.
-func (d *Device) features(inst *isa.Inst, cost *instCost) *offload.Features {
+// calendars, and records in d.plan the placement it priced. liveMove is
+// what copying a live in-flash result out costs.
+func (d *Device) features(inst *isa.Inst, cost *instCost, liveMove sim.Time) *offload.Features {
 	// Every field is set in place, on every path: building the 136-byte
 	// value afresh and copying it in costs more than the stores.
 	f := &d.feat
@@ -374,7 +382,7 @@ func (d *Device) features(inst *isa.Inst, cost *instCost) *offload.Features {
 	busDelay := d.DRAM.Bus().QueueDelay(now)
 
 	stageCost, stageChDelay := d.moveEstimateDRAM()
-	f.MoveLatency[isa.ResISP] = stageCost + cost.coreTraffic
+	f.MoveLatency[isa.ResISP] = stageCost + sim.Time(cost.coreTraffic)
 	f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], busDelay)
 	if stageCost > 0 {
 		f.QueueDelay[isa.ResISP] = maxT(f.QueueDelay[isa.ResISP], stageChDelay)
@@ -383,7 +391,7 @@ func (d *Device) features(inst *isa.Inst, cost *instCost) *offload.Features {
 	// PuD-SSD. Operand staging crosses the DRAM bus, so its backlog
 	// gates PuD work whenever operands are not already resident.
 	if cost.runs[isa.ResPuD] {
-		f.CompLatency[isa.ResPuD] = cost.pudLat
+		f.CompLatency[isa.ResPuD] = sim.Time(cost.pudLat)
 		f.MoveLatency[isa.ResPuD] = stageCost
 		// Nothing reserves a compute unit between here and executePuD
 		// (staging books the DRAM bus and the flash calendars), so the
@@ -400,7 +408,9 @@ func (d *Device) features(inst *isa.Inst, cost *instCost) *offload.Features {
 		plan.ifp = d.planIFP(inst)
 		f.CompLatency[isa.ResIFP], _ = ifpCost(&d.Cfg.SSD, inst, plan.ifp.profile)
 		f.MoveLatency[isa.ResIFP] = plan.ifp.moveCost
-		f.ResultMove[isa.ResIFP] = cost.resultMove
+		if cost.liveResult {
+			f.ResultMove[isa.ResIFP] = liveMove
+		}
 		f.QueueDelay[isa.ResIFP] = d.Flash.DieCalendar(plan.ifp.die).QueueDelay(now)
 		if plan.ifp.profile.Loads > 0 {
 			ch := d.planeAddr(plan.ifp.plane).Channel

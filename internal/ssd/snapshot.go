@@ -83,7 +83,8 @@ func (d *Device) Restore(src *Device) {
 	d.pageReady = append(d.pageReady[:0], src.pageReady...)
 
 	// Read-only after LoadProgram; records only gains entries, under its lock.
-	d.accesses, d.output, d.costs, d.records = src.accesses, src.output, src.costs, src.records
+	d.accesses, d.accessAt, d.output = src.accesses, src.accessAt, src.output
+	d.costs, d.records = src.costs, src.records
 
 	d.firmware = src.firmware
 	d.offloadCores.Restore(&src.offloadCores)

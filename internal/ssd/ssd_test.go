@@ -36,8 +36,8 @@ func refRun(t *testing.T, prog *isa.Program, inputs map[isa.PageID][]byte, pageS
 		if in.Op == isa.OpScalar {
 			continue
 		}
-		srcs := make([][]byte, 0, len(in.Srcs))
-		for _, s := range in.Srcs {
+		srcs := make([][]byte, 0, len(in.Srcs()))
+		for _, s := range in.Srcs() {
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, pageSize)
@@ -84,8 +84,10 @@ func mixProgram(t *testing.T, lanesElem int) (*isa.Program, map[isa.PageID][]byt
 		inputIDs = append(inputIDs, p)
 	}
 	v := func(op isa.Op, dst isa.PageID, srcs ...isa.PageID) isa.Inst {
-		return isa.Inst{Op: op, Dst: dst, Srcs: srcs, Elem: uint8(lanesElem), Lanes: int32(lanes),
+		in := isa.Inst{Op: op, Dst: dst, Elem: uint8(lanesElem), Lanes: int32(lanes),
 			Meta: isa.Meta{Class: op.Class()}}
+		in.NSrc = uint8(copy(in.Src[:], srcs))
+		return in
 	}
 	insts := []isa.Inst{
 		v(isa.OpXor, 4, 0, 1),        // IFP-friendly
@@ -251,7 +253,7 @@ func TestXorChainReusesLatchedResult(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(1, ps), 1: randPage(2, ps), 2: randPage(3, ps)}
 	v := func(dst isa.PageID, a, b isa.PageID) isa.Inst {
-		return isa.Inst{Op: isa.OpXor, Dst: dst, Srcs: []isa.PageID{a, b}, Elem: 1, Lanes: int32(ps)}
+		return isa.Inst{Op: isa.OpXor, Dst: dst, Src: [isa.MaxSrcs]isa.PageID{a, b}, NSrc: 2, Elem: 1, Lanes: int32(ps)}
 	}
 	prog := buildProg(t, 5, []isa.PageID{0, 1, 2}, []isa.Inst{
 		v(3, 0, 1),
@@ -283,8 +285,8 @@ func TestCrossResourceCoherence(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(7, ps), 1: randPage(8, ps)}
 	prog := buildProg(t, 4, []isa.PageID{0, 1}, []isa.Inst{
-		{Op: isa.OpXor, Dst: 2, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
-		{Op: isa.OpDiv, Dst: 3, Srcs: []isa.PageID{2, 1}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpXor, Dst: 2, Src: [isa.MaxSrcs]isa.PageID{0, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpDiv, Dst: 3, Src: [isa.MaxSrcs]isa.PageID{2, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	if _, err := d.Run(offload.AresFlash{}); err != nil {
@@ -308,9 +310,9 @@ func TestScatteredOperandsUseLatchLoads(t *testing.T) {
 	// The two NOT results live in plane buffers (or DRAM after eviction);
 	// the AND must stage at least one of them through a latch load.
 	prog := buildProg(t, 12, []isa.PageID{0, 1, 2, 3, 4, 5, 6, 7}, []isa.Inst{
-		{Op: isa.OpNot, Dst: 8, Srcs: []isa.PageID{2}, Elem: 1, Lanes: int32(ps)},
-		{Op: isa.OpNot, Dst: 9, Srcs: []isa.PageID{6}, Elem: 1, Lanes: int32(ps)},
-		{Op: isa.OpAnd, Dst: 10, Srcs: []isa.PageID{8, 9}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpNot, Dst: 8, Src: [isa.MaxSrcs]isa.PageID{2}, NSrc: 1, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpNot, Dst: 9, Src: [isa.MaxSrcs]isa.PageID{6}, NSrc: 1, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpAnd, Dst: 10, Src: [isa.MaxSrcs]isa.PageID{8, 9}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	res, err := d.Run(offload.AresFlash{})
@@ -408,7 +410,7 @@ func TestDRAMCapacityPressureCausesEviction(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		insts = append(insts, isa.Inst{Op: isa.OpMul, Dst: isa.PageID(n + i),
-			Srcs: []isa.PageID{isa.PageID(i), isa.PageID((i + 1) % n)}, Elem: 1, Lanes: int32(ps)})
+			Src: [isa.MaxSrcs]isa.PageID{isa.PageID(i), isa.PageID((i + 1) % n)}, NSrc: 2, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := buildProg(t, 2*n, ids, insts)
 	d := New(&cfg)
@@ -436,7 +438,7 @@ func TestVersionCounterFlushBeforeWrap(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 300; i++ {
 		insts = append(insts, isa.Inst{Op: isa.OpAdd, Dst: 1,
-			Srcs: []isa.PageID{1, 0}, Elem: 1, Lanes: int32(ps)})
+			Src: [isa.MaxSrcs]isa.PageID{1, 0}, NSrc: 2, Elem: 1, Lanes: int32(ps)})
 	}
 	prog := buildProg(t, 2, []isa.PageID{0}, insts)
 	d := New(&cfg)
@@ -464,8 +466,8 @@ func TestLoadProgramColocatesIFPOperands(t *testing.T) {
 	ps := cfg.SSD.PageSize
 	inputs := map[isa.PageID][]byte{0: randPage(1, ps), 1: randPage(2, ps), 2: randPage(3, ps)}
 	prog := buildProg(t, 4, []isa.PageID{0, 1, 2}, []isa.Inst{
-		{Op: isa.OpAnd, Dst: 3, Srcs: []isa.PageID{0, 1}, Elem: 1, Lanes: int32(ps)},
-		{Op: isa.OpXor, Dst: 3, Srcs: []isa.PageID{1, 2}, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpAnd, Dst: 3, Src: [isa.MaxSrcs]isa.PageID{0, 1}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
+		{Op: isa.OpXor, Dst: 3, Src: [isa.MaxSrcs]isa.PageID{1, 2}, NSrc: 2, Elem: 1, Lanes: int32(ps)},
 	})
 	d := newLoadedDevice(t, prog, inputs)
 	var addrs [3]nand.Addr

@@ -25,8 +25,8 @@ func execIR(t *testing.T, c *compiler.Compiled, pageSize int) map[isa.PageID][]b
 		if in.Op == isa.OpScalar {
 			continue
 		}
-		srcs := make([][]byte, 0, len(in.Srcs))
-		for _, s := range in.Srcs {
+		srcs := make([][]byte, 0, len(in.Srcs()))
+		for _, s := range in.Srcs() {
 			srcs = append(srcs, load(s))
 		}
 		out := make([]byte, pageSize)

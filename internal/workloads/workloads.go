@@ -544,7 +544,7 @@ func Characterize(name string, c *compiler.Compiled) Characteristics {
 		if in.Op == isa.OpScalar {
 			continue
 		}
-		for _, s := range in.Srcs {
+		for _, s := range in.Srcs() {
 			pageReads[s]++
 		}
 		switch in.Op {
