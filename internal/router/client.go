@@ -30,8 +30,7 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]chan reply
 	free    sync.Pool // of chan reply their callers have received from
-	err     error
-	closed  bool
+	err     error     // sticky: once set, the client is closed
 }
 
 // reply is one answer: a response held in place, never boxed, or a frame.
@@ -132,11 +131,10 @@ func (c *Client) readLoop(r *wire.Reader) {
 // frame — is the "target gone" signal), and closes the socket.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.err != nil {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
 	c.err = err
 	pending := c.pending
 	c.pending = make(map[uint64]chan reply)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,5 +155,79 @@ func TestRoutedResultsSharedNeverWritten(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, sent) {
 		t.Errorf("the shared Result changed: %+v, sent %+v", first, sent)
+	}
+}
+
+// countingConn counts the writes made on it.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestCloseRacingReadFailure: Close races a read failure on a client with
+// calls pending. Every pending call fails with the one sticky error, its
+// channel closed once (a second close would panic), and a later call
+// returns that error without writing a byte.
+func TestCloseRacingReadFailure(t *testing.T) {
+	const pending = 8
+	req := wire.Request{Tenant: "t", Workload: "w", Policy: "Conduit"}
+	for range 50 {
+		mine, theirs := net.Pipe()
+		conn := &countingConn{Conn: mine}
+		read := make(chan struct{}, pending)
+		go func() { // a target that greets, reads requests and never answers
+			hello, _ := wire.AppendFrame(nil, wire.Hello{Target: "t0"})
+			theirs.Write(hello)
+			r := wire.NewReader(theirs)
+			for {
+				if _, err := r.ReadFrame(); err != nil {
+					return
+				}
+				read <- struct{}{}
+			}
+		}()
+		c, err := NewClient(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, pending)
+		for range pending {
+			go func() {
+				_, err := c.Do(req)
+				errs <- err
+			}()
+		}
+		for range pending {
+			<-read // every request is on the wire, so every call is pending
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; c.Close() }()
+		go func() { defer wg.Done(); <-start; theirs.Close() }() // the client's next read fails
+		close(start)
+		wg.Wait()
+		sticky := c.Err()
+		if sticky == nil {
+			t.Fatal("Err is nil after Close and a read failure")
+		}
+		for range pending {
+			if err := <-errs; err != sticky {
+				t.Fatalf("a pending call failed with %v, want the sticky %v", err, sticky)
+			}
+		}
+		writes := conn.writes.Load()
+		if _, err := c.Do(req); err != sticky {
+			t.Errorf("a call after the failure returned %v, want the sticky %v", err, sticky)
+		}
+		c.Close()
+		if n := conn.writes.Load() - writes; n != 0 || c.Err() != sticky {
+			t.Fatalf("after the failure a call wrote %d times and Err became %v, want 0 and %v", n, c.Err(), sticky)
+		}
 	}
 }

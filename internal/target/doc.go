@@ -20,14 +20,17 @@
 //
 // A connection is two goroutines however many of its requests are in
 // flight: a reader that decodes and dispatches frames through one
-// wire.Reader, and one writer. The reader serves and writes when idle:
-// with no further bytes buffered and a one-slot engine idle, the engine
-// serves the request on the reader (its inline callback), and with
-// nothing queued and no write in progress the reader writes the response
+// wire.Reader, and one writer. Which of them may write is one state value
+// (conn.state), moved only through one table of states by events whose
+// every cell names the next state and one action, or is marked
+// impossible; TestConnTransitionTable drives every cell. The reader
+// serves and writes when idle: with no further bytes buffered and a
+// one-slot engine idle, the engine serves the request on the reader (its
+// inline callback), and on a free socket the reader writes the response
 // itself, so an idle connection's round trip wakes no other goroutine of
 // the target. The writer takes the rest: the other callback (the wire ID
-// rides as the request's Tag) runs on the engine worker and only queues
-// a copy of the response it is lent. Whichever writes takes everything
+// rides as the request's Tag) runs on the engine worker and only queues a
+// copy of the response it is lent. Whichever writes takes everything
 // queued, encodes it into one scratch buffer and writes it, and only once
 // all of it is written releases the responses it owed, so a Drain that
 // finds nothing owed knows every answer reached the socket. The reader
@@ -35,8 +38,8 @@
 // leaves the rest to the writer, so a peer that stops reading holds up
 // neither the reader nor, through the slot an inline request holds, the
 // engine (an in-memory connection, which has no such write, is the
-// exception). A writer whose peer is gone releases what it owed
-// unwritten, and exits with its connection.
+// exception). Once a write has failed, or the writer has exited, an owed
+// response is released unwritten.
 //
 // The conversion from a served conduit.Response to a wire.Response
 // (WireResponse) and from pool stats to wire rows (WirePools) lives

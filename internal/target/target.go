@@ -193,7 +193,8 @@ func (s *Server) PoolRows() []wire.PoolRow { return WirePools(s.srv.PoolStats())
 // progress — writes their answers itself, including the response to a
 // request the engine served on it (Server.Dispatch). Everything else goes
 // through the outbox to one writer goroutine (writeLoop), so an engine
-// worker only appends to a slice and never blocks on the socket.
+// worker only appends to a slice and never blocks on the socket. Which of
+// them may write is the connection's state, which moves only through table.
 type conn struct {
 	s      *Server
 	raw    net.Conn
@@ -202,21 +203,93 @@ type conn struct {
 	inline func(*conduit.Response) // c.reply, made once
 	try    func(fd uintptr) bool   // c.writeNow, made once
 
-	mu      sync.Mutex
-	wake    sync.Cond  // on mu: the outbox filled, the socket came free, or the reader finished
-	outbox  []outbound // frames not yet handed to a pass
-	writing bool       // a pass owns the socket and the fields below
-	done    bool       // the reader finished: flush the outbox, then exit
-	closed  bool       // the writer exited: owed responses are released unwritten
+	mu     sync.Mutex
+	wake   sync.Cond  // on mu: the writer has a pass to make, or is to exit
+	state  connState  // set only by on
+	outbox []outbound // frames not yet handed to a pass
 
-	batch  []outbound    // the frames of the pass in progress
-	buf    []byte        // their encoding; between passes, what the reader left unwritten
-	owed   int           // the responses buf owes
-	failed bool          // a write failed or the codec refused a frame: the socket is closed
-	resp   wire.Response // each completion is projected into resp and res
-	res    wire.Result
-	wrote  int // what writeNow wrote, and its error
-	werr   error
+	batch []outbound    // the frames of the pass in progress, which owns the fields below
+	buf   []byte        // their encoding; between passes, what the reader left unwritten
+	owed  int           // the responses buf owes
+	resp  wire.Response // each completion is projected into resp and res
+	res   wire.Result
+	wrote int // what writeNow wrote, and its error
+	werr  error
+}
+
+// connState says who may write a connection's socket, and whether anyone
+// still will.
+type connState uint8
+
+const (
+	free       connState = iota // the socket is free and nothing is left: the reader writes what it posts
+	queued                      // the socket is free and frames are left for the writer, which was woken
+	readerPass                  // the reader's pass owns the socket
+	writerPass                  // the writer's pass owns the socket
+	flushing                    // the reader finished: the writer writes what is left, then exits
+	closed                      // nothing more is written: owed responses are released unwritten
+	nStates
+)
+
+// event is what happens to a connection.
+type event uint8
+
+const (
+	evQueue   event = iota // an engine worker queues a completion (send)
+	evPost                 // the reader posts a frame or an inline reply (post)
+	evWake                 // the writer looks for work (writeLoop)
+	evDrained              // a pass wrote all it took, and nothing was queued meanwhile
+	evLeft                 // a pass left frames queued meanwhile, or bytes the socket did not take
+	evFail                 // a write failed or the codec refused a frame: the pass closed the socket
+	evFinish               // the reader finished (finish)
+	nEvents
+)
+
+// action is what the caller of an event does.
+type action uint8
+
+const (
+	undefined  action = iota // a cell table leaves out
+	impossible               // the event cannot happen in the state
+	doNone
+	doQueue   // append what the event carries to the outbox and wake the writer
+	doPass    // make a pass (the reader first appends what it posts)
+	doSignal  // wake the writer
+	doWait    // the writer waits to be woken
+	doRelease // release what the event carries unwritten
+	doDrop    // release what the outbox holds unwritten
+	doExit    // the writer exits, closing the socket
+)
+
+// step is one cell of table: the state an event leads to, and the action.
+type step struct {
+	next connState
+	do   action
+}
+
+// table is every transition of a connection, and no marks a cell whose
+// event cannot happen in its state. TestConnTransitionTable drives each
+// cell.
+var no = step{do: impossible}
+var table = [nStates][nEvents]step{
+	// columns: evQueue, evPost, evWake, evDrained, evLeft, evFail, evFinish
+	free:       {{queued, doQueue}, {readerPass, doPass}, {free, doWait}, no, no, no, {closed, doSignal}},
+	queued:     {{queued, doQueue}, {queued, doQueue}, {writerPass, doPass}, no, no, no, {flushing, doSignal}},
+	readerPass: {{readerPass, doQueue}, no, {readerPass, doWait}, {free, doNone}, {queued, doSignal}, {closed, doDrop}, no},
+	writerPass: {{writerPass, doQueue}, {writerPass, doQueue}, no, {free, doNone}, {queued, doNone}, {closed, doDrop}, {flushing, doSignal}},
+	flushing:   {{flushing, doQueue}, no, {flushing, doPass}, {closed, doNone}, {flushing, doNone}, {closed, doDrop}, no},
+	closed:     {{closed, doRelease}, {closed, doRelease}, {closed, doExit}, no, no, no, {closed, doSignal}},
+}
+
+// on moves c through table on ev and returns the action of its cell. The
+// caller holds mu. An event its state cannot see is a bug in conn.
+func (c *conn) on(ev event) action {
+	t := table[c.state][ev]
+	if t.do <= impossible {
+		panic(fmt.Sprintf("target: connection event %d in state %d", ev, c.state))
+	}
+	c.state = t.next
+	return t.do
 }
 
 // outbound is one frame owed to the peer: a frame the reader built, or —
@@ -234,65 +307,56 @@ func (c *conn) complete(resp *conduit.Response) { c.send(outbound{resp: *resp}) 
 // the request: it posts a copy of the lent response.
 func (c *conn) reply(resp *conduit.Response) { c.post(outbound{resp: *resp}) }
 
-// send queues o for the writer. Once the writer has exited, a completion
-// is released on the spot and anything else is dropped: the peer is gone.
-func (c *conn) send(o outbound) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		if o.frame == nil {
-			c.s.release(1)
-		}
-		return
-	}
-	c.outbox = append(c.outbox, o)
-	c.mu.Unlock()
-	c.wake.Signal()
-}
+// send queues o for the writer.
+func (c *conn) send(o outbound) { c.handle(evQueue, &o) }
 
-// post is send for the reader: if the socket is free, the reader writes o
+// post is send for the reader: on a free socket the reader writes o
 // itself, so its bytes neither overtake the queue nor interleave with the
-// writer's; it then wakes the writer for whatever is left.
-func (c *conn) post(o outbound) {
-	c.mu.Lock()
-	free := !c.writing && len(c.outbox) == 0 && len(c.buf) == 0
-	c.outbox = append(c.outbox, o)
-	if free {
-		c.pass(false)
-	}
-	left := len(c.outbox) > 0 || len(c.buf) > 0
-	c.mu.Unlock()
-	if left {
-		c.wake.Signal()
-	}
-}
+// writer's, and then wakes the writer for whatever it left.
+func (c *conn) post(o outbound) { c.handle(evPost, &o) }
 
 // finish tells the writer the reader is done: no frame but completions
 // will follow.
-func (c *conn) finish() {
+func (c *conn) finish() { c.handle(evFinish, nil) }
+
+// handle moves c on ev, which carries o, and does its cell's action. Once
+// nothing more is written, a completion is released on the spot and
+// anything else is dropped: the peer is gone.
+func (c *conn) handle(ev event, o *outbound) {
 	c.mu.Lock()
-	c.done = true
+	do := c.on(ev)
+	if do == doQueue || do == doPass {
+		c.outbox = append(c.outbox, *o)
+	}
+	if do == doPass {
+		do = c.pass(false)
+	}
 	c.mu.Unlock()
-	c.wake.Signal()
+	switch {
+	case do == doQueue || do == doSignal:
+		c.wake.Signal()
+	case do == doRelease && o.frame == nil:
+		c.s.release(1)
+	}
 }
 
-// writeLoop is the connection's writer: once the socket is free it makes
-// a pass over whatever is left. It exits, closing the socket, once the
-// reader has finished and nothing is left.
+// writeLoop is the connection's writer: it makes a pass whenever table
+// gives it one, and exits, closing the socket, once nothing more is
+// written.
 func (c *conn) writeLoop() {
 	defer c.s.connWG.Done()
 	defer c.raw.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		for c.writing || len(c.outbox) == 0 && len(c.buf) == 0 && !c.done {
+		switch c.on(evWake) {
+		case doWait:
 			c.wake.Wait()
-		}
-		if len(c.outbox) == 0 && len(c.buf) == 0 { // the reader is done and nothing is left
-			c.closed = true
+		case doPass:
+			c.pass(true)
+		case doExit:
 			return
 		}
-		c.pass(true)
 	}
 }
 
@@ -304,32 +368,28 @@ func (c *conn) writeLoop() {
 // to the writer, so a peer that stops reading cannot stall the reader —
 // nor, through the slot an inline request holds, the engine. After a
 // write error, or a frame the codec refuses (its peer would wait for it
-// forever), pass closes the socket, which stops the reader too, and this
-// and every later pass release what they take without encoding it. The
-// caller holds mu and found the socket free; pass owns it until it
-// returns, with mu held again.
-func (c *conn) pass(wait bool) {
+// forever), pass closes the socket, which stops the reader too. The
+// caller holds mu and table gave it the pass; pass returns with mu held
+// again, and the action of the pass's end.
+func (c *conn) pass(wait bool) action {
 	c.batch, c.outbox = c.outbox, c.batch[:0]
-	c.writing = true
 	c.mu.Unlock()
-	failed := c.failed
+	var err error
 	for i := range c.batch {
 		o := &c.batch[i]
 		if o.frame == nil {
 			c.owed++
 		}
-		if !c.failed {
-			c.failed = c.encode(o) != nil
+		if err == nil {
+			err = c.encode(o)
 		}
 	}
 	clear(c.batch) // hold no response while the slice waits to be reused
-	if !c.failed {
-		c.failed = c.write(wait) != nil
+	if err == nil {
+		err = c.write(wait)
 	}
-	if c.failed {
-		if !failed {
-			c.raw.Close()
-		}
+	if err != nil {
+		c.raw.Close()
 		c.buf = c.buf[:0]
 	}
 	if len(c.buf) == 0 {
@@ -337,7 +397,22 @@ func (c *conn) pass(wait bool) {
 		c.owed = 0
 	}
 	c.mu.Lock()
-	c.writing = false
+	ev := evDrained
+	if err != nil {
+		ev = evFail
+	} else if len(c.outbox) > 0 || len(c.buf) > 0 {
+		ev = evLeft
+	}
+	do := c.on(ev)
+	if do == doDrop {
+		for _, o := range c.outbox {
+			if o.frame == nil {
+				c.s.release(1)
+			}
+		}
+		c.outbox = nil
+	}
+	return do
 }
 
 // encode appends o's frame to buf, a completion projected first.
@@ -378,8 +453,8 @@ func (c *conn) writeNow(fd uintptr) bool {
 	return true
 }
 
-func (s *Server) handleConn(raw net.Conn) {
-	defer s.connWG.Done()
+// newConn is a connection over raw whose writer is not yet started.
+func newConn(s *Server, raw net.Conn) *conn {
 	c := &conn{s: s, raw: raw}
 	c.wake.L = &c.mu
 	c.notify, c.inline, c.try = c.complete, c.reply, c.writeNow
@@ -388,6 +463,12 @@ func (s *Server) handleConn(raw net.Conn) {
 	if sc, ok := raw.(syscall.Conn); ok {
 		c.rc, _ = sc.SyscallConn()
 	}
+	return c
+}
+
+func (s *Server) handleConn(raw net.Conn) {
+	defer s.connWG.Done()
+	c := newConn(s, raw)
 	s.connWG.Add(1)
 	go c.writeLoop()
 	defer func() {

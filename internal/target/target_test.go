@@ -260,8 +260,7 @@ func TestWriterReleasesOwedResponsesOnce(t *testing.T) {
 	s.idle = sync.NewCond(&s.mu)
 	peer, raw := net.Pipe()
 	peer.Close()
-	c := &conn{s: s, raw: raw}
-	c.wake.L = &c.mu
+	c := newConn(s, raw)
 	expired := func(id uint64) outbound {
 		return outbound{resp: conduit.Response{Request: conduit.Request{Tag: id}, Err: conduit.ErrDeadlineExceeded}}
 	}
@@ -288,8 +287,7 @@ func TestWriterHangsUpOnAnUnsendableFrame(t *testing.T) {
 	s.idle = sync.NewCond(&s.mu)
 	peer, raw := net.Pipe()
 	defer peer.Close()
-	c := &conn{s: s, raw: raw}
-	c.wake.L = &c.mu
+	c := newConn(s, raw)
 	c.send(outbound{frame: wire.Response{ID: 1, Code: wire.CodeOK}}) // OK without a Result
 	c.finish()
 	s.connWG.Add(1)
@@ -590,7 +588,8 @@ func goid() string {
 // goroutines read it and which wrote it, how often, and how many writes
 // began while another was in progress. It takes each write in two pieces
 // with a yield between them, as a socket may: bytes that another write
-// slipped in between would break a frame.
+// slipped in between would break a frame. With began set, each write
+// first reports on it that it has begun.
 type watched struct {
 	net.Conn
 	mu       sync.Mutex
@@ -598,6 +597,7 @@ type watched struct {
 	writers  map[string]int
 	active   atomic.Int32
 	overlaps atomic.Int32
+	began    chan struct{}
 }
 
 func (w *watched) Read(b []byte) (int, error) {
@@ -608,6 +608,9 @@ func (w *watched) Read(b []byte) (int, error) {
 }
 
 func (w *watched) Write(b []byte) (int, error) {
+	if w.began != nil {
+		w.began <- struct{}{}
+	}
 	w.mu.Lock()
 	w.writers[goid()]++
 	w.mu.Unlock()
@@ -971,4 +974,325 @@ func TestStalledPeerStallsOnlyItsConnection(t *testing.T) {
 		seen[resp.ID] = true
 	}
 	t.Logf("the socket filled at response %d", n)
+}
+
+// Names of table's rows, columns and actions, for failures.
+var (
+	stateNames  = [nStates]string{"free", "queued", "readerPass", "writerPass", "flushing", "closed"}
+	eventNames  = [nEvents]string{"evQueue", "evPost", "evWake", "evDrained", "evLeft", "evFail", "evFinish"}
+	actionNames = []string{"undefined", "impossible", "doNone", "doQueue", "doPass", "doSignal", "doWait", "doRelease", "doDrop", "doExit"}
+)
+
+// TestConnTransitionTable walks every cell of a connection's transition
+// table over an in-memory connection. For each defined cell it brings a
+// fresh connection to the cell's state through its real methods, fires
+// the cell's event the same way, and checks that the connection is where
+// the walk's model of it, which moves by the table alone, says it is —
+// the writer's wake-ups and the steps they lead to included. Ending each
+// connection then releases every owed response exactly once, the peer
+// reads whole frames in order, and no two writes overlap. An event in a
+// cell marked impossible stops the connection, and a cell that is neither
+// defined nor marked impossible fails the test. Nothing sleeps: the pipe
+// holds a pass in its write until the peer reads, the watched connection
+// reports each write as it begins, and the writer each wait (parking).
+func TestConnTransitionTable(t *testing.T) {
+	for st := range nStates {
+		for ev := range nEvents {
+			cell, name := table[st][ev], stateNames[st]+"/"+eventNames[ev]
+			switch cell.do {
+			case undefined:
+				t.Errorf("%s is neither defined nor marked impossible", name)
+			case impossible:
+				c := &conn{state: st}
+				if !panics(func() { c.on(ev) }) {
+					t.Errorf("%s is marked impossible, but the connection went on", name)
+				}
+			default:
+				t.Run(name, func(t *testing.T) {
+					k := newWalker(t)
+					k.reach(st, ev)
+					k.fire(ev)
+					k.end()
+				})
+			}
+		}
+	}
+}
+
+func panics(f func()) (yes bool) {
+	defer func() { yes = recover() != nil }()
+	f()
+	return false
+}
+
+// parking is a connection's mutex as its wake condition's locker: Wait
+// unlocks through it, so each such unlock says the writer is waiting.
+type parking struct {
+	*sync.Mutex
+	parked chan<- struct{}
+}
+
+func (p parking) Unlock() {
+	p.Mutex.Unlock()
+	p.parked <- struct{}{}
+}
+
+// walker is one connection under the table walk, the test's end of its
+// pipe, and a model of the connection that moves by the table alone.
+type walker struct {
+	t      *testing.T
+	s      *Server
+	c      *conn
+	w      *watched
+	peer   net.Conn
+	r      *wire.Reader
+	parked chan struct{} // the writer is waiting
+	posted chan struct{} // closed when a post left in its write returns; nil if none is
+	exited chan struct{} // closed when the writer exits; nil until it starts
+
+	st       connState // where the table says the connection is
+	waiting  bool      // the writer is waiting to be woken
+	finished bool      // the reader finished
+	hungUp   bool      // the peer hung up
+	id, seen uint64    // the last completion owed, and the last the peer read
+}
+
+func newWalker(t *testing.T) *walker {
+	s := &Server{}
+	s.idle = sync.NewCond(&s.mu)
+	raw, peer := net.Pipe()
+	w := &watched{Conn: raw, readers: make(map[string]bool), writers: make(map[string]int), began: make(chan struct{})}
+	k := &walker{t: t, s: s, c: newConn(s, w), w: w, peer: peer, r: wire.NewReader(peer), parked: make(chan struct{})}
+	k.c.wake.L = parking{&k.c.mu, k.parked}
+	return k
+}
+
+// reach brings the connection to st. Wherever the writer can wait it is
+// started first, so the wake-ups the table names show, unless the event
+// to fire is its start; the end of a pass in flushing needs the writer's
+// pass under way.
+func (k *walker) reach(st connState, ev event) {
+	if ev != evWake && (st == free || st == readerPass || st == closed) {
+		k.start()
+	}
+	switch st {
+	case queued:
+		k.put(evQueue)
+	case readerPass:
+		k.put(evPost)
+	case writerPass:
+		k.put(evQueue)
+		k.start()
+	case flushing:
+		k.put(evQueue)
+		k.finish()
+		if ev == evDrained || ev == evLeft || ev == evFail {
+			k.start()
+		}
+	case closed:
+		k.put(evPost)
+		k.endPass(evFail)
+	}
+	if k.st != st {
+		k.t.Fatalf("the walk reached %s, not %s", stateNames[k.st], stateNames[st])
+	}
+}
+
+// fire fires ev through the connection's real methods.
+func (k *walker) fire(ev event) {
+	switch ev {
+	case evQueue, evPost:
+		k.put(ev)
+	case evWake:
+		k.start()
+	case evFinish:
+		k.finish()
+	default:
+		k.endPass(ev)
+	}
+}
+
+// put hands the connection one more completion it owes, as an engine
+// worker does (evQueue) or the reader (evPost). A reader that makes a pass
+// is left in its write, in the background.
+func (k *walker) put(ev event) {
+	k.id++
+	k.s.begin()
+	o := outbound{resp: conduit.Response{Request: conduit.Request{Tag: k.id}, Err: conduit.ErrDeadlineExceeded}}
+	owed := k.owed()
+	switch {
+	case ev == evQueue:
+		k.c.send(o)
+	case table[k.st][ev].do == doPass:
+		k.posted = make(chan struct{})
+		go func() {
+			defer close(k.posted)
+			k.c.post(o)
+		}()
+		<-k.w.began
+	default:
+		k.c.post(o)
+	}
+	if k.apply(ev) == doRelease && k.owed() != owed-1 {
+		k.t.Errorf("completion %d reached a closed connection and was not released on the spot", k.id)
+	}
+}
+
+func (k *walker) finish() {
+	k.c.finish()
+	k.finished = true
+	k.apply(evFinish)
+}
+
+// start starts the writer and waits for its first step.
+func (k *walker) start() {
+	k.s.connWG.Add(1)
+	k.exited = make(chan struct{})
+	go func() {
+		defer close(k.exited)
+		k.c.writeLoop()
+	}()
+	k.step()
+	k.check()
+}
+
+// endPass ends the pass under way: the peer reads what it writes
+// (evDrained), or does once a completion is queued behind it (evLeft), or
+// hangs up with one queued (evFail).
+func (k *walker) endPass(ev event) {
+	if ev != evDrained {
+		k.put(evQueue)
+	}
+	if ev == evFail {
+		k.peer.Close()
+		k.hungUp = true
+	} else {
+		k.read()
+	}
+	if k.posted != nil { // the reader's pass
+		<-k.posted
+		k.posted = nil
+		k.apply(ev)
+		return
+	}
+	k.st = table[k.st][ev].next // the writer's, which goes on to its next step at once
+	k.step()
+	k.check()
+}
+
+// apply moves the model on ev and returns the cell's action: a waiting
+// writer the action wakes takes its next step. The connection must then be
+// where the model is.
+func (k *walker) apply(ev event) action {
+	k.t.Helper()
+	cell := table[k.st][ev]
+	k.st = cell.next
+	if k.waiting && (cell.do == doQueue || cell.do == doSignal) {
+		k.step()
+	}
+	k.check()
+	return cell.do
+}
+
+// step waits for the writer's next step, the one the table gives its wake
+// in the model's state: a pass begins a write, a wait parks, an exit ends
+// it.
+func (k *walker) step() {
+	k.t.Helper()
+	want := table[k.st][evWake]
+	k.st = want.next
+	var got action
+	select {
+	case <-k.w.began:
+		got = doPass
+	case <-k.parked:
+		got = doWait
+	case <-k.exited:
+		got = doExit
+	case <-time.After(10 * time.Second): // only a broken connection gets here
+		k.t.Fatalf("the writer took no step in %s, want %s", stateNames[k.st], actionNames[want.do])
+	}
+	k.waiting = got == doWait
+	if got != want.do {
+		k.t.Errorf("the writer's step was %s, want %s", actionNames[got], actionNames[want.do])
+	}
+}
+
+// check fails unless the connection is where the model is, and the model
+// where nothing stalls: no frame is left to a writer that waits, and once
+// the reader finished the writer flushes or is to exit.
+func (k *walker) check() {
+	k.t.Helper()
+	k.c.mu.Lock()
+	got := k.c.state
+	k.c.mu.Unlock()
+	if got != k.st {
+		k.t.Errorf("the connection is %s, the table says %s", stateNames[got], stateNames[k.st])
+	}
+	if k.waiting && (k.st == queued || k.st == flushing) || k.finished && k.st != flushing && k.st != closed {
+		k.t.Fatalf("in %s, the writer waiting %v and the reader finished %v, the connection stalls", stateNames[k.st], k.waiting, k.finished)
+	}
+}
+
+func (k *walker) owed() int {
+	k.s.mu.Lock()
+	defer k.s.mu.Unlock()
+	return k.s.inflight
+}
+
+// read reads one frame at the peer: the answer to a later completion than
+// the last it read.
+func (k *walker) read() bool {
+	f, err := k.r.ReadFrame()
+	resp, ok := f.(wire.Response)
+	if err != nil || !ok || resp.Code != wire.CodeDeadline || resp.ID <= k.seen {
+		if !errors.Is(err, io.EOF) {
+			k.t.Errorf("the peer read %+v (%v), want an answer to a completion after %d", f, err, k.seen)
+		}
+		return false
+	}
+	k.seen = resp.ID
+	return true
+}
+
+// end ends the connection as its reader and writer do, while the peer
+// reads to the end of the stream, and checks what the walk left behind.
+func (k *walker) end() {
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for !k.hungUp && k.read() {
+		}
+	}()
+	if k.posted != nil {
+		<-k.posted
+	}
+	if !k.finished {
+		k.c.finish()
+	}
+	if k.exited == nil {
+		k.s.connWG.Add(1)
+		k.exited = make(chan struct{})
+		go func() {
+			defer close(k.exited)
+			k.c.writeLoop()
+		}()
+	}
+	for exited := false; !exited; {
+		select {
+		case <-k.w.began:
+		case <-k.parked:
+		case <-k.exited:
+			exited = true
+		case <-time.After(10 * time.Second): // only a broken connection gets here
+			k.t.Fatal("the writer did not exit once the reader finished")
+		}
+	}
+	<-read
+	if owed := k.owed(); owed != 0 {
+		k.t.Errorf("%d responses owed once the connection ended, want 0", owed)
+	}
+	if n := k.w.overlaps.Load(); n != 0 {
+		k.t.Errorf("%d writes began while another was in progress", n)
+	}
 }
